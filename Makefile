@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race bench golden overlap fuzz report serve load
+.PHONY: check test race bench bench-exec golden overlap fuzz report serve load
 
 check: ## build + vet + race tests + fuzz smoke + trace-overhead guard
 	./ci.sh
@@ -14,6 +14,9 @@ race: ## tests under the race detector (the parallel compile lane)
 bench: ## go benchmarks + the BENCH_<yyyymmdd>.json snapshot
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
 	$(GO) run ./cmd/fdbench
+
+bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, broadcast (ns/op and allocs/op)
+	$(GO) test -run '^$$' -bench 'BenchmarkExec' -benchmem ./internal/spmd
 
 golden: ## regenerate the trace-summary, analysis, optimization-report and metrics goldens
 	$(GO) test -run TestGolden -update . ./internal/metrics
@@ -29,9 +32,10 @@ report: ## render the dgefa HTML performance report to report.html
 	$(GO) run ./cmd/fdreport -o report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
-fuzz: ## fuzz the parser and the whole compile pipeline
+fuzz: ## fuzz the parser, the whole compile pipeline and compile+run
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) .
 
 FDD_ADDR ?= localhost:8700
 FDD_CACHE ?= .fddcache

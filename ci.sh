@@ -1,9 +1,11 @@
 #!/bin/sh
 # CI gate: build, vet, race-enabled tests (which exercise the parallel
-# compile scheduler), a short fuzz smoke of the parser and compile
-# pipeline, and the trace-overhead guard (the disabled-tracing fast path
-# must stay cheap; compare the two sub-benchmarks by hand when touching
-# the instrumentation).
+# compile scheduler), a short fuzz smoke of the parser, the compile
+# pipeline and the executor, the benchmark's own tests and smoke run
+# (its oracles check the executor's arrays and deterministic counts),
+# and the trace-overhead guard (the disabled-tracing fast path must stay
+# cheap; compare the two sub-benchmarks by hand when touching the
+# instrumentation).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -18,6 +20,13 @@ go test -race -timeout 5m ./...
 FORTD_MACHINE_BACKEND=goroutine go test -race -timeout 5m ./internal/machine ./internal/spmd .
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz FuzzCompile -fuzztime 10s .
+go test -run '^$' -fuzz FuzzRun -fuzztime 10s .
+# the benchmark is its own module (bench/go.mod), so ./... above does not
+# reach it: run its unit tests, then one smoke pass over all five
+# workloads, which fails on a wrong array, a Stats difference between
+# repeats or a machine replay that does not reproduce the traced run
+(cd bench && go test ./...)
+bash bench/run.sh -smoke
 go test -run '^$' -bench BenchmarkTraceOverhead -benchtime 20x .
 
 # deadlock smoke: a deliberately mismatched SPMD program must terminate

@@ -135,6 +135,20 @@ func classify(err error) (int, errorBody) {
 			Detail: map[string]any{"deadline": dl.Deadline, "blocked": len(dl.Blocked), "live": dl.Live},
 		}
 	}
+	var ne *fortd.NodeError
+	if errors.As(err, &ne) {
+		return http.StatusUnprocessableEntity, errorBody{
+			Kind: "run", Message: err.Error(),
+			Detail: map[string]any{"pid": ne.PID},
+		}
+	}
+	var pe *fortd.PanicError
+	if errors.As(err, &pe) {
+		return http.StatusUnprocessableEntity, errorBody{
+			Kind: "panic", Message: err.Error(),
+			Detail: map[string]any{"pid": pe.PID},
+		}
+	}
 	var ab *fortd.AbortError
 	if errors.As(err, &ab) {
 		return http.StatusUnprocessableEntity, errorBody{

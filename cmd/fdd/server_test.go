@@ -153,6 +153,35 @@ func TestDaemonErrors(t *testing.T) {
 	}
 }
 
+// TestDaemonRunFailureIs422: a program that is well-formed but fails
+// when it runs — here an intrinsic call that used to panic a node
+// goroutine and kill the daemon — is 422 with kind "run", at any P, and
+// the daemon serves the next request.
+func TestDaemonRunFailureIs422(t *testing.T) {
+	h := newTestHandler(t, fortd.ServiceConfig{})
+	for _, p := range []int{1, 4} {
+		src := strings.Replace(`
+      PROGRAM P
+      PARAMETER (n$proc = NP)
+      REAL x(8)
+      x(1) = MOD(5, 0.5) + MAX()
+      END
+`, "NP", string(rune('0'+p)), 1)
+		w, out := do(t, h, "POST", "/run", map[string]any{"session": "t", "source": src})
+		if w.Code != http.StatusUnprocessableEntity || errKind(t, out) != "run" {
+			t.Fatalf("P=%d: crasher run -> %d %v, want 422 run", p, w.Code, out)
+		}
+		msg := out["error"].(map[string]any)["message"].(string)
+		if !strings.Contains(msg, ": P:5: MOD by zero") {
+			t.Errorf("P=%d: message %q does not name processor, procedure and line", p, msg)
+		}
+	}
+	w, _ := do(t, h, "POST", "/run", map[string]any{"session": "t", "source": fortd.Jacobi1DSrc(32, 2, 4)})
+	if w.Code != http.StatusOK {
+		t.Fatalf("run after the crashers -> %d: %s", w.Code, w.Body.String())
+	}
+}
+
 // TestDaemonRateLimit exhausts a session's bucket over HTTP and
 // verifies the 429 with kind rate-limit, plus the /stats counter.
 func TestDaemonRateLimit(t *testing.T) {

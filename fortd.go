@@ -177,6 +177,16 @@ type FaultPlan = machine.FaultPlan
 // Unwrap returns the originating cause.
 type AbortError = machine.AbortError
 
+// NodeError is one simulated processor's own run-time failure: a
+// statement of its node program that could not execute (subscript out
+// of bounds, unknown procedure, bad intrinsic call, mismatched message
+// size). Its peers report AbortErrors.
+type NodeError = spmd.NodeError
+
+// PanicError reports a node program that panicked — an executor bug.
+// The machine contains it: the run fails, the process survives.
+type PanicError = machine.PanicError
+
 // DeadlockError is the watchdog's structured report: every live
 // processor blocked on a link with no progress (or the run exceeding
 // its wall-clock deadline), with per-processor attribution.

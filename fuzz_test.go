@@ -1,18 +1,18 @@
 package fortd
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"fortd/internal/ast"
 )
 
-// FuzzCompile asserts the whole compile pipeline — parse, ACG
-// construction, interprocedural analyses, code generation — never
-// panics: arbitrary input must either compile or return an error. Each
-// input is compiled twice, sequentially and through the parallel
-// scheduler with a summary cache attached, so the fuzzer also exercises
-// the worker pool and the cache load/store paths.
-func FuzzCompile(f *testing.F) {
+// addSamplePrograms seeds f with every sample program under testdata/.
+func addSamplePrograms(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.f"))
 	if err != nil {
 		f.Fatal(err)
@@ -24,6 +24,16 @@ func FuzzCompile(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
+}
+
+// FuzzCompile asserts the whole compile pipeline — parse, ACG
+// construction, interprocedural analyses, code generation — never
+// panics: arbitrary input must either compile or return an error. Each
+// input is compiled twice, sequentially and through the parallel
+// scheduler with a summary cache attached, so the fuzzer also exercises
+// the worker pool and the cache load/store paths.
+func FuzzCompile(f *testing.F) {
+	addSamplePrograms(f)
 	for _, src := range []string{
 		Fig1Src(100, 4),
 		Fig4Src(100, 4),
@@ -60,4 +70,216 @@ func FuzzCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRun asserts the executor's robustness contract on whatever the
+// compiler accepts: compiling and running arbitrary source under a
+// wall-clock deadline never panics and never outlives the deadline, and
+// a run that succeeds agrees with the sequential reference (on programs
+// within the compiler's input contract, see shapesConform and
+// readsIndexOutsideLoop). The seeds
+// include the three programs that broke the tree-walking interpreter:
+// an early RETURN (silently ignored), intrinsics that indexed missing
+// arguments or divided by a truncated zero (panicked a node goroutine),
+// and a compute-only loop (no cancellation point, outlived any
+// deadline).
+func FuzzRun(f *testing.F) {
+	addSamplePrograms(f)
+	for _, src := range []string{
+		Fig15Src(3, 4),
+		DgefaSrc(8, 4),
+		Jacobi2DSrc(8, 2, 4),
+		ReductionSrc(16, 3),
+		`
+      PROGRAM P
+      PARAMETER (n$proc = 4)
+      REAL x(8)
+      DISTRIBUTE x(BLOCK)
+      call f(x, 1)
+      END
+      SUBROUTINE f(x, k)
+      REAL x(8)
+      if (k .EQ. 1) then
+        x(1) = 5.0
+        return
+      endif
+      x(1) = 7.0
+      END
+`, `
+      PROGRAM P
+      PARAMETER (n$proc = 2)
+      REAL x(8)
+      x(1) = MOD(5, 0.5)
+      x(2) = MAX()
+      x(3) = ABS() + SQRT() + first$(1, 2)
+      END
+`, `
+      PROGRAM P
+      PARAMETER (n$proc = 2)
+      do i = 1, 2000000000
+      enddo
+      END
+`,
+	} {
+		f.Add(src)
+	}
+	const deadline = 2 * time.Second
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Compile(src, DefaultOptions())
+		if err != nil || prog.P() > 16 {
+			return
+		}
+		r := NewRunner(WithDeadline(deadline))
+		start := time.Now()
+		res, err := r.Run(prog)
+		// the deadline aborts the machine; unwinding P node programs and
+		// joining their errors takes a moment more
+		if d := time.Since(start); d > 2*deadline {
+			t.Fatalf("run returned after %v under a %v deadline", d, deadline)
+		}
+		if err != nil {
+			return
+		}
+		ref, err := r.RunReference(prog)
+		if err != nil || !shapesConform(prog.c.Source) || readsIndexOutsideLoop(prog.c.Source) {
+			return
+		}
+		for name, want := range ref.Arrays {
+			got := res.Arrays[name]
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d elements, reference has %d", name, len(got), len(want))
+			}
+			for i := range want {
+				same := got[i] == want[i] || (math.IsNaN(got[i]) && math.IsNaN(want[i])) ||
+					math.Abs(got[i]-want[i]) <= 1e-9*(1+math.Abs(want[i]))
+				if !same {
+					t.Fatalf("%s[%d] = %v, reference %v\n%s", name, i, got[i], want[i], prog.Listing())
+				}
+			}
+		}
+	})
+}
+
+// shapesConform reports whether every CALL passes arrays to array
+// formals of the same constant shape and scalars to scalar formals, one
+// actual per formal. The compiler partitions a procedure by its
+// formals' declared bounds while the executor, like Fortran, addresses
+// the caller's storage, so a program that passes X(10) to a formal
+// declared X(0) has no single meaning the two could agree on.
+func shapesConform(prog *ast.Program) bool {
+	shape := func(u *ast.Procedure, sym *ast.Symbol) ([][2]int, bool) {
+		env := ast.MapEnv{}
+		for _, s := range u.Symbols.Symbols() {
+			if s.Kind == ast.SymConstant {
+				env[s.Name] = s.ConstValue
+			}
+		}
+		out := make([][2]int, len(sym.Dims))
+		for i, d := range sym.Dims {
+			lo, okLo := ast.EvalInt(d.Lo, env)
+			hi, okHi := ast.EvalInt(d.Hi, env)
+			if !okLo || !okHi {
+				return nil, false
+			}
+			out[i] = [2]int{lo, hi}
+		}
+		return out, true
+	}
+	ok := true
+	for _, u := range prog.Units {
+		ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+			call, isCall := s.(*ast.Call)
+			if !isCall {
+				return true
+			}
+			callee := prog.Proc(call.Name)
+			if callee == nil || len(call.Args) != len(callee.Params) {
+				ok = false
+				return false
+			}
+			for i, a := range call.Args {
+				formal := callee.Formal(i)
+				var actual *ast.Symbol
+				if id, isIdent := a.(*ast.Ident); isIdent {
+					actual = u.Symbols.Lookup(id.Name)
+				}
+				actualArray := actual != nil && actual.Kind == ast.SymArray
+				if formal == nil || actualArray != (formal.Kind == ast.SymArray) {
+					ok = false
+					return false
+				}
+				if !actualArray {
+					continue
+				}
+				as, aok := shape(u, actual)
+				fs, fok := shape(callee, formal)
+				if !aok || !fok || fmt.Sprint(as) != fmt.Sprint(fs) {
+					ok = false
+					return false
+				}
+			}
+			return true
+		})
+	}
+	return ok
+}
+
+// readsIndexOutsideLoop reports whether some unit mentions a DO index
+// outside the loops it controls. The compiler partitions a loop by
+// giving each processor its own iterations, so the index a processor is
+// left with after the loop is not the sequential one; programs that
+// depend on it are outside what the compiler promises to preserve.
+func readsIndexOutsideLoop(prog *ast.Program) bool {
+	found := false
+	for _, u := range prog.Units {
+		index := map[string]bool{}
+		ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+			if d, ok := s.(*ast.Do); ok {
+				index[d.Var] = true
+			}
+			return true
+		})
+		active := map[string]int{}
+		var mentions func(e ast.Expr)
+		mentions = func(e ast.Expr) {
+			switch x := e.(type) {
+			case *ast.Ident:
+				if index[x.Name] && active[x.Name] == 0 {
+					found = true
+				}
+			case *ast.ArrayRef:
+				for _, sub := range x.Subs {
+					mentions(sub)
+				}
+			case *ast.FuncCall:
+				for _, a := range x.Args {
+					mentions(a)
+				}
+			case *ast.Binary:
+				mentions(x.X)
+				mentions(x.Y)
+			case *ast.Unary:
+				mentions(x.X)
+			}
+		}
+		var walk func(body []ast.Stmt)
+		walk = func(body []ast.Stmt) {
+			for _, s := range body {
+				for _, e := range ast.StmtExprs(s) {
+					mentions(e)
+				}
+				switch st := s.(type) {
+				case *ast.Do:
+					active[st.Var]++
+					walk(st.Body)
+					active[st.Var]--
+				case *ast.If:
+					walk(st.Then)
+					walk(st.Else)
+				}
+			}
+		}
+		walk(u.Body)
+	}
+	return found
 }

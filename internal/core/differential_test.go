@@ -1,15 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"fortd/internal/ast"
 	"fortd/internal/codegen"
 	"fortd/internal/machine"
+	"fortd/internal/progen"
 	"fortd/internal/spmd"
 	"fortd/internal/summarycache"
 )
@@ -21,132 +20,6 @@ import (
 // communication classification/placement, cloning, dynamic
 // redistribution and the run-time resolution generator on program
 // shapes nobody hand-picked.
-
-type progGen struct {
-	rng    *rand.Rand
-	n      int
-	p      int
-	frags  []string
-	subs   []string
-	nextID int
-}
-
-func (g *progGen) pick(ss ...string) string { return ss[g.rng.Intn(len(ss))] }
-
-func (g *progGen) shift() int { return g.rng.Intn(5) - 2 } // -2..2
-
-// fill writes a deterministic pattern.
-func (g *progGen) fill(arr string) string {
-	c := g.rng.Intn(5) + 1
-	return fmt.Sprintf(`      do i = 1, %d
-        %s(i) = i * %d + %d
-      enddo
-`, g.n, arr, c, g.rng.Intn(9))
-}
-
-// stencil reads src with a shift, writes dst.
-func (g *progGen) stencil(dst, src string) string {
-	s1 := g.shift()
-	s2 := g.shift()
-	return fmt.Sprintf(`      do i = 3, %d
-        %s(i) = 0.5 * %s(i%+d) + 0.25 * %s(i%+d)
-      enddo
-`, g.n-2, dst, src, s1, src, s2)
-}
-
-// recurrence creates a carried true dependence.
-func (g *progGen) recurrence(arr string) string {
-	return fmt.Sprintf(`      do i = 3, %d
-        %s(i) = %s(i-1) + 1.0
-      enddo
-`, g.n-2, arr, arr)
-}
-
-// reduce accumulates into a scalar (replicated computation).
-func (g *progGen) reduce(arr string) string {
-	return fmt.Sprintf(`      do i = 1, %d
-        s = s + %s(i)
-      enddo
-      %s(1) = s
-`, g.n, arr, arr)
-}
-
-// subCall wraps a stencil in a subroutine.
-func (g *progGen) subCall(dst, src string) string {
-	g.nextID++
-	name := fmt.Sprintf("W%d", g.nextID)
-	s1 := g.shift()
-	g.subs = append(g.subs, fmt.Sprintf(`      SUBROUTINE %s(U, V)
-      REAL U(%d), V(%d)
-      do i = 3, %d
-        U(i) = V(i%+d) * 1.5
-      enddo
-      END
-`, name, g.n, g.n, g.n-2, s1))
-	return fmt.Sprintf("      call %s(%s, %s)\n", name, dst, src)
-}
-
-// redistribute changes A's distribution mid-program.
-func (g *progGen) redistribute(arr, spec string) string {
-	return fmt.Sprintf("      DISTRIBUTE %s(%s)\n", arr, spec)
-}
-
-// conditional reads distributed data in an IF condition and takes
-// per-element branches.
-func (g *progGen) conditional(dst, src string) string {
-	thresh := g.rng.Intn(50)
-	return fmt.Sprintf(`      do i = 3, %d
-        if (%s(i) .GT. %d) then
-          %s(i) = %s(i) - 1.0
-        else
-          %s(i) = %s(i) + 2.0
-        endif
-      enddo
-`, g.n-2, src, thresh, dst, src, dst, src)
-}
-
-func (g *progGen) generate() string {
-	distA := g.pick("BLOCK", "CYCLIC")
-	distB := g.pick("BLOCK", "CYCLIC")
-	var body strings.Builder
-	nf := g.rng.Intn(3) + 2
-	body.WriteString(g.fill("A"))
-	body.WriteString(g.fill("B"))
-	for i := 0; i < nf; i++ {
-		switch g.rng.Intn(7) {
-		case 0:
-			body.WriteString(g.stencil("A", "B"))
-		case 1:
-			body.WriteString(g.stencil("B", "A"))
-		case 2:
-			body.WriteString(g.recurrence(g.pick("A", "B")))
-		case 3:
-			body.WriteString(g.reduce(g.pick("A", "B")))
-		case 4:
-			body.WriteString(g.subCall("A", "B"))
-		case 5:
-			// mid-program redistribution exercises §6 and the
-			// per-statement distribution lookup
-			body.WriteString(g.redistribute(g.pick("A", "B"), g.pick("BLOCK", "CYCLIC")))
-			body.WriteString(g.stencil("A", "B"))
-		case 6:
-			body.WriteString(g.conditional("A", "B"))
-		}
-	}
-	var src strings.Builder
-	fmt.Fprintf(&src, `      PROGRAM RAND
-      PARAMETER (n$proc = %d)
-      REAL A(%d), B(%d)
-      DISTRIBUTE A(%s)
-      DISTRIBUTE B(%s)
-`, g.p, g.n, g.n, distA, distB)
-	src.WriteString(body.String())
-	src.WriteString("      END\n")
-	for _, s := range g.subs {
-		src.WriteString(s)
-	}
-	return src.String()
-}
 
 // TestDifferentialRandomPrograms is a table-driven property test: every
 // lane draws random programs (array sizes, processor counts, statement
@@ -178,12 +51,12 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			for trial := 0; trial < tc.trials; trial++ {
-				g := &progGen{
-					rng: rng,
-					n:   rng.Intn(40) + 24,
-					p:   []int{2, 3, 4}[rng.Intn(3)],
+				g := &progen.Gen{
+					Rng: rng,
+					N:   rng.Intn(40) + 24,
+					P:   []int{2, 3, 4}[rng.Intn(3)],
 				}
-				src := g.generate()
+				src := g.Generate()
 
 				opts := DefaultOptions()
 				opts.Strategy = tc.strategy

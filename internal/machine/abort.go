@@ -24,7 +24,7 @@ import (
 
 // abortPanic unwinds a node program out of a blocking primitive after
 // an abort; Machine.Go's wrapper recovers it and records the error.
-// Any other panic value is re-raised.
+// Any other panic value becomes the processor's *PanicError.
 type abortPanic struct{ err error }
 
 // AbortError reports that a processor was cooperatively unblocked (or
@@ -195,8 +195,8 @@ func (m *Machine) Err() error {
 }
 
 // ProcErr returns the error processor p's node program was terminated
-// with (an *AbortError or *CongestionError), or nil when it finished
-// normally. Meaningful after Wait.
+// with (an *AbortError, *CongestionError or *PanicError), or nil when
+// it finished normally. Meaningful after Wait.
 func (m *Machine) ProcErr(p int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

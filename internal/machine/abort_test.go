@@ -42,6 +42,46 @@ func TestAbortUnblocksPeers(t *testing.T) {
 	}
 }
 
+// TestNodeProgramPanicIsAnError: a node program that panics with
+// anything but the machine's own abort unwind — an executor bug, an
+// index out of range — fails its run with a *PanicError and unblocks
+// its peers, on both backends, instead of taking the process down.
+// CheckAbort lets a peer that neither computes nor communicates see it.
+func TestNodeProgramPanicIsAnError(t *testing.T) {
+	for _, be := range []Backend{BackendDES, BackendGoroutine} {
+		cfg := DefaultConfig(3)
+		cfg.Backend = be
+		m := New(cfg)
+		m.Go(0, func(p *Proc) {
+			var empty []int
+			_ = empty[p.ID()+1] // index out of range
+		})
+		m.Go(1, func(p *Proc) { p.Recv(0) })
+		m.Go(2, func(p *Proc) {
+			for {
+				p.CheckAbort()
+			}
+		})
+		err := m.Wait()
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.PID != 0 {
+			t.Fatalf("%v: Wait() = %v, want p0's *PanicError", be, err)
+		}
+		if !strings.Contains(pe.Error(), "index out of range") || !strings.Contains(pe.Stack, "abort_test.go") {
+			t.Errorf("%v: PanicError = %q, stack names abort_test.go: %v", be, pe, strings.Contains(pe.Stack, "abort_test.go"))
+		}
+		if perr := m.ProcErr(0); perr != error(pe) {
+			t.Errorf("%v: ProcErr(0) = %v, want the PanicError", be, perr)
+		}
+		for _, pid := range []int{1, 2} {
+			var ae *AbortError
+			if perr := m.ProcErr(pid); !errors.As(perr, &ae) || ae.Origin != 0 || !errors.Is(ae, pe) {
+				t.Errorf("%v: ProcErr(%d) = %v, want an AbortError caused by p0's panic", be, pid, perr)
+			}
+		}
+	}
+}
+
 // TestDeadlockWatchdog: two processors each waiting for the other to
 // send first is detected, and the report names both blocked receives.
 func TestDeadlockWatchdog(t *testing.T) {

@@ -138,3 +138,47 @@ func TestDESPayloadIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestCallerOwnedHandlesAllocationFree: split-phase operations posted
+// into handles the caller keeps (IRecvInto, PostBcastInto) cost no
+// allocation per operation either, and a reused handle completes each
+// round with that round's payload.
+func TestCallerOwnedHandlesAllocationFree(t *testing.T) {
+	skipIfNotDES(t)
+	const rounds = 2000
+	run := func() {
+		m := New(Config{P: 4, Latency: 70, PerWord: 0.4, FlopCost: 0.1})
+		for pid := 0; pid < 4; pid++ {
+			m.Go(pid, func(p *Proc) {
+				var recv, bcast Handle
+				for i := 0; i < rounds; i++ {
+					root := i % 4
+					var data []float64
+					if p.ID() == root {
+						data = p.Scratch(8)
+						data[0] = float64(i)
+					}
+					p.PostBcastInto(&bcast, root, data)
+					p.IRecvInto(&recv, (p.ID()+1)%4)
+					if got := p.WaitBcast(&bcast); got[0] != float64(i) {
+						t.Errorf("p%d round %d: broadcast delivered %v", p.ID(), i, got[0])
+						return
+					}
+					buf := p.Scratch(2)
+					buf[0] = float64(-i)
+					p.Send((p.ID()+3)%4, buf)
+					if got := p.WaitHandle(&recv); got[0] != float64(-i) {
+						t.Errorf("p%d round %d: received %v", p.ID(), i, got[0])
+						return
+					}
+				}
+			})
+		}
+		if err := m.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(3, run); avg > 250 {
+		t.Errorf("%d split-phase rounds on 4 processors cost %.0f allocs, want amortized zero (<=250 total)", rounds, avg)
+	}
+}

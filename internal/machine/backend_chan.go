@@ -38,11 +38,7 @@ func (e *chanEngine) start(pid int, fn func(*Proc)) {
 	m.mu.Unlock()
 	go func() {
 		defer m.wg.Done()
-		defer func() {
-			if r := m.recordProcExit(pid, recover()); r != nil {
-				panic(r)
-			}
-		}()
+		defer func() { m.recordProcExit(pid, recover()) }()
 		fn(m.procs[pid])
 	}()
 }

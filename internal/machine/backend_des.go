@@ -179,15 +179,9 @@ func (e *desEngine) start(pid int, fn func(*Proc)) {
 		defer m.wg.Done()
 		<-e.resume[pid] // park until the scheduler dispatches the start event
 		defer func() {
-			// hand control back to the scheduler before re-raising any
-			// foreign panic, or the whole machine would deadlock inside
-			// Wait and mask the real failure
-			r := m.recordProcExit(pid, recover())
+			m.recordProcExit(pid, recover())
 			e.finished[pid] = true
 			e.yield <- pid
-			if r != nil {
-				panic(r)
-			}
 		}()
 		fn(m.procs[pid])
 	}()

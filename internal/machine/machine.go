@@ -27,6 +27,7 @@ package machine
 import (
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -309,30 +310,48 @@ func (m *Machine) Proc(p int) *Proc { return m.procs[p] }
 // Go runs fn as processor p's node program. If the run is aborted
 // while fn is blocked in a communication primitive (or between
 // computations), fn is unwound and the processor's *AbortError is
-// recorded (see ProcErr); other panics propagate. Call Go from the
+// recorded (see ProcErr); any other panic in fn is recorded as the
+// processor's *PanicError and aborts the run. Call Go from the
 // goroutine that created the machine, before Wait.
 func (m *Machine) Go(p int, fn func(*Proc)) {
 	m.eng.start(p, fn)
 }
 
-// recordProcExit files a node program's abortPanic unwind as the
-// processor's error and decrements the live count. It returns the
-// panic value the caller must re-raise (nil when handled): engines
-// differ in what must happen before a foreign panic may propagate.
-func (m *Machine) recordProcExit(pid int, r any) (rethrow any) {
-	if r != nil {
-		if ap, ok := r.(abortPanic); ok {
-			m.mu.Lock()
-			m.procErrs[pid] = ap.err
-			m.mu.Unlock()
-		} else {
-			rethrow = r
-		}
+// PanicError reports a node program that panicked with anything other
+// than the machine's own abort unwind: a bug in the executor, or an
+// input that slipped past its checks. The machine files it as that
+// processor's error and aborts the run, so one bad program fails one
+// run instead of taking the process (a daemon serving many) down.
+type PanicError struct {
+	PID   int
+	Value any    // the recovered panic value
+	Stack string // the panicking goroutine's stack, for the bug report
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("p%d: node program panicked: %v", e.PID, e.Value)
+}
+
+// recordProcExit files how processor pid's node program ended, given
+// what its deferred recover returned: an abortPanic unwind records the
+// processor's *AbortError, any other panic becomes a *PanicError that
+// also aborts the run. It then decrements the live count.
+func (m *Machine) recordProcExit(pid int, r any) {
+	var err error
+	switch v := r.(type) {
+	case nil:
+	case abortPanic:
+		err = v.err
+	default:
+		err = &PanicError{PID: pid, Value: v, Stack: string(debug.Stack())}
+		m.Abort(pid, err)
 	}
 	m.mu.Lock()
+	if err != nil {
+		m.procErrs[pid] = err
+	}
 	m.running--
 	m.mu.Unlock()
-	return rethrow
 }
 
 // Wait blocks until every node program launched with Go has finished
@@ -434,6 +453,16 @@ func (p *Proc) Compute(n int) {
 	}
 	p.stats.Flops += int64(n)
 	p.stats.Clock += float64(n) * p.m.cfg.FlopCost * p.skew
+}
+
+// CheckAbort is a cancellation point that costs no virtual time: it
+// unwinds the node program if the run has been aborted and does nothing
+// otherwise. Loops that neither compute nor communicate call it so a
+// deadline or a cancelled context can still stop them.
+func (p *Proc) CheckAbort() {
+	if p.m.aborted.Load() {
+		p.abortNow("compute", -1)
+	}
 }
 
 // Tick advances the clock by an explicit cost.

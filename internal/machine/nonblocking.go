@@ -26,6 +26,9 @@ const (
 // Handle is one in-flight nonblocking operation, returned by ISend,
 // IRecv and PostBcast and completed by WaitHandle. Handles belong to
 // the processor that created them and are not safe for concurrent use.
+// A caller that posts in a loop can own the storage instead: IRecvInto
+// and PostBcastInto restart a Handle the caller keeps (once its
+// previous operation has been waited for), reusing its forwarding list.
 type Handle struct {
 	p    *Proc
 	kind handleKind
@@ -49,14 +52,18 @@ func (p *Proc) ISend(to int, data []float64) *Handle {
 // rendezvous); WaitHandle performs the receive. Posting is still a
 // cancellation point so an aborted run unwinds promptly.
 func (p *Proc) IRecv(from int) *Handle {
+	h := new(Handle)
+	p.IRecvInto(h, from)
+	return h
+}
+
+// IRecvInto is IRecv into a caller-owned Handle.
+func (p *Proc) IRecvInto(h *Handle, from int) {
 	if p.m.aborted.Load() {
 		p.abortNow("post", from)
 	}
-	h := &Handle{p: p, kind: handleRecv, from: from}
-	if from == p.id {
-		h.done = true // self-receive is a local no-op, as in Recv
-	}
-	return h
+	// self-receive is a local no-op, as in Recv
+	*h = Handle{p: p, kind: handleRecv, from: from, done: from == p.id, fwd: h.fwd[:0]}
 }
 
 // WaitHandle completes a nonblocking operation, blocking until its
@@ -90,9 +97,9 @@ func (p *Proc) WaitHandle(h *Handle) []float64 {
 // exactly the rounds Broadcast walks inline — rank rel receives in the
 // round k with k <= rel < 2k and sends to rel+k in every later round —
 // so split-phase and blocking broadcasts move the same messages over
-// the same links.
-func bcastTree(rel, np int) (parent int, children []int) {
-	parent = -1
+// the same links. The children are appended to buf.
+func bcastTree(rel, np int, buf []int) (parent int, children []int) {
+	parent, children = -1, buf
 	k := 1
 	if rel > 0 {
 		for k <= rel {
@@ -117,28 +124,33 @@ func bcastTree(rel, np int) (parent int, children []int) {
 // records its parent and forwards to its own children when it waits.
 // The message pattern is identical to the blocking Broadcast.
 func (p *Proc) PostBcast(root int, data []float64) *Handle {
+	h := new(Handle)
+	p.PostBcastInto(h, root, data)
+	return h
+}
+
+// PostBcastInto is PostBcast into a caller-owned Handle.
+func (p *Proc) PostBcastInto(h *Handle, root int, data []float64) {
 	np := p.m.cfg.P
 	rel := (p.id - root + np) % np
-	parent, children := bcastTree(rel, np)
-	h := &Handle{p: p, kind: handleBcast, from: -1}
+	parent, children := bcastTree(rel, np, h.fwd[:0])
+	for i, c := range children {
+		children[i] = (root + c) % np
+	}
+	*h = Handle{p: p, kind: handleBcast, from: -1, fwd: children}
 	if p.id == root {
 		for _, c := range children {
-			p.Send((root+c)%np, data)
+			p.Send(c, data)
 			p.bcast++
 		}
 		h.done = true
 		h.data = data
-		return h
+		return
 	}
 	if p.m.aborted.Load() {
 		p.abortNow("post", (root+parent)%np)
 	}
 	h.from = (root + parent) % np
-	h.fwd = make([]int, len(children))
-	for i, c := range children {
-		h.fwd[i] = (root + c) % np
-	}
-	return h
 }
 
 // WaitBcast completes a split-phase broadcast and returns the full

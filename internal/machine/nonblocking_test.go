@@ -125,7 +125,7 @@ func TestBcastTreeTopology(t *testing.T) {
 		{1, 6, 0, []int{3, 5}},
 	}
 	for _, c := range cases {
-		parent, children := bcastTree(c.rel, c.np)
+		parent, children := bcastTree(c.rel, c.np, nil)
 		if parent != c.parent {
 			t.Errorf("bcastTree(%d,%d) parent = %d, want %d", c.rel, c.np, parent, c.parent)
 		}

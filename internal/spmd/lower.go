@@ -1,0 +1,631 @@
+package spmd
+
+import (
+	"errors"
+	"fmt"
+
+	"fortd/internal/ast"
+	"fortd/internal/decomp"
+	"fortd/internal/machine"
+)
+
+// The execution plan. lower resolves a program once per run into
+// closures over frame slots; every processor then executes the same
+// plan with its own node state. Nothing in a plan is written after
+// lower returns, so the P node programs share it without locks.
+
+const (
+	// maxRank bounds array and section rank (Fortran 77's own limit), so
+	// subscripts and section bounds live in fixed-size stack scratch.
+	maxRank = 7
+	// maxCallDepth turns runaway recursion, which Fortran 77 forbids,
+	// into an error instead of a goroutine stack overflow.
+	maxCallDepth = 4096
+	// maxArrayElems bounds one array (every processor holds a full copy):
+	// a wild declaration is an error, not an out-of-memory kill.
+	maxArrayElems = 1 << 26
+	// pollEvery is how many DO iterations pass between checks of the
+	// machine's abort flag, so a loop that neither computes nor
+	// communicates still observes a deadline or a cancelled context.
+	pollEvery = 1024
+)
+
+type (
+	// exprFn evaluates an expression in a frame. A failure is parked in
+	// the node (first one wins) and the statement that owns the
+	// expression reports it before it has any effect.
+	exprFn func(fr *frame) float64
+	// stmtFn executes a statement. errReturn unwinds to the CALL.
+	stmtFn func(fr *frame) error
+)
+
+// errReturn is the RETURN statement's unwind signal: every body loop
+// passes it up like an error and the CALL (or the main program) that
+// started the procedure swallows it.
+var errReturn = errors.New("return")
+
+// plan is a whole program lowered for one run.
+type plan struct {
+	main  *procPlan
+	nproc int
+	dists map[string]*decomp.Dist // initial distributions of main-program arrays
+	ntags int                     // distinct split-phase tags (node.posted's length)
+}
+
+// procPlan is one lowered procedure. A name keeps one slot for its
+// scalar binding and its array binding alike; which of the two a formal
+// holds is decided per call by what the caller passes.
+type procPlan struct {
+	name   string
+	slots  map[string]int // name → slot
+	names  []string       // slot → name
+	params []int          // formal position → slot
+	// commons maps the names this procedure declares in COMMON blocks
+	// to their slots (findCommon).
+	commons map[string]int
+	decls   []decl // frame prologue, in declaration order
+	body    []stmtFn
+}
+
+// decl is one step of a frame's prologue: define a scalar that no
+// actual argument bound, or find or allocate an array.
+type decl struct {
+	slot   int
+	array  bool
+	common bool         // array in a COMMON block: shared with the nearest declaring ancestor
+	lo, hi []intOperand // array bounds, evaluated in the frame under construction
+}
+
+// frame is one procedure activation, two slices over the procedure's
+// slots: vals is the storage of the scalars the frame owns, and
+// bind[slot] is what the name is bound to.
+type frame struct {
+	nd   *node
+	pp   *procPlan
+	vals []float64
+	bind []binding
+}
+
+// binding is what a name means in one activation: ref points at its
+// scalar (in the frame's vals, or in a caller's for a formal passed by
+// reference; nil while the name is undefined), arr at its array.
+type binding struct {
+	ref *float64
+	arr *Array
+}
+
+// node is one processor's executor state.
+type node struct {
+	pl   *plan
+	proc *machine.Proc
+	p    int
+	pf   float64 // myproc()
+	// err is the first expression failure of the statement in flight.
+	err error
+	// stack holds the callers of the running frame, outermost first
+	// (COMMON lookup walks it); free recycles returned frames.
+	stack []*frame
+	free  []*frame
+	// posted holds the outstanding split-phase operations by dense tag
+	// index (post executed, matching wait not yet reached). Tags are
+	// unique program-wide, so a post can be completed by a wait in
+	// another statement or procedure without collision.
+	posted  []*postedOp
+	freeOps []*postedOp
+	// allgather/remap scratch (ownerParts)
+	partOffs, partStart, partPos, ownerTab []int
+}
+
+func (nd *node) fail(err error) {
+	if nd.err == nil {
+		nd.err = err
+	}
+}
+
+func (nd *node) takeErr() error {
+	err := nd.err
+	nd.err = nil
+	return err
+}
+
+func (pl *plan) newNode(proc *machine.Proc) *node {
+	return &node{pl: pl, proc: proc, p: proc.ID(), pf: float64(proc.ID()),
+		posted: make([]*postedOp, pl.ntags)}
+}
+
+// run executes the plan as proc's node program and returns the main
+// program's arrays by name.
+func (pl *plan) run(proc *machine.Proc, opts Options) (map[string]*Array, error) {
+	nd := pl.newNode(proc)
+	fr, err := nd.enter(pl.main, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	for name, vals := range opts.Init {
+		if slot, ok := pl.main.slots[name]; ok && fr.bind[slot].arr != nil {
+			copy(fr.bind[slot].arr.Data, vals)
+		}
+	}
+	for name, v := range opts.InitScalars {
+		if slot, ok := pl.main.slots[name]; ok && fr.bind[slot].ref != nil {
+			*fr.bind[slot].ref = v
+		}
+	}
+	if err := runBody(fr, pl.main.body); err != nil && err != errReturn {
+		return nil, err
+	}
+	arrays := map[string]*Array{}
+	for slot, b := range fr.bind {
+		if b.arr != nil {
+			arrays[pl.main.names[slot]] = b.arr
+		}
+	}
+	return arrays, nil
+}
+
+func runBody(fr *frame, body []stmtFn) error {
+	for _, s := range body {
+		if err := s(fr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ---------------------------------------------------------------------------
+// Frames
+
+// newFrame takes a frame from the free list and clears its bindings.
+func (nd *node) newFrame(pp *procPlan) *frame {
+	var fr *frame
+	if n := len(nd.free); n > 0 {
+		fr = nd.free[n-1]
+		nd.free = nd.free[:n-1]
+	} else {
+		fr = &frame{nd: nd}
+	}
+	n := len(pp.names)
+	if cap(fr.vals) < n {
+		fr.vals = make([]float64, n)
+		fr.bind = make([]binding, n)
+	}
+	fr.pp = pp
+	fr.vals, fr.bind = fr.vals[:n], fr.bind[:n]
+	clear(fr.bind)
+	return fr
+}
+
+// define gives the slot a fresh zero scalar owned by the frame.
+func (fr *frame) define(slot int) *float64 {
+	p := &fr.vals[slot]
+	*p = 0
+	fr.bind[slot].ref = p
+	return p
+}
+
+// scalar returns the storage of the slot's scalar, defining it on first
+// use (an assignment, DO or reduction may introduce a name the symbol
+// table never declared, as generated code does with my$p).
+func (fr *frame) scalar(slot int) *float64 {
+	if p := fr.bind[slot].ref; p != nil {
+		return p
+	}
+	return fr.define(slot)
+}
+
+// argPlan is one actual argument: an identifier passes whatever the
+// caller has bound to it by reference, any other expression passes its
+// value.
+type argPlan struct {
+	slot  int     // caller slot (identifier)
+	value operand // by-value expression (isExpr)
+	byVal bool
+}
+
+// enter builds the activation of pp called from caller with args: bind
+// the formals, then run the declaration prologue in symbol order.
+func (nd *node) enter(pp *procPlan, args []argPlan, caller *frame) (*frame, error) {
+	fr := nd.newFrame(pp)
+	for i, slot := range pp.params {
+		if i >= len(args) {
+			break
+		}
+		a := &args[i]
+		if a.byVal {
+			v := a.value.eval(caller)
+			if nd.err != nil {
+				return nil, nd.takeErr()
+			}
+			*fr.define(slot) = v
+			continue
+		}
+		if arr := caller.bind[a.slot].arr; arr != nil {
+			fr.bind[slot].arr = arr
+		} else if ref := caller.bind[a.slot].ref; ref != nil {
+			fr.bind[slot].ref = ref
+		} else {
+			fr.define(slot)
+		}
+	}
+	for i := range pp.decls {
+		d := &pp.decls[i]
+		if !d.array {
+			if fr.bind[d.slot].ref == nil && fr.bind[d.slot].arr == nil {
+				fr.define(d.slot)
+			}
+			continue
+		}
+		if fr.bind[d.slot].arr != nil {
+			continue // bound formal
+		}
+		if d.common && caller != nil {
+			if g := nd.findCommon(caller, pp.names[d.slot]); g != nil {
+				fr.bind[d.slot].arr = g
+				continue
+			}
+		}
+		arr, err := nd.allocArray(fr, d)
+		if err != nil {
+			return nil, err
+		}
+		fr.bind[d.slot].arr = arr
+	}
+	return fr, nil
+}
+
+// findCommon returns the storage of COMMON array name in the nearest
+// frame — the caller, then its callers — whose procedure declares it in
+// a COMMON block too.
+func (nd *node) findCommon(caller *frame, name string) *Array {
+	lookup := func(fr *frame) *Array {
+		if slot, ok := fr.pp.commons[name]; ok {
+			return fr.bind[slot].arr
+		}
+		return nil
+	}
+	if a := lookup(caller); a != nil {
+		return a
+	}
+	for i := len(nd.stack) - 1; i >= 0; i-- {
+		if a := lookup(nd.stack[i]); a != nil {
+			return a
+		}
+	}
+	return nil
+}
+
+func (nd *node) allocArray(fr *frame, d *decl) (*Array, error) {
+	name := fr.pp.names[d.slot]
+	if len(d.lo) > maxRank {
+		return nil, fmt.Errorf("array %s: rank %d exceeds the limit of %d", name, len(d.lo), maxRank)
+	}
+	arr := &Array{Lo: make([]int, len(d.lo)), Hi: make([]int, len(d.lo))}
+	size := 1
+	for i := range d.lo {
+		arr.Lo[i] = d.lo[i].eval(fr)
+		arr.Hi[i] = d.hi[i].eval(fr)
+		if nd.err != nil {
+			return nil, fmt.Errorf("array %s: %v", name, nd.takeErr())
+		}
+		ext := arr.Hi[i] - arr.Lo[i] + 1
+		if ext < 0 || ext > maxArrayElems || size*ext > maxArrayElems {
+			return nil, fmt.Errorf("array %s: extent %d of dimension %d is negative or takes the array past %d elements",
+				name, ext, i+1, maxArrayElems)
+		}
+		size *= ext
+	}
+	arr.Data = make([]float64, size)
+	// the distribution table is keyed by main-program names; frames
+	// entered from the main program see it too
+	if nd.pl.dists != nil && len(nd.stack) == 0 {
+		arr.Dist = nd.pl.dists[name]
+	}
+	return arr, nil
+}
+
+// ---------------------------------------------------------------------------
+// Lowering
+
+// lower resolves prog for a run on nproc processors. Only procedures
+// reachable from the main program are lowered. Lowering never fails:
+// whatever is wrong with a statement (unknown array, procedure or
+// function, bad arity) is reported when that statement executes.
+func lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist) *plan {
+	pl := &plan{nproc: nproc, dists: dists}
+	lp := &programLowerer{pl: pl, prog: prog, procs: map[*ast.Procedure]*procPlan{}, tags: map[int]int{}}
+	pl.main = lp.proc(prog.Main())
+	for len(lp.todo) > 0 {
+		lw := lp.todo[len(lp.todo)-1]
+		lp.todo = lp.todo[:len(lp.todo)-1]
+		lw.lowerUnit()
+	}
+	pl.ntags = len(lp.tags)
+	return pl
+}
+
+type programLowerer struct {
+	pl    *plan
+	prog  *ast.Program
+	procs map[*ast.Procedure]*procPlan
+	todo  []*lowerer
+	tags  map[int]int // split-phase tag → dense index
+}
+
+// proc returns u's plan, scheduling u for lowering on first mention.
+func (lp *programLowerer) proc(u *ast.Procedure) *procPlan {
+	if pp := lp.procs[u]; pp != nil {
+		return pp
+	}
+	pp := &procPlan{name: u.Name, slots: map[string]int{}}
+	lp.procs[u] = pp
+	lp.todo = append(lp.todo, &lowerer{lp: lp, pp: pp, unit: u})
+	return pp
+}
+
+func (lp *programLowerer) tag(t int) int {
+	i, ok := lp.tags[t]
+	if !ok {
+		i = len(lp.tags)
+		lp.tags[t] = i
+	}
+	return i
+}
+
+// lowerer lowers one procedure.
+type lowerer struct {
+	lp     *programLowerer
+	pp     *procPlan
+	unit   *ast.Procedure
+	consts map[string]int // the unit's PARAMETER constants
+	// owned marks the scalars every activation defines itself: declared,
+	// and not a formal (a formal's binding depends on the call).
+	owned map[string]bool
+	line  int  // line of the statement being lowered (0: a declaration)
+	decl  bool // lowering a declaration bound: the frame is still being built
+}
+
+func (lw *lowerer) slot(name string) int {
+	if s, ok := lw.pp.slots[name]; ok {
+		return s
+	}
+	s := len(lw.pp.names)
+	lw.pp.slots[name] = s
+	lw.pp.names = append(lw.pp.names, name)
+	return s
+}
+
+// site names a statement in error messages: procedure and line (no
+// line: a declaration).
+type site struct {
+	unit string
+	line int
+}
+
+func (s site) String() string {
+	if s.line == 0 {
+		return s.unit
+	}
+	return fmt.Sprintf("%s:%d", s.unit, s.line)
+}
+
+// site is where the statement being lowered sits.
+func (lw *lowerer) site() site { return site{lw.unit.Name, lw.line} }
+
+func (lw *lowerer) lowerUnit() {
+	u, pp := lw.unit, lw.pp
+	lw.consts = map[string]int{}
+	lw.owned = map[string]bool{}
+	syms := u.Symbols.Symbols()
+	for _, sym := range syms {
+		switch sym.Kind {
+		case ast.SymConstant:
+			lw.consts[sym.Name] = sym.ConstValue
+		case ast.SymScalar:
+			lw.owned[sym.Name] = true
+		}
+	}
+	for _, name := range u.Params {
+		pp.params = append(pp.params, lw.slot(name))
+		delete(lw.owned, name)
+	}
+	lw.decl = true
+	for _, sym := range syms {
+		switch sym.Kind {
+		case ast.SymScalar:
+			pp.decls = append(pp.decls, decl{slot: lw.slot(sym.Name)})
+		case ast.SymArray:
+			d := decl{slot: lw.slot(sym.Name), array: true, common: sym.Common != ""}
+			for _, ext := range sym.Dims {
+				lo, _ := lw.intExpr(ext.Lo)
+				hi, _ := lw.intExpr(ext.Hi)
+				d.lo, d.hi = append(d.lo, lo), append(d.hi, hi)
+			}
+			pp.decls = append(pp.decls, d)
+		}
+		if sym.Common != "" {
+			if pp.commons == nil {
+				pp.commons = map[string]int{}
+			}
+			pp.commons[sym.Name] = lw.slot(sym.Name)
+		}
+	}
+	lw.decl = false
+	pp.body = lw.body(u.Body)
+}
+
+func (lw *lowerer) body(stmts []ast.Stmt) []stmtFn {
+	out := make([]stmtFn, 0, len(stmts))
+	for _, s := range stmts {
+		if fn := lw.stmt(s); fn != nil {
+			out = append(out, fn)
+		}
+	}
+	return out
+}
+
+// stmt lowers one statement (nil: a directive, nothing to execute).
+func (lw *lowerer) stmt(s ast.Stmt) stmtFn {
+	lw.line = s.Pos().Line
+	switch st := s.(type) {
+	case *ast.Assign:
+		return lw.assign(st)
+	case *ast.Do:
+		return lw.do(st)
+	case *ast.If:
+		return lw.ifStmt(st)
+	case *ast.Call:
+		return lw.call(st)
+	case *ast.Return:
+		return func(*frame) error { return errReturn }
+	case *ast.Send:
+		return lw.comm(st, "send", "send", st.Array, st.Sec, st.Dest, 0).send
+	case *ast.Recv:
+		return lw.comm(st, "recv", "recv", st.Array, st.Sec, st.Src, 0).recv
+	case *ast.Broadcast:
+		return lw.comm(st, "broadcast", "bcast", st.Array, st.Sec, st.Root, 0).broadcast
+	case *ast.AllGather:
+		return lw.comm(st, "allgather", "allgather", st.Array, st.Sec, nil, 0).allGather
+	case *ast.PostRecv:
+		return lw.comm(st, "postrecv", "post", st.Array, st.Sec, st.Src, st.Tag).postRecv
+	case *ast.WaitRecv:
+		return lw.comm(st, "waitrecv", "wait", st.Array, nil, nil, st.Tag).waitRecv
+	case *ast.PostBcast:
+		return lw.comm(st, "postbcast", "bcast", st.Array, st.Sec, st.Root, st.Tag).postBcast
+	case *ast.WaitBcast:
+		return lw.comm(st, "waitbcast", "bcast", st.Array, nil, nil, st.Tag).waitBcast
+	case *ast.Remap:
+		return lw.remap(st)
+	case *ast.GlobalReduce:
+		return lw.globalReduce(st)
+	case *ast.Decomposition, *ast.Align, *ast.Distribute:
+		return nil // directives are no-ops at run time
+	}
+	unit := lw.unit.Name
+	return func(*frame) error { return fmt.Errorf("%s: cannot execute %T", unit, s) }
+}
+
+// assign lowers an assignment: right-hand side, then the target's
+// subscripts, then one Compute of the statement's whole flop count.
+func (lw *lowerer) assign(st *ast.Assign) stmtFn {
+	rhs, ops := lw.expr(st.Rhs)
+	switch lhs := st.Lhs.(type) {
+	case *ast.Ident:
+		slot, flops := lw.slot(lhs.Name), ops+1
+		return func(fr *frame) error {
+			nd := fr.nd
+			v := rhs.eval(fr)
+			if nd.err != nil {
+				return nd.takeErr()
+			}
+			*fr.scalar(slot) = v
+			nd.proc.Compute(flops)
+			return nil
+		}
+	case *ast.ArrayRef:
+		ref, subOps := lw.arrayRef(lhs.Name, lhs.Subs)
+		return ref.store(rhs, ops+subOps+1)
+	}
+	flops := ops + 1
+	return func(fr *frame) error {
+		nd := fr.nd
+		rhs.eval(fr)
+		if nd.err != nil {
+			return nd.takeErr()
+		}
+		nd.proc.Compute(flops)
+		return nil
+	}
+}
+
+// do lowers a DO loop. The bounds are evaluated once and cost no
+// virtual time; the index variable keeps its last value after the loop.
+func (lw *lowerer) do(st *ast.Do) stmtFn {
+	lo, _ := lw.intExpr(st.Lo)
+	hi, _ := lw.intExpr(st.Hi)
+	step := intOperand{kind: intConst, k: 1}
+	if st.Step != nil {
+		step, _ = lw.intExpr(st.Step)
+	}
+	unit, slot := lw.unit.Name, lw.slot(st.Var)
+	body := lw.body(st.Body)
+	return func(fr *frame) error {
+		nd := fr.nd
+		l, h, s := lo.eval(fr), hi.eval(fr), step.eval(fr)
+		if nd.err != nil {
+			return nd.takeErr()
+		}
+		if s == 0 {
+			return fmt.Errorf("%s: zero loop step", unit)
+		}
+		v := fr.scalar(slot)
+		for i, n := l, 1; (s > 0 && i <= h) || (s < 0 && i >= h); i, n = i+s, n+1 {
+			*v = float64(i)
+			for _, b := range body {
+				if err := b(fr); err != nil {
+					return err
+				}
+			}
+			if n%pollEvery == 0 {
+				nd.proc.CheckAbort()
+			}
+		}
+		return nil
+	}
+}
+
+func (lw *lowerer) ifStmt(st *ast.If) stmtFn {
+	cond, flops := lw.expr(st.Cond)
+	then, els := lw.body(st.Then), lw.body(st.Else)
+	return func(fr *frame) error {
+		nd := fr.nd
+		c := cond.eval(fr)
+		if nd.err != nil {
+			return nd.takeErr()
+		}
+		nd.proc.Compute(flops)
+		if c != 0 {
+			return runBody(fr, then)
+		}
+		return runBody(fr, els)
+	}
+}
+
+func (lw *lowerer) call(st *ast.Call) stmtFn {
+	unit, name := lw.unit.Name, st.Name
+	u := lw.lp.prog.Proc(name)
+	if u == nil {
+		return func(*frame) error {
+			return fmt.Errorf("%s: call to unknown procedure %s", unit, name)
+		}
+	}
+	callee := lw.lp.proc(u)
+	args := make([]argPlan, len(st.Args))
+	for i, a := range st.Args {
+		if id, ok := a.(*ast.Ident); ok {
+			args[i] = argPlan{slot: lw.slot(id.Name)}
+			continue
+		}
+		v, _ := lw.expr(a)
+		args[i] = argPlan{value: v, byVal: true}
+	}
+	return func(fr *frame) error {
+		nd := fr.nd
+		if len(nd.stack) >= maxCallDepth {
+			return fmt.Errorf("%s: call to %s nests deeper than %d (recursion is not supported)", unit, name, maxCallDepth)
+		}
+		nf, err := nd.enter(callee, args, fr)
+		if err != nil {
+			return err
+		}
+		nd.stack = append(nd.stack, fr)
+		err = runBody(nf, callee.body)
+		nd.stack = nd.stack[:len(nd.stack)-1]
+		if err == errReturn {
+			err = nil
+		}
+		if err == nil {
+			nd.free = append(nd.free, nf)
+		}
+		return err
+	}
+}

@@ -1,0 +1,475 @@
+package spmd
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"fortd/internal/ast"
+	"fortd/internal/machine"
+	"fortd/internal/parser"
+)
+
+// TestEarlyReturn: RETURN unwinds to the CALL from inside an IF and
+// from inside a DO; the statements after it must not run. (The
+// tree-walker treated RETURN as a no-op: X(1) came out 7.)
+func TestEarlyReturn(t *testing.T) {
+	src := `
+      PROGRAM P
+      REAL X(4)
+      call inif(X, 1)
+      call indo(X)
+      X(4) = 4.0
+      END
+      SUBROUTINE inif(X, k)
+      REAL X(4)
+      if (k .EQ. 1) then
+        X(1) = 5.0
+        return
+      endif
+      X(1) = 7.0
+      END
+      SUBROUTINE indo(X)
+      REAL X(4)
+      do i = 1, 10
+        X(2) = i
+        if (i .EQ. 3) then
+          return
+        endif
+      enddo
+      X(3) = 9.0
+      END
+`
+	want := []float64{5, 3, 0, 4}
+	check := func(name string, res *RunResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, w := range want {
+			if got := res.Arrays["X"][i]; got != w {
+				t.Errorf("%s: X(%d) = %v, want %v", name, i+1, got, w)
+			}
+		}
+	}
+	prog := parseProg(t, src)
+	res, err := RunSequential(prog, Options{})
+	check("sequential", res, err)
+	res, err = Run(prog, machine.DefaultConfig(4), Options{})
+	check("P=4", res, err)
+
+	// a RETURN in the main program ends the run, cleanly
+	main := parseProg(t, `
+      PROGRAM P
+      REAL X(2)
+      X(1) = 1.0
+      return
+      X(2) = 2.0
+      END
+`)
+	res, err = RunSequential(main, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Arrays["X"][0] != 1 || res.Arrays["X"][1] != 0 {
+		t.Errorf("main RETURN: X = %v, want [1 0]", res.Arrays["X"])
+	}
+}
+
+// TestIntrinsicMisuseIsAnError: intrinsic calls that used to panic a
+// node goroutine — a divisor that truncates to zero, missing arguments
+// — fail the run with an error naming procedure and line, and only when
+// the offending statement executes.
+func TestIntrinsicMisuseIsAnError(t *testing.T) {
+	for _, tc := range []struct{ expr, want string }{
+		{"MOD(5, 0.5)", "MOD by zero"},
+		{"MOD(5, 0)", "MOD by zero"},
+		{"MOD(5)", "MOD takes 2 argument(s), got 1"},
+		{"MAX()", "MAX takes at least 1 argument"},
+		{"ABS()", "ABS takes 1 argument(s), got 0"},
+		{"SQRT()", "SQRT takes 1 argument(s), got 0"},
+		{"first$(1, 2)", "first$ takes 3 argument(s), got 2"},
+		{"myproc(1)", "myproc takes 0 argument(s), got 1"},
+	} {
+		src := fmt.Sprintf(`
+      PROGRAM P
+      REAL X(2)
+      X(1) = 1.0
+      if (X(1) .GT. 0.0) then
+        X(2) = %s
+      endif
+      END
+`, tc.expr)
+		prog := parseProg(t, src)
+		for _, p := range []int{1, 4} {
+			_, err := Run(prog, machine.DefaultConfig(p), Options{})
+			if err == nil {
+				t.Errorf("%s at P=%d: run succeeded", tc.expr, p)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.want) || !strings.Contains(msg, "P:6:") {
+				t.Errorf("%s at P=%d: error %q, want %q at P:6", tc.expr, p, msg, tc.want)
+			}
+		}
+		// the same statement behind a false guard never fires
+		dead := parseProg(t, strings.Replace(src, ".GT. 0.0", ".LT. 0.0", 1))
+		if _, err := RunSequential(dead, Options{}); err != nil {
+			t.Errorf("%s in dead code: %v", tc.expr, err)
+		}
+	}
+}
+
+// TestErrorsFireWhenExecuted pins the executor's error messages and
+// their timing: lowering resolves names ahead of the run, but a bad
+// statement fails only if it executes.
+func TestErrorsFireWhenExecuted(t *testing.T) {
+	for _, tc := range []struct{ stmt, want string }{
+		{"Y(1) = 1.0", "P: unknown array Y"},
+		{"X(1) = Y(1)", "P: unknown function Y"},
+		{"call nosuch(X)", "P: call to unknown procedure nosuch"},
+		{"X(1) = NOSUCH(3)", "P: unknown function NOSUCH"},
+		{"X(9) = 1.0", "P: X: index 9 out of bounds [1:4] in dim 0"},
+		{"X(1) = X(0)", "P: X: index 0 out of bounds [1:4] in dim 0"},
+		{"X(1) = X(1,2)", "P: X: 2 subscripts for a rank-1 array"},
+		{"send X(1:2,1:2) to 0", "send X: section has 2 dimensions, the array 1"},
+		{"do i = 1, 4, 0\n      enddo", "P: zero loop step"},
+		{"X(1) = 1 / (k - k)", "P: integer division by zero"},
+		{"send Y(1:2) to 0", "send: unknown array Y"},
+		{"broadcast X(1:2) from 9", "broadcast X: bad root 9"},
+		{"call sub(X)", "sub: unknown variable undefined$"},
+	} {
+		src := fmt.Sprintf(`
+      PROGRAM P
+      REAL X(4)
+      k = 1
+      if (k .EQ. 1) then
+      %s
+      endif
+      END
+      SUBROUTINE sub(X)
+      REAL X(4)
+      X(1) = 0.0
+      END
+`, tc.stmt)
+		prog := parseProg(t, src)
+		if tc.want == "sub: unknown variable undefined$" {
+			// generated code may read a name no symbol table declares:
+			// plant one in the AST the way codegen would
+			plantUndeclaredRead(t, prog)
+		}
+		_, err := RunSequential(prog, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %v, want %q", tc.stmt, err, tc.want)
+		}
+		dead := parseProg(t, strings.Replace(src, "k .EQ. 1", "k .EQ. 2", 1))
+		if _, err := RunSequential(dead, Options{}); err != nil {
+			t.Errorf("%q in dead code: %v", tc.stmt, err)
+		}
+	}
+
+	// a receive whose message does not fit its section
+	mismatch := parseProg(t, `
+      PROGRAM P
+      REAL X(8)
+      my$p = myproc()
+      if (my$p .EQ. 0) then
+        send X(1:3) to 1
+      endif
+      if (my$p .EQ. 1) then
+        recv X(1:4) from 0
+      endif
+      END
+`)
+	_, err := Run(mismatch, machine.DefaultConfig(2), Options{})
+	if want := "recv X: message size 3 != section size 4 (proc 1 from 0)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("size mismatch: error %v, want %q", err, want)
+	}
+}
+
+// plantUndeclaredRead rewrites SUB's assignment to read a scalar that
+// has no symbol-table entry.
+func plantUndeclaredRead(t *testing.T, prog *ast.Program) {
+	t.Helper()
+	prog.Proc("sub").Body[0].(*ast.Assign).Rhs = &ast.Ident{Name: "undefined$"}
+}
+
+// TestComputeOnlyLoopObservesDeadline: a loop with no Compute and no
+// communication used to have no cancellation point, so a deadline (or a
+// cancelled context) could not stop it. The DO back-edge polls the
+// abort flag.
+func TestComputeOnlyLoopObservesDeadline(t *testing.T) {
+	prog := parseProg(t, `
+      PROGRAM SPIN
+      do i = 1, 2000000000
+      enddo
+      END
+`)
+	for _, be := range []machine.Backend{machine.BackendDES, machine.BackendGoroutine} {
+		cfg := machine.DefaultConfig(1)
+		cfg.Backend = be
+		start := time.Now()
+		_, err := Run(prog, cfg, Options{Deadline: 200 * time.Millisecond})
+		var dl *machine.DeadlockError
+		if !errors.As(err, &dl) || !dl.Deadline {
+			t.Errorf("%v: Run = %v, want deadline *DeadlockError", be, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%v: returned after %v, want under 2s", be, d)
+		}
+	}
+}
+
+// TestRunawayRecursionIsAnError: recursion is not Fortran 77; it must
+// end in an error, not a goroutine stack overflow.
+func TestRunawayRecursionIsAnError(t *testing.T) {
+	prog := parseProg(t, `
+      PROGRAM P
+      call f
+      END
+      SUBROUTINE f
+      call f
+      END
+`)
+	_, err := RunSequential(prog, Options{})
+	if err == nil || !strings.Contains(err.Error(), "recursion is not supported") {
+		t.Errorf("error %v, want the call-depth error", err)
+	}
+}
+
+// TestSectionWalker checks pack/unpack against the element-by-element
+// enumeration of the oracle on boxes of every shape: unit dimensions,
+// strided columns, contiguous rows, clipped and empty sections.
+func TestSectionWalker(t *testing.T) {
+	arr := &Array{Lo: []int{1, 0, 2}, Hi: []int{4, 3, 6}}
+	arr.Data = make([]float64, arr.Size())
+	for i := range arr.Data {
+		arr.Data[i] = float64(i)
+	}
+	for _, sec := range [][][2]int{
+		{{1, 4}, {0, 3}, {2, 6}},
+		{{2, 2}, {0, 3}, {4, 4}},
+		{{1, 4}, {1, 1}, {3, 3}},
+		{{3, 3}, {2, 2}, {2, 6}},
+		{{2, 3}, {1, 2}, {3, 5}},
+		{{0, 9}, {-1, 1}, {5, 9}},
+		{{2, 2}, {3, 3}, {6, 6}},
+		{{5, 9}, {0, 3}, {2, 6}},
+	} {
+		var b bounds
+		b.n = len(sec)
+		for d, s := range sec {
+			b.lo[d], b.hi[d] = s[0], s[1]
+		}
+		bx, err := clip(arr, &b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs := enumerate(arr, sec)
+		s := bx.section()
+		if s.elems != len(offs) {
+			t.Fatalf("%v: %d elements, oracle enumerates %d", sec, s.elems, len(offs))
+		}
+		packed := make([]float64, s.elems)
+		s.pack(packed, arr.Data)
+		for i, o := range offs {
+			if packed[i] != arr.Data[o] {
+				t.Fatalf("%v: packed[%d] = %v, want element at offset %d", sec, i, packed[i], o)
+			}
+		}
+		into := make([]float64, len(arr.Data))
+		s.unpack(into, packed)
+		for i, o := range offs {
+			if into[o] != packed[i] {
+				t.Fatalf("%v: unpack missed offset %d", sec, o)
+			}
+			into[o] = 0
+		}
+		for o, v := range into {
+			if v != 0 {
+				t.Fatalf("%v: unpack stored outside the section at offset %d", sec, o)
+			}
+		}
+	}
+	for _, n := range []int{2, 4} {
+		b := bounds{n: n}
+		if _, err := clip(arr, &b); err == nil {
+			t.Errorf("a %d-dimensional section of a rank-3 array must be an error", n)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Steady-state allocation and microbenchmarks
+
+func skipIfNotDES(tb testing.TB) {
+	if b, err := machine.ParseBackend(os.Getenv("FORTD_MACHINE_BACKEND")); err != nil || b != machine.BackendDES {
+		tb.Skip("FORTD_MACHINE_BACKEND forces a non-DES backend: Scratch allocates there")
+	}
+}
+
+// onWarmNode lowers src, builds processor 0's main frame on a
+// one-processor machine, executes the main body once to warm the frame
+// free list, the posted-op pool and the machine's scratch buffer, and
+// hands body to f inside the node program.
+func onWarmNode(tb testing.TB, src string, f func(body func())) {
+	tb.Helper()
+	prog, err := parser.Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl := lower(prog, 1, nil)
+	m := machine.New(machine.DefaultConfig(1))
+	m.Go(0, func(proc *machine.Proc) {
+		nd := pl.newNode(proc)
+		fr, err := nd.enter(pl.main, nil, nil)
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		body := func() {
+			if err := runBody(fr, pl.main.body); err != nil {
+				tb.Error(err)
+			}
+		}
+		body()
+		f(body)
+	})
+	if err := m.Wait(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+const (
+	exprKernel = `
+      PROGRAM P
+      REAL x(64)
+      k = 3
+      x(k) = 0.5 * x(k+1) + MAX(ABS(x(k-1)), 1.0) / (MOD(k, 4) + 2)
+      END
+`
+	loopKernel = `
+      PROGRAM P
+      REAL a(32,32)
+      do i = 2, 31
+        do j = 2, 31
+          a(i,j) = 0.25 * (a(i-1,j) + a(i+1,j) + a(i,j-1) + a(i,j+1))
+        enddo
+      enddo
+      END
+`
+	callKernel = `
+      PROGRAM P
+      REAL a(32,32)
+      k = 2
+      t = 0.5
+      call dscal(a, 32, k, t)
+      call dscal(a, 32, k + 1, 0.25)
+      END
+      SUBROUTINE dscal(a, n, k, t)
+      REAL a(32,32)
+      my$p = myproc()
+      do i = k+1, n
+        a(i,k) = a(i,k) * t
+      enddo
+      END
+`
+	bcastKernel = `
+      PROGRAM P
+      REAL a(128,128)
+      k = 5
+      broadcast a(1:128,k) from 0
+      postbcast a(1:128,k+1) from 0 tag 1
+      broadcast a(k,1:128) from 0
+      waitbcast a tag 1
+      END
+`
+)
+
+// TestExecSteadyStateAllocationFree is the executor's analogue of
+// machine.TestDESMessageAllocationFree: once a processor is warm, an
+// assignment loop, a CALL (frame from the free list, formals bound by
+// reference and by value) and a broadcast/postbcast/waitbcast pair
+// (section walked into scratch, pooled posted op) allocate nothing.
+func TestExecSteadyStateAllocationFree(t *testing.T) {
+	skipIfNotDES(t)
+	for _, k := range []struct{ name, src string }{
+		{"expr", exprKernel}, {"loop", loopKernel}, {"call", callKernel}, {"bcast", bcastKernel},
+	} {
+		onWarmNode(t, k.src, func(body func()) {
+			if avg := testing.AllocsPerRun(20, body); avg != 0 {
+				t.Errorf("%s kernel: %.1f allocs per execution, want 0", k.name, avg)
+			}
+		})
+	}
+}
+
+// TestRunAllocationIndependentOfIterations extends the steady-state
+// contract across processors: a P=4 run's allocation count must not
+// depend on how many times its loop of sends, receives, broadcasts and
+// calls executes.
+func TestRunAllocationIndependentOfIterations(t *testing.T) {
+	skipIfNotDES(t)
+	allocs := func(iters int) float64 {
+		prog := parseProg(t, fmt.Sprintf(`
+      PROGRAM P
+      REAL a(16,16)
+      my$p = myproc()
+      do k = 1, %d
+        j = MOD(k, 16) + 1
+        broadcast a(1:16,j) from MOD(k, 4)
+        postbcast a(j,1:16) from MOD(k + 1, 4) tag 7
+        if (my$p .GT. 0) then
+          send a(1:4,j) to my$p - 1
+        endif
+        if (my$p .LT. 3) then
+          postrecv a(5:8,j) from my$p + 1 tag 8
+        endif
+        call scale(a, j, 0.5)
+        waitrecv a tag 8
+        waitbcast a tag 7
+      enddo
+      END
+      SUBROUTINE scale(a, j, t)
+      REAL a(16,16)
+      do i = 1, 16
+        a(i,j) = a(i,j) * t
+      enddo
+      END
+`, iters))
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(prog, machine.DefaultConfig(4), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(64), allocs(1024)
+	// rings and payload pools may reach a slightly higher water mark on
+	// the longer run; 960 more iterations that each allocated anything
+	// would blow far past the slack
+	if long-short > 40 {
+		t.Errorf("1024 iterations cost %.0f allocs, 64 iterations %.0f: the loop allocates", long, short)
+	}
+}
+
+func benchKernel(b *testing.B, src string) {
+	skipIfNotDES(b)
+	b.ReportAllocs()
+	onWarmNode(b, src, func(body func()) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body()
+		}
+	})
+}
+
+// The per-layer microbenchmarks of the executor (make bench-exec): one
+// expression-heavy assignment, a 30×30 five-point stencil sweep, two
+// CALLs of a BLAS-1 style kernel, and a column broadcast, a row
+// broadcast and a split-phase column broadcast of a 128×128 array.
+func BenchmarkExecExpr(b *testing.B)  { benchKernel(b, exprKernel) }
+func BenchmarkExecLoop(b *testing.B)  { benchKernel(b, loopKernel) }
+func BenchmarkExecCall(b *testing.B)  { benchKernel(b, callKernel) }
+func BenchmarkExecBcast(b *testing.B) { benchKernel(b, bcastKernel) }

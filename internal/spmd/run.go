@@ -1,0 +1,283 @@
+// Package spmd executes generated SPMD node programs on the simulated
+// MIMD machine: every processor runs the same program text as one node
+// program of the machine (a coroutine of the discrete-event engine, or
+// a goroutine of the reference engine), with my$p = myproc() selecting
+// its behavior, exactly as the compiler's output would run on the nodes
+// of a distributed-memory machine. The program is lowered once per run
+// to an execution plan — identifiers resolved to frame slots,
+// statements and expressions compiled to Go closures, flop counts fixed
+// statically — that all processors share read-only (lower.go, expr.go,
+// comm.go). The same executor runs original (sequential) Fortran D
+// programs on one processor to produce reference results for
+// correctness checks.
+package spmd
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"fortd/internal/ast"
+	"fortd/internal/decomp"
+	"fortd/internal/machine"
+	"fortd/internal/trace"
+)
+
+// Array is one array's simulated storage: a full-size copy per
+// processor (memory is not the simulated resource; messages and time
+// are), plus the distribution descriptor used by allgather and remap.
+type Array struct {
+	Data []float64
+	Lo   []int // per-dim declared lower bound
+	Hi   []int
+	Dist *decomp.Dist
+}
+
+// Size returns the total element count.
+func (a *Array) Size() int {
+	n := 1
+	for i := range a.Lo {
+		n *= a.Hi[i] - a.Lo[i] + 1
+	}
+	return n
+}
+
+// index maps a subscript list to a flat row-major offset.
+func (a *Array) index(idx []int) (int, error) {
+	if len(idx) != len(a.Lo) {
+		return 0, fmt.Errorf("%d subscripts for a rank-%d array", len(idx), len(a.Lo))
+	}
+	off := 0
+	for d := range idx {
+		if idx[d] < a.Lo[d] || idx[d] > a.Hi[d] {
+			return 0, fmt.Errorf("index %d out of bounds [%d:%d] in dim %d", idx[d], a.Lo[d], a.Hi[d], d)
+		}
+		off = off*(a.Hi[d]-a.Lo[d]+1) + (idx[d] - a.Lo[d])
+	}
+	return off, nil
+}
+
+// Options configures a run.
+type Options struct {
+	// Dists assigns initial distribution descriptors to the main
+	// program's arrays (array name → dist). Arrays not listed are
+	// replicated.
+	Dists map[string]*decomp.Dist
+	// Init seeds main-program arrays before execution (array → values
+	// in row-major global order); every processor gets a copy.
+	Init map[string][]float64
+	// InitScalars seeds main-program scalars.
+	InitScalars map[string]float64
+	// Trace collects per-message events and per-processor timelines
+	// (nil: tracing disabled, the zero-cost default).
+	Trace *trace.Tracer
+	// Faults injects seeded, deterministic faults into the machine
+	// (nil: none). Validated before the run starts.
+	Faults *machine.FaultPlan
+	// Deadline bounds the run's wall-clock time (0: none). Deadlocked
+	// schedules are detected and reported by the machine's watchdog
+	// even without a deadline.
+	Deadline time.Duration
+}
+
+// RunResult carries the outcome of a parallel run.
+type RunResult struct {
+	Stats machine.Stats
+	// Arrays holds the main program's arrays assembled from the owning
+	// processors (the logically-global result).
+	Arrays map[string][]float64
+}
+
+// Run executes the program on p processors under the given machine
+// configuration. A failing run cannot hang: when any processor's node
+// program errors, every peer is unblocked with a machine.AbortError,
+// and a mismatched communication schedule is detected by the machine's
+// watchdog and returned as a machine.DeadlockError report. All
+// per-processor errors are joined, so no failure is dropped.
+func Run(prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error) {
+	return RunContext(context.Background(), prog, cfg, opts)
+}
+
+// RunContext is Run under a cancellation context: when ctx is cancelled
+// mid-run the machine's cooperative abort unblocks every processor and
+// the run returns ctx.Err(). The machine's own failure modes (deadlock
+// watchdog, wall-clock deadline, congestion) are unchanged.
+func RunContext(ctx context.Context, prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error) {
+	if prog.Main() == nil {
+		return nil, errors.New("spmd: program has no main unit")
+	}
+	pl := lower(prog, cfg.P, opts.Dists)
+	return runNodes(ctx, cfg, opts, func(proc *machine.Proc) (map[string]*Array, error) {
+		return pl.run(proc, opts)
+	})
+}
+
+// runNodes builds the machine, runs node as every processor's node
+// program, and distills the run: joined errors, machine statistics,
+// the per-processor summary trace events and the assembled main-program
+// arrays. node returns its processor's main-program arrays by name.
+func runNodes(ctx context.Context, cfg machine.Config, opts Options,
+	node func(proc *machine.Proc) (map[string]*Array, error)) (*RunResult, error) {
+	if err := opts.Faults.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if opts.Deadline > 0 {
+		cfg.Deadline = opts.Deadline
+	}
+	m := machine.New(cfg)
+	if ctx.Done() != nil {
+		// a dropped client aborts its simulated run: the watcher feeds
+		// the context's cancellation into the PR-5 abort channel, and
+		// closing stop retires it once the run is over
+		stop := make(chan struct{})
+		defer close(stop)
+		go func() {
+			select {
+			case <-ctx.Done():
+				m.Abort(-1, ctx.Err())
+			case <-stop:
+			}
+		}()
+	}
+	if opts.Trace != nil {
+		m.SetTracer(opts.Trace)
+	}
+	m.SetFaultPlan(opts.Faults)
+	mains := make([]map[string]*Array, cfg.P)
+	errs := make([]error, cfg.P)
+	for pid := 0; pid < cfg.P; pid++ {
+		pid := pid
+		m.Go(pid, func(proc *machine.Proc) {
+			arrays, err := node(proc)
+			if err != nil {
+				errs[pid] = err
+				// unblock every peer: they fail with an AbortError
+				// naming this processor as the origin
+				m.Abort(pid, err)
+				return
+			}
+			mains[pid] = arrays
+		})
+	}
+	waitErr := m.Wait()
+	if err := joinRunErrors(m, errs, waitErr); err != nil {
+		return nil, err
+	}
+	res := &RunResult{Stats: m.Stats(), Arrays: map[string][]float64{}}
+	if opts.Trace != nil {
+		for pid, ps := range res.Stats.PerProc {
+			opts.Trace.Emit(trace.Event{
+				Kind: trace.KindProcSummary, PID: pid,
+				Dur: ps.Clock, Wait: ps.Wait, Words: int(ps.Words),
+				Sent: ps.Sent, Recvd: ps.Received, Flops: ps.Flops,
+			})
+		}
+	}
+	assemble(res, mains)
+	return res, nil
+}
+
+// NodeError is a failure of one processor's node program itself — a
+// statement that could not execute (subscript out of bounds, unknown
+// procedure, bad intrinsic call, mismatched message size) — as opposed
+// to the *machine.AbortError its peers are unblocked with.
+type NodeError struct {
+	PID int
+	Err error
+}
+
+func (e *NodeError) Error() string { return fmt.Sprintf("p%d: %v", e.PID, e.Err) }
+func (e *NodeError) Unwrap() error { return e.Err }
+
+// joinRunErrors combines a run's failures into one error: each
+// processor's own (executor-level) error as a *NodeError, each
+// aborted peer's AbortError, and the machine-level cause. A pure
+// deadlock — no node program erred, the watchdog fired — returns the
+// structured DeadlockError report itself rather than P redundant
+// AbortError symptoms.
+func joinRunErrors(m *machine.Machine, errs []error, waitErr error) error {
+	anyNode := false
+	for _, err := range errs {
+		if err != nil {
+			anyNode = true
+			break
+		}
+	}
+	var dl *machine.DeadlockError
+	if errors.As(waitErr, &dl) && !anyNode {
+		return dl
+	}
+	// a pure external cancellation likewise returns the context error
+	// itself (the per-processor AbortErrors are symptoms, not causes)
+	if !anyNode && (errors.Is(waitErr, context.Canceled) || errors.Is(waitErr, context.DeadlineExceeded)) {
+		return waitErr
+	}
+	var all []error
+	for pid, err := range errs {
+		if err != nil {
+			all = append(all, &NodeError{PID: pid, Err: err})
+			continue
+		}
+		if perr := m.ProcErr(pid); perr != nil {
+			all = append(all, perr)
+		}
+	}
+	if joined := errors.Join(all...); joined != nil {
+		return joined
+	}
+	return waitErr
+}
+
+// RunSequential executes the original program on one processor with
+// no distribution, returning the reference result.
+func RunSequential(prog *ast.Program, opts Options) (*RunResult, error) {
+	return RunSequentialContext(context.Background(), prog, opts)
+}
+
+// RunSequentialContext is RunSequential under a cancellation context.
+func RunSequentialContext(ctx context.Context, prog *ast.Program, opts Options) (*RunResult, error) {
+	return RunContext(ctx, prog, machine.Config{P: 1, FlopCost: 1},
+		Options{Init: opts.Init, InitScalars: opts.InitScalars, Trace: opts.Trace,
+			Deadline: opts.Deadline})
+}
+
+// assemble merges per-processor copies: each element is taken from its
+// owner under the array's final distribution.
+func assemble(res *RunResult, mains []map[string]*Array) {
+	if mains[0] == nil {
+		return
+	}
+	for name, arr0 := range mains[0] {
+		out := make([]float64, len(arr0.Data))
+		dist := arr0.Dist
+		if dist == nil || dist.IsReplicated() || len(mains) == 1 || dist.DistDim() >= len(arr0.Lo) {
+			copy(out, arr0.Data)
+			res.Arrays[name] = out
+			continue
+		}
+		dim := dist.DistDim()
+		// iterate all elements; owner by the distributed coordinate
+		sizes := make([]int, len(arr0.Lo))
+		for d := range sizes {
+			sizes[d] = arr0.Hi[d] - arr0.Lo[d] + 1
+		}
+		idx := make([]int, len(sizes))
+		for flat := 0; flat < len(out); flat++ {
+			rem := flat
+			for d := len(sizes) - 1; d >= 0; d-- {
+				idx[d] = rem%sizes[d] + arr0.Lo[d]
+				rem /= sizes[d]
+			}
+			owner := dist.OwnerIndex(idx[dim])
+			if owner < 0 || owner >= len(mains) || mains[owner] == nil {
+				owner = 0
+			}
+			out[flat] = mains[owner][name].Data[flat]
+		}
+		res.Arrays[name] = out
+	}
+}

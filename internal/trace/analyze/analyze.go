@@ -148,10 +148,17 @@ type Analysis struct {
 // timelineBins is the default timeline resolution.
 const timelineBins = 64
 
-// Analyze derives the communication analysis from collected events.
+// Analyze derives the communication analysis from collected events,
+// which it reorders into the exporters' canonical order (SortEvents).
 // It returns nil when the events contain no simulator activity (e.g. a
 // compile-only trace).
 func Analyze(events []trace.Event) *Analysis {
+	// fold in the exporters' canonical order, not in append order: the
+	// goroutine engine appends in scheduling order, and a float sum
+	// taken in a different order differs in its last bit. The sort is in
+	// place (callers hand over a Tracer.Events copy) to spare a second
+	// copy of a trace that can run to hundreds of thousands of events.
+	trace.SortEvents(events)
 	p := 0
 	any := false
 	var clocks []float64

@@ -364,3 +364,44 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(200 * time.Microsecond)
 	}
 }
+
+// crasherPrograms are inputs that used to take the whole process down
+// by panicking a node goroutine: an intrinsic dividing by a divisor
+// that truncates to zero, and intrinsics indexing arguments that are
+// not there. A daemon must answer them with an error and keep serving.
+var crasherPrograms = []string{`
+      PROGRAM P
+      PARAMETER (n$proc = 2)
+      REAL x(8)
+      x(1) = MOD(5, 0.5)
+      END
+`, `
+      PROGRAM P
+      PARAMETER (n$proc = 1)
+      REAL x(8)
+      x(1) = MAX() + ABS() + SQRT() + first$(1, 2)
+      END
+`}
+
+// TestServiceSurvivesCrasherPrograms: a run of a crasher program fails
+// with the failing processor's NodeError (which processor gets there
+// first depends on the engine) — no panic escapes the machine — and the
+// same service then serves the next request.
+func TestServiceSurvivesCrasherPrograms(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{})
+	for _, src := range crasherPrograms {
+		_, err := svc.Run(context.Background(), RunRequest{Session: "s", Source: src})
+		var ne *NodeError
+		if !errors.As(err, &ne) {
+			t.Fatalf("crasher run = %v, want a NodeError", err)
+		}
+	}
+	good := Jacobi1DSrc(32, 2, 4)
+	out, err := svc.Run(context.Background(), RunRequest{Session: "s", Source: good})
+	if err != nil || out.Result.Stats.Messages == 0 {
+		t.Fatalf("run after the crashers: %v, %+v", err, out)
+	}
+	if st := svc.Stats(); st.Failures != int64(len(crasherPrograms)) {
+		t.Errorf("stats = %+v, want %d failures", st, len(crasherPrograms))
+	}
+}
