@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race bench bench-exec golden overlap fuzz report serve load
+.PHONY: check test race bench bench-exec bench-run bench-compare golden overlap fuzz report serve load
 
 check: ## build + vet + race tests + fuzz smoke + trace-overhead guard
 	./ci.sh
@@ -15,8 +15,16 @@ bench: ## go benchmarks + the BENCH_<yyyymmdd>.json snapshot
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
 	$(GO) run ./cmd/fdbench
 
-bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, broadcast (ns/op and allocs/op)
+bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, reduction, broadcast (ns/op and allocs/op)
 	$(GO) test -run '^$$' -bench 'BenchmarkExec' -benchmem ./internal/spmd
+
+W ?= dgefa_p1024
+O ?= .bench_build/$(W).json
+bench-run: ## one workload of the repository benchmark (bench/README.md): make bench-run W=dgefa_p1024 [O=parent.json]
+	bash bench/run.sh -workload $(W) -o $(O)
+
+bench-compare: ## two result files side by side: make bench-compare A=parent.json B=change.json
+	bash bench/run.sh -compare $(A) $(B)
 
 golden: ## regenerate the trace-summary, analysis, optimization-report and metrics goldens
 	$(GO) test -run TestGolden -update . ./internal/metrics

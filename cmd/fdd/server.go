@@ -142,6 +142,13 @@ func classify(err error) (int, errorBody) {
 			Detail: map[string]any{"pid": ne.PID},
 		}
 	}
+	var ie *fortd.InitError
+	if errors.As(err, &ie) {
+		return http.StatusUnprocessableEntity, errorBody{
+			Kind: "run", Message: err.Error(),
+			Detail: map[string]any{"array": ie.Array, "values": ie.Values, "elements": ie.Elems},
+		}
+	}
 	var pe *fortd.PanicError
 	if errors.As(err, &pe) {
 		return http.StatusUnprocessableEntity, errorBody{

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -179,6 +180,32 @@ func TestDaemonRunFailureIs422(t *testing.T) {
 	w, _ := do(t, h, "POST", "/run", map[string]any{"session": "t", "source": fortd.Jacobi1DSrc(32, 2, 4)})
 	if w.Code != http.StatusOK {
 		t.Fatalf("run after the crashers -> %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestDaemonInitLengthIs422: an init array that does not have one value
+// per element used to seed a prefix of the array (or drop its tail)
+// without a word; it is a 422 of kind "run", reported once, whatever P.
+func TestDaemonInitLengthIs422(t *testing.T) {
+	h := newTestHandler(t, fortd.ServiceConfig{})
+	src := fortd.Jacobi1DSrc(64, 2, 4)
+	for _, n := range []int{3, 65} {
+		w, out := do(t, h, "POST", "/run", map[string]any{
+			"session": "t", "source": src, "init": map[string][]float64{"a": fortd.Ramp(n)},
+		})
+		if w.Code != http.StatusUnprocessableEntity || errKind(t, out) != "run" {
+			t.Fatalf("%d values for a(64) -> %d %v, want 422 run", n, w.Code, out)
+		}
+		want := fmt.Sprintf("init a: %d values for 64 elements", n)
+		if msg := out["error"].(map[string]any)["message"].(string); msg != want {
+			t.Errorf("message %q, want %q", msg, want)
+		}
+	}
+	w, _ := do(t, h, "POST", "/run", map[string]any{
+		"session": "t", "source": src, "init": map[string][]float64{"a": fortd.Ramp(64), "nosuch": {1}},
+	})
+	if w.Code != http.StatusOK {
+		t.Fatalf("well-formed init -> %d: %s", w.Code, w.Body.String())
 	}
 }
 

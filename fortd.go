@@ -183,6 +183,11 @@ type AbortError = machine.AbortError
 // size). Its peers report AbortErrors.
 type NodeError = spmd.NodeError
 
+// InitError reports a WithInit slice whose length is not the element
+// count of the main-program array it seeds. The run fails before the
+// machine starts.
+type InitError = spmd.InitError
+
 // PanicError reports a node program that panicked — an executor bug.
 // The machine contains it: the run fails, the process survives.
 type PanicError = machine.PanicError

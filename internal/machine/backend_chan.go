@@ -88,8 +88,8 @@ func (e *chanEngine) receive(p *Proc, from int) message {
 
 // scratch allocates fresh every call: channel delivery passes the
 // payload slice by reference, so a reused buffer would be overwritten
-// under the receiver. The DES engine, which copies payloads on
-// deliver, is where Scratch actually pays off.
+// under the receiver. The DES engine, which copies a payload out of
+// it at the send, is where Scratch actually pays off.
 func (e *chanEngine) scratch(pid, n int) []float64 {
 	return make([]float64, n)
 }

@@ -25,11 +25,16 @@
 // actually communicate cost anything — versus the reference backend's
 // eager P² × LinkDepth channel slots.
 //
-// Payload pooling. deliver copies the payload into a buffer from a
-// power-of-two size-class free list; Recv hands that buffer to the node
-// program and recycles it on the processor's next Recv. In steady state
-// (rings, heaps and pool at high-water mark) a message moves through
-// the machine with zero allocations — BenchmarkMachineMessage pins it.
+// Payload ownership. A payload is copied once, at the send that
+// originates it, into a reference-counted buffer from a power-of-two
+// size-class free list; from then on it is machine-owned and read-only.
+// A ring entry holds one reference, Recv moves it to the receiving
+// processor (which gives it up on its next Recv), and sending a payload
+// on — a broadcast tree's forward, an injected duplicate, the root's
+// second child — takes another reference instead of a copy. The last
+// release returns the buffer to the pool. In steady state (rings, heaps
+// and pool at high-water mark) a message moves through the machine with
+// zero allocations — BenchmarkMachineMessage pins it.
 //
 // Deadlock is structural here, not sampled: when the event queue runs
 // dry while live processors remain, every one of them is provably
@@ -41,21 +46,43 @@
 package machine
 
 import (
+	"math"
 	"math/bits"
 	"time"
 )
 
+// payload is a pooled message buffer with its reference count: one per
+// ring entry carrying it plus one per processor holding it as its last
+// received message. A buffer keeps its header for life: the two travel
+// through the pool together.
+type payload struct {
+	data []float64 // the whole buffer; a message carries a prefix of it
+	refs int32
+}
+
+// queued is a message in a ring: message with the payload by reference.
+// Every link's ring holds at least eight of these, so the struct is
+// packed: a byte more here is half a megabyte on a P=256 remap.
+type queued struct {
+	buf      *payload // nil: a zero-word message
+	sendTime float64
+	seq      int64
+	delay    float64
+	n        int32 // payload length in words: buf.data[:n]
+	dup      bool
+}
+
 // msgRing is one src→dst link's queue: a growable circular buffer.
 // Steady-state push/pop allocate nothing.
 type msgRing struct {
-	buf  []message
+	buf  []queued
 	head int
 	n    int
 }
 
-func (r *msgRing) push(m message) {
+func (r *msgRing) push(m queued) {
 	if r.n == len(r.buf) {
-		grown := make([]message, max(8, 2*len(r.buf)))
+		grown := make([]queued, max(8, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
 			grown[i] = r.buf[(r.head+i)%len(r.buf)]
 		}
@@ -65,41 +92,56 @@ func (r *msgRing) push(m message) {
 	r.n++
 }
 
-func (r *msgRing) pop() message {
+func (r *msgRing) pop() queued {
 	m := r.buf[r.head]
-	r.buf[r.head] = message{} // drop the payload reference
+	r.buf[r.head] = queued{} // drop the payload pointer
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return m
 }
 
-// bufPool recycles message payloads by power-of-two size class. All
-// buffers it hands out have power-of-two capacity, so class lookup is
-// a bit scan. Zero-word payloads are represented as nil and never
-// pooled, preserving the existing zero-word message semantics.
+// bufPool recycles payloads by power-of-two size class. Every buffer it
+// hands out has a power-of-two length, so class lookup is a bit scan.
+// Zero-word payloads are represented as nil and never pooled,
+// preserving the existing zero-word message semantics.
 type bufPool struct {
-	classes [33][][]float64
+	classes [33][]*payload
+	// headers are carved from slabs, so a remap with tens of thousands
+	// of payloads in flight costs one allocation per buffer, as it did
+	// before buffers had headers, plus one per slab
+	slab []payload
+	made int // buffers ever allocated: pooled + referenced
 }
 
-func (bp *bufPool) get(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
+// get returns a buffer of at least n > 0 words holding one reference.
+func (bp *bufPool) get(n int) *payload {
 	c := bits.Len(uint(n - 1)) // smallest c with 1<<c >= n
+	var b *payload
 	if s := bp.classes[c]; len(s) > 0 {
-		buf := s[len(s)-1]
+		b = s[len(s)-1]
 		bp.classes[c] = s[:len(s)-1]
-		return buf[:n]
+	} else {
+		if len(bp.slab) == 0 {
+			bp.slab = make([]payload, 64)
+		}
+		b, bp.slab = &bp.slab[0], bp.slab[1:]
+		b.data = make([]float64, 1<<c)
+		bp.made++
 	}
-	return make([]float64, n, 1<<c)
+	b.refs = 1
+	return b
 }
 
-func (bp *bufPool) put(b []float64) {
-	if cap(b) == 0 {
+// release drops one reference to b (nil: a zero-word payload); the last
+// one returns the buffer to the pool.
+func (bp *bufPool) release(b *payload) {
+	if b == nil {
 		return
 	}
-	c := bits.Len(uint(cap(b))) - 1 // exact for the pool's own buffers
-	bp.classes[c] = append(bp.classes[c], b[:0])
+	if b.refs--; b.refs == 0 {
+		c := bits.Len(uint(len(b.data))) - 1
+		bp.classes[c] = append(bp.classes[c], b)
+	}
 }
 
 type desEngine struct {
@@ -122,10 +164,12 @@ type desEngine struct {
 	inbox  []map[int]*msgRing
 	waiter []int
 
-	// payload recycling: held[pid] is the buffer handed out by pid's
-	// last Recv, returned to the pool on its next one.
+	// payload ownership: held[pid] is the buffer pid's last Recv handed
+	// out, released on its next one; last is the buffer of the most
+	// recent deliver, which a message marked again shares.
 	pool        bufPool
-	held        [][]float64
+	held        []*payload
+	last        *payload
 	scratchBufs [][]float64
 
 	wallStart time.Time
@@ -142,7 +186,7 @@ func newDESEngine(m *Machine) *desEngine {
 		finished:    make([]bool, p),
 		inbox:       make([]map[int]*msgRing, p),
 		waiter:      make([]int, p),
-		held:        make([][]float64, p),
+		held:        make([]*payload, p),
 		scratchBufs: make([][]float64, p),
 	}
 	for i := range e.resume {
@@ -289,13 +333,30 @@ func (e *desEngine) deliver(src, dst int, msg message) bool {
 	if r.n >= e.m.depth {
 		return false
 	}
-	// copy the payload into a pooled, machine-owned buffer: the sender
-	// keeps its slice (it may be a reused Scratch buffer), and each
-	// injected duplicate gets its own copy so recycling stays single-owner
-	buf := e.pool.get(len(msg.data))
-	copy(buf, msg.data)
-	msg.data = buf
-	r.push(msg)
+	n := len(msg.data)
+	if n > math.MaxInt32 {
+		panic("machine: payload longer than 2^31 words")
+	}
+	var buf *payload
+	switch h := e.held[src]; {
+	case n == 0:
+	case msg.again:
+		// the payload of the sender's previous deliver, unchanged
+		buf = e.last
+		buf.refs++
+	case h != nil && &msg.data[0] == &h.data[0]:
+		// what the sender last received: machine-owned already, and
+		// nothing writes it while a reference is out
+		buf = h
+		buf.refs++
+	default:
+		// the sender keeps its slice (it may be a reused Scratch
+		// buffer): this is the payload's one copy
+		buf = e.pool.get(n)
+		copy(buf.data, msg.data)
+	}
+	e.last = buf
+	r.push(queued{buf: buf, n: int32(n), sendTime: msg.sendTime, seq: msg.seq, delay: msg.delay, dup: msg.dup})
 	if e.waiter[dst] == src {
 		// the receiver is parked on exactly this link: schedule its
 		// resumption at the message's arrival time, and clear the waiter
@@ -330,24 +391,28 @@ func (e *desEngine) receive(p *Proc, from int) message {
 }
 
 // take pops the head message and settles payload ownership: a real
-// message's buffer is held for the processor until its next Recv; an
-// injected duplicate's buffer goes straight back to the pool (the
-// caller only reads its length, and no other processor can touch the
-// pool before this one yields).
+// message's reference moves from the ring to the processor, which holds
+// it until its next Recv; an injected duplicate's is released at once
+// (the caller only reads its length, and no other processor can touch
+// the pool before this one yields).
 func (e *desEngine) take(pid int, r *msgRing) message {
-	msg := r.pop()
-	if msg.dup {
-		e.pool.put(msg.data)
-	} else if msg.data != nil {
-		e.pool.put(e.held[pid])
-		e.held[pid] = msg.data
+	q := r.pop()
+	msg := message{sendTime: q.sendTime, seq: q.seq, delay: q.delay, dup: q.dup}
+	if q.buf != nil {
+		msg.data = q.buf.data[:q.n:q.n]
+	}
+	if q.dup {
+		e.pool.release(q.buf)
+	} else {
+		e.pool.release(e.held[pid])
+		e.held[pid] = q.buf
 	}
 	return msg
 }
 
-// scratch reuses one grow-only buffer per processor: deliver copies
-// payloads out immediately, so the node program is free to rebuild it
-// for the next send.
+// scratch reuses one grow-only buffer per processor: a send from it
+// copies the payload out before it returns, so the node program is free
+// to rebuild it for the next one.
 func (e *desEngine) scratch(pid, n int) []float64 {
 	if cap(e.scratchBufs[pid]) < n {
 		e.scratchBufs[pid] = make([]float64, n)

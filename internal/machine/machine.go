@@ -142,7 +142,8 @@ type Stats struct {
 	// Traffic is the per-pair accounting: Traffic[src][dst] accumulates
 	// every message src sent to dst. Remap traffic, which has no single
 	// destination, is charged to the diagonal Traffic[p][p], so row sums
-	// match each processor's Sent/Words totals.
+	// match each processor's Sent/Words totals. Read-only: the rows are
+	// the machine's own counters (P² entries are not worth a copy).
 	Traffic [][]PairStats
 }
 
@@ -181,6 +182,11 @@ type message struct {
 	seq      int64   // trace message id (0 when tracing is disabled)
 	delay    float64 // injected delivery delay (fault plan)
 	dup      bool    // injected duplicate: the receiver discards it
+	// again: data is what this processor's previous deliver carried,
+	// unchanged, and nothing ran on the machine in between (a duplicate;
+	// a broadcast root's next child). An engine that copies payloads may
+	// share that copy.
+	again bool
 }
 
 // arrival is the receiver-clock delivery time of the message under the
@@ -204,8 +210,9 @@ type engine interface {
 	wait()
 	// deliver enqueues one message on the src→dst link, reporting false
 	// when the link is full (the shared caller turns that into a
-	// *CongestionError). The engine owns the payload after a true
-	// return; it may copy it.
+	// *CongestionError). After a true return the sender may reuse its
+	// slice on an engine that copied it; on one that aliases it the
+	// slice belongs to the receiver.
 	deliver(src, dst int, msg message) bool
 	// receive blocks processor p until a message from from is
 	// available, registering it with the watchdog accounting via
@@ -215,9 +222,9 @@ type engine interface {
 	receive(p *Proc, from int) message
 	// scratch returns an n-word staging buffer for processor pid to
 	// build an outgoing payload in. The DES engine reuses one buffer
-	// per processor (Send copies payloads immediately); the goroutine
-	// engine must allocate fresh because channels alias the slice to
-	// the receiver.
+	// per processor (a send from it copies the payload before it
+	// returns); the goroutine engine must allocate fresh because
+	// channels alias the slice to the receiver.
 	scratch(pid, n int) []float64
 }
 
@@ -364,7 +371,9 @@ func (m *Machine) Wait() error {
 	return m.Err()
 }
 
-// Stats collects the machine-wide statistics. Call after Wait.
+// Stats collects the machine-wide statistics. Call after Wait, when no
+// processor can write its counters again: Traffic's rows are the
+// processors' own, handed over, not copied.
 func (m *Machine) Stats() Stats {
 	var s Stats
 	s.PerProc = make([]ProcStats, m.cfg.P)
@@ -384,7 +393,7 @@ func (m *Machine) Stats() Stats {
 			s.Remaps = p.remaps
 		}
 		s.Broadcast += p.bcast
-		s.Traffic[i] = append([]PairStats(nil), p.pairs...)
+		s.Traffic[i] = p.pairs
 	}
 	return s
 }
@@ -398,7 +407,7 @@ type Proc struct {
 	bcast  int64
 	// pairs[dst] accumulates this processor's traffic per destination
 	// (remap traffic lands on pairs[id]). Written only by this
-	// processor's goroutine; snapshotted by Stats after Wait.
+	// processor's goroutine; Stats hands the slice out after Wait.
 	pairs []PairStats
 	// trace attribution context, set by the interpreter before each
 	// communication statement: the owning procedure, source line and
@@ -488,10 +497,17 @@ func (p *Proc) Scratch(n int) []float64 {
 // message startup; delivery time is carried on the message. Send never
 // blocks: a full link fails the run with a *CongestionError naming the
 // congested pair, and an aborted run unwinds the sender with an
-// *AbortError. The machine owns data after Send returns on the DES
-// backend (it copies), and the receiver aliases it on the goroutine
-// backend — build payloads with Scratch and neither case can bite.
-func (p *Proc) Send(to int, data []float64) {
+// *AbortError. On the DES backend the caller's slice is its own again
+// when Send returns (the machine took the payload's one copy, or, for a
+// payload the caller has just received and is passing on, a reference
+// to the buffer it already owns); on the goroutine backend the receiver
+// aliases it — build payloads with Scratch and neither case can bite.
+func (p *Proc) Send(to int, data []float64) { p.send(to, data, false) }
+
+// send is Send; again marks data as the payload of this processor's
+// previous send, unchanged and with no other machine call in between,
+// which the engine may then share instead of copying once more.
+func (p *Proc) send(to int, data []float64, again bool) {
 	if to == p.id {
 		// local move: no message
 		return
@@ -516,13 +532,13 @@ func (p *Proc) Send(to int, data []float64) {
 			Start: start, Dur: p.stats.Clock - start, Seq: seq,
 		})
 	}
-	msg := message{data: data, sendTime: p.stats.Clock, seq: seq}
+	msg := message{data: data, sendTime: p.stats.Clock, seq: seq, again: again}
 	delay, dup := p.injectSendFaults(to, len(data), seq)
 	msg.delay = delay
 	p.deliver(to, msg)
 	if dup {
 		d := msg
-		d.dup = true
+		d.dup, d.again = true, true
 		p.deliver(to, d)
 	}
 }
@@ -548,9 +564,10 @@ func (p *Proc) deliver(to int, msg message) {
 // schedule. Injected duplicate messages are detected and discarded,
 // charging only the delivery stall.
 //
-// The returned slice is machine-owned and stays valid until this
-// processor's next Recv (the DES backend then recycles the buffer);
-// copy out anything needed longer.
+// The returned slice is machine-owned and read-only (other processors
+// may be reading the same buffer), and stays valid until this
+// processor's next Recv, when the DES backend gives up its reference to
+// the buffer; copy out anything needed longer.
 func (p *Proc) Recv(from int) []float64 {
 	if from == p.id {
 		return nil
@@ -598,7 +615,7 @@ func (p *Proc) recvAs(from int, kind trace.Kind) []float64 {
 func (p *Proc) Broadcast(root int, data []float64) []float64 {
 	np := p.m.cfg.P
 	rel := (p.id - root + np) % np
-	received := p.id == root
+	received, sent := p.id == root, false
 	for k := 1; k < np; k <<= 1 {
 		if rel >= k && rel < 2*k {
 			data = p.Recv((root + rel - k) % np)
@@ -606,7 +623,8 @@ func (p *Proc) Broadcast(root int, data []float64) []float64 {
 			continue
 		}
 		if rel < k && received && rel+k < np {
-			p.Send((root+rel+k)%np, data)
+			p.send((root+rel+k)%np, data, sent)
+			sent = true
 			p.bcast++
 		}
 	}

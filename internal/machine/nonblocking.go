@@ -83,8 +83,8 @@ func (p *Proc) WaitHandle(h *Handle) []float64 {
 	h.done = true
 	h.data = p.recvAs(h.from, trace.KindWait)
 	if h.kind == handleBcast {
-		for _, c := range h.fwd {
-			p.Send(c, h.data)
+		for i, c := range h.fwd {
+			p.send(c, h.data, i > 0)
 			p.bcast++
 		}
 	}
@@ -139,8 +139,8 @@ func (p *Proc) PostBcastInto(h *Handle, root int, data []float64) {
 	}
 	*h = Handle{p: p, kind: handleBcast, from: -1, fwd: children}
 	if p.id == root {
-		for _, c := range children {
-			p.Send(c, data)
+		for i, c := range children {
+			p.send(c, data, i > 0)
 			p.bcast++
 		}
 		h.done = true

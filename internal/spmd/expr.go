@@ -64,7 +64,7 @@ func failing(args []operand, mk func() error) operand {
 type intOperand struct {
 	kind intKind
 	slot int
-	k    int     // intConst
+	k    int     // intConst; for a cursor loop's index ± constant subscript, the constant (cursor.go)
 	c    float64 // intLocalPlus: added to the local before rounding
 	fn   exprFn
 }
@@ -413,17 +413,27 @@ func minMax(max bool, args []operand) operand {
 // formal addresses the caller's array with the caller's bounds.
 type arrayRef struct {
 	unit, name string
-	slot       int
 	subs       []intOperand
+	slot       int32
+	// In the body of a cursor loop (cursor.go) the reference is addressed
+	// by the frame's cursor cur while the frame is walking, which it is
+	// only inside such a loop, whose body holds none but its own
+	// references. Subscript d is then the loop index plus subs[d].k if
+	// bit d of ivar is set, and invariant otherwise.
+	cur  int16
+	ivar uint8
 }
 
 func (lw *lowerer) arrayRef(name string, subs []ast.Expr) (*arrayRef, int) {
-	r := &arrayRef{unit: lw.unit.Name, name: name, slot: lw.slot(name), subs: make([]intOperand, len(subs))}
+	r := &arrayRef{unit: lw.unit.Name, name: name, slot: int32(lw.slot(name)), subs: make([]intOperand, len(subs))}
 	ops := 0
 	for i, s := range subs {
 		var n int
 		r.subs[i], n = lw.intExpr(s)
 		ops += n
+	}
+	if lw.walk != nil {
+		lw.cursorRef(r, subs)
 	}
 	return r, ops
 }
@@ -468,6 +478,10 @@ func (r *arrayRef) unknown() error {
 
 func (r *arrayRef) load() exprFn {
 	return func(fr *frame) float64 {
+		if fr.walk {
+			c := &fr.curs[r.cur]
+			return c.data[c.off]
+		}
 		arr := fr.bind[r.slot].arr
 		if arr == nil {
 			fr.nd.fail(r.unknown())
@@ -489,6 +503,12 @@ func (r *arrayRef) store(rhs operand, flops int) stmtFn {
 		v := rhs.eval(fr)
 		if nd.err != nil {
 			return nd.takeErr()
+		}
+		if fr.walk {
+			c := &fr.curs[r.cur]
+			c.data[c.off] = v
+			nd.proc.Compute(flops)
+			return nil
 		}
 		arr := fr.bind[r.slot].arr
 		if arr == nil {

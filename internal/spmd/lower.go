@@ -65,6 +65,7 @@ type procPlan struct {
 	commons map[string]int
 	decls   []decl // frame prologue, in declaration order
 	body    []stmtFn
+	ncurs   int // cursors a frame needs: the most of any cursor loop (cursor.go)
 }
 
 // decl is one step of a frame's prologue: define a scalar that no
@@ -84,6 +85,10 @@ type frame struct {
 	pp   *procPlan
 	vals []float64
 	bind []binding
+	// curs address the array references of the cursor loop in progress,
+	// if walk is set (cursor.go).
+	curs []cursor
+	walk bool
 }
 
 // binding is what a name means in one activation: ref points at its
@@ -112,6 +117,9 @@ type node struct {
 	// another statement or procedure without collision.
 	posted  []*postedOp
 	freeOps []*postedOp
+	// seed holds Options.Init while the main program's frame is built:
+	// an array it names starts as a copy of its values.
+	seed map[string][]float64
 	// allgather/remap scratch (ownerParts)
 	partOffs, partStart, partPos, ownerTab []int
 }
@@ -137,14 +145,11 @@ func (pl *plan) newNode(proc *machine.Proc) *node {
 // program's arrays by name.
 func (pl *plan) run(proc *machine.Proc, opts Options) (map[string]*Array, error) {
 	nd := pl.newNode(proc)
+	nd.seed = opts.Init
 	fr, err := nd.enter(pl.main, nil, nil)
+	nd.seed = nil
 	if err != nil {
 		return nil, err
-	}
-	for name, vals := range opts.Init {
-		if slot, ok := pl.main.slots[name]; ok && fr.bind[slot].arr != nil {
-			copy(fr.bind[slot].arr.Data, vals)
-		}
 	}
 	for name, v := range opts.InitScalars {
 		if slot, ok := pl.main.slots[name]; ok && fr.bind[slot].ref != nil {
@@ -161,6 +166,35 @@ func (pl *plan) run(proc *machine.Proc, opts Options) (map[string]*Array, error)
 		}
 	}
 	return arrays, nil
+}
+
+// checkInit compares every Options.Init entry with its array before the
+// machine starts, so that a bad one fails the run once and not on each
+// of P processors. Main-program bounds are constants in any real
+// program; an array whose bounds are not is left to allocArray.
+func (pl *plan) checkInit(init map[string][]float64) error {
+	for i := range pl.main.decls {
+		d := &pl.main.decls[i]
+		name := pl.main.names[d.slot]
+		vals, ok := init[name]
+		if !ok || !d.array {
+			continue
+		}
+		size := 1
+		for dim := range d.lo {
+			lo, hi := &d.lo[dim], &d.hi[dim]
+			ext := hi.k - lo.k + 1
+			if lo.kind != intConst || hi.kind != intConst || ext < 0 || ext > maxArrayElems || size*ext > maxArrayElems {
+				size = -1 // allocArray evaluates, or rejects, these bounds
+				break
+			}
+			size *= ext
+		}
+		if size >= 0 && len(vals) != size {
+			return &InitError{Array: name, Values: len(vals), Elems: size}
+		}
+	}
+	return nil
 }
 
 func runBody(fr *frame, body []stmtFn) error {
@@ -189,8 +223,11 @@ func (nd *node) newFrame(pp *procPlan) *frame {
 		fr.vals = make([]float64, n)
 		fr.bind = make([]binding, n)
 	}
+	if cap(fr.curs) < pp.ncurs {
+		fr.curs = make([]cursor, pp.ncurs)
+	}
 	fr.pp = pp
-	fr.vals, fr.bind = fr.vals[:n], fr.bind[:n]
+	fr.vals, fr.bind, fr.curs = fr.vals[:n], fr.bind[:n], fr.curs[:pp.ncurs]
 	clear(fr.bind)
 	return fr
 }
@@ -314,7 +351,15 @@ func (nd *node) allocArray(fr *frame, d *decl) (*Array, error) {
 		}
 		size *= ext
 	}
-	arr.Data = make([]float64, size)
+	if vals, ok := nd.seed[name]; ok {
+		if len(vals) != size {
+			return nil, &InitError{Array: name, Values: len(vals), Elems: size}
+		}
+		// a clone is written once; make + copy would zero it first
+		arr.Data = append([]float64(nil), vals...)
+	} else {
+		arr.Data = make([]float64, size)
+	}
 	// the distribution table is keyed by main-program names; frames
 	// entered from the main program see it too
 	if nd.pl.dists != nil && len(nd.stack) == 0 {
@@ -349,6 +394,10 @@ type programLowerer struct {
 	procs map[*ast.Procedure]*procPlan
 	todo  []*lowerer
 	tags  map[int]int // split-phase tag → dense index
+	// scratch of lowerer.cursorLoop: the slots of the scalars the loop
+	// under test changes (its index first) and of those its invariant
+	// subscripts read
+	written, read []int32
 }
 
 // proc returns u's plan, scheduling u for lowering on first mention.
@@ -382,6 +431,10 @@ type lowerer struct {
 	owned map[string]bool
 	line  int  // line of the statement being lowered (0: a declaration)
 	decl  bool // lowering a declaration bound: the frame is still being built
+	// Lowering the body of a cursor loop (cursor.go), walk is that loop,
+	// whose array references take a cursor each, and index its variable.
+	walk  *cursorLoop
+	index string
 }
 
 func (lw *lowerer) slot(name string) int {
@@ -539,6 +592,9 @@ func (lw *lowerer) assign(st *ast.Assign) stmtFn {
 
 // do lowers a DO loop. The bounds are evaluated once and cost no
 // virtual time; the index variable keeps its last value after the loop.
+// A body that qualifies runs on cursors whenever they can be positioned
+// on entry (cursor.go): the loop itself, its abort polling and the
+// statements' flop charges are the same either way.
 func (lw *lowerer) do(st *ast.Do) stmtFn {
 	lo, _ := lw.intExpr(st.Lo)
 	hi, _ := lw.intExpr(st.Hi)
@@ -546,8 +602,16 @@ func (lw *lowerer) do(st *ast.Do) stmtFn {
 	if st.Step != nil {
 		step, _ = lw.intExpr(st.Step)
 	}
-	unit, slot := lw.unit.Name, lw.slot(st.Var)
+	// the closure captures the unit, not its name: a word less, which
+	// pays for cl and keeps a DO in its allocation size class
+	unit, slot := lw.unit, lw.slot(st.Var)
+	cl := lw.cursorLoop(st)
+	lw.walk = cl
 	body := lw.body(st.Body)
+	lw.walk = nil
+	if cl != nil {
+		lw.pp.ncurs = max(lw.pp.ncurs, len(cl.refs))
+	}
 	return func(fr *frame) error {
 		nd := fr.nd
 		l, h, s := lo.eval(fr), hi.eval(fr), step.eval(fr)
@@ -555,20 +619,29 @@ func (lw *lowerer) do(st *ast.Do) stmtFn {
 			return nd.takeErr()
 		}
 		if s == 0 {
-			return fmt.Errorf("%s: zero loop step", unit)
+			return fmt.Errorf("%s: zero loop step", unit.Name)
 		}
 		v := fr.scalar(slot)
+		walk := cl != nil && cl.position(fr, l, h, s)
+		fr.walk = walk
 		for i, n := l, 1; (s > 0 && i <= h) || (s < 0 && i >= h); i, n = i+s, n+1 {
 			*v = float64(i)
 			for _, b := range body {
 				if err := b(fr); err != nil {
+					fr.walk = false
 					return err
 				}
 			}
 			if n%pollEvery == 0 {
 				nd.proc.CheckAbort()
 			}
+			if walk {
+				for k := range fr.curs[:len(cl.refs)] {
+					fr.curs[k].off += fr.curs[k].stride
+				}
+			}
 		}
+		fr.walk = false
 		return nil
 	}
 }

@@ -140,6 +140,9 @@ func TestErrorsFireWhenExecuted(t *testing.T) {
 		{"send Y(1:2) to 0", "send: unknown array Y"},
 		{"broadcast X(1:2) from 9", "broadcast X: bad root 9"},
 		{"call sub(X)", "sub: unknown variable undefined$"},
+		// a reduction loop that would run on cursors, were its last
+		// iteration in bounds
+		{"do i = 1, 5\n      t = MAX(t, ABS(X(i)))\n      enddo", "P: X: index 5 out of bounds [1:4] in dim 0"},
 	} {
 		src := fmt.Sprintf(`
       PROGRAM P
@@ -186,6 +189,56 @@ func TestErrorsFireWhenExecuted(t *testing.T) {
 	_, err := Run(mismatch, machine.DefaultConfig(2), Options{})
 	if want := "recv X: message size 3 != section size 4 (proc 1 from 0)"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("size mismatch: error %v, want %q", err, want)
+	}
+}
+
+// TestInitLengthMismatch: a seed with the wrong number of values used to
+// be copied as far as it went. It is one *InitError before the machine
+// starts when the array's bounds are constants, as a main program's
+// are, and the same error from the frame's prologue when they are not.
+func TestInitLengthMismatch(t *testing.T) {
+	prog := parseProg(t, `
+      PROGRAM P
+      PARAMETER (n = 4)
+      REAL X(n,0:3), Y(2)
+      X(1,0) = 1.0
+      END
+`)
+	for _, tc := range []struct {
+		init map[string][]float64
+		want string
+	}{
+		{map[string][]float64{"X": make([]float64, 16), "Y": {1, 2}, "Z": {1}}, ""},
+		{map[string][]float64{"X": make([]float64, 15)}, "init X: 15 values for 16 elements"},
+		{map[string][]float64{"X": make([]float64, 17)}, "init X: 17 values for 16 elements"},
+		{map[string][]float64{"Y": nil}, "init Y: 0 values for 2 elements"},
+	} {
+		for _, p := range []int{1, 16} {
+			_, err := Run(prog, machine.DefaultConfig(p), Options{Init: tc.init})
+			if tc.want == "" {
+				if err != nil {
+					t.Errorf("P=%d: %v", p, err)
+				}
+				continue
+			}
+			var ie *InitError
+			if !errors.As(err, &ie) || err.Error() != tc.want {
+				t.Errorf("P=%d: error %v, want exactly %q", p, err, tc.want)
+			}
+		}
+	}
+
+	// bounds only the frame can evaluate: every processor reports it
+	late := parseProg(t, `
+      PROGRAM P
+      REAL X(MOD(7, 4))
+      X(1) = 1.0
+      END
+`)
+	_, err := Run(late, machine.DefaultConfig(2), Options{Init: map[string][]float64{"X": {1, 2}}})
+	var ie *InitError
+	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "p1: init X: 2 values for 3 elements") {
+		t.Errorf("non-constant bounds: error %v, want an InitError from each processor", err)
 	}
 }
 
@@ -301,6 +354,69 @@ func TestSectionWalker(t *testing.T) {
 	}
 }
 
+// TestCursorLoops pins which loops are lowered with cursors and which
+// executions position them: the differential lanes show that every one
+// of these behaves like the general loop, this shows that the ones
+// meant to run on cursors do, so that the lanes test what they claim.
+func TestCursorLoops(t *testing.T) {
+	for _, tc := range []struct {
+		name, loop string
+		cursors    int  // the main program's cursor count (0: the loop does not qualify)
+		positioned bool // the run leaves them positioned
+		fails      bool // the loop ends in an error
+	}{
+		{"stencil", "do i = 2, 7\n a(i,k) = a(i-1,k) + a(i+1,k) + b(i)\n enddo", 4, true, false},
+		{"reduction", "do i = k, 8\n s = MAX(s, ABS(a(i,k)))\n t = t + a(k,k-1)\n enddo", 2, true, false},
+		{"negative step", "do i = 8, 1, -3\n b(i) = a(i,i)\n enddo", 2, true, false},
+		{"constant by PARAMETER", "do i = 1, 7\n b(i) = b(i+one)\n enddo", 2, true, false},
+		{"intrinsic in an invariant", "do i = 1, 8\n b(i) = a(MOD(k, 5),i)\n enddo", 2, true, false},
+		{"zero trips", "do i = 3, 2\n b(i) = 1.0\n enddo", 1, false, false},
+		{"last iteration out of bounds", "do i = 1, 9\n s = s + b(i)\n enddo", 1, false, true},
+		{"no array", "do i = 1, 8\n s = s + i\n enddo", 0, false, false},
+		{"assigns the index", "do i = 1, 7\n i = i + 1\n b(i) = 1.0\n enddo", 0, false, false},
+		{"assigns a subscript's scalar", "do i = 1, 3\n k = k + 1\n b(k) = 1.0\n enddo", 0, false, false},
+		{"scaled index", "do i = 1, 4\n b(2*i) = 1.0\n enddo", 0, false, false},
+		{"constant before the index", "do i = 1, 4\n b(1+i) = 1.0\n enddo", 0, false, false},
+		{"fractional offset", "do i = 1, 4\n b(i+0.5) = 1.0\n enddo", 0, false, false},
+		{"indirect subscript", "do i = 1, 4\n b(b(i)+1) = 1.0\n enddo", 0, false, false},
+		{"nested loop", "do i = 1, 4\n do j = 1, 1\n enddo\n b(i) = 1.0\n enddo", 0, false, false},
+		{"guarded statement", "do i = 1, 4\n if (i .GT. 2) then\n b(i) = 1.0\n endif\n enddo", 0, false, false},
+	} {
+		prog := parseProg(t, fmt.Sprintf(`
+      PROGRAM P
+      PARAMETER (one = 1)
+      REAL a(8,8), b(8)
+      k = 2
+      %s
+      END
+`, tc.loop))
+		pl := lower(prog, 1, nil)
+		if pl.main.ncurs != tc.cursors {
+			t.Errorf("%s: lowered with %d cursors, want %d", tc.name, pl.main.ncurs, tc.cursors)
+			continue
+		}
+		m := machine.New(machine.DefaultConfig(1))
+		m.Go(0, func(proc *machine.Proc) {
+			fr, err := pl.newNode(proc).enter(pl.main, nil, nil)
+			if err == nil {
+				err = runBody(fr, pl.main.body)
+			}
+			if (err != nil) != tc.fails {
+				t.Errorf("%s: error %v, want one: %v", tc.name, err, tc.fails)
+			}
+			if fr.walk {
+				t.Errorf("%s: the frame is still walking after the loop", tc.name)
+			}
+			for k, c := range fr.curs {
+				if (c.data != nil) != tc.positioned {
+					t.Errorf("%s: cursor %d positioned: %v, want %v", tc.name, k, c.data != nil, tc.positioned)
+				}
+			}
+		})
+		m.Wait()
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Steady-state allocation and microbenchmarks
 
@@ -376,6 +492,20 @@ const (
       enddo
       END
 `
+	reduceKernel = `
+      PROGRAM P
+      REAL a(128,128)
+      k = 3
+      call idamax(a, 128, k)
+      END
+      SUBROUTINE idamax(a, n, k)
+      REAL a(128,128)
+      s = 0.0
+      do i = k, n
+        s = MAX(s, ABS(a(i,k)))
+      enddo
+      END
+`
 	bcastKernel = `
       PROGRAM P
       REAL a(128,128)
@@ -391,12 +521,13 @@ const (
 // TestExecSteadyStateAllocationFree is the executor's analogue of
 // machine.TestDESMessageAllocationFree: once a processor is warm, an
 // assignment loop, a CALL (frame from the free list, formals bound by
-// reference and by value) and a broadcast/postbcast/waitbcast pair
-// (section walked into scratch, pooled posted op) allocate nothing.
+// reference and by value), a reduction loop on cursors and a
+// broadcast/postbcast/waitbcast pair (section walked into scratch,
+// pooled posted op) allocate nothing.
 func TestExecSteadyStateAllocationFree(t *testing.T) {
 	skipIfNotDES(t)
 	for _, k := range []struct{ name, src string }{
-		{"expr", exprKernel}, {"loop", loopKernel}, {"call", callKernel}, {"bcast", bcastKernel},
+		{"expr", exprKernel}, {"loop", loopKernel}, {"call", callKernel}, {"reduce", reduceKernel}, {"bcast", bcastKernel},
 	} {
 		onWarmNode(t, k.src, func(body func()) {
 			if avg := testing.AllocsPerRun(20, body); avg != 0 {
@@ -467,9 +598,11 @@ func benchKernel(b *testing.B, src string) {
 
 // The per-layer microbenchmarks of the executor (make bench-exec): one
 // expression-heavy assignment, a 30×30 five-point stencil sweep, two
-// CALLs of a BLAS-1 style kernel, and a column broadcast, a row
-// broadcast and a split-phase column broadcast of a 128×128 array.
-func BenchmarkExecExpr(b *testing.B)  { benchKernel(b, exprKernel) }
-func BenchmarkExecLoop(b *testing.B)  { benchKernel(b, loopKernel) }
-func BenchmarkExecCall(b *testing.B)  { benchKernel(b, callKernel) }
-func BenchmarkExecBcast(b *testing.B) { benchKernel(b, bcastKernel) }
+// CALLs of a BLAS-1 style kernel, dgefa's idamax reduction down a column
+// of 126 elements, and a column broadcast, a row broadcast and a
+// split-phase column broadcast of a 128×128 array.
+func BenchmarkExecExpr(b *testing.B)   { benchKernel(b, exprKernel) }
+func BenchmarkExecLoop(b *testing.B)   { benchKernel(b, loopKernel) }
+func BenchmarkExecCall(b *testing.B)   { benchKernel(b, callKernel) }
+func BenchmarkExecReduce(b *testing.B) { benchKernel(b, reduceKernel) }
+func BenchmarkExecBcast(b *testing.B)  { benchKernel(b, bcastKernel) }

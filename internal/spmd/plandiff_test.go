@@ -3,6 +3,7 @@ package spmd_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -70,6 +71,250 @@ func samePlanAndTree(t *testing.T, prog *ast.Program, cfg machine.Config, opts s
 	if !bytes.Equal(plan.jsonl, tree.jsonl) {
 		t.Errorf("JSONL trace exports differ (%d vs %d bytes)", len(plan.jsonl), len(tree.jsonl))
 	}
+}
+
+// sameFailure requires plan and oracle to fail prog with the same first
+// node error, reading want.
+func sameFailure(t *testing.T, prog *ast.Program, cfg machine.Config, want string) {
+	t.Helper()
+	text := func(name string, run runFn) string {
+		_, err := run(context.Background(), prog, cfg, spmd.Options{})
+		var ne *spmd.NodeError
+		if !errors.As(err, &ne) {
+			t.Fatalf("%s: error %v, want a node error reading %q", name, err, want)
+		}
+		return ne.Err.Error()
+	}
+	if plan, tree := text("plan", spmd.RunContext), text("tree walk", spmd.RunTreeWalk); plan != want || tree != want {
+		t.Errorf("plan fails with %q, the tree walk with %q, want %q", plan, tree, want)
+	}
+}
+
+// cursorLanes are loops at the edges of what the plan runs on cursors
+// (cursor.go): each either qualifies and must behave as if it did not,
+// or looks as if it qualified and must not. A lane with fails set ends
+// in that node error; plant names a subscript identifier to replace by
+// one no symbol table declares, the way only generated code can.
+var cursorLanes = []struct{ name, body, subs, fails, plant string }{
+	{name: "step", body: `
+      do i = 2, 30, 3
+        a(i) = a(i-1) + 2 * b(i+1)
+      enddo
+      do i = 1, 32, 31
+        b(i) = a(i) + i
+      enddo
+      do i = 3, 4, 7
+        b(i) = b(i) + 0.5
+      enddo`},
+	{name: "negative-step", body: `
+      do i = 31, 2, -1
+        a(i) = a(i+1) + b(i-1)
+      enddo
+      do i = 30, 3, -4
+        b(i) = a(i) - a(i-2)
+      enddo`},
+	{name: "zero-trip", body: `
+      k = 7
+      do i = 5, 4
+        a(i+100) = 1.0
+      enddo
+      do i = 1, 4, -1
+        a(i-100) = 1.0
+      enddo
+      do i = k, k - 1
+        b(i,i) = 1.0
+      enddo
+      a(1) = i`},
+	{name: "lower-bounds", body: `
+      do j = 0, 7
+        do i = -3, 5
+          c(i,j) = c(i,j) + i * j + a(j+1)
+        enddo
+      enddo
+      k = 2
+      do j = 1, 7
+        c(k-3,j) = c(k-3,j-1) + c(5,j)
+      enddo`},
+	{name: "stencil", body: `
+      do k = 1, 3
+        do i = -2, 4
+          do j = 1, 6
+            d(i,j) = 0.25 * (c(i-1,j) + c(i+1,j) + c(i,j-1) + c(i,j+1))
+          enddo
+        enddo
+        do i = -2, 4
+          do j = 1, 6
+            c(i,j) = d(i,j)
+          enddo
+        enddo
+      enddo`},
+	{name: "reduction", body: `
+      do k = 1, 6
+        s = 0.0
+        do i = k - 3, 5
+          s = MAX(s, ABS(c(i,k) - 40))
+          t = t + c(i,k) * c(k-3,k)
+        enddo
+        a(k) = s
+        b(k) = t
+      enddo`},
+	{name: "broadcast-between", body: `
+      my$p = myproc()
+      do k = 1, 4
+        do i = 1, 32
+          a(i) = a(i) + my$p + k
+        enddo
+        broadcast a(1:32) from MOD(k, n$proc)
+        do i = 2, 32
+          b(i) = b(i) + a(i-1)
+        enddo
+      enddo`},
+	{name: "oob-first", body: `
+      do i = 0, 5
+        a(i) = 1.0
+      enddo`, fails: "P: a: index 0 out of bounds [1:32] in dim 0"},
+	{name: "oob-middle", body: `
+      do i = 1, 8
+        a(i) = b(i) + e(i)
+      enddo`, fails: "P: e: index 6 out of bounds [1:5] in dim 0"},
+	{name: "oob-middle-moving-subscript", body: `
+      k = 20
+      do i = 1, 8
+        k = k + 3
+        s = s + a(k)
+      enddo`, fails: "P: a: index 35 out of bounds [1:32] in dim 0"},
+	{name: "oob-last", body: `
+      do i = 1, 33
+        a(i) = a(i) + 1.0
+      enddo`, fails: "P: a: index 33 out of bounds [1:32] in dim 0"},
+	{name: "oob-last-strided", body: `
+      do i = 30, -2, -4
+        a(i+1) = 1.0
+      enddo`, fails: "P: a: index -1 out of bounds [1:32] in dim 0"},
+	{name: "oob-invariant", body: `
+      k = 9
+      do i = 1, 5
+        c(i,k-1) = 1.0
+      enddo`, fails: "P: c: index 8 out of bounds [0:7] in dim 1"},
+	{name: "rank-mismatch", body: `
+      call fill(c)`, subs: `
+      SUBROUTINE fill(x)
+      REAL x(10)
+      do i = 1, 4
+        x(i) = 1.0
+      enddo
+      END`, fails: "fill: x: 1 subscripts for a rank-2 array"},
+	{name: "rank-of-the-actual", body: `
+      call fill(a)
+      call fill(e)`, subs: `
+      SUBROUTINE fill(x)
+      REAL x(10)
+      do i = 1, 5
+        x(i) = x(i) + i
+      enddo
+      END`},
+	{name: "undefined-invariant", body: `
+      k = 2
+      do i = 1, 4
+        c(i,k) = 1.0
+      enddo`, plant: "k", fails: "P: unknown variable undefined$"},
+	{name: "undefined-invariant-after-another-error", body: `
+      k = 2
+      do i = 1, 4
+        c(i,k) = 1 / (j - j)
+      enddo`, plant: "k", fails: "P: integer division by zero"},
+	{name: "undefined-invariant-zero-trip", body: `
+      k = 2
+      do i = 4, 1
+        c(i,k) = 1.0
+      enddo
+      a(1) = 3.0`, plant: "k"},
+	{name: "index-aliases-assigned", body: `
+      x = 0
+      call walk(a, x, x)`, subs: `
+      SUBROUTINE walk(a, i, k)
+      REAL a(32)
+      do i = 1, 12, 2
+        k = k + 1
+        a(i) = a(i) + k
+      enddo
+      END`},
+	{name: "invariant-aliases-assigned", body: `
+      x = 1
+      call walk(c, x, x)`, subs: `
+      SUBROUTINE walk(c, k, m)
+      REAL c(-3:5,0:7)
+      do i = -3, 2
+        c(i,k) = c(i,k) + 100
+        m = m + 1
+      enddo
+      END`},
+	{name: "invariant-aliases-index", body: `
+      x = 1
+      call walk(c, x, x)
+      y = 2
+      call walk(c, y, z)`, subs: `
+      SUBROUTINE walk(c, i, k)
+      REAL c(-3:5,0:7)
+      do i = 1, 5
+        c(i,k) = c(i,k) - 7
+      enddo
+      END`},
+	{name: "body-assigns-index", body: `
+      do i = 1, 16
+        i = i + 1
+        a(i) = a(i) + 5
+      enddo`},
+	{name: "subscript-reads-array", body: `
+      do i = 1, 5
+        e(i) = 6 - i
+      enddo
+      do i = 1, 5
+        a(e(i)) = a(e(i)) + i
+        e(i) = i
+      enddo`},
+}
+
+// cursorLaneProgram wraps a lane's statements in a main program over a
+// fixed set of seeded arrays.
+func cursorLaneProgram(t *testing.T, body, subs, plant string, p int) *ast.Program {
+	t.Helper()
+	prog, err := parser.Parse(fmt.Sprintf(`
+      PROGRAM P
+      PARAMETER (n$proc = %d)
+      REAL a(32), b(32), c(-3:5,0:7), d(-3:5,0:7), e(5)
+      do i = 1, 32
+        a(i) = i
+        b(i) = 32 - i
+      enddo
+      do i = -3, 5
+        do j = 0, 7
+          c(i,j) = 10 * i + j
+        enddo
+      enddo
+%s
+      END
+%s`, p, body, subs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plant != "" {
+		planted := 0
+		ast.WalkExprs(prog.Main().Body, func(e ast.Expr) {
+			if ref, ok := e.(*ast.ArrayRef); ok {
+				for i, sub := range ref.Subs {
+					if id, ok := sub.(*ast.Ident); ok && id.Name == plant {
+						ref.Subs[i] = &ast.Ident{Name: "undefined$"}
+						planted++
+					}
+				}
+			}
+		})
+		if planted == 0 {
+			t.Fatalf("no subscript %s to replace", plant)
+		}
+	}
+	return prog
 }
 
 // faultLane is the one fault plan of the matrix: random delivery delays
@@ -145,6 +390,24 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 					samePlanAndTree(t, c.Source, machine.Config{P: 1, FlopCost: 1}, spmd.Options{Init: init})
 				})
 			}
+		}
+	}
+
+	for _, lane := range cursorLanes {
+		for _, p := range []int{1, 3, 4, 16} {
+			t.Run(fmt.Sprintf("cursor/%s/p%d", lane.name, p), func(t *testing.T) {
+				prog := cursorLaneProgram(t, lane.body, lane.subs, lane.plant, p)
+				cfg := machine.DefaultConfig(p)
+				if lane.fails != "" {
+					sameFailure(t, prog, cfg, lane.fails)
+					return
+				}
+				if _, err := spmd.Run(prog, cfg, spmd.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				samePlanAndTree(t, prog, cfg, spmd.Options{})
+				samePlanAndTree(t, prog, cfg, spmd.Options{Faults: faultLane})
+			})
 		}
 	}
 

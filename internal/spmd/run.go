@@ -65,7 +65,9 @@ type Options struct {
 	// replicated.
 	Dists map[string]*decomp.Dist
 	// Init seeds main-program arrays before execution (array → values
-	// in row-major global order); every processor gets a copy.
+	// in row-major global order); every processor gets a copy. A slice
+	// whose length is not its array's element count fails the run with
+	// an *InitError; a name that is no main-program array is ignored.
 	Init map[string][]float64
 	// InitScalars seeds main-program scalars.
 	InitScalars map[string]float64
@@ -108,6 +110,9 @@ func RunContext(ctx context.Context, prog *ast.Program, cfg machine.Config, opts
 		return nil, errors.New("spmd: program has no main unit")
 	}
 	pl := lower(prog, cfg.P, opts.Dists)
+	if err := pl.checkInit(opts.Init); err != nil {
+		return nil, err
+	}
 	return runNodes(ctx, cfg, opts, func(proc *machine.Proc) (map[string]*Array, error) {
 		return pl.run(proc, opts)
 	})
@@ -192,6 +197,17 @@ type NodeError struct {
 
 func (e *NodeError) Error() string { return fmt.Sprintf("p%d: %v", e.PID, e.Err) }
 func (e *NodeError) Unwrap() error { return e.Err }
+
+// InitError reports an Options.Init entry whose length is not the
+// element count of the main-program array it seeds.
+type InitError struct {
+	Array         string
+	Values, Elems int
+}
+
+func (e *InitError) Error() string {
+	return fmt.Sprintf("init %s: %d values for %d elements", e.Array, e.Values, e.Elems)
+}
 
 // joinRunErrors combines a run's failures into one error: each
 // processor's own (executor-level) error as a *NodeError, each
