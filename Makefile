@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race bench bench-exec bench-run bench-compare golden overlap fuzz report serve load
+.PHONY: check test race bench bench-exec bench-compile bench-run bench-compare golden overlap fuzz report serve load
 
 check: ## build + vet + race tests + fuzz smoke + trace-overhead guard
 	./ci.sh
@@ -17,6 +17,11 @@ bench: ## go benchmarks + the BENCH_<yyyymmdd>.json snapshot
 
 bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, reduction, broadcast (ns/op and allocs/op)
 	$(GO) test -run '^$$' -bench 'BenchmarkExec' -benchmem ./internal/spmd
+
+BENCHTIME ?= 1s
+bench-compile: ## compiler microbenchmarks, one per layer, then the whole compile (ns/op, B/op, allocs/op)
+	$(GO) test -run '^$$' -bench 'BenchmarkLex$$|BenchmarkDependAnalyze$$|BenchmarkLivedecompMain256$$|BenchmarkAggregateAnchors$$|BenchmarkSchedApply$$|BenchmarkCompileSynth256$$' \
+		-benchmem -benchtime $(BENCHTIME) ./internal/lexer ./internal/depend ./internal/livedecomp ./internal/codegen .
 
 W ?= dgefa_p1024
 O ?= .bench_build/$(W).json
@@ -40,10 +45,12 @@ report: ## render the dgefa HTML performance report to report.html
 	$(GO) run ./cmd/fdreport -o report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
-fuzz: ## fuzz the parser, the whole compile pipeline and compile+run
+fuzz: ## fuzz the parser, the whole compile pipeline, compile+run, and the affine form and lexer against their oracles
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzAffine -fuzztime $(FUZZTIME) ./internal/depend
+	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/lexer
 
 FDD_ADDR ?= localhost:8700
 FDD_CACHE ?= .fddcache

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: build, vet, race-enabled tests (which exercise the parallel
 # compile scheduler), a short fuzz smoke of the parser, the compile
-# pipeline and the executor, the benchmark's own tests and smoke run
+# pipeline, the executor and the compiler's dense forms against their
+# oracles, the benchmark's own tests and smoke run
 # (its oracles check the executor's arrays and deterministic counts),
 # and the trace-overhead guard (the disabled-tracing fast path must stay
 # cheap; compare the two sub-benchmarks by hand when touching the
@@ -21,6 +22,10 @@ FORTD_MACHINE_BACKEND=goroutine go test -race -timeout 5m ./internal/machine ./i
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz FuzzCompile -fuzztime 10s .
 go test -run '^$' -fuzz FuzzRun -fuzztime 10s .
+# the compiler's dense forms against the implementations they replaced:
+# affine subscripts and the pair test on them, and the one-pass lexer
+go test -run '^$' -fuzz FuzzAffine -fuzztime 10s ./internal/depend
+go test -run '^$' -fuzz FuzzTokenize -fuzztime 10s ./internal/lexer
 # the benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it: run its unit tests, then one smoke pass over all five
 # workloads, which fails on a wrong array, a Stats difference between
@@ -28,6 +33,9 @@ go test -run '^$' -fuzz FuzzRun -fuzztime 10s .
 (cd bench && go test ./...)
 bash bench/run.sh -smoke
 go test -run '^$' -bench BenchmarkTraceOverhead -benchtime 20x .
+# the compiler's per-layer microbenchmarks must at least run (numbers:
+# make bench-compile; the allocation budget is a tier-1 test)
+make bench-compile BENCHTIME=1x
 
 # deadlock smoke: a deliberately mismatched SPMD program must terminate
 # within the deadline with a non-zero exit and the structured deadlock

@@ -1,0 +1,72 @@
+package fortd
+
+import (
+	"testing"
+
+	"fortd/internal/parser"
+	"fortd/internal/sched"
+)
+
+// BenchmarkCompileSynth256 is one cold sequential compile of the
+// benchmark's compile_synth256 program (257 procedures, 200 KB): the
+// whole-compiler number behind the per-layer ones of `make
+// bench-compile`. Read B/op and allocs/op with -benchmem.
+func BenchmarkCompileSynth256(b *testing.B) {
+	src := SyntheticProcsSrc(256, 8, 32, 4)
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(src, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSchedApply times the overlap schedule pass alone on the
+// generated compile_synth256 program. Apply rewrites its input, so each
+// iteration gets a fresh parse of the blocking listing, off the clock.
+func BenchmarkSchedApply(b *testing.B) {
+	p, err := Compile(SyntheticProcsSrc(256, 8, 32, 4), DefaultOptions().WithOverlap(false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocking := p.Listing()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prog, err := parser.Parse(blocking)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		// the sweeps' per-element pipelines offer no site; the pass
+		// still has to look at every statement to find that out
+		sched.Apply(prog, nil)
+	}
+}
+
+// TestCompileAllocBudget fails when a cold sequential compile of a
+// 33-procedure program allocates more than the budget: the compiler's
+// host cost is mostly allocation (45 % of its CPU was the allocator and
+// the collector before PR 14), so a layer that goes back to building
+// maps or strings per reference shows up here, without a timer. The
+// budget is the count measured when it was last set plus 10 %; lower it
+// when a change lowers the count.
+func TestCompileAllocBudget(t *testing.T) {
+	const budget = 103900 // 94 419 measured at PR 14 (256 240 before it) + 10 %
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Compile(src, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per compile (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("compile allocates %.0f objects, budget %d", allocs, budget)
+	}
+}

@@ -6,7 +6,10 @@
 // compiler built on ParaScope.
 package ast
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // DataType is the declared type of a variable.
 type DataType int
@@ -64,9 +67,15 @@ type DistSpec struct {
 
 func (d DistSpec) String() string {
 	if d.Kind == DistBlockCyclic {
-		return fmt.Sprintf("CYCLIC(%d)", d.BlockSize)
+		return string(d.appendTo(nil))
 	}
 	return d.Kind.String()
+}
+
+// Equal reports whether two specs print alike: the block size counts
+// only for CYCLIC(k).
+func (d DistSpec) Equal(o DistSpec) bool {
+	return d.Kind == o.Kind && (d.Kind != DistBlockCyclic || d.BlockSize == o.BlockSize)
 }
 
 // Position locates a construct in the source text.
@@ -83,6 +92,8 @@ func (p Position) String() string { return fmt.Sprintf("line %d", p.Line) }
 type Expr interface {
 	exprNode()
 	String() string
+	// appendTo appends what String returns (print.go).
+	appendTo(dst []byte) []byte
 }
 
 // Ident is a reference to a scalar variable or loop index.
@@ -131,13 +142,18 @@ const (
 	OpOr
 )
 
-var binOpNames = map[BinOp]string{
+var binOpNames = [...]string{
 	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpPow: "**",
 	OpEQ: ".EQ.", OpNE: ".NE.", OpLT: ".LT.", OpLE: ".LE.",
 	OpGT: ".GT.", OpGE: ".GE.", OpAnd: ".AND.", OpOr: ".OR.",
 }
 
-func (op BinOp) String() string { return binOpNames[op] }
+func (op BinOp) String() string {
+	if op < 0 || int(op) >= len(binOpNames) {
+		return ""
+	}
+	return binOpNames[op]
+}
 
 // Binary is a binary expression X op Y.
 type Binary struct {
@@ -159,37 +175,13 @@ func (*FuncCall) exprNode() {}
 func (*Binary) exprNode()   {}
 func (*Unary) exprNode()    {}
 
-func (e *Ident) String() string   { return e.Name }
-func (e *IntLit) String() string  { return fmt.Sprintf("%d", e.Value) }
-func (e *RealLit) String() string { return fmt.Sprintf("%g", e.Value) }
-
-func (e *ArrayRef) String() string {
-	s := e.Name + "("
-	for i, sub := range e.Subs {
-		if i > 0 {
-			s += ","
-		}
-		s += sub.String()
-	}
-	return s + ")"
-}
-
-func (e *FuncCall) String() string {
-	s := e.Name + "("
-	for i, a := range e.Args {
-		if i > 0 {
-			s += ","
-		}
-		s += a.String()
-	}
-	return s + ")"
-}
-
-func (e *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.X.String(), e.Op.String(), e.Y.String())
-}
-
-func (e *Unary) String() string { return e.Op + e.X.String() }
+func (e *Ident) String() string    { return e.Name }
+func (e *IntLit) String() string   { return strconv.Itoa(e.Value) }
+func (e *RealLit) String() string  { return string(e.appendTo(nil)) }
+func (e *ArrayRef) String() string { return string(e.appendTo(nil)) }
+func (e *FuncCall) String() string { return string(e.appendTo(nil)) }
+func (e *Binary) String() string   { return string(e.appendTo(nil)) }
+func (e *Unary) String() string    { return string(e.appendTo(nil)) }
 
 // ---------------------------------------------------------------------------
 // Statements

@@ -197,14 +197,6 @@ func Max(x, y Expr) Expr {
 // Cmp builds a comparison expression.
 func Cmp(op BinOp, x, y Expr) Expr { return &Binary{Op: op, X: x, Y: y} }
 
-// ExprEqual reports structural equality of two expressions.
-func ExprEqual(a, b Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return a.String() == b.String()
-}
-
 // MustInt evaluates e as a constant and panics if it is not one. It is
 // used where prior analysis guarantees constancy.
 func MustInt(e Expr, env Env) int {

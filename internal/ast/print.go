@@ -2,154 +2,306 @@ package ast
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
+
+// The printer appends to a byte slice: every node has one rendering,
+// written once, whether it ends in a listing, in an Expr.String() or in
+// a hasher's key material (summary-cache keys take the printed
+// procedure without ever holding it as a string).
 
 // Print renders a whole program as Fortran D source text (including any
 // generated send/recv/remap statements in the commented library-call
 // style used in the paper's output listings).
 func Print(p *Program) string {
-	var b strings.Builder
+	var buf []byte
 	for i, u := range p.Units {
 		if i > 0 {
-			b.WriteString("\n")
+			buf = append(buf, '\n')
 		}
-		PrintProcedure(&b, u)
+		buf = AppendProcedure(buf, u)
 	}
-	return b.String()
+	return string(buf)
 }
 
-// PrintProcedure renders one unit.
-func PrintProcedure(b *strings.Builder, u *Procedure) {
+// AppendProcedure appends the rendering of one unit to dst.
+func AppendProcedure(dst []byte, u *Procedure) []byte {
 	if u.IsMain {
-		fmt.Fprintf(b, "      PROGRAM %s\n", u.Name)
+		dst = append(dst, "      PROGRAM "...)
+		dst = append(dst, u.Name...)
 	} else {
-		fmt.Fprintf(b, "      SUBROUTINE %s(%s)\n", u.Name, strings.Join(u.Params, ","))
+		dst = append(dst, "      SUBROUTINE "...)
+		dst = append(dst, u.Name...)
+		dst = append(dst, '(')
+		for i, p := range u.Params {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, p...)
+		}
+		dst = append(dst, ')')
 	}
-	printDecls(b, u)
-	printStmts(b, u.Body, 1)
-	b.WriteString("      END\n")
+	dst = append(dst, '\n')
+	dst = appendDecls(dst, u)
+	dst = appendStmts(dst, u.Body, 1)
+	return append(dst, "      END\n"...)
 }
 
-func printDecls(b *strings.Builder, u *Procedure) {
-	for _, s := range u.Symbols.Symbols() {
+func appendDecls(dst []byte, u *Procedure) []byte {
+	for _, name := range u.Symbols.Order {
+		s := u.Symbols.table[name]
 		switch s.Kind {
 		case SymConstant:
-			fmt.Fprintf(b, "      PARAMETER (%s = %d)\n", s.Name, s.ConstValue)
+			dst = append(dst, "      PARAMETER ("...)
+			dst = append(dst, s.Name...)
+			dst = append(dst, " = "...)
+			dst = strconv.AppendInt(dst, int64(s.ConstValue), 10)
+			dst = append(dst, ")\n"...)
 		case SymArray:
-			fmt.Fprintf(b, "      %s %s(%s)\n", s.Type, s.Name, extentList(s.Dims))
+			dst = append(dst, "      "...)
+			dst = append(dst, s.Type.String()...)
+			dst = append(dst, ' ')
+			dst = appendExtents(dst, s)
 		case SymDecomposition:
-			fmt.Fprintf(b, "      DECOMPOSITION %s(%s)\n", s.Name, extentList(s.Dims))
+			dst = append(dst, "      DECOMPOSITION "...)
+			dst = appendExtents(dst, s)
 		case SymScalar:
 			if !s.IsFormal && s.Common == "" {
 				continue // implicit scalars are not printed
 			}
 		}
 		if s.Common != "" {
-			fmt.Fprintf(b, "      COMMON /%s/ %s\n", s.Common, s.Name)
+			dst = append(dst, "      COMMON /"...)
+			dst = append(dst, s.Common...)
+			dst = append(dst, "/ "...)
+			dst = append(dst, s.Name...)
+			dst = append(dst, '\n')
 		}
 	}
+	return dst
 }
 
-func extentList(dims []Extent) string {
-	parts := make([]string, len(dims))
-	for i, d := range dims {
-		lo, isOne := EvalInt(d.Lo, nil)
-		if isOne && lo == 1 {
-			parts[i] = d.Hi.String()
-		} else {
-			parts[i] = d.Lo.String() + ":" + d.Hi.String()
+// appendExtents renders "name(lo:hi,...)\n", eliding a lower bound of 1.
+func appendExtents(dst []byte, s *Symbol) []byte {
+	dst = append(dst, s.Name...)
+	dst = append(dst, '(')
+	for i, d := range s.Dims {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
+		if lo, isConst := EvalInt(d.Lo, nil); !isConst || lo != 1 {
+			dst = d.Lo.appendTo(dst)
+			dst = append(dst, ':')
+		}
+		dst = d.Hi.appendTo(dst)
 	}
-	return strings.Join(parts, ",")
+	return append(dst, ")\n"...)
 }
 
-func printStmts(b *strings.Builder, body []Stmt, depth int) {
-	ind := strings.Repeat("  ", depth) + "    "
+// indent is the statement indentation at nesting depth 1, two more
+// columns per level.
+const indent = "      "
+
+func appendIndent(dst []byte, depth int) []byte {
+	dst = append(dst, indent...)
+	for ; depth > 1; depth-- {
+		dst = append(dst, "  "...)
+	}
+	return dst
+}
+
+func appendStmts(dst []byte, body []Stmt, depth int) []byte {
 	for _, s := range body {
+		if _, ok := s.(*Decomposition); ok {
+			continue // re-printed from the symbol table
+		}
+		dst = appendIndent(dst, depth)
 		switch st := s.(type) {
 		case *Assign:
-			fmt.Fprintf(b, "%s%s = %s\n", ind, st.Lhs, st.Rhs)
+			dst = st.Lhs.appendTo(dst)
+			dst = append(dst, " = "...)
+			dst = st.Rhs.appendTo(dst)
 		case *Do:
-			step := ""
+			dst = append(dst, "do "...)
+			dst = append(dst, st.Var...)
+			dst = append(dst, " = "...)
+			dst = st.Lo.appendTo(dst)
+			dst = append(dst, ',')
+			dst = st.Hi.appendTo(dst)
 			if st.Step != nil {
-				step = "," + st.Step.String()
+				dst = append(dst, ',')
+				dst = st.Step.appendTo(dst)
 			}
-			fmt.Fprintf(b, "%sdo %s = %s,%s%s\n", ind, st.Var, st.Lo, st.Hi, step)
-			printStmts(b, st.Body, depth+1)
-			fmt.Fprintf(b, "%senddo\n", ind)
+			dst = append(dst, '\n')
+			dst = appendStmts(dst, st.Body, depth+1)
+			dst = appendIndent(dst, depth)
+			dst = append(dst, "enddo"...)
 		case *If:
-			fmt.Fprintf(b, "%sif (%s) then\n", ind, st.Cond)
-			printStmts(b, st.Then, depth+1)
+			dst = append(dst, "if ("...)
+			dst = st.Cond.appendTo(dst)
+			dst = append(dst, ") then\n"...)
+			dst = appendStmts(dst, st.Then, depth+1)
 			if len(st.Else) > 0 {
-				fmt.Fprintf(b, "%selse\n", ind)
-				printStmts(b, st.Else, depth+1)
+				dst = appendIndent(dst, depth)
+				dst = append(dst, "else\n"...)
+				dst = appendStmts(dst, st.Else, depth+1)
 			}
-			fmt.Fprintf(b, "%sendif\n", ind)
+			dst = appendIndent(dst, depth)
+			dst = append(dst, "endif"...)
 		case *Call:
-			args := make([]string, len(st.Args))
-			for i, a := range st.Args {
-				args[i] = a.String()
-			}
-			fmt.Fprintf(b, "%scall %s(%s)\n", ind, st.Name, strings.Join(args, ","))
+			dst = append(dst, "call "...)
+			dst = appendApply(dst, st.Name, st.Args)
 		case *Return:
-			fmt.Fprintf(b, "%sreturn\n", ind)
-		case *Decomposition:
-			// re-printed from the symbol table; skip
+			dst = append(dst, "return"...)
 		case *Align:
-			fmt.Fprintf(b, "%sALIGN %s with %s\n", ind, st.Array, st.Target)
+			dst = append(dst, "ALIGN "...)
+			dst = append(dst, st.Array...)
+			dst = append(dst, " with "...)
+			dst = append(dst, st.Target...)
 		case *Distribute:
-			specs := make([]string, len(st.Specs))
-			for i, sp := range st.Specs {
-				specs[i] = sp.String()
-			}
-			fmt.Fprintf(b, "%sDISTRIBUTE %s(%s)\n", ind, st.Target, strings.Join(specs, ","))
+			dst = append(dst, "DISTRIBUTE "...)
+			dst = append(dst, st.Target...)
+			dst = appendSpecs(dst, st.Specs)
 		case *Send:
-			fmt.Fprintf(b, "%ssend %s(%s) to %s\n", ind, st.Array, secString(st.Sec), st.Dest)
+			dst = appendComm(dst, "send ", st.Array, st.Sec, " to ", st.Dest)
 		case *Recv:
-			fmt.Fprintf(b, "%srecv %s(%s) from %s\n", ind, st.Array, secString(st.Sec), st.Src)
+			dst = appendComm(dst, "recv ", st.Array, st.Sec, " from ", st.Src)
 		case *Broadcast:
-			fmt.Fprintf(b, "%sbroadcast %s(%s) from %s\n", ind, st.Array, secString(st.Sec), st.Root)
+			dst = appendComm(dst, "broadcast ", st.Array, st.Sec, " from ", st.Root)
 		case *AllGather:
-			fmt.Fprintf(b, "%sallgather %s(%s)\n", ind, st.Array, secString(st.Sec))
+			dst = appendComm(dst, "allgather ", st.Array, st.Sec, "", nil)
 		case *GlobalReduce:
-			name := map[string]string{"+": "globalsum", "MAX": "globalmax", "MIN": "globalmin"}[st.Op]
-			if name == "" {
-				name = "globalsum"
-			}
-			fmt.Fprintf(b, "%s%s %s\n", ind, name, st.Var)
+			dst = append(dst, reduceName(st.Op)...)
+			dst = append(dst, ' ')
+			dst = append(dst, st.Var...)
 		case *PostRecv:
-			fmt.Fprintf(b, "%spostrecv %s(%s) from %s tag %d\n", ind, st.Array, secString(st.Sec), st.Src, st.Tag)
+			dst = appendComm(dst, "postrecv ", st.Array, st.Sec, " from ", st.Src)
+			dst = appendTag(dst, st.Tag)
 		case *WaitRecv:
-			fmt.Fprintf(b, "%swaitrecv %s tag %d\n", ind, st.Array, st.Tag)
+			dst = append(dst, "waitrecv "...)
+			dst = append(dst, st.Array...)
+			dst = appendTag(dst, st.Tag)
 		case *PostBcast:
-			fmt.Fprintf(b, "%spostbcast %s(%s) from %s tag %d\n", ind, st.Array, secString(st.Sec), st.Root, st.Tag)
+			dst = appendComm(dst, "postbcast ", st.Array, st.Sec, " from ", st.Root)
+			dst = appendTag(dst, st.Tag)
 		case *WaitBcast:
-			fmt.Fprintf(b, "%swaitbcast %s tag %d\n", ind, st.Array, st.Tag)
+			dst = append(dst, "waitbcast "...)
+			dst = append(dst, st.Array...)
+			dst = appendTag(dst, st.Tag)
 		case *Remap:
-			kind := "remap"
 			if st.InPlace {
-				kind = "markas"
+				dst = append(dst, "markas "...)
+			} else {
+				dst = append(dst, "remap "...)
 			}
-			specs := make([]string, len(st.To))
-			for i, sp := range st.To {
-				specs[i] = sp.String()
-			}
-			fmt.Fprintf(b, "%s%s %s(%s)\n", ind, kind, st.Array, strings.Join(specs, ","))
+			dst = append(dst, st.Array...)
+			dst = appendSpecs(dst, st.To)
 		default:
-			fmt.Fprintf(b, "%s! <unknown stmt %T>\n", ind, s)
+			dst = fmt.Appendf(dst, "! <unknown stmt %T>", s)
 		}
+		dst = append(dst, '\n')
 	}
+	return dst
 }
 
-func secString(sec []SecDim) string {
-	parts := make([]string, len(sec))
+// reduceName is the library routine a GlobalReduce prints as; an
+// unrecognized operator prints as the sum.
+func reduceName(op string) string {
+	switch op {
+	case "MAX":
+		return "globalmax"
+	case "MIN":
+		return "globalmin"
+	}
+	return "globalsum"
+}
+
+// appendComm renders "<verb><array>(<section>)<prep><peer>"; a nil peer
+// ends the statement after the section.
+func appendComm(dst []byte, verb, array string, sec []SecDim, prep string, peer Expr) []byte {
+	dst = append(dst, verb...)
+	dst = append(dst, array...)
+	dst = append(dst, '(')
 	for i, d := range sec {
-		if ExprEqual(d.Lo, d.Hi) {
-			parts[i] = d.Lo.String()
-		} else {
-			parts[i] = d.Lo.String() + ":" + d.Hi.String()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = d.Lo.appendTo(dst)
+		if !ExprEqual(d.Lo, d.Hi) {
+			dst = append(dst, ':')
+			dst = d.Hi.appendTo(dst)
 		}
 	}
-	return strings.Join(parts, ",")
+	dst = append(dst, ')')
+	if peer != nil {
+		dst = append(dst, prep...)
+		dst = peer.appendTo(dst)
+	}
+	return dst
+}
+
+func appendTag(dst []byte, tag int) []byte {
+	dst = append(dst, " tag "...)
+	return strconv.AppendInt(dst, int64(tag), 10)
+}
+
+func appendSpecs(dst []byte, specs []DistSpec) []byte {
+	dst = append(dst, '(')
+	for i, sp := range specs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = sp.appendTo(dst)
+	}
+	return append(dst, ')')
+}
+
+// appendApply renders name(arg,...): array references, function calls
+// and CALL statements share the shape.
+func appendApply(dst []byte, name string, args []Expr) []byte {
+	dst = append(dst, name...)
+	dst = append(dst, '(')
+	for i, a := range args {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = a.appendTo(dst)
+	}
+	return append(dst, ')')
+}
+
+func (e *Ident) appendTo(dst []byte) []byte  { return append(dst, e.Name...) }
+func (e *IntLit) appendTo(dst []byte) []byte { return strconv.AppendInt(dst, int64(e.Value), 10) }
+
+// appendTo renders the value as fmt's %g does: the shortest form that
+// reads back exactly.
+func (e *RealLit) appendTo(dst []byte) []byte {
+	return strconv.AppendFloat(dst, e.Value, 'g', -1, 64)
+}
+
+func (e *ArrayRef) appendTo(dst []byte) []byte { return appendApply(dst, e.Name, e.Subs) }
+func (e *FuncCall) appendTo(dst []byte) []byte { return appendApply(dst, e.Name, e.Args) }
+
+func (e *Binary) appendTo(dst []byte) []byte {
+	dst = append(dst, '(')
+	dst = e.X.appendTo(dst)
+	dst = append(dst, ' ')
+	dst = append(dst, e.Op.String()...)
+	dst = append(dst, ' ')
+	dst = e.Y.appendTo(dst)
+	return append(dst, ')')
+}
+
+func (e *Unary) appendTo(dst []byte) []byte {
+	dst = append(dst, e.Op...)
+	return e.X.appendTo(dst)
+}
+
+func (d DistSpec) appendTo(dst []byte) []byte {
+	if d.Kind == DistBlockCyclic {
+		dst = append(dst, "CYCLIC("...)
+		dst = strconv.AppendInt(dst, int64(d.BlockSize), 10)
+		return append(dst, ')')
+	}
+	return append(dst, d.Kind.String()...)
 }

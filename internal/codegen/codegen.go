@@ -9,7 +9,6 @@ package codegen
 
 import (
 	"fmt"
-	"strings"
 
 	"fortd/internal/ast"
 	"fortd/internal/comm"
@@ -259,23 +258,22 @@ func Generate(in *Input) (*Result, error) {
 // aggregateAnchors removes textually identical communication statements
 // anchored at the same insertion point, returning how many were
 // dropped. (Two references to the same nonlocal element in one
-// statement otherwise generate two identical broadcasts.)
+// statement otherwise generate two identical broadcasts.) "Textually
+// identical" is ast.StmtEqual: the statements would print the same.
 func aggregateAnchors(a *anchors) int {
 	dropped := 0
 	dedupe := func(stmts []ast.Stmt) []ast.Stmt {
-		seen := map[string]bool{}
 		out := stmts[:0]
+	next:
 		for _, s := range stmts {
-			if !isCommStmt(s) {
-				out = append(out, s)
-				continue
+			if isCommStmt(s) {
+				for _, kept := range out {
+					if ast.StmtEqual(kept, s) {
+						dropped++
+						continue next
+					}
+				}
 			}
-			key := stmtKey(s)
-			if seen[key] {
-				dropped++
-				continue
-			}
-			seen[key] = true
 			out = append(out, s)
 		}
 		return out
@@ -310,13 +308,6 @@ func isCommStmt(s ast.Stmt) bool {
 		}
 	}
 	return false
-}
-
-func stmtKey(s ast.Stmt) string {
-	var b strings.Builder
-	p := &ast.Procedure{Name: "k", Symbols: ast.NewSymbolTable(), Body: []ast.Stmt{s}}
-	ast.PrintProcedure(&b, p)
-	return b.String()
 }
 
 // stampPos attributes generated communication statements (and the

@@ -44,9 +44,7 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 func listing(res *Result, proc *ast.Procedure) string {
 	cp := *proc
 	cp.Body = res.Body
-	var b strings.Builder
-	ast.PrintProcedure(&b, &cp)
-	return b.String()
+	return string(ast.AppendProcedure(nil, &cp))
 }
 
 // TestGenerateShiftExchange: Figure 2's structure — guarded send/recv

@@ -142,7 +142,7 @@ func Analyze(
 	// Reads in assignments, IF conditions, loop bounds and call
 	// arguments all need their data resolved; only assignments carry a
 	// partitioning item (the others execute replicated).
-	for _, ref := range depend.CollectRefs(proc) {
+	for _, ref := range deps.Refs {
 		if ref.IsWrite {
 			continue
 		}

@@ -248,7 +248,7 @@ func TestRefSectionConstLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := depend.CollectRefs(u)
+	refs := depend.CollectRefs(u, nil)
 	sec := RefSection(u, refs[0].Expr, refs[0].Nest, nil)
 	want := rsd.New("A", rsd.Range(2, 9), rsd.Range(1, 20))
 	if !sec.Equal(want) {

@@ -35,17 +35,23 @@ func (pc *passCtx) procKey(n *acg.Node) string {
 	name := n.Name()
 	h := summarycache.NewHasher()
 
-	var b strings.Builder
-	ast.PrintProcedure(&b, n.Proc)
-	h.Add("src", b.String())
+	h.Add("src")
+	h.AddFunc(func(dst []byte) []byte { return ast.AppendProcedure(dst, n.Proc) })
 	// printed source carries no positions; fingerprint statement lines
 	// separately so cached remark positions always match the input
-	var lines []string
-	ast.WalkStmts(n.Proc.Body, func(s ast.Stmt) bool {
-		lines = append(lines, strconv.Itoa(s.Pos().Line))
-		return true
+	h.Add("pos")
+	h.AddFunc(func(dst []byte) []byte {
+		first := true
+		ast.WalkStmts(n.Proc.Body, func(s ast.Stmt) bool {
+			if !first {
+				dst = append(dst, ',')
+			}
+			first = false
+			dst = strconv.AppendInt(dst, int64(s.Pos().Line), 10)
+			return true
+		})
+		return dst
 	})
-	h.Add("pos", strings.Join(lines, ","))
 
 	h.Add("p", strconv.Itoa(pc.p),
 		"strategy", strconv.Itoa(int(pc.opts.Strategy)),

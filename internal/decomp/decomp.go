@@ -56,8 +56,19 @@ func (d Decomp) Key() string {
 
 func (d Decomp) String() string { return d.Key() }
 
-// Equal reports whether two decompositions are identical.
-func (d Decomp) Equal(o Decomp) bool { return d.Key() == o.Key() }
+// Equal reports whether two decompositions are identical: their keys
+// are the same, decided on the specs without building the keys.
+func (d Decomp) Equal(o Decomp) bool {
+	if len(d.Specs) != len(o.Specs) {
+		return false
+	}
+	for i, s := range d.Specs {
+		if !s.Equal(o.Specs[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // IsReplicated reports whether no dimension is distributed.
 func (d Decomp) IsReplicated() bool {

@@ -38,6 +38,26 @@ type Ref struct {
 	IsWrite bool
 	Nest    []*ast.Do // enclosing loops, outermost first
 	Order   int       // textual position, for loop-independent direction
+	// Subs is the affine form of each subscript over Nest, computed
+	// once by CollectRefs; every later question about the subscripts
+	// (the pair tests, placement) reads it instead of walking Expr.
+	Subs []SubForm
+
+	bounds    []loopBounds // of Nest's loops, parallel to it
+	sinkLevel int          // deepest level carrying a true dependence into this reference
+}
+
+// SubForm is a subscript's affine form; OK is false (and the form
+// empty) for a subscript that is not affine.
+type SubForm struct {
+	Affine
+	OK bool
+}
+
+// loopBounds holds a loop's bounds linearized over the loops enclosing
+// it.
+type loopBounds struct {
+	lo, hi SubForm
 }
 
 // Level returns the loop depth of the reference.
@@ -63,49 +83,60 @@ type Info struct {
 }
 
 // CollectRefs gathers every array reference in body together with its
-// loop nest. Array-ness is decided by the symbol table of proc.
-func CollectRefs(proc *ast.Procedure) []*Ref {
+// loop nest and the affine form of its subscripts; env supplies
+// PARAMETER constants. References in one loop body share their Nest
+// slice: it is read-only.
+func CollectRefs(proc *ast.Procedure, env ast.Env) []*Ref {
 	var refs []*Ref
 	order := 0
 	var nest []*ast.Do
-	var walk func(body []ast.Stmt)
+	var bounds []loopBounds
 
-	addExprRefs := func(e ast.Expr, stmt ast.Stmt) {
-		var rec func(e ast.Expr)
-		rec = func(e ast.Expr) {
-			switch x := e.(type) {
-			case *ast.ArrayRef:
-				refs = append(refs, &Ref{
-					Array: x.Name, Expr: x, Stmt: stmt,
-					Nest: append([]*ast.Do(nil), nest...), Order: order,
-				})
-				for _, s := range x.Subs {
-					rec(s)
-				}
-			case *ast.FuncCall:
-				for _, a := range x.Args {
-					rec(a)
-				}
-			case *ast.Binary:
-				rec(x.X)
-				rec(x.Y)
-			case *ast.Unary:
-				rec(x.X)
+	form := func(e ast.Expr) SubForm {
+		a, ok := Linearize(e, env, nest)
+		return SubForm{Affine: a, OK: ok}
+	}
+	addRef := func(x *ast.ArrayRef, stmt ast.Stmt, write bool) {
+		r := &Ref{
+			Array: x.Name, Expr: x, Stmt: stmt, IsWrite: write,
+			Nest: nest, Order: order, bounds: bounds,
+		}
+		if len(x.Subs) > 0 {
+			r.Subs = make([]SubForm, len(x.Subs))
+			for d, sub := range x.Subs {
+				r.Subs[d] = form(sub)
 			}
 		}
-		rec(e)
+		refs = append(refs, r)
+	}
+	var addExprRefs func(e ast.Expr, stmt ast.Stmt)
+	addExprRefs = func(e ast.Expr, stmt ast.Stmt) {
+		switch x := e.(type) {
+		case *ast.ArrayRef:
+			addRef(x, stmt, false)
+			for _, s := range x.Subs {
+				addExprRefs(s, stmt)
+			}
+		case *ast.FuncCall:
+			for _, a := range x.Args {
+				addExprRefs(a, stmt)
+			}
+		case *ast.Binary:
+			addExprRefs(x.X, stmt)
+			addExprRefs(x.Y, stmt)
+		case *ast.Unary:
+			addExprRefs(x.X, stmt)
+		}
 	}
 
+	var walk func(body []ast.Stmt)
 	walk = func(body []ast.Stmt) {
 		for _, s := range body {
 			order++
 			switch st := s.(type) {
 			case *ast.Assign:
 				if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-					refs = append(refs, &Ref{
-						Array: lhs.Name, Expr: lhs, Stmt: st, IsWrite: true,
-						Nest: append([]*ast.Do(nil), nest...), Order: order,
-					})
+					addRef(lhs, st, true)
 					for _, sub := range lhs.Subs {
 						addExprRefs(sub, st)
 					}
@@ -114,9 +145,14 @@ func CollectRefs(proc *ast.Procedure) []*Ref {
 			case *ast.Do:
 				addExprRefs(st.Lo, st)
 				addExprRefs(st.Hi, st)
-				nest = append(nest, st)
+				outerNest, outerBounds := nest, bounds
+				lb := loopBounds{lo: form(st.Lo), hi: form(st.Hi)}
+				// fresh slices, never appended to again: the body's
+				// references keep them
+				nest = append(outerNest[:len(outerNest):len(outerNest)], st)
+				bounds = append(outerBounds[:len(outerBounds):len(outerBounds)], lb)
 				walk(st.Body)
-				nest = nest[:len(nest)-1]
+				nest, bounds = outerNest, outerBounds
 			case *ast.If:
 				addExprRefs(st.Cond, st)
 				walk(st.Then)
@@ -134,24 +170,45 @@ func CollectRefs(proc *ast.Procedure) []*Ref {
 
 // Analyze computes all pairwise dependences among array references in
 // proc. env supplies PARAMETER constants for subscript evaluation.
+// References are grouped by array and only pairs with a write are
+// visited; within that, pairs are tested in textual order of the first
+// and then the second reference, which fixes the order of Deps.
 func Analyze(proc *ast.Procedure, env ast.Env) *Info {
-	refs := CollectRefs(proc)
+	refs := CollectRefs(proc, env)
 	info := &Info{Refs: refs}
+
+	// per array: its references and its writes, as indices into refs;
+	// per reference: where it stands in both lists
+	type group struct{ all, writes []int }
+	type place struct {
+		g      *group
+		pos    int // refs[i] is g.all[pos]
+		writes int // number of g.writes before refs[i]
+	}
+	groups := map[string]*group{}
+	places := make([]place, len(refs))
+	for i, r := range refs {
+		g := groups[r.Array]
+		if g == nil {
+			g = &group{}
+			groups[r.Array] = g
+		}
+		places[i] = place{g: g, pos: len(g.all), writes: len(g.writes)}
+		g.all = append(g.all, i)
+		if r.IsWrite {
+			g.writes = append(g.writes, i)
+		}
+	}
+	// a write pairs with every later reference of its array, a read
+	// with every later write
 	for i, a := range refs {
-		for j, b := range refs {
-			if i == j || a.Array != b.Array {
-				continue
-			}
-			if !a.IsWrite && !b.IsWrite {
-				continue
-			}
-			// classify with a as source only when a writes or b writes;
-			// test each ordered pair once (i < j covers both orders via
-			// the symmetric call below), so restrict to i < j and try
-			// both directions inside testPair.
-			if i < j {
-				info.testPair(a, b, env)
-			}
+		p := places[i]
+		later := p.g.writes[p.writes:]
+		if a.IsWrite {
+			later = p.g.all[p.pos+1:]
+		}
+		for _, j := range later {
+			info.testPair(a, refs[j])
 		}
 	}
 	return info
@@ -163,10 +220,14 @@ func Analyze(proc *ast.Procedure, env ast.Env) *Info {
 // plus "equal at that level", which continues the scan into the deeper
 // levels — so an exact inner-loop distance is never masked by an
 // unconstrained outer loop.
-func (in *Info) testPair(a, b *Ref, env ast.Env) {
-	common := commonNest(a, b)
-	dv, ok := distanceVector(a, b, common, env)
-	if !ok {
+func (in *Info) testPair(a, b *Ref) {
+	common := commonDepth(a, b)
+	var buf [8]distEntry
+	dv := buf[:min(common, len(buf))]
+	if common > len(buf) {
+		dv = make([]distEntry, common)
+	}
+	if !distanceVector(a, b, dv) {
 		return // provably independent
 	}
 	for i, e := range dv {
@@ -175,18 +236,16 @@ func (in *Info) testPair(a, b *Ref, env ast.Env) {
 		case e.unknown:
 			// may be carried here in either direction; the ==0 case
 			// continues to deeper levels
-			in.Deps = append(in.Deps,
-				Dep{Src: a, Snk: b, Kind: depKind(a, b), Level: level},
-				Dep{Src: b, Snk: a, Kind: depKind(b, a), Level: level},
-			)
+			in.addDep(Dep{Src: a, Snk: b, Kind: depKind(a, b), Level: level})
+			in.addDep(Dep{Src: b, Snk: a, Kind: depKind(b, a), Level: level})
 		case e.known && e.dist > 0:
-			in.Deps = append(in.Deps, Dep{
+			in.addDep(Dep{
 				Src: a, Snk: b, Kind: depKind(a, b),
 				Level: level, Distance: e.dist, Known: true,
 			})
 			return
 		case e.known && e.dist < 0:
-			in.Deps = append(in.Deps, Dep{
+			in.addDep(Dep{
 				Src: b, Snk: a, Kind: depKind(b, a),
 				Level: level, Distance: -e.dist, Known: true,
 			})
@@ -202,10 +261,17 @@ func (in *Info) testPair(a, b *Ref, env ast.Env) {
 		// same statement, e.g. X(i) = F(X(i)): the read executes first
 		src, snk = snk, src
 	}
-	in.Deps = append(in.Deps, Dep{
+	in.addDep(Dep{
 		Src: src, Snk: snk, Kind: depKind(src, snk),
 		Level: 0, Known: true,
 	})
+}
+
+func (in *Info) addDep(d Dep) {
+	in.Deps = append(in.Deps, d)
+	if d.Kind == True && d.Level > d.Snk.sinkLevel {
+		d.Snk.sinkLevel = d.Level
+	}
 }
 
 func depKind(src, snk *Ref) Kind {
@@ -219,21 +285,16 @@ func depKind(src, snk *Ref) Kind {
 	}
 }
 
-// commonNest returns the loops enclosing both references, outermost
-// first (identical *ast.Do pointers).
-func commonNest(a, b *Ref) []*ast.Do {
-	n := len(a.Nest)
-	if len(b.Nest) < n {
-		n = len(b.Nest)
-	}
-	var out []*ast.Do
+// commonDepth counts the loops enclosing both references (identical
+// *ast.Do pointers): a.Nest[:n] and b.Nest[:n] are the common nest.
+func commonDepth(a, b *Ref) int {
+	n := min(len(a.Nest), len(b.Nest))
 	for i := 0; i < n; i++ {
 		if a.Nest[i] != b.Nest[i] {
-			break
+			return i
 		}
-		out = append(out, a.Nest[i])
 	}
-	return out
+	return n
 }
 
 // distEntry is one component of a distance vector.
@@ -243,58 +304,49 @@ type distEntry struct {
 	unknown bool // direction unknown ('*')
 }
 
-// distanceVector computes the distance vector of the access pair over
-// the common loop nest, or reports independence (ok=false). Loop
-// levels not constrained by any subscript pair are conservatively
-// marked unknown ('*'): the dependence may be carried there in either
-// direction.
-func distanceVector(a, b *Ref, common []*ast.Do, env ast.Env) ([]distEntry, bool) {
-	dv := make([]distEntry, len(common))
-	vars := make([]string, len(common))
-	for i, l := range common {
-		vars[i] = l.Var
-	}
-	constrained := make([]bool, len(common))
-
-	nd := len(a.Expr.Subs)
-	if len(b.Expr.Subs) != nd {
+// distanceVector fills dv, one entry per common loop (zeroed by the
+// caller), with the distance vector of the access pair, or reports
+// independence (false). Loop levels not constrained by any subscript
+// pair are conservatively marked unknown ('*'): the dependence may be
+// carried there in either direction.
+//
+// It reads only the references' memoised forms. In those, the index of
+// a common loop is the same Loop position on both sides; the indices of
+// a reference's own deeper loops are distinct iteration instances even
+// when two separate loops share a name ("do i" twice), which holds by
+// construction because they sit at positions >= len(dv) of different
+// nests and are never compared across sides.
+func distanceVector(a, b *Ref, dv []distEntry) bool {
+	common := len(dv)
+	if len(a.Subs) != len(b.Subs) {
 		// reshaped access: assume dependence with unknown direction
 		for i := range dv {
 			dv[i] = distEntry{unknown: true}
 		}
-		return dv, true
+		return true
 	}
-	for d := 0; d < nd; d++ {
-		la, okA := linearize(a.Expr.Subs[d], env)
-		lb, okB := linearize(b.Expr.Subs[d], env)
-		if !okA || !okB {
+	for d := range a.Subs {
+		la, lb := &a.Subs[d], &b.Subs[d]
+		if !la.OK || !lb.OK {
 			continue // non-affine dimension constrains nothing
 		}
-		// Loop indices of loops NOT common to both references are
-		// distinct iteration instances even when they share a name
-		// (e.g. two separate "do i" loops): rename them per side so
-		// they cannot cancel.
-		la = renameNonCommon(la, a, common, "·src")
-		lb = renameNonCommon(lb, b, common, "·snk")
 		// The two references execute at distinct iteration vectors, so
-		// loop-index coefficients must NOT be cancelled between la and
-		// lb: a loop variable v contributes caA·v_a − caB·v_b. Only
-		// loop-invariant symbolic terms cancel.
-		otherSymbolic := false
-		var levels []int
-		for v := range unionVars(la.coef, lb.coef) {
-			ca, cb := la.coef[v], lb.coef[v]
-			if ca == 0 && cb == 0 {
-				continue
-			}
-			idx := indexOf(vars, v)
-			if idx >= 0 {
-				levels = append(levels, idx)
-			} else if ca != cb {
-				otherSymbolic = true
+		// loop-index coefficients are NOT cancelled between la and lb:
+		// loop index v contributes caA·v_a − caB·v_b. Only
+		// loop-invariant symbolic terms cancel. levels counts the
+		// common loops either side varies with, outermost first.
+		levels, lv := 0, -1
+		for i := 0; i < common; i++ {
+			if la.LoopCoef(i) != 0 || lb.LoopCoef(i) != 0 {
+				if levels == 0 {
+					lv = i
+				}
+				levels++
 			}
 		}
-		konst := la.konst - lb.konst // kA − kB
+		otherSymbolic := len(la.Loop) > common || len(lb.Loop) > common ||
+			!sameTerms(la.Terms, lb.Terms)
+		konst := la.Const - lb.Const // kA − kB
 		switch {
 		case otherSymbolic:
 			// a symbolic term that does not cancel usually yields no
@@ -302,31 +354,28 @@ func distanceVector(a, b *Ref, common []*ast.Do, env ast.Env) ([]distEntry, bool
 			// involved, the pinned solution may still be provably
 			// outside the loop bounds (dgefa's a(i,j) vs a(k,j) with
 			// i = k+1..n)
-			if len(levels) == 1 && weakZeroDisproved(la, lb, vars[levels[0]], common[levels[0]], env) {
-				return nil, false
+			if levels == 1 && weakZeroDisproved(la, lb, lv, common, &a.bounds[lv]) {
+				return false
 			}
 			continue
-		case len(levels) == 0:
+		case levels == 0:
 			// ZIV: independent iff the constant difference is nonzero
 			if konst != 0 {
-				return nil, false
+				return false
 			}
-		case len(levels) == 1:
-			lv := levels[0]
-			caA := la.coef[vars[lv]]
-			caB := lb.coef[vars[lv]]
+		case levels == 1:
+			caA, caB := la.LoopCoef(lv), lb.LoopCoef(lv)
 			if caA == caB && caA != 0 {
 				// strong SIV: a·ia + kA = a·ib + kB
 				// ⇒ dist = ib − ia = (kA − kB)/a
 				if konst%caA != 0 {
-					return nil, false // no integer solution: independent
+					return false // no integer solution: independent
 				}
 				dist := konst / caA
-				if constrained[lv] && dv[lv].known && dv[lv].dist != dist {
-					return nil, false // inconsistent constraints
+				if dv[lv].known && dv[lv].dist != dist {
+					return false // inconsistent constraints
 				}
 				dv[lv] = distEntry{dist: dist, known: true}
-				constrained[lv] = true
 			} else {
 				// weak SIV: when one side is loop-invariant the only
 				// dependence solution pins the variant side's
@@ -334,234 +383,121 @@ func distanceVector(a, b *Ref, common []*ast.Do, env ast.Env) ([]distEntry, bool
 				// that value is outside the loop, no dependence
 				// exists (e.g. dgefa's a(i,j) vs a(k,j) with
 				// i = k+1..n).
-				if weakZeroDisproved(la, lb, vars[lv], common[lv], env) {
-					return nil, false
+				if weakZeroDisproved(la, lb, lv, common, &a.bounds[lv]) {
+					return false
 				}
 				g := gcd(abs(caA), abs(caB))
 				if g != 0 && konst%g != 0 {
-					return nil, false
+					return false
 				}
 				dv[lv] = distEntry{unknown: true}
-				constrained[lv] = true
 			}
 		default:
 			// MIV: GCD test for feasibility, direction unknown
 			g := 0
-			for _, lv := range levels {
-				g = gcd(g, abs(la.coef[vars[lv]]))
-				g = gcd(g, abs(lb.coef[vars[lv]]))
+			for i := lv; i < common; i++ {
+				g = gcd(g, abs(la.LoopCoef(i)))
+				g = gcd(g, abs(lb.LoopCoef(i)))
 			}
 			if g != 0 && konst%g != 0 {
-				return nil, false
+				return false
 			}
-			for _, lv := range levels {
-				dv[lv] = distEntry{unknown: true}
-				constrained[lv] = true
+			for i := lv; i < common; i++ {
+				if la.LoopCoef(i) != 0 || lb.LoopCoef(i) != 0 {
+					dv[i] = distEntry{unknown: true}
+				}
 			}
 		}
 	}
 	// unconstrained levels: the references touch overlapping data on
 	// every iteration of those loops, so a dependence may be carried
 	// there in either direction
-	for lv := range dv {
-		if !constrained[lv] {
-			dv[lv] = distEntry{unknown: true}
+	for i := range dv {
+		if !dv[i].known && !dv[i].unknown {
+			dv[i] = distEntry{unknown: true}
 		}
 	}
-	return dv, true
+	return true
 }
 
-// renameNonCommon gives loop indices of the reference's own (non-common)
-// loops a side-specific name so the two iteration spaces stay distinct.
-func renameNonCommon(l linear, r *Ref, common []*ast.Do, tag string) linear {
-	own := map[string]bool{}
-	for _, loop := range r.Nest[len(common):] {
-		own[loop.Var] = true
-	}
-	if len(own) == 0 {
-		return l
-	}
-	out := linear{coef: map[string]int{}, konst: l.konst}
-	for v, c := range l.coef {
-		if own[v] {
-			out.coef[v+tag] = c
-		} else {
-			out.coef[v] = c
-		}
-	}
-	return out
-}
-
-// weakZeroDisproved handles the weak-zero SIV case: if exactly one side
-// varies with the loop (unit coefficient) and the pinned solution
-// iteration provably lies outside the loop bounds, the references are
-// independent.
-func weakZeroDisproved(la, lb linear, v string, loop *ast.Do, env ast.Env) bool {
-	caA, caB := la.coef[v], lb.coef[v]
+// weakZeroDisproved handles the weak-zero SIV case at common loop lv:
+// if exactly one side varies with the loop (unit coefficient) and the
+// pinned solution iteration provably lies outside the loop bounds, the
+// references are independent.
+func weakZeroDisproved(la, lb *SubForm, lv, common int, loop *loopBounds) bool {
 	variant, invariant := la, lb
-	ca := caA
-	if caA == 0 && caB != 0 {
+	ca := la.LoopCoef(lv)
+	if cb := lb.LoopCoef(lv); ca == 0 && cb != 0 {
 		variant, invariant = lb, la
-		ca = caB
-	} else if caA == 0 || caB != 0 {
+		ca = cb
+	} else if ca == 0 || cb != 0 {
 		return false
 	}
 	if ca != 1 && ca != -1 {
 		return false
 	}
-	// solution: ca·i + (variant \ v) = invariant  ⇒  i = (invariant − variantRest)/ca
-	rest := linear{coef: map[string]int{}, konst: variant.konst}
-	for name, c := range variant.coef {
-		if name != v {
-			rest.coef[name] = c
-		}
+	// the index of a loop only one side is in cannot cancel against
+	// anything: the solution is not comparable with the bounds
+	if len(la.Loop) > common || len(lb.Loop) > common {
+		return false
 	}
-	sol := invariant.minus(rest)
-	if ca == -1 {
-		neg := linear{coef: map[string]int{}, konst: -sol.konst}
-		for name, c := range sol.coef {
-			neg.coef[name] = -c
+	// solution: ca·i + rest = invariant ⇒ i = ca·(invariant − rest),
+	// rest being variant without its lv term. diff is bound − solution.
+	diff := func(bound *SubForm) (int, bool) {
+		if !bound.OK {
+			return 0, false
 		}
-		sol = neg
+		for d := 0; d < common; d++ {
+			sol := invariant.LoopCoef(d)
+			if d != lv {
+				sol -= variant.LoopCoef(d)
+			}
+			if bound.LoopCoef(d) != ca*sol {
+				return 0, false
+			}
+		}
+		if !termsCancel(bound.Terms, invariant.Terms, variant.Terms, ca) {
+			return 0, false
+		}
+		return bound.Const - ca*(invariant.Const-variant.Const), true
 	}
-	if lo, ok := linearize(loop.Lo, env); ok {
-		if d, isConst := constantDiff(lo.minus(sol)); isConst && d >= 1 {
-			return true // solution below the loop's first iteration
-		}
+	if d, isConst := diff(&loop.lo); isConst && d >= 1 {
+		return true // solution below the loop's first iteration
 	}
-	if hi, ok := linearize(loop.Hi, env); ok {
-		if d, isConst := constantDiff(sol.minus(hi)); isConst && d >= 1 {
-			return true // solution above the loop's last iteration
-		}
+	if d, isConst := diff(&loop.hi); isConst && -d >= 1 {
+		return true // solution above the loop's last iteration
 	}
 	return false
 }
 
-// constantDiff reports whether a linear form is a pure constant.
-func constantDiff(l linear) (int, bool) {
-	for _, c := range l.coef {
-		if c != 0 {
-			return 0, false
-		}
-	}
-	return l.konst, true
-}
-
-func unionVars(a, b map[string]int) map[string]struct{} {
-	out := make(map[string]struct{}, len(a)+len(b))
-	for v := range a {
-		out[v] = struct{}{}
-	}
-	for v := range b {
-		out[v] = struct{}{}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Affine subscript forms
-
-type linear struct {
-	coef  map[string]int
-	konst int
-}
-
-func (l linear) minus(o linear) linear {
-	out := linear{coef: map[string]int{}, konst: l.konst - o.konst}
-	for v, c := range l.coef {
-		out.coef[v] += c
-	}
-	for v, c := range o.coef {
-		out.coef[v] -= c
-	}
-	return out
-}
-
-// linearize puts e into the form Σ ci·vi + c, treating every identifier
-// as a symbolic term. ok is false for non-affine expressions.
-func linearize(e ast.Expr, env ast.Env) (linear, bool) {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return linear{coef: map[string]int{}, konst: x.Value}, true
-	case *ast.Ident:
-		if env != nil {
-			if v, ok := env.Value(x.Name); ok {
-				return linear{coef: map[string]int{}, konst: v}, true
+// termsCancel reports whether x − ca·(y − z) has no symbolic part: a
+// three-way merge over the sorted term lists.
+func termsCancel(x, y, z []Term, ca int) bool {
+	for len(x) > 0 || len(y) > 0 || len(z) > 0 {
+		name := ""
+		for _, l := range [3][]Term{x, y, z} {
+			if len(l) > 0 && (name == "" || l[0].Name < name) {
+				name = l[0].Name
 			}
 		}
-		return linear{coef: map[string]int{x.Name: 1}, konst: 0}, true
-	case *ast.Unary:
-		if x.Op != "-" {
-			return linear{}, false
+		sum := 0
+		if len(x) > 0 && x[0].Name == name {
+			sum += x[0].Coef
+			x = x[1:]
 		}
-		l, ok := linearize(x.X, env)
-		if !ok {
-			return linear{}, false
+		if len(y) > 0 && y[0].Name == name {
+			sum -= ca * y[0].Coef
+			y = y[1:]
 		}
-		out := linear{coef: map[string]int{}, konst: -l.konst}
-		for v, c := range l.coef {
-			out.coef[v] = -c
+		if len(z) > 0 && z[0].Name == name {
+			sum += ca * z[0].Coef
+			z = z[1:]
 		}
-		return out, true
-	case *ast.Binary:
-		a, okA := linearize(x.X, env)
-		b, okB := linearize(x.Y, env)
-		if !okA || !okB {
-			return linear{}, false
-		}
-		switch x.Op {
-		case ast.OpAdd:
-			out := a
-			for v, c := range b.coef {
-				out.coef[v] += c
-			}
-			out.konst += b.konst
-			return out, true
-		case ast.OpSub:
-			return a.minus(b), true
-		case ast.OpMul:
-			// one side must be constant
-			if len(a.coef) == 0 {
-				out := linear{coef: map[string]int{}, konst: a.konst * b.konst}
-				for v, c := range b.coef {
-					out.coef[v] = a.konst * c
-				}
-				return out, true
-			}
-			if len(b.coef) == 0 {
-				out := linear{coef: map[string]int{}, konst: a.konst * b.konst}
-				for v, c := range a.coef {
-					out.coef[v] = b.konst * c
-				}
-				return out, true
-			}
-			return linear{}, false
-		}
-		return linear{}, false
-	}
-	return linear{}, false
-}
-
-// LinearSubscript exposes the affine decomposition of a subscript for
-// other phases (partitioning, communication): sub = Coef·var + Konst.
-// ok is false when the subscript is not of single-index affine form.
-func LinearSubscript(e ast.Expr, env ast.Env) (variable string, coef, konst int, ok bool) {
-	l, good := linearize(e, env)
-	if !good {
-		return "", 0, 0, false
-	}
-	nonzero := 0
-	for v, c := range l.coef {
-		if c != 0 {
-			nonzero++
-			variable = v
-			coef = c
+		if sum != 0 {
+			return false
 		}
 	}
-	if nonzero > 1 {
-		return "", 0, 0, false
-	}
-	return variable, coef, l.konst, true
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -573,13 +509,12 @@ func LinearSubscript(e ast.Expr, env ast.Env) (variable string, coef, konst int,
 // reference is loop-independent or absent, in which case communication
 // may be fully vectorized outside the local loops.
 func (in *Info) DeepestTrueSinkLevel(expr *ast.ArrayRef) int {
-	deepest := 0
-	for _, d := range in.Deps {
-		if d.Kind == True && d.Snk.Expr == expr && d.Level > deepest {
-			deepest = d.Level
+	for _, r := range in.Refs {
+		if r.Expr == expr {
+			return r.sinkLevel
 		}
 	}
-	return deepest
+	return 0
 }
 
 // HasTrueDepAtLevel reports whether any true dependence on the given
@@ -594,15 +529,6 @@ func (in *Info) HasTrueDepAtLevel(array string, loop *ast.Do) bool {
 		}
 	}
 	return false
-}
-
-func indexOf(ss []string, s string) int {
-	for i, v := range ss {
-		if v == s {
-			return i
-		}
-	}
-	return -1
 }
 
 func gcd(a, b int) int {

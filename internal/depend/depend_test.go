@@ -246,7 +246,7 @@ func TestCollectRefsNest(t *testing.T) {
       enddo
       END
 `)
-	refs := CollectRefs(u)
+	refs := CollectRefs(u, nil)
 	if len(refs) != 1 {
 		t.Fatalf("refs = %d", len(refs))
 	}

@@ -1,108 +1,53 @@
-// Package lexer tokenizes the Fortran 77 / Fortran D subset. Input is
-// free-form (column rules relaxed): one statement per line, '!' or 'c '
-// comments, case-insensitive keywords, and identifiers that may contain
-// '$' (the compiler's own generated names use my$p, ub$1, F1$row, ...).
 package lexer
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"unicode"
 )
 
-// Kind classifies a token.
-type Kind int
-
-const (
-	EOF Kind = iota
-	NEWLINE
-	IDENT
-	INT
-	REAL
-	STRING
-	// punctuation
-	LPAREN
-	RPAREN
-	COMMA
-	COLON
-	EQUALS
-	PLUS
-	MINUS
-	STAR
-	SLASH
-	POW // **
-	// relational / logical (from .EQ. style words)
-	RELOP // value holds the operator text: EQ NE LT LE GT GE AND OR NOT
-)
-
-// Token is one lexical unit.
-type Token struct {
-	Kind  Kind
-	Text  string
-	Line  int
-	Value float64 // for REAL
-	Int   int     // for INT
-}
-
-func (t Token) String() string {
-	switch t.Kind {
-	case EOF:
-		return "<eof>"
-	case NEWLINE:
-		return "<nl>"
-	default:
-		return t.Text
-	}
-}
-
-// Lexer scans source text into tokens.
-type Lexer struct {
+// oldLexer is the line-splitting scanner, kept as the oracle for
+// TestTokenizeMatchesLineSplitter and FuzzTokenize.
+type oldLexer struct {
 	src  string
+	pos  int
 	line int
 	toks []Token
 }
 
-// New prepares a lexer over src.
-func New(src string) *Lexer {
-	return &Lexer{src: src}
-}
-
-// Tokenize scans the entire input, returning the token stream terminated
-// by EOF. Blank and comment lines produce no tokens; statement ends are
-// marked with NEWLINE.
-func Tokenize(src string) ([]Token, error) {
-	lx := New(src)
+// OldTokenize is Tokenize as it was before the one-pass scanner: split
+// into lines, lower-case each to spot comments, parse numbers with
+// fmt.Sscanf, grow the token slice from nothing.
+func OldTokenize(src string) ([]Token, error) {
+	lx := &oldLexer{src: src, line: 1}
 	return lx.run()
 }
 
-// run makes one pass over src, line by line without splitting it, into
-// a token slice sized up front: Fortran source runs between two and
-// four bytes a token, so half the byte count is room enough for
-// ordinary programs and append covers the rest.
-func (lx *Lexer) run() ([]Token, error) {
-	lx.toks = make([]Token, 0, len(lx.src)/2+8)
-	for rest, more := lx.src, true; more; {
-		lx.line++
-		var raw string
-		raw, rest, more = strings.Cut(rest, "\n")
-		stmt := strings.TrimSpace(raw)
-		if stmt == "" {
+func (lx *oldLexer) run() ([]Token, error) {
+	lines := strings.Split(lx.src, "\n")
+	for i, raw := range lines {
+		lx.line = i + 1
+		line := strings.TrimRight(raw, " \t\r")
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" {
 			continue
 		}
-		// comment lines: '!', '*', or a lone 'c' / 'c ' in either case
-		if c := stmt[0]; c == '!' || c == '*' ||
-			((c == 'c' || c == 'C') && (len(stmt) == 1 || stmt[1] == ' ')) {
+		lower := strings.ToLower(trimmed)
+		if strings.HasPrefix(trimmed, "!") || strings.HasPrefix(trimmed, "*") ||
+			lower == "c" || strings.HasPrefix(lower, "c ") {
 			continue
 		}
 		// strip trailing comment
-		if idx := strings.IndexByte(stmt, '!'); idx >= 0 {
-			stmt = strings.TrimSpace(stmt[:idx])
-			if stmt == "" {
+		if idx := strings.IndexByte(trimmed, '!'); idx >= 0 {
+			trimmed = strings.TrimSpace(trimmed[:idx])
+			if trimmed == "" {
 				continue
 			}
 		}
-		if err := lx.scanLine(stmt); err != nil {
+		// optional statement label like "S1" used in the paper's figures:
+		// a token "s<digits>" followed by whitespace then more text is
+		// treated as a label and dropped.
+		if err := lx.scanLine(trimmed); err != nil {
 			return nil, err
 		}
 		lx.emit(Token{Kind: NEWLINE, Line: lx.line})
@@ -111,9 +56,9 @@ func (lx *Lexer) run() ([]Token, error) {
 	return lx.toks, nil
 }
 
-func (lx *Lexer) emit(t Token) { lx.toks = append(lx.toks, t) }
+func (lx *oldLexer) emit(t Token) { lx.toks = append(lx.toks, t) }
 
-func (lx *Lexer) scanLine(s string) error {
+func (lx *oldLexer) scanLine(s string) error {
 	i := 0
 	n := len(s)
 	for i < n {
@@ -162,7 +107,9 @@ func (lx *Lexer) scanLine(s string) error {
 					j++
 				}
 				txt := s[i:j]
-				lx.emit(Token{Kind: REAL, Text: txt, Value: realValue(txt), Line: lx.line})
+				var v float64
+				fmt.Sscanf(txt, "%g", &v)
+				lx.emit(Token{Kind: REAL, Text: txt, Value: v, Line: lx.line})
 				i = j
 				break
 			}
@@ -211,13 +158,12 @@ func (lx *Lexer) scanLine(s string) error {
 			}
 			txt := s[i:j]
 			if isReal {
-				lx.emit(Token{Kind: REAL, Text: txt, Value: realValue(txt), Line: lx.line})
+				var v float64
+				fmt.Sscanf(strings.Map(oldExpToE, txt), "%g", &v)
+				lx.emit(Token{Kind: REAL, Text: txt, Value: v, Line: lx.line})
 			} else {
-				// a literal too large for an int reads as 0
-				v, err := strconv.Atoi(txt)
-				if err != nil {
-					v = 0
-				}
+				var v int
+				fmt.Sscanf(txt, "%d", &v)
 				lx.emit(Token{Kind: INT, Text: txt, Int: v, Line: lx.line})
 			}
 			i = j
@@ -242,25 +188,9 @@ func (lx *Lexer) scanLine(s string) error {
 	return nil
 }
 
-// realValue converts a scanned real literal; Fortran's d exponent
-// reads as e, and a literal out of float64's range (or with an empty
-// exponent, "1e+") reads as 0.
-func realValue(txt string) float64 {
-	if strings.ContainsAny(txt, "dD") {
-		txt = strings.Map(expToE, txt)
-	}
-	v, err := strconv.ParseFloat(txt, 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-func expToE(r rune) rune {
+func oldExpToE(r rune) rune {
 	if r == 'd' || r == 'D' {
 		return 'e'
 	}
 	return r
 }
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -117,15 +117,46 @@ func (p physState) merge(o physState) physState {
 // decomposition on every incoming path (identical live decompositions
 // with overlapping ranges collapse to the first, §6.1). Elimination can
 // enable further elimination, so it iterates to a fixed point.
+//
+// Arrays evolve independently in the forward problem and only the
+// state of an array at its own remaps is ever asked for, so the index
+// space is the arrays that have a live remap event — none, and no work
+// at all, in a procedure without dynamic decomposition, however many
+// arrays and events it has.
 func coalesce(events []*event, entry map[string]decomp.Decomp, proc *ast.Procedure) {
+	index := map[string]int{}
+	for _, e := range events {
+		if e.kind == evRemap && !e.dead {
+			if _, ok := index[e.array]; !ok {
+				index[e.array] = len(index)
+			}
+		}
+	}
+	if len(index) == 0 {
+		return
+	}
+	arrays := make([]int, len(events)) // events[i].array's index, -1 when not tracked
+	for i, e := range events {
+		arrays[i] = -1
+		if a, ok := index[e.array]; ok && e.kind == evRemap {
+			arrays[i] = a
+		}
+	}
+	atEntry := make([]physState, len(index))
+	for name, a := range index {
+		if d, ok := entry[name]; ok {
+			atEntry[a] = physState{known: true, d: d}
+		}
+	}
+	edges := succ(events)
 	for changed := true; changed; {
 		changed = false
-		states := physAt(events, entry)
+		states := physAt(events, edges, arrays, atEntry)
 		for i, r := range events {
 			if r.kind != evRemap || r.cond || r.dead {
 				continue
 			}
-			st := states[i][r.array]
+			st := states[i*len(atEntry)+arrays[i]]
 			if st.known && !st.multi && st.d.Equal(r.decomp) {
 				r.dead = true
 				r.why = WhyCoalesced
@@ -135,53 +166,54 @@ func coalesce(events []*event, entry map[string]decomp.Decomp, proc *ast.Procedu
 	}
 }
 
-// physAt computes, per event index, the physical decomposition of each
-// array immediately before the event, by iterating the forward problem
-// to a fixed point over the (cyclic) event graph.
-func physAt(events []*event, entry map[string]decomp.Decomp) []map[string]physState {
-	edges := succ(events)
-	in := make([]map[string]physState, len(events))
-	for i := range in {
-		in[i] = map[string]physState{}
+// physAt computes the physical decomposition of each tracked array
+// immediately before each event — state of array a before event i at
+// [i*len(atEntry)+a] — as the least fixed point of the forward problem
+// over the (cyclic) event graph. arrays[i] is the tracked array a
+// remap event i sets, -1 for every other event. A worklist seeded with
+// every event in order revisits only events whose input changed.
+func physAt(events []*event, edges [][]int, arrays []int, atEntry []physState) []physState {
+	n := len(atEntry)
+	in := make([]physState, len(events)*n)
+	copy(in, atEntry)
+	queued := make([]bool, len(events))
+	work := make([]int, len(events))
+	for i := range work {
+		work[i] = i
+		queued[i] = true
 	}
-	if len(events) == 0 {
-		return in
-	}
-	for arr, d := range entry {
-		in[0][arr] = physState{known: true, d: d}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, e := range events {
-			out := in[i]
-			if e.kind == evRemap && !e.dead {
-				out = cloneState(in[i])
-				if e.cond {
-					out[e.array] = physState{known: true, multi: true}
-				} else {
-					out[e.array] = physState{known: true, d: e.decomp}
-				}
-			}
-			for _, j := range edges[i] {
-				for arr, st := range out {
-					merged := in[j][arr].merge(st)
-					if !merged.equal(in[j][arr]) {
-						in[j][arr] = merged
-						changed = true
+	for len(work) > 0 {
+		i := work[0]
+		work = work[1:]
+		queued[i] = false
+		e := events[i]
+		set := -1 // the array this event remaps, if it is a live remap
+		if e.kind == evRemap && !e.dead {
+			set = arrays[i]
+		}
+		for _, j := range edges[i] {
+			moved := false
+			for a := 0; a < n; a++ {
+				out := in[i*n+a]
+				if a == set {
+					if e.cond {
+						out = physState{known: true, multi: true}
+					} else {
+						out = physState{known: true, d: e.decomp}
 					}
 				}
+				if merged := in[j*n+a].merge(out); !merged.equal(in[j*n+a]) {
+					in[j*n+a] = merged
+					moved = true
+				}
+			}
+			if moved && !queued[j] {
+				queued[j] = true
+				work = append(work, j)
 			}
 		}
 	}
 	return in
-}
-
-func cloneState(m map[string]physState) map[string]physState {
-	out := make(map[string]physState, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // hoist applies the two loop-invariant decomposition rules of §6.2:

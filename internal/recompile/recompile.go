@@ -101,9 +101,7 @@ func baseName(name string) string {
 }
 
 func hashProc(u *ast.Procedure) string {
-	var b strings.Builder
-	ast.PrintProcedure(&b, u)
-	return hash(b.String())
+	return hash(string(ast.AppendProcedure(nil, u)))
 }
 
 func hash(s string) string {

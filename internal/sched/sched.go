@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"fortd/internal/ast"
+	"fortd/internal/depend"
 	"fortd/internal/explain"
 )
 
@@ -641,7 +642,7 @@ func (p *pass) dropRedundantBcasts(u *ast.Procedure, body []ast.Stmt) []ast.Stmt
 		guarded := protectedNames(b2)
 		for j := len(out) - 1; j >= 0; j-- {
 			b1, ok := out[j].(*ast.Broadcast)
-			if ok && b1.Array == b2.Array && exprEq(b1.Root, b2.Root) &&
+			if ok && b1.Array == b2.Array && ast.ExprEqual(b1.Root, b2.Root) &&
 				p.secContained(u, b1, b2) {
 				covered = true
 				p.applied++
@@ -672,7 +673,7 @@ func (p *pass) secContained(u *ast.Procedure, b1, b2 *ast.Broadcast) bool {
 	for d := range b1.Sec {
 		lo1, hi1 := b1.Sec[d].Lo, b1.Sec[d].Hi
 		lo2, hi2 := b2.Sec[d].Lo, b2.Sec[d].Hi
-		if exprEq(lo1, lo2) && exprEq(hi1, hi2) {
+		if ast.ExprEqual(lo1, lo2) && ast.ExprEqual(hi1, hi2) {
 			continue
 		}
 		if atLeast(lo2, lo1, 0) && atLeast(hi1, hi2, 0) {
@@ -683,57 +684,13 @@ func (p *pass) secContained(u *ast.Procedure, b1, b2 *ast.Broadcast) bool {
 			if declLo == nil {
 				declLo = &ast.IntLit{Value: 1}
 			}
-			if exprEq(lo1, declLo) && exprEq(hi1, sym.Dims[d].Hi) {
+			if ast.ExprEqual(lo1, declLo) && ast.ExprEqual(hi1, sym.Dims[d].Hi) {
 				continue
 			}
 		}
 		return false
 	}
 	return true
-}
-
-// exprEq is structural expression equality.
-func exprEq(a, b ast.Expr) bool {
-	switch x := a.(type) {
-	case *ast.IntLit:
-		y, ok := b.(*ast.IntLit)
-		return ok && x.Value == y.Value
-	case *ast.RealLit:
-		y, ok := b.(*ast.RealLit)
-		return ok && x.Value == y.Value
-	case *ast.Ident:
-		y, ok := b.(*ast.Ident)
-		return ok && x.Name == y.Name
-	case *ast.Unary:
-		y, ok := b.(*ast.Unary)
-		return ok && x.Op == y.Op && exprEq(x.X, y.X)
-	case *ast.Binary:
-		y, ok := b.(*ast.Binary)
-		return ok && x.Op == y.Op && exprEq(x.X, y.X) && exprEq(x.Y, y.Y)
-	case *ast.FuncCall:
-		y, ok := b.(*ast.FuncCall)
-		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
-			return false
-		}
-		for i := range x.Args {
-			if !exprEq(x.Args[i], y.Args[i]) {
-				return false
-			}
-		}
-		return true
-	case *ast.ArrayRef:
-		y, ok := b.(*ast.ArrayRef)
-		if !ok || x.Name != y.Name || len(x.Subs) != len(y.Subs) {
-			return false
-		}
-		for i := range x.Subs {
-			if !exprEq(x.Subs[i], y.Subs[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -823,8 +780,8 @@ func (p *pass) tryLookahead(u *ast.Procedure, loop *ast.Do) []ast.Stmt {
 		return miss("owner cycle length is not a constant")
 	}
 	s := sLit.Value
-	mlin, ok := linOf(rootCall.Args[0])
-	if !ok || len(mlin.coeff) != 1 || mlin.coeff[k] != 1 {
+	rootOff, ok := offsetFrom(rootCall.Args[0], k)
+	if !ok {
 		return miss("root is not affine in the loop variable")
 	}
 	// update loop over owned columns: do j = first$(anchor, k+1, s), hi, s
@@ -839,17 +796,16 @@ func (p *pass) tryLookahead(u *ast.Procedure, loop *ast.Do) []ast.Stmt {
 	if !isIntLit(first.Args[2], s) {
 		return miss("update loop ownership modulus does not match the owner cycle")
 	}
-	llin, ok := linOf(loExpr)
-	if !ok || len(llin.coeff) != 1 || llin.coeff[k] != 1 || llin.c != 1 {
+	if c, ok := offsetFrom(loExpr, k); !ok || c != 1 {
 		return miss("update loop does not start at the next pivot column")
 	}
 	// root(k+1) must be the owner of column k+1: MOD(j+c1, s) = my$p
 	// iff j ≡ my$p + c2 (mod s) requires c1 + c2 ≡ 0 (mod s)
-	alin, ok := linOf(anchor)
-	if !ok || len(alin.coeff) != 1 || alin.coeff["my$p"] != 1 {
+	anchorOff, ok := offsetFrom(anchor, "my$p")
+	if !ok {
 		return miss("update loop anchor is not the local processor")
 	}
-	if ((mlin.c+alin.c)%s+s)%s != 0 {
+	if ((rootOff+anchorOff)%s+s)%s != 0 {
 		return miss("broadcast root is not the owner of the peeled column")
 	}
 	jvar := jloop.Var
@@ -940,14 +896,14 @@ func (p *pass) columnConfined(body []ast.Stmt, arr string, pivot int, jvar, kvar
 		if env != nil {
 			sub = exprSubst(sub, env)
 		}
-		l, ok := linOf(sub)
-		if !ok || len(l.coeff) != 1 || l.c != 0 {
+		v, coef, off, ok := depend.LinearSubscript(sub, nil)
+		if !ok || v == "" || off != 0 {
 			return false, fmt.Sprintf("pivot subscript %s is not a bare column index", sub)
 		}
-		if l.coeff[jvar] == 1 {
+		if v == jvar && coef == 1 {
 			return true, ""
 		}
-		if !write && l.coeff[kvar] == 1 {
+		if !write && v == kvar && coef == 1 {
 			return true, ""
 		}
 		if write {
@@ -1127,11 +1083,8 @@ func isIntLit(e ast.Expr, v int) bool {
 
 // offsetFrom decomposes e as v + c for the identifier v, returning c.
 func offsetFrom(e ast.Expr, v string) (int, bool) {
-	l, ok := linOf(e)
-	if !ok || len(l.coeff) != 1 || l.coeff[v] != 1 {
-		return 0, false
-	}
-	return l.c, true
+	name, coef, c, ok := depend.LinearSubscript(e, nil)
+	return c, ok && name == v && coef == 1
 }
 
 // addConst builds e + c (or e - |c|), cloning e.
@@ -1143,77 +1096,6 @@ func addConst(e ast.Expr, c int) ast.Expr {
 		return &ast.Binary{Op: ast.OpAdd, X: ast.CloneExpr(e), Y: &ast.IntLit{Value: c}}
 	}
 	return &ast.Binary{Op: ast.OpSub, X: ast.CloneExpr(e), Y: &ast.IntLit{Value: -c}}
-}
-
-// lin is an affine form c + Σ coeff[v]·v over integer identifiers.
-type lin struct {
-	c     int
-	coeff map[string]int
-}
-
-func (l lin) scaled(k int) lin {
-	out := lin{c: l.c * k}
-	if len(l.coeff) > 0 {
-		out.coeff = make(map[string]int, len(l.coeff))
-		for v, c := range l.coeff {
-			out.coeff[v] = c * k
-		}
-	}
-	return out
-}
-
-func linAdd(a, b lin, sign int) lin {
-	out := lin{c: a.c + sign*b.c, coeff: map[string]int{}}
-	for v, c := range a.coeff {
-		out.coeff[v] += c
-	}
-	for v, c := range b.coeff {
-		out.coeff[v] += sign * c
-	}
-	for v, c := range out.coeff {
-		if c == 0 {
-			delete(out.coeff, v)
-		}
-	}
-	return out
-}
-
-func linOf(e ast.Expr) (lin, bool) {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return lin{c: x.Value}, true
-	case *ast.Ident:
-		return lin{coeff: map[string]int{x.Name: 1}}, true
-	case *ast.Unary:
-		if x.Op != "-" {
-			return lin{}, false
-		}
-		l, ok := linOf(x.X)
-		if !ok {
-			return lin{}, false
-		}
-		return l.scaled(-1), true
-	case *ast.Binary:
-		a, okA := linOf(x.X)
-		b, okB := linOf(x.Y)
-		if !okA || !okB {
-			return lin{}, false
-		}
-		switch x.Op {
-		case ast.OpAdd:
-			return linAdd(a, b, 1), true
-		case ast.OpSub:
-			return linAdd(a, b, -1), true
-		case ast.OpMul:
-			if len(a.coeff) == 0 {
-				return b.scaled(a.c), true
-			}
-			if len(b.coeff) == 0 {
-				return a.scaled(b.c), true
-			}
-		}
-	}
-	return lin{}, false
 }
 
 // atLeast reports whether b - a >= k is provable: the difference of
@@ -1259,13 +1141,13 @@ func atLeast(a, b ast.Expr, k int) bool {
 		}
 		return false
 	}
-	la, okA := linOf(a)
-	lb, okB := linOf(b)
+	la, okA := depend.Linearize(a, nil, nil)
+	lb, okB := depend.Linearize(b, nil, nil)
 	if !okA || !okB {
 		return false
 	}
-	d := linAdd(lb, la, -1)
-	return len(d.coeff) == 0 && d.c >= k
+	d := lb.Minus(&la)
+	return d.IsConst() && d.Const >= k
 }
 
 func stmtLabel(s ast.Stmt) string {

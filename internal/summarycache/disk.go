@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"fortd/internal/ast"
 	"fortd/internal/codegen"
@@ -68,9 +67,7 @@ func (d *disk) path(key string) string {
 
 // printUnit renders a procedure the way disk entries store it.
 func printUnit(u *ast.Procedure) string {
-	var b strings.Builder
-	ast.PrintProcedure(&b, u)
-	return b.String()
+	return string(ast.AppendProcedure(nil, u))
 }
 
 // store writes e's entry file via an atomic rename. Entries whose unit

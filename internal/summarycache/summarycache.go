@@ -268,6 +268,16 @@ func (h *Hasher) Add(parts ...string) {
 	}
 }
 
+// AddFunc appends one part that emit writes straight into the key
+// material (emit appends to the slice it is given and returns it), so a
+// large part — a printed procedure — is never built as a string first.
+func (h *Hasher) AddFunc(emit func(dst []byte) []byte) {
+	at := len(h.b)
+	h.b = emit(append(h.b, 0, 0, 0, 0))
+	ln := len(h.b) - at - 4
+	h.b[at], h.b[at+1], h.b[at+2], h.b[at+3] = byte(ln>>24), byte(ln>>16), byte(ln>>8), byte(ln)
+}
+
 // Sum returns the hex digest of everything added so far.
 func (h *Hasher) Sum() string {
 	sum := sha256.Sum256(h.b)

@@ -2,6 +2,7 @@ package summarycache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -109,5 +110,22 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	st := c.Stats()
 	if st.Hits+st.Misses != 8*200 {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*200)
+	}
+}
+
+// TestHasherAddFuncIsAdd: a part streamed into the key material hashes
+// exactly like the same bytes added as a string, so keys (and disk
+// caches written with them) did not move when procKey stopped building
+// the printed procedure first.
+func TestHasherAddFuncIsAdd(t *testing.T) {
+	for _, part := range []string{"", "x", strings.Repeat("      do i = 1,n\n", 5000)} {
+		a, b := NewHasher(), NewHasher()
+		a.Add("src", part, "tail")
+		b.Add("src")
+		b.AddFunc(func(dst []byte) []byte { return append(dst, part...) })
+		b.Add("tail")
+		if a.Sum() != b.Sum() {
+			t.Errorf("part of %d bytes: AddFunc %s, Add %s", len(part), b.Sum(), a.Sum())
+		}
 	}
 }
