@@ -2,8 +2,14 @@ package fortd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"fortd/internal/trace/analyze"
@@ -48,6 +54,27 @@ func runOnBackend(t *testing.T, prog *Program, init map[string][]float64, cfg Ma
 	return out
 }
 
+// digest renders everything a run exposes as one line of hashes: the
+// sorted JSONL and text trace exports, the analyze text, %+v of Stats
+// (the P×P traffic matrix included) and the assembled arrays by name,
+// each value by its bits.
+func (r backendRun) digest() string {
+	names := make([]string, 0, len(r.arrays))
+	for name := range r.arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var arrays []byte
+	for _, name := range names {
+		arrays = append(arrays, name...)
+		for _, v := range r.arrays[name] {
+			arrays = binary.LittleEndian.AppendUint64(arrays, math.Float64bits(v))
+		}
+	}
+	return fmt.Sprintf("jsonl=%s text=%s analyze=%s stats=%s arrays=%s",
+		sha(r.jsonl), sha(r.text), sha(r.analyze), sha([]byte(fmt.Sprintf("%+v", r.stats))), sha(arrays))
+}
+
 // TestBackendDifferential is the equivalence harness for the
 // discrete-event machine core: every workload × processor count runs
 // once per backend from one compiled program, and the two runs must be
@@ -84,9 +111,28 @@ func TestBackendDifferential(t *testing.T) {
 		{"jacobi_straggler", func(p int) string { return Jacobi2DSrc(64, 3, p) }, RampInit,
 			&FaultPlan{Seed: 11, DelayProb: 0.2, DelayMax: 40, Stragglers: map[int]float64{0: 2.0}}},
 	}
+	// testdata/golden/run_digest.txt records every cell's goroutine-engine
+	// run, so the matrix keeps pinning the DES engine to it once the
+	// goroutine engine is no longer selectable from here
+	path := filepath.Join("testdata", "golden", "run_digest.txt")
+	recorded := map[string]string{}
+	if !*update {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			cell, digest, _ := strings.Cut(line, " ")
+			recorded[cell] = digest
+		}
+	}
+	var digest strings.Builder
+	cells := 0
 	for _, w := range workloads {
 		for _, p := range []int{1, 3, 6, 16, 64} {
-			t.Run(fmt.Sprintf("%s/p%d", w.name, p), func(t *testing.T) {
+			cell := fmt.Sprintf("%s/p%d", w.name, p)
+			cells++
+			t.Run(cell, func(t *testing.T) {
 				src := w.src(p)
 				prog, err := Compile(src, DefaultOptions())
 				if err != nil {
@@ -122,8 +168,24 @@ func TestBackendDifferential(t *testing.T) {
 				if !reflect.DeepEqual(des.arrays, ref.arrays) {
 					t.Errorf("final arrays differ")
 				}
+				if d, r := des.digest(), ref.digest(); d != r {
+					t.Errorf("digests differ:\n des %s\n ref %s", d, r)
+				}
+				fmt.Fprintf(&digest, "%s %s\n", cell, ref.digest())
+				if want := recorded[cell]; !*update && ref.digest() != want {
+					t.Errorf("goroutine-engine digest differs from %s:\n got  %s\n want %s", path, ref.digest(), want)
+				}
 			})
 		}
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(digest.String()), 0644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(recorded) != cells {
+		t.Errorf("%s has %d lines, the matrix %d cells", path, len(recorded), cells)
 	}
 }
 
