@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race bench bench-exec bench-compile bench-run bench-compare golden overlap fuzz report serve load
+.PHONY: check test race loc bench bench-exec bench-compile bench-run bench-compare golden overlap fuzz report serve load
 
 check: ## build + vet + race tests + fuzz smoke + trace-overhead guard
 	./ci.sh
@@ -10,6 +10,9 @@ test:
 
 race: ## tests under the race detector (the parallel compile lane)
 	$(GO) test -race ./...
+
+loc: ## non-blank lines of non-test Go outside bench/ (ROADMAP item 4 tracks it)
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs grep -v '^\s*$$' | wc -l
 
 bench: ## go benchmarks + the BENCH_<yyyymmdd>.json snapshot
 	$(GO) test -run '^$$' -bench . -benchtime 10x .

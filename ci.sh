@@ -10,15 +10,15 @@
 set -eux
 
 test -z "$(gofmt -l .)"
+# the tracked size of the production code (ROADMAP item 4)
+make loc
 go build ./...
 go vet ./...
 # -timeout is the last-resort hang guard; the machine's own deadlock
-# watchdog and deadline should fire long before it
+# detection and deadline should fire long before it. internal/machine's
+# tests run the channel oracle beside the engine, so this one lane is
+# also the race check of the oracle
 go test -race -timeout 5m ./...
-# second machine lane: the same race-enabled tests on the goroutine
-# reference backend (the suite above runs the DES default), so both
-# engines stay honest under the full test load
-FORTD_MACHINE_BACKEND=goroutine go test -race -timeout 5m ./internal/machine ./internal/spmd .
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz FuzzCompile -fuzztime 10s .
 go test -run '^$' -fuzz FuzzRun -fuzztime 10s .
@@ -165,9 +165,9 @@ kill $FDD_PID 2>/dev/null || true
 trap - EXIT
 rm -f "$FDD_BIN" /tmp/ci_fdd.log /tmp/ci_fdd_*
 
-# large-P smoke: the three scaled P=256 workloads must complete on the
-# discrete-event backend (the P=1024 pair is covered by the committed
-# benchmark snapshots; one run each keeps this lane cheap)
+# large-P smoke: the three scaled P=256 workloads must complete (the
+# P=1024 pair is covered by the committed benchmark snapshots; one run
+# each keeps this lane cheap)
 go run ./cmd/fdbench -runs 1 -only jacobi_p256,dgefa_p256,dyndist_p256 -o /tmp/ci_p256.json
 test -s /tmp/ci_p256.json
 rm -f /tmp/ci_p256.json

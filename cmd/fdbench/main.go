@@ -28,16 +28,13 @@
 // Beyond the three paper-scale workloads (P=4), the suite carries
 // scaled variants at P=256 and P=1024 — the 1-D Jacobi stencil, dgefa,
 // and the Figure 15 redistribution pattern — that exercise the
-// discrete-event machine backend at sizes the paper's testbed could
-// not reach. -backend selects the machine engine for all runs; the
-// scaled workloads are skipped under -backend goroutine, whose eager
-// P²×LinkDepth channel buffers are infeasible at those sizes. -only
-// restricts the run to a comma-separated list of workload names (CI
-// uses it for a cheap P=256 smoke).
+// discrete-event machine at sizes the paper's testbed could not reach.
+// -only restricts the run to a comma-separated list of workload names
+// (CI uses it for a cheap P=256 smoke).
 //
 // Usage:
 //
-//	fdbench [-o file.json] [-runs N] [-jobs N] [-backend des|goroutine]
+//	fdbench [-o file.json] [-runs N] [-jobs N]
 //	        [-only jacobi,dgefa] [-against BENCH_old.json]
 //	        [-threshold 0.10] [-report out.html]
 package main
@@ -65,8 +62,8 @@ type workload struct {
 	src  string
 	init func() map[string][]float64
 	// p marks a scaled workload (the processor count it targets; 0 for
-	// the paper-scale set). Scaled workloads run only on the DES
-	// backend and are excluded from the HTML report.
+	// the paper-scale set). Scaled workloads are excluded from the
+	// HTML report.
 	p int
 }
 
@@ -99,9 +96,9 @@ func workloads() []workload {
 				return map[string][]float64{"X": fortd.Ramp(100)}
 			},
 		},
-		// scaled variants: the DES backend's territory. The Jacobi
-		// entries use the 1-D stencil so per-processor array copies stay
-		// O(n) rather than O(n²) at P=1024.
+		// scaled variants. The Jacobi entries use the 1-D stencil so
+		// per-processor array copies stay O(n) rather than O(n²) at
+		// P=1024.
 		{
 			name: "jacobi_p256",
 			src:  fortd.Jacobi1DSrc(8192, 5, 256),
@@ -145,7 +142,7 @@ func workloads() []workload {
 	}
 }
 
-func measure(w workload, runs, jobs int, backend fortd.Backend, overlap bool) benchcmp.Result {
+func measure(w workload, runs, jobs int, overlap bool) benchcmp.Result {
 	best := benchcmp.Result{Name: w.name, Jobs: jobs}
 	opts := fortd.DefaultOptions().WithOverlap(overlap)
 	opts.Jobs = jobs
@@ -156,7 +153,7 @@ func measure(w workload, runs, jobs int, backend fortd.Backend, overlap bool) be
 		if err != nil {
 			log.Fatalf("%s: %v", w.name, err)
 		}
-		res, err := fortd.NewRunner(fortd.WithInit(init), fortd.WithBackend(backend)).Run(prog)
+		res, err := fortd.NewRunner(fortd.WithInit(init)).Run(prog)
 		if err != nil {
 			log.Fatalf("%s: %v", w.name, err)
 		}
@@ -175,7 +172,7 @@ func measure(w workload, runs, jobs int, backend fortd.Backend, overlap bool) be
 		log.Fatalf("%s: %v", w.name, err)
 	}
 	tr := fortd.NewTrace()
-	if _, err := fortd.NewRunner(fortd.WithInit(w.init()), fortd.WithBackend(backend), fortd.WithTrace(tr)).Run(prog); err != nil {
+	if _, err := fortd.NewRunner(fortd.WithInit(w.init()), fortd.WithTrace(tr)).Run(prog); err != nil {
 		log.Fatalf("%s: %v", w.name, err)
 	}
 	if pf := profile.FromEvents(tr.Events(), profile.Meta{}); pf != nil {
@@ -249,7 +246,6 @@ func main() {
 	out := flag.String("o", "", "output file (default BENCH_<yyyymmdd>.json)")
 	runs := flag.Int("runs", 3, "measurement repetitions per workload (best is kept)")
 	jobs := flag.Int("jobs", 1, "concurrent code-generation workers per compile")
-	backendFlag := flag.String("backend", "des", "machine engine: des (discrete-event) or goroutine (reference; skips the scaled P>=256 workloads)")
 	only := flag.String("only", "", "comma-separated workload names to run (empty: all)")
 	against := flag.String("against", "", "old snapshot to compare against; exit non-zero on regression")
 	threshold := flag.Float64("threshold", 0.10, "relative regression threshold for -against (0.10 = 10%)")
@@ -257,10 +253,6 @@ func main() {
 	overlap := flag.Bool("overlap", true, "compile with the communication-overlap schedule (-overlap=false pins the blocking baseline)")
 	flag.Parse()
 
-	backend, err := fortd.ParseBackend(*backendFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*only, ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -277,11 +269,7 @@ func main() {
 		if len(selected) > 0 && !selected[w.name] {
 			continue
 		}
-		if w.p > 0 && backend == fortd.BackendGoroutine {
-			fmt.Printf("%-12s skipped: P=%d needs the des backend (goroutine links are O(P²))\n", w.name, w.p)
-			continue
-		}
-		r := measure(w, *runs, *jobs, backend, *overlap)
+		r := measure(w, *runs, *jobs, *overlap)
 		fmt.Printf("%-12s wall=%-12s words=%-8d msgs=%-6d cache-hit-rate=%.2f blocked-share=%.3f imbalance=%.3f\n",
 			r.Name, time.Duration(r.WallNs), r.Words, r.Msgs, r.CacheHitRate, r.BlockedShare, r.Imbalance)
 		results = append(results, r)

@@ -8,7 +8,7 @@
 //	fdrun [-p N] [-jobs N] [-strategy interproc|runtime|immediate] [-zero] [-print-arrays]
 //	      [-trace out.json] [-trace-text] [-trace-json out.jsonl] [-profile out.json]
 //	      [-explain] [-explain-json out.jsonl] [-report out.html] [-sweep "1,2,4,8"]
-//	      [-spmd] [-deadline 30s] [-backend des|goroutine]
+//	      [-spmd] [-deadline 30s]
 //	      [-fault-seed N] [-fault-delay P] [-fault-delay-max US] [-fault-dup P]
 //	      [-fault-straggler "pid:skew,..."] file.f
 //
@@ -33,7 +33,7 @@
 // the simulated machine, skipping compilation and the sequential
 // check. -deadline bounds the run's wall-clock time: a run that would
 // hang (mismatched sends/receives, a true deadlock) instead exits
-// non-zero with the watchdog's per-processor deadlock report. The
+// non-zero with the machine's per-processor deadlock report. The
 // -fault-* flags build a seeded, deterministic fault-injection plan
 // (delivery delays, duplicated messages, straggler processors); the
 // same seed reproduces the same faults and the same trace exports.
@@ -92,7 +92,6 @@ func main() {
 	explainJSON := flag.String("explain-json", "", "write optimization remarks as JSON lines to this file")
 	reportOut := flag.String("report", "", "write the self-contained HTML performance report to this file")
 	sweepFlag := flag.String("sweep", "1,2,4,8", "processor counts for the report's scaling sweep (empty: skip)")
-	backendFlag := flag.String("backend", "des", "machine engine: des (discrete-event, scales to P=1024+) or goroutine (reference)")
 	overlap := flag.Bool("overlap", true, "overlap communication with computation (post halo receives early, sink waits past interior iterations)")
 	spmdMode := flag.Bool("spmd", false, "run the input as a hand-written SPMD node program (no compilation, no reference check)")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the simulated run (0: none)")
@@ -167,13 +166,8 @@ func main() {
 		init = fortd.RampInit(src)
 	}
 
-	backend, err := fortd.ParseBackend(*backendFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdrun:", err)
-		os.Exit(2)
-	}
 	runner := fortd.NewRunner(
-		fortd.WithInit(init), fortd.WithTrace(tr), fortd.WithBackend(backend),
+		fortd.WithInit(init), fortd.WithTrace(tr),
 		fortd.WithDeadline(*deadline), fortd.WithFaults(faults),
 	)
 	var res *fortd.Result
@@ -207,7 +201,7 @@ func main() {
 			ProgramHash: fortd.ProgramID(src, opts),
 			Workload:    filepath.Base(flag.Arg(0)),
 			P:           runP,
-			Backend:     backend.String(),
+			Backend:     "des",
 			FaultSeed:   seed,
 		})
 		if pf == nil {

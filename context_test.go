@@ -3,7 +3,6 @@ package fortd
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -229,26 +228,5 @@ func TestDiskCacheSharedByServices(t *testing.T) {
 	}
 	if st := svc2.Stats(); st.Cache.DiskHits == 0 {
 		t.Fatalf("second service recorded no disk hits: %+v", st.Cache)
-	}
-}
-
-// TestDeprecatedWrappersEquivalent pins that the deprecated RunOptions
-// surface stays a faithful veneer over the Runner API while it exists.
-func TestDeprecatedWrappersEquivalent(t *testing.T) {
-	prog, err := Compile(Jacobi1DSrc(64, 2, 4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := map[string][]float64{"a": Ramp(64)}
-	legacy, err := prog.Run(RunOptions{Init: init}) //nolint:staticcheck // deprecation pin
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := NewRunner(WithInit(init)).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(legacy.Stats) != fmt.Sprint(modern.Stats) {
-		t.Fatalf("legacy stats %v != modern stats %v", legacy.Stats, modern.Stats)
 	}
 }

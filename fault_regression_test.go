@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"fortd/internal/machine"
@@ -14,12 +13,12 @@ import (
 )
 
 // This file promotes the deterministic fault-injection scenarios into a
-// cross-backend regression suite: every scenario runs on both machine
-// engines, the two runs must agree byte-for-byte (trace exports, error
-// strings, per-processor errors, statistics), and the DES bytes are
-// pinned against goldens in testdata/faults so a change in fault
-// semantics — on either backend — shows up as a diff, not a surprise.
-// Regenerate the goldens with `go test -run TestFaultRegression -update`.
+// regression suite: the trace export of every scenario is pinned
+// against a golden in testdata/faults, so a change in fault semantics
+// shows up as a diff, not a surprise. The goldens were recorded when
+// the machine had two engines and both produced them; engine against
+// oracle is now internal/machine's TestEngineDifferential.
+// Regenerate with `go test -run TestFaultRegression -update`.
 
 type faultScenario struct {
 	name string
@@ -72,7 +71,7 @@ func faultScenarios() []faultScenario {
 	// split-phase ring under faults: every processor posts its receive
 	// before computing and waits after, so a straggler plus random
 	// delays decide how much of each flight the compute hides — the
-	// KindWait residuals must come out identical on both backends
+	// KindWait residuals are in the golden
 	for _, seed := range []int64{2, 42} {
 		scs = append(scs, faultScenario{
 			name: fmt.Sprintf("overlap_ring_seed%d", seed),
@@ -100,7 +99,7 @@ func faultScenarios() []faultScenario {
 	// binomial combining tree at a non-power-of-two P with a slow leaf:
 	// the straggler sits mid-tree, so its delay propagates through the
 	// combine rounds; clocks, message counts and the golden trace pin
-	// the tree schedule on both backends
+	// the tree schedule
 	scs = append(scs, faultScenario{
 		name: "reduce_tree_straggler",
 		cfg:  faultCfg(6),
@@ -113,9 +112,8 @@ func faultScenarios() []faultScenario {
 		},
 	})
 	// cooperative abort: the origin computes and aborts without sending,
-	// so its peers block on links with nothing in flight — on both
-	// backends the only possible outcome is an abort-unblock, making the
-	// cross-backend comparison race-free
+	// so its peers block on links with nothing in flight and the only
+	// possible outcome is an abort-unblock
 	scs = append(scs, faultScenario{
 		name: "abort_straggler",
 		cfg:  faultCfg(3),
@@ -137,10 +135,8 @@ func faultScenarios() []faultScenario {
 		wantErr: true,
 	})
 	// deadlock: a four-processor wait cycle with distinct virtual clocks
-	// (one straggler). The goroutine backend detects it by watchdog
-	// sampling, the DES backend structurally (empty event queue); the
-	// report must be identical — same BlockedProc attribution, same
-	// clocks, same error text
+	// (one straggler), detected structurally (empty event queue); the
+	// abort events carry each processor's attribution and clock
 	scs = append(scs, faultScenario{
 		name: "deadlock_cycle",
 		cfg:  faultCfg(4),
@@ -155,7 +151,7 @@ func faultScenarios() []faultScenario {
 	})
 	// congestion: a sender overruns a LinkDepth-4 link whose receiver is
 	// itself blocked on a third processor; the fifth send must fail with
-	// the same CongestionError (src, dst, depth, site, clock) everywhere
+	// a CongestionError
 	scs = append(scs, func() faultScenario {
 		cfg := faultCfg(3)
 		cfg.LinkDepth = 4
@@ -183,76 +179,42 @@ func faultScenarios() []faultScenario {
 	return scs
 }
 
-// faultRun is one scenario execution's observable surface.
-type faultRun struct {
-	jsonl    []byte
-	stats    machine.Stats
-	err      string
-	procErrs []string
-}
-
-func runFaultScenario(t *testing.T, sc faultScenario, b machine.Backend) faultRun {
+// runFaultScenario returns the scenario's sorted JSONL trace export.
+func runFaultScenario(t *testing.T, sc faultScenario) []byte {
 	t.Helper()
-	cfg := sc.cfg
-	cfg.Backend = b
-	m := machine.New(cfg)
+	m := machine.New(sc.cfg)
 	tr := trace.New()
 	m.SetTracer(tr) // before SetFaultPlan: straggler events must be traced
 	if sc.plan != nil {
 		m.SetFaultPlan(sc.plan)
 	}
-	for pid := 0; pid < cfg.P; pid++ {
+	for pid := 0; pid < sc.cfg.P; pid++ {
 		m.Go(pid, func(p *machine.Proc) { sc.node(m, p) })
 	}
 	err := m.Wait()
 	if sc.wantErr && err == nil {
-		t.Fatalf("backend %v: Wait() = nil, want failure", b)
+		t.Fatal("Wait() = nil, want failure")
 	}
 	if !sc.wantErr && err != nil {
-		t.Fatalf("backend %v: Wait() = %v, want clean run", b, err)
-	}
-	out := faultRun{stats: m.Stats()}
-	if err != nil {
-		out.err = err.Error()
-	}
-	for pid := 0; pid < cfg.P; pid++ {
-		if pe := m.ProcErr(pid); pe != nil {
-			out.procErrs = append(out.procErrs, fmt.Sprintf("p%d: %v", pid, pe))
-		}
+		t.Fatalf("Wait() = %v, want clean run", err)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out.jsonl = buf.Bytes()
-	return out
+	return buf.Bytes()
 }
 
 func TestFaultRegression(t *testing.T) {
 	for _, sc := range faultScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			des := runFaultScenario(t, sc, machine.BackendDES)
-			ref := runFaultScenario(t, sc, machine.BackendGoroutine)
-
-			if !bytes.Equal(des.jsonl, ref.jsonl) {
-				t.Errorf("trace exports differ across backends: %s", firstDiff(des.jsonl, ref.jsonl))
-			}
-			if des.err != ref.err {
-				t.Errorf("Wait errors differ:\n des: %s\n ref: %s", des.err, ref.err)
-			}
-			if !reflect.DeepEqual(des.procErrs, ref.procErrs) {
-				t.Errorf("per-processor errors differ:\n des: %q\n ref: %q", des.procErrs, ref.procErrs)
-			}
-			if !reflect.DeepEqual(des.stats, ref.stats) {
-				t.Errorf("stats differ:\n des=%+v\n ref=%+v", des.stats, ref.stats)
-			}
-
+			got := runFaultScenario(t, sc)
 			path := filepath.Join("testdata", "faults", sc.name+".jsonl")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, des.jsonl, 0644); err != nil {
+				if err := os.WriteFile(path, got, 0644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -261,8 +223,8 @@ func TestFaultRegression(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run `go test -run TestFaultRegression -update` to create)", err)
 			}
-			if !bytes.Equal(des.jsonl, want) {
-				t.Errorf("trace export differs from golden %s: %s", path, firstDiff(des.jsonl, want))
+			if !bytes.Equal(got, want) {
+				t.Errorf("trace export differs from golden %s: %s", path, firstDiff(got, want))
 			}
 		})
 	}

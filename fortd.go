@@ -93,25 +93,6 @@ const (
 // MachineConfig is the simulated machine's size and cost model.
 type MachineConfig = machine.Config
 
-// Backend selects the simulated machine's execution engine.
-type Backend = machine.Backend
-
-const (
-	// BackendDES is the discrete-event core (the default): a
-	// single-threaded virtual-time scheduler with pooled message
-	// buffers and O(active) link state. It scales to P=1024 and beyond.
-	BackendDES = machine.BackendDES
-	// BackendGoroutine is the goroutine-per-processor reference
-	// implementation with buffered channels as links. It produces
-	// identical results but its O(P²) link state tops out around
-	// dozens of processors.
-	BackendGoroutine = machine.BackendGoroutine
-)
-
-// ParseBackend parses a backend name ("des" or "goroutine") as
-// accepted by the fdrun/fdbench -backend flags.
-func ParseBackend(s string) (Backend, error) { return machine.ParseBackend(s) }
-
 // Trace collects structured events from a compilation and/or a
 // simulated run: compiler phase spans and counters, one event per
 // message/broadcast-step/remap with source attribution, and
@@ -168,7 +149,7 @@ func DefaultMachine(p int) MachineConfig { return machine.DefaultConfig(p) }
 // FaultPlan describes seeded, deterministic fault injection for a
 // simulated run: per-message delivery delays, straggler processors,
 // and bounded message duplication. The same seed reproduces the same
-// faults. Attach with WithFaults or RunOptions.Faults.
+// faults. Attach with WithFaults.
 type FaultPlan = machine.FaultPlan
 
 // AbortError reports a processor unblocked by a machine-wide
@@ -192,9 +173,9 @@ type InitError = spmd.InitError
 // The machine contains it: the run fails, the process survives.
 type PanicError = machine.PanicError
 
-// DeadlockError is the watchdog's structured report: every live
-// processor blocked on a link with no progress (or the run exceeding
-// its wall-clock deadline), with per-processor attribution.
+// DeadlockError is the machine's structured report of a run that
+// cannot finish: every live processor blocked on a link (or the run
+// exceeding its wall-clock deadline), with per-processor attribution.
 type DeadlockError = machine.DeadlockError
 
 // CongestionError reports a send into a full link buffer with no
@@ -444,8 +425,11 @@ type Runner struct {
 // RunOption configures a Runner.
 type RunOption func(*Runner)
 
-// WithMachine overrides the simulated machine's size and cost model.
-// The zero Config means "DefaultMachine sized to the program".
+// WithMachine overrides the simulated machine's cost model, link depth
+// and deadline. P may be left 0: the machine is sized to the program;
+// any other P that is not the program's fails the run before it starts.
+// Latency, PerWord and FlopCost all zero with P 0 mean DefaultMachine's
+// cost model, so MachineConfig{LinkDepth: 4} changes the depth alone.
 func WithMachine(cfg MachineConfig) RunOption {
 	return func(r *Runner) { r.machine = cfg }
 }
@@ -475,18 +459,10 @@ func WithExplain(ex *Explain) RunOption {
 	return func(r *Runner) { r.explain = ex }
 }
 
-// WithBackend selects the simulated machine's execution engine
-// (default BackendDES). Both backends produce identical statistics and
-// trace exports; the discrete-event engine is the one that scales.
-// A full WithMachine config takes precedence (set its Backend field).
-func WithBackend(b Backend) RunOption {
-	return func(r *Runner) { r.machine.Backend = b }
-}
-
 // WithDeadline bounds a run's wall-clock time: when it expires the
 // machine aborts and the run returns a *DeadlockError (Deadline: true)
 // reporting where every processor was blocked. 0 means no deadline
-// (the deadlock watchdog still catches true deadlocks).
+// (a true deadlock is still detected and reported).
 func WithDeadline(d time.Duration) RunOption {
 	return func(r *Runner) { r.deadline = d }
 }
@@ -495,6 +471,23 @@ func WithDeadline(d time.Duration) RunOption {
 // through this Runner. nil disables injection.
 func WithFaults(fp *FaultPlan) RunOption {
 	return func(r *Runner) { r.faults = fp }
+}
+
+// machineFor resolves the WithMachine configuration for a program of
+// nproc node programs. A machine of another size would start the wrong
+// number of them: too few and the run ends early with a wrong answer,
+// too many and the extra ones block on peers that do not exist.
+func (r *Runner) machineFor(nproc int) (MachineConfig, error) {
+	cfg := r.machine
+	if cfg.P != 0 && cfg.P != nproc {
+		return cfg, fmt.Errorf("fortd: WithMachine configures %d processors, the program runs on %d", cfg.P, nproc)
+	}
+	if cfg.P == 0 && cfg.Latency == 0 && cfg.PerWord == 0 && cfg.FlopCost == 0 {
+		def := machine.DefaultConfig(nproc)
+		cfg.Latency, cfg.PerWord, cfg.FlopCost = def.Latency, def.PerWord, def.FlopCost
+	}
+	cfg.P = nproc
+	return cfg, nil
 }
 
 // NewRunner builds a Runner from functional options.
@@ -516,15 +509,11 @@ func (r *Runner) Run(p *Program) (*Result, error) {
 // machine under a cancellation context: when ctx is cancelled mid-run
 // the machine's cooperative abort unblocks every simulated processor
 // and RunContext returns ctx.Err(). The machine's own failure modes —
-// deadlock watchdog, WithDeadline, congestion — are unchanged.
+// deadlock detection, WithDeadline, congestion — are unchanged.
 func (r *Runner) RunContext(ctx context.Context, p *Program) (*Result, error) {
-	cfg := r.machine
-	if cfg.P == 0 {
-		// default the cost model to the compiled processor count, but
-		// keep an explicitly selected backend (WithBackend)
-		be := cfg.Backend
-		cfg = machine.DefaultConfig(p.c.P)
-		cfg.Backend = be
+	cfg, err := r.machineFor(p.c.P)
+	if err != nil {
+		return nil, err
 	}
 	rr, err := spmd.RunContext(ctx, p.c.Program, cfg, spmd.Options{
 		Dists: p.c.MainDists, Init: r.init, InitScalars: r.initScalars,
@@ -637,11 +626,9 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 	if werr != nil {
 		return nil, werr
 	}
-	cfg := r.machine
-	if cfg.P == 0 {
-		be := cfg.Backend
-		cfg = machine.DefaultConfig(nproc)
-		cfg.Backend = be
+	cfg, err := r.machineFor(nproc)
+	if err != nil {
+		return nil, err
 	}
 	rr, err := spmd.RunContext(ctx, prog, cfg, spmd.Options{
 		Dists: dists, Init: r.init, InitScalars: r.initScalars,
@@ -651,68 +638,6 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 		return nil, err
 	}
 	return &Result{Stats: Stats(rr.Stats), Arrays: rr.Arrays}, nil
-}
-
-// RunOptions configures a simulated execution (legacy form; the
-// Runner's functional options are the primary API).
-//
-// Deprecated: build a Runner with functional options instead —
-// NewRunner(WithInit(...), WithMachine(...), ...) — and call
-// Runner.Run/RunContext. RunOptions predates the Runner and cannot
-// express newer per-run settings (explain collection, context
-// cancellation).
-type RunOptions struct {
-	// Init seeds main-program arrays (row-major global order).
-	Init map[string][]float64
-	// InitScalars seeds main-program scalars.
-	InitScalars map[string]float64
-	// Machine overrides the cost model (zero value: DefaultMachine(P)).
-	Machine MachineConfig
-	// Trace, when non-nil, records every message of the run.
-	Trace *Trace
-	// Deadline bounds the run's wall-clock time (0: no deadline).
-	Deadline time.Duration
-	// Faults, when non-nil, injects seeded deterministic faults.
-	Faults *FaultPlan
-}
-
-func (o RunOptions) runner() *Runner {
-	return NewRunner(
-		WithMachine(o.Machine),
-		WithInit(o.Init),
-		WithInitScalars(o.InitScalars),
-		WithTrace(o.Trace),
-		WithDeadline(o.Deadline),
-		WithFaults(o.Faults),
-	)
-}
-
-// Run executes the compiled SPMD program on the simulated machine. It
-// is shorthand for NewRunner(...).Run(p).
-//
-// Deprecated: use NewRunner(WithInit(...), ...).Run(p) — or
-// Runner.RunContext for cancellation.
-func (p *Program) Run(opts RunOptions) (*Result, error) {
-	return opts.runner().Run(p)
-}
-
-// RunReference executes the original sequential program (one
-// processor, no communication) and returns the reference result. It is
-// shorthand for NewRunner(...).RunReference(p).
-//
-// Deprecated: use NewRunner(WithInit(...), ...).RunReference(p) — or
-// Runner.RunReferenceContext for cancellation.
-func (p *Program) RunReference(opts RunOptions) (*Result, error) {
-	return opts.runner().RunReference(p)
-}
-
-// RunSPMD executes hand-written SPMD node-program text on a p-processor
-// simulated machine. It is shorthand for NewRunner(...).RunSPMD(src, p).
-//
-// Deprecated: use NewRunner(WithInit(...), ...).RunSPMD(src, p) — or
-// Runner.RunSPMDContext for cancellation.
-func RunSPMD(src string, p int, opts RunOptions) (*Result, error) {
-	return opts.runner().RunSPMD(src, p)
 }
 
 // DataflowProblem is one row of the paper's Table 1: an

@@ -1,6 +1,8 @@
 package fortd
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -85,6 +87,65 @@ func TestCustomMachineConfig(t *testing.T) {
 	if r2.Stats.Time <= r1.Stats.Time {
 		t.Errorf("expensive machine not slower: %.1f vs %.1f", r2.Stats.Time, r1.Stats.Time)
 	}
+}
+
+// TestMachineSizedToProgram: WithMachine may leave P to the program and
+// still set the link depth or the cost model; a P that is not the
+// program's is an error before the machine starts (it used to be a
+// deadlock report for P too large and a silently wrong answer for P too
+// small).
+func TestMachineSizedToProgram(t *testing.T) {
+	src := Jacobi2DSrc(16, 3, 4)
+	prog, err := Compile(src, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := RampInit(src)
+	def, err := NewRunner(WithInit(init)).Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongSize := func(p int) func(*testing.T, *Result, error) {
+		return func(t *testing.T, _ *Result, err error) {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d processors", p)) || !strings.Contains(err.Error(), "runs on 4") {
+				t.Errorf("err = %v, want one naming %d and 4", err, p)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   MachineConfig
+		check func(t *testing.T, res *Result, err error)
+	}{
+		{"too many processors", DefaultMachine(8), wrongSize(8)},
+		{"too few processors", DefaultMachine(2), wrongSize(2)},
+		{"P left to the program, link depth kept", MachineConfig{LinkDepth: 1}, func(t *testing.T, _ *Result, err error) {
+			// the halo exchange queues two messages on a link
+			var ce *CongestionError
+			if !errors.As(err, &ce) || ce.Depth != 1 {
+				t.Errorf("err = %v, want congestion of a depth-1 link", err)
+			}
+		}},
+		{"P left to the program, default cost model", MachineConfig{LinkDepth: 64}, func(t *testing.T, res *Result, err error) {
+			if err != nil || res.Stats.String() != def.Stats.String() {
+				t.Errorf("run = %v, %v; want the default machine's %v", res, err, def.Stats)
+			}
+		}},
+		{"P left to the program, cost model kept", MachineConfig{Latency: 1, PerWord: 0.01, FlopCost: 0.1}, func(t *testing.T, res *Result, err error) {
+			if err != nil || res.Stats.Time >= def.Stats.Time || res.Stats.Messages != def.Stats.Messages {
+				t.Errorf("run = %v, %v; want the same messages in less time than %v", res, err, def.Stats)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := NewRunner(WithInit(init), WithMachine(tc.cfg)).Run(prog)
+			tc.check(t, res, err)
+		})
+	}
+	t.Run("SPMD text sized by its n$proc", func(t *testing.T) {
+		res, err := NewRunner(WithMachine(DefaultMachine(8))).RunSPMD(DgefaHandSrc(8, 4), 0)
+		wrongSize(8)(t, res, err)
+	})
 }
 
 func TestTable1Coverage(t *testing.T) {

@@ -2,14 +2,13 @@
 //
 // The machine's failure model mirrors the real iPSC/860's worst
 // behavior — node programs that disagree on their communication
-// schedule block in Recv forever — but refuses to reproduce it: every
-// blocking primitive also waits on a machine-wide done channel, so the
-// first failure (a node-program error, a congested link, the deadlock
-// watchdog, or a wall-clock deadline) unblocks every peer with a
-// structured *AbortError instead of hanging Machine.Wait. The watchdog
-// samples the machine on a wall-clock ticker and declares deadlock when
-// every live processor is blocked on a link and no channel operation
-// has completed across several consecutive samples; the resulting
+// schedule block in Recv forever — but refuses to reproduce it: the
+// first failure (a node-program error, a congested link, a detected
+// deadlock, or a wall-clock deadline) latches the abort flag and every
+// processor unwinds at its next communication primitive or compute
+// step with a structured *AbortError instead of hanging Machine.Wait.
+// Deadlock is detected structurally, when the scheduler has live
+// processors and nothing left to run (des.go); the resulting
 // *DeadlockError carries each blocked processor's (proc, line, op,
 // peer, virtual clock) from the SetContext attribution state.
 package machine
@@ -35,7 +34,8 @@ type AbortError struct {
 	// PID is the processor that was unblocked.
 	PID int
 	// Origin is the processor whose failure triggered the abort, or -1
-	// when the watchdog or deadline aborted the run machine-wide.
+	// when deadlock detection or the deadline aborted the run
+	// machine-wide.
 	Origin int
 	// Op is the operation the processor was in ("recv", "send", "bcast",
 	// "compute", ...), taken from the SetContext attribution when set.
@@ -129,12 +129,12 @@ func (b BlockedProc) String() string {
 		b.PID, b.Op, b.Peer, site, b.Clock)
 }
 
-// DeadlockError is the structured report the watchdog produces when
+// DeadlockError is the structured report the machine produces when
 // every live processor is blocked on a link (or when the wall-clock
 // deadline expires): one line per blocked processor, sorted by pid.
 type DeadlockError struct {
 	// Deadline is true when the wall-clock deadline expired, false when
-	// the all-blocked watchdog fired.
+	// every live processor was found blocked.
 	Deadline bool
 	// Elapsed is the wall-clock time from the first node program's
 	// launch to the detection.
@@ -161,7 +161,8 @@ func (e *DeadlockError) Error() string {
 
 // blockInfo is one processor's registered blocking state, written
 // under Machine.mu by the blocking processor itself (copying its own
-// attribution context, which only it writes) and read by the watchdog.
+// attribution context, which only it writes) and read by the deadlock
+// report.
 type blockInfo struct {
 	active bool
 	op     string
@@ -175,7 +176,7 @@ type blockInfo struct {
 // closes the done channel, unblocking every processor waiting in a
 // communication primitive with an *AbortError that wraps cause.
 // Subsequent calls are no-ops. origin is the failing processor's pid,
-// or -1 for machine-level failures (watchdog, deadline).
+// or -1 for machine-level failures (deadlock, deadline).
 func (m *Machine) Abort(origin int, cause error) {
 	m.abortOnce.Do(func() {
 		m.abortOrigin = origin
@@ -203,10 +204,10 @@ func (m *Machine) ProcErr(p int) error {
 	return m.procErrs[p]
 }
 
-// block registers the processor as blocked on a link before it parks
-// in a channel select; unblock clears the registration when the
-// operation completes. The op label prefers the SetContext operation
-// ("bcast", "allgather", ...) over the primitive name.
+// block registers the processor as blocked on a link before it parks;
+// unblock clears the registration when the operation completes. The op
+// label prefers the SetContext operation ("bcast", "allgather", ...)
+// over the primitive name.
 func (p *Proc) block(prim string, peer int) {
 	op := prim
 	if p.ctxOp != "" {
@@ -216,7 +217,6 @@ func (p *Proc) block(prim string, peer int) {
 	m.mu.Lock()
 	m.blocked[p.id] = blockInfo{active: true, op: op, peer: peer,
 		proc: p.ctxProc, line: p.ctxLine, clock: p.stats.Clock}
-	m.blockedCount++
 	m.mu.Unlock()
 }
 
@@ -224,9 +224,7 @@ func (p *Proc) unblock() {
 	m := p.m
 	m.mu.Lock()
 	m.blocked[p.id] = blockInfo{}
-	m.blockedCount--
 	m.mu.Unlock()
-	m.progress.Add(1)
 }
 
 // abortNow terminates the calling node program with an *AbortError
@@ -263,70 +261,6 @@ func (p *Proc) abortNow(prim string, peer int) {
 		})
 	}
 	panic(abortPanic{err})
-}
-
-// Watchdog cadence: with these settings an all-blocked machine is
-// detected after ~4 idle samples (≈20–30ms of wall clock). A false
-// positive would need a runnable goroutine (one with a deliverable
-// message) to stay unscheduled for that whole window while every other
-// goroutine is parked — the progress counter resets the stability
-// count whenever any channel operation completes.
-const (
-	watchdogInterval = 5 * time.Millisecond
-	watchdogStable   = 4
-)
-
-// startWatchdog launches the watchdog goroutine once (on the first Go
-// call). With NoWatchdog set and no Deadline there is nothing to
-// watch, and watchDone is closed immediately.
-func (m *Machine) startWatchdog() {
-	m.watchOnce.Do(func() {
-		if m.cfg.NoWatchdog && m.cfg.Deadline == 0 {
-			close(m.watchDone)
-			return
-		}
-		go m.watchdog()
-	})
-}
-
-func (m *Machine) watchdog() {
-	defer close(m.watchDone)
-	start := time.Now()
-	tick := time.NewTicker(watchdogInterval)
-	defer tick.Stop()
-	var lastProgress uint64
-	stable := 0
-	for {
-		select {
-		case <-m.watchStop:
-			return
-		case <-m.done:
-			return
-		case <-tick.C:
-		}
-		elapsed := time.Since(start)
-		if m.cfg.Deadline > 0 && elapsed >= m.cfg.Deadline {
-			m.Abort(-1, m.deadlockReport(true, elapsed))
-			return
-		}
-		if m.cfg.NoWatchdog {
-			continue
-		}
-		m.mu.Lock()
-		allBlocked := m.running > 0 && m.blockedCount == m.running
-		m.mu.Unlock()
-		progress := m.progress.Load()
-		if allBlocked && progress == lastProgress {
-			stable++
-		} else {
-			stable = 0
-		}
-		lastProgress = progress
-		if stable >= watchdogStable {
-			m.Abort(-1, m.deadlockReport(false, elapsed))
-			return
-		}
-	}
 }
 
 // deadlockReport snapshots the blocked set into a structured report.

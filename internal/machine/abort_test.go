@@ -45,13 +45,12 @@ func TestAbortUnblocksPeers(t *testing.T) {
 // TestNodeProgramPanicIsAnError: a node program that panics with
 // anything but the machine's own abort unwind — an executor bug, an
 // index out of range — fails its run with a *PanicError and unblocks
-// its peers, on both backends, instead of taking the process down.
-// CheckAbort lets a peer that neither computes nor communicates see it.
+// its peers, on the machine and on the channel oracle, instead of taking
+// the process down. CheckAbort lets a peer that neither computes nor
+// communicates see it.
 func TestNodeProgramPanicIsAnError(t *testing.T) {
-	for _, be := range []Backend{BackendDES, BackendGoroutine} {
-		cfg := DefaultConfig(3)
-		cfg.Backend = be
-		m := New(cfg)
+	for be, newMachine := range map[string]func(Config) *Machine{"des": New, "chan oracle": newChanMachine} {
+		m := newMachine(DefaultConfig(3))
 		m.Go(0, func(p *Proc) {
 			var empty []int
 			_ = empty[p.ID()+1] // index out of range
@@ -83,7 +82,8 @@ func TestNodeProgramPanicIsAnError(t *testing.T) {
 }
 
 // TestDeadlockWatchdog: two processors each waiting for the other to
-// send first is detected, and the report names both blocked receives.
+// send first is detected (the name is from when a watchdog did it), and
+// the report names both blocked receives.
 func TestDeadlockWatchdog(t *testing.T) {
 	m := New(DefaultConfig(2))
 	m.Go(0, func(p *Proc) {
@@ -100,7 +100,7 @@ func TestDeadlockWatchdog(t *testing.T) {
 		t.Fatalf("Wait() = %v, want *DeadlockError", err)
 	}
 	if dl.Deadline {
-		t.Error("watchdog detection reported as deadline expiry")
+		t.Error("deadlock detection reported as deadline expiry")
 	}
 	if dl.Live != 2 || len(dl.Blocked) != 2 {
 		t.Fatalf("report = %+v, want 2 live / 2 blocked", dl)
@@ -124,32 +124,45 @@ func TestDeadlockWatchdog(t *testing.T) {
 	}
 }
 
-// TestLopsidedDeadlock: one processor still computing keeps the
-// watchdog quiet; only when every live processor is blocked does it
-// fire.
+// TestLopsidedDeadlock: deadlock is not reported while any processor is
+// runnable. p1 parks at once on a link that will never fire; p0 has a
+// long way to go before it parks too, part of it blocked on a message
+// in flight to itself from p2. The report comes only when p0 has run
+// all of it, and lists the two that are stuck, not the one that left.
 func TestLopsidedDeadlock(t *testing.T) {
-	m := New(DefaultConfig(2))
-	m.Go(0, func(p *Proc) {
-		// long enough that the watchdog sees a non-blocked processor for
-		// several samples, short enough for a quick test
-		time.Sleep(8 * watchdogInterval)
-		p.Recv(1)
+	m := New(DefaultConfig(3))
+	const flops = 1000
+	m.Go(1, func(p *Proc) { p.Recv(0) })
+	m.Go(2, func(p *Proc) {
+		p.Compute(flops)
+		p.Send(0, []float64{1})
 	})
-	m.Go(1, func(p *Proc) {
-		p.Recv(0)
+	ran := false
+	m.Go(0, func(p *Proc) {
+		p.Recv(2) // parked while p1 is parked too, but p2 is runnable
+		p.Compute(flops)
+		ran = true
+		p.Recv(1)
 	})
 	err := m.Wait()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("Wait() = %v, want *DeadlockError", err)
 	}
-	if len(dl.Blocked) != 2 {
-		t.Errorf("blocked = %d, want 2 (fired only after both parked)", len(dl.Blocked))
+	if !ran {
+		t.Error("deadlock reported before p0 had run to its last receive")
+	}
+	if dl.Live != 2 || len(dl.Blocked) != 2 || dl.Blocked[0].PID != 0 || dl.Blocked[1].PID != 1 {
+		t.Fatalf("report = %+v, want p0 and p1 blocked of 2 live", dl)
+	}
+	cfg := m.Config()
+	if want := 2*flops*cfg.FlopCost + 2*cfg.Latency + cfg.PerWord; dl.Blocked[0].Clock < want-1e-9 {
+		t.Errorf("p0 blocked at clock %v, want at least %v (both computes and the flight)", dl.Blocked[0].Clock, want)
 	}
 }
 
 // TestNoFalsePositiveUnderLoad: a heavily communicating run where
-// receivers constantly block must never trip the watchdog.
+// receivers constantly block must never be taken for a deadlock.
 func TestNoFalsePositiveUnderLoad(t *testing.T) {
 	m := New(DefaultConfig(2))
 	const N = 2000
@@ -217,9 +230,8 @@ func TestDeadlineAbortsComputeLoop(t *testing.T) {
 }
 
 // faultedRun executes a fixed exchange pattern under a fault plan and
-// returns its stats and sorted JSONL trace export (raw event order
-// depends on goroutine scheduling; determinism is defined over the
-// sorted exports).
+// returns its stats and sorted JSONL trace export (determinism is
+// defined over the sorted exports).
 func faultedRun(t *testing.T, fp *FaultPlan) (Stats, string) {
 	t.Helper()
 	if err := fp.Validate(); err != nil {

@@ -4,15 +4,6 @@ import (
 	"testing"
 )
 
-// skipIfNotDES skips DES-only assertions when the FORTD_MACHINE_BACKEND
-// override is forcing these tests onto the reference backend (ci.sh's
-// second lane): the goroutine engine makes no allocation promises.
-func skipIfNotDES(t testing.TB) {
-	if ov := backendOverride(); ov != nil && *ov != BackendDES {
-		t.Skip("FORTD_MACHINE_BACKEND forces a non-DES backend")
-	}
-}
-
 // pingPong runs n round trips of a w-word payload between two
 // processors on a fresh machine and returns the machine for
 // inspection. Payloads are staged through Scratch, the way the SPMD
@@ -43,13 +34,12 @@ func pingPong(tb testing.TB, cfg Config, n, w int) *Machine {
 	return m
 }
 
-// BenchmarkMachineMessage measures the DES backend's per-message cost
+// BenchmarkMachineMessage measures the engine's per-message cost
 // over a two-processor ping-pong. The headline number is allocs/op:
 // with pooled payloads, reused rings, and steady-state heaps it must
 // report 0 — the setup allocations (goroutines, first ring, pool
 // high-water) amortize away over b.N messages.
 func BenchmarkMachineMessage(b *testing.B) {
-	skipIfNotDES(b)
 	b.ReportAllocs()
 	m := New(Config{P: 2, Latency: 70, PerWord: 0.4, FlopCost: 0.1})
 	n := b.N/2 + 1 // two messages per round trip
@@ -78,7 +68,6 @@ func BenchmarkMachineMessage(b *testing.B) {
 // — 4000 messages — must cost no more than a fixed setup budget of
 // allocations, i.e. amortized zero per message.
 func TestDESMessageAllocationFree(t *testing.T) {
-	skipIfNotDES(t)
 	const rounds = 2000
 	avg := testing.AllocsPerRun(3, func() {
 		pingPong(t, Config{P: 2, Latency: 70, PerWord: 0.4, FlopCost: 0.1}, rounds, 64)
@@ -96,7 +85,6 @@ func TestDESMessageAllocationFree(t *testing.T) {
 // receiver's next Recv, even while the sender immediately rebuilds its
 // scratch buffer and more traffic flows through the pool.
 func TestDESPayloadIsolation(t *testing.T) {
-	skipIfNotDES(t)
 	m := New(Config{P: 3, Latency: 1, PerWord: 0, FlopCost: 1})
 	var got [2][]float64
 	m.Go(0, func(p *Proc) {
@@ -144,7 +132,6 @@ func TestDESPayloadIsolation(t *testing.T) {
 // allocation per operation either, and a reused handle completes each
 // round with that round's payload.
 func TestCallerOwnedHandlesAllocationFree(t *testing.T) {
-	skipIfNotDES(t)
 	const rounds = 2000
 	run := func() {
 		m := New(Config{P: 4, Latency: 70, PerWord: 0.4, FlopCost: 0.1})

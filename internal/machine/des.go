@@ -1,5 +1,5 @@
-// The discrete-event engine (BackendDES): node programs run as
-// coroutines under a single-threaded virtual-time scheduler.
+// The discrete-event engine: node programs run as coroutines under a
+// single-threaded virtual-time scheduler.
 //
 // Scheduling protocol. Exactly one node program runs at a time: the
 // scheduler (executing inside Machine.Wait) resumes a processor by
@@ -17,13 +17,12 @@
 // the message's arrival time; because each processor's clock only moves
 // forward and all cost math lives in shared Proc code, the order in
 // which independent processors run cannot change any clock, stat, or
-// trace event — which is why this engine is trace-equivalent to the
-// goroutine backend (the differential suite pins it).
+// trace event (TestEngineDifferential pins it against an engine that
+// runs them as free goroutines).
 //
 // Link state is O(active): a receiver's inbox is a lazily-allocated
 // map from sender pid to a growable message ring, so only pairs that
-// actually communicate cost anything — versus the reference backend's
-// eager P² × LinkDepth channel slots.
+// actually communicate cost anything.
 //
 // Payload ownership. A payload is copied once, at the send that
 // originates it, into a reference-counted buffer from a power-of-two
@@ -38,11 +37,11 @@
 //
 // Deadlock is structural here, not sampled: when the event queue runs
 // dry while live processors remain, every one of them is provably
-// blocked on a link that can never fire, and the engine aborts with the
-// same *DeadlockError report the watchdog builds (same BlockedProc
-// attribution, Deadline=false). A wall-clock Config.Deadline is honored
-// with a timer because a DES can also livelock in real time (e.g. an
-// infinite Compute loop advancing virtual time forever).
+// blocked on a link that can never fire, and the engine aborts with a
+// *DeadlockError report of them (Deadline=false). A wall-clock
+// Config.Deadline is honored with a timer because a DES can also
+// livelock in real time (e.g. an infinite Compute loop advancing
+// virtual time forever).
 package machine
 
 import (
@@ -254,17 +253,7 @@ func (e *desEngine) run() {
 		ev, ok := e.q.pop()
 		if !ok {
 			// No runnable processor and no pending arrival: every live
-			// processor is parked on a link that can never fire. This is
-			// the structural analogue of the goroutine backend's sampled
-			// all-blocked detection, and it builds the same report. With
-			// NoWatchdog and a Deadline, defer to the deadline (or an
-			// external Abort) instead of reporting immediately; with
-			// NoWatchdog and no Deadline the reference backend would hang
-			// forever — this engine reports the deadlock anyway.
-			if m.cfg.NoWatchdog && m.cfg.Deadline > 0 {
-				<-m.done
-				continue
-			}
+			// processor is parked on a link that can never fire.
 			m.Abort(-1, m.deadlockReport(false, time.Since(e.wallStart)))
 			continue
 		}
@@ -278,9 +267,10 @@ func (e *desEngine) run() {
 // drainAfterAbort runs the machine down after an abort: every parked
 // processor is woken (it observes the abort and unwinds via abortNow),
 // and remaining queue events — including start events of programs that
-// never ran — are still dispatched, because on the reference backend
-// every goroutine keeps running after an abort until it hits a
-// cancellation point (or finishes without one).
+// never ran — are still dispatched: an abort stops a node program only
+// at its next cancellation point, so one that has none (or has not
+// started) runs to completion, whichever order the scheduler reached
+// them in.
 func (e *desEngine) drainAfterAbort() {
 	for e.live > 0 {
 		for pid := range e.parked {
@@ -384,8 +374,6 @@ func (e *desEngine) receive(p *Proc, from int) message {
 		if p.m.aborted.Load() {
 			p.abortNow("recv", from)
 		}
-	} else {
-		p.m.progress.Add(1)
 	}
 	return e.take(p.id, r)
 }

@@ -1,4 +1,4 @@
-// The discrete-event backend's virtual-time event queue: a set of
+// The discrete-event engine's virtual-time event queue: a set of
 // binary min-heaps ("shards") with a global pop that returns the
 // minimum event under the total order (time, seq, pid). Sharding by
 // processor id keeps each heap shallow at large P — pushes touch only

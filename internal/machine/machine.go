@@ -5,96 +5,31 @@
 // its own clock for computation, and message receipt synchronizes the
 // receiver's clock with the sender's send time plus the transfer cost.
 //
-// Two execution engines implement the same semantics behind the same
-// API (Config.Backend selects one):
+// The machine is a discrete-event core: node programs run as coroutines
+// under a single-threaded virtual-time scheduler with a sharded event
+// queue, pooled message payloads (the hot path allocates nothing per
+// message) and link state proportional to the pairs actually
+// communicating, so P=1024 and beyond are routine (des.go). The
+// simulation is deterministic for deterministic node programs: Stats
+// and the sorted trace exports are a function of the node programs, the
+// cost model and the fault plan alone.
 //
-//   - BackendDES (the default) is a discrete-event core: node programs
-//     run as coroutines under a single-threaded virtual-time scheduler
-//     with a sharded event queue, pooled message payloads (the hot path
-//     allocates nothing per message), and link state proportional to
-//     the pairs actually communicating. It scales to P=1024 and beyond.
-//   - BackendGoroutine is the original reference implementation — a
-//     goroutine per processor with buffered channels as links — kept
-//     selectable so the differential test suite can prove the DES core
-//     equivalent on every workload.
-//
-// The simulation is deterministic for deterministic node programs on
-// both backends, and because all cost accounting and trace emission
-// live in backend-independent code, the two engines produce identical
-// Stats and byte-identical sorted trace exports.
+// All cost accounting, tracing and fault injection live in the Proc
+// methods; the engine behind them only moves messages and schedules
+// node programs. That seam exists for the tests: chan_oracle_test.go
+// keeps the original goroutine-per-processor engine, and
+// TestEngineDifferential holds the two to equal Stats, traces and
+// payloads on generated programs.
 package machine
 
 import (
 	"fmt"
-	"os"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fortd/internal/trace"
-)
-
-// Backend selects the machine's execution engine.
-type Backend int
-
-const (
-	// BackendDES is the discrete-event core (the zero value, so it is
-	// the default): single-threaded virtual-time scheduling, pooled
-	// message buffers, O(active) link state.
-	BackendDES Backend = iota
-	// BackendGoroutine is the goroutine-per-processor reference
-	// implementation with P² buffered channels as links. It is exact
-	// but tops out around dozens of processors.
-	BackendGoroutine
-)
-
-func (b Backend) String() string {
-	switch b {
-	case BackendDES:
-		return "des"
-	case BackendGoroutine:
-		return "goroutine"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// ParseBackend parses a backend name as accepted by -backend flags.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "des", "":
-		return BackendDES, nil
-	case "goroutine", "chan":
-		return BackendGoroutine, nil
-	default:
-		return 0, fmt.Errorf("unknown machine backend %q (want des or goroutine)", s)
-	}
-}
-
-// backendOverride is a CI/testing hook: FORTD_MACHINE_BACKEND=goroutine
-// (or =des) overrides the default backend choice, i.e. it applies when
-// Config.Backend is the zero value. ci.sh uses it to run the machine
-// and spmd test suites against the reference backend; tests that pin
-// DES-only properties (the zero-allocation guarantee) skip when it is
-// set. The variable is resolved lazily, NOT at package init: `go test`
-// only records environment reads made while the test runs, so an
-// init-time read would let the test cache serve results across
-// different FORTD_MACHINE_BACKEND values.
-func backendOverride() *Backend {
-	overrideOnce.Do(func() {
-		b, err := ParseBackend(os.Getenv("FORTD_MACHINE_BACKEND"))
-		if err != nil || b == BackendDES {
-			return
-		}
-		override = &b
-	})
-	return override
-}
-
-var (
-	overrideOnce sync.Once
-	override     *Backend
 )
 
 // Config sets the machine's size and cost model. Times are in
@@ -105,8 +40,6 @@ type Config struct {
 	Latency  float64 // message startup cost (α)
 	PerWord  float64 // transfer cost per word (β)
 	FlopCost float64 // cost of one arithmetic operation
-	// Backend selects the execution engine (default BackendDES).
-	Backend Backend
 	// LinkDepth is each link's buffered capacity in messages
 	// (0: DefaultLinkDepth). A sender that fills a link fails the run
 	// with a *CongestionError naming the (src, dst) pair.
@@ -115,9 +48,6 @@ type Config struct {
 	// expires the machine aborts with a *DeadlockError report marked
 	// Deadline, unblocking every processor.
 	Deadline time.Duration
-	// NoWatchdog disables the all-blocked deadlock watchdog (it is on
-	// by default; see abort.go). The Deadline still applies.
-	NoWatchdog bool
 }
 
 // DefaultLinkDepth is the per-link message buffer when LinkDepth is 0:
@@ -191,16 +121,17 @@ type message struct {
 
 // arrival is the receiver-clock delivery time of the message under the
 // machine's cost model: send time + startup latency + per-word transfer
-// + any injected delay. Both engines use this one definition, which is
-// what makes receiver clocks backend-invariant.
+// + any injected delay. Every receive path uses this one definition.
 func (m message) arrival(cfg *Config) float64 {
 	return m.sendTime + cfg.Latency + float64(len(m.data))*cfg.PerWord + m.delay
 }
 
-// engine is the execution backend behind the Machine API. All cost
-// accounting, statistics, tracing and fault injection live in the
-// shared Proc methods; an engine only moves messages, schedules node
-// programs, and parks/wakes receivers.
+// engine is what runs behind the Machine API. All cost accounting,
+// statistics, tracing and fault injection live in the Proc methods; an
+// engine only moves messages, schedules node programs, and parks/wakes
+// receivers. Production code has one, the discrete-event core; the
+// interface is kept because the tests substitute their oracle through
+// it.
 type engine interface {
 	// start launches processor pid's node program (Machine.Go).
 	start(pid int, fn func(*Proc))
@@ -210,21 +141,17 @@ type engine interface {
 	wait()
 	// deliver enqueues one message on the src→dst link, reporting false
 	// when the link is full (the shared caller turns that into a
-	// *CongestionError). After a true return the sender may reuse its
-	// slice on an engine that copied it; on one that aliases it the
-	// slice belongs to the receiver.
+	// *CongestionError). After a true return msg.data is the sender's
+	// again: the engine has taken its copy or its reference.
 	deliver(src, dst int, msg message) bool
 	// receive blocks processor p until a message from from is
-	// available, registering it with the watchdog accounting via
-	// p.block/p.unblock and unwinding it via p.abortNow when the run is
-	// aborted. The returned payload is machine-owned: it stays valid
-	// until p's next Recv.
+	// available, registering it as blocked via p.block/p.unblock (the
+	// deadlock report reads the registrations) and unwinding it via
+	// p.abortNow when the run is aborted. The returned payload is
+	// machine-owned: it stays valid until p's next Recv.
 	receive(p *Proc, from int) message
 	// scratch returns an n-word staging buffer for processor pid to
-	// build an outgoing payload in. The DES engine reuses one buffer
-	// per processor (a send from it copies the payload before it
-	// returns); the goroutine engine must allocate fresh because
-	// channels alias the slice to the receiver.
+	// build an outgoing payload in, valid until pid's next scratch.
 	scratch(pid, n int) []float64
 }
 
@@ -248,18 +175,13 @@ type Machine struct {
 	abortOrigin int
 	abortCause  error
 
-	// watchdog state: per-processor blocked registrations and a global
-	// progress counter bumped on every completed channel operation
-	mu           sync.Mutex
-	running      int // node programs launched and not yet finished
-	blockedCount int
-	blocked      []blockInfo
-	procErrs     []error
-	progress     atomic.Uint64
-	watchOnce    sync.Once
-	stopOnce     sync.Once
-	watchStop    chan struct{}
-	watchDone    chan struct{}
+	// per-processor blocked registrations and exit errors. mu orders the
+	// processors' writes with the deadlock report, which the wall-clock
+	// deadline builds from its timer's goroutine.
+	mu       sync.Mutex
+	running  int // node programs launched and not yet finished
+	blocked  []blockInfo
+	procErrs []error
 }
 
 // New builds a machine.
@@ -267,34 +189,21 @@ func New(cfg Config) *Machine {
 	if cfg.P < 1 {
 		panic("machine: P must be >= 1")
 	}
-	be := cfg.Backend
-	if ov := backendOverride(); be == BackendDES && ov != nil {
-		be = *ov
-	}
 	depth := cfg.LinkDepth
 	if depth <= 0 {
 		depth = DefaultLinkDepth
 	}
 	m := &Machine{cfg: cfg,
-		depth:     depth,
-		done:      make(chan struct{}),
-		watchStop: make(chan struct{}),
-		watchDone: make(chan struct{}),
-		blocked:   make([]blockInfo, cfg.P),
-		procErrs:  make([]error, cfg.P),
+		depth:    depth,
+		done:     make(chan struct{}),
+		blocked:  make([]blockInfo, cfg.P),
+		procErrs: make([]error, cfg.P),
 	}
 	m.procs = make([]*Proc, cfg.P)
 	for p := 0; p < cfg.P; p++ {
 		m.procs[p] = &Proc{m: m, id: p, pairs: make([]PairStats, cfg.P), skew: 1}
 	}
-	switch be {
-	case BackendDES:
-		m.eng = newDESEngine(m)
-	case BackendGoroutine:
-		m.eng = newChanEngine(m, depth)
-	default:
-		panic(fmt.Sprintf("machine: unknown backend %v", cfg.Backend))
-	}
+	m.eng = newDESEngine(m)
 	return m
 }
 
@@ -412,7 +321,8 @@ type Proc struct {
 	// trace attribution context, set by the interpreter before each
 	// communication statement: the owning procedure, source line and
 	// operation kind. Written only by this processor's goroutine; the
-	// watchdog reads a copy taken under the machine lock (blockInfo).
+	// deadlock report reads a copy taken under the machine lock
+	// (blockInfo).
 	ctxProc string
 	ctxLine int
 	ctxOp   string
@@ -485,10 +395,8 @@ func (p *Proc) Tick(cost float64) {
 // Scratch returns an n-word staging buffer for building an outgoing
 // payload (Send/Broadcast argument). The buffer's contents are only
 // guaranteed until the processor's next Scratch call, so build one
-// payload at a time. On the DES backend this is a per-processor reused
-// buffer (no allocation in steady state); on the goroutine backend it
-// is a fresh allocation, because channel delivery aliases the slice to
-// the receiver.
+// payload at a time: it is one reused buffer per processor, so staging
+// allocates nothing in steady state.
 func (p *Proc) Scratch(n int) []float64 {
 	return p.m.eng.scratch(p.id, n)
 }
@@ -497,11 +405,10 @@ func (p *Proc) Scratch(n int) []float64 {
 // message startup; delivery time is carried on the message. Send never
 // blocks: a full link fails the run with a *CongestionError naming the
 // congested pair, and an aborted run unwinds the sender with an
-// *AbortError. On the DES backend the caller's slice is its own again
-// when Send returns (the machine took the payload's one copy, or, for a
-// payload the caller has just received and is passing on, a reference
-// to the buffer it already owns); on the goroutine backend the receiver
-// aliases it — build payloads with Scratch and neither case can bite.
+// *AbortError. The caller's slice is its own again when Send returns:
+// the machine took the payload's one copy, or, for a payload the caller
+// has just received and is passing on, a reference to the buffer it
+// already owns.
 func (p *Proc) Send(to int, data []float64) { p.send(to, data, false) }
 
 // send is Send; again marks data as the payload of this processor's
@@ -546,7 +453,6 @@ func (p *Proc) send(to int, data []float64, again bool) {
 // deliver enqueues one message, failing the run on a full link.
 func (p *Proc) deliver(to int, msg message) {
 	if p.m.eng.deliver(p.id, to, msg) {
-		p.m.progress.Add(1)
 		return
 	}
 	err := &CongestionError{
@@ -566,8 +472,8 @@ func (p *Proc) deliver(to int, msg message) {
 //
 // The returned slice is machine-owned and read-only (other processors
 // may be reading the same buffer), and stays valid until this
-// processor's next Recv, when the DES backend gives up its reference to
-// the buffer; copy out anything needed longer.
+// processor's next Recv, which gives up its reference to the buffer;
+// copy out anything needed longer.
 func (p *Proc) Recv(from int) []float64 {
 	if from == p.id {
 		return nil
@@ -579,8 +485,8 @@ func (p *Proc) Recv(from int) []float64 {
 // WaitHandle (KindWait): engine receive with duplicate-drop, arrival
 // accounting against the single message.arrival definition, and one
 // trace event of the given kind. Keeping blocking and split-phase
-// receives on one code path is what makes their clocks — and therefore
-// the two backends' trace exports — identical by construction.
+// receives on one code path is what makes their clocks identical by
+// construction.
 func (p *Proc) recvAs(from int, kind trace.Kind) []float64 {
 	for {
 		msg := p.m.eng.receive(p, from)

@@ -7,12 +7,11 @@ import "fortd/internal/trace"
 // (message.arrival), so posting a receive early cannot change when the
 // data arrives — it changes what the receiver does in the meantime.
 // IRecv therefore records intent only and WaitHandle performs the
-// receive and all accounting, which makes the DES and goroutine
-// backends identical by construction: nothing observable happens
-// between post and wait. A wait that stalls emits a KindWait trace
-// event whose Dur is exactly the flight time the schedule failed to
-// hide under computation; a wait that finds the data already delivered
-// costs nothing.
+// receive and all accounting: nothing observable happens between post
+// and wait. A wait that stalls emits a KindWait trace event whose Dur
+// is exactly the flight time the schedule failed to hide under
+// computation; a wait that finds the data already delivered costs
+// nothing.
 
 // handleKind classifies what a Handle is waiting for.
 type handleKind uint8

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// The DES engine's payload ownership rule (backend_des.go): one copy at
-// the originating send, references from there on, the last release
-// returns the buffer to the pool.
+// The engine's payload ownership rule (des.go): one copy at the
+// originating send, references from there on, the last release returns
+// the buffer to the pool.
 
 // auditPayloads recounts every reference the engine can still reach —
 // one per ring entry, one per processor's held payload — and requires
@@ -83,7 +83,6 @@ func checkPattern(t testing.TB, pid, round int, got []float64, words int) {
 // and nothing here blocks a non-root, so every child reads its payload
 // after its parent has done all of that.
 func TestForwardedPayloadOutlivesItsForwarder(t *testing.T) {
-	skipIfNotDES(t)
 	const np, words = 16, 32
 	m := New(Config{P: np, Latency: 70, PerWord: 0.4, FlopCost: 0.1})
 	var moved [np]bool // the processor has received twice since it forwarded
@@ -171,7 +170,6 @@ func bcastRounds(t testing.TB, m *Machine, rounds, words, roots int) {
 // received and every processor's last receive carried no payload, no
 // reference is left anywhere and the pool holds every buffer it made.
 func TestPayloadsAllReturnToThePool(t *testing.T) {
-	skipIfNotDES(t)
 	m := New(DefaultConfig(16))
 	bcastRounds(t, m, 40, 24, 16)
 	if live := auditPayloads(t, m); live != 0 {
@@ -185,7 +183,6 @@ func TestPayloadsAllReturnToThePool(t *testing.T) {
 // the ring when the run ends. Neither leaks nor frees twice, and the
 // payloads arrive intact.
 func TestDuplicateOfForwardedPayload(t *testing.T) {
-	skipIfNotDES(t)
 	m := New(DefaultConfig(16))
 	m.SetFaultPlan(&FaultPlan{Seed: 3, DupProb: 1, MaxDups: 1 << 20})
 	bcastRounds(t, m, 40, 24, 16)
@@ -206,7 +203,6 @@ func TestDuplicateOfForwardedPayload(t *testing.T) {
 // three rounds in flight keep alive (a copy per message would need
 // dozens).
 func TestBcastRoundDrawsOneBuffer(t *testing.T) {
-	skipIfNotDES(t)
 	const np, words = 64, 128
 	made := 0
 	run := func(rounds int) func() {
@@ -230,7 +226,6 @@ func TestBcastRoundDrawsOneBuffer(t *testing.T) {
 // 128-word payload down the P=64 tree: 63 messages, 57 of them
 // forwards, one copy.
 func BenchmarkMachineBcastForward(b *testing.B) {
-	skipIfNotDES(b)
 	b.ReportAllocs()
 	m := New(DefaultConfig(64))
 	b.ResetTimer()

@@ -10,8 +10,8 @@
 // Profiles obey three contracts:
 //
 //   - Determinism: serialization is canonical — equal runs produce
-//     byte-identical artifacts, on either machine backend, so profiles
-//     can be diffed with plain tools and deduplicated by content hash.
+//     byte-identical artifacts, so profiles can be diffed with plain
+//     tools and deduplicated by content hash.
 //   - Algebra: Merge folds any number of profiles into one, weighted
 //     by run count, independent of argument order; merging with an
 //     empty profile is the identity.
@@ -57,9 +57,9 @@ type Meta struct {
 	Workload string `json:"workload"`
 	// P is the simulated processor count.
 	P int `json:"p"`
-	// Backend names the machine engine that executed the run ("des" or
-	// "goroutine"). Both engines are observationally identical, so two
-	// profiles of one seeded run may differ only in this label.
+	// Backend names the machine engine that executed the run. There is
+	// one, "des"; the field stays because dropping it would change the
+	// bytes and content ids of schema-v1 artifacts.
 	Backend string `json:"backend"`
 	// FaultSeed is the fault-injection seed (0: no fault plan).
 	FaultSeed int64 `json:"fault_seed"`

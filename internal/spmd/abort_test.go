@@ -46,7 +46,7 @@ func TestRunJoinsAllErrors(t *testing.T) {
 
 // TestMismatchedRecvDeadlock: two processors each receiving from the
 // other with nobody sending is reported as a structured deadlock with
-// source attribution, within the watchdog's detection window.
+// source attribution.
 func TestMismatchedRecvDeadlock(t *testing.T) {
 	prog := parseProg(t, `
       PROGRAM MISMATCH
@@ -66,7 +66,7 @@ func TestMismatchedRecvDeadlock(t *testing.T) {
 		t.Fatalf("Run = %v, want *DeadlockError", err)
 	}
 	if dl.Deadline || dl.Live != 2 || len(dl.Blocked) != 2 {
-		t.Fatalf("report = %+v, want watchdog detection with 2 blocked", dl)
+		t.Fatalf("report = %+v, want deadlock detection with 2 blocked", dl)
 	}
 	for i, want := range []struct {
 		pid, peer int
@@ -85,27 +85,35 @@ func TestMismatchedRecvDeadlock(t *testing.T) {
 	}
 }
 
-// TestDeadlineOption: Options.Deadline bounds a run that makes no
-// progress, reporting deadline expiry.
+// TestDeadlineOption: a run that never deadlocks and never ends is
+// bounded by the deadline. p0 waits on a receive p1 never sends while
+// p1 spins in a long DO; p1 is runnable throughout, so the expiry
+// report, not a deadlock report, names p0 blocked at its line. (The
+// roles are this way round because the engine runs one node program at
+// a time, in pid order until each first blocks: a spinning p0 would
+// keep p1 from ever reaching its receive.)
 func TestDeadlineOption(t *testing.T) {
 	prog := parseProg(t, `
       PROGRAM SPIN
       REAL a(4)
       my$p = myproc()
+      if (my$p .EQ. 0) then
+        recv a(1:4) from 1
+      endif
       if (my$p .EQ. 1) then
-        recv a(1:4) from 0
+        do i = 1, 2000000000
+        enddo
       endif
       END
 `)
-	// p1 waits on a send p0 never issues. NoWatchdog disables all-blocked
-	// detection so the test exercises the deadline path specifically.
-	cfg := machine.DefaultConfig(2)
-	cfg.NoWatchdog = true
-	cfg.Deadline = 50 * time.Millisecond
-	_, err := Run(prog, cfg, Options{})
+	_, err := Run(prog, machine.DefaultConfig(2), Options{Deadline: 50 * time.Millisecond})
 	var dl *machine.DeadlockError
 	if !errors.As(err, &dl) || !dl.Deadline {
 		t.Fatalf("Run = %v, want deadline *DeadlockError", err)
+	}
+	if len(dl.Blocked) != 1 || dl.Blocked[0].PID != 0 || dl.Blocked[0].Peer != 1 ||
+		dl.Blocked[0].Proc != "SPIN" || dl.Blocked[0].Line != 6 {
+		t.Errorf("blocked = %+v, want p0 receiving from p1 at SPIN:6", dl.Blocked)
 	}
 }
 

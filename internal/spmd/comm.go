@@ -228,9 +228,8 @@ func (c *commSite) send(fr *frame) error {
 	if dest < 0 || dest >= nd.pl.nproc || dest == nd.p || bx.elems == 0 {
 		return nil
 	}
-	// stage the payload in the machine's scratch buffer: on the DES
-	// backend this is a reused per-processor buffer, so generated sends
-	// allocate nothing
+	// stage the payload in the machine's scratch buffer, one reused
+	// buffer per processor, so generated sends allocate nothing
 	sec := bx.section()
 	data := nd.proc.Scratch(sec.elems)
 	sec.pack(data, arr.Data)

@@ -83,7 +83,7 @@ type treePosted struct {
 // setTraceCtx attributes the communication the statement is about to
 // generate to its owning procedure and source line. The context is
 // recorded unconditionally (it is three field writes): trace events
-// and the deadlock watchdog's per-processor report both read it.
+// and the deadlock report's per-processor lines both read it.
 func (it *treeInterp) setTraceCtx(f *treeFrame, s ast.Stmt, op string) {
 	it.proc.SetContext(f.unit.Name, s.Pos().Line, op)
 }
@@ -669,9 +669,8 @@ func (it *treeInterp) execSend(f *treeFrame, st *ast.Send) error {
 	if len(offs) == 0 {
 		return nil
 	}
-	// stage the payload in the machine's scratch buffer: on the DES
-	// backend this is a reused per-processor buffer, so generated sends
-	// allocate nothing
+	// stage the payload in the machine's scratch buffer, one reused
+	// buffer per processor, so generated sends allocate nothing
 	data := it.proc.Scratch(len(offs))
 	for i, o := range offs {
 		data[i] = arr.Data[o]

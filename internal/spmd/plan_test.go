@@ -3,7 +3,6 @@ package spmd
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -260,18 +259,14 @@ func TestComputeOnlyLoopObservesDeadline(t *testing.T) {
       enddo
       END
 `)
-	for _, be := range []machine.Backend{machine.BackendDES, machine.BackendGoroutine} {
-		cfg := machine.DefaultConfig(1)
-		cfg.Backend = be
-		start := time.Now()
-		_, err := Run(prog, cfg, Options{Deadline: 200 * time.Millisecond})
-		var dl *machine.DeadlockError
-		if !errors.As(err, &dl) || !dl.Deadline {
-			t.Errorf("%v: Run = %v, want deadline *DeadlockError", be, err)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("%v: returned after %v, want under 2s", be, d)
-		}
+	start := time.Now()
+	_, err := Run(prog, machine.DefaultConfig(1), Options{Deadline: 200 * time.Millisecond})
+	var dl *machine.DeadlockError
+	if !errors.As(err, &dl) || !dl.Deadline {
+		t.Errorf("Run = %v, want deadline *DeadlockError", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("returned after %v, want under 2s", d)
 	}
 }
 
@@ -420,12 +415,6 @@ func TestCursorLoops(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Steady-state allocation and microbenchmarks
 
-func skipIfNotDES(tb testing.TB) {
-	if b, err := machine.ParseBackend(os.Getenv("FORTD_MACHINE_BACKEND")); err != nil || b != machine.BackendDES {
-		tb.Skip("FORTD_MACHINE_BACKEND forces a non-DES backend: Scratch allocates there")
-	}
-}
-
 // onWarmNode lowers src, builds processor 0's main frame on a
 // one-processor machine, executes the main body once to warm the frame
 // free list, the posted-op pool and the machine's scratch buffer, and
@@ -525,7 +514,6 @@ const (
 // broadcast/postbcast/waitbcast pair (section walked into scratch,
 // pooled posted op) allocate nothing.
 func TestExecSteadyStateAllocationFree(t *testing.T) {
-	skipIfNotDES(t)
 	for _, k := range []struct{ name, src string }{
 		{"expr", exprKernel}, {"loop", loopKernel}, {"call", callKernel}, {"reduce", reduceKernel}, {"bcast", bcastKernel},
 	} {
@@ -542,7 +530,6 @@ func TestExecSteadyStateAllocationFree(t *testing.T) {
 // depend on how many times its loop of sends, receives, broadcasts and
 // calls executes.
 func TestRunAllocationIndependentOfIterations(t *testing.T) {
-	skipIfNotDES(t)
 	allocs := func(iters int) float64 {
 		prog := parseProg(t, fmt.Sprintf(`
       PROGRAM P
@@ -586,7 +573,6 @@ func TestRunAllocationIndependentOfIterations(t *testing.T) {
 }
 
 func benchKernel(b *testing.B, src string) {
-	skipIfNotDES(b)
 	b.ReportAllocs()
 	onWarmNode(b, src, func(body func()) {
 		b.ResetTimer()

@@ -1,9 +1,8 @@
 // Package spmd executes generated SPMD node programs on the simulated
 // MIMD machine: every processor runs the same program text as one node
-// program of the machine (a coroutine of the discrete-event engine, or
-// a goroutine of the reference engine), with my$p = myproc() selecting
-// its behavior, exactly as the compiler's output would run on the nodes
-// of a distributed-memory machine. The program is lowered once per run
+// program of the machine, with my$p = myproc() selecting its behavior,
+// exactly as the compiler's output would run on the nodes of a
+// distributed-memory machine. The program is lowered once per run
 // to an execution plan — identifiers resolved to frame slots,
 // statements and expressions compiled to Go closures, flop counts fixed
 // statically — that all processors share read-only (lower.go, expr.go,
@@ -78,8 +77,8 @@ type Options struct {
 	// (nil: none). Validated before the run starts.
 	Faults *machine.FaultPlan
 	// Deadline bounds the run's wall-clock time (0: none). Deadlocked
-	// schedules are detected and reported by the machine's watchdog
-	// even without a deadline.
+	// schedules are detected and reported by the machine even without
+	// a deadline.
 	Deadline time.Duration
 }
 
@@ -94,9 +93,9 @@ type RunResult struct {
 // Run executes the program on p processors under the given machine
 // configuration. A failing run cannot hang: when any processor's node
 // program errors, every peer is unblocked with a machine.AbortError,
-// and a mismatched communication schedule is detected by the machine's
-// watchdog and returned as a machine.DeadlockError report. All
-// per-processor errors are joined, so no failure is dropped.
+// and a mismatched communication schedule is detected by the machine
+// and returned as a machine.DeadlockError report. All per-processor
+// errors are joined, so no failure is dropped.
 func Run(prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error) {
 	return RunContext(context.Background(), prog, cfg, opts)
 }
@@ -104,7 +103,7 @@ func Run(prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error
 // RunContext is Run under a cancellation context: when ctx is cancelled
 // mid-run the machine's cooperative abort unblocks every processor and
 // the run returns ctx.Err(). The machine's own failure modes (deadlock
-// watchdog, wall-clock deadline, congestion) are unchanged.
+// detection, wall-clock deadline, congestion) are unchanged.
 func RunContext(ctx context.Context, prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error) {
 	if prog.Main() == nil {
 		return nil, errors.New("spmd: program has no main unit")
@@ -212,7 +211,8 @@ func (e *InitError) Error() string {
 // joinRunErrors combines a run's failures into one error: each
 // processor's own (executor-level) error as a *NodeError, each
 // aborted peer's AbortError, and the machine-level cause. A pure
-// deadlock — no node program erred, the watchdog fired — returns the
+// deadlock — no node program erred, the machine found every processor
+// blocked — returns the
 // structured DeadlockError report itself rather than P redundant
 // AbortError symptoms.
 func joinRunErrors(m *machine.Machine, errs []error, waitErr error) error {

@@ -153,9 +153,9 @@ const timelineBins = 64
 // It returns nil when the events contain no simulator activity (e.g. a
 // compile-only trace).
 func Analyze(events []trace.Event) *Analysis {
-	// fold in the exporters' canonical order, not in append order: the
-	// goroutine engine appends in scheduling order, and a float sum
-	// taken in a different order differs in its last bit. The sort is in
+	// fold in the exporters' canonical order, not in append order: that
+	// is the machine's scheduling order, and a float sum taken in a
+	// different order differs in its last bit. The sort is in
 	// place (callers hand over a Tracer.Events copy) to spare a second
 	// copy of a trace that can run to hundreds of thousands of events.
 	trace.SortEvents(events)

@@ -9,13 +9,11 @@ import (
 
 // SortEvents orders events deterministically by (Start, Seq, PID) with
 // further structural tie-breaks, in place. Events are appended to a
-// tracer in goroutine-scheduling order, which varies run to run even
-// when the virtual-time content does not; every exporter sorts a copy
-// first so two traces of the same deterministic run render
-// byte-identically. This is also what makes exports machine-backend
-// invariant: the discrete-event and goroutine engines emit the same
-// event multiset in different append orders, and the sort erases the
-// difference (TestBackendDifferential holds them byte-identical).
+// tracer in the order its emitters happened to run — the machine's
+// scheduler, the parallel compile pipeline's workers — which is not
+// part of a run's meaning; every exporter sorts a copy first, so a run
+// renders as a function of its event multiset alone and two traces of
+// the same deterministic run are byte-identical.
 func SortEvents(events []Event) {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := events[i], events[j]

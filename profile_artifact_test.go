@@ -13,12 +13,10 @@ import (
 	"fortd/internal/profile"
 )
 
-// seededJacobiProfile compiles the 16×16 Jacobi workload, runs it on
-// the given backend under a seeded fault plan, and distills the trace
-// into the profile artifact. The Backend meta label is pinned to a
-// neutral value so artifacts from different engines can be compared
-// byte for byte.
-func seededJacobiProfile(t *testing.T, backend Backend) *profile.Profile {
+// seededJacobiProfile compiles the 16×16 Jacobi workload, runs it under
+// a seeded fault plan, and distills the trace into the profile
+// artifact.
+func seededJacobiProfile(t *testing.T) *profile.Profile {
 	t.Helper()
 	src := Jacobi2DSrc(16, 3, 4)
 	prog, err := Compile(src, DefaultOptions())
@@ -29,7 +27,7 @@ func seededJacobiProfile(t *testing.T, backend Backend) *profile.Profile {
 	fp := &FaultPlan{Seed: 7, DelayProb: 0.25, DelayMax: 8}
 	_, err = NewRunner(
 		WithInit(map[string][]float64{"a": Ramp(16 * 16)}),
-		WithBackend(backend), WithTrace(tr), WithFaults(fp),
+		WithTrace(tr), WithFaults(fp),
 	).Run(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +36,7 @@ func seededJacobiProfile(t *testing.T, backend Backend) *profile.Profile {
 		ProgramHash: ProgramID(src, DefaultOptions()),
 		Workload:    "jacobi",
 		P:           prog.P(),
-		Backend:     "any", // normalized: the engines must agree on everything else
+		Backend:     "des",
 		FaultSeed:   fp.Seed,
 	})
 	if pf == nil {
@@ -47,38 +45,32 @@ func seededJacobiProfile(t *testing.T, backend Backend) *profile.Profile {
 	return pf
 }
 
-// TestProfileByteIdenticalAcrossBackends pins the artifact's
-// determinism contract: equal seeded runs serialize to byte-identical
-// profiles — run-to-run on one engine, and across the DES and
-// goroutine backends (which are trace-equivalent, so once the Backend
-// label is normalized nothing may differ).
-func TestProfileByteIdenticalAcrossBackends(t *testing.T) {
-	marshal := func(p *profile.Profile) []byte {
-		data, err := p.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	des := marshal(seededJacobiProfile(t, BackendDES))
-	desAgain := marshal(seededJacobiProfile(t, BackendDES))
-	ref := marshal(seededJacobiProfile(t, BackendGoroutine))
-	if !bytes.Equal(des, desAgain) {
-		t.Error("two equal seeded DES runs serialized differently")
-	}
-	if !bytes.Equal(des, ref) {
-		t.Errorf("profiles differ across backends:\n--- des ---\n%s\n--- goroutine ---\n%s", des, ref)
-	}
-	a, err := seededJacobiProfile(t, BackendDES).ID()
+// TestProfileByteIdenticalAcrossRuns pins the artifact's determinism
+// contract: equal seeded runs serialize to byte-identical profiles with
+// one content id.
+func TestProfileByteIdenticalAcrossRuns(t *testing.T) {
+	first, again := seededJacobiProfile(t), seededJacobiProfile(t)
+	a, err := first.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := seededJacobiProfile(t, BackendGoroutine).ID()
+	b, err := again.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Errorf("content ids differ across backends: %s vs %s", a, b)
+	if !bytes.Equal(a, b) {
+		t.Errorf("two equal seeded runs serialized differently:\n--- first ---\n%s\n--- again ---\n%s", a, b)
+	}
+	ida, err := first.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idb, err := again.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ida != idb {
+		t.Errorf("content ids differ across runs: %s vs %s", ida, idb)
 	}
 }
 

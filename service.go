@@ -135,7 +135,7 @@ type ServiceConfig struct {
 	// profile corpus. Empty keeps profiles in memory only.
 	ProfileDir string
 	// RunDeadline bounds each simulated run's wall-clock time (0:
-	// none); the machine's deadlock watchdog runs regardless.
+	// none); the machine detects a true deadlock regardless.
 	RunDeadline time.Duration
 	// MaxPrograms bounds the compiled-program table serving run-by-id
 	// and /report/{id}; the least recently used entry is evicted (0:
@@ -756,7 +756,7 @@ func (s *Service) runLocked(ctx context.Context, req RunRequest) (*RunOutcome, e
 			ProgramHash: id,
 			Workload:    req.Workload,
 			P:           prog.P(),
-			Backend:     DefaultMachine(prog.P()).Backend.String(),
+			Backend:     "des",
 		})
 		if pf != nil {
 			pid, err := s.profiles.Put(pf)

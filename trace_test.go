@@ -269,40 +269,3 @@ func TestRunSPMDBadDistribute(t *testing.T) {
 		t.Errorf("RunSPMD = %v, want non-constant bounds error", err)
 	}
 }
-
-// TestRunnerMatchesLegacyRun checks that the functional-options Runner
-// and the legacy RunOptions wrappers produce identical results.
-func TestRunnerMatchesLegacyRun(t *testing.T) {
-	prog, err := Compile(Fig1Src(100, 4), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := map[string][]float64{"X": Ramp(100)}
-	legacy, err := prog.Run(RunOptions{Init: init})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRunner, err := NewRunner(WithInit(init)).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stats.String() != viaRunner.Stats.String() {
-		t.Errorf("runner stats %v != legacy stats %v", viaRunner.Stats, legacy.Stats)
-	}
-	for name, want := range legacy.Arrays {
-		got := viaRunner.Arrays[name]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s[%d] = %v, want %v", name, i, got[i], want[i])
-			}
-		}
-	}
-	// a reused Runner gives the same answer again
-	again, err := NewRunner(WithInit(init)).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Stats.Time != viaRunner.Stats.Time || again.Stats.Words != viaRunner.Stats.Words {
-		t.Errorf("rerun stats differ: %v vs %v", again.Stats, viaRunner.Stats)
-	}
-}
