@@ -3,6 +3,9 @@ package fortd
 import (
 	"fmt"
 	"testing"
+
+	"fortd/internal/profile"
+	"fortd/internal/trace"
 )
 
 // The benchmark harness regenerates every measurable table/figure of
@@ -351,6 +354,43 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// dgefaP1024Events runs the paper's §9 case study (n=128) on 1024
+// processors traced and returns the events in the order the machine
+// appended them: 520 708 of them, the trace behind bench/'s
+// dgefa_p1024 profile.distill_s.
+func dgefaP1024Events(tb testing.TB) []trace.Event {
+	tb.Helper()
+	prog, err := Compile(DgefaSrc(128, 1024), DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := NewTrace()
+	if _, err := NewRunner(WithInit(map[string][]float64{"a": DgefaMatrix(128)}), WithTrace(tr)).Run(prog); err != nil {
+		tb.Fatal(err)
+	}
+	return tr.Events()
+}
+
+// BenchmarkDistill measures the run distillation a profiled run pays
+// on top of the run: one traced dgefa_p1024 event stream to the profile
+// artifact. Each iteration distills a fresh copy in append order (the
+// distillation sorts in place), copied off the clock.
+func BenchmarkDistill(b *testing.B) {
+	events := dgefaP1024Events(b)
+	work := make([]trace.Event, len(events))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(work, events)
+		b.StartTimer()
+		if profile.FromEvents(work, profile.Meta{Workload: "dgefa_p1024", P: 1024}) == nil {
+			b.Fatal("no profile")
+		}
+	}
+	b.ReportMetric(float64(len(events)), "events")
 }
 
 // --- Optimization remarks -------------------------------------------------------
