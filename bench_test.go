@@ -2,6 +2,7 @@ package fortd
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"fortd/internal/profile"
@@ -391,6 +392,29 @@ func BenchmarkDistill(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(events)), "events")
+}
+
+// TestDistillAllocBudget fails when distilling that trace allocates more
+// than the budget. Before PR 16 the three nested summaries allocated
+// 503.6 MB here — two sorted copies of the events, three P×P matrices
+// and a timeline nobody on the profile path read — and nothing would
+// have noticed them coming back. The budget is the bytes measured when
+// it was last set plus 20 %; lower it when a change lowers them.
+func TestDistillAllocBudget(t *testing.T) {
+	const budget = 32_400_000 // 27 008 440 measured at PR 16 + 20 %
+	events := dgefaP1024Events(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pf := profile.FromEvents(events, profile.Meta{Workload: "dgefa_p1024", P: 1024})
+	runtime.ReadMemStats(&after)
+	if pf == nil {
+		t.Fatal("no profile")
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d events distilled in %d bytes (budget %d)", len(events), got, budget)
+	if got > budget {
+		t.Errorf("distillation allocates %d bytes, budget %d", got, budget)
+	}
 }
 
 // --- Optimization remarks -------------------------------------------------------

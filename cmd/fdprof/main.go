@@ -146,15 +146,19 @@ func runMerge(args []string, stdout, stderr io.Writer) int {
 	if m == nil {
 		return fail(stderr, fmt.Errorf("nothing to merge"))
 	}
-	if *out == "" {
-		if err := m.Encode(stdout); err != nil {
-			return fail(stderr, err)
-		}
-	} else if err := profile.WriteFile(*out, m); err != nil {
+	buf, err := m.Marshal()
+	if err != nil {
 		return fail(stderr, err)
 	}
-	id, _ := m.ID()
-	fmt.Fprintf(stderr, "merged %d profile(s), %d runs (id %.12s)\n", len(profiles), m.Runs, id)
+	if *out == "" {
+		_, err = stdout.Write(buf)
+	} else {
+		err = os.WriteFile(*out, buf, 0644)
+	}
+	if err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintf(stderr, "merged %d profile(s), %d runs (id %.12s)\n", len(profiles), m.Runs, profile.ContentID(buf))
 	return 0
 }
 

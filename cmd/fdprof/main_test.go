@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fortd/internal/profile"
+	"fortd/internal/trace"
 )
 
 // fixture builds a small two-site artifact; scale inflates the SUB:7
@@ -17,27 +18,27 @@ func fixture(blockedScale float64) *profile.Profile {
 		Schema: profile.SchemaVersion,
 		Meta:   profile.Meta{ProgramHash: "deadbeef", Workload: "fix.f", P: 2, Backend: "des"},
 		Runs:   1,
-		Total: profile.Totals{
+		Total: trace.Totals{
 			Time: 100, Msgs: 3, Words: 48,
 			Clock: 200, Compute: 150, Send: 20, Blocked: 30 * blockedScale,
 			CriticalPath: 110,
 		},
-		Procs: []profile.ProcRow{
+		Procs: []trace.ProcRow{
 			{PID: 0, Clock: 100, Compute: 80, Send: 20, Blocked: 0},
 			{PID: 1, Clock: 100, Compute: 70, Send: 0, Blocked: 30 * blockedScale},
 		},
-		Sites: []profile.SiteRow{
-			{Proc: "MAIN", Line: 3, PID: -1, Op: "send", Msgs: 2, Words: 32, Send: 20, CPShare: 0.2},
-			{Proc: "SUB", Line: 7, PID: -1, Op: "recv", Msgs: 1, Words: 16, Blocked: 30 * blockedScale, CPShare: 0.3},
+		Sites: []trace.SiteRow{
+			{SiteKey: trace.SiteKey{Proc: "MAIN", Line: 3, PID: -1, Op: "send"}, Msgs: 2, Words: 32, Send: 20, CPShare: 0.2},
+			{SiteKey: trace.SiteKey{Proc: "SUB", Line: 7, PID: -1, Op: "recv"}, Msgs: 1, Words: 16, Blocked: 30 * blockedScale, CPShare: 0.3},
 		},
-		Histogram: []profile.Bucket{{Lo: 1, Hi: 64, Msgs: 3, Words: 48}},
+		Histogram: []trace.Bucket{{Lo: 1, Hi: 64, Msgs: 3, Words: 48}},
 	}
 }
 
 func writeFixture(t *testing.T, name string, p *profile.Profile) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	if err := profile.WriteFile(path, p); err != nil {
+	if _, err := profile.WriteFile(path, p); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -77,13 +78,34 @@ func TestDiffExitCodes(t *testing.T) {
 	if code := run([]string{"diff", "-blocked", "0.60", base, worse}, &out, &errb); code != 0 {
 		t.Errorf("diff with 60%% threshold = %d, want 0\n%s", code, out.String())
 	}
+
+	// an artifact claiming no runs is refused before any per-run column
+	// divides by it: exit 1, the error on stderr, no table
+	raw, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norun := filepath.Join(t.TempDir(), "norun.json")
+	if err := os.WriteFile(norun, bytes.Replace(raw, []byte(`"runs": 1`), []byte(`"runs": 0`), 1), 0644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"diff", norun, base}, {"diff", base, norun}} {
+		out.Reset()
+		errb.Reset()
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("%v = %d, want 1", args, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errb.String(), `"runs" is 0`) {
+			t.Errorf("%v: stdout %q, stderr %q; want no table and the runs error", args, out.String(), errb.String())
+		}
+	}
 }
 
 func TestMerge(t *testing.T) {
 	dir := t.TempDir()
 	for i, name := range []string{"a.json", "b.json"} {
 		p := fixture(float64(i + 1))
-		if err := profile.WriteFile(filepath.Join(dir, name), p); err != nil {
+		if _, err := profile.WriteFile(filepath.Join(dir, name), p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -208,11 +208,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fdrun: profile: trace carried no machine activity")
 			os.Exit(1)
 		}
-		if err := profile.WriteFile(*profileOut, pf); err != nil {
+		id, err := profile.WriteFile(*profileOut, pf)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun: profile:", err)
 			os.Exit(1)
 		}
-		id, _ := pf.ID()
 		fmt.Printf("profile: wrote %s (id %.12s, blocked-share %.3f)\n", *profileOut, id, pf.BlockedShare())
 	}
 	if *traceOut != "" {

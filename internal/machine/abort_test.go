@@ -471,7 +471,7 @@ func TestZeroWordMessages(t *testing.T) {
 	if pair := s.Traffic[0][1]; pair.Msgs != 2 || pair.Words != 0 {
 		t.Errorf("Traffic[0][1] = %+v", pair)
 	}
-	if w := trace.MessageWords(tr.Events()); w != 0 {
+	if w := trace.Distill(tr.Events()).Total.Words; w != 0 {
 		t.Errorf("traced words = %d", w)
 	}
 }

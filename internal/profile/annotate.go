@@ -6,6 +6,9 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"fortd/internal/trace"
+	"fortd/internal/trace/analyze"
 )
 
 // WriteTop renders the n highest-cost sites as a fixed-width table,
@@ -25,12 +28,32 @@ func (p *Profile) WriteTop(w io.Writer, n int) error {
 		p.BlockedShare(), p.Imbalance())
 	fmt.Fprintf(w, "  %-22s %-10s %9s %11s %13s %14s %12s %7s\n",
 		"site", "op", "msgs/run", "words/run", "send(µs/run)", "blocked(µs/run)", "cost(µs/run)", "%crit")
-	for _, s := range p.Top(n) {
+	for _, s := range trace.ByCost(p.Sites, n) {
 		fmt.Fprintf(w, "  %-22s %-10s %9.0f %11.0f %13.1f %14.1f %12.1f %6.1f%%\n",
 			s.Site(), s.Op, float64(s.Msgs)/runs, float64(s.Words)/runs,
-			s.Send/runs, s.Blocked/runs, s.Cost()/runs, 100*s.CPShare)
+			s.Send/runs, s.Blocked/runs, s.Cost()/runs, s.CPSharePct())
 	}
 	return nil
+}
+
+// Table renders the artifact's headline figures as a table for the HTML
+// report, so the report shows the same numbers `fdrun -profile` and the
+// daemon store.
+func (p *Profile) Table() analyze.Table {
+	id, _ := p.ID()
+	return analyze.Table{
+		Title:  "Profile",
+		Header: []string{"profile id", "blocked share", "imbalance", "critical path (µs)", "msgs", "words"},
+		Rows: [][]string{{
+			short(id),
+			fmt.Sprintf("%.3f", p.BlockedShare()),
+			fmt.Sprintf("%.3f", p.Imbalance()),
+			fmt.Sprintf("%.1f", p.Total.CriticalPath),
+			fmt.Sprint(p.Total.Msgs),
+			fmt.Sprint(p.Total.Words),
+		}},
+		Note: "same artifact definition as `fdrun -profile` and the fdd profile store (internal/profile schema v1)",
+	}
 }
 
 // short abbreviates a content hash for headers.
@@ -52,8 +75,8 @@ func (p *Profile) WriteAnnotated(w io.Writer, src string) error {
 	if runs <= 0 {
 		runs = 1
 	}
-	byLine := map[int][]SiteRow{}
-	var header []SiteRow
+	byLine := map[int][]trace.SiteRow{}
+	var header []trace.SiteRow
 	for _, s := range p.Sites {
 		if s.Line <= 0 {
 			header = append(header, s)
@@ -66,7 +89,7 @@ func (p *Profile) WriteAnnotated(w io.Writer, src string) error {
 			if rows[i].Cost() != rows[j].Cost() {
 				return rows[i].Cost() > rows[j].Cost()
 			}
-			return siteKeyOf(rows[i]).less(siteKeyOf(rows[j]))
+			return rows[i].Less(rows[j].SiteKey)
 		})
 	}
 
@@ -81,7 +104,7 @@ func (p *Profile) WriteAnnotated(w io.Writer, src string) error {
 		for _, s := range byLine[i+1] {
 			fmt.Fprintf(bw, "      !prof %s %s: %.0f msgs  %.0f words  send %.1fµs  blocked %.1fµs  (%.1f%% crit)\n",
 				s.Proc, s.Op, float64(s.Msgs)/runs, float64(s.Words)/runs,
-				s.Send/runs, s.Blocked/runs, 100*s.CPShare)
+				s.Send/runs, s.Blocked/runs, s.CPSharePct())
 		}
 	}
 	return bw.Flush()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"fortd/internal/trace"
 )
 
 // Thresholds are the per-metric relative deltas beyond which a site's
@@ -41,16 +43,8 @@ type MetricDelta struct {
 
 // SiteDelta is one site's comparison between two profiles.
 type SiteDelta struct {
-	Proc    string        `json:"proc"`
-	Line    int           `json:"line"`
-	PID     int           `json:"pid"`
-	Op      string        `json:"op"`
+	trace.SiteKey
 	Metrics []MetricDelta `json:"metrics"`
-}
-
-// Site renders the delta's site label.
-func (d SiteDelta) Site() string {
-	return SiteRow{Proc: d.Proc, Line: d.Line, PID: d.PID, Op: d.Op}.Site()
 }
 
 // Regressed reports whether any metric regressed at this site.
@@ -68,12 +62,15 @@ func (d SiteDelta) Regressed() bool {
 type Comparison struct {
 	OldMeta Meta `json:"old_meta"`
 	NewMeta Meta `json:"new_meta"`
+	// OldRuns and NewRuns are the run counts the two profiles aggregate.
+	OldRuns int `json:"old_runs"`
+	NewRuns int `json:"new_runs"`
 	// Deltas holds sites present in both profiles with at least one
 	// classified metric; NewSites and GoneSites the sites only one
-	// profile has.
-	Deltas    []SiteDelta `json:"deltas"`
-	NewSites  []SiteRow   `json:"new_sites"`
-	GoneSites []SiteRow   `json:"gone_sites"`
+	// profile has, as that profile holds them: summed over its runs.
+	Deltas    []SiteDelta     `json:"deltas"`
+	NewSites  []trace.SiteRow `json:"new_sites"`
+	GoneSites []trace.SiteRow `json:"gone_sites"`
 	// BlockedShare compares the machine-wide blocked fraction.
 	BlockedShare MetricDelta `json:"blocked_share"`
 }
@@ -101,22 +98,22 @@ func (c *Comparison) Regressed() bool {
 // normalized to per-run means first, so profiles aggregating different
 // run counts compare fairly.
 func Diff(old, new *Profile, t Thresholds) *Comparison {
-	c := &Comparison{OldMeta: old.Meta, NewMeta: new.Meta}
-	oldSites := map[siteKey]SiteRow{}
+	c := &Comparison{OldMeta: old.Meta, NewMeta: new.Meta, OldRuns: old.Runs, NewRuns: new.Runs}
+	oldSites := map[trace.SiteKey]trace.SiteRow{}
 	for _, s := range old.Sites {
-		oldSites[siteKeyOf(s)] = s
+		oldSites[s.SiteKey] = s
 	}
-	newSites := map[siteKey]SiteRow{}
+	newSites := map[trace.SiteKey]bool{}
 	for _, s := range new.Sites {
-		newSites[siteKeyOf(s)] = s
+		newSites[s.SiteKey] = true
 	}
 	for _, ns := range new.Sites {
-		os, ok := oldSites[siteKeyOf(ns)]
+		os, ok := oldSites[ns.SiteKey]
 		if !ok {
 			c.NewSites = append(c.NewSites, ns)
 			continue
 		}
-		d := SiteDelta{Proc: ns.Proc, Line: ns.Line, PID: ns.PID, Op: ns.Op}
+		d := SiteDelta{SiteKey: ns.SiteKey}
 		or, nr := float64(old.Runs), float64(new.Runs)
 		d.Metrics = append(d.Metrics,
 			classify("msgs", float64(os.Msgs)/or, float64(ns.Msgs)/nr, t.Msgs),
@@ -127,14 +124,11 @@ func Diff(old, new *Profile, t Thresholds) *Comparison {
 		c.Deltas = append(c.Deltas, d)
 	}
 	for _, os := range old.Sites {
-		if _, ok := newSites[siteKeyOf(os)]; !ok {
+		if !newSites[os.SiteKey] {
 			c.GoneSites = append(c.GoneSites, os)
 		}
 	}
-	sort.Slice(c.Deltas, func(i, j int) bool {
-		return siteKey{c.Deltas[i].Proc, c.Deltas[i].Line, c.Deltas[i].PID, c.Deltas[i].Op}.
-			less(siteKey{c.Deltas[j].Proc, c.Deltas[j].Line, c.Deltas[j].PID, c.Deltas[j].Op})
-	})
+	sort.Slice(c.Deltas, func(i, j int) bool { return c.Deltas[i].Less(c.Deltas[j].SiteKey) })
 	c.BlockedShare = classify("blocked_share", old.BlockedShare(), new.BlockedShare(), t.Blocked)
 	return c
 }
@@ -191,12 +185,14 @@ func (c *Comparison) WriteText(w io.Writer) error {
 		}
 	}
 	for _, s := range c.NewSites {
-		fmt.Fprintf(w, "%-22s %-10s new site: %d msgs, %.1fµs cost/run\n",
-			s.Site(), s.Op, s.Msgs, s.Cost())
+		runs := float64(c.NewRuns)
+		fmt.Fprintf(w, "%-22s %-10s new site: %.0f msgs, %.1fµs cost/run\n",
+			s.Site(), s.Op, float64(s.Msgs)/runs, s.Cost()/runs)
 	}
 	for _, s := range c.GoneSites {
-		fmt.Fprintf(w, "%-22s %-10s site gone (was %d msgs, %.1fµs cost)\n",
-			s.Site(), s.Op, s.Msgs, s.Cost())
+		runs := float64(c.OldRuns)
+		fmt.Fprintf(w, "%-22s %-10s site gone (was %.0f msgs, %.1fµs cost/run)\n",
+			s.Site(), s.Op, float64(s.Msgs)/runs, s.Cost()/runs)
 	}
 	row("(machine-wide)", "-", c.BlockedShare)
 	return nil

@@ -3,6 +3,8 @@ package profile
 import (
 	"bytes"
 	"sort"
+
+	"fortd/internal/trace"
 )
 
 // Merge folds profiles into one aggregate, weighted by each input's
@@ -54,9 +56,9 @@ func Merge(profiles ...*Profile) *Profile {
 	})
 
 	out := &Profile{Schema: SchemaVersion}
-	procs := map[int]*ProcRow{}
-	sites := map[siteKey]*SiteRow{}
-	hist := map[int]*Bucket{}
+	procs := map[int]*trace.ProcRow{}
+	sites := map[trace.SiteKey]*trace.SiteRow{}
+	hist := map[int]*trace.Bucket{}
 	for n, idx := range order {
 		p := live[idx]
 		if n == 0 {
@@ -75,7 +77,7 @@ func Merge(profiles ...*Profile) *Profile {
 		for _, pr := range p.Procs {
 			row := procs[pr.PID]
 			if row == nil {
-				row = &ProcRow{PID: pr.PID}
+				row = &trace.ProcRow{PID: pr.PID}
 				procs[pr.PID] = row
 			}
 			row.Clock += pr.Clock
@@ -84,11 +86,10 @@ func Merge(profiles ...*Profile) *Profile {
 			row.Blocked += pr.Blocked
 		}
 		for _, s := range p.Sites {
-			k := siteKeyOf(s)
-			row := sites[k]
+			row := sites[s.SiteKey]
 			if row == nil {
-				row = &SiteRow{Proc: s.Proc, Line: s.Line, PID: s.PID, Op: s.Op}
-				sites[k] = row
+				row = &trace.SiteRow{SiteKey: s.SiteKey}
+				sites[s.SiteKey] = row
 			}
 			row.Msgs += s.Msgs
 			row.Words += s.Words
@@ -101,7 +102,7 @@ func Merge(profiles ...*Profile) *Profile {
 		for _, b := range p.Histogram {
 			bk := hist[b.Hi]
 			if bk == nil {
-				bk = &Bucket{Lo: b.Lo, Hi: b.Hi}
+				bk = &trace.Bucket{Lo: b.Lo, Hi: b.Hi}
 				hist[b.Hi] = bk
 			}
 			bk.Msgs += b.Msgs

@@ -36,7 +36,6 @@ import (
 	"sort"
 
 	"fortd/internal/trace"
-	"fortd/internal/trace/analyze"
 )
 
 // SchemaVersion is the artifact schema this package reads and writes.
@@ -65,175 +64,51 @@ type Meta struct {
 	FaultSeed int64 `json:"fault_seed"`
 }
 
-// Totals holds the run aggregates. All float and count fields are
-// EXTENSIVE: they are sums over the profile's Runs, so Merge can fold
-// profiles by plain addition and per-run means are value/Runs.
-type Totals struct {
-	// Time is the parallel time (max processor clock) summed over runs.
-	Time float64 `json:"time_us"`
-	// Msgs and Words are the communication totals over all runs.
-	Msgs  int64 `json:"msgs"`
-	Words int64 `json:"words"`
-	// Clock, Compute, Send and Blocked sum the per-processor breakdown
-	// machine-wide over all runs (Clock = Compute + Send + Blocked).
-	Clock   float64 `json:"clock_us"`
-	Compute float64 `json:"compute_us"`
-	Send    float64 `json:"send_us"`
-	Blocked float64 `json:"blocked_us"`
-	// CriticalPath is the longest-dependence-chain estimate summed over
-	// runs.
-	CriticalPath float64 `json:"critical_path_us"`
-}
-
-// ProcRow is one processor's time breakdown, summed over runs.
-type ProcRow struct {
-	PID     int     `json:"pid"`
-	Clock   float64 `json:"clock_us"`
-	Compute float64 `json:"compute_us"`
-	Send    float64 `json:"send_us"`
-	Blocked float64 `json:"blocked_us"`
-}
-
-// SiteRow is one communication site's cost, summed over runs. The key
-// is (Proc, Line, PID, Op): PID is -1 for attributed sites and the
-// observing processor for unattributed ones, mirroring
-// analyze.Hotspot, so distinct unattributed sites never collapse.
-type SiteRow struct {
-	Proc string `json:"proc"`
-	Line int    `json:"line"`
-	PID  int    `json:"pid"`
-	Op   string `json:"op"`
-	// Msgs counts messages, Words the payload total.
-	Msgs  int64 `json:"msgs"`
-	Words int64 `json:"words"`
-	// Send is sender-side injection time, Blocked receiver-side stall
-	// time, both in µs summed over runs.
-	Send    float64 `json:"send_us"`
-	Blocked float64 `json:"blocked_us"`
-	// CPShare is the runs-weighted mean of the site's critical-path
-	// share (the worst single processor's cost over the critical path).
-	CPShare float64 `json:"cp_share"`
-}
-
-// Site renders the row's site label, matching analyze.Hotspot.Site.
-func (s SiteRow) Site() string {
-	if s.Proc == "" {
-		if s.PID >= 0 {
-			return fmt.Sprintf("(unattributed p%d)", s.PID)
-		}
-		return "(unattributed)"
-	}
-	if s.Line == 0 {
-		return s.Proc
-	}
-	return fmt.Sprintf("%s:%d", s.Proc, s.Line)
-}
-
-// Cost is the site's total communication time in µs (summed over runs).
-func (s SiteRow) Cost() float64 { return s.Send + s.Blocked }
-
-// Bucket is one message-size histogram class: messages of [Lo, Hi]
-// payload words, counts summed over runs.
-type Bucket struct {
-	Lo    int   `json:"lo"`
-	Hi    int   `json:"hi"`
-	Msgs  int64 `json:"msgs"`
-	Words int64 `json:"words"`
-}
-
-// Profile is the versioned run-profile artifact. Field order is the
-// canonical JSON key order; do not reorder fields without bumping
-// SchemaVersion.
+// Profile is the versioned run-profile artifact: an envelope around the
+// rows trace.Distill fills. Field order is the canonical JSON key order;
+// do not reorder fields (here or in the trace row types) without
+// bumping SchemaVersion.
+//
+// All float and count fields are EXTENSIVE: they are sums over the
+// profile's Runs, so Merge can fold profiles by plain addition and
+// per-run means are value/Runs. The one exception is SiteRow.CPShare,
+// a runs-weighted mean.
 type Profile struct {
 	Schema int  `json:"schema"`
 	Meta   Meta `json:"meta"`
 	// Runs is the merge weight: how many runs this profile aggregates.
-	Runs  int    `json:"runs"`
-	Total Totals `json:"total"`
+	Runs  int          `json:"runs"`
+	Total trace.Totals `json:"total"`
 	// Procs is sorted by PID; Sites by (Proc, Line, PID, Op); Histogram
-	// by Lo. Canonical order is key order, not rank — use Top for a
-	// cost-ranked view.
-	Procs     []ProcRow `json:"procs"`
-	Sites     []SiteRow `json:"sites"`
-	Histogram []Bucket  `json:"histogram"`
+	// by Lo. Canonical order is key order, not rank — trace.ByCost is
+	// the cost-ranked view.
+	Procs     []trace.ProcRow `json:"procs"`
+	Sites     []trace.SiteRow `json:"sites"`
+	Histogram []trace.Bucket  `json:"histogram"`
 }
 
-// FromEvents distills a profile from a traced run's event stream. It
-// returns nil when the events carry no simulator activity (e.g. a
-// compile-only trace), mirroring analyze.Analyze.
+// FromEvents distills a profile from a traced run's event stream, which
+// it reorders into canonical order (trace.Distill). It returns nil when
+// the events carry no simulator activity (e.g. a compile-only trace).
 func FromEvents(events []trace.Event, meta Meta) *Profile {
-	return FromAnalysis(analyze.Analyze(events), meta)
+	return FromRun(trace.Distill(events), meta)
 }
 
-// FromAnalysis distills a profile from an already-computed analysis.
-// Returns nil for a nil analysis.
-func FromAnalysis(a *analyze.Analysis, meta Meta) *Profile {
-	if a == nil {
+// FromRun wraps an already distilled run, whose rows it shares. Returns
+// nil for a run with no simulator activity.
+func FromRun(r *trace.Run, meta Meta) *Profile {
+	if r.P == 0 {
 		return nil
 	}
-	p := &Profile{Schema: SchemaVersion, Meta: meta, Runs: 1}
-	p.Total.Time = a.Time
-	p.Total.Msgs = a.Msgs
-	p.Total.Words = a.Words
-	if a.Profile != nil {
-		p.Total.CriticalPath = a.Profile.CriticalPath
-		for _, pp := range a.Profile.Procs {
-			p.Procs = append(p.Procs, ProcRow{
-				PID: pp.PID, Clock: pp.Clock, Compute: pp.Compute,
-				Send: pp.Send, Blocked: pp.Blocked,
-			})
-			p.Total.Clock += pp.Clock
-			p.Total.Compute += pp.Compute
-			p.Total.Send += pp.Send
-			p.Total.Blocked += pp.Blocked
-		}
-	}
-	for _, h := range a.Hotspots {
-		p.Sites = append(p.Sites, SiteRow{
-			Proc: h.Proc, Line: h.Line, PID: h.PID, Op: h.Op,
-			Msgs: h.Msgs, Words: h.Words,
-			Send: h.SendTime, Blocked: h.BlockedTime, CPShare: h.CPShare,
-		})
-	}
-	for _, b := range a.Histogram {
-		p.Histogram = append(p.Histogram, Bucket{Lo: b.Lo, Hi: b.Hi, Msgs: b.Msgs, Words: b.Words})
-	}
-	p.normalize()
-	return p
+	return &Profile{Schema: SchemaVersion, Meta: meta, Runs: 1,
+		Total: r.Total, Procs: r.Procs, Sites: r.Sites, Histogram: r.Histogram}
 }
 
 // normalize sorts the row slices into canonical key order.
 func (p *Profile) normalize() {
 	sort.Slice(p.Procs, func(i, j int) bool { return p.Procs[i].PID < p.Procs[j].PID })
-	sort.Slice(p.Sites, func(i, j int) bool { return siteKeyOf(p.Sites[i]).less(siteKeyOf(p.Sites[j])) })
+	sort.Slice(p.Sites, func(i, j int) bool { return p.Sites[i].Less(p.Sites[j].SiteKey) })
 	sort.Slice(p.Histogram, func(i, j int) bool { return p.Histogram[i].Lo < p.Histogram[j].Lo })
-}
-
-// siteKey identifies one site row under merging and diffing.
-type siteKey struct {
-	proc string
-	line int
-	pid  int
-	op   string
-}
-
-func siteKeyOf(s SiteRow) siteKey { return siteKey{s.Proc, s.Line, s.PID, s.Op} }
-
-func (k siteKey) less(o siteKey) bool {
-	if k.proc != o.proc {
-		return k.proc < o.proc
-	}
-	if k.line != o.line {
-		return k.line < o.line
-	}
-	if k.pid != o.pid {
-		return k.pid < o.pid
-	}
-	return k.op < o.op
-}
-
-func (k siteKey) String() string {
-	return SiteRow{Proc: k.proc, Line: k.line, PID: k.pid, Op: k.op}.Site() + " " + k.op
 }
 
 // BlockedShare is the blocked fraction of total processor time over
@@ -246,49 +121,13 @@ func (p *Profile) BlockedShare() float64 {
 }
 
 // Imbalance is the max-over-mean busy-time ratio across processors
-// (1.0 = perfectly balanced; 0 without per-processor data). Busy time
-// is clock minus blocked. It is derived from the per-proc sums, so it
-// stays meaningful after merging.
+// (trace.Imbalance). It is derived from the per-proc sums, so it stays
+// meaningful after merging.
 func (p *Profile) Imbalance() float64 {
-	if p == nil || len(p.Procs) == 0 {
+	if p == nil {
 		return 0
 	}
-	var sum, max float64
-	for _, pr := range p.Procs {
-		busy := pr.Clock - pr.Blocked
-		sum += busy
-		if busy > max {
-			max = busy
-		}
-	}
-	if mean := sum / float64(len(p.Procs)); mean > 0 {
-		return max / mean
-	}
-	return 0
-}
-
-// Top returns the n highest-cost sites (all of them when n <= 0),
-// ranked by descending cost with the same tiebreak as the analyze
-// hotspot table.
-func (p *Profile) Top(n int) []SiteRow {
-	out := append([]SiteRow(nil), p.Sites...)
-	sort.Slice(out, func(i, j int) bool {
-		x, y := out[i], out[j]
-		if x.Cost() != y.Cost() {
-			return x.Cost() > y.Cost()
-		}
-		if x.Words != y.Words {
-			return x.Words > y.Words
-		}
-		if x.Site() != y.Site() {
-			return x.Site() < y.Site()
-		}
-		return x.Op < y.Op
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return trace.Imbalance(p.Procs)
 }
 
 // Marshal renders the canonical artifact bytes: indented JSON with a
@@ -314,8 +153,14 @@ func (p *Profile) ID() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:]), nil
+	return ContentID(buf), nil
+}
+
+// ContentID hashes canonical artifact bytes (Marshal's) into the id, for
+// a caller that already holds them.
+func ContentID(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	return hex.EncodeToString(sum[:])
 }
 
 // Encode writes the canonical bytes to w.
@@ -328,7 +173,8 @@ func (p *Profile) Encode(w io.Writer) error {
 	return err
 }
 
-// Decode parses an artifact, rejecting unknown schema versions.
+// Decode parses an artifact, rejecting unknown schema versions and a
+// run count below one: every per-run figure divides by it.
 func Decode(data []byte) (*Profile, error) {
 	var p Profile
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -336,6 +182,9 @@ func Decode(data []byte) (*Profile, error) {
 	}
 	if p.Schema != SchemaVersion {
 		return nil, fmt.Errorf("profile: unsupported schema version %d (want %d)", p.Schema, SchemaVersion)
+	}
+	if p.Runs < 1 {
+		return nil, fmt.Errorf("profile: \"runs\" is %d (want at least 1)", p.Runs)
 	}
 	p.normalize()
 	return &p, nil
@@ -354,11 +203,12 @@ func Load(path string) (*Profile, error) {
 	return p, nil
 }
 
-// WriteFile writes the canonical artifact bytes to path.
-func WriteFile(path string, p *Profile) error {
+// WriteFile writes the canonical artifact bytes to path and returns
+// their content id.
+func WriteFile(path string, p *Profile) (id string, err error) {
 	buf, err := p.Marshal()
 	if err != nil {
-		return err
+		return "", err
 	}
-	return os.WriteFile(path, buf, 0644)
+	return ContentID(buf), os.WriteFile(path, buf, 0644)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestFromEventsShape(t *testing.T) {
 	if len(p.Sites) != 3 {
 		t.Fatalf("sites = %+v", p.Sites)
 	}
-	var un *SiteRow
+	var un *trace.SiteRow
 	for i := range p.Sites {
 		if p.Sites[i].Proc == "" {
 			un = &p.Sites[i]
@@ -102,6 +103,19 @@ func TestDecodeRejectsUnknownSchema(t *testing.T) {
 		[]byte(`"schema": 1`), []byte(`"schema": 99`), 1)
 	if _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("err = %v, want schema rejection", err)
+	}
+}
+
+// TestDecodeRejectsRunsBelowOne: every per-run column divides by the
+// run count, so an artifact claiming none (or fewer) is refused at the
+// door, naming the field.
+func TestDecodeRejectsRunsBelowOne(t *testing.T) {
+	good := mustMarshal(t, sampleProfile(t))
+	for _, runs := range []string{"0", "-3"} {
+		buf := bytes.Replace(good, []byte(`"runs": 1`), []byte(`"runs": `+runs), 1)
+		if _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), `"runs" is `+runs) {
+			t.Errorf("runs=%s: err = %v, want the run count rejected", runs, err)
+		}
 	}
 }
 
@@ -209,6 +223,44 @@ func TestDiffFlagsInjectedRegression(t *testing.T) {
 	}
 }
 
+// TestDiffTextIsPerRun: a site only one profile has is printed as that
+// profile's per-run mean, like every other column of the table, not as
+// the total over a merged profile's runs.
+func TestDiffTextIsPerRun(t *testing.T) {
+	one := sampleProfile(t)
+	four := Merge(one, one, one, one)
+	if four.Runs != 4 {
+		t.Fatalf("merged runs = %d", four.Runs)
+	}
+	without := sampleProfile(t)
+	var lost trace.SiteRow
+	for i, s := range without.Sites {
+		if s.Proc == "MAIN" {
+			lost = s
+			without.Sites = slices.Delete(without.Sites, i, i+1)
+			break
+		}
+	}
+	if lost.Msgs != 2 || lost.Cost() != 20 {
+		t.Fatalf("MAIN:3 in one run = %+v, want 2 msgs costing 20µs", lost)
+	}
+	for _, tc := range []struct {
+		old, new *Profile
+		want     string
+	}{
+		{without, four, "new site: 2 msgs, 20.0µs cost/run"},
+		{four, without, "site gone (was 2 msgs, 20.0µs cost/run)"},
+	} {
+		var buf bytes.Buffer
+		if err := Diff(tc.old, tc.new, DefaultThresholds()).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("diff lacks %q:\n%s", tc.want, buf.String())
+		}
+	}
+}
+
 func TestDiffNewAndGoneSites(t *testing.T) {
 	old := sampleProfile(t)
 	new := sampleProfile(t)
@@ -257,6 +309,13 @@ func TestDirStore(t *testing.T) {
 	// corrupt and foreign files are invisible to List
 	os.WriteFile(filepath.Join(dir, strings.Repeat("f", 64)+".json"), []byte("{"), 0644)
 	os.WriteFile(filepath.Join(dir, "README.json"), []byte("{}"), 0644)
+	// so is a well-formed artifact that claims no runs
+	norun := strings.Repeat("e", 64)
+	os.WriteFile(filepath.Join(dir, norun+".json"),
+		bytes.Replace(mustMarshal(t, p), []byte(`"runs": 1`), []byte(`"runs": 0`), 1), 0644)
+	if _, err := st.Get(norun); !errors.Is(err, ErrNotFound) {
+		t.Errorf("zero-run artifact err = %v, want ErrNotFound", err)
+	}
 
 	// restart: a fresh store over the same directory still serves it
 	st2, err := NewDirStore(dir)

@@ -68,10 +68,7 @@ func (d *DirStore) Put(p *Profile) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	id, err := p.ID()
-	if err != nil {
-		return "", err
-	}
+	id := ContentID(buf)
 	if _, err := os.Stat(d.path(id)); err == nil {
 		return id, nil // content-addressed: already present means equal bytes
 	}

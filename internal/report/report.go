@@ -1,9 +1,9 @@
 // Package report assembles the self-contained HTML performance report:
 // it compiles and runs a workload with tracing and optimization-remark
-// collection attached, post-processes the event stream through
-// internal/trace/analyze, optionally reruns the workload across a
-// processor sweep for the speedup curve, and hands the assembled
-// sections to analyze.WriteHTML. It is the shared engine behind
+// collection attached, distills the event stream once (the analysis
+// and the profile table read the same rows), optionally reruns the
+// workload across a processor sweep for the speedup curve, and hands
+// the assembled sections to analyze.WriteHTML. It is the shared engine behind
 // cmd/fdreport, `fdrun -report` and `fdbench -report`.
 package report
 
@@ -48,8 +48,11 @@ func BuildSection(name, src string, init map[string][]float64, opts fortd.Option
 		Analysis: analyze.Analyze(tr.Events()),
 		Remarks:  ex.Remarks(),
 	}
-	if tbl := profileTable(tr, src, opts, prog.P()); tbl != nil {
-		sec.Tables = append(sec.Tables, *tbl)
+	if a := sec.Analysis; a != nil {
+		sec.Tables = append(sec.Tables, profile.FromRun(a.Run, profile.Meta{
+			ProgramHash: fortd.ProgramID(src, opts),
+			P:           prog.P(),
+		}).Table())
 	}
 	if len(sweepPs) > 0 {
 		sweep, err := analyze.RunSweep(sweepPs, func(p int) (analyze.Point, error) {
@@ -73,34 +76,6 @@ func BuildSection(name, src string, init map[string][]float64, opts fortd.Option
 		sec.Sweep = sweep
 	}
 	return sec, nil
-}
-
-// profileTable distills the traced run into the profile artifact and
-// renders its headline figures as a report table, so the HTML report
-// shows the same numbers `fdrun -profile` and the daemon store. Nil
-// when the trace carried no machine activity.
-func profileTable(tr *fortd.Trace, src string, opts fortd.Options, p int) *analyze.Table {
-	pf := profile.FromEvents(tr.Events(), profile.Meta{
-		ProgramHash: fortd.ProgramID(src, opts),
-		P:           p,
-	})
-	if pf == nil {
-		return nil
-	}
-	id, _ := pf.ID()
-	return &analyze.Table{
-		Title:  "Profile",
-		Header: []string{"profile id", "blocked share", "imbalance", "critical path (µs)", "msgs", "words"},
-		Rows: [][]string{{
-			fmt.Sprintf("%.12s", id),
-			fmt.Sprintf("%.3f", pf.BlockedShare()),
-			fmt.Sprintf("%.3f", pf.Imbalance()),
-			fmt.Sprintf("%.1f", pf.Total.CriticalPath),
-			fmt.Sprint(pf.Total.Msgs),
-			fmt.Sprint(pf.Total.Words),
-		}},
-		Note: "same artifact definition as `fdrun -profile` and the fdd profile store (internal/profile schema v1)",
-	}
 }
 
 // Write renders sections into one self-contained HTML document.

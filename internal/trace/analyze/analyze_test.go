@@ -23,10 +23,10 @@ func TestZeroWordHistogram(t *testing.T) {
 	if a == nil {
 		t.Fatal("Analyze returned nil")
 	}
-	if a.Msgs != 3 || a.Words != 4 {
-		t.Errorf("msgs=%d words=%d, want 3/4", a.Msgs, a.Words)
+	if a.Total.Msgs != 3 || a.Total.Words != 4 {
+		t.Errorf("msgs=%d words=%d, want 3/4", a.Total.Msgs, a.Total.Words)
 	}
-	var zero, one, four *Bucket
+	var zero, one, four *trace.Bucket
 	for i := range a.Histogram {
 		b := &a.Histogram[i]
 		switch {
@@ -80,19 +80,19 @@ func TestUnattributedSitesStayDistinct(t *testing.T) {
 	}
 	// expect 4 rows: (unattributed p0) send, (unattributed p1) send,
 	// (unattributed p1) bcast, MAIN:3 send
-	if len(a.Hotspots) != 4 {
-		t.Fatalf("got %d hotspot rows, want 4: %+v", len(a.Hotspots), a.Hotspots)
+	if len(a.Sites) != 4 {
+		t.Fatalf("got %d site rows, want 4: %+v", len(a.Sites), a.Sites)
 	}
-	bySite := map[string]Hotspot{}
-	for _, h := range a.Hotspots {
+	bySite := map[string]trace.SiteRow{}
+	for _, h := range a.Sites {
 		bySite[h.Site()+" "+h.Op] = h
 	}
 	p0 := bySite["(unattributed p0) send"]
-	if p0.Msgs != 1 || p0.Words != 4 || p0.SendTime != 5 || p0.PID != 0 {
+	if p0.Msgs != 1 || p0.Words != 4 || p0.Send != 5 || p0.PID != 0 {
 		t.Errorf("(unattributed p0) send = %+v", p0)
 	}
 	p1 := bySite["(unattributed p1) send"]
-	if p1.Msgs != 2 || p1.Words != 16 || p1.SendTime != 14 || p1.PID != 1 {
+	if p1.Msgs != 2 || p1.Words != 16 || p1.Send != 14 || p1.PID != 1 {
 		t.Errorf("(unattributed p1) send = %+v", p1)
 	}
 	if b := bySite["(unattributed p1) bcast"]; b.Msgs != 1 || b.Words != 2 {
@@ -134,7 +134,7 @@ func TestFaultAndAbortCollection(t *testing.T) {
 		t.Fatalf("aborts = %+v", a.Aborts)
 	}
 	ab := a.Aborts[0]
-	if ab.PID != 1 || ab.Reason != "deadlock" || ab.Proc != "MAIN" || ab.Line != 9 || ab.Clock != 40 {
+	if ab.PID != 1 || ab.Name != "deadlock" || ab.Proc != "MAIN" || ab.Line != 9 || ab.Start != 40 {
 		t.Errorf("abort = %+v", ab)
 	}
 	var buf bytes.Buffer
@@ -171,10 +171,10 @@ func TestZeroDurationAnalysis(t *testing.T) {
 	if a == nil {
 		t.Fatal("Analyze returned nil")
 	}
-	if a.Time != 0 {
-		t.Errorf("Time = %v, want 0", a.Time)
+	if a.Total.Time != 0 {
+		t.Errorf("Time = %v, want 0", a.Total.Time)
 	}
-	for _, h := range a.Hotspots {
+	for _, h := range a.Sites {
 		if h.CPShare != 0 {
 			t.Errorf("site %s CPShare = %v, want 0 on a zero-duration run", h.Site(), h.CPShare)
 		}

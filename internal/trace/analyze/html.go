@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"fortd/internal/explain"
+	"fortd/internal/trace"
 )
 
 // Table is a pre-rendered table a caller can attach to a report
@@ -63,7 +64,7 @@ type htmlSection struct {
 	Name           string
 	Headline       string
 	Heatmap        *svgHeatmap
-	Hotspots       []Hotspot
+	Hotspots       []trace.SiteRow
 	HasCrit        bool
 	Timeline       *svgTimeline
 	ProcBars       *svgProcBars
@@ -184,10 +185,7 @@ func buildSection(s *Section) *htmlSection {
 	hs := &htmlSection{Name: s.Name, Headline: s.Headline, Tables: s.Tables}
 	if a := s.Analysis; a != nil {
 		hs.Heatmap = buildHeatmap(a)
-		hs.Hotspots = a.Hotspots
-		if len(hs.Hotspots) > 16 {
-			hs.Hotspots = hs.Hotspots[:16]
-		}
+		hs.Hotspots = trace.ByCost(a.Sites, 16)
 		for _, h := range hs.Hotspots {
 			if h.CPShare > 0 {
 				hs.HasCrit = true
@@ -255,7 +253,7 @@ func buildHeatmap(a *Analysis) *svgHeatmap {
 }
 
 func buildTimeline(a *Analysis) *svgTimeline {
-	if len(a.Timeline) == 0 || a.Time <= 0 {
+	if len(a.Timeline) == 0 || a.Total.Time <= 0 {
 		return nil
 	}
 	const W, H, m = 660.0, 150.0, 30.0
@@ -286,7 +284,7 @@ func buildTimeline(a *Analysis) *svgTimeline {
 		}
 	}
 	for i := 0; i <= 4; i++ {
-		t := a.Time * float64(i) / 4
+		t := a.Total.Time * float64(i) / 4
 		tl.Ticks = append(tl.Ticks, svgText{X: m + (W-m)*float64(i)/4, Y: H + 16,
 			Text: fmt.Sprintf("%.0fµs", t), Anchor: "middle"})
 	}
@@ -294,21 +292,16 @@ func buildTimeline(a *Analysis) *svgTimeline {
 }
 
 func buildProcBars(a *Analysis) *svgProcBars {
-	if a.Profile == nil || len(a.Profile.Procs) == 0 {
+	if len(a.Procs) == 0 {
 		return nil
 	}
 	const W, rowH, m = 660.0, 18.0, 40.0
-	var maxClock float64
-	for _, pp := range a.Profile.Procs {
-		if pp.Clock > maxClock {
-			maxClock = pp.Clock
-		}
-	}
+	maxClock := a.Total.Time
 	if maxClock <= 0 {
 		return nil
 	}
-	pb := &svgProcBars{W: W, H: rowH*float64(len(a.Profile.Procs)) + 6}
-	for i, pp := range a.Profile.Procs {
+	pb := &svgProcBars{W: W, H: rowH*float64(len(a.Procs)) + 6}
+	for i, pp := range a.Procs {
 		y := float64(i) * rowH
 		pb.Labs = append(pb.Labs, svgText{X: m - 6, Y: y + rowH - 6,
 			Text: fmt.Sprintf("p%d", pp.PID), Anchor: "end"})
@@ -491,7 +484,7 @@ var reportTmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 <h3>Communication hotspots</h3>
 <table id="hotspots">
 <tr><th>site</th><th>op</th><th>msgs</th><th>words</th><th>send (µs)</th><th>blocked (µs)</th><th>cost (µs)</th>{{if .HasCrit}}<th>% of critical path</th>{{end}}</tr>
-{{$crit := .HasCrit}}{{range .Hotspots}}<tr><td>{{.Site}}</td><td>{{.Op}}</td><td>{{.Msgs}}</td><td>{{.Words}}</td><td>{{printf "%.1f" .SendTime}}</td><td>{{printf "%.1f" .BlockedTime}}</td><td>{{printf "%.1f" .Cost}}</td>{{if $crit}}<td>{{printf "%.1f%%" .CPSharePct}}</td>{{end}}</tr>
+{{$crit := .HasCrit}}{{range .Hotspots}}<tr><td>{{.Site}}</td><td>{{.Op}}</td><td>{{.Msgs}}</td><td>{{.Words}}</td><td>{{printf "%.1f" .Send}}</td><td>{{printf "%.1f" .Blocked}}</td><td>{{printf "%.1f" .Cost}}</td>{{if $crit}}<td>{{printf "%.1f%%" .CPSharePct}}</td>{{end}}</tr>
 {{end}}</table>
 {{end}}
 

@@ -45,9 +45,10 @@ func (t *Tracer) WriteChrome(w io.Writer) error { return WriteChrome(w, t.Events
 // (wall-clock µs); each simulated processor is a thread of pid 1
 // (virtual µs). Messages are drawn as flow arrows from the send slice
 // to the matching receive slice. Slices on each thread are emitted in
-// nondecreasing timestamp order, as the format requires.
+// nondecreasing timestamp order, as the format requires; events are
+// reordered into canonical order.
 func WriteChrome(w io.Writer, events []Event) error {
-	events = sorted(events)
+	SortEvents(events)
 	var out []chromeEvent
 	meta := func(pid, tid int, ph string, args map[string]interface{}) {
 		name := "process_name"

@@ -33,10 +33,7 @@ func TestCriticalPathHandBuilt(t *testing.T) {
 		{Kind: KindProcSummary, PID: 0, Dur: 150},
 		{Kind: KindProcSummary, PID: 1, Dur: 191, Wait: 91},
 	}
-	prof := ComputeProfile(events)
-	if prof == nil {
-		t.Fatal("ComputeProfile returned nil")
-	}
+	prof := Distill(events).Total
 	// p1's chain: 100 (p0 compute) + 10 (send) + 1 (in-flight) + 80 (tail)
 	want := 191.0
 	if math.Abs(prof.CriticalPath-want) > 1e-9 {
@@ -57,10 +54,7 @@ func TestCriticalPathNonBlockingRecv(t *testing.T) {
 		{Kind: KindProcSummary, PID: 0, Dur: 15},
 		{Kind: KindProcSummary, PID: 1, Dur: 420},
 	}
-	prof := ComputeProfile(events)
-	if prof == nil {
-		t.Fatal("ComputeProfile returned nil")
-	}
+	prof := Distill(events).Total
 	// p1: 400 compute before the recv + 20 after = 420, no sender edge
 	if math.Abs(prof.CriticalPath-420) > 1e-9 {
 		t.Errorf("critical path = %v, want 420", prof.CriticalPath)
@@ -86,10 +80,7 @@ func TestCriticalPathChain(t *testing.T) {
 		{Kind: KindProcSummary, PID: 1, Dur: 110, Wait: 70},
 		{Kind: KindProcSummary, PID: 2, Dur: 125, Wait: 120},
 	}
-	prof := ComputeProfile(events)
-	if prof == nil {
-		t.Fatal("ComputeProfile returned nil")
-	}
+	prof := Distill(events).Total
 	// 50 (p0) + 10 (send) + 10 (flight) + 30 (p1) + 10 (send) + 10
 	// (flight) + 5 (p2 tail) = 125: the whole run is one chain
 	if math.Abs(prof.CriticalPath-125) > 1e-9 {

@@ -6,197 +6,164 @@ import (
 	"sort"
 )
 
-// site aggregates the messages generated at one source location by one
-// communication operation.
-type site struct {
-	proc  string
-	line  int
-	op    string
-	msgs  int64
-	words int64
-}
-
-// faultLine aggregates one injected-fault kind for the text summary.
-type faultLine struct {
-	name  string
-	count int64
-	dur   float64
-}
-
-func (s site) key() string {
-	if s.proc == "" {
-		return "(unattributed)"
-	}
-	if s.line == 0 {
-		return fmt.Sprintf("%s %s", s.proc, s.op)
-	}
-	return fmt.Sprintf("%s:%d %s", s.proc, s.line, s.op)
-}
-
 // WriteText renders the tracer's collected events with the package
 // function of the same name.
 func (t *Tracer) WriteText(w io.Writer) error { return WriteText(w, t.Events()) }
 
 // WriteText renders the human-readable trace summary: compile phase
-// timings and counters, the top communication sites by volume, the
-// attribution rate, and per-processor utilization. Sections with no
-// events are omitted, so a run-only trace contains no compiler lines
-// and its output is fully deterministic (virtual time only).
+// timings and counters, then the run's distillation — totals, injected
+// faults, aborted processors, the communication sites by volume with
+// the attribution rate, and the per-processor rows. It reorders events
+// into canonical order. Sections with nothing to show are omitted, so
+// a run-only trace contains no compiler lines and its output is fully
+// deterministic (virtual time only).
 func WriteText(w io.Writer, events []Event) error {
-	events = sorted(events)
-	var phases, counters, sums, aborts []Event
-	sites := map[[3]interface{}]*site{}
-	faults := map[string]*faultLine{}
-	var msgs, words, remaps, attributed int64
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindPhase:
-			phases = append(phases, ev)
-		case KindCounter:
-			counters = append(counters, ev)
-		case KindProcSummary:
-			sums = append(sums, ev)
-		case KindAbort:
-			aborts = append(aborts, ev)
-		case KindFault:
-			fl := faults[ev.Name]
-			if fl == nil {
-				fl = &faultLine{name: ev.Name}
-				faults[ev.Name] = fl
-			}
-			fl.count++
-			fl.dur += ev.Dur
-		case KindSend, KindRemap:
-			// one remap event stands for Value partner messages, the way
-			// the cost model charges it
-			weight := int64(1)
-			if ev.Kind == KindRemap {
-				remaps++
-				weight = ev.Value
-			}
-			msgs += weight
-			words += int64(ev.Words)
-			if ev.Proc != "" {
-				attributed += weight
-			}
-			k := [3]interface{}{ev.Proc, ev.Line, ev.Name}
-			s := sites[k]
-			if s == nil {
-				s = &site{proc: ev.Proc, line: ev.Line, op: ev.Name}
-				sites[k] = s
-			}
-			s.msgs += weight
-			s.words += int64(ev.Words)
-		}
-	}
-
+	r := Distill(events)
 	if _, err := fmt.Fprintf(w, "=== trace summary ===\n"); err != nil {
 		return err
 	}
-
-	if len(phases) > 0 {
-		// phases are reported in start order, which New's single-pass
-		// pipeline makes the natural reading order
-		fmt.Fprintf(w, "\ncompile phases:\n")
-		for _, ev := range phases {
+	// compile events are listed, not aggregated; phases come out in start
+	// order, which New's single-pass pipeline makes the natural reading
+	// order
+	title := "\ncompile phases:\n"
+	for _, ev := range events {
+		if ev.Kind == KindPhase {
+			io.WriteString(w, title)
+			title = ""
 			fmt.Fprintf(w, "  %-28s %10.1fµs\n", ev.Name, ev.Dur)
 		}
 	}
-	if len(counters) > 0 {
-		fmt.Fprintf(w, "\ncompile counters:\n")
-		for _, ev := range counters {
+	title = "\ncompile counters:\n"
+	for _, ev := range events {
+		if ev.Kind == KindCounter {
+			io.WriteString(w, title)
+			title = ""
 			fmt.Fprintf(w, "  %-28s %10d\n", ev.Name, ev.Value)
 		}
 	}
 
-	fmt.Fprintf(w, "\nrun: %d messages, %d words", msgs, words)
-	if remaps > 0 {
-		fmt.Fprintf(w, " (%d remap events)", remaps)
+	fmt.Fprintf(w, "\nrun: %d messages, %d words", r.Total.Msgs, r.Total.Words)
+	if r.Remaps > 0 {
+		fmt.Fprintf(w, " (%d remap events)", r.Remaps)
 	}
 	fmt.Fprintf(w, "\n")
-
-	if len(faults) > 0 {
-		names := make([]string, 0, len(faults))
-		for name := range faults {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "injected faults (seeded fault plan):\n")
-		for _, name := range names {
-			fl := faults[name]
-			switch name {
-			case "straggler":
-				// Dur carries the flop-cost multiplier, not a time
-				fmt.Fprintf(w, "  %-12s count=%-6d\n", name, fl.count)
-			default:
-				fmt.Fprintf(w, "  %-12s count=%-6d total=%.1fµs\n", name, fl.count, fl.dur)
-			}
-		}
-	}
-	if len(aborts) > 0 {
-		fmt.Fprintf(w, "aborted processors:\n")
-		for _, ev := range aborts {
-			site := "(unattributed)"
-			if ev.Proc != "" {
-				site = fmt.Sprintf("%s:%d", ev.Proc, ev.Line)
-			}
-			fmt.Fprintf(w, "  p%-3d %-9s p%d->p%d at %-18s clock=%.1fµs\n",
-				ev.PID, ev.Name, ev.Src, ev.Dst, site, ev.Start)
-		}
-	}
-
-	if len(sites) > 0 {
-		list := make([]*site, 0, len(sites))
-		for _, s := range sites {
-			list = append(list, s)
-		}
-		sort.Slice(list, func(i, j int) bool {
-			a, b := list[i], list[j]
-			if a.words != b.words {
-				return a.words > b.words
-			}
-			if a.msgs != b.msgs {
-				return a.msgs > b.msgs
-			}
-			return a.key() < b.key()
-		})
-		fmt.Fprintf(w, "communication sites (by words):\n")
-		const maxSites = 12
-		for i, s := range list {
-			if i >= maxSites {
-				fmt.Fprintf(w, "  ... %d more sites\n", len(list)-maxSites)
-				break
-			}
-			fmt.Fprintf(w, "  %-24s msgs=%-7d words=%d\n", s.key(), s.msgs, s.words)
-		}
-		pct := 100.0
-		if msgs > 0 {
-			pct = 100 * float64(attributed) / float64(msgs)
-		}
-		fmt.Fprintf(w, "attribution: %.1f%% of %d messages carry a source procedure\n", pct, msgs)
-	}
-
-	if len(sums) > 0 {
-		sort.Slice(sums, func(i, j int) bool { return sums[i].PID < sums[j].PID })
-		var maxClock float64
-		for _, ev := range sums {
-			if ev.Dur > maxClock {
-				maxClock = ev.Dur
-			}
-		}
-		fmt.Fprintf(w, "\nper-processor (parallel time %.1fµs):\n", maxClock)
-		for _, ev := range sums {
-			busy := 100.0
-			if ev.Dur > 0 {
-				busy = 100 * (ev.Dur - ev.Wait) / ev.Dur
-			}
-			fmt.Fprintf(w, "  p%-3d clock=%-11s busy=%5.1f%%  sent=%-6d recvd=%-6d words=%-8d flops=%-8d wait=%.1fµs\n",
-				ev.PID, fmt.Sprintf("%.1fµs", ev.Dur), busy, ev.Sent, ev.Recvd, int64(ev.Words), ev.Flops, ev.Wait)
-		}
-		fmt.Fprintf(w, "\n")
-		if err := ComputeProfile(events).WriteText(w); err != nil {
-			return err
-		}
-	}
+	r.WriteFaults(w, "injected faults (seeded fault plan):\n",
+		"  %-12s count=%-6d\n", "  %-12s count=%-6d total=%.1fµs\n")
+	r.WriteAborts(w, "aborted processors:\n")
+	r.writeSites(w)
+	r.writeProcs(w)
 	return nil
+}
+
+// WriteFaults prints the injected-fault tallies under title, one line
+// per kind in the caller's column layout: timed takes name, count and
+// total µs; a straggler's Time sums flop-cost multipliers, not µs, so
+// its line (countOnly) takes name and count alone. Prints nothing for
+// a run without a fault plan.
+func (r *Run) WriteFaults(w io.Writer, title, countOnly, timed string) {
+	if len(r.Faults) == 0 {
+		return
+	}
+	io.WriteString(w, title)
+	for _, f := range r.Faults {
+		if f.Name == "straggler" {
+			fmt.Fprintf(w, countOnly, f.Name, f.Count)
+			continue
+		}
+		fmt.Fprintf(w, timed, f.Name, f.Count, f.Time)
+	}
+}
+
+// WriteAborts prints, under title, what each aborted processor was
+// blocked in when the abort or the deadlock detector unblocked it.
+// Prints nothing for a clean run.
+func (r *Run) WriteAborts(w io.Writer, title string) {
+	if len(r.Aborts) == 0 {
+		return
+	}
+	io.WriteString(w, title)
+	for _, ev := range r.Aborts {
+		site := "(unattributed)"
+		if ev.Proc != "" {
+			site = fmt.Sprintf("%s:%d", ev.Proc, ev.Line)
+		}
+		fmt.Fprintf(w, "  p%-3d %-9s p%d->p%d at %-18s clock=%.1fµs\n",
+			ev.PID, ev.Name, ev.Src, ev.Dst, site, ev.Start)
+	}
+}
+
+// writeSites prints the sites that sent anything, by volume; rows that
+// only record a receiver's wait carry no messages of their own.
+func (r *Run) writeSites(w io.Writer) {
+	var list []SiteRow
+	var attributed int64
+	for _, s := range r.Sites {
+		if s.Msgs > 0 {
+			list = append(list, s)
+			if s.Proc != "" {
+				attributed += s.Msgs
+			}
+		}
+	}
+	if len(list) == 0 {
+		return
+	}
+	label := func(s SiteRow) string { return s.Site() + " " + s.Op }
+	sort.Slice(list, func(i, j int) bool {
+		a, b := list[i], list[j]
+		if a.Words != b.Words {
+			return a.Words > b.Words
+		}
+		if a.Msgs != b.Msgs {
+			return a.Msgs > b.Msgs
+		}
+		return label(a) < label(b)
+	})
+	fmt.Fprintf(w, "communication sites (by words):\n")
+	const maxSites = 12
+	for i, s := range list {
+		if i >= maxSites {
+			fmt.Fprintf(w, "  ... %d more sites\n", len(list)-maxSites)
+			break
+		}
+		fmt.Fprintf(w, "  %-24s msgs=%-7d words=%d\n", label(s), s.Msgs, s.Words)
+	}
+	fmt.Fprintf(w, "attribution: %.1f%% of %d messages carry a source procedure\n",
+		100*float64(attributed)/float64(r.Total.Msgs), r.Total.Msgs)
+}
+
+// writeProcs prints the machine's per-processor counters and then the
+// breakdown of each clock into compute, send and blocked time.
+func (r *Run) writeProcs(w io.Writer) {
+	if len(r.Summaries) == 0 {
+		return
+	}
+	pct := func(v, of float64) float64 {
+		if of <= 0 {
+			return 0
+		}
+		return 100 * v / of
+	}
+	fmt.Fprintf(w, "\nper-processor (parallel time %.1fµs):\n", r.Total.Time)
+	for _, ev := range r.Summaries {
+		busy := 100.0
+		if ev.Dur > 0 {
+			busy = 100 * (ev.Dur - ev.Wait) / ev.Dur
+		}
+		fmt.Fprintf(w, "  p%-3d clock=%-11s busy=%5.1f%%  sent=%-6d recvd=%-6d words=%-8d flops=%-8d wait=%.1fµs\n",
+			ev.PID, fmt.Sprintf("%.1fµs", ev.Dur), busy, ev.Sent, ev.Recvd, int64(ev.Words), ev.Flops, ev.Wait)
+	}
+	fmt.Fprintf(w, "\nrun profile:\n")
+	for _, pr := range r.Procs {
+		fmt.Fprintf(w, "  p%-3d compute=%-11s (%5.1f%%)  send=%-10s (%5.1f%%)  blocked=%-10s (%5.1f%%)\n",
+			pr.PID,
+			fmt.Sprintf("%.1fµs", pr.Compute), pct(pr.Compute, pr.Clock),
+			fmt.Sprintf("%.1fµs", pr.Send), pct(pr.Send, pr.Clock),
+			fmt.Sprintf("%.1fµs", pr.Blocked), pct(pr.Blocked, pr.Clock))
+	}
+	fmt.Fprintf(w, "  load imbalance %.2f (max/mean busy time)\n", Imbalance(r.Procs))
+	if r.Total.Time > 0 {
+		fmt.Fprintf(w, "  critical path  %.1fµs (%.1f%% of %.1fµs parallel time)\n",
+			r.Total.CriticalPath, 100*r.Total.CriticalPath/r.Total.Time, r.Total.Time)
+	}
 }

@@ -3,10 +3,13 @@
 // per-phase spans and counters (wall-clock time), and the machine
 // simulator emits one event per message, broadcast step and remap
 // (virtual time), each carrying its source attribution — the procedure
-// and statement whose compilation placed the communication. Two
-// exporters render the collected events: a human-readable text summary
-// (WriteText) and Chrome trace_event JSON (WriteChrome) loadable in
-// chrome://tracing or Perfetto.
+// and statement whose compilation placed the communication. Distill
+// summarises a run's events once, into the rows every consumer reads —
+// the text summary here, the analysis and report in trace/analyze, the
+// artifact in internal/profile. Three exporters render collected
+// events: that text summary (WriteText), JSON Lines (WriteJSONL) and
+// Chrome trace_event JSON (WriteChrome) loadable in chrome://tracing or
+// Perfetto.
 //
 // A nil *Tracer is the disabled state: every method is nil-safe and
 // allocation-free, so instrumented code can call unconditionally and
@@ -199,17 +202,4 @@ func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.events = t.events[:0]
 	t.mu.Unlock()
-}
-
-// MessageWords sums the data words carried by message-generating events
-// (sends and remaps) — by construction this equals the simulator's
-// Stats.Words for the traced run.
-func MessageWords(events []Event) int64 {
-	var w int64
-	for _, ev := range events {
-		if ev.Kind == KindSend || ev.Kind == KindRemap {
-			w += int64(ev.Words)
-		}
-	}
-	return w
 }

@@ -59,8 +59,8 @@ func TestMessageWords(t *testing.T) {
 		{Kind: KindRemap, Words: 30},
 		{Kind: KindCounter, Value: 99},
 	}
-	if got := MessageWords(evs); got != 45 {
-		t.Errorf("MessageWords = %d, want 45", got)
+	if got := Distill(evs).Total.Words; got != 45 {
+		t.Errorf("total words = %d, want 45", got)
 	}
 }
 
@@ -193,10 +193,7 @@ func TestTracerSeqMonotone(t *testing.T) {
 }
 
 func TestComputeProfile(t *testing.T) {
-	prof := ComputeProfile(sample())
-	if prof == nil {
-		t.Fatal("no profile from sample events")
-	}
+	prof := Distill(sample())
 	if len(prof.Procs) != 2 {
 		t.Fatalf("got %d proc profiles, want 2", len(prof.Procs))
 	}
@@ -213,18 +210,22 @@ func TestComputeProfile(t *testing.T) {
 		t.Errorf("p1 profile = %+v", p1)
 	}
 	// busy: p0=400, p1=430 → imbalance 430/415
-	if want := 430.0 / 415.0; !close(prof.Imbalance, want) {
-		t.Errorf("imbalance = %g, want %g", prof.Imbalance, want)
+	if want := 430.0 / 415.0; !close(Imbalance(prof.Procs), want) {
+		t.Errorf("imbalance = %g, want %g", Imbalance(prof.Procs), want)
 	}
 	// p0 never blocks, so its chain spans its whole clock
-	if !close(prof.CriticalPath, 500) {
-		t.Errorf("critical path = %g, want 500", prof.CriticalPath)
+	if !close(prof.Total.CriticalPath, 500) {
+		t.Errorf("critical path = %g, want 500", prof.Total.CriticalPath)
 	}
 }
 
 func TestComputeProfileNoSummaries(t *testing.T) {
-	if prof := ComputeProfile([]Event{{Kind: KindSend, Words: 4}}); prof != nil {
-		t.Errorf("profile without summaries = %+v, want nil", prof)
+	r := Distill([]Event{{Kind: KindSend, Words: 4}})
+	if len(r.Procs) != 0 || r.Total.CriticalPath != 0 {
+		t.Errorf("distillation without summaries = %+v, want no processor rows and no critical path", r)
+	}
+	if r.P != 1 || r.Total.Msgs != 1 || r.Total.Words != 4 {
+		t.Errorf("distillation without summaries = %+v, want the send counted on P=1", r)
 	}
 }
 
@@ -239,11 +240,11 @@ func TestCriticalPathFollowsSendRecvEdge(t *testing.T) {
 		{Kind: KindProcSummary, PID: 0, Dur: 110, Wait: 0},
 		{Kind: KindProcSummary, PID: 1, Dur: 150, Wait: 130},
 	}
-	prof := ComputeProfile(evs)
+	prof := Distill(evs)
 	// sender chain: 100 compute + 10 send = 110; edge adds the 20µs
 	// in-flight time (recv end 130 − send end 110); receiver tail 20.
-	if want := 150.0; !close(prof.CriticalPath, want) {
-		t.Errorf("critical path = %g, want %g", prof.CriticalPath, want)
+	if want := 150.0; !close(prof.Total.CriticalPath, want) {
+		t.Errorf("critical path = %g, want %g", prof.Total.CriticalPath, want)
 	}
 	if !close(prof.Procs[1].Compute, 20) {
 		t.Errorf("p1 compute = %g, want 20", prof.Procs[1].Compute)

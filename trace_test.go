@@ -89,7 +89,7 @@ func TestTraceWordsMatchStats(t *testing.T) {
 			if res.Stats.Words == 0 {
 				t.Fatal("workload moved no words")
 			}
-			if got := trace.MessageWords(tr.Events()); got != res.Stats.Words {
+			if got := trace.Distill(tr.Events()).Total.Words; got != res.Stats.Words {
 				t.Errorf("trace words = %d, Stats.Words = %d", got, res.Stats.Words)
 			}
 			// message events must also match the message count
