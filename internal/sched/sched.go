@@ -192,16 +192,16 @@ func (p *pass) tryHaloSplit(u *ast.Procedure, body []ast.Stmt, i int) (int, []as
 	// some fixed dimension, so iteration v's footprint on written data
 	// is confined to slice v and the peeled iterations may run after
 	// the interior ones
-	written := map[string]bool{}
 	for _, a := range assigns {
-		ref, ok := a.Lhs.(*ast.ArrayRef)
-		if !ok {
+		if _, ok := a.Lhs.(*ast.ArrayRef); !ok {
 			return miss(fmt.Sprintf("loop writes scalar %s (combining order would change)", a.Lhs))
 		}
-		written[ref.Name] = true
 	}
 	refs := collectArrayRefs(assigns)
-	for name := range written {
+	// in statement order, so that the remark names the same array every
+	// time when more than one fails
+	for _, a := range assigns {
+		name := a.Lhs.(*ast.ArrayRef).Name
 		if !hasIndependentDim(refs[name], loop.Var) {
 			return miss(fmt.Sprintf("array %s is not accessed uniformly at %s in any dimension", name, loop.Var))
 		}
@@ -676,7 +676,7 @@ func (p *pass) secContained(u *ast.Procedure, b1, b2 *ast.Broadcast) bool {
 		if ast.ExprEqual(lo1, lo2) && ast.ExprEqual(hi1, hi2) {
 			continue
 		}
-		if atLeast(lo2, lo1, 0) && atLeast(hi1, hi2, 0) {
+		if atLeast(lo1, lo2, 0) && atLeast(hi2, hi1, 0) {
 			continue
 		}
 		if sym != nil && d < len(sym.Dims) {

@@ -307,3 +307,30 @@ func TestLookaheadMissedOnRootMismatch(t *testing.T) {
 		t.Errorf("mismatched-root loop was pipelined anyway:\n%s", out)
 	}
 }
+
+// TestRedundantBcastContainmentDirection: the covering broadcast is the
+// earlier one. A narrower section after a wider one (constant offsets
+// on both bounds) is removed; a wider one after a narrower one carries
+// cells nobody has yet and must stay.
+func TestRedundantBcastContainmentDirection(t *testing.T) {
+	out, rs, n := applyTo(t, `
+      PROGRAM P
+      REAL a(0:9)
+      broadcast a(1:8) from 1
+      broadcast a(2:3) from 1
+      END
+`)
+	if n != 1 || !hasRemark(rs, explain.Applied, "overlap-redundant", "already delivered") || strings.Contains(out, "a(2:3)") {
+		t.Errorf("narrower re-broadcast not removed (applied %d, %v):\n%s", n, rs, out)
+	}
+	out, rs, n = applyTo(t, `
+      PROGRAM P
+      REAL a(0:9)
+      broadcast a(2:3) from 1
+      broadcast a(1:8) from 1
+      END
+`)
+	if n != 0 || countRemarks(rs, "overlap-redundant") != 0 || !strings.Contains(out, "a(1:8)") {
+		t.Errorf("wider re-broadcast removed (applied %d, %v):\n%s", n, rs, out)
+	}
+}
