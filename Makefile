@@ -48,12 +48,13 @@ report: ## render the dgefa HTML performance report to report.html
 	$(GO) run ./cmd/fdreport -o report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
-fuzz: ## fuzz the parser, the whole compile pipeline, compile+run, and the affine form and lexer against their oracles
+fuzz: ## fuzz the parser, the whole compile pipeline, compile+run, the affine form and lexer against their oracles, and the schedule pass against the blocking program
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzAffine -fuzztime $(FUZZTIME) ./internal/depend
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/lexer
+	$(GO) test -run '^$$' -fuzz FuzzSchedEquivalence -fuzztime $(FUZZTIME) ./internal/sched
 
 FDD_ADDR ?= localhost:8700
 FDD_CACHE ?= .fddcache

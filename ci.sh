@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: build, vet, race-enabled tests (which exercise the parallel
 # compile scheduler), a short fuzz smoke of the parser, the compile
-# pipeline, the executor and the compiler's dense forms against their
-# oracles, the benchmark's own tests and smoke run
+# pipeline, the executor, the compiler's dense forms against their
+# oracles and the schedule pass against the program it rewrote, the
+# benchmark's own tests and smoke run
 # (its oracles check the executor's arrays and deterministic counts),
 # and the trace-overhead guard (the disabled-tracing fast path must stay
 # cheap; compare the two sub-benchmarks by hand when touching the
@@ -13,7 +14,7 @@ test -z "$(gofmt -l .)"
 # the tracked size of the production code (ROADMAP item 3) is a ratchet:
 # it may not grow past the ceiling, and a PR that shrinks it lowers the
 # ceiling to its own result in the same diff
-LOC_CEILING=25488
+LOC_CEILING=25208
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...
@@ -30,6 +31,11 @@ go test -run '^$' -fuzz FuzzRun -fuzztime 10s .
 # affine subscripts and the pair test on them, and the one-pass lexer
 go test -run '^$' -fuzz FuzzAffine -fuzztime 10s ./internal/depend
 go test -run '^$' -fuzz FuzzTokenize -fuzztime 10s ./internal/lexer
+# the schedule pass against the blocking program it rewrote: generated
+# SPMD programs run both ways must compute the same arrays (the recorded
+# seeds are tier-1: TestSchedDigest, also under -short, and
+# TestSchedMetamorphic)
+go test -run '^$' -fuzz FuzzSchedEquivalence -fuzztime 10s ./internal/sched
 # the benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it: run its unit tests, then one smoke pass over all five
 # workloads, which fails on a wrong array, a Stats difference between

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,14 +82,17 @@ func TestCloneExprIndependence(t *testing.T) {
 
 func TestSubstituteExpr(t *testing.T) {
 	e := &Binary{Op: OpAdd, X: Id("i"), Y: Int(5)}
-	got := SubstituteExpr(CloneExpr(e), "i", Int(10))
+	got := Subst(e, map[string]Expr{"i": Int(10)})
 	v, ok := EvalInt(got, nil)
 	if !ok || v != 15 {
 		t.Errorf("substitute = %s", got)
 	}
+	if e.String() != "(i + 5)" {
+		t.Errorf("substitution rewrote its input: %s", e)
+	}
 	// array names are not substituted
 	ar := &ArrayRef{Name: "i", Subs: []Expr{Id("i")}}
-	got2 := SubstituteExpr(ar, "i", Int(3)).(*ArrayRef)
+	got2 := Subst(ar, map[string]Expr{"i": Int(3)}).(*ArrayRef)
 	if got2.Name != "i" {
 		t.Error("array name wrongly substituted")
 	}
@@ -188,3 +192,44 @@ func TestPrintProgramStructure(t *testing.T) {
 
 // alias to keep the composite literal readable above
 const ast_DistCyclic = DistCyclic
+
+// TestStmtExprsCoversEveryKind plants a leaf in every expression-typed
+// field of every statement kind (an Expr, an element of an []Expr, a
+// bound of a []SecDim) and checks that WalkExprs visits each one: a
+// kind or a field StmtExprs forgets is invisible to every analysis that
+// asks "where is this variable used".
+func TestStmtExprsCoversEveryKind(t *testing.T) {
+	kinds := []Stmt{
+		&Assign{}, &Do{}, &If{}, &Call{}, &Return{},
+		&Decomposition{}, &Align{}, &Distribute{},
+		&Send{}, &Recv{}, &Broadcast{}, &AllGather{}, &GlobalReduce{},
+		&PostRecv{}, &WaitRecv{}, &PostBcast{}, &WaitBcast{}, &Remap{},
+	}
+	exprType := reflect.TypeOf((*Expr)(nil)).Elem()
+	for _, s := range kinds {
+		planted := 0
+		leaf := func() Expr { planted++; return Id("leaf$") }
+		v := reflect.ValueOf(s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch {
+			case !f.CanSet():
+			case f.Type() == exprType:
+				f.Set(reflect.ValueOf(leaf()))
+			case f.Type() == reflect.TypeOf([]Expr(nil)):
+				f.Set(reflect.ValueOf([]Expr{leaf(), leaf()}))
+			case f.Type() == reflect.TypeOf([]SecDim(nil)):
+				f.Set(reflect.ValueOf([]SecDim{{Lo: leaf(), Hi: leaf()}, {Lo: leaf(), Hi: leaf()}}))
+			}
+		}
+		visited := 0
+		WalkExprs([]Stmt{s}, func(e Expr) {
+			if id, ok := e.(*Ident); ok && id.Name == "leaf$" {
+				visited++
+			}
+		})
+		if visited != planted {
+			t.Errorf("%T: %d expression leaves planted, WalkExprs visits %d", s, planted, visited)
+		}
+	}
+}

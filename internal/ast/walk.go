@@ -23,13 +23,14 @@ func WalkStmts(body []Stmt, fn func(Stmt) bool) {
 func WalkExprs(body []Stmt, fn func(Expr)) {
 	WalkStmts(body, func(s Stmt) bool {
 		for _, e := range StmtExprs(s) {
-			walkExpr(e, fn)
+			WalkExpr(e, fn)
 		}
 		return true
 	})
 }
 
-func walkExpr(e Expr, fn func(Expr)) {
+// WalkExpr applies fn to e and every subexpression of it, pre-order.
+func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
 	}
@@ -37,17 +38,17 @@ func walkExpr(e Expr, fn func(Expr)) {
 	switch x := e.(type) {
 	case *ArrayRef:
 		for _, sub := range x.Subs {
-			walkExpr(sub, fn)
+			WalkExpr(sub, fn)
 		}
 	case *FuncCall:
 		for _, a := range x.Args {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *Binary:
-		walkExpr(x.X, fn)
-		walkExpr(x.Y, fn)
+		WalkExpr(x.X, fn)
+		WalkExpr(x.Y, fn)
 	case *Unary:
-		walkExpr(x.X, fn)
+		WalkExpr(x.X, fn)
 	}
 }
 
@@ -68,68 +69,71 @@ func StmtExprs(s Stmt) []Expr {
 	case *Call:
 		return st.Args
 	case *Send:
-		out := []Expr{st.Dest}
-		for _, d := range st.Sec {
-			out = append(out, d.Lo, d.Hi)
-		}
-		return out
+		return secExprs(st.Dest, st.Sec)
 	case *Recv:
-		out := []Expr{st.Src}
-		for _, d := range st.Sec {
-			out = append(out, d.Lo, d.Hi)
-		}
-		return out
+		return secExprs(st.Src, st.Sec)
 	case *Broadcast:
-		out := []Expr{st.Root}
-		for _, d := range st.Sec {
-			out = append(out, d.Lo, d.Hi)
-		}
-		return out
+		return secExprs(st.Root, st.Sec)
+	case *AllGather:
+		return secExprs(nil, st.Sec)
 	case *PostRecv:
-		out := []Expr{st.Src}
-		for _, d := range st.Sec {
-			out = append(out, d.Lo, d.Hi)
-		}
-		return out
+		return secExprs(st.Src, st.Sec)
 	case *PostBcast:
-		out := []Expr{st.Root}
-		for _, d := range st.Sec {
-			out = append(out, d.Lo, d.Hi)
-		}
-		return out
+		return secExprs(st.Root, st.Sec)
 	}
 	return nil
 }
 
+// secExprs lists a communication statement's peer expression (nil: it
+// has none) and the bounds of its section.
+func secExprs(peer Expr, sec []SecDim) []Expr {
+	out := make([]Expr, 0, 1+2*len(sec))
+	if peer != nil {
+		out = append(out, peer)
+	}
+	for _, d := range sec {
+		out = append(out, d.Lo, d.Hi)
+	}
+	return out
+}
+
 // CloneExpr returns a deep copy of e.
-func CloneExpr(e Expr) Expr {
+func CloneExpr(e Expr) Expr { return Subst(e, nil) }
+
+// Subst returns a deep copy of e in which every identifier that env
+// maps is replaced by a copy of its expression. Array and function
+// names are not touched.
+func Subst(e Expr, env map[string]Expr) Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
 	case *Ident:
+		if r, ok := env[x.Name]; ok {
+			return CloneExpr(r)
+		}
 		return &Ident{Name: x.Name}
 	case *IntLit:
 		return &IntLit{Value: x.Value}
 	case *RealLit:
 		return &RealLit{Value: x.Value}
 	case *ArrayRef:
-		subs := make([]Expr, len(x.Subs))
-		for i, s := range x.Subs {
-			subs[i] = CloneExpr(s)
-		}
-		return &ArrayRef{Name: x.Name, Subs: subs}
+		return &ArrayRef{Name: x.Name, Subs: substAll(x.Subs, env)}
 	case *FuncCall:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = CloneExpr(a)
-		}
-		return &FuncCall{Name: x.Name, Args: args}
+		return &FuncCall{Name: x.Name, Args: substAll(x.Args, env)}
 	case *Binary:
-		return &Binary{Op: x.Op, X: CloneExpr(x.X), Y: CloneExpr(x.Y)}
+		return &Binary{Op: x.Op, X: Subst(x.X, env), Y: Subst(x.Y, env)}
 	case *Unary:
-		return &Unary{Op: x.Op, X: CloneExpr(x.X)}
+		return &Unary{Op: x.Op, X: Subst(x.X, env)}
 	}
 	return e
+}
+
+func substAll(es []Expr, env map[string]Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = Subst(e, env)
+	}
+	return out
 }
 
 // CloneStmts returns a deep copy of body.
@@ -155,11 +159,7 @@ func CloneStmt(s Stmt) Stmt {
 	case *If:
 		return &If{stmtBase: st.stmtBase, Cond: CloneExpr(st.Cond), Then: CloneStmts(st.Then), Else: CloneStmts(st.Else)}
 	case *Call:
-		args := make([]Expr, len(st.Args))
-		for i, a := range st.Args {
-			args[i] = CloneExpr(a)
-		}
-		return &Call{stmtBase: st.stmtBase, Name: st.Name, Args: args, Site: st.Site}
+		return &Call{stmtBase: st.stmtBase, Name: st.Name, Args: substAll(st.Args, nil), Site: st.Site}
 	case *Return:
 		return &Return{stmtBase: st.stmtBase}
 	case *Decomposition:
@@ -226,36 +226,4 @@ func CloneProcedure(p *Procedure, newName string) *Procedure {
 		Symbols: syms,
 		Body:    CloneStmts(p.Body),
 	}
-}
-
-// SubstituteExpr replaces every occurrence of identifier name in e with
-// repl, returning the rewritten expression. Array names are not touched.
-func SubstituteExpr(e Expr, name string, repl Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Ident:
-		if x.Name == name {
-			return CloneExpr(repl)
-		}
-		return x
-	case *ArrayRef:
-		for i, s := range x.Subs {
-			x.Subs[i] = SubstituteExpr(s, name, repl)
-		}
-		return x
-	case *FuncCall:
-		for i, a := range x.Args {
-			x.Args[i] = SubstituteExpr(a, name, repl)
-		}
-		return x
-	case *Binary:
-		x.X = SubstituteExpr(x.X, name, repl)
-		x.Y = SubstituteExpr(x.Y, name, repl)
-		return x
-	case *Unary:
-		x.X = SubstituteExpr(x.X, name, repl)
-		return x
-	}
-	return e
 }

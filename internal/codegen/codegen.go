@@ -187,7 +187,7 @@ func Generate(in *Input) (*Result, error) {
 				return nil, errUnsupported("reduction loop for %s lost its bounds reduction", item.Red.Var)
 			}
 			partial := item.Red.Var + "$red"
-			newRhs := ast.SubstituteExpr(ast.CloneExpr(item.Stmt.Rhs), item.Red.Var, ast.Id(partial))
+			newRhs := ast.Subst(item.Stmt.Rhs, map[string]ast.Expr{item.Red.Var: ast.Id(partial)})
 			replace[item.Stmt] = &ast.Assign{Lhs: ast.Id(partial), Rhs: newRhs}
 
 			var identity ast.Expr

@@ -153,8 +153,8 @@ func subSecDim(in *Input, ref *ast.ArrayRef, d int, nest []*ast.Do, depth int) a
 				break // defined at the placement point: verbatim
 			}
 			loop := nest[j]
-			lo := ast.SubstituteExpr(ast.CloneExpr(sub), v, loop.Lo)
-			hi := ast.SubstituteExpr(ast.CloneExpr(sub), v, loop.Hi)
+			lo := ast.Subst(sub, map[string]ast.Expr{v: loop.Lo})
+			hi := ast.Subst(sub, map[string]ast.Expr{v: loop.Hi})
 			if a < 0 {
 				lo, hi = hi, lo
 			}

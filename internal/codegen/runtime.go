@@ -183,26 +183,11 @@ func runtimeAssign(proc *ast.Procedure, distOf partition.DistOf, st *ast.Assign,
 	// differs from the computing processor
 	var rhsRefs []*ast.ArrayRef
 	collect := func(e ast.Expr) {
-		var rec func(e ast.Expr)
-		rec = func(e ast.Expr) {
-			switch x := e.(type) {
-			case *ast.ArrayRef:
+		ast.WalkExpr(e, func(e ast.Expr) {
+			if x, ok := e.(*ast.ArrayRef); ok {
 				rhsRefs = append(rhsRefs, x)
-				for _, sub := range x.Subs {
-					rec(sub)
-				}
-			case *ast.FuncCall:
-				for _, a := range x.Args {
-					rec(a)
-				}
-			case *ast.Binary:
-				rec(x.X)
-				rec(x.Y)
-			case *ast.Unary:
-				rec(x.X)
 			}
-		}
-		rec(e)
+		})
 	}
 	collect(st.Rhs)
 	if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {

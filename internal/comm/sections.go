@@ -67,24 +67,12 @@ func procSections(n *acg.Node, done map[string]*SectionSummary) *SectionSummary 
 			sum.addRead(sec)
 		}
 	}
-	var collectExpr func(e ast.Expr)
-	collectExpr = func(e ast.Expr) {
-		switch x := e.(type) {
-		case *ast.ArrayRef:
-			addRef(x, false)
-			for _, s := range x.Subs {
-				collectExpr(s)
+	collectExpr := func(e ast.Expr) {
+		ast.WalkExpr(e, func(e ast.Expr) {
+			if x, ok := e.(*ast.ArrayRef); ok {
+				addRef(x, false)
 			}
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				collectExpr(a)
-			}
-		case *ast.Binary:
-			collectExpr(x.X)
-			collectExpr(x.Y)
-		case *ast.Unary:
-			collectExpr(x.X)
-		}
+		})
 	}
 	var walk func(body []ast.Stmt)
 	walk = func(body []ast.Stmt) {

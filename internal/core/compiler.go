@@ -478,22 +478,11 @@ func mkDistFor(proc *ast.Procedure, name string, d decomp.Decomp, env ast.Env, p
 }
 
 func collectArrays(e ast.Expr, fn func(string)) {
-	switch x := e.(type) {
-	case *ast.ArrayRef:
-		fn(x.Name)
-		for _, s := range x.Subs {
-			collectArrays(s, fn)
+	ast.WalkExpr(e, func(e ast.Expr) {
+		if x, ok := e.(*ast.ArrayRef); ok {
+			fn(x.Name)
 		}
-	case *ast.FuncCall:
-		for _, a := range x.Args {
-			collectArrays(a, fn)
-		}
-	case *ast.Binary:
-		collectArrays(x.X, fn)
-		collectArrays(x.Y, fn)
-	case *ast.Unary:
-		collectArrays(x.X, fn)
-	}
+	})
 }
 
 // checkAliasRestriction enforces §6.4: when a call site binds the same

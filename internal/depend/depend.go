@@ -109,24 +109,12 @@ func CollectRefs(proc *ast.Procedure, env ast.Env) []*Ref {
 		}
 		refs = append(refs, r)
 	}
-	var addExprRefs func(e ast.Expr, stmt ast.Stmt)
-	addExprRefs = func(e ast.Expr, stmt ast.Stmt) {
-		switch x := e.(type) {
-		case *ast.ArrayRef:
-			addRef(x, stmt, false)
-			for _, s := range x.Subs {
-				addExprRefs(s, stmt)
+	addExprRefs := func(e ast.Expr, stmt ast.Stmt) {
+		ast.WalkExpr(e, func(e ast.Expr) {
+			if x, ok := e.(*ast.ArrayRef); ok {
+				addRef(x, stmt, false)
 			}
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				addExprRefs(a, stmt)
-			}
-		case *ast.Binary:
-			addExprRefs(x.X, stmt)
-			addExprRefs(x.Y, stmt)
-		case *ast.Unary:
-			addExprRefs(x.X, stmt)
-		}
+		})
 	}
 
 	var walk func(body []ast.Stmt)

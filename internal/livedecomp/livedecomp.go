@@ -380,24 +380,12 @@ func buildEvents(
 		})
 	}
 
-	var exprUses func(e ast.Expr, stmt ast.Stmt)
-	exprUses = func(e ast.Expr, stmt ast.Stmt) {
-		switch x := e.(type) {
-		case *ast.ArrayRef:
-			addUse(x.Name, stmt, false)
-			for _, s := range x.Subs {
-				exprUses(s, stmt)
+	exprUses := func(e ast.Expr, stmt ast.Stmt) {
+		ast.WalkExpr(e, func(e ast.Expr) {
+			if x, ok := e.(*ast.ArrayRef); ok {
+				addUse(x.Name, stmt, false)
 			}
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				exprUses(a, stmt)
-			}
-		case *ast.Binary:
-			exprUses(x.X, stmt)
-			exprUses(x.Y, stmt)
-		case *ast.Unary:
-			exprUses(x.X, stmt)
-		}
+		})
 	}
 
 	var walk func(body []ast.Stmt)
@@ -536,24 +524,12 @@ func buildEvents(
 // callee-required decomposition (DecompUse and DecompBefore entries).
 func prescanUses(proc *ast.Procedure, node *acg.Node, summaries map[string]*Summary) map[string]int {
 	out := map[string]int{}
-	var countExpr func(e ast.Expr)
-	countExpr = func(e ast.Expr) {
-		switch x := e.(type) {
-		case *ast.ArrayRef:
-			out[x.Name]++
-			for _, s := range x.Subs {
-				countExpr(s)
+	countExpr := func(e ast.Expr) {
+		ast.WalkExpr(e, func(e ast.Expr) {
+			if x, ok := e.(*ast.ArrayRef); ok {
+				out[x.Name]++
 			}
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				countExpr(a)
-			}
-		case *ast.Binary:
-			countExpr(x.X)
-			countExpr(x.Y)
-		case *ast.Unary:
-			countExpr(x.X)
-		}
+		})
 	}
 	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
 		switch st := s.(type) {

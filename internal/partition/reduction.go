@@ -118,46 +118,22 @@ func analyzeReduction(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distO
 }
 
 func collectRefs(e ast.Expr, out *[]*ast.ArrayRef) {
-	switch x := e.(type) {
-	case *ast.ArrayRef:
-		*out = append(*out, x)
-		for _, s := range x.Subs {
-			collectRefs(s, out)
+	ast.WalkExpr(e, func(e ast.Expr) {
+		if x, ok := e.(*ast.ArrayRef); ok {
+			*out = append(*out, x)
 		}
-	case *ast.FuncCall:
-		for _, a := range x.Args {
-			collectRefs(a, out)
-		}
-	case *ast.Binary:
-		collectRefs(x.X, out)
-		collectRefs(x.Y, out)
-	case *ast.Unary:
-		collectRefs(x.X, out)
-	}
+	})
 }
 
 func containsIdent(e ast.Expr, name string) bool { return countIdent(e, name) > 0 }
 
 func countIdent(e ast.Expr, name string) int {
 	n := 0
-	switch x := e.(type) {
-	case *ast.Ident:
-		if x.Name == name {
+	ast.WalkExpr(e, func(e ast.Expr) {
+		if x, ok := e.(*ast.Ident); ok && x.Name == name {
 			n++
 		}
-	case *ast.ArrayRef:
-		for _, s := range x.Subs {
-			n += countIdent(s, name)
-		}
-	case *ast.FuncCall:
-		for _, a := range x.Args {
-			n += countIdent(a, name)
-		}
-	case *ast.Binary:
-		n += countIdent(x.X, name) + countIdent(x.Y, name)
-	case *ast.Unary:
-		n += countIdent(x.X, name)
-	}
+	})
 	return n
 }
 

@@ -334,3 +334,84 @@ func TestRedundantBcastContainmentDirection(t *testing.T) {
 		t.Errorf("wider re-broadcast removed (applied %d, %v):\n%s", n, rs, out)
 	}
 }
+
+// TestLookaheadMissedOnCommonWrite: the update loop's callee reaches
+// the pivot array under its own name, through a COMMON block, not
+// through an actual the column proof could follow — the lookahead
+// twin of the root package's TestCommonWritesPinTheSchedule.
+func TestLookaheadMissedOnCommonWrite(t *testing.T) {
+	out, rs, n := applyTo(t, `
+      PROGRAM P
+      REAL a(8,8)
+      COMMON /blk/ a
+      my$p = myproc()
+      n = 8
+      do k = 1,(n - 1)
+        broadcast a(1:8,k) from MOD((k - 1),4)
+        do j = first$((my$p + 1),(k + 1),4),n,4
+          call upd(n,k,j)
+        enddo
+      enddo
+      END
+      SUBROUTINE upd(n,k,j)
+      REAL a(8,8)
+      COMMON /blk/ a
+      do i = (k + 1),n
+        a(i,j) = (a(i,j) - (a(i,k) * a(k,j)))
+      enddo
+      END
+`)
+	if n != 0 || strings.Contains(out, "postbcast") {
+		t.Errorf("applied = %d, want 0:\n%s", n, out)
+	}
+	if !hasRemark(rs, explain.Missed, "overlap-lookahead", "call upd may write a (COMMON /blk/)") {
+		t.Errorf("missing Missed overlap-lookahead remark naming the block, got %v", rs)
+	}
+}
+
+// TestMotionRuleAtCalls: what a call lets a broadcast move across it is
+// read off the callee's summary. An array-element actual stands for its
+// array (the callee may write through it); an expression actual is a
+// value; a callee nobody defines, and any call of a recursive program,
+// may do anything.
+func TestMotionRuleAtCalls(t *testing.T) {
+	const callees = `
+      SUBROUTINE rd(z)
+      y = (z + 1)
+      END
+      SUBROUTINE wr(z)
+      z = (z + 1)
+      END
+`
+	const recursive = `
+      SUBROUTINE loop(z)
+      call loop(z)
+      END
+`
+	for _, c := range []struct{ call, missed, more string }{
+		{"call rd(a(2))", "", ""},
+		{"call rd((k + 1))", "", ""},
+		{"call wr(a(2))", "call wr may write a", ""},
+		{"call wr(k)", "call wr may write k", ""},
+		{"call nosuch(c)", "call to unknown procedure nosuch", ""},
+		{"call rd(c)", "call rd is part of a recursive program", recursive},
+	} {
+		src := `
+      PROGRAM P
+      REAL a(4)
+      REAL c(4)
+      k = 1
+      ` + c.call + `
+      broadcast a(k:4) from 0
+      END
+` + callees + c.more
+		out, rs, n := applyTo(t, src)
+		if c.missed == "" {
+			if n != 1 || !strings.Contains(out, "postbcast a(k:4) from 0 tag 1\n      "+c.call) {
+				t.Errorf("%s: broadcast not posted above the call (applied %d, %v):\n%s", c.call, n, rs, out)
+			}
+		} else if n != 0 || !hasRemark(rs, explain.Missed, "overlap-bcast", c.missed) {
+			t.Errorf("%s: applied %d, want a Missed remark saying %q, got %v", c.call, n, c.missed, rs)
+		}
+	}
+}

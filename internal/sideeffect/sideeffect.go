@@ -4,6 +4,12 @@
 // be modified or referenced by P or its descendants in the call graph,
 // and Appear(P) = GMOD(P) ∪ GREF(P), the set the procedure-cloning
 // algorithm of Figure 8 filters reaching decompositions against.
+//
+// It reads the generated SPMD dialect as well as Fortran D source: a
+// communication statement modifies what it receives into, references
+// what it sends and the expressions of its section and peer, and marks
+// the summary as communicating. The overlap schedule asks it what a
+// statement it wants to move another across may do (Analysis.Add).
 package sideeffect
 
 import (
@@ -12,12 +18,20 @@ import (
 	"fortd/internal/dataflow"
 )
 
-// Summary holds the side-effect sets for one procedure, expressed in
-// terms of that procedure's own name space (formals and globals).
+// Summary holds the side effects of one procedure, expressed in that
+// procedure's own name space (formals, globals and locals), or of any
+// list of statements (Analysis.Add).
 type Summary struct {
 	Mod dataflow.Set // GMOD: may be modified by P or descendants
 	Ref dataflow.Set // GREF: may be referenced by P or descendants
+	// Comm is set when P or a descendant executes a communication
+	// statement, or calls a procedure the program does not define (which
+	// may do anything).
+	Comm bool
 }
+
+// NewSummary returns the summary of doing nothing.
+func NewSummary() *Summary { return &Summary{Mod: dataflow.NewSet(), Ref: dataflow.NewSet()} }
 
 // Appear returns GMOD ∪ GREF.
 func (s *Summary) Appear() dataflow.Set {
@@ -29,57 +43,63 @@ func (s *Summary) Appear() dataflow.Set {
 // Analysis maps each procedure name to its summary.
 type Analysis struct {
 	Summaries map[string]*Summary
+	prog      *ast.Program
+	// commons holds every name some unit declares in a COMMON block: an
+	// effect on one passes through callers that do not declare it.
+	commons dataflow.Set
 }
 
-// Compute solves GMOD/GREF bottom-up over the acyclic call graph: local
-// effects first, then callee summaries translated through each call
-// site's formal→actual bindings.
+// Compute solves GMOD/GREF bottom-up over the acyclic call graph: each
+// procedure's statements, with the summary of every callee (already
+// computed) translated through the call's formal→actual bindings.
+// Purely local effects stay in a procedure's summary for its own use;
+// callers see only what translates: formals and commons.
 func Compute(g *acg.Graph) *Analysis {
-	a := &Analysis{Summaries: make(map[string]*Summary)}
-	for _, n := range g.ReverseTopoOrder() {
-		sum := &Summary{Mod: dataflow.NewSet(), Ref: dataflow.NewSet()}
-		collectLocal(n.Proc, sum)
-		for _, site := range n.Calls {
-			calleeSum := a.Summaries[site.Callee.Name()]
-			if calleeSum == nil {
-				continue
+	a := &Analysis{Summaries: make(map[string]*Summary), prog: g.Program, commons: dataflow.NewSet()}
+	for _, u := range g.Program.Units {
+		for _, sym := range u.Symbols.Symbols() {
+			if sym.Common != "" {
+				a.commons[sym.Name] = struct{}{}
 			}
-			translate(site, calleeSum.Mod, sum.Mod)
-			translate(site, calleeSum.Ref, sum.Ref)
 		}
-		// restrict to names visible to callers: formals and commons;
-		// purely local effects do not escape, but keep them for the
-		// procedure's own use — callers translate through formals only.
+	}
+	for _, n := range g.ReverseTopoOrder() {
+		sum := NewSummary()
+		a.Add(sum, n.Proc.Body...)
 		a.Summaries[n.Name()] = sum
 	}
 	return a
 }
 
-// collectLocal records the directly-referenced and directly-modified
-// variables of proc.
-func collectLocal(proc *ast.Procedure, sum *Summary) {
-	var exprRefs func(e ast.Expr)
-	exprRefs = func(e ast.Expr) {
-		switch x := e.(type) {
-		case *ast.Ident:
-			sum.Ref[x.Name] = struct{}{}
-		case *ast.ArrayRef:
-			sum.Ref[x.Name] = struct{}{}
-			for _, s := range x.Subs {
-				exprRefs(s)
+// Add unions into sum what executing the statements may do: their own
+// effects, those of the statements nested in them, and at a CALL the
+// callee's summary seen from the call site.
+func (a *Analysis) Add(sum *Summary, body ...ast.Stmt) {
+	ref := func(e ast.Expr) {
+		ast.WalkExpr(e, func(e ast.Expr) {
+			switch x := e.(type) {
+			case *ast.Ident:
+				sum.Ref[x.Name] = struct{}{}
+			case *ast.ArrayRef:
+				sum.Ref[x.Name] = struct{}{}
 			}
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				exprRefs(a)
-			}
-		case *ast.Binary:
-			exprRefs(x.X)
-			exprRefs(x.Y)
-		case *ast.Unary:
-			exprRefs(x.X)
+		})
+	}
+	// comm records a communication statement: what it receives into,
+	// what it sends, and the expressions of its section and peer
+	comm := func(s ast.Stmt, recvs, sends string) {
+		sum.Comm = true
+		if recvs != "" {
+			sum.Mod[recvs] = struct{}{}
+		}
+		if sends != "" {
+			sum.Ref[sends] = struct{}{}
+		}
+		for _, e := range ast.StmtExprs(s) {
+			ref(e)
 		}
 	}
-	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
+	ast.WalkStmts(body, func(s ast.Stmt) bool {
 		switch st := s.(type) {
 		case *ast.Assign:
 			switch lhs := st.Lhs.(type) {
@@ -88,50 +108,81 @@ func collectLocal(proc *ast.Procedure, sum *Summary) {
 			case *ast.ArrayRef:
 				sum.Mod[lhs.Name] = struct{}{}
 				for _, sub := range lhs.Subs {
-					exprRefs(sub)
+					ref(sub)
 				}
 			}
-			exprRefs(st.Rhs)
+			ref(st.Rhs)
 		case *ast.Do:
 			sum.Mod[st.Var] = struct{}{}
-			exprRefs(st.Lo)
-			exprRefs(st.Hi)
-			if st.Step != nil {
-				exprRefs(st.Step)
-			}
+			ref(st.Lo)
+			ref(st.Hi)
+			ref(st.Step)
 		case *ast.If:
-			exprRefs(st.Cond)
+			ref(st.Cond)
 		case *ast.Call:
-			// handled interprocedurally; subscripts of array-section
-			// actuals still count as local references
-			for _, a := range st.Args {
-				if ar, ok := a.(*ast.ArrayRef); ok {
+			// the actuals themselves are the callee's business; the
+			// subscripts of an array-element actual are evaluated here
+			for _, arg := range st.Args {
+				if ar, ok := arg.(*ast.ArrayRef); ok {
 					for _, sub := range ar.Subs {
-						exprRefs(sub)
+						ref(sub)
 					}
 				}
 			}
+			callee := a.Summaries[st.Name]
+			if callee == nil {
+				sum.Comm = true
+				break
+			}
+			sum.Comm = sum.Comm || callee.Comm
+			a.translate(st, callee.Mod, sum.Mod)
+			a.translate(st, callee.Ref, sum.Ref)
+		case *ast.Send:
+			comm(s, "", st.Array)
+		case *ast.Recv:
+			comm(s, st.Array, "")
+		case *ast.Broadcast:
+			comm(s, st.Array, st.Array)
+		case *ast.AllGather:
+			comm(s, st.Array, st.Array)
+		case *ast.GlobalReduce:
+			comm(s, st.Var, st.Var)
+		case *ast.Remap:
+			comm(s, st.Array, st.Array)
+		case *ast.PostRecv:
+			comm(s, "", st.Array)
+		case *ast.WaitRecv:
+			comm(s, st.Array, "")
+		case *ast.PostBcast:
+			comm(s, "", st.Array)
+		case *ast.WaitBcast:
+			comm(s, st.Array, "")
 		}
 		return true
 	})
 }
 
-// translate maps a callee-side effect set through a call site into the
-// caller's name space: formals become the corresponding actual names;
-// common variables keep their names; callee locals are dropped.
-func translate(site *acg.CallSite, calleeSet, out dataflow.Set) {
-	callee := site.Callee.Proc
+// translate maps a callee-side effect set through a call into the
+// caller's name space: formals become the corresponding actual names
+// (an array-element actual stands for its array), common variables
+// keep their names — also through a callee that does not declare them
+// itself — and callee locals are dropped.
+func (a *Analysis) translate(call *ast.Call, calleeSet, out dataflow.Set) {
+	callee := a.prog.Proc(call.Name)
 	for name := range calleeSet {
 		sym := callee.Symbols.Lookup(name)
-		if sym == nil {
-			continue
-		}
 		switch {
+		case sym == nil:
+			if a.commons.Has(name) {
+				out[name] = struct{}{}
+			}
 		case sym.IsFormal:
-			if sym.FormalIndex < len(site.Bindings) {
-				b := site.Bindings[sym.FormalIndex]
-				if b.ActualName != "" {
-					out[b.ActualName] = struct{}{}
+			if sym.FormalIndex < len(call.Args) {
+				switch actual := call.Args[sym.FormalIndex].(type) {
+				case *ast.Ident:
+					out[actual.Name] = struct{}{}
+				case *ast.ArrayRef:
+					out[actual.Name] = struct{}{}
 				}
 			}
 		case sym.Common != "":

@@ -152,3 +152,99 @@ func TestUnknownProcedureAppear(t *testing.T) {
 		t.Errorf("unknown proc Appear = %v", got.Members())
 	}
 }
+
+// TestCommonThroughIntermediate: an effect on a COMMON variable reaches
+// a caller that declares the block through a procedure that does not.
+func TestCommonThroughIntermediate(t *testing.T) {
+	a := analyze(t, `
+      PROGRAM P
+      COMMON /blk/ G(10)
+      call MID
+      END
+      SUBROUTINE MID
+      call S
+      END
+      SUBROUTINE S
+      COMMON /blk/ G(10)
+      t = 1.0
+      G(1) = 2.0
+      END
+`)
+	if !a.Summaries["P"].Mod.Has("G") {
+		t.Errorf("common G not in GMOD(P): %v", a.Summaries["P"].Mod.Members())
+	}
+	if a.Summaries["P"].Mod.Has("t") {
+		t.Errorf("S-local t leaks into GMOD(P): %v", a.Summaries["P"].Mod.Members())
+	}
+}
+
+// TestGeneratedDialect: what each communication statement of the SPMD
+// dialect modifies and references, the Comm bit through a call, an
+// undefined callee, and Add on a single statement.
+func TestGeneratedDialect(t *testing.T) {
+	prog, err := parser.Parse(`
+      PROGRAM P
+      REAL a(8), b(8), c(8), d(8), e(8)
+      my$p = myproc()
+      send a(lo:4) to (my$p + 1)
+      recv b(5:hi) from src
+      broadcast c(1:8) from MOD(k,4)
+      postrecv d(1) from 0 tag 1
+      waitrecv d tag 1
+      postbcast e(m:8) from 0 tag 2
+      waitbcast e tag 2
+      globalsum s
+      call quiet(a)
+      END
+      SUBROUTINE quiet(x)
+      REAL x(8)
+      x(1) = 0
+      END
+      SUBROUTINE talks(x)
+      REAL x(8)
+      call relay(x)
+      END
+      SUBROUTINE relay(x)
+      REAL x(8)
+      allgather x(1:8)
+      END
+      SUBROUTINE lost(x)
+      REAL x(8)
+      call nosuch(x)
+      END
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := acg.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Compute(g)
+	p := a.Summaries["P"]
+	for _, name := range []string{"a", "b", "c", "d", "e", "s"} {
+		// a is sent, and written by quiet; e is only ever posted and waited for
+		if !p.Mod.Has(name) {
+			t.Errorf("%s not in GMOD(P): %v", name, p.Mod.Members())
+		}
+	}
+	for _, name := range []string{"a", "c", "d", "e", "s", "lo", "hi", "src", "k", "m", "my$p"} {
+		if !p.Ref.Has(name) {
+			t.Errorf("%s not in GREF(P): %v", name, p.Ref.Members())
+		}
+	}
+	if p.Ref.Has("b") {
+		t.Errorf("b is only received into, yet in GREF(P): %v", p.Ref.Members())
+	}
+	for name, want := range map[string]bool{"P": true, "quiet": false, "talks": true, "relay": true, "lost": true} {
+		if a.Summaries[name].Comm != want {
+			t.Errorf("Comm(%s) = %v, want %v", name, !want, want)
+		}
+	}
+	call := prog.Main().Body[len(prog.Main().Body)-1]
+	one := NewSummary()
+	a.Add(one, call)
+	if !one.Mod.Has("a") || len(one.Mod) != 1 || one.Comm {
+		t.Errorf("call quiet(a): Mod %v Comm %v, want [a] false", one.Mod.Members(), one.Comm)
+	}
+}
