@@ -13,8 +13,11 @@ set -eux
 test -z "$(gofmt -l .)"
 # the tracked size of the production code (ROADMAP item 3) is a ratchet:
 # it may not grow past the ceiling, and a PR that shrinks it lowers the
-# ceiling to its own result in the same diff
-LOC_CEILING=25208
+# ceiling to its own result in the same diff. PR 18 added a compiler
+# capability (private scalars partitioned by their uses, read-range
+# sections) and was allowed its measured net growth, at most +400:
+# 25208 -> 25598
+LOC_CEILING=25598
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -257,42 +257,55 @@ func TestCompileDeterminism(t *testing.T) {
 // claim: the interprocedurally compiled dgefa approaches hand-written
 // message-passing code, while the baselines are far away.
 func TestDgefaApproachesHandWritten(t *testing.T) {
-	const n, p = 64, 4
-	init := map[string][]float64{"a": DgefaMatrix(n)}
+	for _, n := range []int{64, 96} {
+		const p = 4
+		init := map[string][]float64{"a": DgefaMatrix(n)}
 
-	// the hand-written program is plain SPMD text executed directly
-	handRes, err := NewRunner(WithInit(init)).RunSPMD(DgefaHandSrc(n, p), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	compiled, err := Compile(DgefaSrc(n, p), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	compRes, err := NewRunner(WithInit(init)).Run(compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewRunner(WithInit(init)).RunReference(compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// both must be correct
-	for i, want := range ref.Arrays["a"] {
-		if d := compRes.Arrays["a"][i] - want; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("compiled a[%d] = %v, want %v", i, compRes.Arrays["a"][i], want)
+		// the hand-written program is plain SPMD text executed directly
+		handRes, err := NewRunner(WithInit(init)).RunSPMD(DgefaHandSrc(n, p), p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := handRes.Arrays["a"][i] - want; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("hand a[%d] = %v, want %v", i, handRes.Arrays["a"][i], want)
-		}
-	}
 
-	ratio := compRes.Stats.Time / handRes.Stats.Time
-	if ratio > 2.0 {
-		t.Errorf("compiled/hand = %.2f (compiled %.0fµs, hand %.0fµs): not 'closely approaching'",
-			ratio, compRes.Stats.Time, handRes.Stats.Time)
+		compiled, err := Compile(DgefaSrc(n, p), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compRes, err := NewRunner(WithInit(init)).Run(compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewRunner(WithInit(init)).RunReference(compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// both must be correct
+		for i, want := range ref.Arrays["a"] {
+			if d := compRes.Arrays["a"][i] - want; d > 1e-6 || d < -1e-6 {
+				t.Fatalf("compiled a[%d] = %v, want %v", i, compRes.Arrays["a"][i], want)
+			}
+			if d := handRes.Arrays["a"][i] - want; d > 1e-6 || d < -1e-6 {
+				t.Fatalf("hand a[%d] = %v, want %v", i, handRes.Arrays["a"][i], want)
+			}
+		}
+
+		// ROADMAP item 2's targets
+		c, h := compRes.Stats, handRes.Stats
+		for _, m := range []struct {
+			what           string
+			compiled, hand float64
+			bound          float64
+		}{
+			{"time", c.Time, h.Time, 1.15},
+			{"messages", float64(c.Messages), float64(h.Messages), 1.25},
+			{"words", float64(c.Words), float64(h.Words), 1.5},
+		} {
+			if ratio := m.compiled / m.hand; ratio > m.bound {
+				t.Errorf("n=%d %s: compiled/hand = %.3f (compiled %.1f, hand %.1f), above %.2f: not 'closely approaching'",
+					n, m.what, ratio, m.compiled, m.hand, m.bound)
+			}
+		}
+		t.Logf("n=%d hand=%.0fµs compiled=%.0fµs ratio=%.3f", n, h.Time, c.Time, c.Time/h.Time)
 	}
-	t.Logf("hand=%.0fµs compiled=%.0fµs ratio=%.2f", handRes.Stats.Time, compRes.Stats.Time, ratio)
 }

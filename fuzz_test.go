@@ -78,7 +78,8 @@ func FuzzCompile(f *testing.F) {
 // a run that succeeds agrees with the sequential reference (on programs
 // within the compiler's input contract, see shapesConform and
 // readsIndexOutsideLoop). The seeds
-// include the three programs that broke the tree-walking interpreter:
+// include programs with scalar temporaries (the private-scalar rule of
+// internal/partition) and the three that broke the tree-walking interpreter:
 // an early RETURN (silently ignored), intrinsics that indexed missing
 // arguments or divided by a truncated zero (panicked a node goroutine),
 // and a compute-only loop (no cancellation point, outlived any
@@ -121,6 +122,23 @@ func FuzzRun(f *testing.F) {
       END
 `,
 	} {
+		f.Add(src)
+	}
+	// scalar temporaries: the rows of the private-scalar table and
+	// random programs that assign them in partitioned loops, before
+	// guarded calls and live out of their loop
+	rows, err := filepath.Glob(filepath.Join("testdata", "private", "*.f"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range rows {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, src := range tempPrograms(8) {
 		f.Add(src)
 	}
 	const deadline = 2 * time.Second

@@ -68,6 +68,20 @@ type Node struct {
 // Name returns the procedure name.
 func (n *Node) Name() string { return n.Proc.Name }
 
+// Site returns n's call site for the statement call (nil when n is nil
+// or the statement is not one of its calls).
+func (n *Node) Site(call *ast.Call) *CallSite {
+	if n == nil {
+		return nil
+	}
+	for _, s := range n.Calls {
+		if s.Stmt == call {
+			return s
+		}
+	}
+	return nil
+}
+
 // Graph is the augmented call graph of a whole program.
 type Graph struct {
 	Program *ast.Program
@@ -88,7 +102,7 @@ func Build(prog *ast.Program) (*Graph, error) {
 	}
 	for _, u := range prog.Units {
 		caller := g.Nodes[u.Name]
-		env := constEnv(u)
+		env := u.Constants()
 		var nest []LoopInfo
 		var walk func(body []ast.Stmt)
 		walk = func(body []ast.Stmt) {
@@ -134,16 +148,6 @@ func Build(prog *ast.Program) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-func constEnv(u *ast.Procedure) ast.Env {
-	env := ast.MapEnv{}
-	for _, s := range u.Symbols.Symbols() {
-		if s.Kind == ast.SymConstant {
-			env[s.Name] = s.ConstValue
-		}
-	}
-	return env
 }
 
 func bindArgs(callee *ast.Procedure, call *ast.Call, nest []LoopInfo) []ArgBinding {

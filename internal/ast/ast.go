@@ -465,6 +465,17 @@ type Procedure struct {
 	Body    []Stmt
 }
 
+// Constants returns the procedure's PARAMETER constants.
+func (p *Procedure) Constants() MapEnv {
+	env := MapEnv{}
+	for _, s := range p.Symbols.Symbols() {
+		if s.Kind == SymConstant {
+			env[s.Name] = s.ConstValue
+		}
+	}
+	return env
+}
+
 // Formal returns the symbol of the i-th formal parameter.
 func (p *Procedure) Formal(i int) *Symbol {
 	if i < 0 || i >= len(p.Params) {

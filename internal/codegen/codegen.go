@@ -12,7 +12,6 @@ import (
 
 	"fortd/internal/ast"
 	"fortd/internal/comm"
-	"fortd/internal/decomp"
 	"fortd/internal/livedecomp"
 	"fortd/internal/overlap"
 	"fortd/internal/partition"
@@ -230,10 +229,15 @@ func Generate(in *Input) (*Result, error) {
 			if !item.Guard || item.C == nil {
 				continue
 			}
-			lhs := item.Stmt.Lhs.(*ast.ArrayRef)
-			idx := ast.CloneExpr(lhs.Subs[item.DistDim])
-			guards[item.Stmt] = ast.Cmp(ast.OpEQ,
-				partition.OwnerExpr(item.Dist, idx), ast.Id(partition.MyP))
+			// the owner of the array element on the left, or of what the
+			// partition variable selects for a private scalar
+			if lhs, ok := item.Stmt.Lhs.(*ast.ArrayRef); ok {
+				idx := ast.CloneExpr(lhs.Subs[item.DistDim])
+				guards[item.Stmt] = ast.Cmp(ast.OpEQ,
+					partition.OwnerExpr(item.Dist, idx), ast.Id(partition.MyP))
+			} else {
+				guards[item.Stmt] = partition.GuardExpr(item.C, ast.Id(item.Sub.Var))
+			}
 			res.GuardsInserted++
 		}
 		for _, cc := range in.Plan.CallCons {
@@ -442,5 +446,3 @@ func remapStmt(in *Input, op *livedecomp.Op) ast.Stmt {
 func errUnsupported(what string, args ...interface{}) error {
 	return fmt.Errorf("codegen: unsupported: "+what, args...)
 }
-
-var _ = decomp.Replicated

@@ -30,9 +30,9 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 	n := g.Nodes[proc.Name]
 	dist := decomp.MustDist(d, sizes, p)
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
-	env := comm.ConstEnv(proc)
+	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, env)
+	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, env)
 	commRes := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g), env)
 	res, err := Generate(&Input{Proc: proc, Plan: plan, Comm: commRes, DistOf: distOf, Env: env, P: p})
 	if err != nil {

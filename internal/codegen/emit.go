@@ -173,11 +173,11 @@ func subSecDim(in *Input, ref *ast.ArrayRef, d int, nest []*ast.Do, depth int) a
 
 // rsdSecDim converts an RSD dimension into section bound expressions.
 func rsdSecDim(d rsd.Dim) ast.SecDim {
-	if d.Var == "" {
-		return ast.SecDim{Lo: ast.Int(d.Lo), Hi: ast.Int(d.Hi)}
+	end := func(anchor string, off int) ast.Expr {
+		if anchor == "" {
+			return ast.Int(off)
+		}
+		return ast.Add(ast.Id(anchor), ast.Int(off))
 	}
-	return ast.SecDim{
-		Lo: ast.Add(ast.Id(d.Var), ast.Int(d.Lo)),
-		Hi: ast.Add(ast.Id(d.Var), ast.Int(d.Hi)),
-	}
+	return ast.SecDim{Lo: end(d.LoVar, d.Lo), Hi: end(d.HiVar, d.Hi)}
 }

@@ -176,7 +176,7 @@ func Analyze(
 					walk(st.Then)
 					walk(st.Else)
 				case *ast.Call:
-					site := siteOf(node, st)
+					site := node.Site(st)
 					if site == nil {
 						continue
 					}
@@ -214,7 +214,6 @@ func classify(proc *ast.Procedure, ref *depend.Ref, item *partition.Item, distOf
 		Dist: dist, DistDim: dim,
 	}
 	acc.Stmt = ref.Stmt
-	sym := proc.Symbols.Lookup(ref.Array)
 	acc.Section = RefSection(proc, ref.Expr, ref.Nest, env)
 	sub := partition.AnalyzeSub(ref.Expr.Subs[dim], env)
 
@@ -245,7 +244,7 @@ func classify(proc *ast.Procedure, ref *depend.Ref, item *partition.Item, distOf
 	case sub.OK && sub.Var == "":
 		acc.Kind = KPoint
 		acc.Point = ref.Expr.Subs[dim]
-	case sub.OK && loopIn(ref.Nest, sub.Var) != nil:
+	case sub.OK && partition.LoopFor(ref.Nest, sub.Var) != nil:
 		// loop-variant distributed subscript, not the partition
 		// variable: the owner changes per iteration
 		acc.Kind = KPoint
@@ -255,7 +254,6 @@ func classify(proc *ast.Procedure, ref *depend.Ref, item *partition.Item, distOf
 		acc.Point = ref.Expr.Subs[dim]
 	default:
 		acc.Kind = KGather
-		_ = sym
 	}
 	return acc
 }
@@ -365,12 +363,6 @@ func instantiate(
 ) *CallComm {
 	cc := &CallComm{Site: site, D: d}
 	// translate names
-	vars := map[string]string{}
-	for _, b := range site.Bindings {
-		if b.ActualName != "" {
-			vars[b.Formal] = b.ActualName
-		}
-	}
 	callee := site.Callee.Proc
 	arrSym := callee.Symbols.Lookup(d.Array)
 	switch {
@@ -390,12 +382,12 @@ func instantiate(
 		return nil
 	}
 	cc.Dist = dist
-	cc.Section = d.Section.Rename(cc.Array, vars)
+	vars := siteVars(site)
+	cc.Section = callSection(d.Section, site, vars, cc.Array, proc, env)
 	if d.PointVar != "" {
+		cc.PointVar = d.PointVar
 		if a, ok := vars[d.PointVar]; ok {
 			cc.PointVar = a
-		} else {
-			cc.PointVar = d.PointVar
 		}
 		cc.PointOff = d.PointOff
 	}
@@ -404,7 +396,7 @@ func instantiate(
 		// a broadcast keyed to a variable: place at the loop defining
 		// the variable (per-iteration), or before the call when fixed
 		if cc.PointVar != "" {
-			if loop := loopIn(nest, cc.PointVar); loop != nil {
+			if loop := partition.LoopFor(nest, cc.PointVar); loop != nil {
 				cc.AtLoop = loop
 				cc.Why = WhyOwnerVaries
 				return cc
@@ -420,10 +412,10 @@ func instantiate(
 
 	// Shift/Gather: vectorize across caller loops when no true
 	// dependence is carried (checked with interprocedural RSDs).
-	writeSecs := calleeWrites(site, sections)
+	writeSecs := calleeWrites(site, sections, proc, env)
 	for i := len(nest) - 1; i >= 0; i-- {
 		loop := nest[i]
-		if !anchorsVar(cc.Section, loop.Var) {
+		if !cc.Section.Anchors(loop.Var) {
 			// the section does not vary with this loop; vectorizing
 			// across it would replicate the same message, so hoist
 			if !carriedAt(writeSecs, cc.Section, loop.Var) {
@@ -460,17 +452,12 @@ func instantiate(
 // calleeWrites returns the callee's write sections translated to the
 // caller's space with anchors preserved (no loop expansion), for the
 // carried-dependence test.
-func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary) []*rsd.Section {
+func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc *ast.Procedure, env ast.Env) []*rsd.Section {
 	sum := sections[site.Callee.Name()]
 	if sum == nil {
 		return nil
 	}
-	vars := map[string]string{}
-	for _, b := range site.Bindings {
-		if b.ActualName != "" {
-			vars[b.Formal] = b.ActualName
-		}
-	}
+	vars := siteVars(site)
 	var out []*rsd.Section
 	for name, secs := range sum.Writes {
 		sym := site.Callee.Proc.Symbols.Lookup(name)
@@ -485,7 +472,7 @@ func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary) []*rs
 			}
 		}
 		for _, sec := range secs {
-			out = append(out, sec.Rename(target, vars))
+			out = append(out, callSection(sec, site, vars, target, proc, env))
 		}
 	}
 	return out
@@ -507,14 +494,14 @@ func carriedAt(writes []*rsd.Section, read *rsd.Section, v string) bool {
 		anchorsV := false
 		for i := range w.Dims {
 			wd, rd := w.Dims[i], read.Dims[i]
-			if wd.Var == v || rd.Var == v {
+			if wd.Anchors(v) || rd.Anchors(v) {
 				anchorsV = true
-				if wd.Var != rd.Var || wd.Lo != rd.Lo || wd.Hi != rd.Hi {
+				if wd.LoVar != rd.LoVar || wd.HiVar != rd.HiVar || wd.Lo != rd.Lo || wd.Hi != rd.Hi {
 					sameWindow = false
 				}
 				continue
 			}
-			if wd.Var == "" && rd.Var == "" {
+			if !wd.IsSymbolic() && !rd.IsSymbolic() {
 				if wd.Hi < rd.Lo || rd.Hi < wd.Lo {
 					overlapPossible = false
 				}
@@ -524,15 +511,6 @@ func carriedAt(writes []*rsd.Section, read *rsd.Section, v string) bool {
 			continue
 		}
 		if !anchorsV || !sameWindow {
-			return true
-		}
-	}
-	return false
-}
-
-func anchorsVar(sec *rsd.Section, v string) bool {
-	for _, d := range sec.Dims {
-		if d.Var == v {
 			return true
 		}
 	}

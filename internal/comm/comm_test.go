@@ -35,9 +35,9 @@ func analyzeProc(t *testing.T, f *fixture, name string, distOf partition.DistOf)
 	t.Helper()
 	n := f.graph.Nodes[name]
 	proc := n.Proc
-	env := ConstEnv(proc)
+	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, env)
+	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, env)
 	return Analyze(proc, n, plan, deps, distOf, func(string) []*Delayed { return nil }, f.sections, env)
 }
 
@@ -381,8 +381,8 @@ func TestInstantiateReDelays(t *testing.T) {
 		t.Errorf("re-delayed = %+v section %v", out, out.Section)
 	}
 	// the anchor is renamed to MID's formal
-	if out.Section.Dims[1].Var != "j" {
-		t.Errorf("anchor = %q, want j", out.Section.Dims[1].Var)
+	if out.Section.Dims[1].LoVar != "j" {
+		t.Errorf("anchor = %q, want j", out.Section.Dims[1].LoVar)
 	}
 }
 
@@ -392,9 +392,9 @@ func analyzeWithDelayed(t *testing.T, f *fixture, name string, distOf partition.
 	t.Helper()
 	n := f.graph.Nodes[name]
 	proc := n.Proc
-	env := ConstEnv(proc)
+	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, env)
+	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, env)
 	return Analyze(proc, n, plan, deps, distOf,
 		func(callee string) []*Delayed {
 			if callee == "F1" {

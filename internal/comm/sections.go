@@ -9,6 +9,7 @@ import (
 	"fortd/internal/acg"
 	"fortd/internal/ast"
 	"fortd/internal/depend"
+	"fortd/internal/partition"
 	"fortd/internal/rsd"
 )
 
@@ -53,7 +54,7 @@ func ComputeSections(g *acg.Graph) map[string]*SectionSummary {
 func procSections(n *acg.Node, done map[string]*SectionSummary) *SectionSummary {
 	proc := n.Proc
 	sum := newSectionSummary()
-	env := ConstEnv(proc)
+	env := proc.Constants()
 
 	var nest []*ast.Do
 	addRef := func(ref *ast.ArrayRef, write bool) {
@@ -95,7 +96,7 @@ func procSections(n *acg.Node, done map[string]*SectionSummary) *SectionSummary 
 				walk(st.Then)
 				walk(st.Else)
 			case *ast.Call:
-				site := siteOf(n, st)
+				site := n.Site(st)
 				callee := done[st.Name]
 				if site == nil || callee == nil {
 					continue
@@ -159,7 +160,7 @@ func SubDim(proc *ast.Procedure, sym *ast.Symbol, d int, sub ast.Expr, nest []*a
 		case v == "":
 			return rsd.Point(c)
 		case a == 1 || a == -1 || a > 1:
-			if loop := loopIn(nest, v); loop != nil {
+			if loop := partition.LoopFor(nest, v); loop != nil {
 				lo, okLo := ast.EvalInt(loop.Lo, env)
 				hi, okHi := ast.EvalInt(loop.Hi, env)
 				step := 1
@@ -172,7 +173,16 @@ func SubDim(proc *ast.Procedure, sym *ast.Symbol, d int, sub ast.Expr, nest []*a
 					}
 					return rsd.Strided(a*hi+c, a*lo+c, -a*step)
 				}
-				// non-constant loop bounds: widen to the declared extent
+				// unit stride under bounds affine in formals: the range
+				// the loop reads, each end under its own anchor (§5.4)
+				if a == 1 && step == 1 {
+					loV, loC, okLo := outerAffine(proc, loop.Lo, env)
+					hiV, hiC, okHi := outerAffine(proc, loop.Hi, env)
+					if okLo && okHi {
+						return rsd.Dim{Lo: loC + c, Hi: hiC + c, Step: 1, LoVar: loV, HiVar: hiV}
+					}
+				}
+				// anything else widens to the declared extent
 				return declaredDim(sym, d, env)
 			}
 			if s := proc.Symbols.Lookup(v); s != nil && (s.IsFormal || s.Common != "") && a == 1 {
@@ -183,7 +193,17 @@ func SubDim(proc *ast.Procedure, sym *ast.Symbol, d int, sub ast.Expr, nest []*a
 	return declaredDim(sym, d, env)
 }
 
+// outerAffine decomposes a loop bound as v + c for a formal or COMMON
+// scalar v of proc (v == "": a constant).
+func outerAffine(proc *ast.Procedure, e ast.Expr, env ast.Env) (string, int, bool) {
+	v, a, c, ok := depend.LinearSubscript(e, env)
+	return v, c, ok && (v == "" || a == 1 && isOuterVar(proc, v))
+}
+
 func declaredDim(sym *ast.Symbol, d int, env ast.Env) rsd.Dim {
+	if sym == nil {
+		return rsd.Range(1, 1<<20) // a COMMON array the caller does not declare
+	}
 	if d >= len(sym.Dims) {
 		return rsd.Range(1, 1)
 	}
@@ -193,6 +213,36 @@ func declaredDim(sym *ast.Symbol, d int, env ast.Env) rsd.Dim {
 		return rsd.Range(1, 1<<20) // adjustable bounds: unknown extent
 	}
 	return rsd.Range(lo, hi)
+}
+
+// siteVars maps the callee's formals to the bare names of the actuals
+// bound to them at site.
+func siteVars(site *acg.CallSite) map[string]string {
+	vars := map[string]string{}
+	for _, b := range site.Bindings {
+		if b.ActualName != "" {
+			vars[b.Formal] = b.ActualName
+		}
+	}
+	return vars
+}
+
+// callSection renames a callee-space section into the caller's name
+// space: the array becomes array and every anchor naming a formal
+// scalar becomes the actual's name (vars is siteVars(site)). A
+// dimension anchored at a formal whose actual has no name (an
+// expression or a literal) means nothing in the caller and widens to
+// the declared extent of the caller's array.
+func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, array string, caller *ast.Procedure, env ast.Env) *rsd.Section {
+	out := sec.Rename(array, vars)
+	for i, d := range sec.Dims {
+		for _, v := range [2]string{d.LoVar, d.HiVar} {
+			if s := site.Callee.Proc.Symbols.Lookup(v); s != nil && s.IsFormal && vars[v] == "" {
+				out.Dims[i] = declaredDim(caller.Symbols.Lookup(array), i, env)
+			}
+		}
+	}
+	return out
 }
 
 // TranslateSection maps a callee-space section through a call site into
@@ -205,12 +255,7 @@ func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedur
 	callee := site.Callee.Proc
 	calleeSym := callee.Symbols.Lookup(sec.Array)
 	var out *rsd.Section
-	vars := map[string]string{}
-	for _, b := range site.Bindings {
-		if b.ActualName != "" {
-			vars[b.Formal] = b.ActualName
-		}
-	}
+	vars := siteVars(site)
 	switch {
 	case calleeSym != nil && calleeSym.IsFormal:
 		actual := ""
@@ -220,53 +265,23 @@ func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedur
 		if actual == "" {
 			return nil
 		}
-		out = sec.Rename(actual, vars)
+		out = callSection(sec, site, vars, actual, caller, env)
 	case calleeSym != nil && calleeSym.Common != "":
-		out = sec.Rename(sec.Array, vars)
+		out = callSection(sec, site, vars, sec.Array, caller, env)
 	default:
 		return nil
 	}
 	// expand anchors that are loop variables of the caller
-	for _, d := range out.Dims {
-		if d.Var == "" {
+	for i := len(nest) - 1; i >= 0; i-- {
+		loop := nest[i]
+		if !out.Anchors(loop.Var) {
 			continue
 		}
-		if loop := loopIn(nest, d.Var); loop != nil {
-			lo, okLo := ast.EvalInt(loop.Lo, env)
-			hi, okHi := ast.EvalInt(loop.Hi, env)
-			if okLo && okHi {
-				out = out.Bind(d.Var, lo, hi)
-			}
+		lo, okLo := ast.EvalInt(loop.Lo, env)
+		hi, okHi := ast.EvalInt(loop.Hi, env)
+		if okLo && okHi {
+			out = out.Bind(loop.Var, lo, hi)
 		}
 	}
 	return out
-}
-
-// ConstEnv exposes a procedure's PARAMETER constants.
-func ConstEnv(proc *ast.Procedure) ast.Env {
-	env := ast.MapEnv{}
-	for _, s := range proc.Symbols.Symbols() {
-		if s.Kind == ast.SymConstant {
-			env[s.Name] = s.ConstValue
-		}
-	}
-	return env
-}
-
-func loopIn(nest []*ast.Do, v string) *ast.Do {
-	for i := len(nest) - 1; i >= 0; i-- {
-		if nest[i].Var == v {
-			return nest[i]
-		}
-	}
-	return nil
-}
-
-func siteOf(n *acg.Node, call *ast.Call) *acg.CallSite {
-	for _, s := range n.Calls {
-		if s.Stmt == call {
-			return s
-		}
-	}
-	return nil
 }

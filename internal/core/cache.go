@@ -8,7 +8,8 @@ package core
 // run-time-resolution flags, and one summary hash per distinct callee.
 // The callee summary hash covers the callee's caller-visible interface
 // (delayed iteration sets, delayed communication, decomposition
-// summary), its regular-section side-effect summary and its overlap
+// summary, the scalar formals and COMMON scalars it may write and
+// read), its regular-section side-effect summary and its overlap
 // estimates: exactly the information internal/recompile's §8 analysis
 // compares, so cache invalidation reproduces its recompilation tests.
 // Editing one procedure therefore re-analyzes only the cone of callers
@@ -87,6 +88,8 @@ func (pc *passCtx) summaryHash(out *procOut) string {
 	h.Add("sections", renderSectionSummary(pc.sections[out.name]))
 	h.Add("overlap", renderOverlapEstimates(pc, out.name))
 	h.Add("runtime", strconv.FormatBool(out.runtime))
+	// not only inside iface: a procedure under run-time resolution has none
+	h.Add("scalars", strings.Join(out.effects, ";"))
 	return h.Sum()
 }
 

@@ -23,6 +23,7 @@ import (
 	"fortd/internal/partition"
 	"fortd/internal/reach"
 	"fortd/internal/sched"
+	"fortd/internal/sideeffect"
 	"fortd/internal/summarycache"
 	"fortd/internal/symconst"
 	"fortd/internal/trace"
@@ -244,7 +245,8 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 	c.Overlaps = overlap.ComputeEstimates(g)
 	endOverlap()
 	endConsts := tr.Phase("symbolic-constants")
-	consts := symconst.Compute(g)
+	fx := sideeffect.Compute(g)
+	consts := symconst.Compute(g, fx)
 	endConsts()
 	killTest := func(site *acg.CallSite, arr string) bool {
 		return livedecomp.KillsArray(site, arr, sections)
@@ -262,7 +264,7 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 	}
 	pcx := &passCtx{
 		ctx: ctx, c: c, opts: opts, p: p, exOn: ex.Enabled(),
-		sections: sections, consts: consts, killTest: killTest,
+		sections: sections, consts: consts, fx: fx, killTest: killTest,
 		table: newSummaryTable(), cache: opts.Cache,
 	}
 	outs := compileAll(pcx, g.ReverseTopoOrder(), jobs)

@@ -6,10 +6,11 @@ import (
 	"strings"
 
 	"fortd/internal/acg"
+	"fortd/internal/ast"
 	"fortd/internal/comm"
-	"fortd/internal/decomp"
 	"fortd/internal/livedecomp"
 	"fortd/internal/partition"
+	"fortd/internal/sideeffect"
 )
 
 // interfaceString renders a procedure's caller-visible summary
@@ -19,8 +20,9 @@ func interfaceString(
 	planDelayed map[string]*partition.Constraint,
 	commDelayed []*comm.Delayed,
 	dsum *livedecomp.Summary,
+	effects []string,
 ) string {
-	var parts []string
+	parts := append([]string(nil), effects...)
 	for v, c := range planDelayed {
 		parts = append(parts, fmt.Sprintf("iter %s %s", v, c.Key()))
 	}
@@ -32,6 +34,26 @@ func interfaceString(
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "\n")
+}
+
+// scalarEffects renders the scalar formals and COMMON scalars proc or a
+// descendant may write and read — what the private-scalar rule of a
+// caller's partition asks of it.
+func scalarEffects(fx *sideeffect.Analysis, proc *ast.Procedure) []string {
+	var parts []string
+	add := func(tag string, set map[string]struct{}) {
+		for name := range set {
+			if sym := proc.Symbols.Lookup(name); sym == nil || sym.Kind == ast.SymScalar && (sym.IsFormal || sym.Common != "") {
+				parts = append(parts, tag+name)
+			}
+		}
+	}
+	if sum := fx.Summaries[proc.Name]; sum != nil {
+		add("mod ", sum.Mod)
+		add("ref ", sum.Ref)
+	}
+	sort.Strings(parts)
+	return parts
 }
 
 func decompSummaryString(s *livedecomp.Summary) []string {
@@ -81,5 +103,3 @@ func inputsString(
 
 // decompSetView abstracts the reach.DSet Key method for inputsString.
 type decompSetView interface{ Key() string }
-
-var _ = decomp.Replicated

@@ -27,6 +27,7 @@ import (
 	"fortd/internal/explain"
 	"fortd/internal/livedecomp"
 	"fortd/internal/partition"
+	"fortd/internal/sideeffect"
 	"fortd/internal/summarycache"
 	"fortd/internal/symconst"
 )
@@ -50,7 +51,8 @@ type procOut struct {
 	dsum      *livedecomp.Summary
 	iface     string
 	inputs    string
-	shash     string // summary hash callers fold into their cache keys
+	shash     string   // summary hash callers fold into their cache keys
+	effects   []string // scalarEffects of the procedure, part of both
 	mainDists map[string]*decomp.Dist
 	actuals   []summarycache.OverlapActual
 	remarks   []explain.Remark
@@ -147,6 +149,7 @@ type passCtx struct {
 	exOn     bool
 	sections map[string]*comm.SectionSummary
 	consts   symconst.Result
+	fx       *sideeffect.Analysis
 	killTest func(site *acg.CallSite, arr string) bool
 	table    *summaryTable
 	cache    *summarycache.Cache
@@ -173,7 +176,7 @@ func calleeNames(n *acg.Node) []string {
 // counter update) happens, so cancellation is observed within one task
 // boundary and the shared cache never sees a partial store.
 func (pc *passCtx) compileOne(n *acg.Node, idx int) *procOut {
-	out := &procOut{name: n.Name(), idx: idx}
+	out := &procOut{name: n.Name(), idx: idx, effects: scalarEffects(pc.fx, n.Proc)}
 	if err := pc.ctx.Err(); err != nil {
 		out.err = err
 		return out
@@ -282,16 +285,34 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	}
 
 	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, delayedConsOf, env)
-	if immediate {
-		forceLocalPlan(plan)
-	}
-	commRes := comm.Analyze(proc, n, plan, deps, distOf, delayedCommOf, pc.sections, env)
-	if immediate {
-		for _, acc := range commRes.Accesses {
-			acc.Delay = false
+	analyze := func(fx *sideeffect.Analysis) (*partition.Plan, *comm.Result) {
+		plan := partition.Compute(proc, n, distOf, delayedConsOf, fx, env)
+		if immediate {
+			forceLocalPlan(plan)
 		}
-		commRes.Delayed = nil
+		commRes := comm.Analyze(proc, n, plan, deps, distOf, delayedCommOf, pc.sections, env)
+		if immediate {
+			for _, acc := range commRes.Accesses {
+				acc.Delay = false
+			}
+			commRes.Delayed = nil
+		}
+		return plan, commRes
+	}
+	plan, commRes := analyze(pc.fx)
+	// a callee's communication is instantiated here for every processor:
+	// a scalar its section or root names cannot be its owner's alone
+	for _, cc := range commRes.CallComms {
+		named := plan.Private(cc.PointVar)
+		for _, d := range cc.Section.Dims {
+			named = named || plan.Private(d.LoVar) || plan.Private(d.HiVar)
+		}
+		if named {
+			plan, commRes = analyze(nil)
+			tex.Addf(explain.Missed, "partition", proc.Name, cc.Site.Stmt.Pos().Line, "private-scalar",
+				"scalars of %s stay replicated: %s", proc.Name, partition.WhyScalarComm)
+			break
+		}
 	}
 	// communication placed inside a loop requires every processor
 	// to execute all its iterations: drop those reductions
@@ -357,7 +378,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	out.part = plan.Delayed
 	out.commD = commRes.Delayed
 	out.dsum = decompSum
-	out.iface = interfaceString(plan.Delayed, commRes.Delayed, decompSum)
+	out.iface = interfaceString(plan.Delayed, commRes.Delayed, decompSum, out.effects)
 	out.inputs = pc.inputsFor(n)
 }
 

@@ -60,7 +60,7 @@ func KillsArray(site *acg.CallSite, callerArray string, sections map[string]*com
 }
 
 func declaredSection(proc *ast.Procedure, sym *ast.Symbol) *rsd.Section {
-	env := comm.ConstEnv(proc)
+	env := proc.Constants()
 	dims := make([]rsd.Dim, len(sym.Dims))
 	for i, d := range sym.Dims {
 		lo, okLo := ast.EvalInt(d.Lo, env)

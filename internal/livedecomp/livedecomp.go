@@ -423,7 +423,7 @@ func buildEvents(
 					setDecomp(st.Array, decomp.ApplyAlign(st.Terms, d, rank), st)
 				}
 			case *ast.Call:
-				site := siteOf(node, st)
+				site := node.Site(st)
 				csum := summaries[st.Name]
 				if site == nil || csum == nil {
 					continue
@@ -544,7 +544,7 @@ func prescanUses(proc *ast.Procedure, node *acg.Node, summaries map[string]*Summ
 		case *ast.If:
 			countExpr(st.Cond)
 		case *ast.Call:
-			site := siteOf(node, st)
+			site := node.Site(st)
 			csum := summaries[st.Name]
 			if site == nil || csum == nil {
 				return true
@@ -609,16 +609,4 @@ func applyDistribute(
 			setDecomp(arr, decomp.ApplyAlign(al.Terms, d, rank), st)
 		}
 	}
-}
-
-func siteOf(node *acg.Node, call *ast.Call) *acg.CallSite {
-	if node == nil {
-		return nil
-	}
-	for _, s := range node.Calls {
-		if s.Stmt == call {
-			return s
-		}
-	}
-	return nil
 }

@@ -171,12 +171,7 @@ func ComputeEstimates(g *acg.Graph) *Analysis {
 // each array of proc (the local analysis phase).
 func localOffsets(proc *ast.Procedure) map[string]*Offsets {
 	out := map[string]*Offsets{}
-	env := ast.MapEnv{}
-	for _, s := range proc.Symbols.Symbols() {
-		if s.Kind == ast.SymConstant {
-			env[s.Name] = s.ConstValue
-		}
-	}
+	env := proc.Constants()
 	ast.WalkExprs(proc.Body, func(e ast.Expr) {
 		ref, ok := e.(*ast.ArrayRef)
 		if !ok {

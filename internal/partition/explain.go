@@ -4,8 +4,23 @@ import (
 	"fmt"
 	"sort"
 
+	"fortd/internal/ast"
 	"fortd/internal/explain"
 )
+
+// privateScalar words what the private-scalar rule decided for an
+// assignment to the scalar name.
+func privateScalar(it *Item, name string) (explain.Kind, string) {
+	if it.ScalarWhy != "" {
+		return explain.Missed, fmt.Sprintf("%s stays replicated: %s (line %d)", name, it.ScalarWhy, it.UsedAt)
+	}
+	what := "element"
+	if len(it.Dist.Sizes) == 2 {
+		what = [2]string{"row", "column"}[it.DistDim]
+	}
+	return explain.Applied, fmt.Sprintf("%s computed by the owner of %s %s only: every use is under the line-%d guard",
+		name, what, ast.Add(ast.Id(it.Sub.Var), ast.Int(it.Sub.Off)), it.UsedAt)
+}
 
 // Explain emits the computation-partitioning decisions of one plan as
 // optimization remarks: per assignment whether the owner-computes
@@ -20,6 +35,15 @@ func Explain(ex *explain.Collector, procName string, plan *Plan) {
 		line := 0
 		if it.Stmt != nil {
 			line = it.Stmt.Pos().Line
+		}
+		assigned := ""
+		if it.C != nil {
+			assigned = it.C.Array
+		}
+		if scalar, ok := it.Stmt.Lhs.(*ast.Ident); ok && it.Red == nil && (it.C != nil || it.ScalarWhy != "") {
+			assigned = scalar.Name
+			kind, msg := privateScalar(it, assigned)
+			ex.Add(explain.Remark{Kind: kind, Pass: "partition", Proc: procName, Line: line, Name: "private-scalar", Msg: msg})
 		}
 		switch {
 		case it.Red != nil:
@@ -47,7 +71,7 @@ func Explain(ex *explain.Collector, procName string, plan *Plan) {
 			}
 			ex.Add(explain.Remark{
 				Kind: explain.Missed, Pass: "partition", Proc: procName, Line: line, Name: "guard",
-				Msg: fmt.Sprintf("ownership guard around assignment to %s: %s", it.C.Array, why),
+				Msg: fmt.Sprintf("ownership guard around assignment to %s: %s", assigned, why),
 			})
 		case it.Why != "":
 			// a reduction demoted all the way to replicated execution

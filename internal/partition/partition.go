@@ -5,8 +5,9 @@
 //
 //   - reduce the bounds of a local loop when the distributed dimension
 //     is indexed by that loop's variable;
-//   - execute scalar assignments on every processor (replicated scalar
-//     computation);
+//   - execute a scalar assignment where its uses execute when the
+//     scalar is private to the procedure (private.go), and on every
+//     processor otherwise (replicated scalar computation);
 //   - introduce an explicit ownership guard when the constraint cannot
 //     be absorbed by a local loop and statements disagree;
 //   - delay the constraint to the callers when the distributed
@@ -21,6 +22,7 @@ import (
 	"fortd/internal/ast"
 	"fortd/internal/decomp"
 	"fortd/internal/depend"
+	"fortd/internal/sideeffect"
 )
 
 // SubPattern is the affine decomposition of a distributed-dimension
@@ -74,8 +76,9 @@ type Reduction struct {
 type Item struct {
 	Stmt *ast.Assign
 	Nest []*ast.Do
-	// Dist is nil for scalar or replicated-array assignments, which
-	// every processor executes.
+	// Dist is nil for assignments every processor executes: to a
+	// replicated array, or to a scalar that adopted no constraint from
+	// its uses (private.go).
 	Dist    *decomp.Dist
 	DistDim int
 	Sub     SubPattern
@@ -93,6 +96,12 @@ type Item struct {
 	// Why records the reason for a guard or demotion (static strings
 	// only, so recording is allocation-free when remarks are disabled).
 	Why string
+	// ScalarWhy is why an assignment to a scalar that has a use under
+	// an ownership constraint stays replicated (the WhyScalar strings),
+	// and UsedAt the line of the use that decided for or against
+	// adopting one (its own: nothing else reads the scalar).
+	ScalarWhy string
+	UsedAt    int
 }
 
 // Demotion and guard reasons recorded on Item.Why / CallConstraint.Why.
@@ -126,6 +135,11 @@ type CallConstraint struct {
 	Why string
 }
 
+// guard falls the constraint back to an ownership test around the call.
+func (cc *CallConstraint) guard(why string) {
+	cc.Loop, cc.DelayVar, cc.Guard, cc.Why = nil, "", true, why
+}
+
 // Plan is the complete computation-partitioning decision for one
 // procedure.
 type Plan struct {
@@ -151,7 +165,9 @@ type DistOf func(array string, at ast.Stmt) (*decomp.Dist, bool)
 // callee, keyed by callee formal/global name.
 type DelayedOf func(procName string) map[string]*Constraint
 
-// Compute runs Figure 9's partitioning for proc.
+// Compute runs Figure 9's partitioning for proc. fx is the program's
+// side-effect analysis, asked what a callee may assign (nil: scalars
+// stay replicated).
 //
 // The visitNest walk mirrors the paper: the iteration set of each
 // assignment is derived from the owner-computes rule on its left-hand
@@ -162,6 +178,7 @@ func Compute(
 	node *acg.Node,
 	distOf DistOf,
 	delayedOf DelayedOf,
+	fx *sideeffect.Analysis,
 	env ast.Env,
 ) *Plan {
 	plan := &Plan{
@@ -172,34 +189,19 @@ func Compute(
 	conflicted := map[*ast.Do]bool{}
 	delayConflict := map[string]bool{}
 
-	addLoopConstraint := func(loop *ast.Do, c *Constraint) bool {
-		if cur, ok := plan.LoopBounds[loop]; ok {
-			if !cur.Equal(c) {
-				conflicted[loop] = true
-				return false
-			}
-			return true
+	addLoopConstraint := func(loop *ast.Do, c *Constraint) {
+		if cur, ok := plan.LoopBounds[loop]; !ok {
+			plan.LoopBounds[loop] = c
+		} else if !cur.Equal(c) {
+			conflicted[loop] = true
 		}
-		if conflicted[loop] {
-			return false
-		}
-		plan.LoopBounds[loop] = c
-		return true
 	}
-	addDelayed := func(v string, c *Constraint) bool {
-		if cur, ok := plan.Delayed[v]; ok {
-			if !cur.Equal(c) {
-				delayConflict[v] = true
-				delete(plan.Delayed, v)
-				return false
-			}
-			return true
+	addDelayed := func(v string, c *Constraint) {
+		if cur, ok := plan.Delayed[v]; !ok {
+			plan.Delayed[v] = c
+		} else if !cur.Equal(c) {
+			delayConflict[v] = true
 		}
-		if delayConflict[v] {
-			return false
-		}
-		plan.Delayed[v] = c
-		return true
 	}
 
 	var nest []*ast.Do
@@ -222,7 +224,7 @@ func Compute(
 				item := analyzeAssign(proc, st, nest, distOf, env)
 				plan.Items = append(plan.Items, item)
 			case *ast.Call:
-				site := findSite(node, st)
+				site := node.Site(st)
 				if site == nil {
 					continue
 				}
@@ -237,23 +239,17 @@ func Compute(
 		}
 	}
 	walk(proc.Body)
+	plan.adoptScalars(proc, distOf, fx, env)
 
-	// resolve each item's instantiation strategy
+	// register each constraint with the loop or formal that is to
+	// instantiate it, then fall back to guards where two disagreed
 	for _, item := range plan.Items {
-		if item.C == nil {
-			continue
-		}
 		switch {
+		case item.C == nil:
 		case item.Loop != nil:
-			if !addLoopConstraint(item.Loop, item.C) {
-				demoteItem(item, WhyLoopConflict)
-			}
+			addLoopConstraint(item.Loop, item.C)
 		case item.DelayVar != "":
-			if !addDelayed(item.DelayVar, item.C) {
-				item.DelayVar = ""
-				item.Guard = true
-				item.Why = WhyDelayConflict
-			}
+			addDelayed(item.DelayVar, item.C)
 		default:
 			item.Guard = true
 		}
@@ -261,20 +257,11 @@ func Compute(
 	for _, cc := range plan.CallCons {
 		switch {
 		case cc.Loop != nil:
-			if !addLoopConstraint(cc.Loop, cc.C) {
-				cc.Loop = nil
-				cc.Guard = true
-				cc.Why = WhyLoopConflict
-			}
+			addLoopConstraint(cc.Loop, cc.C)
 		case cc.DelayVar != "":
-			if !addDelayed(cc.DelayVar, cc.C) {
-				cc.DelayVar = ""
-				cc.Guard = true
-				cc.Why = WhyDelayConflict
-			}
+			addDelayed(cc.DelayVar, cc.C)
 		}
 	}
-	// demote items/calls whose loop later became conflicted
 	for _, item := range plan.Items {
 		if item.Loop != nil && conflicted[item.Loop] {
 			demoteItem(item, WhyLoopConflict)
@@ -287,18 +274,17 @@ func Compute(
 	}
 	for _, cc := range plan.CallCons {
 		if cc.Loop != nil && conflicted[cc.Loop] {
-			cc.Loop = nil
-			cc.Guard = true
-			cc.Why = WhyLoopConflict
+			cc.guard(WhyLoopConflict)
 		}
 		if cc.DelayVar != "" && delayConflict[cc.DelayVar] {
-			cc.DelayVar = ""
-			cc.Guard = true
-			cc.Why = WhyDelayConflict
+			cc.guard(WhyDelayConflict)
 		}
 	}
 	for loop := range conflicted {
 		delete(plan.LoopBounds, loop)
+	}
+	for v := range delayConflict {
+		delete(plan.Delayed, v)
 	}
 	plan.validateReductions()
 	plan.validateDelays()
@@ -312,14 +298,7 @@ func Compute(
 // statement, a call executing replicated work — needs all iterations,
 // so the affected statements fall back to guards.
 func (p *Plan) validateReductions() {
-	itemOf := map[ast.Stmt]*Item{}
-	for _, it := range p.Items {
-		itemOf[it.Stmt] = it
-	}
-	ccsOf := map[ast.Stmt][]*CallConstraint{}
-	for _, cc := range p.CallCons {
-		ccsOf[cc.Site.Stmt] = append(ccsOf[cc.Site.Stmt], cc)
-	}
+	itemOf, ccsOf := p.byStmt()
 	for loop := range p.LoopBounds {
 		ok := true
 		ast.WalkStmts(loop.Body, func(s ast.Stmt) bool {
@@ -345,19 +324,22 @@ func (p *Plan) validateReductions() {
 		if ok {
 			continue
 		}
-		// demote everything tied to this loop to guards
-		delete(p.LoopBounds, loop)
-		for _, it := range p.Items {
-			if it.Loop == loop {
-				demoteItem(it, WhyMixedLoopWork)
-			}
+		p.dropLoop(loop, WhyMixedLoopWork)
+	}
+}
+
+// dropLoop takes loop out of the reduction set, demoting everything
+// tied to it to guards.
+func (p *Plan) dropLoop(loop *ast.Do, why string) {
+	delete(p.LoopBounds, loop)
+	for _, it := range p.Items {
+		if it.Loop == loop {
+			demoteItem(it, why)
 		}
-		for _, cc := range p.CallCons {
-			if cc.Loop == loop {
-				cc.Loop = nil
-				cc.Guard = true
-				cc.Why = WhyMixedLoopWork
-			}
+	}
+	for _, cc := range p.CallCons {
+		if cc.Loop == loop {
+			cc.guard(why)
 		}
 	}
 }
@@ -392,12 +374,23 @@ func (p *Plan) validateDelays() {
 		}
 		for _, cc := range p.CallCons {
 			if cc.DelayVar == v {
-				cc.DelayVar = ""
-				cc.Guard = true
-				cc.Why = WhyDelayPartial
+				cc.guard(WhyDelayPartial)
 			}
 		}
 	}
+}
+
+// byStmt indexes the plan's decisions by the statement they are about.
+func (p *Plan) byStmt() (map[ast.Stmt]*Item, map[ast.Stmt][]*CallConstraint) {
+	itemOf := map[ast.Stmt]*Item{}
+	for _, it := range p.Items {
+		itemOf[it.Stmt] = it
+	}
+	ccsOf := map[ast.Stmt][]*CallConstraint{}
+	for _, cc := range p.CallCons {
+		ccsOf[cc.Site.Stmt] = append(ccsOf[cc.Site.Stmt], cc)
+	}
+	return itemOf, ccsOf
 }
 
 // DropLoopReduction removes a loop from the reduction set after the
@@ -405,21 +398,8 @@ func (p *Plan) validateDelays() {
 // processors to execute every iteration), demoting its statements to
 // guards.
 func (p *Plan) DropLoopReduction(loop *ast.Do) {
-	if _, ok := p.LoopBounds[loop]; !ok {
-		return
-	}
-	delete(p.LoopBounds, loop)
-	for _, it := range p.Items {
-		if it.Loop == loop {
-			demoteItem(it, WhyCommInLoop)
-		}
-	}
-	for _, cc := range p.CallCons {
-		if cc.Loop == loop {
-			cc.Loop = nil
-			cc.Guard = true
-			cc.Why = WhyCommInLoop
-		}
+	if _, ok := p.LoopBounds[loop]; ok {
+		p.dropLoop(loop, WhyCommInLoop)
 	}
 }
 
@@ -461,22 +441,28 @@ func analyzeAssign(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distOf D
 		return item
 	}
 	item.C = &Constraint{Array: lhs.Name, Dist: dist, Offset: item.Sub.Off}
-	switch {
-	case item.Sub.Var == "":
+	if item.Sub.Var == "" {
 		// constant index: single owner executes; explicit guard
 		item.Guard = true
 		item.Why = WhyConstIndex
-	default:
-		if loop := loopFor(nest, item.Sub.Var); loop != nil {
-			item.Loop = loop
-		} else if sym := proc.Symbols.Lookup(item.Sub.Var); sym != nil && (sym.IsFormal || sym.Common != "") {
-			item.DelayVar = item.Sub.Var
-		} else {
-			item.Guard = true
-			item.Why = WhyUnboundVar
-		}
+	} else {
+		item.instantiate(proc)
 	}
 	return item
+}
+
+// instantiate chooses how the constraint on the item's partition
+// variable is applied: by the bounds of the local loop that binds it,
+// delayed to the callers through a formal, or by an explicit guard.
+func (item *Item) instantiate(proc *ast.Procedure) {
+	if loop := LoopFor(item.Nest, item.Sub.Var); loop != nil {
+		item.Loop = loop
+	} else if sym := proc.Symbols.Lookup(item.Sub.Var); sym != nil && (sym.IsFormal || sym.Common != "") {
+		item.DelayVar = item.Sub.Var
+	} else {
+		item.Guard = true
+		item.Why = WhyUnboundVar
+	}
 }
 
 // translateCallConstraint maps a callee's delayed constraint through a
@@ -496,7 +482,7 @@ func translateCallConstraint(proc *ast.Procedure, site *acg.CallSite, formal str
 		cc.Why = WhyActualUnnamed
 		return cc
 	}
-	if loop := loopFor(nest, actual); loop != nil {
+	if loop := LoopFor(nest, actual); loop != nil {
 		cc.Loop = loop
 		return cc
 	}
@@ -508,22 +494,11 @@ func translateCallConstraint(proc *ast.Procedure, site *acg.CallSite, formal str
 	return cc
 }
 
-func loopFor(nest []*ast.Do, v string) *ast.Do {
+// LoopFor returns the innermost loop of nest whose index is v, or nil.
+func LoopFor(nest []*ast.Do, v string) *ast.Do {
 	for i := len(nest) - 1; i >= 0; i-- {
 		if nest[i].Var == v {
 			return nest[i]
-		}
-	}
-	return nil
-}
-
-func findSite(node *acg.Node, call *ast.Call) *acg.CallSite {
-	if node == nil {
-		return nil
-	}
-	for _, s := range node.Calls {
-		if s.Stmt == call {
-			return s
 		}
 	}
 	return nil

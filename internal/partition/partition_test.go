@@ -44,7 +44,7 @@ func TestLocalLoopReduction(t *testing.T) {
       END
 `, "F1")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 	if len(plan.Items) != 1 {
 		t.Fatalf("items = %d", len(plan.Items))
 	}
@@ -69,7 +69,7 @@ func TestDelayedConstraint(t *testing.T) {
       END
 `, "F2")
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{100, 100}, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 	item := plan.Items[0]
 	if item.DelayVar != "i" {
 		t.Fatalf("item = %+v, want delayed on i", item)
@@ -92,7 +92,7 @@ func TestScalarWorkBlocksReduction(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 	if len(plan.LoopBounds) != 0 {
 		t.Errorf("loop wrongly reduced: %v", plan.LoopBounds)
 	}
@@ -122,7 +122,7 @@ func TestMixedConstraintsForceGuards(t *testing.T) {
 			return xDist, true
 		}
 		return yDist, true
-	}, noDelayed, nil)
+	}, noDelayed, nil, nil)
 	if len(plan.LoopBounds) != 0 {
 		t.Errorf("conflicting constraints must not reduce: %v", plan.LoopBounds)
 	}
@@ -150,7 +150,7 @@ func TestSameConstraintShares(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 	if len(plan.LoopBounds) != 1 {
 		t.Errorf("shared constraint should reduce once: %v", plan.LoopBounds)
 	}
@@ -165,7 +165,7 @@ func TestConstantSubscriptGuard(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 	if !plan.Items[0].Guard {
 		t.Errorf("constant subscript must guard: %+v", plan.Items[0])
 	}
@@ -328,7 +328,7 @@ func TestReductionRecognition(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 	var red *Item
 	for _, it := range plan.Items {
 		if it.Red != nil {
@@ -370,7 +370,7 @@ func TestReductionVariants(t *testing.T) {
 `
 		proc, node := buildNode(t, src, "S")
 		dist := blockDist(100, 4)
-		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 		found := false
 		for _, it := range plan.Items {
 			if it.Red != nil {
@@ -404,7 +404,7 @@ func TestReductionRejections(t *testing.T) {
 `
 		proc, node := buildNode(t, src, "S")
 		dist := blockDist(100, 4)
-		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 		for _, it := range plan.Items {
 			if it.Red != nil {
 				t.Errorf("shape %q wrongly recognized", shape)
@@ -426,7 +426,7 @@ func TestReductionDemotedByOtherWork(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
 	for _, it := range plan.Items {
 		if it.Red != nil {
 			t.Errorf("reduction must be demoted (accumulator escapes): %+v", it)

@@ -78,7 +78,7 @@ func analyzeReduction(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distO
 		if !sub.OK || sub.Var == "" || sub.Coef != 1 {
 			return nil
 		}
-		l := loopFor(nest, sub.Var)
+		l := LoopFor(nest, sub.Var)
 		if l == nil {
 			return nil // formal-indexed reductions are not delayed
 		}

@@ -1,8 +1,8 @@
 // Package progen generates random Fortran D programs for differential
 // tests: fills, shifted stencils, recurrences, reductions, subroutine
 // calls, mid-program redistributions and data-dependent branches over
-// two distributed arrays, in shapes nobody hand-picked. It is imported
-// by tests only.
+// two distributed arrays, and on request scalar temporaries, in shapes
+// nobody hand-picked. It is imported by tests only.
 package progen
 
 import (
@@ -17,6 +17,9 @@ type Gen struct {
 	Rng *rand.Rand
 	N   int // array size
 	P   int // processor count (the n$proc PARAMETER)
+	// Temps adds fragments with scalar temporaries. Off, a seed draws
+	// the programs it always did (the compile digest records them).
+	Temps bool
 
 	subs   []string
 	nextID int
@@ -96,6 +99,34 @@ func (g *Gen) conditional(dst, src string) string {
 `, g.N-2, src, thresh, dst, src, dst, src)
 }
 
+// temp computes dst through a scalar temporary inside a partitioned
+// loop; after is what follows the loop ("": nothing, else a statement
+// that reads the temporary, which keeps it replicated).
+func (g *Gen) temp(dst, src, after string) string {
+	return fmt.Sprintf(`      do i = 3, %d
+        t = %s(i) * 2.0
+        %s(i) = t + 1.0
+      enddo
+`, g.N-2, src, dst) + after
+}
+
+// tempCall computes a scalar from src through a chain of two and passes
+// it to a subroutine only the owner of the updated element calls.
+func (g *Gen) tempCall(dst, src string) string {
+	g.nextID++
+	g.subs = append(g.subs, fmt.Sprintf(`      SUBROUTINE W%d(U, k, t)
+      REAL U(%d)
+      U(k) = U(k) + t
+      END
+`, g.nextID, g.N))
+	return fmt.Sprintf(`      do k = 3, %d
+        u = %s(k%+d)
+        t = u * 0.5
+        call W%d(%s, k, t)
+      enddo
+`, g.N-2, src, g.shift()/2, g.nextID, dst)
+}
+
 // Generate returns the program's Fortran D source.
 func (g *Gen) Generate() string {
 	distA := g.pick("BLOCK", "CYCLIC")
@@ -104,8 +135,12 @@ func (g *Gen) Generate() string {
 	nf := g.Rng.Intn(3) + 2
 	body.WriteString(g.fill("A"))
 	body.WriteString(g.fill("B"))
+	kinds := 7
+	if g.Temps {
+		kinds = 10
+	}
 	for i := 0; i < nf; i++ {
-		switch g.Rng.Intn(7) {
+		switch g.Rng.Intn(kinds) {
 		case 0:
 			body.WriteString(g.stencil("A", "B"))
 		case 1:
@@ -123,6 +158,12 @@ func (g *Gen) Generate() string {
 			body.WriteString(g.stencil("A", "B"))
 		case 6:
 			body.WriteString(g.conditional("A", "B"))
+		case 7:
+			body.WriteString(g.temp("A", g.pick("A", "B"), ""))
+		case 8:
+			body.WriteString(g.tempCall(g.pick("A", "B"), g.pick("A", "B")))
+		case 9:
+			body.WriteString(g.temp("B", g.pick("A", "B"), "      B(1) = t\n"))
 		}
 	}
 	var src strings.Builder

@@ -13,14 +13,18 @@ import (
 	"strings"
 )
 
-// Dim describes one dimension of a section. If Var is empty the
-// dimension covers the constant range [Lo:Hi:Step]. If Var is non-empty
-// the dimension covers [Var+Lo : Var+Hi] — an offset window around a
-// symbolic anchor whose value (or range) is unknown locally.
+// Dim describes one dimension of a section, [lo : hi : Step], each end
+// bounded by its own optional symbolic anchor plus a constant offset:
+// lo = LoVar+Lo and hi = HiVar+Hi, an empty anchor meaning the constant
+// alone. [26:30] anchors neither end; [i-1 : i+1], an offset window
+// around a variable whose value (or range) is unknown locally, anchors
+// both at i; [k+1 : n] and [k+1 : 128] are the read ranges of a loop
+// whose bounds are affine in formals (§5.4). Ends under different
+// anchors are incomparable, so every operation is conservative there.
 type Dim struct {
-	Lo, Hi int
-	Step   int    // 0 or 1 mean unit stride
-	Var    string // symbolic anchor, "" for constant ranges
+	Lo, Hi       int
+	Step         int    // 0 or 1 mean unit stride
+	LoVar, HiVar string // symbolic anchors, "" for constant ends
 }
 
 // Point returns a degenerate dimension covering the single index i.
@@ -33,10 +37,10 @@ func Range(lo, hi int) Dim { return Dim{Lo: lo, Hi: hi, Step: 1} }
 func Strided(lo, hi, step int) Dim { return Dim{Lo: lo, Hi: hi, Step: step} }
 
 // SymPoint returns the dimension [v+off : v+off] anchored at variable v.
-func SymPoint(v string, off int) Dim { return Dim{Lo: off, Hi: off, Step: 1, Var: v} }
+func SymPoint(v string, off int) Dim { return SymRange(v, off, off) }
 
 // SymRange returns the dimension [v+lo : v+hi] anchored at variable v.
-func SymRange(v string, lo, hi int) Dim { return Dim{Lo: lo, Hi: hi, Step: 1, Var: v} }
+func SymRange(v string, lo, hi int) Dim { return Dim{Lo: lo, Hi: hi, Step: 1, LoVar: v, HiVar: v} }
 
 func (d Dim) step() int {
 	if d.Step <= 0 {
@@ -45,46 +49,53 @@ func (d Dim) step() int {
 	return d.Step
 }
 
-// IsSymbolic reports whether the dimension is anchored to a variable.
-func (d Dim) IsSymbolic() bool { return d.Var != "" }
+// IsSymbolic reports whether either end is anchored to a variable.
+func (d Dim) IsSymbolic() bool { return d.LoVar != "" || d.HiVar != "" }
 
-// Empty reports whether the dimension covers no indices.
-func (d Dim) Empty() bool { return d.Hi < d.Lo }
+// Anchors reports whether either end is anchored at v.
+func (d Dim) Anchors(v string) bool { return d.LoVar == v || d.HiVar == v }
+
+// sameAnchors reports whether the ends of d and o are pairwise
+// comparable.
+func (d Dim) sameAnchors(o Dim) bool { return d.LoVar == o.LoVar && d.HiVar == o.HiVar }
+
+// window reports whether d and o are both constant ranges or both
+// windows around one and the same anchor, so that all four ends compare.
+func (d Dim) window(o Dim) bool { return d.LoVar == d.HiVar && d.sameAnchors(o) }
+
+// Empty reports whether the dimension provably covers no indices; ends
+// under different anchors cannot be compared, so it then may cover some.
+func (d Dim) Empty() bool { return d.LoVar == d.HiVar && d.Hi < d.Lo }
 
 // Count returns the number of indices covered. Symbolic dimensions count
-// the width of the offset window.
+// the width of the offset window (1 when the ends are incomparable).
 func (d Dim) Count() int {
-	if d.Empty() {
+	switch {
+	case d.LoVar != d.HiVar:
+		return 1
+	case d.Empty():
 		return 0
 	}
 	return (d.Hi-d.Lo)/d.step() + 1
 }
 
 func (d Dim) String() string {
-	pre := ""
-	if d.Var != "" {
-		pre = d.Var
-	}
-	fmtEnd := func(v int) string {
-		if pre == "" {
-			return fmt.Sprintf("%d", v)
-		}
+	fmtEnd := func(pre string, v int) string {
 		switch {
+		case pre == "":
+			return fmt.Sprintf("%d", v)
 		case v == 0:
 			return pre
-		case v > 0:
-			return fmt.Sprintf("%s+%d", pre, v)
-		default:
-			return fmt.Sprintf("%s%d", pre, v)
 		}
+		return fmt.Sprintf("%s%+d", pre, v)
 	}
 	if d.Empty() {
 		return "∅"
 	}
-	if d.Lo == d.Hi {
-		return fmtEnd(d.Lo)
+	if d.Lo == d.Hi && d.LoVar == d.HiVar {
+		return fmtEnd(d.LoVar, d.Lo)
 	}
-	s := fmtEnd(d.Lo) + ":" + fmtEnd(d.Hi)
+	s := fmtEnd(d.LoVar, d.Lo) + ":" + fmtEnd(d.HiVar, d.Hi)
 	if d.step() != 1 {
 		s += fmt.Sprintf(":%d", d.Step)
 	}
@@ -101,9 +112,6 @@ type Section struct {
 func New(array string, dims ...Dim) *Section {
 	return &Section{Array: array, Dims: dims}
 }
-
-// Rank returns the number of dimensions.
-func (s *Section) Rank() int { return len(s.Dims) }
 
 // Empty reports whether any dimension is empty.
 func (s *Section) Empty() bool {
@@ -138,6 +146,16 @@ func (s *Section) Symbolic() bool {
 	return false
 }
 
+// Anchors reports whether an end of any dimension is anchored at v.
+func (s *Section) Anchors(v string) bool {
+	for _, d := range s.Dims {
+		if d.Anchors(v) {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *Section) String() string {
 	parts := make([]string, len(s.Dims))
 	for i, d := range s.Dims {
@@ -158,7 +176,7 @@ func (s *Section) Equal(o *Section) bool {
 	}
 	for i := range s.Dims {
 		a, b := s.Dims[i], o.Dims[i]
-		if a.Lo != b.Lo || a.Hi != b.Hi || a.step() != b.step() || a.Var != b.Var {
+		if a.Lo != b.Lo || a.Hi != b.Hi || a.step() != b.step() || !a.sameAnchors(b) {
 			return false
 		}
 	}
@@ -168,11 +186,11 @@ func (s *Section) Equal(o *Section) bool {
 // ---------------------------------------------------------------------------
 // Set operations
 
-// IntersectDim returns the intersection of two constant dimensions.
-// Symbolic dimensions intersect only with themselves (same anchor);
-// otherwise the result is conservatively the narrower input.
+// IntersectDim returns the intersection of two dimensions whose ends
+// are pairwise under the same anchor (constant ones included); ends
+// under different anchors cannot be compared.
 func IntersectDim(a, b Dim) Dim {
-	if a.Var != b.Var {
+	if !a.sameAnchors(b) {
 		// incomparable anchors: conservative over-approximation is the
 		// caller's job; return empty to mean "cannot prove overlap".
 		return Dim{Lo: 1, Hi: 0, Step: 1}
@@ -184,7 +202,7 @@ func IntersectDim(a, b Dim) Dim {
 		// different nontrivial strides: fall back to unit stride bounds
 		step = 1
 	}
-	return Dim{Lo: lo, Hi: hi, Step: step, Var: a.Var}
+	return Dim{Lo: lo, Hi: hi, Step: step, LoVar: a.LoVar, HiVar: a.HiVar}
 }
 
 // Intersect returns the intersection of two sections over the same array,
@@ -207,7 +225,7 @@ func SubtractDim(a, b Dim) []Dim {
 	if a.Empty() {
 		return nil
 	}
-	if a.Var != b.Var || a.step() != 1 || b.step() != 1 {
+	if !a.window(b) || a.step() != 1 || b.step() != 1 {
 		return []Dim{a}
 	}
 	if b.Hi < a.Lo || b.Lo > a.Hi {
@@ -215,10 +233,10 @@ func SubtractDim(a, b Dim) []Dim {
 	}
 	var out []Dim
 	if a.Lo < b.Lo {
-		out = append(out, Dim{Lo: a.Lo, Hi: b.Lo - 1, Step: 1, Var: a.Var})
+		out = append(out, Dim{Lo: a.Lo, Hi: b.Lo - 1, Step: 1, LoVar: a.LoVar, HiVar: a.LoVar})
 	}
 	if a.Hi > b.Hi {
-		out = append(out, Dim{Lo: b.Hi + 1, Hi: a.Hi, Step: 1, Var: a.Var})
+		out = append(out, Dim{Lo: b.Hi + 1, Hi: a.Hi, Step: 1, LoVar: a.LoVar, HiVar: a.LoVar})
 	}
 	return out
 }
@@ -261,21 +279,21 @@ func Subtract(a, b *Section) []*Section {
 // mergeableDim reports whether two dimensions can be unioned into a
 // single triplet without loss of precision, and returns the union.
 func mergeableDim(a, b Dim) (Dim, bool) {
-	if a.Var != b.Var || a.step() != b.step() {
+	if !a.sameAnchors(b) || a.step() != b.step() {
 		return Dim{}, false
 	}
 	st := a.step()
-	if st == 1 {
+	if st == 1 && a.LoVar == a.HiVar {
 		// adjacent or overlapping unit ranges merge
 		if a.Lo > b.Lo {
 			a, b = b, a
 		}
 		if b.Lo <= a.Hi+1 {
-			return Dim{Lo: a.Lo, Hi: max(a.Hi, b.Hi), Step: 1, Var: a.Var}, true
+			return Dim{Lo: a.Lo, Hi: max(a.Hi, b.Hi), Step: 1, LoVar: a.LoVar, HiVar: a.LoVar}, true
 		}
 		return Dim{}, false
 	}
-	// equal strided ranges only
+	// strided, or ends under different anchors: equal ranges only
 	if a.Lo == b.Lo && a.Hi == b.Hi {
 		return a, true
 	}
@@ -332,15 +350,15 @@ func MergeList(secs []*Section) []*Section {
 	return out
 }
 
-// Contains reports whether section a covers all of section b (both
-// constant unit-stride).
+// Contains reports whether section a provably covers all of section b
+// (both unit-stride, each end of a under the same anchor as b's).
 func Contains(a, b *Section) bool {
 	if a.Array != b.Array || len(a.Dims) != len(b.Dims) {
 		return false
 	}
 	for i := range a.Dims {
 		da, db := a.Dims[i], b.Dims[i]
-		if da.Var != db.Var || da.step() != 1 || db.step() != 1 {
+		if !da.sameAnchors(db) || da.step() != 1 || db.step() != 1 {
 			return false
 		}
 		if db.Lo < da.Lo || db.Hi > da.Hi {
@@ -353,22 +371,26 @@ func Contains(a, b *Section) bool {
 // ---------------------------------------------------------------------------
 // Symbolic expansion and call-site translation
 
-// Bind replaces a symbolic anchor with a concrete range: every dimension
-// anchored at v becomes the constant range [lo+Lo : hi+Hi]. This is the
-// expansion the compiler performs when a delayed RSD reaches the
+// Bind replaces a symbolic anchor with a concrete range: a lower end
+// anchored at v becomes the constant lo+Lo, an upper end hi+Hi. This is
+// the expansion the compiler performs when a delayed RSD reaches the
 // procedure that owns the anchoring loop.
 func (s *Section) Bind(v string, lo, hi int) *Section {
 	out := s.Clone()
-	for i, d := range out.Dims {
-		if d.Var == v {
-			out.Dims[i] = Dim{Lo: lo + d.Lo, Hi: hi + d.Hi, Step: d.step()}
+	for i := range out.Dims {
+		d := &out.Dims[i]
+		if d.Anchors(v) {
+			d.Step = d.step()
+		}
+		if d.LoVar == v {
+			d.LoVar, d.Lo = "", lo+d.Lo
+		}
+		if d.HiVar == v {
+			d.HiVar, d.Hi = "", hi+d.Hi
 		}
 	}
 	return out
 }
-
-// BindPoint replaces a symbolic anchor with a single value.
-func (s *Section) BindPoint(v string, val int) *Section { return s.Bind(v, val, val) }
 
 // Rename rewrites the array name (formal→actual translation across a
 // call site for identically-shaped parameters) and renames symbolic
@@ -377,27 +399,15 @@ func (s *Section) Rename(array string, vars map[string]string) *Section {
 	out := s.Clone()
 	out.Array = array
 	if vars != nil {
-		for i, d := range out.Dims {
-			if d.Var != "" {
-				if actual, ok := vars[d.Var]; ok {
-					out.Dims[i].Var = actual
-				}
+		for i := range out.Dims {
+			d := &out.Dims[i]
+			if actual, ok := vars[d.LoVar]; ok {
+				d.LoVar = actual
+			}
+			if actual, ok := vars[d.HiVar]; ok {
+				d.HiVar = actual
 			}
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -191,11 +191,11 @@ func TestBindWithOffset(t *testing.T) {
 func TestRename(t *testing.T) {
 	s := New("Z", Range(26, 30), SymPoint("i", 0))
 	r := s.Rename("X", map[string]string{"i": "k"})
-	if r.Array != "X" || r.Dims[1].Var != "k" {
+	if r.Array != "X" || r.Dims[1].LoVar != "k" {
 		t.Errorf("Rename = %v", r)
 	}
 	// original untouched
-	if s.Array != "Z" || s.Dims[1].Var != "i" {
+	if s.Array != "Z" || s.Dims[1].LoVar != "i" {
 		t.Errorf("Rename mutated receiver: %v", s)
 	}
 }

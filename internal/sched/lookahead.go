@@ -49,14 +49,20 @@ func pipelinePivot(v *view, i int) (int, bool) {
 	if (loop.Step != nil && !isIntLit(loop.Step, 1)) || len(body) < 2 {
 		return i, false
 	}
-	bc, ok := body[0].(*ast.Broadcast)
-	if !ok {
+	// the first broadcast of the body, at its top in the matched shape
+	var bc *ast.Broadcast
+	at := -1
+	for bc == nil && at < len(body)-2 {
+		at++
+		bc, _ = body[at].(*ast.Broadcast)
+	}
+	if bc == nil {
 		return i, false
 	}
 	k := loop.Var
 	// the pivot dimension selects exactly column k; every other section
 	// bound must be independent of k so substituting k+1 shifts only it
-	pivot := -1
+	pivot, shifted := -1, false
 	for d, sd := range bc.Sec {
 		if isIdent(sd.Lo, k) && isIdent(sd.Hi, k) {
 			if pivot >= 0 {
@@ -64,7 +70,7 @@ func pipelinePivot(v *view, i int) (int, bool) {
 			}
 			pivot = d
 		} else if mentions(sd.Lo, k) || mentions(sd.Hi, k) {
-			return i, false
+			shifted = true
 		}
 	}
 	if pivot < 0 || !mentions(bc.Root, k) {
@@ -73,6 +79,21 @@ func pipelinePivot(v *view, i int) (int, bool) {
 	miss := func(format string, args ...interface{}) (int, bool) {
 		v.missed(bc.Pos().Line, format, args...)
 		return i + 1, true
+	}
+	// the owner factors column k in place before it sends it: posting the
+	// column an iteration early would send what it held before
+	writer := ""
+	ast.WalkStmts(body[:at], func(s ast.Stmt) bool {
+		if call, ok := s.(*ast.Call); ok && v.effects(s).Mod.Has(bc.Array) {
+			writer = "call " + call.Name
+		}
+		return true
+	})
+	if writer != "" {
+		return miss("column %s is written by its owner (%s) between its update and the broadcast", k, writer)
+	}
+	if at > 0 || shifted {
+		return i, false
 	}
 	jloop, ok := body[len(body)-1].(*ast.Do)
 	if !ok {

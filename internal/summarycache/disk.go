@@ -36,7 +36,7 @@ import (
 
 // diskFormat versions the entry file schema; files with any other
 // version are ignored (treated as misses) rather than misread.
-const diskFormat = 1
+const diskFormat = 2
 
 // diskEntry is Entry with the AST unit flattened to printed source.
 type diskEntry struct {

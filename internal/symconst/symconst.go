@@ -25,19 +25,12 @@ func (r Result) Env(proc string) ast.Env {
 	return ast.MapEnv{}
 }
 
-// Compute runs the top-down propagation.
-func Compute(g *acg.Graph) Result {
-	se := sideeffect.Compute(g)
+// Compute runs the top-down propagation; se is g's side-effect analysis.
+func Compute(g *acg.Graph, se *sideeffect.Analysis) Result {
 	res := Result{}
 	// seed with local PARAMETER constants
 	for _, n := range g.TopoOrder() {
-		env := ast.MapEnv{}
-		for _, s := range n.Proc.Symbols.Symbols() {
-			if s.Kind == ast.SymConstant {
-				env[s.Name] = s.ConstValue
-			}
-		}
-		res[n.Proc.Name] = env
+		res[n.Proc.Name] = n.Proc.Constants()
 	}
 	for _, n := range g.TopoOrder() {
 		proc := n.Proc

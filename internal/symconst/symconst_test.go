@@ -5,6 +5,7 @@ import (
 
 	"fortd/internal/acg"
 	"fortd/internal/parser"
+	"fortd/internal/sideeffect"
 )
 
 func compute(t *testing.T, src string) Result {
@@ -17,7 +18,7 @@ func compute(t *testing.T, src string) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Compute(g)
+	return Compute(g, sideeffect.Compute(g))
 }
 
 // TestConstantFlowsThroughChain: main → dgefa → daxpy, the matrix

@@ -148,6 +148,98 @@ func TestSummaryCacheWarmRecompile(t *testing.T) {
 	}
 }
 
+// TestSummaryCacheCoversCalleeScalarEffects: dgefa's partition computes
+// t on the owner of column k only because no callee may assign t. That
+// is something it consumes from dscal, so editing dscal to pass t on to
+// a procedure that assigns it — an edit that leaves dscal's delayed
+// constraint, communication and sections as they were — must miss
+// dgefa, which then keeps t replicated.
+func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
+	src := DgefaSrc(16, 4)
+	edited := strings.Replace(src, "      do i = k+1, n\n        a(i,k) = a(i,k) * t",
+		"      call bump(t)\n      do i = k+1, n\n        a(i,k) = a(i,k) * t", 1) + `
+      SUBROUTINE bump(x)
+      x = x * 1.0
+      END
+`
+	if edited == src+"\n      SUBROUTINE bump(x)\n      x = x * 1.0\n      END\n" {
+		t.Fatal("edit did not apply")
+	}
+	opts := DefaultOptions()
+	opts.Cache = NewSummaryCache()
+	cold, coldReport := compileWith(t, src, opts)
+	if !strings.Contains(coldReport, "t computed by the owner of column k only") ||
+		!strings.Contains(cold.Listing(), "then\n          t = (1 / a(k,k))") {
+		t.Fatalf("base program does not guard t:\n%s%s", cold.Listing(), coldReport)
+	}
+	prog, report := compileWith(t, edited, opts)
+	// daxpy follows dscal in the text, so its lines moved; dgefa precedes it
+	if got := fmt.Sprint(prog.CacheMisses()); got != "[bump daxpy dgefa dscal]" {
+		t.Errorf("edited compile re-analyzed %v, want [bump daxpy dgefa dscal]", got)
+	}
+	if !strings.Contains(report, "t stays replicated: "+"a callee may assign it") {
+		t.Errorf("no Missed remark for t:\n%s", report)
+	}
+	if strings.Contains(prog.Listing(), "then\n          t = (1 / a(k,k))") {
+		t.Errorf("t is still guarded:\n%s", prog.Listing())
+	}
+	fresh, _ := compileWith(t, edited, DefaultOptions())
+	if prog.Listing() != fresh.Listing() {
+		t.Error("cache-assembled listing differs from a fresh compile of the edited source")
+	}
+	r := NewRunner(WithInit(map[string][]float64{"a": DgefaMatrix(16)}))
+	res, err := r.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := r.RunReference(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(res.Arrays["a"], ref.Arrays["a"]); d > 1e-9 {
+		t.Errorf("edited program differs from the sequential reference by %g", d)
+	}
+}
+
+// TestDiskCacheOldFormatMisses: an entry file written under an earlier
+// disk format (its sections have another shape) is a miss, not an error
+// and not a resurrected listing.
+func TestDiskCacheOldFormatMisses(t *testing.T) {
+	dir := t.TempDir()
+	src := DgefaSrc(16, 4)
+	cold, err := Compile(src, Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 5 {
+		t.Fatalf("entry files: %v %v", files, err)
+	}
+	for _, f := range files {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Replace(buf, []byte(`"Format":2`), []byte(`"Format":1`), 1)
+		if bytes.Equal(old, buf) {
+			t.Fatalf("%s does not record format 2", f)
+		}
+		if err := os.WriteFile(f, old, 0644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := Compile(src, Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.CacheHits()) != 0 || len(again.CacheMisses()) != 5 {
+		t.Errorf("format-1 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
+	}
+	if again.Listing() != cold.Listing() {
+		t.Error("listing differs after the old-format entries were ignored")
+	}
+}
+
 // TestGoldenRecompilationDecisions locks the §8 recompilation decisions
 // for the dgefa case study as a golden file: for each edit scenario it
 // records the summary-cache invalidation cone and the recompilation

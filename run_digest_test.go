@@ -58,7 +58,10 @@ func runDigest(t *testing.T, prog *Program, init map[string][]float64, cfg Machi
 // deeply equal Stats (the full P×P traffic matrix included) and equal
 // final arrays; testdata/golden/run_digest.txt is the goroutine
 // engine's side of that comparison, recorded on the last tree that had
-// it (commit 0839dd0) and never regenerated since. The engine itself
+// it (commit 0839dd0) and never regenerated for an engine or executor
+// change since (its dgefa lines were re-recorded when the compiler
+// started generating one broadcast per elimination step, the others
+// coming out as they were). The engine itself
 // lives on as internal/machine's test oracle (TestEngineDifferential);
 // what only this matrix adds is compiled programs at P up to 64.
 func TestBackendDifferential(t *testing.T) {
@@ -70,8 +73,8 @@ func TestBackendDifferential(t *testing.T) {
 	}{
 		// dgefa gets the diagonally dominant matrix: factoring a plain
 		// ramp (singular) yields NaNs. DefaultOptions compiles with the overlap schedule on, so jacobi
-		// exercises split-phase postrecv/waitrecv and dgefa the pipelined
-		// postbcast/waitbcast path at every P.
+		// exercises split-phase postrecv/waitrecv and dgefa guarded calls
+		// around one blocking broadcast per step at every P.
 		{"jacobi", func(p int) string { return Jacobi2DSrc(64, 3, p) }, RampInit, nil},
 		{"dgefa", func(p int) string { return DgefaSrc(64, p) },
 			func(string) map[string][]float64 {
@@ -115,10 +118,25 @@ func TestBackendDifferential(t *testing.T) {
 				// at P=64; no link comes near filling it
 				cfg := DefaultMachine(p)
 				cfg.LinkDepth = 512
-				if got, want := runDigest(t, prog, init, cfg, w.plan), recorded[cell]; got != want {
+				got, want := runDigest(t, prog, init, cfg, w.plan), recorded[cell]
+				if *update {
+					recorded[cell] = got
+				} else if got != want {
 					t.Errorf("run differs from the goroutine engine's in %s:\n got  %s\n want %s", path, got, want)
 				}
 			})
+		}
+	}
+	if *update {
+		// for a compiler change that moves a workload's generated code:
+		// every other line must come out as it was recorded
+		var out strings.Builder
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			cell, _, _ := strings.Cut(line, " ")
+			fmt.Fprintf(&out, "%s %s\n", cell, recorded[cell])
+		}
+		if err := os.WriteFile(path, []byte(out.String()), 0644); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if len(recorded) != cells {
