@@ -16,8 +16,8 @@ test -z "$(gofmt -l .)"
 # ceiling to its own result in the same diff. PR 18 added a compiler
 # capability (private scalars partitioned by their uses, read-range
 # sections) and was allowed its measured net growth, at most +400:
-# 25208 -> 25598
-LOC_CEILING=25598
+# 25208 -> 25608 (25598 before the review's three soundness fixes)
+LOC_CEILING=25608
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

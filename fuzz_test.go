@@ -131,6 +131,9 @@ func FuzzRun(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// delayed sections anchored at one end only
+	more, _ := filepath.Glob(filepath.Join("testdata", "sections", "*.f"))
+	rows = append(rows, more...)
 	for _, path := range rows {
 		src, err := os.ReadFile(path)
 		if err != nil {

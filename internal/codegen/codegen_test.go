@@ -32,8 +32,8 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, env)
-	commRes := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g), env)
+	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
+	commRes := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil), nil, env)
 	res, err := Generate(&Input{Proc: proc, Plan: plan, Comm: commRes, DistOf: distOf, Env: env, P: p})
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +222,12 @@ func TestEmitCallCommPoint(t *testing.T) {
 	}
 	if bc.Sec[1].Lo.String() != "k" {
 		t.Errorf("sec = %v", bc.Sec[1].Lo)
+	}
+	// a dimension of unknown extent is a conservative answer to a
+	// dependence test, never a section to send
+	cc.Section = rsd.New("A", comm.UnknownExtent, rsd.SymPoint("k", 0))
+	if _, err := emitCallComm(in, cc); err == nil || !strings.Contains(err.Error(), "no declared extent") {
+		t.Errorf("section of unknown extent: err = %v, want refused", err)
 	}
 }
 

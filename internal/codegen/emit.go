@@ -48,6 +48,9 @@ func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
 func emitCallComm(in *Input, cc *comm.CallComm) ([]ast.Stmt, error) {
 	sec := make([]ast.SecDim, len(cc.Section.Dims))
 	for d, dim := range cc.Section.Dims {
+		if dim == comm.UnknownExtent {
+			return nil, errUnsupported("section %s of %s has no declared extent", cc.Section, cc.Array)
+		}
 		sec[d] = rsdSecDim(dim)
 	}
 	kind := cc.D.Kind

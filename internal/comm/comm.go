@@ -5,10 +5,12 @@ import (
 
 	"fortd/internal/acg"
 	"fortd/internal/ast"
+	"fortd/internal/dataflow"
 	"fortd/internal/decomp"
 	"fortd/internal/depend"
 	"fortd/internal/partition"
 	"fortd/internal/rsd"
+	"fortd/internal/sideeffect"
 )
 
 // Kind classifies the communication pattern of a nonlocal reference.
@@ -121,7 +123,8 @@ type DelayedOf func(procName string) []*Delayed
 // Analyze runs Figure 11 for one procedure: classify nonlocal
 // references, choose message placement by dependence level, instantiate
 // delayed communication arriving from callees, and collect the
-// still-delayed descriptors for this procedure's callers.
+// still-delayed descriptors for this procedure's callers. fx says which
+// scalars the procedure may assign, as for ComputeSections.
 func Analyze(
 	proc *ast.Procedure,
 	node *acg.Node,
@@ -130,6 +133,7 @@ func Analyze(
 	distOf partition.DistOf,
 	delayedOf DelayedOf,
 	sections map[string]*SectionSummary,
+	fx *sideeffect.Analysis,
 	env ast.Env,
 ) *Result {
 	res := &Result{}
@@ -181,7 +185,7 @@ func Analyze(
 						continue
 					}
 					for _, d := range delayedOf(st.Name) {
-						cc := instantiate(proc, site, d, nest, distOf, sections, env)
+						cc := instantiate(proc, site, d, nest, distOf, sections, assigned(fx, proc), env)
 						if cc == nil {
 							continue
 						}
@@ -359,21 +363,10 @@ func instantiate(
 	nest []*ast.Do,
 	distOf partition.DistOf,
 	sections map[string]*SectionSummary,
+	mod dataflow.Set,
 	env ast.Env,
 ) *CallComm {
-	cc := &CallComm{Site: site, D: d}
-	// translate names
-	callee := site.Callee.Proc
-	arrSym := callee.Symbols.Lookup(d.Array)
-	switch {
-	case arrSym != nil && arrSym.IsFormal:
-		if arrSym.FormalIndex >= len(site.Bindings) {
-			return nil
-		}
-		cc.Array = site.Bindings[arrSym.FormalIndex].ActualName
-	default:
-		cc.Array = d.Array
-	}
+	cc := &CallComm{Site: site, D: d, Array: callerName(site, d.Array)}
 	if cc.Array == "" {
 		return nil
 	}
@@ -383,7 +376,7 @@ func instantiate(
 	}
 	cc.Dist = dist
 	vars := siteVars(site)
-	cc.Section = callSection(d.Section, site, vars, cc.Array, proc, env)
+	cc.Section = callSection(d.Section, site, vars, cc.Array, proc, nest, mod, env)
 	if d.PointVar != "" {
 		cc.PointVar = d.PointVar
 		if a, ok := vars[d.PointVar]; ok {
@@ -412,7 +405,7 @@ func instantiate(
 
 	// Shift/Gather: vectorize across caller loops when no true
 	// dependence is carried (checked with interprocedural RSDs).
-	writeSecs := calleeWrites(site, sections, proc, env)
+	writeSecs := calleeWrites(site, sections, proc, nest, mod, env)
 	for i := len(nest) - 1; i >= 0; i-- {
 		loop := nest[i]
 		if !cc.Section.Anchors(loop.Var) {
@@ -452,7 +445,7 @@ func instantiate(
 // calleeWrites returns the callee's write sections translated to the
 // caller's space with anchors preserved (no loop expansion), for the
 // carried-dependence test.
-func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc *ast.Procedure, env ast.Env) []*rsd.Section {
+func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc *ast.Procedure, nest []*ast.Do, mod dataflow.Set, env ast.Env) []*rsd.Section {
 	sum := sections[site.Callee.Name()]
 	if sum == nil {
 		return nil
@@ -460,19 +453,12 @@ func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc 
 	vars := siteVars(site)
 	var out []*rsd.Section
 	for name, secs := range sum.Writes {
-		sym := site.Callee.Proc.Symbols.Lookup(name)
-		target := name
-		if sym != nil && sym.IsFormal {
-			if sym.FormalIndex >= len(site.Bindings) {
-				continue
-			}
-			target = site.Bindings[sym.FormalIndex].ActualName
-			if target == "" {
-				continue
-			}
+		target := callerName(site, name)
+		if target == "" {
+			continue
 		}
 		for _, sec := range secs {
-			out = append(out, callSection(sec, site, vars, target, proc, env))
+			out = append(out, callSection(sec, site, vars, target, proc, nest, mod, env))
 		}
 	}
 	return out
@@ -482,8 +468,10 @@ func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc 
 // read section is carried by the loop with index v: a write section to
 // the same array whose anchored window on v differs from the read's
 // (or which overlaps without anchoring v) implies a cross-iteration
-// flow; identical anchor windows mean distance 0 (loop-independent),
-// which vectorization tolerates.
+// flow; identical windows [v+lo : v+hi] move with v and mean distance 0
+// (loop-independent), which vectorization tolerates. A dimension
+// anchored at v at one end only ([v+1 : n]) overlaps itself across
+// iterations however equal the two sides are, so it counts as carried.
 func carriedAt(writes []*rsd.Section, read *rsd.Section, v string) bool {
 	for _, w := range writes {
 		if w.Array != read.Array || len(w.Dims) != len(read.Dims) {
@@ -496,7 +484,7 @@ func carriedAt(writes []*rsd.Section, read *rsd.Section, v string) bool {
 			wd, rd := w.Dims[i], read.Dims[i]
 			if wd.Anchors(v) || rd.Anchors(v) {
 				anchorsV = true
-				if wd.LoVar != rd.LoVar || wd.HiVar != rd.HiVar || wd.Lo != rd.Lo || wd.Hi != rd.Hi {
+				if wd.LoVar != wd.HiVar || wd.LoVar != rd.LoVar || wd.HiVar != rd.HiVar || wd.Lo != rd.Lo || wd.Hi != rd.Hi {
 					sameWindow = false
 				}
 				continue

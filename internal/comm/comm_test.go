@@ -10,12 +10,14 @@ import (
 	"fortd/internal/parser"
 	"fortd/internal/partition"
 	"fortd/internal/rsd"
+	"fortd/internal/sideeffect"
 )
 
 type fixture struct {
 	prog     *ast.Program
 	graph    *acg.Graph
 	sections map[string]*SectionSummary
+	fx       *sideeffect.Analysis
 }
 
 func parseAll(t *testing.T, src string) *fixture {
@@ -28,7 +30,8 @@ func parseAll(t *testing.T, src string) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{prog: prog, graph: g, sections: ComputeSections(g)}
+	fx := sideeffect.Compute(g)
+	return &fixture{prog: prog, graph: g, sections: ComputeSections(g, fx), fx: fx}
 }
 
 func analyzeProc(t *testing.T, f *fixture, name string, distOf partition.DistOf) *Result {
@@ -37,8 +40,8 @@ func analyzeProc(t *testing.T, f *fixture, name string, distOf partition.DistOf)
 	proc := n.Proc
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, env)
-	return Analyze(proc, n, plan, deps, distOf, func(string) []*Delayed { return nil }, f.sections, env)
+	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
+	return Analyze(proc, n, plan, deps, distOf, func(string) []*Delayed { return nil }, f.sections, f.fx, env)
 }
 
 func blockDistOf(n, p int) partition.DistOf {
@@ -212,6 +215,12 @@ func TestCarriedAt(t *testing.T) {
 	if carriedAt(otherArray, read, "i") {
 		t.Error("write to a different array must not be carried")
 	}
+	// [k+1:n] written and read: the ends are equal, but only a window
+	// moves with k — iteration k+1 reads what iteration k wrote
+	half := rsd.Dim{Lo: 1, Step: 1, LoVar: "k", HiVar: "n"}
+	if !carriedAt([]*rsd.Section{rsd.New("a", half)}, rsd.New("a", half), "k") {
+		t.Error("a section anchored at k at one end only must be carried by the k loop")
+	}
 }
 
 // TestReplicatedNoComm: references to replicated arrays never
@@ -347,6 +356,85 @@ func TestInstantiateCarriedStaysInLoop(t *testing.T) {
 	}
 }
 
+// TestInstantiateHalfAnchoredStaysInLoop: the callee reads a(k+1:n)
+// shifted and writes a(k+1:n); both sections have the same ends, yet
+// they overlap across iterations of the caller's k loop, so the delayed
+// shift is sent on every iteration, not once before the loop.
+func TestInstantiateHalfAnchoredStaysInLoop(t *testing.T) {
+	f := parseAll(t, `
+      PROGRAM P1
+      REAL a(64), b(64)
+      do m = 60,64
+        do k = 1,10
+          call F1(a,b,k,m)
+        enddo
+      enddo
+      END
+      SUBROUTINE F1(a,b,k,n)
+      REAL a(64), b(64)
+      do i = k,n-1
+        b(i) = a(i+1)
+      enddo
+      do i = k+1,n
+        a(i) = b(i)*0.5
+      enddo
+      END
+`)
+	d := &Delayed{
+		Array: "a", Kind: KShift, Shift: 1, DistKey: "(BLOCK)", DistDim: 0,
+		Section: rsd.New("a", rsd.Dim{Lo: 1, Step: 1, LoVar: "k", HiVar: "n"}),
+	}
+	dist := decomp.MustDist(decomp.NewDecomp(decomp.Block), []int{64}, 4)
+	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
+	res := analyzeWithDelayed(t, f, "P1", distOf, d)
+	if len(res.CallComms) != 1 {
+		t.Fatalf("call comms = %v", res.CallComms)
+	}
+	if cc := res.CallComms[0]; cc.AtLoop == nil || cc.AtLoop.Var != "k" {
+		t.Errorf("placement = %+v, want inside the k loop", cc)
+	}
+}
+
+// TestInstantiateAnchorsOnlyAtFixedScalars: the caller assigns m between
+// the point the broadcast is placed (the top of the k loop) and the
+// call, so the section placed there cannot end at m and widens to the
+// declared extent; n, which the caller never assigns, stays an anchor.
+func TestInstantiateAnchorsOnlyAtFixedScalars(t *testing.T) {
+	f := parseAll(t, `
+      SUBROUTINE ELIM(a,n)
+      REAL a(12,12)
+      do k = 1,n-1
+        do j = k+1,n
+          m = n - MOD(j,2)
+          call F1(a,m,k,j)
+          call F1(a,n,k,j)
+        enddo
+      enddo
+      END
+      SUBROUTINE F1(a,n,k,j)
+      REAL a(12,12)
+      do i = k+1,n
+        a(i,j) = a(i,j) - a(i,k)
+      enddo
+      END
+`)
+	d := &Delayed{
+		Array: "a", Kind: KPoint, PointVar: "k", DistKey: "(:,CYCLIC)", DistDim: 1,
+		Section: rsd.New("a", rsd.Dim{Lo: 1, Step: 1, LoVar: "k", HiVar: "n"}, rsd.SymPoint("k", 0)),
+	}
+	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{12, 12}, 4)
+	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
+	res := analyzeWithDelayed(t, f, "ELIM", distOf, d)
+	if len(res.CallComms) != 2 {
+		t.Fatalf("call comms = %v", res.CallComms)
+	}
+	for i, want := range []string{"a[1:12,k]", "a[k+1:n,k]"} {
+		if cc := res.CallComms[i]; cc.Section.String() != want || cc.AtLoop == nil || cc.AtLoop.Var != "k" {
+			t.Errorf("call %d: section %v at %+v, want %s at the k loop", i+1, cc.Section, cc.AtLoop, want)
+		}
+	}
+}
+
 // TestInstantiateReDelays: a middle procedure passing its own formal
 // onward re-delays the communication to its callers.
 func TestInstantiateReDelays(t *testing.T) {
@@ -394,14 +482,14 @@ func analyzeWithDelayed(t *testing.T, f *fixture, name string, distOf partition.
 	proc := n.Proc
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, env)
+	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
 	return Analyze(proc, n, plan, deps, distOf,
 		func(callee string) []*Delayed {
 			if callee == "F1" {
 				return []*Delayed{d}
 			}
 			return nil
-		}, f.sections, env)
+		}, f.sections, f.fx, env)
 }
 
 // TestInstantiatePointAtDefiningLoop: a delayed broadcast keyed to a

@@ -8,9 +8,11 @@ package comm
 import (
 	"fortd/internal/acg"
 	"fortd/internal/ast"
+	"fortd/internal/dataflow"
 	"fortd/internal/depend"
 	"fortd/internal/partition"
 	"fortd/internal/rsd"
+	"fortd/internal/sideeffect"
 )
 
 // SectionSummary holds the interprocedural regular-section summaries of
@@ -42,16 +44,25 @@ func (s *SectionSummary) addRead(sec *rsd.Section) {
 // ComputeSections builds section summaries for every procedure,
 // bottom-up over the acyclic call graph (the interprocedural RSD
 // propagation of §5.4: "references within a procedure are put into RSD
-// form ... propagated to calling procedures and translated").
-func ComputeSections(g *acg.Graph) map[string]*SectionSummary {
+// form ... propagated to calling procedures and translated"). fx says
+// which scalars a caller may assign (nil: none); see callSection.
+func ComputeSections(g *acg.Graph, fx *sideeffect.Analysis) map[string]*SectionSummary {
 	out := map[string]*SectionSummary{}
 	for _, n := range g.ReverseTopoOrder() {
-		out[n.Name()] = procSections(n, out)
+		out[n.Name()] = procSections(n, assigned(fx, n.Proc), out)
 	}
 	return out
 }
 
-func procSections(n *acg.Node, done map[string]*SectionSummary) *SectionSummary {
+// assigned returns what proc or a procedure it calls may assign.
+func assigned(fx *sideeffect.Analysis, proc *ast.Procedure) dataflow.Set {
+	if fx == nil || fx.Summaries[proc.Name] == nil {
+		return nil
+	}
+	return fx.Summaries[proc.Name].Mod
+}
+
+func procSections(n *acg.Node, mod dataflow.Set, done map[string]*SectionSummary) *SectionSummary {
 	proc := n.Proc
 	sum := newSectionSummary()
 	env := proc.Constants()
@@ -103,14 +114,14 @@ func procSections(n *acg.Node, done map[string]*SectionSummary) *SectionSummary 
 				}
 				for _, secs := range callee.Writes {
 					for _, sec := range secs {
-						if t := TranslateSection(sec, site, proc, nest, env); t != nil {
+						if t := TranslateSection(sec, site, proc, nest, mod, env); t != nil {
 							sum.addWrite(t)
 						}
 					}
 				}
 				for _, secs := range callee.Reads {
 					for _, sec := range secs {
-						if t := TranslateSection(sec, site, proc, nest, env); t != nil {
+						if t := TranslateSection(sec, site, proc, nest, mod, env); t != nil {
 							sum.addRead(t)
 						}
 					}
@@ -200,9 +211,15 @@ func outerAffine(proc *ast.Procedure, e ast.Expr, env ast.Env) (string, int, boo
 	return v, c, ok && (v == "" || a == 1 && isOuterVar(proc, v))
 }
 
+// UnknownExtent is what a dimension widens to where its declared bounds
+// are not known. It only makes a dependence or kill test conservative:
+// an array without a constant declared shape has no distribution, so no
+// communication is instantiated for it, and codegen refuses the section.
+var UnknownExtent = rsd.Range(1, 1<<20)
+
 func declaredDim(sym *ast.Symbol, d int, env ast.Env) rsd.Dim {
 	if sym == nil {
-		return rsd.Range(1, 1<<20) // a COMMON array the caller does not declare
+		return UnknownExtent // a COMMON array the caller does not declare
 	}
 	if d >= len(sym.Dims) {
 		return rsd.Range(1, 1)
@@ -210,7 +227,7 @@ func declaredDim(sym *ast.Symbol, d int, env ast.Env) rsd.Dim {
 	lo, okLo := ast.EvalInt(sym.Dims[d].Lo, env)
 	hi, okHi := ast.EvalInt(sym.Dims[d].Hi, env)
 	if !okLo || !okHi {
-		return rsd.Range(1, 1<<20) // adjustable bounds: unknown extent
+		return UnknownExtent // adjustable bounds
 	}
 	return rsd.Range(lo, hi)
 }
@@ -227,17 +244,33 @@ func siteVars(site *acg.CallSite) map[string]string {
 	return vars
 }
 
+// callerName returns the caller's name at site for the callee's
+// variable name: the bare actual bound to a formal ("" when it is an
+// expression or a literal), the name itself otherwise (COMMON).
+func callerName(site *acg.CallSite, name string) string {
+	if s := site.Callee.Proc.Symbols.Lookup(name); s != nil && s.IsFormal {
+		if s.FormalIndex >= len(site.Bindings) {
+			return ""
+		}
+		return site.Bindings[s.FormalIndex].ActualName
+	}
+	return name
+}
+
 // callSection renames a callee-space section into the caller's name
 // space: the array becomes array and every anchor naming a formal
-// scalar becomes the actual's name (vars is siteVars(site)). A
-// dimension anchored at a formal whose actual has no name (an
-// expression or a literal) means nothing in the caller and widens to
-// the declared extent of the caller's array.
-func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, array string, caller *ast.Procedure, env ast.Env) *rsd.Section {
+// scalar becomes the actual's name (vars is siteVars(site)). An anchor
+// is a value the caller must be able to name wherever it places or
+// tests the section: a dimension anchored at a formal whose actual has
+// no name (an expression or a literal), or at a scalar the caller may
+// assign (mod) other than as the index of a loop around the call
+// (nest), widens to the declared extent of the caller's array.
+func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, array string, caller *ast.Procedure, nest []*ast.Do, mod dataflow.Set, env ast.Env) *rsd.Section {
 	out := sec.Rename(array, vars)
 	for i, d := range sec.Dims {
 		for _, v := range [2]string{d.LoVar, d.HiVar} {
-			if s := site.Callee.Proc.Symbols.Lookup(v); s != nil && s.IsFormal && vars[v] == "" {
+			a := callerName(site, v)
+			if v != "" && (a == "" || mod.Has(a) && partition.LoopFor(nest, a) == nil) {
 				out.Dims[i] = declaredDim(caller.Symbols.Lookup(array), i, env)
 			}
 		}
@@ -251,26 +284,12 @@ func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, a
 // that land on caller loop variables with constant bounds are expanded
 // (Bind) — the upward half of the Translate function of Figure 6
 // applied to RSDs.
-func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedure, nest []*ast.Do, env ast.Env) *rsd.Section {
-	callee := site.Callee.Proc
-	calleeSym := callee.Symbols.Lookup(sec.Array)
-	var out *rsd.Section
-	vars := siteVars(site)
-	switch {
-	case calleeSym != nil && calleeSym.IsFormal:
-		actual := ""
-		if calleeSym.FormalIndex < len(site.Bindings) {
-			actual = site.Bindings[calleeSym.FormalIndex].ActualName
-		}
-		if actual == "" {
-			return nil
-		}
-		out = callSection(sec, site, vars, actual, caller, env)
-	case calleeSym != nil && calleeSym.Common != "":
-		out = callSection(sec, site, vars, sec.Array, caller, env)
-	default:
+func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedure, nest []*ast.Do, mod dataflow.Set, env ast.Env) *rsd.Section {
+	actual := callerName(site, sec.Array)
+	if actual == "" || site.Callee.Proc.Symbols.Lookup(sec.Array) == nil {
 		return nil
 	}
+	out := callSection(sec, site, siteVars(site), actual, caller, nest, mod, env)
 	// expand anchors that are loop variables of the caller
 	for i := len(nest) - 1; i >= 0; i-- {
 		loop := nest[i]

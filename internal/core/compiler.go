@@ -238,16 +238,16 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		c.Report.RuntimeProcs = DedupRuntimeProcs(names, reachRes.ClonedFrom)
 	}
 
-	endSections := tr.Phase("section-analysis")
-	sections := comm.ComputeSections(g)
-	endSections()
-	endOverlap := tr.Phase("overlap-estimates")
-	c.Overlaps = overlap.ComputeEstimates(g)
-	endOverlap()
 	endConsts := tr.Phase("symbolic-constants")
 	fx := sideeffect.Compute(g)
 	consts := symconst.Compute(g, fx)
 	endConsts()
+	endSections := tr.Phase("section-analysis")
+	sections := comm.ComputeSections(g, fx)
+	endSections()
+	endOverlap := tr.Phase("overlap-estimates")
+	c.Overlaps = overlap.ComputeEstimates(g)
+	endOverlap()
 	killTest := func(site *acg.CallSite, arr string) bool {
 		return livedecomp.KillsArray(site, arr, sections)
 	}

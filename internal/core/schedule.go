@@ -285,12 +285,12 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	}
 
 	deps := depend.Analyze(proc, env)
-	analyze := func(fx *sideeffect.Analysis) (*partition.Plan, *comm.Result) {
-		plan := partition.Compute(proc, n, distOf, delayedConsOf, fx, env)
+	analyze := func(shared []string) (*partition.Plan, *comm.Result) {
+		plan := partition.Compute(proc, n, distOf, delayedConsOf, pc.fx, shared, env)
 		if immediate {
 			forceLocalPlan(plan)
 		}
-		commRes := comm.Analyze(proc, n, plan, deps, distOf, delayedCommOf, pc.sections, env)
+		commRes := comm.Analyze(proc, n, plan, deps, distOf, delayedCommOf, pc.sections, pc.fx, env)
 		if immediate {
 			for _, acc := range commRes.Accesses {
 				acc.Delay = false
@@ -299,20 +299,18 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		}
 		return plan, commRes
 	}
-	plan, commRes := analyze(pc.fx)
-	// a callee's communication is instantiated here for every processor:
-	// a scalar its section or root names cannot be its owner's alone
+	plan, commRes := analyze(nil)
+	// every processor takes part in a broadcast instantiated from a
+	// callee, so none may have skipped the scalar that selects its root
+	// (a section's anchors are never assigned here: comm.callSection)
+	var roots []string
 	for _, cc := range commRes.CallComms {
-		named := plan.Private(cc.PointVar)
-		for _, d := range cc.Section.Dims {
-			named = named || plan.Private(d.LoVar) || plan.Private(d.HiVar)
+		if plan.Private(cc.PointVar) {
+			roots = append(roots, cc.PointVar)
 		}
-		if named {
-			plan, commRes = analyze(nil)
-			tex.Addf(explain.Missed, "partition", proc.Name, cc.Site.Stmt.Pos().Line, "private-scalar",
-				"scalars of %s stay replicated: %s", proc.Name, partition.WhyScalarComm)
-			break
-		}
+	}
+	if roots != nil {
+		plan, commRes = analyze(roots)
 	}
 	// communication placed inside a loop requires every processor
 	// to execute all its iterations: drop those reductions

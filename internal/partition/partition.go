@@ -167,7 +167,8 @@ type DelayedOf func(procName string) map[string]*Constraint
 
 // Compute runs Figure 9's partitioning for proc. fx is the program's
 // side-effect analysis, asked what a callee may assign (nil: scalars
-// stay replicated).
+// stay replicated); shared names scalars every processor evaluates for
+// communication instantiated from a callee, which stay replicated too.
 //
 // The visitNest walk mirrors the paper: the iteration set of each
 // assignment is derived from the owner-computes rule on its left-hand
@@ -179,6 +180,7 @@ func Compute(
 	distOf DistOf,
 	delayedOf DelayedOf,
 	fx *sideeffect.Analysis,
+	shared []string,
 	env ast.Env,
 ) *Plan {
 	plan := &Plan{
@@ -239,7 +241,7 @@ func Compute(
 		}
 	}
 	walk(proc.Body)
-	plan.adoptScalars(proc, distOf, fx, env)
+	plan.adoptScalars(proc, distOf, fx, shared, env)
 
 	// register each constraint with the loop or formal that is to
 	// instantiate it, then fall back to guards where two disagreed

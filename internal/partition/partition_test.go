@@ -44,7 +44,7 @@ func TestLocalLoopReduction(t *testing.T) {
       END
 `, "F1")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if len(plan.Items) != 1 {
 		t.Fatalf("items = %d", len(plan.Items))
 	}
@@ -69,7 +69,7 @@ func TestDelayedConstraint(t *testing.T) {
       END
 `, "F2")
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{100, 100}, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	item := plan.Items[0]
 	if item.DelayVar != "i" {
 		t.Fatalf("item = %+v, want delayed on i", item)
@@ -92,7 +92,7 @@ func TestScalarWorkBlocksReduction(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if len(plan.LoopBounds) != 0 {
 		t.Errorf("loop wrongly reduced: %v", plan.LoopBounds)
 	}
@@ -122,7 +122,7 @@ func TestMixedConstraintsForceGuards(t *testing.T) {
 			return xDist, true
 		}
 		return yDist, true
-	}, noDelayed, nil, nil)
+	}, noDelayed, nil, nil, nil)
 	if len(plan.LoopBounds) != 0 {
 		t.Errorf("conflicting constraints must not reduce: %v", plan.LoopBounds)
 	}
@@ -150,7 +150,7 @@ func TestSameConstraintShares(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if len(plan.LoopBounds) != 1 {
 		t.Errorf("shared constraint should reduce once: %v", plan.LoopBounds)
 	}
@@ -165,7 +165,7 @@ func TestConstantSubscriptGuard(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if !plan.Items[0].Guard {
 		t.Errorf("constant subscript must guard: %+v", plan.Items[0])
 	}
@@ -328,7 +328,7 @@ func TestReductionRecognition(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	var red *Item
 	for _, it := range plan.Items {
 		if it.Red != nil {
@@ -370,7 +370,7 @@ func TestReductionVariants(t *testing.T) {
 `
 		proc, node := buildNode(t, src, "S")
 		dist := blockDist(100, 4)
-		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 		found := false
 		for _, it := range plan.Items {
 			if it.Red != nil {
@@ -404,7 +404,7 @@ func TestReductionRejections(t *testing.T) {
 `
 		proc, node := buildNode(t, src, "S")
 		dist := blockDist(100, 4)
-		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 		for _, it := range plan.Items {
 			if it.Red != nil {
 				t.Errorf("shape %q wrongly recognized", shape)
@@ -426,7 +426,7 @@ func TestReductionDemotedByOtherWork(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil)
+	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	for _, it := range plan.Items {
 		if it.Red != nil {
 			t.Errorf("reduction must be demoted (accumulator escapes): %+v", it)
@@ -473,6 +473,73 @@ func TestLocalLoHiExprs(t *testing.T) {
 		}
 		if v := ast.MustInt(hi, env); v != (p+1)*25 {
 			t.Errorf("p%d hi = %d", p, v)
+		}
+	}
+}
+
+// TestConflictDemotesEveryParty: when two constraints disagree on the
+// loop or the formal that is to instantiate them, every item and call
+// registered there — those seen before the disagreement as well as
+// after — falls back to a guard with the conflict as its reason, and
+// nothing is reduced or exported.
+func TestConflictDemotesEveryParty(t *testing.T) {
+	block := blockDist(100, 4)
+	cyclic := decomp.MustDist(decomp.NewDecomp(decomp.Cyclic), []int{100}, 4)
+	byName := func(name string, _ ast.Stmt) (*decomp.Dist, bool) {
+		if name == "Y" {
+			return cyclic, true
+		}
+		return block, true
+	}
+
+	// the disagreeing statement comes last; a call constraint is third
+	proc, node := buildNode(t, `
+      SUBROUTINE S(X,Y,Z,W)
+      REAL X(100), Y(100), Z(100), W(100)
+      do i = 1,100
+        X(i) = 1.0
+        Z(i) = 2.0
+        call F(W,i)
+        Y(i) = 3.0
+      enddo
+      END
+      SUBROUTINE F(W,i)
+      REAL W(100)
+      W(i) = 0.0
+      END
+`, "S")
+	delayed := func(string) map[string]*Constraint {
+		return map[string]*Constraint{"i": {Array: "W", Dist: block}}
+	}
+	plan := Compute(proc, node, byName, delayed, nil, nil, nil)
+	if len(plan.LoopBounds) != 0 || len(plan.Items) != 3 || len(plan.CallCons) != 1 {
+		t.Fatalf("LoopBounds = %v, %d items, %d call constraints", plan.LoopBounds, len(plan.Items), len(plan.CallCons))
+	}
+	for _, it := range plan.Items {
+		if !it.Guard || it.Loop != nil || it.Why != WhyLoopConflict {
+			t.Errorf("item %s = %+v, want a guard for the loop conflict", it.Stmt.Lhs, it)
+		}
+	}
+	if cc := plan.CallCons[0]; !cc.Guard || cc.Loop != nil || cc.Why != WhyLoopConflict {
+		t.Errorf("call constraint = %+v, want a guard for the loop conflict", cc)
+	}
+
+	// the same on a formal: nothing is delayed to the callers
+	proc, node = buildNode(t, `
+      SUBROUTINE S(X,Y,Z,i)
+      REAL X(100), Y(100), Z(100)
+      X(i) = 1.0
+      Z(i) = 2.0
+      Y(i) = 3.0
+      END
+`, "S")
+	plan = Compute(proc, node, byName, noDelayed, nil, nil, nil)
+	if len(plan.Delayed) != 0 {
+		t.Errorf("Delayed = %v, want none", plan.Delayed)
+	}
+	for _, it := range plan.Items {
+		if !it.Guard || it.DelayVar != "" || it.Why != WhyDelayConflict {
+			t.Errorf("item %s = %+v, want a guard for the delay conflict", it.Stmt.Lhs, it)
 		}
 	}
 }

@@ -25,7 +25,7 @@ const (
 	WhyScalarMixed    = "its uses execute under different ownership constraints"
 	WhyScalarCarried  = "the value reaches a use after the partition variable has changed"
 	WhyScalarRead     = "it reads distributed data that is not local to the owner of its uses"
-	WhyScalarComm     = "communication instantiated from a callee names it, and every processor takes part"
+	WhyScalarComm     = "it selects the root of a broadcast instantiated from a callee, in which every processor takes part"
 )
 
 // reaching maps each scalar under analysis to the assignments whose
@@ -158,7 +158,7 @@ type owner struct {
 // adoptScalars partitions the assignments to private scalars by their
 // uses. It runs before the constraints are instantiated, so an adopted
 // scalar reduces, delays or guards with the statements that use it.
-func (p *Plan) adoptScalars(proc *ast.Procedure, distOf DistOf, fx *sideeffect.Analysis, env ast.Env) {
+func (p *Plan) adoptScalars(proc *ast.Procedure, distOf DistOf, fx *sideeffect.Analysis, shared []string, env ast.Env) {
 	var defs []*Item
 	for _, it := range p.Items {
 		if _, ok := it.Stmt.Lhs.(*ast.Ident); ok && it.Red == nil {
@@ -178,6 +178,9 @@ func (p *Plan) adoptScalars(proc *ast.Procedure, distOf DistOf, fx *sideeffect.A
 		if sym := proc.Symbols.Lookup(name); sym == nil || sym.Kind != ast.SymScalar || sym.IsFormal || sym.Common != "" {
 			f.exported[name] = WhyScalarExported
 		}
+	}
+	for _, name := range shared {
+		f.exported[name] = WhyScalarComm
 	}
 	itemOf, ccsOf := p.byStmt()
 

@@ -30,7 +30,7 @@ type privateExpect struct {
 func privateRows(t *testing.T) []privateRow {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "private", "*.f"))
-	if err != nil || len(files) < 15 {
+	if err != nil || len(files) < 17 {
 		t.Fatalf("testdata/private: %v %v", files, err)
 	}
 	var rows []privateRow
@@ -90,6 +90,11 @@ func TestPrivateScalarTable(t *testing.T) {
 				}
 			}
 			for _, e := range row.expect {
+				// every processor evaluates a communication statement
+				inComm := regexp.MustCompile(`(?m)^\s*(send|recv|post|broadcast|allgather)[^\n]*\b` + e.scalar + `\b`)
+				if applied[e.scalar] && inComm.MatchString(listing) {
+					t.Errorf("%s is its owner's alone but a communication statement names it:\n%s", e.scalar, listing)
+				}
 				guarded := regexp.MustCompile(`\.EQ\. my\$p\)\) then\n\s+` + e.scalar + ` = `)
 				if !applied[e.scalar] && guarded.MatchString(listing) {
 					t.Errorf("%s stays replicated but is assigned under a guard:\n%s", e.scalar, listing)

@@ -85,14 +85,16 @@ func maxAbsDiff(got, want []float64) float64 {
 
 // TestPrivateScalarDifferential runs every row of the private-scalar
 // table (testdata/private; internal/partition checks what the rule
-// decides for each) under each strategy, with the schedule pass on and
+// decides for each) and every delayed-section shape of
+// testdata/sections under each strategy, with the schedule pass on and
 // off, at five machine sizes, against the sequential reference. Main
 // program scalars are seeded, so a row whose scalar is live on entry
 // reads the seed.
 func TestPrivateScalarDifferential(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "private", "*.f"))
-	if err != nil || len(files) < 15 {
-		t.Fatalf("testdata/private: %v %v", files, err)
+	more, _ := filepath.Glob(filepath.Join("testdata", "sections", "*.f"))
+	if files = append(files, more...); err != nil || len(files) < 18 {
+		t.Fatalf("testdata/private, testdata/sections: %v %v", files, err)
 	}
 	for _, f := range files {
 		buf, err := os.ReadFile(f)
