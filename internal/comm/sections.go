@@ -259,12 +259,11 @@ func callerName(site *acg.CallSite, name string) string {
 
 // callSection renames a callee-space section into the caller's name
 // space: the array becomes array and every anchor naming a formal
-// scalar becomes the actual's name (vars is siteVars(site)). An anchor
-// is a value the caller must be able to name wherever it places or
-// tests the section: a dimension anchored at a formal whose actual has
-// no name (an expression or a literal), or at a scalar the caller may
-// assign (mod) other than as the index of a loop around the call
-// (nest), widens to the declared extent of the caller's array.
+// scalar becomes the actual's name (vars is siteVars(site)). The caller
+// must be able to name an anchor wherever it places or tests the
+// section: a dimension anchored at a formal whose actual has no name,
+// or at a scalar the caller may assign (mod) other than as the index of
+// a loop around the call (nest), widens to the array's declared extent.
 func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, array string, caller *ast.Procedure, nest []*ast.Do, mod dataflow.Set, env ast.Env) *rsd.Section {
 	out := sec.Rename(array, vars)
 	for i, d := range sec.Dims {

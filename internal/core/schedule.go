@@ -302,7 +302,6 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	plan, commRes := analyze(nil)
 	// every processor takes part in a broadcast instantiated from a
 	// callee, so none may have skipped the scalar that selects its root
-	// (a section's anchors are never assigned here: comm.callSection)
 	var roots []string
 	for _, cc := range commRes.CallComms {
 		if plan.Private(cc.PointVar) {

@@ -136,10 +136,12 @@ func (s *Section) Volume() int {
 	return v
 }
 
-// Symbolic reports whether any dimension carries a symbolic anchor.
+// Symbolic reports whether a dimension is a window [v+lo : v+hi] on a
+// scalar v, so that only where v is known is it known which part of the
+// array this is. Ends anchored apart ([k+1 : n]) do not count.
 func (s *Section) Symbolic() bool {
 	for _, d := range s.Dims {
-		if d.IsSymbolic() {
+		if d.LoVar != "" && d.LoVar == d.HiVar {
 			return true
 		}
 	}

@@ -259,4 +259,9 @@ func TestSymbolicDetection(t *testing.T) {
 	if !New("X", Range(1, 5), SymPoint("i", 0)).Symbolic() {
 		t.Error("symbolic section not detected")
 	}
+	// a range between two anchors bounds the section; it does not move
+	// with one scalar, and alone it delays nothing
+	if New("X", Dim{Lo: 1, Step: 1, LoVar: "k", HiVar: "n"}).Symbolic() {
+		t.Error("a range anchored at its ends apart reported symbolic")
+	}
 }

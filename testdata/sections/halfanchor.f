@@ -1,6 +1,7 @@
-! f reads a(k+1:n) shifted and writes a(k+1:n): the two sections have
-! the same ends, yet iteration k+1 reads what iteration k wrote, so the
-! delayed shift is sent inside the k loop, not once before it
+! f reads a(k+1:n) shifted and writes a(k+1:n). A range anchored at
+! its two ends apart is no reason to delay, so the shift stays in f —
+! the code of the compiler before sections carried read ranges; sent
+! once before the k loop it would miss what iteration k wrote
       PROGRAM HALF
       PARAMETER (n$proc = 4)
       REAL a(64), b(64)

@@ -1,5 +1,5 @@
-! anchored at the upper end: f reads a(2:k+1) shifted and writes
-! a(1:k), which overlap from one iteration of k to the next
+! anchored at the upper end: f reads a(m+1:k+1) shifted and writes
+! a(m:k), which overlap from one iteration of k to the next
       PROGRAM HI
       PARAMETER (n$proc = 4)
       REAL a(64), b(64)

@@ -1,6 +1,5 @@
-! the same through a middle procedure: g re-delays f's shift with its
-! own formals as anchors, and the k loop that carries the dependence is
-! g's own
+! the same through a middle procedure, whose k loop carries the
+! dependence: nothing is delayed to g or through it
       PROGRAM MID
       PARAMETER (n$proc = 4)
       REAL a(64), b(64)
