@@ -48,7 +48,7 @@ report: ## render the dgefa HTML performance report to report.html
 	$(GO) run ./cmd/fdreport -o report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
-fuzz: ## fuzz the parser, the whole compile pipeline, compile+run (seeds: testdata, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form and lexer against their oracles, and the schedule pass against the blocking program
+fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (seeds: testdata, testdata/pipeline, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form and lexer against their oracles, and the schedule pass against the blocking program
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) .

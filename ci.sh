@@ -16,8 +16,12 @@ test -z "$(gofmt -l .)"
 # ceiling to its own result in the same diff. PR 18 added a compiler
 # capability (private scalars partitioned by their uses, read-range
 # sections) and was allowed its measured net growth, at most +400:
-# 25208 -> 25608 (25598 before the review's three soundness fixes)
-LOC_CEILING=25608
+# 25208 -> 25608 (25598 before the review's three soundness fixes).
+# PR 19 bought pipelined computations (a recurrence across BLOCK
+# boundaries costs one message per boundary and keeps its loop's bounds
+# reduced) and the post-loop value of a reduced loop's index, at most
+# +250: 25608 -> 25856
+LOC_CEILING=25856
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

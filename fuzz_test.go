@@ -11,11 +11,14 @@ import (
 	"fortd/internal/ast"
 )
 
-// addSamplePrograms seeds f with every sample program under testdata/.
+// addSamplePrograms seeds f with every sample program under testdata/
+// and the pipelined-computation table, testdata/pipeline: each shape the
+// compiler pipelines and each way a loop falls short of one.
 func addSamplePrograms(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.f"))
-	if err != nil {
-		f.Fatal(err)
+	more, _ := filepath.Glob(filepath.Join("testdata", "pipeline", "*.f"))
+	if paths = append(paths, more...); err != nil || len(more) == 0 {
+		f.Fatal(err, more)
 	}
 	for _, path := range paths {
 		src, err := os.ReadFile(path)
@@ -76,8 +79,7 @@ func FuzzCompile(f *testing.F) {
 // compiler accepts: compiling and running arbitrary source under a
 // wall-clock deadline never panics and never outlives the deadline, and
 // a run that succeeds agrees with the sequential reference (on programs
-// within the compiler's input contract, see shapesConform and
-// readsIndexOutsideLoop). The seeds
+// within the compiler's input contract, see shapesConform). The seeds
 // include programs with scalar temporaries (the private-scalar rule of
 // internal/partition) and the three that broke the tree-walking interpreter:
 // an early RETURN (silently ignored), intrinsics that indexed missing
@@ -162,7 +164,7 @@ func FuzzRun(f *testing.F) {
 			return
 		}
 		ref, err := r.RunReference(prog)
-		if err != nil || !shapesConform(prog.c.Source) || readsIndexOutsideLoop(prog.c.Source) {
+		if err != nil || !shapesConform(prog.c.Source) {
 			return
 		}
 		for name, want := range ref.Arrays {
@@ -243,64 +245,4 @@ func shapesConform(prog *ast.Program) bool {
 		})
 	}
 	return ok
-}
-
-// readsIndexOutsideLoop reports whether some unit mentions a DO index
-// outside the loops it controls. The compiler partitions a loop by
-// giving each processor its own iterations, so the index a processor is
-// left with after the loop is not the sequential one; programs that
-// depend on it are outside what the compiler promises to preserve.
-func readsIndexOutsideLoop(prog *ast.Program) bool {
-	found := false
-	for _, u := range prog.Units {
-		index := map[string]bool{}
-		ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
-			if d, ok := s.(*ast.Do); ok {
-				index[d.Var] = true
-			}
-			return true
-		})
-		active := map[string]int{}
-		var mentions func(e ast.Expr)
-		mentions = func(e ast.Expr) {
-			switch x := e.(type) {
-			case *ast.Ident:
-				if index[x.Name] && active[x.Name] == 0 {
-					found = true
-				}
-			case *ast.ArrayRef:
-				for _, sub := range x.Subs {
-					mentions(sub)
-				}
-			case *ast.FuncCall:
-				for _, a := range x.Args {
-					mentions(a)
-				}
-			case *ast.Binary:
-				mentions(x.X)
-				mentions(x.Y)
-			case *ast.Unary:
-				mentions(x.X)
-			}
-		}
-		var walk func(body []ast.Stmt)
-		walk = func(body []ast.Stmt) {
-			for _, s := range body {
-				for _, e := range ast.StmtExprs(s) {
-					mentions(e)
-				}
-				switch st := s.(type) {
-				case *ast.Do:
-					active[st.Var]++
-					walk(st.Body)
-					active[st.Var]--
-				case *ast.If:
-					walk(st.Then)
-					walk(st.Else)
-				}
-			}
-		}
-		walk(u.Body)
-	}
-	return found
 }

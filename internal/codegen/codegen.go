@@ -9,9 +9,12 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"fortd/internal/ast"
+	"fortd/internal/cfg"
 	"fortd/internal/comm"
+	"fortd/internal/dataflow"
 	"fortd/internal/livedecomp"
 	"fortd/internal/overlap"
 	"fortd/internal/partition"
@@ -84,6 +87,7 @@ type anchors struct {
 	beforeLoop map[*ast.Do][]ast.Stmt
 	afterLoop  map[*ast.Do][]ast.Stmt
 	prologue   []ast.Stmt
+	liveIndex  map[*ast.Do]bool // loops whose index is read after them
 }
 
 func newAnchors() *anchors {
@@ -107,7 +111,13 @@ func Generate(in *Input) (*Result, error) {
 		Rhs: &ast.FuncCall{Name: "myproc"},
 	})
 
-	// communication statements
+	// communication statements; the halves of a pipelined shift go
+	// around their loop last, when everything else is anchored
+	recvs, sends := map[*ast.Do][]ast.Stmt{}, map[*ast.Do][]ast.Stmt{}
+	pipelined := func(loop *ast.Do, pair []ast.Stmt) {
+		sends[loop] = append(sends[loop], pair[0])
+		recvs[loop] = append(recvs[loop], pair[1])
+	}
 	if in.Comm != nil {
 		for _, acc := range in.Comm.Accesses {
 			if acc.Delay || acc.Kind == comm.KLocal {
@@ -121,6 +131,10 @@ func Generate(in *Input) (*Result, error) {
 				stampPos(stmts, acc.Stmt.Pos())
 			}
 			res.MessagesInserted += len(stmts)
+			if acc.Pipelined {
+				pipelined(acc.AtLoop, stmts)
+				continue
+			}
 			anchorComm(a, stmts, acc.AtLoop, acc.Nest, acc.Stmt)
 		}
 		for _, cc := range in.Comm.CallComms {
@@ -134,12 +148,10 @@ func Generate(in *Input) (*Result, error) {
 			stampPos(stmts, cc.Site.Stmt.Pos())
 			res.MessagesInserted += len(stmts)
 			switch {
+			case cc.Pipelined:
+				pipelined(cc.AtLoop, stmts)
 			case cc.AtLoop != nil:
-				nest := make([]*ast.Do, 0, len(cc.Site.Nest))
-				for _, li := range cc.Site.Nest {
-					nest = append(nest, li.Loop)
-				}
-				anchorComm(a, stmts, cc.AtLoop, nest, cc.Site.Stmt)
+				anchorComm(a, stmts, cc.AtLoop, cc.Nest, cc.Site.Stmt)
 			case cc.BeforeLoop != nil:
 				a.beforeLoop[cc.BeforeLoop] = append(a.beforeLoop[cc.BeforeLoop], stmts...)
 			default:
@@ -249,11 +261,23 @@ func Generate(in *Input) (*Result, error) {
 		}
 	}
 
+	// the recvs end the loop's prologue (the predecessor needs this
+	// processor's share of the messages placed there to get into its own
+	// loop); the sends come first after it, in the recvs' order (the
+	// successor waits for them before it joins anything collective)
+	for loop, stmts := range recvs {
+		a.beforeLoop[loop] = append(a.beforeLoop[loop], stmts...)
+		a.afterLoop[loop] = append(sends[loop], a.afterLoop[loop]...)
+	}
+
 	// aggregation (§5.4): duplicate messages to the same destination at
 	// the same program point collapse to one
 	res.MessagesAggregated += aggregateAnchors(a)
 	res.MessagesInserted -= res.MessagesAggregated
 
+	if in.Plan != nil && len(in.Plan.LoopBounds) > 0 {
+		a.liveIndex = liveIndices(in.Proc)
+	}
 	body := rewriteBody(in, a, guards, replace, in.Proc.Body, res)
 	res.Body = append(a.prologue, body...)
 	return res, nil
@@ -404,6 +428,12 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 					if lo, hi, step, okB := partition.BoundExprs(c, nl.Lo, nl.Hi, nl.Step); okB {
 						nl.Lo, nl.Hi, nl.Step = lo, hi, step
 						res.LoopsReduced++
+						if a.liveIndex[st] {
+							// what follows reads the last iteration of all
+							fix := &ast.If{Cond: ast.Cmp(ast.OpLE, ast.CloneExpr(st.Lo), ast.CloneExpr(st.Hi)),
+								Then: []ast.Stmt{&ast.Assign{Lhs: ast.Id(st.Var), Rhs: ast.CloneExpr(st.Hi)}}}
+							a.afterLoop[st] = append([]ast.Stmt{fix}, a.afterLoop[st]...)
+						}
 					}
 				}
 			}
@@ -431,6 +461,44 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 			}
 		}
 		out = append(out, a.afterStmt[s]...)
+	}
+	return out
+}
+
+// liveIndices returns the loops of proc whose index is live after
+// them: it then holds the loop's last iteration, which a processor that
+// ran only its own has to be given. The data-flow problem is solved
+// only if proc names a DO index outside the loops binding it (what a
+// caller reads of an index that is a formal or in COMMON is not seen).
+func liveIndices(proc *ast.Procedure) map[*ast.Do]bool {
+	free := map[string]int{}
+	count := func(body []ast.Stmt, v string, n int) {
+		ast.WalkExprs(body, func(e ast.Expr) {
+			if id, ok := e.(*ast.Ident); ok && (v == "" || id.Name == v) {
+				free[id.Name] += n
+			}
+		})
+	}
+	count(proc.Body, "", 1)
+	var loops []*ast.Do
+	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
+		if d, ok := s.(*ast.Do); ok {
+			count(d.Body, d.Var, -1)
+			loops = append(loops, d)
+		}
+		return true
+	})
+	if !slices.ContainsFunc(loops, func(d *ast.Do) bool { return free[d.Var] != 0 }) {
+		return nil
+	}
+	g := cfg.Build(proc)
+	live := dataflow.Solve(g, dataflow.LiveScalars{}, dataflow.Backward, dataflow.NewSet())
+	out := map[*ast.Do]bool{}
+	for _, n := range g.Nodes {
+		if n.Loop != nil {
+			after := n.Succs[len(n.Succs)-1] // cfg.Build connects a loop's exit last
+			out[n.Loop] = live.In[after.ID].Has(n.Loop.Var)
+		}
 	}
 	return out
 }

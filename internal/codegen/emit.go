@@ -4,9 +4,7 @@ import (
 	"fortd/internal/ast"
 	"fortd/internal/comm"
 	"fortd/internal/decomp"
-	"fortd/internal/depend"
 	"fortd/internal/partition"
-	"fortd/internal/rsd"
 )
 
 func myP() ast.Expr { return ast.Id(partition.MyP) }
@@ -14,21 +12,7 @@ func myP() ast.Expr { return ast.Id(partition.MyP) }
 // emitAccess generates the message statements for one locally-placed
 // nonlocal reference.
 func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
-	depth := 0
-	if acc.AtLoop != nil {
-		for i, l := range acc.Nest {
-			if l == acc.AtLoop {
-				depth = i + 1
-			}
-		}
-	}
-	sec := make([]ast.SecDim, len(acc.Ref.Subs))
-	for d := range acc.Ref.Subs {
-		if d == acc.DistDim && acc.Kind != comm.KGather {
-			continue // filled per kind below
-		}
-		sec[d] = subSecDim(in, acc.Ref, d, acc.Nest, depth)
-	}
+	sec := acc.Sec(in.Proc, in.Env, acc.Pipelined)
 	switch acc.Kind {
 	case comm.KShift:
 		return emitShift(acc.Array, acc.Dist, acc.DistDim, acc.Shift, sec)
@@ -51,7 +35,7 @@ func emitCallComm(in *Input, cc *comm.CallComm) ([]ast.Stmt, error) {
 		if dim == comm.UnknownExtent {
 			return nil, errUnsupported("section %s of %s has no declared extent", cc.Section, cc.Array)
 		}
-		sec[d] = rsdSecDim(dim)
+		sec[d] = comm.RSDSecDim(dim)
 	}
 	kind := cc.D.Kind
 	dim := cc.Dist.DistDim()
@@ -138,49 +122,4 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 		&ast.If{Cond: sendGuard, Then: []ast.Stmt{send}},
 		&ast.If{Cond: recvGuard, Then: []ast.Stmt{recv}},
 	}, nil
-}
-
-// subSecDim converts one subscript of a reference into section bounds
-// at a given placement depth: variables of loops deeper than the
-// placement are expanded to the loop's bound expressions; everything
-// else is used verbatim (it is evaluable at the placement point).
-func subSecDim(in *Input, ref *ast.ArrayRef, d int, nest []*ast.Do, depth int) ast.SecDim {
-	sub := ref.Subs[d]
-	v, a, _, ok := depend.LinearSubscript(sub, in.Env)
-	if ok && v != "" {
-		for j := len(nest) - 1; j >= 0; j-- {
-			if nest[j].Var != v {
-				continue
-			}
-			if j < depth {
-				break // defined at the placement point: verbatim
-			}
-			loop := nest[j]
-			lo := ast.Subst(sub, map[string]ast.Expr{v: loop.Lo})
-			hi := ast.Subst(sub, map[string]ast.Expr{v: loop.Hi})
-			if a < 0 {
-				lo, hi = hi, lo
-			}
-			return ast.SecDim{Lo: lo, Hi: hi}
-		}
-	}
-	if !ok {
-		// non-affine: widen to the declared extent
-		if sym := in.Proc.Symbols.Lookup(ref.Name); sym != nil && d < len(sym.Dims) {
-			return ast.SecDim{Lo: ast.CloneExpr(sym.Dims[d].Lo), Hi: ast.CloneExpr(sym.Dims[d].Hi)}
-		}
-	}
-	e := ast.CloneExpr(sub)
-	return ast.SecDim{Lo: e, Hi: ast.CloneExpr(sub)}
-}
-
-// rsdSecDim converts an RSD dimension into section bound expressions.
-func rsdSecDim(d rsd.Dim) ast.SecDim {
-	end := func(anchor string, off int) ast.Expr {
-		if anchor == "" {
-			return ast.Int(off)
-		}
-		return ast.Add(ast.Id(anchor), ast.Int(off))
-	}
-	return ast.SecDim{Lo: end(d.LoVar, d.Lo), Hi: end(d.HiVar, d.Hi)}
 }

@@ -68,6 +68,10 @@ type Access struct {
 	// Why records the reason for the placement (static strings only, so
 	// recording is allocation-free when remarks are disabled).
 	Why string
+	// Pipelined sends a shift AtLoop carries around that loop instead of
+	// through it; NoPipe is why a candidate stays inside (pipeline.go).
+	Pipelined bool
+	NoPipe    string
 }
 
 // Delayed is a communication descriptor passed up to callers (delayed
@@ -92,8 +96,9 @@ func (d *Delayed) String() string {
 // one call site of the current procedure.
 type CallComm struct {
 	Site    *acg.CallSite
-	D       *Delayed // callee-space descriptor
-	Array   string   // caller-space array name
+	Nest    []*ast.Do // loops around the call, outermost first
+	D       *Delayed  // callee-space descriptor
+	Array   string    // caller-space array name
 	Dist    *decomp.Dist
 	Section *rsd.Section // caller-space section (anchors bound where vectorized)
 	// Placement: BeforeLoop non-nil hoists the message before that
@@ -107,6 +112,9 @@ type CallComm struct {
 	PointOff int
 	// Why records the reason for the placement (static strings only).
 	Why string
+	// Pipelined and NoPipe are as for Access.
+	Pipelined bool
+	NoPipe    string
 }
 
 // Result is the communication analysis of one procedure.
@@ -199,6 +207,7 @@ func Analyze(
 		}
 		walk(proc.Body)
 	}
+	pipeline(proc, res, plan, items, fx, env)
 	return res
 }
 
@@ -366,7 +375,7 @@ func instantiate(
 	mod dataflow.Set,
 	env ast.Env,
 ) *CallComm {
-	cc := &CallComm{Site: site, D: d, Array: callerName(site, d.Array)}
+	cc := &CallComm{Site: site, Nest: append([]*ast.Do(nil), nest...), D: d, Array: callerName(site, d.Array)}
 	if cc.Array == "" {
 		return nil
 	}

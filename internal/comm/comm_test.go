@@ -95,6 +95,11 @@ func TestRecurrenceStaysInLoop(t *testing.T) {
 	if acc.AtLoop == nil {
 		t.Error("carried true dependence must keep the message in the loop")
 	}
+	// ... which partitions the statement, steps by one and holds nothing
+	// else: the message goes around it
+	if !acc.Pipelined || acc.NoPipe != "" {
+		t.Errorf("pipelined=%v, %q", acc.Pipelined, acc.NoPipe)
+	}
 }
 
 // TestPointClassification: a scalar assignment reading a distributed

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 
+	"fortd/internal/ast"
 	"fortd/internal/explain"
 )
 
@@ -36,6 +37,7 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 				Msg: fmt.Sprintf("%s of %s %s vectorized into one section message per iteration of loop %s: %s",
 					acc.Kind, acc.Array, acc.Section, acc.AtLoop.Var, acc.Why),
 			})
+		case acc.Pipelined:
 		case acc.AtLoop != nil:
 			ex.Add(explain.Remark{
 				Kind: explain.Missed, Pass: "comm", Proc: procName, Line: line, Name: "vectorize",
@@ -48,6 +50,9 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 				Msg: fmt.Sprintf("%s of %s %s fully vectorized: hoisted above the loop nest",
 					acc.Kind, acc.Array, acc.Section),
 			})
+		}
+		if acc.Pipelined || acc.NoPipe != "" {
+			ex.Add(pipeRemark(procName, line, acc.AtLoop, acc.Array, acc.Shift, acc.NoPipe))
 		}
 	}
 	for _, cc := range res.CallComms {
@@ -72,6 +77,7 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 				Msg: fmt.Sprintf("%s for callee %s (%s %s) vectorized at caller level: one section message per iteration of loop %s (%s)",
 					cc.D.Kind, callee, cc.Array, cc.Section, cc.AtLoop.Var, cc.Why),
 			})
+		case cc.Pipelined:
 		case cc.AtLoop != nil:
 			ex.Add(explain.Remark{
 				Kind: explain.Missed, Pass: "comm", Proc: procName, Line: line, Name: "vectorize",
@@ -91,5 +97,21 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 					cc.D.Kind, callee, cc.Array, cc.Section),
 			})
 		}
+		if cc.Pipelined || cc.NoPipe != "" {
+			ex.Add(pipeRemark(procName, line, cc.AtLoop, cc.Array, cc.D.Shift, cc.NoPipe))
+		}
 	}
+}
+
+// pipeRemark words what pipeline decided for a shift by c that loop
+// carries: it goes around the loop, or (why) stays inside, which a
+// candidate is told besides the remark for its placement.
+func pipeRemark(proc string, line int, loop *ast.Do, array string, c int, why string) explain.Remark {
+	r := explain.Remark{Kind: explain.Applied, Pass: "comm", Proc: proc, Line: line, Name: "pipeline"}
+	r.Msg = fmt.Sprintf("loop %s pipelined on %s(%s%+d): the predecessor's last %d boundary cells received before the loop, the own sent after it; "+
+		"the loop keeps its reduced bounds (one message per processor per entry of the loop, not one per iteration)", loop.Var, array, loop.Var, c, -c)
+	if why != "" {
+		r.Kind, r.Msg = explain.Missed, fmt.Sprintf("loop %s not pipelined on %s(%s%+d): %s", loop.Var, array, loop.Var, c, why)
+	}
+	return r
 }

@@ -312,14 +312,15 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		plan, commRes = analyze(roots)
 	}
 	// communication placed inside a loop requires every processor
-	// to execute all its iterations: drop those reductions
+	// to execute all its iterations: drop those reductions. A
+	// pipelined shift goes around its loop, which stays reduced
 	for _, acc := range commRes.Accesses {
-		if acc.AtLoop != nil && !acc.Delay {
+		if acc.AtLoop != nil && !acc.Delay && !acc.Pipelined {
 			plan.DropLoopReduction(acc.AtLoop)
 		}
 	}
 	for _, cc := range commRes.CallComms {
-		if cc.AtLoop != nil && !cc.Delay {
+		if cc.AtLoop != nil && !cc.Delay && !cc.Pipelined {
 			plan.DropLoopReduction(cc.AtLoop)
 		}
 	}

@@ -6,6 +6,7 @@
 package dataflow
 
 import (
+	"fortd/internal/ast"
 	"fortd/internal/cfg"
 )
 
@@ -94,6 +95,42 @@ const (
 type GenKill interface {
 	Gen(n *cfg.Node) Set
 	Kill(n *cfg.Node) Set
+}
+
+// LiveScalars is the live-variable problem over scalar names, solved
+// Backward: a node uses the identifiers its statement evaluates (a loop
+// head its bounds) and defines the scalar it assigns or, as a loop
+// head, the index of its loop.
+type LiveScalars struct{}
+
+func (LiveScalars) Gen(n *cfg.Node) Set {
+	out := NewSet()
+	exprs := ast.StmtExprs(n.Stmt)
+	if st, ok := n.Stmt.(*ast.Assign); ok {
+		if _, scalar := st.Lhs.(*ast.Ident); scalar {
+			exprs = exprs[1:] // assigned, not read
+		}
+	}
+	for _, e := range exprs {
+		ast.WalkExpr(e, func(e ast.Expr) {
+			if id, ok := e.(*ast.Ident); ok {
+				out[id.Name] = struct{}{}
+			}
+		})
+	}
+	return out
+}
+
+func (LiveScalars) Kill(n *cfg.Node) Set {
+	switch st := n.Stmt.(type) {
+	case *ast.Do:
+		return NewSet(st.Var)
+	case *ast.Assign:
+		if id, ok := st.Lhs.(*ast.Ident); ok {
+			return NewSet(id.Name)
+		}
+	}
+	return NewSet()
 }
 
 // Result holds the fixed-point In/Out sets per node (indexed by node ID).

@@ -60,69 +60,6 @@ func TestSetUnionProperty(t *testing.T) {
 	}
 }
 
-// liveVars is a textbook live-variable problem over scalar names, used
-// to exercise the backward solver.
-type liveVars struct{}
-
-func (liveVars) Gen(n *cfg.Node) Set {
-	out := NewSet()
-	if n.Stmt == nil {
-		return out
-	}
-	collect := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		var rec func(e ast.Expr)
-		rec = func(e ast.Expr) {
-			switch x := e.(type) {
-			case *ast.Ident:
-				out[x.Name] = struct{}{}
-			case *ast.Binary:
-				rec(x.X)
-				rec(x.Y)
-			case *ast.Unary:
-				rec(x.X)
-			case *ast.FuncCall:
-				for _, a := range x.Args {
-					rec(a)
-				}
-			case *ast.ArrayRef:
-				for _, s := range x.Subs {
-					rec(s)
-				}
-			}
-		}
-		rec(e)
-	}
-	switch st := n.Stmt.(type) {
-	case *ast.Assign:
-		collect(st.Rhs)
-		if ar, ok := st.Lhs.(*ast.ArrayRef); ok {
-			for _, s := range ar.Subs {
-				collect(s)
-			}
-		}
-	case *ast.If:
-		collect(st.Cond)
-	}
-	if n.Kind == cfg.KindLoopHead && n.Loop != nil {
-		collect(n.Loop.Lo)
-		collect(n.Loop.Hi)
-	}
-	return out
-}
-
-func (liveVars) Kill(n *cfg.Node) Set {
-	out := NewSet()
-	if st, ok := n.Stmt.(*ast.Assign); ok {
-		if id, ok := st.Lhs.(*ast.Ident); ok {
-			out[id.Name] = struct{}{}
-		}
-	}
-	return out
-}
-
 func TestBackwardLiveness(t *testing.T) {
 	u, err := parser.ParseProcedure(`
       PROGRAM P
@@ -136,7 +73,7 @@ func TestBackwardLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := cfg.Build(u)
-	res := Solve(g, liveVars{}, Backward, NewSet())
+	res := Solve(g, LiveScalars{}, Backward, NewSet())
 	// at entry nothing is live-in beyond uses: a is defined before use
 	in := res.In[g.Entry.ID]
 	if in.Has("a") || in.Has("b") {
@@ -176,7 +113,7 @@ func TestLivenessThroughLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := cfg.Build(u)
-	res := Solve(g, liveVars{}, Backward, NewSet())
+	res := Solve(g, LiveScalars{}, Backward, NewSet())
 	// s is live around the loop back edge
 	var head *cfg.Node
 	for _, n := range g.Nodes {

@@ -505,20 +505,6 @@ func (in *Info) DeepestTrueSinkLevel(expr *ast.ArrayRef) int {
 	return 0
 }
 
-// HasTrueDepAtLevel reports whether any true dependence on the given
-// array is carried at the given loop (identified by its Do node).
-func (in *Info) HasTrueDepAtLevel(array string, loop *ast.Do) bool {
-	for _, d := range in.Deps {
-		if d.Kind != True || d.Src.Array != array || d.Level == 0 {
-			continue
-		}
-		if d.Level <= len(d.Snk.Nest) && d.Snk.Nest[d.Level-1] == loop {
-			return true
-		}
-	}
-	return false
-}
-
 func gcd(a, b int) int {
 	for b != 0 {
 		a, b = b, a%b

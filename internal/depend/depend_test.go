@@ -363,27 +363,6 @@ func findRead(t *testing.T, u *ast.Procedure, info *Info) *ast.ArrayRef {
 	return nil
 }
 
-// TestHasTrueDepAtLevel exercises the loop-keyed query.
-func TestHasTrueDepAtLevel(t *testing.T) {
-	u := mustParseProc(t, `
-      SUBROUTINE s(x)
-      REAL x(100)
-      do i = 2, 100
-        x(i) = x(i-1)
-      enddo
-      END
-`)
-	info := Analyze(u, nil)
-	loop := u.Body[0].(*ast.Do)
-	if !info.HasTrueDepAtLevel("x", loop) {
-		t.Error("recurrence not carried at its loop")
-	}
-	other := &ast.Do{Var: "q"}
-	if info.HasTrueDepAtLevel("x", other) {
-		t.Error("dep reported for unrelated loop")
-	}
-}
-
 // TestNonAffineConservative: x(x(i)) style indices assume dependence.
 func TestNonAffineConservative(t *testing.T) {
 	u := mustParseProc(t, `

@@ -92,19 +92,6 @@ func OwnerExpr(dist *decomp.Dist, idx ast.Expr) ast.Expr {
 	return ast.Int(0)
 }
 
-// LocalLoExpr and LocalHiExpr give the first/last global index owned by
-// my$p for a BLOCK distribution (used by communication emission).
-func LocalLoExpr(dist *decomp.Dist) ast.Expr {
-	return ast.Add(ast.Mul(myP(), ast.Int(dist.BlockSize())), ast.Int(1))
-}
-
-// LocalHiExpr returns MIN((my$p+1)*b, n).
-func LocalHiExpr(dist *decomp.Dist) ast.Expr {
-	b := dist.BlockSize()
-	n := dist.Sizes[dist.DistDim()]
-	return ast.Min(ast.Mul(ast.Add(myP(), ast.Int(1)), ast.Int(b)), ast.Int(n))
-}
-
 func mod(a, p int) int {
 	r := a % p
 	if r < 0 {

@@ -461,22 +461,6 @@ func TestGuardExprSelectsOwner(t *testing.T) {
 	}
 }
 
-// TestLocalLoHiExprs evaluate to the block bounds.
-func TestLocalLoHiExprs(t *testing.T) {
-	d := blockDist(100, 4)
-	lo := LocalLoExpr(d)
-	hi := LocalHiExpr(d)
-	for p := 0; p < 4; p++ {
-		env := ast.MapEnv{MyP: p}
-		if v := ast.MustInt(lo, env); v != p*25+1 {
-			t.Errorf("p%d lo = %d", p, v)
-		}
-		if v := ast.MustInt(hi, env); v != (p+1)*25 {
-			t.Errorf("p%d hi = %d", p, v)
-		}
-	}
-}
-
 // TestConflictDemotesEveryParty: when two constraints disagree on the
 // loop or the formal that is to instantiate them, every item and call
 // registered there — those seen before the disagreement as well as

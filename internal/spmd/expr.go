@@ -171,6 +171,9 @@ func (lw *lowerer) ident(name string) operand {
 	if lw.owned[name] && !lw.decl {
 		return operand{kind: opLocal, slot: slot}
 	}
+	if o, ok := lw.unbound[name]; ok {
+		return o
+	}
 	unit := lw.unit.Name
 	if name == "n$proc" {
 		nproc := float64(lw.lp.pl.nproc)
@@ -181,13 +184,14 @@ func (lw *lowerer) ident(name string) operand {
 			return nproc
 		})
 	}
-	return closure(func(fr *frame) float64 {
+	lw.unbound[name] = closure(func(fr *frame) float64 {
 		if p := fr.bind[slot].ref; p != nil {
 			return *p
 		}
 		fr.nd.fail(fmt.Errorf("%s: unknown variable %s", unit, name))
 		return 0
 	})
+	return lw.unbound[name]
 }
 
 func b2f(b bool) float64 {
@@ -376,10 +380,9 @@ func (lw *lowerer) intrinsic(x *ast.FuncCall) (operand, int) {
 // minMax folds MIN or MAX over its arguments, left to right.
 func minMax(max bool, args []operand) operand {
 	if len(args) == 2 {
-		a, b := args[0], args[1]
 		if max {
 			return closure(func(fr *frame) float64 {
-				m, v := a.eval(fr), b.eval(fr)
+				m, v := args[0].eval(fr), args[1].eval(fr)
 				if v > m {
 					return v
 				}
@@ -387,7 +390,7 @@ func minMax(max bool, args []operand) operand {
 			})
 		}
 		return closure(func(fr *frame) float64 {
-			m, v := a.eval(fr), b.eval(fr)
+			m, v := args[0].eval(fr), args[1].eval(fr)
 			if v < m {
 				return v
 			}

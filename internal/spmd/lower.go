@@ -429,8 +429,11 @@ type lowerer struct {
 	// owned marks the scalars every activation defines itself: declared,
 	// and not a formal (a formal's binding depends on the call).
 	owned map[string]bool
-	line  int  // line of the statement being lowered (0: a declaration)
-	decl  bool // lowering a declaration bound: the frame is still being built
+	// unbound holds the one lookup every read of a name ident cannot
+	// resolve shares (my$p, in every generated guard, bound and section)
+	unbound map[string]operand
+	line    int  // line of the statement being lowered (0: a declaration)
+	decl    bool // lowering a declaration bound: the frame is still being built
 	// Lowering the body of a cursor loop (cursor.go), walk is that loop,
 	// whose array references take a cursor each, and index its variable.
 	walk  *cursorLoop
@@ -467,7 +470,7 @@ func (lw *lowerer) site() site { return site{lw.unit.Name, lw.line} }
 func (lw *lowerer) lowerUnit() {
 	u, pp := lw.unit, lw.pp
 	lw.consts = map[string]int{}
-	lw.owned = map[string]bool{}
+	lw.owned, lw.unbound = map[string]bool{}, map[string]operand{}
 	syms := u.Symbols.Symbols()
 	for _, sym := range syms {
 		switch sym.Kind {

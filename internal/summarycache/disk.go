@@ -34,9 +34,9 @@ import (
 	"fortd/internal/partition"
 )
 
-// diskFormat versions the entry file schema; files with any other
-// version are ignored (treated as misses) rather than misread.
-const diskFormat = 2
+// diskFormat versions the entry files, schema and generated units (3:
+// shifts split around pipelined loops); any other version is a miss.
+const diskFormat = 3
 
 // diskEntry is Entry with the AST unit flattened to printed source.
 type diskEntry struct {

@@ -220,9 +220,9 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := bytes.Replace(buf, []byte(`"Format":2`), []byte(`"Format":1`), 1)
+		old := bytes.Replace(buf, []byte(`"Format":3`), []byte(`"Format":2`), 1)
 		if bytes.Equal(old, buf) {
-			t.Fatalf("%s does not record format 2", f)
+			t.Fatalf("%s does not record format 3", f)
 		}
 		if err := os.WriteFile(f, old, 0644); err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(again.CacheHits()) != 0 || len(again.CacheMisses()) != 5 {
-		t.Errorf("format-1 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
+		t.Errorf("format-2 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
 	}
 	if again.Listing() != cold.Listing() {
 		t.Error("listing differs after the old-format entries were ignored")
