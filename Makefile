@@ -14,9 +14,8 @@ race: ## tests under the race detector (the parallel compile lane)
 loc: ## non-blank lines of non-test Go outside bench/ (ROADMAP item 3 tracks it; ci.sh holds it to a ceiling)
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs grep -v '^\s*$$' | wc -l
 
-bench: ## go benchmarks + the BENCH_<yyyymmdd>.json snapshot
+bench: ## the root package's go benchmarks (the repository benchmark is bench-run / bench-compare)
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
-	$(GO) run ./cmd/fdbench
 
 bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, reduction, broadcast (ns/op and allocs/op)
 	$(GO) test -run '^$$' -bench 'BenchmarkExec' -benchmem ./internal/spmd
@@ -45,7 +44,7 @@ overlap: ## profile jacobi with the blocking vs overlap schedule and diff the ar
 	rm -f /tmp/fdprof_overlap /tmp/overlap_off.json /tmp/overlap_on.json
 
 report: ## render the dgefa HTML performance report to report.html
-	$(GO) run ./cmd/fdreport -o report.html testdata/dgefa.f
+	$(GO) run ./cmd/fdrun -report report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
 fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (seeds: testdata, testdata/pipeline, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form and lexer against their oracles, and the schedule pass against the blocking program

@@ -20,8 +20,10 @@ test -z "$(gofmt -l .)"
 # PR 19 bought pipelined computations (a recurrence across BLOCK
 # boundaries costs one message per boundary and keeps its loop's bounds
 # reduced) and the post-loop value of a reduced loop's index, at most
-# +250: 25608 -> 25856
-LOC_CEILING=25856
+# +250: 25608 -> 25856 (25855 measured). PR 20 retired the second
+# benchmark harness, the second report command and the second §8
+# predicate, nothing added: 25855 -> 25081
+LOC_CEILING=25081
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...
@@ -71,7 +73,7 @@ rm -f /tmp/ci_deadlock.out
 
 # report smoke: the self-contained HTML report must render and be
 # non-trivial for the dgefa case study
-go run ./cmd/fdreport -sweep 1,2,4 -o /tmp/ci_report.html testdata/dgefa.f
+go run ./cmd/fdrun -report /tmp/ci_report.html -sweep 1,2,4 testdata/dgefa.f
 test -s /tmp/ci_report.html
 grep -q 'id="heatmap"' /tmp/ci_report.html
 grep -q '</html>' /tmp/ci_report.html
@@ -184,20 +186,3 @@ grep -qi '^retry-after: [0-9]' /tmp/ci_fdd_429hdr
 kill $FDD_PID 2>/dev/null || true
 trap - EXIT
 rm -f "$FDD_BIN" /tmp/ci_fdd.log /tmp/ci_fdd_*
-
-# large-P smoke: the three scaled P=256 workloads must complete (the
-# P=1024 pair is covered by the committed benchmark snapshots; one run
-# each keeps this lane cheap)
-go run ./cmd/fdbench -runs 1 -only jacobi_p256,dgefa_p256,dyndist_p256 -o /tmp/ci_p256.json
-test -s /tmp/ci_p256.json
-rm -f /tmp/ci_p256.json
-
-# benchmark regression soft gate: compare a fresh run against the most
-# recent committed snapshot. Wall time is machine-dependent, so a
-# regression here warns instead of failing the gate.
-LATEST_BENCH=$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)
-if [ -n "$LATEST_BENCH" ]; then
-	go run ./cmd/fdbench -runs 1 -o /tmp/ci_bench.json -against "$LATEST_BENCH" ||
-		echo "WARNING: benchmark regression vs $LATEST_BENCH (soft gate, not failing CI)"
-	rm -f /tmp/ci_bench.json
-fi

@@ -73,14 +73,7 @@ func main() {
 	opts.Jobs = *jobs
 	opts.Explain = ex
 	opts.Trace = tr
-	switch *strategy {
-	case "interproc":
-		opts.Strategy = fortd.Interprocedural
-	case "runtime":
-		opts.Strategy = fortd.RuntimeResolution
-	case "immediate":
-		opts.Strategy = fortd.Immediate
-	default:
+	if opts.Strategy, err = fortd.ParseStrategy(*strategy); err != nil {
 		fmt.Fprintf(os.Stderr, "fdc: unknown strategy %q\n", *strategy)
 		os.Exit(2)
 	}

@@ -44,16 +44,11 @@ func (d *optionsDTO) apply(base fortd.Options) (fortd.Options, error) {
 		base.P = *d.P
 	}
 	if d.Strategy != nil {
-		switch *d.Strategy {
-		case "interproc":
-			base.Strategy = fortd.Interprocedural
-		case "runtime":
-			base.Strategy = fortd.RuntimeResolution
-		case "immediate":
-			base.Strategy = fortd.Immediate
-		default:
-			return base, fmt.Errorf("unknown strategy %q (want interproc, runtime or immediate)", *d.Strategy)
+		s, err := fortd.ParseStrategy(*d.Strategy)
+		if err != nil {
+			return base, err
 		}
+		base.Strategy = s
 	}
 	if d.Remap != nil {
 		switch *d.Remap {

@@ -26,8 +26,6 @@ import (
 	"os"
 
 	"fortd"
-	"fortd/internal/core"
-	"fortd/internal/recompile"
 	"fortd/internal/trace/analyze"
 )
 
@@ -352,7 +350,8 @@ func adi() {
 	}
 }
 
-// recompileExp demonstrates §8's recompilation analysis.
+// recompileExp demonstrates §8's recompilation analysis: compile the
+// base program into a summary cache, then each edit against it.
 func recompileExp() {
 	header("§8 recompilation analysis")
 	base := `
@@ -393,19 +392,14 @@ func recompileExp() {
 			return replace(s, "DISTRIBUTE A(BLOCK)", "DISTRIBUTE A(CYCLIC)")
 		}},
 	}
-	snap := func(src string) *recompile.Database {
-		c, err := core.Compile(src, core.DefaultOptions())
-		if err != nil {
-			log.Fatal(err)
-		}
-		return recompile.Snapshot(c)
-	}
-	old := snap(base)
 	fmt.Printf("%-42s %s\n", "edit", "recompile set")
 	for _, sc := range scenarios {
-		cur := snap(sc.edit(base))
-		plan := recompile.Plan(old, cur)
-		fmt.Printf("%-42s %v\n", sc.name, plan)
+		// what the summary cache re-analyzes after the edit is the
+		// recompile set: its key is the §8 test
+		opts := fortd.DefaultOptions()
+		opts.Cache = fortd.NewSummaryCache()
+		compile(base, opts)
+		fmt.Printf("%-42s %v\n", sc.name, compile(sc.edit(base), opts).CacheMisses())
 	}
 }
 

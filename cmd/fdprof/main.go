@@ -1,6 +1,6 @@
 // Command fdprof inspects, merges and compares the profile artifacts
-// written by `fdrun -profile`, the fdbench pipeline and the fdd
-// daemon's profile store (internal/profile schema v1).
+// written by `fdrun -profile` and the fdd daemon's profile store
+// (internal/profile schema v1).
 //
 // Usage:
 //

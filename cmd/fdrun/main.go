@@ -146,13 +146,9 @@ func main() {
 		opts.Trace = tr
 		opts.Explain = ex
 		opts.Overlap = *overlap
-		switch *strategy {
-		case "interproc":
-			opts.Strategy = fortd.Interprocedural
-		case "runtime":
-			opts.Strategy = fortd.RuntimeResolution
-		case "immediate":
-			opts.Strategy = fortd.Immediate
+		if opts.Strategy, err = fortd.ParseStrategy(*strategy); err != nil {
+			fmt.Fprintln(os.Stderr, "fdrun:", err)
+			os.Exit(2)
 		}
 		prog, err = fortd.Compile(src, opts)
 		if err != nil {

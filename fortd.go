@@ -78,6 +78,20 @@ const (
 	Immediate = codegen.StrategyImmediate
 )
 
+// ParseStrategy maps the name the commands and the daemon's options
+// use for a strategy — interproc, runtime or immediate — to it.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "interproc":
+		return Interprocedural, nil
+	case "runtime":
+		return RuntimeResolution, nil
+	case "immediate":
+		return Immediate, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want interproc, runtime or immediate)", name)
+}
+
 // RemapLevel is the dynamic data decomposition optimization ladder of
 // Figure 16.
 type RemapLevel = livedecomp.Level

@@ -226,6 +226,51 @@ func TestWorkloadGeneratorsParse(t *testing.T) {
 	}
 }
 
+// TestScaledWorkloadsP256: the three scaled workloads compile for 256
+// processors, compute what the sequential reference computes and send
+// exactly the messages their shape dictates: jacobi steps·2·(P−1) halo
+// cells, dgefa one broadcast tree of P−1 messages per elimination step,
+// the dynamic redistribution its recorded count.
+func TestScaledWorkloadsP256(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three P=256 runs")
+	}
+	for _, w := range []struct {
+		name, src string
+		init      map[string][]float64
+		msgs      int64
+	}{
+		{"jacobi", Jacobi1DSrc(8192, 5, 256), map[string][]float64{"a": Ramp(8192)}, 5 * 2 * 255},
+		{"dgefa", DgefaSrc(128, 256), map[string][]float64{"a": DgefaMatrix(128)}, 127 * 255},
+		{"dyndist", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 133620},
+	} {
+		prog, err := Compile(w.src, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if prog.P() != 256 {
+			t.Fatalf("%s: compiled for P=%d", w.name, prog.P())
+		}
+		r := NewRunner(WithInit(w.init))
+		res, err := r.Run(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		ref, err := r.RunReference(prog)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", w.name, err)
+		}
+		for arr, want := range ref.Arrays {
+			if d := maxAbsDiff(res.Arrays[arr], want); d > 1e-9 {
+				t.Errorf("%s: %s differs from the sequential reference by %g", w.name, arr, d)
+			}
+		}
+		if res.Stats.Messages != w.msgs {
+			t.Errorf("%s: %d messages, want %d", w.name, res.Stats.Messages, w.msgs)
+		}
+	}
+}
+
 // TestCompileDeterminism: compiling the same source repeatedly yields
 // byte-identical SPMD listings (no map-iteration order leaks).
 func TestCompileDeterminism(t *testing.T) {

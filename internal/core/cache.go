@@ -7,13 +7,14 @@ package core
 // compilation consumes — propagated constants, reaching decompositions,
 // run-time-resolution flags, and one summary hash per distinct callee.
 // The callee summary hash covers the callee's caller-visible interface
-// (delayed iteration sets, delayed communication, decomposition
-// summary, the scalar formals and COMMON scalars it may write and
-// read), its regular-section side-effect summary and its overlap
-// estimates: exactly the information internal/recompile's §8 analysis
-// compares, so cache invalidation reproduces its recompilation tests.
-// Editing one procedure therefore re-analyzes only the cone of callers
-// whose consumed summaries actually changed.
+// (interfaceString: delayed iteration sets, delayed communication,
+// decomposition summary, the scalar formals and COMMON scalars it may
+// write and read), its regular-section side-effect summary and its
+// overlap estimates. Key equality is therefore §8's recompilation test
+// — nothing this procedure's compilation read has changed — and it is
+// the only one: editing one procedure re-analyzes the cone of callers
+// whose consumed summaries actually changed, and Compilation.CacheMisses
+// is the recompile set.
 
 import (
 	"fmt"
@@ -78,18 +79,9 @@ func (pc *passCtx) procKey(n *acg.Node) string {
 func (pc *passCtx) summaryHash(out *procOut) string {
 	h := summarycache.NewHasher()
 	h.Add("iface", out.iface)
-	h.Add("part", renderPartDelayed(out.part))
-	h.Add("comm", renderDelayedComm(out.commD))
-	if out.dsum != nil {
-		parts := decompSummaryString(out.dsum)
-		sort.Strings(parts)
-		h.Add("dsum", strings.Join(parts, "\n"))
-	}
 	h.Add("sections", renderSectionSummary(pc.sections[out.name]))
 	h.Add("overlap", renderOverlapEstimates(pc, out.name))
 	h.Add("runtime", strconv.FormatBool(out.runtime))
-	// not only inside iface: a procedure under run-time resolution has none
-	h.Add("scalars", strings.Join(out.effects, ";"))
 	return h.Sum()
 }
 
@@ -104,13 +96,10 @@ func (pc *passCtx) loadEntry(e *summarycache.Entry, out *procOut) {
 	out.part = e.PartDelayed
 	out.commD = e.CommDelayed
 	out.dsum = e.DecompSum
-	out.iface = e.Interface
-	out.inputs = e.InputsUsed
 	out.mainDists = e.MainDists
 	out.actuals = e.Overlaps
 	out.remarks = e.Remarks
 	out.runtime = e.Runtime
-	out.shash = pc.summaryHash(out)
 }
 
 // storeEntries records every freshly compiled procedure of a successful
@@ -136,8 +125,6 @@ func (pc *passCtx) storeEntries(outs []*procOut) {
 			PartDelayed: out.part,
 			CommDelayed: out.commD,
 			DecompSum:   out.dsum,
-			Interface:   out.iface,
-			InputsUsed:  out.inputs,
 			MainDists:   out.mainDists,
 			Overlaps:    out.actuals,
 			Remarks:     out.remarks,
@@ -172,32 +159,25 @@ func renderReaching(reaching map[string]reach.DSet) string {
 	return strings.Join(parts, ";")
 }
 
-func renderPartDelayed(m map[string]*partition.Constraint) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var parts []string
-	for _, k := range keys {
-		c := m[k]
+func renderPartDelayed(m map[string]*partition.Constraint) []string {
+	parts := make([]string, 0, len(m))
+	for k, c := range m {
 		// Constraint.Key omits the bound array sizes; include them so a
 		// resized callee array invalidates callers
-		parts = append(parts, fmt.Sprintf("%s:%s/%v", k, c.Key(), c.Dist.Sizes))
+		parts = append(parts, fmt.Sprintf("iter %s %s/%v", k, c.Key(), c.Dist.Sizes))
 	}
-	return strings.Join(parts, ";")
+	return parts
 }
 
-func renderDelayedComm(ds []*comm.Delayed) string {
+func renderDelayedComm(ds []*comm.Delayed) []string {
 	parts := make([]string, 0, len(ds))
 	for _, d := range ds {
 		// every field, unlike Delayed.String, so any change to a delayed
 		// communication invalidates the callers that instantiate it
-		parts = append(parts, fmt.Sprintf("%s|%d|%d|%s|%d|%s|%d|%s",
+		parts = append(parts, fmt.Sprintf("comm %s|%d|%d|%s|%d|%s|%d|%s",
 			d.Array, int(d.Kind), d.Shift, d.PointVar, d.PointOff, d.DistKey, d.DistDim, d.Section))
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
+	return parts
 }
 
 func renderSectionSummary(ss *comm.SectionSummary) string {

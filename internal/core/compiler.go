@@ -138,13 +138,11 @@ type Compilation struct {
 	Report   Report
 	Options  Options
 	// Interfaces holds, per procedure, a canonical rendering of the
-	// summary information it exposes to callers (delayed iteration
-	// sets, delayed communication, decomposition summary sets) — the
-	// interprocedural "interface" recompilation analysis compares.
+	// summary information it exposes to callers (scalar effects,
+	// delayed iteration sets, delayed communication, decomposition
+	// summary sets) — the interface whose change re-analyzes the
+	// callers (interfaceString; cache.go hashes it into their keys).
 	Interfaces map[string]string
-	// InputsUsed holds, per procedure, a canonical rendering of all
-	// interprocedural information consumed when compiling it.
-	InputsUsed map[string]string
 	// CacheHits and CacheMisses list, sorted, the procedures served
 	// from / freshly compiled into Options.Cache (nil without a cache).
 	CacheHits   []string
@@ -227,7 +225,6 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		Options:    opts,
 		Report:     Report{PerProc: map[string]*codegen.Result{}},
 		Interfaces: map[string]string{},
-		InputsUsed: map[string]string{},
 	}
 	c.Report.Cloned = len(reachRes.ClonedFrom)
 	{
@@ -282,7 +279,6 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		}
 		c.record(out.name, out.res)
 		c.Interfaces[out.name] = out.iface
-		c.InputsUsed[out.name] = out.inputs
 		for arr, d := range out.mainDists {
 			c.MainDists[arr] = d
 		}

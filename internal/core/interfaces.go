@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"fortd/internal/acg"
 	"fortd/internal/ast"
 	"fortd/internal/comm"
 	"fortd/internal/livedecomp"
@@ -13,9 +12,13 @@ import (
 	"fortd/internal/sideeffect"
 )
 
-// interfaceString renders a procedure's caller-visible summary
-// canonically: the same summaries always produce the same string, so
-// recompilation analysis can compare compilations structurally.
+// interfaceString is the one rendering of a procedure's caller-visible
+// interface: one line per scalar effect, delayed iteration set ("iter",
+// with the bound array sizes), delayed communication ("comm", every
+// field) and decomposition-summary fact, sorted. It is complete — two
+// procedures a caller could tell apart render differently — so
+// summaryHash hashes it instead of the summaries themselves, and it is
+// what Compilation.Interfaces shows.
 func interfaceString(
 	planDelayed map[string]*partition.Constraint,
 	commDelayed []*comm.Delayed,
@@ -23,12 +26,8 @@ func interfaceString(
 	effects []string,
 ) string {
 	parts := append([]string(nil), effects...)
-	for v, c := range planDelayed {
-		parts = append(parts, fmt.Sprintf("iter %s %s", v, c.Key()))
-	}
-	for _, d := range commDelayed {
-		parts = append(parts, "comm "+d.String())
-	}
+	parts = append(parts, renderPartDelayed(planDelayed)...)
+	parts = append(parts, renderDelayedComm(commDelayed)...)
 	if dsum != nil {
 		parts = append(parts, decompSummaryString(dsum)...)
 	}
@@ -75,31 +74,3 @@ func decompSummaryString(s *livedecomp.Summary) []string {
 	}
 	return parts
 }
-
-// inputsString renders everything interprocedural that compiling proc
-// consumed: its reaching decompositions and, for every call site, the
-// callee's name and interface summary.
-func inputsString(
-	node *acg.Node,
-	reaching map[string]decompSetView,
-	interfaces map[string]string,
-) string {
-	var parts []string
-	for v, set := range reaching {
-		parts = append(parts, fmt.Sprintf("reach %s %s", v, set.Key()))
-	}
-	seen := map[string]bool{}
-	for _, site := range node.Calls {
-		name := site.Callee.Name()
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		parts = append(parts, fmt.Sprintf("callee %s {%s}", name, interfaces[name]))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "\n")
-}
-
-// decompSetView abstracts the reach.DSet Key method for inputsString.
-type decompSetView interface{ Key() string }

@@ -50,9 +50,8 @@ type procOut struct {
 	commD     []*comm.Delayed
 	dsum      *livedecomp.Summary
 	iface     string
-	inputs    string
 	shash     string   // summary hash callers fold into their cache keys
-	effects   []string // scalarEffects of the procedure, part of both
+	effects   []string // scalarEffects of the procedure, part of iface
 	mainDists map[string]*decomp.Dist
 	actuals   []summarycache.OverlapActual
 	remarks   []explain.Remark
@@ -68,7 +67,6 @@ type summaryTable struct {
 	part  map[string]map[string]*partition.Constraint
 	comm  map[string][]*comm.Delayed
 	dsum  map[string]*livedecomp.Summary
-	iface map[string]string
 	shash map[string]string
 }
 
@@ -77,7 +75,6 @@ func newSummaryTable() *summaryTable {
 		part:  map[string]map[string]*partition.Constraint{},
 		comm:  map[string][]*comm.Delayed{},
 		dsum:  map[string]*livedecomp.Summary{},
-		iface: map[string]string{},
 		shash: map[string]string{},
 	}
 }
@@ -87,7 +84,6 @@ func (t *summaryTable) publish(out *procOut) {
 	t.part[out.name] = out.part
 	t.comm[out.name] = out.commD
 	t.dsum[out.name] = out.dsum
-	t.iface[out.name] = out.iface
 	t.shash[out.name] = out.shash
 	t.mu.Unlock()
 }
@@ -113,20 +109,6 @@ func (t *summaryTable) dsumSnapshot(n *acg.Node) map[string]*livedecomp.Summary 
 		name := site.Callee.Name()
 		if _, ok := out[name]; !ok {
 			out[name] = t.dsum[name]
-		}
-	}
-	t.mu.RUnlock()
-	return out
-}
-
-// ifaceSnapshot returns the interface strings of n's direct callees.
-func (t *summaryTable) ifaceSnapshot(n *acg.Node) map[string]string {
-	out := map[string]string{}
-	t.mu.RLock()
-	for _, site := range n.Calls {
-		name := site.Callee.Name()
-		if _, ok := out[name]; !ok {
-			out[name] = t.iface[name]
 		}
 	}
 	t.mu.RUnlock()
@@ -185,11 +167,13 @@ func (pc *passCtx) compileOne(n *acg.Node, idx int) *procOut {
 		out.key = pc.procKey(n)
 		if e := pc.cache.Get(out.key); e != nil {
 			pc.loadEntry(e, out)
-			return out
 		}
 	}
-	pc.fresh(n, out)
+	if !out.hit {
+		pc.fresh(n, out)
+	}
 	if out.err == nil {
+		out.iface = interfaceString(out.part, out.commD, out.dsum, out.effects)
 		out.shash = pc.summaryHash(out)
 	}
 	return out
@@ -264,8 +248,6 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 			Before: map[string]decomp.Decomp{}, After: map[string]decomp.Decomp{},
 			Final: map[string]decomp.Decomp{},
 		}
-		out.iface = "runtime-resolution"
-		out.inputs = pc.inputsFor(n)
 		out.runtime = true
 		return
 	}
@@ -376,18 +358,6 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	out.part = plan.Delayed
 	out.commD = commRes.Delayed
 	out.dsum = decompSum
-	out.iface = interfaceString(plan.Delayed, commRes.Delayed, decompSum, out.effects)
-	out.inputs = pc.inputsFor(n)
-}
-
-// inputsFor renders the interprocedural information consumed when
-// compiling n — reaching decompositions plus callee interfaces.
-func (pc *passCtx) inputsFor(n *acg.Node) string {
-	reachView := map[string]decompSetView{}
-	for v, set := range pc.c.Reach.Reaching[n.Name()] {
-		reachView[v] = set
-	}
-	return inputsString(n, reachView, pc.table.ifaceSnapshot(n))
 }
 
 // compileAll schedules every procedure of order (reverse topological:

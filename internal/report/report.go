@@ -4,7 +4,7 @@
 // and the profile table read the same rows), optionally reruns the
 // workload across a processor sweep for the speedup curve, and hands
 // the assembled sections to analyze.WriteHTML. It is the shared engine behind
-// cmd/fdreport, `fdrun -report` and `fdbench -report`.
+// `fdrun -report` and the fdd daemon's GET /report/{id}.
 package report
 
 import (

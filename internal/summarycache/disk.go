@@ -35,8 +35,9 @@ import (
 )
 
 // diskFormat versions the entry files, schema and generated units (3:
-// shifts split around pipelined loops); any other version is a miss.
-const diskFormat = 3
+// shifts split around pipelined loops; 4: entries stopped carrying the
+// interface and inputs renderings); any other version is a miss.
+const diskFormat = 4
 
 // diskEntry is Entry with the AST unit flattened to printed source.
 type diskEntry struct {
@@ -48,8 +49,6 @@ type diskEntry struct {
 	PartDelayed map[string]*partition.Constraint
 	CommDelayed []*comm.Delayed
 	DecompSum   *livedecomp.Summary
-	Interface   string
-	InputsUsed  string
 	MainDists   map[string]*decomp.Dist
 	Overlaps    []OverlapActual
 	Remarks     []explain.Remark
@@ -85,7 +84,7 @@ func (d *disk) store(e *Entry) error {
 	buf, err := json.Marshal(&diskEntry{
 		Format: diskFormat, Key: e.Key, Proc: e.Proc, UnitSrc: src,
 		Result: res, PartDelayed: e.PartDelayed, CommDelayed: e.CommDelayed,
-		DecompSum: e.DecompSum, Interface: e.Interface, InputsUsed: e.InputsUsed,
+		DecompSum: e.DecompSum,
 		MainDists: e.MainDists, Overlaps: e.Overlaps, Remarks: e.Remarks,
 		Runtime: e.Runtime,
 	})
@@ -128,7 +127,7 @@ func (d *disk) load(key string) *Entry {
 	return &Entry{
 		Key: de.Key, Proc: de.Proc, Unit: unit, Result: de.Result,
 		PartDelayed: de.PartDelayed, CommDelayed: de.CommDelayed,
-		DecompSum: de.DecompSum, Interface: de.Interface, InputsUsed: de.InputsUsed,
+		DecompSum: de.DecompSum,
 		MainDists: de.MainDists, Overlaps: de.Overlaps, Remarks: de.Remarks,
 		Runtime: de.Runtime,
 	}

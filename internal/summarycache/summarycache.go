@@ -4,14 +4,14 @@
 // the ACG dictates which summaries depend on which. Each procedure's
 // phase-3 artifacts — its generated unit, code-generation counters,
 // delayed partition constraints, delayed communication, decomposition
-// summary, interface/inputs fingerprints, overlap actuals and
-// optimization remarks — are stored under a content hash of the
-// procedure's own source combined with the hashes of everything its
-// compilation consumed (reaching decompositions, propagated constants
-// and the caller-visible summaries of its callees). A re-run after
-// editing one procedure therefore re-analyzes only the invalidated
-// cone of the ACG: exactly the set internal/recompile's §8 analysis
-// would flag, made executable as a cache-invalidation predicate.
+// summary, overlap actuals and optimization remarks — are stored under
+// a content hash of the procedure's own source combined with the hashes
+// of everything its compilation consumed (reaching decompositions,
+// propagated constants and the caller-visible summaries of its
+// callees). A re-run after editing one procedure therefore re-analyzes
+// only the invalidated cone of the ACG: the key is §8's recompilation
+// test, so the misses of a compile are the recompile set
+// (Compilation.CacheMisses).
 //
 // The cache lives for the process and may be shared across any number
 // of compilations (it is safe for concurrent use by the parallel
@@ -63,10 +63,6 @@ type Entry struct {
 	PartDelayed map[string]*partition.Constraint
 	CommDelayed []*comm.Delayed
 	DecompSum   *livedecomp.Summary
-	// Interface and InputsUsed are the §8 recompilation fingerprintable
-	// renderings recorded on the compilation.
-	Interface  string
-	InputsUsed string
 	// MainDists holds the main program's initial distributions (main
 	// program entries only).
 	MainDists map[string]*decomp.Dist

@@ -11,7 +11,7 @@ import (
 )
 
 // Table is a pre-rendered table a caller can attach to a report
-// section (e.g. fdbench's snapshot-comparison deltas).
+// section (e.g. internal/report's hotspots table).
 type Table struct {
 	Title  string
 	Header []string

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"fortd/internal/recompile"
 )
 
 // explainBytes renders an Explain report to a string.
@@ -202,8 +200,9 @@ func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
 }
 
 // TestDiskCacheOldFormatMisses: an entry file written under an earlier
-// disk format (its sections have another shape) is a miss, not an error
-// and not a resurrected listing.
+// disk format (format 3 kept a leaf procedure under the key it still
+// has, with fields entries no longer carry) is a miss, not an error and
+// not a resurrected listing.
 func TestDiskCacheOldFormatMisses(t *testing.T) {
 	dir := t.TempDir()
 	src := DgefaSrc(16, 4)
@@ -220,9 +219,9 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := bytes.Replace(buf, []byte(`"Format":3`), []byte(`"Format":2`), 1)
+		old := bytes.Replace(buf, []byte(`"Format":4`), []byte(`"Format":3`), 1)
 		if bytes.Equal(old, buf) {
-			t.Fatalf("%s does not record format 3", f)
+			t.Fatalf("%s does not record format 4", f)
 		}
 		if err := os.WriteFile(f, old, 0644); err != nil {
 			t.Fatal(err)
@@ -233,55 +232,135 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(again.CacheHits()) != 0 || len(again.CacheMisses()) != 5 {
-		t.Errorf("format-2 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
+		t.Errorf("format-3 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
 	}
 	if again.Listing() != cold.Listing() {
 		t.Error("listing differs after the old-format entries were ignored")
 	}
 }
 
-// TestGoldenRecompilationDecisions locks the §8 recompilation decisions
-// for the dgefa case study as a golden file: for each edit scenario it
-// records the summary-cache invalidation cone and the recompilation
-// plan of the interface-comparison analysis (internal/recompile), which
-// must agree on which unedited procedures are reusable.
-func TestGoldenRecompilationDecisions(t *testing.T) {
-	base := DgefaSrc(32, 4)
-	scenarios := []struct {
-		name string
-		src  string
+// sec8Src is the program of EXPERIMENTS.md's §8 table (and of
+// `fdpaper -exp recompile`): P calls S1(A) and S2(B).
+const sec8Src = `
+      PROGRAM P
+      PARAMETER (n$proc = 4)
+      REAL A(100), B(100)
+      DISTRIBUTE A(BLOCK)
+      DISTRIBUTE B(BLOCK)
+      call S1(A)
+      call S2(B)
+      END
+      SUBROUTINE S1(X)
+      REAL X(100)
+      do i = 1,100
+        X(i) = X(i) + 1.0
+      enddo
+      END
+      SUBROUTINE S2(X)
+      REAL X(100)
+      do i = 1,100
+        X(i) = X(i) * 2.0
+      enddo
+      END
+`
+
+// sec8Edit applies one textual edit to sec8Src.
+func sec8Edit(old, new string) string {
+	edited := strings.Replace(sec8Src, old, new, 1)
+	if edited == sec8Src {
+		panic("edit did not apply: " + old)
+	}
+	return edited
+}
+
+// The three edits of sec8Src that EXPERIMENTS.md's table and
+// TestRecompilationScenarios share: a constant in S2's body, a
+// DISTRIBUTE inside S2, the caller's DISTRIBUTE for A.
+var (
+	sec8BodyEdit      = sec8Edit("X(i) * 2.0", "X(i) * 3.0")
+	sec8InterfaceEdit = sec8Edit("      SUBROUTINE S2(X)\n      REAL X(100)", "      SUBROUTINE S2(X)\n      REAL X(100)\n      DISTRIBUTE X(CYCLIC)")
+	sec8DistEdit      = sec8Edit("DISTRIBUTE A(BLOCK)", "DISTRIBUTE A(CYCLIC)")
+)
+
+// recompileCone compiles base into a fresh summary cache, then edited
+// against it, and returns what the second compile re-analyzed and what
+// it reused: the §8 recompilation decision.
+func recompileCone(t *testing.T, base, edited string) (reanalyzed, reused []string) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Cache = NewSummaryCache()
+	if _, err := Compile(base, opts); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(edited, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.CacheMisses(), prog.CacheHits()
+}
+
+// TestRecompilationScenarios holds the five §8 decisions on the
+// three-procedure program: an edit re-analyzes the procedures whose own
+// text or consumed interprocedural information changed, and no other.
+func TestRecompilationScenarios(t *testing.T) {
+	// the caller edit changes a statement in place: one that moved the
+	// callees' lines would re-analyze them too, because the key covers
+	// the statement positions cached remarks carry
+	withStmt := sec8Edit("      call S1(A)", "      x = 41\n      call S1(A)")
+	for _, sc := range []struct {
+		name, why, base, src string
+		reanalyzed, reused   []string
 	}{
-		{"unchanged", base},
-		{"daxpy-body-edit", editDaxpyBody()},
-		{"dscal-interface-edit", strings.Replace(base,
+		{"no-edit", "recompiling identical source is no work at all",
+			sec8Src, sec8Src, nil, []string{"P", "S1", "S2"}},
+		{"body-edit", "a constant inside S2's body leaves its interface alone: S1 and P are reused",
+			sec8Src, sec8BodyEdit, []string{"S2"}, []string{"P", "S1"}},
+		{"interface-edit", "a DISTRIBUTE inside S2 changes its decomposition summary, which the caller consumes; S1 is not needlessly redone",
+			sec8Src, sec8InterfaceEdit, []string{"P", "S2"}, []string{"S1"}},
+		{"caller-edit", "the caller's own statement changed and the same decompositions reach the call sites: the callees stay",
+			withStmt, strings.Replace(withStmt, "x = 41", "x = 42", 1), []string{"P"}, []string{"S1", "S2"}},
+		{"distribution-change", "the caller's DISTRIBUTE for A changes the decomposition reaching S1, whose text is untouched; its sibling S2 is never touched",
+			sec8Src, sec8DistEdit, []string{"P", "S1"}, []string{"S2"}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			reanalyzed, reused := recompileCone(t, sc.base, sc.src)
+			if fmt.Sprint(reanalyzed) != fmt.Sprint(sc.reanalyzed) || fmt.Sprint(reused) != fmt.Sprint(sc.reused) {
+				t.Errorf("re-analyzed %v reused %v, want %v and %v (%s)",
+					reanalyzed, reused, sc.reanalyzed, sc.reused, sc.why)
+			}
+		})
+	}
+}
+
+// TestGoldenRecompilationDecisions locks the §8 recompilation decisions
+// as a golden file: for three edits of the dgefa case study and for the
+// four scenarios of EXPERIMENTS.md's §8 table it records what the
+// summary cache re-analyzes and what it reuses. The cache key is the §8
+// test (DESIGN.md "One interface rendering, one predicate"), so this is
+// the recompile set itself, not a second opinion on it.
+func TestGoldenRecompilationDecisions(t *testing.T) {
+	dgefa := DgefaSrc(32, 4)
+	scenarios := []struct {
+		name      string
+		base, src string
+	}{
+		{"unchanged", dgefa, dgefa},
+		{"daxpy-body-edit", dgefa, editDaxpyBody()},
+		{"dscal-interface-edit", dgefa, strings.Replace(dgefa,
 			"a(i,k) = a(i,k) * t",
 			"a(i,k) = a(i,k-1) * t", 1)},
+		{"sec8-no-edit", sec8Src, sec8Src},
+		{"sec8-S2-body-edit", sec8Src, sec8BodyEdit},
+		{"sec8-S2-redistributes-X", sec8Src, sec8InterfaceEdit},
+		{"sec8-caller-changes-A-distribution", sec8Src, sec8DistEdit},
 	}
-
-	snap := func(src string) (*Program, *recompile.Database, []string, []string) {
-		cache := NewSummaryCache()
-		opts := DefaultOptions()
-		opts.Cache = cache
-		if _, err := Compile(base, opts); err != nil { // prime with the base program
-			t.Fatal(err)
-		}
-		prog, err := Compile(src, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prog, recompile.Snapshot(prog.c), prog.CacheHits(), prog.CacheMisses()
-	}
-
-	_, baseDB, _, _ := snap(base)
 
 	var buf bytes.Buffer
 	for _, sc := range scenarios {
-		_, db, hits, misses := snap(sc.src)
+		misses, hits := recompileCone(t, sc.base, sc.src)
 		fmt.Fprintf(&buf, "scenario %s\n", sc.name)
 		fmt.Fprintf(&buf, "  cache reanalyzed: %v\n", misses)
 		fmt.Fprintf(&buf, "  cache reused:     %v\n", hits)
-		fmt.Fprintf(&buf, "  recompile plan:   %v\n", recompile.Plan(baseDB, db))
-		fmt.Fprintf(&buf, "  unchanged:        %v\n", recompile.Unchanged(baseDB, db))
 	}
 
 	path := filepath.Join("testdata", "golden", "dgefa_recompile.golden")

@@ -74,9 +74,10 @@ func Fig15Src(T, p int) string {
 
 // Fig15ScaledSrc generates the Figure 15 dynamic-distribution pattern
 // at an arbitrary array size (Fig15Src pins the paper's X(100)). The
-// scaled fdbench workloads redistribute a larger X across hundreds of
-// processors, where every BLOCK↔CYCLIC remap is a full P×(P-1)
-// message exchange — the stress case for the machine's link state.
+// scaled workloads (bench/'s dyndist_p256, TestScaledWorkloadsP256)
+// redistribute a larger X across hundreds of processors, where every
+// BLOCK↔CYCLIC remap is a full P×(P-1) message exchange — the stress
+// case for the machine's link state.
 func Fig15ScaledSrc(n, T, p int) string {
 	return fmt.Sprintf(`
       PROGRAM P1
@@ -355,8 +356,8 @@ func Ramp(n int) []float64 {
 }
 
 // RampInit seeds every constant-sized array of src's main program with
-// a Ramp — the default initialization fdrun and fdreport use for
-// arbitrary input files. Arrays whose dimensions are not compile-time
+// a Ramp — the default initialization fdrun uses for arbitrary input
+// files. Arrays whose dimensions are not compile-time
 // constants (and programs that fail to parse) are simply skipped; the
 // compiler proper reports those errors.
 func RampInit(src string) map[string][]float64 {
