@@ -11,7 +11,7 @@ test:
 race: ## tests under the race detector (the parallel compile lane)
 	$(GO) test -race ./...
 
-loc: ## non-blank lines of non-test Go outside bench/ (ROADMAP item 3 tracks it; ci.sh holds it to a ceiling)
+loc: ## non-blank lines of non-test Go outside bench/ (ROADMAP item 6 tracks it; ci.sh holds it to a ceiling)
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs grep -v '^\s*$$' | wc -l
 
 bench: ## the root package's go benchmarks (the repository benchmark is bench-run / bench-compare)

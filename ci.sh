@@ -11,7 +11,7 @@
 set -eux
 
 test -z "$(gofmt -l .)"
-# the tracked size of the production code (ROADMAP item 3) is a ratchet:
+# the tracked size of the production code (ROADMAP item 6) is a ratchet:
 # it may not grow past the ceiling, and a PR that shrinks it lowers the
 # ceiling to its own result in the same diff. PR 18 added a compiler
 # capability (private scalars partitioned by their uses, read-range
@@ -22,8 +22,15 @@ test -z "$(gofmt -l .)"
 # reduced) and the post-loop value of a reduced loop's index, at most
 # +250: 25608 -> 25856 (25855 measured). PR 20 retired the second
 # benchmark harness, the second report command and the second §8
-# predicate, nothing added: 25855 -> 25081
-LOC_CEILING=25081
+# predicate, nothing added: 25855 -> 25081. PR 21 (2026-10-04) bought an
+# executor capability — each simulated processor stores its own share of
+# an array, its overlap region and one buffer per communication site
+# instead of a copy of everything (internal/spmd/storage.go) — plus three
+# compiler fixes, and was allowed its measured net growth, at most +300,
+# none of it moved into _test.go: 25081 -> 25381 (the statements'
+# shared prologues and the two waits in spmd/comm.go paid for 86 of
+# storage.go's lines)
+LOC_CEILING=25381
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

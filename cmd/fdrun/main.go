@@ -42,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -295,8 +296,8 @@ func main() {
 		for name, want := range ref.Arrays {
 			got := res.Arrays[name]
 			for i := range want {
-				d := got[i] - want[i]
-				if d > 1e-9 || d < -1e-9 {
+				// a NaN where the reference is finite is a mismatch too
+				if d := math.Abs(got[i] - want[i]); !(d <= 1e-9) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
 					fmt.Printf("MISMATCH %s[%d]: %v != %v\n", name, i, got[i], want[i])
 					ok = false
 					break

@@ -104,3 +104,32 @@ func TestDeadlockExits(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNIsAMismatch: a compiled result that is NaN where the reference
+// is finite fails the check (a difference of NaN is neither above nor
+// below a tolerance). myproc() is 0 in the sequential reference, so the
+// elements the other processors own are the square root of a negative.
+func TestNaNIsAMismatch(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "nan.f")
+	if err := os.WriteFile(src, []byte(`
+      PROGRAM NANS
+      PARAMETER (n$proc = 4)
+      REAL a(8)
+      DISTRIBUTE a(BLOCK)
+      do i = 1, 8
+        a(i) = SQRT(0.5 - myproc())
+      enddo
+      END
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runCmd(t, src)
+	if code != 1 {
+		t.Errorf("exit %d, want 1; stderr: %s", code, stderr)
+	}
+	for _, want := range []string{"MISMATCH a[2]: NaN != 0.707", "matches sequential reference: false"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+}

@@ -133,7 +133,7 @@ func TestCommonWritesPinTheSchedule(t *testing.T) {
 					}
 					for arr, want := range ref.Arrays {
 						for i := range want {
-							if got := res.Arrays[arr][i]; math.Abs(got-want[i]) > 1e-9 {
+							if got := res.Arrays[arr][i]; !(math.Abs(got-want[i]) <= 1e-9) {
 								t.Errorf("%s: %s[%d] = %v, sequential reference %v\n%s", name, arr, i, got, want[i], prog.Listing())
 								break
 							}

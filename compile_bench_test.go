@@ -1,6 +1,7 @@
 package fortd
 
 import (
+	"runtime"
 	"testing"
 
 	"fortd/internal/parser"
@@ -68,5 +69,42 @@ func TestCompileAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per compile (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("compile allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestRunAllocBudget bounds what one Runner.Run allocates on the two
+// workloads whose arrays dominated it while every simulated processor
+// held a copy of every array (165.5 MB and 18.0 MB): a processor stores
+// its share, its overlap region and one buffer per communication site,
+// so what is left is the machine (the P×P pair statistics, the message
+// rings) and the lowered plan.
+func TestRunAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a P=1024 run")
+	}
+	for _, w := range []struct {
+		name, src string
+		init      map[string][]float64
+		budgetMB  float64
+	}{
+		{"dgefa_p1024", DgefaSrc(128, 1024), map[string][]float64{"a": DgefaMatrix(128)}, 40},     // 32.9 measured
+		{"jacobi2d_p16", Jacobi2DSrc(256, 10, 16), map[string][]float64{"a": Ramp(256 * 256)}, 4}, // 2.4 measured
+	} {
+		prog, err := Compile(w.src, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(WithInit(w.init))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := r.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+		t.Logf("%s: one run allocates %.1f MB (budget %.0f)", w.name, mb, w.budgetMB)
+		if mb > w.budgetMB {
+			t.Errorf("%s: one run allocates %.1f MB, budget %.0f", w.name, mb, w.budgetMB)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package fortd
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestFaultedRunStillCorrect(t *testing.T) {
 	for name, want := range ref.Arrays {
 		got := faulted.Arrays[name]
 		for i := range want {
-			if d := got[i] - want[i]; d > 1e-9 || d < -1e-9 {
+			if d := math.Abs(got[i] - want[i]); !(d <= 1e-9) {
 				t.Fatalf("%s[%d] = %v, want %v (faults changed results)", name, i, got[i], want[i])
 			}
 		}

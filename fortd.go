@@ -448,7 +448,8 @@ func WithMachine(cfg MachineConfig) RunOption {
 	return func(r *Runner) { r.machine = cfg }
 }
 
-// WithInit seeds main-program arrays (row-major global order).
+// WithInit seeds main-program arrays (row-major global order); each
+// simulated processor starts with the elements it owns.
 func WithInit(arrays map[string][]float64) RunOption {
 	return func(r *Runner) { r.init = arrays }
 }
@@ -529,8 +530,9 @@ func (r *Runner) RunContext(ctx context.Context, p *Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// each node program stores its blocks with the estimated overlap regions
 	rr, err := spmd.RunContext(ctx, p.c.Program, cfg, spmd.Options{
-		Dists: p.c.MainDists, Init: r.init, InitScalars: r.initScalars,
+		Dists: p.c.MainDists, Init: r.init, InitScalars: r.initScalars, Overlap: p.c.Overlaps.Extents,
 		Trace: r.trace, Faults: r.faults, Deadline: r.deadline,
 	})
 	if err != nil {

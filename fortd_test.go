@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestCompileAndRunQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range ref.Arrays["X"] {
-		if math.Abs(res.Arrays["X"][i]-ref.Arrays["X"][i]) > 1e-9 {
+		if !(math.Abs(res.Arrays["X"][i]-ref.Arrays["X"][i]) <= 1e-9) {
 			t.Fatalf("X[%d] = %v, want %v", i, res.Arrays["X"][i], ref.Arrays["X"][i])
 		}
 	}
@@ -191,7 +192,7 @@ func TestStrategiesAgreeOnResults(t *testing.T) {
 			continue
 		}
 		for i := range want {
-			if math.Abs(res.Arrays["X"][i]-want[i]) > 1e-9 {
+			if !(math.Abs(res.Arrays["X"][i]-want[i]) <= 1e-9) {
 				t.Fatalf("%v: X[%d] = %v, want %v", s, i, res.Arrays["X"][i], want[i])
 			}
 		}
@@ -271,6 +272,41 @@ func TestScaledWorkloadsP256(t *testing.T) {
 	}
 }
 
+// TestScaledWorkloadsP2048: dgefa at n=256 on 2 048 processors, which
+// allocated 1 196.8 MB while each of them held the whole matrix, equals
+// the sequential reference, sends (n−1)(P−1) messages and allocates less
+// than 200 MB (some 67 MB of it the machine's P×P pair statistics).
+func TestScaledWorkloadsP2048(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a P=2048 run")
+	}
+	prog, err := Compile(DgefaSrc(256, 2048), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(WithInit(map[string][]float64{"a": DgefaMatrix(256)}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := r.Run(prog)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := r.RunReference(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(res.Arrays["a"], ref.Arrays["a"]); d > 1e-9 {
+		t.Errorf("a differs from the sequential reference by %g", d)
+	}
+	if res.Stats.Messages != 255*2047 {
+		t.Errorf("%d messages, want %d", res.Stats.Messages, 255*2047)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb >= 200 {
+		t.Errorf("the run allocates %.1f MB, want < 200", mb)
+	}
+}
+
 // TestCompileDeterminism: compiling the same source repeatedly yields
 // byte-identical SPMD listings (no map-iteration order leaks).
 func TestCompileDeterminism(t *testing.T) {
@@ -327,15 +363,15 @@ func TestDgefaApproachesHandWritten(t *testing.T) {
 
 		// both must be correct
 		for i, want := range ref.Arrays["a"] {
-			if d := compRes.Arrays["a"][i] - want; d > 1e-6 || d < -1e-6 {
+			if d := math.Abs(compRes.Arrays["a"][i] - want); !(d <= 1e-6) {
 				t.Fatalf("compiled a[%d] = %v, want %v", i, compRes.Arrays["a"][i], want)
 			}
-			if d := handRes.Arrays["a"][i] - want; d > 1e-6 || d < -1e-6 {
+			if d := math.Abs(handRes.Arrays["a"][i] - want); !(d <= 1e-6) {
 				t.Fatalf("hand a[%d] = %v, want %v", i, handRes.Arrays["a"][i], want)
 			}
 		}
 
-		// ROADMAP item 2's targets
+		// ROADMAP item 4's targets
 		c, h := compRes.Stats, handRes.Stats
 		for _, m := range []struct {
 			what           string

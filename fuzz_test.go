@@ -11,14 +11,16 @@ import (
 	"fortd/internal/ast"
 )
 
-// addSamplePrograms seeds f with every sample program under testdata/
-// and the pipelined-computation table, testdata/pipeline: each shape the
-// compiler pipelines and each way a loop falls short of one.
+// addSamplePrograms seeds f with every sample program under testdata/,
+// the pipelined-computation table, testdata/pipeline (each shape the
+// compiler pipelines and each way a loop falls short of one) and the
+// programs it once got wrong or panicked on, testdata/known.
 func addSamplePrograms(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.f"))
 	more, _ := filepath.Glob(filepath.Join("testdata", "pipeline", "*.f"))
-	if paths = append(paths, more...); err != nil || len(more) == 0 {
-		f.Fatal(err, more)
+	known, _ := filepath.Glob(filepath.Join("testdata", "known", "*.f"))
+	if paths = append(append(paths, more...), known...); err != nil || len(more) == 0 || len(known) == 0 {
+		f.Fatal(err, more, known)
 	}
 	for _, path := range paths {
 		src, err := os.ReadFile(path)

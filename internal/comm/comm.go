@@ -72,6 +72,9 @@ type Access struct {
 	// through it; NoPipe is why a candidate stays inside (pipeline.go).
 	Pipelined bool
 	NoPipe    string
+	// Against is the distribution of the statement's left-hand side when
+	// the reference would be a shift of it but for its block size.
+	Against *decomp.Dist
 }
 
 // Delayed is a communication descriptor passed up to callers (delayed
@@ -230,10 +233,16 @@ func classify(proc *ast.Procedure, ref *depend.Ref, item *partition.Item, distOf
 	acc.Section = RefSection(proc, ref.Expr, ref.Nest, env)
 	sub := partition.AnalyzeSub(ref.Expr.Subs[dim], env)
 
-	// Same partition variable ⇒ shift pattern.
-	if item != nil && item.C != nil && item.Sub.Var != "" &&
+	// Same partition variable ⇒ shift pattern, if the two arrays are
+	// dealt out alike: the same format in blocks of the same size (two
+	// BLOCK arrays of unequal extents are not; Explain says so).
+	aligned := item != nil && item.C != nil && item.Sub.Var != "" &&
 		sub.OK && sub.Coef == 1 && item.Sub.Coef == 1 && sub.Var == item.Sub.Var &&
-		item.C.Dist.Key() == dist.Key() {
+		item.C.Dist.Key() == dist.Key()
+	if aligned && item.C.Dist.BlockSize() != dist.BlockSize() {
+		aligned, acc.Against = false, item.C.Dist
+	}
+	if aligned {
 		acc.Shift = sub.Off - item.Sub.Off
 		if acc.Shift == 0 {
 			acc.Kind = KLocal

@@ -54,6 +54,13 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 		if acc.Pipelined || acc.NoPipe != "" {
 			ex.Add(pipeRemark(procName, line, acc.AtLoop, acc.Array, acc.Shift, acc.NoPipe))
 		}
+		if lhs := acc.Against; lhs != nil {
+			ex.Add(explain.Remark{
+				Kind: explain.Missed, Pass: "comm", Proc: procName, Line: line, Name: "align",
+				Msg: fmt.Sprintf("%s is not aligned with the assigned array: extent %d in blocks of %d against extent %d in blocks of %d, so the same subscript has another owner and the reference is resolved as a %s",
+					acc.Array, acc.Dist.Sizes[acc.DistDim], acc.Dist.BlockSize(), lhs.Sizes[lhs.DistDim()], lhs.BlockSize(), acc.Kind),
+			})
+		}
 	}
 	for _, cc := range res.CallComms {
 		line := 0

@@ -18,6 +18,7 @@ const (
 	WhyPipeMixed    = "statements in the loop are partitioned differently or not at all, so every processor runs every iteration"
 	WhyPipeOther    = "another message (a broadcast, an allgather or a shift that has to stay) is placed inside the loop, and every processor takes part in it each iteration"
 	WhyPipeSection  = "the section's other dimensions cannot be evaluated before the loop"
+	WhyPipeNotShift = "the callee resolves the reference by an allgather, not a neighbour exchange (its formal's declared blocks are narrower than the shift)"
 )
 
 // pipeline finds the Fortran D pipelined computations: loops carrying a
@@ -108,7 +109,9 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 					sec[d] = RSDSecDim(sd)
 				}
 				sec[dim] = ast.SecDim{}
-				cc.NoPipe = why(cc.Dist, cc.D.Shift, cc.AtLoop, sec)
+				if cc.NoPipe = WhyPipeNotShift; cc.D.Kind == KShift {
+					cc.NoPipe = why(cc.Dist, cc.D.Shift, cc.AtLoop, sec)
+				}
 				cc.Pipelined = cc.NoPipe == ""
 			}
 		case cc.BeforeLoop != nil:

@@ -67,7 +67,7 @@ func assertSame(t *testing.T, name string, got, want []float64) {
 		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+		if !(math.Abs(got[i]-want[i]) <= 1e-9*(1+math.Abs(want[i]))) {
 			t.Fatalf("%s[%d] = %v, want %v", name, i, got[i], want[i])
 		}
 	}

@@ -106,7 +106,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				for name, want := range seq.Arrays {
 					got := par.Arrays[name]
 					for i := range want {
-						if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+						if !(math.Abs(got[i]-want[i]) <= 1e-9*(1+math.Abs(want[i]))) {
 							t.Fatalf("trial %d: %s[%d] = %v, want %v\nprogram:\n%s\ngenerated:\n%s",
 								trial, name, i, got[i], want[i], src, listingOf(c))
 						}

@@ -213,6 +213,9 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	if proc.IsMain {
 		out.mainDists = dists
 	}
+	if out.err = checkIntegerSubscripts(proc, distOf); out.err != nil {
+		return
+	}
 
 	runtimeProc := pc.opts.Strategy == codegen.StrategyRuntime ||
 		len(c.Reach.RuntimeResolution[proc.Name]) > 0
@@ -460,3 +463,36 @@ const (
 	counterCacheHits   = "summary-cache-hits"
 	counterCacheMisses = "summary-cache-misses"
 )
+
+// checkIntegerSubscripts rejects a distributed-dimension subscript that
+// reads a REAL scalar: the executor rounds a subscript to an element, but
+// the guards, broadcast roots and run-time resolution tests derived from
+// it divide, and in floating point name another processor.
+func checkIntegerSubscripts(proc *ast.Procedure, distOf partition.DistOf) (err error) {
+	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
+		for _, top := range ast.StmtExprs(s) {
+			ast.WalkExpr(top, func(e ast.Expr) {
+				ref, _ := e.(*ast.ArrayRef)
+				if ref == nil {
+					return
+				}
+				dist, _ := distOf(ref.Name, s)
+				if dist == nil || dist.IsReplicated() || dist.DistDim() >= len(ref.Subs) {
+					return
+				}
+				ast.WalkExpr(ref.Subs[dist.DistDim()], func(e ast.Expr) {
+					id, _ := e.(*ast.Ident)
+					if id == nil || err != nil {
+						return
+					}
+					if sym := proc.Symbols.Lookup(id.Name); sym != nil && sym.Kind == ast.SymScalar && sym.Type != ast.TypeInteger {
+						err = fmt.Errorf("core: %s line %d: subscript %d of the distributed array %s reads the %s scalar %s: which processor owns the element is computed in integers (declare it INTEGER)",
+							proc.Name, s.Pos().Line, dist.DistDim()+1, ref.Name, sym.Type, id.Name)
+					}
+				})
+			})
+		}
+		return true
+	})
+	return err
+}

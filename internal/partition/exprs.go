@@ -22,10 +22,8 @@ func myP() ast.Expr { return ast.Id(MyP) }
 // ok is false for distributions the rewrite does not support
 // (CYCLIC(k)), which fall back to guards.
 func BoundExprs(c *Constraint, lo, hi, step ast.Expr) (newLo, newHi, newStep ast.Expr, ok bool) {
-	if step != nil {
-		if v, isConst := ast.EvalInt(step, nil); !isConst || v != 1 {
-			return nil, nil, nil, false
-		}
+	if !reducible(c, step) {
+		return nil, nil, nil, false
 	}
 	dim := c.Dist.DistDim()
 	if dim < 0 {
@@ -61,6 +59,15 @@ func BoundExprs(c *Constraint, lo, hi, step ast.Expr) (newLo, newHi, newStep ast
 		return newLo, hi, ast.Int(p), true
 	}
 	return nil, nil, nil, false
+}
+
+// reducible reports whether BoundExprs rewrites a loop of that step under c.
+func reducible(c *Constraint, step ast.Expr) bool {
+	if v, isConst := ast.EvalInt(step, nil); step != nil && (!isConst || v != 1) {
+		return false
+	}
+	dim := c.Dist.DistDim()
+	return dim < 0 || c.Dist.Specs[dim].Kind != ast.DistBlockCyclic
 }
 
 // GuardExpr builds the ownership test "this processor owns element

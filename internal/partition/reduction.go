@@ -94,8 +94,8 @@ func analyzeReduction(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distO
 			return nil // mixed loops: give up
 		}
 	}
-	if c == nil {
-		return nil // nothing distributed in the term: leave replicated
+	if c == nil || !reducible(c, loop.Step) {
+		return nil // nothing distributed, or every processor runs the whole loop and would add every term
 	}
 	// the accumulator must appear exactly twice in the loop (its own
 	// lhs and rhs occurrence)

@@ -10,9 +10,11 @@ import (
 
 // Communication statements. A section is never materialised as a list
 // of offsets: its bounds are evaluated into fixed scratch, clipped to
-// the array (box), reduced to its non-unit dimensions (section) and
-// walked with strides straight between the array and the message
-// buffer — a(1:128,k) is one stride-128 loop.
+// the array and placed in the processor's window (box), reduced to its
+// non-unit dimensions (section) and walked with strides straight
+// between the window and the message buffer — a(1:128,k) is one
+// stride-128 loop. What the window does not hold in one piece goes
+// element by element and arrives in a site buffer (storage.go).
 
 // bounds is an evaluated section: lo:hi per dimension.
 type bounds struct {
@@ -21,34 +23,51 @@ type bounds struct {
 	empty  bool // some hi < lo, before clipping
 }
 
-// box is a section clipped to its array's declared bounds.
+// box is a section clipped to its array's declared bounds and, if the
+// processor's window holds all of it (stored), placed there.
 type box struct {
-	n        int // dimensions
-	elems    int // element count (0: the clipped section is empty)
-	base     int // offset of the first element
+	n        int  // dimensions
+	elems    int  // element count (0: the clipped section is empty)
+	stored   bool // base and str address the array's Data
+	base     int  // offset of the first element
 	lo, hi   [maxRank]int
 	ext, str [maxRank]int // extent and stride per dimension
 }
 
 // clip intersects b with arr's bounds.
 func clip(arr *Array, b *bounds) (box, error) {
-	bx := box{n: b.n, elems: 1}
+	bx := box{n: b.n, elems: 1, stored: true}
 	if b.n != len(arr.Lo) {
 		return bx, fmt.Errorf("section has %d dimensions, the array %d", b.n, len(arr.Lo))
 	}
+	for d := 0; d < b.n; d++ {
+		bx.lo[d], bx.hi[d] = max(b.lo[d], arr.Lo[d]), min(b.hi[d], arr.Hi[d])
+		bx.ext[d] = max(bx.hi[d]-bx.lo[d]+1, 0)
+		bx.elems *= bx.ext[d]
+	}
 	stride := 1
-	for d := b.n - 1; d >= 0; d-- {
-		lo, hi := max(b.lo[d], arr.Lo[d]), min(b.hi[d], arr.Hi[d])
-		if hi < lo {
-			bx.elems = 0
-			return bx, nil
+	for d := b.n - 1; d >= 0 && bx.elems > 0; d-- {
+		slot, step := bx.lo[d]-arr.Lo[d], 1
+		if w := arr.win; w != nil && w.dim == d {
+			var h held
+			slot, step, h = w.run(bx.lo[d], 1, bx.ext[d])
+			bx.stored = h == all
 		}
-		bx.lo[d], bx.hi[d], bx.ext[d], bx.str[d] = lo, hi, hi-lo+1, stride
-		bx.elems *= hi - lo + 1
-		bx.base += (lo - arr.Lo[d]) * stride
-		stride *= arr.Hi[d] - arr.Lo[d] + 1
+		bx.str[d] = stride * step
+		bx.base += slot * stride
+		stride *= arr.ext(arr.win, d)
 	}
 	return bx, nil
+}
+
+// next steps idx to the box's next element in message (row-major) order.
+func (bx *box) next(idx *[maxRank]int) {
+	for d := bx.n - 1; d >= 0; d-- {
+		if idx[d]++; idx[d] <= bx.hi[d] {
+			return
+		}
+		idx[d] = bx.lo[d]
+	}
 }
 
 // section is a box reduced to the dimensions that vary, outermost
@@ -75,14 +94,9 @@ func (bx *box) section() section {
 	return s
 }
 
-// pack copies the section's elements of data into dst, in order.
-func (s *section) pack(dst, data []float64) { s.walk(dst, data, false) }
-
-// unpack stores src, in order, into the section's elements of data.
-func (s *section) unpack(data, src []float64) { s.walk(src, data, true) }
-
 // walk moves elems elements between the message buffer buf (contiguous)
-// and the array storage data (strided): the innermost varying dimension
+// and the array storage data (strided), out of data or (store) into it,
+// in order: the innermost varying dimension
 // is one strided run (a copy when its stride is 1), the outer ones an
 // odometer.
 func (s *section) walk(buf, data []float64, store bool) {
@@ -190,133 +204,105 @@ func (c *commSite) bounds(fr *frame, b *bounds) error {
 	return fr.nd.takeErr()
 }
 
-// peerOf evaluates the statement's partner processor.
-func (c *commSite) peerOf(fr *frame) (int, error) {
-	q := c.peer.eval(fr)
-	return q, fr.nd.takeErr()
+// open starts a statement that moves a section of an array: the array,
+// the section clipped to it and the partner processor (destination,
+// source or root, if any). ok is false when there is nothing to do.
+func (c *commSite) open(fr *frame) (arr *Array, bx box, peer int, ok bool, err error) {
+	if arr, err = c.begin(fr); err != nil {
+		return
+	}
+	var b bounds
+	if err = c.bounds(fr, &b); err != nil || b.empty {
+		return
+	}
+	if bx, err = clip(arr, &b); err != nil {
+		return arr, bx, 0, false, fmt.Errorf("%s %s: %v", c.what, c.array, err)
+	}
+	peer = c.peer.eval(fr)
+	err = fr.nd.takeErr()
+	return arr, bx, peer, err == nil, err
 }
 
-// clipped evaluates the statement's section against arr. ok is false
-// when the section is empty before clipping, which every statement
-// treats as "nothing to do".
-func (c *commSite) clipped(fr *frame, arr *Array) (bx box, ok bool, err error) {
-	var b bounds
-	if err := c.bounds(fr, &b); err != nil || b.empty {
-		return bx, false, err
+// partner is open for a point-to-point statement, which has nothing to
+// do either when its partner is no other processor or no element is left.
+func (c *commSite) partner(fr *frame) (arr *Array, bx box, peer int, ok bool, err error) {
+	arr, bx, peer, ok, err = c.open(fr)
+	return arr, bx, peer, ok && peer >= 0 && peer < fr.nd.pl.nproc && peer != fr.nd.p && bx.elems > 0, err
+}
+
+// rooted is open for a broadcast, whose root must be a processor. (A
+// section that clips to nothing still runs the zero-word tree.)
+func (c *commSite) rooted(fr *frame) (arr *Array, bx box, root int, ok bool, err error) {
+	arr, bx, root, ok, err = c.open(fr)
+	if ok && (root < 0 || root >= fr.nd.pl.nproc) {
+		ok, err = false, fmt.Errorf("%s %s: bad root %d", c.what, c.array, root)
 	}
-	bx, err = clip(arr, &b)
-	if err != nil {
-		return bx, false, fmt.Errorf("%s %s: %v", c.what, c.array, err)
-	}
-	return bx, true, nil
+	return
 }
 
 func (c *commSite) send(fr *frame) error {
-	nd := fr.nd
-	arr, err := c.begin(fr)
-	if err != nil {
-		return err
-	}
-	bx, ok, err := c.clipped(fr, arr)
+	arr, bx, dest, ok, err := c.partner(fr)
 	if !ok {
 		return err
 	}
-	dest, err := c.peerOf(fr)
-	if err != nil {
-		return err
-	}
-	if dest < 0 || dest >= nd.pl.nproc || dest == nd.p || bx.elems == 0 {
-		return nil
-	}
 	// stage the payload in the machine's scratch buffer, one reused
 	// buffer per processor, so generated sends allocate nothing
-	sec := bx.section()
-	data := nd.proc.Scratch(sec.elems)
-	sec.pack(data, arr.Data)
-	nd.proc.Send(dest, data)
+	data := fr.nd.proc.Scratch(bx.elems)
+	arr.gather(&bx, data)
+	fr.nd.proc.Send(dest, data)
 	return nil
 }
 
 func (c *commSite) recv(fr *frame) error {
-	nd := fr.nd
-	arr, err := c.begin(fr)
-	if err != nil {
-		return err
-	}
-	bx, ok, err := c.clipped(fr, arr)
+	arr, bx, src, ok, err := c.partner(fr)
 	if !ok {
 		return err
 	}
-	src, err := c.peerOf(fr)
-	if err != nil {
-		return err
-	}
-	if src < 0 || src >= nd.pl.nproc || src == nd.p || bx.elems == 0 {
-		return nil
-	}
-	data := nd.proc.Recv(src)
+	data := fr.nd.proc.Recv(src)
 	if len(data) != bx.elems {
 		return fmt.Errorf("recv %s: message size %d != section size %d (proc %d from %d)",
-			c.array, len(data), bx.elems, nd.p, src)
+			c.array, len(data), bx.elems, fr.nd.p, src)
 	}
-	sec := bx.section()
-	sec.unpack(arr.Data, data)
+	arr.deliver(c, &bx, data)
 	return nil
-}
-
-// root evaluates and range-checks a broadcast's root.
-func (c *commSite) root(fr *frame) (int, error) {
-	root, err := c.peerOf(fr)
-	if err == nil && (root < 0 || root >= fr.nd.pl.nproc) {
-		err = fmt.Errorf("%s %s: bad root %d", c.what, c.array, root)
-	}
-	return root, err
 }
 
 func (c *commSite) broadcast(fr *frame) error {
 	nd := fr.nd
-	arr, err := c.begin(fr)
-	if err != nil {
-		return err
-	}
-	bx, ok, err := c.clipped(fr, arr)
+	arr, bx, root, ok, err := c.rooted(fr)
 	if !ok {
 		return err
 	}
-	root, err := c.root(fr)
-	if err != nil {
-		return err
-	}
-	// a section that clips to nothing still runs the (zero-word) tree
-	sec := bx.section()
 	var data []float64
 	if nd.p == root {
-		data = nd.proc.Scratch(sec.elems)
-		sec.pack(data, arr.Data)
+		data = nd.proc.Scratch(bx.elems)
+		arr.gather(&bx, data)
 	}
 	data = nd.proc.Broadcast(root, data)
 	if nd.p != root {
-		if len(data) != sec.elems {
-			return fmt.Errorf("broadcast %s: size mismatch %d != %d", c.array, len(data), sec.elems)
+		if len(data) != bx.elems {
+			return fmt.Errorf("broadcast %s: size mismatch %d != %d", c.array, len(data), bx.elems)
 		}
-		sec.unpack(arr.Data, data)
+		arr.deliver(c, &bx, data)
 	}
 	return nil
 }
 
 // postedOp is one in-flight split-phase operation: the machine handle
 // plus where the payload lands when the wait completes. The array and
-// the clipped section are captured at post time, so the wait stores
-// into exactly the section the post named. Ops are pooled per node.
+// the section's bounds are captured at post time, so the wait delivers
+// exactly the section the post named, as the post's site. Ops are
+// pooled per node.
 type postedOp struct {
 	h      machine.Handle
+	site   *commSite
 	arr    *Array
-	sec    section
+	sec    bounds
 	isRoot bool // bcast: this processor supplied the data; nothing to store
 }
 
 // post files a pooled op under the statement's tag.
-func (nd *node) post(tag int, arr *Array, sec section) *postedOp {
+func (c *commSite) post(nd *node, arr *Array, bx *box) *postedOp {
 	var po *postedOp
 	if n := len(nd.freeOps); n > 0 {
 		po = nd.freeOps[n-1]
@@ -324,26 +310,10 @@ func (nd *node) post(tag int, arr *Array, sec section) *postedOp {
 	} else {
 		po = new(postedOp)
 	}
-	po.arr, po.sec, po.isRoot = arr, sec, false
-	nd.posted[tag] = po
+	po.site, po.arr, po.isRoot = c, arr, false
+	po.sec = bounds{n: bx.n, lo: bx.lo, hi: bx.hi}
+	nd.posted[c.tag] = po
 	return po
-}
-
-// complete waits for the op posted under tag (nil: the post's guard was
-// false, nothing is in flight) and returns its payload. The caller
-// hands the op back with release once the payload is stored.
-func (nd *node) complete(tag int) (*postedOp, []float64) {
-	po := nd.posted[tag]
-	if po == nil {
-		return nil, nil
-	}
-	nd.posted[tag] = nil
-	return po, nd.proc.WaitHandle(&po.h)
-}
-
-func (nd *node) release(po *postedOp) {
-	po.arr = nil
-	nd.freeOps = append(nd.freeOps, po)
 }
 
 // postRecv posts the receive half of a split halo exchange. Like recv
@@ -352,43 +322,11 @@ func (nd *node) release(po *postedOp) {
 // too, which is what makes the schedule pass's unguarded waits safe
 // under the post's original guard.
 func (c *commSite) postRecv(fr *frame) error {
-	nd := fr.nd
-	arr, err := c.begin(fr)
-	if err != nil {
-		return err
+	arr, bx, src, ok, err := c.partner(fr)
+	if ok {
+		fr.nd.proc.IRecvInto(&c.post(fr.nd, arr, &bx).h, src)
 	}
-	bx, ok, err := c.clipped(fr, arr)
-	if !ok {
-		return err
-	}
-	src, err := c.peerOf(fr)
-	if err != nil {
-		return err
-	}
-	if src < 0 || src >= nd.pl.nproc || src == nd.p || bx.elems == 0 {
-		return nil
-	}
-	po := nd.post(c.tag, arr, bx.section())
-	nd.proc.IRecvInto(&po.h, src)
-	return nil
-}
-
-// waitRecv completes the postRecv with the same tag, storing the
-// message into the section captured at post time.
-func (c *commSite) waitRecv(fr *frame) error {
-	nd := fr.nd
-	nd.proc.SetContext(c.unit, c.line, c.op)
-	po, data := nd.complete(c.tag)
-	if po == nil {
-		return nil
-	}
-	if len(data) != po.sec.elems {
-		return fmt.Errorf("waitrecv %s: message size %d != section size %d (proc %d)",
-			c.array, len(data), po.sec.elems, nd.p)
-	}
-	po.sec.unpack(po.arr.Data, data)
-	nd.release(po)
-	return nil
+	return err
 }
 
 // postBcast posts the send half of a split-phase broadcast: the root's
@@ -396,138 +334,73 @@ func (c *commSite) waitRecv(fr *frame) error {
 // for.
 func (c *commSite) postBcast(fr *frame) error {
 	nd := fr.nd
-	arr, err := c.begin(fr)
-	if err != nil {
-		return err
-	}
-	bx, ok, err := c.clipped(fr, arr)
+	arr, bx, root, ok, err := c.rooted(fr)
 	if !ok {
 		return err
 	}
-	root, err := c.root(fr)
-	if err != nil {
-		return err
-	}
-	po := nd.post(c.tag, arr, bx.section())
+	po := c.post(nd, arr, &bx)
 	var data []float64
-	if nd.p == root {
-		po.isRoot = true
-		data = nd.proc.Scratch(po.sec.elems)
-		po.sec.pack(data, arr.Data)
+	if po.isRoot = nd.p == root; po.isRoot {
+		data = nd.proc.Scratch(bx.elems)
+		arr.gather(&bx, data)
 	}
 	nd.proc.PostBcastInto(&po.h, root, data)
 	return nil
 }
 
-// waitBcast completes the postBcast with the same tag.
-func (c *commSite) waitBcast(fr *frame) error {
+// wait completes the postRecv or postBcast with the same tag, if one is
+// in flight (none: the post's guard was false): the message is
+// delivered as the section captured at post time, unless this processor
+// supplied it, and the op goes back to the pool.
+func (c *commSite) wait(fr *frame) error {
 	nd := fr.nd
 	nd.proc.SetContext(c.unit, c.line, c.op)
-	po, data := nd.complete(c.tag)
+	po := nd.posted[c.tag]
 	if po == nil {
 		return nil
 	}
+	nd.posted[c.tag] = nil
+	data := nd.proc.WaitHandle(&po.h)
 	if !po.isRoot { // the root supplied the data; its copy is current
-		if len(data) != po.sec.elems {
-			return fmt.Errorf("waitbcast %s: size mismatch %d != %d", c.array, len(data), po.sec.elems)
+		switch bx, _ := clip(po.arr, &po.sec); {
+		case len(data) == bx.elems:
+			po.arr.deliver(po.site, &bx, data)
+		case c.what == "waitrecv":
+			return fmt.Errorf("waitrecv %s: message size %d != section size %d (proc %d)", c.array, len(data), bx.elems, nd.p)
+		default:
+			return fmt.Errorf("waitbcast %s: size mismatch %d != %d", c.array, len(data), bx.elems)
 		}
-		po.sec.unpack(po.arr.Data, data)
 	}
-	nd.release(po)
+	po.arr = nil
+	nd.freeOps = append(nd.freeOps, po)
 	return nil
 }
 
-// ownerParts groups the box's element offsets by owning processor under
-// arr's distribution: owner q's offsets, in row-major order, are
-// offs[start[q]:start[q+1]]. Elements no processor of this machine owns
-// are left out. The slices are node scratch, valid until the next call.
-func (nd *node) ownerParts(arr *Array, bx *box) (offs, start []int, err error) {
-	np := nd.pl.nproc
-	dim := arr.Dist.DistDim()
-	if dim >= bx.n {
-		return nil, nil, fmt.Errorf("distributed dimension %d of a %d-dimensional section", dim+1, bx.n)
-	}
-	start = resize(&nd.partStart, np+1)
-	clear(start)
-	if bx.elems == 0 {
-		return nil, start, nil
-	}
-	// the owner depends on the distributed coordinate only: look each
-	// coordinate up once, and count per owner from the coordinate's slab
-	owner := resize(&nd.ownerTab, bx.ext[dim])
-	slab := bx.elems / bx.ext[dim]
-	for i := range owner {
-		o := arr.Dist.OwnerIndex(bx.lo[dim] + i)
-		if o < 0 || o >= np {
-			o = -1
-		} else {
-			start[o+1] += slab
-		}
-		owner[i] = o
-	}
-	pos := resize(&nd.partPos, np)
-	for q := 0; q < np; q++ {
-		pos[q] = start[q]
-		start[q+1] += start[q]
-	}
-	offs = resize(&nd.partOffs, start[np])
-	var idx [maxRank]int
-	off := bx.base
-	for {
-		if o := owner[idx[dim]]; o >= 0 {
-			offs[pos[o]] = off
-			pos[o]++
-		}
-		d := bx.n - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			off += bx.str[d]
-			if idx[d] < bx.ext[d] {
-				break
-			}
-			off -= idx[d] * bx.str[d]
-			idx[d] = 0
-		}
-		if d < 0 {
-			return offs, start, nil
-		}
-	}
-}
-
-// resize returns *buf with length n, growing it when needed.
-func resize(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// allGather makes a distributed section fully replicated. It is
+// allGather makes a distributed section known to every processor. It is
 // lowered as a binomial gather of owner blocks to processor 0 followed
 // by a tree broadcast of the concatenation: 2(P-1) messages on
 // 2·ceil(log2 P) critical-path steps.
 func (c *commSite) allGather(fr *frame) error {
 	nd := fr.nd
 	np, p := nd.pl.nproc, nd.p
-	arr, err := c.begin(fr)
-	if err != nil {
-		return err
+	arr, bx, _, ok, err := c.open(fr)
+	if !ok || bx.elems == 0 || np == 1 || arr.Dist == nil || arr.Dist.IsReplicated() {
+		return err // nothing to gather, or the data is everywhere already
 	}
-	if arr.Dist == nil || arr.Dist.IsReplicated() {
-		return nil // data already everywhere
+	dim := arr.Dist.DistDim()
+	// owner q's part of the section, in message order; every processor
+	// computes the same part sizes, so the concatenation's layout
+	// (ascending owner) needs no headers and both ends of every link
+	// agree on whether a block range is empty
+	part := func(q int) window { return newWindow(arr.Dist, q, bx.lo[dim], bx.hi[dim]) }
+	if cap(nd.partStart) <= np {
+		nd.partStart = make([]int, np+1)
 	}
-	bx, ok, err := c.clipped(fr, arr)
-	if !ok || np == 1 {
-		return err
+	start, slab := nd.partStart[:np+1], bx.elems/bx.ext[dim]
+	for q := range np {
+		w := part(q)
+		start[q+1] = start[q] + slab*w.n
 	}
-	offs, start, err := nd.ownerParts(arr, &bx)
-	if err != nil {
-		return fmt.Errorf("allgather %s: %v", c.array, err)
-	}
-	// every processor computes the same part sizes, so the
-	// concatenation's layout (ascending owner) needs no headers and
-	// both ends of every link agree on whether a block range is empty
 	rangeWords := func(lo, hi int) int { return start[min(hi, np)] - start[lo] }
 	total := rangeWords(0, np)
 	if total == 0 {
@@ -538,10 +411,11 @@ func (c *commSite) allGather(fr *frame) error {
 	// bit k set sends its range to p-k and leaves
 	buf := nd.proc.Scratch(total)
 	n := 0
-	for _, o := range offs[start[p]:start[p+1]] {
-		buf[n] = arr.Data[o]
+	mine := part(p)
+	arr.each(&bx, &mine, func(idx [maxRank]int) {
+		buf[n] = arr.load(&idx)
 		n++
-	}
+	})
 	for k := 1; k < np; k <<= 1 {
 		if p&k != 0 {
 			if n > 0 {
@@ -562,15 +436,22 @@ func (c *commSite) allGather(fr *frame) error {
 		}
 	}
 	// processor 0 now holds the full concatenation; the tree broadcast
-	// distributes it and every processor unpacks by the shared layout
-	// (offs is already in ascending-owner order)
+	// distributes it and every processor puts it in message order, in the
+	// site's buffer, to deliver it
 	full := nd.proc.Broadcast(0, buf[:n])
 	if len(full) != total {
 		return fmt.Errorf("allgather %s: gathered %d words, want %d", c.array, len(full), total)
 	}
-	for i, o := range offs {
-		arr.Data[o] = full[i]
+	stage := arr.buffer(c, &bx)
+	n = 0
+	for q := range np {
+		w := part(q)
+		arr.each(&bx, &w, func(idx [maxRank]int) {
+			off, _, _ := stage.run(&idx, &[maxRank]int{}, 1, bx.n)
+			stage.data[off], n = full[n], n+1
+		})
 	}
+	arr.deliver(c, &bx, stage.data)
 	return nil
 }
 
@@ -643,10 +524,11 @@ func (lw *lowerer) globalReduce(st *ast.GlobalReduce) stmtFn {
 	}
 }
 
-// remap moves an array between two distributions. A physical remap is
-// simulated as a full exchange of the owned regions, so every
-// processor's copy stays fully valid, and charged at the true remap
-// volume.
+// remap moves an array between two distributions: every owner sends its
+// old share to every partner, which keeps of it what its new window
+// holds, and the move is charged at the true remap volume. An in-place
+// remap (the values are dead) moves nothing and leaves the new window
+// NaN. The storage the old layout leaves behind serves the next remap.
 func (lw *lowerer) remap(st *ast.Remap) stmtFn {
 	c := lw.comm(st, "remap", "remap", st.Array, nil, nil, 0)
 	to := decomp.NewDecomp(st.To...)
@@ -665,50 +547,66 @@ func (lw *lowerer) remap(st *ast.Remap) stmtFn {
 		if err != nil {
 			return fmt.Errorf("remap %s: %v", c.array, err)
 		}
-		old := arr.Dist
+		old, next := arr.Dist, *arr
+		next.Dist = newDist
+		next.win = nd.window(&next)
+		// keep stores data, the elements with a distributed subscript of
+		// w's in order, where the new window holds them
+		keep := func(w *window, data []float64) {
+			if nw := next.win; nw != nil && w != nil && w.dim == nw.dim && !nw.any(w.lo, w.hi) {
+				return
+			}
+			k := 0
+			arr.each(nil, w, func(idx [maxRank]int) {
+				if off := next.local(&idx); off >= 0 {
+					next.Data[off] = data[k]
+				}
+				k++
+			})
+		}
+		if arr.win != nil || next.win != nil {
+			next.Data, next.spare = poisoned(arr.spare, next.size(next.win)), arr.Data
+			for _, b := range next.bufs {
+				b.data = b.data[:0]
+			}
+			if !st.InPlace {
+				keep(arr.win, arr.Data)
+			}
+		}
 		if st.InPlace || old == nil || old.IsReplicated() {
-			arr.Dist = newDist
+			*arr = next
 			return nil
 		}
 		if words := old.RemapWords(newDist); words > 0 {
-			var b bounds
-			b.n = len(arr.Lo)
-			copy(b.lo[:], arr.Lo)
-			copy(b.hi[:], arr.Hi)
-			bx, _ := clip(arr, &b)
-			offs, start, err := nd.ownerParts(arr, &bx)
-			if err != nil {
-				return fmt.Errorf("remap %s: %v", c.array, err)
-			}
-			mine := offs[start[p]:start[p+1]]
-			if len(mine) > 0 {
-				data := nd.proc.Scratch(len(mine))
-				for i, o := range mine {
-					data[i] = arr.Data[o]
-				}
-				for q := 0; q < np; q++ {
+			dim := old.DistDim()
+			share := func(q int) window { return newWindow(old, q, arr.Lo[dim], arr.Hi[dim]) }
+			w := share(p)
+			if n := arr.size(&w); n > 0 {
+				data, k := nd.proc.Scratch(n), 0
+				arr.each(nil, &w, func(idx [maxRank]int) {
+					data[k] = arr.Data[arr.local(&idx)]
+					k++
+				})
+				for q := range np {
 					if q != p {
 						nd.proc.Send(q, data)
 					}
 				}
 			}
-			for q := 0; q < np; q++ {
-				part := offs[start[q]:start[q+1]]
-				if q == p || len(part) == 0 {
-					continue
-				}
-				data := nd.proc.Recv(q)
-				if len(data) != len(part) {
-					return fmt.Errorf("remap %s: message size %d != part size %d (proc %d from %d)",
-						c.array, len(data), len(part), p, q)
-				}
-				for i, o := range part {
-					arr.Data[o] = data[i]
+			for q := range np {
+				w := share(q)
+				if n := arr.size(&w); q != p && n > 0 {
+					data := nd.proc.Recv(q)
+					if len(data) != n {
+						return fmt.Errorf("remap %s: message size %d != part size %d (proc %d from %d)",
+							c.array, len(data), n, p, q)
+					}
+					keep(&w, data)
 				}
 			}
 			nd.proc.CountRemap(words/np, np-1)
 		}
-		arr.Dist = newDist
+		*arr = next
 		return nil
 	}
 }

@@ -12,10 +12,11 @@ import (
 // offset of a reference is affine in the iteration number. Such a loop
 // is lowered with one cursor per array reference; on entry the cursors
 // are positioned (arrays resolved, invariant subscripts evaluated once,
-// both ends of the iteration range checked against every bound) and the
-// body then loads and stores data[off], with off += stride per
-// iteration. Whatever cannot be established on entry — an unknown
-// array, a rank mismatch, a subscript that leaves its bounds on any
+// both ends of the iteration range checked against every bound and
+// placed in one piece of storage, Array.place) and the body then loads
+// and stores data[off], with off += stride per iteration. Whatever
+// cannot be established on entry — an unknown array, a rank mismatch, a
+// subscript that leaves its bounds or its piece of storage on any
 // iteration, an invariant that fails to evaluate, two names for one
 // scalar — leaves the frame as it was, and the same closures subscript
 // every reference the general way, so errors read and fire as ever.
@@ -270,35 +271,37 @@ func (cl *cursorLoop) position(fr *frame, l, h, s int) bool {
 		return false
 	}
 	nd := fr.nd
+	n := d/a + 1
 	for k, r := range cl.refs {
 		arr := fr.bind[r.slot].arr
 		if arr == nil || len(arr.Lo) != len(r.subs) {
 			return false
 		}
-		off, stride := 0, 0
+		var first, step [maxRank]int
 		for dim := range r.subs {
 			lo, hi := arr.Lo[dim], arr.Hi[dim]
 			sub := &r.subs[dim]
-			var first, step int
 			if r.ivar&(1<<dim) != 0 {
-				first, step = l+sub.k, s
+				first[dim], step[dim] = l+sub.k, s
 				if end := last + sub.k; end < lo || end > hi {
 					return false
 				}
 			} else {
-				first = sub.eval(fr)
+				first[dim] = sub.eval(fr)
 				if nd.err != nil {
 					nd.takeErr()
 					return false
 				}
 			}
-			if first < lo || first > hi {
+			if first[dim] < lo || first[dim] > hi {
 				return false
 			}
-			ext := hi - lo + 1
-			off, stride = off*ext+first-lo, stride*ext+step
 		}
-		fr.curs[k] = cursor{data: arr.Data, off: off, stride: stride}
+		data, off, stride, ok := arr.place(&first, &step, n)
+		if !ok {
+			return false
+		}
+		fr.curs[k] = cursor{data: data, off: off, stride: stride}
 	}
 	return true
 }

@@ -441,38 +441,43 @@ func (lw *lowerer) arrayRef(name string, subs []ast.Expr) (*arrayRef, int) {
 	return r, ops
 }
 
-// offset evaluates the subscripts against arr and returns the element's
-// offset in arr.Data, or -1 with the failure parked in the node.
-func (r *arrayRef) offset(fr *frame, arr *Array) int {
+// elem evaluates the subscripts against arr and returns the element as
+// this processor holds it: in its window or a site buffer, or else the
+// node's hole, which reads as NaN. A failure is parked in the node and
+// nil returned.
+func (r *arrayRef) elem(fr *frame, arr *Array) *float64 {
 	var idx [maxRank]int
 	switch len(r.subs) {
 	case 1:
 		i := r.subs[0].eval(fr)
-		if len(arr.Lo) == 1 && i >= arr.Lo[0] && i <= arr.Hi[0] {
-			return i - arr.Lo[0]
+		if arr.win == nil && len(arr.Lo) == 1 && i >= arr.Lo[0] && i <= arr.Hi[0] {
+			return &arr.Data[i-arr.Lo[0]]
 		}
 		idx[0] = i
 	case 2:
 		i, j := r.subs[0].eval(fr), r.subs[1].eval(fr)
-		if len(arr.Lo) == 2 && i >= arr.Lo[0] && i <= arr.Hi[0] && j >= arr.Lo[1] && j <= arr.Hi[1] {
-			return (i-arr.Lo[0])*(arr.Hi[1]-arr.Lo[1]+1) + (j - arr.Lo[1])
+		if arr.win == nil && len(arr.Lo) == 2 && i >= arr.Lo[0] && i <= arr.Hi[0] && j >= arr.Lo[1] && j <= arr.Hi[1] {
+			return &arr.Data[(i-arr.Lo[0])*(arr.Hi[1]-arr.Lo[1]+1)+(j-arr.Lo[1])]
 		}
 		idx[0], idx[1] = i, j
 	default:
 		if len(r.subs) > maxRank {
 			fr.nd.fail(fmt.Errorf("%s: %s: %d subscripts exceed the limit of %d", r.unit, r.name, len(r.subs), maxRank))
-			return -1
+			return nil
 		}
 		for k := range r.subs {
 			idx[k] = r.subs[k].eval(fr)
 		}
 	}
-	off, err := arr.index(idx[:len(r.subs)])
-	if err != nil {
+	if _, err := arr.index(idx[:len(r.subs)]); err != nil {
 		fr.nd.fail(fmt.Errorf("%s: %s: %v", r.unit, r.name, err))
-		return -1
+		return nil
 	}
-	return off
+	if p := arr.at(&idx); p != nil {
+		return p
+	}
+	fr.nd.hole = math.NaN()
+	return &fr.nd.hole
 }
 
 func (r *arrayRef) unknown() error {
@@ -490,16 +495,16 @@ func (r *arrayRef) load() exprFn {
 			fr.nd.fail(r.unknown())
 			return 0
 		}
-		off := r.offset(fr, arr)
-		if off < 0 {
-			return 0
+		if p := r.elem(fr, arr); p != nil {
+			return *p
 		}
-		return arr.Data[off]
+		return 0
 	}
 }
 
 // store lowers an assignment to the element: the right-hand side is
-// evaluated first, then the array is looked up and subscripted.
+// evaluated first, then the array is looked up and subscripted. A store
+// to an element the processor does not hold is dropped.
 func (r *arrayRef) store(rhs operand, flops int) stmtFn {
 	return func(fr *frame) error {
 		nd := fr.nd
@@ -517,11 +522,11 @@ func (r *arrayRef) store(rhs operand, flops int) stmtFn {
 		if arr == nil {
 			return r.unknown()
 		}
-		off := r.offset(fr, arr)
+		p := r.elem(fr, arr)
 		if nd.err != nil {
 			return nd.takeErr()
 		}
-		arr.Data[off] = v
+		*p = v
 		nd.proc.Compute(flops)
 		return nil
 	}

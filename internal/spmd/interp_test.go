@@ -129,7 +129,7 @@ func TestIntrinsics(t *testing.T) {
 	}
 	want := []float64{2, 3, 7, 4.5, 4, 10, 3, 3.5}
 	for i, w := range want {
-		if math.Abs(res.Arrays["A"][i]-w) > 1e-12 {
+		if !(math.Abs(res.Arrays["A"][i]-w) <= 1e-12) {
 			t.Errorf("A(%d) = %v, want %v", i+1, res.Arrays["A"][i], w)
 		}
 	}

@@ -21,8 +21,8 @@ const (
 	// maxCallDepth turns runaway recursion, which Fortran 77 forbids,
 	// into an error instead of a goroutine stack overflow.
 	maxCallDepth = 4096
-	// maxArrayElems bounds one array (every processor holds a full copy):
-	// a wild declaration is an error, not an out-of-memory kill.
+	// maxArrayElems bounds one array (a processor may hold all of it): a
+	// wild declaration is an error, not an out-of-memory kill.
 	maxArrayElems = 1 << 26
 	// pollEvery is how many DO iterations pass between checks of the
 	// machine's abort flag, so a loop that neither computes nor
@@ -46,10 +46,11 @@ var errReturn = errors.New("return")
 
 // plan is a whole program lowered for one run.
 type plan struct {
-	main  *procPlan
-	nproc int
-	dists map[string]*decomp.Dist // initial distributions of main-program arrays
-	ntags int                     // distinct split-phase tags (node.posted's length)
+	main    *procPlan
+	nproc   int
+	dists   map[string]*decomp.Dist                               // initial distributions of main-program arrays
+	overlap func(proc, array string, dim, block int) (lo, hi int) // Options.Overlap
+	ntags   int                                                   // distinct split-phase tags (node.posted's length)
 }
 
 // procPlan is one lowered procedure. A name keeps one slot for its
@@ -118,10 +119,11 @@ type node struct {
 	posted  []*postedOp
 	freeOps []*postedOp
 	// seed holds Options.Init while the main program's frame is built:
-	// an array it names starts as a copy of its values.
-	seed map[string][]float64
-	// allgather/remap scratch (ownerParts)
-	partOffs, partStart, partPos, ownerTab []int
+	// an array it names starts with the values of the elements this
+	// processor owns.
+	seed      map[string][]float64
+	hole      float64 // stands in for an element not held (arrayRef.elem)
+	partStart []int   // allgather scratch: where each owner's part starts
 }
 
 func (nd *node) fail(err error) {
@@ -351,21 +353,57 @@ func (nd *node) allocArray(fr *frame, d *decl) (*Array, error) {
 		}
 		size *= ext
 	}
-	if vals, ok := nd.seed[name]; ok {
-		if len(vals) != size {
-			return nil, &InitError{Array: name, Values: len(vals), Elems: size}
-		}
-		// a clone is written once; make + copy would zero it first
-		arr.Data = append([]float64(nil), vals...)
-	} else {
-		arr.Data = make([]float64, size)
+	vals, seeded := nd.seed[name]
+	if seeded && len(vals) != size {
+		return nil, &InitError{Array: name, Values: len(vals), Elems: size}
 	}
 	// the distribution table is keyed by main-program names; frames
-	// entered from the main program see it too
-	if nd.pl.dists != nil && len(nd.stack) == 0 {
-		arr.Dist = nd.pl.dists[name]
+	// entered from the main program see it too (unless the rank differs)
+	if d := nd.pl.dists[name]; d != nil && len(nd.stack) == 0 && len(d.Sizes) == len(arr.Lo) {
+		arr.Dist = d
 	}
+	if fr.pp == nd.pl.main {
+		arr.name = name
+	}
+	if arr.win = nd.window(arr); arr.win == nil {
+		if seeded {
+			// a clone is written once; make + copy would zero it first
+			arr.Data = append([]float64(nil), vals...)
+		} else {
+			arr.Data = make([]float64, size)
+		}
+		return arr, nil
+	}
+	// the own share starts as vals or zero, the overlap region as NaN
+	arr.Data = poisoned(nil, arr.size(arr.win))
+	dim := arr.win.dim
+	own := newWindow(arr.Dist, nd.p, arr.Lo[dim], arr.Hi[dim])
+	arr.each(nil, &own, func(idx [maxRank]int) {
+		v := 0.0
+		if seeded {
+			at, _ := arr.index(idx[:len(arr.Lo)])
+			v = vals[at]
+		}
+		arr.Data[arr.local(&idx)] = v
+	})
 	return arr, nil
+}
+
+// window returns what this processor stores of a: its share of a
+// distributed main-program array, a BLOCK with its overlap region (nil: all).
+func (nd *node) window(a *Array) *window {
+	d, pl := a.Dist, nd.pl
+	if a.name == "" || pl.nproc == 1 || d == nil || d.IsReplicated() {
+		return nil
+	}
+	dim := d.DistDim()
+	w := newWindow(d, nd.p, a.Lo[dim], a.Hi[dim])
+	if pl.overlap != nil && w.k == 0 && w.n > 0 {
+		lo, hi := pl.overlap(pl.main.name, a.name, dim, w.n) // the paper's REAL X(30)
+		w.lo, w.hi = max(a.Lo[dim], w.lo+lo-1), min(a.Hi[dim], w.lo+hi-1)
+		w.n = w.hi - w.lo + 1
+	}
+	return &w
 }
 
 // ---------------------------------------------------------------------------
@@ -544,11 +582,11 @@ func (lw *lowerer) stmt(s ast.Stmt) stmtFn {
 	case *ast.PostRecv:
 		return lw.comm(st, "postrecv", "post", st.Array, st.Sec, st.Src, st.Tag).postRecv
 	case *ast.WaitRecv:
-		return lw.comm(st, "waitrecv", "wait", st.Array, nil, nil, st.Tag).waitRecv
+		return lw.comm(st, "waitrecv", "wait", st.Array, nil, nil, st.Tag).wait
 	case *ast.PostBcast:
 		return lw.comm(st, "postbcast", "bcast", st.Array, st.Sec, st.Root, st.Tag).postBcast
 	case *ast.WaitBcast:
-		return lw.comm(st, "waitbcast", "bcast", st.Array, nil, nil, st.Tag).waitBcast
+		return lw.comm(st, "waitbcast", "bcast", st.Array, nil, nil, st.Tag).wait
 	case *ast.Remap:
 		return lw.remap(st)
 	case *ast.GlobalReduce:

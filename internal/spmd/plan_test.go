@@ -292,7 +292,7 @@ func TestRunawayRecursionIsAnError(t *testing.T) {
 // strided columns, contiguous rows, clipped and empty sections.
 func TestSectionWalker(t *testing.T) {
 	arr := &Array{Lo: []int{1, 0, 2}, Hi: []int{4, 3, 6}}
-	arr.Data = make([]float64, arr.Size())
+	arr.Data = make([]float64, arr.size(nil))
 	for i := range arr.Data {
 		arr.Data[i] = float64(i)
 	}
@@ -321,14 +321,14 @@ func TestSectionWalker(t *testing.T) {
 			t.Fatalf("%v: %d elements, oracle enumerates %d", sec, s.elems, len(offs))
 		}
 		packed := make([]float64, s.elems)
-		s.pack(packed, arr.Data)
+		s.walk(packed, arr.Data, false)
 		for i, o := range offs {
 			if packed[i] != arr.Data[o] {
 				t.Fatalf("%v: packed[%d] = %v, want element at offset %d", sec, i, packed[i], o)
 			}
 		}
 		into := make([]float64, len(arr.Data))
-		s.unpack(into, packed)
+		s.walk(packed, into, true)
 		for i, o := range offs {
 			if into[o] != packed[i] {
 				t.Fatalf("%v: unpack missed offset %d", sec, o)

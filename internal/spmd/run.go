@@ -2,7 +2,9 @@
 // MIMD machine: every processor runs the same program text as one node
 // program of the machine, with my$p = myproc() selecting its behavior,
 // exactly as the compiler's output would run on the nodes of a
-// distributed-memory machine. The program is lowered once per run
+// distributed-memory machine, each holding its own share of a
+// distributed array and nothing of the rest (storage.go). The program
+// is lowered once per run
 // to an execution plan — identifiers resolved to frame slots,
 // statements and expressions compiled to Go closures, flop counts fixed
 // statically — that all processors share read-only (lower.go, expr.go,
@@ -23,50 +25,21 @@ import (
 	"fortd/internal/trace"
 )
 
-// Array is one array's simulated storage: a full-size copy per
-// processor (memory is not the simulated resource; messages and time
-// are), plus the distribution descriptor used by allgather and remap.
-type Array struct {
-	Data []float64
-	Lo   []int // per-dim declared lower bound
-	Hi   []int
-	Dist *decomp.Dist
-}
-
-// Size returns the total element count.
-func (a *Array) Size() int {
-	n := 1
-	for i := range a.Lo {
-		n *= a.Hi[i] - a.Lo[i] + 1
-	}
-	return n
-}
-
-// index maps a subscript list to a flat row-major offset.
-func (a *Array) index(idx []int) (int, error) {
-	if len(idx) != len(a.Lo) {
-		return 0, fmt.Errorf("%d subscripts for a rank-%d array", len(idx), len(a.Lo))
-	}
-	off := 0
-	for d := range idx {
-		if idx[d] < a.Lo[d] || idx[d] > a.Hi[d] {
-			return 0, fmt.Errorf("index %d out of bounds [%d:%d] in dim %d", idx[d], a.Lo[d], a.Hi[d], d)
-		}
-		off = off*(a.Hi[d]-a.Lo[d]+1) + (idx[d] - a.Lo[d])
-	}
-	return off, nil
-}
-
 // Options configures a run.
 type Options struct {
 	// Dists assigns initial distribution descriptors to the main
 	// program's arrays (array name → dist). Arrays not listed are
 	// replicated.
 	Dists map[string]*decomp.Dist
+	// Overlap reports the local extent lo:hi the compiler estimated (§5.6)
+	// for a block 1:block with its overlap region in dimension dim of a
+	// main-program array; a processor stores that much. nil: the block.
+	Overlap func(proc, array string, dim, block int) (lo, hi int)
 	// Init seeds main-program arrays before execution (array → values
-	// in row-major global order); every processor gets a copy. A slice
-	// whose length is not its array's element count fails the run with
-	// an *InitError; a name that is no main-program array is ignored.
+	// in row-major global order); each processor takes the elements it
+	// owns. A slice whose length is not its array's element count fails
+	// the run with an *InitError; a name that is no main-program array
+	// is ignored.
 	Init map[string][]float64
 	// InitScalars seeds main-program scalars.
 	InitScalars map[string]float64
@@ -88,6 +61,8 @@ type RunResult struct {
 	// Arrays holds the main program's arrays assembled from the owning
 	// processors (the logically-global result).
 	Arrays map[string][]float64
+	// siteBufs counts the site buffers made for main-program arrays.
+	siteBufs int
 }
 
 // Run executes the program on p processors under the given machine
@@ -109,6 +84,7 @@ func RunContext(ctx context.Context, prog *ast.Program, cfg machine.Config, opts
 		return nil, errors.New("spmd: program has no main unit")
 	}
 	pl := lower(prog, cfg.P, opts.Dists)
+	pl.overlap = opts.Overlap
 	if err := pl.checkInit(opts.Init); err != nil {
 		return nil, err
 	}
@@ -261,39 +237,31 @@ func RunSequentialContext(ctx context.Context, prog *ast.Program, opts Options) 
 			Deadline: opts.Deadline})
 }
 
-// assemble merges per-processor copies: each element is taken from its
+// assemble merges the processors' shares: each element is taken from its
 // owner under the array's final distribution.
 func assemble(res *RunResult, mains []map[string]*Array) {
-	if mains[0] == nil {
-		return
-	}
 	for name, arr0 := range mains[0] {
-		out := make([]float64, len(arr0.Data))
+		out := make([]float64, arr0.size(nil))
+		res.Arrays[name] = out
 		dist := arr0.Dist
-		if dist == nil || dist.IsReplicated() || len(mains) == 1 || dist.DistDim() >= len(arr0.Lo) {
+		if dist == nil || dist.IsReplicated() || len(mains) == 1 || len(dist.Sizes) != len(arr0.Lo) {
 			copy(out, arr0.Data)
-			res.Arrays[name] = out
 			continue
 		}
 		dim := dist.DistDim()
-		// iterate all elements; owner by the distributed coordinate
-		sizes := make([]int, len(arr0.Lo))
-		for d := range sizes {
-			sizes[d] = arr0.Hi[d] - arr0.Lo[d] + 1
-		}
-		idx := make([]int, len(sizes))
-		for flat := 0; flat < len(out); flat++ {
-			rem := flat
-			for d := len(sizes) - 1; d >= 0; d-- {
-				idx[d] = rem%sizes[d] + arr0.Lo[d]
-				rem /= sizes[d]
+		for q, m := range mains {
+			arr := m[name]
+			if arr == nil {
+				continue
 			}
-			owner := dist.OwnerIndex(idx[dim])
-			if owner < 0 || owner >= len(mains) || mains[owner] == nil {
-				owner = 0
-			}
-			out[flat] = mains[owner][name].Data[flat]
+			res.siteBufs += len(arr.bufs)
+			own := newWindow(dist, q, arr0.Lo[dim], arr0.Hi[dim])
+			arr0.each(nil, &own, func(idx [maxRank]int) {
+				if off := arr.local(&idx); off >= 0 {
+					at, _ := arr0.index(idx[:len(arr0.Lo)])
+					out[at] = arr.Data[off]
+				}
+			})
 		}
-		res.Arrays[name] = out
 	}
 }

@@ -55,7 +55,7 @@ func TestTestdataPrograms(t *testing.T) {
 				for name, want := range ref.Arrays {
 					got := res.Arrays[name]
 					for i := range want {
-						if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+						if !(math.Abs(got[i]-want[i]) <= 1e-9*(1+math.Abs(want[i]))) {
 							t.Fatalf("%v: %s[%d] = %v, want %v", strategy, name, i, got[i], want[i])
 						}
 					}
