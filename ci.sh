@@ -29,8 +29,15 @@ test -z "$(gofmt -l .)"
 # compiler fixes, and was allowed its measured net growth, at most +300,
 # none of it moved into _test.go: 25081 -> 25381 (the statements'
 # shared prologues and the two waits in spmd/comm.go paid for 86 of
-# storage.go's lines)
-LOC_CEILING=25381
+# storage.go's lines). PR 22 (2026-10-04) bought a run-time-library
+# capability — a remap is the all-to-all personalized exchange, every
+# element sent once to its new owner and costed as its messages
+# (spmd/comm.go exchange and deal, storage.go window.owner and
+# Array.moves) — and was allowed its measured net growth, at most +60,
+# none of it moved into _test.go: 25381 -> 25440 (git numstat: 140 lines
+# added, 76 removed — the full exchange, its per-sender reject and the
+# clamp in machine.CountRemap among them)
+LOC_CEILING=25440
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -231,10 +231,19 @@ func TestWorkloadGeneratorsParse(t *testing.T) {
 // processors, compute what the sequential reference computes and send
 // exactly the messages their shape dictates: jacobi steps·2·(P−1) halo
 // cells, dgefa one broadcast tree of P−1 messages per elimination step,
-// the dynamic redistribution its recorded count.
+// the dynamic redistribution six global sums (T = 3 trips × 2 calls, a
+// tree up and a tree down each) and its one physical remap, a message for
+// every pair of processors of which the second owns under CYCLIC an
+// element the first owns under BLOCK.
 func TestScaledWorkloadsP256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three P=256 runs")
+	}
+	remapPairs := map[[2]int]bool{}
+	for i := 0; i < 4096; i++ {
+		if block, cyclic := i/(4096/256), i%256; block != cyclic {
+			remapPairs[[2]int{block, cyclic}] = true
+		}
 	}
 	for _, w := range []struct {
 		name, src string
@@ -243,7 +252,7 @@ func TestScaledWorkloadsP256(t *testing.T) {
 	}{
 		{"jacobi", Jacobi1DSrc(8192, 5, 256), map[string][]float64{"a": Ramp(8192)}, 5 * 2 * 255},
 		{"dgefa", DgefaSrc(128, 256), map[string][]float64{"a": DgefaMatrix(128)}, 127 * 255},
-		{"dyndist", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 133620},
+		{"dyndist", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 6*2*255 + int64(len(remapPairs))},
 	} {
 		prog, err := Compile(w.src, DefaultOptions())
 		if err != nil {

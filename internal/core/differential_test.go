@@ -24,7 +24,8 @@ import (
 // TestDifferentialRandomPrograms is a table-driven property test: every
 // lane draws random programs (array sizes, processor counts, statement
 // mixes) from a fixed seed, compiles them with its strategy and worker
-// count, and checks the SPMD run against the sequential reference. The
+// count, and checks the SPMD run against the sequential reference, both
+// started from the same non-zero arrays (seedArrays). The
 // parallel lanes additionally assert the determinism property — the
 // listing compiled with Jobs=N must equal the Jobs=1 listing — and the
 // cached lane recompiles through a summary cache and asserts the warm
@@ -95,11 +96,12 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 					}
 					c = warm // run the cache-built program against the reference
 				}
-				par, err := spmd.Run(c.Program, machine.DefaultConfig(c.P), spmd.Options{Dists: c.MainDists})
+				init := seedArrays(c.Source)
+				par, err := spmd.Run(c.Program, machine.DefaultConfig(c.P), spmd.Options{Dists: c.MainDists, Init: init})
 				if err != nil {
 					t.Fatalf("trial %d: run: %v\n%s", trial, err, src)
 				}
-				seq, err := spmd.RunSequential(c.Source, spmd.Options{})
+				seq, err := spmd.RunSequential(c.Source, spmd.Options{Init: init})
 				if err != nil {
 					t.Fatalf("trial %d: reference: %v", trial, err)
 				}
@@ -115,6 +117,31 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			}
 		})
 	}
+}
+
+// seedArrays starts every main-program array non-zero and unlike at any
+// two elements, so that an element a message lost, a remap dropped or a
+// processor counted twice cannot equal the reference by being 0 on both
+// sides.
+func seedArrays(prog *ast.Program) map[string][]float64 {
+	init := map[string][]float64{}
+	for _, sym := range prog.Main().Symbols.Symbols() {
+		if sym.Kind != ast.SymArray {
+			continue
+		}
+		size := 1
+		for _, d := range sym.Dims {
+			lo, _ := ast.EvalInt(d.Lo, nil)
+			hi, _ := ast.EvalInt(d.Hi, nil)
+			size *= hi - lo + 1
+		}
+		vals := make([]float64, size)
+		for i := range vals {
+			vals[i] = 0.5 + float64(i*i%7) + 8*float64(i)
+		}
+		init[sym.Name] = vals
+	}
+	return init
 }
 
 func listingOf(c *Compilation) string {

@@ -2,6 +2,7 @@ package spmd
 
 import (
 	"fmt"
+	"slices"
 
 	"fortd/internal/ast"
 	"fortd/internal/decomp"
@@ -393,10 +394,7 @@ func (c *commSite) allGather(fr *frame) error {
 	// (ascending owner) needs no headers and both ends of every link
 	// agree on whether a block range is empty
 	part := func(q int) window { return newWindow(arr.Dist, q, bx.lo[dim], bx.hi[dim]) }
-	if cap(nd.partStart) <= np {
-		nd.partStart = make([]int, np+1)
-	}
-	start, slab := nd.partStart[:np+1], bx.elems/bx.ext[dim]
+	start, slab := nd.counts(np+1), bx.elems/bx.ext[dim]
 	for q := range np {
 		w := part(q)
 		start[q+1] = start[q] + slab*w.n
@@ -524,9 +522,8 @@ func (lw *lowerer) globalReduce(st *ast.GlobalReduce) stmtFn {
 	}
 }
 
-// remap moves an array between two distributions: every owner sends its
-// old share to every partner, which keeps of it what its new window
-// holds, and the move is charged at the true remap volume. An in-place
+// remap moves an array between two distributions. What the old window
+// holds of the new one moves locally, the rest by exchange; an in-place
 // remap (the values are dead) moves nothing and leaves the new window
 // NaN. The storage the old layout leaves behind serves the next remap.
 func (lw *lowerer) remap(st *ast.Remap) stmtFn {
@@ -534,7 +531,6 @@ func (lw *lowerer) remap(st *ast.Remap) stmtFn {
 	to := decomp.NewDecomp(st.To...)
 	return func(fr *frame) error {
 		nd := fr.nd
-		np, p := nd.pl.nproc, nd.p
 		arr, err := c.begin(fr)
 		if err != nil {
 			return err
@@ -543,70 +539,116 @@ func (lw *lowerer) remap(st *ast.Remap) stmtFn {
 		for d := range sizes {
 			sizes[d] = arr.Hi[d] - arr.Lo[d] + 1
 		}
-		newDist, err := decomp.NewDist(to, sizes, np)
+		newDist, err := decomp.NewDist(to, sizes, nd.pl.nproc)
 		if err != nil {
 			return fmt.Errorf("remap %s: %v", c.array, err)
 		}
 		old, next := arr.Dist, *arr
 		next.Dist = newDist
 		next.win = nd.window(&next)
-		// keep stores data, the elements with a distributed subscript of
-		// w's in order, where the new window holds them
-		keep := func(w *window, data []float64) {
-			if nw := next.win; nw != nil && w != nil && w.dim == nw.dim && !nw.any(w.lo, w.hi) {
-				return
-			}
-			k := 0
-			arr.each(nil, w, func(idx [maxRank]int) {
-				if off := next.local(&idx); off >= 0 {
-					next.Data[off] = data[k]
-				}
-				k++
-			})
-		}
 		if arr.win != nil || next.win != nil {
 			next.Data, next.spare = poisoned(arr.spare, next.size(next.win)), arr.Data
 			for _, b := range next.bufs {
 				b.data = b.data[:0]
 			}
 			if !st.InPlace {
-				keep(arr.win, arr.Data)
-			}
-		}
-		if st.InPlace || old == nil || old.IsReplicated() {
-			*arr = next
-			return nil
-		}
-		if words := old.RemapWords(newDist); words > 0 {
-			dim := old.DistDim()
-			share := func(q int) window { return newWindow(old, q, arr.Lo[dim], arr.Hi[dim]) }
-			w := share(p)
-			if n := arr.size(&w); n > 0 {
-				data, k := nd.proc.Scratch(n), 0
-				arr.each(nil, &w, func(idx [maxRank]int) {
-					data[k] = arr.Data[arr.local(&idx)]
+				k := 0
+				arr.each(nil, arr.win, func(idx [maxRank]int) {
+					if off := next.local(&idx); off >= 0 {
+						next.Data[off] = arr.Data[k]
+					}
 					k++
 				})
-				for q := range np {
-					if q != p {
-						nd.proc.Send(q, data)
-					}
-				}
 			}
-			for q := range np {
-				w := share(q)
-				if n := arr.size(&w); q != p && n > 0 {
-					data := nd.proc.Recv(q)
-					if len(data) != n {
-						return fmt.Errorf("remap %s: message size %d != part size %d (proc %d from %d)",
-							c.array, len(data), n, p, q)
-					}
-					keep(&w, data)
-				}
-			}
-			nd.proc.CountRemap(words/np, np-1)
+		}
+		if !st.InPlace && old != nil && !old.IsReplicated() {
+			err = c.exchange(nd, arr, &next)
 		}
 		*arr = next
-		return nil
+		return err
 	}
+}
+
+// exchange is a physical remap's communication, the run-time library's
+// all-to-all personalized exchange: one message to each partner, the
+// elements this processor owned under arr's distribution that the partner
+// owns under next's (none: no message; a replicated target: all of them,
+// to everyone), and the partners' messages stored. Both sides walk their
+// own share in message order, so the k-th element packed for q is the k-th
+// that q expects. The overlap region is left, as on a real machine, to the
+// compiler's messages, and the remap costs what its messages cost.
+func (c *commSite) exchange(nd *node, arr, next *Array) error {
+	np, p := nd.pl.nproc, nd.p
+	odim, ndim := arr.Dist.DistDim(), next.Dist.DistDim()
+	own := newWindow(arr.Dist, p, arr.Lo[odim], arr.Hi[odim])
+	var mine *window // nil: a replicated target, everything
+	if ndim >= 0 {
+		w := newWindow(next.Dist, p, arr.Lo[ndim], arr.Hi[ndim])
+		if mine = &w; !arr.moves(&own, mine) {
+			return nil
+		}
+	}
+	data := nd.proc.Scratch(arr.size(&own))
+	start := nd.deal(arr, &own, func(idx [maxRank]int) int {
+		if mine == nil {
+			return p // one group, for every partner
+		}
+		return mine.owner(idx[ndim])
+	}, func(k int, idx [maxRank]int) { data[k] = arr.Data[arr.local(&idx)] })
+	for q := range np {
+		part := data[start[q]:start[q+1]]
+		if mine == nil {
+			part = data
+		}
+		if q != p && len(part) > 0 {
+			nd.proc.Send(q, part)
+		}
+	}
+	n := next.size(mine)
+	nd.place = slices.Grow(nd.place[:0], n)[:n]
+	start = nd.deal(next, mine, func(idx [maxRank]int) int { return own.owner(idx[odim]) },
+		func(k int, idx [maxRank]int) { nd.place[k] = next.local(&idx) })
+	for q := range np {
+		at := nd.place[start[q]:start[q+1]]
+		if q == p || len(at) == 0 {
+			continue
+		}
+		data := nd.proc.Recv(q)
+		if len(data) != len(at) {
+			return fmt.Errorf("remap %s: message size %d != part size %d (proc %d from %d)",
+				c.array, len(data), len(at), p, q)
+		}
+		for k, v := range data {
+			next.Data[at[k]] = v
+		}
+	}
+	nd.proc.CountRemap(0, 0) // marks the remap in trace and Stats
+	return nil
+}
+
+// deal arranges the elements of a with a distributed subscript of w's
+// (nil: all), walked in message order, in one group per processor, the one
+// to names: put gets each element's position, and group q is positions
+// start[q] to start[q+1] (scratch, good until the next deal or allgather).
+func (nd *node) deal(a *Array, w *window, to func(idx [maxRank]int) int, put func(k int, idx [maxRank]int)) (start []int) {
+	// c[q+2] counts group q; summed, c[q+1] is where q starts, then where
+	// its next element goes
+	c := nd.counts(nd.pl.nproc + 2)
+	a.each(nil, w, func(idx [maxRank]int) { c[to(idx)+2]++ })
+	for q := 3; q < len(c); q++ {
+		c[q] += c[q-1]
+	}
+	a.each(nil, w, func(idx [maxRank]int) {
+		q := to(idx)
+		put(c[q+1], idx)
+		c[q+1]++
+	})
+	return c
+}
+
+// counts returns the node's integer scratch, n zeros.
+func (nd *node) counts(n int) []int {
+	nd.partStart = slices.Grow(nd.partStart[:0], n)[:n]
+	clear(nd.partStart)
+	return nd.partStart
 }

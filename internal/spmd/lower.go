@@ -123,7 +123,8 @@ type node struct {
 	// processor owns.
 	seed      map[string][]float64
 	hole      float64 // stands in for an element not held (arrayRef.elem)
-	partStart []int   // allgather scratch: where each owner's part starts
+	partStart []int   // allgather and remap scratch: where each processor's part starts
+	place     []int   // remap scratch: where in the new window each element received goes
 }
 
 func (nd *node) fail(err error) {

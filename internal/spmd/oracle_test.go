@@ -1046,39 +1046,52 @@ func (it *treeInterp) execRemap(f *treeFrame, st *ast.Remap) error {
 		arr.Dist = newDist
 		return nil
 	}
-	words := old.RemapWords(newDist)
-	if words > 0 {
-		// physical remap: exchange so every processor's copy is fully
-		// valid (simulated as a full exchange of the owned regions,
-		// charged at the true remap volume)
-		fullSec := make([][2]int, len(arr.Lo))
-		for d := range fullSec {
-			fullSec[d] = [2]int{arr.Lo[d], arr.Hi[d]}
+	if old.RemapWords(newDist) > 0 {
+		// physical remap, the personalized exchange spelled out: for every
+		// ordered pair of processors, the elements that belonged to the
+		// first and now belong to the second, found by testing every
+		// element of the array; this processor plays the first of the
+		// pair for its sends and the second for its receives. (A
+		// replicated target belongs to everyone.)
+		odim, ndim := old.DistDim(), newDist.DistDim()
+		moving := func(from, to int) []int {
+			var offs []int
+			idx := append([]int(nil), arr.Lo...)
+			for d := len(idx) - 1; d >= 0; {
+				if old.OwnerIndex(idx[odim]) == from && (ndim < 0 || newDist.OwnerIndex(idx[ndim]) == to) {
+					off, _ := arr.index(idx)
+					offs = append(offs, off)
+				}
+				for d = len(idx) - 1; d >= 0; d-- {
+					if idx[d]++; idx[d] <= arr.Hi[d] {
+						break
+					}
+					idx[d] = arr.Lo[d]
+				}
+			}
+			return offs
 		}
-		parts := it.ownerParts(arr, fullSec)
-		var data []float64
-		if len(parts[it.p]) > 0 {
-			data = it.proc.Scratch(len(parts[it.p]))
-			for i, o := range parts[it.p] {
-				data[i] = arr.Data[o]
+		for q := 0; q < it.nproc; q++ {
+			if offs := moving(it.p, q); q != it.p && len(offs) > 0 {
+				data := it.proc.Scratch(len(offs))
+				for i, o := range offs {
+					data[i] = arr.Data[o]
+				}
+				it.proc.Send(q, data)
 			}
 		}
 		for q := 0; q < it.nproc; q++ {
-			if q == it.p || len(parts[it.p]) == 0 {
-				continue
-			}
-			it.proc.Send(q, data)
-		}
-		for q := 0; q < it.nproc; q++ {
-			if q == it.p || len(parts[q]) == 0 {
-				continue
-			}
-			data := it.proc.Recv(q)
-			for i, o := range parts[q] {
-				arr.Data[o] = data[i]
+			if offs := moving(q, it.p); q != it.p && len(offs) > 0 {
+				data := it.proc.Recv(q)
+				if len(data) != len(offs) {
+					return fmt.Errorf("remap %s: %d words from %d, want %d", st.Array, len(data), q, len(offs))
+				}
+				for i, o := range offs {
+					arr.Data[o] = data[i]
+				}
 			}
 		}
-		it.proc.CountRemap(words/it.nproc, it.nproc-1)
+		it.proc.CountRemap(0, 0)
 	}
 	arr.Dist = newDist
 	return nil

@@ -242,20 +242,21 @@ type window struct {
 	dim       int // the distributed dimension
 	lo, hi, n int // lo > hi: none
 	// CYCLIC(k) dealt to np processors, of which this is p's share
-	// (k = 0: BLOCK, every subscript from lo to hi)
-	k, np, p int
-	shift    int // a multiple of k·np that makes every subscript positive
-	base     int // p's subscripts below lo
+	// (k = 0: BLOCK in runs of b, every subscript from lo to hi)
+	k, b, np, p int
+	shift       int // a multiple of k·np that makes every subscript positive
+	base        int // p's subscripts below lo
 }
 
 // newWindow is processor p's own share of subscripts lo..hi under dist.
 func newWindow(dist *decomp.Dist, p, lo, hi int) window {
-	w := window{dim: dist.DistDim(), np: dist.P, p: p, lo: 1}
+	b := max(dist.BlockSize(), 1)
+	w := window{dim: dist.DistDim(), np: dist.P, p: p, lo: 1, b: b}
 	if hi < lo || p >= w.np {
 		return w
 	}
 	if dist.Specs[w.dim].Kind != ast.DistBlock {
-		w.k, w.lo, w.hi = max(dist.BlockSize(), 1), lo, hi
+		w.k, w.lo, w.hi = b, lo, hi
 		if period := w.k * w.np; lo < 1 {
 			w.shift = (period - lo) / period * period
 		}
@@ -265,7 +266,6 @@ func newWindow(dist *decomp.Dist, p, lo, hi int) window {
 	}
 	// runs of b counted from subscript 1; the first and the last
 	// processor take what lies beyond them
-	b := max(dist.BlockSize(), 1)
 	if p > 0 {
 		lo = max(lo, p*b+1)
 	}
@@ -276,6 +276,31 @@ func newWindow(dist *decomp.Dist, p, lo, hi int) window {
 		w.lo, w.hi, w.n = lo, hi, hi-lo+1
 	}
 	return w
+}
+
+// owner returns the processor whose share of w's distribution holds i.
+func (w *window) owner(i int) int {
+	if w.k == 0 {
+		return min(max(i-1, 0)/w.b, w.np-1)
+	}
+	return (i - 1 + w.shift) / w.k % w.np
+}
+
+// moves reports whether any element of a has another owner by w, a share
+// of its new distribution, than by v, one of its old, stopping at the first.
+func (a *Array) moves(v, w *window) bool {
+	for i := a.Lo[v.dim]; i <= a.Hi[v.dim]; i++ {
+		lo, hi, was := i, i, v.owner(i) // lo..hi: the subscripts in w.dim of the elements with i in v.dim
+		if w.dim != v.dim {
+			lo, hi = a.Lo[w.dim], a.Hi[w.dim]
+		}
+		for j := lo; j <= hi; j++ {
+			if was != w.owner(j) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // count is the number of p's subscripts up to i under CYCLIC(k).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fortd/internal/ast"
@@ -78,6 +79,9 @@ func TestWindowLayout(t *testing.T) {
 				for i := lo; i <= hi; i++ {
 					for p, a := range shares {
 						slot := a.win.slot(i)
+						if got := a.win.owner(i); got != ownerOf(spec, np, hi-lo+1, i) {
+							t.Fatalf("%s: processor %d's window says %d owns subscript %d, it is %d", name, p, got, i, ownerOf(spec, np, hi-lo+1, i))
+						}
 						if (slot >= 0) != (p == ownerOf(spec, np, hi-lo+1, i)) {
 							t.Fatalf("%s: subscript %d has slot %d on processor %d, its owner is %d", name, i, slot, p, ownerOf(spec, np, hi-lo+1, i))
 						}
@@ -158,16 +162,17 @@ func TestWindowLayout(t *testing.T) {
 	}
 }
 
-// nodeArrays runs src on p processors and returns every processor's
-// main-program arrays as the node program left them.
-func nodeArrays(t *testing.T, src string, p int, dists map[string]*decomp.Dist) []map[string]*Array {
+// nodeArrays runs src on p processors, its arrays seeded with init, and
+// returns every processor's main-program arrays as the node program left
+// them, and the machine's statistics.
+func nodeArrays(t *testing.T, src string, p int, dists map[string]*decomp.Dist, init map[string][]float64) ([]map[string]*Array, machine.Stats) {
 	t.Helper()
 	pl := lower(parseProg(t, src), p, dists)
 	m := machine.New(machine.DefaultConfig(p))
 	out := make([]map[string]*Array, p)
 	for pid := 0; pid < p; pid++ {
 		m.Go(pid, func(proc *machine.Proc) {
-			arrays, err := pl.run(proc, Options{})
+			arrays, err := pl.run(proc, Options{Init: init})
 			if err != nil {
 				t.Error(err)
 			}
@@ -177,7 +182,7 @@ func nodeArrays(t *testing.T, src string, p int, dists map[string]*decomp.Dist) 
 	if err := m.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out, m.Stats()
 }
 
 // TestMissingMessageIsNaN: a node program that reads a neighbour's
@@ -233,7 +238,7 @@ func TestMissingMessageIsNaN(t *testing.T) {
 func TestSiteBufferReuse(t *testing.T) {
 	buffers := func(iters int) (count, capacity int) {
 		dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{16, 16}, 4)
-		nodes := nodeArrays(t, fmt.Sprintf(`
+		nodes, _ := nodeArrays(t, fmt.Sprintf(`
       PROGRAM P
       REAL a(16,16)
       do k = 1, %d
@@ -243,7 +248,7 @@ func TestSiteBufferReuse(t *testing.T) {
         waitbcast a tag 7
       enddo
       END
-`, iters), 4, map[string]*decomp.Dist{"a": dist})
+`, iters), 4, map[string]*decomp.Dist{"a": dist}, nil)
 		for _, arrays := range nodes {
 			for _, b := range arrays["a"].bufs {
 				count++
@@ -262,11 +267,83 @@ func TestSiteBufferReuse(t *testing.T) {
 // TestRemapKeepsSharesAndStorage: BLOCK → CYCLIC → BLOCK round trips
 // keep every value with its new owner, leave a processor holding its
 // share only, and after the first trip reuse the two pieces of storage
-// the first one allocated.
+// the first one allocated. A remap delivers to owners, and only by
+// message: after each step of BLOCK → CYCLIC → BLOCK and of (BLOCK,:) →
+// (:,BLOCK) → (BLOCK,:) over a ramp, every processor holds the ramp on
+// all of its new share, the way back regrows no storage, and every
+// message sent was received.
 func TestRemapKeepsSharesAndStorage(t *testing.T) {
+	room := func(nodes []map[string]*Array) (n int) {
+		for _, arrays := range nodes {
+			n += cap(arrays["x"].Data) + cap(arrays["x"].spare)
+		}
+		return n
+	}
+	for _, c := range []struct {
+		decl  string
+		sizes []int
+		steps [3]string // the initial distribution, there, and back
+	}{
+		{"x(24)", []int{24}, [3]string{"BLOCK", "CYCLIC", "BLOCK"}},
+		{"x(12,12)", []int{12, 12}, [3]string{"BLOCK,:", ":,BLOCK", "BLOCK,:"}},
+	} {
+		for _, np := range []int{3, 4, 6} {
+			elems := 1
+			for _, n := range c.sizes {
+				elems *= n
+			}
+			ramp := make([]float64, elems)
+			for i := range ramp {
+				ramp[i] = float64(3*i + 1)
+			}
+			specs := func(step string) (out []ast.DistSpec) {
+				for _, f := range strings.Split(step, ",") {
+					out = append(out, map[string]ast.DistSpec{"BLOCK": decomp.Block, "CYCLIC": decomp.Cyclic, ":": decomp.Collapsed}[f])
+				}
+				return out
+			}
+			rooms := [3]int{}
+			for steps := 1; steps <= 2; steps++ {
+				src := "      PROGRAM P\n      REAL " + c.decl + "\n"
+				for _, step := range c.steps[1 : steps+1] {
+					src += "      remap x(" + step + ")\n"
+				}
+				dist := decomp.MustDist(decomp.NewDecomp(specs(c.steps[0])...), c.sizes, np)
+				nodes, stats := nodeArrays(t, src+"      END\n", np, map[string]*decomp.Dist{"x": dist}, map[string][]float64{"x": ramp})
+				rooms[steps] = room(nodes)
+				var sent, received int64
+				for _, ps := range stats.PerProc {
+					sent, received = sent+ps.Sent, received+ps.Received
+				}
+				if sent != received || sent == 0 || stats.Remaps != int64(steps) {
+					t.Errorf("%s P=%d, %d remaps: %d messages sent, %d received, %d remaps counted", c.decl, np, steps, sent, received, stats.Remaps)
+				}
+				final := decomp.MustDist(decomp.NewDecomp(specs(c.steps[steps])...), c.sizes, np)
+				for p, arrays := range nodes {
+					x := arrays["x"]
+					dim := final.DistDim()
+					own, held := newWindow(final, p, x.Lo[dim], x.Hi[dim]), 0
+					x.each(nil, &own, func(idx [maxRank]int) {
+						at, _ := x.index(idx[:len(x.Lo)])
+						if got := x.load(&idx); got != ramp[at] {
+							t.Errorf("%s P=%d after remap to (%s): processor %d holds %v at %v, want %v", c.decl, np, c.steps[steps], p, got, idx[:len(x.Lo)], ramp[at])
+						}
+						held++
+					})
+					if held != len(ramp)/np || len(x.Data) != held {
+						t.Errorf("%s P=%d after remap to (%s): processor %d owns %d elements and stores %d, want %d", c.decl, np, c.steps[steps], p, held, len(x.Data), len(ramp)/np)
+					}
+				}
+			}
+			if rooms[1] != 2*len(ramp) || rooms[2] != rooms[1] {
+				t.Errorf("%s P=%d: room for %d elements after the way there, %d after the way back, want %d both times", c.decl, np, rooms[1], rooms[2], 2*len(ramp))
+			}
+		}
+	}
+
 	run := func(trips int) []map[string]*Array {
 		dist := decomp.MustDist(decomp.NewDecomp(decomp.Block), []int{24}, 4)
-		return nodeArrays(t, fmt.Sprintf(`
+		nodes, _ := nodeArrays(t, fmt.Sprintf(`
       PROGRAM P
       REAL x(24)
       my$p = myproc()
@@ -281,13 +358,8 @@ func TestRemapKeepsSharesAndStorage(t *testing.T) {
         remap x(BLOCK)
       enddo
       END
-`, trips), 4, map[string]*decomp.Dist{"x": dist})
-	}
-	room := func(nodes []map[string]*Array) (n int) {
-		for _, arrays := range nodes {
-			n += cap(arrays["x"].Data) + cap(arrays["x"].spare)
-		}
-		return n
+`, trips), 4, map[string]*decomp.Dist{"x": dist}, nil)
+		return nodes
 	}
 	one, five := run(1), run(5)
 	if room(one) != 2*24 || room(five) != room(one) {

@@ -75,9 +75,8 @@ func Fig15Src(T, p int) string {
 // Fig15ScaledSrc generates the Figure 15 dynamic-distribution pattern
 // at an arbitrary array size (Fig15Src pins the paper's X(100)). The
 // scaled workloads (bench/'s dyndist_p256, TestScaledWorkloadsP256)
-// redistribute a larger X across hundreds of processors, where every
-// BLOCK↔CYCLIC remap is a full P×(P-1) message exchange — the stress
-// case for the machine's link state.
+// redistribute a larger X across hundreds of processors: a BLOCK↔CYCLIC
+// remap is a message for every pair of processors that share an element.
 func Fig15ScaledSrc(n, T, p int) string {
 	return fmt.Sprintf(`
       PROGRAM P1
