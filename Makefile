@@ -61,6 +61,5 @@ PPROF ?= 0
 serve: ## run the compile daemon with a disk-persisted summary cache (PPROF=1 mounts /debug/pprof)
 	$(GO) run ./cmd/fdd -addr $(FDD_ADDR) -cache-dir $(FDD_CACHE) $(if $(filter 1,$(PPROF)),-pprof)
 
-SESSIONS ?= 500
-load: ## drive 500 concurrent sessions against a running daemon (make serve first), auditing /metrics consistency
-	$(GO) run ./cmd/fdload -addr http://$(FDD_ADDR) -sessions $(SESSIONS) -scrape
+load: ## the daemon's contracts under concurrent sessions (determinism, §8 cones, 429/503, /metrics identities), in process
+	$(GO) test -run TestDaemonLoad -count=1 -v ./cmd/fdd

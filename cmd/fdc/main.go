@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"fortd"
@@ -108,8 +109,14 @@ func main() {
 		if len(r.RuntimeProcs) > 0 {
 			fmt.Printf("! run-time resolution: %v\n", r.RuntimeProcs)
 		}
-		for clone, orig := range prog.Clones() {
-			fmt.Printf("! clone %s <- %s\n", clone, orig)
+		clones := prog.Clones()
+		names := make([]string, 0, len(clones))
+		for clone := range clones {
+			names = append(names, clone)
+		}
+		sort.Strings(names)
+		for _, clone := range names {
+			fmt.Printf("! clone %s <- %s\n", clone, clones[clone])
 		}
 	}
 	if *explainText {

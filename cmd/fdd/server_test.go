@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fortd"
 	"fortd/internal/metrics"
@@ -304,8 +310,8 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 	if got := snap.Value("fdd_runs_total", "outcome", "ok"); got != 1 {
 		t.Errorf("runs ok = %v, want 1", got)
 	}
-	if hits := snap.Value("fdd_cache_hits_total"); hits == 0 {
-		t.Error("warm recompile produced no cache hits")
+	if hits := snap.Value("fdd_cache_hits_total", "tier", "memory"); hits == 0 {
+		t.Error("warm recompile produced no memory-tier cache hits")
 	}
 	// Latency histograms count one observation per service request.
 	if c, n := snap.Value("fdd_compile_seconds_count"), snap.Value("fdd_compiles_total"); c != n {
@@ -315,7 +321,7 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 		t.Errorf("run histogram count %v != runs_total %v", c, n)
 	}
 	// HTTP layer: 3 ok + 1 parse failure on /compile.
-	if got := snap.Value("fdd_http_requests_total", "route", "/compile", "status", "200"); got != 2 {
+	if got := snap.Value("fdd_http_requests_total", "route", "/compile", "method", "POST", "status", "200"); got != 2 {
 		t.Errorf("http /compile 200 = %v, want 2", got)
 	}
 	if got := snap.Value("fdd_http_requests_total", "route", "/compile", "status", "400"); got != 1 {
@@ -554,5 +560,327 @@ func TestDaemonProfileRoundTrip(t *testing.T) {
 	w, _ = do(t, h2, "GET", "/profile/"+profileID, nil)
 	if w.Code != http.StatusOK || w.Body.String() != body {
 		t.Errorf("restarted daemon serves different artifact (status %d)", w.Code)
+	}
+}
+
+// The load test's program: one main program calling two independent
+// stencil sweeps. Editing sweepa's coefficient changes only its own
+// body hash (same communication summary, so MAIN's consumed inputs are
+// unchanged); editing the shift distance changes sweepa's delayed
+// communication, which MAIN consumes, so MAIN is invalidated with it.
+// sweepb is untouched by every variant and must never be re-analyzed
+// after the priming compile.
+func loadSrc(coef string, shift int) string {
+	return fmt.Sprintf(`
+      PROGRAM MAIN
+      PARAMETER (n$proc = 4)
+      REAL a(64), b(64)
+      DISTRIBUTE a(BLOCK)
+      DISTRIBUTE b(BLOCK)
+      call sweepa(a)
+      call sweepb(b)
+      END
+      SUBROUTINE sweepa(x)
+      REAL x(64)
+      do i = %d, 63
+        x(i) = %s * x(i-%d) + 1.0
+      enddo
+      END
+      SUBROUTINE sweepb(x)
+      REAL x(64)
+      do i = 2, 63
+        x(i) = 0.5 * x(i+1) + 1.0
+      enddo
+      END
+`, shift+1, coef, shift)
+}
+
+// The load test's sizes. The pool and the token bucket are small so
+// that the rejection paths are part of the load: the sessions start
+// against a full pool, and one session outruns its bucket.
+const (
+	loadSessions = 64 // concurrent sessions (16 under -short)
+	loadIters    = 4  // requests per session: one of each kind of the mix
+	loadRetries  = 60 // times one request is retried on 429/503 before it counts as dropped
+	loadWorkers  = 2
+	loadQueue    = 2
+	loadRate     = 10 // tokens per second and session
+	loadBurst    = 8
+)
+
+// loadClient is the daemon's client under TestDaemonLoad: it posts
+// through the handler stack and holds what must be equal across
+// sessions.
+type loadClient struct {
+	t *testing.T
+	h http.Handler
+
+	n429, n503 atomic.Int64 // throttle responses seen (each is retried)
+
+	mu       sync.Mutex
+	listings map[string]string // program id -> SPMD listing
+	stats    map[string]string // program id -> run statistics summary
+	profiles map[string]string // program id -> profile artifact id
+}
+
+// same records val as what kind of result program id produces, and
+// fails when an earlier request got a different one.
+func (c *loadClient) same(kind string, m map[string]string, id, val string) {
+	c.mu.Lock()
+	prev, seen := m[id]
+	if !seen {
+		m[id] = val
+	}
+	c.mu.Unlock()
+	if seen && prev != val {
+		c.t.Errorf("%s of program %.12s differs between requests:\n%s\n---\n%s", kind, id, prev, val)
+	}
+}
+
+// post sends one JSON request and decodes its 200 into resp. A 429 or
+// 503 — the daemon's rate-limit and queue-full fast failures — must
+// say what it is, and is retried with capped exponential backoff the
+// way a production client would; any other status fails the test.
+func (c *loadClient) post(path string, body map[string]any, resp any) bool {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		c.t.Error(err)
+		return false
+	}
+	backoff := time.Millisecond
+	for attempt := 0; attempt <= loadRetries; attempt++ {
+		w := httptest.NewRecorder()
+		c.h.ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(buf)))
+		switch w.Code {
+		case http.StatusOK:
+			if err := json.Unmarshal(w.Body.Bytes(), resp); err != nil {
+				c.t.Errorf("%s: bad JSON: %v\n%s", path, err, w.Body.String())
+				return false
+			}
+			return true
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			kind, seen := "overloaded", &c.n503
+			if w.Code == http.StatusTooManyRequests {
+				kind, seen = "rate-limit", &c.n429
+				if secs, err := strconv.Atoi(w.Header().Get("Retry-After")); err != nil || secs < 1 {
+					c.t.Errorf("429 without a Retry-After in whole seconds: %q", w.Header().Get("Retry-After"))
+				}
+			}
+			seen.Add(1)
+			var e struct {
+				Error struct{ Kind string }
+			}
+			if json.Unmarshal(w.Body.Bytes(), &e); e.Error.Kind != kind {
+				c.t.Errorf("%d of kind %q, want %s", w.Code, e.Error.Kind, kind)
+			}
+		default:
+			c.t.Errorf("%s: status %d: %s", path, w.Code, w.Body.String())
+			return false
+		}
+		time.Sleep(backoff)
+		backoff = min(2*backoff, 64*time.Millisecond)
+	}
+	c.t.Errorf("%s: dropped after %d throttle responses", path, loadRetries+1)
+	return false
+}
+
+// compile posts one compile of source and checks the response against
+// the other sessions' and against the edit's §8 invalidation cone.
+func (c *loadClient) compile(session, label, source string, cone ...string) (id string) {
+	var resp struct {
+		ID, Listing string
+		CacheMisses []string
+	}
+	if !c.post("/compile", map[string]any{"session": session, "source": source}, &resp) {
+		return ""
+	}
+	c.same("listing", c.listings, resp.ID, resp.Listing)
+	for _, proc := range resp.CacheMisses {
+		if !slices.Contains(cone, proc) {
+			c.t.Errorf("%s compile re-analyzed %s, outside its invalidation cone %v", label, proc, cone)
+		}
+	}
+	return resp.ID
+}
+
+// session runs one session's mix: (id+it) mod 4 picks a warm
+// recompile, a body edit, an interface edit or a profiled run of the
+// base program (by id once the session has compiled it).
+func (c *loadClient) session(id int) {
+	sess := fmt.Sprintf("s%04d", id)
+	baseID := ""
+	for it := 0; it < loadIters; it++ {
+		switch (id + it) % 4 {
+		case 0:
+			baseID = c.compile(sess, "warm", loadSrc("0.5", 1))
+		case 1:
+			c.compile(sess, "body-edit", loadSrc("0.25", 1), "sweepa")
+		case 2:
+			c.compile(sess, "interface-edit", loadSrc("0.5", 2), "sweepa", "MAIN")
+		case 3:
+			req := map[string]any{
+				"session": sess, "profile": true,
+				"init": map[string][]float64{"a": fortd.Ramp(64), "b": fortd.Ramp(64)},
+			}
+			if baseID != "" {
+				req["id"] = baseID
+			} else {
+				req["source"] = loadSrc("0.5", 1)
+			}
+			var resp struct {
+				ID, ProfileID string
+				Stats         struct{ Summary string }
+			}
+			if !c.post("/run", req, &resp) {
+				continue
+			}
+			c.same("run statistics", c.stats, resp.ID, resp.Stats.Summary)
+			if resp.ProfileID == "" {
+				c.t.Errorf("profiled run of program %.12s returned no profileId", resp.ID)
+			} else {
+				c.same("profile id", c.profiles, resp.ID, resp.ProfileID)
+			}
+		}
+	}
+}
+
+// TestDaemonLoad holds the daemon to its contracts under concurrency.
+// Determinism: every listing returned for one program id is
+// byte-identical across sessions, every run of one id reports the same
+// statistics and stores the same profile artifact. Invalidation (§8 as
+// a cache predicate): after the priming compile a warm recompile is all
+// hits, a body edit re-analyzes at most the edited procedure, an
+// interface edit at most that and its caller. Throttling: every 429
+// and 503 says what it is and the request succeeds when retried. And
+// /metrics accounts for all of it: each request is in exactly one
+// outcome or rejection counter, in its latency histogram, and under the
+// HTTP status its rejection maps to.
+func TestDaemonLoad(t *testing.T) {
+	h := newTestHandler(t, fortd.ServiceConfig{
+		Workers: loadWorkers, QueueDepth: loadQueue, RateLimit: loadRate, RateBurst: loadBurst,
+	})
+	c := &loadClient{t: t, h: h, listings: map[string]string{}, stats: map[string]string{}, profiles: map[string]string{}}
+
+	// Prime the cache with the base program from a session of its own,
+	// so that every edit's cone is measured against a warm sweepb.
+	c.compile("prime", "priming", loadSrc("0.5", 1), "MAIN", "sweepa", "sweepb")
+
+	// One session outruns its token bucket: back to back it drains the
+	// burst far faster than loadRate refills it.
+	for i := 0; i < 10*loadBurst && c.n429.Load() == 0; i++ {
+		c.compile("greedy", "warm", loadSrc("0.5", 1))
+	}
+	if c.n429.Load() == 0 {
+		t.Errorf("%d back-to-back requests of one session never met its rate limit", 10*loadBurst)
+	}
+
+	// Fill the pool — every worker busy, the queue full — with runs
+	// that outlast the test unless their client goes away, and start the
+	// sessions against it: their first requests are 503s.
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	plug, err := json.Marshal(map[string]any{"source": fortd.Jacobi1DSrc(4096, 1<<20, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plugs, sessions sync.WaitGroup
+	for i := 0; i < loadWorkers+loadQueue; i++ {
+		plugs.Add(1)
+		go func() {
+			defer plugs.Done()
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/run", bytes.NewReader(plug)).WithContext(ctx))
+			if w.Code != 499 {
+				t.Errorf("run whose client hung up: status %d, want 499: %s", w.Code, w.Body.String())
+			}
+		}()
+	}
+	waitFor(t, "a full pool", func() bool {
+		_, out := do(t, h, "GET", "/stats", nil)
+		svc := out["service"].(map[string]any)
+		return svc["inFlight"].(float64) == loadWorkers && svc["queued"].(float64) == loadQueue
+	})
+	n := loadSessions
+	if testing.Short() {
+		n = loadSessions / 4
+	}
+	for id := 0; id < n; id++ {
+		sessions.Add(1)
+		go func(id int) {
+			defer sessions.Done()
+			c.session(id)
+		}(id)
+	}
+	waitFor(t, "a 503 from the full pool", func() bool { return c.n503.Load() > 0 })
+	hangUp()
+	plugs.Wait()
+	sessions.Wait()
+	t.Logf("%d sessions x %d requests over %d programs; %d 429s and %d 503s retried",
+		n, loadIters, len(c.listings), c.n429.Load(), c.n503.Load())
+
+	// ServeHTTP returns after the middleware's bookkeeping, so one
+	// scrape after the last response sees every counter settled.
+	snap := scrape(t, h)
+	for _, fam := range []string{
+		"fdd_compiles_total", "fdd_runs_total", "fdd_rejected_total",
+		"fdd_compile_seconds", "fdd_run_seconds",
+		"fdd_run_blocked_share", "fdd_profiles_stored_total",
+		"fdd_cache_hits_total", "fdd_cache_misses_total",
+		"fdd_queue_depth", "fdd_pool_inflight", "fdd_pool_saturation",
+		"fdd_http_requests_total", "fdd_http_request_seconds",
+	} {
+		if _, ok := snap.Families[fam]; !ok {
+			t.Errorf("family %s missing from /metrics", fam)
+		}
+	}
+	compiles, runs, rejected := snap.Value("fdd_compiles_total"), snap.Value("fdd_runs_total"), snap.Value("fdd_rejected_total")
+	if got := snap.Value("fdd_compile_seconds_count"); got != compiles {
+		t.Errorf("fdd_compile_seconds_count %v != sum fdd_compiles_total %v", got, compiles)
+	}
+	if got := snap.Value("fdd_run_seconds_count"); got != runs {
+		t.Errorf("fdd_run_seconds_count %v != sum fdd_runs_total %v", got, runs)
+	}
+	if got, stored := snap.Value("fdd_run_blocked_share_count"), snap.Value("fdd_profiles_stored_total"); got != stored || stored == 0 {
+		t.Errorf("fdd_run_blocked_share_count %v != fdd_profiles_stored_total %v, or no profile stored", got, stored)
+	}
+	requests := 0.0
+	for _, route := range []string{"/compile", "/run"} {
+		n, hist := snap.Value("fdd_http_requests_total", "route", route), snap.Value("fdd_http_request_seconds_count", "route", route)
+		if n != hist {
+			t.Errorf("route %s: fdd_http_requests_total %v != fdd_http_request_seconds_count %v", route, n, hist)
+		}
+		requests += n
+	}
+	if requests != compiles+runs+rejected {
+		t.Errorf("requests %v != outcomes + rejections %v (compiles %v + runs %v + rejected %v)",
+			requests, compiles+runs+rejected, compiles, runs, rejected)
+	}
+	for _, status := range []struct {
+		code    string
+		seen    int64
+		reasons []string
+	}{
+		{"429", c.n429.Load(), []string{"rate-limit"}},
+		{"503", c.n503.Load(), []string{"overload", "closed"}},
+	} {
+		responses, rejections := snap.Value("fdd_http_requests_total", "status", status.code), 0.0
+		for _, reason := range status.reasons {
+			rejections += snap.Value("fdd_rejected_total", "reason", reason)
+		}
+		if responses != rejections || responses != float64(status.seen) || status.seen == 0 {
+			t.Errorf("HTTP %ss %v, %v rejections %v, %ss the sessions saw %d: want equal and >= 1",
+				status.code, responses, status.reasons, rejections, status.code, status.seen)
+		}
+	}
+}
+
+// waitFor polls cond for up to 10s; the deadline only trips when the
+// surrounding machinery has stalled.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s within 10s", what)
+		}
 	}
 }

@@ -10,7 +10,7 @@
 //	fdpaper              # run everything
 //	fdpaper -exp dgefa   # run one experiment:
 //	                     #   table1 fig2v3 fig10v12 fig16 overlap
-//	                     #   dgefa jacobi recompile
+//	                     #   dgefa jacobi adi recompile
 //
 // -trace out.json collects every compile and run of the selected
 // experiments into one Chrome trace_event file; -trace-text prints the

@@ -145,6 +145,15 @@ func TestSharedCacheConcurrentCompiles(t *testing.T) {
 	}
 }
 
+// mustDisk unwraps NewDiskSummaryCache where a test has no use for
+// the error: a temp directory that cannot hold a cache fails the test.
+func mustDisk(c *SummaryCache, err error) *SummaryCache {
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // TestDiskCacheWarm covers the disk tier end to end: a cold compile
 // through a disk-backed cache persists entries; a brand-new cache on
 // the same directory (a "restarted process") serves the whole program
@@ -153,7 +162,7 @@ func TestDiskCacheWarm(t *testing.T) {
 	dir := t.TempDir()
 	src := Jacobi2DSrc(16, 2, 4)
 
-	cold, err := Compile(src, Options{CacheDir: dir})
+	cold, err := Compile(src, Options{Cache: mustDisk(NewDiskSummaryCache(dir))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +194,7 @@ func TestDiskCacheWarm(t *testing.T) {
 
 	// An edited procedure invalidates only its cone, across processes:
 	// the disk tier must serve the untouched procedures.
-	edited, err := Compile(src+"\n", Options{CacheDir: dir})
+	edited, err := Compile(src+"\n", Options{Cache: mustDisk(NewDiskSummaryCache(dir))})
 	_ = edited
 	if err != nil {
 		t.Fatal(err)

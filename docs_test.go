@@ -1,6 +1,7 @@
 package fortd
 
 import (
+	"bytes"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,8 +13,10 @@ import (
 // TestDocsCiteRealTests: every back-quoted Test…, Fuzz… or Benchmark…
 // name in DESIGN.md, EXPERIMENTS.md and README.md is a func in some
 // _test.go of this module or of bench/; a trailing * cites "some
-// function with this prefix". ROADMAP.md is exempt: it names tests
-// still to be written.
+// function with this prefix". Likewise every back-quoted cmd/<name> is
+// a directory under cmd/ and every back-quoted make <target> a target
+// of the Makefile. ROADMAP.md is exempt: it names tests still to be
+// written.
 func TestDocsCiteRealTests(t *testing.T) {
 	funcRe := regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Test|Fuzz|Benchmark)\w*)\(`)
 	var funcs []string
@@ -44,6 +47,20 @@ func TestDocsCiteRealTests(t *testing.T) {
 		return false
 	}
 
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// what a document runs: a command's directory, a make target
+	runs := regexp.MustCompile(`\bcmd/\w+|\bmake [a-z][\w-]*`)
+	runnable := func(cite string) bool {
+		if target, ok := strings.CutPrefix(cite, "make "); ok {
+			return bytes.Contains(makefile, []byte("\n"+target+":"))
+		}
+		fi, err := os.Stat(cite)
+		return err == nil && fi.IsDir()
+	}
+
 	// a citation is a name inside back quotes, alone or within a
 	// command: `TestX`, `TestX/lane`, `go test -run 'TestA|TestB' .`;
 	// a span may wrap over a line end, a fenced block is not a span
@@ -59,10 +76,15 @@ func TestDocsCiteRealTests(t *testing.T) {
 			return strings.Repeat("\n", strings.Count(block, "\n"))
 		})
 		for _, loc := range quoted.FindAllStringIndex(text, -1) {
-			for _, name := range cited.FindAllString(text[loc[0]:loc[1]], -1) {
+			span, line := text[loc[0]:loc[1]], 1+strings.Count(text[:loc[0]], "\n")
+			for _, name := range cited.FindAllString(span, -1) {
 				if !defined(name) {
-					t.Errorf("%s:%d cites %s, which no _test.go defines",
-						doc, 1+strings.Count(text[:loc[0]], "\n"), name)
+					t.Errorf("%s:%d cites %s, which no _test.go defines", doc, line, name)
+				}
+			}
+			for _, cite := range runs.FindAllString(span, -1) {
+				if !runnable(cite) {
+					t.Errorf("%s:%d cites %s, which is not a directory under cmd/ or a target of the Makefile", doc, line, cite)
 				}
 			}
 		}

@@ -226,13 +226,6 @@ type Options struct {
 	// procedure and the callers whose consumed summaries changed (the
 	// paper's §8 recompilation analysis, run as a cache).
 	Cache *SummaryCache
-	// CacheDir, when non-empty, attaches a disk-persisted summary cache
-	// rooted at this directory: entries written by earlier processes are
-	// served warm (see NewDiskSummaryCache). Mutually exclusive with
-	// Cache — to share one cache across compilations and keep the disk
-	// tier, create it once with NewDiskSummaryCache and pass it as
-	// Cache.
-	CacheDir string
 	// Deadline bounds the compilation's wall-clock time (0: none).
 	// CompileContext derives a timeout context from it; a compilation
 	// that exceeds it returns context.DeadlineExceeded.
@@ -286,9 +279,6 @@ func (o Options) Validate() error {
 	}
 	if o.Deadline < 0 {
 		return fmt.Errorf("fortd: Options.Deadline = %v, must be >= 0 (0 disables the deadline)", o.Deadline)
-	}
-	if o.CacheDir != "" && o.Cache != nil {
-		return fmt.Errorf("fortd: Options.CacheDir and Options.Cache are mutually exclusive; pass NewDiskSummaryCache(dir) as Cache to share a disk-backed cache")
 	}
 	return nil
 }
@@ -359,13 +349,6 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Program, er
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	cache := opts.Cache
-	if opts.CacheDir != "" {
-		var err error
-		if cache, err = summarycache.Open(opts.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	if opts.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
@@ -375,7 +358,7 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Program, er
 		P: opts.P, Strategy: opts.Strategy,
 		RemapOpt: opts.RemapOpt, CloneLimit: opts.CloneLimit,
 		Trace: opts.Trace, Explain: opts.Explain,
-		Jobs: opts.Jobs, Cache: cache, Overlap: opts.Overlap,
+		Jobs: opts.Jobs, Cache: opts.Cache, Overlap: opts.Overlap,
 	})
 	if err != nil {
 		return nil, err

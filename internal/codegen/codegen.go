@@ -16,7 +16,6 @@ import (
 	"fortd/internal/comm"
 	"fortd/internal/dataflow"
 	"fortd/internal/livedecomp"
-	"fortd/internal/overlap"
 	"fortd/internal/partition"
 )
 
@@ -49,14 +48,13 @@ func (s Strategy) String() string {
 
 // Input carries one procedure's analyses into code generation.
 type Input struct {
-	Proc    *ast.Procedure
-	Plan    *partition.Plan
-	Comm    *comm.Result
-	Remaps  *livedecomp.Placement
-	Overlap *overlap.Analysis
-	DistOf  partition.DistOf
-	Env     ast.Env
-	P       int
+	Proc   *ast.Procedure
+	Plan   *partition.Plan
+	Comm   *comm.Result
+	Remaps *livedecomp.Placement
+	DistOf partition.DistOf
+	Env    ast.Env
+	P      int
 }
 
 // Result is the generated procedure plus bookkeeping.

@@ -348,7 +348,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 
 	gen, err := codegen.Generate(&codegen.Input{
 		Proc: proc, Plan: plan, Comm: commRes, Remaps: remaps,
-		Overlap: c.Overlaps, DistOf: distOf, Env: env, P: pc.p,
+		DistOf: distOf, Env: env, P: pc.p,
 	})
 	if err != nil {
 		out.err = fmt.Errorf("%s: %v", proc.Name, err)

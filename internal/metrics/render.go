@@ -1,7 +1,7 @@
 package metrics
 
 // Prometheus text exposition rendering (format version 0.0.4) and the
-// matching parser used by scrapers in this repo (fdload -scrape, the
+// matching parser the daemon's tests scrape with (TestDaemonLoad, the
 // daemon's /stats-vs-/metrics cross-check). Families render sorted by
 // name and series sorted by label values, so repeated renders of an
 // unchanged registry are byte-identical — goldenable.

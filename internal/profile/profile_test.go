@@ -421,3 +421,84 @@ func TestZeroDurationShares(t *testing.T) {
 		t.Error("nil profile shares not 0")
 	}
 }
+
+// TestDirStoreDrills: what a crash, a foreign writer or a vanished
+// directory can leave under a store reads as a missing artifact — Get
+// is ErrNotFound, List skips it, Put reports its error — and nothing
+// panics. chmod is not among the drills: it is a no-op for root.
+func TestDirStoreDrills(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// damage is applied to the store's directory after NewDirStore
+		// and one Put; file is the stored artifact's path
+		damage func(t *testing.T, dir, file string)
+		// put is what storing the artifact again must do: "fails" (the
+		// directory takes no write), "redone" (the crashed write
+		// completes and Get serves it) or just "ok" (Put trusts a file
+		// under its final name to hold the bytes the name hashes, so it
+		// does not repair one: ROADMAP item 1(c))
+		put string
+	}{
+		{"truncated entry", func(t *testing.T, dir, file string) {
+			if err := os.Truncate(file, 40); err != nil {
+				t.Fatal(err)
+			}
+		}, "ok"},
+		{"wrong schema", func(t *testing.T, dir, file string) {
+			buf, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Replace(buf, []byte(`"schema": 1`), []byte(`"schema": 2`), 1)
+			if bytes.Equal(old, buf) {
+				t.Fatal("artifact does not record schema 1")
+			}
+			if err := os.WriteFile(file, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "ok"},
+		{"write killed before its rename", func(t *testing.T, dir, file string) {
+			// what Put leaves when it dies between temp and rename
+			tmp := filepath.Join(dir, "."+strings.TrimSuffix(filepath.Base(file), ".json")+".tmp123")
+			if err := os.Rename(file, tmp); err != nil {
+				t.Fatal(err)
+			}
+		}, "redone"},
+		{"directory replaced by a file", func(t *testing.T, dir, file string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "fails"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "profiles")
+			st, err := NewDirStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := sampleProfile(t)
+			id, err := st.Put(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir, st.path(id))
+
+			if got, err := st.Get(id); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Get = %v, %v; want ErrNotFound", got, err)
+			}
+			if list, err := st.List(); err != nil || len(list) != 0 {
+				t.Errorf("List = %+v, %v; want no entries and no error", list, err)
+			}
+			id2, err := st.Put(p)
+			if (err != nil) != (tc.put == "fails") || (err == nil && id2 != id) {
+				t.Fatalf("Put after the damage = %q, %v", id2, err)
+			}
+			if _, err := st.Get(id); tc.put == "redone" && err != nil {
+				t.Errorf("Get after the write was redone: %v", err)
+			}
+		})
+	}
+}

@@ -105,7 +105,11 @@ func (d *disk) store(e *Entry) error {
 		os.Remove(name)
 		return err
 	}
-	return os.Rename(name, d.path(e.Key))
+	if err := os.Rename(name, d.path(e.Key)); err != nil {
+		os.Remove(name)
+		return err
+	}
+	return nil
 }
 
 // load reads the entry stored under key, or nil when there is none (or

@@ -1,10 +1,15 @@
 package summarycache
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"fortd/internal/parser"
 )
 
 func TestHashPartsAreLengthPrefixed(t *testing.T) {
@@ -127,5 +132,103 @@ func TestHasherAddFuncIsAdd(t *testing.T) {
 		if a.Sum() != b.Sum() {
 			t.Errorf("part of %d bytes: AddFunc %s, Add %s", len(part), b.Sum(), a.Sum())
 		}
+	}
+}
+
+// TestDiskDrills: what a crash, an older build or a vanished directory
+// can leave under a cache directory reads as a miss — Get is nil and
+// counted — nothing panics, and a Put that cannot write degrades to
+// memory-only without leaving its temp file behind. chmod is not among
+// the drills: it is a no-op for root.
+func TestDiskDrills(t *testing.T) {
+	unit, err := parser.ParseProcedure("      SUBROUTINE S(x)\n      REAL x(8)\n      x(1) = 1.0\n      END\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := &Entry{Key: Hash("drill"), Proc: "S", Unit: unit}
+	for _, tc := range []struct {
+		name string
+		// damage is applied to the directory after one Put through
+		// another cache on it and after Open of the cache under test;
+		// file is the stored entry's path
+		damage func(t *testing.T, dir, file string)
+	}{
+		{"truncated entry", func(t *testing.T, dir, file string) {
+			if err := os.Truncate(file, 40); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"wrong format", func(t *testing.T, dir, file string) {
+			buf, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Replace(buf, []byte(fmt.Sprintf(`"Format":%d`, diskFormat)), []byte(`"Format":1`), 1)
+			if bytes.Equal(old, buf) {
+				t.Fatalf("entry does not record format %d", diskFormat)
+			}
+			if err := os.WriteFile(file, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"write killed before its rename", func(t *testing.T, dir, file string) {
+			// what store leaves when it dies between temp and rename
+			if err := os.Rename(file, filepath.Join(dir, "."+entry.Key+".tmp123")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"directory replaced by a file", func(t *testing.T, dir, file string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"entry path taken by a directory", func(t *testing.T, dir, file string) {
+			// the temp file is written and the rename onto file fails
+			if err := os.Remove(file); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(file, "child"), 0o777); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cache")
+			writer, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writer.Put(entry)
+			c, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); st.DiskEntries != 1 {
+				t.Fatalf("entry was not persisted: %+v", st)
+			}
+			tc.damage(t, dir, c.disk.path(entry.Key))
+			temps := func() []string {
+				names, _ := filepath.Glob(filepath.Join(dir, ".*.tmp*"))
+				return names
+			}
+			before := temps()
+
+			if e := c.Get(entry.Key); e != nil {
+				t.Errorf("Get = %+v, want a miss", e)
+			}
+			if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.DiskHits != 0 {
+				t.Errorf("Stats = %+v, want one miss and no hit", st)
+			}
+			c.Put(entry)
+			if e := c.Get(entry.Key); e != entry {
+				t.Errorf("Get after Put = %+v, want the entry from memory", e)
+			}
+			if after := temps(); len(after) != len(before) {
+				t.Errorf("Put left a temp file behind: %v (before: %v)", after, before)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ func TestServiceConfigValidate(t *testing.T) {
 	}{
 		{"invalid base options", ServiceConfig{Options: Options{Jobs: -1}}, "Options.Jobs"},
 		{"options carry cache", ServiceConfig{Options: Options{Cache: NewSummaryCache()}}, "must not carry a cache"},
-		{"options carry cache dir", ServiceConfig{Options: Options{CacheDir: "/tmp/x"}}, "must not carry a cache"},
+		{"options carry cache dir", ServiceConfig{Options: Options{Cache: mustDisk(NewDiskSummaryCache(t.TempDir()))}}, "must not carry a cache"},
 		{"options carry trace", ServiceConfig{Options: Options{Trace: NewTrace()}}, "Trace"},
 		{"options carry explain", ServiceConfig{Options: Options{Explain: NewExplain()}}, "Explain"},
 		{"negative workers", ServiceConfig{Workers: -1}, "Workers"},

@@ -206,7 +206,7 @@ func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
 func TestDiskCacheOldFormatMisses(t *testing.T) {
 	dir := t.TempDir()
 	src := DgefaSrc(16, 4)
-	cold, err := Compile(src, Options{CacheDir: dir})
+	cold, err := Compile(src, Options{Cache: mustDisk(NewDiskSummaryCache(dir))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	again, err := Compile(src, Options{CacheDir: dir})
+	again, err := Compile(src, Options{Cache: mustDisk(NewDiskSummaryCache(dir))})
 	if err != nil {
 		t.Fatal(err)
 	}

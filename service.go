@@ -106,7 +106,7 @@ func tagRequest(ctx context.Context, err error) error {
 type ServiceConfig struct {
 	// Options is the base compilation configuration; per-request
 	// options override it field by field at the transport layer. Its
-	// Cache and CacheDir must be unset — the Service owns the cache
+	// Cache must be unset — the Service owns the cache
 	// (set ServiceConfig.CacheDir for the disk tier) — and its Trace
 	// and Explain must be nil (observability is per-request).
 	Options Options
@@ -155,7 +155,7 @@ func (c ServiceConfig) Validate() error {
 	if err := c.Options.Validate(); err != nil {
 		return err
 	}
-	if c.Options.Cache != nil || c.Options.CacheDir != "" {
+	if c.Options.Cache != nil {
 		return fmt.Errorf("fortd: ServiceConfig.Options must not carry a cache; the Service owns it (set ServiceConfig.CacheDir for the disk tier)")
 	}
 	if c.Options.Trace != nil || c.Options.Explain != nil {
@@ -233,9 +233,11 @@ type serviceMetrics struct {
 	// fraction; profilesStored counts artifacts written to the profile
 	// store. Exactly one histogram observation per stored profile, so
 	// fdd_run_blocked_share_count == fdd_profiles_stored_total is a
-	// scrape-time accounting identity (checked by fdload -scrape).
+	// scrape-time accounting identity (checked by cmd/fdd's TestDaemonLoad);
+	// profileErrors counts the artifacts the store could not write.
 	blockedShare   *metrics.Histogram
 	profilesStored *metrics.Counter
+	profileErrors  *metrics.Counter
 }
 
 // outcomeLabel maps a request error onto its counter label.
@@ -268,6 +270,7 @@ func (m *serviceMetrics) register(reg *metrics.Registry, s *Service) {
 	m.blockedShare = reg.Histogram("fdd_run_blocked_share", "Machine-wide blocked fraction of profiled runs (one observation per stored profile).",
 		[]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1})
 	m.profilesStored = reg.Counter("fdd_profiles_stored_total", "Profile artifacts stored by RunRequest.Profile.")
+	m.profileErrors = reg.Counter("fdd_profile_store_errors_total", "Profiled runs answered without a profile id because the profile store could not write the artifact.")
 	locked := func(f func() float64) func() float64 {
 		return func() float64 {
 			s.mu.Lock()
@@ -515,7 +518,7 @@ type CompileRequest struct {
 	Session string
 	// Source is the Fortran D program text.
 	Source string
-	// Options configures the compilation. Cache, CacheDir, Trace and
+	// Options configures the compilation. Cache, Trace and
 	// Explain must be unset: the service attaches its shared cache and
 	// per-request collectors itself.
 	Options Options
@@ -569,7 +572,7 @@ func (s *Service) compileLocked(ctx context.Context, req CompileRequest) (*Compi
 	s.compiles++
 	s.mu.Unlock()
 	opts := req.Options
-	if opts.Cache != nil || opts.CacheDir != "" || opts.Trace != nil || opts.Explain != nil {
+	if opts.Cache != nil || opts.Trace != nil || opts.Explain != nil {
 		return nil, fmt.Errorf("fortd: CompileRequest.Options must not carry a cache, trace or explain; the service owns them")
 	}
 	if err := opts.Validate(); err != nil {
@@ -684,7 +687,7 @@ type RunOutcome struct {
 	Result *Result
 	// ProfileID addresses the stored profile artifact when the request
 	// set Profile (empty otherwise, and for runs whose trace carried no
-	// machine activity).
+	// machine activity, or whose artifact the store could not write).
 	ProfileID string `json:"profileId,omitempty"`
 }
 
@@ -761,7 +764,9 @@ func (s *Service) runLocked(ctx context.Context, req RunRequest) (*RunOutcome, e
 		if pf != nil {
 			pid, err := s.profiles.Put(pf)
 			if err != nil {
-				return nil, fmt.Errorf("fortd: storing profile: %w", err)
+				// the store lost the artifact, not the run
+				s.met.profileErrors.Inc()
+				return out, nil
 			}
 			out.ProfileID = pid
 			s.met.profilesStored.Inc()

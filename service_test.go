@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -234,7 +236,7 @@ func TestServiceRejectsOwnedOptions(t *testing.T) {
 	ctx := context.Background()
 	for _, opts := range []Options{
 		{Cache: NewSummaryCache()},
-		{CacheDir: t.TempDir()},
+		{Cache: mustDisk(NewDiskSummaryCache(t.TempDir()))},
 		{Trace: NewTrace()},
 		{Explain: NewExplain()},
 	} {
@@ -403,5 +405,49 @@ func TestServiceSurvivesCrasherPrograms(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Failures != int64(len(crasherPrograms)) {
 		t.Errorf("stats = %+v, want %d failures", st, len(crasherPrograms))
+	}
+}
+
+// TestServiceRunSurvivesProfileStoreFailure: a profile store that can
+// no longer write (its directory replaced by a file after NewService —
+// chmod is a no-op for root) loses the artifact, not the run: the run
+// returns its stats with no profile id, the loss is counted, and the
+// blocked-share histogram still has one observation per stored profile.
+func TestServiceRunSurvivesProfileStoreFailure(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "profiles")
+	reg := metrics.New()
+	svc := newTestService(t, ServiceConfig{ProfileDir: dir, Metrics: reg})
+	req := RunRequest{Source: Jacobi1DSrc(64, 2, 4), Init: map[string][]float64{"a": Ramp(64)}, Profile: true}
+	ctx := context.Background()
+	stored, err := svc.Run(ctx, req)
+	if err != nil || stored.ProfileID == "" {
+		t.Fatalf("run with a working store: %+v, %v", stored, err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := svc.Run(ctx, req)
+	if err != nil {
+		t.Fatalf("run failed because its profile could not be stored: %v", err)
+	}
+	if got, want := out.Result.Stats.String(), stored.Result.Stats.String(); out.ProfileID != "" || got != want {
+		t.Errorf("run = profile %q, stats %s; want no profile and stats %s", out.ProfileID, got, want)
+	}
+	var buf bytes.Buffer
+	reg.WriteText(&buf)
+	snap, err := metrics.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Value("fdd_runs_total", "outcome", "ok"); got != 2 {
+		t.Errorf("fdd_runs_total{outcome=ok} = %v, want 2", got)
+	}
+	for _, name := range []string{"fdd_profiles_stored_total", "fdd_run_blocked_share_count", "fdd_profile_store_errors_total"} {
+		if got := snap.Value(name); got != 1 {
+			t.Errorf("%s = %v, want 1", name, got)
+		}
 	}
 }

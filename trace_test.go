@@ -220,7 +220,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative clone limit", func(o *Options) { o.CloneLimit = -1 }, "CloneLimit"},
 		{"negative jobs", func(o *Options) { o.Jobs = -4 }, "Options.Jobs"},
 		{"negative deadline", func(o *Options) { o.Deadline = -time.Second }, "Options.Deadline"},
-		{"cache dir and cache", func(o *Options) { o.CacheDir = "/tmp/x"; o.Cache = NewSummaryCache() }, "mutually exclusive"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
