@@ -39,8 +39,15 @@ test -z "$(gofmt -l .)"
 # clamp in machine.CountRemap among them). PR 24 (2026-10-04) retired
 # the load generator into cmd/fdd's tests, nothing added: 25440 -> 24836
 # (cmd/fdload 601, Options.CacheDir and codegen.Input.Overlap 19; two
-# bug fixes and fdc's sorted clone report gave 16 back)
-LOC_CEILING=24836
+# bug fixes and fdc's sorted clone report gave 16 back). PR 25
+# (2026-10-15) bought a global reduction as one recursive-doubling
+# allreduce (machine.AllReduce replacing Reduce plus the broadcast back),
+# coroutine switches and pooled ring buffers in the engine, and the
+# 1(b)(x) fix (partition.Plan.DropDelays, which also replaced
+# core.forceLocalPlan), and was allowed its measured net growth, at most
+# +60, none of it moved into _test.go: 24836 -> 24869 (git numstat: 167
+# lines added, 130 removed)
+LOC_CEILING=24869
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...
@@ -48,7 +55,7 @@ go vet ./...
 # -timeout is the last-resort hang guard; the machine's own deadlock
 # detection and deadline should fire long before it. internal/machine's
 # tests run the channel oracle beside the engine, so this one lane is
-# also the race check of the oracle
+# also the race check of the oracle and of the engine's coroutines
 go test -race -timeout 5m ./...
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz FuzzCompile -fuzztime 10s .

@@ -79,7 +79,9 @@ func TestCompileAllocBudget(t *testing.T) {
 // so what is left is the machine (the P×P pair statistics, the message
 // rings) and the lowered plan. The third row is the one whose remap was
 // an exchange of whole shares between all pairs of processors (37.4 MB,
-// 29 of them message rings) until a remap sent each element once.
+// 29 of them message rings) until a remap sent each element once. Since
+// a ring's buffer returns to a free list when its link drains, rings
+// cost what the messages in flight need, not one per pair ever used.
 func TestRunAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a P=1024 run")
@@ -89,9 +91,9 @@ func TestRunAllocBudget(t *testing.T) {
 		init      map[string][]float64
 		budgetMB  float64
 	}{
-		{"dgefa_p1024", DgefaSrc(128, 1024), map[string][]float64{"a": DgefaMatrix(128)}, 40},     // 32.9 measured
+		{"dgefa_p1024", DgefaSrc(128, 1024), map[string][]float64{"a": DgefaMatrix(128)}, 30},     // 26.2 measured (32.9 before pooled rings)
 		{"jacobi2d_p16", Jacobi2DSrc(256, 10, 16), map[string][]float64{"a": Ramp(256 * 256)}, 4}, // 2.4 measured
-		{"dyndist_p256", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 6},  // 4.5 measured
+		{"dyndist_p256", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 5},  // 4.0 measured (4.5 before), 4.7 under ci.sh's -race
 	} {
 		prog, err := Compile(w.src, DefaultOptions())
 		if err != nil {
@@ -105,9 +107,9 @@ func TestRunAllocBudget(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-		t.Logf("%s: one run allocates %.1f MB (budget %.0f)", w.name, mb, w.budgetMB)
+		t.Logf("%s: one run allocates %.1f MB (budget %g)", w.name, mb, w.budgetMB)
 		if mb > w.budgetMB {
-			t.Errorf("%s: one run allocates %.1f MB, budget %.0f", w.name, mb, w.budgetMB)
+			t.Errorf("%s: one run allocates %.1f MB, budget %g", w.name, mb, w.budgetMB)
 		}
 	}
 }

@@ -96,10 +96,11 @@ func faultScenarios() []faultScenario {
 			},
 		})
 	}
-	// binomial combining tree at a non-power-of-two P with a slow leaf:
-	// the straggler sits mid-tree, so its delay propagates through the
-	// combine rounds; clocks, message counts and the golden trace pin
-	// the tree schedule
+	// recursive-doubling allreduce at a non-power-of-two P with a slow
+	// processor: p3's delay propagates through every later exchange round,
+	// and p4-p5, the partial upper block of round 4, also send to the
+	// lower ranks without a partner; clocks, message counts and the golden
+	// trace pin the schedule
 	scs = append(scs, faultScenario{
 		name: "reduce_tree_straggler",
 		cfg:  faultCfg(6),
@@ -108,7 +109,7 @@ func faultScenarios() []faultScenario {
 			id := p.ID()
 			p.SetContext("REDUCE", 1, "")
 			p.Compute(5 * (id + 1))
-			p.Reduce(0, float64(id+1), func(a, b float64) float64 { return a + b })
+			p.AllReduce(float64(id+1), func(a, b float64) float64 { return a + b })
 		},
 	})
 	// cooperative abort: the origin computes and aborts without sending,

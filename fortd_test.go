@@ -231,10 +231,11 @@ func TestWorkloadGeneratorsParse(t *testing.T) {
 // processors, compute what the sequential reference computes and send
 // exactly the messages their shape dictates: jacobi steps·2·(P−1) halo
 // cells, dgefa one broadcast tree of P−1 messages per elimination step,
-// the dynamic redistribution six global sums (T = 3 trips × 2 calls, a
-// tree up and a tree down each) and its one physical remap, a message for
-// every pair of processors of which the second owns under CYCLIC an
-// element the first owns under BLOCK.
+// the dynamic redistribution six global sums (T = 3 trips × 2 calls, each
+// an allreduce of log2 P = 8 rounds in which every processor sends one
+// message) and its one physical remap, a message for every pair of
+// processors of which the second owns under CYCLIC an element the first
+// owns under BLOCK.
 func TestScaledWorkloadsP256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three P=256 runs")
@@ -252,7 +253,7 @@ func TestScaledWorkloadsP256(t *testing.T) {
 	}{
 		{"jacobi", Jacobi1DSrc(8192, 5, 256), map[string][]float64{"a": Ramp(8192)}, 5 * 2 * 255},
 		{"dgefa", DgefaSrc(128, 256), map[string][]float64{"a": DgefaMatrix(128)}, 127 * 255},
-		{"dyndist", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 6*2*255 + int64(len(remapPairs))},
+		{"dyndist", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 6*256*8 + int64(len(remapPairs))},
 	} {
 		prog, err := Compile(w.src, DefaultOptions())
 		if err != nil {

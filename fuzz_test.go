@@ -81,7 +81,9 @@ func FuzzCompile(f *testing.F) {
 // compiler accepts: compiling and running arbitrary source under a
 // wall-clock deadline never panics and never outlives the deadline, and
 // a run that succeeds agrees with the sequential reference (on programs
-// within the compiler's input contract, see shapesConform). The seeds
+// within the compiler's input contract, see shapesConform). Both runs
+// start from RampInit's non-zero arrays, so a processor that combines
+// the wrong copies of data cannot hide behind zeros. The seeds
 // include programs with scalar temporaries (the private-scalar rule of
 // internal/partition) and the three that broke the tree-walking interpreter:
 // an early RETURN (silently ignored), intrinsics that indexed missing
@@ -125,6 +127,8 @@ func FuzzRun(f *testing.F) {
       enddo
       END
 `,
+		// RampInit panicked on a negative extent
+		"PROGRAM A\nREAL A(-1)\nEND",
 	} {
 		f.Add(src)
 	}
@@ -154,7 +158,7 @@ func FuzzRun(f *testing.F) {
 		if err != nil || prog.P() > 16 {
 			return
 		}
-		r := NewRunner(WithDeadline(deadline))
+		r := NewRunner(WithDeadline(deadline), WithInit(RampInit(src)))
 		start := time.Now()
 		res, err := r.Run(prog)
 		// the deadline aborts the machine; unwinding P node programs and

@@ -20,7 +20,6 @@ import (
 	"fortd/internal/livedecomp"
 	"fortd/internal/overlap"
 	"fortd/internal/parser"
-	"fortd/internal/partition"
 	"fortd/internal/reach"
 	"fortd/internal/sched"
 	"fortd/internal/sideeffect"
@@ -519,19 +518,6 @@ func checkAliasRestriction(n *acg.Node, sums map[string]*livedecomp.Summary) err
 		}
 	}
 	return nil
-}
-
-// forceLocalPlan demotes delayed constraints to local guards
-// (immediate-instantiation baseline, Figure 12).
-func forceLocalPlan(plan *partition.Plan) {
-	for _, it := range plan.Items {
-		if it.DelayVar != "" {
-			it.DelayVar = ""
-			it.Guard = true
-			it.Why = "immediate instantiation baseline: delayed constraints are forced local (Figure 12)"
-		}
-	}
-	plan.Delayed = map[string]*partition.Constraint{}
 }
 
 // nprocOf reads the main program's n$proc PARAMETER.

@@ -273,7 +273,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	analyze := func(shared []string) (*partition.Plan, *comm.Result) {
 		plan := partition.Compute(proc, n, distOf, delayedConsOf, pc.fx, shared, env)
 		if immediate {
-			forceLocalPlan(plan)
+			plan.DropDelays("immediate instantiation baseline: delayed constraints are forced local (Figure 12)")
 		}
 		commRes := comm.Analyze(proc, n, plan, deps, distOf, delayedCommOf, pc.sections, pc.fx, env)
 		if immediate {
@@ -297,16 +297,20 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		plan, commRes = analyze(roots)
 	}
 	// communication placed inside a loop requires every processor
-	// to execute all its iterations: drop those reductions. A
+	// to execute all its iterations: drop those reductions; and a
+	// message sent anywhere in the procedure requires every processor
+	// to make the call: keep no partition delayed to callers. A
 	// pipelined shift goes around its loop, which stays reduced
 	for _, acc := range commRes.Accesses {
-		if acc.AtLoop != nil && !acc.Delay && !acc.Pipelined {
+		if !acc.Delay && !acc.Pipelined {
 			plan.DropLoopReduction(acc.AtLoop)
+			plan.DropDelays(partition.WhyCommInCallee)
 		}
 	}
 	for _, cc := range commRes.CallComms {
-		if cc.AtLoop != nil && !cc.Delay && !cc.Pipelined {
+		if !cc.Delay && !cc.Pipelined {
 			plan.DropLoopReduction(cc.AtLoop)
+			plan.DropDelays(partition.WhyCommInCallee)
 		}
 	}
 

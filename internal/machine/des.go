@@ -1,14 +1,18 @@
+//go:build go1.23
+
+// iter.Pull needs Go 1.23; go.mod stays at 1.22 because bench/go.mod pins it.
+
 // The discrete-event engine: node programs run as coroutines under a
 // single-threaded virtual-time scheduler.
 //
 // Scheduling protocol. Exactly one node program runs at a time: the
-// scheduler (executing inside Machine.Wait) resumes a processor by
-// sending on its resume channel, then blocks reading the yield channel
-// until that processor either parks in receive or finishes. This strict
-// handoff means every field of desEngine — rings, pool, waiter table,
+// scheduler (executing inside Machine.Wait) resumes a processor through
+// its iter.Pull coroutine, a direct switch that returns when that
+// processor either parks in receive (yields) or finishes. This strict
+// handoff means every field of desEngine — rings, pools, waiter table,
 // scratch buffers, the event queue — is accessed by one goroutine at a
-// time with happens-before edges through the channels, so none of it
-// needs locks. A processor runs until it blocks: Send never blocks
+// time with happens-before edges through the coroutine switch, so none
+// of it needs locks. A processor runs until it blocks: Send never blocks
 // (congestion is a failure), so the only yield points are Recv on an
 // empty ring and program exit.
 //
@@ -20,9 +24,10 @@
 // trace event (TestEngineDifferential pins it against an engine that
 // runs them as free goroutines).
 //
-// Link state is O(active): a receiver's inbox is a lazily-allocated
-// map from sender pid to a growable message ring, so only pairs that
-// actually communicate cost anything.
+// Link state follows the messages in flight: a receiver's inbox is a
+// lazily-allocated map from sender pid to a message ring, and a ring's
+// buffer goes back to an engine free list the moment the link drains,
+// so a link that is idle holds no buffer however often it was used.
 //
 // Payload ownership. A payload is copied once, at the send that
 // originates it, into a reference-counted buffer from a power-of-two
@@ -45,6 +50,7 @@
 package machine
 
 import (
+	"iter"
 	"math"
 	"math/bits"
 	"time"
@@ -60,8 +66,9 @@ type payload struct {
 }
 
 // queued is a message in a ring: message with the payload by reference.
-// Every link's ring holds at least eight of these, so the struct is
-// packed: a byte more here is half a megabyte on a P=256 remap.
+// A link with messages in flight holds a ring of at least eight of
+// these, so the struct is packed: a byte more here is a byte more per
+// slot of every ring a remap keeps busy at once.
 type queued struct {
 	buf      *payload // nil: a zero-word message
 	sendTime float64
@@ -71,7 +78,8 @@ type queued struct {
 	dup      bool
 }
 
-// msgRing is one src→dst link's queue: a growable circular buffer.
+// msgRing is one src→dst link's queue: a growable circular buffer that
+// holds its storage only while the link has messages in flight.
 // Steady-state push/pop allocate nothing.
 type msgRing struct {
 	buf  []queued
@@ -79,11 +87,24 @@ type msgRing struct {
 	n    int
 }
 
-func (r *msgRing) push(m queued) {
+// ringPool is the engine's free list of ring buffers: an empty link
+// gives its buffer back, and the next push on any link takes one.
+type ringPool [][]queued
+
+func (r *msgRing) push(m queued, free *ringPool) {
 	if r.n == len(r.buf) {
-		grown := make([]queued, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
+		var grown []queued
+		if f := *free; r.n == 0 && len(f) > 0 {
+			grown, *free = f[len(f)-1], f[:len(f)-1]
+		} else {
+			grown = make([]queued, max(8, 2*len(r.buf)))
+			for i := 0; i < r.n; i++ {
+				grown[i] = r.buf[(r.head+i)%len(r.buf)]
+			}
+			if r.buf != nil {
+				clear(r.buf) // drop the payload pointers
+				*free = append(*free, r.buf)
+			}
 		}
 		r.buf, r.head = grown, 0
 	}
@@ -91,11 +112,14 @@ func (r *msgRing) push(m queued) {
 	r.n++
 }
 
-func (r *msgRing) pop() queued {
+func (r *msgRing) pop(free *ringPool) queued {
 	m := r.buf[r.head]
 	r.buf[r.head] = queued{} // drop the payload pointer
 	r.head = (r.head + 1) % len(r.buf)
-	r.n--
+	if r.n--; r.n == 0 {
+		*free = append(*free, r.buf)
+		r.buf = nil
+	}
 	return m
 }
 
@@ -148,10 +172,11 @@ type desEngine struct {
 	q   eventQueue
 	seq uint64 // event creation order (the queue's tie-break)
 
-	// coroutine handoff: resume[pid] wakes one parked processor; yield
-	// carries the pid back to the scheduler when it parks or finishes.
-	resume   []chan struct{}
-	yield    chan int
+	// coroutine handoff: resume[pid] runs processor pid until it parks
+	// or finishes; park[pid], called from inside that processor's node
+	// program, switches back to the scheduler.
+	resume   []func() (struct{}, bool)
+	park     []func(struct{}) bool
 	parked   []bool // blocked in receive, waiting for resume
 	finished []bool
 	live     int // started and not yet finished
@@ -162,6 +187,7 @@ type desEngine struct {
 	// schedules the wakeup.
 	inbox  []map[int]*msgRing
 	waiter []int
+	rings  ringPool
 
 	// payload ownership: held[pid] is the buffer pid's last Recv handed
 	// out, released on its next one; last is the buffer of the most
@@ -179,8 +205,8 @@ func newDESEngine(m *Machine) *desEngine {
 	p := m.cfg.P
 	e := &desEngine{
 		m:           m,
-		resume:      make([]chan struct{}, p),
-		yield:       make(chan int),
+		resume:      make([]func() (struct{}, bool), p),
+		park:        make([]func(struct{}) bool, p),
 		parked:      make([]bool, p),
 		finished:    make([]bool, p),
 		inbox:       make([]map[int]*msgRing, p),
@@ -188,8 +214,7 @@ func newDESEngine(m *Machine) *desEngine {
 		held:        make([]*payload, p),
 		scratchBufs: make([][]float64, p),
 	}
-	for i := range e.resume {
-		e.resume[i] = make(chan struct{})
+	for i := range e.waiter {
 		e.waiter[i] = -1
 	}
 	e.q.initShards(desShardCount(p))
@@ -212,27 +237,25 @@ func (e *desEngine) start(pid int, fn func(*Proc)) {
 			})
 		}
 	}
-	m.wg.Add(1)
 	m.mu.Lock()
 	m.running++
 	m.mu.Unlock()
 	e.live++
 	e.push(0, pid) // start event: node programs launch in Go-call order
-	go func() {
-		defer m.wg.Done()
-		<-e.resume[pid] // park until the scheduler dispatches the start event
+	// the coroutine's body first runs when the scheduler dispatches the
+	// start event
+	e.resume[pid], _ = iter.Pull(func(park func(struct{}) bool) {
+		e.park[pid] = park
 		defer func() {
 			m.recordProcExit(pid, recover())
 			e.finished[pid] = true
-			e.yield <- pid
 		}()
 		fn(m.procs[pid])
-	}()
+	})
 }
 
 func (e *desEngine) wait() {
 	e.run()
-	e.m.wg.Wait()
 	if e.timer != nil {
 		e.timer.Stop()
 	}
@@ -293,12 +316,11 @@ func (e *desEngine) drainAfterAbort() {
 	}
 }
 
-// resumeProc wakes one parked processor and blocks until it parks
-// again or finishes.
+// resumeProc runs one parked processor until it parks again or
+// finishes.
 func (e *desEngine) resumeProc(pid int) {
-	e.resume[pid] <- struct{}{}
-	p := <-e.yield
-	if e.finished[p] {
+	e.resume[pid]()
+	if e.finished[pid] {
 		e.live--
 	}
 }
@@ -346,7 +368,7 @@ func (e *desEngine) deliver(src, dst int, msg message) bool {
 		copy(buf.data, msg.data)
 	}
 	e.last = buf
-	r.push(queued{buf: buf, n: int32(n), sendTime: msg.sendTime, seq: msg.seq, delay: msg.delay, dup: msg.dup})
+	r.push(queued{buf: buf, n: int32(n), sendTime: msg.sendTime, seq: msg.seq, delay: msg.delay, dup: msg.dup}, &e.rings)
 	if e.waiter[dst] == src {
 		// the receiver is parked on exactly this link: schedule its
 		// resumption at the message's arrival time, and clear the waiter
@@ -366,8 +388,7 @@ func (e *desEngine) receive(p *Proc, from int) message {
 		p.block("recv", from)
 		e.waiter[p.id] = from
 		e.parked[p.id] = true
-		e.yield <- p.id  // park: hand control to the scheduler
-		<-e.resume[p.id] // woken: a message arrived, or the run aborted
+		e.park[p.id](struct{}{}) // back when a message arrived, or the run aborted
 		e.parked[p.id] = false
 		e.waiter[p.id] = -1
 		p.unblock()
@@ -384,7 +405,7 @@ func (e *desEngine) receive(p *Proc, from int) message {
 // (the caller only reads its length, and no other processor can touch
 // the pool before this one yields).
 func (e *desEngine) take(pid int, r *msgRing) message {
-	q := r.pop()
+	q := r.pop(&e.rings)
 	msg := message{sendTime: q.sendTime, seq: q.seq, delay: q.delay, dup: q.dup}
 	if q.buf != nil {
 		msg.data = q.buf.data[:q.n:q.n]

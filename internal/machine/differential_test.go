@@ -19,7 +19,7 @@ import (
 //
 // A program is a global sequence of operations — send/receive pairs,
 // split-phase ISend/IRecv/WaitHandle, Broadcast, PostBcast/WaitBcast,
-// Reduce, Compute, zero-word messages — of which every processor
+// AllReduce, Compute, zero-word messages — of which every processor
 // executes its own projection in order. That cannot deadlock: sends
 // never block, and by the time all operations before some operation are
 // complete its participants have nothing else left to wait for. Every
@@ -35,7 +35,7 @@ const (
 	opBcast                     // Broadcast from root a
 	opPostBcast                 // PostBcast from root a into handle h
 	opWaitBcast                 // everyone waits for handle h
-	opReduce                    // Reduce to root a
+	opReduce                    // AllReduce
 	opCompute                   // a computes n flops
 )
 
@@ -114,12 +114,12 @@ func genOps(rng *rand.Rand, np int) []diffOp {
 			open = append(open, pending{bcast: true, h: nextH})
 			nextH++
 		case k < 8:
-			// Reduce reads word 0 of what it receives, and with a handle
+			// AllReduce reads word 0 of what it receives, and with a handle
 			// open the link may still hold somebody's zero-word message
 			for len(open) > 0 {
 				closeOne(rng.Intn(len(open)))
 			}
-			ops = append(ops, diffOp{kind: opReduce, a: rng.Intn(np)})
+			ops = append(ops, diffOp{kind: opReduce})
 		default:
 			ops = append(ops, diffOp{kind: opCompute, a: rng.Intn(np), n: 1 + rng.Intn(500)})
 		}
@@ -192,7 +192,7 @@ func diffNode(m *Machine, p *Proc, ops []diffOp, tail diffTail, cycle int, got *
 		case opWaitBcast:
 			record(p.WaitBcast(handles[op.h]))
 		case opReduce:
-			record([]float64{p.Reduce(op.a, float64(id+i), func(acc, v float64) float64 { return acc + v })})
+			record([]float64{p.AllReduce(float64(id+i), func(acc, v float64) float64 { return acc + v })})
 		case opCompute:
 			if id == op.a {
 				p.Compute(op.n)

@@ -537,6 +537,47 @@ func (p *Proc) Broadcast(root int, data []float64) []float64 {
 	return data
 }
 
+// AllReduce combines every processor's value and returns the result on
+// every processor, by recursive doubling — the hypercube's dimension
+// exchange, and MPICH's short-message allreduce. All processors must
+// call it. In round k = 1, 2, 4, ... a processor holds the combination
+// of its aligned block of k ranks and swaps it with the pair block's
+// rank id^k. When the upper block is the partial last one, its ranks
+// send to their partner first and then to the lower ranks that have
+// none; a block with no upper block sits the round out. Both sides fold
+// lower ⊕ upper, so every processor returns the same bits: the binomial
+// expression a combining tree into processor 0 builds. That is
+// ceil(log2 P) flights on the critical path, and every processor
+// receives at most one message per round.
+func (p *Proc) AllReduce(value float64, combine func(acc, v float64) float64) float64 {
+	np, id := p.m.cfg.P, p.id
+	acc := value
+	for k := 1; k < np; k <<= 1 {
+		lo := id &^ (2*k - 1) // this round's lower block; the upper starts at lo+k
+		up := lo + k
+		if up >= np {
+			continue
+		}
+		m := min(np-up, k) // ranks the upper block has
+		buf := p.Scratch(1)
+		buf[0] = acc
+		if id >= up {
+			for j := id - up; j < k; j += m {
+				p.send(lo+j, buf, j > id-up)
+				p.bcast++
+			}
+			acc = combine(p.Recv(id - k)[0], acc)
+		} else {
+			if id+k < np {
+				p.Send(id+k, buf)
+				p.bcast++
+			}
+			acc = combine(acc, p.Recv(up + (id-lo)%m)[0])
+		}
+	}
+	return acc
+}
+
 // Barrier performs a linear synchronization through processor 0 (used
 // only by tests; the generated code never needs explicit barriers).
 func (p *Proc) Barrier() {

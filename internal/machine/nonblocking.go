@@ -155,32 +155,3 @@ func (p *Proc) PostBcastInto(h *Handle, root int, data []float64) {
 // WaitBcast completes a split-phase broadcast and returns the full
 // payload on every processor (the root's own copy on the root).
 func (p *Proc) WaitBcast(h *Handle) []float64 { return p.WaitHandle(h) }
-
-// Reduce combines every processor's value into the root's result using
-// a binomial combining tree — the broadcast tree run in reverse, as on
-// the iPSC hypercube's library gather. All processors must call it.
-// Rank rel receives a partial result from rel+k for every round
-// k = 1, 2, 4, ... below its lowest set bit, folds it in with combine,
-// then sends its accumulation to rel-k and leaves the tree. The
-// critical path is ceil(log2(P)) message steps, against P-1 serialized
-// receives for a linear gather-to-root. Only the root's return value
-// is the full reduction; every other processor returns its partial
-// accumulation, which callers must not use.
-func (p *Proc) Reduce(root int, value float64, combine func(acc, v float64) float64) float64 {
-	np := p.m.cfg.P
-	rel := (p.id - root + np) % np
-	acc := value
-	for k := 1; k < np; k <<= 1 {
-		if rel&k != 0 {
-			buf := p.Scratch(1)
-			buf[0] = acc
-			p.Send((root+rel-k)%np, buf)
-			p.bcast++
-			break
-		}
-		if rel+k < np {
-			acc = combine(acc, p.Recv((root + rel + k) % np)[0])
-		}
-	}
-	return acc
-}

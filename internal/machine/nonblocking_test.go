@@ -172,106 +172,3 @@ func TestPostBcastMatchesBroadcast(t *testing.T) {
 		}
 	}
 }
-
-// TestReduceTree: the combining tree leaves the full reduction on the
-// root for every P (odd and even) and root choice, with P-1 messages.
-func TestReduceTree(t *testing.T) {
-	sum := func(a, b float64) float64 { return a + b }
-	for _, np := range []int{1, 2, 3, 5, 7, 8, 16} {
-		want := float64(np*(np-1)) / 2
-		for root := 0; root < np; root += 1 + np/2 {
-			m := New(DefaultConfig(np))
-			var got float64
-			for pid := 0; pid < np; pid++ {
-				pid := pid
-				m.Go(pid, func(p *Proc) {
-					acc := p.Reduce(root, float64(pid), sum)
-					if pid == root {
-						got = acc
-					}
-				})
-			}
-			m.Wait()
-			if got != want {
-				t.Errorf("np=%d root=%d sum = %v, want %v", np, root, got, want)
-			}
-			if s := m.Stats(); s.Messages != int64(np-1) {
-				t.Errorf("np=%d root=%d messages = %d, want %d", np, root, s.Messages, np-1)
-			}
-		}
-	}
-}
-
-// TestReduceTreeVsLinearGather pins the cost of the lowering
-// execGlobalReduce abandoned — a flat gather whose root performed P-1
-// receives in fixed ascending pid order — against the binomial
-// combining tree, on this machine model. The trade is structural, and
-// the numbers keep both sides honest:
-//
-//   - Message counts are equal (P-1), but the flat gather funnels all
-//     P-1 messages into the root in one step, while the tree bounds
-//     every processor's in-degree by ceil(log2 P) — the iPSC library's
-//     actual gather pattern, and the shape that scales to P=1024.
-//   - On an otherwise idle machine the flat gather's completion is
-//     latency-OPTIMAL here, because receives cost the receiver
-//     nothing: the root's clock is just the last arrival. The tree
-//     pays one flight per level, ceil(log2 P) deep. This test pins
-//     that overhead to at most depth * (one flight + one startup), so
-//     a cost-model change that silently inflates the tree shows up.
-func TestReduceTreeVsLinearGather(t *testing.T) {
-	const np = 16
-	cfg := DefaultConfig(np)
-	sum := func(a, b float64) float64 { return a + b }
-
-	linear := New(cfg)
-	for pid := 0; pid < np; pid++ {
-		pid := pid
-		linear.Go(pid, func(p *Proc) {
-			if pid == 0 {
-				acc := 1.0                // the root's own contribution
-				for q := 1; q < np; q++ { // the old fixed ascending order
-					acc += p.Recv(q)[0]
-				}
-				if acc != np {
-					t.Errorf("linear gather sum = %v", acc)
-				}
-			} else {
-				p.Send(0, []float64{1})
-			}
-		})
-	}
-	linear.Wait()
-
-	tree := New(cfg)
-	for pid := 0; pid < np; pid++ {
-		pid := pid
-		tree.Go(pid, func(p *Proc) {
-			acc := p.Reduce(0, 1, sum)
-			if pid == 0 && acc != np {
-				t.Errorf("tree reduce sum = %v", acc)
-			}
-		})
-	}
-	tree.Wait()
-
-	ls, ts := linear.Stats(), tree.Stats()
-	if ls.Messages != np-1 || ts.Messages != np-1 {
-		t.Errorf("messages: linear %d tree %d, want %d both", ls.Messages, ts.Messages, np-1)
-	}
-	if ls.PerProc[0].Received != np-1 {
-		t.Errorf("flat root in-degree = %d, want %d", ls.PerProc[0].Received, np-1)
-	}
-	if ts.PerProc[0].Received != 4 { // ceil(log2 16)
-		t.Errorf("tree root in-degree = %d, want 4", ts.PerProc[0].Received)
-	}
-	// flat root clock: every leaf sends at 0 (startup latency 70), one
-	// flight later the last arrival lands: 70 + 70 + 1 word = 140.4
-	if ls.PerProc[0].Clock != 140.4 {
-		t.Errorf("flat gather root clock = %v, want 140.4", ls.PerProc[0].Clock)
-	}
-	depth := 4.0
-	flight := cfg.Latency + cfg.Latency + 1*cfg.PerWord // startup + flight + 1 word
-	if rc := ts.PerProc[0].Clock; rc < ls.PerProc[0].Clock || rc > depth*flight {
-		t.Errorf("tree root clock = %v, want within (%v, %v]", rc, ls.PerProc[0].Clock, depth*flight)
-	}
-}

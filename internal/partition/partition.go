@@ -114,6 +114,7 @@ const (
 	WhyMixedLoopWork = "the loop contains work under a different partition, so every iteration is needed"
 	WhyDelayPartial  = "the delayed constraint does not cover all work in the procedure"
 	WhyCommInLoop    = "communication placed inside the loop requires every processor to run all iterations"
+	WhyCommInCallee  = "the procedure communicates itself, so every processor must make the call"
 	WhyActualUnnamed = "the actual argument is not a named array"
 )
 
@@ -363,21 +364,26 @@ func (p *Plan) validateDelays() {
 				ok = false
 			}
 		}
-		if ok {
-			continue
+		if !ok {
+			p.dropDelay(v, WhyDelayPartial)
 		}
-		delete(p.Delayed, v)
-		for _, it := range p.Items {
-			if it.DelayVar == v {
-				it.DelayVar = ""
-				it.Guard = true
-				it.Why = WhyDelayPartial
-			}
+	}
+}
+
+// dropDelay stops passing the constraint on v to the callers, demoting
+// everything delayed through v to guards.
+func (p *Plan) dropDelay(v, why string) {
+	delete(p.Delayed, v)
+	for _, it := range p.Items {
+		if it.DelayVar == v {
+			it.DelayVar = ""
+			it.Guard = true
+			it.Why = why
 		}
-		for _, cc := range p.CallCons {
-			if cc.DelayVar == v {
-				cc.guard(WhyDelayPartial)
-			}
+	}
+	for _, cc := range p.CallCons {
+		if cc.DelayVar == v {
+			cc.guard(why)
 		}
 	}
 }
@@ -402,6 +408,17 @@ func (p *Plan) byStmt() (map[ast.Stmt]*Item, map[ast.Stmt][]*CallConstraint) {
 func (p *Plan) DropLoopReduction(loop *ast.Do) {
 	if _, ok := p.LoopBounds[loop]; ok {
 		p.dropLoop(loop, WhyCommInLoop)
+	}
+}
+
+// DropDelays demotes every delayed constraint of the procedure to
+// guards after the fact (used when the procedure sends messages of its
+// own, which every processor must take part in: a caller loop reduced by
+// a delayed constraint would make each processor call it a different
+// number of times).
+func (p *Plan) DropDelays(why string) {
+	for v := range p.Delayed {
+		p.dropDelay(v, why)
 	}
 }
 

@@ -432,18 +432,15 @@ func TestDirStoreDrills(t *testing.T) {
 		// damage is applied to the store's directory after NewDirStore
 		// and one Put; file is the stored artifact's path
 		damage func(t *testing.T, dir, file string)
-		// put is what storing the artifact again must do: "fails" (the
-		// directory takes no write), "redone" (the crashed write
-		// completes and Get serves it) or just "ok" (Put trusts a file
-		// under its final name to hold the bytes the name hashes, so it
-		// does not repair one: ROADMAP item 1(c))
-		put string
+		// fails: storing the artifact again fails (the directory takes
+		// no write); otherwise the write is redone and Get serves it
+		fails bool
 	}{
 		{"truncated entry", func(t *testing.T, dir, file string) {
 			if err := os.Truncate(file, 40); err != nil {
 				t.Fatal(err)
 			}
-		}, "ok"},
+		}, false},
 		{"wrong schema", func(t *testing.T, dir, file string) {
 			buf, err := os.ReadFile(file)
 			if err != nil {
@@ -456,14 +453,14 @@ func TestDirStoreDrills(t *testing.T) {
 			if err := os.WriteFile(file, old, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, "ok"},
+		}, false},
 		{"write killed before its rename", func(t *testing.T, dir, file string) {
 			// what Put leaves when it dies between temp and rename
 			tmp := filepath.Join(dir, "."+strings.TrimSuffix(filepath.Base(file), ".json")+".tmp123")
 			if err := os.Rename(file, tmp); err != nil {
 				t.Fatal(err)
 			}
-		}, "redone"},
+		}, false},
 		{"directory replaced by a file", func(t *testing.T, dir, file string) {
 			if err := os.RemoveAll(dir); err != nil {
 				t.Fatal(err)
@@ -471,7 +468,7 @@ func TestDirStoreDrills(t *testing.T) {
 			if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, "fails"},
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "profiles")
@@ -493,10 +490,10 @@ func TestDirStoreDrills(t *testing.T) {
 				t.Errorf("List = %+v, %v; want no entries and no error", list, err)
 			}
 			id2, err := st.Put(p)
-			if (err != nil) != (tc.put == "fails") || (err == nil && id2 != id) {
+			if (err != nil) != tc.fails || (err == nil && id2 != id) {
 				t.Fatalf("Put after the damage = %q, %v", id2, err)
 			}
-			if _, err := st.Get(id); tc.put == "redone" && err != nil {
+			if _, err := st.Get(id); !tc.fails && err != nil {
 				t.Errorf("Get after the write was redone: %v", err)
 			}
 		})

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -62,15 +63,18 @@ func (d *DirStore) path(id string) string {
 	return filepath.Join(d.dir, id+".json")
 }
 
-// Put writes the canonical artifact file via an atomic rename.
+// Put writes the canonical artifact file via an atomic rename. A file
+// already under the id's name is kept only when it holds these bytes: a
+// truncated or overwritten one is replaced, so a damaged artifact heals
+// the next time its profile is stored.
 func (d *DirStore) Put(p *Profile) (string, error) {
 	buf, err := p.Marshal()
 	if err != nil {
 		return "", err
 	}
 	id := ContentID(buf)
-	if _, err := os.Stat(d.path(id)); err == nil {
-		return id, nil // content-addressed: already present means equal bytes
+	if old, err := os.ReadFile(d.path(id)); err == nil && bytes.Equal(old, buf) {
+		return id, nil
 	}
 	tmp, err := os.CreateTemp(d.dir, "."+id+".tmp*")
 	if err != nil {

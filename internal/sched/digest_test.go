@@ -125,11 +125,12 @@ func checkEquivalent(t testing.TB, seed int64, p int) {
 	}
 	overlapped, remarks, _ := scheduled(t, src)
 	cfg := machine.DefaultConfig(p)
-	want, err := spmd.Run(blocking, cfg, spmd.Options{})
+	opts := spmd.Options{Init: rampInit(blocking)}
+	want, err := spmd.Run(blocking, cfg, opts)
 	if err != nil {
 		t.Fatalf("seed %d p=%d: generated program does not run: %v\n%s", seed, p, err, src)
 	}
-	got, err := spmd.Run(overlapped, cfg, spmd.Options{})
+	got, err := spmd.Run(overlapped, cfg, opts)
 	if err != nil {
 		t.Fatalf("seed %d p=%d: rescheduled program does not run: %v\n%s", seed, p, err, ast.Print(overlapped))
 	}
@@ -146,6 +147,29 @@ func checkEquivalent(t testing.TB, seed int64, p int) {
 		t.Errorf("seed %d p=%d: msgs/words %d/%d, blocking %d/%d",
 			seed, p, got.Stats.Messages, got.Stats.Words, want.Stats.Messages, want.Stats.Words)
 	}
+}
+
+// rampInit seeds every constant-sized array of prog's main program with
+// 1, 2, 3, ... as the root package's RampInit does (which this package
+// cannot import), so both runs start from data that is nowhere zero.
+func rampInit(prog *ast.Program) map[string][]float64 {
+	init := map[string][]float64{}
+	for _, sym := range prog.Main().Symbols.Symbols() {
+		if sym.Kind != ast.SymArray {
+			continue
+		}
+		size := 1
+		for _, d := range sym.Dims {
+			lo, _ := ast.EvalInt(d.Lo, nil)
+			hi, _ := ast.EvalInt(d.Hi, nil)
+			size *= hi - lo + 1
+		}
+		init[sym.Name] = make([]float64, size)
+		for i := range init[sym.Name] {
+			init[sym.Name][i] = float64(i + 1)
+		}
+	}
+	return init
 }
 
 // TestSchedMetamorphic: the digest's programs compute the same arrays

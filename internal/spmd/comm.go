@@ -490,14 +490,10 @@ func reduceCombine(op string) (func(a, b float64) float64, bool) {
 }
 
 // globalReduce combines every processor's private copy of a scalar and
-// leaves the result everywhere: a binomial combining tree into
-// processor 0 (machine.Reduce) followed by the tree broadcast back.
-// The critical path is 2·ceil(log2 P) message steps; the tree bounds
-// each in-degree by ceil(log2 P), the iPSC library's own gather shape.
-// (On this machine model, where a receive costs the receiver nothing,
-// a flat gather's last arrival is actually latency-optimal — the tree
-// buys its scaling at up to log2(P) extra flights;
-// machine.TestReduceTreeVsLinearGather pins both sides of that trade.)
+// leaves the result everywhere with one machine.AllReduce: recursive
+// doubling, ceil(log2 P) flights, at most one receive per processor per
+// round, and on every processor the bits a combining tree into
+// processor 0 would produce.
 func (lw *lowerer) globalReduce(st *ast.GlobalReduce) stmtFn {
 	unit, line, slot := lw.unit.Name, st.Pos().Line, lw.slot(st.Var)
 	combine, ok := reduceCombine(st.Op)
@@ -508,16 +504,9 @@ func (lw *lowerer) globalReduce(st *ast.GlobalReduce) stmtFn {
 			return &UnknownReduceOpError{Var: st.Var, Op: st.Op}
 		}
 		sc := fr.scalar(slot)
-		if nd.pl.nproc == 1 {
-			return nil
+		if nd.pl.nproc > 1 {
+			*sc = nd.proc.AllReduce(*sc, combine)
 		}
-		acc := nd.proc.Reduce(0, *sc, combine)
-		var buf []float64
-		if nd.p == 0 {
-			buf = nd.proc.Scratch(1)
-			buf[0] = acc
-		}
-		*sc = nd.proc.Broadcast(0, buf)[0]
 		return nil
 	}
 }

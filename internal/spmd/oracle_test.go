@@ -880,17 +880,8 @@ func (it *treeInterp) ownerParts(arr *Array, bounds [][2]int) [][]int {
 }
 
 // execGlobalReduce combines every processor's private copy of a scalar
-// and leaves the result everywhere: a binomial combining tree into
-// processor 0 (machine.Reduce) followed by the tree broadcast back.
-// The critical path is 2·ceil(log2 P) message steps. The previous
-// lowering gathered flat — P-1 receives on the root, in fixed
-// ascending pid order — which funnels every partial into one
-// processor's queue; the tree bounds each in-degree by ceil(log2 P),
-// the iPSC library's own gather shape. (On this machine model, where
-// a receive costs the receiver nothing, the flat gather's last
-// arrival is actually latency-optimal — the tree buys its scaling at
-// up to log2(P) extra flights; machine.TestReduceTreeVsLinearGather
-// pins both sides of that trade.)
+// and leaves the result everywhere with one machine.AllReduce, as the
+// plan's globalReduce does.
 func (it *treeInterp) execGlobalReduce(f *treeFrame, st *ast.GlobalReduce) error {
 	combine, ok := reduceCombine(st.Op)
 	if !ok {
@@ -902,16 +893,9 @@ func (it *treeInterp) execGlobalReduce(f *treeFrame, st *ast.GlobalReduce) error
 		sc = &v
 		f.scalars[st.Var] = sc
 	}
-	if it.nproc == 1 {
-		return nil
+	if it.nproc > 1 {
+		*sc = it.proc.AllReduce(*sc, combine)
 	}
-	acc := it.proc.Reduce(0, *sc, combine)
-	var buf []float64
-	if it.p == 0 {
-		buf = it.proc.Scratch(1)
-		buf[0] = acc
-	}
-	*sc = it.proc.Broadcast(0, buf)[0]
 	return nil
 }
 

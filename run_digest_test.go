@@ -81,8 +81,9 @@ func TestBackendDifferential(t *testing.T) {
 				return map[string][]float64{"a": DgefaMatrix(64)}
 			}, nil},
 		{"dyndist", func(p int) string { return Fig15Src(3, p) }, RampInit, nil},
-		// reduction lowers globalsum/globalmax to the binomial combining
-		// tree (machine.Reduce) plus the result broadcast
+		// reduction lowers globalsum/globalmax to one recursive-doubling
+		// allreduce (machine.AllReduce); its lines and dyndist's were
+		// re-recorded when that replaced a tree reduce plus a broadcast
 		{"reduction", func(p int) string { return ReductionSrc(128, p) }, RampInit, nil},
 		// the straggler lane re-runs the overlapped stencil under a
 		// deterministic fault plan: processor 0 runs 2x slow and random

@@ -319,9 +319,10 @@ func SyntheticProcsSrc(nsubs, loops, n, p int) string {
 
 // ReductionSrc generates a global-reduction workload over a cyclic
 // distribution: a sum and a max over the whole array, each lowered to
-// a binomial combining tree (globalsum/globalmax) followed by the
-// result broadcast. It exercises the tree reduce on every processor
-// count, including P that are not powers of two.
+// one recursive-doubling allreduce (globalsum/globalmax). It exercises
+// the allreduce on every processor count, including P that are not
+// powers of two, whose last partial block also serves the ranks left
+// without a partner.
 func ReductionSrc(n, p int) string {
 	return fmt.Sprintf(`
       PROGRAM RED
@@ -356,10 +357,12 @@ func Ramp(n int) []float64 {
 
 // RampInit seeds every constant-sized array of src's main program with
 // a Ramp — the default initialization fdrun uses for arbitrary input
-// files. Arrays whose dimensions are not compile-time
-// constants (and programs that fail to parse) are simply skipped; the
-// compiler proper reports those errors.
+// files. Arrays whose dimensions are not compile-time constants, or
+// are negative or larger than the executor stores (and programs that
+// fail to parse) are simply skipped; the compiler and the executor
+// report those errors.
 func RampInit(src string) map[string][]float64 {
+	const most = 1 << 26 // spmd's maxArrayElems
 	init := map[string][]float64{}
 	parsed, err := parser.Parse(src)
 	if err != nil || parsed.Main() == nil {
@@ -374,11 +377,12 @@ func RampInit(src string) map[string][]float64 {
 		for _, d := range sym.Dims {
 			lo, okLo := ast.EvalInt(d.Lo, nil)
 			hi, okHi := ast.EvalInt(d.Hi, nil)
-			if !okLo || !okHi {
+			ext := hi - lo + 1
+			if !okLo || !okHi || ext < 0 || ext > most || size*ext > most {
 				okAll = false
 				break
 			}
-			size *= hi - lo + 1
+			size *= ext
 		}
 		if okAll {
 			init[sym.Name] = Ramp(size)
