@@ -46,8 +46,17 @@ test -z "$(gofmt -l .)"
 # 1(b)(x) fix (partition.Plan.DropDelays, which also replaced
 # core.forceLocalPlan), and was allowed its measured net growth, at most
 # +60, none of it moved into _test.go: 24836 -> 24869 (git numstat: 167
-# lines added, 130 removed)
-LOC_CEILING=24869
+# lines added, 130 removed). The next change (2026-10-15) bought
+# broadcast receivers — a "to" clause derived by codegen, parsed and
+# printed, run by spmd as a modular range of owners and by machine as a
+# binomial tree over the root and that range — plus the (BLOCK,BLOCK)
+# remark, and was
+# allowed its measured net growth, at most +150, none of it moved into
+# _test.go: 24869 -> 25019 (git numstat: 379 lines added, 216 removed —
+# decomp's unused global<->local conversions, machine's test-only
+# ISend/IRecv/PostBcast/WaitBcast and livedecomp's Placement.Ops among
+# them)
+LOC_CEILING=25019
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

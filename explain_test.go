@@ -147,3 +147,48 @@ func TestExplainAnnotatedListing(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainTwoDistributedDimensions: DISTRIBUTE a(BLOCK,BLOCK) is not
+// rejected — the array runs replicated (DESIGN deviation 4) — and the
+// Missed remark says why, not that its bounds were not constants.
+func TestExplainTwoDistributedDimensions(t *testing.T) {
+	src := `
+      PROGRAM P
+      PARAMETER (n$proc = 4)
+      REAL a(8,8)
+      DISTRIBUTE a(BLOCK,BLOCK)
+      do i = 1, 8
+        do j = 1, 8
+          a(i,j) = i + j
+        enddo
+      enddo
+      END
+`
+	ex := NewExplain()
+	opts := DefaultOptions()
+	opts.Explain = ex
+	prog, err := Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ex.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "missed  core       distribute         no distribution descriptor built for a (BLOCK,BLOCK): two distributed dimensions (deviation 4) — the array stays replicated"
+	if out := buf.String(); !strings.Contains(out, want) || strings.Contains(out, "compile-time constants") {
+		t.Errorf("report lacks %q:\n%s", want, out)
+	}
+	r := NewRunner()
+	res, err := r.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := r.RunReference(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(res.Arrays["a"], ref.Arrays["a"]); d != 0 || res.Stats.Messages != 0 {
+		t.Errorf("replicated run: %d messages, differs from the reference by %g", res.Stats.Messages, d)
+	}
+}

@@ -84,7 +84,8 @@ func faultScenarios() []faultScenario {
 				id := p.ID()
 				for it := 0; it < 12; it++ {
 					p.SetContext("ORING", it+1, "")
-					h := p.IRecv((id + 2) % 3)
+					h := new(machine.Handle)
+					p.IRecvInto(h, (id+2)%3)
 					buf := make([]float64, 1+(id+it)%4)
 					for j := range buf {
 						buf[j] = float64(id*100 + it)

@@ -252,7 +252,7 @@ func TestScaledWorkloadsP256(t *testing.T) {
 		msgs      int64
 	}{
 		{"jacobi", Jacobi1DSrc(8192, 5, 256), map[string][]float64{"a": Ramp(8192)}, 5 * 2 * 255},
-		{"dgefa", DgefaSrc(128, 256), map[string][]float64{"a": DgefaMatrix(128)}, 127 * 255},
+		{"dgefa", DgefaSrc(128, 256), map[string][]float64{"a": DgefaMatrix(128)}, 127 * 128 / 2}, // step k reaches the n-k owners of columns k+1..n
 		{"dyndist", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 6*256*8 + int64(len(remapPairs))},
 	} {
 		prog, err := Compile(w.src, DefaultOptions())
@@ -284,8 +284,9 @@ func TestScaledWorkloadsP256(t *testing.T) {
 
 // TestScaledWorkloadsP2048: dgefa at n=256 on 2 048 processors, which
 // allocated 1 196.8 MB while each of them held the whole matrix, equals
-// the sequential reference, sends (n−1)(P−1) messages and allocates less
-// than 200 MB (some 67 MB of it the machine's P×P pair statistics).
+// the sequential reference, sends Σ min(P−1, n−k) = 255·256/2 messages —
+// step k reaches the owners of columns k+1..n — and allocates less than
+// 200 MB (some 67 MB of it the machine's P×P pair statistics).
 func TestScaledWorkloadsP2048(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a P=2048 run")
@@ -309,8 +310,8 @@ func TestScaledWorkloadsP2048(t *testing.T) {
 	if d := maxAbsDiff(res.Arrays["a"], ref.Arrays["a"]); d > 1e-9 {
 		t.Errorf("a differs from the sequential reference by %g", d)
 	}
-	if res.Stats.Messages != 255*2047 {
-		t.Errorf("%d messages, want %d", res.Stats.Messages, 255*2047)
+	if res.Stats.Messages != 255*256/2 {
+		t.Errorf("%d messages, want %d", res.Stats.Messages, 255*256/2)
 	}
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb >= 200 {
 		t.Errorf("the run allocates %.1f MB, want < 200", mb)

@@ -5,10 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"fortd/internal/ast"
+	"fortd/internal/parser"
 )
 
 // addSamplePrograms seeds f with every sample program under testdata/,
@@ -81,7 +83,9 @@ func FuzzCompile(f *testing.F) {
 // compiler accepts: compiling and running arbitrary source under a
 // wall-clock deadline never panics and never outlives the deadline, and
 // a run that succeeds agrees with the sequential reference (on programs
-// within the compiler's input contract, see shapesConform). Both runs
+// within the compiler's input contract, see shapesConform), and a listing
+// with broadcasts — whose "to" clauses the seeds in testdata/known and
+// DgefaSrc exercise — survives print → parse → print. Both runs
 // start from RampInit's non-zero arrays, so a processor that combines
 // the wrong copies of data cannot hide behind zeros. The seeds
 // include programs with scalar temporaries (the private-scalar rule of
@@ -157,6 +161,18 @@ func FuzzRun(f *testing.F) {
 		prog, err := Compile(src, DefaultOptions())
 		if err != nil || prog.P() > 16 {
 			return
+		}
+		// a listing whose broadcasts name their receivers prints, parses
+		// and prints again to the same text
+		if listing := prog.Listing(); strings.Contains(listing, "broadcast ") {
+			out, err := parser.Parse(listing)
+			if err != nil {
+				t.Fatalf("listing does not parse: %v\n%s", err, listing)
+			}
+			text := ast.Print(out)
+			if again, err := parser.Parse(text); err != nil || ast.Print(again) != text {
+				t.Fatalf("listing changed by print → parse → print (%v):\n%s", err, text)
+			}
 		}
 		r := NewRunner(WithDeadline(deadline), WithInit(RampInit(src)))
 		start := time.Now()

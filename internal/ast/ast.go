@@ -296,12 +296,32 @@ type Recv struct {
 	Src   Expr
 }
 
-// Broadcast sends the section of Array from processor Root to all others.
+// Broadcast sends the section of Array from processor Root to the
+// processors To names (nil: all others).
 type Broadcast struct {
 	stmtBase
 	Array string
 	Sec   []SecDim
 	Root  Expr
+	To    *Receivers
+}
+
+// Receivers is a broadcast's "to" clause: the owners of the section
+// Array(:,..,Lo:Hi,..,:) of rank Rank, bounded in dimension Dim only.
+type Receivers struct {
+	Array     string
+	Dim, Rank int
+	Lo, Hi    Expr
+}
+
+// Subst copies the clause, substituting env into its bounds.
+func (r *Receivers) Subst(env map[string]Expr) *Receivers {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	c.Lo, c.Hi = Subst(r.Lo, env), Subst(r.Hi, env)
+	return &c
 }
 
 // AllGather makes the section of Array, distributed across processors,
@@ -344,13 +364,15 @@ type WaitRecv struct {
 }
 
 // PostBcast posts the send half of a split-phase broadcast of the
-// section of Array from processor Root: the root's tree sends happen
-// here, every other processor only records what to wait for.
+// section of Array from processor Root to the processors To names: the
+// root's tree sends happen here, every other processor only records
+// what to wait for.
 type PostBcast struct {
 	stmtBase
 	Array string
 	Sec   []SecDim
 	Root  Expr
+	To    *Receivers
 	Tag   int
 }
 

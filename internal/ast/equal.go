@@ -85,6 +85,14 @@ func secEqual(a, b []SecDim) bool {
 	return true
 }
 
+// Equal reports whether two clauses print alike (nil: none).
+func (r *Receivers) Equal(o *Receivers) bool {
+	if r == nil || o == nil {
+		return r == o
+	}
+	return r.Array == o.Array && r.Dim == o.Dim && r.Rank == o.Rank && ExprEqual(r.Lo, o.Lo) && ExprEqual(r.Hi, o.Hi)
+}
+
 func specsEqual(a, b []DistSpec) bool {
 	if len(a) != len(b) {
 		return false
@@ -136,7 +144,7 @@ func StmtEqual(a, b Stmt) bool {
 		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec) && ExprEqual(x.Src, y.Src)
 	case *Broadcast:
 		y, ok := b.(*Broadcast)
-		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec) && ExprEqual(x.Root, y.Root)
+		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec) && ExprEqual(x.Root, y.Root) && x.To.Equal(y.To)
 	case *AllGather:
 		y, ok := b.(*AllGather)
 		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec)
@@ -151,7 +159,7 @@ func StmtEqual(a, b Stmt) bool {
 		return ok && x.Array == y.Array && x.Tag == y.Tag
 	case *PostBcast:
 		y, ok := b.(*PostBcast)
-		return ok && x.Array == y.Array && x.Tag == y.Tag && secEqual(x.Sec, y.Sec) && ExprEqual(x.Root, y.Root)
+		return ok && x.Array == y.Array && x.Tag == y.Tag && secEqual(x.Sec, y.Sec) && ExprEqual(x.Root, y.Root) && x.To.Equal(y.To)
 	case *WaitBcast:
 		y, ok := b.(*WaitBcast)
 		return ok && x.Array == y.Array && x.Tag == y.Tag

@@ -168,6 +168,7 @@ func appendStmts(dst []byte, body []Stmt, depth int) []byte {
 			dst = appendComm(dst, "recv ", st.Array, st.Sec, " from ", st.Src)
 		case *Broadcast:
 			dst = appendComm(dst, "broadcast ", st.Array, st.Sec, " from ", st.Root)
+			dst = st.To.appendTo(dst)
 		case *AllGather:
 			dst = appendComm(dst, "allgather ", st.Array, st.Sec, "", nil)
 		case *GlobalReduce:
@@ -183,6 +184,7 @@ func appendStmts(dst []byte, body []Stmt, depth int) []byte {
 			dst = appendTag(dst, st.Tag)
 		case *PostBcast:
 			dst = appendComm(dst, "postbcast ", st.Array, st.Sec, " from ", st.Root)
+			dst = st.To.appendTo(dst)
 			dst = appendTag(dst, st.Tag)
 		case *WaitBcast:
 			dst = append(dst, "waitbcast "...)
@@ -217,7 +219,7 @@ func reduceName(op string) string {
 }
 
 // appendComm renders "<verb><array>(<section>)<prep><peer>"; a nil peer
-// ends the statement after the section.
+// ends the statement after the section, a nil bound prints as ":".
 func appendComm(dst []byte, verb, array string, sec []SecDim, prep string, peer Expr) []byte {
 	dst = append(dst, verb...)
 	dst = append(dst, array...)
@@ -225,6 +227,10 @@ func appendComm(dst []byte, verb, array string, sec []SecDim, prep string, peer 
 	for i, d := range sec {
 		if i > 0 {
 			dst = append(dst, ',')
+		}
+		if d.Lo == nil { // a whole dimension
+			dst = append(dst, ':')
+			continue
 		}
 		dst = d.Lo.appendTo(dst)
 		if !ExprEqual(d.Lo, d.Hi) {
@@ -238,6 +244,16 @@ func appendComm(dst []byte, verb, array string, sec []SecDim, prep string, peer 
 		dst = peer.appendTo(dst)
 	}
 	return dst
+}
+
+// appendTo renders " to <array>(:,..,lo:hi,..,:)" (nothing for nil).
+func (r *Receivers) appendTo(dst []byte) []byte {
+	if r == nil {
+		return dst
+	}
+	sec := make([]SecDim, r.Rank)
+	sec[r.Dim] = SecDim{Lo: r.Lo, Hi: r.Hi}
+	return appendComm(dst, " to ", r.Array, sec, "", nil)
 }
 
 func appendTag(dst []byte, tag int) []byte {

@@ -73,13 +73,13 @@ func StmtExprs(s Stmt) []Expr {
 	case *Recv:
 		return secExprs(st.Src, st.Sec)
 	case *Broadcast:
-		return secExprs(st.Root, st.Sec)
+		return st.To.exprs(secExprs(st.Root, st.Sec))
 	case *AllGather:
 		return secExprs(nil, st.Sec)
 	case *PostRecv:
 		return secExprs(st.Src, st.Sec)
 	case *PostBcast:
-		return secExprs(st.Root, st.Sec)
+		return st.To.exprs(secExprs(st.Root, st.Sec))
 	}
 	return nil
 }
@@ -95,6 +95,14 @@ func secExprs(peer Expr, sec []SecDim) []Expr {
 		out = append(out, d.Lo, d.Hi)
 	}
 	return out
+}
+
+// exprs appends the clause's bounds to out.
+func (r *Receivers) exprs(out []Expr) []Expr {
+	if r == nil {
+		return out
+	}
+	return append(out, r.Lo, r.Hi)
 }
 
 // CloneExpr returns a deep copy of e.
@@ -176,7 +184,7 @@ func CloneStmt(s Stmt) Stmt {
 	case *Recv:
 		return &Recv{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Src: CloneExpr(st.Src)}
 	case *Broadcast:
-		return &Broadcast{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Root: CloneExpr(st.Root)}
+		return &Broadcast{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Root: CloneExpr(st.Root), To: st.To.Subst(nil)}
 	case *AllGather:
 		return &AllGather{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec)}
 	case *GlobalReduce:
@@ -186,7 +194,7 @@ func CloneStmt(s Stmt) Stmt {
 	case *WaitRecv:
 		return &WaitRecv{stmtBase: st.stmtBase, Array: st.Array, Tag: st.Tag}
 	case *PostBcast:
-		return &PostBcast{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Root: CloneExpr(st.Root), Tag: st.Tag}
+		return &PostBcast{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Root: CloneExpr(st.Root), To: st.To.Subst(nil), Tag: st.Tag}
 	case *WaitBcast:
 		return &WaitBcast{stmtBase: st.stmtBase, Array: st.Array, Tag: st.Tag}
 	case *Remap:

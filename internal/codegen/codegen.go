@@ -285,7 +285,9 @@ func Generate(in *Input) (*Result, error) {
 // anchored at the same insertion point, returning how many were
 // dropped. (Two references to the same nonlocal element in one
 // statement otherwise generate two identical broadcasts.) "Textually
-// identical" is ast.StmtEqual: the statements would print the same.
+// identical" is ast.StmtEqual: the statements would print the same. Two
+// broadcasts at one point take their receivers from the loop they are
+// placed before (receivers), so that union is the "to" clause of either.
 func aggregateAnchors(a *anchors) int {
 	dropped := 0
 	dedupe := func(stmts []ast.Stmt) []ast.Stmt {

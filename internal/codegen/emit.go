@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"slices"
+
 	"fortd/internal/ast"
 	"fortd/internal/comm"
 	"fortd/internal/decomp"
@@ -20,6 +22,8 @@ func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
 		point := ast.CloneExpr(acc.Point)
 		sec[acc.DistDim] = ast.SecDim{Lo: point, Hi: ast.CloneExpr(point)}
 		bc := &ast.Broadcast{Array: acc.Array, Sec: sec, Root: partition.OwnerExpr(acc.Dist, ast.CloneExpr(point))}
+		// placed inside AtLoop, or above the whole nest
+		bc.To, acc.NoTo = receivers(in, acc.Nest[slices.Index(acc.Nest, acc.AtLoop)+1:], acc.Array)
 		return []ast.Stmt{bc}, nil
 	case comm.KGather:
 		return []ast.Stmt{&ast.AllGather{Array: acc.Array, Sec: sec}}, nil
@@ -56,10 +60,48 @@ func emitCallComm(in *Input, cc *comm.CallComm) ([]ast.Stmt, error) {
 			sec[dim] = ast.SecDim{Lo: ast.CloneExpr(point), Hi: ast.CloneExpr(point)}
 		}
 		bc := &ast.Broadcast{Array: cc.Array, Sec: sec, Root: partition.OwnerExpr(cc.Dist, point)}
+		var loops []*ast.Do // placed inside AtLoop, or at the call
+		if cc.AtLoop != nil {
+			loops = cc.Nest[slices.Index(cc.Nest, cc.AtLoop)+1:]
+		}
+		bc.To, cc.NoTo = receivers(in, loops, cc.Array)
 		return []ast.Stmt{bc}, nil
 	default:
 		return []ast.Stmt{&ast.AllGather{Array: cc.Array, Sec: sec}}, nil
 	}
+}
+
+// Why a broadcast reaches every processor (Access.NoTo, CallComm.NoTo).
+const (
+	whyToNoLoop     = "no loop lies between the message and its reference"
+	whyToReplicated = "the loop it is placed before runs every iteration on every processor"
+	whyToRemap      = "a remap runs between the message and the loop it is placed before"
+	whyToNoArray    = "no array of the procedure is distributed as the loop's partition"
+)
+
+// receivers derives a broadcast's "to" clause from loops, those between
+// where it is placed and the reference it serves, outermost first: if
+// loops[0], the one it is placed before, has reduced bounds, only the
+// owners of its iterations run the reference, and the clause names them
+// as owners of a section of an array distributed as its partition.
+func receivers(in *Input, loops []*ast.Do, array string) (*ast.Receivers, string) {
+	if len(loops) == 0 {
+		return nil, whyToNoLoop
+	}
+	l, c := loops[0], in.Plan.LoopBounds[loops[0]]
+	if c == nil || c.Dist.DistDim() < 0 || !partition.Reducible(c, l.Step) {
+		return nil, whyToReplicated
+	}
+	if in.Remaps != nil && len(in.Remaps.BeforeLoop[l])+len(in.Remaps.BeforeStmt[l]) > 0 {
+		return nil, whyToRemap
+	}
+	for _, name := range []string{c.Array, array} {
+		if d, ok := in.DistOf(name, l); ok && d != nil && d.Key() == c.Dist.Key() && slices.Equal(d.Sizes, c.Dist.Sizes) {
+			return &ast.Receivers{Array: name, Dim: d.DistDim(), Rank: len(d.Sizes),
+				Lo: ast.Add(ast.CloneExpr(l.Lo), ast.Int(c.Offset)), Hi: ast.Add(ast.CloneExpr(l.Hi), ast.Int(c.Offset))}, ""
+		}
+	}
+	return nil, whyToNoArray
 }
 
 // emitShift produces the guarded boundary exchange of message

@@ -75,6 +75,8 @@ type Access struct {
 	// Against is the distribution of the statement's left-hand side when
 	// the reference would be a shift of it but for its block size.
 	Against *decomp.Dist
+	// NoTo is why code generation gave the broadcast no "to" clause.
+	NoTo string
 }
 
 // Delayed is a communication descriptor passed up to callers (delayed
@@ -115,9 +117,10 @@ type CallComm struct {
 	PointOff int
 	// Why records the reason for the placement (static strings only).
 	Why string
-	// Pipelined and NoPipe are as for Access.
+	// Pipelined, NoPipe and NoTo are as for Access.
 	Pipelined bool
 	NoPipe    string
+	NoTo      string
 }
 
 // Result is the communication analysis of one procedure.

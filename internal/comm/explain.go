@@ -54,6 +54,9 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 		if acc.Pipelined || acc.NoPipe != "" {
 			ex.Add(pipeRemark(procName, line, acc.AtLoop, acc.Array, acc.Shift, acc.NoPipe))
 		}
+		if acc.NoTo != "" {
+			ex.Add(toRemark(procName, line, acc.Array, acc.Section.String(), acc.NoTo))
+		}
 		if lhs := acc.Against; lhs != nil {
 			ex.Add(explain.Remark{
 				Kind: explain.Missed, Pass: "comm", Proc: procName, Line: line, Name: "align",
@@ -107,7 +110,16 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 		if cc.Pipelined || cc.NoPipe != "" {
 			ex.Add(pipeRemark(procName, line, cc.AtLoop, cc.Array, cc.D.Shift, cc.NoPipe))
 		}
+		if cc.NoTo != "" {
+			ex.Add(toRemark(procName, line, cc.Array, cc.Section.String(), cc.NoTo))
+		}
 	}
+}
+
+// toRemark words why a broadcast has no "to" clause.
+func toRemark(proc string, line int, array, section, why string) explain.Remark {
+	return explain.Remark{Kind: explain.Missed, Pass: "comm", Proc: proc, Line: line, Name: "receivers",
+		Msg: fmt.Sprintf("broadcast of %s %s reaches every processor, not the owners of what reads it: %s", array, section, why)}
 }
 
 // pipeRemark words what pipeline decided for a shift by c that loop

@@ -416,10 +416,13 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 			dists[name] = dist
 		} else if !d.IsReplicated() {
 			if ex.Enabled() {
+				why := "dimension bounds are not compile-time constants or the decomposition does not fit"
+				if d.Validate() != nil {
+					why = "two distributed dimensions (deviation 4)"
+				}
 				ex.Add(explain.Remark{
 					Kind: explain.Missed, Pass: "core", Proc: proc.Name, Name: "distribute",
-					Msg: fmt.Sprintf("no distribution descriptor built for %s %s: dimension bounds are not compile-time constants or the decomposition does not fit — the array stays replicated",
-						name, d.Key()),
+					Msg: fmt.Sprintf("no distribution descriptor built for %s %s: %s — the array stays replicated", name, d.Key(), why),
 				})
 			}
 		}

@@ -331,7 +331,6 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 
 	remaps, decompSum := livedecomp.AnalyzeExplain(proc, n, entry, sums, pc.killTest, pc.opts.RemapOpt, tex)
 	partition.Explain(tex, proc.Name, plan)
-	comm.Explain(tex, proc.Name, commRes)
 
 	// overlap bookkeeping: shifts extend the block boundary
 	for _, acc := range commRes.Accesses {
@@ -360,6 +359,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	}
 	out.res = gen
 	out.body = gen.Body
+	comm.Explain(tex, proc.Name, commRes) // after codegen, which decides the receivers
 	c.Overlaps.Explain(tex, proc.Name)
 
 	out.part = plan.Delayed

@@ -1,8 +1,8 @@
 // Package decomp implements the semantics of Fortran D data
 // decomposition: DECOMPOSITION / ALIGN / DISTRIBUTE statements, the
 // distribution functions (BLOCK, CYCLIC, BLOCK_CYCLIC) that map global
-// indices to owning processors, and the global↔local index conversions
-// used by data partitioning and code generation.
+// indices to owning processors and each processor to its local index
+// set, and the volume of a remap between two distributions.
 //
 // The compiler supports the common case of the paper's programs: each
 // array has at most one distributed dimension, laid out over a
@@ -175,17 +175,6 @@ func (d *Dist) BlockSize() int {
 	return 0
 }
 
-// Owner returns the processor owning the element at the given global
-// index vector (1-based). Replicated arrays are owned by every
-// processor; Owner returns 0 for them.
-func (d *Dist) Owner(idx []int) int {
-	dim := d.DistDim()
-	if dim < 0 {
-		return 0
-	}
-	return d.OwnerIndex(idx[dim])
-}
-
 // OwnerIndex returns the owner by the distributed-dimension coordinate i.
 func (d *Dist) OwnerIndex(i int) int {
 	dim := d.DistDim()
@@ -252,59 +241,6 @@ func (d *Dist) LocalSet(p int) []rsd.Dim {
 		return out
 	}
 	return nil
-}
-
-// LocalCount returns the number of distributed-dimension indices owned
-// by processor p.
-func (d *Dist) LocalCount(p int) int {
-	total := 0
-	for _, dm := range d.LocalSet(p) {
-		total += dm.Count()
-	}
-	return total
-}
-
-// GlobalToLocal converts a global distributed-dimension index to the
-// processor-local storage index (1-based) on its owner.
-func (d *Dist) GlobalToLocal(i int) int {
-	dim := d.DistDim()
-	if dim < 0 {
-		return i
-	}
-	switch d.Specs[dim].Kind {
-	case ast.DistBlock:
-		b := d.BlockSize()
-		owner := d.OwnerIndex(i)
-		return i - owner*b
-	case ast.DistCyclic:
-		return (i-1)/d.P + 1
-	case ast.DistBlockCyclic:
-		k := d.Specs[dim].BlockSize
-		blk := (i - 1) / k
-		localBlk := blk / d.P
-		return localBlk*k + (i-1)%k + 1
-	}
-	return i
-}
-
-// LocalToGlobal converts a processor-local storage index on processor p
-// back to the global index.
-func (d *Dist) LocalToGlobal(p, l int) int {
-	dim := d.DistDim()
-	if dim < 0 {
-		return l
-	}
-	switch d.Specs[dim].Kind {
-	case ast.DistBlock:
-		return p*d.BlockSize() + l
-	case ast.DistCyclic:
-		return (l-1)*d.P + p + 1
-	case ast.DistBlockCyclic:
-		k := d.Specs[dim].BlockSize
-		localBlk := (l - 1) / k
-		return (localBlk*d.P+p)*k + (l-1)%k + 1
-	}
-	return l
 }
 
 // RemapWords counts the array elements that physically move when the

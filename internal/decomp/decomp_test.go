@@ -89,8 +89,8 @@ func TestBlockUneven(t *testing.T) {
 	// ceil(10/4)=3: owners get 3,3,3,1
 	counts := []int{3, 3, 3, 1}
 	for p, want := range counts {
-		if got := d.LocalCount(p); got != want {
-			t.Errorf("LocalCount(%d) = %d, want %d", p, got, want)
+		if got := d.LocalSet(p)[0].Count(); got != want {
+			t.Errorf("LocalSet(%d) counts %d, want %d", p, got, want)
 		}
 	}
 	if o := d.OwnerIndex(10); o != 3 {
@@ -130,23 +130,6 @@ func TestBlockCyclic(t *testing.T) {
 	}
 	if set[0] != rsd.Range(1, 2) || set[1] != rsd.Range(7, 8) {
 		t.Errorf("LocalSet(0) = %v", set)
-	}
-}
-
-func TestGlobalLocalRoundTrip(t *testing.T) {
-	dists := []*Dist{
-		MustDist(NewDecomp(Block), []int{100}, 4),
-		MustDist(NewDecomp(Cyclic), []int{100}, 4),
-		MustDist(NewDecomp(BlockCyclic(3)), []int{100}, 4),
-	}
-	for _, d := range dists {
-		for i := 1; i <= 100; i++ {
-			p := d.OwnerIndex(i)
-			l := d.GlobalToLocal(i)
-			if back := d.LocalToGlobal(p, l); back != i {
-				t.Errorf("%s: round trip %d → (p%d,l%d) → %d", d.Key(), i, p, l, back)
-			}
-		}
 	}
 }
 
@@ -226,7 +209,7 @@ func TestReplicated(t *testing.T) {
 	if !d.IsReplicated() {
 		t.Error("replicated not detected")
 	}
-	if o := d.Owner([]int{7}); o != 0 {
+	if o := d.OwnerIndex(7); o != 0 {
 		t.Errorf("replicated owner = %d", o)
 	}
 }

@@ -118,24 +118,6 @@ func (p *Placement) Count() int {
 	return n
 }
 
-// Ops returns all placed operations (order unspecified).
-func (p *Placement) Ops() []*Op {
-	var out []*Op
-	for _, ops := range p.BeforeStmt {
-		out = append(out, ops...)
-	}
-	for _, ops := range p.AfterStmt {
-		out = append(out, ops...)
-	}
-	for _, ops := range p.BeforeLoop {
-		out = append(out, ops...)
-	}
-	for _, ops := range p.AfterLoop {
-		out = append(out, ops...)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Event sequence
 

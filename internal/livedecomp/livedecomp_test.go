@@ -279,10 +279,16 @@ func TestConditionalRemapNotOptimized(t *testing.T) {
 	if place.Count() != 1 {
 		t.Errorf("conditional remap count = %d, want 1", place.Count())
 	}
-	for _, op := range place.Ops() {
-		if op.InPlace {
-			t.Error("conditional remap must not be optimized in place")
+	found := 0 // the remap goes where the DISTRIBUTE stood
+	for _, ops := range place.BeforeStmt {
+		for _, op := range ops {
+			if found++; op.InPlace {
+				t.Error("conditional remap must not be optimized in place")
+			}
 		}
+	}
+	if found != 1 {
+		t.Errorf("%d remaps placed before a statement, want the one", found)
 	}
 }
 

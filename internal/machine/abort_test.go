@@ -426,7 +426,7 @@ func TestBroadcastSmallP(t *testing.T) {
 					if p == root {
 						data = []float64{float64(root + 1)}
 					}
-					got[p] = pr.Broadcast(root, data)
+					got[p] = pr.Broadcast(root, All, data)
 				})
 			}
 			if err := m.Wait(); err != nil {

@@ -145,9 +145,9 @@ func TestCallerOwnedHandlesAllocationFree(t *testing.T) {
 						data = p.Scratch(8)
 						data[0] = float64(i)
 					}
-					p.PostBcastInto(&bcast, root, data)
+					p.PostBcastInto(&bcast, root, All, data)
 					p.IRecvInto(&recv, (p.ID()+1)%4)
-					if got := p.WaitBcast(&bcast); got[0] != float64(i) {
+					if got := p.WaitHandle(&bcast); got[0] != float64(i) {
 						t.Errorf("p%d round %d: broadcast delivered %v", p.ID(), i, got[0])
 						return
 					}

@@ -121,7 +121,9 @@ func TestAllReduceMatchesTree(t *testing.T) {
 // DefaultConfig's α (start-up) and β (per word), every processor
 // entering at clock c: the clocks are computed here in the order the
 // machine adds them (a send's start-up, then arrival = send + α + w·β)
-// and compared to the last bit.
+// and compared to the last bit — AllReduce, and Broadcast to every
+// processor and to groups: the root inside or outside the range, a
+// range wrapping past P−1, and the root alone.
 func TestCollectiveClosedForm(t *testing.T) {
 	const c = 1000.0
 	cfg := DefaultConfig(1)
@@ -151,42 +153,73 @@ func TestCollectiveClosedForm(t *testing.T) {
 			}
 		}
 
-		// Broadcast from 0 of w words: rank r receives from r minus its
-		// highest bit, as that parent's i-th child (i counts from 1), one
-		// start-up per earlier child later; it then sends to every r+2^j
-		// past its own highest bit.
+		// Broadcast of w words from root to a group: the members (the root
+		// and g) ranked by distance (pid - root) mod P from the root; rank r
+		// receives from r minus its highest bit, as that parent's i-th child
+		// (i counts from 1), one start-up per earlier child later; it then
+		// sends to every r+2^j past its own highest bit. Anyone else's clock
+		// stays at c.
 		const w = 3
-		m = New(DefaultConfig(np))
-		for pid := 0; pid < np; pid++ {
-			m.Go(pid, func(p *Proc) {
-				p.Tick(c)
-				var data []float64
-				if pid == 0 {
-					data = make([]float64, w)
+		for _, bc := range []struct {
+			name string
+			root int
+			g    Group
+		}{
+			{"all", 0, All},
+			{"root inside", np - 1, Group{First: np / 2, N: np - np/2}},
+			{"root outside", 0, Group{First: 1, N: np / 2}},
+			{"wrapping", 1 % np, Group{First: np - np/2, N: np/2 + 1}},
+			{"root alone", np / 3, Group{}},
+		} {
+			m = New(DefaultConfig(np))
+			for pid := 0; pid < np; pid++ {
+				m.Go(pid, func(p *Proc) {
+					p.Tick(c)
+					var data []float64
+					if pid == bc.root {
+						data = make([]float64, w)
+					}
+					p.Broadcast(bc.root, bc.g, data)
+				})
+			}
+			if err := m.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			var members []int // by rank
+			for d := 0; d < np; d++ {
+				pid := (bc.root + d) % np
+				if d == 0 || bc.g.N >= np || ((pid-bc.g.First)%np+np)%np < bc.g.N {
+					members = append(members, pid)
 				}
-				p.Broadcast(0, data)
-			})
-		}
-		if err := m.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		recv := make([]float64, np)
-		recv[0] = c
-		for r := 1; r < np; r++ {
-			parent := r &^ (1 << (bits.Len(uint(r)) - 1))
-			at := recv[parent]
-			for i := bits.Len(uint(parent)); i < bits.Len(uint(r)); i++ {
-				at += α // one start-up per child sent before r, and r's own
 			}
-			recv[r] = at + α + float64(w)*β
-		}
-		for r, ps := range m.Stats().PerProc {
-			want := recv[r]
-			for j := bits.Len(uint(r)); r+1<<j < np; j++ {
-				want += α
+			n := len(members)
+			want := make([]float64, np)
+			for pid := range want {
+				want[pid] = c
 			}
-			if ps.Clock != want {
-				t.Errorf("Broadcast P=%d: proc %d clock %v, want %v", np, r, ps.Clock, want)
+			recv := make([]float64, n)
+			recv[0] = c
+			for r := 1; r < n; r++ {
+				parent := r &^ (1 << (bits.Len(uint(r)) - 1))
+				at := recv[parent]
+				for i := bits.Len(uint(parent)); i < bits.Len(uint(r)); i++ {
+					at += α // one start-up per child sent before r, and r's own
+				}
+				recv[r] = at + α + float64(w)*β
+			}
+			for r, pid := range members {
+				want[pid] = recv[r]
+				for j := bits.Len(uint(r)); r+1<<j < n; j++ {
+					want[pid] += α
+				}
+			}
+			for pid, ps := range m.Stats().PerProc {
+				if ps.Clock != want[pid] {
+					t.Errorf("Broadcast %s P=%d: proc %d clock %v, want %v", bc.name, np, pid, ps.Clock, want[pid])
+				}
+			}
+			if msgs := m.Stats().Messages; msgs != int64(n-1) {
+				t.Errorf("Broadcast %s P=%d: %d messages, want %d", bc.name, np, msgs, n-1)
 			}
 		}
 	}

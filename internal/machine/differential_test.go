@@ -18,8 +18,9 @@ import (
 // and each processor ended.
 //
 // A program is a global sequence of operations — send/receive pairs,
-// split-phase ISend/IRecv/WaitHandle, Broadcast, PostBcast/WaitBcast,
-// AllReduce, Compute, zero-word messages — of which every processor
+// split-phase IRecvInto/WaitHandle, Broadcast and PostBcastInto/
+// WaitHandle to every processor or to a group, AllReduce, Compute,
+// zero-word messages — of which every processor
 // executes its own projection in order. That cannot deadlock: sends
 // never block, and by the time all operations before some operation are
 // complete its participants have nothing else left to wait for. Every
@@ -30,10 +31,10 @@ type diffKind int
 
 const (
 	opSendRecv  diffKind = iota // a sends, b receives
-	opSplit                     // a ISends, b posts IRecv into handle h
+	opSplit                     // a sends, b posts IRecvInto handle h
 	opWait                      // b waits for handle h
-	opBcast                     // Broadcast from root a
-	opPostBcast                 // PostBcast from root a into handle h
+	opBcast                     // Broadcast from root a to group g
+	opPostBcast                 // PostBcastInto handle h from root a to group g
 	opWaitBcast                 // everyone waits for handle h
 	opReduce                    // AllReduce
 	opCompute                   // a computes n flops
@@ -43,7 +44,8 @@ type diffOp struct {
 	kind       diffKind
 	a, b, h    int
 	words, n   int
-	nilPayload bool // a zero-word payload passed as nil
+	nilPayload bool  // a zero-word payload passed as nil
+	g          Group // a broadcast's: All, or a range of 0..P processors
 }
 
 // diffTail is how a generated program ends once the operations are done.
@@ -80,6 +82,12 @@ func genOps(rng *rand.Rand, np int) []diffOp {
 		}
 		return 1 + rng.Intn(40), false
 	}
+	group := func() Group {
+		if rng.Intn(2) == 0 {
+			return All
+		}
+		return Group{First: rng.Intn(np), N: rng.Intn(np + 1)}
+	}
 	closeOne := func(i int) {
 		pd := open[i]
 		open = append(open[:i], open[i+1:]...)
@@ -107,10 +115,10 @@ func genOps(rng *rand.Rand, np int) []diffOp {
 			nextH++
 		case k < 6:
 			w, isNil := words()
-			ops = append(ops, diffOp{kind: opBcast, a: rng.Intn(np), words: w, nilPayload: isNil})
+			ops = append(ops, diffOp{kind: opBcast, a: rng.Intn(np), words: w, nilPayload: isNil, g: group()})
 		case k < 7:
 			w, isNil := words()
-			ops = append(ops, diffOp{kind: opPostBcast, a: rng.Intn(np), h: nextH, words: w, nilPayload: isNil})
+			ops = append(ops, diffOp{kind: opPostBcast, a: rng.Intn(np), h: nextH, words: w, nilPayload: isNil, g: group()})
 			open = append(open, pending{bcast: true, h: nextH})
 			nextH++
 		case k < 8:
@@ -138,7 +146,7 @@ func diffNode(m *Machine, p *Proc, ops []diffOp, tail diffTail, cycle int, got *
 	id, np := p.ID(), m.P()
 	record := func(d []float64) { *got = append(*got, append([]float64{}, d...)) }
 	// a payload is a function of the operation alone. staged builds it in
-	// Scratch; a PostBcast root keeps its payload until the wait, longer
+	// Scratch; a PostBcastInto root keeps its payload until the wait, longer
 	// than a Scratch buffer lasts, so it builds a fresh one.
 	payload := func(i int, op diffOp, staged bool) []float64 {
 		if op.nilPayload {
@@ -168,10 +176,11 @@ func diffNode(m *Machine, p *Proc, ops []diffOp, tail diffTail, cycle int, got *
 			}
 		case opSplit:
 			if id == op.a {
-				p.ISend(op.b, payload(i, op, true))
+				p.Send(op.b, payload(i, op, true))
 			}
 			if id == op.b {
-				handles[op.h] = p.IRecv(op.a)
+				handles[op.h] = new(Handle)
+				p.IRecvInto(handles[op.h], op.a)
 			}
 		case opWait:
 			if id == op.b {
@@ -182,15 +191,16 @@ func diffNode(m *Machine, p *Proc, ops []diffOp, tail diffTail, cycle int, got *
 			if id == op.a {
 				data = payload(i, op, true)
 			}
-			record(p.Broadcast(op.a, data))
+			record(p.Broadcast(op.a, op.g, data))
 		case opPostBcast:
 			var data []float64
 			if id == op.a {
 				data = payload(i, op, false)
 			}
-			handles[op.h] = p.PostBcast(op.a, data)
+			handles[op.h] = new(Handle)
+			p.PostBcastInto(handles[op.h], op.a, op.g, data)
 		case opWaitBcast:
-			record(p.WaitBcast(handles[op.h]))
+			record(p.WaitHandle(handles[op.h]))
 		case opReduce:
 			record([]float64{p.AllReduce(float64(id+i), func(acc, v float64) float64 { return acc + v })})
 		case opCompute:

@@ -513,26 +513,25 @@ func (p *Proc) recvAs(from int, kind trace.Kind) []float64 {
 	}
 }
 
-// Broadcast distributes data from root to every processor. All
-// processors must call it. It returns the data (the root's own copy on
-// the root). The implementation is a binomial tree, the pattern the
-// iPSC hypercube's library broadcast used: log₂(P) message steps on
-// the critical path.
-func (p *Proc) Broadcast(root int, data []float64) []float64 {
-	np := p.m.cfg.P
-	rel := (p.id - root + np) % np
-	received, sent := p.id == root, false
-	for k := 1; k < np; k <<= 1 {
-		if rel >= k && rel < 2*k {
-			data = p.Recv((root + rel - k) % np)
-			received = true
-			continue
-		}
-		if rel < k && received && rel+k < np {
-			p.send((root+rel+k)%np, data, sent)
-			sent = true
-			p.bcast++
-		}
+// Broadcast distributes data from root to the processors of g (for
+// anyone else a no-op) and returns it, the root's own copy on the root.
+// The implementation is a binomial tree over the root and g (bcastTree),
+// the pattern the iPSC hypercube's library broadcast used: log₂ of their
+// number message steps on the critical path.
+func (p *Proc) Broadcast(root int, g Group, data []float64) []float64 {
+	t := newTree(root, p.m.cfg.P, g)
+	rank, ok := t.rank(p.id)
+	if !ok {
+		return data
+	}
+	var buf [64]int
+	parent, children := bcastTree(rank, t.size, buf[:0])
+	if parent >= 0 {
+		data = p.Recv(t.pid(parent))
+	}
+	for i, c := range children {
+		p.send(t.pid(c), data, i > 0)
+		p.bcast++
 	}
 	return data
 }

@@ -71,7 +71,7 @@ func TestBroadcast(t *testing.T) {
 			if p == 2 {
 				data = []float64{9, 8}
 			}
-			results[p] = pr.Broadcast(2, data)
+			results[p] = pr.Broadcast(2, All, data)
 		})
 	}
 	m.Wait()
@@ -267,7 +267,7 @@ func TestBroadcastTreeAllRoots(t *testing.T) {
 					if p == root {
 						data = []float64{float64(root), 42}
 					}
-					got[p] = pr.Broadcast(root, data)
+					got[p] = pr.Broadcast(root, All, data)
 				})
 			}
 			m.Wait()
@@ -295,7 +295,7 @@ func TestBroadcastLogDepth(t *testing.T) {
 				if p == 0 {
 					data = []float64{1}
 				}
-				pr.Broadcast(0, data)
+				pr.Broadcast(0, All, data)
 			})
 		}
 		m.Wait()

@@ -1,12 +1,16 @@
 package machine
 
-import "fortd/internal/trace"
+import (
+	"math"
+
+	"fortd/internal/trace"
+)
 
 // Nonblocking communication. The machine has no rendezvous: a
 // message's delivery time is fixed entirely by its sender
 // (message.arrival), so posting a receive early cannot change when the
 // data arrives — it changes what the receiver does in the meantime.
-// IRecv therefore records intent only and WaitHandle performs the
+// IRecvInto therefore records intent only and WaitHandle performs the
 // receive and all accounting: nothing observable happens between post
 // and wait. A wait that stalls emits a KindWait trace event whose Dur
 // is exactly the flight time the schedule failed to hide under
@@ -17,16 +21,14 @@ import "fortd/internal/trace"
 type handleKind uint8
 
 const (
-	handleSend handleKind = iota
-	handleRecv
+	handleRecv handleKind = iota
 	handleBcast
 )
 
-// Handle is one in-flight nonblocking operation, returned by ISend,
-// IRecv and PostBcast and completed by WaitHandle. Handles belong to
-// the processor that created them and are not safe for concurrent use.
-// A caller that posts in a loop can own the storage instead: IRecvInto
-// and PostBcastInto restart a Handle the caller keeps (once its
+// Handle is one in-flight nonblocking operation, started by IRecvInto
+// or PostBcastInto and completed by WaitHandle. Handles belong to the
+// processor that posts on them and are not safe for concurrent use; a
+// caller that posts in a loop restarts the Handle it keeps (once its
 // previous operation has been waited for), reusing its forwarding list.
 type Handle struct {
 	p    *Proc
@@ -37,26 +39,11 @@ type Handle struct {
 	fwd  []int // bcast: children to forward to at wait time
 }
 
-// ISend starts a nonblocking send. Send never blocks on this machine
-// (links are buffered; a full link fails the run), so ISend is Send
-// plus an already-completed handle — it exists so schedules can treat
-// both directions of a split-phase exchange uniformly.
-func (p *Proc) ISend(to int, data []float64) *Handle {
-	p.Send(to, data)
-	return &Handle{p: p, kind: handleSend, from: -1, done: true}
-}
-
-// IRecv posts a nonblocking receive for the next message from
-// processor from. It records intent only (see the package comment on
-// rendezvous); WaitHandle performs the receive. Posting is still a
-// cancellation point so an aborted run unwinds promptly.
-func (p *Proc) IRecv(from int) *Handle {
-	h := new(Handle)
-	p.IRecvInto(h, from)
-	return h
-}
-
-// IRecvInto is IRecv into a caller-owned Handle.
+// IRecvInto posts a nonblocking receive, in a handle the caller owns,
+// for the next message from processor from. It records intent only (see
+// the package comment on rendezvous); WaitHandle performs the receive.
+// Posting is still a cancellation point so an aborted run unwinds
+// promptly.
 func (p *Proc) IRecvInto(h *Handle, from int) {
 	if p.m.aborted.Load() {
 		p.abortNow("post", from)
@@ -66,7 +53,7 @@ func (p *Proc) IRecvInto(h *Handle, from int) {
 }
 
 // WaitHandle completes a nonblocking operation, blocking until its
-// message is delivered, and returns the payload (nil for sends and
+// message is delivered, and returns the payload (nil for
 // self-receives). The stall, if any, is charged to the waiter's Wait
 // time and emitted as a KindWait event carrying the posted operation's
 // Seq, so analysis links it to the originating send. Waiting twice on
@@ -90,13 +77,58 @@ func (p *Proc) WaitHandle(h *Handle) []float64 {
 	return h.data
 }
 
-// bcastTree returns the binomial-tree parent of relative rank rel (-1
-// for the root) and its children in ascending-round order, for an
-// np-processor broadcast rooted at relative rank 0. It reproduces
-// exactly the rounds Broadcast walks inline — rank rel receives in the
-// round k with k <= rel < 2k and sends to rel+k in every later round —
-// so split-phase and blocking broadcasts move the same messages over
-// the same links. The children are appended to buf.
+// Group is the processors a broadcast reaches besides its root: the N
+// processors First, First+1, .., counted modulo P; N >= P is all.
+type Group struct{ First, N int }
+
+// All is the group of every processor.
+var All = Group{N: math.MaxInt}
+
+// Has reports whether pid is one of g's processors on np processors.
+func (g Group) Has(pid, np int) bool {
+	return g.N >= np || ((pid-g.First)%np+np)%np < g.N
+}
+
+// tree ranks a broadcast's members, its root and group, in closed form
+// by their distance (pid - root) mod P: the distances [0, low) and then
+// [from, to). A group of all P ranks every processor by its distance.
+type tree struct{ root, np, low, from, to, size int }
+
+func newTree(root, np int, g Group) tree {
+	n, s := min(max(g.N, 0), np), ((g.First-root)%np+np)%np
+	if s == 0 && n > 0 {
+		s, n = 1, n-1 // the root heads the range
+	}
+	t := tree{root: root, np: np, low: 1, from: s, to: s + n}
+	if s+n > np { // the range wraps past the root
+		t.low, t.to = s+n-np, np
+	}
+	t.size = t.low + t.to - t.from
+	return t
+}
+
+func (t tree) rank(pid int) (int, bool) {
+	d := ((pid-t.root)%t.np + t.np) % t.np
+	if d >= t.from && d < t.to {
+		return d - t.from + t.low, true
+	}
+	return d, d < t.low
+}
+
+func (t tree) pid(rank int) int {
+	if rank >= t.low {
+		rank += t.from - t.low
+	}
+	return (t.root + rank) % t.np
+}
+
+// bcastTree returns the binomial-tree parent of rank rel (-1 for the
+// root) and its children in ascending-round order, for an np-member
+// broadcast rooted at rank 0: rank rel receives in the round k with
+// k <= rel < 2k and sends to rel+k in every later round. Broadcast and
+// PostBcastInto both walk it, so split-phase and blocking broadcasts move
+// the same messages over the same links. The children are appended to
+// buf.
 func bcastTree(rel, np int, buf []int) (parent int, children []int) {
 	parent, children = -1, buf
 	k := 1
@@ -116,42 +148,32 @@ func bcastTree(rel, np int, buf []int) (parent int, children []int) {
 	return parent, children
 }
 
-// PostBcast starts a split-phase broadcast of data from root. All
-// processors must call it and later complete it with WaitHandle (or
-// WaitBcast). The root sends to its tree children immediately — that
-// is the whole point of posting early — while every other processor
+// PostBcastInto starts a split-phase broadcast of data from root to the
+// processors of g in a handle the caller owns. The root and g must call
+// it and later complete it with WaitHandle; for anyone else the handle
+// is done at once. The root sends to its tree children immediately —
+// that is the whole point of posting early — while every other member
 // records its parent and forwards to its own children when it waits.
 // The message pattern is identical to the blocking Broadcast.
-func (p *Proc) PostBcast(root int, data []float64) *Handle {
-	h := new(Handle)
-	p.PostBcastInto(h, root, data)
-	return h
-}
-
-// PostBcastInto is PostBcast into a caller-owned Handle.
-func (p *Proc) PostBcastInto(h *Handle, root int, data []float64) {
-	np := p.m.cfg.P
-	rel := (p.id - root + np) % np
-	parent, children := bcastTree(rel, np, h.fwd[:0])
+func (p *Proc) PostBcastInto(h *Handle, root int, g Group, data []float64) {
+	t := newTree(root, p.m.cfg.P, g)
+	rank, ok := t.rank(p.id)
+	parent, children := bcastTree(rank, t.size, h.fwd[:0])
 	for i, c := range children {
-		children[i] = (root + c) % np
+		children[i] = t.pid(c)
 	}
-	*h = Handle{p: p, kind: handleBcast, from: -1, fwd: children}
-	if p.id == root {
+	*h = Handle{p: p, kind: handleBcast, from: -1, done: !ok, fwd: children}
+	switch {
+	case ok && parent < 0:
 		for i, c := range children {
 			p.send(c, data, i > 0)
 			p.bcast++
 		}
-		h.done = true
-		h.data = data
-		return
+		h.done, h.data = true, data
+	case ok:
+		if p.m.aborted.Load() {
+			p.abortNow("post", t.pid(parent))
+		}
+		h.from = t.pid(parent)
 	}
-	if p.m.aborted.Load() {
-		p.abortNow("post", (root+parent)%np)
-	}
-	h.from = (root + parent) % np
 }
-
-// WaitBcast completes a split-phase broadcast and returns the full
-// payload on every processor (the root's own copy on the root).
-func (p *Proc) WaitBcast(h *Handle) []float64 { return p.WaitHandle(h) }

@@ -16,9 +16,10 @@ func TestIRecvWaitHidesFlightTime(t *testing.T) {
 	m.Go(0, func(p *Proc) { p.Send(1, []float64{7, 7, 7}) })
 	var got []float64
 	m.Go(1, func(p *Proc) {
-		h := p.IRecv(0)
+		var h Handle
+		p.IRecvInto(&h, 0)
 		p.Compute(100) // arrival is at 10+3 = 13, long past
-		got = p.WaitHandle(h)
+		got = p.WaitHandle(&h)
 	})
 	m.Wait()
 	if len(got) != 3 || got[0] != 7 {
@@ -37,7 +38,9 @@ func TestIRecvWaitHidesFlightTime(t *testing.T) {
 	m = New(cfg)
 	m.Go(0, func(p *Proc) { p.Send(1, []float64{7, 7, 7}) })
 	m.Go(1, func(p *Proc) {
-		p.WaitHandle(p.IRecv(0))
+		var h Handle
+		p.IRecvInto(&h, 0)
+		p.WaitHandle(&h)
 	})
 	m.Wait()
 	if w := m.Stats().PerProc[1].Wait; w != 23 {
@@ -46,25 +49,25 @@ func TestIRecvWaitHidesFlightTime(t *testing.T) {
 }
 
 // TestWaitHandleIdempotent: waiting twice returns the same payload
-// without a second receive; nil and send handles are no-ops.
+// without a second receive; nil and self-receive handles are no-ops.
 func TestWaitHandleIdempotent(t *testing.T) {
 	m := New(DefaultConfig(2))
 	m.Go(0, func(p *Proc) {
-		h := p.ISend(1, []float64{1})
-		if d := p.WaitHandle(h); d != nil {
-			t.Errorf("send wait returned %v", d)
-		}
+		p.Send(1, []float64{1})
 		if d := p.WaitHandle(nil); d != nil {
 			t.Errorf("nil wait returned %v", d)
 		}
-		if d := p.WaitHandle(p.IRecv(0)); d != nil {
+		var h Handle
+		p.IRecvInto(&h, 0)
+		if d := p.WaitHandle(&h); d != nil {
 			t.Errorf("self-receive returned %v", d)
 		}
 	})
 	m.Go(1, func(p *Proc) {
-		h := p.IRecv(0)
-		a := p.WaitHandle(h)
-		b := p.WaitHandle(h)
+		var h Handle
+		p.IRecvInto(&h, 0)
+		a := p.WaitHandle(&h)
+		b := p.WaitHandle(&h)
 		if len(a) != 1 || a[0] != 1 {
 			t.Errorf("first wait = %v", a)
 		}
@@ -86,7 +89,11 @@ func TestWaitEventKind(t *testing.T) {
 	m := New(Config{P: 2, Latency: 10, PerWord: 1, FlopCost: 1})
 	m.SetTracer(tr)
 	m.Go(0, func(p *Proc) { p.Send(1, []float64{1, 2}) })
-	m.Go(1, func(p *Proc) { p.WaitHandle(p.IRecv(0)) })
+	m.Go(1, func(p *Proc) {
+		var h Handle
+		p.IRecvInto(&h, 0)
+		p.WaitHandle(&h)
+	})
 	m.Wait()
 	var waits int
 	for _, ev := range tr.Events() {
@@ -105,9 +112,13 @@ func TestWaitEventKind(t *testing.T) {
 	}
 }
 
-// TestBcastTreeTopology pins the binomial tree against the rounds the
-// blocking Broadcast walks inline: rank rel receives from rel-k in the
-// round with k <= rel < 2k and forwards to rel+k in every later round.
+// TestBcastTreeTopology pins the binomial tree: rank rel receives from
+// rel-k in the round with k <= rel < 2k and forwards to rel+k in every
+// later round. The tree runs over a broadcast's members, the root and
+// its group, ranked by distance (pid - root) mod P from the root: the
+// closed form must agree with walking the processors in that order, for
+// every root and modular range (empty, wrapping, holding the root or
+// not, all P and more) up to P = 9.
 func TestBcastTreeTopology(t *testing.T) {
 	cases := []struct {
 		rel, np  int
@@ -123,6 +134,29 @@ func TestBcastTreeTopology(t *testing.T) {
 		{0, 1, -1, nil},
 		{2, 6, 0, nil},
 		{1, 6, 0, []int{3, 5}},
+	}
+	for np := 1; np <= 9; np++ {
+		for root := 0; root < np; root++ {
+			for first := 0; first < np; first++ {
+				for n := 0; n <= np+1; n++ {
+					g, rank := Group{First: first, N: n}, 0
+					tr := newTree(root, np, g)
+					for d := 0; d < np; d++ {
+						pid := (root + d) % np
+						member := d == 0 || n >= np || ((pid-first)%np+np)%np < n
+						if r, ok := tr.rank(pid); ok != member || ok && (r != rank || tr.pid(r) != pid) {
+							t.Fatalf("P=%d root=%d %+v: proc %d ranked %d (member %v), want %d (member %v)", np, root, g, pid, r, ok, rank, member)
+						}
+						if member {
+							rank++
+						}
+					}
+					if tr.size != rank {
+						t.Fatalf("P=%d root=%d %+v: size %d, want %d", np, root, g, tr.size, rank)
+					}
+				}
+			}
+		}
 	}
 	for _, c := range cases {
 		parent, children := bcastTree(c.rel, c.np, nil)
@@ -157,7 +191,9 @@ func TestPostBcastMatchesBroadcast(t *testing.T) {
 					if pid == root {
 						data = []float64{float64(root), 42}
 					}
-					results[pid] = p.WaitBcast(p.PostBcast(root, data))
+					var h Handle
+					p.PostBcastInto(&h, root, All, data)
+					results[pid] = p.WaitHandle(&h)
 				})
 			}
 			m.Wait()

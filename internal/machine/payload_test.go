@@ -94,7 +94,7 @@ func TestForwardedPayloadOutlivesItsForwarder(t *testing.T) {
 				for j := range data {
 					data[j] = pattern(1, j)
 				}
-				p.PostBcastInto(&h, 0, data)
+				p.PostBcastInto(&h, 0, All, data)
 				for q := 1; q < np; q++ {
 					for i := 0; i < 2; i++ {
 						junk := p.Scratch(words)
@@ -110,7 +110,7 @@ func TestForwardedPayloadOutlivesItsForwarder(t *testing.T) {
 				}
 				return
 			}
-			p.PostBcastInto(&h, 0, nil)
+			p.PostBcastInto(&h, 0, All, nil)
 			if parent, _ := bcastTree(pid, np, nil); parent != 0 && !moved[parent] {
 				t.Errorf("p%d runs before its parent p%d has moved on: the test no longer tests anything", pid, parent)
 			}
@@ -155,7 +155,7 @@ func bcastRounds(t testing.TB, m *Machine, rounds, words, roots int) {
 						data[j] = pattern(r, j)
 					}
 				}
-				p.PostBcastInto(&h, root, data)
+				p.PostBcastInto(&h, root, All, data)
 				checkPattern(t, pid, r, p.WaitHandle(&h), words)
 			}
 			p.Barrier()

@@ -3,12 +3,31 @@ package parser
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"fortd/internal/ast"
 )
+
+// toClauseSrc holds the broadcasts that carry a "to" clause: blocking and
+// posted, the bounded dimension first and last.
+const toClauseSrc = `
+      SUBROUTINE dgefa(a,n)
+      REAL a(128,128)
+      my$p = myproc()
+      do k = 1,(n - 1)
+        broadcast a((k + 1):128,k) from MOD((k - 1),1024) to a(:,(k + 1):n)
+        postbcast a(k,1:128) from MOD((k - 1),1024) to a(k:n,:) tag 1
+        waitbcast a tag 1
+      enddo
+      END
+`
 
 // FuzzParse asserts the lexer+parser never panic: arbitrary input must
 // either parse or return an error. The corpus is seeded with every
-// checked-in Fortran D source under the repository's testdata.
+// checked-in Fortran D source under the repository's testdata and with
+// broadcasts that carry a "to" clause, which must survive print → parse
+// → print unchanged.
 func FuzzParse(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.f"))
 	if err != nil {
@@ -24,10 +43,22 @@ func FuzzParse(f *testing.F) {
 	f.Add("      PROGRAM P\n      END\n")
 	f.Add("      SUBROUTINE S(X, N)\n      REAL X(N)\n      RETURN\n      END\n")
 	f.Add("      DECOMPOSITION D(100)\n      ALIGN X WITH D\n      DISTRIBUTE D(BLOCK)\n")
+	f.Add(toClauseSrc)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		if err == nil && prog == nil {
 			t.Fatal("Parse returned nil program and nil error")
+		}
+		if err != nil || !strings.Contains(src, " to ") {
+			return
+		}
+		text := ast.Print(prog)
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("printed program does not parse: %v\n%s", err, text)
+		}
+		if text2 := ast.Print(again); text2 != text {
+			t.Fatalf("print → parse → print changed the program:\n%s\n---\n%s", text, text2)
 		}
 	})
 }

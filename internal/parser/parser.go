@@ -840,7 +840,7 @@ func (p *parser) parseAssign() (ast.Stmt, error) {
 //
 //	send  ARR(sec,...) to EXPR
 //	recv  ARR(sec,...) from EXPR
-//	broadcast ARR(sec,...) from EXPR
+//	broadcast ARR(sec,...) from EXPR [to ARR(:,...,sec,...,:)]
 //	allgather ARR(sec,...)
 //
 // where each section dimension is "expr" or "expr:expr".
@@ -850,7 +850,7 @@ func (p *parser) parseComm(kind string) (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	sec, err := p.parseSection()
+	sec, err := p.parseSection(false)
 	if err != nil {
 		return nil, err
 	}
@@ -885,6 +885,9 @@ func (p *parser) parseComm(kind string) (ast.Stmt, error) {
 	case "BROADCAST":
 		s := &ast.Broadcast{Array: arr.Text, Sec: sec, Root: peer}
 		s.Position = pos
+		if s.To, err = p.parseReceivers(arr.Line); err != nil {
+			return nil, err
+		}
 		st = s
 	case "ALLGATHER":
 		s := &ast.AllGather{Array: arr.Text, Sec: sec}
@@ -898,14 +901,14 @@ func (p *parser) parseComm(kind string) (ast.Stmt, error) {
 // overlap schedule:
 //
 //	postrecv  ARR(sec,...) from EXPR tag N
-//	postbcast ARR(sec,...) from EXPR tag N
+//	postbcast ARR(sec,...) from EXPR [to ARR(...)] tag N
 func (p *parser) parsePost(bcast bool) (ast.Stmt, error) {
 	p.next() // keyword
 	arr, err := p.expect(lexer.IDENT, "array name")
 	if err != nil {
 		return nil, err
 	}
-	sec, err := p.parseSection()
+	sec, err := p.parseSection(false)
 	if err != nil {
 		return nil, err
 	}
@@ -916,6 +919,13 @@ func (p *parser) parsePost(bcast bool) (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	var to *ast.Receivers
+	if bcast {
+		to, err = p.parseReceivers(arr.Line)
+	}
+	if err != nil {
+		return nil, err
+	}
 	tag, err := p.parseTag(arr.Line)
 	if err != nil {
 		return nil, err
@@ -923,7 +933,7 @@ func (p *parser) parsePost(bcast bool) (ast.Stmt, error) {
 	pos := ast.Position{Line: arr.Line}
 	var st ast.Stmt
 	if bcast {
-		s := &ast.PostBcast{Array: arr.Text, Sec: sec, Root: peer, Tag: tag}
+		s := &ast.PostBcast{Array: arr.Text, Sec: sec, Root: peer, To: to, Tag: tag}
 		s.Position = pos
 		st = s
 	} else {
@@ -970,12 +980,48 @@ func (p *parser) parseTag(line int) (int, error) {
 	return t.Int, nil
 }
 
-func (p *parser) parseSection() ([]ast.SecDim, error) {
+// parseReceivers parses a broadcast's optional "to" clause: an array
+// section bounded in one dimension and ":" in every other.
+func (p *parser) parseReceivers(line int) (*ast.Receivers, error) {
+	if !p.acceptKeyword("TO") {
+		return nil, nil
+	}
+	arr, err := p.expect(lexer.IDENT, "array name")
+	if err != nil {
+		return nil, err
+	}
+	sec, err := p.parseSection(true)
+	if err != nil {
+		return nil, err
+	}
+	r, n := &ast.Receivers{Array: arr.Text, Rank: len(sec)}, 0
+	for d, s := range sec {
+		if s.Lo != nil {
+			r.Dim, r.Lo, r.Hi, n = d, s.Lo, s.Hi, n+1
+		}
+	}
+	if n != 1 {
+		return nil, fmt.Errorf("line %d: a to clause bounds one dimension", line)
+	}
+	return r, nil
+}
+
+// parseSection parses "(sec,...)"; whole admits ":" for a whole
+// dimension, with nil bounds.
+func (p *parser) parseSection(whole bool) ([]ast.SecDim, error) {
 	if _, err := p.expect(lexer.LPAREN, "("); err != nil {
 		return nil, err
 	}
 	var sec []ast.SecDim
 	for !p.at(lexer.RPAREN) {
+		if whole && p.at(lexer.COLON) {
+			p.next()
+			sec = append(sec, ast.SecDim{})
+			if p.at(lexer.COMMA) {
+				p.next()
+			}
+			continue
+		}
 		lo, err := p.parseExpr()
 		if err != nil {
 			return nil, err

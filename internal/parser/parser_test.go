@@ -487,3 +487,37 @@ func TestParseNestedIfInLoop(t *testing.T) {
 		t.Errorf("inner else = %d stmts", len(inner.Else))
 	}
 }
+
+// TestParseBroadcastReceivers: a broadcast's "to" clause names one
+// bounded dimension of an array section, prints as it was written and
+// reparses to the same statement; a clause that bounds no dimension, or
+// two, is an error.
+func TestParseBroadcastReceivers(t *testing.T) {
+	prog, err := Parse(toClauseSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := ast.Print(prog)
+	for _, want := range []string{
+		"broadcast a((k + 1):128,k) from MOD((k - 1),1024) to a(:,(k + 1):n)",
+		"postbcast a(k,1:128) from MOD((k - 1),1024) to a(k:n,:) tag 1",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("printed program lacks %q:\n%s", want, text)
+		}
+	}
+	again, err := Parse(text)
+	if err != nil || !ast.StmtsEqual(again.Units[0].Body, prog.Units[0].Body) {
+		t.Fatalf("reparse: %v\n%s", err, text)
+	}
+	bc := prog.Units[0].Body[1].(*ast.Do).Body[0].(*ast.Broadcast)
+	if r := bc.To; r == nil || r.Array != "a" || r.Dim != 1 || r.Rank != 2 || r.Lo.String() != "(k + 1)" || r.Hi.String() != "n" {
+		t.Errorf("clause = %+v", bc.To)
+	}
+	for _, bad := range []string{"to a(:,:)", "to a(1:2,3:4)", "to a()"} {
+		src := "      PROGRAM P\n      REAL a(4,4)\n      broadcast a(1,1) from 0 " + bad + "\n      END\n"
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "bounds one dimension") {
+			t.Errorf("%s: error %v, want one about the bounded dimension", bad, err)
+		}
+	}
+}

@@ -22,7 +22,7 @@ func myP() ast.Expr { return ast.Id(MyP) }
 // ok is false for distributions the rewrite does not support
 // (CYCLIC(k)), which fall back to guards.
 func BoundExprs(c *Constraint, lo, hi, step ast.Expr) (newLo, newHi, newStep ast.Expr, ok bool) {
-	if !reducible(c, step) {
+	if !Reducible(c, step) {
 		return nil, nil, nil, false
 	}
 	dim := c.Dist.DistDim()
@@ -61,8 +61,8 @@ func BoundExprs(c *Constraint, lo, hi, step ast.Expr) (newLo, newHi, newStep ast
 	return nil, nil, nil, false
 }
 
-// reducible reports whether BoundExprs rewrites a loop of that step under c.
-func reducible(c *Constraint, step ast.Expr) bool {
+// Reducible reports whether BoundExprs rewrites a loop of that step under c.
+func Reducible(c *Constraint, step ast.Expr) bool {
 	if v, isConst := ast.EvalInt(step, nil); step != nil && (!isConst || v != 1) {
 		return false
 	}

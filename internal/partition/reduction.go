@@ -94,7 +94,7 @@ func analyzeReduction(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distO
 			return nil // mixed loops: give up
 		}
 	}
-	if c == nil || !reducible(c, loop.Step) {
+	if c == nil || !Reducible(c, loop.Step) {
 		return nil // nothing distributed, or every processor runs the whole loop and would add every term
 	}
 	// the accumulator must appear exactly twice in the loop (its own

@@ -7,8 +7,9 @@ import "fortd/internal/ast"
 
 // dropRedundant deletes the broadcast at i if its data was already
 // delivered by an earlier broadcast in the same statement list: same
-// array, same root expression, section contained in the earlier one,
-// and every statement in between one the broadcast may move across
+// array, same root expression, section and receivers contained in the
+// earlier one's, and every statement in between one the broadcast may
+// move across
 // (nothing writes the array or a variable its expressions read, nothing
 // communicates). Such a broadcast is a pure re-synchronization — every
 // processor already holds the root's values — and deleting it removes
@@ -26,7 +27,7 @@ func dropRedundant(v *view, i int) (int, bool) {
 	reads := v.reads(b2)
 	for j := i - 1; j >= 0; j-- {
 		b1, ok := v.list[j].(*ast.Broadcast)
-		if ok && b1.Array == b2.Array && ast.ExprEqual(b1.Root, b2.Root) && v.contains(b1, b2) {
+		if ok && b1.Array == b2.Array && ast.ExprEqual(b1.Root, b2.Root) && v.contains(b1, b2) && reaches(b1.To, b2.To) {
 			v.replace(i, 1)
 			v.applied(b2.Pos().Line, "broadcast removed: section already delivered by the line %d broadcast from the same root, with no intervening writes", b1.Pos().Line)
 			return i, true
@@ -68,6 +69,20 @@ func (v *view) contains(b1, b2 *ast.Broadcast) bool {
 		return false
 	}
 	return true
+}
+
+// reaches reports whether the receivers r1 names provably include those
+// r2 names (nil: every processor): the same dimension of the same
+// array, bounded at least as widely.
+func reaches(r1, r2 *ast.Receivers) bool {
+	switch {
+	case r1 == nil:
+		return true
+	case r2 == nil || r1.Array != r2.Array || r1.Dim != r2.Dim:
+		return false
+	}
+	return (ast.ExprEqual(r1.Lo, r2.Lo) || atLeast(r1.Lo, r2.Lo, 0)) &&
+		(ast.ExprEqual(r1.Hi, r2.Hi) || atLeast(r2.Hi, r1.Hi, 0))
 }
 
 // ---------------------------------------------------------------------------

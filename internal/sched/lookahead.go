@@ -160,6 +160,7 @@ func pipelinePivot(v *view, i int) (int, bool) {
 			post.Sec[d] = ast.SecDim{Lo: ast.Subst(sd.Lo, env), Hi: ast.Subst(sd.Hi, env)}
 		}
 		post.Root = ast.Subst(bc.Root, env)
+		post.To = bc.To.Subst(env)
 		return &post
 	}
 	guarded := func(op ast.BinOp, x, y ast.Expr, then ast.Stmt) *ast.If {

@@ -162,7 +162,7 @@ func (p *pass) split(s ast.Stmt) (post, wait ast.Stmt) {
 		po.Position, wa.Position = st.Pos(), st.Pos()
 		return po, wa
 	case *ast.Broadcast:
-		po := &ast.PostBcast{Array: st.Array, Sec: st.Sec, Root: st.Root, Tag: p.tag}
+		po := &ast.PostBcast{Array: st.Array, Sec: st.Sec, Root: st.Root, To: st.To, Tag: p.tag}
 		wa := &ast.WaitBcast{Array: st.Array, Tag: p.tag}
 		po.Position, wa.Position = st.Pos(), st.Pos()
 		return po, wa

@@ -335,6 +335,64 @@ func TestRedundantBcastContainmentDirection(t *testing.T) {
 	}
 }
 
+// TestRedundantBcastReceivers: a re-broadcast is removed only when the
+// covering broadcast reached every processor it reaches — no "to" clause,
+// or one over the same dimension of the same array, at least as wide.
+func TestRedundantBcastReceivers(t *testing.T) {
+	for _, c := range []struct {
+		first, second string
+		removed       bool
+	}{
+		{" to a(:,2:8)", "", false},
+		{" to a(:,3:8)", " to a(:,2:8)", false},
+		{" to a(2:8,:)", " to a(:,2:8)", false},
+		{" to b(:,2:8)", " to a(:,2:8)", false},
+		{" to a(:,2:8)", " to a(:,3:8)", true},
+		{" to a(:,(k + 1):8)", " to a(:,(k + 1):8)", true},
+		{"", " to a(:,2:8)", true},
+	} {
+		out, _, n := applyTo(t, `
+      PROGRAM P
+      REAL a(8,8), b(8,8)
+      k = 1
+      broadcast a(1:8,k) from MOD((k - 1),4)`+c.first+`
+      broadcast a(k,k) from MOD((k - 1),4)`+c.second+`
+      END
+`)
+		if removed := !strings.Contains(out, "a(k,k) from"); removed != c.removed || n != map[bool]int{true: 1}[c.removed] {
+			t.Errorf("%q then %q: re-broadcast removed %v (applied %d), want %v:\n%s", c.first, c.second, removed, n, c.removed, out)
+		}
+	}
+}
+
+// TestLookaheadCarriesReceivers: the pipelined post names the receivers of
+// the iteration it is posted for, k+1 substituted into its "to" clause.
+func TestLookaheadCarriesReceivers(t *testing.T) {
+	out, _, _ := applyTo(t, `
+      PROGRAM P
+      REAL a(8,8)
+      my$p = myproc()
+      n = 8
+      do k = 1,(n - 1)
+        broadcast a(1:8,k) from MOD((k - 1),4) to a(:,(k + 1):n)
+        do j = first$((my$p + 1),(k + 1),4),n,4
+          do i = (k + 1),n
+            a(i,j) = (a(i,j) - (a(i,k) * a(k,j)))
+          enddo
+        enddo
+      enddo
+      END
+`)
+	for _, want := range []string{
+		"postbcast a(1:8,1) from MOD((1 - 1),4) to a(:,(1 + 1):n) tag 1",
+		"postbcast a(1:8,(k + 1)) from MOD(((k + 1) - 1),4) to a(:,((k + 1) + 1):n) tag 1",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("pipelined listing lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestLookaheadMissedOnCommonWrite: the update loop's callee reaches
 // the pivot array under its own name, through a COMMON block, not
 // through an actual the column proof could follow — the lookahead

@@ -158,6 +158,23 @@ type commSite struct {
 	sec   []secDim
 	peer  intOperand // destination, source or root
 	tag   int        // dense split-phase tag index
+	to    *toClause  // a broadcast's receivers (nil: every processor)
+}
+
+// toClause is a lowered "to" clause: lo..hi in dimension dim of slot's array.
+type toClause struct {
+	slot, dim int
+	lo, hi    intOperand
+}
+
+// to lowers a broadcast's "to" clause onto its site.
+func (lw *lowerer) to(c *commSite, r *ast.Receivers) *commSite {
+	if r != nil {
+		lo, _ := lw.intExpr(r.Lo)
+		hi, _ := lw.intExpr(r.Hi)
+		c.to = &toClause{slot: lw.slot(r.Array), dim: r.Dim, lo: lo, hi: hi}
+	}
+	return c
 }
 
 func (lw *lowerer) comm(st ast.Stmt, what, op, array string, sec []ast.SecDim, peer ast.Expr, tag int) *commSite {
@@ -231,14 +248,26 @@ func (c *commSite) partner(fr *frame) (arr *Array, bx box, peer int, ok bool, er
 	return arr, bx, peer, ok && peer >= 0 && peer < fr.nd.pl.nproc && peer != fr.nd.p && bx.elems > 0, err
 }
 
-// rooted is open for a broadcast, whose root must be a processor. (A
+// rooted is open for a broadcast, whose root must be a processor, and
+// the group it reaches besides: all, or the owners of its "to" section by
+// the array's run-time distribution; anyone else skips it (ok false). (A
 // section that clips to nothing still runs the zero-word tree.)
-func (c *commSite) rooted(fr *frame) (arr *Array, bx box, root int, ok bool, err error) {
-	arr, bx, root, ok, err = c.open(fr)
-	if ok && (root < 0 || root >= fr.nd.pl.nproc) {
+func (c *commSite) rooted(fr *frame) (arr *Array, bx box, root int, g machine.Group, ok bool, err error) {
+	nd := fr.nd
+	if arr, bx, root, ok, err = c.open(fr); ok && (root < 0 || root >= nd.pl.nproc) {
 		ok, err = false, fmt.Errorf("%s %s: bad root %d", c.what, c.array, root)
 	}
-	return
+	if g = machine.All; !ok || c.to == nil {
+		return
+	}
+	t, lo, hi := fr.bind[c.to.slot].arr, c.to.lo.eval(fr), c.to.hi.eval(fr)
+	if err = nd.takeErr(); err == nil && t == nil {
+		err = fmt.Errorf("%s %s: unknown array in to clause", c.what, c.array)
+	}
+	if d := c.to.dim; err == nil && t.Dist != nil && t.Dist.DistDim() == d {
+		g = receivers(t.Dist, max(lo, t.Lo[d]), min(hi, t.Hi[d]))
+	}
+	return arr, bx, root, g, err == nil && (nd.p == root || g.Has(nd.p, nd.pl.nproc)), err
 }
 
 func (c *commSite) send(fr *frame) error {
@@ -270,7 +299,7 @@ func (c *commSite) recv(fr *frame) error {
 
 func (c *commSite) broadcast(fr *frame) error {
 	nd := fr.nd
-	arr, bx, root, ok, err := c.rooted(fr)
+	arr, bx, root, g, ok, err := c.rooted(fr)
 	if !ok {
 		return err
 	}
@@ -279,7 +308,7 @@ func (c *commSite) broadcast(fr *frame) error {
 		data = nd.proc.Scratch(bx.elems)
 		arr.gather(&bx, data)
 	}
-	data = nd.proc.Broadcast(root, data)
+	data = nd.proc.Broadcast(root, g, data)
 	if nd.p != root {
 		if len(data) != bx.elems {
 			return fmt.Errorf("broadcast %s: size mismatch %d != %d", c.array, len(data), bx.elems)
@@ -335,7 +364,7 @@ func (c *commSite) postRecv(fr *frame) error {
 // for.
 func (c *commSite) postBcast(fr *frame) error {
 	nd := fr.nd
-	arr, bx, root, ok, err := c.rooted(fr)
+	arr, bx, root, g, ok, err := c.rooted(fr)
 	if !ok {
 		return err
 	}
@@ -345,7 +374,7 @@ func (c *commSite) postBcast(fr *frame) error {
 		data = nd.proc.Scratch(bx.elems)
 		arr.gather(&bx, data)
 	}
-	nd.proc.PostBcastInto(&po.h, root, data)
+	nd.proc.PostBcastInto(&po.h, root, g, data)
 	return nil
 }
 
@@ -436,7 +465,7 @@ func (c *commSite) allGather(fr *frame) error {
 	// processor 0 now holds the full concatenation; the tree broadcast
 	// distributes it and every processor puts it in message order, in the
 	// site's buffer, to deliver it
-	full := nd.proc.Broadcast(0, buf[:n])
+	full := nd.proc.Broadcast(0, machine.All, buf[:n])
 	if len(full) != total {
 		return fmt.Errorf("allgather %s: gathered %d words, want %d", c.array, len(full), total)
 	}

@@ -577,7 +577,7 @@ func (lw *lowerer) stmt(s ast.Stmt) stmtFn {
 	case *ast.Recv:
 		return lw.comm(st, "recv", "recv", st.Array, st.Sec, st.Src, 0).recv
 	case *ast.Broadcast:
-		return lw.comm(st, "broadcast", "bcast", st.Array, st.Sec, st.Root, 0).broadcast
+		return lw.to(lw.comm(st, "broadcast", "bcast", st.Array, st.Sec, st.Root, 0), st.To).broadcast
 	case *ast.AllGather:
 		return lw.comm(st, "allgather", "allgather", st.Array, st.Sec, nil, 0).allGather
 	case *ast.PostRecv:
@@ -585,7 +585,7 @@ func (lw *lowerer) stmt(s ast.Stmt) stmtFn {
 	case *ast.WaitRecv:
 		return lw.comm(st, "waitrecv", "wait", st.Array, nil, nil, st.Tag).wait
 	case *ast.PostBcast:
-		return lw.comm(st, "postbcast", "bcast", st.Array, st.Sec, st.Root, st.Tag).postBcast
+		return lw.to(lw.comm(st, "postbcast", "bcast", st.Array, st.Sec, st.Root, st.Tag), st.To).postBcast
 	case *ast.WaitBcast:
 		return lw.comm(st, "waitbcast", "bcast", st.Array, nil, nil, st.Tag).wait
 	case *ast.Remap:

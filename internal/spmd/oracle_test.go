@@ -732,6 +732,10 @@ func (it *treeInterp) execBroadcast(f *treeFrame, st *ast.Broadcast) error {
 	if root < 0 || root >= it.nproc {
 		return fmt.Errorf("broadcast %s: bad root %d", st.Array, root)
 	}
+	g, err := it.receivers(f, st.To)
+	if err != nil || it.p != root && !g.Has(it.p, it.nproc) {
+		return err
+	}
 	offs := enumerate(arr, bounds)
 	var data []float64
 	if it.p == root {
@@ -740,7 +744,7 @@ func (it *treeInterp) execBroadcast(f *treeFrame, st *ast.Broadcast) error {
 			data[i] = arr.Data[o]
 		}
 	}
-	data = it.proc.Broadcast(root, data)
+	data = it.proc.Broadcast(root, g, data)
 	if it.p != root {
 		if len(data) != len(offs) {
 			return fmt.Errorf("broadcast %s: size mismatch %d != %d", st.Array, len(data), len(offs))
@@ -750,6 +754,43 @@ func (it *treeInterp) execBroadcast(f *treeFrame, st *ast.Broadcast) error {
 		}
 	}
 	return nil
+}
+
+// receivers is the oracle's "to" clause: the owners of its section,
+// found by asking the distribution of every subscript, as the modular
+// range machine.Group names (the first owner whose predecessor is none).
+func (it *treeInterp) receivers(f *treeFrame, r *ast.Receivers) (machine.Group, error) {
+	if r == nil {
+		return machine.All, nil
+	}
+	arr := f.arrays[r.Array]
+	if arr == nil {
+		return machine.All, fmt.Errorf("to clause: unknown array %s", r.Array)
+	}
+	lo, err := it.evalInt(f, r.Lo)
+	if err != nil {
+		return machine.All, err
+	}
+	hi, err := it.evalInt(f, r.Hi)
+	if err != nil || arr.Dist == nil || arr.Dist.DistDim() != r.Dim {
+		return machine.All, err
+	}
+	np, n := it.nproc, 0
+	own := make([]bool, np)
+	for i := max(lo, arr.Lo[r.Dim]); i <= min(hi, arr.Hi[r.Dim]); i++ {
+		if q := (arr.Dist.OwnerIndex(i)%np + np) % np; !own[q] {
+			own[q], n = true, n+1
+		}
+	}
+	for q := range own {
+		if own[q] && !own[(q+np-1)%np] {
+			return machine.Group{First: q, N: n}, nil
+		}
+	}
+	if n == np {
+		return machine.All, nil
+	}
+	return machine.Group{}, nil
 }
 
 // execAllGather makes a distributed section fully replicated. It is
@@ -819,7 +860,7 @@ func (it *treeInterp) execAllGather(f *treeFrame, st *ast.AllGather) error {
 	}
 	// processor 0 now holds the full concatenation; the tree broadcast
 	// distributes it and every processor unpacks by the shared layout
-	full := it.proc.Broadcast(0, buf)
+	full := it.proc.Broadcast(0, machine.All, buf)
 	if len(full) != total {
 		return fmt.Errorf("allgather %s: gathered %d words, want %d", st.Array, len(full), total)
 	}
@@ -930,7 +971,8 @@ func (it *treeInterp) execPostRecv(f *treeFrame, st *ast.PostRecv) error {
 	if it.posted == nil {
 		it.posted = map[int]*treePosted{}
 	}
-	it.posted[st.Tag] = &treePosted{h: it.proc.IRecv(src), arr: arr, offs: offs}
+	it.posted[st.Tag] = &treePosted{h: new(machine.Handle), arr: arr, offs: offs}
+	it.proc.IRecvInto(it.posted[st.Tag].h, src)
 	return nil
 }
 
@@ -975,6 +1017,10 @@ func (it *treeInterp) execPostBcast(f *treeFrame, st *ast.PostBcast) error {
 	if root < 0 || root >= it.nproc {
 		return fmt.Errorf("postbcast %s: bad root %d", st.Array, root)
 	}
+	g, err := it.receivers(f, st.To)
+	if err != nil || it.p != root && !g.Has(it.p, it.nproc) {
+		return err
+	}
 	offs := enumerate(arr, bounds)
 	var data []float64
 	if it.p == root {
@@ -986,9 +1032,9 @@ func (it *treeInterp) execPostBcast(f *treeFrame, st *ast.PostBcast) error {
 	if it.posted == nil {
 		it.posted = map[int]*treePosted{}
 	}
-	it.posted[st.Tag] = &treePosted{
-		h: it.proc.PostBcast(root, data), arr: arr, offs: offs, isRoot: it.p == root,
-	}
+	po := &treePosted{h: new(machine.Handle), arr: arr, offs: offs, isRoot: it.p == root}
+	it.proc.PostBcastInto(po.h, root, g, data)
+	it.posted[st.Tag] = po
 	return nil
 }
 
@@ -999,7 +1045,7 @@ func (it *treeInterp) execWaitBcast(f *treeFrame, st *ast.WaitBcast) error {
 		return nil
 	}
 	delete(it.posted, st.Tag)
-	data := it.proc.WaitBcast(po.h)
+	data := it.proc.WaitHandle(po.h)
 	if po.isRoot {
 		return nil // the root supplied the data; its copy is current
 	}

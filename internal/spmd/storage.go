@@ -7,6 +7,7 @@ import (
 
 	"fortd/internal/ast"
 	"fortd/internal/decomp"
+	"fortd/internal/machine"
 )
 
 // Storage. A node program writes global subscripts; what a processor
@@ -284,6 +285,21 @@ func (w *window) owner(i int) int {
 		return min(max(i-1, 0)/w.b, w.np-1)
 	}
 	return (i - 1 + w.shift) / w.k % w.np
+}
+
+// receivers is the group of processors owning a subscript lo..hi of
+// dist's distributed dimension in closed form: BLOCK from lo's owner to
+// hi's, CYCLIC(k) from lo's block's owner, one processor per block.
+func receivers(dist *decomp.Dist, lo, hi int) machine.Group {
+	if hi < lo {
+		return machine.Group{}
+	}
+	w := newWindow(dist, 0, lo, hi)
+	if w.k == 0 {
+		return machine.Group{First: w.owner(lo), N: w.owner(hi) - w.owner(lo) + 1}
+	}
+	first := (lo - 1 + w.shift) / w.k
+	return machine.Group{First: first % w.np, N: (hi-1+w.shift)/w.k - first + 1}
 }
 
 // moves reports whether any element of a has another owner by w, a share

@@ -377,3 +377,30 @@ func TestRemapKeepsSharesAndStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiversClosedForm: the group a "to" clause names is exactly the
+// processors that own a subscript of lo..hi, by the distribution's own
+// owner function, for BLOCK, CYCLIC and CYCLIC(k), every P up to 9 and
+// every range of 1..n (and the empty one).
+func TestReceiversClosedForm(t *testing.T) {
+	const n = 13
+	for _, spec := range []ast.DistSpec{decomp.Block, decomp.Cyclic, decomp.BlockCyclic(2), decomp.BlockCyclic(3)} {
+		for np := 1; np <= 9; np++ {
+			dist := decomp.MustDist(decomp.NewDecomp(spec), []int{n}, np)
+			for lo := 1; lo <= n; lo++ {
+				for hi := lo - 1; hi <= n; hi++ {
+					g := receivers(dist, lo, hi)
+					owns := make([]bool, np)
+					for i := lo; i <= hi; i++ {
+						owns[dist.OwnerIndex(i)] = true
+					}
+					for p := range owns {
+						if g.Has(p, np) != owns[p] {
+							t.Fatalf("%s P=%d %d:%d: group %+v has proc %d %v, owns %v", dist.Key(), np, lo, hi, g, p, g.Has(p, np), owns[p])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -50,7 +50,7 @@ const (
 	// a "straggler" announcement (Dur = flop-cost multiplier).
 	KindFault
 	// KindWait is the completion of a nonblocking receive (machine
-	// ISend/IRecv/WaitHandle, split-phase broadcast): like KindRecv,
+	// IRecvInto/WaitHandle, split-phase broadcast): like KindRecv,
 	// Dur is the time the processor actually stalled at the wait — the
 	// part of the message flight the post-early/wait-late schedule
 	// failed to hide under computation. It is appended after KindFault

@@ -173,8 +173,9 @@ func DgefaMatrix(n int) []float64 {
 // Fortran D compiler produces programs that closely approach the
 // quality of hand-written code"). It is written directly in the output
 // language (my$p, first$, broadcast) the way an iPSC programmer would:
-// the pivot column is scaled by its owner and broadcast once per step,
-// and each processor updates only its own columns.
+// the pivot column is scaled by its owner and broadcast once per step to
+// the owners of the columns it updates, and each processor updates only
+// its own columns.
 func DgefaHandSrc(n, p int) string {
 	return fmt.Sprintf(`
       PROGRAM HAND
@@ -189,7 +190,7 @@ func DgefaHandSrc(n, p int) string {
             a(i,k) = a(i,k) * t
           enddo
         endif
-        broadcast a(k:%d,k) from MOD(k-1, %d)
+        broadcast a(k:%d,k) from MOD(k-1, %d) to a(:,k+1:%d)
         do j = first$(my$p+1, k+1, %d), %d, %d
           do i = k+1, %d
             a(i,j) = a(i,j) - a(i,k) * a(k,j)
@@ -197,7 +198,7 @@ func DgefaHandSrc(n, p int) string {
         enddo
       enddo
       END
-`, p, n, n, n-1, p, n, n, p, p, n, p, n)
+`, p, n, n, n-1, p, n, n, p, n, p, n, p, n)
 }
 
 // Jacobi1DSrc generates a 1-D Jacobi relaxation with a time loop.
