@@ -55,8 +55,16 @@ test -z "$(gofmt -l .)"
 # _test.go: 24869 -> 25019 (git numstat: 379 lines added, 216 removed —
 # decomp's unused global<->local conversions, machine's test-only
 # ISend/IRecv/PostBcast/WaitBcast and livedecomp's Placement.Ops among
-# them)
-LOC_CEILING=25019
+# them). The next change (2026-10-15) bought the ring broadcast — a
+# "ring" shape on the "to" clause chosen by codegen for a rotating root,
+# parsed and printed, run by machine along ringLinks — and two compiler
+# fixes (a section widened over a scalar assigned after its placement, a
+# formal DO index live at the callee's exit), and was allowed its
+# measured net growth, at most +81, none of it moved into _test.go:
+# 25019 -> 25091 (git numstat: 201 lines added, 127 removed —
+# decomp.LocalSet, machine.Barrier and trace.NextSeq, which only tests
+# called, among them)
+LOC_CEILING=25091
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -192,3 +192,50 @@ func TestExplainTwoDistributedDimensions(t *testing.T) {
 		t.Errorf("replicated run: %d messages, differs from the reference by %g", res.Stats.Messages, d)
 	}
 }
+
+// TestExplainRingBroadcast: dgefa's pivot broadcast, whose CYCLIC root
+// rotates with k and whose "to" clause starts at the next root, travels
+// along a ring and says what it saves; the same broadcast under BLOCK,
+// whose root does not rotate every step, stays a tree without a word; and
+// a rotating root that must reach every processor
+// (testdata/known/bcast_replicated_use.f) stays a tree and says why.
+func TestExplainRingBroadcast(t *testing.T) {
+	dgefa, err := os.ReadFile(filepath.Join("testdata", "dgefa.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicated, err := os.ReadFile(filepath.Join("testdata", "known", "bcast_replicated_use.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, src string
+		line      string // the broadcast's line of the listing
+		remark    string // the comm ring remark ("" none)
+	}{
+		{"dgefa", string(dgefa), "broadcast a((k + 1):64,k) from MOD((k - 1),4) to a(:,(k + 1):n) ring",
+			"applied comm       ring               broadcast of a a[k+1:64,k] travels along a ring: its first receiver, the next iteration's root, receives after 2α + βw"},
+		{"BLOCK", strings.Replace(string(dgefa), "a(:,CYCLIC)", "a(:,BLOCK)", 1), "broadcast a((k + 1):64,k) from ((k - 1) / 16) to a(:,(k + 1):n)", ""},
+		{"no to clause", string(replicated), "broadcast a((k + 1),k) from MOD((k - 1),4)",
+			"missed  comm       ring               broadcast of a a[2:8,1:7] from a rotating root stays a binomial tree, not a ring: it has no to clause to make the next root its first receiver (no loop lies between the message and its reference)"},
+	} {
+		ex := NewExplain()
+		opts := DefaultOptions()
+		opts.Explain = ex
+		prog, err := Compile(c.src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ex.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		listing, report := prog.Listing(), buf.String()
+		if !strings.Contains(listing, " "+c.line+"\n") {
+			t.Errorf("%s: listing lacks the line %q:\n%s", c.name, c.line, listing)
+		}
+		if c.remark == "" && strings.Contains(report, " ring ") || !strings.Contains(report, c.remark) {
+			t.Errorf("%s: report lacks %q:\n%s", c.name, c.remark, report)
+		}
+	}
+}

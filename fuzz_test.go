@@ -85,7 +85,8 @@ func FuzzCompile(f *testing.F) {
 // a run that succeeds agrees with the sequential reference (on programs
 // within the compiler's input contract, see shapesConform), and a listing
 // with broadcasts — whose "to" clauses the seeds in testdata/known and
-// DgefaSrc exercise — survives print → parse → print. Both runs
+// DgefaSrc exercise, DgefaSrc's and testdata/dgefa.f's along a ring —
+// survives print → parse → print. Both runs
 // start from RampInit's non-zero arrays, so a processor that combines
 // the wrong copies of data cannot hide behind zeros. The seeds
 // include programs with scalar temporaries (the private-scalar rule of

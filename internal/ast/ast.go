@@ -308,10 +308,13 @@ type Broadcast struct {
 
 // Receivers is a broadcast's "to" clause: the owners of the section
 // Array(:,..,Lo:Hi,..,:) of rank Rank, bounded in dimension Dim only.
+// Ring ("... ring") sends along a ring, the next root first, instead of
+// the binomial tree.
 type Receivers struct {
 	Array     string
 	Dim, Rank int
 	Lo, Hi    Expr
+	Ring      bool
 }
 
 // Subst copies the clause, substituting env into its bounds.

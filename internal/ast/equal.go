@@ -90,7 +90,7 @@ func (r *Receivers) Equal(o *Receivers) bool {
 	if r == nil || o == nil {
 		return r == o
 	}
-	return r.Array == o.Array && r.Dim == o.Dim && r.Rank == o.Rank && ExprEqual(r.Lo, o.Lo) && ExprEqual(r.Hi, o.Hi)
+	return r.Array == o.Array && r.Dim == o.Dim && r.Rank == o.Rank && r.Ring == o.Ring && ExprEqual(r.Lo, o.Lo) && ExprEqual(r.Hi, o.Hi)
 }
 
 func specsEqual(a, b []DistSpec) bool {

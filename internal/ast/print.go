@@ -246,14 +246,18 @@ func appendComm(dst []byte, verb, array string, sec []SecDim, prep string, peer 
 	return dst
 }
 
-// appendTo renders " to <array>(:,..,lo:hi,..,:)" (nothing for nil).
+// appendTo renders " to <array>(:,..,lo:hi,..,:)[ ring]" (nothing for nil).
 func (r *Receivers) appendTo(dst []byte) []byte {
 	if r == nil {
 		return dst
 	}
 	sec := make([]SecDim, r.Rank)
 	sec[r.Dim] = SecDim{Lo: r.Lo, Hi: r.Hi}
-	return appendComm(dst, " to ", r.Array, sec, "", nil)
+	dst = appendComm(dst, " to ", r.Array, sec, "", nil)
+	if r.Ring {
+		dst = append(dst, " ring"...)
+	}
+	return dst
 }
 
 func appendTag(dst []byte, tag int) []byte {

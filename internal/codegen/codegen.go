@@ -467,9 +467,10 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 
 // liveIndices returns the loops of proc whose index is live after
 // them: it then holds the loop's last iteration, which a processor that
-// ran only its own has to be given. The data-flow problem is solved
-// only if proc names a DO index outside the loops binding it (what a
-// caller reads of an index that is a formal or in COMMON is not seen).
+// ran only its own has to be given. An index that is a formal or in
+// COMMON is live at a subroutine's exit, where its caller may read it.
+// The data-flow problem is solved only if proc names a DO index outside
+// the loops binding it or has such an index.
 func liveIndices(proc *ast.Procedure) map[*ast.Do]bool {
 	free := map[string]int{}
 	count := func(body []ast.Stmt, v string, n int) {
@@ -481,18 +482,22 @@ func liveIndices(proc *ast.Procedure) map[*ast.Do]bool {
 	}
 	count(proc.Body, "", 1)
 	var loops []*ast.Do
+	exit := dataflow.NewSet() // what a caller may read
 	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
 		if d, ok := s.(*ast.Do); ok {
 			count(d.Body, d.Var, -1)
 			loops = append(loops, d)
+			if sym := proc.Symbols.Lookup(d.Var); !proc.IsMain && sym != nil && (sym.IsFormal || sym.Common != "") {
+				exit[d.Var] = struct{}{}
+			}
 		}
 		return true
 	})
-	if !slices.ContainsFunc(loops, func(d *ast.Do) bool { return free[d.Var] != 0 }) {
+	if len(exit) == 0 && !slices.ContainsFunc(loops, func(d *ast.Do) bool { return free[d.Var] != 0 }) {
 		return nil
 	}
 	g := cfg.Build(proc)
-	live := dataflow.Solve(g, dataflow.LiveScalars{}, dataflow.Backward, dataflow.NewSet())
+	live := dataflow.Solve(g, dataflow.LiveScalars{}, dataflow.Backward, exit)
 	out := map[*ast.Do]bool{}
 	for _, n := range g.Nodes {
 		if n.Loop != nil {

@@ -259,3 +259,43 @@ func TestAggregation(t *testing.T) {
 		t.Errorf("want exactly one broadcast:\n%s", text)
 	}
 }
+
+// TestRingRule: a broadcast travels along a ring only when its root
+// rotates — the owner of the unit-step loop's index plus a constant,
+// under CYCLIC — and its "to" clause, under CYCLIC too, starts one past
+// the root's subscript. A rotating root without a clause says why it
+// stays a tree; anything else stays a tree silently.
+func TestRingRule(t *testing.T) {
+	cyclic := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{8, 8}, 4)
+	block := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{8, 8}, 4)
+	k := ast.Id("k")
+	to := func(lo ast.Expr) *ast.Receivers {
+		return &ast.Receivers{Array: "a", Dim: 1, Rank: 2, Lo: lo, Hi: ast.Int(8)}
+	}
+	loop := &ast.Do{Var: "k", Lo: ast.Int(1), Hi: ast.Int(7)}
+	for _, c := range []struct {
+		name   string
+		at     *ast.Do
+		root   *decomp.Dist
+		point  ast.Expr
+		to     *ast.Receivers
+		toDist *decomp.Dist
+		ring   bool
+		why    string
+	}{
+		{"dgefa", loop, cyclic, k, to(ast.Add(k, ast.Int(1))), cyclic, true, ""},
+		{"shifted point", loop, cyclic, ast.Add(k, ast.Int(2)), to(ast.Add(ast.Int(3), k)), cyclic, true, ""},
+		{"no to clause", loop, cyclic, k, nil, nil, false, whyToReplicated},
+		{"BLOCK root", loop, block, k, to(ast.Add(k, ast.Int(1))), cyclic, false, ""},
+		{"BLOCK receivers", loop, cyclic, k, to(ast.Add(k, ast.Int(1))), block, false, ""},
+		{"first receiver is the root", loop, cyclic, k, to(k), cyclic, false, ""},
+		{"step 2", &ast.Do{Var: "k", Lo: ast.Int(1), Hi: ast.Int(7), Step: ast.Int(2)}, cyclic, k, to(ast.Add(k, ast.Int(1))), cyclic, false, ""},
+		{"another loop's index", loop, cyclic, ast.Id("j"), to(ast.Add(ast.Id("j"), ast.Int(1))), cyclic, false, ""},
+		{"hoisted above every loop", nil, cyclic, k, to(ast.Add(k, ast.Int(1))), cyclic, false, ""},
+	} {
+		ring, why := ring(&Input{}, c.at, c.root, c.point, c.to, c.toDist, whyToReplicated)
+		if ring != c.ring || why != c.why || c.to != nil && c.to.Ring != c.ring {
+			t.Errorf("%s: ring %v (clause %+v), why %q; want %v, %q", c.name, ring, c.to, why, c.ring, c.why)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fortd/internal/ast"
 	"fortd/internal/comm"
 	"fortd/internal/decomp"
+	"fortd/internal/depend"
 	"fortd/internal/partition"
 )
 
@@ -14,7 +15,8 @@ func myP() ast.Expr { return ast.Id(partition.MyP) }
 // emitAccess generates the message statements for one locally-placed
 // nonlocal reference.
 func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
-	sec := acc.Sec(in.Proc, in.Env, acc.Pipelined)
+	var sec []ast.SecDim
+	sec, acc.Widened = acc.Sec(in.Proc, in.Env, acc.Pipelined)
 	switch acc.Kind {
 	case comm.KShift:
 		return emitShift(acc.Array, acc.Dist, acc.DistDim, acc.Shift, sec)
@@ -23,7 +25,9 @@ func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
 		sec[acc.DistDim] = ast.SecDim{Lo: point, Hi: ast.CloneExpr(point)}
 		bc := &ast.Broadcast{Array: acc.Array, Sec: sec, Root: partition.OwnerExpr(acc.Dist, ast.CloneExpr(point))}
 		// placed inside AtLoop, or above the whole nest
-		bc.To, acc.NoTo = receivers(in, acc.Nest[slices.Index(acc.Nest, acc.AtLoop)+1:], acc.Array)
+		var to *decomp.Dist
+		bc.To, to, acc.NoTo = receivers(in, acc.Nest[slices.Index(acc.Nest, acc.AtLoop)+1:], acc.Array)
+		acc.Ring, acc.NoRing = ring(in, acc.AtLoop, acc.Dist, point, bc.To, to, acc.NoTo)
 		return []ast.Stmt{bc}, nil
 	case comm.KGather:
 		return []ast.Stmt{&ast.AllGather{Array: acc.Array, Sec: sec}}, nil
@@ -64,7 +68,9 @@ func emitCallComm(in *Input, cc *comm.CallComm) ([]ast.Stmt, error) {
 		if cc.AtLoop != nil {
 			loops = cc.Nest[slices.Index(cc.Nest, cc.AtLoop)+1:]
 		}
-		bc.To, cc.NoTo = receivers(in, loops, cc.Array)
+		var to *decomp.Dist
+		bc.To, to, cc.NoTo = receivers(in, loops, cc.Array)
+		cc.Ring, cc.NoRing = ring(in, cc.AtLoop, cc.Dist, point, bc.To, to, cc.NoTo)
 		return []ast.Stmt{bc}, nil
 	default:
 		return []ast.Stmt{&ast.AllGather{Array: cc.Array, Sec: sec}}, nil
@@ -83,25 +89,54 @@ const (
 // where it is placed and the reference it serves, outermost first: if
 // loops[0], the one it is placed before, has reduced bounds, only the
 // owners of its iterations run the reference, and the clause names them
-// as owners of a section of an array distributed as its partition.
-func receivers(in *Input, loops []*ast.Do, array string) (*ast.Receivers, string) {
+// as owners of a section of an array distributed as its partition, the
+// distribution it also returns.
+func receivers(in *Input, loops []*ast.Do, array string) (*ast.Receivers, *decomp.Dist, string) {
 	if len(loops) == 0 {
-		return nil, whyToNoLoop
+		return nil, nil, whyToNoLoop
 	}
 	l, c := loops[0], in.Plan.LoopBounds[loops[0]]
 	if c == nil || c.Dist.DistDim() < 0 || !partition.Reducible(c, l.Step) {
-		return nil, whyToReplicated
+		return nil, nil, whyToReplicated
 	}
 	if in.Remaps != nil && len(in.Remaps.BeforeLoop[l])+len(in.Remaps.BeforeStmt[l]) > 0 {
-		return nil, whyToRemap
+		return nil, nil, whyToRemap
 	}
 	for _, name := range []string{c.Array, array} {
 		if d, ok := in.DistOf(name, l); ok && d != nil && d.Key() == c.Dist.Key() && slices.Equal(d.Sizes, c.Dist.Sizes) {
 			return &ast.Receivers{Array: name, Dim: d.DistDim(), Rank: len(d.Sizes),
-				Lo: ast.Add(ast.CloneExpr(l.Lo), ast.Int(c.Offset)), Hi: ast.Add(ast.CloneExpr(l.Hi), ast.Int(c.Offset))}, ""
+				Lo: ast.Add(ast.CloneExpr(l.Lo), ast.Int(c.Offset)), Hi: ast.Add(ast.CloneExpr(l.Hi), ast.Int(c.Offset))}, d, ""
 		}
 	}
-	return nil, whyToNoArray
+	return nil, nil, whyToNoArray
+}
+
+// ring chooses the shape of a broadcast from the owner of point under dist
+// placed in every iteration of loop at (DESIGN.md deviation 16). Its root
+// rotates if at steps by one, dist is CYCLIC and point is at's index plus
+// a constant; if its clause to, CYCLIC too (toDist), starts at point + 1,
+// the next root receives first and the ring visits the receivers in the
+// order they become roots: to.Ring is set. A rotating root without a
+// clause stays a tree, and why is noTo.
+func ring(in *Input, at *ast.Do, dist *decomp.Dist, point ast.Expr, to *ast.Receivers, toDist *decomp.Dist, noTo string) (bool, string) {
+	cyclic := func(d *decomp.Dist) bool {
+		return d != nil && d.DistDim() >= 0 && d.Specs[d.DistDim()].Kind == ast.DistCyclic
+	}
+	if at == nil || !cyclic(dist) {
+		return false, ""
+	}
+	pt, ok := depend.Linearize(point, in.Env, nil)
+	v, coef, _, single := pt.Single()
+	if step, unit := ast.EvalInt(at.Step, nil); !ok || !single || v != at.Var || coef != 1 || at.Step != nil && (!unit || step != 1) {
+		return false, ""
+	}
+	if to == nil {
+		return false, noTo
+	}
+	lo, ok := depend.Linearize(to.Lo, in.Env, nil)
+	d := lo.Minus(&pt)
+	to.Ring = ok && d.IsConst() && d.Const == 1 && cyclic(toDist)
+	return to.Ring, ""
 }
 
 // emitShift produces the guarded boundary exchange of message

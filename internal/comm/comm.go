@@ -75,8 +75,11 @@ type Access struct {
 	// Against is the distribution of the statement's left-hand side when
 	// the reference would be a shift of it but for its block size.
 	Against *decomp.Dist
-	// NoTo is why code generation gave the broadcast no "to" clause.
-	NoTo string
+	// NoTo is why codegen gave the broadcast no "to" clause, NoRing why a
+	// rotating root's stays a tree (Ring: it is a ring); Widened, a scalar
+	// assigned after the placement that Sec widened the section over.
+	NoTo, NoRing, Widened string
+	Ring                  bool
 }
 
 // Delayed is a communication descriptor passed up to callers (delayed
@@ -117,10 +120,11 @@ type CallComm struct {
 	PointOff int
 	// Why records the reason for the placement (static strings only).
 	Why string
-	// Pipelined, NoPipe and NoTo are as for Access.
-	Pipelined bool
-	NoPipe    string
-	NoTo      string
+	// Pipelined, NoPipe, NoTo, Ring and NoRing are as for Access.
+	Pipelined    bool
+	NoPipe       string
+	NoTo, NoRing string
+	Ring         bool
 }
 
 // Result is the communication analysis of one procedure.

@@ -54,8 +54,15 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 		if acc.Pipelined || acc.NoPipe != "" {
 			ex.Add(pipeRemark(procName, line, acc.AtLoop, acc.Array, acc.Shift, acc.NoPipe))
 		}
+		if v := acc.Widened; v != "" {
+			ex.Add(explain.Remark{Kind: explain.Missed, Pass: "comm", Proc: procName, Line: line, Name: "section",
+				Msg: fmt.Sprintf("%s of %s carries the declared extent where its section reads %s: %s is assigned between where the message is placed and the reference", acc.Kind, acc.Array, v, v)})
+		}
 		if acc.NoTo != "" {
 			ex.Add(toRemark(procName, line, acc.Array, acc.Section.String(), acc.NoTo))
+		}
+		if acc.Ring || acc.NoRing != "" {
+			ex.Add(ringRemark(procName, line, acc.Array, acc.Section.String(), acc.NoRing))
 		}
 		if lhs := acc.Against; lhs != nil {
 			ex.Add(explain.Remark{
@@ -113,6 +120,9 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 		if cc.NoTo != "" {
 			ex.Add(toRemark(procName, line, cc.Array, cc.Section.String(), cc.NoTo))
 		}
+		if cc.Ring || cc.NoRing != "" {
+			ex.Add(ringRemark(procName, line, cc.Array, cc.Section.String(), cc.NoRing))
+		}
 	}
 }
 
@@ -120,6 +130,18 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 func toRemark(proc string, line int, array, section, why string) explain.Remark {
 	return explain.Remark{Kind: explain.Missed, Pass: "comm", Proc: proc, Line: line, Name: "receivers",
 		Msg: fmt.Sprintf("broadcast of %s %s reaches every processor, not the owners of what reads it: %s", array, section, why)}
+}
+
+// ringRemark words a rotating root's shape: a ring, costed against the
+// tree, or the tree because it has no "to" clause (noTo says why).
+func ringRemark(proc string, line int, array, section, noTo string) explain.Remark {
+	r := explain.Remark{Kind: explain.Applied, Pass: "comm", Proc: proc, Line: line, Name: "ring",
+		Msg: fmt.Sprintf("broadcast of %s %s travels along a ring: its first receiver, the next iteration's root, receives after 2α + βw and forwards nothing, "+
+			"where a binomial tree over its g members makes it forward first and receive after 2α + βw + (⌈log₂ g⌉ − 1)·α; the last member waits g − 1 flights instead of ⌈log₂ g⌉", array, section)}
+	if noTo != "" {
+		r.Kind, r.Msg = explain.Missed, fmt.Sprintf("broadcast of %s %s from a rotating root stays a binomial tree, not a ring: it has no to clause to make the next root its first receiver (%s)", array, section, noTo)
+	}
+	return r
 }
 
 // pipeRemark words what pipeline decided for a shift by c that loop

@@ -93,7 +93,8 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 		// (Shift is set for nothing else) and carried by the loop binding it
 		asg, _ := acc.Stmt.(*ast.Assign)
 		if it := items[asg]; acc.Shift != 0 && partition.LoopFor(acc.Nest, it.Sub.Var) == acc.AtLoop {
-			acc.NoPipe = why(acc.Dist, acc.Shift, acc.AtLoop, acc.Sec(proc, env, true))
+			sec, _ := acc.Sec(proc, env, true)
+			acc.NoPipe = why(acc.Dist, acc.Shift, acc.AtLoop, sec)
 			acc.Pipelined = acc.NoPipe == ""
 		}
 	}

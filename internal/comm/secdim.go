@@ -5,31 +5,48 @@ import (
 
 	"fortd/internal/ast"
 	"fortd/internal/depend"
+	"fortd/internal/partition"
 	"fortd/internal/rsd"
 )
 
 // Sec builds the section of acc's message, placed inside AtLoop (nil:
 // no loop) or, around it, one level further out. The distributed
 // dimension is left to the emitter of its kind (an allgather has none).
-func (acc *Access) Sec(proc *ast.Procedure, env ast.Env, around bool) []ast.SecDim {
+// A dimension that reads a scalar other than a loop index of the nest,
+// assigned between the placement and the reference, carries the declared
+// extent instead, and widened names the scalar.
+func (acc *Access) Sec(proc *ast.Procedure, env ast.Env, around bool) (sec []ast.SecDim, widened string) {
 	depth := slices.Index(acc.Nest, acc.AtLoop) + 1
 	if around {
 		depth--
 	}
-	sec := make([]ast.SecDim, len(acc.Ref.Subs))
+	sec = make([]ast.SecDim, len(acc.Ref.Subs))
 	for d := range acc.Ref.Subs {
 		if d == acc.DistDim && acc.Kind != KGather {
 			continue // filled per kind
 		}
 		sec[d] = subSecDim(proc, env, acc.Ref, d, acc.Nest, depth)
+		v := ""
+		for _, e := range []ast.Expr{sec[d].Lo, sec[d].Hi} {
+			ast.WalkExpr(e, func(e ast.Expr) {
+				if id, ok := e.(*ast.Ident); ok && partition.LoopFor(acc.Nest, id.Name) == nil && len(acc.Nest) > 0 &&
+					assigns(proc, acc.Nest[max(depth-1, 0)].Body, id.Name) {
+					v = id.Name
+				}
+			})
+		}
+		if sym := proc.Symbols.Lookup(acc.Ref.Name); v != "" && sym != nil && d < len(sym.Dims) {
+			sec[d], widened = ast.SecDim{Lo: ast.CloneExpr(sym.Dims[d].Lo), Hi: ast.CloneExpr(sym.Dims[d].Hi)}, v
+		}
 	}
-	return sec
+	return sec, widened
 }
 
 // subSecDim converts one subscript of a reference into section bounds
 // at a given placement depth: variables of loops deeper than the
 // placement are expanded to the loop's bound expressions; everything
-// else is used verbatim (it is evaluable at the placement point).
+// else is used verbatim (it is evaluable at the placement point, unless
+// Sec widens it).
 func subSecDim(proc *ast.Procedure, env ast.Env, ref *ast.ArrayRef, d int, nest []*ast.Do, depth int) ast.SecDim {
 	sub := ref.Subs[d]
 	v, a, _, ok := depend.LinearSubscript(sub, env)
@@ -58,6 +75,25 @@ func subSecDim(proc *ast.Procedure, env ast.Env, ref *ast.ArrayRef, d int, nest 
 	}
 	e := ast.CloneExpr(sub)
 	return ast.SecDim{Lo: e, Hi: ast.CloneExpr(sub)}
+}
+
+// assigns reports whether body may assign the scalar v: as a DO index,
+// by assignment, or in a call that passes it or, for a COMMON v, any call.
+func assigns(proc *ast.Procedure, body []ast.Stmt, v string) (found bool) {
+	sym := proc.Symbols.Lookup(v)
+	isV := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == v }
+	ast.WalkStmts(body, func(s ast.Stmt) bool {
+		switch st := s.(type) {
+		case *ast.Do:
+			found = found || st.Var == v
+		case *ast.Assign:
+			found = found || isV(st.Lhs)
+		case *ast.Call:
+			found = found || sym != nil && sym.Common != "" || slices.ContainsFunc(st.Args, isV)
+		}
+		return !found
+	})
+	return found
 }
 
 // RSDSecDim converts an RSD dimension into section bound expressions.

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"fortd/internal/ast"
-	"fortd/internal/rsd"
 )
 
 // Decomp is the decomposition of one array: a distribution format per
@@ -196,51 +195,6 @@ func (d *Dist) OwnerIndex(i int) int {
 		return ((i - 1) / k) % d.P
 	}
 	return 0
-}
-
-// LocalSet returns the global indices of the distributed dimension owned
-// by processor p, as RSD dimensions (a single triplet for BLOCK and
-// CYCLIC; multiple blocks for CYCLIC(k)).
-func (d *Dist) LocalSet(p int) []rsd.Dim {
-	dim := d.DistDim()
-	if dim < 0 {
-		// replicated: every processor holds everything
-		if len(d.Sizes) == 0 {
-			return nil
-		}
-		return []rsd.Dim{rsd.Range(1, d.Sizes[0])}
-	}
-	n := d.Sizes[dim]
-	switch d.Specs[dim].Kind {
-	case ast.DistBlock:
-		b := d.BlockSize()
-		lo := p*b + 1
-		hi := (p + 1) * b
-		if hi > n {
-			hi = n
-		}
-		return []rsd.Dim{rsd.Range(lo, hi)}
-	case ast.DistCyclic:
-		if p+1 > n {
-			return []rsd.Dim{rsd.Range(1, 0)}
-		}
-		return []rsd.Dim{rsd.Strided(p+1, n, d.P)}
-	case ast.DistBlockCyclic:
-		k := d.Specs[dim].BlockSize
-		var out []rsd.Dim
-		for start := p*k + 1; start <= n; start += d.P * k {
-			end := start + k - 1
-			if end > n {
-				end = n
-			}
-			out = append(out, rsd.Range(start, end))
-		}
-		if len(out) == 0 {
-			out = []rsd.Dim{rsd.Range(1, 0)}
-		}
-		return out
-	}
-	return nil
 }
 
 // RemapWords counts the array elements that physically move when the

@@ -1,11 +1,11 @@
 package decomp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"fortd/internal/ast"
-	"fortd/internal/rsd"
 )
 
 func TestDecompKey(t *testing.T) {
@@ -61,6 +61,17 @@ func TestApplyAlignCollapsedTarget(t *testing.T) {
 	}
 }
 
+// owned lists the indices 1..n that dist gives processor p.
+func owned(d *Dist, n, p int) []int {
+	var out []int
+	for i := 1; i <= n; i++ {
+		if d.OwnerIndex(i) == p {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // TestBlockPaperExample reproduces §3.1: X(100) distributed BLOCK over 4
 // processors gives each the local index set [1:25] (i.e. 25 elements),
 // with processor p owning [25p+1 : 25p+25].
@@ -70,10 +81,8 @@ func TestBlockPaperExample(t *testing.T) {
 		t.Fatalf("BlockSize = %d, want 25", b)
 	}
 	for p := 0; p < 4; p++ {
-		set := d.LocalSet(p)
-		want := rsd.Range(p*25+1, p*25+25)
-		if len(set) != 1 || set[0] != want {
-			t.Errorf("LocalSet(%d) = %v, want %v", p, set, want)
+		if set := owned(d, 100, p); len(set) != 25 || set[0] != p*25+1 || set[24] != p*25+25 {
+			t.Errorf("processor %d owns %v, want [%d:%d]", p, set, p*25+1, p*25+25)
 		}
 	}
 	if o := d.OwnerIndex(26); o != 1 {
@@ -89,8 +98,8 @@ func TestBlockUneven(t *testing.T) {
 	// ceil(10/4)=3: owners get 3,3,3,1
 	counts := []int{3, 3, 3, 1}
 	for p, want := range counts {
-		if got := d.LocalSet(p)[0].Count(); got != want {
-			t.Errorf("LocalSet(%d) counts %d, want %d", p, got, want)
+		if got := len(owned(d, 10, p)); got != want {
+			t.Errorf("processor %d owns %d elements, want %d", p, got, want)
 		}
 	}
 	if o := d.OwnerIndex(10); o != 3 {
@@ -109,9 +118,8 @@ func TestCyclic(t *testing.T) {
 	if o := d.OwnerIndex(6); o != 1 {
 		t.Errorf("Owner(6) = %d", o)
 	}
-	set := d.LocalSet(1)
-	if len(set) != 1 || set[0] != rsd.Strided(2, 10, 4) {
-		t.Errorf("LocalSet(1) = %v", set)
+	if set := owned(d, 10, 1); !slices.Equal(set, []int{2, 6, 10}) {
+		t.Errorf("processor 1 owns %v", set)
 	}
 }
 
@@ -124,17 +132,14 @@ func TestBlockCyclic(t *testing.T) {
 	if o := d.OwnerIndex(7); o != 0 {
 		t.Errorf("Owner(7) = %d, want 0", o)
 	}
-	set := d.LocalSet(0)
-	if len(set) != 2 {
-		t.Fatalf("LocalSet(0) = %v", set)
-	}
-	if set[0] != rsd.Range(1, 2) || set[1] != rsd.Range(7, 8) {
-		t.Errorf("LocalSet(0) = %v", set)
+	if set := owned(d, 12, 0); !slices.Equal(set, []int{1, 2, 7, 8}) {
+		t.Errorf("processor 0 owns %v", set)
 	}
 }
 
-// Property: every index has exactly one owner in [0,P) and the local
-// sets partition [1:n].
+// Property: every index has exactly one owner in [0,P), and the owners
+// follow the format: BLOCK hands out blocks of BlockSize in processor
+// order, CYCLIC(k) deals blocks of k round-robin (CYCLIC: k = 1).
 func TestOwnershipPartitionProperty(t *testing.T) {
 	f := func(nRaw, pRaw, kindRaw uint8) bool {
 		n := int(nRaw%200) + 1
@@ -152,26 +157,13 @@ func TestOwnershipPartitionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seen := make([]int, n+1)
-		for proc := 0; proc < p; proc++ {
-			for _, dm := range d.LocalSet(proc) {
-				st := dm.Step
-				if st <= 0 {
-					st = 1
-				}
-				for i := dm.Lo; i <= dm.Hi; i += st {
-					if i < 1 || i > n {
-						return false
-					}
-					seen[i]++
-					if d.OwnerIndex(i) != proc {
-						return false
-					}
-				}
-			}
-		}
+		b := d.BlockSize()
 		for i := 1; i <= n; i++ {
-			if seen[i] != 1 {
+			o := d.OwnerIndex(i)
+			if o < 0 || o >= p {
+				return false
+			}
+			if block := (i - 1) / b; spec.Kind == ast.DistBlock && o != block || spec.Kind != ast.DistBlock && o != block%p {
 				return false
 			}
 		}

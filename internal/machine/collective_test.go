@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -154,11 +155,15 @@ func TestCollectiveClosedForm(t *testing.T) {
 		}
 
 		// Broadcast of w words from root to a group: the members (the root
-		// and g) ranked by distance (pid - root) mod P from the root; rank r
-		// receives from r minus its highest bit, as that parent's i-th child
-		// (i counts from 1), one start-up per earlier child later; it then
-		// sends to every r+2^j past its own highest bit. Anyone else's clock
-		// stays at c.
+		// and g) ranked by distance (pid - root) mod P from the root. On the
+		// tree, rank r receives from r minus its highest bit, as that
+		// parent's i-th child (i counts from 1), one start-up per earlier
+		// child later; it then sends to every r+2^j past its own highest
+		// bit. On the ring, the root ends at c + 2α, rank 1 receives at
+		// c + 2α + βw and forwards nothing, rank 2 receives at c + 3α + βw
+		// and rank d >= 3 at c + 3α + βw + (d−2)(2α + βw), each forwarding
+		// to d+1 but the last. Anyone else's clock stays at c; groups of at
+		// most 3 members run alike on both.
 		const w = 3
 		for _, bc := range []struct {
 			name string
@@ -171,20 +176,6 @@ func TestCollectiveClosedForm(t *testing.T) {
 			{"wrapping", 1 % np, Group{First: np - np/2, N: np/2 + 1}},
 			{"root alone", np / 3, Group{}},
 		} {
-			m = New(DefaultConfig(np))
-			for pid := 0; pid < np; pid++ {
-				m.Go(pid, func(p *Proc) {
-					p.Tick(c)
-					var data []float64
-					if pid == bc.root {
-						data = make([]float64, w)
-					}
-					p.Broadcast(bc.root, bc.g, data)
-				})
-			}
-			if err := m.Wait(); err != nil {
-				t.Fatal(err)
-			}
 			var members []int // by rank
 			for d := 0; d < np; d++ {
 				pid := (bc.root + d) % np
@@ -193,34 +184,95 @@ func TestCollectiveClosedForm(t *testing.T) {
 				}
 			}
 			n := len(members)
-			want := make([]float64, np)
-			for pid := range want {
-				want[pid] = c
-			}
-			recv := make([]float64, n)
-			recv[0] = c
-			for r := 1; r < n; r++ {
-				parent := r &^ (1 << (bits.Len(uint(r)) - 1))
-				at := recv[parent]
-				for i := bits.Len(uint(parent)); i < bits.Len(uint(r)); i++ {
-					at += α // one start-up per child sent before r, and r's own
+			var clocks [2][]float64
+			for i, ring := range []bool{false, true} {
+				g, name := bc.g, bc.name
+				if g.Ring = ring; ring {
+					name += " ring"
 				}
-				recv[r] = at + α + float64(w)*β
-			}
-			for r, pid := range members {
-				want[pid] = recv[r]
-				for j := bits.Len(uint(r)); r+1<<j < n; j++ {
-					want[pid] += α
+				m = New(DefaultConfig(np))
+				for pid := 0; pid < np; pid++ {
+					m.Go(pid, func(p *Proc) {
+						p.Tick(c)
+						var data []float64
+						if pid == bc.root {
+							data = make([]float64, w)
+						}
+						p.Broadcast(bc.root, g, data)
+					})
+				}
+				if err := m.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, np)
+				for pid := range want {
+					want[pid] = c
+				}
+				clocksOf := treeClocks
+				if ring {
+					clocksOf = ringClocks
+				}
+				end := clocksOf(n, c, α, float64(w)*β)
+				for r, pid := range members {
+					want[pid] = end[r]
+				}
+				for pid, ps := range m.Stats().PerProc {
+					clocks[i] = append(clocks[i], ps.Clock)
+					if ps.Clock != want[pid] {
+						t.Errorf("Broadcast %s P=%d: proc %d clock %v, want %v", name, np, pid, ps.Clock, want[pid])
+					}
+				}
+				if msgs := m.Stats().Messages; msgs != int64(n-1) {
+					t.Errorf("Broadcast %s P=%d: %d messages, want %d", name, np, msgs, n-1)
 				}
 			}
-			for pid, ps := range m.Stats().PerProc {
-				if ps.Clock != want[pid] {
-					t.Errorf("Broadcast %s P=%d: proc %d clock %v, want %v", bc.name, np, pid, ps.Clock, want[pid])
-				}
-			}
-			if msgs := m.Stats().Messages; msgs != int64(n-1) {
-				t.Errorf("Broadcast %s P=%d: %d messages, want %d", bc.name, np, msgs, n-1)
+			if n <= 3 && !slices.Equal(clocks[0], clocks[1]) {
+				t.Errorf("Broadcast %s P=%d: %d members, ring clocks %v differ from the tree's %v", bc.name, np, n, clocks[1], clocks[0])
 			}
 		}
 	}
+}
+
+// treeClocks is the binomial tree's closed form for n members entering
+// at c, with one start-up α and a flight α + βw: when each rank has sent
+// its last message, in the order the machine adds.
+func treeClocks(n int, c, α, βw float64) []float64 {
+	recv, end := make([]float64, n), make([]float64, n)
+	recv[0] = c
+	for r := 1; r < n; r++ {
+		parent := r &^ (1 << (bits.Len(uint(r)) - 1))
+		at := recv[parent]
+		for i := bits.Len(uint(parent)); i < bits.Len(uint(r)); i++ {
+			at += α // one start-up per child sent before r, and r's own
+		}
+		recv[r] = at + α + βw
+	}
+	for r := range end {
+		end[r] = recv[r]
+		for j := bits.Len(uint(r)); r+1<<j < n; j++ {
+			end[r] += α
+		}
+	}
+	return end
+}
+
+// ringClocks is the ring's: the root ends at c + 2α (sending to ranks 1
+// and 2), rank 1 receives at c + 2α + βw and ends there, rank 2 receives
+// at c + 3α + βw and rank d >= 3 at c + 3α + βw + (d−2)(2α + βw); every
+// rank d >= 2 but the last ends one start-up after it receives.
+func ringClocks(n int, c, α, βw float64) []float64 {
+	end := make([]float64, n)
+	end[0] = c
+	for r := 1; r < n; r++ {
+		from := r - 1 // the sender, whose clock ends with this send
+		if r <= 2 {
+			from = 0
+			end[0] += α
+		}
+		end[r] = end[from] + α + βw // received
+		if r >= 2 && r+1 < n {
+			end[r] += α
+		}
+	}
+	return end
 }

@@ -19,8 +19,8 @@ import (
 //
 // A program is a global sequence of operations — send/receive pairs,
 // split-phase IRecvInto/WaitHandle, Broadcast and PostBcastInto/
-// WaitHandle to every processor or to a group, AllReduce, Compute,
-// zero-word messages — of which every processor
+// WaitHandle to every processor or to a group (along the ring in the
+// ring lanes), AllReduce, Compute, zero-word messages — of which every processor
 // executes its own projection in order. That cannot deadlock: sends
 // never block, and by the time all operations before some operation are
 // complete its participants have nothing else left to wait for. Every
@@ -60,7 +60,9 @@ const (
 
 const diffLinkDepth = 128 // > 2 × the sends a program can queue on one link
 
-func genOps(rng *rand.Rand, np int) []diffOp {
+// genOps generates one program; ring sends its broadcasts along the ring
+// instead of the tree, and draws the same numbers either way.
+func genOps(rng *rand.Rand, np int, ring bool) []diffOp {
 	var ops []diffOp
 	type pending struct {
 		bcast   bool
@@ -83,10 +85,12 @@ func genOps(rng *rand.Rand, np int) []diffOp {
 		return 1 + rng.Intn(40), false
 	}
 	group := func() Group {
-		if rng.Intn(2) == 0 {
-			return All
+		g := All
+		if rng.Intn(2) != 0 {
+			g = Group{First: rng.Intn(np), N: rng.Intn(np + 1)}
 		}
-		return Group{First: rng.Intn(np), N: rng.Intn(np + 1)}
+		g.Ring = ring
+		return g
 	}
 	closeOne := func(i int) {
 		pd := open[i]
@@ -293,13 +297,19 @@ func TestEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = 40
 	}
-	for _, np := range []int{1, 2, 3, 4, 7, 16} {
-		np := np
-		t.Run(fmt.Sprintf("P=%d", np), func(t *testing.T) {
+	for _, lane := range []struct {
+		np   int
+		ring bool
+	}{{1, false}, {2, false}, {3, false}, {4, false}, {7, false}, {16, false}, {4, true}, {7, true}, {16, true}} {
+		np, name := lane.np, fmt.Sprintf("P=%d", lane.np)
+		if lane.ring {
+			name += "-ring"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(seed<<8 | int64(np)))
-				ops := genOps(rng, np)
+				ops := genOps(rng, np, lane.ring)
 				tail, cycle := tailNone, 0
 				if m := seed % 20; m >= 1 && m <= 3 && np > 1 {
 					tail = diffTail(m)

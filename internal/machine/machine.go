@@ -517,7 +517,8 @@ func (p *Proc) recvAs(from int, kind trace.Kind) []float64 {
 // anyone else a no-op) and returns it, the root's own copy on the root.
 // The implementation is a binomial tree over the root and g (bcastTree),
 // the pattern the iPSC hypercube's library broadcast used: log₂ of their
-// number message steps on the critical path.
+// number message steps on the critical path — or, for a g.Ring group,
+// the ring of ringLinks.
 func (p *Proc) Broadcast(root int, g Group, data []float64) []float64 {
 	t := newTree(root, p.m.cfg.P, g)
 	rank, ok := t.rank(p.id)
@@ -525,7 +526,7 @@ func (p *Proc) Broadcast(root int, g Group, data []float64) []float64 {
 		return data
 	}
 	var buf [64]int
-	parent, children := bcastTree(rank, t.size, buf[:0])
+	parent, children := t.links(rank, buf[:0])
 	if parent >= 0 {
 		data = p.Recv(t.pid(parent))
 	}
@@ -575,25 +576,6 @@ func (p *Proc) AllReduce(value float64, combine func(acc, v float64) float64) fl
 		}
 	}
 	return acc
-}
-
-// Barrier performs a linear synchronization through processor 0 (used
-// only by tests; the generated code never needs explicit barriers).
-func (p *Proc) Barrier() {
-	if p.m.cfg.P == 1 {
-		return
-	}
-	if p.id == 0 {
-		for q := 1; q < p.m.cfg.P; q++ {
-			p.Recv(q)
-		}
-		for q := 1; q < p.m.cfg.P; q++ {
-			p.Send(q, nil)
-		}
-	} else {
-		p.Send(0, nil)
-		p.Recv(0)
-	}
 }
 
 // CountRemap records a physical remap, charging words moved in partners

@@ -85,24 +85,6 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	const P = 8
-	m := New(DefaultConfig(P))
-	for p := 0; p < P; p++ {
-		p := p
-		m.Go(p, func(pr *Proc) {
-			pr.Compute(p * 100)
-			pr.Barrier()
-			// after the barrier every clock is at least the slowest
-			// pre-barrier clock
-			if pr.Clock() < float64(P-1)*100*pr.m.cfg.FlopCost {
-				t.Errorf("proc %d clock %v below barrier time", p, pr.Clock())
-			}
-		})
-	}
-	m.Wait()
-}
-
 func TestManyMessagesNoDeadlock(t *testing.T) {
 	m := New(DefaultConfig(2))
 	const N = 5000

@@ -78,8 +78,12 @@ func (p *Proc) WaitHandle(h *Handle) []float64 {
 }
 
 // Group is the processors a broadcast reaches besides its root: the N
-// processors First, First+1, .., counted modulo P; N >= P is all.
-type Group struct{ First, N int }
+// processors First, First+1, .., counted modulo P; N >= P is all. Ring
+// sends along ringLinks, not bcastTree.
+type Group struct {
+	First, N int
+	Ring     bool
+}
 
 // All is the group of every processor.
 var All = Group{N: math.MaxInt}
@@ -92,14 +96,17 @@ func (g Group) Has(pid, np int) bool {
 // tree ranks a broadcast's members, its root and group, in closed form
 // by their distance (pid - root) mod P: the distances [0, low) and then
 // [from, to). A group of all P ranks every processor by its distance.
-type tree struct{ root, np, low, from, to, size int }
+type tree struct {
+	root, np, low, from, to, size int
+	ring                          bool
+}
 
 func newTree(root, np int, g Group) tree {
 	n, s := min(max(g.N, 0), np), ((g.First-root)%np+np)%np
 	if s == 0 && n > 0 {
 		s, n = 1, n-1 // the root heads the range
 	}
-	t := tree{root: root, np: np, low: 1, from: s, to: s + n}
+	t := tree{root: root, np: np, low: 1, from: s, to: s + n, ring: g.Ring}
 	if s+n > np { // the range wraps past the root
 		t.low, t.to = s+n-np, np
 	}
@@ -122,13 +129,21 @@ func (t tree) pid(rank int) int {
 	return (t.root + rank) % t.np
 }
 
+// links is who sends to whom among the ranks: bcastTree or ringLinks.
+// Broadcast and PostBcastInto both ask it, so the two move the same
+// messages.
+func (t tree) links(rank int, buf []int) (parent int, children []int) {
+	if t.ring {
+		return ringLinks(rank, t.size, buf)
+	}
+	return bcastTree(rank, t.size, buf)
+}
+
 // bcastTree returns the binomial-tree parent of rank rel (-1 for the
 // root) and its children in ascending-round order, for an np-member
 // broadcast rooted at rank 0: rank rel receives in the round k with
-// k <= rel < 2k and sends to rel+k in every later round. Broadcast and
-// PostBcastInto both walk it, so split-phase and blocking broadcasts move
-// the same messages over the same links. The children are appended to
-// buf.
+// k <= rel < 2k and sends to rel+k in every later round. The children
+// are appended to buf.
 func bcastTree(rel, np int, buf []int) (parent int, children []int) {
 	parent, children = -1, buf
 	k := 1
@@ -148,6 +163,25 @@ func bcastTree(rel, np int, buf []int) (parent int, children []int) {
 	return parent, children
 }
 
+// ringLinks is bcastTree's counterpart for LINPACK's modified ring: the
+// root sends to ranks 1 and 2, rank 1 (the next root) forwards nothing,
+// and every rank d >= 2 forwards to d+1.
+func ringLinks(rel, np int, buf []int) (parent int, children []int) {
+	switch {
+	case rel == 0:
+		return -1, append(buf, 1, 2)[:len(buf)+min(2, np-1)]
+	case rel == 1:
+		return 0, buf
+	}
+	if parent = rel - 1; rel == 2 {
+		parent = 0
+	}
+	if rel+1 < np {
+		return parent, append(buf, rel+1)
+	}
+	return parent, buf
+}
+
 // PostBcastInto starts a split-phase broadcast of data from root to the
 // processors of g in a handle the caller owns. The root and g must call
 // it and later complete it with WaitHandle; for anyone else the handle
@@ -158,7 +192,7 @@ func bcastTree(rel, np int, buf []int) (parent int, children []int) {
 func (p *Proc) PostBcastInto(h *Handle, root int, g Group, data []float64) {
 	t := newTree(root, p.m.cfg.P, g)
 	rank, ok := t.rank(p.id)
-	parent, children := bcastTree(rank, t.size, h.fwd[:0])
+	parent, children := t.links(rank, h.fwd[:0])
 	for i, c := range children {
 		children[i] = t.pid(c)
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"fortd/internal/trace"
@@ -118,7 +119,8 @@ func TestWaitEventKind(t *testing.T) {
 // its group, ranked by distance (pid - root) mod P from the root: the
 // closed form must agree with walking the processors in that order, for
 // every root and modular range (empty, wrapping, holding the root or
-// not, all P and more) up to P = 9.
+// not, all P and more) up to P = 9. The ring's links are checked against
+// a walk from its root.
 func TestBcastTreeTopology(t *testing.T) {
 	cases := []struct {
 		rel, np  int
@@ -160,17 +162,36 @@ func TestBcastTreeTopology(t *testing.T) {
 	}
 	for _, c := range cases {
 		parent, children := bcastTree(c.rel, c.np, nil)
-		if parent != c.parent {
-			t.Errorf("bcastTree(%d,%d) parent = %d, want %d", c.rel, c.np, parent, c.parent)
+		if parent != c.parent || !slices.Equal(children, c.children) {
+			t.Errorf("bcastTree(%d,%d) = %d, %v, want %d, %v", c.rel, c.np, parent, children, c.parent, c.children)
 		}
-		if len(children) != len(c.children) {
-			t.Errorf("bcastTree(%d,%d) children = %v, want %v", c.rel, c.np, children, c.children)
-			continue
+	}
+	// The ring, walked: the root sends to ranks 1 and 2 in that order,
+	// rank 1 sends nothing, and from rank 2 on every rank hands the
+	// message to the next, so following the links from the root visits
+	// every rank once, in rank order, each receiving from its parent.
+	for np := 1; np <= 9; np++ {
+		var order []int
+		parentOf := map[int]int{}
+		var walk func(rel int)
+		walk = func(rel int) {
+			order = append(order, rel)
+			parent, children := ringLinks(rel, np, nil)
+			if want, ok := parentOf[rel]; rel > 0 && (!ok || parent != want) {
+				t.Errorf("ringLinks(%d,%d) parent = %d, sent by %d", rel, np, parent, want)
+			}
+			if rel == 1 && len(children) > 0 {
+				t.Errorf("ringLinks(1,%d) forwards to %v", np, children)
+			}
+			for _, c := range children {
+				parentOf[c] = rel
+				walk(c)
+			}
 		}
-		for i := range children {
-			if children[i] != c.children[i] {
-				t.Errorf("bcastTree(%d,%d) children = %v, want %v", c.rel, c.np, children, c.children)
-				break
+		walk(0)
+		for r, rel := range order {
+			if rel != r || len(order) != np {
+				t.Fatalf("ring walk P=%d visits %v, want 0..%d", np, order, np-1)
 			}
 		}
 	}

@@ -138,9 +138,9 @@ func TestForwardedPayloadOutlivesItsForwarder(t *testing.T) {
 // bcastRounds runs rounds split-phase broadcasts of a words-word payload
 // with the root rotating over the first roots processors (at least two:
 // a root never waits, so a single one would run every round before
-// anyone else starts), every processor checking what it receives, and a
-// closing barrier whose zero-word messages make every processor give up
-// the last payload it holds.
+// anyone else starts), every processor checking what it receives, and two
+// closing zero-word broadcasts, from processors 0 and 1, whose messages
+// make every processor give up the last payload it holds.
 func bcastRounds(t testing.TB, m *Machine, rounds, words, roots int) {
 	np := m.P()
 	for pid := 0; pid < np; pid++ {
@@ -158,7 +158,8 @@ func bcastRounds(t testing.TB, m *Machine, rounds, words, roots int) {
 				p.PostBcastInto(&h, root, All, data)
 				checkPattern(t, pid, r, p.WaitHandle(&h), words)
 			}
-			p.Barrier()
+			p.Broadcast(0, All, nil)
+			p.Broadcast(1, All, nil)
 		})
 	}
 	if err := m.Wait(); err != nil {

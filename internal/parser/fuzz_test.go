@@ -10,15 +10,18 @@ import (
 )
 
 // toClauseSrc holds the broadcasts that carry a "to" clause: blocking and
-// posted, the bounded dimension first and last.
+// posted, the bounded dimension first and last, along the tree and the
+// ring.
 const toClauseSrc = `
       SUBROUTINE dgefa(a,n)
       REAL a(128,128)
       my$p = myproc()
       do k = 1,(n - 1)
-        broadcast a((k + 1):128,k) from MOD((k - 1),1024) to a(:,(k + 1):n)
+        broadcast a((k + 1):128,k) from MOD((k - 1),1024) to a(:,(k + 1):n) ring
         postbcast a(k,1:128) from MOD((k - 1),1024) to a(k:n,:) tag 1
         waitbcast a tag 1
+        postbcast a(k,1:128) from MOD((k - 1),1024) to a((k + 1):n,:) ring tag 2
+        waitbcast a tag 2
       enddo
       END
 `
@@ -26,8 +29,8 @@ const toClauseSrc = `
 // FuzzParse asserts the lexer+parser never panic: arbitrary input must
 // either parse or return an error. The corpus is seeded with every
 // checked-in Fortran D source under the repository's testdata and with
-// broadcasts that carry a "to" clause, which must survive print → parse
-// → print unchanged.
+// broadcasts that carry a "to" clause, with and without "ring", which
+// must survive print → parse → print unchanged.
 func FuzzParse(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.f"))
 	if err != nil {

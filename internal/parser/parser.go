@@ -840,7 +840,7 @@ func (p *parser) parseAssign() (ast.Stmt, error) {
 //
 //	send  ARR(sec,...) to EXPR
 //	recv  ARR(sec,...) from EXPR
-//	broadcast ARR(sec,...) from EXPR [to ARR(:,...,sec,...,:)]
+//	broadcast ARR(sec,...) from EXPR [to ARR(:,...,sec,...,:) [ring]]
 //	allgather ARR(sec,...)
 //
 // where each section dimension is "expr" or "expr:expr".
@@ -901,7 +901,7 @@ func (p *parser) parseComm(kind string) (ast.Stmt, error) {
 // overlap schedule:
 //
 //	postrecv  ARR(sec,...) from EXPR tag N
-//	postbcast ARR(sec,...) from EXPR [to ARR(...)] tag N
+//	postbcast ARR(sec,...) from EXPR [to ARR(...) [ring]] tag N
 func (p *parser) parsePost(bcast bool) (ast.Stmt, error) {
 	p.next() // keyword
 	arr, err := p.expect(lexer.IDENT, "array name")
@@ -981,7 +981,8 @@ func (p *parser) parseTag(line int) (int, error) {
 }
 
 // parseReceivers parses a broadcast's optional "to" clause: an array
-// section bounded in one dimension and ":" in every other.
+// section bounded in one dimension and ":" in every other, then "ring"
+// if the broadcast travels along a ring.
 func (p *parser) parseReceivers(line int) (*ast.Receivers, error) {
 	if !p.acceptKeyword("TO") {
 		return nil, nil
@@ -1003,6 +1004,7 @@ func (p *parser) parseReceivers(line int) (*ast.Receivers, error) {
 	if n != 1 {
 		return nil, fmt.Errorf("line %d: a to clause bounds one dimension", line)
 	}
+	r.Ring = p.acceptKeyword("RING")
 	return r, nil
 }
 

@@ -489,9 +489,9 @@ func TestParseNestedIfInLoop(t *testing.T) {
 }
 
 // TestParseBroadcastReceivers: a broadcast's "to" clause names one
-// bounded dimension of an array section, prints as it was written and
-// reparses to the same statement; a clause that bounds no dimension, or
-// two, is an error.
+// bounded dimension of an array section and, after it, "ring" or not,
+// prints as it was written and reparses to the same statement; a clause
+// that bounds no dimension, or two, is an error.
 func TestParseBroadcastReceivers(t *testing.T) {
 	prog, err := Parse(toClauseSrc)
 	if err != nil {
@@ -499,8 +499,9 @@ func TestParseBroadcastReceivers(t *testing.T) {
 	}
 	text := ast.Print(prog)
 	for _, want := range []string{
-		"broadcast a((k + 1):128,k) from MOD((k - 1),1024) to a(:,(k + 1):n)",
+		"broadcast a((k + 1):128,k) from MOD((k - 1),1024) to a(:,(k + 1):n) ring",
 		"postbcast a(k,1:128) from MOD((k - 1),1024) to a(k:n,:) tag 1",
+		"postbcast a(k,1:128) from MOD((k - 1),1024) to a((k + 1):n,:) ring tag 2",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("printed program lacks %q:\n%s", want, text)
@@ -510,9 +511,13 @@ func TestParseBroadcastReceivers(t *testing.T) {
 	if err != nil || !ast.StmtsEqual(again.Units[0].Body, prog.Units[0].Body) {
 		t.Fatalf("reparse: %v\n%s", err, text)
 	}
-	bc := prog.Units[0].Body[1].(*ast.Do).Body[0].(*ast.Broadcast)
-	if r := bc.To; r == nil || r.Array != "a" || r.Dim != 1 || r.Rank != 2 || r.Lo.String() != "(k + 1)" || r.Hi.String() != "n" {
+	body := prog.Units[0].Body[1].(*ast.Do).Body
+	bc := body[0].(*ast.Broadcast)
+	if r := bc.To; r == nil || r.Array != "a" || r.Dim != 1 || r.Rank != 2 || r.Lo.String() != "(k + 1)" || r.Hi.String() != "n" || !r.Ring {
 		t.Errorf("clause = %+v", bc.To)
+	}
+	if tree, ring := body[1].(*ast.PostBcast).To, body[3].(*ast.PostBcast).To; tree.Ring || !ring.Ring {
+		t.Errorf("posted clauses = %+v, %+v", tree, ring)
 	}
 	for _, bad := range []string{"to a(:,:)", "to a(1:2,3:4)", "to a()"} {
 		src := "      PROGRAM P\n      REAL a(4,4)\n      broadcast a(1,1) from 0 " + bad + "\n      END\n"

@@ -350,6 +350,8 @@ func TestRedundantBcastReceivers(t *testing.T) {
 		{" to a(:,2:8)", " to a(:,3:8)", true},
 		{" to a(:,(k + 1):8)", " to a(:,(k + 1):8)", true},
 		{"", " to a(:,2:8)", true},
+		{" to a(:,2:8) ring", " to a(:,2:8)", true},
+		{" to a(:,2:8)", " to a(:,2:8) ring", true},
 	} {
 		out, _, n := applyTo(t, `
       PROGRAM P
@@ -366,15 +368,17 @@ func TestRedundantBcastReceivers(t *testing.T) {
 }
 
 // TestLookaheadCarriesReceivers: the pipelined post names the receivers of
-// the iteration it is posted for, k+1 substituted into its "to" clause.
+// the iteration it is posted for, k+1 substituted into its "to" clause,
+// and keeps the clause's shape, tree or ring.
 func TestLookaheadCarriesReceivers(t *testing.T) {
-	out, _, _ := applyTo(t, `
+	for _, shape := range []string{"", " ring"} {
+		out, _, _ := applyTo(t, `
       PROGRAM P
       REAL a(8,8)
       my$p = myproc()
       n = 8
       do k = 1,(n - 1)
-        broadcast a(1:8,k) from MOD((k - 1),4) to a(:,(k + 1):n)
+        broadcast a(1:8,k) from MOD((k - 1),4) to a(:,(k + 1):n)`+shape+`
         do j = first$((my$p + 1),(k + 1),4),n,4
           do i = (k + 1),n
             a(i,j) = (a(i,j) - (a(i,k) * a(k,j)))
@@ -383,12 +387,13 @@ func TestLookaheadCarriesReceivers(t *testing.T) {
       enddo
       END
 `)
-	for _, want := range []string{
-		"postbcast a(1:8,1) from MOD((1 - 1),4) to a(:,(1 + 1):n) tag 1",
-		"postbcast a(1:8,(k + 1)) from MOD(((k + 1) - 1),4) to a(:,((k + 1) + 1):n) tag 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("pipelined listing lacks %q:\n%s", want, out)
+		for _, want := range []string{
+			"postbcast a(1:8,1) from MOD((1 - 1),4) to a(:,(1 + 1):n)" + shape + " tag 1",
+			"postbcast a(1:8,(k + 1)) from MOD(((k + 1) - 1),4) to a(:,((k + 1) + 1):n)" + shape + " tag 1",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("pipelined listing lacks %q:\n%s", want, out)
+			}
 		}
 	}
 }

@@ -161,10 +161,12 @@ type commSite struct {
 	to    *toClause  // a broadcast's receivers (nil: every processor)
 }
 
-// toClause is a lowered "to" clause: lo..hi in dimension dim of slot's array.
+// toClause is a lowered "to" clause: lo..hi in dimension dim of slot's
+// array, reached along a ring or the tree.
 type toClause struct {
 	slot, dim int
 	lo, hi    intOperand
+	ring      bool
 }
 
 // to lowers a broadcast's "to" clause onto its site.
@@ -172,7 +174,7 @@ func (lw *lowerer) to(c *commSite, r *ast.Receivers) *commSite {
 	if r != nil {
 		lo, _ := lw.intExpr(r.Lo)
 		hi, _ := lw.intExpr(r.Hi)
-		c.to = &toClause{slot: lw.slot(r.Array), dim: r.Dim, lo: lo, hi: hi}
+		c.to = &toClause{slot: lw.slot(r.Array), dim: r.Dim, lo: lo, hi: hi, ring: r.Ring}
 	}
 	return c
 }
@@ -250,7 +252,8 @@ func (c *commSite) partner(fr *frame) (arr *Array, bx box, peer int, ok bool, er
 
 // rooted is open for a broadcast, whose root must be a processor, and
 // the group it reaches besides: all, or the owners of its "to" section by
-// the array's run-time distribution; anyone else skips it (ok false). (A
+// the array's run-time distribution, along the clause's shape; anyone
+// else skips it (ok false). (A
 // section that clips to nothing still runs the zero-word tree.)
 func (c *commSite) rooted(fr *frame) (arr *Array, bx box, root int, g machine.Group, ok bool, err error) {
 	nd := fr.nd
@@ -267,6 +270,7 @@ func (c *commSite) rooted(fr *frame) (arr *Array, bx box, root int, g machine.Gr
 	if d := c.to.dim; err == nil && t.Dist != nil && t.Dist.DistDim() == d {
 		g = receivers(t.Dist, max(lo, t.Lo[d]), min(hi, t.Hi[d]))
 	}
+	g.Ring = c.to.ring
 	return arr, bx, root, g, err == nil && (nd.p == root || g.Has(nd.p, nd.pl.nproc)), err
 }
 

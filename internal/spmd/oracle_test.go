@@ -757,12 +757,20 @@ func (it *treeInterp) execBroadcast(f *treeFrame, st *ast.Broadcast) error {
 }
 
 // receivers is the oracle's "to" clause: the owners of its section,
-// found by asking the distribution of every subscript, as the modular
-// range machine.Group names (the first owner whose predecessor is none).
+// along the clause's shape.
 func (it *treeInterp) receivers(f *treeFrame, r *ast.Receivers) (machine.Group, error) {
 	if r == nil {
 		return machine.All, nil
 	}
+	g, err := it.owners(f, r)
+	g.Ring = r.Ring
+	return g, err
+}
+
+// owners finds the owners of a "to" clause's section by asking the
+// distribution of every subscript, as the modular range machine.Group
+// names (the first owner whose predecessor is none).
+func (it *treeInterp) owners(f *treeFrame, r *ast.Receivers) (machine.Group, error) {
 	arr := f.arrays[r.Array]
 	if arr == nil {
 		return machine.All, fmt.Errorf("to clause: unknown array %s", r.Array)

@@ -122,7 +122,6 @@ type Tracer struct {
 	mu     sync.Mutex
 	events []Event
 	epoch  time.Time
-	seq    int64
 }
 
 // New returns an enabled tracer.
@@ -141,18 +140,6 @@ func (t *Tracer) Emit(ev Event) {
 	t.mu.Lock()
 	t.events = append(t.events, ev)
 	t.mu.Unlock()
-}
-
-// NextSeq returns a fresh message-sequence id (1, 2, ...).
-func (t *Tracer) NextSeq() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	t.seq++
-	s := t.seq
-	t.mu.Unlock()
-	return s
 }
 
 var noop = func() {}

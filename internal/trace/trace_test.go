@@ -15,14 +15,10 @@ func TestNilTracerIsSafeAndAllocationFree(t *testing.T) {
 	if got := tr.Events(); got != nil {
 		t.Fatalf("nil tracer events = %v", got)
 	}
-	if seq := tr.NextSeq(); seq != 0 {
-		t.Fatalf("nil tracer seq = %d", seq)
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Emit(Event{Kind: KindSend, Words: 10})
 		tr.Phase("p")()
 		tr.Counter("c", 1)
-		tr.NextSeq()
 		tr.Reset()
 	})
 	if allocs != 0 {
@@ -177,18 +173,6 @@ func TestWriteTextEmpty(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "run: 0 messages, 0 words") {
 		t.Errorf("empty summary = %q", buf.String())
-	}
-}
-
-func TestTracerSeqMonotone(t *testing.T) {
-	tr := New()
-	prev := int64(0)
-	for i := 0; i < 10; i++ {
-		s := tr.NextSeq()
-		if s <= prev {
-			t.Fatalf("seq %d after %d", s, prev)
-		}
-		prev = s
 	}
 }
 

@@ -83,6 +83,9 @@ func TestStmtEqualMatchesPrintedKey(t *testing.T) {
 
 	sec := func(lo, hi ast.Expr) []ast.SecDim { return []ast.SecDim{{Lo: lo, Hi: hi}} }
 	send := func(sec []ast.SecDim, dest ast.Expr) ast.Stmt { return &ast.Send{Array: "a", Sec: sec, Dest: dest} }
+	to := func(ring bool) *ast.Receivers {
+		return &ast.Receivers{Array: "a", Dim: 0, Rank: 1, Lo: ast.Int(2), Hi: ast.Id("n"), Ring: ring}
+	}
 	guarded := func(s ast.Stmt, els ...ast.Stmt) ast.Stmt {
 		return &ast.If{Cond: ast.Cmp(ast.OpGT, ast.Id("my$p"), ast.Int(0)), Then: []ast.Stmt{s}, Else: els}
 	}
@@ -97,6 +100,8 @@ func TestStmtEqualMatchesPrintedKey(t *testing.T) {
 		send(append(sec(ast.Int(1), ast.Int(2)), sec(ast.Id("i"), ast.Id("i"))...), ast.Id("p")),
 		&ast.Recv{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Src: ast.Id("p")},
 		&ast.Broadcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p")},
+		&ast.Broadcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(false)},
+		&ast.Broadcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(true)}, // the other shape
 		&ast.AllGather{Array: "a", Sec: sec(ast.Int(1), ast.Int(2))},
 		guarded(send(sec(ast.Int(1), ast.Int(2)), ast.Id("p"))),
 		guarded(send(sec(ast.Int(1), ast.Int(2)), ast.Id("p")), &ast.Return{}),
@@ -120,6 +125,8 @@ func TestStmtEqualMatchesPrintedKey(t *testing.T) {
 		&ast.WaitRecv{Array: "a", Tag: 1},
 		&ast.WaitBcast{Array: "a", Tag: 1},
 		&ast.PostBcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), Tag: 1},
+		&ast.PostBcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(false), Tag: 1},
+		&ast.PostBcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(true), Tag: 1},
 		&ast.Align{Array: "a", Target: "d", Terms: []ast.AlignTerm{{ArrayDim: 0, Offset: 1}}},
 		&ast.Align{Array: "a", Target: "d"},
 		&ast.Distribute{Target: "d", Specs: []ast.DistSpec{{Kind: ast.DistCyclic}}},

@@ -174,8 +174,9 @@ func DgefaMatrix(n int) []float64 {
 // quality of hand-written code"). It is written directly in the output
 // language (my$p, first$, broadcast) the way an iPSC programmer would:
 // the pivot column is scaled by its owner and broadcast once per step to
-// the owners of the columns it updates, and each processor updates only
-// its own columns.
+// the owners of the columns it updates, along a ring whose first receiver
+// is the next step's owner, and each processor updates only its own
+// columns.
 func DgefaHandSrc(n, p int) string {
 	return fmt.Sprintf(`
       PROGRAM HAND
@@ -190,7 +191,7 @@ func DgefaHandSrc(n, p int) string {
             a(i,k) = a(i,k) * t
           enddo
         endif
-        broadcast a(k:%d,k) from MOD(k-1, %d) to a(:,k+1:%d)
+        broadcast a(k:%d,k) from MOD(k-1, %d) to a(:,k+1:%d) ring
         do j = first$(my$p+1, k+1, %d), %d, %d
           do i = k+1, %d
             a(i,j) = a(i,j) - a(i,k) * a(k,j)
