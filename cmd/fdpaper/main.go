@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"fortd"
@@ -151,16 +152,24 @@ func run(p *fortd.Program, init map[string][]float64) *fortd.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for name, want := range ref.Arrays {
-		got := r.Arrays[name]
-		for i := range want {
-			d := got[i] - want[i]
-			if d > 1e-6 || d < -1e-6 {
-				log.Fatalf("wrong answer: %s[%d] = %v, want %v", name, i, got[i], want[i])
+	if name, i, bad := mismatch(r.Arrays, ref.Arrays); bad {
+		log.Fatalf("wrong answer: %s[%d] = %v, want %v", name, i, r.Arrays[name][i], ref.Arrays[name][i])
+	}
+	return r
+}
+
+// mismatch finds an element of got more than 1e-6 from the reference
+// want; a NaN where the reference is not NaN is a mismatch too.
+func mismatch(got, want map[string][]float64) (name string, i int, bad bool) {
+	for name, w := range want {
+		for i := range w {
+			g := got[name][i]
+			if d := math.Abs(g - w[i]); !(d <= 1e-6) && !(math.IsNaN(g) && math.IsNaN(w[i])) {
+				return name, i, true
 			}
 		}
 	}
-	return r
+	return "", 0, false
 }
 
 // table1 prints the interprocedural data-flow problem inventory.

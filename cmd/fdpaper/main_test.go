@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -55,5 +56,51 @@ func TestExpFlag(t *testing.T) {
 	}
 	if !strings.Contains(string(table), "Table 1") {
 		t.Errorf("-exp table1 printed no table:\n%s", table)
+	}
+}
+
+// TestMismatchNaN: the check every experiment makes against the
+// sequential reference counts a NaN as wrong unless the reference is NaN
+// too, and forgives only a difference within 1e-6.
+func TestMismatchNaN(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		got, want float64
+		bad       bool
+	}{
+		{1, 1, false},
+		{1 + 1e-7, 1, false},
+		{1.1, 1, true},
+		{nan, 1, true},
+		{1, nan, true},
+		{nan, nan, false},
+		{math.Inf(1), math.Inf(1), true}, // Inf - Inf is NaN: no closer than 1e-6
+	}
+	for _, c := range cases {
+		got := map[string][]float64{"a": {0, c.got}}
+		want := map[string][]float64{"a": {0, c.want}}
+		name, i, bad := mismatch(got, want)
+		if bad != c.bad || (bad && (name != "a" || i != 1)) {
+			t.Errorf("mismatch(%v, %v) = %s[%d] %v, want %v", c.got, c.want, name, i, bad, c.bad)
+		}
+	}
+}
+
+// TestExpAll: every experiment runs, checks its runs against the
+// sequential reference and prints its table.
+func TestExpAll(t *testing.T) {
+	out, err := exec.Command(fdpaper, "-exp", "all").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-exp all: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"Table 1:", "Figures 2 vs 3:", "Figures 10 vs 12:", "Figure 16:", "Figure 13:",
+		"§9 dgefa case study: strategy comparison", "§9 dgefa case study: processor scaling",
+		"§9 dgefa case study: speedup and efficiency", "2-D Jacobi scaling",
+		"§6 motivation:", "§8 recompilation analysis",
+	} {
+		if !strings.Contains(string(out), "================ "+want) {
+			t.Errorf("-exp all printed no %q header", want)
+		}
 	}
 }

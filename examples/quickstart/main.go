@@ -1,7 +1,8 @@
 // Command quickstart compiles and runs the paper's Figure 1 program —
 // the smallest Fortran D example that needs interprocedural analysis:
 // the main program declares X block-distributed, and subroutine F1
-// computes on it without any local decomposition information.
+// computes on it without any local decomposition information. The
+// paper's experiments are rerun by cmd/fdpaper.
 //
 // Run with:
 //
@@ -15,22 +16,8 @@ import (
 	"fortd"
 )
 
-const src = `
-      PROGRAM P1
-      REAL X(100)
-      PARAMETER (n$proc = 4)
-      DISTRIBUTE X(BLOCK)
-      call F1(X)
-      END
-      SUBROUTINE F1(X)
-      REAL X(100)
-      do i = 1,95
-        X(i) = F(X(i+5))
-      enddo
-      END
-`
-
 func main() {
+	src := fortd.Fig1Src(100, 4)
 	prog, err := fortd.Compile(src, fortd.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -41,10 +28,7 @@ func main() {
 
 	// seed X with a ramp and execute on the simulated 4-processor
 	// distributed-memory machine
-	x0 := make([]float64, 100)
-	for i := range x0 {
-		x0[i] = float64(i + 1)
-	}
+	x0 := fortd.Ramp(100)
 	res, err := fortd.NewRunner(fortd.WithInit(map[string][]float64{"X": x0})).Run(prog)
 	if err != nil {
 		log.Fatal(err)

@@ -131,11 +131,11 @@ func NewTrace() *Trace { return trace.New() }
 // level, which remaps were eliminated by which Figure 16 rule, which
 // procedures were cloned or left to run-time resolution, per-array
 // overlap widths, and every rejection (aliasing, un-buildable
-// DISTRIBUTE). Create with NewExplain, attach via Options.Explain or
-// WithExplain, then export with WriteText (grouped by procedure),
-// WriteJSON (one JSON object per line) or WriteAnnotated (source
-// listing with interleaved remarks). A nil *Explain disables remark
-// collection at zero cost.
+// DISTRIBUTE). Create with NewExplain, attach via Options.Explain,
+// then export with WriteText (grouped by procedure), WriteJSON (one
+// JSON object per line) or WriteAnnotated (source listing with
+// interleaved remarks). A nil *Explain disables remark collection at
+// zero cost.
 //
 // Concurrency: an Explain is safe for concurrent Add calls (the
 // parallel compile pipeline relies on it), but like a Trace it is a
@@ -414,7 +414,6 @@ type Runner struct {
 	init        map[string][]float64
 	initScalars map[string]float64
 	trace       *Trace
-	explain     *Explain
 	deadline    time.Duration
 	faults      *FaultPlan
 }
@@ -447,14 +446,6 @@ func WithInitScalars(scalars map[string]float64) RunOption {
 // plus per-processor end-of-run totals. nil disables tracing.
 func WithTrace(t *Trace) RunOption {
 	return func(r *Runner) { r.trace = t }
-}
-
-// WithExplain attaches a remark collector to runs executed through
-// this Runner; RunSPMD records which DISTRIBUTE directives produced
-// distribution descriptors. (Compile-time remarks attach through
-// Options.Explain.) nil disables collection.
-func WithExplain(ex *Explain) RunOption {
-	return func(r *Runner) { r.explain = ex }
 }
 
 // WithDeadline bounds a run's wall-clock time: when it expires the
@@ -613,13 +604,6 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 			return false
 		}
 		dists[d.Target] = dist
-		if ex := r.explain; ex.Enabled() {
-			ex.Add(Remark{
-				Kind: explain.Note, Pass: "spmd", Proc: main.Name,
-				Line: d.Pos().Line, Name: "distribute",
-				Msg: fmt.Sprintf("DISTRIBUTE %s: built descriptor %s", d.Target, dist),
-			})
-		}
 		return true
 	})
 	if werr != nil {

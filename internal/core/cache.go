@@ -97,7 +97,6 @@ func (pc *passCtx) loadEntry(e *summarycache.Entry, out *procOut) {
 	out.commD = e.CommDelayed
 	out.dsum = e.DecompSum
 	out.mainDists = e.MainDists
-	out.actuals = e.Overlaps
 	out.remarks = e.Remarks
 	out.runtime = e.Runtime
 }
@@ -126,7 +125,6 @@ func (pc *passCtx) storeEntries(outs []*procOut) {
 			CommDelayed: out.commD,
 			DecompSum:   out.dsum,
 			MainDists:   out.mainDists,
-			Overlaps:    out.actuals,
 			Remarks:     out.remarks,
 			Runtime:     out.runtime,
 		})

@@ -283,11 +283,6 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		}
 		if out.hit {
 			hitUnits[out.name] = out.unit
-			// replay the overlaps the cached pass recorded, so the
-			// program-wide actual/buffer bookkeeping matches a fresh run
-			for _, oa := range out.actuals {
-				c.Overlaps.RecordActual(out.name, oa.Array, oa.Dim, oa.Lo, oa.Hi)
-			}
 			c.CacheHits = append(c.CacheHits, out.name)
 		} else {
 			newBodies[out.name] = out.body

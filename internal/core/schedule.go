@@ -26,6 +26,7 @@ import (
 	"fortd/internal/depend"
 	"fortd/internal/explain"
 	"fortd/internal/livedecomp"
+	"fortd/internal/overlap"
 	"fortd/internal/partition"
 	"fortd/internal/sideeffect"
 	"fortd/internal/summarycache"
@@ -53,7 +54,6 @@ type procOut struct {
 	shash     string   // summary hash callers fold into their cache keys
 	effects   []string // scalarEffects of the procedure, part of iface
 	mainDists map[string]*decomp.Dist
-	actuals   []summarycache.OverlapActual
 	remarks   []explain.Remark
 	runtime   bool
 }
@@ -332,21 +332,19 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	remaps, decompSum := livedecomp.AnalyzeExplain(proc, n, entry, sums, pc.killTest, pc.opts.RemapOpt, tex)
 	partition.Explain(tex, proc.Name, plan)
 
-	// overlap bookkeeping: shifts extend the block boundary
+	// the overlaps this procedure uses: shifts extend the block boundary
+	var uses []overlap.Use
 	for _, acc := range commRes.Accesses {
 		if acc.Kind != comm.KShift || acc.Delay {
 			continue
 		}
-		lo, hi := 0, 0
+		u := overlap.Use{Array: acc.Array, Dim: acc.DistDim}
 		if acc.Shift > 0 {
-			hi = acc.Shift
+			u.Hi = acc.Shift
 		} else {
-			lo = -acc.Shift
+			u.Lo = -acc.Shift
 		}
-		c.Overlaps.RecordActual(proc.Name, acc.Array, acc.DistDim, lo, hi)
-		out.actuals = append(out.actuals, summarycache.OverlapActual{
-			Array: acc.Array, Dim: acc.DistDim, Lo: lo, Hi: hi,
-		})
+		uses = append(uses, u)
 	}
 
 	gen, err := codegen.Generate(&codegen.Input{
@@ -360,7 +358,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	out.res = gen
 	out.body = gen.Body
 	comm.Explain(tex, proc.Name, commRes) // after codegen, which decides the receivers
-	c.Overlaps.Explain(tex, proc.Name)
+	c.Overlaps.Explain(tex, proc.Name, uses)
 
 	out.part = plan.Delayed
 	out.commD = commRes.Delayed

@@ -5,9 +5,10 @@
 // with consistent sizes across procedures, overlap extents must agree
 // program-wide; the compiler therefore *estimates* overlaps from the
 // constant subscript offsets collected during local analysis,
-// propagates the estimates over the call graph, and during code
-// generation reconciles them against the overlaps actually needed,
-// falling back to buffers when the estimate was too small.
+// propagates the estimates over the call graph, and explains each
+// procedure's estimates against the shifts its generated communication
+// needs. Where the estimate is too small the executor receives into a
+// site buffer instead of the overlap region.
 package overlap
 
 import (
@@ -87,15 +88,18 @@ func (o *Offsets) Clone() *Offsets {
 	return &Offsets{Lo: append([]int(nil), o.Lo...), Hi: append([]int(nil), o.Hi...)}
 }
 
-// Analysis holds overlap estimates and actuals for the whole program.
+// Analysis holds the program's overlap estimates. It is read-only once
+// ComputeEstimates returns.
 type Analysis struct {
 	// Estimates maps procedure → array → estimated offsets.
 	Estimates map[string]map[string]*Offsets
-	// actual overlaps recorded during code generation
-	actual map[string]map[string]*Offsets
-	// UseBuffer marks (proc, array) pairs whose actual overlap exceeded
-	// the estimate: nonlocal data goes to buffers instead.
-	UseBuffer map[string]map[string]bool
+}
+
+// Use is one overlap a procedure's generated communication needs: a
+// shift extending dimension Dim of Array by Lo below and Hi above.
+type Use struct {
+	Array       string
+	Dim, Lo, Hi int
 }
 
 // ComputeEstimates runs the local-analysis and propagation phases of
@@ -103,18 +107,10 @@ type Analysis struct {
 // them bottom-up through call sites (formal → actual), then push the
 // merged estimates back down so every procedure sees uniform extents.
 func ComputeEstimates(g *acg.Graph) *Analysis {
-	a := &Analysis{
-		Estimates: map[string]map[string]*Offsets{},
-		actual:    map[string]map[string]*Offsets{},
-		UseBuffer: map[string]map[string]bool{},
-	}
-	// local phase; the actual/UseBuffer rows are pre-created here so
-	// that concurrent per-procedure code generation only ever writes a
-	// row no other procedure touches
+	a := &Analysis{Estimates: map[string]map[string]*Offsets{}}
+	// local phase
 	for _, n := range g.TopoOrder() {
 		a.Estimates[n.Name()] = localOffsets(n.Proc)
-		a.actual[n.Name()] = map[string]*Offsets{}
-		a.UseBuffer[n.Name()] = map[string]bool{}
 	}
 	// bottom-up merge: callee formals → caller actuals
 	for _, n := range g.ReverseTopoOrder() {
@@ -224,55 +220,6 @@ func isArrayFormal(proc *ast.Procedure, name string) bool {
 	return s != nil && s.IsFormal && s.Kind == ast.SymArray
 }
 
-// RecordActual registers an overlap actually required during code
-// generation (dim extended by lo below / hi above). It returns true
-// when the estimate covers the need (use the overlap region) and false
-// when the compiler must fall back to a buffer for this array.
-func (a *Analysis) RecordActual(proc, array string, dim, lo, hi int) bool {
-	m := a.actual[proc]
-	if m == nil {
-		m = map[string]*Offsets{}
-		a.actual[proc] = m
-	}
-	est := a.Estimates[proc][array]
-	offs := m[array]
-	if offs == nil {
-		rank := 1
-		if est != nil {
-			rank = len(est.Lo)
-		}
-		if dim >= rank {
-			rank = dim + 1
-		}
-		offs = NewOffsets(rank)
-		m[array] = offs
-	}
-	if dim < len(offs.Lo) {
-		if lo > offs.Lo[dim] {
-			offs.Lo[dim] = lo
-		}
-		if hi > offs.Hi[dim] {
-			offs.Hi[dim] = hi
-		}
-	}
-	if est != nil && est.Covers(offs) {
-		return true
-	}
-	bm := a.UseBuffer[proc]
-	if bm == nil {
-		bm = map[string]bool{}
-		a.UseBuffer[proc] = bm
-	}
-	bm[array] = true
-	return false
-}
-
-// Actual returns the overlaps actually used by (proc, array), nil when
-// none were needed.
-func (a *Analysis) Actual(proc, array string) *Offsets {
-	return a.actual[proc][array]
-}
-
 // Extents reports the declared local extent of one dimension of a
 // block-distributed array including its overlap region, e.g. blockSize
 // 25 with offsets {-0,+5} gives [1:30] (the paper's REAL X(30)).
@@ -286,14 +233,40 @@ func (a *Analysis) Extents(proc, array string, dim, blockSize int) (lo, hi int) 
 	return lo, hi
 }
 
+// used merges a procedure's uses per array, each sized like the
+// array's estimate (or to its highest dimension when there is none).
+func (a *Analysis) used(proc string, uses []Use) map[string]*Offsets {
+	out := map[string]*Offsets{}
+	for _, u := range uses {
+		offs := out[u.Array]
+		if offs == nil {
+			rank := 1
+			if est := a.Estimates[proc][u.Array]; est != nil {
+				rank = len(est.Lo)
+			}
+			if u.Dim >= rank {
+				rank = u.Dim + 1
+			}
+			offs = NewOffsets(rank)
+			out[u.Array] = offs
+		}
+		if u.Dim < len(offs.Lo) {
+			offs.Lo[u.Dim] = max(offs.Lo[u.Dim], u.Lo)
+			offs.Hi[u.Dim] = max(offs.Hi[u.Dim], u.Hi)
+		}
+	}
+	return out
+}
+
 // Explain emits the overlap decisions for one procedure as remarks:
-// the per-array overlap widths (Gerndt's overlap regions, §5.6) and
-// any fallback to buffers when the actual need exceeded the
-// program-wide estimate.
-func (a *Analysis) Explain(ex *explain.Collector, proc string) {
+// the per-array overlap widths (Gerndt's overlap regions, §5.6), how
+// much of each the procedure's own shifts use, and any fallback to
+// buffers when those shifts need more than the program-wide estimate.
+func (a *Analysis) Explain(ex *explain.Collector, proc string, uses []Use) {
 	if !ex.Enabled() {
 		return
 	}
+	used := a.used(proc, uses)
 	names := make([]string, 0, len(a.Estimates[proc]))
 	for name := range a.Estimates[proc] {
 		names = append(names, name)
@@ -305,17 +278,17 @@ func (a *Analysis) Explain(ex *explain.Collector, proc string) {
 			continue
 		}
 		msg := fmt.Sprintf("overlap region for %s extends the local section by %s", name, offs)
-		if used := a.actual[proc][name]; used != nil && !used.Zero() {
-			msg += fmt.Sprintf("; %s used by generated communication", used)
+		if u := used[name]; u != nil && !u.Zero() {
+			msg += fmt.Sprintf("; %s used by generated communication", u)
 		}
 		ex.Add(explain.Remark{
 			Kind: explain.Note, Pass: "overlap", Proc: proc, Name: "overlap",
 			Msg: msg,
 		})
 	}
-	bufNames := make([]string, 0, len(a.UseBuffer[proc]))
-	for name, b := range a.UseBuffer[proc] {
-		if b {
+	var bufNames []string
+	for name, u := range used {
+		if est := a.Estimates[proc][name]; est == nil || !est.Covers(u) {
 			bufNames = append(bufNames, name)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fortd/internal/acg"
+	"fortd/internal/explain"
 	"fortd/internal/parser"
 )
 
@@ -95,45 +96,42 @@ func TestNegativeOffsets(t *testing.T) {
 	}
 }
 
-// TestRecordActualWithinEstimate: actual overlaps covered by the
-// estimate keep the overlap strategy.
-func TestRecordActualWithinEstimate(t *testing.T) {
-	a := estimates(t, `
+// shiftSrc's loop reads X(i+5): the estimate for X is ({-0,+5}).
+const shiftSrc = `
       PROGRAM P
       REAL X(100)
       do i = 1,95
         X(i) = X(i+5)
       enddo
       END
-`)
-	if !a.RecordActual("P", "X", 0, 0, 5) {
-		t.Error("overlap within estimate rejected")
-	}
-	if a.UseBuffer["P"]["X"] {
-		t.Error("buffer wrongly selected")
-	}
-	got := a.Actual("P", "X")
-	if got == nil || got.Hi[0] != 5 {
-		t.Errorf("actual = %v", got)
+`
+
+// TestExplainUseWithinEstimate: shifts the estimate covers keep the
+// overlap strategy, and the note says how much of the region they use
+// (the uses merged per array).
+func TestExplainUseWithinEstimate(t *testing.T) {
+	ex := explain.New()
+	estimates(t, shiftSrc).Explain(ex, "P", []Use{{Array: "X", Hi: 3}, {Array: "X", Hi: 5}})
+	want := "overlap region for X extends the local section by ({-0,+5}); ({-0,+5}) used by generated communication"
+	if rs := ex.Remarks(); len(rs) != 1 || rs[0].Kind != explain.Note || rs[0].Msg != want {
+		t.Errorf("remarks = %v, want one note %q", rs, want)
 	}
 }
 
-// TestRecordActualExceedsEstimate: a larger-than-estimated overlap
-// falls back to buffers (the paper's estimate-failure path).
-func TestRecordActualExceedsEstimate(t *testing.T) {
-	a := estimates(t, `
-      PROGRAM P
-      REAL X(100)
-      do i = 1,95
-        X(i) = X(i+5)
-      enddo
-      END
-`)
-	if a.RecordActual("P", "X", 0, 0, 9) {
-		t.Error("overlap beyond estimate accepted")
+// TestExplainUseExceedsEstimate: a shift wider than the estimate falls
+// back to buffers (the paper's estimate-failure path), a Missed remark.
+func TestExplainUseExceedsEstimate(t *testing.T) {
+	ex := explain.New()
+	estimates(t, shiftSrc).Explain(ex, "P", []Use{{Array: "X", Hi: 9}})
+	want := "actual overlap for X exceeds the program-wide estimate ({-0,+5}): nonlocal data falls back to buffers"
+	var missed []string
+	for _, r := range ex.Remarks() {
+		if r.Kind == explain.Missed {
+			missed = append(missed, r.Msg)
+		}
 	}
-	if !a.UseBuffer["P"]["X"] {
-		t.Error("buffer fallback not recorded")
+	if len(missed) != 1 || missed[0] != want {
+		t.Errorf("missed remarks = %q, want [%q]", missed, want)
 	}
 }
 

@@ -59,25 +59,9 @@ func (d Dim) Anchors(v string) bool { return d.LoVar == v || d.HiVar == v }
 // comparable.
 func (d Dim) sameAnchors(o Dim) bool { return d.LoVar == o.LoVar && d.HiVar == o.HiVar }
 
-// window reports whether d and o are both constant ranges or both
-// windows around one and the same anchor, so that all four ends compare.
-func (d Dim) window(o Dim) bool { return d.LoVar == d.HiVar && d.sameAnchors(o) }
-
 // Empty reports whether the dimension provably covers no indices; ends
 // under different anchors cannot be compared, so it then may cover some.
 func (d Dim) Empty() bool { return d.LoVar == d.HiVar && d.Hi < d.Lo }
-
-// Count returns the number of indices covered. Symbolic dimensions count
-// the width of the offset window (1 when the ends are incomparable).
-func (d Dim) Count() int {
-	switch {
-	case d.LoVar != d.HiVar:
-		return 1
-	case d.Empty():
-		return 0
-	}
-	return (d.Hi-d.Lo)/d.step() + 1
-}
 
 func (d Dim) String() string {
 	fmtEnd := func(pre string, v int) string {
@@ -121,19 +105,6 @@ func (s *Section) Empty() bool {
 		}
 	}
 	return len(s.Dims) == 0
-}
-
-// Volume returns the number of elements covered (symbolic anchors are
-// treated as single points, i.e. the window width is used).
-func (s *Section) Volume() int {
-	if s.Empty() {
-		return 0
-	}
-	v := 1
-	for _, d := range s.Dims {
-		v *= d.Count()
-	}
-	return v
 }
 
 // Symbolic reports whether a dimension is a window [v+lo : v+hi] on a
@@ -187,96 +158,6 @@ func (s *Section) Equal(o *Section) bool {
 
 // ---------------------------------------------------------------------------
 // Set operations
-
-// IntersectDim returns the intersection of two dimensions whose ends
-// are pairwise under the same anchor (constant ones included); ends
-// under different anchors cannot be compared.
-func IntersectDim(a, b Dim) Dim {
-	if !a.sameAnchors(b) {
-		// incomparable anchors: conservative over-approximation is the
-		// caller's job; return empty to mean "cannot prove overlap".
-		return Dim{Lo: 1, Hi: 0, Step: 1}
-	}
-	lo := max(a.Lo, b.Lo)
-	hi := min(a.Hi, b.Hi)
-	step := max(a.step(), b.step())
-	if a.step() != b.step() && a.step() != 1 && b.step() != 1 {
-		// different nontrivial strides: fall back to unit stride bounds
-		step = 1
-	}
-	return Dim{Lo: lo, Hi: hi, Step: step, LoVar: a.LoVar, HiVar: a.HiVar}
-}
-
-// Intersect returns the intersection of two sections over the same array,
-// or an empty section when they cannot overlap.
-func Intersect(a, b *Section) *Section {
-	if a.Array != b.Array || len(a.Dims) != len(b.Dims) {
-		return &Section{Array: a.Array, Dims: []Dim{{Lo: 1, Hi: 0, Step: 1}}}
-	}
-	out := &Section{Array: a.Array, Dims: make([]Dim, len(a.Dims))}
-	for i := range a.Dims {
-		out.Dims[i] = IntersectDim(a.Dims[i], b.Dims[i])
-	}
-	return out
-}
-
-// SubtractDim returns the parts of a not covered by b, as 0–2 ranges.
-// Only constant unit-stride dimensions subtract precisely; other cases
-// return a unchanged (a safe over-approximation for communication sets).
-func SubtractDim(a, b Dim) []Dim {
-	if a.Empty() {
-		return nil
-	}
-	if !a.window(b) || a.step() != 1 || b.step() != 1 {
-		return []Dim{a}
-	}
-	if b.Hi < a.Lo || b.Lo > a.Hi {
-		return []Dim{a}
-	}
-	var out []Dim
-	if a.Lo < b.Lo {
-		out = append(out, Dim{Lo: a.Lo, Hi: b.Lo - 1, Step: 1, LoVar: a.LoVar, HiVar: a.LoVar})
-	}
-	if a.Hi > b.Hi {
-		out = append(out, Dim{Lo: b.Hi + 1, Hi: a.Hi, Step: 1, LoVar: a.LoVar, HiVar: a.LoVar})
-	}
-	return out
-}
-
-// Subtract returns the portions of section a outside section b, as a list
-// of disjoint sections. It subtracts dimension-by-dimension in the usual
-// rectangular decomposition: for each dimension d, the slab whose d-th
-// dimension is outside b (and whose earlier dimensions are restricted to
-// the overlap) is emitted.
-func Subtract(a, b *Section) []*Section {
-	if a.Array != b.Array || len(a.Dims) != len(b.Dims) {
-		return []*Section{a.Clone()}
-	}
-	if a.Empty() {
-		return nil
-	}
-	var out []*Section
-	prefix := make([]Dim, 0, len(a.Dims))
-	for i := range a.Dims {
-		outside := SubtractDim(a.Dims[i], b.Dims[i])
-		for _, od := range outside {
-			dims := make([]Dim, 0, len(a.Dims))
-			dims = append(dims, prefix...)
-			dims = append(dims, od)
-			dims = append(dims, a.Dims[i+1:]...)
-			sec := &Section{Array: a.Array, Dims: dims}
-			if !sec.Empty() {
-				out = append(out, sec)
-			}
-		}
-		overlap := IntersectDim(a.Dims[i], b.Dims[i])
-		if overlap.Empty() {
-			return out
-		}
-		prefix = append(prefix, overlap)
-	}
-	return out
-}
 
 // mergeableDim reports whether two dimensions can be unioned into a
 // single triplet without loss of precision, and returns the union.

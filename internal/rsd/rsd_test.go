@@ -26,91 +26,16 @@ func TestDimString(t *testing.T) {
 	}
 }
 
-func TestSectionStringAndVolume(t *testing.T) {
+func TestSectionString(t *testing.T) {
 	s := New("X", Range(26, 30), Range(1, 100))
 	if got := s.String(); got != "X[26:30,1:100]" {
 		t.Errorf("String() = %q", got)
 	}
-	if got := s.Volume(); got != 500 {
-		t.Errorf("Volume() = %d, want 500", got)
-	}
 	if s.Empty() {
 		t.Error("section should not be empty")
 	}
-}
-
-func TestIntersect(t *testing.T) {
-	a := New("X", Range(6, 30))
-	b := New("X", Range(1, 25))
-	got := Intersect(a, b)
-	if got.Dims[0] != Range(6, 25) {
-		t.Errorf("Intersect = %v, want [6:25]", got)
-	}
-}
-
-func TestIntersectDisjoint(t *testing.T) {
-	a := New("X", Range(1, 5))
-	b := New("X", Range(10, 20))
-	if got := Intersect(a, b); !got.Empty() {
-		t.Errorf("Intersect of disjoint = %v, want empty", got)
-	}
-}
-
-func TestIntersectStrided(t *testing.T) {
-	a := New("X", Strided(1, 100, 4))
-	b := New("X", Range(1, 100))
-	got := Intersect(a, b)
-	if got.Dims[0].Count() != 25 {
-		t.Errorf("strided ∩ full = %v (count %d), want 25 points", got, got.Dims[0].Count())
-	}
-}
-
-// TestSubtractPaperExample reproduces the §3.1 compilation example:
-// accesses [6:30] minus the local index set [1:25] leaves the nonlocal
-// index set [26:30].
-func TestSubtractPaperExample(t *testing.T) {
-	accessed := New("X", Range(6, 30))
-	local := New("X", Range(1, 25))
-	out := Subtract(accessed, local)
-	if len(out) != 1 {
-		t.Fatalf("Subtract returned %d sections, want 1: %v", len(out), out)
-	}
-	if out[0].Dims[0] != Range(26, 30) {
-		t.Errorf("nonlocal set = %v, want [26:30]", out[0])
-	}
-}
-
-func TestSubtract2D(t *testing.T) {
-	// Figure 10: accesses [6:30,1:100] minus local [1:25,1:100]
-	accessed := New("Z", Range(6, 30), Range(1, 100))
-	local := New("Z", Range(1, 25), Range(1, 100))
-	out := Subtract(accessed, local)
-	if len(out) != 1 {
-		t.Fatalf("Subtract returned %d sections: %v", len(out), out)
-	}
-	want := New("Z", Range(26, 30), Range(1, 100))
-	if !out[0].Equal(want) {
-		t.Errorf("nonlocal = %v, want %v", out[0], want)
-	}
-}
-
-func TestSubtractInterior(t *testing.T) {
-	a := New("X", Range(1, 100))
-	b := New("X", Range(40, 60))
-	out := Subtract(a, b)
-	if len(out) != 2 {
-		t.Fatalf("interior subtract: %v", out)
-	}
-	if out[0].Dims[0] != Range(1, 39) || out[1].Dims[0] != Range(61, 100) {
-		t.Errorf("interior subtract = %v", out)
-	}
-}
-
-func TestSubtractCovered(t *testing.T) {
-	a := New("X", Range(5, 10))
-	b := New("X", Range(1, 100))
-	if out := Subtract(a, b); len(out) != 0 {
-		t.Errorf("covered subtract should be empty, got %v", out)
+	if !New("X", Range(1, 0)).Empty() {
+		t.Error("X[1:0] should be empty")
 	}
 }
 
@@ -200,28 +125,6 @@ func TestRename(t *testing.T) {
 	}
 }
 
-// Property: for random ranges, Subtract(a,b) ∪ Intersect(a,b) has the
-// same element count as a, and the pieces are disjoint from b.
-func TestSubtractIntersectPartitionProperty(t *testing.T) {
-	f := func(alo, aw, blo, bw uint8) bool {
-		a := New("X", Range(int(alo), int(alo)+int(aw%50)))
-		b := New("X", Range(int(blo), int(blo)+int(bw%50)))
-		inter := Intersect(a, b)
-		parts := Subtract(a, b)
-		total := inter.Volume()
-		for _, p := range parts {
-			total += p.Volume()
-			if !Intersect(p, b).Empty() {
-				return false
-			}
-		}
-		return total == a.Volume()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Union, when it succeeds, covers exactly the two inputs.
 func TestUnionExactProperty(t *testing.T) {
 	f := func(alo, aw, blo, bw uint8) bool {
@@ -243,12 +146,6 @@ func TestUnionExactProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestVolumeEmpty(t *testing.T) {
-	if v := New("X", Range(1, 0)).Volume(); v != 0 {
-		t.Errorf("empty volume = %d", v)
 	}
 }
 

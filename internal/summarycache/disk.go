@@ -10,7 +10,7 @@
 //
 // The on-disk format is JSON. Every summary structure (delayed
 // partition constraints, delayed communication, decomposition
-// summaries, distributions, overlap actuals, remarks) is plain
+// summaries, distributions, remarks) is plain
 // exported data and round-trips directly; the generated unit — an AST
 // — is stored as printed SPMD source and reparsed on load. Entries are
 // stored only when that print→parse round trip reproduces the printed
@@ -36,8 +36,9 @@ import (
 
 // diskFormat versions the entry files, schema and generated units (3:
 // shifts split around pipelined loops; 4: entries stopped carrying the
-// interface and inputs renderings); any other version is a miss.
-const diskFormat = 4
+// interface and inputs renderings; 5: nor overlap actuals); any other
+// version is a miss.
+const diskFormat = 5
 
 // diskEntry is Entry with the AST unit flattened to printed source.
 type diskEntry struct {
@@ -50,7 +51,6 @@ type diskEntry struct {
 	CommDelayed []*comm.Delayed
 	DecompSum   *livedecomp.Summary
 	MainDists   map[string]*decomp.Dist
-	Overlaps    []OverlapActual
 	Remarks     []explain.Remark
 	Runtime     bool
 }
@@ -85,7 +85,7 @@ func (d *disk) store(e *Entry) error {
 		Format: diskFormat, Key: e.Key, Proc: e.Proc, UnitSrc: src,
 		Result: res, PartDelayed: e.PartDelayed, CommDelayed: e.CommDelayed,
 		DecompSum: e.DecompSum,
-		MainDists: e.MainDists, Overlaps: e.Overlaps, Remarks: e.Remarks,
+		MainDists: e.MainDists, Remarks: e.Remarks,
 		Runtime: e.Runtime,
 	})
 	if err != nil {
@@ -132,7 +132,7 @@ func (d *disk) load(key string) *Entry {
 		Key: de.Key, Proc: de.Proc, Unit: unit, Result: de.Result,
 		PartDelayed: de.PartDelayed, CommDelayed: de.CommDelayed,
 		DecompSum: de.DecompSum,
-		MainDists: de.MainDists, Overlaps: de.Overlaps, Remarks: de.Remarks,
+		MainDists: de.MainDists, Remarks: de.Remarks,
 		Runtime: de.Runtime,
 	}
 }

@@ -4,11 +4,10 @@
 // the ACG dictates which summaries depend on which. Each procedure's
 // phase-3 artifacts — its generated unit, code-generation counters,
 // delayed partition constraints, delayed communication, decomposition
-// summary, overlap actuals and optimization remarks — are stored under
-// a content hash of the procedure's own source combined with the hashes
-// of everything its compilation consumed (reaching decompositions,
-// propagated constants and the caller-visible summaries of its
-// callees). A re-run after editing one procedure therefore re-analyzes
+// summary and optimization remarks — are stored under a content hash
+// of the procedure's own source combined with the hashes of everything
+// its compilation consumed (reaching decompositions, propagated
+// constants and the caller-visible summaries of its callees). A re-run after editing one procedure therefore re-analyzes
 // only the invalidated cone of the ACG: the key is §8's recompilation
 // test, so the misses of a compile are the recompile set
 // (Compilation.CacheMisses).
@@ -35,14 +34,6 @@ import (
 	"fortd/internal/partition"
 )
 
-// OverlapActual is one overlap extension recorded during a procedure's
-// code generation, replayed into the overlap analysis on a cache hit so
-// warm and cold compilations expose identical overlap state.
-type OverlapActual struct {
-	Array       string
-	Dim, Lo, Hi int
-}
-
 // Entry holds every artifact of one procedure's phase-3 compilation.
 // Entries are immutable once stored: the pipeline clones Unit before
 // splicing it into a program, and treats the summary structures as
@@ -66,8 +57,6 @@ type Entry struct {
 	// MainDists holds the main program's initial distributions (main
 	// program entries only).
 	MainDists map[string]*decomp.Dist
-	// Overlaps lists the overlap actuals recorded during codegen.
-	Overlaps []OverlapActual
 	// Remarks are the optimization remarks the procedure's passes
 	// emitted, replayed verbatim on a hit so a warm compile's report is
 	// byte-identical to a cold one.

@@ -200,9 +200,9 @@ func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
 }
 
 // TestDiskCacheOldFormatMisses: an entry file written under an earlier
-// disk format (format 3 kept a leaf procedure under the key it still
-// has, with fields entries no longer carry) is a miss, not an error and
-// not a resurrected listing.
+// disk format (format 4 kept a leaf procedure under the key it still
+// has, with the overlap actuals entries no longer carry) is a miss, not
+// an error and not a resurrected listing.
 func TestDiskCacheOldFormatMisses(t *testing.T) {
 	dir := t.TempDir()
 	src := DgefaSrc(16, 4)
@@ -219,9 +219,9 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := bytes.Replace(buf, []byte(`"Format":4`), []byte(`"Format":3`), 1)
+		old := bytes.Replace(buf, []byte(`"Format":5`), []byte(`"Format":4`), 1)
 		if bytes.Equal(old, buf) {
-			t.Fatalf("%s does not record format 4", f)
+			t.Fatalf("%s does not record format 5", f)
 		}
 		if err := os.WriteFile(f, old, 0644); err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(again.CacheHits()) != 0 || len(again.CacheMisses()) != 5 {
-		t.Errorf("format-3 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
+		t.Errorf("format-4 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
 	}
 	if again.Listing() != cold.Listing() {
 		t.Error("listing differs after the old-format entries were ignored")
