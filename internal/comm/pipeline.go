@@ -55,7 +55,7 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 			return WhyPipeWide
 		case c > 0 || step != 1:
 			return WhyPipeAgainst
-		case cons == nil || cons.Dist.Key() != dist.Key():
+		case cons == nil || !cons.Dist.SameOwners(dist):
 			return WhyPipeMixed
 		}
 		// sec, which leaves out the distributed dimension (the block

@@ -60,7 +60,7 @@ func (c *Constraint) Equal(o *Constraint) bool {
 	if c == nil || o == nil {
 		return c == o
 	}
-	return c.Dist.Key() == o.Dist.Key() && c.Offset == o.Offset && c.Dist.P == o.Dist.P
+	return c.Offset == o.Offset && c.Dist.SameOwners(o.Dist)
 }
 
 // Reduction marks a recognized scalar reduction (s = s + term,

@@ -270,7 +270,7 @@ func (p *Plan) adoptScalars(proc *ast.Procedure, distOf DistOf, fx *sideeffect.A
 		}
 		local := true
 		reads(it, func(_ string, dist *decomp.Dist, sub SubPattern) {
-			local = local && sub.OK && sub.Coef == 1 && sub.Var == own.pv && sub.Off == own.c.Offset && dist.Key() == own.c.Dist.Key()
+			local = local && sub.OK && sub.Coef == 1 && sub.Var == own.pv && sub.Off == own.c.Offset && dist.SameOwners(own.c.Dist)
 		})
 		switch {
 		case why != "":
