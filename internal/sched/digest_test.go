@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/sched_digest.tx
 // metamorphic test cover.
 const digestSeeds = 400
 
-var transformNames = []string{"overlap-redundant", "overlap-lookahead", "overlap-halo", "overlap-bcast"}
+var transformNames = []string{"overlap-redundant", "overlap-lookahead", "overlap-chain", "overlap-halo", "overlap-bcast"}
 
 func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b))[:32] }
 

@@ -12,7 +12,8 @@ import (
 // looks for with the details that decide Applied or Missed drawn at
 // random — stencil exchanges in front of a compute loop, broadcasts
 // behind a prefix of assignments and calls, re-broadcasts of a section
-// already delivered, rotating-root elimination loops. Every program
+// already delivered, rotating-root elimination loops, and sometimes a
+// chain of pipelined loops before the trailer. Every program
 // runs to completion on p processors: sends and recvs pair up, every
 // subscript is in bounds, nothing divides. Each processor's copy of the
 // arrays starts out different (the initial values depend on my$p) and
@@ -52,6 +53,11 @@ func genProgram(seed int64, p int) (src string, rebcasts int) {
 			g.line("call ph1(a,b,c,u,v,w)")
 		}
 		g.scene()
+	}
+	// drawn from a stream of its own, so a program without one is the
+	// program this seed always drew
+	if cr := rand.New(rand.NewSource(^seed)); cr.Intn(9) < 4 {
+		g.chain(cr)
 	}
 	g.line("s = 0")
 	g.line("do i = 0,15")
@@ -537,5 +543,57 @@ func (g *gen) lookahead() {
 	g.line("enddo")
 	if g.r.Intn(12) == 0 {
 		g.line("q = (q + l)") // the update variable is live after the loop
+	}
+}
+
+// ---------------------------------------------------------------------------
+// A chain of pipelined loops
+
+// chain emits two to five pipelined loops over one array as code
+// generation spells them (chain.go): the shift to my$p-1 and its recv
+// from my$p+1, the pipeline recv from my$p-1, the loop over the
+// processor's block, the pipeline send to my$p+1. Blocks are 3 cells
+// wide, or 2; shifts of 1 and 2 make some pairs of loops wider than a
+// block. A loop that also reads one cell further, a scalar it
+// accumulates, another array it writes, or a statement between two loops
+// varies what the rest of the pass proves. It draws from r alone.
+func (g *gen) chain(r *rand.Rand) {
+	x := []string{"a", "b", "c"}[r.Intn(3)]
+	y := map[string]string{"a": "b", "b": "c", "c": "a"}[x]
+	width := 3
+	if r.Intn(4) == 0 {
+		width = 2
+	}
+	last := g.p - 1
+	f := fmt.Sprintf("((my$p * %d) + 1)", width)
+	e := fmt.Sprintf("((my$p + 1) * %d)", width)
+	guarded := func(guard, stmt string) {
+		g.line("if (%s) then", guard)
+		g.line("  %s", stmt)
+		g.line("endif")
+	}
+	for l, n := 0, 2+r.Intn(4); l < n; l++ {
+		s := 1 + r.Intn(2)
+		if width == 2 {
+			s = 1
+		}
+		if l > 0 && r.Intn(10) == 0 {
+			g.line("q = (q + 1)") // ends the chain
+		}
+		guarded("(my$p .GT. 0)", fmt.Sprintf("send %s(%s:(%s + %d)) to (my$p - 1)", x, f, f, s-1))
+		guarded(fmt.Sprintf("(my$p .LT. %d)", last), fmt.Sprintf("recv %s((%s + 1):(%s + %d)) from (my$p + 1)", x, e, e, s))
+		guarded("(my$p .GT. 0)", fmt.Sprintf("recv %s((%s - %d):(%s - 1)) from (my$p - 1)", x, f, s, f))
+		g.line("do i = MAX(%d,%s),MIN(%d,%s)", s+1, f, width*g.p-s, e)
+		g.line("  %s(i) = (((0.5 * %s((i - %d))) + (0.25 * %s((i + %d)))) + %d)", x, x, s, x, s, l+1)
+		switch r.Intn(8) {
+		case 0:
+			g.line("  %s(i) = (%s(i) + %s((i + %d)))", x, x, x, s+1) // reaches past the cells received
+		case 1:
+			g.line("  s = (s + %s(i))", x)
+		case 2:
+			g.line("  %s(i) = (%s(i) + %s((i - 1)))", y, y, x)
+		}
+		g.line("enddo")
+		guarded(fmt.Sprintf("(my$p .LT. %d)", last), fmt.Sprintf("send %s((%s - %d):%s) to (my$p + 1)", x, e, s-1, e))
 	}
 }

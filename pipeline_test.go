@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -248,5 +249,94 @@ func TestCompiledNeverLosesToRuntimeResolution(t *testing.T) {
 		if times[0] > times[1] {
 			t.Errorf("%s: compiled %.1f µs, run-time resolution %.1f µs", c.name, times[0], times[1])
 		}
+	}
+}
+
+// chainSrc is a chain of pipelined loops over x(n) in BLOCK on p
+// processors, each reading its left neighbour's new value and its right
+// neighbour's old one: shifts of one cell both ways.
+func chainSrc(n, loops, p int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "      PROGRAM CHAIN\n      PARAMETER (n$proc = %d)\n      REAL x(%d)\n      DISTRIBUTE x(BLOCK)\n", p, n)
+	for l := 1; l <= loops; l++ {
+		fmt.Fprintf(&b, "      do i = 2, %d\n        x(i) = 0.5 * x(i-1) + 0.25 * x(i+1) + %d.0\n      enddo\n", n-1, l)
+	}
+	b.WriteString("      END\n")
+	return b.String()
+}
+
+// TestPipelineChainNeverSlower: the schedule pass sends a chain's shifts
+// early exactly when the chain has at least P-1 loops, and then the
+// program is faster; otherwise it is the blocking program to the last
+// bit. Arrays, messages and words never change.
+func TestPipelineChainNeverSlower(t *testing.T) {
+	for _, p := range []int{2, 3, 4, 8, 16} {
+		for loops := 1; loops <= 10; loops++ {
+			src := chainSrc(8*p, loops, p)
+			var runs [2]*Result
+			applied := false
+			for i, overlap := range []bool{false, true} {
+				ex := NewExplain()
+				opts := DefaultOptions().WithOverlap(overlap)
+				opts.Explain = ex
+				prog, err := Compile(src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range ex.Remarks() {
+					applied = applied || r.Kind == explain.Applied && r.Name == "overlap-chain"
+				}
+				if runs[i], err = NewRunner(WithInit(RampInit(src))).Run(prog); err != nil {
+					t.Fatal(err)
+				}
+			}
+			off, on := runs[0], runs[1]
+			if applied != (loops >= 2 && loops >= p-1) {
+				t.Errorf("P=%d, %d loops: applied %v", p, loops, applied)
+			}
+			if on.Stats.Time > off.Stats.Time || (on.Stats.Time < off.Stats.Time) != applied {
+				t.Errorf("P=%d, %d loops: %.4f µs rescheduled (applied %v), %.4f blocking", p, loops, on.Stats.Time, applied, off.Stats.Time)
+			}
+			if !reflect.DeepEqual(on.Arrays, off.Arrays) || on.Stats.Messages != off.Stats.Messages || on.Stats.Words != off.Stats.Words {
+				t.Errorf("P=%d, %d loops: arrays or traffic differ (%d/%d messages, %d/%d words)",
+					p, loops, on.Stats.Messages, off.Stats.Messages, on.Stats.Words, off.Stats.Words)
+			}
+		}
+	}
+}
+
+// TestPipelineChainHandWritten: testdata/pipeline/chain_hand.spmd is
+// SyntheticProcsSrc(2, 8, 32, 4) compiled blocking and rescheduled by
+// hand as the schedule pass's early shifts should. The compiled program
+// takes its virtual time to the last bit, with its messages and words,
+// and computes the blocking program's arrays.
+func TestPipelineChainHandWritten(t *testing.T) {
+	hand, err := os.ReadFile(filepath.Join("testdata", "pipeline", "chain_hand.spmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := SyntheticProcsSrc(2, 8, 32, 4)
+	r := NewRunner(WithInit(RampInit(src)))
+	want, err := r.RunSPMD(string(hand), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs [2]*Result
+	for i, overlap := range []bool{false, true} {
+		prog, err := Compile(src, DefaultOptions().WithOverlap(overlap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i], err = r.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocking, got := runs[0], runs[1]
+	if got.Stats.Time != want.Stats.Time || got.Stats.Messages != want.Stats.Messages || got.Stats.Words != want.Stats.Words {
+		t.Errorf("compiled %v µs, %d messages, %d words; by hand %v, %d, %d",
+			got.Stats.Time, got.Stats.Messages, got.Stats.Words, want.Stats.Time, want.Stats.Messages, want.Stats.Words)
+	}
+	if got.Stats.Time >= blocking.Stats.Time || !reflect.DeepEqual(got.Arrays, blocking.Arrays) {
+		t.Errorf("rescheduled %v µs against %v blocking, or the arrays differ", got.Stats.Time, blocking.Stats.Time)
 	}
 }
