@@ -66,8 +66,15 @@ test -z "$(gofmt -l .)"
 # called, among them). The next change (2026-10-15) deleted second
 # copies, nothing added: the compile-time mirror of the executor's
 # overlap buffers, the three examples that re-ran fdpaper experiments,
-# WithExplain and rsd's test-only set operations: 25091 -> 24604
-LOC_CEILING=24604
+# WithExplain and rsd's test-only set operations: 25091 -> 24604. The
+# next change (2026-10-16) bought early shifts in chains of pipelined
+# loops (internal/sched/chain.go, the schedule pass's fifth transform),
+# the allocation-free one-identifier linear form its proofs run on, the
+# executor's constant-side closures that pay for lowering the split
+# loops, and decomp.Dist.SameOwners for the unequal-extents fix, and was
+# allowed its measured net growth, none of it moved into _test.go:
+# 24604 -> 25070 (git numstat: 503 lines added, 17 removed)
+LOC_CEILING=25070
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...
