@@ -73,8 +73,13 @@ test -z "$(gofmt -l .)"
 # executor's constant-side closures that pay for lowering the split
 # loops, and decomp.Dist.SameOwners for the unequal-extents fix, and was
 # allowed its measured net growth, none of it moved into _test.go:
-# 24604 -> 25070 (git numstat: 503 lines added, 17 removed)
-LOC_CEILING=25070
+# 24604 -> 25070 (git numstat: 503 lines added, 17 removed). The next
+# change (2026-10-16) made published statements immutable and deleted the
+# copies that defended them (core.cloneProgram, the cache's clones in and
+# out, codegen.Result.Body, the deep copies in ast.CloneStmt), paying
+# for the copy-on-write schedule pass and reach's renamed callers:
+# 25070 -> 25052
+LOC_CEILING=25052
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -544,8 +544,8 @@ func (p *Program) AddProc(u *Procedure) {
 }
 
 // ReplaceProc swaps the unit of the same name for u, keeping the name
-// index consistent (used by the summary cache to splice cached units
-// into a fresh compilation). It is a no-op if no unit has u's name.
+// index consistent (used by passes that copy a unit rather than write
+// it). It is a no-op if no unit has u's name.
 func (p *Program) ReplaceProc(u *Procedure) {
 	for i, old := range p.Units {
 		if old.Name == u.Name {

@@ -109,9 +109,10 @@ func TestCloneStmtDeep(t *testing.T) {
 		},
 	}
 	cp := CloneStmt(do).(*Do)
-	cp.Body[0].(*Assign).Rhs = Int(9)
-	if do.Body[0].(*Assign).Rhs.String() != "0" {
-		t.Error("CloneStmt shares body")
+	cp.Body[0] = &Assign{Lhs: Id("y"), Rhs: Int(9)}
+	cp.Hi = Int(5)
+	if do.Body[0].(*Assign).Rhs.String() != "0" || do.Hi.String() != "10" {
+		t.Error("CloneStmt shares the loop or its body")
 	}
 }
 

@@ -144,7 +144,7 @@ func substAll(es []Expr, env map[string]Expr) []Expr {
 	return out
 }
 
-// CloneStmts returns a deep copy of body.
+// CloneStmts returns a copy of body, each statement copied by CloneStmt.
 func CloneStmts(body []Stmt) []Stmt {
 	out := make([]Stmt, len(body))
 	for i, s := range body {
@@ -153,78 +153,35 @@ func CloneStmts(body []Stmt) []Stmt {
 	return out
 }
 
-// CloneStmt returns a deep copy of s.
+// CloneStmt returns a copy of s in which every loop, branch and call is a
+// new node, so a loop's bounds or a call's name can be set on the copy
+// alone and the copy's calls are call sites of their own. Everything else
+// — expressions, and statements of other kinds — is shared: nothing
+// writes a statement it did not create.
 func CloneStmt(s Stmt) Stmt {
 	switch st := s.(type) {
-	case *Assign:
-		return &Assign{stmtBase: st.stmtBase, Lhs: CloneExpr(st.Lhs), Rhs: CloneExpr(st.Rhs)}
 	case *Do:
-		return &Do{
-			stmtBase: st.stmtBase, Var: st.Var,
-			Lo: CloneExpr(st.Lo), Hi: CloneExpr(st.Hi), Step: CloneExpr(st.Step),
-			Body: CloneStmts(st.Body),
-		}
+		c := *st
+		c.Body = CloneStmts(st.Body)
+		return &c
 	case *If:
-		return &If{stmtBase: st.stmtBase, Cond: CloneExpr(st.Cond), Then: CloneStmts(st.Then), Else: CloneStmts(st.Else)}
+		c := *st
+		c.Then, c.Else = CloneStmts(st.Then), CloneStmts(st.Else)
+		return &c
 	case *Call:
-		return &Call{stmtBase: st.stmtBase, Name: st.Name, Args: substAll(st.Args, nil), Site: st.Site}
-	case *Return:
-		return &Return{stmtBase: st.stmtBase}
-	case *Decomposition:
-		dims := append([]int(nil), st.Dims...)
-		return &Decomposition{stmtBase: st.stmtBase, Name: st.Name, Dims: dims}
-	case *Align:
-		terms := append([]AlignTerm(nil), st.Terms...)
-		return &Align{stmtBase: st.stmtBase, Array: st.Array, Target: st.Target, Terms: terms}
-	case *Distribute:
-		specs := append([]DistSpec(nil), st.Specs...)
-		return &Distribute{stmtBase: st.stmtBase, Target: st.Target, Specs: specs}
-	case *Send:
-		return &Send{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Dest: CloneExpr(st.Dest)}
-	case *Recv:
-		return &Recv{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Src: CloneExpr(st.Src)}
-	case *Broadcast:
-		return &Broadcast{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Root: CloneExpr(st.Root), To: st.To.Subst(nil)}
-	case *AllGather:
-		return &AllGather{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec)}
-	case *GlobalReduce:
-		return &GlobalReduce{stmtBase: st.stmtBase, Var: st.Var, Op: st.Op}
-	case *PostRecv:
-		return &PostRecv{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Src: CloneExpr(st.Src), Tag: st.Tag}
-	case *WaitRecv:
-		return &WaitRecv{stmtBase: st.stmtBase, Array: st.Array, Tag: st.Tag}
-	case *PostBcast:
-		return &PostBcast{stmtBase: st.stmtBase, Array: st.Array, Sec: cloneSec(st.Sec), Root: CloneExpr(st.Root), To: st.To.Subst(nil), Tag: st.Tag}
-	case *WaitBcast:
-		return &WaitBcast{stmtBase: st.stmtBase, Array: st.Array, Tag: st.Tag}
-	case *Remap:
-		return &Remap{
-			stmtBase: st.stmtBase, Array: st.Array,
-			From:    append([]DistSpec(nil), st.From...),
-			To:      append([]DistSpec(nil), st.To...),
-			InPlace: st.InPlace,
-		}
+		c := *st
+		return &c
 	}
 	return s
 }
 
-func cloneSec(sec []SecDim) []SecDim {
-	out := make([]SecDim, len(sec))
-	for i, d := range sec {
-		out[i] = SecDim{Lo: CloneExpr(d.Lo), Hi: CloneExpr(d.Hi)}
-	}
-	return out
-}
-
-// CloneProcedure deep-copies a procedure under a new name.
+// CloneProcedure copies a procedure under a new name: its body by
+// CloneStmts, its symbol table with each symbol's dimension list.
 func CloneProcedure(p *Procedure, newName string) *Procedure {
 	syms := NewSymbolTable()
 	for _, s := range p.Symbols.Symbols() {
 		cp := *s
-		cp.Dims = make([]Extent, len(s.Dims))
-		for i, d := range s.Dims {
-			cp.Dims[i] = Extent{Lo: CloneExpr(d.Lo), Hi: CloneExpr(d.Hi)}
-		}
+		cp.Dims = append([]Extent(nil), s.Dims...)
 		syms.Define(&cp)
 	}
 	return &Procedure{

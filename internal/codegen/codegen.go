@@ -57,10 +57,8 @@ type Input struct {
 	P      int
 }
 
-// Result is the generated procedure plus bookkeeping.
+// Result is the bookkeeping of one generated procedure.
 type Result struct {
-	// Body is the rewritten statement list.
-	Body []ast.Stmt
 	// MessagesInserted counts communication statements emitted.
 	MessagesInserted int
 	// GuardsInserted counts ownership guards emitted.
@@ -98,8 +96,11 @@ func newAnchors() *anchors {
 	}
 }
 
-// Generate rewrites one procedure into its SPMD form.
-func Generate(in *Input) (*Result, error) {
+// Generate rewrites one procedure into its SPMD form and returns the new
+// body. The input procedure is not modified: statements emitted
+// unchanged, and the bounds of loops and the conditions of branches, are
+// shared with it.
+func Generate(in *Input) ([]ast.Stmt, *Result, error) {
 	res := &Result{}
 	a := newAnchors()
 
@@ -123,7 +124,7 @@ func Generate(in *Input) (*Result, error) {
 			}
 			stmts, err := emitAccess(in, acc)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if acc.Stmt != nil {
 				stampPos(stmts, acc.Stmt.Pos())
@@ -141,7 +142,7 @@ func Generate(in *Input) (*Result, error) {
 			}
 			stmts, err := emitCallComm(in, cc)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			stampPos(stmts, cc.Site.Stmt.Pos())
 			res.MessagesInserted += len(stmts)
@@ -193,7 +194,7 @@ func Generate(in *Input) (*Result, error) {
 				continue
 			}
 			if _, ok := in.Plan.LoopBounds[item.Loop]; !ok {
-				return nil, errUnsupported("reduction loop for %s lost its bounds reduction", item.Red.Var)
+				return nil, nil, errUnsupported("reduction loop for %s lost its bounds reduction", item.Red.Var)
 			}
 			partial := item.Red.Var + "$red"
 			newRhs := ast.Subst(item.Stmt.Rhs, map[string]ast.Expr{item.Red.Var: ast.Id(partial)})
@@ -277,8 +278,7 @@ func Generate(in *Input) (*Result, error) {
 		a.liveIndex = liveIndices(in.Proc)
 	}
 	body := rewriteBody(in, a, guards, replace, in.Proc.Body, res)
-	res.Body = append(a.prologue, body...)
-	return res, nil
+	return append(a.prologue, body...), res, nil
 }
 
 // aggregateAnchors removes textually identical communication statements
@@ -418,11 +418,8 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 			// before them when needed
 		case *ast.Do:
 			out = append(out, a.beforeLoop[st]...)
-			nl := &ast.Do{Var: st.Var, Lo: ast.CloneExpr(st.Lo), Hi: ast.CloneExpr(st.Hi)}
+			nl := &ast.Do{Var: st.Var, Lo: st.Lo, Hi: st.Hi, Step: st.Step}
 			nl.Position = st.Pos()
-			if st.Step != nil {
-				nl.Step = ast.CloneExpr(st.Step)
-			}
 			if in.Plan != nil {
 				if c, ok := in.Plan.LoopBounds[st]; ok {
 					if lo, hi, step, okB := partition.BoundExprs(c, nl.Lo, nl.Hi, nl.Step); okB {
@@ -430,8 +427,8 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 						res.LoopsReduced++
 						if a.liveIndex[st] {
 							// what follows reads the last iteration of all
-							fix := &ast.If{Cond: ast.Cmp(ast.OpLE, ast.CloneExpr(st.Lo), ast.CloneExpr(st.Hi)),
-								Then: []ast.Stmt{&ast.Assign{Lhs: ast.Id(st.Var), Rhs: ast.CloneExpr(st.Hi)}}}
+							fix := &ast.If{Cond: ast.Cmp(ast.OpLE, st.Lo, st.Hi),
+								Then: []ast.Stmt{&ast.Assign{Lhs: ast.Id(st.Var), Rhs: st.Hi}}}
 							a.afterLoop[st] = append([]ast.Stmt{fix}, a.afterLoop[st]...)
 						}
 					}
@@ -442,13 +439,13 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 			out = append(out, nl)
 			out = append(out, a.afterLoop[st]...)
 		case *ast.If:
-			ni := &ast.If{Cond: ast.CloneExpr(st.Cond)}
+			ni := &ast.If{Cond: st.Cond}
 			ni.Position = st.Pos()
 			ni.Then = rewriteBody(in, a, guards, replace, st.Then, res)
 			ni.Else = rewriteBody(in, a, guards, replace, st.Else, res)
 			out = append(out, ni)
 		default:
-			cp := ast.CloneStmt(s)
+			cp := s
 			if r, ok := replace[s]; ok {
 				cp = r
 			}

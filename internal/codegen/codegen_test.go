@@ -34,17 +34,22 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 	deps := depend.Analyze(proc, env)
 	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
 	commRes := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil), nil, env)
-	res, err := Generate(&Input{Proc: proc, Plan: plan, Comm: commRes, DistOf: distOf, Env: env, P: p})
+	body, res, err := Generate(&Input{Proc: proc, Plan: plan, Comm: commRes, DistOf: distOf, Env: env, P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, proc
+	return res, withBody(proc, body)
 }
 
-func listing(res *Result, proc *ast.Procedure) string {
+// withBody is proc's header over a generated body.
+func withBody(proc *ast.Procedure, body []ast.Stmt) *ast.Procedure {
 	cp := *proc
-	cp.Body = res.Body
-	return string(ast.AppendProcedure(nil, &cp))
+	cp.Body = body
+	return &cp
+}
+
+func listing(proc *ast.Procedure) string {
+	return string(ast.AppendProcedure(nil, proc))
 }
 
 // TestGenerateShiftExchange: Figure 2's structure — guarded send/recv
@@ -58,7 +63,7 @@ func TestGenerateShiftExchange(t *testing.T) {
       enddo
       END
 `, decomp.NewDecomp(decomp.Block), []int{100}, 4)
-	text := listing(res, proc)
+	text := listing(proc)
 	if res.LoopsReduced != 1 {
 		t.Errorf("loops reduced = %d", res.LoopsReduced)
 	}
@@ -86,7 +91,7 @@ func TestGenerateNegativeShift(t *testing.T) {
       enddo
       END
 `, decomp.NewDecomp(decomp.Block), []int{100}, 4)
-	text := listing(res, proc)
+	text := listing(proc)
 	if !strings.Contains(text, "to (my$p + 1)") {
 		t.Errorf("negative shift must send upward:\n%s", text)
 	}
@@ -105,7 +110,7 @@ func TestGenerateGuard(t *testing.T) {
       X(42) = 1.0
       END
 `, decomp.NewDecomp(decomp.Block), []int{100}, 4)
-	text := listing(res, proc)
+	text := listing(proc)
 	if res.GuardsInserted != 1 {
 		t.Errorf("guards = %d", res.GuardsInserted)
 	}
@@ -125,7 +130,7 @@ func TestGenerateBroadcast(t *testing.T) {
       enddo
       END
 `, decomp.NewDecomp(decomp.Block), []int{100}, 4)
-	text := listing(res, proc)
+	text := listing(proc)
 	if !strings.Contains(text, "broadcast X(k) from ((k - 1) / 25)") {
 		t.Errorf("broadcast missing:\n%s", text)
 	}
@@ -154,11 +159,11 @@ func TestGenerateRuntimeStructure(t *testing.T) {
 	}
 	proc := prog.Units[0]
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Block), []int{100}, 4)
-	res, err := GenerateRuntime(proc, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, nil, 4)
+	body, res, err := GenerateRuntime(proc, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := listing(res, proc)
+	text := listing(withBody(proc, body))
 	for _, want := range []string{
 		"if (((((i + 5) - 1) / 25) .NE. ((i - 1) / 25)))",
 		"send X((i + 5)",
@@ -254,7 +259,7 @@ func TestAggregation(t *testing.T) {
 	if res.MessagesAggregated != 1 {
 		t.Errorf("aggregated = %d, want 1", res.MessagesAggregated)
 	}
-	text := listing(res, proc)
+	text := listing(proc)
 	if strings.Count(text, "broadcast") != 1 {
 		t.Errorf("want exactly one broadcast:\n%s", text)
 	}

@@ -151,15 +151,9 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 	b := dist.BlockSize()
 	n := dist.Sizes[dim]
 	p := dist.P
-	cloneSec := func(over ast.SecDim) []ast.SecDim {
-		out := make([]ast.SecDim, len(sec))
-		for i, d := range sec {
-			if i == dim {
-				out[i] = over
-				continue
-			}
-			out[i] = ast.SecDim{Lo: ast.CloneExpr(d.Lo), Hi: ast.CloneExpr(d.Hi)}
-		}
+	withDim := func(over ast.SecDim) []ast.SecDim {
+		out := slices.Clone(sec)
+		out[dim] = over
 		return out
 	}
 	var send *ast.Send
@@ -175,8 +169,8 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 			Lo: ast.Add(ast.Mul(ast.Add(myP(), ast.Int(1)), ast.Int(b)), ast.Int(1)),
 			Hi: ast.Min(ast.Add(ast.Mul(ast.Add(myP(), ast.Int(1)), ast.Int(b)), ast.Int(c)), ast.Int(n)),
 		}
-		send = &ast.Send{Array: array, Sec: cloneSec(sendDim), Dest: ast.Sub(myP(), ast.Int(1))}
-		recv = &ast.Recv{Array: array, Sec: cloneSec(recvDim), Src: ast.Add(myP(), ast.Int(1))}
+		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: ast.Sub(myP(), ast.Int(1))}
+		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: ast.Add(myP(), ast.Int(1))}
 		sendGuard = ast.Cmp(ast.OpGT, myP(), ast.Int(0))
 		recvGuard = ast.Cmp(ast.OpLT, myP(), ast.Int(p-1))
 	} else {
@@ -190,8 +184,8 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 			Lo: ast.Add(ast.Mul(myP(), ast.Int(b)), ast.Int(-m+1)),
 			Hi: ast.Mul(myP(), ast.Int(b)),
 		}
-		send = &ast.Send{Array: array, Sec: cloneSec(sendDim), Dest: ast.Add(myP(), ast.Int(1))}
-		recv = &ast.Recv{Array: array, Sec: cloneSec(recvDim), Src: ast.Sub(myP(), ast.Int(1))}
+		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: ast.Add(myP(), ast.Int(1))}
+		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: ast.Sub(myP(), ast.Int(1))}
 		sendGuard = ast.Cmp(ast.OpLT, myP(), ast.Int(p-1))
 		recvGuard = ast.Cmp(ast.OpGT, myP(), ast.Int(0))
 	}

@@ -11,12 +11,13 @@ import (
 // ownership test evaluated per iteration, and every potentially
 // nonlocal right-hand-side reference sends one element-message from its
 // owner to the computing processor. This is the baseline the paper's
-// interprocedural compilation avoids.
-func GenerateRuntime(proc *ast.Procedure, distOf partition.DistOf, entryDists map[string]*decomp.Dist, p int) (*Result, error) {
+// interprocedural compilation avoids. Like Generate, it returns the new
+// body and shares with proc what it emits unchanged.
+func GenerateRuntime(proc *ast.Procedure, distOf partition.DistOf, entryDists map[string]*decomp.Dist, p int) ([]ast.Stmt, *Result, error) {
 	res := &Result{}
 	body, err := runtimeBody(proc, distOf, p, proc.Body, res)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Fortran D scoping: dynamic redistribution inside a procedure is
 	// undone on return — restore each redistributed array to its entry
@@ -44,8 +45,7 @@ func GenerateRuntime(proc *ast.Procedure, distOf partition.DistOf, entryDists ma
 		Lhs: ast.Id(partition.MyP),
 		Rhs: &ast.FuncCall{Name: "myproc"},
 	}}
-	res.Body = append(prologue, body...)
-	return res, nil
+	return append(prologue, body...), res, nil
 }
 
 func runtimeBody(proc *ast.Procedure, distOf partition.DistOf, p int, body []ast.Stmt, res *Result) ([]ast.Stmt, error) {
@@ -66,10 +66,7 @@ func runtimeBody(proc *ast.Procedure, distOf partition.DistOf, p int, body []ast
 		case *ast.Do:
 			// distributed reads in the bounds resolve before the loop
 			out = append(out, resolveReads(distOf, st, res, st.Lo, st.Hi, st.Step)...)
-			nl := &ast.Do{Var: st.Var, Lo: ast.CloneExpr(st.Lo), Hi: ast.CloneExpr(st.Hi)}
-			if st.Step != nil {
-				nl.Step = ast.CloneExpr(st.Step)
-			}
+			nl := &ast.Do{Var: st.Var, Lo: st.Lo, Hi: st.Hi, Step: st.Step}
 			inner, err := runtimeBody(proc, distOf, p, st.Body, res)
 			if err != nil {
 				return nil, err
@@ -80,7 +77,7 @@ func runtimeBody(proc *ast.Procedure, distOf partition.DistOf, p int, body []ast
 			// every processor must take the same branch: distributed
 			// reads in the condition are broadcast from their owners
 			out = append(out, resolveReads(distOf, st, res, st.Cond)...)
-			ni := &ast.If{Cond: ast.CloneExpr(st.Cond)}
+			ni := &ast.If{Cond: st.Cond}
 			thenB, err := runtimeBody(proc, distOf, p, st.Then, res)
 			if err != nil {
 				return nil, err
@@ -98,7 +95,7 @@ func runtimeBody(proc *ast.Procedure, distOf partition.DistOf, p int, body []ast
 			}
 			out = append(out, stmts...)
 		default:
-			out = append(out, ast.CloneStmt(s))
+			out = append(out, s)
 		}
 	}
 	return out, nil
@@ -106,16 +103,12 @@ func runtimeBody(proc *ast.Procedure, distOf partition.DistOf, p int, body []ast
 
 // ownerOf returns the owner expression of a reference's distributed
 // element, or nil when the array is replicated (owned everywhere).
-func ownerOf(distOf partition.DistOf, ref *ast.ArrayRef, at ast.Stmt) (ast.Expr, *decomp.Dist) {
+func ownerOf(distOf partition.DistOf, ref *ast.ArrayRef, at ast.Stmt) ast.Expr {
 	dist, ok := distOf(ref.Name, at)
-	if !ok || dist == nil || dist.IsReplicated() {
-		return nil, nil
+	if !ok || dist == nil || dist.IsReplicated() || dist.DistDim() >= len(ref.Subs) {
+		return nil
 	}
-	dim := dist.DistDim()
-	if dim >= len(ref.Subs) {
-		return nil, nil
-	}
-	return partition.OwnerExpr(dist, ast.CloneExpr(ref.Subs[dim])), dist
+	return partition.OwnerExpr(dist, ref.Subs[dist.DistDim()])
 }
 
 // resolveReads emits one element broadcast per distributed array
@@ -132,7 +125,7 @@ func resolveReads(distOf partition.DistOf, at ast.Stmt, res *Result, exprs ...as
 			for _, sub := range x.Subs {
 				rec(sub)
 			}
-			owner, _ := ownerOf(distOf, x, at)
+			owner := ownerOf(distOf, x, at)
 			if owner == nil {
 				return
 			}
@@ -143,7 +136,7 @@ func resolveReads(distOf partition.DistOf, at ast.Stmt, res *Result, exprs ...as
 			seen[key] = true
 			sec := make([]ast.SecDim, len(x.Subs))
 			for d, sub := range x.Subs {
-				sec[d] = ast.SecDim{Lo: ast.CloneExpr(sub), Hi: ast.CloneExpr(sub)}
+				sec[d] = ast.SecDim{Lo: sub, Hi: sub}
 			}
 			bc := &ast.Broadcast{Array: x.Name, Sec: sec, Root: owner}
 			bc.Position = at.Pos()
@@ -172,12 +165,12 @@ func runtimeAssign(proc *ast.Procedure, distOf partition.DistOf, st *ast.Assign,
 	replicated := true // scalar lhs: every processor computes
 	lhsOwner := myP()
 	if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-		if o, _ := ownerOf(distOf, lhs, st); o != nil {
+		if o := ownerOf(distOf, lhs, st); o != nil {
 			lhsOwner = o
 			replicated = false
 		}
 	}
-	iCompute := ast.Cmp(ast.OpEQ, myP(), ast.CloneExpr(lhsOwner))
+	iCompute := ast.Cmp(ast.OpEQ, myP(), lhsOwner)
 
 	// one element message per distributed rhs reference whose owner
 	// differs from the computing processor
@@ -196,46 +189,41 @@ func runtimeAssign(proc *ast.Procedure, distOf partition.DistOf, st *ast.Assign,
 		}
 	}
 	for _, ref := range rhsRefs {
-		srcOwner, dist := ownerOf(distOf, ref, st)
+		srcOwner := ownerOf(distOf, ref, st)
 		if srcOwner == nil {
 			continue
 		}
 		sec := make([]ast.SecDim, len(ref.Subs))
 		for d, sub := range ref.Subs {
-			sec[d] = ast.SecDim{Lo: ast.CloneExpr(sub), Hi: ast.CloneExpr(sub)}
+			sec[d] = ast.SecDim{Lo: sub, Hi: sub}
 		}
 		if replicated {
 			// every processor computes: the owner broadcasts the element
-			bc := &ast.Broadcast{Array: ref.Name, Sec: sec, Root: ast.CloneExpr(srcOwner)}
+			bc := &ast.Broadcast{Array: ref.Name, Sec: sec, Root: srcOwner}
 			bc.Position = st.Pos()
 			out = append(out, bc)
 			res.MessagesInserted++
 			continue
 		}
-		_ = dist
-		differ := ast.Cmp(ast.OpNE, ast.CloneExpr(srcOwner), ast.CloneExpr(lhsOwner))
-		iOwnSrc := ast.Cmp(ast.OpEQ, myP(), ast.CloneExpr(srcOwner))
-		send := &ast.Send{Array: ref.Name, Sec: sec, Dest: ast.CloneExpr(lhsOwner)}
+		differ := ast.Cmp(ast.OpNE, srcOwner, lhsOwner)
+		iOwnSrc := ast.Cmp(ast.OpEQ, myP(), srcOwner)
+		send := &ast.Send{Array: ref.Name, Sec: sec, Dest: lhsOwner}
 		send.Position = st.Pos()
-		recvSec := make([]ast.SecDim, len(sec))
-		for i, d := range sec {
-			recvSec[i] = ast.SecDim{Lo: ast.CloneExpr(d.Lo), Hi: ast.CloneExpr(d.Hi)}
-		}
-		recv := &ast.Recv{Array: ref.Name, Sec: recvSec, Src: ast.CloneExpr(srcOwner)}
+		recv := &ast.Recv{Array: ref.Name, Sec: sec, Src: srcOwner}
 		recv.Position = st.Pos()
 		out = append(out, &ast.If{
 			Cond: differ,
 			Then: []ast.Stmt{
 				&ast.If{Cond: iOwnSrc, Then: []ast.Stmt{send}},
-				&ast.If{Cond: ast.CloneExpr(iCompute), Then: []ast.Stmt{recv}},
+				&ast.If{Cond: iCompute, Then: []ast.Stmt{recv}},
 			},
 		})
 		res.MessagesInserted += 2
 	}
 	if replicated {
-		out = append(out, ast.CloneStmt(st))
+		out = append(out, st)
 	} else {
-		out = append(out, &ast.If{Cond: iCompute, Then: []ast.Stmt{ast.CloneStmt(st)}})
+		out = append(out, &ast.If{Cond: iCompute, Then: []ast.Stmt{st}})
 		res.GuardsInserted++
 	}
 	return out, nil

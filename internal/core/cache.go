@@ -85,9 +85,9 @@ func (pc *passCtx) summaryHash(out *procOut) string {
 	return h.Sum()
 }
 
-// loadEntry fills a task output from a cache entry. The entry's unit is
-// cloned at commit time; the summary structures are shared read-only,
-// exactly as a fresh callee's summaries are shared with its callers.
+// loadEntry fills a task output from a cache entry. The entry's unit and
+// summary structures are shared read-only, exactly as a fresh callee's
+// summaries are shared with its callers.
 func (pc *passCtx) loadEntry(e *summarycache.Entry, out *procOut) {
 	out.hit = true
 	res := e.Result
@@ -102,25 +102,18 @@ func (pc *passCtx) loadEntry(e *summarycache.Entry, out *procOut) {
 }
 
 // storeEntries records every freshly compiled procedure of a successful
-// compilation, cloning the final transformed unit so later mutations
-// cannot leak into the cache.
+// compilation. The stored unit is the one in the generated program:
+// nothing writes a published unit, so the two may share it.
 func (pc *passCtx) storeEntries(outs []*procOut) {
-	prog := pc.c.Program
 	for _, out := range outs {
 		if out == nil || out.hit || out.key == "" || out.err != nil {
 			continue
 		}
-		u := prog.Proc(out.name)
-		if u == nil || out.res == nil {
-			continue
-		}
-		res := *out.res
-		res.Body = nil
 		pc.cache.Put(&summarycache.Entry{
 			Key:         out.key,
 			Proc:        out.name,
-			Unit:        ast.CloneProcedure(u, u.Name),
-			Result:      res,
+			Unit:        out.unit,
+			Result:      *out.res,
 			PartDelayed: out.part,
 			CommDelayed: out.commD,
 			DecompSum:   out.dsum,

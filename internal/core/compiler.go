@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -59,9 +60,9 @@ type Options struct {
 	// Overlap enables the post-codegen communication/computation
 	// overlap pass (internal/sched): blocking halo exchanges become
 	// post-early/wait-late pairs and broadcasts are posted above
-	// independent predecessors. It runs after the summary cache is
-	// populated, so cached artifacts always hold the blocking form and
-	// one cache serves both modes.
+	// independent predecessors. The pass replaces the units it changes
+	// rather than writing them, so cached units always hold the
+	// blocking form and one cache serves both modes.
 	Overlap bool
 }
 
@@ -122,8 +123,8 @@ func DedupRuntimeProcs(names []string, clonedFrom map[string]string) []string {
 type Compilation struct {
 	// Program is the generated SPMD program.
 	Program *ast.Program
-	// Source is an untransformed copy of the input program (for
-	// reference runs).
+	// Source is the input program (for reference runs). Program shares
+	// with it every statement code generation emits unchanged.
 	Source *ast.Program
 	// P is the compiled-for processor count.
 	P int
@@ -167,8 +168,10 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Compilation
 	return CompileProgramContext(ctx, prog, opts)
 }
 
-// CompileProgram compiles an already-parsed program. The program is
-// transformed in place; a deep copy is kept as Compilation.Source.
+// CompileProgram compiles an already-parsed program. prog is not
+// modified and becomes Compilation.Source; the caller must not modify it
+// afterwards either, since the generated program and the summary cache
+// share its statements.
 func CompileProgram(prog *ast.Program, opts Options) (*Compilation, error) {
 	return CompileProgramContext(context.Background(), prog, opts)
 }
@@ -184,9 +187,10 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 			Msg: "compilation strategy: " + opts.Strategy.String(),
 		})
 	}
-	source := cloneProgram(prog)
+	// cloning replaces units in the graph's program, which therefore has
+	// a unit list of its own
 	endACG := tr.Phase("acg-build")
-	g, err := acg.Build(prog)
+	g, err := acg.Build(ast.NewProgram(slices.Clone(prog.Units)))
 	endACG()
 	if err != nil {
 		return nil, err
@@ -216,8 +220,7 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 	}
 
 	c := &Compilation{
-		Program:    prog,
-		Source:     source,
+		Source:     prog,
 		P:          p,
 		MainDists:  map[string]*decomp.Dist{},
 		Reach:      reachRes,
@@ -265,8 +268,7 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 	}
 	outs := compileAll(pcx, g.ReverseTopoOrder(), jobs)
 
-	newBodies := map[string][]ast.Stmt{}
-	hitUnits := map[string]*ast.Procedure{}
+	units := make(map[string]*ast.Procedure, len(outs))
 	for _, out := range outs {
 		if out == nil {
 			// never scheduled because an earlier task failed
@@ -281,30 +283,19 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		for arr, d := range out.mainDists {
 			c.MainDists[arr] = d
 		}
+		units[out.name] = out.unit
 		if out.hit {
-			hitUnits[out.name] = out.unit
 			c.CacheHits = append(c.CacheHits, out.name)
-		} else {
-			newBodies[out.name] = out.body
-			if pcx.cache.Enabled() {
-				c.CacheMisses = append(c.CacheMisses, out.name)
-			}
+		} else if pcx.cache.Enabled() {
+			c.CacheMisses = append(c.CacheMisses, out.name)
 		}
 	}
-
-	// swap in the generated bodies
-	for _, u := range prog.Units {
-		if body, ok := newBodies[u.Name]; ok {
-			u.Body = body
-		}
+	// every unit of the graph's program is one of its nodes
+	generated := make([]*ast.Procedure, len(g.Program.Units))
+	for i, u := range g.Program.Units {
+		generated[i] = units[u.Name]
 	}
-	for name, hu := range hitUnits {
-		cu := ast.CloneProcedure(hu, hu.Name)
-		prog.ReplaceProc(cu)
-		if res := c.Report.PerProc[name]; res != nil {
-			res.Body = cu.Body
-		}
-	}
+	c.Program = ast.NewProgram(generated)
 	tr.Counter("messages-inserted", int64(c.Report.Messages))
 	tr.Counter("guards-inserted", int64(c.Report.Guards))
 	tr.Counter("loops-reduced", int64(c.Report.LoopsReduced))
@@ -318,12 +309,12 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		pcx.storeEntries(outs)
 	}
 	if opts.Overlap {
-		// runs after storeEntries: the cache holds the blocking form, so
-		// one cache serves compiles with overlap on and off. Sequential
-		// over units in program order, so tags and remarks are
-		// deterministic regardless of opts.Jobs.
+		// the cache holds the blocking form, which Apply replaces rather
+		// than rewrites, so one cache serves compiles with overlap on and
+		// off. Sequential over units in program order, so tags and remarks
+		// are deterministic regardless of opts.Jobs.
 		endSched := tr.Phase("overlap-schedule")
-		overlapped := sched.Apply(prog, opts.Explain)
+		overlapped := sched.Apply(c.Program, opts.Explain)
 		endSched()
 		tr.Counter("comm-overlapped", int64(overlapped))
 	}
@@ -528,12 +519,4 @@ func nprocOf(prog *ast.Program) int {
 		return s.ConstValue
 	}
 	return 4
-}
-
-func cloneProgram(prog *ast.Program) *ast.Program {
-	units := make([]*ast.Procedure, len(prog.Units))
-	for i, u := range prog.Units {
-		units[i] = ast.CloneProcedure(u, u.Name)
-	}
-	return ast.NewProgram(units)
 }

@@ -45,8 +45,7 @@ type procOut struct {
 	hit bool
 
 	res       *codegen.Result
-	body      []ast.Stmt
-	unit      *ast.Procedure // cache-hit replacement unit (pre-clone)
+	unit      *ast.Procedure // the generated unit, or the cache entry's
 	part      map[string]*partition.Constraint
 	commD     []*comm.Delayed
 	dsum      *livedecomp.Summary
@@ -237,13 +236,13 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 				entryDists[arr] = dist
 			}
 		}
-		res, err := codegen.GenerateRuntime(proc, distOf, entryDists, pc.p)
+		body, res, err := codegen.GenerateRuntime(proc, distOf, entryDists, pc.p)
 		if err != nil {
 			out.err = fmt.Errorf("%s: %v", proc.Name, err)
 			return
 		}
 		out.res = res
-		out.body = res.Body
+		out.unit = withBody(proc, body)
 		out.part = map[string]*partition.Constraint{}
 		out.commD = nil
 		out.dsum = &livedecomp.Summary{
@@ -347,7 +346,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		uses = append(uses, u)
 	}
 
-	gen, err := codegen.Generate(&codegen.Input{
+	body, gen, err := codegen.Generate(&codegen.Input{
 		Proc: proc, Plan: plan, Comm: commRes, Remaps: remaps,
 		DistOf: distOf, Env: env, P: pc.p,
 	})
@@ -356,13 +355,21 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		return
 	}
 	out.res = gen
-	out.body = gen.Body
+	out.unit = withBody(proc, body)
 	comm.Explain(tex, proc.Name, commRes) // after codegen, which decides the receivers
 	c.Overlaps.Explain(tex, proc.Name, uses)
 
 	out.part = plan.Delayed
 	out.commD = commRes.Delayed
 	out.dsum = decompSum
+}
+
+// withBody is proc's header — name, parameters, symbol table — over a
+// generated body.
+func withBody(proc *ast.Procedure, body []ast.Stmt) *ast.Procedure {
+	u := *proc
+	u.Body = body
+	return &u
 }
 
 // compileAll schedules every procedure of order (reverse topological:

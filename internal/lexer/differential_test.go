@@ -36,6 +36,7 @@ var lexerSeeds = []string{
 	"if (a .EQ. b .and. .not. c .or. .true. .ne. .FALSE.) x = 2**3\n", "x = a .foo. b\n", "x = a .eq b\n",
 	"my$p = ub$1 + _u\n", "x = 1.eq.2\n", "x = 1.e\n", "x = 3.x\n", "a(1:n, 2) = b / c\n", "x = #\n",
 	" x = 1 \n", " x = 1\n", "\vx\f\n", "x = été\n", "\xff\xfe = 1\n", "K = K\n", "c x\n",
+	"      C = 0\n      c = C\n  * 2\n\tc\nc\r\n*\nC\v \nC\vX\n",
 	"      PROGRAM P\n      REAL a(10)\n      do i = 1, 10\n        a(i) = 0.5 * a(i-1) + 1.0\n      enddo\n      END\n",
 }
 

@@ -1,6 +1,10 @@
 package lexer
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func kinds(toks []Token) []Kind {
 	out := make([]Kind, len(toks))
@@ -127,6 +131,24 @@ c     old-style comment
 	}
 	if idents != 2 {
 		t.Errorf("idents = %d, want 2 (x and y)", idents)
+	}
+}
+
+// TestIndentedCIsAStatement: 'c', 'C' and '*' open a comment only in
+// column 1, so the printer's "      C = 0" is an assignment to C.
+func TestIndentedCIsAStatement(t *testing.T) {
+	toks, err := Tokenize("C comment\n      C = 0\n* star\n      c = C\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idents []string
+	for _, tk := range toks {
+		if tk.Kind == IDENT {
+			idents = append(idents, fmt.Sprintf("%s@%d", tk.Text, tk.Line))
+		}
+	}
+	if got := strings.Join(idents, " "); got != "C@2 c@4 C@4" {
+		t.Errorf("identifiers %q, want the assignments on lines 2 and 4", got)
 	}
 }
 

@@ -33,8 +33,8 @@ func (lx *oldLexer) run() ([]Token, error) {
 			continue
 		}
 		lower := strings.ToLower(trimmed)
-		if strings.HasPrefix(trimmed, "!") || strings.HasPrefix(trimmed, "*") ||
-			lower == "c" || strings.HasPrefix(lower, "c ") {
+		if strings.HasPrefix(trimmed, "!") || line[0] == trimmed[0] &&
+			(strings.HasPrefix(trimmed, "*") || lower == "c" || strings.HasPrefix(lower, "c ")) {
 			continue
 		}
 		// strip trailing comment

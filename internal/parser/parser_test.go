@@ -354,6 +354,27 @@ func TestPrintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScalarCRoundTrips: 'c' and 'C' open a comment only in column 1,
+// so a scalar named C survives the printer, which indents every
+// statement, and the parser that reads the listing back.
+func TestScalarCRoundTrips(t *testing.T) {
+	prog, err := Parse("      PROGRAM P\n      C=0\n      c = C + 1\n      END\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := ast.Print(prog)
+	again, err := Parse(text)
+	if err != nil {
+		t.Fatalf("reparse failed: %v\n%s", err, text)
+	}
+	if n := len(again.Main().Body); n != 2 {
+		t.Errorf("%d statements after print → parse, want 2:\n%s", n, text)
+	}
+	if text2 := ast.Print(again); text2 != text {
+		t.Errorf("print → parse → print changed the program:\n%s\n---\n%s", text, text2)
+	}
+}
+
 func TestParseOutputLanguageRoundTrip(t *testing.T) {
 	src := `
       PROGRAM P

@@ -300,8 +300,9 @@ type Options struct {
 func DefaultOptions() Options { return Options{CloneLimit: 64} }
 
 // Analyze runs reaching decompositions with cloning over the program
-// behind g. The program is transformed in place when clones are made
-// and the returned Result carries the rebuilt graph.
+// behind g. Cloning edits g.Program's unit list, which must be the
+// caller's to change, but no unit or statement; the returned Result
+// carries the rebuilt graph.
 func Analyze(g *acg.Graph, opts Options) (*Result, error) {
 	ex := opts.Explain
 	clones := 0
@@ -590,7 +591,8 @@ func signature(m map[string]DSet) string {
 }
 
 // applyCloning replaces victim with one clone per partition, renaming
-// the call sites of each partition to its clone.
+// the call sites of each partition to its clone. It writes no statement:
+// a caller whose call sites are renamed is replaced by a renamed copy.
 func applyCloning(g *acg.Graph, victim *acg.Node, parts []*partition, cloneNames map[string]string) error {
 	prog := g.Program
 	base := victim.Proc.Name
@@ -602,6 +604,7 @@ func applyCloning(g *acg.Graph, victim *acg.Node, parts []*partition, cloneNames
 	for _, u := range prog.Units {
 		used[u.Name] = true
 	}
+	to := map[*ast.Call]string{}
 	for i, part := range parts {
 		name := base + "$" + prettySuffix(part, i)
 		for used[name] {
@@ -612,12 +615,35 @@ func applyCloning(g *acg.Graph, victim *acg.Node, parts []*partition, cloneNames
 		prog.AddProc(clone)
 		cloneNames[name] = orig
 		for _, site := range part.sites {
-			site.Stmt.Name = name
+			to[site.Stmt] = name
 		}
+	}
+	for _, site := range victim.Callers {
+		caller := site.Caller.Proc
+		if prog.Proc(caller.Name) != caller {
+			continue // copied for an earlier site
+		}
+		// the copy lists its calls in the order the original does
+		var calls []*ast.Call
+		collect := func(s ast.Stmt) bool {
+			if c, ok := s.(*ast.Call); ok {
+				calls = append(calls, c)
+			}
+			return true
+		}
+		cp := ast.CloneProcedure(caller, caller.Name)
+		ast.WalkStmts(caller.Body, collect)
+		ast.WalkStmts(cp.Body, collect)
+		for i, c := range calls[:len(calls)/2] {
+			if name, ok := to[c]; ok {
+				calls[len(calls)/2+i].Name = name
+			}
+		}
+		prog.ReplaceProc(cp)
 	}
 	// remove the original unit (now uncalled); keep it if it is main
 	if !victim.Proc.IsMain {
-		units := prog.Units[:0]
+		units := make([]*ast.Procedure, 0, len(prog.Units))
 		for _, u := range prog.Units {
 			if u != victim.Proc {
 				units = append(units, u)

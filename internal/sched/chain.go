@@ -101,10 +101,10 @@ func sendEarly(v *view, start int) (int, bool) {
 			seg = append(seg, g.shiftIn, g.pipeIn, g.loop, g.pipe)
 		default:
 			h := gs[l+1].s.Sec[0].Hi
-			tail := *g.loop
+			head, tail := *g.loop, *g.loop
+			head.Hi = &ast.FuncCall{Name: "MIN", Args: []ast.Expr{g.loop.Hi, h}}
 			tail.Lo = &ast.FuncCall{Name: "MAX", Args: []ast.Expr{g.loop.Lo, &ast.Binary{Op: ast.OpAdd, X: h, Y: &ast.IntLit{Value: 1}}}}
-			g.loop.Hi = &ast.FuncCall{Name: "MIN", Args: []ast.Expr{g.loop.Hi, h}}
-			seg = append(seg, g.pipeIn, g.loop, gs[l+1].shift, g.shiftIn, &tail, g.pipe)
+			seg = append(seg, g.pipeIn, &head, gs[l+1].shift, g.shiftIn, &tail, g.pipe)
 		}
 	}
 	v.replace(i, 5*len(gs), seg...)

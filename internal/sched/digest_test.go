@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,15 +29,23 @@ var transformNames = []string{"overlap-redundant", "overlap-lookahead", "overlap
 
 func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b))[:32] }
 
-// scheduled parses src and applies the pass to it.
+// scheduled parses src and applies the pass to a program that shares
+// the parsed one's units, and fails if the parsed program prints
+// differently afterwards: the pass must write no unit or statement it
+// did not create.
 func scheduled(t testing.TB, src string) (*ast.Program, []explain.Remark, int) {
 	t.Helper()
-	prog, err := parser.Parse(src)
+	in, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, src)
 	}
+	before := ast.Print(in)
+	prog := ast.NewProgram(slices.Clone(in.Units))
 	ec := explain.New()
 	n := Apply(prog, ec)
+	if after := ast.Print(in); after != before {
+		t.Fatalf("Apply wrote the program it was given:\n%s\n--- now\n%s", before, after)
+	}
 	return prog, ec.Remarks(), n
 }
 

@@ -152,7 +152,8 @@ func splitHalo(v *view, i int) (int, bool) {
 		high.Hi = ast.CloneExpr(hi)
 		peels = append(peels, high)
 	}
-	loop.Lo, loop.Hi = addConst(lo, peelLo), addConst(hi, -peelHi)
+	interior := *loop
+	interior.Lo, interior.Hi = addConst(lo, peelLo), addConst(hi, -peelHi)
 	var repl, waits []ast.Stmt
 	for _, s := range v.list[i:j] {
 		guard, _, rcv := asComm(s)
@@ -164,15 +165,16 @@ func splitHalo(v *view, i int) (int, bool) {
 		// nothing registered under the tag, so its wait is a no-op
 		post, wait := v.split(rcv)
 		if guard != nil {
-			guard.Then[0] = post
-			post = guard
+			g := *guard
+			g.Then = []ast.Stmt{post}
+			post = &g
 		}
 		repl = append(repl, post)
 		waits = append(waits, wait)
 		v.applied(rcv.Pos().Line, "recv posted early; wait sunk below interior %s-loop (peel %d low, %d high)",
 			loop.Var, peelLo, peelHi)
 	}
-	repl = append(append(append(repl, loop), waits...), peels...)
+	repl = append(append(append(repl, &interior), waits...), peels...)
 	v.replace(i, j+1-i, repl...)
 	return i + len(repl), true
 }

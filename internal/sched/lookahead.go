@@ -180,13 +180,13 @@ func pipelinePivot(v *view, i int) (int, bool) {
 	nextPost := guarded(ast.OpLT, kIdent, loop.Hi, postAt(addConst(kIdent, 1)))
 
 	// remainder: the update loop restarts past the peeled column
-	jloop.Lo = &ast.FuncCall{Name: "first$", Args: []ast.Expr{
+	rest := *jloop
+	rest.Lo = &ast.FuncCall{Name: "first$", Args: []ast.Expr{
 		ast.CloneExpr(anchor), addConst(loExpr, 1), &ast.IntLit{Value: s}}}
 
-	newBody := []ast.Stmt{wait}
-	newBody = append(newBody, body[1:len(body)-1]...)
-	loop.Body = append(newBody, peel, nextPost, jloop)
-	v.replace(i, 0, prologue)
+	pipelined := *loop
+	pipelined.Body = append(append([]ast.Stmt{wait}, body[1:len(body)-1]...), peel, nextPost, &rest)
+	v.replace(i, 1, prologue, &pipelined)
 	v.applied(bc.Pos().Line, "pivot broadcast pipelined across %s iterations: column %s+1 posted right after its own update, in flight during the remaining %s-loop",
 		k, k, jvar)
 	return i + 2, true

@@ -26,6 +26,11 @@
 // only sends, recvs and assignments to array elements, and prove it from
 // those statements alone. Every site a transform considers gets an
 // Applied or Missed explain remark under pass "sched".
+// The pass writes no statement or unit it did not create: an edited list
+// is a new list, a loop or branch whose list changes is replaced by a
+// copy, and so is a unit whose body changes, in prog.Units. Every
+// untouched statement is shared with the input, which may therefore be
+// a cached unit or another program's.
 // The pass preserves observable semantics exactly: a statement moves
 // only across statements proven not to interfere with it, and peeled
 // iterations re-run after the waits in a loop whose iterations are
@@ -63,15 +68,21 @@ var (
 	hoist     = &transform{"overlap-bcast", "broadcast not posted early", hoistBcast}
 )
 
-// Apply rewrites prog's unit bodies in place and returns the number of
-// sites transformed (split recvs, hoisted, pipelined and removed
-// broadcasts). Tags assigned to post/wait pairs are unique
-// program-wide, so the rewrite is deterministic and pairs cannot
-// collide across procedures.
+// Apply reschedules prog's units and returns the number of sites
+// transformed (split recvs, hoisted, pipelined and removed broadcasts).
+// A unit it reschedules is installed in prog.Units as a new
+// *ast.Procedure that shares every untouched statement; no unit or
+// statement prog held before is written. Tags assigned to post/wait
+// pairs are unique program-wide, so the rewrite is deterministic and
+// pairs cannot collide across procedures.
 func Apply(prog *ast.Program, ec *explain.Collector) int {
 	p := &pass{prog: prog, ec: ec}
 	for _, u := range prog.Units {
-		u.Body = p.schedule(u, u.Body)
+		if body := p.schedule(u, u.Body); !sameList(body, u.Body) {
+			cp := *u
+			cp.Body = body
+			prog.ReplaceProc(&cp)
+		}
 	}
 	return p.sites
 }
@@ -89,7 +100,8 @@ type pass struct {
 	chain []group
 }
 
-// schedule reschedules one statement list of u and returns it. It is
+// schedule reschedules one statement list of u and returns it, or a new
+// list if anything in it changed. It is
 // the only code that knows the order of the transforms and the
 // recursion, and the order shows in the output: tags are numbered as
 // sites are rewritten and the listing prints them. Redundant broadcasts
@@ -106,17 +118,38 @@ func (p *pass) schedule(u *ast.Procedure, list []ast.Stmt) []ast.Stmt {
 	for i := 0; i < len(v.list); i++ {
 		switch st := v.list[i].(type) {
 		case *ast.Do:
-			st.Body = (&view{pass: p, unit: u, list: st.Body}).scan(redundant)
+			v.loopBody(i, (&view{pass: p, unit: u, list: st.Body}).scan(redundant))
 			if next, ok := v.try(lookahead, i); ok {
 				i = next - 1 // the loop's new place, past a prologue
 			}
-			st.Body = p.schedule(u, st.Body)
+			v.loopBody(i, p.schedule(u, v.list[i].(*ast.Do).Body))
 		case *ast.If:
-			st.Then = p.schedule(u, st.Then)
-			st.Else = p.schedule(u, st.Else)
+			then, els := p.schedule(u, st.Then), p.schedule(u, st.Else)
+			if !sameList(then, st.Then) || !sameList(els, st.Else) {
+				cp := *st
+				cp.Then, cp.Else = then, els
+				v.replace(i, 1, &cp)
+			}
 		}
 	}
 	return v.scan(early, halo, hoist)
+}
+
+// loopBody gives the loop at i the statement list body: the loop is
+// replaced by a copy unless body is the list it has.
+func (v *view) loopBody(i int, body []ast.Stmt) {
+	loop := v.list[i].(*ast.Do)
+	if !sameList(body, loop.Body) {
+		cp := *loop
+		cp.Body = body
+		v.replace(i, 1, &cp)
+	}
+}
+
+// sameList reports whether a and b are the same statement list. Every
+// edit builds a new list, so a list that compares equal is unchanged.
+func sameList(a, b []ast.Stmt) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // nests reports whether list holds a loop or a branch.
@@ -165,10 +198,12 @@ func (v *view) scan(ts ...*transform) []ast.Stmt {
 }
 
 // replace puts repl in place of the n statements at position i (n = 0
-// inserts before i, no repl removes).
+// inserts before i, no repl removes), in a new list: the one the view
+// started from may be shared.
 func (v *view) replace(i, n int, repl ...ast.Stmt) {
-	tail := append(repl, v.list[i+n:]...)
-	v.list = append(v.list[:i], tail...)
+	list := make([]ast.Stmt, 0, len(v.list)-n+len(repl))
+	list = append(append(list, v.list[:i]...), repl...)
+	v.list = append(list, v.list[i+n:]...)
 }
 
 // split returns the two halves of a blocking recv or broadcast under a

@@ -79,11 +79,9 @@ func (d *disk) store(e *Entry) error {
 	if err != nil || printUnit(reparsed) != src {
 		return fmt.Errorf("summarycache: %s does not round-trip through the printer; not persisted", e.Proc)
 	}
-	res := e.Result
-	res.Body = nil
 	buf, err := json.Marshal(&diskEntry{
 		Format: diskFormat, Key: e.Key, Proc: e.Proc, UnitSrc: src,
-		Result: res, PartDelayed: e.PartDelayed, CommDelayed: e.CommDelayed,
+		Result: e.Result, PartDelayed: e.PartDelayed, CommDelayed: e.CommDelayed,
 		DecompSum: e.DecompSum,
 		MainDists: e.MainDists, Remarks: e.Remarks,
 		Runtime: e.Runtime,

@@ -35,19 +35,20 @@ import (
 )
 
 // Entry holds every artifact of one procedure's phase-3 compilation.
-// Entries are immutable once stored: the pipeline clones Unit before
-// splicing it into a program, and treats the summary structures as
-// read-only (exactly as it treats a fresh callee's summaries).
+// Entries are immutable once stored, and so is everything they point
+// to: the pipeline splices Unit into every program that hits it, and
+// no pass writes a statement or unit it did not create, so neither the
+// unit nor the summary structures are ever copied.
 type Entry struct {
 	// Key is the content hash the entry is stored under.
 	Key string
 	// Proc is the compiled procedure's name (clones under clone names).
 	Proc string
-	// Unit is the fully transformed program unit (generated body and
-	// symbols). Clone it before use.
+	// Unit is the generated program unit in its blocking form (the
+	// schedule pass replaces it in a program, never rewrites it). It may
+	// share statements with the source it was compiled from.
 	Unit *ast.Procedure
-	// Result carries the code-generation counters (Body is nil; the
-	// generated statements live in Unit).
+	// Result carries the code-generation counters.
 	Result codegen.Result
 	// PartDelayed, CommDelayed and DecompSum are the caller-visible
 	// summaries published to the summary table on a hit.

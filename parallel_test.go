@@ -7,8 +7,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"fortd/internal/ast"
+	"fortd/internal/core"
+	"fortd/internal/parser"
+	"fortd/internal/summarycache"
 )
 
 // explainBytes renders an Explain report to a string.
@@ -414,6 +420,101 @@ func BenchmarkCompileWarmCache(b *testing.B) {
 		if _, err := Compile(src, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCachedUnitsAreNeverWritten: a hit splices the cache entry's unit
+// into the program as stored, and nothing downstream — cloning, the
+// schedule pass — writes it or the input program. Two compiles share
+// one warm cache concurrently, with the schedule pass on (ci.sh runs
+// this under -race); every input and every cached unit prints as it did
+// before. The sources clone (fig4), pipeline a pivot broadcast (dgefa),
+// split halos (jacobi2d) and split chains of pipelined loops.
+func TestCachedUnitsAreNeverWritten(t *testing.T) {
+	var srcs []string
+	for _, name := range []string{"fig4.f", "dgefa.f", "jacobi2d.f"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(b))
+	}
+	srcs = append(srcs, SyntheticProcsSrc(8, 8, 32, 4))
+	opts := core.DefaultOptions()
+	opts.Cache, opts.Jobs = summarycache.New(), 8
+	blocking := opts
+	blocking.Overlap = false
+	// with the schedule pass off, a program's units are the entries its
+	// compile stored, and a warm compile's are the same pointers
+	var stored []*ast.Procedure
+	for _, src := range srcs {
+		for i := 0; i < 2; i++ {
+			c, err := core.Compile(src, blocking)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				stored = append(stored, c.Program.Units...)
+				continue
+			}
+			for j, u := range c.Program.Units {
+				if u != stored[len(stored)-len(c.Program.Units)+j] {
+					t.Fatalf("warm compile of %s copied the cached unit instead of splicing it", u.Name)
+				}
+			}
+		}
+	}
+	printAll := func(progs ...*ast.Program) []string {
+		var out []string
+		for _, p := range progs {
+			out = append(out, ast.Print(p))
+		}
+		return out
+	}
+	cached := printAll(ast.NewProgram(stored))
+	var inputs [2][]*ast.Program
+	var before [2][]string
+	for w := range inputs {
+		for _, src := range srcs {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs[w] = append(inputs[w], prog)
+		}
+		before[w] = printAll(inputs[w]...)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(inputs))
+	for w := range inputs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, prog := range inputs[w] {
+				c, err := core.CompileProgram(prog, opts)
+				if err == nil && len(c.CacheMisses) > 0 {
+					err = fmt.Errorf("warm compile missed %v", c.CacheMisses)
+				}
+				if err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range inputs {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		for i, after := range printAll(inputs[w]...) {
+			if after != before[w][i] {
+				t.Errorf("compiling input %d of worker %d changed it:\n%s\n--- now\n%s", i, w, before[w][i], after)
+			}
+		}
+	}
+	if after := printAll(ast.NewProgram(stored)); after[0] != cached[0] {
+		t.Errorf("the cached units changed:\n%s\n--- now\n%s", cached[0], after[0])
 	}
 }
 
