@@ -81,8 +81,14 @@ test -z "$(gofmt -l .)"
 # 25070 -> 25052. The next change (2026-10-16) deleted the machine's
 # P×P pair statistics (Stats.Traffic; per-pair traffic is a traced run's
 # analyze.Matrix) and reach's DSet.Clone (sets are shared, never
-# written), nothing added: 25052 -> 25035
-LOC_CEILING=25035
+# written), nothing added: 25052 -> 25035. The next change (2026-10-17)
+# made the program unit the unit of parsing and the summary cache a memo
+# of parsed units, paying for the splitter and the memo with deletions
+# (ast.Call.Site and the parser's site counter, the whole-text token
+# loop, the duplicate distribution-format parser, lexer.New and
+# Token.String, summarycache's Len and Dir, which only Stats repeated):
+# 25035 -> 25030
+LOC_CEILING=25030
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

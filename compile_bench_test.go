@@ -1,8 +1,10 @@
 package fortd
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"fortd/internal/ast"
@@ -57,7 +59,7 @@ func BenchmarkSchedApply(b *testing.B) {
 // budget is the count measured when it was last set plus 10 %; lower it
 // when a change lowers the count.
 func TestCompileAllocBudget(t *testing.T) {
-	const budget = 82889 // 75 353 measured once reach shared its decomposition sets (78 746 before, 91 592 before the compiler stopped copying its input) + 10 %
+	const budget = 82853 // 75 321 measured once the early-shift rule wrote its list once (75 353 before, 78 746 before reach shared its decomposition sets, 91 592 before the compiler stopped copying its input) + 10 %
 	src := SyntheticProcsSrc(32, 8, 32, 4)
 	opts := DefaultOptions()
 	opts.Jobs = 1
@@ -69,6 +71,37 @@ func TestCompileAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per compile (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Errorf("compile allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestEditCompileAllocBudget is TestCompileAllocBudget's warm twin: a
+// one-procedure edit of the same program compiled against a summary
+// cache that holds the rest, as the compile daemon sees one. Each run
+// edits another constant of one subroutine, so each parses and compiles
+// that unit afresh, takes the other 32 from the cache's memo of parsed
+// units and its entries, and reschedules the program.
+func TestEditCompileAllocBudget(t *testing.T) {
+	const budget = 17558 // 15 962 measured when the cache began to memoize parsed units (25 085 before) + 10 %
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	opts.Cache = NewSummaryCache()
+	if _, err := Compile(src, opts); err != nil {
+		t.Fatal(err)
+	}
+	var edits []string
+	for i := 0; i < 6; i++ { // AllocsPerRun's warm-up run and five
+		edits = append(edits, strings.Replace(src, "+ 9.0\n", fmt.Sprintf("+ %d.0\n", 1000+i), 1))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Compile(edits[0], opts); err != nil {
+			t.Fatal(err)
+		}
+		edits = edits[1:]
+	})
+	t.Logf("%.0f allocations per edit compile (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("an edit compile allocates %.0f objects, budget %d", allocs, budget)
 	}
 }
 

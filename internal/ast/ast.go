@@ -223,13 +223,11 @@ type If struct {
 	Else []Stmt
 }
 
-// Call invokes a subroutine. Site is a unique call-site identifier
-// assigned by the parser, used by interprocedural analysis.
+// Call invokes a subroutine.
 type Call struct {
 	stmtBase
 	Name string
 	Args []Expr
-	Site int
 }
 
 // Return exits the enclosing procedure.

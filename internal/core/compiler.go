@@ -160,7 +160,7 @@ func Compile(src string, opts Options) (*Compilation, error) {
 // never stores partial results into Options.Cache.
 func CompileContext(ctx context.Context, src string, opts Options) (*Compilation, error) {
 	endParse := opts.Trace.Phase("parse")
-	prog, err := parser.Parse(src)
+	prog, err := parser.ParseMemo(src, opts.Cache) // a warm compile parses only edited units
 	endParse()
 	if err != nil {
 		return nil, err

@@ -29,6 +29,22 @@ func sameTokens(t *testing.T, src string) {
 	}
 }
 
+// sameEnds checks IsEnd against the scanner on every line of src: a
+// line ends a program unit exactly when Tokenize yields it as one END
+// identifier and the statement end, the lone END the parser ends a
+// unit at.
+func sameEnds(t *testing.T, src string) {
+	t.Helper()
+	for i, raw := range strings.Split(src, "\n") {
+		toks, err := TokenizeAt(nil, raw, i+1)
+		lone := err == nil && len(toks) == 3 && toks[0].Kind == IDENT &&
+			strings.ToUpper(toks[0].Text) == "END" && toks[1].Kind == NEWLINE
+		if IsEnd(raw) != lone {
+			t.Fatalf("%q: line %d %q: IsEnd %v, scanned as a lone END %v", src, i+1, raw, IsEnd(raw), lone)
+		}
+	}
+}
+
 var lexerSeeds = []string{
 	"", "\n", "\n\n", "x", "x\n", "  \t x = 1 \r\n", "c\nC\nc comment\nC comment\ncall f\ncx = 1\n",
 	"* star\n! bang\n   ! indented\nx = 1 ! trailing\n ! \n!\n", "x = 'a!b'\n", "x = 'unterminated\n",
@@ -37,12 +53,14 @@ var lexerSeeds = []string{
 	"my$p = ub$1 + _u\n", "x = 1.eq.2\n", "x = 1.e\n", "x = 3.x\n", "a(1:n, 2) = b / c\n", "x = #\n",
 	" x = 1 \n", " x = 1\n", "\vx\f\n", "x = été\n", "\xff\xfe = 1\n", "K = K\n", "c x\n",
 	"      C = 0\n      c = C\n  * 2\n\tc\nc\r\n*\nC\v \nC\vX\n",
+	"END\n  end  \n\tEnd\r\nc END\nC\tEND\n* END\n! END\n      END ! END\n      ENDx\n      E ND\n      END DO\n      C = 0\n",
 	"      PROGRAM P\n      REAL a(10)\n      do i = 1, 10\n        a(i) = 0.5 * a(i-1) + 1.0\n      enddo\n      END\n",
 }
 
 func TestTokenizeMatchesLineSplitter(t *testing.T) {
 	for _, src := range lexerSeeds {
 		sameTokens(t, src)
+		sameEnds(t, src)
 	}
 	files, err := filepath.Glob("../../testdata/*.f")
 	if err != nil || len(files) < 5 {
@@ -56,6 +74,7 @@ func TestTokenizeMatchesLineSplitter(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTokens(t, string(b))
+		sameEnds(t, string(b))
 	}
 }
 
@@ -81,7 +100,10 @@ func FuzzTokenize(f *testing.F) {
 	for _, s := range lexerSeeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, src string) { sameTokens(t, src) })
+	f.Fuzz(func(t *testing.T, src string) {
+		sameTokens(t, src)
+		sameEnds(t, src)
+	})
 }
 
 func BenchmarkLex(b *testing.B) {

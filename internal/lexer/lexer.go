@@ -45,63 +45,60 @@ type Token struct {
 	Int   int     // for INT
 }
 
-func (t Token) String() string {
-	switch t.Kind {
-	case EOF:
-		return "<eof>"
-	case NEWLINE:
-		return "<nl>"
-	default:
-		return t.Text
-	}
-}
-
-// Lexer scans source text into tokens.
-type Lexer struct {
+// scanner scans source text into tokens.
+type scanner struct {
 	src  string
 	line int
 	toks []Token
 }
 
-// New prepares a lexer over src.
-func New(src string) *Lexer {
-	return &Lexer{src: src}
-}
-
 // Tokenize scans the entire input, returning the token stream terminated
 // by EOF. Blank and comment lines produce no tokens; statement ends are
 // marked with NEWLINE.
-func Tokenize(src string) ([]Token, error) {
-	lx := New(src)
+func Tokenize(src string) ([]Token, error) { return TokenizeAt(nil, src, 1) }
+
+// TokenizeAt is Tokenize for text that starts at line first of a
+// program, into buf's storage if it has room for len(src)/2+8 tokens:
+// Fortran runs two to four bytes a token, and append covers the rest.
+func TokenizeAt(buf []Token, src string, first int) ([]Token, error) {
+	if want := len(src)/2 + 8; cap(buf) < want {
+		buf = make([]Token, 0, want)
+	}
+	lx := scanner{src: src, line: first - 1, toks: buf[:0]}
 	return lx.run()
 }
 
-// run makes one pass over src, line by line without splitting it, into
-// a token slice sized up front: Fortran source runs between two and
-// four bytes a token, so half the byte count is room enough for
-// ordinary programs and append covers the rest.
-func (lx *Lexer) run() ([]Token, error) {
-	lx.toks = make([]Token, 0, len(lx.src)/2+8)
+// statement returns the statement a source line holds, without its
+// comment and surrounding blanks ("" for a blank or comment line): the
+// one definition of a statement line, which run scans and IsEnd reads.
+func statement(raw string) string {
+	// comment lines: '!' anywhere; '*', or 'c' / 'C' followed by a
+	// blank or nothing, only in column 1 (an indented "C = 0" assigns)
+	stmt := strings.TrimSpace(raw)
+	if stmt == "" || stmt[0] == '!' || raw[0] == stmt[0] &&
+		(stmt[0] == '*' || (stmt[0] == 'c' || stmt[0] == 'C') && (len(stmt) == 1 || stmt[1] == ' ')) {
+		return ""
+	}
+	// strip trailing comment
+	if idx := strings.IndexByte(stmt, '!'); idx >= 0 {
+		stmt = strings.TrimSpace(stmt[:idx])
+	}
+	return stmt
+}
+
+// IsEnd reports whether a source line is a lone END statement, the line
+// that ends a program unit (Tokenize yields it as one END identifier).
+func IsEnd(raw string) bool { return strings.EqualFold(statement(raw), "END") }
+
+// run makes one pass over src, line by line without splitting it.
+func (lx *scanner) run() ([]Token, error) {
 	for rest, more := lx.src, true; more; {
 		lx.line++
 		var raw string
 		raw, rest, more = strings.Cut(rest, "\n")
-		stmt := strings.TrimSpace(raw)
+		stmt := statement(raw)
 		if stmt == "" {
 			continue
-		}
-		// comment lines: '!' anywhere; '*', or 'c' / 'C' followed by a
-		// blank or nothing, only in column 1 (an indented "C = 0" assigns)
-		if c := stmt[0]; c == '!' || raw[0] == c &&
-			(c == '*' || (c == 'c' || c == 'C') && (len(stmt) == 1 || stmt[1] == ' ')) {
-			continue
-		}
-		// strip trailing comment
-		if idx := strings.IndexByte(stmt, '!'); idx >= 0 {
-			stmt = strings.TrimSpace(stmt[:idx])
-			if stmt == "" {
-				continue
-			}
 		}
 		if err := lx.scanLine(stmt); err != nil {
 			return nil, err
@@ -112,9 +109,12 @@ func (lx *Lexer) run() ([]Token, error) {
 	return lx.toks, nil
 }
 
-func (lx *Lexer) emit(t Token) { lx.toks = append(lx.toks, t) }
+func (lx *scanner) emit(t Token) { lx.toks = append(lx.toks, t) }
 
-func (lx *Lexer) scanLine(s string) error {
+// punct holds the kind of each one-character token ('*' may start "**").
+var punct = [256]Kind{'(': LPAREN, ')': RPAREN, ',': COMMA, ':': COLON, '=': EQUALS, '+': PLUS, '-': MINUS, '/': SLASH}
+
+func (lx *scanner) scanLine(s string) error {
 	i := 0
 	n := len(s)
 	for i < n {
@@ -122,26 +122,8 @@ func (lx *Lexer) scanLine(s string) error {
 		switch {
 		case c == ' ' || c == '\t':
 			i++
-		case c == '(':
-			lx.emit(Token{Kind: LPAREN, Text: "(", Line: lx.line})
-			i++
-		case c == ')':
-			lx.emit(Token{Kind: RPAREN, Text: ")", Line: lx.line})
-			i++
-		case c == ',':
-			lx.emit(Token{Kind: COMMA, Text: ",", Line: lx.line})
-			i++
-		case c == ':':
-			lx.emit(Token{Kind: COLON, Text: ":", Line: lx.line})
-			i++
-		case c == '=':
-			lx.emit(Token{Kind: EQUALS, Text: "=", Line: lx.line})
-			i++
-		case c == '+':
-			lx.emit(Token{Kind: PLUS, Text: "+", Line: lx.line})
-			i++
-		case c == '-':
-			lx.emit(Token{Kind: MINUS, Text: "-", Line: lx.line})
+		case punct[c] != EOF:
+			lx.emit(Token{Kind: punct[c], Text: s[i : i+1], Line: lx.line})
 			i++
 		case c == '*':
 			if i+1 < n && s[i+1] == '*' {
@@ -151,9 +133,6 @@ func (lx *Lexer) scanLine(s string) error {
 				lx.emit(Token{Kind: STAR, Text: "*", Line: lx.line})
 				i++
 			}
-		case c == '/':
-			lx.emit(Token{Kind: SLASH, Text: "/", Line: lx.line})
-			i++
 		case c == '.':
 			// .EQ. .NE. .LT. .LE. .GT. .GE. .AND. .OR. .NOT. .TRUE. .FALSE.
 			// or a real literal like .5

@@ -27,10 +27,12 @@ const toClauseSrc = `
 `
 
 // FuzzParse asserts the lexer+parser never panic: arbitrary input must
-// either parse or return an error. The corpus is seeded with every
-// checked-in Fortran D source under the repository's testdata and with
-// broadcasts that carry a "to" clause, with and without "ring", which
-// must survive print → parse → print unchanged.
+// either parse or return an error, and Parse, which parses unit by unit,
+// must agree with the whole-text oracle parseWhole. The corpus is seeded
+// with every checked-in Fortran D source under the repository's testdata,
+// with lines that only look like a unit's END, and with broadcasts that
+// carry a "to" clause, with and without "ring", which must survive print
+// → parse → print unchanged.
 func FuzzParse(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.f"))
 	if err != nil {
@@ -47,11 +49,16 @@ func FuzzParse(f *testing.F) {
 	f.Add("      SUBROUTINE S(X, N)\n      REAL X(N)\n      RETURN\n      END\n")
 	f.Add("      DECOMPOSITION D(100)\n      ALIGN X WITH D\n      DISTRIBUTE D(BLOCK)\n")
 	f.Add(toClauseSrc)
+	f.Add("      PROGRAM P\n      C = 0\n      END\n")
+	f.Add("      SUBROUTINE S ! END\n      X = 1 ! END\nC END\n! END\n      END ! END\n      PROGRAM P\n      END")
+	f.Add("      PROGRAM P\n      do i = 1, 2\n      END\n      enddo\n      END\n")
+	f.Add("      PROGRAM P\n      END\n\n! trailing\n      SUBROUTINE S\n      x = #\n      end\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		if err == nil && prog == nil {
 			t.Fatal("Parse returned nil program and nil error")
 		}
+		sameAsWhole(t, src)
 		if err != nil || !strings.Contains(src, " to ") {
 			return
 		}

@@ -1,7 +1,10 @@
 // Package parser builds the AST for the Fortran 77 / Fortran D subset.
 // It is a line-oriented recursive-descent parser: each statement occupies
 // one line (as in the paper's figures), declarations precede executable
-// statements, and keywords are case-insensitive.
+// statements, and keywords are case-insensitive. A program unit is the
+// unit of parsing: the text is cut after every lone END line and each
+// unit is lexed and parsed on its own, so a Memo (the summary cache) can
+// hand back the units whose text did not change.
 package parser
 
 import (
@@ -13,20 +16,74 @@ import (
 )
 
 // Parse parses a complete Fortran D program.
-func Parse(src string) (*ast.Program, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+func Parse(src string) (*ast.Program, error) { return ParseMemo(src, nil) }
+
+// A Chunk is the text of one program unit, its lines from the one after
+// the previous unit's END through its own END, and the first one's number.
+type Chunk struct {
+	First int
+	Text  string
+}
+
+// A Memo keeps parsed units by chunk. ParseMemo asks it for each chunk
+// before parsing that and hands it every unit it parses; a unit is
+// shared from then on and never written.
+type Memo interface {
+	Unit(Chunk) *ast.Procedure
+	KeepUnit(Chunk, *ast.Procedure)
+}
+
+// ParseMemo is Parse with a memo of units (nil: none). A program unit is
+// the unit of parsing: the text is cut after each lone END line
+// (lexer.IsEnd), and a chunk the memo does not hold is lexed from its
+// first line, so tokens carry the text's line numbers, and parsed alone.
+func ParseMemo(src string, memo Memo) (*ast.Program, error) {
 	var units []*ast.Procedure
-	for !p.at(lexer.EOF) {
-		u, err := p.parseUnit()
-		if err != nil {
+	var toks []lexer.Token
+	rest, more := src, true
+	for c := (Chunk{First: 1}); more; c.First += strings.Count(c.Text, "\n") + 1 {
+		c.Text, rest, more = cut(rest)
+		if memo != nil {
+			if u := memo.Unit(c); u != nil {
+				units = append(units, u)
+				continue
+			}
+		}
+		var err error
+		if toks, err = lexer.TokenizeAt(toks, c.Text, c.First); err != nil {
 			return nil, err
 		}
-		units = append(units, u)
+		if p := (parser{toks: toks}); !p.at(lexer.EOF) { // else blank and comment lines after the last END
+			u, err := p.parseUnit()
+			if err != nil {
+				return nil, err
+			}
+			if memo != nil {
+				memo.KeepUnit(c, u)
+			}
+			units = append(units, u)
+		}
 	}
+	return program(units)
+}
+
+// cut splits src after its first lone END line, or returns all of it.
+func cut(src string) (chunk, rest string, more bool) {
+	for at := 0; ; {
+		i := strings.IndexByte(src[at:], '\n')
+		if i < 0 {
+			return src, "", false
+		}
+		end := at + i
+		if lexer.IsEnd(src[at:end]) {
+			return src[:end], src[end+1:], true
+		}
+		at = end + 1
+	}
+}
+
+// program assembles the parsed units into a program.
+func program(units []*ast.Procedure) (*ast.Program, error) {
 	if len(units) == 0 {
 		return nil, fmt.Errorf("parser: empty program")
 	}
@@ -52,11 +109,9 @@ func ParseProcedure(src string) (*ast.Procedure, error) {
 }
 
 type parser struct {
-	toks     []lexer.Token
-	pos      int
-	unit     *ast.Procedure
-	siteSeq  int
-	implicit bool // allow implicit declarations (always on)
+	toks []lexer.Token
+	pos  int
+	unit *ast.Procedure
 }
 
 func (p *parser) at(k lexer.Kind) bool { return p.toks[p.pos].Kind == k }
@@ -281,9 +336,7 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 		return nil, fmt.Errorf("line %d: unexpected %q at start of statement", t.Line, t.Text)
 	}
 	switch strings.ToUpper(t.Text) {
-	case "REAL", "INTEGER", "LOGICAL":
-		return nil, p.parseTypeDecl()
-	case "DOUBLE":
+	case "REAL", "INTEGER", "LOGICAL", "DOUBLE":
 		return nil, p.parseTypeDecl()
 	case "PARAMETER":
 		return nil, p.parseParameter()
@@ -310,14 +363,8 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 		return nil, p.endOfStmt()
 	// output-language statements, accepted so generated SPMD programs
 	// round-trip through the printer
-	case "SEND":
-		return p.parseComm("SEND")
-	case "RECV":
-		return p.parseComm("RECV")
-	case "BROADCAST":
-		return p.parseComm("BROADCAST")
-	case "ALLGATHER":
-		return p.parseComm("ALLGATHER")
+	case "SEND", "RECV", "BROADCAST", "ALLGATHER":
+		return p.parseComm(strings.ToUpper(t.Text))
 	case "POSTRECV", "POSTBCAST":
 		return p.parsePost(strings.ToUpper(t.Text) == "POSTBCAST")
 	case "WAITRECV", "WAITBCAST":
@@ -640,41 +687,10 @@ func (p *parser) parseDistribute() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(lexer.LPAREN, "("); err != nil {
+	specs, err := p.parseDistSpecs("distribution")
+	if err != nil {
 		return nil, err
 	}
-	var specs []ast.DistSpec
-	for !p.at(lexer.RPAREN) {
-		t := p.next()
-		switch {
-		case t.Kind == lexer.COLON:
-			specs = append(specs, ast.DistSpec{Kind: ast.DistNone})
-		case t.Kind == lexer.IDENT && strings.EqualFold(t.Text, "BLOCK"):
-			specs = append(specs, ast.DistSpec{Kind: ast.DistBlock})
-		case t.Kind == lexer.IDENT && strings.EqualFold(t.Text, "CYCLIC"):
-			sp := ast.DistSpec{Kind: ast.DistCyclic}
-			if p.at(lexer.LPAREN) {
-				p.next()
-				n, err := p.expect(lexer.INT, "block size")
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(lexer.RPAREN, ")"); err != nil {
-					return nil, err
-				}
-				if n.Int > 1 {
-					sp = ast.DistSpec{Kind: ast.DistBlockCyclic, BlockSize: n.Int}
-				}
-			}
-			specs = append(specs, sp)
-		default:
-			return nil, fmt.Errorf("line %d: bad distribution format %q", t.Line, t.Text)
-		}
-		if p.at(lexer.COMMA) {
-			p.next()
-		}
-	}
-	p.next() // RPAREN
 	st := &ast.Distribute{Target: id.Text, Specs: specs}
 	st.Position = ast.Position{Line: id.Line}
 	return st, p.endOfStmt()
@@ -786,7 +802,7 @@ func (p *parser) parseCall() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &ast.Call{Name: id.Text, Site: p.nextSite()}
+	st := &ast.Call{Name: id.Text}
 	st.Position = ast.Position{Line: id.Line}
 	if p.at(lexer.LPAREN) {
 		p.next()
@@ -803,11 +819,6 @@ func (p *parser) parseCall() (ast.Stmt, error) {
 		p.next()
 	}
 	return st, p.endOfStmt()
-}
-
-func (p *parser) nextSite() int {
-	p.siteSeq++
-	return p.siteSeq
 }
 
 func (p *parser) parseAssign() (ast.Stmt, error) {
@@ -872,29 +883,27 @@ func (p *parser) parseComm(kind string) (ast.Stmt, error) {
 		}
 	}
 	pos := ast.Position{Line: arr.Line}
-	var st ast.Stmt
 	switch kind {
 	case "SEND":
 		s := &ast.Send{Array: arr.Text, Sec: sec, Dest: peer}
 		s.Position = pos
-		st = s
+		return s, p.endOfStmt()
 	case "RECV":
 		s := &ast.Recv{Array: arr.Text, Sec: sec, Src: peer}
 		s.Position = pos
-		st = s
+		return s, p.endOfStmt()
 	case "BROADCAST":
 		s := &ast.Broadcast{Array: arr.Text, Sec: sec, Root: peer}
 		s.Position = pos
 		if s.To, err = p.parseReceivers(arr.Line); err != nil {
 			return nil, err
 		}
-		st = s
-	case "ALLGATHER":
+		return s, p.endOfStmt()
+	default: // ALLGATHER
 		s := &ast.AllGather{Array: arr.Text, Sec: sec}
 		s.Position = pos
-		st = s
+		return s, p.endOfStmt()
 	}
-	return st, p.endOfStmt()
 }
 
 // parsePost parses the split-phase post statements emitted by the
@@ -930,18 +939,14 @@ func (p *parser) parsePost(bcast bool) (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	pos := ast.Position{Line: arr.Line}
-	var st ast.Stmt
 	if bcast {
 		s := &ast.PostBcast{Array: arr.Text, Sec: sec, Root: peer, To: to, Tag: tag}
-		s.Position = pos
-		st = s
-	} else {
-		s := &ast.PostRecv{Array: arr.Text, Sec: sec, Src: peer, Tag: tag}
-		s.Position = pos
-		st = s
+		s.Position = ast.Position{Line: arr.Line}
+		return s, p.endOfStmt()
 	}
-	return st, p.endOfStmt()
+	s := &ast.PostRecv{Array: arr.Text, Sec: sec, Src: peer, Tag: tag}
+	s.Position = ast.Position{Line: arr.Line}
+	return s, p.endOfStmt()
 }
 
 // parseWait parses "waitrecv ARR tag N" / "waitbcast ARR tag N".
@@ -955,18 +960,14 @@ func (p *parser) parseWait(bcast bool) (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	pos := ast.Position{Line: arr.Line}
-	var st ast.Stmt
 	if bcast {
 		s := &ast.WaitBcast{Array: arr.Text, Tag: tag}
-		s.Position = pos
-		st = s
-	} else {
-		s := &ast.WaitRecv{Array: arr.Text, Tag: tag}
-		s.Position = pos
-		st = s
+		s.Position = ast.Position{Line: arr.Line}
+		return s, p.endOfStmt()
 	}
-	return st, p.endOfStmt()
+	s := &ast.WaitRecv{Array: arr.Text, Tag: tag}
+	s.Position = ast.Position{Line: arr.Line}
+	return s, p.endOfStmt()
 }
 
 func (p *parser) parseTag(line int) (int, error) {
@@ -1045,13 +1046,9 @@ func (p *parser) parseSection(whole bool) ([]ast.SecDim, error) {
 	return sec, nil
 }
 
-// parseRemap parses "remap ARR(SPEC,...)" / "markas ARR(SPEC,...)".
-func (p *parser) parseRemap(inPlace bool) (ast.Stmt, error) {
-	p.next() // keyword
-	arr, err := p.expect(lexer.IDENT, "array name")
-	if err != nil {
-		return nil, err
-	}
+// parseDistSpecs parses "(SPEC,...)", each SPEC ":", BLOCK, CYCLIC or
+// CYCLIC(k), for a DISTRIBUTE or a remap (what names which).
+func (p *parser) parseDistSpecs(what string) ([]ast.DistSpec, error) {
 	if _, err := p.expect(lexer.LPAREN, "("); err != nil {
 		return nil, err
 	}
@@ -1080,13 +1077,27 @@ func (p *parser) parseRemap(inPlace bool) (ast.Stmt, error) {
 			}
 			specs = append(specs, sp)
 		default:
-			return nil, fmt.Errorf("line %d: bad remap format %q", t.Line, t.Text)
+			return nil, fmt.Errorf("line %d: bad %s format %q", t.Line, what, t.Text)
 		}
 		if p.at(lexer.COMMA) {
 			p.next()
 		}
 	}
 	p.next() // RPAREN
+	return specs, nil
+}
+
+// parseRemap parses "remap ARR(SPEC,...)" / "markas ARR(SPEC,...)".
+func (p *parser) parseRemap(inPlace bool) (ast.Stmt, error) {
+	p.next() // keyword
+	arr, err := p.expect(lexer.IDENT, "array name")
+	if err != nil {
+		return nil, err
+	}
+	specs, err := p.parseDistSpecs("remap")
+	if err != nil {
+		return nil, err
+	}
 	st := &ast.Remap{Array: arr.Text, To: specs, InPlace: inPlace}
 	return st, p.endOfStmt()
 }

@@ -87,28 +87,29 @@ func sendEarly(v *view, start int) (int, bool) {
 		return i + 5*len(gs), true
 	}
 
-	seg := make([]ast.Stmt, 0, 6*len(gs))
+	list := append(make([]ast.Stmt, 0, len(v.list)+len(gs)), v.list[:i]...) // a split loop adds one
 	for l := range gs {
 		g := &gs[l]
 		sent := l > 0 && gs[l-1].early // this loop's S went out in the loop before
 		if !sent {
-			seg = append(seg, g.shift)
+			list = append(list, g.shift)
 		}
 		switch {
 		case !g.early && sent && g.sinkable() == "":
-			seg = append(seg, g.pipeIn, g.shiftIn, g.loop, g.pipe)
+			list = append(list, g.pipeIn, g.shiftIn, g.loop, g.pipe)
 		case !g.early:
-			seg = append(seg, g.shiftIn, g.pipeIn, g.loop, g.pipe)
+			list = append(list, g.shiftIn, g.pipeIn, g.loop, g.pipe)
 		default:
 			h := gs[l+1].s.Sec[0].Hi
 			head, tail := *g.loop, *g.loop
 			head.Hi = &ast.FuncCall{Name: "MIN", Args: []ast.Expr{g.loop.Hi, h}}
 			tail.Lo = &ast.FuncCall{Name: "MAX", Args: []ast.Expr{g.loop.Lo, &ast.Binary{Op: ast.OpAdd, X: h, Y: &ast.IntLit{Value: 1}}}}
-			seg = append(seg, g.pipeIn, &head, gs[l+1].shift, g.shiftIn, &tail, g.pipe)
+			list = append(list, g.pipeIn, &head, gs[l+1].shift, g.shiftIn, &tail, g.pipe)
 		}
 	}
-	v.replace(i, 5*len(gs), seg...)
-	return i + len(seg), true
+	next := len(list)
+	v.list = append(list, v.list[i+5*len(gs):]...)
+	return next, true
 }
 
 // chainAt appends to gs the pipelined loops of one array from position j

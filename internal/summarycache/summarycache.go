@@ -12,6 +12,10 @@
 // test, so the misses of a compile are the recompile set
 // (Compilation.CacheMisses).
 //
+// The cache also remembers parsed source units by their text and first
+// line (it is the parser's Memo), so a warm compile parses only the
+// units whose text changed; those live in memory only.
+//
 // The cache lives for the process and may be shared across any number
 // of compilations (it is safe for concurrent use by the parallel
 // compile pipeline's workers). A nil *Cache disables caching; every
@@ -31,6 +35,7 @@ import (
 	"fortd/internal/decomp"
 	"fortd/internal/explain"
 	"fortd/internal/livedecomp"
+	"fortd/internal/parser"
 	"fortd/internal/partition"
 )
 
@@ -95,6 +100,7 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	mu       sync.Mutex
 	entries  map[string]*Entry
+	units    map[parser.Chunk]*ast.Procedure
 	hits     int64
 	misses   int64
 	diskHits int64
@@ -120,14 +126,6 @@ func Open(dir string) (*Cache, error) {
 		return nil, fmt.Errorf("summarycache: %w", err)
 	}
 	return &Cache{disk: &disk{dir: dir}}, nil
-}
-
-// Dir returns the disk tier's directory ("" for memory-only caches).
-func (c *Cache) Dir() string {
-	if c == nil || c.disk == nil {
-		return ""
-	}
-	return c.disk.dir
 }
 
 // Enabled reports whether lookups can hit.
@@ -195,14 +193,29 @@ func (c *Cache) Put(e *Entry) {
 	}
 }
 
-// Len returns the number of stored entries.
-func (c *Cache) Len() int {
+// Unit and KeepUnit make the cache the parser's memo of source units
+// (parser.Memo): a warm compile parses only the units whose text or
+// first line changed. Units are memory-only and uncounted in Stats.
+func (c *Cache) Unit(chunk parser.Chunk) *ast.Procedure {
 	if c == nil {
-		return 0
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.units[chunk]
+}
+
+// KeepUnit stores u as the unit parsed from chunk.
+func (c *Cache) KeepUnit(chunk parser.Chunk, u *ast.Procedure) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.units == nil {
+		c.units = map[parser.Chunk]*ast.Procedure{}
+	}
+	c.units[chunk] = u
 }
 
 // Stats returns the cumulative hit/miss counters.
@@ -221,14 +234,14 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// Reset drops all in-memory entries and counters (the cache stays
-// enabled; entry files in the disk tier are left in place).
+// Reset drops all in-memory entries, source units and counters (the
+// cache stays enabled; entry files in the disk tier are left in place).
 func (c *Cache) Reset() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.entries = nil
+	c.entries, c.units = nil, nil
 	c.hits, c.misses, c.diskHits = 0, 0, 0
 	c.mu.Unlock()
 }

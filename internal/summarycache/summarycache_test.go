@@ -55,8 +55,8 @@ func TestCacheBasics(t *testing.T) {
 	if e == nil || e.Proc != "foo" {
 		t.Fatalf("Get after Put = %+v", e)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("Entries = %d", c.Stats().Entries)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -66,7 +66,7 @@ func TestCacheBasics(t *testing.T) {
 		t.Fatalf("HitRate = %v, want 0.5", got)
 	}
 	c.Reset()
-	if c.Len() != 0 || c.Stats().Hits != 0 || c.Stats().Misses != 0 {
+	if c.Stats().Entries != 0 || c.Stats().Hits != 0 || c.Stats().Misses != 0 {
 		t.Fatalf("Reset left %+v", c.Stats())
 	}
 }
@@ -80,7 +80,7 @@ func TestCacheNilSafety(t *testing.T) {
 		t.Error("nil cache Get != nil")
 	}
 	c.Put(&Entry{Key: "k"}) // must not panic
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("nil cache Len != 0")
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
@@ -109,8 +109,8 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Len() != 17 {
-		t.Fatalf("Len = %d, want 17", c.Len())
+	if c.Stats().Entries != 17 {
+		t.Fatalf("Entries = %d, want 17", c.Stats().Entries)
 	}
 	st := c.Stats()
 	if st.Hits+st.Misses != 8*200 {

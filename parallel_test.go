@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -427,9 +428,11 @@ func BenchmarkCompileWarmCache(b *testing.B) {
 // into the program as stored, and nothing downstream — cloning, the
 // schedule pass — writes it or the input program. Two compiles share
 // one warm cache concurrently, with the schedule pass on (ci.sh runs
-// this under -race); every input and every cached unit prints as it did
-// before. The sources clone (fig4), pipeline a pivot broadcast (dgefa),
-// split halos (jacobi2d) and split chains of pipelined loops.
+// this under -race), once from programs parsed apart and once from
+// source text, which shares the source units the cache memoized; every
+// input, every memoized source unit and every cached unit prints as it
+// did before. The sources clone (fig4), pipeline a pivot broadcast
+// (dgefa), split halos (jacobi2d) and split chains of pipelined loops.
 func TestCachedUnitsAreNeverWritten(t *testing.T) {
 	var srcs []string
 	for _, name := range []string{"fig4.f", "dgefa.f", "jacobi2d.f"} {
@@ -447,6 +450,7 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 	// with the schedule pass off, a program's units are the entries its
 	// compile stored, and a warm compile's are the same pointers
 	var stored []*ast.Procedure
+	var sources [][]*ast.Procedure // each source's units, as memoized
 	for _, src := range srcs {
 		for i := 0; i < 2; i++ {
 			c, err := core.Compile(src, blocking)
@@ -455,6 +459,7 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 			}
 			if i == 0 {
 				stored = append(stored, c.Program.Units...)
+				sources = append(sources, c.Source.Units)
 				continue
 			}
 			for j, u := range c.Program.Units {
@@ -471,7 +476,8 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 		}
 		return out
 	}
-	cached := printAll(ast.NewProgram(stored))
+	memoized := ast.NewProgram(slices.Concat(sources...))
+	cached := printAll(ast.NewProgram(stored), memoized)
 	var inputs [2][]*ast.Program
 	var before [2][]string
 	for w := range inputs {
@@ -490,10 +496,16 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, prog := range inputs[w] {
+			for i, prog := range inputs[w] {
 				c, err := core.CompileProgram(prog, opts)
+				if err == nil && len(c.CacheMisses) == 0 {
+					c, err = core.Compile(srcs[i], opts)
+				}
 				if err == nil && len(c.CacheMisses) > 0 {
 					err = fmt.Errorf("warm compile missed %v", c.CacheMisses)
+				}
+				if err == nil && !slices.Equal(c.Source.Units, sources[i]) {
+					err = fmt.Errorf("compiling source %d parsed units the cache had memoized", i)
 				}
 				if err != nil {
 					errs[w] = err
@@ -513,8 +525,10 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 			}
 		}
 	}
-	if after := printAll(ast.NewProgram(stored)); after[0] != cached[0] {
-		t.Errorf("the cached units changed:\n%s\n--- now\n%s", cached[0], after[0])
+	for i, after := range printAll(ast.NewProgram(stored), memoized) {
+		if after != cached[i] {
+			t.Errorf("the cached units (%d) changed:\n%s\n--- now\n%s", i, cached[i], after)
+		}
 	}
 }
 

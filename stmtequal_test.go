@@ -116,8 +116,7 @@ func TestStmtEqualMatchesPrintedKey(t *testing.T) {
 		&ast.Remap{Array: "a", To: []ast.DistSpec{{Kind: ast.DistBlockCyclic, BlockSize: 3}}},
 		&ast.Remap{Array: "a", To: []ast.DistSpec{{Kind: ast.DistBlockCyclic, BlockSize: 4}}},
 		&ast.Remap{Array: "a", To: []ast.DistSpec{{Kind: ast.DistBlock}}, InPlace: true},
-		&ast.Call{Name: "f", Args: []ast.Expr{ast.Id("i")}, Site: 1},
-		&ast.Call{Name: "f", Args: []ast.Expr{ast.Id("i")}, Site: 2},
+		&ast.Call{Name: "f", Args: []ast.Expr{ast.Id("i")}},
 		&ast.Do{Var: "i", Lo: ast.Int(1), Hi: ast.Id("n")},
 		&ast.Do{Var: "i", Lo: ast.Int(1), Hi: ast.Id("n"), Step: ast.Int(1)},
 		&ast.PostRecv{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Src: ast.Id("p"), Tag: 1},
