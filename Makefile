@@ -47,12 +47,13 @@ report: ## render the dgefa HTML performance report to report.html
 	$(GO) run ./cmd/fdrun -report report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
-fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (seeds: testdata, testdata/pipeline, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form and lexer against their oracles, and the schedule pass against the blocking program
+fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (seeds: testdata, testdata/pipeline, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form, lexer and codegen's DO-index liveness walk against their oracles, and the schedule pass against the blocking program
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzAffine -fuzztime $(FUZZTIME) ./internal/depend
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/lexer
+	$(GO) test -run '^$$' -fuzz FuzzLiveIndices -fuzztime $(FUZZTIME) ./internal/codegen
 	$(GO) test -run '^$$' -fuzz FuzzSchedEquivalence -fuzztime $(FUZZTIME) ./internal/sched
 
 FDD_ADDR ?= localhost:8700

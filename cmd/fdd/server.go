@@ -381,10 +381,13 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	// the report recompiles traced; route it through the shared cache
-	// so the phase-3 work is served warm
+	// The report recompiles traced and with remarks on, through the
+	// shared cache. A procedure's cache key holds the remarks flag, so the
+	// first report of a program compiled without remarks misses every
+	// procedure. It stops where /run does: at the service's run deadline,
+	// or when the client goes away.
 	opts.Cache = s.svc.Cache()
-	sec, err := report.BuildSection(id[:12], src, nil, opts, nil)
+	sec, err := report.BuildSection(r.Context(), id[:12], src, nil, opts, nil, s.svc.RunDeadline())
 	if err != nil {
 		writeError(w, r, err)
 		return

@@ -884,3 +884,72 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 	}
 }
+
+// TestDaemonReportHonoursDeadlines: GET /report/{id} recompiles and
+// runs the program, so it must stop where /run stops: at the service's
+// run deadline, and when the client goes away. The program it asks for
+// runs two billion iterations, so a report that ignores both never
+// returns. The retained program also keeps the compile deadline it
+// inherited from the service.
+func TestDaemonReportHonoursDeadlines(t *testing.T) {
+	const spin = `
+      PROGRAM P
+      PARAMETER (n$proc = 2)
+      REAL x(8)
+      DISTRIBUTE x(BLOCK)
+      s = 0.0
+      do i = 1, 2000000000
+        s = s + 1.0
+      enddo
+      x(1) = s
+      END
+`
+	for _, tc := range []struct {
+		name   string
+		cfg    fortd.ServiceConfig
+		cancel bool
+		want   int
+	}{
+		{"run deadline", fortd.ServiceConfig{RunDeadline: time.Millisecond, Options: fortd.Options{Deadline: time.Minute}}, false, http.StatusUnprocessableEntity},
+		{"client gone", fortd.ServiceConfig{}, true, 499},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			tc.cfg.Metrics = reg
+			svc, err := fortd.NewService(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(svc.Close)
+			h := newServer(svc, fortd.DefaultOptions(), newTelemetry(slog.New(slog.NewJSONHandler(io.Discard, nil)), reg), false)
+			w, out := do(t, h, "POST", "/compile", map[string]any{"session": "t", "source": spin})
+			if w.Code != http.StatusOK {
+				t.Fatalf("compile status %d: %s", w.Code, w.Body.String())
+			}
+			id, _ := out["id"].(string)
+			if _, opts, _, err := svc.Lookup(id); err != nil || opts.Deadline != tc.cfg.Options.Deadline {
+				t.Errorf("retained compile deadline %v (%v), want the service's %v", opts.Deadline, err, tc.cfg.Options.Deadline)
+			}
+			req := httptest.NewRequest("GET", "/report/"+id, nil)
+			if tc.cancel {
+				ctx, cancel := context.WithCancel(req.Context())
+				cancel()
+				req = req.WithContext(ctx)
+			}
+			done := make(chan *httptest.ResponseRecorder, 1)
+			go func() {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				done <- w
+			}()
+			select {
+			case w := <-done:
+				if w.Code != tc.want {
+					t.Errorf("report status %d, want %d: %s", w.Code, tc.want, w.Body.String())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("GET /report did not return within 10 s")
+			}
+		})
+	}
+}

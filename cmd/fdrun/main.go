@@ -31,15 +31,17 @@
 //
 // -spmd runs the input as a hand-written SPMD node program directly on
 // the simulated machine, skipping compilation and the sequential
-// check. -deadline bounds the run's wall-clock time: a run that would
-// hang (mismatched sends/receives, a true deadlock) instead exits
-// non-zero with the machine's per-processor deadlock report. The
+// check. -deadline bounds the wall-clock time of the run, and of each
+// of -report's runs: a run that would hang (mismatched sends/receives,
+// a true deadlock) instead exits non-zero with the machine's
+// per-processor deadlock report. The
 // -fault-* flags build a seeded, deterministic fault-injection plan
 // (delivery delays, duplicated messages, straggler processors); the
 // same seed reproduces the same faults and the same trace exports.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -273,7 +275,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fdrun:", err)
 			os.Exit(2)
 		}
-		sec, err := report.BuildSection(flag.Arg(0), src, init, opts, sweep)
+		sec, err := report.BuildSection(context.Background(), flag.Arg(0), src, init, opts, sweep, *deadline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun: report:", err)
 			os.Exit(1)

@@ -12,9 +12,7 @@ import (
 	"slices"
 
 	"fortd/internal/ast"
-	"fortd/internal/cfg"
 	"fortd/internal/comm"
-	"fortd/internal/dataflow"
 	"fortd/internal/livedecomp"
 	"fortd/internal/partition"
 )
@@ -466,8 +464,8 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 // them: it then holds the loop's last iteration, which a processor that
 // ran only its own has to be given. An index that is a formal or in
 // COMMON is live at a subroutine's exit, where its caller may read it.
-// The data-flow problem is solved only if proc names a DO index outside
-// the loops binding it or has such an index.
+// The walk runs only if proc names a DO index outside the loops binding
+// it or has such an index.
 func liveIndices(proc *ast.Procedure) map[*ast.Do]bool {
 	free := map[string]int{}
 	count := func(body []ast.Stmt, v string, n int) {
@@ -479,13 +477,13 @@ func liveIndices(proc *ast.Procedure) map[*ast.Do]bool {
 	}
 	count(proc.Body, "", 1)
 	var loops []*ast.Do
-	exit := dataflow.NewSet() // what a caller may read
+	exit := map[string]bool{} // what a caller may read
 	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
 		if d, ok := s.(*ast.Do); ok {
 			count(d.Body, d.Var, -1)
 			loops = append(loops, d)
 			if sym := proc.Symbols.Lookup(d.Var); !proc.IsMain && sym != nil && (sym.IsFormal || sym.Common != "") {
-				exit[d.Var] = struct{}{}
+				exit[d.Var] = true
 			}
 		}
 		return true
@@ -493,16 +491,107 @@ func liveIndices(proc *ast.Procedure) map[*ast.Do]bool {
 	if len(exit) == 0 && !slices.ContainsFunc(loops, func(d *ast.Do) bool { return free[d.Var] != 0 }) {
 		return nil
 	}
-	g := cfg.Build(proc)
-	live := dataflow.Solve(g, dataflow.LiveScalars{}, dataflow.Backward, exit)
+	return liveAfter(proc.Body, loops, exit)
+}
+
+// liveAfter reports which of loops, the DO loops of body, have their
+// index live after them, given the names live at body's exit.
+func liveAfter(body []ast.Stmt, loops []*ast.Do, exit map[string]bool) map[*ast.Do]bool {
 	out := map[*ast.Do]bool{}
-	for _, n := range g.Nodes {
-		if n.Loop != nil {
-			after := n.Succs[len(n.Succs)-1] // cfg.Build connects a loop's exit last
-			out[n.Loop] = live.In[after.ID].Has(n.Loop.Var)
+	done := map[string]bool{}
+	for _, d := range loops {
+		if !done[d.Var] {
+			done[d.Var] = true
+			w := liveWalk{v: d.Var, exit: exit[d.Var], live: out}
+			w.seq(body, w.exit, true)
 		}
 	}
 	return out
+}
+
+// liveWalk is the liveness of one DO index v, walked backward over the
+// structured body: each statement maps whether v is live after it to
+// whether v is live before it. A loop binding v is marked in live when
+// control reaches it and v is live after it.
+type liveWalk struct {
+	v    string
+	exit bool // v is live at the procedure's exit
+	live map[*ast.Do]bool
+}
+
+// seq returns whether v is live before body, given out, whether it is
+// live after it; reach says whether control reaches body.
+func (w *liveWalk) seq(body []ast.Stmt, out, reach bool) bool {
+	end := len(body) // control never reaches body[end:]
+	if i := slices.IndexFunc(body, stops); i >= 0 {
+		end = i + 1
+	}
+	for i := len(body) - 1; i >= 0; i-- {
+		out = w.stmt(body[i], out, reach && i < end)
+	}
+	return out
+}
+
+func (w *liveWalk) stmt(s ast.Stmt, out, reach bool) bool {
+	switch st := s.(type) {
+	case *ast.Return:
+		out = w.exit
+	case *ast.Assign:
+		if id, ok := st.Lhs.(*ast.Ident); ok {
+			return reads(w.v, st.Rhs) || out && id.Name != w.v
+		}
+	case *ast.If:
+		other := out // without an ELSE, the fall-through path
+		if len(st.Else) > 0 {
+			other = w.seq(st.Else, out, reach)
+		}
+		out = w.seq(st.Then, out, reach) || other
+	case *ast.Do:
+		// the head reads the bounds and assigns the index; the loop may
+		// run zero times, and its body's end goes back to the head
+		head := reads(w.v, ast.StmtExprs(st)...)
+		if st.Var == w.v {
+			if reach && out {
+				w.live[st] = true
+			}
+			w.seq(st.Body, head, reach)
+			return head
+		}
+		head = head || out
+		if !head {
+			head = w.seq(st.Body, false, reach)
+		}
+		if head {
+			w.seq(st.Body, true, reach)
+		}
+		return head
+	}
+	return reads(w.v, ast.StmtExprs(s)...) || out
+}
+
+// stops reports whether control cannot leave s at its end: a RETURN, or
+// an IF whose branches both stop.
+func stops(s ast.Stmt) bool {
+	switch st := s.(type) {
+	case *ast.Return:
+		return true
+	case *ast.If:
+		return slices.ContainsFunc(st.Then, stops) && slices.ContainsFunc(st.Else, stops)
+	}
+	return false
+}
+
+// reads reports whether any of exprs names v.
+func reads(v string, exprs ...ast.Expr) bool {
+	found := false
+	for _, e := range exprs {
+		ast.WalkExpr(e, func(e ast.Expr) {
+			if id, ok := e.(*ast.Ident); ok && id.Name == v {
+				found = true
+			}
+		})
+	}
+	return found
 }
 
 // remapStmt materializes one remap operation.

@@ -5,7 +5,6 @@ import (
 
 	"fortd/internal/acg"
 	"fortd/internal/ast"
-	"fortd/internal/dataflow"
 	"fortd/internal/decomp"
 	"fortd/internal/depend"
 	"fortd/internal/partition"
@@ -388,7 +387,7 @@ func instantiate(
 	nest []*ast.Do,
 	distOf partition.DistOf,
 	sections map[string]*SectionSummary,
-	mod dataflow.Set,
+	mod sideeffect.Set,
 	env ast.Env,
 ) *CallComm {
 	cc := &CallComm{Site: site, Nest: append([]*ast.Do(nil), nest...), D: d, Array: callerName(site, d.Array)}
@@ -470,7 +469,7 @@ func instantiate(
 // calleeWrites returns the callee's write sections translated to the
 // caller's space with anchors preserved (no loop expansion), for the
 // carried-dependence test.
-func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc *ast.Procedure, nest []*ast.Do, mod dataflow.Set, env ast.Env) []*rsd.Section {
+func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc *ast.Procedure, nest []*ast.Do, mod sideeffect.Set, env ast.Env) []*rsd.Section {
 	sum := sections[site.Callee.Name()]
 	if sum == nil {
 		return nil

@@ -8,7 +8,6 @@ package comm
 import (
 	"fortd/internal/acg"
 	"fortd/internal/ast"
-	"fortd/internal/dataflow"
 	"fortd/internal/depend"
 	"fortd/internal/partition"
 	"fortd/internal/rsd"
@@ -55,14 +54,14 @@ func ComputeSections(g *acg.Graph, fx *sideeffect.Analysis) map[string]*SectionS
 }
 
 // assigned returns what proc or a procedure it calls may assign.
-func assigned(fx *sideeffect.Analysis, proc *ast.Procedure) dataflow.Set {
+func assigned(fx *sideeffect.Analysis, proc *ast.Procedure) sideeffect.Set {
 	if fx == nil || fx.Summaries[proc.Name] == nil {
 		return nil
 	}
 	return fx.Summaries[proc.Name].Mod
 }
 
-func procSections(n *acg.Node, mod dataflow.Set, done map[string]*SectionSummary) *SectionSummary {
+func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSummary) *SectionSummary {
 	proc := n.Proc
 	sum := newSectionSummary()
 	env := proc.Constants()
@@ -264,7 +263,7 @@ func callerName(site *acg.CallSite, name string) string {
 // section: a dimension anchored at a formal whose actual has no name,
 // or at a scalar the caller may assign (mod) other than as the index of
 // a loop around the call (nest), widens to the array's declared extent.
-func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, array string, caller *ast.Procedure, nest []*ast.Do, mod dataflow.Set, env ast.Env) *rsd.Section {
+func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, array string, caller *ast.Procedure, nest []*ast.Do, mod sideeffect.Set, env ast.Env) *rsd.Section {
 	out := sec.Rename(array, vars)
 	for i, d := range sec.Dims {
 		for _, v := range [2]string{d.LoVar, d.HiVar} {
@@ -283,7 +282,7 @@ func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, a
 // that land on caller loop variables with constant bounds are expanded
 // (Bind) — the upward half of the Translate function of Figure 6
 // applied to RSDs.
-func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedure, nest []*ast.Do, mod dataflow.Set, env ast.Env) *rsd.Section {
+func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedure, nest []*ast.Do, mod sideeffect.Set, env ast.Env) *rsd.Section {
 	actual := callerName(site, sec.Array)
 	if actual == "" || site.Callee.Proc.Symbols.Lookup(sec.Array) == nil {
 		return nil

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -62,7 +63,7 @@ func distillDigest(t *testing.T, cell, src string, init map[string][]float64, p 
 	if err := tr.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	sec, err := BuildSection(cell, src, init, opts, nil)
+	sec, err := BuildSection(context.Background(), cell, src, init, opts, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

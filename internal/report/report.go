@@ -8,37 +8,36 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"fortd"
 	"fortd/internal/profile"
 	"fortd/internal/trace/analyze"
 )
 
-// DefaultSweep is the processor sweep used when the caller does not
-// give one: the paper's §9 presentation points.
-var DefaultSweep = []int{1, 2, 4, 8}
-
 // BuildSection compiles src with opts, executes it traced on the
 // simulated machine, and returns the workload's report section:
 // communication analysis, optimization remarks, and — when sweepPs is
 // non-empty — a processor-scaling sweep (each point is a fresh compile
-// and untraced run at that P).
-func BuildSection(name, src string, init map[string][]float64, opts fortd.Options, sweepPs []int) (*analyze.Section, error) {
+// and untraced run at that P). Every compile and run stops when ctx is
+// done, and every run after deadline (0: none).
+func BuildSection(ctx context.Context, name, src string, init map[string][]float64, opts fortd.Options, sweepPs []int, deadline time.Duration) (*analyze.Section, error) {
 	tr := fortd.NewTrace()
 	ex := fortd.NewExplain()
 	opts.Trace = tr
 	opts.Explain = ex
-	prog, err := fortd.Compile(src, opts)
+	prog, err := fortd.CompileContext(ctx, src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	res, err := fortd.NewRunner(fortd.WithInit(init), fortd.WithTrace(tr)).Run(prog)
+	res, err := fortd.NewRunner(fortd.WithInit(init), fortd.WithTrace(tr), fortd.WithDeadline(deadline)).RunContext(ctx, prog)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -60,11 +59,11 @@ func BuildSection(name, src string, init map[string][]float64, opts fortd.Option
 			o.P = p
 			o.Trace = nil
 			o.Explain = nil
-			sp, err := fortd.Compile(src, o)
+			sp, err := fortd.CompileContext(ctx, src, o)
 			if err != nil {
 				return analyze.Point{}, err
 			}
-			sr, err := fortd.NewRunner(fortd.WithInit(init)).Run(sp)
+			sr, err := fortd.NewRunner(fortd.WithInit(init), fortd.WithDeadline(deadline)).RunContext(ctx, sp)
 			if err != nil {
 				return analyze.Point{}, err
 			}

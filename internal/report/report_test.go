@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestReportHTML(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sec, err := BuildSection(tc.name, tc.src, tc.init, fortd.DefaultOptions(), []int{1, 2, 4})
+			sec, err := BuildSection(context.Background(), tc.name, tc.src, tc.init, fortd.DefaultOptions(), []int{1, 2, 4}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

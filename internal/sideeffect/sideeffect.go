@@ -15,15 +15,57 @@ package sideeffect
 import (
 	"fortd/internal/acg"
 	"fortd/internal/ast"
-	"fortd/internal/dataflow"
 )
+
+// Set is a set of names.
+type Set map[string]struct{}
+
+// NewSet builds a set from its members.
+func NewSet(members ...string) Set {
+	s := make(Set, len(members))
+	for _, m := range members {
+		s[m] = struct{}{}
+	}
+	return s
+}
+
+// Has reports membership.
+func (s Set) Has(m string) bool {
+	_, ok := s[m]
+	return ok
+}
+
+// Clone copies the set.
+func (s Set) Clone() Set {
+	out := make(Set, len(s))
+	for m := range s {
+		out[m] = struct{}{}
+	}
+	return out
+}
+
+// Union adds all of o to s.
+func (s Set) Union(o Set) {
+	for m := range o {
+		s[m] = struct{}{}
+	}
+}
+
+// Members returns the elements (unordered).
+func (s Set) Members() []string {
+	out := make([]string, 0, len(s))
+	for m := range s {
+		out = append(out, m)
+	}
+	return out
+}
 
 // Summary holds the side effects of one procedure, expressed in that
 // procedure's own name space (formals, globals and locals), or of any
 // list of statements (Analysis.Add).
 type Summary struct {
-	Mod dataflow.Set // GMOD: may be modified by P or descendants
-	Ref dataflow.Set // GREF: may be referenced by P or descendants
+	Mod Set // GMOD: may be modified by P or descendants
+	Ref Set // GREF: may be referenced by P or descendants
 	// Comm is set when P or a descendant executes a communication
 	// statement, or calls a procedure the program does not define (which
 	// may do anything).
@@ -31,10 +73,10 @@ type Summary struct {
 }
 
 // NewSummary returns the summary of doing nothing.
-func NewSummary() *Summary { return &Summary{Mod: dataflow.NewSet(), Ref: dataflow.NewSet()} }
+func NewSummary() *Summary { return &Summary{Mod: NewSet(), Ref: NewSet()} }
 
 // Appear returns GMOD ∪ GREF.
-func (s *Summary) Appear() dataflow.Set {
+func (s *Summary) Appear() Set {
 	out := s.Mod.Clone()
 	out.Union(s.Ref)
 	return out
@@ -46,7 +88,7 @@ type Analysis struct {
 	prog      *ast.Program
 	// commons holds every name some unit declares in a COMMON block: an
 	// effect on one passes through callers that do not declare it.
-	commons dataflow.Set
+	commons Set
 }
 
 // Compute solves GMOD/GREF bottom-up over the acyclic call graph: each
@@ -55,7 +97,7 @@ type Analysis struct {
 // Purely local effects stay in a procedure's summary for its own use;
 // callers see only what translates: formals and commons.
 func Compute(g *acg.Graph) *Analysis {
-	a := &Analysis{Summaries: make(map[string]*Summary), prog: g.Program, commons: dataflow.NewSet()}
+	a := &Analysis{Summaries: make(map[string]*Summary), prog: g.Program, commons: NewSet()}
 	for _, u := range g.Program.Units {
 		for _, sym := range u.Symbols.Symbols() {
 			if sym.Common != "" {
@@ -167,7 +209,7 @@ func (a *Analysis) Add(sum *Summary, body ...ast.Stmt) {
 // (an array-element actual stands for its array), common variables
 // keep their names — also through a callee that does not declare them
 // itself — and callee locals are dropped.
-func (a *Analysis) translate(call *ast.Call, calleeSet, out dataflow.Set) {
+func (a *Analysis) translate(call *ast.Call, calleeSet, out Set) {
 	callee := a.prog.Proc(call.Name)
 	for name := range calleeSet {
 		sym := callee.Symbols.Lookup(name)
@@ -193,9 +235,9 @@ func (a *Analysis) translate(call *ast.Call, calleeSet, out dataflow.Set) {
 
 // AppearSet returns Appear(P) for the named procedure ("" sets for
 // unknown procedures, which arise only for external routines).
-func (a *Analysis) AppearSet(name string) dataflow.Set {
+func (a *Analysis) AppearSet(name string) Set {
 	if s, ok := a.Summaries[name]; ok {
 		return s.Appear()
 	}
-	return dataflow.NewSet()
+	return NewSet()
 }

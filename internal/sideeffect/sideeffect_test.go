@@ -1,7 +1,9 @@
 package sideeffect
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"fortd/internal/acg"
 	"fortd/internal/parser"
@@ -246,5 +248,47 @@ func TestGeneratedDialect(t *testing.T) {
 	a.Add(one, call)
 	if !one.Mod.Has("a") || len(one.Mod) != 1 || one.Comm {
 		t.Errorf("call quiet(a): Mod %v Comm %v, want [a] false", one.Mod.Members(), one.Comm)
+	}
+}
+
+func TestSetOps(t *testing.T) {
+	a := NewSet("x", "y")
+	if !a.Has("x") || a.Has("z") {
+		t.Error("membership")
+	}
+	c := a.Clone()
+	c.Union(NewSet("y", "z"))
+	if m := c.Members(); len(m) != 3 || !slices.Contains(m, "z") {
+		t.Errorf("union = %v", m)
+	}
+	if len(a) != 2 {
+		t.Errorf("the union wrote the set it was cloned from: %v", a.Members())
+	}
+}
+
+func TestSetUnionProperty(t *testing.T) {
+	f := func(xs, ys []string) bool {
+		a, b := NewSet(xs...), NewSet(ys...)
+		u := a.Clone()
+		u.Union(b)
+		for m := range a {
+			if !u.Has(m) {
+				return false
+			}
+		}
+		for m := range b {
+			if !u.Has(m) {
+				return false
+			}
+		}
+		for m := range u {
+			if !a.Has(m) && !b.Has(m) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

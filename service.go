@@ -134,8 +134,9 @@ type ServiceConfig struct {
 	// directory, so a restarted daemon keeps serving its accumulated
 	// profile corpus. Empty keeps profiles in memory only.
 	ProfileDir string
-	// RunDeadline bounds each simulated run's wall-clock time (0:
-	// none); the machine detects a true deadlock regardless.
+	// RunDeadline bounds each simulated run's wall-clock time, a
+	// report's run included (0: none); the machine detects a true
+	// deadlock regardless.
 	RunDeadline time.Duration
 	// MaxPrograms bounds the compiled-program table serving run-by-id
 	// and /report/{id}; the least recently used entry is evicted (0:
@@ -382,6 +383,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // Cache returns the service's shared summary cache.
 func (s *Service) Cache() *SummaryCache { return s.cache }
 
+// RunDeadline returns ServiceConfig.RunDeadline, the bound on each
+// simulated run's wall-clock time.
+func (s *Service) RunDeadline() time.Duration { return s.cfg.RunDeadline }
+
 // Close marks the service closed: subsequent requests fail with
 // ErrServiceClosed; requests already executing finish normally.
 func (s *Service) Close() {
@@ -601,7 +606,7 @@ func (s *Service) compileLocked(ctx context.Context, req CompileRequest) (*Compi
 	// Deadline/Overlap inheritance), so an explicit-overlap request and
 	// one inheriting a default-on service map to the same program id.
 	eff := req.Options
-	eff.Overlap = opts.Overlap
+	eff.Deadline, eff.Overlap = opts.Deadline, opts.Overlap
 	res := &CompileResult{
 		ID:      ProgramID(req.Source, eff),
 		Program: prog,
