@@ -11,6 +11,11 @@
 set -eux
 
 test -z "$(gofmt -l .)"
+# no tracked binary: go build ./cmd/... leaves fdc, fdd, fdrun, fdprof and
+# fdpaper in the checkout (.gitignore lists them); a tracked file that
+# starts with the ELF magic fails the gate
+ELF=$(git ls-files -z | xargs -0 sh -c 'for f; do [ "$(head -c 4 "$f" 2>/dev/null | od -An -tx1 | tr -d " \n")" = 7f454c46 ] && echo "$f"; done; true' sh)
+test -z "$ELF"
 # the tracked size of the production code (ROADMAP item 6) is a ratchet:
 # it may not grow past the ceiling, and a PR that shrinks it lowers the
 # ceiling to its own result in the same diff. PR 18 added a compiler
@@ -90,8 +95,12 @@ test -z "$(gofmt -l .)"
 # 25035 -> 25030. The next change (2026-10-17) deleted internal/cfg and
 # internal/dataflow, whose only client was codegen's question which DO
 # indices are read after their loop, now a structural walk, and made
-# GET /report honour the run deadline and the client: 25030 -> 24803
-LOC_CEILING=24803
+# GET /report honour the run deadline and the client: 25030 -> 24803.
+# The next change (2026-10-17) made a broadcast decide who takes part
+# before it clips the section (the rank check out of clip, receivers in
+# closed form without a window, boxes filled through pointers), allowed
+# at most +20: 24803 -> 24822
+LOC_CEILING=24822
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

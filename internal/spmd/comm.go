@@ -15,7 +15,8 @@ import (
 // non-unit dimensions (section) and walked with strides straight
 // between the window and the message buffer — a(1:128,k) is one
 // stride-128 loop. What the window does not hold in one piece goes
-// element by element and arrives in a site buffer (storage.go).
+// element by element and arrives in a site buffer (storage.go). Only a
+// broadcast's root and group clip; the rest just meet its errors (rooted).
 
 // bounds is an evaluated section: lo:hi per dimension.
 type bounds struct {
@@ -35,12 +36,9 @@ type box struct {
 	ext, str [maxRank]int // extent and stride per dimension
 }
 
-// clip intersects b with arr's bounds.
-func clip(arr *Array, b *bounds) (box, error) {
-	bx := box{n: b.n, elems: 1, stored: true}
-	if b.n != len(arr.Lo) {
-		return bx, fmt.Errorf("section has %d dimensions, the array %d", b.n, len(arr.Lo))
-	}
+// clip intersects b, a section of arr's rank, with arr's bounds into bx.
+func clip(arr *Array, b *bounds, bx *box) {
+	bx.n, bx.elems, bx.stored, bx.base = b.n, 1, true, 0
 	for d := 0; d < b.n; d++ {
 		bx.lo[d], bx.hi[d] = max(b.lo[d], arr.Lo[d]), min(b.hi[d], arr.Hi[d])
 		bx.ext[d] = max(bx.hi[d]-bx.lo[d]+1, 0)
@@ -58,7 +56,6 @@ func clip(arr *Array, b *bounds) (box, error) {
 		bx.base += slot * stride
 		stride *= arr.ext(arr.win, d)
 	}
-	return bx, nil
 }
 
 // next steps idx to the box's next element in message (row-major) order.
@@ -225,57 +222,67 @@ func (c *commSite) bounds(fr *frame, b *bounds) error {
 }
 
 // open starts a statement that moves a section of an array: the array,
-// the section clipped to it and the partner processor (destination,
-// source or root, if any). ok is false when there is nothing to do.
-func (c *commSite) open(fr *frame) (arr *Array, bx box, peer int, ok bool, err error) {
+// the section's bounds in b, checked against its rank, and the partner
+// processor (destination, source or root, if any). ok is false when there
+// is nothing to do.
+func (c *commSite) open(fr *frame, b *bounds) (arr *Array, peer int, ok bool, err error) {
 	if arr, err = c.begin(fr); err != nil {
 		return
 	}
-	var b bounds
-	if err = c.bounds(fr, &b); err != nil || b.empty {
+	if err = c.bounds(fr, b); err != nil || b.empty {
 		return
 	}
-	if bx, err = clip(arr, &b); err != nil {
-		return arr, bx, 0, false, fmt.Errorf("%s %s: %v", c.what, c.array, err)
+	if b.n != len(arr.Lo) {
+		return arr, 0, false, fmt.Errorf("%s %s: section has %d dimensions, the array %d", c.what, c.array, b.n, len(arr.Lo))
 	}
 	peer = c.peer.eval(fr)
 	err = fr.nd.takeErr()
-	return arr, bx, peer, err == nil, err
+	return arr, peer, err == nil, err
 }
 
-// partner is open for a point-to-point statement, which has nothing to
-// do either when its partner is no other processor or no element is left.
-func (c *commSite) partner(fr *frame) (arr *Array, bx box, peer int, ok bool, err error) {
-	arr, bx, peer, ok, err = c.open(fr)
-	return arr, bx, peer, ok && peer >= 0 && peer < fr.nd.pl.nproc && peer != fr.nd.p && bx.elems > 0, err
+// partner is open for a point-to-point statement, clipped into bx: nothing
+// to do when its partner is no other processor or no element is left.
+func (c *commSite) partner(fr *frame, bx *box) (arr *Array, peer int, ok bool, err error) {
+	var b bounds
+	if arr, peer, ok, err = c.open(fr, &b); !ok || peer < 0 || peer >= fr.nd.pl.nproc || peer == fr.nd.p {
+		return arr, peer, false, err
+	}
+	clip(arr, &b, bx)
+	return arr, peer, bx.elems > 0, nil
 }
 
 // rooted is open for a broadcast, whose root must be a processor, and
 // the group it reaches besides: all, or the owners of its "to" section by
-// the array's run-time distribution, along the clause's shape; anyone
-// else skips it (ok false). (A
-// section that clips to nothing still runs the zero-word tree.)
-func (c *commSite) rooted(fr *frame) (arr *Array, bx box, root int, g machine.Group, ok bool, err error) {
+// the array's run-time distribution, along the clause's shape. Only the
+// root and the group clip the section into bx; anyone else skips it (ok
+// false), once it has met every error a member would. (A section that
+// clips to nothing still runs the zero-word tree.)
+func (c *commSite) rooted(fr *frame, bx *box) (arr *Array, root int, g machine.Group, ok bool, err error) {
 	nd := fr.nd
-	if arr, bx, root, ok, err = c.open(fr); ok && (root < 0 || root >= nd.pl.nproc) {
+	var b bounds
+	if arr, root, ok, err = c.open(fr, &b); ok && (root < 0 || root >= nd.pl.nproc) {
 		ok, err = false, fmt.Errorf("%s %s: bad root %d", c.what, c.array, root)
 	}
-	if g = machine.All; !ok || c.to == nil {
-		return
+	if g = machine.All; ok && c.to != nil {
+		t, lo, hi := fr.bind[c.to.slot].arr, c.to.lo.eval(fr), c.to.hi.eval(fr)
+		if err = nd.takeErr(); err == nil && t == nil {
+			err = fmt.Errorf("%s %s: unknown array in to clause", c.what, c.array)
+		}
+		if d := c.to.dim; err == nil && t.Dist != nil && t.Dist.DistDim() == d {
+			g = receivers(t.Dist, max(lo, t.Lo[d]), min(hi, t.Hi[d]))
+		}
+		g.Ring = c.to.ring
+		ok = err == nil && (nd.p == root || g.Has(nd.p, nd.pl.nproc))
 	}
-	t, lo, hi := fr.bind[c.to.slot].arr, c.to.lo.eval(fr), c.to.hi.eval(fr)
-	if err = nd.takeErr(); err == nil && t == nil {
-		err = fmt.Errorf("%s %s: unknown array in to clause", c.what, c.array)
+	if ok {
+		clip(arr, &b, bx)
 	}
-	if d := c.to.dim; err == nil && t.Dist != nil && t.Dist.DistDim() == d {
-		g = receivers(t.Dist, max(lo, t.Lo[d]), min(hi, t.Hi[d]))
-	}
-	g.Ring = c.to.ring
-	return arr, bx, root, g, err == nil && (nd.p == root || g.Has(nd.p, nd.pl.nproc)), err
+	return
 }
 
 func (c *commSite) send(fr *frame) error {
-	arr, bx, dest, ok, err := c.partner(fr)
+	var bx box
+	arr, dest, ok, err := c.partner(fr, &bx)
 	if !ok {
 		return err
 	}
@@ -288,7 +295,8 @@ func (c *commSite) send(fr *frame) error {
 }
 
 func (c *commSite) recv(fr *frame) error {
-	arr, bx, src, ok, err := c.partner(fr)
+	var bx box
+	arr, src, ok, err := c.partner(fr, &bx)
 	if !ok {
 		return err
 	}
@@ -303,7 +311,8 @@ func (c *commSite) recv(fr *frame) error {
 
 func (c *commSite) broadcast(fr *frame) error {
 	nd := fr.nd
-	arr, bx, root, g, ok, err := c.rooted(fr)
+	var bx box
+	arr, root, g, ok, err := c.rooted(fr, &bx)
 	if !ok {
 		return err
 	}
@@ -356,7 +365,8 @@ func (c *commSite) post(nd *node, arr *Array, bx *box) *postedOp {
 // too, which is what makes the schedule pass's unguarded waits safe
 // under the post's original guard.
 func (c *commSite) postRecv(fr *frame) error {
-	arr, bx, src, ok, err := c.partner(fr)
+	var bx box
+	arr, src, ok, err := c.partner(fr, &bx)
 	if ok {
 		fr.nd.proc.IRecvInto(&c.post(fr.nd, arr, &bx).h, src)
 	}
@@ -368,7 +378,8 @@ func (c *commSite) postRecv(fr *frame) error {
 // for.
 func (c *commSite) postBcast(fr *frame) error {
 	nd := fr.nd
-	arr, bx, root, g, ok, err := c.rooted(fr)
+	var bx box
+	arr, root, g, ok, err := c.rooted(fr, &bx)
 	if !ok {
 		return err
 	}
@@ -396,7 +407,8 @@ func (c *commSite) wait(fr *frame) error {
 	nd.posted[c.tag] = nil
 	data := nd.proc.WaitHandle(&po.h)
 	if !po.isRoot { // the root supplied the data; its copy is current
-		switch bx, _ := clip(po.arr, &po.sec); {
+		var bx box
+		switch clip(po.arr, &po.sec, &bx); {
 		case len(data) == bx.elems:
 			po.arr.deliver(po.site, &bx, data)
 		case c.what == "waitrecv":
@@ -417,9 +429,14 @@ func (c *commSite) wait(fr *frame) error {
 func (c *commSite) allGather(fr *frame) error {
 	nd := fr.nd
 	np, p := nd.pl.nproc, nd.p
-	arr, bx, _, ok, err := c.open(fr)
-	if !ok || bx.elems == 0 || np == 1 || arr.Dist == nil || arr.Dist.IsReplicated() {
+	var b bounds
+	arr, _, ok, err := c.open(fr, &b)
+	if !ok || np == 1 || arr.Dist == nil || arr.Dist.IsReplicated() {
 		return err // nothing to gather, or the data is everywhere already
+	}
+	var bx box
+	if clip(arr, &b, &bx); bx.elems == 0 {
+		return nil
 	}
 	dim := arr.Dist.DistDim()
 	// owner q's part of the section, in message order; every processor

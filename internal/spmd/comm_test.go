@@ -1,0 +1,59 @@
+package spmd
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"fortd/internal/decomp"
+	"fortd/internal/machine"
+)
+
+// TestBroadcastErrorsOutsideReceivers pins that deciding a broadcast's
+// group before its section hides no error: processor 0, outside the
+// group, fails first with the error a member would meet — a rank
+// mismatch, a bad root, an unknown "to" array, a bound that fails to
+// evaluate in the section, the root or the clause — and aborts the rest;
+// an empty section fails nowhere and sends nothing.
+func TestBroadcastErrorsOutsideReceivers(t *testing.T) {
+	// a(:,BLOCK) on 4: columns 7:8 are processor 3's and the root is 2,
+	// so processors 0 and 1 are outside
+	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{8, 8}, 4)
+	for _, tc := range []struct{ name, sec, root, to, want string }{
+		{"rank", "a(1:8)", "2", "a(:,7:8)", "%s a: section has 1 dimensions, the array 2"},
+		{"bad root", "a(1:8,2)", "7", "a(:,7:8)", "%s a: bad root 7"},
+		{"unknown to array", "a(1:8,2)", "2", "b(:,7:8)", "%s a: unknown array in to clause"},
+		{"section bound", "a(1:8,MOD(2,z))", "2", "a(:,7:8)", "P:5: MOD by zero (divisor 0)"},
+		{"root", "a(1:8,2)", "MOD(2,z)", "a(:,7:8)", "P:5: MOD by zero (divisor 0)"},
+		{"to bound", "a(1:8,2)", "2", "a(:,MOD(7,z):8)", "P:5: MOD by zero (divisor 0)"},
+		{"empty", "a(1:8,3:2)", "2", "a(:,7:8)", ""},
+	} {
+		for _, what := range []string{"broadcast", "postbcast"} {
+			st := fmt.Sprintf("broadcast %s from %s to %s", tc.sec, tc.root, tc.to)
+			if what == "postbcast" {
+				st = fmt.Sprintf("postbcast %s from %s to %s tag 1\n      waitbcast a tag 1", tc.sec, tc.root, tc.to)
+			}
+			prog := parseProg(t, `
+      PROGRAM P
+      REAL a(8,8)
+      z = 0
+      `+st+`
+      END
+`)
+			res, err := Run(prog, machine.DefaultConfig(4), Options{Dists: map[string]*decomp.Dist{"a": dist}})
+			want := "<nil>"
+			if tc.want != "" {
+				want = "p0: " + strings.Replace(tc.want, "%s", what, 1)
+				for p := 1; p < 4; p++ {
+					want += fmt.Sprintf("\np%d: aborted by p0 in compute, clock 0.0µs", p)
+				}
+			}
+			if got := fmt.Sprint(err); got != want {
+				t.Errorf("%s, %s: error\n%s\nwant\n%s", what, tc.name, got, want)
+			}
+			if err == nil && res.Stats.Messages != 0 {
+				t.Errorf("%s, %s: %d messages, want none", what, tc.name, res.Stats.Messages)
+			}
+		}
+	}
+}

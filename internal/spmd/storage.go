@@ -288,18 +288,20 @@ func (w *window) owner(i int) int {
 }
 
 // receivers is the group of processors owning a subscript lo..hi of
-// dist's distributed dimension in closed form: BLOCK from lo's owner to
-// hi's, CYCLIC(k) from lo's block's owner, one processor per block.
+// dist's distributed dimension in closed form, no window: BLOCK from lo's
+// owner to hi's, CYCLIC(k) from lo's block's owner, one per block.
 func receivers(dist *decomp.Dist, lo, hi int) machine.Group {
 	if hi < lo {
 		return machine.Group{}
 	}
-	w := newWindow(dist, 0, lo, hi)
-	if w.k == 0 {
-		return machine.Group{First: w.owner(lo), N: w.owner(hi) - w.owner(lo) + 1}
+	b, np := max(dist.BlockSize(), 1), dist.P
+	if dist.Specs[dist.DistDim()].Kind == ast.DistBlock {
+		first := min(max(lo-1, 0)/b, np-1)
+		return machine.Group{First: first, N: min(max(hi-1, 0)/b, np-1) - first + 1}
 	}
-	first := (lo - 1 + w.shift) / w.k
-	return machine.Group{First: first % w.np, N: (hi-1+w.shift)/w.k - first + 1}
+	s := max(b*np-lo, 0) / (b * np) * (b * np) // newWindow's shift from lo
+	first := (lo - 1 + s) / b
+	return machine.Group{First: first % np, N: (hi-1+s)/b - first + 1}
 }
 
 // moves reports whether any element of a has another owner by w, a share

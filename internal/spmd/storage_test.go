@@ -113,10 +113,8 @@ func TestWindowLayout(t *testing.T) {
 					}
 					p := rng.Intn(np)
 					a := shares[p]
-					bx, err := clip(a, &b)
-					if err != nil {
-						t.Fatal(err)
-					}
+					var bx box
+					clip(a, &b, &bx)
 					got := make([]float64, bx.elems)
 					a.gather(&bx, got)
 					idx := bx.lo
@@ -378,25 +376,38 @@ func TestRemapKeepsSharesAndStorage(t *testing.T) {
 	}
 }
 
-// TestReceiversClosedForm: the group a "to" clause names is exactly the
-// processors that own a subscript of lo..hi, by the distribution's own
-// owner function, for BLOCK, CYCLIC and CYCLIC(k), every P up to 9 and
-// every range of 1..n (and the empty one).
+// TestReceiversClosedForm: the group a "to" clause names, computed
+// without a window, is exactly the processors whose window of lo..hi
+// holds a subscript (and, from subscript 1 on, that decomp's owner
+// function names), as one modular range, for BLOCK, CYCLIC and
+// CYCLIC(k) on P up to 16, arrays declared from below 1 (the windows'
+// shift) and above it (BLOCK's last owner takes the rest), single
+// subscripts, ranges wider than P blocks and empty ones.
 func TestReceiversClosedForm(t *testing.T) {
-	const n = 13
+	const n = 50
 	for _, spec := range []ast.DistSpec{decomp.Block, decomp.Cyclic, decomp.BlockCyclic(2), decomp.BlockCyclic(3)} {
-		for np := 1; np <= 9; np++ {
+		for _, np := range []int{1, 2, 3, 4, 7, 16} {
 			dist := decomp.MustDist(decomp.NewDecomp(spec), []int{n}, np)
-			for lo := 1; lo <= n; lo++ {
-				for hi := lo - 1; hi <= n; hi++ {
-					g := receivers(dist, lo, hi)
-					owns := make([]bool, np)
-					for i := lo; i <= hi; i++ {
-						owns[dist.OwnerIndex(i)] = true
-					}
-					for p := range owns {
-						if g.Has(p, np) != owns[p] {
-							t.Fatalf("%s P=%d %d:%d: group %+v has proc %d %v, owns %v", dist.Key(), np, lo, hi, g, p, g.Has(p, np), owns[p])
+			for _, first := range []int{1, 0, -7, 4} {
+				for lo := first; lo < first+n; lo++ {
+					for hi := lo - 1; hi < first+n; hi++ {
+						g, owners := receivers(dist, lo, hi), 0
+						var owned uint32 // by decomp's owner function, defined from subscript 1
+						for i := lo; i <= hi && lo >= 1; i++ {
+							owned |= 1 << dist.OwnerIndex(i)
+						}
+						for p := range np {
+							w := newWindow(dist, p, lo, hi)
+							if owns := w.n > 0; g.Has(p, np) != owns || lo >= 1 && owned>>p&1 == 1 != owns {
+								t.Fatalf("%s P=%d %d:%d: group %+v has processor %d: %v, its window holds %d", dist.Key(), np, lo, hi, g, p, !owns, w.n)
+							} else if owns {
+								owners++
+							}
+						}
+						// a modular range of exactly the owners: as many, and
+						// (short of all) starting at one whose predecessor is not
+						if min(max(g.N, 0), np) != owners || owners > 0 && owners < np && (!g.Has(g.First, np) || g.Has(g.First-1, np)) {
+							t.Fatalf("%s P=%d %d:%d: group %+v is not the range of the %d owners", dist.Key(), np, lo, hi, g, owners)
 						}
 					}
 				}
