@@ -99,8 +99,12 @@ test -z "$ELF"
 # The next change (2026-10-17) made a broadcast decide who takes part
 # before it clips the section (the rank check out of clip, receivers in
 # closed form without a window, boxes filled through pointers), allowed
-# at most +20: 24803 -> 24822
-LOC_CEILING=24822
+# at most +20: 24803 -> 24822. The next change (2026-10-17) made a warm
+# compile key, schedule and print only the units an edit touched (unit
+# digests, a per-unit schedule entry point and the cache's schedules and
+# texts), paying with one renderer for the key's three sorted maps and
+# Hasher.AddFunc, allowed at most +60: 24822 -> 24882
+LOC_CEILING=24882
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -1,6 +1,7 @@
 package fortd
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -26,6 +27,33 @@ func BenchmarkCompileSynth256(b *testing.B) {
 		if _, err := Compile(src, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServiceEditCompile is what svc_recompile's compile_s times:
+// Service.Compile, listing included, of one-constant edits of its
+// 33-unit program against a service whose cache holds the base program.
+// Each iteration edits to a constant no earlier one used, so each
+// compiles and schedules its subroutine and MAIN afresh.
+func BenchmarkServiceEditCompile(b *testing.B) {
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	svc, err := NewService(ServiceConfig{Options: DefaultOptions(), Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	compile := func(src string) {
+		if _, err := svc.Compile(context.Background(), CompileRequest{Source: src, Options: opts}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compile(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compile(strings.Replace(src, "+ 9.0\n", fmt.Sprintf("+ %d.0\n", 1000+i), 1))
 	}
 }
 
@@ -78,10 +106,10 @@ func TestCompileAllocBudget(t *testing.T) {
 // one-procedure edit of the same program compiled against a summary
 // cache that holds the rest, as the compile daemon sees one. Each run
 // edits another constant of one subroutine, so each parses and compiles
-// that unit afresh, takes the other 32 from the cache's memo of parsed
-// units and its entries, and reschedules the program.
+// that unit afresh, schedules it and MAIN, and takes the rest from the
+// cache: parsed units, entries and schedules.
 func TestEditCompileAllocBudget(t *testing.T) {
-	const budget = 17558 // 15 962 measured when the cache began to memoize parsed units (25 085 before) + 10 %
+	const budget = 15206 // 13 824 measured when the cache began to keep unit digests and schedules (15 961 before, 25 085 before it memoized parsed units) + 10 %
 	src := SyntheticProcsSrc(32, 8, 32, 4)
 	opts := DefaultOptions()
 	opts.Jobs = 1

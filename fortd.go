@@ -370,7 +370,7 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Program, er
 func (p *Program) P() int { return p.c.P }
 
 // Listing renders the generated SPMD program as source text.
-func (p *Program) Listing() string { return ast.Print(p.c.Program) }
+func (p *Program) Listing() string { return p.c.Options.Cache.Listing(p.c.Program) }
 
 // SourceListing renders the original input program.
 func (p *Program) SourceListing() string { return ast.Print(p.c.Source) }

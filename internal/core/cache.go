@@ -23,8 +23,8 @@ import (
 	"strings"
 
 	"fortd/internal/acg"
-	"fortd/internal/ast"
 	"fortd/internal/comm"
+	"fortd/internal/overlap"
 	"fortd/internal/partition"
 	"fortd/internal/reach"
 	"fortd/internal/summarycache"
@@ -37,32 +37,15 @@ func (pc *passCtx) procKey(n *acg.Node) string {
 	name := n.Name()
 	h := summarycache.NewHasher()
 
-	h.Add("src")
-	h.AddFunc(func(dst []byte) []byte { return ast.AppendProcedure(dst, n.Proc) })
-	// printed source carries no positions; fingerprint statement lines
-	// separately so cached remark positions always match the input
-	h.Add("pos")
-	h.AddFunc(func(dst []byte) []byte {
-		first := true
-		ast.WalkStmts(n.Proc.Body, func(s ast.Stmt) bool {
-			if !first {
-				dst = append(dst, ',')
-			}
-			first = false
-			dst = strconv.AppendInt(dst, int64(s.Pos().Line), 10)
-			return true
-		})
-		return dst
-	})
-
+	h.Add("unit", pc.cache.UnitDigest(n.Proc))
 	h.Add("p", strconv.Itoa(pc.p),
 		"strategy", strconv.Itoa(int(pc.opts.Strategy)),
 		"remap", strconv.Itoa(int(pc.opts.RemapOpt)),
 		"clonelimit", strconv.Itoa(pc.opts.CloneLimit),
 		"explain", strconv.FormatBool(pc.exOn))
 
-	h.Add("env", renderEnv(pc.consts[name]))
-	h.Add("reach", renderReaching(pc.c.Reach.Reaching[name]))
+	h.Add("env", renderMap(pc.consts[name], func(k string, v int) string { return k + "=" + strconv.Itoa(v) }))
+	h.Add("reach", renderMap(pc.c.Reach.Reaching[name], func(k string, v reach.DSet) string { return k + "=" + v.Key() }))
 	rt := append([]string(nil), pc.c.Reach.RuntimeResolution[name]...)
 	sort.Strings(rt)
 	h.Add("rtres", strings.Join(rt, ","))
@@ -80,7 +63,7 @@ func (pc *passCtx) summaryHash(out *procOut) string {
 	h := summarycache.NewHasher()
 	h.Add("iface", out.iface)
 	h.Add("sections", renderSectionSummary(pc.sections[out.name]))
-	h.Add("overlap", renderOverlapEstimates(pc, out.name))
+	h.Add("overlap", renderMap(pc.c.Overlaps.Estimates[out.name], func(k string, v *overlap.Offsets) string { return k + v.String() }))
 	h.Add("runtime", strconv.FormatBool(out.runtime))
 	return h.Sum()
 }
@@ -124,29 +107,13 @@ func (pc *passCtx) storeEntries(outs []*procOut) {
 	}
 }
 
-func renderEnv(env ast.MapEnv) string {
-	keys := make([]string, 0, len(env))
-	for k := range env {
-		keys = append(keys, k)
+// renderMap joins part(k, v) of every entry of m, sorted, with ";".
+func renderMap[V any](m map[string]V, part func(k string, v V) string) string {
+	parts := make([]string, 0, len(m))
+	for k, v := range m {
+		parts = append(parts, part(k, v))
 	}
-	sort.Strings(keys)
-	var parts []string
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, env[k]))
-	}
-	return strings.Join(parts, ";")
-}
-
-func renderReaching(reaching map[string]reach.DSet) string {
-	keys := make([]string, 0, len(reaching))
-	for k := range reaching {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var parts []string
-	for _, k := range keys {
-		parts = append(parts, k+"="+reaching[k].Key())
-	}
+	sort.Strings(parts)
 	return strings.Join(parts, ";")
 }
 
@@ -187,19 +154,5 @@ func renderSectionSummary(ss *comm.SectionSummary) string {
 		}
 	}
 	sort.Strings(parts)
-	return strings.Join(parts, ";")
-}
-
-func renderOverlapEstimates(pc *passCtx, name string) string {
-	est := pc.c.Overlaps.Estimates[name]
-	keys := make([]string, 0, len(est))
-	for k := range est {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var parts []string
-	for _, k := range keys {
-		parts = append(parts, k+est[k].String())
-	}
 	return strings.Join(parts, ";")
 }

@@ -61,8 +61,8 @@ type Options struct {
 	// overlap pass (internal/sched): blocking halo exchanges become
 	// post-early/wait-late pairs and broadcasts are posted above
 	// independent predecessors. The pass replaces the units it changes
-	// rather than writing them, so cached units always hold the
-	// blocking form and one cache serves both modes.
+	// rather than writing them, so cache entries hold the blocking form,
+	// one cache serves both modes and it keeps each unit's schedule.
 	Overlap bool
 }
 
@@ -266,7 +266,8 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		sections: sections, consts: consts, fx: fx, killTest: killTest,
 		table: newSummaryTable(), cache: opts.Cache,
 	}
-	outs := compileAll(pcx, g.ReverseTopoOrder(), jobs)
+	order := g.ReverseTopoOrder()
+	outs := compileAll(pcx, order, jobs)
 
 	units := make(map[string]*ast.Procedure, len(outs))
 	for _, out := range outs {
@@ -309,16 +310,48 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		pcx.storeEntries(outs)
 	}
 	if opts.Overlap {
-		// the cache holds the blocking form, which Apply replaces rather
-		// than rewrites, so one cache serves compiles with overlap on and
-		// off. Sequential over units in program order, so tags and remarks
-		// are deterministic regardless of opts.Jobs.
 		endSched := tr.Phase("overlap-schedule")
-		overlapped := sched.Apply(c.Program, opts.Explain)
+		overlapped := pcx.schedule(order, outs)
 		endSched()
 		tr.Counter("comm-overlapped", int64(overlapped))
 	}
 	return c, nil
+}
+
+// schedule runs the overlap pass over c.Program unit by unit in program
+// order, taking what the cache keeps for a unit's chain key and first
+// tag, and returns the sites transformed.
+func (pc *passCtx) schedule(order []*acg.Node, outs []*procOut) (sites int) {
+	// a unit's chain key is its cache key and its callees' chain keys:
+	// what the pass reads of the program but the tag
+	chain := map[string]string{}
+	for i := 0; i < len(outs) && pc.cache.Enabled(); i++ {
+		keys := []string{outs[i].key}
+		for _, callee := range calleeNames(order[i]) {
+			keys = append(keys, chain[callee])
+		}
+		chain[outs[i].name] = summarycache.Hash(keys...)
+	}
+	p, units, ran := &sched.Pass{Prog: pc.c.Program}, slices.Clone(pc.c.Program.Units), 0
+	for i, u := range units {
+		tag := p.Tag
+		s := pc.cache.Schedule(chain[u.Name], tag, func() *summarycache.Scheduled {
+			ran++
+			var ex *explain.Collector
+			if pc.exOn {
+				ex = explain.New()
+			}
+			unit, n := p.Unit(u, ex)
+			return &summarycache.Scheduled{Unit: unit, Remarks: ex.Remarks(), Sites: n, Tags: p.Tag - tag}
+		})
+		if p.Tag, sites = tag+s.Tags, sites+s.Sites; s.Unit != nil {
+			units[i] = s.Unit
+		}
+		pc.opts.Explain.AddAll(s.Remarks)
+	}
+	pc.c.Program = ast.NewProgram(units)
+	pc.opts.Trace.Counter("units-scheduled", int64(ran))
+	return sites
 }
 
 func (c *Compilation) record(name string, res *codegen.Result) {

@@ -28,7 +28,7 @@ import "fortd/internal/ast"
 // where h is the last cell S' names. The chain's first S stays where it
 // is; a loop whose S went early and that is not split itself, the last
 // one, receives Q before R. No message is added or removed. Only the
-// statements involved are read (never pass.effects, which would build
+// statements involved are read (never Pass.effects, which would build
 // the program's call graph):
 //
 //   - S' crosses the tail iterations, which write x(i) for i > h, R,

@@ -249,7 +249,7 @@ func (v *view) confined(body []ast.Stmt, c columns, env map[string]ast.Expr) str
 				why = v.writes(s, c.arr)
 				break
 			}
-			callee := v.prog.Proc(s.Name)
+			callee := v.Prog.Proc(s.Name)
 			sub := map[string]ast.Expr{}
 			for i, a := range s.Args {
 				if i < len(callee.Params) {

@@ -20,7 +20,7 @@
 //     statements it may move across and a wait in its place.
 //
 // Whether a statement may move across another is one rule (view.blocker)
-// asked of one summary of what a statement does (pass.effects, which is
+// asked of one summary of what a statement does (Pass.effects, which is
 // internal/sideeffect's GMOD/GREF read off the generated dialect, calls
 // resolved through formals and COMMON blocks); the early shifts cross
 // only sends, recvs and assignments to array elements, and prove it from
@@ -40,6 +40,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fortd/internal/acg"
@@ -68,36 +69,52 @@ var (
 	hoist     = &transform{"overlap-bcast", "broadcast not posted early", hoistBcast}
 )
 
-// Apply reschedules prog's units and returns the number of sites
-// transformed (split recvs, hoisted, pipelined and removed broadcasts).
-// A unit it reschedules is installed in prog.Units as a new
-// *ast.Procedure that shares every untouched statement; no unit or
-// statement prog held before is written. Tags assigned to post/wait
-// pairs are unique program-wide, so the rewrite is deterministic and
-// pairs cannot collide across procedures.
-func Apply(prog *ast.Program, ec *explain.Collector) int {
-	p := &pass{prog: prog, ec: ec}
-	for _, u := range prog.Units {
-		if body := p.schedule(u, u.Body); !sameList(body, u.Body) {
-			cp := *u
-			cp.Body = body
-			prog.ReplaceProc(&cp)
+// Apply reschedules prog's units with one Pass, installs each unit it
+// reschedules in prog.Units and returns the number of sites transformed
+// (split recvs, hoisted, pipelined and removed broadcasts).
+func Apply(prog *ast.Program, ec *explain.Collector) (sites int) {
+	p := &Pass{Prog: ast.NewProgram(slices.Clone(prog.Units))}
+	for _, u := range p.Prog.Units {
+		s, n := p.Unit(u, ec)
+		if sites += n; s != nil {
+			prog.ReplaceProc(s)
 		}
 	}
-	return p.sites
+	return sites
 }
 
-type pass struct {
-	prog  *ast.Program
+// A Pass reschedules the units of Prog, a blocking program, one at a
+// time. A unit it reschedules is a new *ast.Procedure that shares every
+// untouched statement; no unit or statement Prog holds is written, and
+// every unit is read as Prog holds it, so what the pass makes of a unit
+// depends on it, the units it calls (transitively) and Tag alone. Tag,
+// the last post/wait tag assigned, numbers the pairs program-wide, so
+// they cannot collide across procedures; a caller that skips a unit
+// whose schedule it knows adds the tags that unit used.
+type Pass struct {
+	Prog  *ast.Program
 	ec    *explain.Collector
-	tag   int
-	sites int // Applied remarks so far
+	Tag   int
+	sites int // Applied remarks in the unit at hand
 	// fx holds the per-procedure summaries behind effects, computed at
-	// the first question and once per Apply: no rewrite changes what a
+	// the first question and once per pass: no rewrite changes what a
 	// procedure writes, reads or whether it communicates.
 	fx *sideeffect.Analysis
 	// chain is sendEarly's scratch, the loops of the chain at hand
 	chain []group
+}
+
+// Unit returns u rescheduled, a new unit, or nil if nothing changed, and
+// the number of sites transformed, reporting them to ec.
+func (p *Pass) Unit(u *ast.Procedure, ec *explain.Collector) (*ast.Procedure, int) {
+	p.ec, p.sites = ec, 0
+	body := p.schedule(u, u.Body)
+	if sameList(body, u.Body) {
+		return nil, p.sites
+	}
+	cp := *u
+	cp.Body = body
+	return &cp, p.sites
 }
 
 // schedule reschedules one statement list of u and returns it, or a new
@@ -109,16 +126,16 @@ type pass struct {
 // because it matches the pruned shape and rewrites the loop before the
 // body is scheduled — then the nested lists, then this list's own chain,
 // halo and hoist sites in one scan from left to right.
-func (p *pass) schedule(u *ast.Procedure, list []ast.Stmt) []ast.Stmt {
+func (p *Pass) schedule(u *ast.Procedure, list []ast.Stmt) []ast.Stmt {
 	if len(list) < 2 && !nests(list) {
 		return list // every transform needs a predecessor or a successor
 	}
-	v := &view{pass: p, unit: u, list: list}
+	v := &view{Pass: p, unit: u, list: list}
 	v.scan(redundant)
 	for i := 0; i < len(v.list); i++ {
 		switch st := v.list[i].(type) {
 		case *ast.Do:
-			v.loopBody(i, (&view{pass: p, unit: u, list: st.Body}).scan(redundant))
+			v.loopBody(i, (&view{Pass: p, unit: u, list: st.Body}).scan(redundant))
 			if next, ok := v.try(lookahead, i); ok {
 				i = next - 1 // the loop's new place, past a prologue
 			}
@@ -170,7 +187,7 @@ func nests(list []ast.Stmt) bool {
 // the list, the edits the transforms make to it, and the reporter of
 // the site under consideration.
 type view struct {
-	*pass
+	*Pass
 	unit *ast.Procedure
 	list []ast.Stmt
 	t    *transform // the one looking at the list
@@ -209,17 +226,17 @@ func (v *view) replace(i, n int, repl ...ast.Stmt) {
 // split returns the two halves of a blocking recv or broadcast under a
 // fresh tag: the post, which starts the transfer where it stands, and
 // the wait, which delivers it.
-func (p *pass) split(s ast.Stmt) (post, wait ast.Stmt) {
-	p.tag++
+func (p *Pass) split(s ast.Stmt) (post, wait ast.Stmt) {
+	p.Tag++
 	switch st := s.(type) {
 	case *ast.Recv:
-		po := &ast.PostRecv{Array: st.Array, Sec: st.Sec, Src: st.Src, Tag: p.tag}
-		wa := &ast.WaitRecv{Array: st.Array, Tag: p.tag}
+		po := &ast.PostRecv{Array: st.Array, Sec: st.Sec, Src: st.Src, Tag: p.Tag}
+		wa := &ast.WaitRecv{Array: st.Array, Tag: p.Tag}
 		po.Position, wa.Position = st.Pos(), st.Pos()
 		return po, wa
 	case *ast.Broadcast:
-		po := &ast.PostBcast{Array: st.Array, Sec: st.Sec, Root: st.Root, To: st.To, Tag: p.tag}
-		wa := &ast.WaitBcast{Array: st.Array, Tag: p.tag}
+		po := &ast.PostBcast{Array: st.Array, Sec: st.Sec, Root: st.Root, To: st.To, Tag: p.Tag}
+		wa := &ast.WaitBcast{Array: st.Array, Tag: p.Tag}
 		po.Position, wa.Position = st.Pos(), st.Pos()
 		return po, wa
 	}
@@ -251,17 +268,17 @@ func (v *view) missed(line int, format string, args ...interface{}) {
 // so is every call of a recursive program — nothing the compiler
 // generates, but node programs are also written by hand — for which no
 // bottom-up order exists.
-func (p *pass) effects(s ...ast.Stmt) *sideeffect.Summary {
+func (p *Pass) effects(s ...ast.Stmt) *sideeffect.Summary {
 	e := sideeffect.NewSummary()
 	p.summaries().Add(e, s...)
 	return e
 }
 
-func (p *pass) summaries() *sideeffect.Analysis {
+func (p *Pass) summaries() *sideeffect.Analysis {
 	if p.fx == nil {
-		g, err := acg.Build(p.prog)
+		g, err := acg.Build(p.Prog)
 		if err != nil {
-			g = &acg.Graph{Program: p.prog}
+			g = &acg.Graph{Program: p.Prog}
 		}
 		p.fx = sideeffect.Compute(g)
 	}
@@ -269,16 +286,16 @@ func (p *pass) summaries() *sideeffect.Analysis {
 }
 
 // reads lists, in a fixed order, the names m reads or sends.
-func (p *pass) reads(m ast.Stmt) []string {
+func (p *Pass) reads(m ast.Stmt) []string {
 	names := p.effects(m).Ref.Members()
 	sort.Strings(names)
 	return names
 }
 
 // opaque says why nothing is known about what a call does, or "".
-func (p *pass) opaque(c *ast.Call) string {
+func (p *Pass) opaque(c *ast.Call) string {
 	switch {
-	case p.prog.Proc(c.Name) == nil:
+	case p.Prog.Proc(c.Name) == nil:
 		return "call to unknown procedure " + c.Name
 	case p.summaries().Summaries[c.Name] == nil:
 		return fmt.Sprintf("call %s is part of a recursive program", c.Name)

@@ -12,9 +12,9 @@
 // test, so the misses of a compile are the recompile set
 // (Compilation.CacheMisses).
 //
-// The cache also remembers parsed source units by their text and first
-// line (it is the parser's Memo), so a warm compile parses only the
-// units whose text changed; those live in memory only.
+// In memory only, it also keeps parsed units (the parser's Memo, by
+// text and first line) and their digests, each unit's schedule and each
+// listed unit's text, so a warm compile redoes only what changed.
 //
 // The cache lives for the process and may be shared across any number
 // of compilations (it is safe for concurrent use by the parallel
@@ -27,6 +27,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 
 	"fortd/internal/ast"
@@ -49,9 +51,9 @@ type Entry struct {
 	Key string
 	// Proc is the compiled procedure's name (clones under clone names).
 	Proc string
-	// Unit is the generated program unit in its blocking form (the
-	// schedule pass replaces it in a program, never rewrites it). It may
-	// share statements with the source it was compiled from.
+	// Unit is the generated unit in its blocking form (the schedule pass
+	// replaces it, never rewrites it; Schedule keeps what it made of it).
+	// It may share statements with the source it was compiled from.
 	Unit *ast.Procedure
 	// Result carries the code-generation counters.
 	Result codegen.Result
@@ -101,6 +103,9 @@ type Cache struct {
 	mu       sync.Mutex
 	entries  map[string]*Entry
 	units    map[parser.Chunk]*ast.Procedure
+	digests  map[*ast.Procedure]string // of the units it parsed
+	scheds   map[string]*Scheduled
+	texts    map[*ast.Procedure]string // of the units it printed
 	hits     int64
 	misses   int64
 	diskHits int64
@@ -165,10 +170,7 @@ func (c *Cache) Get(key string) *Entry {
 		c.misses++
 		return nil
 	}
-	if c.entries == nil {
-		c.entries = map[string]*Entry{}
-	}
-	c.entries[key] = e
+	set(&c.entries, key, e)
 	c.hits++
 	c.diskHits++
 	return e
@@ -182,10 +184,7 @@ func (c *Cache) Put(e *Entry) {
 		return
 	}
 	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = map[string]*Entry{}
-	}
-	c.entries[e.Key] = e
+	set(&c.entries, e.Key, e)
 	d := c.disk
 	c.mu.Unlock()
 	if d != nil {
@@ -200,22 +199,97 @@ func (c *Cache) Unit(chunk parser.Chunk) *ast.Procedure {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.units[chunk]
+	return get(c, &c.units, chunk)
 }
 
-// KeepUnit stores u as the unit parsed from chunk.
+// KeepUnit stores u as the unit parsed from chunk, and u's digest.
 func (c *Cache) KeepUnit(chunk parser.Chunk, u *ast.Procedure) {
-	if c == nil {
-		return
+	if c != nil {
+		put(c, &c.digests, u, unitDigest(u))
+		put(c, &c.units, chunk, u)
 	}
+}
+
+// UnitDigest fingerprints u's printed form and statement lines for a
+// key. A unit the cache parsed was printed once, when it was kept.
+func (c *Cache) UnitDigest(u *ast.Procedure) string {
+	if c != nil {
+		if d := get(c, &c.digests, u); d != "" {
+			return d
+		}
+	}
+	return unitDigest(u)
+}
+
+func unitDigest(u *ast.Procedure) string {
+	// printed source carries no positions; fingerprint statement lines
+	// separately so cached remark positions always match the input
+	var lines []byte
+	ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+		lines = strconv.AppendInt(append(lines, ','), int64(s.Pos().Line), 10)
+		return true
+	})
+	return Hash(string(ast.AppendProcedure(nil, u)), string(lines))
+}
+
+// Scheduled is what the schedule pass made of one generated unit.
+type Scheduled struct {
+	Unit        *ast.Procedure // as rescheduled; nil: left as it was
+	Remarks     []explain.Remark
+	Sites, Tags int // Applied sites, post/wait tags used
+}
+
+// Schedule returns what the schedule pass made of a unit whose chain
+// key is chain and whose first tag follows tag: the schedule kept for
+// the two, or else the one run makes, which it keeps.
+func (c *Cache) Schedule(chain string, tag int, run func() *Scheduled) *Scheduled {
+	if c == nil {
+		return run()
+	}
+	return memo(c, &c.scheds, Hash(chain, strconv.Itoa(tag)), run)
+}
+
+// Listing is ast.Print(prog), printing each unit once until Reset: the
+// listing of a compile against the cache prints the units new to it.
+func (c *Cache) Listing(prog *ast.Program) string {
+	if c == nil {
+		return ast.Print(prog)
+	}
+	texts := make([]string, len(prog.Units))
+	for i, u := range prog.Units {
+		texts[i] = memo(c, &c.texts, u, func() string { return string(ast.AppendProcedure(nil, u)) })
+	}
+	return strings.Join(texts, "\n")
+}
+
+// get, put and memo use one of c's maps under c's lock; memo stores what
+// compute returns if k has no value. set is put for a caller holding it.
+func get[K comparable, V any](c *Cache, m *map[K]V, k K) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.units == nil {
-		c.units = map[parser.Chunk]*ast.Procedure{}
+	return (*m)[k]
+}
+
+func put[K comparable, V any](c *Cache, m *map[K]V, k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	set(m, k, v)
+}
+
+func memo[K, V comparable](c *Cache, m *map[K]V, k K, compute func() V) V {
+	if v := get(c, m, k); v != *new(V) {
+		return v
 	}
-	c.units[chunk] = u
+	v := compute()
+	put(c, m, k, v)
+	return v
+}
+
+func set[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = map[K]V{}
+	}
+	(*m)[k] = v
 }
 
 // Stats returns the cumulative hit/miss counters.
@@ -241,7 +315,7 @@ func (c *Cache) Reset() {
 		return
 	}
 	c.mu.Lock()
-	c.entries, c.units = nil, nil
+	c.entries, c.units, c.digests, c.scheds, c.texts = nil, nil, nil, nil, nil
 	c.hits, c.misses, c.diskHits = 0, 0, 0
 	c.mu.Unlock()
 }
@@ -265,16 +339,6 @@ func (h *Hasher) Add(parts ...string) {
 		h.b = append(h.b, n[:]...)
 		h.b = append(h.b, p...)
 	}
-}
-
-// AddFunc appends one part that emit writes straight into the key
-// material (emit appends to the slice it is given and returns it), so a
-// large part — a printed procedure — is never built as a string first.
-func (h *Hasher) AddFunc(emit func(dst []byte) []byte) {
-	at := len(h.b)
-	h.b = emit(append(h.b, 0, 0, 0, 0))
-	ln := len(h.b) - at - 4
-	h.b[at], h.b[at+1], h.b[at+2], h.b[at+3] = byte(ln>>24), byte(ln>>16), byte(ln>>8), byte(ln)
 }
 
 // Sum returns the hex digest of everything added so far.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -90,6 +89,13 @@ func TestCacheNilSafety(t *testing.T) {
 		t.Errorf("nil cache HitRate = %v", st.HitRate())
 	}
 	c.Reset() // must not panic
+	ran := 0
+	for i := 0; i < 2; i++ {
+		c.Schedule("k", 0, func() *Scheduled { ran++; return &Scheduled{} })
+	}
+	if ran != 2 {
+		t.Error("nil cache kept a schedule")
+	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
@@ -115,23 +121,6 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	st := c.Stats()
 	if st.Hits+st.Misses != 8*200 {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*200)
-	}
-}
-
-// TestHasherAddFuncIsAdd: a part streamed into the key material hashes
-// exactly like the same bytes added as a string, so keys (and disk
-// caches written with them) did not move when procKey stopped building
-// the printed procedure first.
-func TestHasherAddFuncIsAdd(t *testing.T) {
-	for _, part := range []string{"", "x", strings.Repeat("      do i = 1,n\n", 5000)} {
-		a, b := NewHasher(), NewHasher()
-		a.Add("src", part, "tail")
-		b.Add("src")
-		b.AddFunc(func(dst []byte) []byte { return append(dst, part...) })
-		b.Add("tail")
-		if a.Sum() != b.Sum() {
-			t.Errorf("part of %d bytes: AddFunc %s, Add %s", len(part), b.Sum(), a.Sum())
-		}
 	}
 }
 
@@ -230,5 +219,34 @@ func TestDiskDrills(t *testing.T) {
 				t.Errorf("Put left a temp file behind: %v (before: %v)", after, before)
 			}
 		})
+	}
+}
+
+// TestUnitDigestIsTheUnits: the digest the cache keeps of a unit it
+// parsed is the one a copy parsed apart gets, with or without a cache,
+// so a key does not depend on how its unit was parsed; the same text a
+// line further down gets another.
+func TestUnitDigestIsTheUnits(t *testing.T) {
+	src := "      PROGRAM P\n      REAL a(8)\n      a(1) = 1.0\n      END\n"
+	c := New()
+	var digests []string
+	for i, text := range []string{src, src, "\n" + src} {
+		memo := c
+		if i > 0 {
+			memo = nil
+		}
+		prog, err := parser.ParseMemo(text, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, c.UnitDigest(prog.Units[0]), memo.UnitDigest(prog.Units[0]))
+	}
+	for i, d := range digests[:4] {
+		if d != digests[0] {
+			t.Errorf("digest %d is %s, the kept one %s", i, d, digests[0])
+		}
+	}
+	if digests[4] == digests[0] {
+		t.Error("a unit whose lines moved kept its digest")
 	}
 }

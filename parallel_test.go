@@ -416,6 +416,7 @@ func BenchmarkCompileWarmCache(b *testing.B) {
 	if _, err := Compile(src, opts); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Compile(src, opts); err != nil {
@@ -431,8 +432,10 @@ func BenchmarkCompileWarmCache(b *testing.B) {
 // this under -race), once from programs parsed apart and once from
 // source text, which shares the source units the cache memoized; every
 // input, every memoized source unit and every cached unit prints as it
-// did before. The sources clone (fig4), pipeline a pivot broadcast
-// (dgefa), split halos (jacobi2d) and split chains of pipelined loops.
+// did before, and so does every unit the cache keeps as a schedule, and
+// the text it keeps of each is that print. The sources clone (fig4),
+// pipeline a pivot broadcast (dgefa), split halos (jacobi2d) and split
+// chains of pipelined loops.
 func TestCachedUnitsAreNeverWritten(t *testing.T) {
 	var srcs []string
 	for _, name := range []string{"fig4.f", "dgefa.f", "jacobi2d.f"} {
@@ -449,13 +452,22 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 	blocking.Overlap = false
 	// with the schedule pass off, a program's units are the entries its
 	// compile stored, and a warm compile's are the same pointers
-	var stored []*ast.Procedure
+	var stored, scheduled []*ast.Procedure
 	var sources [][]*ast.Procedure // each source's units, as memoized
 	for _, src := range srcs {
-		for i := 0; i < 2; i++ {
-			c, err := core.Compile(src, blocking)
+		for i := 0; i < 3; i++ {
+			o := blocking
+			if i == 2 { // with the schedule pass on: the schedules it keeps
+				o = opts
+			}
+			c, err := core.Compile(src, o)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if i == 2 {
+				opts.Cache.Listing(c.Program) // which keeps the texts
+				scheduled = append(scheduled, c.Program.Units...)
+				continue
 			}
 			if i == 0 {
 				stored = append(stored, c.Program.Units...)
@@ -477,7 +489,7 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 		return out
 	}
 	memoized := ast.NewProgram(slices.Concat(sources...))
-	cached := printAll(ast.NewProgram(stored), memoized)
+	cached := printAll(ast.NewProgram(stored), memoized, ast.NewProgram(scheduled))
 	var inputs [2][]*ast.Program
 	var before [2][]string
 	for w := range inputs {
@@ -525,9 +537,14 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 			}
 		}
 	}
-	for i, after := range printAll(ast.NewProgram(stored), memoized) {
+	for i, after := range printAll(ast.NewProgram(stored), memoized, ast.NewProgram(scheduled)) {
 		if after != cached[i] {
 			t.Errorf("the cached units (%d) changed:\n%s\n--- now\n%s", i, cached[i], after)
+		}
+	}
+	for _, u := range slices.Concat(stored, scheduled) {
+		if text, want := opts.Cache.Listing(ast.NewProgram([]*ast.Procedure{u})), string(ast.AppendProcedure(nil, u)); text != want {
+			t.Errorf("the cache keeps the text of %s as\n%s\n--- it prints\n%s", u.Name, text, want)
 		}
 	}
 }

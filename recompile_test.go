@@ -10,6 +10,7 @@ import (
 	"fortd/internal/explain"
 	"fortd/internal/parser"
 	"fortd/internal/summarycache"
+	"fortd/internal/trace"
 )
 
 // editUnit returns src with edit applied to its k-th program unit (the
@@ -106,5 +107,159 @@ func TestEditReparsesOnlyEditedUnit(t *testing.T) {
 		if len(again.Source.Units) != 33 || ast.Print(again.Source) != ast.Print(warm.Source) {
 			t.Errorf("%s: the memoized program differs from its parse", c.name)
 		}
+	}
+}
+
+// taggedSrc is a program whose schedule assigns post/wait tags in more
+// than one unit: jac1's and jac2's halo splits. Its MAIN calls dgefa's
+// units too, which use no tags.
+const taggedSrc = `      PROGRAM MAIN
+      PARAMETER (n$proc = 4)
+      REAL a(32,32), b(32,32), c(64,64)
+      DISTRIBUTE a(BLOCK,:)
+      DISTRIBUTE b(BLOCK,:)
+      DISTRIBUTE c(:,CYCLIC)
+      call jac1(a, b)
+      call jac2(a, b)
+      call dgefa(c, 64)
+      END
+      SUBROUTINE jac1(a, b)
+      REAL a(32,32), b(32,32)
+      do t = 1, 8
+        do i = 2, 31
+          do j = 2, 31
+            b(i,j) = 0.5 * (a(i,j-1) + a(i,j+1))
+          enddo
+        enddo
+        do i = 2, 31
+          do j = 2, 31
+            a(i,j) = b(i,j)
+          enddo
+        enddo
+      enddo
+      END
+      SUBROUTINE jac2(a, b)
+      REAL a(32,32), b(32,32)
+      do t = 1, 8
+        do i = 2, 31
+          do j = 2, 31
+            b(i,j) = 0.25 * (a(i-1,j) + a(i+1,j) + a(i,j-1) + a(i,j+1))
+          enddo
+        enddo
+        do i = 2, 31
+          do j = 2, 31
+            a(i,j) = b(i,j)
+          enddo
+        enddo
+      enddo
+      END
+      SUBROUTINE dgefa(a, n)
+      REAL a(64,64)
+      do k = 1, n-1
+        t = 1.0 / a(k,k)
+        call dscal(a, n, k, t)
+        do j = k+1, n
+          call daxpy(a, n, k, j)
+        enddo
+      enddo
+      END
+      SUBROUTINE dscal(a, n, k, t)
+      REAL a(64,64)
+      do i = k+1, n
+        a(i,k) = a(i,k) * t
+      enddo
+      END
+      SUBROUTINE daxpy(a, n, k, j)
+      REAL a(64,64)
+      do i = k+1, n
+        a(i,j) = a(i,j) - a(i,k) * a(k,j)
+      enddo
+      END
+`
+
+// counter returns the value tr last recorded for the named counter, or
+// -1 if it recorded none.
+func counter(tr *trace.Tracer, name string) int64 {
+	v := int64(-1)
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindCounter && ev.Name == name {
+			v = ev.Value
+		}
+	}
+	return v
+}
+
+// TestEditReschedulesOnlyItsCone: with a cache, the schedule pass runs
+// only on units whose schedule the cache does not hold (the
+// units-scheduled counter). A resubmit of the 33-unit program schedules
+// nothing and a one-constant edit of s7 schedules s7 and MAIN, whose
+// callee changed. Every compile's listing, remarks and comm-overlapped
+// count are a cold compile's without a cache, byte for byte: also over
+// overlap off and on again on one cache, and when an edit adds split
+// sites to jac1, which moves the tags of every unit after it.
+func TestEditReschedulesOnlyItsCone(t *testing.T) {
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	constant := editUnit(src, 7, func(u string) string { return strings.Replace(u, ".0\n", ".5\n", 1) })
+	shifted := strings.Replace(taggedSrc, "0.5 * (a(i,j-1) + a(i,j+1))", "0.5 * (a(i-1,j) + a(i+1,j))", 1)
+	cache := summarycache.New()
+	compile := func(src string, overlap bool, cache *summarycache.Cache) (string, int64) {
+		opts := core.DefaultOptions()
+		opts.Overlap, opts.Cache, opts.Explain, opts.Trace = overlap, cache, explain.New(), trace.New()
+		c, err := core.Compile(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		b.WriteString(cache.Listing(c.Program))
+		for _, r := range opts.Explain.Remarks() {
+			b.WriteString(r.String() + "\n")
+		}
+		fmt.Fprintf(&b, "comm-overlapped %d\n", counter(opts.Trace, "comm-overlapped"))
+		return b.String(), counter(opts.Trace, "units-scheduled")
+	}
+	for _, c := range []struct {
+		name      string
+		src       string
+		overlap   bool
+		scheduled int64 // -1: the pass did not run
+	}{
+		{"cold", src, true, 33},
+		{"resubmit", src, true, 0},
+		{"constant", constant, true, 2},
+		{"blocking", constant, false, -1},
+		{"overlap again", constant, true, 0},
+		{"tagged", taggedSrc, true, 6},
+		{"tag shift", shifted, true, 6}, // MAIN, whose callee changed, and jac1 and every unit after it
+	} {
+		warm, scheduled := compile(c.src, c.overlap, cache)
+		if cold, _ := compile(c.src, c.overlap, nil); warm != cold {
+			t.Errorf("%s: the warm compile differs from a cold one:\n%s\n--- cold\n%s", c.name, warm, cold)
+		}
+		if scheduled != c.scheduled {
+			t.Errorf("%s: %d units scheduled, want %d", c.name, scheduled, c.scheduled)
+		}
+	}
+}
+
+// TestWarmListingPrintsNothing: a listing joins the text the cache keeps
+// of each unit, printed by the first listing that showed the unit, so a
+// warm resubmit's listing is ast.Print's, byte for byte, and costs the
+// join alone.
+func TestWarmListingPrintsNothing(t *testing.T) {
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	opts := DefaultOptions()
+	opts.Cache = NewSummaryCache()
+	var prog *Program
+	for i := 0; i < 2; i++ {
+		var err error
+		if prog, err = Compile(src, opts); err != nil {
+			t.Fatal(err)
+		}
+		if prog.Listing() != ast.Print(prog.c.Program) {
+			t.Fatalf("compile %d: the listing is not the program's print", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { prog.Listing() }); allocs > 2 {
+		t.Errorf("a warm listing allocates %.0f objects, want at most 2", allocs)
 	}
 }
