@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -78,17 +79,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fdc: unknown strategy %q\n", *strategy)
 		os.Exit(2)
 	}
-	switch *remap {
-	case "none":
-		opts.RemapOpt = fortd.RemapNone
-	case "live":
-		opts.RemapOpt = fortd.RemapLive
-	case "hoist":
-		opts.RemapOpt = fortd.RemapHoist
-	case "kills":
-		opts.RemapOpt = fortd.RemapKills
-	default:
-		fmt.Fprintf(os.Stderr, "fdc: unknown remap level %q\n", *remap)
+	if opts.RemapOpt, err = fortd.ParseRemapLevel(*remap); err != nil {
+		fmt.Fprintln(os.Stderr, "fdc:", err)
 		os.Exit(2)
 	}
 
@@ -123,7 +115,7 @@ func main() {
 		ex.WriteText(os.Stderr)
 	}
 	if *explainJSON != "" {
-		if err := writeJSONFile(*explainJSON, ex); err != nil {
+		if err := writeFile(*explainJSON, ex.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "fdc: explain:", err)
 			os.Exit(1)
 		}
@@ -132,27 +124,20 @@ func main() {
 		tr.WriteText(os.Stderr)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			if err = tr.WriteChrome(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-		}
-		if err != nil {
+		if err := writeFile(*traceOut, tr.WriteChrome); err != nil {
 			fmt.Fprintln(os.Stderr, "fdc: trace:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-func writeJSONFile(path string, ex *fortd.Explain) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := ex.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -9,7 +9,8 @@
 //	POST /run          {"session","id"|"source","init","reference"};
 //	                   ?profile=true (or "profile":true) stores a
 //	                   profile artifact and returns its profileId
-//	GET  /report/{id}  HTML performance report for a compiled program
+//	GET  /report/{id}  HTML performance report for a compiled program;
+//	                   ?session= rate-limits it, and it counts as a run
 //	GET  /profile/{id} stored profile artifact (canonical JSON bytes)
 //	GET  /profiles     stored-profile listing; ?program= filters by hash
 //	GET  /healthz      liveness (also GET /livez)

@@ -22,7 +22,6 @@ import (
 	"fortd"
 	"fortd/internal/metrics"
 	"fortd/internal/profile"
-	"fortd/internal/report"
 )
 
 // optionsDTO is the wire form of fortd.Options: pointer fields so
@@ -51,18 +50,11 @@ func (d *optionsDTO) apply(base fortd.Options) (fortd.Options, error) {
 		base.Strategy = s
 	}
 	if d.Remap != nil {
-		switch *d.Remap {
-		case "none":
-			base.RemapOpt = fortd.RemapNone
-		case "live":
-			base.RemapOpt = fortd.RemapLive
-		case "hoist":
-			base.RemapOpt = fortd.RemapHoist
-		case "kills":
-			base.RemapOpt = fortd.RemapKills
-		default:
-			return base, fmt.Errorf("unknown remap level %q (want none, live, hoist or kills)", *d.Remap)
+		l, err := fortd.ParseRemapLevel(*d.Remap)
+		if err != nil {
+			return base, err
 		}
+		base.RemapOpt = l
 	}
 	if d.CloneLimit != nil {
 		base.CloneLimit = *d.CloneLimit
@@ -374,29 +366,17 @@ func (s *server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"profiles": list})
 }
 
+// handleReport serves a retained program's HTML performance page; the
+// Service admits, bounds and counts it as one run (?session= names the
+// rate-limited session).
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	src, opts, _, err := s.svc.Lookup(id)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	// The report recompiles traced and with remarks on, through the
-	// shared cache. A procedure's cache key holds the remarks flag, so the
-	// first report of a program compiled without remarks misses every
-	// procedure. It stops where /run does: at the service's run deadline,
-	// or when the client goes away.
-	opts.Cache = s.svc.Cache()
-	sec, err := report.BuildSection(r.Context(), id[:12], src, nil, opts, nil, s.svc.RunDeadline())
+	page, err := s.svc.Page(r.Context(), fortd.PageRequest{Session: r.URL.Query().Get("session"), ID: r.PathValue("id")})
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := report.Write(w, "fdd compile report", "program "+id, sec); err != nil {
-		// headers are gone; nothing useful left to send
-		return
-	}
+	w.Write(page)
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {

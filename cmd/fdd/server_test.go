@@ -123,6 +123,36 @@ func TestDaemonCompileRunReport(t *testing.T) {
 	}
 }
 
+// TestReportAdmitted: GET /report/{id} is one more Service request. A
+// session past its burst gets 429 for a report as for a compile, and a
+// report counts as exactly one run in /stats and /metrics.
+func TestReportAdmitted(t *testing.T) {
+	src := fortd.Jacobi1DSrc(64, 4, 4)
+	h := newTestHandler(t, fortd.ServiceConfig{RateLimit: 0.001, RateBurst: 1})
+	w, out := do(t, h, "POST", "/compile", map[string]any{"source": src})
+	if w.Code != http.StatusOK {
+		t.Fatalf("compile status %d: %s", w.Code, w.Body.String())
+	}
+	id, _ := out["id"].(string)
+	if w, out := do(t, h, "GET", "/report/"+id, nil); w.Code != http.StatusTooManyRequests || errKind(t, out) != "rate-limit" {
+		t.Fatalf("report past the burst -> %d %v, want 429 rate-limit", w.Code, out)
+	}
+
+	h = newTestHandler(t, fortd.ServiceConfig{})
+	_, out = do(t, h, "POST", "/compile", map[string]any{"source": src})
+	id, _ = out["id"].(string)
+	if w, _ := do(t, h, "GET", "/report/"+id, nil); w.Code != http.StatusOK {
+		t.Fatalf("report status %d: %s", w.Code, w.Body.String())
+	}
+	_, out = do(t, h, "GET", "/stats", nil)
+	if runs := out["service"].(map[string]any)["runs"]; runs != 1.0 {
+		t.Errorf("stats runs = %v after one report, want 1", runs)
+	}
+	if got := scrape(t, h).Value("fdd_runs_total", "outcome", "ok"); got != 1 {
+		t.Errorf("fdd_runs_total{outcome=\"ok\"} = %v after one report, want 1", got)
+	}
+}
+
 // TestDaemonErrors pins the structured error mapping: parse errors are
 // 400 with positions, unknown ids 404, rate limiting 429, explicit
 // kinds throughout.
@@ -889,8 +919,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // runs the program, so it must stop where /run stops: at the service's
 // run deadline, and when the client goes away. The program it asks for
 // runs two billion iterations, so a report that ignores both never
-// returns. The retained program also keeps the compile deadline it
-// inherited from the service.
+// returns.
 func TestDaemonReportHonoursDeadlines(t *testing.T) {
 	const spin = `
       PROGRAM P
@@ -927,9 +956,6 @@ func TestDaemonReportHonoursDeadlines(t *testing.T) {
 				t.Fatalf("compile status %d: %s", w.Code, w.Body.String())
 			}
 			id, _ := out["id"].(string)
-			if _, opts, _, err := svc.Lookup(id); err != nil || opts.Deadline != tc.cfg.Options.Deadline {
-				t.Errorf("retained compile deadline %v (%v), want the service's %v", opts.Deadline, err, tc.cfg.Options.Deadline)
-			}
 			req := httptest.NewRequest("GET", "/report/"+id, nil)
 			if tc.cancel {
 				ctx, cancel := context.WithCancel(req.Context())

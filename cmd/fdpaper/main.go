@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -84,21 +85,25 @@ func header(title string) {
 	fmt.Printf("\n================ %s ================\n\n", title)
 }
 
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func flushTrace(out string, text bool) {
 	if tracer == nil {
 		return
 	}
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tracer.WriteChrome(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
+		if err := writeFile(out, tracer.WriteChrome); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\ntrace: wrote %s\n", out)
@@ -113,16 +118,7 @@ func flushExplain(out string, text bool) {
 		return
 	}
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := explainer.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
+		if err := writeFile(out, explainer.WriteJSON); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nexplain: wrote %s\n", out)

@@ -44,6 +44,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ import (
 
 	"fortd"
 	"fortd/internal/profile"
-	"fortd/internal/report"
+	"fortd/internal/trace/analyze"
 )
 
 // parseStragglers parses "pid:skew,pid:skew" into a straggler map.
@@ -78,6 +79,41 @@ func parseStragglers(s string) (map[int]float64, error) {
 		out[pid] = skew
 	}
 	return out, nil
+}
+
+// parseSweep parses a "1,2,4,8"-style processor list. An empty string
+// returns nil (no sweep).
+func parseSweep(s string) ([]int, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var ps []int
+	seen := map[int]bool{}
+	for _, f := range strings.Split(s, ",") {
+		p, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || p < 1 {
+			return nil, fmt.Errorf("bad processor count %q in sweep", f)
+		}
+		if !seen[p] {
+			seen[p] = true
+			ps = append(ps, p)
+		}
+	}
+	sort.Ints(ps)
+	return ps, nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func main() {
@@ -215,17 +251,7 @@ func main() {
 		fmt.Printf("profile: wrote %s (id %.12s, blocked-share %.3f)\n", *profileOut, id, pf.BlockedShare())
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdrun:", err)
-			os.Exit(1)
-		}
-		if err := tr.WriteChrome(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
+		if err := writeFile(*traceOut, tr.WriteChrome); err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun: trace:", err)
 			os.Exit(1)
 		}
@@ -235,15 +261,7 @@ func main() {
 		tr.WriteText(os.Stderr)
 	}
 	if *traceJSON != "" {
-		f, err := os.Create(*traceJSON)
-		if err == nil {
-			if err = tr.WriteJSONL(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-		}
-		if err != nil {
+		if err := writeFile(*traceJSON, tr.WriteJSONL); err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun: trace-json:", err)
 			os.Exit(1)
 		}
@@ -253,15 +271,7 @@ func main() {
 		ex.WriteText(os.Stderr)
 	}
 	if *explainJSON != "" {
-		f, err := os.Create(*explainJSON)
-		if err == nil {
-			if err = ex.WriteJSON(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-		}
-		if err != nil {
+		if err := writeFile(*explainJSON, ex.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun: explain:", err)
 			os.Exit(1)
 		}
@@ -270,18 +280,18 @@ func main() {
 	if *reportOut != "" && !*spmdMode {
 		// The report runs its own traced compile+execution (plus the
 		// sweep), so it works whether or not -trace was given.
-		sweep, err := report.ParseSweep(*sweepFlag)
+		sweep, err := parseSweep(*sweepFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun:", err)
 			os.Exit(2)
 		}
-		sec, err := report.BuildSection(context.Background(), flag.Arg(0), src, init, opts, sweep, *deadline)
+		sec, err := fortd.PageSection(context.Background(), flag.Arg(0), src, init, opts, sweep, *deadline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun: report:", err)
 			os.Exit(1)
 		}
-		subtitle := fmt.Sprintf("strategy=%s", *strategy)
-		if err := report.WriteFile(*reportOut, flag.Arg(0), subtitle, sec); err != nil {
+		page := &analyze.Page{Title: flag.Arg(0), Subtitle: fmt.Sprintf("strategy=%s", *strategy), Sections: []*analyze.Section{sec}}
+		if err := writeFile(*reportOut, func(w io.Writer) error { return analyze.WriteHTML(w, page) }); err != nil {
 			fmt.Fprintln(os.Stderr, "fdrun: report:", err)
 			os.Exit(1)
 		}

@@ -133,3 +133,28 @@ func TestNaNIsAMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSweep covers the -sweep syntax: dedup, sort, rejection.
+func TestParseSweep(t *testing.T) {
+	got, err := parseSweep(" 8, 1,2, 4,2 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 2, 4, 8}
+	if len(got) != len(want) {
+		t.Fatalf("parseSweep = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("parseSweep = %v, want %v", got, want)
+		}
+	}
+	if got, err := parseSweep(""); err != nil || got != nil {
+		t.Errorf("parseSweep(\"\") = %v, %v; want nil, nil", got, err)
+	}
+	for _, bad := range []string{"0", "-1", "x", "1,,2"} {
+		if _, err := parseSweep(bad); err == nil {
+			t.Errorf("parseSweep(%q) accepted", bad)
+		}
+	}
+}

@@ -104,6 +104,17 @@ const (
 	RemapKills = livedecomp.OptKills
 )
 
+// ParseRemapLevel maps a remap level's name — none, live, hoist or
+// kills, as RemapLevel.String prints it — to the level.
+func ParseRemapLevel(name string) (RemapLevel, error) {
+	for _, l := range []RemapLevel{RemapNone, RemapLive, RemapHoist, RemapKills} {
+		if l.String() == name {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown remap level %q (want none, live, hoist or kills)", name)
+}
+
 // MachineConfig is the simulated machine's size and cost model.
 type MachineConfig = machine.Config
 

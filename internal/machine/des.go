@@ -169,7 +169,7 @@ func (bp *bufPool) release(b *payload) {
 
 type desEngine struct {
 	m   *Machine
-	q   eventQueue
+	q   eventHeap
 	seq uint64 // event creation order (the queue's tie-break)
 
 	// coroutine handoff: resume[pid] runs processor pid until it parks
@@ -217,7 +217,7 @@ func newDESEngine(m *Machine) *desEngine {
 	for i := range e.waiter {
 		e.waiter[i] = -1
 	}
-	e.q.initShards(desShardCount(p))
+	e.q.ev = make([]event, 0, p)
 	return e
 }
 

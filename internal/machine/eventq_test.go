@@ -35,41 +35,36 @@ func randomEvents(rng *rand.Rand, n int) []event {
 	return evs
 }
 
-// TestEventQueueDrainsInOrder: for every shard count, a random event
-// set pushed in arbitrary order drains in total (time, seq, pid)
-// order — including across shards, which only ever see their own pids.
+// TestEventQueueDrainsInOrder: a random event set pushed in arbitrary
+// order drains in total (time, seq, pid) order.
 func TestEventQueueDrainsInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, shards := range []int{1, 2, 3, 4, 8, 16} {
-		for trial := 0; trial < 25; trial++ {
-			evs := randomEvents(rng, rng.Intn(300))
-			want := append([]event(nil), evs...)
-			sort.SliceStable(want, func(i, j int) bool { return refLess(want[i], want[j]) })
+	for trial := 0; trial < 150; trial++ {
+		evs := randomEvents(rng, rng.Intn(300))
+		want := append([]event(nil), evs...)
+		sort.SliceStable(want, func(i, j int) bool { return refLess(want[i], want[j]) })
 
-			var q eventQueue
-			q.initShards(shards)
-			for _, e := range evs {
-				q.push(e)
+		var q eventHeap
+		for _, e := range evs {
+			q.push(e)
+		}
+		if len(q.ev) != len(evs) {
+			t.Fatalf("len=%d, want %d", len(q.ev), len(evs))
+		}
+		var got []event
+		for {
+			e, ok := q.pop()
+			if !ok {
+				break
 			}
-			if q.len() != len(evs) {
-				t.Fatalf("shards=%d: len=%d, want %d", shards, q.len(), len(evs))
-			}
-			var got []event
-			for {
-				e, ok := q.pop()
-				if !ok {
-					break
-				}
-				got = append(got, e)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d trial=%d: drained %d of %d events", shards, trial, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d trial=%d: drain[%d] = %+v, want %+v",
-						shards, trial, i, got[i], want[i])
-				}
+			got = append(got, e)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial=%d: drained %d of %d events", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial=%d: drain[%d] = %+v, want %+v", trial, i, got[i], want[i])
 			}
 		}
 	}
@@ -79,45 +74,31 @@ func TestEventQueueDrainsInOrder(t *testing.T) {
 // pops, every pop returns the minimum of the currently queued multiset.
 func TestEventQueueInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, shards := range []int{1, 3, 8} {
-		var q eventQueue
-		q.initShards(shards)
-		var live []event // reference multiset
-		for op := 0; op < 2000; op++ {
-			if len(live) == 0 || rng.Intn(3) != 0 {
-				e := randomEvents(rng, 1)[0]
-				q.push(e)
-				live = append(live, e)
-				continue
-			}
-			got, ok := q.pop()
-			if !ok {
-				t.Fatalf("shards=%d op=%d: pop empty with %d live", shards, op, len(live))
-			}
-			min := 0
-			for i := range live {
-				if refLess(live[i], live[min]) {
-					min = i
-				}
-			}
-			if got != live[min] {
-				t.Fatalf("shards=%d op=%d: pop = %+v, want min %+v", shards, op, got, live[min])
-			}
-			live = append(live[:min], live[min+1:]...)
+	var q eventHeap
+	var live []event // reference multiset
+	for op := 0; op < 6000; op++ {
+		if len(live) == 0 || rng.Intn(3) != 0 {
+			e := randomEvents(rng, 1)[0]
+			q.push(e)
+			live = append(live, e)
+			continue
 		}
-		if q.len() != len(live) {
-			t.Fatalf("shards=%d: final len %d, want %d", shards, q.len(), len(live))
+		got, ok := q.pop()
+		if !ok {
+			t.Fatalf("op=%d: pop empty with %d live", op, len(live))
 		}
+		min := 0
+		for i := range live {
+			if refLess(live[i], live[min]) {
+				min = i
+			}
+		}
+		if got != live[min] {
+			t.Fatalf("op=%d: pop = %+v, want min %+v", op, got, live[min])
+		}
+		live = append(live[:min], live[min+1:]...)
 	}
-}
-
-// TestDESShardCount pins the shard sizing policy's corners.
-func TestDESShardCount(t *testing.T) {
-	for _, tc := range []struct{ p, want int }{
-		{1, 1}, {63, 1}, {64, 1}, {128, 2}, {1024, 16}, {4096, 16},
-	} {
-		if got := desShardCount(tc.p); got != tc.want {
-			t.Errorf("desShardCount(%d) = %d, want %d", tc.p, got, tc.want)
-		}
+	if len(q.ev) != len(live) {
+		t.Fatalf("final len %d, want %d", len(q.ev), len(live))
 	}
 }

@@ -6,13 +6,13 @@
 // receiver's clock with the sender's send time plus the transfer cost.
 //
 // The machine is a discrete-event core: node programs run as coroutines
-// under a single-threaded virtual-time scheduler with a sharded event
-// queue, pooled message payloads (the hot path allocates nothing per
-// message) and link state proportional to the pairs actually
-// communicating, so P=1024 and beyond are routine (des.go): the
-// machine's memory grows with P plus the links in use. Its statistics
-// are per processor; who sent how much to whom is read off a traced
-// run (trace.Event.Traffic, analyze.Matrix), not counted here. The
+// under a single-threaded virtual-time scheduler with one event heap,
+// pooled message payloads (the hot path allocates nothing per message)
+// and link state proportional to the pairs actually communicating, so
+// P=1024 and beyond are routine (des.go): the machine's memory grows
+// with P plus the links in use. Its statistics are per processor; who
+// sent how much to whom is read off a traced run (trace.Event.Traffic,
+// analyze.Matrix), not counted here. The
 // simulation is deterministic for deterministic node programs: Stats
 // and the sorted trace exports are a function of the node programs, the
 // cost model and the fault plan alone.
@@ -64,7 +64,7 @@ func DefaultConfig(p int) Config {
 
 // Stats aggregates execution statistics: machine-wide totals and one
 // ProcStats per processor. Per-pair traffic is not kept; a traced run's
-// analyze.Matrix has it.
+// analyze.Matrix has it, by processor group above 64 processors.
 type Stats struct {
 	Messages  int64   // point-to-point messages delivered
 	Received  int64   // point-to-point messages consumed by a Recv

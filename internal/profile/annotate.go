@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"fortd/internal/trace"
-	"fortd/internal/trace/analyze"
 )
 
 // WriteTop renders the n highest-cost sites as a fixed-width table,
@@ -34,26 +33,6 @@ func (p *Profile) WriteTop(w io.Writer, n int) error {
 			s.Send/runs, s.Blocked/runs, s.Cost()/runs, s.CPSharePct())
 	}
 	return nil
-}
-
-// Table renders the artifact's headline figures as a table for the HTML
-// report, so the report shows the same numbers `fdrun -profile` and the
-// daemon store.
-func (p *Profile) Table() analyze.Table {
-	id, _ := p.ID()
-	return analyze.Table{
-		Title:  "Profile",
-		Header: []string{"profile id", "blocked share", "imbalance", "critical path (µs)", "msgs", "words"},
-		Rows: [][]string{{
-			short(id),
-			fmt.Sprintf("%.3f", p.BlockedShare()),
-			fmt.Sprintf("%.3f", p.Imbalance()),
-			fmt.Sprintf("%.1f", p.Total.CriticalPath),
-			fmt.Sprint(p.Total.Msgs),
-			fmt.Sprint(p.Total.Words),
-		}},
-		Note: "same artifact definition as `fdrun -profile` and the fdd profile store (internal/profile schema v1)",
-	}
 }
 
 // short abbreviates a content hash for headers.

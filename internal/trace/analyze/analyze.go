@@ -3,11 +3,11 @@
 // run's distillation — totals, the (procedure, line, operation) site
 // rows ranked by communication cost, message-size classes, the
 // per-processor breakdown — is trace.Distill's; this package adds what
-// only the report draws, a P×P traffic matrix and a time-binned
-// utilization timeline, the text and HTML renderings, and — via the
-// Sweep helper — processor-scaling speedup/efficiency curves. It is a
-// pure post-processing layer: it reads collected events only, so
-// untraced runs pay nothing for it.
+// only the report draws, a traffic grid of at most 64×64 processor
+// groups and a time-binned utilization timeline, the text and HTML
+// renderings, and — via the Sweep helper — processor-scaling
+// speedup/efficiency curves. It is a pure post-processing layer: it
+// reads collected events only, so untraced runs pay nothing for it.
 package analyze
 
 import (
@@ -17,19 +17,44 @@ import (
 	"fortd/internal/trace"
 )
 
-// Matrix is the P×P communication matrix: one cell per src→dst pair,
-// filled by Event.Traffic's rule (a remap, which has no single
-// destination, lands on the diagonal). It is the run's only per-pair
-// view: the machine counts per processor, and each row re-adds to its
-// sender's Sent and Words.
+// Matrix is the traffic grid: N = min(P, maxGroups) groups of
+// consecutive processors, processor pid in group pid·N/P, and one cell
+// per src-group→dst-group pair, filled by Event.Traffic's rule (a
+// remap, which has no single destination, lands on the diagonal). For
+// P ≤ maxGroups every group is one processor and the grid is the P×P
+// pair matrix. It is the run's only per-pair view: the machine counts
+// per processor, and each row re-adds to its group's summed Sent and
+// Words.
 type Matrix struct {
-	P     int
+	P     int // processors
+	N     int // groups, the grid's side
 	Msgs  [][]int64
 	Words [][]int64
 	// Cost is the virtual time the pair's traffic occupied: sender
 	// injection time (message startups, remap transfers) plus receiver
 	// blocked time, in µs.
 	Cost [][]float64
+}
+
+// maxGroups bounds the traffic grid's side, so a report's heatmap and
+// the analysis text stay the size of a 64-processor run's at any P.
+const maxGroups = 64
+
+// Group returns the group processor pid falls in.
+func (m *Matrix) Group(pid int) int { return pid * m.N / m.P }
+
+// First returns the first processor of group g; group g ends where
+// group g+1 begins.
+func (m *Matrix) First(g int) int { return (g*m.P + m.N - 1) / m.N }
+
+// Label names group g by its first and last processor: "p3" for a
+// one-processor group, "p16-p31" otherwise.
+func (m *Matrix) Label(g int) string {
+	lo, hi := m.First(g), m.First(g+1)-1
+	if lo == hi {
+		return fmt.Sprintf("p%d", lo)
+	}
+	return fmt.Sprintf("p%d-p%d", lo, hi)
 }
 
 // TimeBin is one slot of the utilization timeline: processor-µs spent
@@ -87,12 +112,13 @@ func Analyze(events []trace.Event) *Analysis {
 	for i := range events {
 		ev := &events[i]
 		if msgs, dst, ok := ev.Traffic(); ok {
-			m.Msgs[ev.Src][dst] += msgs
-			m.Words[ev.Src][dst] += int64(ev.Words)
-			m.Cost[ev.Src][dst] += ev.Dur
+			s, d := m.Group(ev.Src), m.Group(dst)
+			m.Msgs[s][d] += msgs
+			m.Words[s][d] += int64(ev.Words)
+			m.Cost[s][d] += ev.Dur
 			addSpan(ev.Start, ev.Dur, func(b *TimeBin, ov float64) { b.Send += ov })
 		} else if ev.Kind == trace.KindRecv || ev.Kind == trace.KindWait {
-			m.Cost[ev.Src][ev.Dst] += ev.Dur
+			m.Cost[m.Group(ev.Src)][m.Group(ev.Dst)] += ev.Dur
 			addSpan(ev.Start, ev.Dur, func(b *TimeBin, ov float64) { b.Blocked += ov })
 		}
 	}
@@ -117,15 +143,16 @@ func Analyze(events []trace.Event) *Analysis {
 }
 
 func newMatrix(p int) *Matrix {
-	m := &Matrix{P: p,
-		Msgs:  make([][]int64, p),
-		Words: make([][]int64, p),
-		Cost:  make([][]float64, p),
+	n := min(p, maxGroups)
+	m := &Matrix{P: p, N: n,
+		Msgs:  make([][]int64, n),
+		Words: make([][]int64, n),
+		Cost:  make([][]float64, n),
 	}
-	for i := 0; i < p; i++ {
-		m.Msgs[i] = make([]int64, p)
-		m.Words[i] = make([]int64, p)
-		m.Cost[i] = make([]float64, p)
+	for i := 0; i < n; i++ {
+		m.Msgs[i] = make([]int64, n)
+		m.Words[i] = make([]int64, n)
+		m.Cost[i] = make([]float64, n)
 	}
 	return m
 }
@@ -158,20 +185,25 @@ func (a *Analysis) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "P=%d  parallel time %.1fµs  msgs=%d  words=%d\n",
 		a.P, a.Total.Time, a.Total.Msgs, a.Total.Words)
 
-	fmt.Fprintf(w, "\ntraffic matrix (msgs/words, src rows x dst cols; remaps on the diagonal):\n")
-	fmt.Fprintf(w, "%8s", "")
-	for d := 0; d < a.P; d++ {
-		fmt.Fprintf(w, " %14s", fmt.Sprintf("p%d", d))
+	m := a.Matrix
+	rows, width := "src rows x dst cols", 8
+	if m.N < m.P {
+		rows, width = "src groups x dst groups", 12
+	}
+	fmt.Fprintf(w, "\ntraffic matrix (msgs/words, %s; remaps on the diagonal):\n", rows)
+	fmt.Fprintf(w, "%*s", width, "")
+	for d := 0; d < m.N; d++ {
+		fmt.Fprintf(w, " %14s", m.Label(d))
 	}
 	fmt.Fprintf(w, "\n")
-	for s := 0; s < a.P; s++ {
-		fmt.Fprintf(w, "%8s", fmt.Sprintf("p%d", s))
-		for d := 0; d < a.P; d++ {
-			if a.Matrix.Msgs[s][d] == 0 {
+	for s := 0; s < m.N; s++ {
+		fmt.Fprintf(w, "%*s", width, m.Label(s))
+		for d := 0; d < m.N; d++ {
+			if m.Msgs[s][d] == 0 {
 				fmt.Fprintf(w, " %14s", ".")
 				continue
 			}
-			fmt.Fprintf(w, " %14s", fmt.Sprintf("%d/%d", a.Matrix.Msgs[s][d], a.Matrix.Words[s][d]))
+			fmt.Fprintf(w, " %14s", fmt.Sprintf("%d/%d", m.Msgs[s][d], m.Words[s][d]))
 		}
 		fmt.Fprintf(w, "\n")
 	}

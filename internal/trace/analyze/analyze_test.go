@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -187,5 +188,37 @@ func TestZeroDurationAnalysis(t *testing.T) {
 		if strings.Contains(buf.String(), bad) {
 			t.Errorf("zero-duration report contains %s:\n%s", bad, buf.String())
 		}
+	}
+}
+
+// TestMatrixGroups: every processor falls in the group whose label
+// spans it, groups are consecutive and non-empty, and up to 64
+// processors each is its own group.
+func TestMatrixGroups(t *testing.T) {
+	for _, p := range []int{1, 5, 64, 65, 100, 128, 1000, 1024} {
+		m := newMatrix(p)
+		if m.N != min(p, 64) || len(m.Msgs) != m.N {
+			t.Fatalf("P=%d: grid side %d, want %d", p, m.N, min(p, 64))
+		}
+		for pid := 0; pid < p; pid++ {
+			g := m.Group(pid)
+			if pid < m.First(g) || pid >= m.First(g+1) {
+				t.Fatalf("P=%d: p%d in group %d = [%d, %d)", p, pid, g, m.First(g), m.First(g+1))
+			}
+		}
+		for g := 0; g < m.N; g++ {
+			if m.First(g+1) <= m.First(g) {
+				t.Fatalf("P=%d: group %d is empty", p, g)
+			}
+		}
+		if m.First(0) != 0 || m.First(m.N) != p {
+			t.Errorf("P=%d: groups span [%d, %d)", p, m.First(0), m.First(m.N))
+		}
+		if p <= 64 && m.Label(p-1) != fmt.Sprintf("p%d", p-1) {
+			t.Errorf("P=%d: last label %q", p, m.Label(p-1))
+		}
+	}
+	if got := newMatrix(1024).Label(63); got != "p1008-p1023" {
+		t.Errorf("P=1024: last label %q, want p1008-p1023", got)
 	}
 }

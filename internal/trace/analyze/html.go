@@ -11,7 +11,7 @@ import (
 )
 
 // Table is a pre-rendered table a caller can attach to a report
-// section (e.g. internal/report's hotspots table).
+// section (e.g. the profile artifact's headline figures).
 type Table struct {
 	Title  string
 	Header []string
@@ -212,40 +212,39 @@ func buildSection(s *Section) *htmlSection {
 }
 
 func buildHeatmap(a *Analysis) *svgHeatmap {
-	if a.Matrix == nil || a.P == 0 {
+	mx := a.Matrix
+	if mx == nil || mx.N == 0 {
 		return nil
 	}
 	cell := 40.0
-	if a.P > 12 {
-		cell = 480.0 / float64(a.P)
+	if mx.N > 12 {
+		cell = 480.0 / float64(mx.N)
 	}
 	const m = 34.0 // margin for labels
-	hm := &svgHeatmap{W: m + cell*float64(a.P) + 2, H: m + cell*float64(a.P) + 2}
+	hm := &svgHeatmap{W: m + cell*float64(mx.N) + 2, H: m + cell*float64(mx.N) + 2}
 	var maxW int64
-	for s := 0; s < a.P; s++ {
-		for d := 0; d < a.P; d++ {
-			if a.Matrix.Words[s][d] > maxW {
-				maxW = a.Matrix.Words[s][d]
-			}
+	for s := range mx.Words {
+		for _, w := range mx.Words[s] {
+			maxW = max(maxW, w)
 		}
 	}
-	for s := 0; s < a.P; s++ {
+	for s := 0; s < mx.N; s++ {
 		hm.YLab = append(hm.YLab, svgText{X: m - 6, Y: m + cell*float64(s) + cell/2 + 4,
-			Text: fmt.Sprintf("p%d", s), Anchor: "end"})
+			Text: mx.Label(s), Anchor: "end"})
 		hm.XLab = append(hm.XLab, svgText{X: m + cell*float64(s) + cell/2, Y: m - 8,
-			Text: fmt.Sprintf("p%d", s), Anchor: "middle"})
-		for d := 0; d < a.P; d++ {
+			Text: mx.Label(s), Anchor: "middle"})
+		for d := 0; d < mx.N; d++ {
 			t := 0.0
-			if maxW > 0 && a.Matrix.Words[s][d] > 0 {
+			if maxW > 0 && mx.Words[s][d] > 0 {
 				// sqrt scale keeps small flows visible next to the peak
-				t = math.Sqrt(float64(a.Matrix.Words[s][d]) / float64(maxW))
+				t = math.Sqrt(float64(mx.Words[s][d]) / float64(maxW))
 			}
 			hm.Cells = append(hm.Cells, svgRect{
 				X: m + cell*float64(d), Y: m + cell*float64(s),
 				W: cell - 2, H: cell - 2,
 				Fill: seqColor(t),
-				Title: fmt.Sprintf("p%d -> p%d: %d msgs, %d words, %.1fus",
-					s, d, a.Matrix.Msgs[s][d], a.Matrix.Words[s][d], a.Matrix.Cost[s][d]),
+				Title: fmt.Sprintf("%s -> %s: %d msgs, %d words, %.1fus",
+					mx.Label(s), mx.Label(d), mx.Msgs[s][d], mx.Words[s][d], mx.Cost[s][d]),
 			})
 		}
 	}

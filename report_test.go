@@ -58,8 +58,9 @@ func TestGoldenAnalyzeDgefa(t *testing.T) {
 // TestStatsConservation checks message conservation on real workloads:
 // every message sent is eventually consumed by a Recv — a remap's too,
 // which are real messages (RemapMsgs is 0 in a compiled run) — the
-// machine-wide Received aggregate matches the per-processor sum, and the
-// traced run's traffic matrix re-adds to each sender's totals.
+// machine-wide Received aggregate matches the per-processor sum, and each
+// row of the traced run's traffic grid re-adds to its sender group's
+// summed totals (at P=128 a group is two processors).
 func TestStatsConservation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -69,6 +70,7 @@ func TestStatsConservation(t *testing.T) {
 		{"jacobi", Jacobi2DSrc(16, 3, 4), map[string][]float64{"a": Ramp(16 * 16)}},
 		{"dgefa", DgefaSrc(32, 4), map[string][]float64{"a": DgefaMatrix(32)}},
 		{"dyndist", Fig15Src(5, 4), map[string][]float64{"X": Ramp(100)}},
+		{"dgefa_p128", DgefaSrc(128, 128), map[string][]float64{"a": DgefaMatrix(128)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,20 +96,25 @@ func TestStatsConservation(t *testing.T) {
 			if s.Received != recvd {
 				t.Errorf("Stats.Received = %d, per-proc sum = %d", s.Received, recvd)
 			}
-			// the pair matrix rows must re-add to each sender's totals
+			// the grid rows must re-add to each sender group's totals
 			mx := analyze.Analyze(tr.Events()).Matrix
-			if mx.P != len(s.PerProc) {
-				t.Fatalf("matrix is %d×%d, the run has %d processors", mx.P, mx.P, len(s.PerProc))
+			if mx.P != len(s.PerProc) || mx.N != min(mx.P, 64) {
+				t.Fatalf("grid is %d×%d for %d processors, the run has %d", mx.N, mx.N, mx.P, len(s.PerProc))
 			}
-			for src := range s.PerProc {
-				var msgs, words int64
-				for dst := range mx.Msgs[src] {
-					msgs += mx.Msgs[src][dst]
-					words += mx.Words[src][dst]
+			groupSent, groupWords := make([]int64, mx.N), make([]int64, mx.N)
+			for pid, ps := range s.PerProc {
+				groupSent[mx.Group(pid)] += ps.Sent
+				groupWords[mx.Group(pid)] += ps.Words
+			}
+			for g := range groupSent {
+				var rowMsgs, rowWords int64
+				for d := range mx.Msgs[g] {
+					rowMsgs += mx.Msgs[g][d]
+					rowWords += mx.Words[g][d]
 				}
-				if msgs != s.PerProc[src].Sent || words != s.PerProc[src].Words {
-					t.Errorf("proc %d: traffic row sums (%d msgs, %d words) != proc totals (%d, %d)",
-						src, msgs, words, s.PerProc[src].Sent, s.PerProc[src].Words)
+				if rowMsgs != groupSent[g] || rowWords != groupWords[g] {
+					t.Errorf("group %s: traffic row sums (%d msgs, %d words) != group totals (%d, %d)",
+						mx.Label(g), rowMsgs, rowWords, groupSent[g], groupWords[g])
 				}
 			}
 		})

@@ -8,6 +8,7 @@ package fortd
 // methods are safe for concurrent use — that is the point.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"fortd/internal/metrics"
 	"fortd/internal/profile"
 	"fortd/internal/summarycache"
+	"fortd/internal/trace/analyze"
 )
 
 // Typed service errors. The HTTP layer maps these onto status codes
@@ -383,10 +385,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // Cache returns the service's shared summary cache.
 func (s *Service) Cache() *SummaryCache { return s.cache }
 
-// RunDeadline returns ServiceConfig.RunDeadline, the bound on each
-// simulated run's wall-clock time.
-func (s *Service) RunDeadline() time.Duration { return s.cfg.RunDeadline }
-
 // Close marks the service closed: subsequent requests fail with
 // ErrServiceClosed; requests already executing finish normally.
 func (s *Service) Close() {
@@ -706,6 +704,12 @@ func (s *Service) Run(ctx context.Context, req RunRequest) (*RunOutcome, error) 
 	}
 	defer s.release()
 	out, err := s.runLocked(ctx, req)
+	s.countRun(start, err)
+	return out, tagRequest(ctx, err)
+}
+
+// countRun records one finished run request, admitted at start.
+func (s *Service) countRun(start time.Time, err error) {
 	s.mu.Lock()
 	s.runs++
 	if err != nil {
@@ -714,7 +718,6 @@ func (s *Service) Run(ctx context.Context, req RunRequest) (*RunOutcome, error) 
 	s.mu.Unlock()
 	s.met.runs.With(outcomeLabel(err)).Inc()
 	s.met.runSec.Observe(time.Since(start).Seconds())
-	return out, tagRequest(ctx, err)
 }
 
 func (s *Service) runLocked(ctx context.Context, req RunRequest) (*RunOutcome, error) {
@@ -794,12 +797,45 @@ func (s *Service) Profile(id string) (*profile.Profile, error) {
 // Profiles lists the stored profile artifacts, sorted by id.
 func (s *Service) Profiles() ([]profile.Entry, error) { return s.profiles.List() }
 
-// Lookup returns the retained source, options and listing for a
-// program id (for report rendering and listing diffs).
-func (s *Service) Lookup(id string) (src string, opts Options, listing string, err error) {
+// PageRequest is one session's call for the HTML performance page of
+// a program compiled earlier in this process.
+type PageRequest struct {
+	Session string
+	// ID names a retained compilation.
+	ID string
+}
+
+// Page renders the HTML performance page of a retained program (see
+// PageSection): it recompiles the program traced and with remarks on,
+// through the shared summary cache, and runs it. The request is
+// admitted and counted as one run, as Run's are: the session rate
+// limit, the queue bound and a worker slot apply, and the run stops at
+// ServiceConfig.RunDeadline or when ctx is done. A procedure's cache key
+// holds the remarks flag, so the first page of a program compiled
+// without remarks misses every procedure.
+func (s *Service) Page(ctx context.Context, req PageRequest) ([]byte, error) {
+	start := time.Now()
+	if err := s.acquire(ctx, req.Session); err != nil {
+		return nil, tagRequest(ctx, err)
+	}
+	defer s.release()
+	page, err := s.pageLocked(ctx, req.ID)
+	s.countRun(start, err)
+	return page, tagRequest(ctx, err)
+}
+
+func (s *Service) pageLocked(ctx context.Context, id string) ([]byte, error) {
 	p, err := s.lookup(id)
 	if err != nil {
-		return "", Options{}, "", err
+		return nil, err
 	}
-	return p.src, p.opts, p.listing, nil
+	opts := p.opts
+	opts.Cache = s.cache
+	sec, err := PageSection(ctx, id[:12], p.src, nil, opts, nil, s.cfg.RunDeadline)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = analyze.WriteHTML(&buf, &analyze.Page{Title: "fdd compile report", Subtitle: "program " + id, Sections: []*analyze.Section{sec}})
+	return buf.Bytes(), err
 }

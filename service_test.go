@@ -98,9 +98,9 @@ func TestServiceRunUnknownID(t *testing.T) {
 	if !errors.Is(err, ErrUnknownProgram) {
 		t.Fatalf("err = %v, want ErrUnknownProgram", err)
 	}
-	_, _, _, err = svc.Lookup("deadbeef")
+	_, err = svc.Page(context.Background(), PageRequest{ID: "deadbeef"})
 	if !errors.Is(err, ErrUnknownProgram) {
-		t.Fatalf("Lookup err = %v, want ErrUnknownProgram", err)
+		t.Fatalf("Page err = %v, want ErrUnknownProgram", err)
 	}
 }
 
@@ -219,13 +219,29 @@ func TestServiceProgramLRU(t *testing.T) {
 		}
 		ids[i] = res.ID
 	}
-	if _, _, _, err := svc.Lookup(ids[0]); !errors.Is(err, ErrUnknownProgram) {
+	if _, err := svc.Run(ctx, RunRequest{ID: ids[0]}); !errors.Is(err, ErrUnknownProgram) {
 		t.Fatalf("oldest program still retained, err = %v", err)
 	}
 	for _, id := range ids[1:] {
-		if _, _, _, err := svc.Lookup(id); err != nil {
+		if _, err := svc.Run(ctx, RunRequest{ID: id}); err != nil {
 			t.Fatalf("recent program %s evicted: %v", id, err)
 		}
+	}
+}
+
+// TestServiceRetainsCompileDeadline: a program compiled with no
+// deadline of its own is retained with the one it inherited from the
+// service, so the recompile behind its page is bounded like the
+// compile was.
+func TestServiceRetainsCompileDeadline(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{Options: Options{Deadline: time.Minute}})
+	res, err := svc.Compile(context.Background(), CompileRequest{Source: Fig1Src(32, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := svc.lookup(res.ID)
+	if err != nil || p.opts.Deadline != time.Minute {
+		t.Fatalf("retained program %+v (%v), want the service's compile deadline %v", p, err, time.Minute)
 	}
 }
 
