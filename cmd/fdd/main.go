@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"fortd"
-	"fortd/internal/metrics"
 )
 
 func main() {
@@ -70,7 +69,6 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	reg := metrics.New()
 	base := fortd.DefaultOptions().WithOverlap(*overlap)
 	base.Jobs = *jobs
 	cfg := fortd.ServiceConfig{
@@ -82,7 +80,6 @@ func main() {
 		RateLimit:   *rate,
 		RateBurst:   *burst,
 		RunDeadline: *runWall,
-		Metrics:     reg,
 	}
 	svc, err := fortd.NewService(cfg)
 	if err != nil {
@@ -91,7 +88,7 @@ func main() {
 	}
 	defer svc.Close()
 
-	tel := newTelemetry(logger, reg)
+	tel := newTelemetry(logger, svc.Metrics())
 	if dir := svc.Cache().Stats().Dir; dir != "" {
 		logger.Info("summary cache persisted", "dir", dir)
 	}

@@ -23,12 +23,11 @@ import (
 	"fortd/internal/metrics"
 )
 
-// telemetry is the daemon's observability state: the metrics registry
-// backing /metrics, the structured logger, the readiness flag flipped
-// during drain, and the process start time behind /stats uptime.
+// telemetry is the daemon's observability state: the structured
+// logger, the HTTP-layer instruments, the readiness flag flipped during
+// drain, and the process start time behind /stats uptime.
 type telemetry struct {
 	log   *slog.Logger
-	reg   *metrics.Registry
 	start time.Time
 	ready atomic.Bool
 
@@ -37,9 +36,9 @@ type telemetry struct {
 }
 
 // newTelemetry builds the daemon's telemetry and registers the
-// HTTP-layer and process-level families.
+// HTTP-layer and process-level families on the Service's registry.
 func newTelemetry(logger *slog.Logger, reg *metrics.Registry) *telemetry {
-	t := &telemetry{log: logger, reg: reg, start: time.Now()}
+	t := &telemetry{log: logger, start: time.Now()}
 	t.ready.Store(true)
 	t.requests = reg.CounterVec("fdd_http_requests_total", "HTTP requests by route, method and status.", "route", "method", "status")
 	t.latency = reg.HistogramVec("fdd_http_request_seconds", "HTTP request latency by route.", nil, "route")

@@ -115,6 +115,10 @@ func classify(err error) (int, errorBody) {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, errorBody{Kind: "deadline", Message: err.Error()}
 	}
+	var tl *http.MaxBytesError
+	if errors.As(err, &tl) {
+		return http.StatusRequestEntityTooLarge, errorBody{Kind: "too-large", Message: err.Error()}
+	}
 	var dl *fortd.DeadlockError
 	if errors.As(err, &dl) {
 		return http.StatusUnprocessableEntity, errorBody{
@@ -249,9 +253,13 @@ type remarkDTO struct {
 	Msg  string `json:"msg"`
 }
 
+// maxBodyBytes bounds a POST body, two orders of magnitude above the
+// largest program the benchmark compiles (200 KB of source).
+const maxBodyBytes = 32 << 20
+
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req compileDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, r, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -290,7 +298,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, r, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -394,10 +402,11 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
-// handleMetrics renders the registry in the Prometheus text format.
+// handleMetrics renders the Service's registry in the Prometheus text
+// format.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.ContentType)
-	s.tel.reg.WriteText(w)
+	s.svc.Metrics().WriteText(w)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"fortd"
-	"fortd/internal/metrics"
 )
 
 func newTestHandler(t *testing.T, cfg fortd.ServiceConfig) http.Handler {
@@ -26,18 +25,16 @@ func newTestHandler(t *testing.T, cfg fortd.ServiceConfig) http.Handler {
 	return h
 }
 
-// newTestServer builds a full daemon handler — registry, telemetry
-// middleware, Service — around a quiet logger.
+// newTestServer builds a full daemon handler — Service, telemetry
+// middleware on its registry — around a quiet logger.
 func newTestServer(t *testing.T, cfg fortd.ServiceConfig, pprofOn bool) (http.Handler, *telemetry) {
 	t.Helper()
-	reg := metrics.New()
-	cfg.Metrics = reg
 	svc, err := fortd.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	tel := newTelemetry(slog.New(slog.NewJSONHandler(io.Discard, nil)), reg)
+	tel := newTelemetry(slog.New(slog.NewJSONHandler(io.Discard, nil)), svc.Metrics())
 	return newServer(svc, fortd.DefaultOptions(), tel, pprofOn), tel
 }
 
@@ -190,6 +187,30 @@ func TestDaemonErrors(t *testing.T) {
 	}
 }
 
+// TestDaemonBodyLimit: a POST body one byte over maxBodyBytes is 413
+// on both routes that decode one, before anything is compiled, and the
+// daemon serves the next request.
+func TestDaemonBodyLimit(t *testing.T) {
+	h := newTestHandler(t, fortd.ServiceConfig{})
+	head, tail := `{"source":"x","pad":"`, `"}`
+	body := append([]byte(head), bytes.Repeat([]byte("a"), maxBodyBytes+1-len(head)-len(tail))...)
+	body = append(body, tail...)
+	for _, path := range []string{"/compile", "/run"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		var out map[string]any
+		if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: bad JSON: %v", path, err)
+		}
+		if w.Code != http.StatusRequestEntityTooLarge || errKind(t, out) != "too-large" {
+			t.Fatalf("%s with a %d-byte body -> %d %v, want 413 too-large", path, len(body), w.Code, out)
+		}
+	}
+	if w, _ := do(t, h, "POST", "/compile", map[string]any{"source": fortd.Fig1Src(32, 4)}); w.Code != http.StatusOK {
+		t.Fatalf("compile after the oversized bodies -> %d: %s", w.Code, w.Body.String())
+	}
+}
+
 // TestDaemonRunFailureIs422: a program that is well-formed but fails
 // when it runs — here an intrinsic call that used to panic a node
 // goroutine and kill the daemon — is 422 with kind "run", at any P, and
@@ -283,8 +304,42 @@ func TestDaemonHealthz(t *testing.T) {
 	}
 }
 
-// scrape parses the daemon's /metrics rendering.
-func scrape(t *testing.T, h http.Handler) *metrics.Snapshot {
+// scraped is one parsed /metrics rendering: the families its TYPE
+// lines declare, and its samples (a histogram's as _bucket, _sum and
+// _count lines).
+type scraped struct {
+	families map[string]string // name -> type
+	samples  []sample
+}
+
+type sample struct {
+	name   string
+	labels map[string]string
+	value  float64
+}
+
+// Value sums the samples named name that carry every label pair.
+func (s *scraped) Value(name string, labelPairs ...string) float64 {
+	var sum float64
+next:
+	for _, sm := range s.samples {
+		if sm.name != name {
+			continue
+		}
+		for i := 0; i+1 < len(labelPairs); i += 2 {
+			if sm.labels[labelPairs[i]] != labelPairs[i+1] {
+				continue next
+			}
+		}
+		sum += sm.value
+	}
+	return sum
+}
+
+// scrape fetches and parses the daemon's /metrics rendering. The
+// daemon's label values hold no comma, quote or newline, so a line
+// splits at its first '{', its commas and its last space.
+func scrape(t *testing.T, h http.Handler) *scraped {
 	t.Helper()
 	w, _ := do(t, h, "GET", "/metrics", nil)
 	if w.Code != http.StatusOK {
@@ -293,9 +348,28 @@ func scrape(t *testing.T, h http.Handler) *metrics.Snapshot {
 	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics content type %q", ct)
 	}
-	snap, err := metrics.ParseText(w.Body)
-	if err != nil {
-		t.Fatalf("metrics did not parse: %v", err)
+	snap := &scraped{families: map[string]string{}}
+	for _, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			snap.families[f[2]] = f[3]
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		sm := sample{labels: map[string]string{}, value: v}
+		name, labels, _ := strings.Cut(line[:sp], "{")
+		sm.name = name
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+			if k, v, ok := strings.Cut(kv, "="); ok {
+				sm.labels[k] = strings.Trim(v, `"`)
+			}
+		}
+		snap.samples = append(snap.samples, sm)
 	}
 	return snap
 }
@@ -326,7 +400,7 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 		"fdd_http_requests_total", "fdd_http_request_seconds",
 		"fdd_process_uptime_seconds", "fdd_process_goroutines", "fdd_ready",
 	} {
-		if _, ok := snap.Families[fam]; !ok {
+		if _, ok := snap.families[fam]; !ok {
 			t.Errorf("family %s missing from /metrics", fam)
 		}
 	}
@@ -363,8 +437,8 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 }
 
 // TestDaemonStatsMetricsAgree cross-checks /stats against /metrics:
-// the two views are fed by the same live state, so the stable numbers
-// must match exactly.
+// the two views are fed by the same live state and the same request
+// counters, so the stable numbers must match exactly.
 func TestDaemonStatsMetricsAgree(t *testing.T) {
 	h, _ := newTestServer(t, fortd.ServiceConfig{Workers: 3}, false)
 	src := fortd.Jacobi1DSrc(64, 4, 4)
@@ -372,6 +446,10 @@ func TestDaemonStatsMetricsAgree(t *testing.T) {
 		if w, _ := do(t, h, "POST", "/compile", map[string]any{"session": "x", "source": src}); w.Code != http.StatusOK {
 			t.Fatalf("compile status %d", w.Code)
 		}
+	}
+	// inline source: one run, and no compile in either view
+	if w, _ := do(t, h, "POST", "/run", map[string]any{"session": "x", "source": src, "init": map[string][]float64{"a": fortd.Ramp(64)}}); w.Code != http.StatusOK {
+		t.Fatalf("run status %d", w.Code)
 	}
 
 	w, out := do(t, h, "GET", "/stats", nil)
@@ -387,6 +465,8 @@ func TestDaemonStatsMetricsAgree(t *testing.T) {
 		metric float64
 		name   string
 	}{
+		{svc["compiles"].(float64), snap.Value("fdd_compiles_total"), "compiles"},
+		{svc["runs"].(float64), snap.Value("fdd_runs_total"), "runs"},
 		{svc["queued"].(float64), snap.Value("fdd_queue_depth"), "queue depth"},
 		{svc["queueDepth"].(float64), snap.Value("fdd_queue_limit"), "queue limit"},
 		{svc["inFlight"].(float64), snap.Value("fdd_pool_inflight"), "inflight"},
@@ -859,7 +939,7 @@ func TestDaemonLoad(t *testing.T) {
 		"fdd_queue_depth", "fdd_pool_inflight", "fdd_pool_saturation",
 		"fdd_http_requests_total", "fdd_http_request_seconds",
 	} {
-		if _, ok := snap.Families[fam]; !ok {
+		if _, ok := snap.families[fam]; !ok {
 			t.Errorf("family %s missing from /metrics", fam)
 		}
 	}
@@ -943,14 +1023,7 @@ func TestDaemonReportHonoursDeadlines(t *testing.T) {
 		{"client gone", fortd.ServiceConfig{}, true, 499},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := metrics.New()
-			tc.cfg.Metrics = reg
-			svc, err := fortd.NewService(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(svc.Close)
-			h := newServer(svc, fortd.DefaultOptions(), newTelemetry(slog.New(slog.NewJSONHandler(io.Discard, nil)), reg), false)
+			h := newTestHandler(t, tc.cfg)
 			w, out := do(t, h, "POST", "/compile", map[string]any{"session": "t", "source": spin})
 			if w.Code != http.StatusOK {
 				t.Fatalf("compile status %d: %s", w.Code, w.Body.String())

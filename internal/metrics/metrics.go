@@ -1,20 +1,20 @@
 // Package metrics is a dependency-free, concurrency-safe metrics
-// registry for the compile service: counters, gauges and fixed-bucket
-// histograms, each optionally labelled, rendered in the Prometheus
-// text exposition format (version 0.0.4).
+// registry for the compile service: counters and fixed-bucket
+// histograms, each optionally labelled, and gauges and counters
+// sampled from a function at read time, rendered in the Prometheus
+// text exposition format (version 0.0.4) and read back by Value.
 //
-// The design mirrors the repo's nil-sink trace contract: every
-// instrument is usable through a nil pointer, and a nil *Registry
-// hands out nil instruments, so code instruments unconditionally and
-// pays only a nil check when no registry is configured (pinned by
-// BenchmarkMetricsDisabled). All methods are safe for concurrent use;
-// hot-path updates are single atomic operations and never take the
-// registry lock.
+// A registry is always live: the service owns one and records every
+// request in it, so its counters are the only record of the service's
+// traffic. All methods are safe for concurrent use; hot-path updates
+// are single atomic operations, never take the registry lock and
+// never allocate (pinned by TestMetricsRequestAllocationFree).
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,9 +46,7 @@ func (k kind) String() string {
 var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 // Registry holds metric families and renders them. Create with New;
-// the zero value is NOT ready (use New so families is allocated). A
-// nil *Registry is a valid disabled registry: every constructor
-// returns a nil instrument whose methods are no-ops.
+// the zero value is NOT ready (use New so families is allocated).
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -72,15 +70,30 @@ type family struct {
 	series map[string]*series
 }
 
-// series is one (family, label values) time series. Exactly one of
-// the value holders is live, matching the family kind; fn, when
-// non-nil, is evaluated at render time instead (func-backed series).
+// series is one (family, label values) time series: a counter (c),
+// a histogram (h), or a value sampled from fn at read time (every
+// gauge, and the counters another subsystem maintains).
 type series struct {
 	values []string
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
+}
+
+// value reads the series: a counter's count, a histogram's number of
+// observations, or fn's sample.
+func (s *series) value() float64 {
+	switch {
+	case s.fn != nil:
+		return s.fn()
+	case s.h != nil:
+		var n uint64
+		for i := range s.h.counts {
+			n += s.h.counts[i].Load()
+		}
+		return float64(n)
+	}
+	return float64(s.c.Value())
 }
 
 // lookup returns the family for name, creating it on first use and
@@ -139,33 +152,16 @@ func join(values []string) string {
 
 // --- Counter ---------------------------------------------------------------
 
-// Counter is a monotonically increasing value. A nil Counter is a
-// valid no-op instrument.
+// Counter is a monotonically increasing value.
 type Counter struct {
 	n atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n.Add(1)
-	}
-}
-
-// Add adds n (n must be >= 0; counters only go up).
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.n.Add(n)
-	}
-}
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.n.Load()
-}
+func (c *Counter) Value() uint64 { return c.n.Load() }
 
 // CounterVec is a labelled counter family.
 type CounterVec struct {
@@ -174,30 +170,21 @@ type CounterVec struct {
 
 // With returns the counter for the given label values.
 func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
 	return v.f.with(values, func() *series { return &series{c: new(Counter)} }).c
 }
 
 // Counter registers (or returns) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
 	return r.CounterVec(name, help).With()
 }
 
 // CounterVec registers (or returns) a labelled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
 	return &CounterVec{f: r.lookup(name, help, counterKind, labels, nil)}
 }
 
 // CounterFunc registers a counter series whose value is read from fn
-// at render time — for monotone counters another subsystem already
+// at read time — for monotone counters another subsystem already
 // maintains (e.g. the summary cache's hit counts). labelPairs
 // alternates label names and values; repeated calls with the same
 // name and distinct values add series to one family.
@@ -205,72 +192,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labelPairs 
 	r.registerFunc(name, help, counterKind, fn, labelPairs)
 }
 
-// --- Gauge -----------------------------------------------------------------
+// --- Sampled series ---------------------------------------------------------
 
-// Gauge is a value that can go up and down. A nil Gauge is a valid
-// no-op instrument.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds d (negative to subtract).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// GaugeVec is a labelled gauge family.
-type GaugeVec struct {
-	f *family
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.with(values, func() *series { return &series{g: new(Gauge)} }).g
-}
-
-// Gauge registers (or returns) an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.GaugeVec(name, help).With()
-}
-
-// GaugeVec registers (or returns) a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.lookup(name, help, gaugeKind, labels, nil)}
-}
-
-// GaugeFunc registers a gauge series sampled from fn at render time
+// GaugeFunc registers a gauge series sampled from fn at read time
 // (queue depths, pool saturation, goroutine counts). See CounterFunc
 // for labelPairs.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ...string) {
@@ -278,9 +202,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ..
 }
 
 func (r *Registry) registerFunc(name, help string, k kind, fn func() float64, labelPairs []string) {
-	if r == nil {
-		return
-	}
 	if len(labelPairs)%2 != 0 {
 		panic(fmt.Sprintf("metrics: %s: odd labelPairs %v", name, labelPairs))
 	}
@@ -299,8 +220,7 @@ func (r *Registry) registerFunc(name, help string, k kind, fn func() float64, la
 
 // --- Histogram -------------------------------------------------------------
 
-// Histogram counts observations into fixed cumulative buckets. A nil
-// Histogram is a valid no-op instrument.
+// Histogram counts observations into fixed cumulative buckets.
 type Histogram struct {
 	bounds  []float64 // sorted upper bounds, +Inf implicit
 	counts  []atomic.Uint64
@@ -315,9 +235,6 @@ func newHistogram(bounds []float64) *Histogram {
 // lands in that bucket (le is inclusive); one above every bound lands
 // in the implicit +Inf bucket.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	for {
@@ -328,25 +245,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // HistogramVec is a labelled histogram family.
 type HistogramVec struct {
@@ -355,9 +255,6 @@ type HistogramVec struct {
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
 	f := v.f
 	return f.with(values, func() *series { return &series{h: newHistogram(f.bounds)} }).h
 }
@@ -366,17 +263,11 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // given upper bounds (nil: DefBuckets). Bounds must be sorted
 // ascending; the +Inf bucket is implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	return r.HistogramVec(name, help, bounds).With()
 }
 
 // HistogramVec registers (or returns) a labelled histogram family.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
 	if bounds == nil {
 		bounds = DefBuckets
 	}
@@ -386,4 +277,52 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 		}
 	}
 	return &HistogramVec{f: r.lookup(name, help, histogramKind, labels, bounds)}
+}
+
+// --- Reading ---------------------------------------------------------------
+
+// Value returns the sum over name's series that carry every label pair
+// in labelPairs (alternating names and values; a label the family does
+// not have matches no series), each read as series.value does. A name
+// nothing registered reads 0.
+func (r *Registry) Value(name string, labelPairs ...string) float64 {
+	if len(labelPairs)%2 != 0 {
+		panic(fmt.Sprintf("metrics: %s: odd labelPairs %v", name, labelPairs))
+	}
+	r.mu.Lock()
+	f := r.families[name]
+	r.mu.Unlock()
+	if f == nil {
+		return 0
+	}
+	var sum float64
+	for _, s := range f.snapshot() {
+		if f.matches(s, labelPairs) {
+			sum += s.value()
+		}
+	}
+	return sum
+}
+
+// snapshot returns the family's series; readers sample them outside
+// the family lock, since a sampled series may take its owner's locks.
+func (f *family) snapshot() []*series {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ss := make([]*series, 0, len(f.series))
+	for _, s := range f.series {
+		ss = append(ss, s)
+	}
+	return ss
+}
+
+// matches reports whether s carries every label pair.
+func (f *family) matches(s *series, labelPairs []string) bool {
+	for i := 0; i < len(labelPairs); i += 2 {
+		j := slices.Index(f.labels, labelPairs[i])
+		if j < 0 || s.values[j] != labelPairs[i+1] {
+			return false
+		}
+	}
+	return true
 }

@@ -1,10 +1,9 @@
 package metrics
 
-// Prometheus text exposition rendering (format version 0.0.4) and the
-// matching parser the daemon's tests scrape with (TestDaemonLoad, the
-// daemon's /stats-vs-/metrics cross-check). Families render sorted by
-// name and series sorted by label values, so repeated renders of an
-// unchanged registry are byte-identical — goldenable.
+// Prometheus text exposition rendering (format version 0.0.4).
+// Families render sorted by name and series sorted by label values, so
+// repeated renders of an unchanged registry are byte-identical —
+// goldenable.
 
 import (
 	"bufio"
@@ -18,12 +17,8 @@ import (
 // ContentType is the HTTP Content-Type for the rendered text.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WriteText renders every family in the registry. A nil registry
-// renders nothing.
+// WriteText renders every family in the registry.
 func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -39,12 +34,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 }
 
 func (f *family) write(w *bufio.Writer) {
-	f.mu.Lock()
-	ss := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		ss = append(ss, s)
-	}
-	f.mu.Unlock()
+	ss := f.snapshot()
 	sort.Slice(ss, func(i, j int) bool { return join(ss[i].values) < join(ss[j].values) })
 	if f.help != "" {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
@@ -56,10 +46,8 @@ func (f *family) write(w *bufio.Writer) {
 			f.writeHistogram(w, s)
 		case s.fn != nil:
 			fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, s.values, "", 0), fmtFloat(s.fn()))
-		case f.kind == counterKind:
-			fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, s.values, "", 0), s.c.Value())
 		default:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, s.values, "", 0), fmtFloat(s.g.Value()))
+			fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, s.values, "", 0), s.c.Value())
 		}
 	}
 }
@@ -130,153 +118,4 @@ func escapeLabel(v string) string {
 func escapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// --- Parsing ---------------------------------------------------------------
-
-// Sample is one parsed exposition line. Histograms appear as their
-// component _bucket/_sum/_count samples.
-type Sample struct {
-	Name   string
-	Labels map[string]string
-	Value  float64
-}
-
-// Snapshot is a parsed scrape.
-type Snapshot struct {
-	Samples []Sample
-	// Families is the set of `# TYPE`-declared family names.
-	Families map[string]string // name -> type
-}
-
-// Value returns the single sample matching name and the given label
-// pairs exactly-as-subset (every given pair must match; other labels
-// are ignored), summing when several match.
-func (s *Snapshot) Value(name string, labelPairs ...string) float64 {
-	var sum float64
-	for _, sm := range s.Samples {
-		if sm.Name != name || !matches(sm.Labels, labelPairs) {
-			continue
-		}
-		sum += sm.Value
-	}
-	return sum
-}
-
-func matches(labels map[string]string, pairs []string) bool {
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if labels[pairs[i]] != pairs[i+1] {
-			return false
-		}
-	}
-	return true
-}
-
-// ParseText parses a text exposition scrape.
-func ParseText(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{Families: map[string]string{}}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for ln := 1; sc.Scan(); ln++ {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if fields := strings.Fields(line); len(fields) >= 4 && fields[1] == "TYPE" {
-				snap.Families[fields[2]] = fields[3]
-			}
-			continue
-		}
-		sample, err := parseSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: line %d: %w", ln, err)
-		}
-		snap.Samples = append(snap.Samples, sample)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-func parseSample(line string) (Sample, error) {
-	s := Sample{Labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
-		return s, fmt.Errorf("no value in %q", line)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
-	}
-	if strings.HasPrefix(rest, "{") {
-		end := -1
-		esc := false
-		inQuote := false
-		for i := 1; i < len(rest); i++ {
-			c := rest[i]
-			switch {
-			case esc:
-				esc = false
-			case c == '\\':
-				esc = true
-			case c == '"':
-				inQuote = !inQuote
-			case c == '}' && !inQuote:
-				end = i
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return s, fmt.Errorf("unterminated labels in %q", line)
-		}
-		if err := parseLabels(rest[1:end], s.Labels); err != nil {
-			return s, err
-		}
-		rest = rest[end+1:]
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil {
-		return s, fmt.Errorf("bad value in %q: %v", line, err)
-	}
-	s.Value = v
-	return s, nil
-}
-
-func parseLabels(in string, out map[string]string) error {
-	for len(in) > 0 {
-		eq := strings.Index(in, "=")
-		if eq < 0 || eq+1 >= len(in) || in[eq+1] != '"' {
-			return fmt.Errorf("bad label segment %q", in)
-		}
-		name := strings.TrimSpace(in[:eq])
-		var val strings.Builder
-		i := eq + 2
-		for ; i < len(in); i++ {
-			c := in[i]
-			if c == '\\' && i+1 < len(in) {
-				i++
-				switch in[i] {
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte(in[i])
-				}
-				continue
-			}
-			if c == '"' {
-				break
-			}
-			val.WriteByte(c)
-		}
-		if i >= len(in) {
-			return fmt.Errorf("unterminated label value in %q", in)
-		}
-		out[name] = val.String()
-		in = in[i+1:]
-		in = strings.TrimPrefix(in, ",")
-	}
-	return nil
 }

@@ -633,8 +633,9 @@ func (lw *lowerer) assign(st *ast.Assign) stmtFn {
 }
 
 // do lowers a DO loop. The bounds are evaluated once and cost no
-// virtual time; the index variable keeps its last value after the loop.
-// A body that qualifies runs on cursors whenever they can be positioned
+// virtual time; the index variable keeps its last value after the loop,
+// and a loop that runs no iteration assigns it nothing (DESIGN.md
+// deviation 18, not F77's lo + max(0, trip)·s). A body that qualifies runs on cursors whenever they can be positioned
 // on entry (cursor.go): the loop itself, its abort polling and the
 // statements' flop charges are the same either way.
 func (lw *lowerer) do(st *ast.Do) stmtFn {

@@ -70,3 +70,45 @@ func TestKnownWrongAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestDoIndexKeepsLastValue pins DESIGN.md deviation 18: after a DO
+// loop its index holds the last iteration's value (16 after do i =
+// 1, 16), and a loop that runs no iteration leaves it as it was (7
+// before and after do j = 5, 1). F77 gives lo + max(0, trip)·s, 17
+// and 5. Both executors share one lowering, so no differential test
+// sees the rule; a change to it is a change to this test.
+func TestDoIndexKeepsLastValue(t *testing.T) {
+	const src = `
+      PROGRAM LASTV
+      PARAMETER (n$proc = 4)
+      REAL a(16), r(2)
+      DISTRIBUTE a(BLOCK)
+      j = 7
+      do i = 1, 16
+        a(i) = i
+      enddo
+      do j = 5, 1
+        a(j) = 0.0
+      enddo
+      r(1) = i
+      r(2) = j
+      END
+`
+	prog, err := Compile(src, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	for _, run := range []struct {
+		name string
+		run  func(*Program) (*Result, error)
+	}{{"compiled", r.Run}, {"reference", r.RunReference}} {
+		res, err := run.run(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if got := res.Arrays["r"]; len(got) != 2 || got[0] != 16 || got[1] != 7 {
+			t.Errorf("%s: (i, j) after the loops = %v, want [16 7]\n%s", run.name, got, prog.Listing())
+		}
+	}
+}

@@ -3,9 +3,10 @@ package fortd
 // Service is the compile-as-a-service engine: the production analogue
 // of ParaScope's program database. One process-wide Service owns the
 // shared summary cache (optionally disk-persisted, so restarts and
-// parallel servers stay warm), a bounded worker pool, and per-session
-// token-bucket rate limits; cmd/fdd exposes it over HTTP/JSON. All
-// methods are safe for concurrent use — that is the point.
+// parallel servers stay warm), a bounded worker pool, per-session
+// token-bucket rate limits and the metrics registry that records its
+// requests; cmd/fdd exposes it over HTTP/JSON. All methods are safe
+// for concurrent use — that is the point.
 
 import (
 	"bytes"
@@ -144,13 +145,6 @@ type ServiceConfig struct {
 	// and /report/{id}; the least recently used entry is evicted (0:
 	// 256).
 	MaxPrograms int
-	// Metrics, when non-nil, receives the service's live telemetry:
-	// compile/run outcomes and latency histograms, rate-limit and
-	// overload rejections, worker-pool queue depth and saturation, and
-	// summary-cache hit/miss counters split by memory vs disk tier. A
-	// nil registry disables recording at the cost of a nil check
-	// (pinned by BenchmarkMetricsDisabled in internal/metrics).
-	Metrics *metrics.Registry
 }
 
 // Validate reports the first invalid field or combination.
@@ -189,13 +183,16 @@ func (c ServiceConfig) Validate() error {
 }
 
 // ServiceStats is a point-in-time view of a Service's counters,
-// exposed by the daemon's /stats endpoint.
+// exposed by the daemon's /stats endpoint. The request counts are sums
+// of the Service's metric families: every admitted request is one
+// compile (a Compile call) or one run (a Run or Page call, inline
+// source included), and every refused one a rejection.
 type ServiceStats struct {
-	Compiles    int64 `json:"compiles"`
-	Runs        int64 `json:"runs"`
-	Failures    int64 `json:"failures"`
-	RateLimited int64 `json:"rateLimited"`
-	Rejected    int64 `json:"rejected"` // queue-full fast failures
+	Compiles    int64 `json:"compiles"`    // Σ fdd_compiles_total
+	Runs        int64 `json:"runs"`        // Σ fdd_runs_total
+	Failures    int64 `json:"failures"`    // compiles and runs whose outcome is not ok
+	RateLimited int64 `json:"rateLimited"` // fdd_rejected_total{reason="rate-limit"}
+	Rejected    int64 `json:"rejected"`    // fdd_rejected_total{reason="overload"}: queue-full fast failures
 	InFlight    int   `json:"inFlight"`
 	Queued      int   `json:"queued"`
 	Workers     int   `json:"workers"`
@@ -224,8 +221,7 @@ type bucket struct {
 	last   time.Time
 }
 
-// serviceMetrics holds the service's instruments. With no registry
-// configured every field is nil and each record site is a no-op.
+// serviceMetrics holds the service's instruments.
 type serviceMetrics struct {
 	compiles   *metrics.CounterVec // outcome: ok | canceled | deadline | error
 	runs       *metrics.CounterVec // outcome
@@ -259,12 +255,10 @@ func outcomeLabel(err error) string {
 
 // register creates the service's metric families on reg and wires the
 // sampled gauges (pool, sessions, programs) and cache-tier counters
-// to s; sampled series read live state at scrape time, so /metrics
-// and Stats() can never drift apart.
+// to s; sampled series read live state at scrape time, and Stats()
+// reads the request counters back from reg, so /metrics and Stats()
+// can never drift apart.
 func (m *serviceMetrics) register(reg *metrics.Registry, s *Service) {
-	if reg == nil {
-		return
-	}
 	m.compiles = reg.CounterVec("fdd_compiles_total", "Compile requests by outcome.", "outcome")
 	m.runs = reg.CounterVec("fdd_runs_total", "Run requests by outcome.", "outcome")
 	m.rejected = reg.CounterVec("fdd_rejected_total", "Requests rejected before acquiring a worker, by reason.", "reason")
@@ -286,11 +280,11 @@ func (m *serviceMetrics) register(reg *metrics.Registry, s *Service) {
 	reg.GaugeFunc("fdd_queue_limit", "Maximum requests allowed to wait (QueueDepth).",
 		func() float64 { return float64(s.depth) })
 	reg.GaugeFunc("fdd_pool_inflight", "Requests currently executing.",
-		locked(func() float64 { return float64(s.inflight) }))
+		func() float64 { return float64(len(s.slots)) })
 	reg.GaugeFunc("fdd_pool_workers", "Worker-pool size.",
 		func() float64 { return float64(s.workers) })
 	reg.GaugeFunc("fdd_pool_saturation", "Executing requests over pool size (1 = every worker busy).",
-		locked(func() float64 { return float64(s.inflight) / float64(s.workers) }))
+		func() float64 { return float64(len(s.slots)) / float64(s.workers) })
 	reg.GaugeFunc("fdd_sessions", "Sessions holding a live token bucket.",
 		locked(func() float64 { return float64(len(s.sessions)) }))
 	reg.GaugeFunc("fdd_programs", "Compiled programs retained for run/report by id.",
@@ -317,22 +311,17 @@ type Service struct {
 	workers  int
 	depth    int
 	burst    float64
+	reg      *metrics.Registry
 	met      serviceMetrics
 
-	slots chan struct{}
+	slots chan struct{} // one token per executing request
 
-	mu          sync.Mutex
-	closed      bool
-	queued      int
-	inflight    int
-	sessions    map[string]*bucket
-	programs    map[string]*program
-	useSeq      int64
-	compiles    int64
-	runs        int64
-	failures    int64
-	rateLimited int64
-	rejected    int64
+	mu       sync.Mutex
+	closed   bool
+	queued   int
+	sessions map[string]*bucket
+	programs map[string]*program
+	useSeq   int64
 }
 
 // NewService validates cfg and builds a Service. The shared summary
@@ -374,16 +363,22 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	s := &Service{
 		cfg: cfg, cache: cache, profiles: profiles,
 		workers: workers, depth: depth, burst: burst,
+		reg:      metrics.New(),
 		slots:    make(chan struct{}, workers),
 		sessions: map[string]*bucket{},
 		programs: map[string]*program{},
 	}
-	s.met.register(cfg.Metrics, s)
+	s.met.register(s.reg, s)
 	return s, nil
 }
 
 // Cache returns the service's shared summary cache.
 func (s *Service) Cache() *SummaryCache { return s.cache }
+
+// Metrics returns the registry recording the service's requests, pool,
+// sessions, programs and summary cache; a transport registers its own
+// families beside them and serves the lot.
+func (s *Service) Metrics() *metrics.Registry { return s.reg }
 
 // Close marks the service closed: subsequent requests fail with
 // ErrServiceClosed; requests already executing finish normally.
@@ -395,16 +390,20 @@ func (s *Service) Close() {
 
 // Stats returns the current counters.
 func (s *Service) Stats() ServiceStats {
-	s.mu.Lock()
+	sum := func(name string, labelPairs ...string) int64 { return int64(s.reg.Value(name, labelPairs...)) }
+	compiles, runs := sum("fdd_compiles_total"), sum("fdd_runs_total")
 	st := ServiceStats{
-		Compiles: s.compiles, Runs: s.runs, Failures: s.failures,
-		RateLimited: s.rateLimited, Rejected: s.rejected,
-		InFlight: s.inflight, Queued: s.queued,
-		Workers: s.workers, QueueDepth: s.depth,
-		Sessions: len(s.sessions), Programs: len(s.programs),
+		Compiles: compiles, Runs: runs,
+		Failures:    compiles - sum("fdd_compiles_total", "outcome", "ok") + runs - sum("fdd_runs_total", "outcome", "ok"),
+		RateLimited: sum("fdd_rejected_total", "reason", "rate-limit"),
+		Rejected:    sum("fdd_rejected_total", "reason", "overload"),
+		InFlight:    len(s.slots),
+		Workers:     s.workers, QueueDepth: s.depth,
+		Cache: s.cache.Stats(),
 	}
+	s.mu.Lock()
+	st.Queued, st.Sessions, st.Programs = s.queued, len(s.sessions), len(s.programs)
 	s.mu.Unlock()
-	st.Cache = s.cache.Stats()
 	return st
 }
 
@@ -439,7 +438,6 @@ func (s *Service) admit(session string, now time.Time) error {
 	}
 	b.last = now
 	if b.tokens < 1 {
-		s.rateLimited++
 		s.met.rejected.With("rate-limit").Inc()
 		return &RateLimitError{
 			Session:    session,
@@ -466,7 +464,6 @@ func (s *Service) acquire(ctx context.Context, session string) error {
 	}
 	s.mu.Lock()
 	if s.queued >= s.depth {
-		s.rejected++
 		s.mu.Unlock()
 		s.met.rejected.With("overload").Inc()
 		return ErrOverloaded
@@ -477,7 +474,6 @@ func (s *Service) acquire(ctx context.Context, session string) error {
 	case s.slots <- struct{}{}:
 		s.mu.Lock()
 		s.queued--
-		s.inflight++
 		s.mu.Unlock()
 		return nil
 	case <-ctx.Done():
@@ -491,12 +487,7 @@ func (s *Service) acquire(ctx context.Context, session string) error {
 	}
 }
 
-func (s *Service) release() {
-	<-s.slots
-	s.mu.Lock()
-	s.inflight--
-	s.mu.Unlock()
-}
+func (s *Service) release() { <-s.slots }
 
 // ProgramID is the content hash a compilation is addressable under:
 // it covers the source text and every option that influences the
@@ -546,10 +537,18 @@ type CompileResult struct {
 	Remarks []Remark
 }
 
+// maxServiceProcs bounds the processor count of a program the service
+// retains or runs, however it was spelled (Options.P or n$proc): a
+// simulated run's memory grows with P, and the compile that sets P
+// costs nothing, so one request could otherwise take the process down.
+// It is the largest P the test suite runs (TestScaledWorkloadsP4096).
+const maxServiceProcs = 4096
+
 // Compile compiles source text through the shared summary cache and
-// retains the program for run-by-id and report-by-id. Concurrent
-// compilations of the same content hash are allowed (both execute;
-// the summary cache deduplicates the per-procedure work).
+// retains the program for run-by-id and report-by-id; a program on
+// more than 4 096 processors is refused. Concurrent compilations of
+// the same content hash are allowed (both execute; the summary cache
+// deduplicates the per-procedure work).
 func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResult, error) {
 	start := time.Now()
 	if err := s.acquire(ctx, req.Session); err != nil {
@@ -557,23 +556,15 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 	}
 	defer s.release()
 	res, err := s.compileLocked(ctx, req)
-	if err != nil {
-		s.mu.Lock()
-		s.failures++
-		s.mu.Unlock()
-	}
 	s.met.compiles.With(outcomeLabel(err)).Inc()
 	s.met.compileSec.Observe(time.Since(start).Seconds())
 	return res, tagRequest(ctx, err)
 }
 
 // compileLocked does the compile work inside an acquired worker slot
-// (it also serves Run requests that carry inline source, so the
-// compile counter lives here).
+// (it also serves Run requests that carry inline source, which count
+// as runs only).
 func (s *Service) compileLocked(ctx context.Context, req CompileRequest) (*CompileResult, error) {
-	s.mu.Lock()
-	s.compiles++
-	s.mu.Unlock()
 	opts := req.Options
 	if opts.Cache != nil || opts.Trace != nil || opts.Explain != nil {
 		return nil, fmt.Errorf("fortd: CompileRequest.Options must not carry a cache, trace or explain; the service owns them")
@@ -599,6 +590,9 @@ func (s *Service) compileLocked(ctx context.Context, req CompileRequest) (*Compi
 	prog, err := CompileContext(ctx, req.Source, opts)
 	if err != nil {
 		return nil, err
+	}
+	if prog.P() > maxServiceProcs {
+		return nil, fmt.Errorf("fortd: the program runs on %d processors; the service runs at most %d", prog.P(), maxServiceProcs)
 	}
 	// The id and retained options reflect the effective compile (after
 	// Deadline/Overlap inheritance), so an explicit-overlap request and
@@ -710,12 +704,6 @@ func (s *Service) Run(ctx context.Context, req RunRequest) (*RunOutcome, error) 
 
 // countRun records one finished run request, admitted at start.
 func (s *Service) countRun(start time.Time, err error) {
-	s.mu.Lock()
-	s.runs++
-	if err != nil {
-		s.failures++
-	}
-	s.mu.Unlock()
 	s.met.runs.With(outcomeLabel(err)).Inc()
 	s.met.runSec.Observe(time.Since(start).Seconds())
 }

@@ -1,15 +1,12 @@
 package fortd
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"fortd/internal/metrics"
 )
 
 func newTestService(t *testing.T, cfg ServiceConfig) *Service {
@@ -82,9 +79,10 @@ func TestServiceCompileRun(t *testing.T) {
 		t.Fatalf("inline-source run id %s != compile id %s", out2.ID, res.ID)
 	}
 
+	// the inline-source run is a run, not also a compile
 	st := svc.Stats()
-	if st.Compiles < 2 || st.Runs != 2 || st.Failures != 0 {
-		t.Fatalf("stats = %+v, want >=2 compiles, 2 runs, 0 failures", st)
+	if st.Compiles != 1 || st.Runs != 2 || st.Failures != 0 {
+		t.Fatalf("stats = %+v, want 1 compile, 2 runs, 0 failures", st)
 	}
 	if st.Cache.Hits == 0 {
 		t.Fatalf("second compile did not hit the shared cache: %+v", st.Cache)
@@ -262,13 +260,12 @@ func TestServiceRejectsOwnedOptions(t *testing.T) {
 	}
 }
 
-// TestServiceMetrics wires a live registry into a Service and checks
-// the recorded families: outcome counters, latency histogram counts
-// matching request totals, rejection reasons, and the cache-tier
-// counters sampled straight from the summary cache.
+// TestServiceMetrics checks the families a Service records: outcome
+// counters, latency histogram counts matching request totals,
+// rejection reasons, and the cache-tier counters sampled straight from
+// the summary cache.
 func TestServiceMetrics(t *testing.T) {
-	reg := metrics.New()
-	svc := newTestService(t, ServiceConfig{Metrics: reg, RateLimit: 0.001, RateBurst: 3})
+	svc := newTestService(t, ServiceConfig{RateLimit: 0.001, RateBurst: 3})
 	src := Fig1Src(32, 4)
 	ctx := context.Background()
 	if _, err := svc.Compile(ctx, CompileRequest{Session: "m", Source: src}); err != nil {
@@ -283,14 +280,7 @@ func TestServiceMetrics(t *testing.T) {
 	if _, err := svc.Compile(ctx, CompileRequest{Session: "m", Source: src}); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("4th request err = %v, want ErrRateLimited", err)
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := metrics.ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := svc.Metrics()
 	if got := snap.Value("fdd_compiles_total", "outcome", "ok"); got != 2 {
 		t.Errorf("compiles ok = %v, want 2", got)
 	}
@@ -300,7 +290,7 @@ func TestServiceMetrics(t *testing.T) {
 	if got := snap.Value("fdd_rejected_total", "reason", "rate-limit"); got != 1 {
 		t.Errorf("rate-limit rejections = %v, want 1", got)
 	}
-	if c, n := snap.Value("fdd_compile_seconds_count"), snap.Value("fdd_compiles_total"); c != n {
+	if c, n := snap.Value("fdd_compile_seconds"), snap.Value("fdd_compiles_total"); c != n {
 		t.Errorf("histogram count %v != compiles_total %v (rejected requests must not observe)", c, n)
 	}
 	st := svc.Cache().Stats()
@@ -312,6 +302,101 @@ func TestServiceMetrics(t *testing.T) {
 	}
 	if got := snap.Value("fdd_pool_workers"); got <= 0 {
 		t.Errorf("pool workers = %v, want > 0", got)
+	}
+}
+
+// TestServiceAccounting sends one request of every kind — a compile,
+// runs by id and by inline source, a page, a rate-limited and an
+// overloaded request — and checks the one set of books: each Stats
+// field is its registry sum, and every request landed in exactly one
+// outcome or rejection counter.
+func TestServiceAccounting(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{Workers: 1, QueueDepth: 1, RateLimit: 0.001, RateBurst: 1})
+	ctx := context.Background()
+	src := Jacobi1DSrc(64, 2, 4)
+	init := map[string][]float64{"a": Ramp(64)}
+	res, err := svc.Compile(ctx, CompileRequest{Session: "compile", Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Compile(ctx, CompileRequest{Session: "compile", Source: src}); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("second compile in a spent session: %v, want ErrRateLimited", err)
+	}
+	if _, err := svc.Run(ctx, RunRequest{Session: "by-id", ID: res.ID, Init: init}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Run(ctx, RunRequest{Session: "inline", Source: src, Init: init}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Page(ctx, PageRequest{Session: "page", ID: res.ID}); err != nil {
+		t.Fatal(err)
+	}
+	big := SyntheticProcsSrc(80, 10, 128, 4)
+	errc := make(chan error, 2)
+	go func() { // occupies the only worker
+		_, err := svc.Compile(ctx, CompileRequest{Session: "busy", Source: big})
+		errc <- err
+	}()
+	waitFor(t, func() bool { return svc.Stats().InFlight == 1 })
+	go func() { // fills the queue
+		_, err := svc.Compile(ctx, CompileRequest{Session: "queued", Source: big})
+		errc <- err
+	}()
+	waitFor(t, func() bool { return svc.Stats().Queued == 1 })
+	if _, err := svc.Compile(ctx, CompileRequest{Session: "late", Source: src}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("compile past the queue: %v, want ErrOverloaded", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const requests = 8
+	reg, st := svc.Metrics(), svc.Stats()
+	for _, c := range []struct {
+		name       string
+		stats, reg float64
+		want       float64
+	}{
+		{"compiles", float64(st.Compiles), reg.Value("fdd_compiles_total"), 3},
+		{"runs", float64(st.Runs), reg.Value("fdd_runs_total"), 3},
+		{"failures", float64(st.Failures), reg.Value("fdd_compiles_total") + reg.Value("fdd_runs_total") -
+			reg.Value("fdd_compiles_total", "outcome", "ok") - reg.Value("fdd_runs_total", "outcome", "ok"), 0},
+		{"rate-limited", float64(st.RateLimited), reg.Value("fdd_rejected_total", "reason", "rate-limit"), 1},
+		{"rejected", float64(st.Rejected), reg.Value("fdd_rejected_total", "reason", "overload"), 1},
+		{"in flight", float64(st.InFlight), reg.Value("fdd_pool_inflight"), 0},
+		{"requests", requests, reg.Value("fdd_compiles_total") + reg.Value("fdd_runs_total") + reg.Value("fdd_rejected_total"), requests},
+	} {
+		if c.stats != c.reg || c.reg != c.want {
+			t.Errorf("%s: Stats %v, registry %v, want both %v", c.name, c.stats, c.reg, c.want)
+		}
+	}
+}
+
+// TestServiceBoundsProcessors: a program on more processors than the
+// service runs is refused before it is retained, whether options.p or
+// n$proc asked for them; the bound itself still compiles.
+func TestServiceBoundsProcessors(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{})
+	ctx := context.Background()
+	for spelling, req := range map[string]CompileRequest{
+		"options.p": {Source: Jacobi1DSrc(64, 2, 4), Options: Options{P: maxServiceProcs + 1}},
+		"n$proc":    {Source: Jacobi1DSrc(64, 2, 4*maxServiceProcs)},
+	} {
+		if _, err := svc.Compile(ctx, req); err == nil {
+			t.Errorf("%s: compiled past the bound", spelling)
+		}
+		if _, err := svc.Run(ctx, RunRequest{Source: req.Source, Options: req.Options}); err == nil {
+			t.Errorf("%s: ran past the bound", spelling)
+		}
+	}
+	if st := svc.Stats(); st.Programs != 0 {
+		t.Fatalf("retained %d refused programs", st.Programs)
+	}
+	res, err := svc.Compile(ctx, CompileRequest{Source: Jacobi1DSrc(64, 2, 4), Options: Options{P: maxServiceProcs}})
+	if err != nil || res.Program.P() != maxServiceProcs {
+		t.Fatalf("compile at the bound: %v", err)
 	}
 }
 
@@ -431,8 +516,7 @@ func TestServiceSurvivesCrasherPrograms(t *testing.T) {
 // blocked-share histogram still has one observation per stored profile.
 func TestServiceRunSurvivesProfileStoreFailure(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "profiles")
-	reg := metrics.New()
-	svc := newTestService(t, ServiceConfig{ProfileDir: dir, Metrics: reg})
+	svc := newTestService(t, ServiceConfig{ProfileDir: dir})
 	req := RunRequest{Source: Jacobi1DSrc(64, 2, 4), Init: map[string][]float64{"a": Ramp(64)}, Profile: true}
 	ctx := context.Background()
 	stored, err := svc.Run(ctx, req)
@@ -452,16 +536,11 @@ func TestServiceRunSurvivesProfileStoreFailure(t *testing.T) {
 	if got, want := out.Result.Stats.String(), stored.Result.Stats.String(); out.ProfileID != "" || got != want {
 		t.Errorf("run = profile %q, stats %s; want no profile and stats %s", out.ProfileID, got, want)
 	}
-	var buf bytes.Buffer
-	reg.WriteText(&buf)
-	snap, err := metrics.ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := svc.Metrics()
 	if got := snap.Value("fdd_runs_total", "outcome", "ok"); got != 2 {
 		t.Errorf("fdd_runs_total{outcome=ok} = %v, want 2", got)
 	}
-	for _, name := range []string{"fdd_profiles_stored_total", "fdd_run_blocked_share_count", "fdd_profile_store_errors_total"} {
+	for _, name := range []string{"fdd_profiles_stored_total", "fdd_run_blocked_share", "fdd_profile_store_errors_total"} {
 		if got := snap.Value(name); got != 1 {
 			t.Errorf("%s = %v, want 1", name, got)
 		}
