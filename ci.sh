@@ -112,8 +112,11 @@ test -z "$ELF"
 # only record of its requests and deleted the duplicate counters,
 # internal/metrics' nil-registry mode, its mutable gauges and its
 # test-only text parser, paying for the body and processor bounds:
-# 24826 -> 24608
-LOC_CEILING=24608
+# 24826 -> 24608. The next change (2026-10-17) split sideeffect, section
+# and overlap analysis into a local pass the summary cache keeps per
+# parsed unit and a propagation over its facts, allowed at most +80:
+# 24608 -> 24687
+LOC_CEILING=24687
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -63,6 +63,9 @@ type Node struct {
 	Proc    *ast.Procedure
 	Callers []*CallSite
 	Calls   []*CallSite
+	// External is set when the procedure calls one the program does
+	// not define.
+	External bool
 }
 
 // Name returns the procedure name.
@@ -96,7 +99,7 @@ type Graph struct {
 // ignored (the paper's F(...) intrinsics appear as function calls, not
 // CALL statements, so this only affects genuinely external code).
 func Build(prog *ast.Program) (*Graph, error) {
-	g := &Graph{Program: prog, Nodes: make(map[string]*Node)}
+	g := &Graph{Program: prog, Nodes: make(map[string]*Node, len(prog.Units))}
 	for _, u := range prog.Units {
 		g.Nodes[u.Name] = &Node{Proc: u}
 	}
@@ -129,6 +132,7 @@ func Build(prog *ast.Program) (*Graph, error) {
 				case *ast.Call:
 					callee, ok := g.Nodes[st.Name]
 					if !ok {
+						caller.External = true
 						continue
 					}
 					site := &CallSite{
@@ -185,7 +189,7 @@ func (g *Graph) computeOrder() error {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[string]int)
+	color := make(map[string]int, len(g.Nodes))
 	var order []*Node
 	var visit func(n *Node) error
 	visit = func(n *Node) error {

@@ -515,7 +515,7 @@ type Program struct {
 
 // NewProgram assembles a program from its units and indexes them by name.
 func NewProgram(units []*Procedure) *Program {
-	p := &Program{Units: units, procs: make(map[string]*Procedure)}
+	p := &Program{Units: units, procs: make(map[string]*Procedure, len(units))}
 	for _, u := range units {
 		p.procs[u.Name] = u
 	}

@@ -33,7 +33,7 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
 	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
-	commRes := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil), nil, env)
+	commRes := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil, comm.LocalSections), nil, env)
 	body, res, err := Generate(&Input{Proc: proc, Plan: plan, Comm: commRes, DistOf: distOf, Env: env, P: p})
 	if err != nil {
 		t.Fatal(err)

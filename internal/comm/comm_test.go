@@ -30,8 +30,8 @@ func parseAll(t *testing.T, src string) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := sideeffect.Compute(g)
-	return &fixture{prog: prog, graph: g, sections: ComputeSections(g, fx), fx: fx}
+	fx := sideeffect.Compute(g, sideeffect.Own)
+	return &fixture{prog: prog, graph: g, sections: ComputeSections(g, fx, LocalSections), fx: fx}
 }
 
 func analyzeProc(t *testing.T, f *fixture, name string, distOf partition.DistOf) *Result {

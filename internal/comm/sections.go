@@ -6,6 +6,9 @@
 package comm
 
 import (
+	"sort"
+	"strings"
+
 	"fortd/internal/acg"
 	"fortd/internal/ast"
 	"fortd/internal/depend"
@@ -32,6 +35,24 @@ func newSectionSummary() *SectionSummary {
 	}
 }
 
+// Key renders the summary canonically for a cache key: one sorted part
+// per section ("" for nil).
+func (s *SectionSummary) Key() string {
+	if s == nil {
+		return ""
+	}
+	var parts []string
+	for i, m := range [2]map[string][]*rsd.Section{s.Writes, s.Reads} {
+		for arr, secs := range m {
+			for _, sec := range secs {
+				parts = append(parts, "WR"[i:i+1]+" "+arr+" "+sec.String())
+			}
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ";")
+}
+
 func (s *SectionSummary) addWrite(sec *rsd.Section) {
 	s.Writes[sec.Array] = rsd.MergeList(append(s.Writes[sec.Array], sec))
 }
@@ -43,14 +64,27 @@ func (s *SectionSummary) addRead(sec *rsd.Section) {
 // ComputeSections builds section summaries for every procedure,
 // bottom-up over the acyclic call graph (the interprocedural RSD
 // propagation of §5.4: "references within a procedure are put into RSD
-// form ... propagated to calling procedures and translated"). fx says
-// which scalars a caller may assign (nil: none); see callSection.
-func ComputeSections(g *acg.Graph, fx *sideeffect.Analysis) map[string]*SectionSummary {
+// form ... propagated to calling procedures and translated"). A unit
+// without a CALL has the summary of its local pass, local(unit)
+// (LocalSections or a memo of it); fx says which scalars a caller may
+// assign (nil: none); see callSection.
+func ComputeSections(g *acg.Graph, fx *sideeffect.Analysis, local func(*ast.Procedure) *SectionSummary) map[string]*SectionSummary {
 	out := map[string]*SectionSummary{}
 	for _, n := range g.ReverseTopoOrder() {
-		out[n.Name()] = procSections(n, assigned(fx, n.Proc), out)
+		if out[n.Name()] = local(n.Proc); out[n.Name()] == nil {
+			out[n.Name()], _ = procSections(n, assigned(fx, n.Proc), out)
+		}
 	}
 	return out
+}
+
+// LocalSections is the local pass of section analysis over one unit: its
+// summary if it has no CALL (which nothing writes), else nil.
+func LocalSections(proc *ast.Procedure) *SectionSummary {
+	if sum, calls := procSections(&acg.Node{Proc: proc}, nil, nil); !calls {
+		return sum
+	}
+	return nil
 }
 
 // assigned returns what proc or a procedure it calls may assign.
@@ -61,10 +95,12 @@ func assigned(fx *sideeffect.Analysis, proc *ast.Procedure) sideeffect.Set {
 	return fx.Summaries[proc.Name].Mod
 }
 
-func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSummary) *SectionSummary {
+// procSections summarizes n and reports whether its unit has a CALL.
+func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSummary) (*SectionSummary, bool) {
 	proc := n.Proc
 	sum := newSectionSummary()
 	env := proc.Constants()
+	calls := false
 
 	var nest []*ast.Do
 	addRef := func(ref *ast.ArrayRef, write bool) {
@@ -106,6 +142,7 @@ func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSumma
 				walk(st.Then)
 				walk(st.Else)
 			case *ast.Call:
+				calls = true
 				site := n.Site(st)
 				callee := done[st.Name]
 				if site == nil || callee == nil {
@@ -144,7 +181,7 @@ func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSumma
 		filter(sum.Writes)
 		filter(sum.Reads)
 	}
-	return sum
+	return sum, calls
 }
 
 // RefSection converts one array reference into a regular section: loop

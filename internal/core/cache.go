@@ -62,7 +62,11 @@ func (pc *passCtx) procKey(n *acg.Node) string {
 func (pc *passCtx) summaryHash(out *procOut) string {
 	h := summarycache.NewHasher()
 	h.Add("iface", out.iface)
-	h.Add("sections", renderSectionSummary(pc.sections[out.name]))
+	if l := pc.locals[out.name]; l.Sections != nil {
+		h.Add("sections", l.SectionsKey) // rendered once per unit
+	} else {
+		h.Add("sections", pc.sections[out.name].Key())
+	}
 	h.Add("overlap", renderMap(pc.c.Overlaps.Estimates[out.name], func(k string, v *overlap.Offsets) string { return k + v.String() }))
 	h.Add("runtime", strconv.FormatBool(out.runtime))
 	return h.Sum()
@@ -136,23 +140,4 @@ func renderDelayedComm(ds []*comm.Delayed) []string {
 			d.Array, int(d.Kind), d.Shift, d.PointVar, d.PointOff, d.DistKey, d.DistDim, d.Section))
 	}
 	return parts
-}
-
-func renderSectionSummary(ss *comm.SectionSummary) string {
-	if ss == nil {
-		return ""
-	}
-	var parts []string
-	for arr, secs := range ss.Writes {
-		for _, s := range secs {
-			parts = append(parts, "W "+arr+" "+s.String())
-		}
-	}
-	for arr, secs := range ss.Reads {
-		for _, s := range secs {
-			parts = append(parts, "R "+arr+" "+s.String())
-		}
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
 }

@@ -237,15 +237,27 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 		c.Report.RuntimeProcs = DedupRuntimeProcs(names, reachRes.ClonedFrom)
 	}
 
+	// the phases below propagate each unit's local facts (§4)
+	endLocal := tr.Phase("local-analysis")
+	locals := make(map[string]*summarycache.Local, len(g.Program.Units))
+	analyzed := 0
+	for _, u := range g.Program.Units {
+		l, fresh := opts.Cache.Local(u)
+		if locals[u.Name] = l; fresh {
+			analyzed++
+		}
+	}
+	endLocal()
+	tr.Counter("local-units-analyzed", int64(analyzed))
 	endConsts := tr.Phase("symbolic-constants")
-	fx := sideeffect.Compute(g)
+	fx := sideeffect.Compute(g, func(u *ast.Procedure) *sideeffect.Summary { return locals[u.Name].Effects })
 	consts := symconst.Compute(g, fx)
 	endConsts()
 	endSections := tr.Phase("section-analysis")
-	sections := comm.ComputeSections(g, fx)
+	sections := comm.ComputeSections(g, fx, func(u *ast.Procedure) *comm.SectionSummary { return locals[u.Name].Sections })
 	endSections()
 	endOverlap := tr.Phase("overlap-estimates")
-	c.Overlaps = overlap.ComputeEstimates(g)
+	c.Overlaps = overlap.ComputeEstimates(g, func(u *ast.Procedure) map[string]*overlap.Offsets { return locals[u.Name].Offsets })
 	endOverlap()
 	killTest := func(site *acg.CallSite, arr string) bool {
 		return livedecomp.KillsArray(site, arr, sections)
@@ -263,7 +275,7 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 	}
 	pcx := &passCtx{
 		ctx: ctx, c: c, opts: opts, p: p, exOn: ex.Enabled(),
-		sections: sections, consts: consts, fx: fx, killTest: killTest,
+		sections: sections, locals: locals, consts: consts, fx: fx, killTest: killTest,
 		table: newSummaryTable(), cache: opts.Cache,
 	}
 	order := g.ReverseTopoOrder()
@@ -413,15 +425,13 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 	})
 	// arrays that are declared and distributed but never referenced in
 	// this procedure still need a descriptor (e.g. main programs whose
-	// only use is passing the array onward)
-	final := reach.NewState(proc, reaching)
-	final.WalkBody(proc.Body, nil)
+	// only use is passing the array onward): st is the walk's final state
 	for _, sym := range proc.Symbols.Symbols() {
 		if sym.Kind != ast.SymArray {
 			continue
 		}
 		if _, seen := firstUse[sym.Name]; !seen {
-			if d, ok := final.Lookup(sym.Name).Single(); ok {
+			if d, ok := st.Lookup(sym.Name).Single(); ok {
 				firstUse[sym.Name] = d
 			}
 		}

@@ -129,6 +129,7 @@ type passCtx struct {
 	p        int
 	exOn     bool
 	sections map[string]*comm.SectionSummary
+	locals   map[string]*summarycache.Local
 	consts   symconst.Result
 	fx       *sideeffect.Analysis
 	killTest func(site *acg.CallSite, arr string) bool

@@ -52,7 +52,7 @@ func buildFig15(t *testing.T, level Level) (*Placement, *Summary, map[string]*Su
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := comm.ComputeSections(g, nil)
+	sections := comm.ComputeSections(g, nil, comm.LocalSections)
 	killTest := func(site *acg.CallSite, callerArray string) bool {
 		return KillsArray(site, callerArray, sections)
 	}
@@ -185,7 +185,7 @@ func TestKillsArrayDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := comm.ComputeSections(g, nil)
+	sections := comm.ComputeSections(g, nil, comm.LocalSections)
 	var f1Site, f2Site *acg.CallSite
 	for _, s := range g.Sites {
 		switch s.Callee.Name() {
@@ -332,7 +332,7 @@ func TestNestedLoopHoisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := comm.ComputeSections(g, nil)
+	sections := comm.ComputeSections(g, nil, comm.LocalSections)
 	killTest := func(site *acg.CallSite, arr string) bool {
 		return KillsArray(site, arr, sections)
 	}

@@ -13,6 +13,7 @@ package overlap
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"fortd/internal/acg"
@@ -103,28 +104,24 @@ type Use struct {
 }
 
 // ComputeEstimates runs the local-analysis and propagation phases of
-// Figure 13: collect constant subscript offsets per procedure, merge
-// them bottom-up through call sites (formal → actual), then push the
-// merged estimates back down so every procedure sees uniform extents.
-func ComputeEstimates(g *acg.Graph) *Analysis {
+// Figure 13: collect constant subscript offsets per procedure (local:
+// LocalOffsets, or a memo of it), merge them bottom-up through call
+// sites (formal → actual), then push the merged estimates back down so
+// every procedure sees uniform extents. Propagation writes a copy of
+// each local pass's map and no Offsets: a wider estimate replaces one.
+func ComputeEstimates(g *acg.Graph, local func(*ast.Procedure) map[string]*Offsets) *Analysis {
 	a := &Analysis{Estimates: map[string]map[string]*Offsets{}}
 	// local phase
 	for _, n := range g.TopoOrder() {
-		a.Estimates[n.Name()] = localOffsets(n.Proc)
+		a.Estimates[n.Name()] = maps.Clone(local(n.Proc))
 	}
 	// bottom-up merge: callee formals → caller actuals
 	for _, n := range g.ReverseTopoOrder() {
 		for _, site := range n.Callers {
 			caller := a.Estimates[site.Caller.Name()]
 			for name, offs := range a.Estimates[n.Name()] {
-				target := translateName(site, name)
-				if target == "" {
-					continue
-				}
-				if cur, ok := caller[target]; ok {
-					cur.Merge(offs)
-				} else {
-					caller[target] = offs.Clone()
+				if target := translateName(site, name); target != "" {
+					widen(caller, target, offs)
 				}
 			}
 		}
@@ -135,27 +132,16 @@ func ComputeEstimates(g *acg.Graph) *Analysis {
 		for _, site := range n.Calls {
 			callee := a.Estimates[site.Callee.Name()]
 			for _, b := range site.Bindings {
-				if b.ActualName == "" {
-					continue
-				}
+				// an actual without a name has no estimate
 				offs, ok := caller[b.ActualName]
-				if !ok {
-					continue
-				}
-				if cur, exists := callee[b.Formal]; exists {
-					cur.Merge(offs)
-				} else if isArrayFormal(site.Callee.Proc, b.Formal) {
-					callee[b.Formal] = offs.Clone()
+				if ok && (callee[b.Formal] != nil || isArrayFormal(site.Callee.Proc, b.Formal)) {
+					widen(callee, b.Formal, offs)
 				}
 			}
 			// commons share by name
 			for name, offs := range caller {
 				if sym := site.Callee.Proc.Symbols.Lookup(name); sym != nil && sym.Common != "" {
-					if cur, exists := callee[name]; exists {
-						cur.Merge(offs)
-					} else {
-						callee[name] = offs.Clone()
-					}
+					widen(callee, name, offs)
 				}
 			}
 		}
@@ -163,9 +149,20 @@ func ComputeEstimates(g *acg.Graph) *Analysis {
 	return a
 }
 
-// localOffsets collects the constant offsets appearing in subscripts of
+// widen makes m[name] cover offs, replacing rather than writing an
+// entry narrower than offs.
+func widen(m map[string]*Offsets, name string, offs *Offsets) {
+	if cur, ok := m[name]; !ok {
+		m[name] = offs
+	} else if !cur.Covers(offs) {
+		m[name] = cur.Clone()
+		m[name].Merge(offs)
+	}
+}
+
+// LocalOffsets collects the constant offsets appearing in subscripts of
 // each array of proc (the local analysis phase).
-func localOffsets(proc *ast.Procedure) map[string]*Offsets {
+func LocalOffsets(proc *ast.Procedure) map[string]*Offsets {
 	out := map[string]*Offsets{}
 	env := proc.Constants()
 	ast.WalkExprs(proc.Body, func(e ast.Expr) {

@@ -18,7 +18,7 @@ func estimates(t *testing.T, src string) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ComputeEstimates(g)
+	return ComputeEstimates(g, LocalOffsets)
 }
 
 // TestFigure13Overlaps reproduces the §5.6 example: the reference

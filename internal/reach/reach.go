@@ -306,17 +306,12 @@ func Analyze(g *acg.Graph, opts Options) (*Result, error) {
 	for {
 		res := propagate(g)
 		victim, partitions := findCloneCandidate(g, res)
-		if victim == nil {
-			res.ClonedFrom = cloneNames
-			res.finalize(g)
-			res.explainRemarks(g, ex)
-			return res, nil
-		}
-		if clones+len(partitions) > opts.CloneLimit {
-			// growth threshold exceeded: disable cloning, flag
-			// run-time resolution (§5.2 "cloning may be disabled when a
-			// threshold program growth has been exceeded")
-			if ex.Enabled() {
+		if victim == nil || clones+len(partitions) > opts.CloneLimit {
+			// nothing to clone, or the growth threshold is exceeded: no
+			// more cloning, and run-time resolution for what is left
+			// (§5.2 "cloning may be disabled when a threshold program
+			// growth has been exceeded")
+			if victim != nil && ex.Enabled() {
 				ex.Add(explain.Remark{
 					Kind: explain.Missed, Pass: "reach", Proc: victim.Name(), Name: "clone",
 					Msg: fmt.Sprintf("cloning %s into %d variants would exceed the clone limit (%d used of %d) — falling back to run-time resolution",
@@ -425,6 +420,9 @@ func propagate(g *acg.Graph) *Result {
 			}
 		}
 		res.Reaching[proc.Name] = reaching
+		if len(n.Calls) == 0 && !n.External {
+			continue // a unit without a CALL records nothing
+		}
 
 		// local walk: record LocalReaching at each call site, expanding
 		// ⊤ with Reaching(P) (the update step of Figure 6)
@@ -528,10 +526,13 @@ type partition struct {
 // order) whose call sites partition into more than one signature under
 // Filter(Translate(LocalReaching(C)), Appear(P)).
 func findCloneCandidate(g *acg.Graph, res *Result) (*acg.Node, []*partition) {
-	se := sideeffect.Compute(g)
+	var se *sideeffect.Analysis // only a procedure with two callers asks
 	for _, n := range g.TopoOrder() {
 		if len(n.Callers) < 2 {
 			continue
+		}
+		if se == nil {
+			se = sideeffect.Compute(g, sideeffect.Own)
 		}
 		appear := se.AppearSet(n.Name())
 		groups := map[string]*partition{}

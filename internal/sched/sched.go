@@ -280,7 +280,7 @@ func (p *Pass) summaries() *sideeffect.Analysis {
 		if err != nil {
 			g = &acg.Graph{Program: p.Prog}
 		}
-		p.fx = sideeffect.Compute(g)
+		p.fx = sideeffect.Compute(g, sideeffect.Own)
 	}
 	return p.fx
 }

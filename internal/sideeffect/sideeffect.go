@@ -91,12 +91,22 @@ type Analysis struct {
 	commons Set
 }
 
+// Own is the local pass of Compute over one unit: its statements' own
+// effects, a CALL's callee aside.
+func Own(proc *ast.Procedure) *Summary {
+	sum := NewSummary()
+	(*Analysis)(nil).Add(sum, proc.Body...)
+	return sum
+}
+
 // Compute solves GMOD/GREF bottom-up over the acyclic call graph: each
-// procedure's statements, with the summary of every callee (already
-// computed) translated through the call's formal→actual bindings.
-// Purely local effects stay in a procedure's summary for its own use;
-// callers see only what translates: formals and commons.
-func Compute(g *acg.Graph) *Analysis {
+// procedure's own effects (own(proc): Own, or a memo of it; the summary
+// of a procedure without a CALL, which nothing writes), with the summary
+// of every callee (already computed) translated through the call's
+// formal→actual bindings. Purely local effects stay in a procedure's
+// summary for its own use; callers see only what translates: formals
+// and commons.
+func Compute(g *acg.Graph, own func(*ast.Procedure) *Summary) *Analysis {
 	a := &Analysis{Summaries: make(map[string]*Summary), prog: g.Program, commons: NewSet()}
 	for _, u := range g.Program.Units {
 		for _, sym := range u.Symbols.Symbols() {
@@ -106,8 +116,13 @@ func Compute(g *acg.Graph) *Analysis {
 		}
 	}
 	for _, n := range g.ReverseTopoOrder() {
-		sum := NewSummary()
-		a.Add(sum, n.Proc.Body...)
+		sum := own(n.Proc)
+		if len(n.Calls) > 0 || n.External {
+			sum = &Summary{Mod: sum.Mod.Clone(), Ref: sum.Ref.Clone(), Comm: sum.Comm || n.External}
+			for _, site := range n.Calls {
+				a.Add(sum, site.Stmt)
+			}
+		}
 		a.Summaries[n.Name()] = sum
 	}
 	return a
@@ -115,7 +130,7 @@ func Compute(g *acg.Graph) *Analysis {
 
 // Add unions into sum what executing the statements may do: their own
 // effects, those of the statements nested in them, and at a CALL the
-// callee's summary seen from the call site.
+// callee's summary seen from the call site, which a nil Analysis omits.
 func (a *Analysis) Add(sum *Summary, body ...ast.Stmt) {
 	ref := func(e ast.Expr) {
 		ast.WalkExpr(e, func(e ast.Expr) {
@@ -170,6 +185,9 @@ func (a *Analysis) Add(sum *Summary, body ...ast.Stmt) {
 						ref(sub)
 					}
 				}
+			}
+			if a == nil {
+				break
 			}
 			callee := a.Summaries[st.Name]
 			if callee == nil {

@@ -19,7 +19,7 @@ func analyze(t *testing.T, src string) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Compute(g)
+	return Compute(g, Own)
 }
 
 func TestLocalModRef(t *testing.T) {
@@ -222,7 +222,7 @@ func TestGeneratedDialect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Compute(g)
+	a := Compute(g, Own)
 	p := a.Summaries["P"]
 	for _, name := range []string{"a", "b", "c", "d", "e", "s"} {
 		// a is sent, and written by quiet; e is only ever posted and waited for

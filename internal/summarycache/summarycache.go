@@ -13,8 +13,9 @@
 // (Compilation.CacheMisses).
 //
 // In memory only, it also keeps parsed units (the parser's Memo, by
-// text and first line) and their digests, each unit's schedule and each
-// listed unit's text, so a warm compile redoes only what changed.
+// text and first line) with their digests and local facts (Local), each
+// unit's schedule and each listed unit's text, so a warm compile redoes
+// only what changed.
 //
 // The cache lives for the process and may be shared across any number
 // of compilations (it is safe for concurrent use by the parallel
@@ -37,8 +38,10 @@ import (
 	"fortd/internal/decomp"
 	"fortd/internal/explain"
 	"fortd/internal/livedecomp"
+	"fortd/internal/overlap"
 	"fortd/internal/parser"
 	"fortd/internal/partition"
+	"fortd/internal/sideeffect"
 )
 
 // Entry holds every artifact of one procedure's phase-3 compilation.
@@ -106,6 +109,7 @@ type Cache struct {
 	digests  map[*ast.Procedure]string // of the units it parsed
 	scheds   map[string]*Scheduled
 	texts    map[*ast.Procedure]string // of the units it printed
+	locals   map[*ast.Procedure]*Local // of the units it parsed
 	hits     int64
 	misses   int64
 	diskHits int64
@@ -232,6 +236,34 @@ func unitDigest(u *ast.Procedure) string {
 	return Hash(string(ast.AppendProcedure(nil, u)), string(lines))
 }
 
+// Local is what the local pass of each whole-program phase derives from
+// one unit's text alone (§4), for propagation to read: its own side
+// effects, its section summary if it has no CALL (nil otherwise) and its
+// subscripts' constant offsets. Like an entry, it is never written.
+type Local struct {
+	Effects     *sideeffect.Summary
+	Sections    *comm.SectionSummary
+	Offsets     map[string]*overlap.Offsets
+	SectionsKey string // Sections.Key(), which callers' keys hash
+}
+
+// Local returns u's local facts and whether this call computed them: it
+// computes them once per unit the cache parsed, until Reset, and keeps
+// no other unit's (a clone, a renamed caller, a CompileProgram input).
+func (c *Cache) Local(u *ast.Procedure) (*Local, bool) {
+	if c != nil {
+		if l := get(c, &c.locals, u); l != nil {
+			return l, false
+		}
+	}
+	l := &Local{Effects: sideeffect.Own(u), Sections: comm.LocalSections(u), Offsets: overlap.LocalOffsets(u)}
+	l.SectionsKey = l.Sections.Key()
+	if c != nil && get(c, &c.digests, u) != "" {
+		put(c, &c.locals, u, l)
+	}
+	return l, true
+}
+
 // Scheduled is what the schedule pass made of one generated unit.
 type Scheduled struct {
 	Unit        *ast.Procedure // as rescheduled; nil: left as it was
@@ -315,7 +347,7 @@ func (c *Cache) Reset() {
 		return
 	}
 	c.mu.Lock()
-	c.entries, c.units, c.digests, c.scheds, c.texts = nil, nil, nil, nil, nil
+	c.entries, c.units, c.digests, c.scheds, c.texts, c.locals = nil, nil, nil, nil, nil, nil
 	c.hits, c.misses, c.diskHits = 0, 0, 0
 	c.mu.Unlock()
 }

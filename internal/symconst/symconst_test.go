@@ -18,7 +18,7 @@ func compute(t *testing.T, src string) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Compute(g, sideeffect.Compute(g))
+	return Compute(g, sideeffect.Compute(g, sideeffect.Own))
 }
 
 // TestConstantFlowsThroughChain: main → dgefa → daxpy, the matrix

@@ -425,6 +425,27 @@ func BenchmarkCompileWarmCache(b *testing.B) {
 	}
 }
 
+// widenedSrc is a program whose overlap estimates widen both ways: MAIN
+// reads a one element up and lo reads x, bound to a, two elements down,
+// so propagation widens MAIN's a and lo's x past their local offsets.
+const widenedSrc = `      PROGRAM MAIN
+      PARAMETER (n$proc = 4)
+      REAL a(64), b(64)
+      DISTRIBUTE a(BLOCK)
+      DISTRIBUTE b(BLOCK)
+      do i = 1, 63
+        b(i) = a(i+1)
+      enddo
+      call lo(a, b)
+      END
+      SUBROUTINE lo(x, y)
+      REAL x(64), y(64)
+      do i = 3, 64
+        y(i) = x(i-2)
+      enddo
+      END
+`
+
 // TestCachedUnitsAreNeverWritten: a hit splices the cache entry's unit
 // into the program as stored, and nothing downstream — cloning, the
 // schedule pass — writes it or the input program. Two compiles share
@@ -433,9 +454,11 @@ func BenchmarkCompileWarmCache(b *testing.B) {
 // source text, which shares the source units the cache memoized; every
 // input, every memoized source unit and every cached unit prints as it
 // did before, and so does every unit the cache keeps as a schedule, and
-// the text it keeps of each is that print. The sources clone (fig4),
-// pipeline a pivot broadcast (dgefa), split halos (jacobi2d) and split
-// chains of pipelined loops.
+// the text it keeps of each is that print; and the local facts it keeps
+// of each memoized unit print as the unit's local pass computes them.
+// The sources clone (fig4), pipeline a pivot broadcast (dgefa), split
+// halos (jacobi2d), split chains of pipelined loops and widen overlap
+// estimates (widenedSrc).
 func TestCachedUnitsAreNeverWritten(t *testing.T) {
 	var srcs []string
 	for _, name := range []string{"fig4.f", "dgefa.f", "jacobi2d.f"} {
@@ -445,7 +468,7 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 		}
 		srcs = append(srcs, string(b))
 	}
-	srcs = append(srcs, SyntheticProcsSrc(8, 8, 32, 4))
+	srcs = append(srcs, SyntheticProcsSrc(8, 8, 32, 4), widenedSrc)
 	opts := core.DefaultOptions()
 	opts.Cache, opts.Jobs = summarycache.New(), 8
 	blocking := opts
@@ -490,6 +513,26 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 	}
 	memoized := ast.NewProgram(slices.Concat(sources...))
 	cached := printAll(ast.NewProgram(stored), memoized, ast.NewProgram(scheduled))
+	// the local facts the cache keeps of each memoized unit, or (with a
+	// nil cache) those the local pass computes afresh: the propagation
+	// that reads them copies what it widens
+	printLocals := func(cache *summarycache.Cache) []string {
+		var out []string
+		for _, u := range memoized.Units {
+			l, _ := cache.Local(u)
+			mod, ref := l.Effects.Mod.Members(), l.Effects.Ref.Members()
+			slices.Sort(mod)
+			slices.Sort(ref)
+			var offs []string
+			for arr, o := range l.Offsets {
+				offs = append(offs, arr+o.String())
+			}
+			slices.Sort(offs)
+			out = append(out, fmt.Sprintf("%s: mod %v ref %v comm %v sections %s offsets %v",
+				u.Name, mod, ref, l.Effects.Comm, l.Sections.Key(), offs))
+		}
+		return out
+	}
 	var inputs [2][]*ast.Program
 	var before [2][]string
 	for w := range inputs {
@@ -540,6 +583,12 @@ func TestCachedUnitsAreNeverWritten(t *testing.T) {
 	for i, after := range printAll(ast.NewProgram(stored), memoized, ast.NewProgram(scheduled)) {
 		if after != cached[i] {
 			t.Errorf("the cached units (%d) changed:\n%s\n--- now\n%s", i, cached[i], after)
+		}
+	}
+	fresh := printLocals(nil)
+	for i, kept := range printLocals(opts.Cache) {
+		if kept != fresh[i] {
+			t.Errorf("the local facts the cache keeps of a unit changed:\n%s\n--- the unit's\n%s", kept, fresh[i])
 		}
 	}
 	for _, u := range slices.Concat(stored, scheduled) {

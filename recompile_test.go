@@ -2,6 +2,12 @@ package fortd
 
 import (
 	"fmt"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +15,7 @@ import (
 	"fortd/internal/core"
 	"fortd/internal/explain"
 	"fortd/internal/parser"
+	"fortd/internal/progen"
 	"fortd/internal/summarycache"
 	"fortd/internal/trace"
 )
@@ -261,5 +268,121 @@ func TestWarmListingPrintsNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, func() { prog.Listing() }); allocs > 2 {
 		t.Errorf("a warm listing allocates %.0f objects, want at most 2", allocs)
+	}
+}
+
+// TestEditAnalyzesOnlyItsUnits: the local pass of each whole-program
+// phase runs once per unit the cache parsed (the local-units-analyzed
+// counter). The 33-unit program analyzes every unit cold, none on a
+// resubmit and the one unit a one-constant edit of s7 re-parses; fig4
+// analyzes all five units of its compiled program on every compile:
+// they are its clones and the caller renamed to call them, new units
+// each time; and a compile without a cache analyzes every unit.
+func TestEditAnalyzesOnlyItsUnits(t *testing.T) {
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	constant := editUnit(src, 7, func(u string) string { return strings.Replace(u, ".0\n", ".5\n", 1) })
+	fig4, err := os.ReadFile(filepath.Join("testdata", "fig4.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := summarycache.New()
+	for _, c := range []struct {
+		name     string
+		src      string
+		cache    *summarycache.Cache
+		analyzed int64
+	}{
+		{"cold", src, cache, 33},
+		{"resubmit", src, cache, 0},
+		{"constant", constant, cache, 1},
+		{"no cache", constant, nil, 33},
+		{"fig4 cold", string(fig4), cache, 5},
+		{"fig4 resubmit", string(fig4), cache, 5}, // F1$row, F1$col, F2$row, F2$col and P1 renamed
+	} {
+		opts := core.DefaultOptions()
+		opts.Cache, opts.Trace = c.cache, trace.New()
+		if _, err := core.Compile(c.src, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter(opts.Trace, "local-units-analyzed"); got != c.analyzed {
+			t.Errorf("%s: %d units analyzed, want %d", c.name, got, c.analyzed)
+		}
+	}
+}
+
+// TestWarmCompileEqualsCold: a warm compile takes each unit's local facts
+// from the cache, and nothing downstream may tell. For every testdata
+// program and 20 generated ones, compiles on one cache — the program,
+// the program again, a one-unit edit of it and the program once more —
+// each give what a compile without a cache gives: the listing, every
+// remark with its position, the interfaces, the overlap estimates, the
+// reaching decompositions and the call sites' reaching sets.
+func TestWarmCompileEqualsCold(t *testing.T) {
+	var srcs []string
+	err := filepath.WalkDir("testdata", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".f" {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		srcs = append(srcs, string(b))
+		return err
+	})
+	if err != nil || len(srcs) < 50 {
+		t.Fatalf("testdata: %d programs, %v", len(srcs), err)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		g := &progen.Gen{Rng: rand.New(rand.NewSource(seed)), N: 24 + int(seed%3)*8, P: []int{3, 4, 6}[seed%3], Temps: seed%2 == 0}
+		srcs = append(srcs, g.Generate())
+	}
+	outcome := func(src string, cache *summarycache.Cache) string {
+		opts := core.DefaultOptions()
+		opts.Cache, opts.Explain = cache, explain.New()
+		c, err := core.Compile(src, opts)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		var b strings.Builder
+		b.WriteString(ast.Print(c.Program))
+		for _, r := range opts.Explain.Remarks() {
+			b.WriteString(r.String() + "\n")
+		}
+		var facts []string
+		for proc, iface := range c.Interfaces {
+			facts = append(facts, "interface "+proc+": "+strings.ReplaceAll(iface, "\n", "; "))
+		}
+		for proc, est := range c.Overlaps.Estimates {
+			for arr, offs := range est {
+				facts = append(facts, "overlap "+proc+" "+arr+offs.String())
+			}
+		}
+		for proc, reaching := range c.Reach.Reaching {
+			for v, set := range reaching {
+				facts = append(facts, "reaching "+proc+" "+v+"="+set.String())
+			}
+		}
+		for call, local := range c.Reach.Sites {
+			for v, set := range local {
+				facts = append(facts, fmt.Sprintf("site %s line %d %s=%s", call.Name, call.Pos().Line, v, set))
+			}
+		}
+		slices.Sort(facts)
+		b.WriteString(strings.Join(facts, "\n"))
+		return b.String()
+	}
+	header := regexp.MustCompile(`(?m)^ +(PROGRAM|SUBROUTINE)\b.*\n`)
+	for i, src := range srcs {
+		// the last unit gains a local array it reads one element up,
+		// which moves no other unit's lines and shows in its estimates
+		at := header.FindAllStringIndex(src, -1)
+		decl, end := at[len(at)-1][1], strings.LastIndex(src, "      END")
+		edited := src[:decl] + "      REAL xedit(8)\n" + src[decl:end] +
+			"      do iedit = 1, 7\n        xedit(iedit) = xedit(iedit+1)\n      enddo\n" + src[end:]
+		cold, coldEdited := outcome(src, nil), outcome(edited, nil)
+		cache := summarycache.New()
+		for j, c := range []struct{ src, want string }{{src, cold}, {src, cold}, {edited, coldEdited}, {src, cold}} {
+			if got := outcome(c.src, cache); got != c.want {
+				t.Errorf("program %d, compile %d on the cache differs from a compile without one:\n%s\n--- without\n%s", i, j, got, c.want)
+			}
+		}
 	}
 }
