@@ -115,8 +115,11 @@ test -z "$ELF"
 # 24826 -> 24608. The next change (2026-10-17) split sideeffect, section
 # and overlap analysis into a local pass the summary cache keeps per
 # parsed unit and a propagation over its facts, allowed at most +80:
-# 24608 -> 24687
-LOC_CEILING=24687
+# 24608 -> 24687. The next change (2026-10-17) declared each compiler
+# record once: a phase-3 task's output is its cache entry, the summary
+# table and the disk entry's field copies went, and fortd re-exports
+# core's Options and Report and the run's Stats and Result: 24687 -> 24551
+LOC_CEILING=24551
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

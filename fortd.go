@@ -163,10 +163,7 @@ func NewExplain() *Explain { return explain.New() }
 // Stats reports a simulated run's communication and time statistics.
 // Time is the parallel execution time (the maximum processor clock) in
 // simulated microseconds.
-type Stats machine.Stats
-
-// String renders the headline numbers on one line.
-func (s Stats) String() string { return machine.Stats(s).String() }
+type Stats = machine.Stats
 
 // DefaultMachine returns an iPSC/860-like cost model with p processors.
 func DefaultMachine(p int) MachineConfig { return machine.DefaultConfig(p) }
@@ -207,92 +204,19 @@ type DeadlockError = machine.DeadlockError
 // receiver draining it, naming the congested (src, dst) pair.
 type CongestionError = machine.CongestionError
 
-// Options configures compilation.
-type Options struct {
-	// P is the number of processors to compile for (0: read the main
-	// program's n$proc PARAMETER, defaulting to 4).
-	P int
-	// Strategy selects interprocedural compilation or a baseline.
-	Strategy Strategy
-	// RemapOpt sets the dynamic-decomposition optimization level.
-	RemapOpt RemapLevel
-	// CloneLimit bounds procedure cloning; 0 disables cloning and
-	// forces run-time resolution on decomposition conflicts.
-	CloneLimit int
-	// Trace, when non-nil, collects per-phase compile spans and code
-	// generation counters.
-	Trace *Trace
-	// Explain, when non-nil, collects optimization remarks from every
-	// compiler pass.
-	Explain *Explain
-	// Jobs is the number of concurrent workers for the per-procedure
-	// code-generation phase, scheduled in topological waves over the
-	// call graph (0 or 1: sequential). Output is byte-identical
-	// regardless of Jobs.
-	Jobs int
-	// Cache, when non-nil, memoizes per-procedure compilation results
-	// across Compile calls, keyed by a content hash of each procedure's
-	// source and the interprocedural inputs it consumed. Re-compiling a
-	// program after editing one procedure re-analyzes only that
-	// procedure and the callers whose consumed summaries changed (the
-	// paper's §8 recompilation analysis, run as a cache).
-	Cache *SummaryCache
-	// Deadline bounds the compilation's wall-clock time (0: none).
-	// CompileContext derives a timeout context from it; a compilation
-	// that exceeds it returns context.DeadlineExceeded.
-	Deadline time.Duration
-	// Overlap enables the computation/communication overlap schedule:
-	// blocking halo exchanges are split into post-early/wait-late pairs
-	// with the interior of the following loop hoisted between them, and
-	// pipelined broadcasts are posted above independent predecessors.
-	// The generated listing changes (postrecv/waitrecv statements and
-	// peeled boundary loops appear) but the computed values do not.
-	// DefaultOptions enables it.
-	Overlap bool
-}
-
-// WithOverlap returns a copy of o with the overlap schedule switched
-// on or off. It exists for call-site chaining:
+// Options configures compilation: the processor count, the strategy,
+// the Figure 16 remap level, the cloning limit, trace and remark sinks,
+// phase-3 workers, the summary cache, a deadline and the overlap
+// schedule. Validate reports the first invalid field, and Compile calls
+// it, so malformed options fail loudly instead of being silently
+// defaulted. WithOverlap switches the overlap schedule for call-site
+// chaining:
 //
 //	fortd.DefaultOptions().WithOverlap(false)
-func (o Options) WithOverlap(on bool) Options {
-	o.Overlap = on
-	return o
-}
+type Options = core.Options
 
 // DefaultOptions enables the full interprocedural pipeline.
-func DefaultOptions() Options {
-	d := core.DefaultOptions()
-	return Options{Strategy: d.Strategy, RemapOpt: d.RemapOpt, CloneLimit: d.CloneLimit, Overlap: d.Overlap}
-}
-
-// Validate reports the first invalid field. Compile calls it, so
-// malformed options fail loudly instead of being silently defaulted.
-func (o Options) Validate() error {
-	if o.P < 0 {
-		return fmt.Errorf("fortd: Options.P = %d, must be >= 0 (0 reads n$proc)", o.P)
-	}
-	switch o.Strategy {
-	case Interprocedural, RuntimeResolution, Immediate:
-	default:
-		return fmt.Errorf("fortd: unknown Options.Strategy %d", o.Strategy)
-	}
-	switch o.RemapOpt {
-	case RemapNone, RemapLive, RemapHoist, RemapKills:
-	default:
-		return fmt.Errorf("fortd: unknown Options.RemapOpt %d", o.RemapOpt)
-	}
-	if o.CloneLimit < 0 {
-		return fmt.Errorf("fortd: Options.CloneLimit = %d, must be >= 0 (0 disables cloning)", o.CloneLimit)
-	}
-	if o.Jobs < 0 {
-		return fmt.Errorf("fortd: Options.Jobs = %d, must be >= 0 (0 or 1 compiles sequentially)", o.Jobs)
-	}
-	if o.Deadline < 0 {
-		return fmt.Errorf("fortd: Options.Deadline = %v, must be >= 0 (0 disables the deadline)", o.Deadline)
-	}
-	return nil
-}
+func DefaultOptions() Options { return core.DefaultOptions() }
 
 // SummaryCache is a content-hashed cache of per-procedure compilation
 // results, shared across Compile calls via Options.Cache. See
@@ -301,7 +225,7 @@ func (o Options) Validate() error {
 // Concurrency: a SummaryCache is safe for concurrent use. Any number of
 // goroutines may compile through one shared cache simultaneously (the
 // compile daemon does exactly that); entries are immutable once stored
-// and cloned before being spliced into a program. With a disk tier
+// and spliced into programs unwritten. With a disk tier
 // (NewDiskSummaryCache), separate processes may also share the same
 // directory without coordination.
 type SummaryCache = summarycache.Cache
@@ -326,12 +250,9 @@ func NewDiskSummaryCache(dir string) (*SummaryCache, error) {
 
 // Report summarizes what code generation did: messages and ownership
 // guards inserted, loop bounds reduced to local iterations, dynamic
-// remaps placed, and procedures cloned.
-type Report core.Report
-
-// String renders the counters on one line, naming each procedure left
-// to run-time resolution.
-func (r Report) String() string { return core.Report(r).String() }
+// remaps placed, and procedures cloned. Its String renders the counters
+// on one line, naming each procedure left to run-time resolution.
+type Report = core.Report
 
 // Program is a compiled Fortran D program.
 //
@@ -357,20 +278,7 @@ func Compile(src string, opts Options) (*Program, error) {
 // set, bounds the compilation's wall-clock time through the same
 // mechanism.
 func CompileContext(ctx context.Context, src string, opts Options) (*Program, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-	}
-	c, err := core.CompileContext(ctx, src, core.Options{
-		P: opts.P, Strategy: opts.Strategy,
-		RemapOpt: opts.RemapOpt, CloneLimit: opts.CloneLimit,
-		Trace: opts.Trace, Explain: opts.Explain,
-		Jobs: opts.Jobs, Cache: opts.Cache, Overlap: opts.Overlap,
-	})
+	c, err := core.CompileContext(ctx, src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +295,7 @@ func (p *Program) Listing() string { return p.c.Options.Cache.Listing(p.c.Progra
 func (p *Program) SourceListing() string { return ast.Print(p.c.Source) }
 
 // Report returns code generation statistics.
-func (p *Program) Report() Report { return Report(p.c.Report) }
+func (p *Program) Report() Report { return p.c.Report }
 
 // Clones maps generated procedure clones to their originals.
 func (p *Program) Clones() map[string]string { return p.c.Reach.ClonedFrom }
@@ -407,14 +315,10 @@ func (p *Program) OverlapExtent(proc, array string, dim, blockSize int) (lo, hi 
 	return p.c.Overlaps.Extents(proc, array, dim, blockSize)
 }
 
-// Result is the outcome of a simulated run.
-type Result struct {
-	// Stats holds simulated time, message and word counts.
-	Stats Stats
-	// Arrays holds the main program's arrays, assembled from the
-	// owning processors.
-	Arrays map[string][]float64
-}
+// Result is the outcome of a simulated run: Stats holds simulated time,
+// message and word counts, and Arrays the main program's arrays,
+// assembled from the owning processors.
+type Result = spmd.RunResult
 
 // Runner executes programs on the simulated machine. The zero value
 // (or NewRunner with no options) runs with the default machine, no
@@ -516,14 +420,10 @@ func (r *Runner) RunContext(ctx context.Context, p *Program) (*Result, error) {
 		return nil, err
 	}
 	// each node program stores its blocks with the estimated overlap regions
-	rr, err := spmd.RunContext(ctx, p.c.Program, cfg, spmd.Options{
+	return spmd.RunContext(ctx, p.c.Program, cfg, spmd.Options{
 		Dists: p.c.MainDists, Init: r.init, InitScalars: r.initScalars, Overlap: p.c.Overlaps.Extents,
 		Trace: r.trace, Faults: r.faults, Deadline: r.deadline,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stats: Stats(rr.Stats), Arrays: rr.Arrays}, nil
 }
 
 // RunReference executes the original sequential program (one
@@ -536,14 +436,10 @@ func (r *Runner) RunReference(p *Program) (*Result, error) {
 // RunReferenceContext is RunReference under a cancellation context
 // (see RunContext).
 func (r *Runner) RunReferenceContext(ctx context.Context, p *Program) (*Result, error) {
-	rr, err := spmd.RunSequentialContext(ctx, p.c.Source, spmd.Options{
+	return spmd.RunSequentialContext(ctx, p.c.Source, spmd.Options{
 		Init: r.init, InitScalars: r.initScalars, Trace: r.trace,
 		Deadline: r.deadline,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stats: Stats(rr.Stats), Arrays: rr.Arrays}, nil
 }
 
 // RunSPMD executes hand-written SPMD node-program text directly on the
@@ -624,14 +520,10 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	rr, err := spmd.RunContext(ctx, prog, cfg, spmd.Options{
+	return spmd.RunContext(ctx, prog, cfg, spmd.Options{
 		Dists: dists, Init: r.init, InitScalars: r.initScalars,
 		Trace: r.trace, Faults: r.faults, Deadline: r.deadline,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stats: Stats(rr.Stats), Arrays: rr.Arrays}, nil
 }
 
 // DataflowProblem is one row of the paper's Table 1: an

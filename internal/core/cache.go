@@ -30,9 +30,9 @@ import (
 	"fortd/internal/summarycache"
 )
 
-// procKey builds the content-hash cache key for one procedure. All
-// callee summary hashes are published before the task starts (the
-// scheduler's dependency edges), so this never blocks.
+// procKey builds the content-hash cache key for one procedure. Every
+// callee's task completed before this one started (the scheduler's
+// dependency edges), so its summary hash is there to read.
 func (pc *passCtx) procKey(n *acg.Node) string {
 	name := n.Name()
 	h := summarycache.NewHasher()
@@ -51,7 +51,7 @@ func (pc *passCtx) procKey(n *acg.Node) string {
 	h.Add("rtres", strings.Join(rt, ","))
 
 	for _, callee := range calleeNames(n) {
-		h.Add("callee", callee, pc.table.shashOf(callee))
+		h.Add("callee", callee, pc.callee(callee).shash)
 	}
 	return h.Sum()
 }
@@ -62,52 +62,25 @@ func (pc *passCtx) procKey(n *acg.Node) string {
 func (pc *passCtx) summaryHash(out *procOut) string {
 	h := summarycache.NewHasher()
 	h.Add("iface", out.iface)
-	if l := pc.locals[out.name]; l.Sections != nil {
+	if l := pc.locals[out.Proc]; l.Sections != nil {
 		h.Add("sections", l.SectionsKey) // rendered once per unit
 	} else {
-		h.Add("sections", pc.sections[out.name].Key())
+		h.Add("sections", pc.sections[out.Proc].Key())
 	}
-	h.Add("overlap", renderMap(pc.c.Overlaps.Estimates[out.name], func(k string, v *overlap.Offsets) string { return k + v.String() }))
-	h.Add("runtime", strconv.FormatBool(out.runtime))
+	h.Add("overlap", renderMap(pc.c.Overlaps.Estimates[out.Proc], func(k string, v *overlap.Offsets) string { return k + v.String() }))
+	h.Add("runtime", strconv.FormatBool(out.Runtime))
 	return h.Sum()
 }
 
-// loadEntry fills a task output from a cache entry. The entry's unit and
-// summary structures are shared read-only, exactly as a fresh callee's
-// summaries are shared with its callers.
-func (pc *passCtx) loadEntry(e *summarycache.Entry, out *procOut) {
-	out.hit = true
-	res := e.Result
-	out.res = &res
-	out.unit = e.Unit
-	out.part = e.PartDelayed
-	out.commD = e.CommDelayed
-	out.dsum = e.DecompSum
-	out.mainDists = e.MainDists
-	out.remarks = e.Remarks
-	out.runtime = e.Runtime
-}
-
 // storeEntries records every freshly compiled procedure of a successful
-// compilation. The stored unit is the one in the generated program:
-// nothing writes a published unit, so the two may share it.
+// compilation: the task's own entry, whose unit is the one in the
+// generated program (nothing writes a published unit, so the two may
+// share it).
 func (pc *passCtx) storeEntries(outs []*procOut) {
 	for _, out := range outs {
-		if out == nil || out.hit || out.key == "" || out.err != nil {
-			continue
+		if out != nil && !out.hit && out.err == nil {
+			pc.cache.Put(out.Entry)
 		}
-		pc.cache.Put(&summarycache.Entry{
-			Key:         out.key,
-			Proc:        out.name,
-			Unit:        out.unit,
-			Result:      *out.res,
-			PartDelayed: out.part,
-			CommDelayed: out.commD,
-			DecompSum:   out.dsum,
-			MainDists:   out.mainDists,
-			Remarks:     out.remarks,
-			Runtime:     out.runtime,
-		})
 	}
 }
 

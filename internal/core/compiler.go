@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"fortd/internal/acg"
 	"fortd/internal/ast"
@@ -31,38 +32,50 @@ import (
 
 // Options configures a compilation.
 type Options struct {
-	// P overrides the processor count (0: use the main program's
-	// n$proc PARAMETER, default 4).
+	// P is the number of processors to compile for (0: read the main
+	// program's n$proc PARAMETER, defaulting to 4).
 	P int
 	// Strategy selects interprocedural compilation or one of the
 	// paper's baselines.
 	Strategy codegen.Strategy
-	// RemapOpt is the dynamic-decomposition optimization level ladder
-	// of Figure 16.
+	// RemapOpt sets the dynamic-decomposition optimization level, the
+	// ladder of Figure 16.
 	RemapOpt livedecomp.Level
-	// CloneLimit bounds procedure cloning (Figure 8); 0 disables it.
+	// CloneLimit bounds procedure cloning (Figure 8); 0 disables cloning
+	// and forces run-time resolution on decomposition conflicts.
 	CloneLimit int
-	// Trace, when non-nil, collects per-phase compile spans and
-	// code-generation counters.
+	// Trace, when non-nil, collects per-phase compile spans and code
+	// generation counters.
 	Trace *trace.Tracer
 	// Explain, when non-nil, collects optimization remarks from every
-	// pass (nil = disabled, allocation-free).
+	// compiler pass (nil = disabled, allocation-free).
 	Explain *explain.Collector
-	// Jobs is the number of workers the per-procedure code-generation
-	// phase schedules over the ACG's topological waves (<= 1:
-	// sequential). Outputs are byte-identical regardless of Jobs.
+	// Jobs is the number of concurrent workers for the per-procedure
+	// code-generation phase, scheduled in topological waves over the
+	// call graph (0 or 1: sequential). Output is byte-identical
+	// regardless of Jobs.
 	Jobs int
-	// Cache, when non-nil, is the content-hashed summary cache: each
-	// procedure's phase-3 artifacts are stored under a hash of its
-	// source and consumed interprocedural inputs, so recompilations
-	// re-analyze only the invalidated cone of the ACG.
+	// Cache, when non-nil, memoizes per-procedure compilation results
+	// across compilations, keyed by a content hash of each procedure's
+	// source and the interprocedural inputs it consumed. Re-compiling a
+	// program after editing one procedure re-analyzes only that
+	// procedure and the callers whose consumed summaries changed (the
+	// paper's §8 recompilation analysis, run as a cache).
 	Cache *summarycache.Cache
-	// Overlap enables the post-codegen communication/computation
-	// overlap pass (internal/sched): blocking halo exchanges become
-	// post-early/wait-late pairs and broadcasts are posted above
-	// independent predecessors. The pass replaces the units it changes
-	// rather than writing them, so cache entries hold the blocking form,
-	// one cache serves both modes and it keeps each unit's schedule.
+	// Deadline bounds the compilation's wall-clock time (0: none).
+	// CompileContext derives a timeout context from it; a compilation
+	// that exceeds it returns context.DeadlineExceeded.
+	Deadline time.Duration
+	// Overlap enables the computation/communication overlap schedule
+	// (internal/sched): blocking halo exchanges are split into
+	// post-early/wait-late pairs with the interior of the following loop
+	// hoisted between them, and pipelined broadcasts are posted above
+	// independent predecessors. The generated listing changes
+	// (postrecv/waitrecv statements and peeled boundary loops appear)
+	// but the computed values do not. The pass replaces the units it
+	// changes rather than writing them, so cache entries hold the
+	// blocking form, one cache serves both modes and it keeps each
+	// unit's schedule. DefaultOptions enables it.
 	Overlap bool
 }
 
@@ -76,7 +89,46 @@ func DefaultOptions() Options {
 	}
 }
 
-// Report aggregates per-procedure code generation statistics.
+// WithOverlap returns a copy of o with the overlap schedule switched
+// on or off. It exists for call-site chaining:
+//
+//	fortd.DefaultOptions().WithOverlap(false)
+func (o Options) WithOverlap(on bool) Options {
+	o.Overlap = on
+	return o
+}
+
+// Validate reports the first invalid field. CompileContext calls it, so
+// malformed options fail loudly instead of being silently defaulted.
+func (o Options) Validate() error {
+	if o.P < 0 {
+		return fmt.Errorf("fortd: Options.P = %d, must be >= 0 (0 reads n$proc)", o.P)
+	}
+	switch o.Strategy {
+	case codegen.StrategyInterproc, codegen.StrategyRuntime, codegen.StrategyImmediate:
+	default:
+		return fmt.Errorf("fortd: unknown Options.Strategy %d", o.Strategy)
+	}
+	switch o.RemapOpt {
+	case livedecomp.OptNone, livedecomp.OptLive, livedecomp.OptHoist, livedecomp.OptKills:
+	default:
+		return fmt.Errorf("fortd: unknown Options.RemapOpt %d", o.RemapOpt)
+	}
+	if o.CloneLimit < 0 {
+		return fmt.Errorf("fortd: Options.CloneLimit = %d, must be >= 0 (0 disables cloning)", o.CloneLimit)
+	}
+	if o.Jobs < 0 {
+		return fmt.Errorf("fortd: Options.Jobs = %d, must be >= 0 (0 or 1 compiles sequentially)", o.Jobs)
+	}
+	if o.Deadline < 0 {
+		return fmt.Errorf("fortd: Options.Deadline = %v, must be >= 0 (0 disables the deadline)", o.Deadline)
+	}
+	return nil
+}
+
+// Report summarizes what code generation did: messages and ownership
+// guards inserted, loop bounds reduced to local iterations, dynamic
+// remaps placed, and procedures cloned, in total and per procedure.
 type Report struct {
 	Messages     int
 	Guards       int
@@ -157,8 +209,18 @@ func Compile(src string, opts Options) (*Compilation, error) {
 // CompileContext is Compile under a cancellation context: when ctx is
 // cancelled the compilation stops at the next phase boundary or
 // phase-3 task boundary and returns ctx.Err(). A cancelled compilation
-// never stores partial results into Options.Cache.
+// never stores partial results into Options.Cache. It validates opts
+// first, and Options.Deadline, when set, bounds the compilation's
+// wall-clock time through the same mechanism.
 func CompileContext(ctx context.Context, src string, opts Options) (*Compilation, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
+		defer cancel()
+	}
 	endParse := opts.Trace.Phase("parse")
 	prog, err := parser.ParseMemo(src, opts.Cache) // a warm compile parses only edited units
 	endParse()
@@ -276,7 +338,7 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 	pcx := &passCtx{
 		ctx: ctx, c: c, opts: opts, p: p, exOn: ex.Enabled(),
 		sections: sections, locals: locals, consts: consts, fx: fx, killTest: killTest,
-		table: newSummaryTable(), cache: opts.Cache,
+		cache: opts.Cache,
 	}
 	order := g.ReverseTopoOrder()
 	outs := compileAll(pcx, order, jobs)
@@ -287,20 +349,21 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 			// never scheduled because an earlier task failed
 			continue
 		}
-		ex.AddAll(out.remarks)
+		ex.AddAll(out.Remarks)
 		if out.err != nil {
 			return nil, out.err
 		}
-		c.record(out.name, out.res)
-		c.Interfaces[out.name] = out.iface
-		for arr, d := range out.mainDists {
+		res := out.Result // the report never points into a cache entry
+		c.record(out.Proc, &res)
+		c.Interfaces[out.Proc] = out.iface
+		for arr, d := range out.MainDists {
 			c.MainDists[arr] = d
 		}
-		units[out.name] = out.unit
+		units[out.Proc] = out.Unit
 		if out.hit {
-			c.CacheHits = append(c.CacheHits, out.name)
+			c.CacheHits = append(c.CacheHits, out.Proc)
 		} else if pcx.cache.Enabled() {
-			c.CacheMisses = append(c.CacheMisses, out.name)
+			c.CacheMisses = append(c.CacheMisses, out.Proc)
 		}
 	}
 	// every unit of the graph's program is one of its nodes
@@ -338,11 +401,11 @@ func (pc *passCtx) schedule(order []*acg.Node, outs []*procOut) (sites int) {
 	// what the pass reads of the program but the tag
 	chain := map[string]string{}
 	for i := 0; i < len(outs) && pc.cache.Enabled(); i++ {
-		keys := []string{outs[i].key}
+		keys := []string{outs[i].Key}
 		for _, callee := range calleeNames(order[i]) {
 			keys = append(keys, chain[callee])
 		}
-		chain[outs[i].name] = summarycache.Hash(keys...)
+		chain[outs[i].Proc] = summarycache.Hash(keys...)
 	}
 	p, units, ran := &sched.Pass{Prog: pc.c.Program}, slices.Clone(pc.c.Program.Units), 0
 	for i, u := range units {

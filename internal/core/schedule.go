@@ -5,12 +5,11 @@ package core
 // distinct callees, so the reverse-topological waves of the paper's
 // single-pass compilation become parallel waves — procedures with no
 // unresolved callee summaries compile concurrently on a worker pool,
-// publishing their caller-visible summaries through a locked summary
-// table instead of shared mutable maps. With Jobs <= 1 the schedule
-// degenerates to the sequential reverse-topological walk, and both
-// modes commit results in reverse-topological order, so reports,
-// remarks and generated programs are byte-identical regardless of the
-// worker count.
+// each reading the outputs of its callees, whose tasks the schedule
+// completed before it started. With Jobs <= 1 the schedule degenerates
+// to the sequential reverse-topological walk, and both modes commit
+// results in reverse-topological order, so reports, remarks and
+// generated programs are byte-identical regardless of the worker count.
 
 import (
 	"context"
@@ -33,91 +32,17 @@ import (
 	"fortd/internal/symconst"
 )
 
-// procOut carries everything one procedure's phase-3 task produced.
-// Tasks only write their own procOut; all shared state is committed
-// sequentially afterwards.
+// procOut is one procedure's phase-3 task output: its cache entry —
+// the cache's shared one on a hit, a fresh one stored on success after
+// a miss — plus what an entry does not keep. Tasks only write their own
+// procOut; all shared state is committed sequentially afterwards.
 type procOut struct {
-	name string
-	idx  int
-	err  error
-
-	key string // cache key ("" when caching is disabled)
-	hit bool
-
-	res       *codegen.Result
-	unit      *ast.Procedure // the generated unit, or the cache entry's
-	part      map[string]*partition.Constraint
-	commD     []*comm.Delayed
-	dsum      *livedecomp.Summary
-	iface     string
-	shash     string   // summary hash callers fold into their cache keys
-	effects   []string // scalarEffects of the procedure, part of iface
-	mainDists map[string]*decomp.Dist
-	remarks   []explain.Remark
-	runtime   bool
-}
-
-// summaryTable publishes completed procedures' caller-visible summaries
-// to concurrently running caller tasks. Dependencies guarantee a callee
-// row exists before any caller reads it; the lock only orders the map
-// accesses themselves.
-type summaryTable struct {
-	mu    sync.RWMutex
-	part  map[string]map[string]*partition.Constraint
-	comm  map[string][]*comm.Delayed
-	dsum  map[string]*livedecomp.Summary
-	shash map[string]string
-}
-
-func newSummaryTable() *summaryTable {
-	return &summaryTable{
-		part:  map[string]map[string]*partition.Constraint{},
-		comm:  map[string][]*comm.Delayed{},
-		dsum:  map[string]*livedecomp.Summary{},
-		shash: map[string]string{},
-	}
-}
-
-func (t *summaryTable) publish(out *procOut) {
-	t.mu.Lock()
-	t.part[out.name] = out.part
-	t.comm[out.name] = out.commD
-	t.dsum[out.name] = out.dsum
-	t.shash[out.name] = out.shash
-	t.mu.Unlock()
-}
-
-func (t *summaryTable) partOf(name string) map[string]*partition.Constraint {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.part[name]
-}
-
-func (t *summaryTable) commOf(name string) []*comm.Delayed {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.comm[name]
-}
-
-// dsumSnapshot returns the decomposition summaries of n's direct
-// callees, the only entries its passes look up.
-func (t *summaryTable) dsumSnapshot(n *acg.Node) map[string]*livedecomp.Summary {
-	out := map[string]*livedecomp.Summary{}
-	t.mu.RLock()
-	for _, site := range n.Calls {
-		name := site.Callee.Name()
-		if _, ok := out[name]; !ok {
-			out[name] = t.dsum[name]
-		}
-	}
-	t.mu.RUnlock()
-	return out
-}
-
-func (t *summaryTable) shashOf(name string) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.shash[name]
+	*summarycache.Entry
+	err     error
+	hit     bool
+	iface   string
+	shash   string   // summary hash callers fold into their cache keys
+	effects []string // scalarEffects of the procedure, part of iface
 }
 
 // passCtx carries the whole-program analyses phase 3 reads. Everything
@@ -133,9 +58,17 @@ type passCtx struct {
 	consts   symconst.Result
 	fx       *sideeffect.Analysis
 	killTest func(site *acg.CallSite, arr string) bool
-	table    *summaryTable
 	cache    *summarycache.Cache
+	// outs holds the task outputs, indexed like the schedule's order and
+	// found by name through idx. A task reads only its callees' outputs,
+	// and every callee's is written before the task starts (see
+	// compileAll), so the reads need no lock.
+	outs []*procOut
+	idx  map[string]int
 }
+
+// callee returns the output of a completed callee task.
+func (pc *passCtx) callee(name string) *procOut { return pc.outs[pc.idx[name]] }
 
 // calleeNames returns n's distinct callees, sorted.
 func calleeNames(n *acg.Node) []string {
@@ -157,23 +90,24 @@ func calleeNames(n *acg.Node) []string {
 // context fails the task with ctx.Err() before any work (or cache
 // counter update) happens, so cancellation is observed within one task
 // boundary and the shared cache never sees a partial store.
-func (pc *passCtx) compileOne(n *acg.Node, idx int) *procOut {
-	out := &procOut{name: n.Name(), idx: idx, effects: scalarEffects(pc.fx, n.Proc)}
+func (pc *passCtx) compileOne(n *acg.Node) *procOut {
+	out := &procOut{effects: scalarEffects(pc.fx, n.Proc)}
 	if err := pc.ctx.Err(); err != nil {
-		out.err = err
+		out.Entry, out.err = &summarycache.Entry{Proc: n.Name()}, err
 		return out
 	}
+	var key string
 	if pc.cache.Enabled() {
-		out.key = pc.procKey(n)
-		if e := pc.cache.Get(out.key); e != nil {
-			pc.loadEntry(e, out)
-		}
+		key = pc.procKey(n)
+		out.Entry = pc.cache.Get(key)
+		out.hit = out.Entry != nil
 	}
 	if !out.hit {
+		out.Entry = &summarycache.Entry{Key: key, Proc: n.Name()}
 		pc.fresh(n, out)
 	}
 	if out.err == nil {
-		out.iface = interfaceString(out.part, out.commD, out.dsum, out.effects)
+		out.iface = interfaceString(out.PartDelayed, out.CommDelayed, out.DecompSum, out.effects)
 		out.shash = pc.summaryHash(out)
 	}
 	return out
@@ -191,7 +125,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	if pc.exOn {
 		tex = explain.New()
 	}
-	defer func() { out.remarks = tex.Remarks() }()
+	defer func() { out.Remarks = tex.Remarks() }()
 	endProc := tr.Phase("codegen " + proc.Name)
 	defer endProc()
 
@@ -211,7 +145,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		return d, ok
 	}
 	if proc.IsMain {
-		out.mainDists = dists
+		out.MainDists = dists
 	}
 	if out.err = checkIntegerSubscripts(proc, distOf); out.err != nil {
 		return
@@ -242,16 +176,15 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 			out.err = fmt.Errorf("%s: %v", proc.Name, err)
 			return
 		}
-		out.res = res
-		out.unit = withBody(proc, body)
-		out.part = map[string]*partition.Constraint{}
-		out.commD = nil
-		out.dsum = &livedecomp.Summary{
+		out.Result = *res
+		out.Unit = withBody(proc, body)
+		out.PartDelayed = map[string]*partition.Constraint{}
+		out.DecompSum = &livedecomp.Summary{
 			Use: map[string]bool{}, Kill: map[string]bool{},
 			Before: map[string]decomp.Decomp{}, After: map[string]decomp.Decomp{},
 			Final: map[string]decomp.Decomp{},
 		}
-		out.runtime = true
+		out.Runtime = true
 		return
 	}
 
@@ -260,13 +193,13 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		if immediate {
 			return nil
 		}
-		return pc.table.partOf(name)
+		return pc.callee(name).PartDelayed
 	}
 	delayedCommOf := func(name string) []*comm.Delayed {
 		if immediate {
 			return nil
 		}
-		return pc.table.commOf(name)
+		return pc.callee(name).CommDelayed
 	}
 
 	deps := depend.Analyze(proc, env)
@@ -317,7 +250,10 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	// §6.4: Fortran D disallows dynamic data decomposition for
 	// aliased variables — reject calls that pass the same array to
 	// two formals when the callee remaps either of them
-	sums := pc.table.dsumSnapshot(n)
+	sums := map[string]*livedecomp.Summary{}
+	for _, site := range n.Calls {
+		sums[site.Callee.Name()] = pc.callee(site.Callee.Name()).DecompSum
+	}
 	if err := checkAliasRestriction(n, sums); err != nil {
 		if tex.Enabled() {
 			tex.Add(explain.Remark{
@@ -355,14 +291,14 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		out.err = fmt.Errorf("%s: %v", proc.Name, err)
 		return
 	}
-	out.res = gen
-	out.unit = withBody(proc, body)
+	out.Result = *gen
+	out.Unit = withBody(proc, body)
 	comm.Explain(tex, proc.Name, commRes) // after codegen, which decides the receivers
 	c.Overlaps.Explain(tex, proc.Name, uses)
 
-	out.part = plan.Delayed
-	out.commD = commRes.Delayed
-	out.dsum = decompSum
+	out.PartDelayed = plan.Delayed
+	out.CommDelayed = commRes.Delayed
+	out.DecompSum = decompSum
 }
 
 // withBody is proc's header — name, parameters, symbol table — over a
@@ -379,33 +315,31 @@ func withBody(proc *ast.Procedure, body []ast.Stmt) *ast.Procedure {
 // failed task may be nil.
 func compileAll(pc *passCtx, order []*acg.Node, jobs int) []*procOut {
 	n := len(order)
-	outs := make([]*procOut, n)
+	pc.outs, pc.idx = make([]*procOut, n), make(map[string]int, n)
+	for i, nd := range order {
+		pc.idx[nd.Name()] = i
+	}
+	outs := pc.outs
 	if jobs > n {
 		jobs = n
 	}
 	if jobs <= 1 || n == 0 {
+		// outs[i] is written before the next task starts
 		for i, nd := range order {
-			out := pc.compileOne(nd, i)
-			outs[i] = out
-			if out.err != nil {
-				return outs
+			if outs[i] = pc.compileOne(nd); outs[i].err != nil {
+				break
 			}
-			pc.table.publish(out)
 		}
 		return outs
 	}
 
 	// dependency counts over distinct callees; callees always precede
 	// callers in reverse topological order
-	idxOf := make(map[string]int, n)
-	for i, nd := range order {
-		idxOf[nd.Name()] = i
-	}
 	deg := make([]int, n)
 	dependents := make([][]int, n)
 	for i, nd := range order {
 		for _, callee := range calleeNames(nd) {
-			j := idxOf[callee]
+			j := pc.idx[callee]
 			deg[i]++
 			dependents[j] = append(dependents[j], i)
 		}
@@ -437,10 +371,9 @@ func compileAll(pc *passCtx, order []*acg.Node, jobs int) []*procOut {
 		go func() {
 			defer wg.Done()
 			for i := range ready {
-				out := pc.compileOne(order[i], i)
-				if out.err == nil {
-					pc.table.publish(out)
-				}
+				out := pc.compileOne(order[i])
+				// outs[i] is written under mu before a dependent is sent
+				// on ready, which orders it before the dependent's reads
 				mu.Lock()
 				outs[i] = out
 				inflight--

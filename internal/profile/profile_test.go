@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -350,6 +351,34 @@ func TestMemStore(t *testing.T) {
 	list, _ := st.List()
 	if len(list) != 1 || list[0].ID != id {
 		t.Errorf("list = %+v", list)
+	}
+}
+
+// TestMemStoreBound: a MemStore keeps the MemStoreLimit profiles stored
+// last; the first of MemStoreLimit+1 distinct ones answers ErrNotFound.
+func TestMemStoreBound(t *testing.T) {
+	st := NewMemStore()
+	p := sampleProfile(t)
+	var ids []string
+	for i := 0; i <= MemStoreLimit; i++ {
+		q := *p
+		q.Meta.Workload = fmt.Sprintf("w%d", i)
+		id, err := st.Put(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if list, _ := st.List(); len(list) != MemStoreLimit {
+		t.Errorf("%d profiles stored, want the bound %d", len(list), MemStoreLimit)
+	}
+	if _, err := st.Get(ids[0]); !errors.Is(err, ErrNotFound) {
+		t.Errorf("oldest profile: err = %v, want ErrNotFound", err)
+	}
+	for _, id := range []string{ids[1], ids[MemStoreLimit]} {
+		if _, err := st.Get(id); err != nil {
+			t.Errorf("kept profile %s: %v", id, err)
+		}
 	}
 }
 

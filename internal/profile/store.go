@@ -137,17 +137,25 @@ func (d *DirStore) List() ([]Entry, error) {
 	return out, nil
 }
 
+// MemStoreLimit bounds a MemStore: each distinct run label is another
+// artifact, so an unbounded store grows with its clients' labels.
+const MemStoreLimit = 1024
+
 // MemStore is the in-memory tier: the service's default when no
-// profile directory is configured. Safe for concurrent use.
+// profile directory is configured. It keeps the MemStoreLimit most
+// recently stored profiles; an evicted id answers ErrNotFound. Safe for
+// concurrent use.
 type MemStore struct {
-	mu sync.Mutex
-	m  map[string]*Profile
+	mu    sync.Mutex
+	m     map[string]*Profile
+	order []string // ids in the order stored, oldest first
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{m: map[string]*Profile{}} }
 
-// Put stores p under its content hash.
+// Put stores p under its content hash, evicting the oldest stored
+// profile when the store is full.
 func (s *MemStore) Put(p *Profile) (string, error) {
 	id, err := p.ID()
 	if err != nil {
@@ -157,6 +165,11 @@ func (s *MemStore) Put(p *Profile) (string, error) {
 	defer s.mu.Unlock()
 	if _, ok := s.m[id]; !ok {
 		s.m[id] = p
+		s.order = append(s.order, id)
+		if len(s.order) > MemStoreLimit {
+			delete(s.m, s.order[0])
+			s.order = s.order[1:]
+		}
 	}
 	return id, nil
 }

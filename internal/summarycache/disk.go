@@ -25,13 +25,7 @@ import (
 	"path/filepath"
 
 	"fortd/internal/ast"
-	"fortd/internal/codegen"
-	"fortd/internal/comm"
-	"fortd/internal/decomp"
-	"fortd/internal/explain"
-	"fortd/internal/livedecomp"
 	"fortd/internal/parser"
-	"fortd/internal/partition"
 )
 
 // diskFormat versions the entry files, schema and generated units (3:
@@ -42,17 +36,9 @@ const diskFormat = 5
 
 // diskEntry is Entry with the AST unit flattened to printed source.
 type diskEntry struct {
-	Format      int
-	Key         string
-	Proc        string
-	UnitSrc     string
-	Result      codegen.Result
-	PartDelayed map[string]*partition.Constraint
-	CommDelayed []*comm.Delayed
-	DecompSum   *livedecomp.Summary
-	MainDists   map[string]*decomp.Dist
-	Remarks     []explain.Remark
-	Runtime     bool
+	Format  int
+	UnitSrc string
+	Entry
 }
 
 // disk is one cache directory.
@@ -79,13 +65,7 @@ func (d *disk) store(e *Entry) error {
 	if err != nil || printUnit(reparsed) != src {
 		return fmt.Errorf("summarycache: %s does not round-trip through the printer; not persisted", e.Proc)
 	}
-	buf, err := json.Marshal(&diskEntry{
-		Format: diskFormat, Key: e.Key, Proc: e.Proc, UnitSrc: src,
-		Result: e.Result, PartDelayed: e.PartDelayed, CommDelayed: e.CommDelayed,
-		DecompSum: e.DecompSum,
-		MainDists: e.MainDists, Remarks: e.Remarks,
-		Runtime: e.Runtime,
-	})
+	buf, err := json.Marshal(&diskEntry{Format: diskFormat, UnitSrc: src, Entry: *e})
 	if err != nil {
 		return err
 	}
@@ -122,17 +102,10 @@ func (d *disk) load(key string) *Entry {
 	if json.Unmarshal(buf, &de) != nil || de.Format != diskFormat || de.Key != key {
 		return nil
 	}
-	unit, err := parser.ParseProcedure(de.UnitSrc)
-	if err != nil {
+	if de.Unit, err = parser.ParseProcedure(de.UnitSrc); err != nil {
 		return nil
 	}
-	return &Entry{
-		Key: de.Key, Proc: de.Proc, Unit: unit, Result: de.Result,
-		PartDelayed: de.PartDelayed, CommDelayed: de.CommDelayed,
-		DecompSum: de.DecompSum,
-		MainDists: de.MainDists, Remarks: de.Remarks,
-		Runtime: de.Runtime,
-	}
+	return &de.Entry
 }
 
 // entries counts the entry files currently in the directory.

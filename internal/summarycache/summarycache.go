@@ -44,7 +44,8 @@ import (
 	"fortd/internal/sideeffect"
 )
 
-// Entry holds every artifact of one procedure's phase-3 compilation.
+// Entry holds every artifact of one procedure's phase-3 compilation;
+// it is also the phase-3 task's output, which a miss stores as is.
 // Entries are immutable once stored, and so is everything they point
 // to: the pipeline splices Unit into every program that hits it, and
 // no pass writes a statement or unit it did not create, so neither the
@@ -56,12 +57,13 @@ type Entry struct {
 	Proc string
 	// Unit is the generated unit in its blocking form (the schedule pass
 	// replaces it, never rewrites it; Schedule keeps what it made of it).
-	// It may share statements with the source it was compiled from.
-	Unit *ast.Procedure
+	// It may share statements with the source it was compiled from. The
+	// disk tier stores it as printed source.
+	Unit *ast.Procedure `json:"-"`
 	// Result carries the code-generation counters.
 	Result codegen.Result
 	// PartDelayed, CommDelayed and DecompSum are the caller-visible
-	// summaries published to the summary table on a hit.
+	// summaries the callers' tasks read.
 	PartDelayed map[string]*partition.Constraint
 	CommDelayed []*comm.Delayed
 	DecompSum   *livedecomp.Summary

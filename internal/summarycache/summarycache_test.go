@@ -2,9 +2,12 @@ package summarycache
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -248,5 +251,35 @@ func TestUnitDigestIsTheUnits(t *testing.T) {
 	}
 	if digests[4] == digests[0] {
 		t.Error("a unit whose lines moved kept its digest")
+	}
+}
+
+// TestDiskEntryKeys: an entry file's top-level keys are format 5's, so
+// files written before Entry became the disk entry's body still load.
+// The unit is stored as printed source only.
+func TestDiskEntryKeys(t *testing.T) {
+	unit, err := parser.ParseProcedure("      SUBROUTINE S(x)\n      REAL x(8)\n      x(1) = 1.0\n      END\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := json.Marshal(&diskEntry{Format: diskFormat, UnitSrc: printUnit(unit), Entry: Entry{Key: "k", Proc: "S", Unit: unit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(buf, &top); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range top {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"CommDelayed", "DecompSum", "Format", "Key", "MainDists", "PartDelayed", "Proc", "Remarks", "Result", "Runtime", "UnitSrc"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("entry file keys %v, want %v", keys, want)
+	}
+	if diskFormat != 5 {
+		t.Errorf("diskFormat = %d, want 5: the key set did not change", diskFormat)
 	}
 }

@@ -2,6 +2,7 @@ package fortd
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -206,6 +207,45 @@ func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
 	}
 }
 
+// TestWarmReportIsItsOwn: a report's per-procedure counters are its
+// compilation's own, never a cache entry's. Writing them after the cold
+// compile that stored the entries and after a warm one that hit them
+// changes nothing a third compile reports, and that compile hits every
+// entry, so the entries' counters are unchanged too.
+func TestWarmReportIsItsOwn(t *testing.T) {
+	src := DgefaSrc(16, 4)
+	opts := DefaultOptions()
+	opts.Cache = NewSummaryCache()
+	snapshot := func(rep Report) string {
+		per := map[string]string{}
+		for name, r := range rep.PerProc {
+			per[name] = fmt.Sprintf("%+v", *r)
+		}
+		return fmt.Sprintf("%s %v", rep, per)
+	}
+	var want string
+	for i := 0; i < 3; i++ {
+		prog, err := Compile(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := prog.Report()
+		if i == 0 {
+			want = snapshot(rep)
+		} else if len(prog.CacheMisses()) != 0 {
+			t.Fatalf("compile %d re-analyzed %v", i+1, prog.CacheMisses())
+		}
+		if got := snapshot(rep); got != want {
+			t.Fatalf("compile %d reports\n%s\nwant\n%s", i+1, got, want)
+		}
+		for _, r := range rep.PerProc {
+			r.MessagesInserted += 100
+			r.GuardsInserted += 100
+			r.LoopsReduced += 100
+		}
+	}
+}
+
 // TestDiskCacheOldFormatMisses: an entry file written under an earlier
 // disk format (format 4 kept a leaf procedure under the key it still
 // has, with the overlap actuals entries no longer carry) is a miss, not
@@ -243,6 +283,50 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 	}
 	if again.Listing() != cold.Listing() {
 		t.Error("listing differs after the old-format entries were ignored")
+	}
+}
+
+// TestDiskCacheLoadsFormat5KeyOrder: entry files whose keys come in the
+// order format 5 first wrote them (the unit's source after Key and
+// Proc) are hits, and the warm listing is the cold one to the byte.
+func TestDiskCacheLoadsFormat5KeyOrder(t *testing.T) {
+	dir := t.TempDir()
+	src := DgefaSrc(16, 4)
+	cold, err := Compile(src, Options{Cache: mustDisk(NewDiskSummaryCache(dir))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 5 {
+		t.Fatalf("entry files: %v %v", files, err)
+	}
+	order := []string{"Format", "Key", "Proc", "UnitSrc", "Result", "PartDelayed", "CommDelayed", "DecompSum", "MainDists", "Remarks", "Runtime"}
+	for _, f := range files {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(buf, &top); err != nil || len(top) != len(order) {
+			t.Fatalf("%s: %d keys (%v), want %v", f, len(top), err, order)
+		}
+		parts := make([]string, len(order))
+		for i, k := range order {
+			parts[i] = fmt.Sprintf("%q:%s", k, top[k])
+		}
+		if err := os.WriteFile(f, []byte("{"+strings.Join(parts, ",")+"}"), 0644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm, err := Compile(src, Options{Cache: mustDisk(NewDiskSummaryCache(dir))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.CacheHits()) != 5 || len(warm.CacheMisses()) != 0 {
+		t.Errorf("format-5 key order: hits %v misses %v", warm.CacheHits(), warm.CacheMisses())
+	}
+	if warm.Listing() != cold.Listing() {
+		t.Error("listing differs after loading entries in format 5's key order")
 	}
 }
 

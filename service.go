@@ -135,7 +135,9 @@ type ServiceConfig struct {
 	// ProfileDir, when non-empty, persists profile artifacts collected
 	// by RunRequest.Profile as content-hash-keyed files under this
 	// directory, so a restarted daemon keeps serving its accumulated
-	// profile corpus. Empty keeps profiles in memory only.
+	// profile corpus. Empty keeps profiles in memory only, at most
+	// 1 024 of them: the oldest stored is evicted first and then
+	// answers as unknown.
 	ProfileDir string
 	// RunDeadline bounds each simulated run's wall-clock time, a
 	// report's run included (0: none); the machine detects a true
@@ -239,14 +241,17 @@ type serviceMetrics struct {
 	profileErrors  *metrics.Counter
 }
 
-// outcomeLabel maps a request error onto its counter label.
+// outcomeLabel maps a request error onto its counter label. A run
+// stopped by its wall-clock deadline counts as "deadline", like a
+// compile stopped by Options.Deadline.
 func outcomeLabel(err error) string {
+	var dl *DeadlockError
 	switch {
 	case err == nil:
 		return "ok"
 	case errors.Is(err, context.Canceled):
 		return "canceled"
-	case errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded), errors.As(err, &dl) && dl.Deadline:
 		return "deadline"
 	default:
 		return "error"

@@ -305,6 +305,25 @@ func TestServiceMetrics(t *testing.T) {
 	}
 }
 
+// TestServiceRunDeadlineOutcome: a run stopped by RunDeadline counts
+// as a deadline outcome, as a compile stopped by Options.Deadline does,
+// not as an error.
+func TestServiceRunDeadlineOutcome(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{RunDeadline: time.Millisecond})
+	_, err := svc.Run(context.Background(), RunRequest{Source: Jacobi2DSrc(256, 200, 16)})
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || !dl.Deadline {
+		t.Fatalf("run err = %v, want a *DeadlockError past its deadline", err)
+	}
+	snap := svc.Metrics()
+	if got := snap.Value("fdd_runs_total", "outcome", "deadline"); got != 1 {
+		t.Errorf("runs deadline = %v, want 1", got)
+	}
+	if got := snap.Value("fdd_runs_total", "outcome", "error"); got != 0 {
+		t.Errorf("runs error = %v, want 0", got)
+	}
+}
+
 // TestServiceAccounting sends one request of every kind — a compile,
 // runs by id and by inline source, a page, a rate-limited and an
 // overloaded request — and checks the one set of books: each Stats
