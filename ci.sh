@@ -118,8 +118,13 @@ test -z "$ELF"
 # 24608 -> 24687. The next change (2026-10-17) declared each compiler
 # record once: a phase-3 task's output is its cache entry, the summary
 # table and the disk entry's field copies went, and fortd re-exports
-# core's Options and Report and the run's Stats and Result: 24687 -> 24551
-LOC_CEILING=24551
+# core's Options and Report and the run's Stats and Result: 24687 -> 24551.
+# The next change (2026-10-17) made phase 3 stop building what nobody
+# reads: depend reports each dependence to an emitter and keeps only sink
+# levels, livedecomp skips its passes without a remap, procDists keeps a
+# statement's Dist only where it differs and emitShift shares its
+# sub-expressions: 24551 -> 24543
+LOC_CEILING=24543
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -87,7 +87,7 @@ func BenchmarkSchedApply(b *testing.B) {
 // budget is the count measured when it was last set plus 10 %; lower it
 // when a change lowers the count.
 func TestCompileAllocBudget(t *testing.T) {
-	const budget = 79125 // 71 932 measured once reach skipped the walk of a unit without a CALL and the local pass of each phase was split from its propagation (75 321 before, 75 353 before the early-shift rule wrote its list once, 78 746 before reach shared its decomposition sets, 91 592 before the compiler stopped copying its input) + 10 %
+	const budget = 63688 // 57 898 measured once depend kept sink levels instead of a pair list and procDists, livedecomp and emitShift stopped building what nobody read (71 932 once reach skipped the walk of a unit without a CALL and the local pass of each phase was split from its propagation, 75 321 before, 75 353 before the early-shift rule wrote its list once, 78 746 before reach shared its decomposition sets, 91 592 before the compiler stopped copying its input) + 10 %
 	src := SyntheticProcsSrc(32, 8, 32, 4)
 	opts := DefaultOptions()
 	opts.Jobs = 1
@@ -102,6 +102,36 @@ func TestCompileAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCompileBytesBudget is TestCompileAllocBudget's byte count: the
+// mean TotalAlloc of the same cold compile, after one warm-up run. A
+// pass that builds a structure no later pass reads shows up here even
+// when it builds it from few objects. The budget is the bytes measured
+// when it was last set plus 10 %; lower it when a change lowers them.
+func TestCompileBytesBudget(t *testing.T) {
+	const budget = 3272565 // 2 975 059 measured when it was set (4 007 766 before depend dropped its pair list and procDists, livedecomp and emitShift their unread structure) + 10 %
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	compile := func() {
+		if _, err := Compile(src, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per compile (budget %d)", bytes, budget)
+	if bytes > budget {
+		t.Errorf("compile allocates %d bytes, budget %d", bytes, budget)
+	}
+}
+
 // TestEditCompileAllocBudget is TestCompileAllocBudget's warm twin: a
 // one-procedure edit of the same program compiled against a summary
 // cache that holds the rest, as the compile daemon sees one. Each run
@@ -109,7 +139,7 @@ func TestCompileAllocBudget(t *testing.T) {
 // and compiles that unit afresh, schedules it and MAIN, and takes the
 // rest from the cache: parsed units, local facts, entries and schedules.
 func TestEditCompileAllocBudget(t *testing.T) {
-	const budget = 5826 // 5 296 measured when the cache began to keep each unit's local facts (13 824 before, 15 961 before it kept unit digests and schedules, 25 085 before it memoized parsed units) + 10 %
+	const budget = 5316 // 4 833 measured once a phase-3 compile stopped building what nobody read (5 263 when the cache began to keep each unit's local facts, 13 824 before, 15 961 before it kept unit digests and schedules, 25 085 before it memoized parsed units) + 10 %
 	src := SyntheticProcsSrc(32, 8, 32, 4)
 	opts := DefaultOptions()
 	opts.Jobs = 1

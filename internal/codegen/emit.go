@@ -156,38 +156,37 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 		out[dim] = over
 		return out
 	}
+	// generated expressions are never written, so the pieces both
+	// sections and both guards name are built once and shared
+	mp := myP()
+	mp1 := ast.Add(mp, ast.Int(1))
+	mpb, mp1b := ast.Mul(mp, ast.Int(b)), ast.Mul(mp1, ast.Int(b))
 	var send *ast.Send
 	var recv *ast.Recv
 	var sendGuard, recvGuard ast.Expr
 	if c > 0 {
 		// my block's first c elements go to my predecessor
 		sendDim := ast.SecDim{
-			Lo: ast.Add(ast.Mul(myP(), ast.Int(b)), ast.Int(1)),
-			Hi: ast.Min(ast.Add(ast.Mul(myP(), ast.Int(b)), ast.Int(c)), ast.Int(n)),
+			Lo: ast.Add(mpb, ast.Int(1)),
+			Hi: ast.Min(ast.Add(mpb, ast.Int(c)), ast.Int(n)),
 		}
 		recvDim := ast.SecDim{
-			Lo: ast.Add(ast.Mul(ast.Add(myP(), ast.Int(1)), ast.Int(b)), ast.Int(1)),
-			Hi: ast.Min(ast.Add(ast.Mul(ast.Add(myP(), ast.Int(1)), ast.Int(b)), ast.Int(c)), ast.Int(n)),
+			Lo: ast.Add(mp1b, ast.Int(1)),
+			Hi: ast.Min(ast.Add(mp1b, ast.Int(c)), ast.Int(n)),
 		}
-		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: ast.Sub(myP(), ast.Int(1))}
-		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: ast.Add(myP(), ast.Int(1))}
-		sendGuard = ast.Cmp(ast.OpGT, myP(), ast.Int(0))
-		recvGuard = ast.Cmp(ast.OpLT, myP(), ast.Int(p-1))
+		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: ast.Sub(mp, ast.Int(1))}
+		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: mp1}
+		sendGuard = ast.Cmp(ast.OpGT, mp, ast.Int(0))
+		recvGuard = ast.Cmp(ast.OpLT, mp, ast.Int(p-1))
 	} else {
 		m := -c
 		// my block's last m elements go to my successor
-		sendDim := ast.SecDim{
-			Lo: ast.Add(ast.Mul(ast.Add(myP(), ast.Int(1)), ast.Int(b)), ast.Int(-m+1)),
-			Hi: ast.Mul(ast.Add(myP(), ast.Int(1)), ast.Int(b)),
-		}
-		recvDim := ast.SecDim{
-			Lo: ast.Add(ast.Mul(myP(), ast.Int(b)), ast.Int(-m+1)),
-			Hi: ast.Mul(myP(), ast.Int(b)),
-		}
-		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: ast.Add(myP(), ast.Int(1))}
-		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: ast.Sub(myP(), ast.Int(1))}
-		sendGuard = ast.Cmp(ast.OpLT, myP(), ast.Int(p-1))
-		recvGuard = ast.Cmp(ast.OpGT, myP(), ast.Int(0))
+		sendDim := ast.SecDim{Lo: ast.Add(mp1b, ast.Int(-m+1)), Hi: mp1b}
+		recvDim := ast.SecDim{Lo: ast.Add(mpb, ast.Int(-m+1)), Hi: mpb}
+		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: mp1}
+		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: ast.Sub(mp, ast.Int(1))}
+		sendGuard = ast.Cmp(ast.OpLT, mp, ast.Int(p-1))
+		recvGuard = ast.Cmp(ast.OpGT, mp, ast.Int(0))
 	}
 	return []ast.Stmt{
 		&ast.If{Cond: sendGuard, Then: []ast.Stmt{send}},

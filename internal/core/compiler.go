@@ -22,6 +22,7 @@ import (
 	"fortd/internal/livedecomp"
 	"fortd/internal/overlap"
 	"fortd/internal/parser"
+	"fortd/internal/partition"
 	"fortd/internal/reach"
 	"fortd/internal/sched"
 	"fortd/internal/sideeffect"
@@ -437,50 +438,57 @@ func (c *Compilation) record(name string, res *codegen.Result) {
 	c.Report.Remaps += res.RemapsInserted
 }
 
-// procDists derives each array's distribution at its first use in proc
-// and at every statement (so dynamic redistribution within a procedure
-// resolves per program point), plus the entry decompositions for
+// procDists derives each array's distribution at its first use in proc,
+// distOf, which resolves an array at a statement to the distribution
+// reaching it there (so dynamic redistribution within a procedure
+// resolves per program point), and the entry decompositions for
 // livedecomp. Remarks go to ex, the calling task's collector.
-func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Collector) (map[string]*decomp.Dist, map[ast.Stmt]map[string]*decomp.Dist, map[string]decomp.Decomp) {
+func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Collector) (map[string]*decomp.Dist, partition.DistOf, map[string]decomp.Decomp) {
 	reaching := c.Reach.Reaching[proc.Name]
 	st := reach.NewState(proc, reaching)
 	firstUse := map[string]decomp.Decomp{}
-	atStmtDecomp := map[ast.Stmt]map[string]decomp.Decomp{}
-	record := func(name string, s *reach.State) {
-		if _, seen := firstUse[name]; seen {
+	atStmt := map[ast.Stmt]map[string]*decomp.Dist{}
+	// use records the decomposition of name reaching s. The first one
+	// seen is the array's; a statement keeps a Dist of its own only
+	// where its decomposition differs, since distOf falls back to the
+	// array's.
+	use := func(s ast.Stmt, name string, cur *reach.State) {
+		d, ok := cur.Lookup(name).Single()
+		if !ok {
 			return
 		}
-		if d, ok := s.Lookup(name).Single(); ok {
+		first, seen := firstUse[name]
+		if !seen {
 			firstUse[name] = d
+			return
 		}
-	}
-	recordAt := func(stmt ast.Stmt, name string, s *reach.State) {
-		if d, ok := s.Lookup(name).Single(); ok {
-			m := atStmtDecomp[stmt]
+		if first.Equal(d) {
+			return
+		}
+		if dist := mkDistFor(proc, name, d, env, c.P); dist != nil {
+			m := atStmt[s]
 			if m == nil {
-				m = map[string]decomp.Decomp{}
-				atStmtDecomp[stmt] = m
+				m = map[string]*decomp.Dist{}
+				atStmt[s] = m
 			}
-			m[name] = d
+			m[name] = dist
 		}
 	}
 	st.WalkBody(proc.Body, func(s ast.Stmt, cur *reach.State) {
 		for _, e := range ast.StmtExprs(s) {
-			collectArrays(e, func(name string) { record(name, cur); recordAt(s, name, cur) })
+			collectArrays(e, func(name string) { use(s, name, cur) })
 		}
 		switch x := s.(type) {
 		case *ast.Assign:
 			if lhs, ok := x.Lhs.(*ast.ArrayRef); ok {
-				record(lhs.Name, cur)
-				recordAt(s, lhs.Name, cur)
+				use(s, lhs.Name, cur)
 			}
 		case *ast.Call:
 			// whole arrays passed by name
 			for _, a := range x.Args {
 				if id, ok := a.(*ast.Ident); ok {
 					if sym := proc.Symbols.Lookup(id.Name); sym != nil && sym.Kind == ast.SymArray {
-						record(id.Name, cur)
-						recordAt(s, id.Name, cur)
+						use(s, id.Name, cur)
 					}
 				}
 			}
@@ -499,12 +507,9 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 			}
 		}
 	}
-	mkDist := func(name string, d decomp.Decomp) *decomp.Dist {
-		return mkDistFor(proc, name, d, env, c.P)
-	}
 	dists := map[string]*decomp.Dist{}
 	for name, d := range firstUse {
-		if dist := mkDist(name, d); dist != nil {
+		if dist := mkDistFor(proc, name, d, env, c.P); dist != nil {
 			dists[name] = dist
 		} else if !d.IsReplicated() {
 			if ex.Enabled() {
@@ -519,19 +524,6 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 			}
 		}
 	}
-	atStmt := map[ast.Stmt]map[string]*decomp.Dist{}
-	for stmt, m := range atStmtDecomp {
-		for name, d := range m {
-			if dist := mkDist(name, d); dist != nil {
-				sm := atStmt[stmt]
-				if sm == nil {
-					sm = map[string]*decomp.Dist{}
-					atStmt[stmt] = sm
-				}
-				sm[name] = dist
-			}
-		}
-	}
 	// entry decomps for livedecomp: reaching singles for inherited vars
 	entry := map[string]decomp.Decomp{}
 	for v, set := range reaching {
@@ -539,7 +531,14 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 			entry[v] = d
 		}
 	}
-	return dists, atStmt, entry
+	distOf := func(array string, at ast.Stmt) (*decomp.Dist, bool) {
+		if d, ok := atStmt[at][array]; ok {
+			return d, true
+		}
+		d, ok := dists[array]
+		return d, ok
+	}
+	return dists, distOf, entry
 }
 
 // mkDistFor instantiates a decomposition against an array's declared

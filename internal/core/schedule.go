@@ -132,18 +132,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	// the procedure's PARAMETER constants plus interprocedurally
 	// propagated constant formals
 	env := pc.consts.Env(proc.Name)
-	dists, atStmt, entry := c.procDists(proc, env, tex)
-	distOf := func(array string, at ast.Stmt) (*decomp.Dist, bool) {
-		if at != nil {
-			if m, ok := atStmt[at]; ok {
-				if d, ok := m[array]; ok {
-					return d, true
-				}
-			}
-		}
-		d, ok := dists[array]
-		return d, ok
-	}
+	dists, distOf, entry := c.procDists(proc, env, tex)
 	if proc.IsMain {
 		out.MainDists = dists
 	}

@@ -62,7 +62,7 @@ func CheckForm(e ast.Expr, env ast.Env, nest []*ast.Do) error {
 
 // depStrings renders Deps with references as indices into Refs, so
 // results of separate analyses (separate Ref pointers) compare.
-func depStrings(in *Info) []string {
+func depStrings(in *depList) []string {
 	idx := map[*Ref]int{}
 	for i, r := range in.Refs {
 		idx[r] = i
@@ -75,7 +75,8 @@ func depStrings(in *Info) []string {
 }
 
 // CheckAnalysis compares Analyze with the oracle on one procedure:
-// every memoised subscript form, and Deps, order included.
+// every memoised subscript form, the dependence list its pair loop
+// emits, order included, and each reference's sink level.
 func CheckAnalysis(proc *ast.Procedure, env ast.Env) error {
 	got := Analyze(proc, env)
 	for _, r := range got.Refs {
@@ -90,7 +91,7 @@ func CheckAnalysis(proc *ast.Procedure, env ast.Env) error {
 		}
 	}
 	want := oldAnalyze(proc, env)
-	g, w := depStrings(got), depStrings(want)
+	g, w := depStrings(analyzeDeps(proc, env)), depStrings(want)
 	if !reflect.DeepEqual(g, w) {
 		return fmt.Errorf("%s: Deps differ from the oracle's:\n got  %v\n want %v", proc.Name, g, w)
 	}
@@ -129,14 +130,14 @@ func TestFormsAreValues(t *testing.T) {
 			Loop:  append([]int(nil), r.Subs[0].Loop...),
 			Terms: append([]Term(nil), r.Subs[0].Terms...)}
 	}
-	first := depStrings(Analyze(u, nil))
-	info := &Info{Refs: refs}
+	first := depStrings(analyzeDeps(u, nil))
+	info := &depList{Refs: refs}
 	for round := 0; round < 3; round++ {
 		info.Deps = nil
 		for i, a := range refs {
 			for _, b := range refs[i+1:] {
 				if a.IsWrite || b.IsWrite {
-					info.testPair(a, b)
+					testPair(a, b, info.add)
 				}
 			}
 			d1 := a.Subs[0].Minus(&refs[1].Subs[0].Affine)
@@ -205,10 +206,10 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		}
 		total := 0
 		for _, u := range prog.Units {
-			first := depStrings(Analyze(u, nil))
+			first := depStrings(analyzeDeps(u, nil))
 			total += len(first)
 			for run := 1; run < 50; run++ {
-				if got := depStrings(Analyze(u, nil)); !reflect.DeepEqual(got, first) {
+				if got := depStrings(analyzeDeps(u, nil)); !reflect.DeepEqual(got, first) {
 					t.Fatalf("%s/%s run %d:\n%s\nfirst run:\n%s", name, u.Name, run,
 						strings.Join(got, "\n"), strings.Join(first, "\n"))
 				}

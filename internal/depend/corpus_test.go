@@ -82,3 +82,34 @@ func TestAffineMatchesMapForm(t *testing.T) {
 		t.Errorf("only %d procedures checked", procs)
 	}
 }
+
+// TestSinkLevelIsDeepestTrueDep pins the split between the pair loop's
+// two emitters: the one Analyze passes keeps a single sink level per
+// reference, and it must agree with the full list the tests collect
+// through the same loop — on the corpus and on 50 programs with scalar
+// temporaries.
+func TestSinkLevelIsDeepestTrueDep(t *testing.T) {
+	srcs := corpus(t)
+	for seed := int64(0); seed < 50; seed++ {
+		g := &progen.Gen{Rng: rand.New(rand.NewSource(seed)), N: 24 + int(seed%3)*8, P: []int{3, 4, 6}[seed%3], Temps: true}
+		srcs[fmt.Sprintf("progen-temps/%02d", seed)] = g.Generate()
+	}
+	carried := 0
+	for name, src := range srcs {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, u := range prog.Units {
+			n, err := depend.CheckSinkLevels(u, u.Constants())
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			carried += n
+		}
+	}
+	if carried == 0 {
+		t.Error("no reference has a carried true dependence into it")
+	}
+	t.Logf("%d references with a carried true dependence into them", carried)
+}

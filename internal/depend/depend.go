@@ -76,10 +76,12 @@ type Dep struct {
 	Known    bool
 }
 
-// Info holds the dependence analysis result for one procedure.
+// Info holds the dependence analysis result for one procedure: its
+// references, each with the deepest level carrying a true dependence
+// into it. The pairs are not kept: a client that asks another question
+// of them passes visitPairs an emitter of its own.
 type Info struct {
 	Refs []*Ref
-	Deps []Dep
 }
 
 // CollectRefs gathers every array reference in body together with its
@@ -156,15 +158,29 @@ func CollectRefs(proc *ast.Procedure, env ast.Env) []*Ref {
 	return refs
 }
 
-// Analyze computes all pairwise dependences among array references in
-// proc. env supplies PARAMETER constants for subscript evaluation.
-// References are grouped by array and only pairs with a write are
-// visited; within that, pairs are tested in textual order of the first
-// and then the second reference, which fixes the order of Deps.
+// Analyze computes the sink level of every array reference in proc:
+// the deepest loop level carrying a true dependence into it. env
+// supplies PARAMETER constants for subscript evaluation.
 func Analyze(proc *ast.Procedure, env ast.Env) *Info {
 	refs := CollectRefs(proc, env)
-	info := &Info{Refs: refs}
+	visitPairs(refs, raiseSinkLevel)
+	return &Info{Refs: refs}
+}
 
+// raiseSinkLevel is Analyze's emitter: it keeps, per reference, the one
+// number DeepestTrueSinkLevel answers with.
+func raiseSinkLevel(d Dep) {
+	if d.Kind == True && d.Level > d.Snk.sinkLevel {
+		d.Snk.sinkLevel = d.Level
+	}
+}
+
+// visitPairs tests every pair of refs that may depend on each other and
+// reports each dependence to emit. References are grouped by array and
+// only pairs with a write are visited; within that, pairs are tested in
+// textual order of the first and then the second reference, which fixes
+// the order of the emitted dependences.
+func visitPairs(refs []*Ref, emit func(Dep)) {
 	// per array: its references and its writes, as indices into refs;
 	// per reference: where it stands in both lists
 	type group struct{ all, writes []int }
@@ -196,19 +212,18 @@ func Analyze(proc *ast.Procedure, env ast.Env) *Info {
 			later = p.g.all[p.pos+1:]
 		}
 		for _, j := range later {
-			info.testPair(a, refs[j])
+			testPair(a, refs[j], emit)
 		}
 	}
-	return info
 }
 
-// testPair tests the ordered reference pair and appends any
-// dependences. An unknown ('*') distance-vector component expands into
-// all three direction cases: carried at that level in either direction,
-// plus "equal at that level", which continues the scan into the deeper
-// levels — so an exact inner-loop distance is never masked by an
-// unconstrained outer loop.
-func (in *Info) testPair(a, b *Ref) {
+// testPair tests the ordered reference pair and reports any
+// dependences to emit. An unknown ('*') distance-vector component
+// expands into all three direction cases: carried at that level in
+// either direction, plus "equal at that level", which continues the
+// scan into the deeper levels — so an exact inner-loop distance is
+// never masked by an unconstrained outer loop.
+func testPair(a, b *Ref, emit func(Dep)) {
 	common := commonDepth(a, b)
 	var buf [8]distEntry
 	dv := buf[:min(common, len(buf))]
@@ -224,19 +239,13 @@ func (in *Info) testPair(a, b *Ref) {
 		case e.unknown:
 			// may be carried here in either direction; the ==0 case
 			// continues to deeper levels
-			in.addDep(Dep{Src: a, Snk: b, Kind: depKind(a, b), Level: level})
-			in.addDep(Dep{Src: b, Snk: a, Kind: depKind(b, a), Level: level})
+			emit(Dep{Src: a, Snk: b, Kind: depKind(a, b), Level: level})
+			emit(Dep{Src: b, Snk: a, Kind: depKind(b, a), Level: level})
 		case e.known && e.dist > 0:
-			in.addDep(Dep{
-				Src: a, Snk: b, Kind: depKind(a, b),
-				Level: level, Distance: e.dist, Known: true,
-			})
+			emit(Dep{Src: a, Snk: b, Kind: depKind(a, b), Level: level, Distance: e.dist, Known: true})
 			return
 		case e.known && e.dist < 0:
-			in.addDep(Dep{
-				Src: b, Snk: a, Kind: depKind(b, a),
-				Level: level, Distance: -e.dist, Known: true,
-			})
+			emit(Dep{Src: b, Snk: a, Kind: depKind(b, a), Level: level, Distance: -e.dist, Known: true})
 			return
 		}
 		// distance 0 (or the ==0 branch of unknown): keep scanning
@@ -249,17 +258,7 @@ func (in *Info) testPair(a, b *Ref) {
 		// same statement, e.g. X(i) = F(X(i)): the read executes first
 		src, snk = snk, src
 	}
-	in.addDep(Dep{
-		Src: src, Snk: snk, Kind: depKind(src, snk),
-		Level: 0, Known: true,
-	})
-}
-
-func (in *Info) addDep(d Dep) {
-	in.Deps = append(in.Deps, d)
-	if d.Kind == True && d.Level > d.Snk.sinkLevel {
-		d.Snk.sinkLevel = d.Level
-	}
+	emit(Dep{Src: src, Snk: snk, Kind: depKind(src, snk), Level: 0, Known: true})
 }
 
 func depKind(src, snk *Ref) Kind {

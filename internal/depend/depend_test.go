@@ -1,11 +1,54 @@
 package depend
 
 import (
+	"fmt"
 	"testing"
 
 	"fortd/internal/ast"
 	"fortd/internal/parser"
 )
+
+// depList is what the dependence tests read: the references of one
+// procedure and every dependence among them, in the order the pair
+// loop emits them.
+type depList struct {
+	Refs []*Ref
+	Deps []Dep
+}
+
+// analyzeDeps runs Analyze's pair loop with an emitter that collects
+// the dependence list instead of raising sink levels.
+func analyzeDeps(proc *ast.Procedure, env ast.Env) *depList {
+	l := &depList{Refs: CollectRefs(proc, env)}
+	visitPairs(l.Refs, l.add)
+	return l
+}
+
+func (l *depList) add(d Dep) { l.Deps = append(l.Deps, d) }
+
+// CheckSinkLevels holds Analyze's emitter to the collector on one
+// procedure: each reference's sink level is the deepest Level among the
+// True dependences into it that the pair loop emits. It returns how
+// many references have a carried true dependence into them.
+func CheckSinkLevels(proc *ast.Procedure, env ast.Env) (int, error) {
+	got, list := Analyze(proc, env), analyzeDeps(proc, env)
+	deepest := map[*Ref]int{}
+	for _, d := range list.Deps {
+		if d.Kind == True && d.Level > deepest[d.Snk] {
+			deepest[d.Snk] = d.Level
+		}
+	}
+	carried := 0
+	for _, r := range list.Refs {
+		if l := got.DeepestTrueSinkLevel(r.Expr); l != deepest[r] {
+			return 0, fmt.Errorf("%s: sink level of %s is %d, deepest true dependence into it %d", proc.Name, r.Expr, l, deepest[r])
+		}
+		if deepest[r] > 0 {
+			carried++
+		}
+	}
+	return carried, nil
+}
 
 func mustParseProc(t *testing.T, src string) *ast.Procedure {
 	t.Helper()
@@ -29,7 +72,7 @@ func TestFigure1NoTrueDep(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	if len(info.Deps) == 0 {
 		t.Fatal("no dependences found")
 	}
@@ -61,11 +104,11 @@ func TestRecurrenceTrueDep(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	var rhs *ast.ArrayRef
 	loop := u.Body[0].(*ast.Do)
 	rhs = loop.Body[0].(*ast.Assign).Rhs.(*ast.ArrayRef)
-	if lvl := info.DeepestTrueSinkLevel(rhs); lvl != 1 {
+	if lvl := Analyze(u, nil).DeepestTrueSinkLevel(rhs); lvl != 1 {
 		t.Errorf("DeepestTrueSinkLevel = %d, want 1", lvl)
 	}
 	found := false
@@ -89,7 +132,7 @@ func TestLoopIndependentDep(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	// X(i) written then read in the same iteration: loop-independent true dep
 	found := false
 	for _, d := range info.Deps {
@@ -111,7 +154,7 @@ func TestSameStatementAnti(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	for _, d := range info.Deps {
 		if d.Kind == True {
 			t.Errorf("X(i) = X(i)+1 must not produce a true dep (read executes first): %+v", d)
@@ -128,7 +171,7 @@ func TestZIVIndependent(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	for _, d := range info.Deps {
 		if d.Src.Array == "X" && d.Kind == True {
 			t.Errorf("X(1)/X(2) are independent: %+v", d)
@@ -145,7 +188,7 @@ func TestGCDIndependent(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	if len(info.Deps) != 0 {
 		t.Errorf("even/odd accesses are independent: %+v", info.Deps)
 	}
@@ -161,7 +204,7 @@ func TestTwoDimDistance(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	found := false
 	for _, d := range info.Deps {
 		if d.Kind == Anti && d.Level == 1 && d.Distance == 5 {
@@ -187,7 +230,7 @@ func TestNestedLoopCarrier(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	found := false
 	for _, d := range info.Deps {
 		if d.Kind == True && d.Level == 1 && d.Distance == 1 {
@@ -270,7 +313,7 @@ func TestWeakZeroRangeDisproof(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	for _, d := range info.Deps {
 		if d.Kind == True && d.Level == 1 {
 			t.Errorf("a(k,j) wrongly made loop-carried: %+v", d)
@@ -288,7 +331,7 @@ func TestWeakZeroAboveRange(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	for _, d := range info.Deps {
 		if d.Kind == True && d.Level == 1 {
 			t.Errorf("a(n) is outside [1,n-1], no carried dep: %+v", d)
@@ -313,7 +356,7 @@ func TestSameNamedLoopsDoNotCancel(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	// a written in loop 2 of iteration t, read in loop 1 of t+1: a true
 	// dependence carried at the t loop must exist
 	found := false
@@ -374,7 +417,7 @@ func TestNonAffineConservative(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := analyzeDeps(u, nil)
 	carried := false
 	for _, d := range info.Deps {
 		if d.Src.Array == "x" && d.Level == 1 {

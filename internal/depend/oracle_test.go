@@ -12,9 +12,9 @@ import (
 
 // Analyze computes all pairwise dependences among array references in
 // proc. env supplies PARAMETER constants for subscript evaluation.
-func oldAnalyze(proc *ast.Procedure, env ast.Env) *Info {
+func oldAnalyze(proc *ast.Procedure, env ast.Env) *depList {
 	refs := CollectRefs(proc, env)
-	info := &Info{Refs: refs}
+	info := &depList{Refs: refs}
 	for i, a := range refs {
 		for j, b := range refs {
 			if i == j || a.Array != b.Array {
@@ -41,7 +41,7 @@ func oldAnalyze(proc *ast.Procedure, env ast.Env) *Info {
 // plus "equal at that level", which continues the scan into the deeper
 // levels — so an exact inner-loop distance is never masked by an
 // unconstrained outer loop.
-func (in *Info) oldTestPair(a, b *Ref, env ast.Env) {
+func (in *depList) oldTestPair(a, b *Ref, env ast.Env) {
 	common := oldCommonNest(a, b)
 	dv, ok := oldDistanceVector(a, b, common, env)
 	if !ok {

@@ -18,6 +18,7 @@ package livedecomp
 
 import (
 	"fmt"
+	"slices"
 
 	"fortd/internal/acg"
 	"fortd/internal/ast"
@@ -193,6 +194,12 @@ func AnalyzeExplain(
 	ex *explain.Collector,
 ) (*Placement, *Summary) {
 	events, sum := buildEvents(proc, node, entry, summaries, killTest)
+	place := newPlacement()
+	// every optimization rewrites remap events only: without one there
+	// is nothing to place or explain
+	if !slices.ContainsFunc(events, func(e *event) bool { return e.kind == evRemap }) {
+		return place, sum
+	}
 	if level >= OptLive {
 		eliminateDead(events)
 		coalesce(events, entry, proc)
@@ -203,7 +210,6 @@ func AnalyzeExplain(
 	if level >= OptKills {
 		applyKills(events)
 	}
-	place := newPlacement()
 	for _, e := range events {
 		if e.kind != evRemap || e.dead {
 			continue
