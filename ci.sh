@@ -123,8 +123,15 @@ test -z "$ELF"
 # reads: depend reports each dependence to an emitter and keeps only sink
 # levels, livedecomp skips its passes without a remap, procDists keeps a
 # statement's Dist only where it differs and emitShift shares its
-# sub-expressions: 24551 -> 24543
-LOC_CEILING=24543
+# sub-expressions: 24551 -> 24543. The next change (2026-10-17) made a
+# compiled program lowered once: spmd.Lower builds the execution plan,
+# Plan.Run runs it, fortd.Program keeps one plan per program from its
+# first run on, the service keeps the program it holds on a resubmit and
+# lowering takes array references, subscripts and statement lists from
+# chunks, paying with the non-context spmd.Run and RunSequential and the
+# service's unread copy of each listing, allowed at most +30:
+# 24543 -> 24573
+LOC_CEILING=24573
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -163,9 +163,10 @@ func TestEditCompileAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRunAllocBudget bounds what one Runner.Run allocates on the two
-// workloads whose arrays dominated it while every simulated processor
-// held a copy of every array (165.5 MB and 18.0 MB): a processor stores
+// TestRunAllocBudget bounds what the first Runner.Run of a Program, the
+// one that lowers its plan, allocates on the two workloads whose arrays
+// dominated it while every simulated processor held a copy of every
+// array (165.5 MB and 18.0 MB): a processor stores
 // its share, its overlap region and one buffer per communication site,
 // so what is left is the machine (its per-processor state and the
 // message rings; until it stopped keeping P×P pair statistics, 16.8 MB
@@ -174,9 +175,10 @@ func TestEditCompileAllocBudget(t *testing.T) {
 // 29 of them message rings) until a remap sent each element once. Since
 // a ring's buffer returns to a free list when its link drains, rings
 // cost what the messages in flight need, not one per pair ever used.
-// The fourth row is svc_recompile's program, whose run allocates little
-// besides its lowered plan: one closure per operator, and a loop the
-// schedule pass splits is lowered twice.
+// The fourth row is svc_recompile's program, whose first run allocates
+// little besides its plan: one closure per operator, and a loop the
+// schedule pass splits is lowered twice (a repeat run:
+// TestRepeatRunAllocBudget).
 func TestRunAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a P=1024 run")

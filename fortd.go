@@ -45,6 +45,7 @@ package fortd
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"fortd/internal/ast"
@@ -256,11 +257,17 @@ type Report = core.Report
 
 // Program is a compiled Fortran D program.
 //
-// Concurrency: a Program is immutable after Compile returns and safe
-// for concurrent use — any number of goroutines may inspect it and run
-// it (each Runner.Run builds a fresh simulated machine).
+// Concurrency: a Program is safe for concurrent use — any number of
+// goroutines may inspect it and run it (each run builds a fresh
+// simulated machine). Its compiled form never changes after Compile
+// returns; its first run lowers it to an execution plan, and its first
+// reference run the source program, which it keeps and every later run
+// shares. A plan is about the size of the compiled program itself.
 type Program struct {
 	c *core.Compilation
+	// node and ref return the plans of the node program on P processors
+	// and of the source program on one, each lowered on its first call
+	node, ref func() *spmd.Plan
 }
 
 // Compile compiles Fortran D source text. It is CompileContext with a
@@ -282,7 +289,11 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Program, er
 	if err != nil {
 		return nil, err
 	}
-	return &Program{c: c}, nil
+	// each node program stores its blocks with the estimated overlap regions
+	return &Program{c: c,
+		node: sync.OnceValue(func() *spmd.Plan { return spmd.Lower(c.Program, c.P, c.MainDists, c.Overlaps.Extents) }),
+		ref:  sync.OnceValue(func() *spmd.Plan { return spmd.Lower(c.Source, 1, nil, nil) }),
+	}, nil
 }
 
 // P returns the processor count the program was compiled for.
@@ -394,6 +405,11 @@ func (r *Runner) machineFor(nproc int) (MachineConfig, error) {
 	return cfg, nil
 }
 
+// options is what the Runner sets of one run.
+func (r *Runner) options() spmd.Options {
+	return spmd.Options{Init: r.init, InitScalars: r.initScalars, Trace: r.trace, Faults: r.faults, Deadline: r.deadline}
+}
+
 // NewRunner builds a Runner from functional options.
 func NewRunner(opts ...RunOption) *Runner {
 	r := &Runner{}
@@ -419,11 +435,7 @@ func (r *Runner) RunContext(ctx context.Context, p *Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// each node program stores its blocks with the estimated overlap regions
-	return spmd.RunContext(ctx, p.c.Program, cfg, spmd.Options{
-		Dists: p.c.MainDists, Init: r.init, InitScalars: r.initScalars, Overlap: p.c.Overlaps.Extents,
-		Trace: r.trace, Faults: r.faults, Deadline: r.deadline,
-	})
+	return p.node().Run(ctx, cfg, r.options())
 }
 
 // RunReference executes the original sequential program (one
@@ -436,10 +448,7 @@ func (r *Runner) RunReference(p *Program) (*Result, error) {
 // RunReferenceContext is RunReference under a cancellation context
 // (see RunContext).
 func (r *Runner) RunReferenceContext(ctx context.Context, p *Program) (*Result, error) {
-	return spmd.RunSequentialContext(ctx, p.c.Source, spmd.Options{
-		Init: r.init, InitScalars: r.initScalars, Trace: r.trace,
-		Deadline: r.deadline,
-	})
+	return p.ref().RunSequential(ctx, r.options())
 }
 
 // RunSPMD executes hand-written SPMD node-program text directly on the
@@ -520,10 +529,7 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return spmd.RunContext(ctx, prog, cfg, spmd.Options{
-		Dists: dists, Init: r.init, InitScalars: r.initScalars,
-		Trace: r.trace, Faults: r.faults, Deadline: r.deadline,
-	})
+	return spmd.RunContext(ctx, prog, cfg, dists, r.options())
 }
 
 // DataflowProblem is one row of the paper's Table 1: an

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -48,13 +49,11 @@ func initRamp(n int) []float64 {
 // sequentially, returning both results.
 func runBoth(t *testing.T, c *Compilation, init map[string][]float64) (*spmd.RunResult, *spmd.RunResult) {
 	t.Helper()
-	par, err := spmd.Run(c.Program, machine.DefaultConfig(c.P), spmd.Options{
-		Dists: c.MainDists, Init: init,
-	})
+	par, err := spmd.RunContext(context.Background(), c.Program, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{Init: init})
 	if err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}
-	seq, err := spmd.RunSequential(c.Source, spmd.Options{Init: init})
+	seq, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}

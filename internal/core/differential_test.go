@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,11 +98,11 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 					c = warm // run the cache-built program against the reference
 				}
 				init := seedArrays(c.Source)
-				par, err := spmd.Run(c.Program, machine.DefaultConfig(c.P), spmd.Options{Dists: c.MainDists, Init: init})
+				par, err := spmd.RunContext(context.Background(), c.Program, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{Init: init})
 				if err != nil {
 					t.Fatalf("trial %d: run: %v\n%s", trial, err, src)
 				}
-				seq, err := spmd.RunSequential(c.Source, spmd.Options{Init: init})
+				seq, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
 				if err != nil {
 					t.Fatalf("trial %d: reference: %v", trial, err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"fortd/internal/ast"
@@ -27,9 +28,7 @@ func TestGeneratedCodeRoundTrips(t *testing.T) {
 	}
 	for name, tc := range sources {
 		c := compileSrc(t, tc.src, DefaultOptions())
-		orig, err := spmd.Run(c.Program, machine.DefaultConfig(c.P), spmd.Options{
-			Dists: c.MainDists, Init: tc.init,
-		})
+		orig, err := spmd.RunContext(context.Background(), c.Program, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{Init: tc.init})
 		if err != nil {
 			t.Fatalf("%s: original run: %v", name, err)
 		}
@@ -39,9 +38,7 @@ func TestGeneratedCodeRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reparse failed: %v\n%s", name, err, text)
 		}
-		again, err := spmd.Run(reparsed, machine.DefaultConfig(c.P), spmd.Options{
-			Dists: c.MainDists, Init: tc.init,
-		})
+		again, err := spmd.RunContext(context.Background(), reparsed, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{Init: tc.init})
 		if err != nil {
 			t.Fatalf("%s: reparsed run: %v\n%s", name, err, text)
 		}

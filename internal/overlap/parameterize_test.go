@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestFigure14Parameterize(t *testing.T) {
 		}
 	}
 	// the transformed program still runs (adjustable bounds)
-	res, err := spmd.RunSequential(prog, spmd.Options{})
+	res, err := spmd.RunSequentialContext(context.Background(), prog, spmd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

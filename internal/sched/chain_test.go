@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -100,11 +101,11 @@ func TestChainSendsEarly(t *testing.T) {
 	early, _, _ := scheduled(t, src)
 	cfg := machine.DefaultConfig(4)
 	opts := spmd.Options{Init: rampInit(blocking)}
-	want, err := spmd.Run(blocking, cfg, opts)
+	want, err := spmd.RunContext(context.Background(), blocking, cfg, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := spmd.Run(early, cfg, opts)
+	got, err := spmd.RunContext(context.Background(), early, cfg, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -135,11 +136,11 @@ func checkEquivalent(t testing.TB, seed int64, p int) {
 	overlapped, remarks, _ := scheduled(t, src)
 	cfg := machine.DefaultConfig(p)
 	opts := spmd.Options{Init: rampInit(blocking)}
-	want, err := spmd.Run(blocking, cfg, opts)
+	want, err := spmd.RunContext(context.Background(), blocking, cfg, nil, opts)
 	if err != nil {
 		t.Fatalf("seed %d p=%d: generated program does not run: %v\n%s", seed, p, err, src)
 	}
-	got, err := spmd.Run(overlapped, cfg, opts)
+	got, err := spmd.RunContext(context.Background(), overlapped, cfg, nil, opts)
 	if err != nil {
 		t.Fatalf("seed %d p=%d: rescheduled program does not run: %v\n%s", seed, p, err, ast.Print(overlapped))
 	}

@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -27,7 +28,7 @@ func TestRunJoinsAllErrors(t *testing.T) {
       endif
       END
 `)
-	_, err := Run(prog, machine.DefaultConfig(2), Options{})
+	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{})
 	if err == nil {
 		t.Fatal("run with a failing processor returned nil error")
 	}
@@ -60,7 +61,7 @@ func TestMismatchedRecvDeadlock(t *testing.T) {
       endif
       END
 `)
-	_, err := Run(prog, machine.DefaultConfig(2), Options{})
+	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{})
 	var dl *machine.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("Run = %v, want *DeadlockError", err)
@@ -106,7 +107,7 @@ func TestDeadlineOption(t *testing.T) {
       endif
       END
 `)
-	_, err := Run(prog, machine.DefaultConfig(2), Options{Deadline: 50 * time.Millisecond})
+	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{Deadline: 50 * time.Millisecond})
 	var dl *machine.DeadlockError
 	if !errors.As(err, &dl) || !dl.Deadline {
 		t.Fatalf("Run = %v, want deadline *DeadlockError", err)
@@ -156,9 +157,7 @@ func TestCollectivesSmallP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(prog, machine.DefaultConfig(P), Options{
-				Dists: map[string]*decomp.Dist{"X": xd, "Y": yd},
-			})
+			res, err := RunContext(context.Background(), prog, machine.DefaultConfig(P), map[string]*decomp.Dist{"X": xd, "Y": yd}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestBroadcastErrorsOutsideReceivers(t *testing.T) {
       `+st+`
       END
 `)
-			res, err := Run(prog, machine.DefaultConfig(4), Options{Dists: map[string]*decomp.Dist{"a": dist}})
+			res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"a": dist}, Options{})
 			want := "<nil>"
 			if tc.want != "" {
 				want = "p0: " + strings.Replace(tc.want, "%s", what, 1)

@@ -21,8 +21,8 @@ import (
 // scalar — leaves the frame as it was, and the same closures subscript
 // every reference the general way, so errors read and fire as ever.
 //
-// A plan is lowered on every run, so what a cursor loop adds to it is
-// kept to the list of its references: the rest lives in fields the
+// A plan lives as long as its Program, so what a cursor loop adds to it
+// is kept to the list of its references: the rest lives in fields the
 // general path has anyway (arrayRef.cur and ivar, intOperand.k), and a
 // loop that does not qualify is lowered to what it always was.
 
@@ -59,9 +59,8 @@ const (
 
 // cursorLoop decides whether st's body can run on cursors (nil: no). If
 // so the result has room for the body's array references, which
-// lw.arrayRef fills in as it lowers them while lw.walk is set. Lowering
-// runs once per run and its garbage is the run's: this pass allocates
-// nothing but what it returns.
+// lw.arrayRef fills in as it lowers them while lw.walk is set. This pass
+// allocates nothing but what it returns.
 func (lw *lowerer) cursorLoop(st *ast.Do) *cursorLoop {
 	if _, isConst := lw.consts[st.Var]; isConst {
 		return nil // reads of the name fold to the PARAMETER's value

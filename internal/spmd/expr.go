@@ -18,8 +18,7 @@ import (
 //
 // Operands are evaluated through value receivers: a closure then keeps
 // its own copy of what it captured instead of moving the lowerer's
-// operand to the heap, and a run's lowering allocates one object per
-// closure.
+// operand to the heap, and lowering allocates one object per closure.
 
 type operandKind uint8
 
@@ -532,7 +531,8 @@ type arrayRef struct {
 }
 
 func (lw *lowerer) arrayRef(name string, subs []ast.Expr) (*arrayRef, int) {
-	r := &arrayRef{unit: lw.unit.Name, name: name, slot: int32(lw.slot(name)), subs: make([]intOperand, len(subs))}
+	r := &lw.lp.refs.take(1)[0]
+	*r = arrayRef{unit: lw.unit.Name, name: name, slot: int32(lw.slot(name)), subs: lw.lp.subs.take(len(subs))}
 	ops := 0
 	for i, s := range subs {
 		var n int

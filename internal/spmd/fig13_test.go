@@ -1,6 +1,7 @@
 package spmd_test
 
 import (
+	"context"
 	"testing"
 
 	"fortd"
@@ -39,12 +40,12 @@ func TestOverlapEstimatesHoldEveryReceive(t *testing.T) {
 			if w.name == "DgefaSrc" {
 				init = map[string][]float64{"a": fortd.DgefaMatrix(16)}
 			}
-			ref, err := spmd.RunSequential(c.Source, spmd.Options{Init: init})
+			ref, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, overlap := range []func(string, string, int, int) (int, int){c.Overlaps.Extents, nil} {
-				res, err := spmd.Run(c.Program, machine.DefaultConfig(c.P), spmd.Options{Dists: c.MainDists, Init: init, Overlap: overlap})
+				res, err := spmd.Lower(c.Program, c.P, c.MainDists, overlap).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestSequentialArithmetic(t *testing.T) {
       X(1) = s
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCallByReference(t *testing.T) {
       enddo
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestScalarByReference(t *testing.T) {
       x = x + 1.0
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestExpressionArgByValue(t *testing.T) {
       X(1) = v
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestIntrinsics(t *testing.T) {
       A(8) = 7.0 / 2.0
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestFirstDollarSemantics(t *testing.T) {
       A(3) = first$(1, 10, 4)
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestOutOfBoundsReported(t *testing.T) {
       A(9) = 1.0
       END
 `)
-	if _, err := RunSequential(prog, Options{}); err == nil {
+	if _, err := RunSequentialContext(context.Background(), prog, Options{}); err == nil {
 		t.Error("out-of-bounds store must error")
 	}
 }
@@ -181,9 +182,7 @@ func TestGuardedSPMDExecution(t *testing.T) {
       END
 `)
 	dist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 4)
-	res, err := Run(prog, machine.DefaultConfig(4), Options{
-		Dists: map[string]*decomp.Dist{"X": dist},
-	})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"X": dist}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +216,7 @@ func TestSendRecvStatements(t *testing.T) {
 `)
 	dist, _ := decomp.NewDist(decomp.Replicated, []int{4}, 2)
 	yDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{4}, 2)
-	res, err := Run(prog, machine.DefaultConfig(2), Options{
-		Dists: map[string]*decomp.Dist{"X": dist, "Y": yDist},
-	})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), map[string]*decomp.Dist{"X": dist, "Y": yDist}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +245,7 @@ func TestBroadcastStatement(t *testing.T) {
       END
 `)
 	yDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{4}, 4)
-	res, err := Run(prog, machine.DefaultConfig(4), Options{
-		Dists: map[string]*decomp.Dist{"Y": yDist},
-	})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"Y": yDist}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +268,7 @@ func TestRemapStatement(t *testing.T) {
       END
 `)
 	dist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 2)
-	res, err := Run(prog, machine.DefaultConfig(2), Options{
-		Dists: map[string]*decomp.Dist{"X": dist},
-	})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), map[string]*decomp.Dist{"X": dist}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +302,7 @@ func TestCommonBlockSharing(t *testing.T) {
       G(1) = G(2) + 1
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +324,7 @@ func TestAdjustableBounds(t *testing.T) {
       enddo
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +348,7 @@ func TestDeterministicStats(t *testing.T) {
 `)
 	var last machine.Stats
 	for trial := 0; trial < 5; trial++ {
-		res, err := Run(prog, machine.DefaultConfig(4), Options{})
+		res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,9 +380,7 @@ func TestAllGatherStatement(t *testing.T) {
 `)
 	xDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 4)
 	yDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 4)
-	res, err := Run(prog, machine.DefaultConfig(4), Options{
-		Dists: map[string]*decomp.Dist{"X": xDist, "Y": yDist},
-	})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"X": xDist, "Y": yDist}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +404,7 @@ func TestAllGatherReplicatedNoop(t *testing.T) {
       allgather X(1:4)
       END
 `)
-	res, err := Run(prog, machine.DefaultConfig(2), Options{})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,9 +425,7 @@ func TestMarkAsInPlaceRemap(t *testing.T) {
       END
 `)
 	dist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 2)
-	res, err := Run(prog, machine.DefaultConfig(2), Options{
-		Dists: map[string]*decomp.Dist{"X": dist},
-	})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), map[string]*decomp.Dist{"X": dist}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +451,7 @@ func TestNegativeStepLoop(t *testing.T) {
       enddo
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +473,7 @@ func TestEmptyLoopBody(t *testing.T) {
       X(2) = 7
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +503,7 @@ func TestLogicalOperators(t *testing.T) {
       endif
       END
 `)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,9 +530,7 @@ func TestGlobalReduceStatement(t *testing.T) {
       END
 `)
 	xDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{4}, 4)
-	res, err := Run(prog, machine.DefaultConfig(4), Options{
-		Dists: map[string]*decomp.Dist{"X": xDist},
-	})
+	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"X": xDist}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +549,7 @@ func TestUnknownFunctionErrors(t *testing.T) {
       X(1) = NOSUCH(3)
       END
 `)
-	if _, err := RunSequential(prog, Options{}); err == nil {
+	if _, err := RunSequentialContext(context.Background(), prog, Options{}); err == nil {
 		t.Error("unknown function must error")
 	}
 }
@@ -573,7 +560,7 @@ func TestUnknownProcedureErrors(t *testing.T) {
       call nosuch(1)
       END
 `)
-	if _, err := RunSequential(prog, Options{}); err == nil {
+	if _, err := RunSequentialContext(context.Background(), prog, Options{}); err == nil {
 		t.Error("unknown procedure must error")
 	}
 }

@@ -9,10 +9,11 @@ import (
 	"fortd/internal/machine"
 )
 
-// The execution plan. lower resolves a program once per run into
-// closures over frame slots; every processor then executes the same
-// plan with its own node state. Nothing in a plan is written after
-// lower returns, so the P node programs share it without locks.
+// The execution plan. Lower resolves a program once into closures over
+// frame slots; every processor of every run executes the same plan with
+// its own node state. Nothing in a plan is written after Lower returns
+// (all run state lives in node and frame), so the node programs of any
+// number of runs share it without locks.
 
 const (
 	// maxRank bounds array and section rank (Fortran 77's own limit), so
@@ -44,12 +45,12 @@ type (
 // started the procedure swallows it.
 var errReturn = errors.New("return")
 
-// plan is a whole program lowered for one run.
-type plan struct {
-	main    *procPlan
+// Plan is a whole program lowered for a machine of nproc processors.
+type Plan struct {
+	main    *procPlan // nil: the program has no main unit, and every run fails
 	nproc   int
 	dists   map[string]*decomp.Dist                               // initial distributions of main-program arrays
-	overlap func(proc, array string, dim, block int) (lo, hi int) // Options.Overlap
+	overlap func(proc, array string, dim, block int) (lo, hi int) // Lower's overlap
 	ntags   int                                                   // distinct split-phase tags (node.posted's length)
 }
 
@@ -102,7 +103,7 @@ type binding struct {
 
 // node is one processor's executor state.
 type node struct {
-	pl   *plan
+	pl   *Plan
 	proc *machine.Proc
 	p    int
 	pf   float64 // myproc()
@@ -139,14 +140,14 @@ func (nd *node) takeErr() error {
 	return err
 }
 
-func (pl *plan) newNode(proc *machine.Proc) *node {
+func (pl *Plan) newNode(proc *machine.Proc) *node {
 	return &node{pl: pl, proc: proc, p: proc.ID(), pf: float64(proc.ID()),
 		posted: make([]*postedOp, pl.ntags)}
 }
 
 // run executes the plan as proc's node program and returns the main
 // program's arrays by name.
-func (pl *plan) run(proc *machine.Proc, opts Options) (map[string]*Array, error) {
+func (pl *Plan) run(proc *machine.Proc, opts Options) (map[string]*Array, error) {
 	nd := pl.newNode(proc)
 	nd.seed = opts.Init
 	fr, err := nd.enter(pl.main, nil, nil)
@@ -175,7 +176,7 @@ func (pl *plan) run(proc *machine.Proc, opts Options) (map[string]*Array, error)
 // machine starts, so that a bad one fails the run once and not on each
 // of P processors. Main-program bounds are constants in any real
 // program; an array whose bounds are not is left to allocArray.
-func (pl *plan) checkInit(init map[string][]float64) error {
+func (pl *Plan) checkInit(init map[string][]float64) error {
 	for i := range pl.main.decls {
 		d := &pl.main.decls[i]
 		name := pl.main.names[d.slot]
@@ -410,12 +411,22 @@ func (nd *node) window(a *Array) *window {
 // ---------------------------------------------------------------------------
 // Lowering
 
-// lower resolves prog for a run on nproc processors. Only procedures
+// Lower resolves prog for runs on nproc processors, with dists the
+// initial distributions of the main program's arrays (array name →
+// dist; arrays not listed are replicated) and overlap the local extent
+// lo:hi the compiler estimated (§5.6) for a block 1:block with its
+// overlap region in dimension dim of a main-program array, which is
+// what a processor stores of it (nil: the block). Only procedures
 // reachable from the main program are lowered. Lowering never fails:
 // whatever is wrong with a statement (unknown array, procedure or
-// function, bad arity) is reported when that statement executes.
-func lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist) *plan {
-	pl := &plan{nproc: nproc, dists: dists}
+// function, bad arity) is reported when that statement executes, and a
+// program without a main unit fails each run.
+func Lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist,
+	overlap func(proc, array string, dim, block int) (lo, hi int)) *Plan {
+	pl := &Plan{nproc: nproc, dists: dists, overlap: overlap}
+	if prog.Main() == nil {
+		return pl
+	}
 	lp := &programLowerer{pl: pl, prog: prog, procs: map[*ast.Procedure]*procPlan{}, tags: map[int]int{}}
 	pl.main = lp.proc(prog.Main())
 	for len(lp.todo) > 0 {
@@ -428,7 +439,7 @@ func lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist) *plan {
 }
 
 type programLowerer struct {
-	pl    *plan
+	pl    *Plan
 	prog  *ast.Program
 	procs map[*ast.Procedure]*procPlan
 	todo  []*lowerer
@@ -437,6 +448,22 @@ type programLowerer struct {
 	// under test changes (its index first) and of those its invariant
 	// subscripts read
 	written, read []int32
+	refs          slab[arrayRef]
+	subs          slab[intOperand]
+	fns           slab[stmtFn]
+}
+
+// slab hands out a plan's most numerous records from chunks of 64: a
+// plan lives as long as its Program, and the collector marks a chunk as
+// one object.
+type slab[T any] []T
+
+func (s *slab[T]) take(n int) []T {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(n, 64))
+	}
+	*s = (*s)[:len(*s)+n]
+	return (*s)[len(*s)-n : len(*s) : len(*s)]
 }
 
 // proc returns u's plan, scheduling u for lowering on first mention.
@@ -549,7 +576,7 @@ func (lw *lowerer) lowerUnit() {
 }
 
 func (lw *lowerer) body(stmts []ast.Stmt) []stmtFn {
-	out := make([]stmtFn, 0, len(stmts))
+	out := lw.lp.fns.take(len(stmts))[:0]
 	for _, s := range stmts {
 		if fn := lw.stmt(s); fn != nil {
 			out = append(out, fn)

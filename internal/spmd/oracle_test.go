@@ -19,9 +19,9 @@ import (
 
 // RunTreeWalk is RunContext on the oracle (exported to the external
 // test package only).
-func RunTreeWalk(ctx context.Context, prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error) {
+func RunTreeWalk(ctx context.Context, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts Options) (*RunResult, error) {
 	return runNodes(ctx, cfg, opts, func(proc *machine.Proc) (map[string]*Array, error) {
-		it := &treeInterp{prog: prog, proc: proc, p: proc.ID(), nproc: cfg.P, dists: opts.Dists}
+		it := &treeInterp{prog: prog, proc: proc, p: proc.ID(), nproc: cfg.P, dists: dists}
 		f, err := it.newFrame(prog.Main(), nil, nil)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -56,9 +57,9 @@ func TestEarlyReturn(t *testing.T) {
 		}
 	}
 	prog := parseProg(t, src)
-	res, err := RunSequential(prog, Options{})
+	res, err := RunSequentialContext(context.Background(), prog, Options{})
 	check("sequential", res, err)
-	res, err = Run(prog, machine.DefaultConfig(4), Options{})
+	res, err = RunContext(context.Background(), prog, machine.DefaultConfig(4), nil, Options{})
 	check("P=4", res, err)
 
 	// a RETURN in the main program ends the run, cleanly
@@ -70,7 +71,7 @@ func TestEarlyReturn(t *testing.T) {
       X(2) = 2.0
       END
 `)
-	res, err = RunSequential(main, Options{})
+	res, err = RunSequentialContext(context.Background(), main, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestIntrinsicMisuseIsAnError(t *testing.T) {
 `, tc.expr)
 		prog := parseProg(t, src)
 		for _, p := range []int{1, 4} {
-			_, err := Run(prog, machine.DefaultConfig(p), Options{})
+			_, err := RunContext(context.Background(), prog, machine.DefaultConfig(p), nil, Options{})
 			if err == nil {
 				t.Errorf("%s at P=%d: run succeeded", tc.expr, p)
 				continue
@@ -116,7 +117,7 @@ func TestIntrinsicMisuseIsAnError(t *testing.T) {
 		}
 		// the same statement behind a false guard never fires
 		dead := parseProg(t, strings.Replace(src, ".GT. 0.0", ".LT. 0.0", 1))
-		if _, err := RunSequential(dead, Options{}); err != nil {
+		if _, err := RunSequentialContext(context.Background(), dead, Options{}); err != nil {
 			t.Errorf("%s in dead code: %v", tc.expr, err)
 		}
 	}
@@ -163,12 +164,12 @@ func TestErrorsFireWhenExecuted(t *testing.T) {
 			// plant one in the AST the way codegen would
 			plantUndeclaredRead(t, prog)
 		}
-		_, err := RunSequential(prog, Options{})
+		_, err := RunSequentialContext(context.Background(), prog, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: error %v, want %q", tc.stmt, err, tc.want)
 		}
 		dead := parseProg(t, strings.Replace(src, "k .EQ. 1", "k .EQ. 2", 1))
-		if _, err := RunSequential(dead, Options{}); err != nil {
+		if _, err := RunSequentialContext(context.Background(), dead, Options{}); err != nil {
 			t.Errorf("%q in dead code: %v", tc.stmt, err)
 		}
 	}
@@ -186,7 +187,7 @@ func TestErrorsFireWhenExecuted(t *testing.T) {
       endif
       END
 `)
-	_, err := Run(mismatch, machine.DefaultConfig(2), Options{})
+	_, err := RunContext(context.Background(), mismatch, machine.DefaultConfig(2), nil, Options{})
 	if want := "recv X: message size 3 != section size 4 (proc 1 from 0)"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("size mismatch: error %v, want %q", err, want)
 	}
@@ -214,7 +215,7 @@ func TestInitLengthMismatch(t *testing.T) {
 		{map[string][]float64{"Y": nil}, "init Y: 0 values for 2 elements"},
 	} {
 		for _, p := range []int{1, 16} {
-			_, err := Run(prog, machine.DefaultConfig(p), Options{Init: tc.init})
+			_, err := RunContext(context.Background(), prog, machine.DefaultConfig(p), nil, Options{Init: tc.init})
 			if tc.want == "" {
 				if err != nil {
 					t.Errorf("P=%d: %v", p, err)
@@ -235,7 +236,7 @@ func TestInitLengthMismatch(t *testing.T) {
       X(1) = 1.0
       END
 `)
-	_, err := Run(late, machine.DefaultConfig(2), Options{Init: map[string][]float64{"X": {1, 2}}})
+	_, err := RunContext(context.Background(), late, machine.DefaultConfig(2), nil, Options{Init: map[string][]float64{"X": {1, 2}}})
 	var ie *InitError
 	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "p1: init X: 2 values for 3 elements") {
 		t.Errorf("non-constant bounds: error %v, want an InitError from each processor", err)
@@ -261,7 +262,7 @@ func TestComputeOnlyLoopObservesDeadline(t *testing.T) {
       END
 `)
 	start := time.Now()
-	_, err := Run(prog, machine.DefaultConfig(1), Options{Deadline: 200 * time.Millisecond})
+	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(1), nil, Options{Deadline: 200 * time.Millisecond})
 	var dl *machine.DeadlockError
 	if !errors.As(err, &dl) || !dl.Deadline {
 		t.Errorf("Run = %v, want deadline *DeadlockError", err)
@@ -282,7 +283,7 @@ func TestRunawayRecursionIsAnError(t *testing.T) {
       call f
       END
 `)
-	_, err := RunSequential(prog, Options{})
+	_, err := RunSequentialContext(context.Background(), prog, Options{})
 	if err == nil || !strings.Contains(err.Error(), "recursion is not supported") {
 		t.Errorf("error %v, want the call-depth error", err)
 	}
@@ -378,7 +379,7 @@ func TestCursorLoops(t *testing.T) {
       %s
       END
 `, tc.loop))
-		pl := lower(prog, 1, nil)
+		pl := Lower(prog, 1, nil, nil)
 		if pl.main.ncurs != tc.cursors {
 			t.Errorf("%s: lowered with %d cursors, want %d", tc.name, pl.main.ncurs, tc.cursors)
 			continue
@@ -418,7 +419,7 @@ func onWarmNode(tb testing.TB, src string, f func(body func())) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pl := lower(prog, 1, nil)
+	pl := Lower(prog, 1, nil, nil)
 	m := machine.New(machine.DefaultConfig(1))
 	m.Go(0, func(proc *machine.Proc) {
 		nd := pl.newNode(proc)
@@ -554,7 +555,7 @@ func TestRunAllocationIndependentOfIterations(t *testing.T) {
       END
 `, iters))
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Run(prog, machine.DefaultConfig(4), Options{Dists: map[string]*decomp.Dist{"b": dist}}); err != nil {
+			if _, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"b": dist}, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -605,12 +606,12 @@ func BenchmarkExecBcastTo(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, opts := machine.DefaultConfig(64), Options{Dists: map[string]*decomp.Dist{
+	pl := Lower(prog, 64, map[string]*decomp.Dist{
 		"a": decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{64, 256}, 64),
-	}}
+	}, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(prog, cfg, opts); err != nil {
+		if _, err := pl.Run(context.Background(), machine.DefaultConfig(64), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,13 +32,13 @@ type observed struct {
 	err    error
 }
 
-type runFn func(context.Context, *ast.Program, machine.Config, spmd.Options) (*spmd.RunResult, error)
+type runFn func(context.Context, *ast.Program, machine.Config, map[string]*decomp.Dist, spmd.Options) (*spmd.RunResult, error)
 
-func observe(t *testing.T, run runFn, prog *ast.Program, cfg machine.Config, opts spmd.Options) observed {
+func observe(t *testing.T, run runFn, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts spmd.Options) observed {
 	t.Helper()
 	tr := trace.New()
 	opts.Trace = tr
-	res, err := run(context.Background(), prog, cfg, opts)
+	res, err := run(context.Background(), prog, cfg, dists, opts)
 	if err != nil {
 		return observed{err: err}
 	}
@@ -49,27 +49,34 @@ func observe(t *testing.T, run runFn, prog *ast.Program, cfg machine.Config, opt
 	return observed{stats: res.Stats, arrays: res.Arrays, jsonl: buf.Bytes()}
 }
 
-// samePlanAndTree runs prog on the execution plan and on the
-// tree-walking oracle and requires the two runs to be
-// indistinguishable.
-func samePlanAndTree(t *testing.T, prog *ast.Program, cfg machine.Config, opts spmd.Options) {
+// samePlanAndTree runs prog on the tree-walking oracle and twice on one
+// execution plan, and requires the three runs to be indistinguishable:
+// a plan is shared by every run of its program, so running it must
+// leave it as it was.
+func samePlanAndTree(t *testing.T, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts spmd.Options) {
 	t.Helper()
-	plan := observe(t, spmd.RunContext, prog, cfg, opts)
-	tree := observe(t, spmd.RunTreeWalk, prog, cfg, opts)
-	if (plan.err == nil) != (tree.err == nil) {
-		t.Fatalf("plan error %v, tree-walk error %v", plan.err, tree.err)
+	pl := spmd.Lower(prog, cfg.P, dists, nil)
+	run := func(ctx context.Context, _ *ast.Program, cfg machine.Config, _ map[string]*decomp.Dist, opts spmd.Options) (*spmd.RunResult, error) {
+		return pl.Run(ctx, cfg, opts)
 	}
-	if plan.err != nil {
-		return
-	}
-	if !reflect.DeepEqual(plan.stats, tree.stats) {
-		t.Errorf("stats differ:\n plan=%+v\n tree=%+v", plan.stats, tree.stats)
-	}
-	if !reflect.DeepEqual(plan.arrays, tree.arrays) {
-		t.Errorf("final arrays differ")
-	}
-	if !bytes.Equal(plan.jsonl, tree.jsonl) {
-		t.Errorf("JSONL trace exports differ (%d vs %d bytes)", len(plan.jsonl), len(tree.jsonl))
+	tree := observe(t, spmd.RunTreeWalk, prog, cfg, dists, opts)
+	for i := 1; i <= 2; i++ {
+		plan := observe(t, run, prog, cfg, dists, opts)
+		if (plan.err == nil) != (tree.err == nil) {
+			t.Fatalf("run %d: plan error %v, tree-walk error %v", i, plan.err, tree.err)
+		}
+		if plan.err != nil {
+			return
+		}
+		if !reflect.DeepEqual(plan.stats, tree.stats) {
+			t.Errorf("run %d: stats differ:\n plan=%+v\n tree=%+v", i, plan.stats, tree.stats)
+		}
+		if !reflect.DeepEqual(plan.arrays, tree.arrays) {
+			t.Errorf("run %d: final arrays differ", i)
+		}
+		if !bytes.Equal(plan.jsonl, tree.jsonl) {
+			t.Errorf("run %d: JSONL trace exports differ (%d vs %d bytes)", i, len(plan.jsonl), len(tree.jsonl))
+		}
 	}
 }
 
@@ -78,7 +85,7 @@ func samePlanAndTree(t *testing.T, prog *ast.Program, cfg machine.Config, opts s
 func sameFailure(t *testing.T, prog *ast.Program, cfg machine.Config, want string) {
 	t.Helper()
 	text := func(name string, run runFn) string {
-		_, err := run(context.Background(), prog, cfg, spmd.Options{})
+		_, err := run(context.Background(), prog, cfg, nil, spmd.Options{})
 		var ne *spmd.NodeError
 		if !errors.As(err, &ne) {
 			t.Fatalf("%s: error %v, want a node error reading %q", name, err, want)
@@ -384,10 +391,10 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 					}
 					init := s.init(src)
 					cfg := machine.DefaultConfig(c.P)
-					samePlanAndTree(t, c.Program, cfg, spmd.Options{Dists: c.MainDists, Init: init})
-					samePlanAndTree(t, c.Program, cfg, spmd.Options{Dists: c.MainDists, Init: init, Faults: faultLane})
+					samePlanAndTree(t, c.Program, cfg, c.MainDists, spmd.Options{Init: init})
+					samePlanAndTree(t, c.Program, cfg, c.MainDists, spmd.Options{Init: init, Faults: faultLane})
 					// the sequential reference is the same executor at P=1
-					samePlanAndTree(t, c.Source, machine.Config{P: 1, FlopCost: 1}, spmd.Options{Init: init})
+					samePlanAndTree(t, c.Source, machine.Config{P: 1, FlopCost: 1}, nil, spmd.Options{Init: init})
 				})
 			}
 		}
@@ -402,11 +409,11 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 					sameFailure(t, prog, cfg, lane.fails)
 					return
 				}
-				if _, err := spmd.Run(prog, cfg, spmd.Options{}); err != nil {
+				if _, err := spmd.RunContext(context.Background(), prog, cfg, nil, spmd.Options{}); err != nil {
 					t.Fatal(err)
 				}
-				samePlanAndTree(t, prog, cfg, spmd.Options{})
-				samePlanAndTree(t, prog, cfg, spmd.Options{Faults: faultLane})
+				samePlanAndTree(t, prog, cfg, nil, spmd.Options{})
+				samePlanAndTree(t, prog, cfg, nil, spmd.Options{Faults: faultLane})
 			})
 		}
 	}
@@ -420,7 +427,7 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samePlanAndTree(t, c.Program, machine.DefaultConfig(c.P), spmd.Options{Dists: c.MainDists})
+		samePlanAndTree(t, c.Program, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{})
 	})
 
 	// hand-written SPMD text runs without the compiler in front
@@ -430,9 +437,7 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{16, 16}, 4)
-		samePlanAndTree(t, prog, machine.DefaultConfig(4), spmd.Options{
-			Dists: map[string]*decomp.Dist{"a": dist},
-			Init:  map[string][]float64{"a": fortd.DgefaMatrix(16)},
-		})
+		samePlanAndTree(t, prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"a": dist},
+			spmd.Options{Init: map[string][]float64{"a": fortd.DgefaMatrix(16)}})
 	})
 }

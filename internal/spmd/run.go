@@ -3,14 +3,14 @@
 // program of the machine, with my$p = myproc() selecting its behavior,
 // exactly as the compiler's output would run on the nodes of a
 // distributed-memory machine, each holding its own share of a
-// distributed array and nothing of the rest (storage.go). The program
-// is lowered once per run
-// to an execution plan — identifiers resolved to frame slots,
-// statements and expressions compiled to Go closures, flop counts fixed
-// statically — that all processors share read-only (lower.go, expr.go,
-// comm.go). The same executor runs original (sequential) Fortran D
-// programs on one processor to produce reference results for
-// correctness checks.
+// distributed array and nothing of the rest (storage.go). A program is
+// lowered once (Lower) to an execution plan — identifiers resolved to
+// frame slots, statements and expressions compiled to Go closures, flop
+// counts fixed statically — that all processors of every run share
+// read-only (lower.go, expr.go, comm.go); fortd.Program lowers each of
+// its programs once, on its first run. The same executor runs original
+// (sequential) Fortran D programs on one processor to produce reference
+// results for correctness checks.
 package spmd
 
 import (
@@ -25,16 +25,9 @@ import (
 	"fortd/internal/trace"
 )
 
-// Options configures a run.
+// Options configures what varies from one run of a plan to the next;
+// what shapes the plan is Lower's.
 type Options struct {
-	// Dists assigns initial distribution descriptors to the main
-	// program's arrays (array name → dist). Arrays not listed are
-	// replicated.
-	Dists map[string]*decomp.Dist
-	// Overlap reports the local extent lo:hi the compiler estimated (§5.6)
-	// for a block 1:block with its overlap region in dimension dim of a
-	// main-program array; a processor stores that much. nil: the block.
-	Overlap func(proc, array string, dim, block int) (lo, hi int)
 	// Init seeds main-program arrays before execution (array → values
 	// in row-major global order); each processor takes the elements it
 	// owns. A slice whose length is not its array's element count fails
@@ -65,26 +58,28 @@ type RunResult struct {
 	siteBufs int
 }
 
-// Run executes the program on p processors under the given machine
-// configuration. A failing run cannot hang: when any processor's node
-// program errors, every peer is unblocked with a machine.AbortError,
-// and a mismatched communication schedule is detected by the machine
-// and returned as a machine.DeadlockError report. All per-processor
-// errors are joined, so no failure is dropped.
-func Run(prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error) {
-	return RunContext(context.Background(), prog, cfg, opts)
+// RunContext lowers prog for cfg's machine and runs it (Lower, then
+// Plan.Run): one run, for programs that are run once.
+func RunContext(ctx context.Context, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts Options) (*RunResult, error) {
+	return Lower(prog, cfg.P, dists, nil).Run(ctx, cfg, opts)
 }
 
-// RunContext is Run under a cancellation context: when ctx is cancelled
-// mid-run the machine's cooperative abort unblocks every processor and
-// the run returns ctx.Err(). The machine's own failure modes (deadlock
-// detection, wall-clock deadline, congestion) are unchanged.
-func RunContext(ctx context.Context, prog *ast.Program, cfg machine.Config, opts Options) (*RunResult, error) {
-	if prog.Main() == nil {
+// Run executes the plan under the given machine configuration, which
+// must have the processor count the plan was lowered for. A failing run
+// cannot hang: when any processor's node program errors, every peer is
+// unblocked with a machine.AbortError, and a mismatched communication
+// schedule is detected by the machine and returned as a
+// machine.DeadlockError report. All per-processor errors are joined, so
+// no failure is dropped. When ctx is cancelled mid-run the machine's
+// cooperative abort unblocks every processor and the run returns
+// ctx.Err(). Any number of runs of one plan may proceed at once.
+func (pl *Plan) Run(ctx context.Context, cfg machine.Config, opts Options) (*RunResult, error) {
+	if pl.main == nil {
 		return nil, errors.New("spmd: program has no main unit")
 	}
-	pl := lower(prog, cfg.P, opts.Dists)
-	pl.overlap = opts.Overlap
+	if cfg.P != pl.nproc {
+		return nil, fmt.Errorf("spmd: the plan was lowered for %d processors, the machine has %d", pl.nproc, cfg.P)
+	}
 	if err := pl.checkInit(opts.Init); err != nil {
 		return nil, err
 	}
@@ -224,17 +219,18 @@ func joinRunErrors(m *machine.Machine, errs []error, waitErr error) error {
 	return waitErr
 }
 
-// RunSequential executes the original program on one processor with
-// no distribution, returning the reference result.
-func RunSequential(prog *ast.Program, opts Options) (*RunResult, error) {
-	return RunSequentialContext(context.Background(), prog, opts)
+// RunSequential runs a plan lowered for one processor as the reference
+// run of an original program: no distribution, no faults, one virtual
+// microsecond per flop and no communication cost.
+func (pl *Plan) RunSequential(ctx context.Context, opts Options) (*RunResult, error) {
+	opts.Faults = nil
+	return pl.Run(ctx, machine.Config{P: 1, FlopCost: 1}, opts)
 }
 
-// RunSequentialContext is RunSequential under a cancellation context.
+// RunSequentialContext lowers prog for one processor and runs it as the
+// reference run (Plan.RunSequential).
 func RunSequentialContext(ctx context.Context, prog *ast.Program, opts Options) (*RunResult, error) {
-	return RunContext(ctx, prog, machine.Config{P: 1, FlopCost: 1},
-		Options{Init: opts.Init, InitScalars: opts.InitScalars, Trace: opts.Trace,
-			Deadline: opts.Deadline})
+	return Lower(prog, 1, nil, nil).RunSequential(ctx, opts)
 }
 
 // assemble merges the processors' shares: each element is taken from its

@@ -1,0 +1,196 @@
+package fortd
+
+import (
+	"bytes"
+	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// A Program lowers its node program to an execution plan on its first
+// Run and its source program on its first RunReference, and every later
+// run shares that plan. These tests pin the sharing: concurrent runs of
+// one Program equal serial runs of another, a repeat run allocates
+// what a run needs besides its plan, and the plan's size.
+
+// sameValues reports whether two result arrays hold the same values, NaN
+// equal to NaN (an element a processor never received reads NaN).
+func sameValues(got, want map[string][]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for name, w := range want {
+		if !slices.EqualFunc(got[name], w, func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestProgramRunsConcurrently races goroutines on the first Run and the
+// first RunReference of one compiled Program, which lower its plans,
+// and has them run it with different inputs, a trace and a fault plan.
+// Each result must equal its serial twin's, run on a Program of its
+// own: arrays, Stats.Time, Messages, Words and Flops, and the trace.
+// ci.sh runs it under -race.
+func TestProgramRunsConcurrently(t *testing.T) {
+	synth := SyntheticProcsSrc(8, 4, 32, 4)
+	for _, w := range []struct {
+		name, src string
+		inits     []map[string][]float64
+	}{
+		{"synth", synth, []map[string][]float64{RampInit(synth), scaled(RampInit(synth), -0.5)}},
+		{"dgefa", DgefaSrc(32, 4), []map[string][]float64{{"a": DgefaMatrix(32)}, scaled(map[string][]float64{"a": DgefaMatrix(32)}, 3)}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			shared, err := Compile(w.src, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// one case per runner: each input as a run and as a reference
+			// run, then a traced and a faulted run of the first input
+			type runCase struct {
+				ref    bool
+				runner func(tr *Trace) *Runner
+			}
+			var cases []runCase
+			for _, init := range w.inits {
+				for _, ref := range []bool{false, true} {
+					cases = append(cases, runCase{ref, func(*Trace) *Runner { return NewRunner(WithInit(init)) }})
+				}
+			}
+			cases = append(cases,
+				runCase{false, func(tr *Trace) *Runner { return NewRunner(WithInit(w.inits[0]), WithTrace(tr)) }},
+				runCase{false, func(*Trace) *Runner { return NewRunner(WithInit(w.inits[0]), WithFaults(dgefaFaultPlan())) }})
+			type outcome struct {
+				res   *Result
+				trace []byte
+				err   error
+			}
+			do := func(p *Program, c runCase) outcome {
+				tr := NewTrace()
+				r := c.runner(tr)
+				var o outcome
+				if c.ref {
+					o.res, o.err = r.RunReference(p)
+				} else {
+					o.res, o.err = r.Run(p)
+				}
+				var buf bytes.Buffer
+				if err := tr.WriteJSONL(&buf); err != nil {
+					t.Error(err)
+				}
+				o.trace = buf.Bytes()
+				return o
+			}
+			twin, err := Compile(w.src, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]outcome, len(cases))
+			for i, c := range cases {
+				if want[i] = do(twin, c); want[i].err != nil {
+					t.Fatalf("serial case %d: %v", i, want[i].err)
+				}
+			}
+			const copies = 3
+			got := make([]outcome, copies*len(cases))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					got[i] = do(shared, cases[i%len(cases)])
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			for i, g := range got {
+				c, ws := i%len(cases), want[i%len(cases)]
+				switch {
+				case g.err != nil:
+					t.Errorf("case %d: %v", c, g.err)
+				case !sameValues(g.res.Arrays, ws.res.Arrays):
+					t.Errorf("case %d: arrays differ from the serial run's", c)
+				case g.res.Stats.Time != ws.res.Stats.Time || g.res.Stats.Messages != ws.res.Stats.Messages ||
+					g.res.Stats.Words != ws.res.Stats.Words || g.res.Stats.Flops != ws.res.Stats.Flops:
+					t.Errorf("case %d: stats %v, serial run %v", c, g.res.Stats, ws.res.Stats)
+				case !bytes.Equal(g.trace, ws.trace):
+					t.Errorf("case %d: the trace differs from the serial run's (%d vs %d bytes)", c, len(g.trace), len(ws.trace))
+				}
+			}
+		})
+	}
+}
+
+// scaled returns a copy of init with every value times k.
+func scaled(init map[string][]float64, k float64) map[string][]float64 {
+	out := map[string][]float64{}
+	for name, vals := range init {
+		for _, v := range vals {
+			out[name] = append(out[name], k*v)
+		}
+	}
+	return out
+}
+
+// TestRepeatRunAllocBudget bounds what a run of a Program that has run
+// before allocates: the machine, the processors' frames and storage and
+// the assembled result, and no plan. The budget is the count measured
+// when it was last set plus 10 %; lower it when a change lowers it.
+func TestRepeatRunAllocBudget(t *testing.T) {
+	const budget = 1117 // 1 015 measured under ci.sh's -race (887 without; 25 482 while every run lowered the program) + 10 %
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	prog, err := Compile(src, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(WithInit(RampInit(src)))
+	allocs := testing.AllocsPerRun(5, func() { // its warm-up run lowers the plan
+		if _, err := r.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per repeat run (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("a repeat run allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
+
+// TestLoweringBytesBudget bounds the size of a Program's plan: the bytes
+// its first run allocates beyond a repeat run's. The plan lives as long
+// as the Program, so this is memory a retained program keeps. The budget
+// is the bytes measured when it was last set plus 10 %.
+func TestLoweringBytesBudget(t *testing.T) {
+	const budget = 1349031 // 1 226 392 measured under ci.sh's -race (1 226 152 without) + 10 %
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	prog, err := Compile(src, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(WithInit(RampInit(src)))
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := r.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := run()
+	const repeats = 5
+	var repeat uint64
+	for i := 0; i < repeats; i++ {
+		repeat += run()
+	}
+	bytes := int64(first) - int64(repeat/repeats)
+	t.Logf("the plan is %d bytes: a first run allocates %d, a repeat run %d (budget %d)", bytes, first, repeat/repeats, budget)
+	if bytes > budget {
+		t.Errorf("lowering allocates %d bytes, budget %d", bytes, budget)
+	}
+}

@@ -145,7 +145,8 @@ type ServiceConfig struct {
 	RunDeadline time.Duration
 	// MaxPrograms bounds the compiled-program table serving run-by-id
 	// and /report/{id}; the least recently used entry is evicted (0:
-	// 256).
+	// 256). Each retained program that has run also holds its execution
+	// plan, about the program's own size.
 	MaxPrograms int
 }
 
@@ -213,7 +214,6 @@ type program struct {
 	src     string
 	opts    Options
 	prog    *Program
-	listing string
 	lastUse int64 // monotonic use sequence, for LRU eviction
 }
 
@@ -529,7 +529,8 @@ type CompileRequest struct {
 type CompileResult struct {
 	// ID addresses this compilation in later Run and Report calls.
 	ID string
-	// Program is the compiled program (shared, immutable).
+	// Program is the compiled program (shared, immutable): the one the
+	// service retains under ID, compiled first for that ID.
 	Program *Program
 	// Listing is the generated SPMD node program.
 	Listing string
@@ -615,16 +616,16 @@ func (s *Service) compileLocked(ctx context.Context, req CompileRequest) (*Compi
 	if ex != nil {
 		res.Remarks = ex.Remarks()
 	}
-	s.retain(&program{
-		id: res.ID, src: req.Source, opts: eff,
-		prog: prog, listing: res.Listing,
-	})
+	res.Program = s.retain(&program{id: res.ID, src: req.Source, opts: eff, prog: prog}).prog
 	return res, nil
 }
 
 // retain stores p in the program table, evicting the least recently
-// used entry past the cap.
-func (s *Service) retain(p *program) {
+// used entry past the cap, and returns the entry kept under p's id: a
+// program the table already holds stays, with the plans its runs
+// lowered, since the same source and options compile to the same
+// program.
+func (s *Service) retain(p *program) *program {
 	max := s.cfg.MaxPrograms
 	if max == 0 {
 		max = 256
@@ -632,6 +633,9 @@ func (s *Service) retain(p *program) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.useSeq++
+	if q := s.programs[p.id]; q != nil {
+		p = q
+	}
 	p.lastUse = s.useSeq
 	s.programs[p.id] = p
 	for len(s.programs) > max {
@@ -643,6 +647,7 @@ func (s *Service) retain(p *program) {
 		}
 		delete(s.programs, lru.id)
 	}
+	return p
 }
 
 // lookup returns the retained program for id, refreshing its LRU slot.

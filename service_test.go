@@ -227,6 +227,35 @@ func TestServiceProgramLRU(t *testing.T) {
 	}
 }
 
+// TestServiceResubmitKeepsProgram: a second compile of the same source
+// returns and keeps the program the first one retained, so a run by id
+// after a resubmit reuses the plan the first run lowered.
+func TestServiceResubmitKeepsProgram(t *testing.T) {
+	svc := newTestService(t, ServiceConfig{})
+	ctx := context.Background()
+	first, err := svc.Compile(ctx, CompileRequest{Source: Fig1Src(32, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Run(ctx, RunRequest{ID: first.ID}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := svc.Compile(ctx, CompileRequest{Source: Fig1Src(32, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := svc.lookup(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID != first.ID || again.Program != first.Program || p.prog != first.Program {
+		t.Fatalf("the resubmit retained another program: ids %s %s", first.ID, again.ID)
+	}
+	if len(again.CacheMisses) != 0 || len(again.CacheHits) == 0 {
+		t.Fatalf("the resubmit reports hits %v, misses %v; want its own warm compile's", again.CacheHits, again.CacheMisses)
+	}
+}
+
 // TestServiceRetainsCompileDeadline: a program compiled with no
 // deadline of its own is retained with the one it inherited from the
 // service, so the recompile behind its page is bounded like the
