@@ -47,7 +47,7 @@ report: ## render the dgefa HTML performance report to report.html
 	$(GO) run ./cmd/fdrun -report report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
-fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (seeds: testdata, testdata/pipeline, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form, lexer and codegen's DO-index liveness walk against their oracles, and the schedule pass against the blocking program
+fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (every program that compiles against the sequential reference; seeds: testdata, testdata/pipeline, testdata/known, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form, lexer and codegen's DO-index liveness walk against their oracles, and the schedule pass against the blocking program
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) .

@@ -130,8 +130,16 @@ test -z "$ELF"
 # lowering takes array references, subscripts and statement lists from
 # chunks, paying with the non-context spmd.Run and RunSequential and the
 # service's unread copy of each listing, allowed at most +30:
-# 24543 -> 24573
-LOC_CEILING=24573
+# 24543 -> 24573. The next change (2026-10-17) made storage association
+# one contract, checked as acg.Build binds actuals to formals, one store
+# of COMMON members per node and one flow rule for COMMON arrays through
+# units that do not declare them, paying with findCommon, the frame
+# stack, the fuzz fence, the arity guards downstream of the contract, the
+# call graph's unread loop annotations and overlap.Parameterize, whose
+# output the contract rejects; a delayed constant-point broadcast keeps
+# its point and a reduced loop around a message at a call is restored:
+# 24573 -> 24568
+LOC_CEILING=24568
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

@@ -3,6 +3,7 @@ package fortd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,7 +105,8 @@ const commonScalarSrc = `
 // compiled programs equal the sequential reference with the schedule on
 // and off, and wherever the compiler placed the broadcast (run-time
 // resolution places none) the blocked site says which variable of which
-// block stopped it.
+// block stopped it. In the scalar case setk makes k = 3 for the main
+// program too, so the loop from k leaves row 2 of c at 0.
 func TestCommonWritesPinTheSchedule(t *testing.T) {
 	cases := []struct{ name, src, missed string }{
 		{"hoist", commonHoistSrc, "call bump may write a (COMMON /blk/)"},
@@ -139,6 +141,11 @@ func TestCommonWritesPinTheSchedule(t *testing.T) {
 							}
 						}
 					}
+					if c.name == "scalar" {
+						if row2 := ref.Arrays["c"][4:8]; slices.ContainsFunc(row2, func(v float64) bool { return v != 0 }) {
+							t.Errorf("%s: c(2,:) = %v, want 0 (k = 3 after call setk)", name, row2)
+						}
+					}
 					if !overlap || p == 1 || st.s == RuntimeResolution {
 						continue
 					}
@@ -152,6 +159,77 @@ func TestCommonWritesPinTheSchedule(t *testing.T) {
 						t.Errorf("%s: no Missed sched remark says %q:\n%s", name, c.missed, prog.Listing())
 					}
 				}
+			}
+		}
+	}
+}
+
+// commonStaleSrc: mid does not declare /blk/, so leaf's delayed shift
+// of x can only be sent by main, before call mid; fill, which mid calls
+// first, would leave it stale.
+const commonStaleSrc = `
+      PROGRAM P
+      PARAMETER (n$proc = 4)
+      REAL x(16), b(16)
+      COMMON /blk/ x
+      DISTRIBUTE x(BLOCK)
+      DISTRIBUTE b(BLOCK)
+      call mid(b)
+      END
+      SUBROUTINE mid(b)
+      REAL b(16)
+      call fill
+      do i = 1, 15
+        call leaf(b, i)
+      enddo
+      END
+      SUBROUTINE fill
+      REAL x(16)
+      COMMON /blk/ x
+      do i = 1, 16
+        x(i) = x(i) + 1
+      enddo
+      END
+      SUBROUTINE leaf(b, i)
+      REAL b(16), x(16)
+      COMMON /blk/ x
+      b(i) = x(i+1)
+      END
+`
+
+// TestCommonPassThroughNeverGoesStale: a callee's message on a COMMON
+// array travels up through a procedure that does not declare the block
+// only while nothing that procedure runs may write the array first;
+// otherwise the interprocedural strategy rejects the program at the
+// call, and the strategies that keep the message in the callee compile
+// it to the sequential reference's answer.
+func TestCommonPassThroughNeverGoesStale(t *testing.T) {
+	const want = "mid line 14: call leaf: the message for x cannot move to the callers of mid (call fill at line 12 may write x)"
+	for _, st := range digestStrategies {
+		for _, p := range []int{1, 4} {
+			opts := DefaultOptions()
+			opts.Strategy, opts.P = st.s, p
+			prog, err := Compile(commonStaleSrc, opts)
+			if st.s == Interprocedural {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s P=%d: compile error %v, want one that contains %q", st.name, p, err, want)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", st.name, p, err)
+			}
+			r := NewRunner(WithInit(RampInit(commonStaleSrc)))
+			res, err := r.Run(prog)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", st.name, p, err)
+			}
+			ref, err := r.RunReference(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(res.Arrays["b"], ref.Arrays["b"]); !(d <= 1e-9) {
+				t.Errorf("%s P=%d: b = %v, reference %v\n%s", st.name, p, res.Arrays["b"], ref.Arrays["b"], prog.Listing())
 			}
 		}
 	}

@@ -1,8 +1,9 @@
-// Package acg builds the augmented call graph (ACG) of §5.1 (Figure 5):
-// a call graph whose nodes are procedures, whose edges are call sites,
-// augmented with loop nodes and nesting edges recording which loops
-// enclose each call, and with annotations binding formal parameters to
-// the loop index variables (and their ranges) passed at call sites.
+// Package acg builds the call graph of §5.1 (Figure 5): its nodes are
+// procedures, its edges are call sites, each binding the callee's
+// formals to the caller's actuals, and building it checks the
+// storage-association contract (contract.go). The loops around a call,
+// which Figure 5 also records, are read from the caller's body by the
+// passes that place code in them (comm, partition).
 package acg
 
 import (
@@ -12,23 +13,6 @@ import (
 	"fortd/internal/ast"
 )
 
-// LoopInfo describes one loop that encloses a call site, with constant
-// bounds where they could be evaluated.
-type LoopInfo struct {
-	Var      string
-	Lo, Hi   int
-	Step     int
-	Constant bool // bounds and step evaluated to constants
-	Loop     *ast.Do
-}
-
-func (l LoopInfo) String() string {
-	if l.Constant {
-		return fmt.Sprintf("%s=[%d:%d:%d]", l.Var, l.Lo, l.Hi, l.Step)
-	}
-	return l.Var + "=[?]"
-}
-
 // ArgBinding relates a callee formal parameter to the actual passed at
 // one call site.
 type ArgBinding struct {
@@ -36,27 +20,34 @@ type ArgBinding struct {
 	// Actual is the actual-parameter expression.
 	Actual ast.Expr
 	// ActualName is the bare variable name when Actual is an identifier
-	// or whole-array reference ("" otherwise).
+	// or an array element ("" otherwise).
 	ActualName string
-	// LoopIndex is non-nil when the actual is the index variable of a
-	// loop enclosing the call — the annotation the paper stores in the
-	// ACG ("formal i in F1 is actually the index variable for a loop in
-	// P1 that iterates from 1 to 100").
-	LoopIndex *LoopInfo
 }
 
 // CallSite is one edge of the ACG.
 type CallSite struct {
-	ID       int
 	Caller   *Node
 	Callee   *Node
 	Stmt     *ast.Call
-	Nest     []LoopInfo // loops enclosing the call, outermost first
 	Bindings []ArgBinding
 }
 
 // Pos returns the source position of the call.
 func (c *CallSite) Pos() ast.Position { return c.Stmt.Pos() }
+
+// CallerName returns the caller's name for the callee's name: a formal's
+// bare actual ("" for an expression), a COMMON member's own name, or "".
+func (c *CallSite) CallerName(name string) string {
+	switch sym := c.Callee.Lookup(name); {
+	case sym == nil:
+		return ""
+	case sym.IsFormal:
+		return c.Bindings[sym.FormalIndex].ActualName
+	case sym.Common != "":
+		return name
+	}
+	return ""
+}
 
 // Node is one procedure in the ACG.
 type Node struct {
@@ -66,6 +57,16 @@ type Node struct {
 	// External is set when the procedure calls one the program does
 	// not define.
 	External bool
+	graph    *Graph
+}
+
+// Lookup returns name's symbol in n's procedure or, for a COMMON member
+// the procedure does not declare, the program-wide one (Graph.Commons).
+func (n *Node) Lookup(name string) *ast.Symbol {
+	if s := n.Proc.Symbols.Lookup(name); s != nil || n.graph == nil {
+		return s
+	}
+	return n.graph.Commons[name]
 }
 
 // Name returns the procedure name.
@@ -85,68 +86,53 @@ func (n *Node) Site(call *ast.Call) *CallSite {
 	return nil
 }
 
-// Graph is the augmented call graph of a whole program.
+// Graph is the call graph of a whole program.
 type Graph struct {
 	Program *ast.Program
 	Nodes   map[string]*Node
-	Sites   []*CallSite
+	// Commons maps each COMMON member's name to its declaration, bounds
+	// evaluated (nil: the program has no COMMON).
+	Commons map[string]*ast.Symbol
 	// order caches a topological order (callers before callees).
 	order []*Node
 }
 
-// Build constructs the ACG, resolving every call to a program unit.
-// Calls to undefined names are treated as external library routines and
-// ignored (the paper's F(...) intrinsics appear as function calls, not
-// CALL statements, so this only affects genuinely external code).
+// Build constructs the ACG, resolving every call to a program unit, and
+// rejects a program that breaks the storage-association contract
+// (contract.go) or recurses. Calls to undefined names are treated as
+// external library routines and ignored (the paper's F(...) intrinsics
+// are function calls, not CALL statements).
 func Build(prog *ast.Program) (*Graph, error) {
 	g := &Graph{Program: prog, Nodes: make(map[string]*Node, len(prog.Units))}
+	envs := make(map[string]ast.MapEnv, len(prog.Units))
 	for _, u := range prog.Units {
-		g.Nodes[u.Name] = &Node{Proc: u}
+		g.Nodes[u.Name] = &Node{Proc: u, graph: g}
+		envs[u.Name] = u.Constants()
+	}
+	var err error
+	if g.Commons, err = checkCommons(prog, envs); err != nil {
+		return nil, err
 	}
 	for _, u := range prog.Units {
 		caller := g.Nodes[u.Name]
-		env := u.Constants()
-		var nest []LoopInfo
-		var walk func(body []ast.Stmt)
-		walk = func(body []ast.Stmt) {
-			for _, s := range body {
-				switch st := s.(type) {
-				case *ast.Do:
-					li := LoopInfo{Var: st.Var, Step: 1, Loop: st}
-					lo, okLo := ast.EvalInt(st.Lo, env)
-					hi, okHi := ast.EvalInt(st.Hi, env)
-					okStep := true
-					step := 1
-					if st.Step != nil {
-						step, okStep = ast.EvalInt(st.Step, env)
-					}
-					if okLo && okHi && okStep {
-						li.Lo, li.Hi, li.Step, li.Constant = lo, hi, step, true
-					}
-					nest = append(nest, li)
-					walk(st.Body)
-					nest = nest[:len(nest)-1]
-				case *ast.If:
-					walk(st.Then)
-					walk(st.Else)
-				case *ast.Call:
-					callee, ok := g.Nodes[st.Name]
-					if !ok {
-						caller.External = true
-						continue
-					}
-					site := &CallSite{
-						ID: len(g.Sites), Caller: caller, Callee: callee, Stmt: st,
-						Nest: append([]LoopInfo(nil), nest...),
-					}
-					site.Bindings = bindArgs(callee.Proc, st, nest)
-					caller.Calls = append(caller.Calls, site)
-					callee.Callers = append(callee.Callers, site)
-					g.Sites = append(g.Sites, site)
-				}
+		ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+			st, ok := s.(*ast.Call)
+			if !ok || err != nil {
+				return err == nil
 			}
-		}
-		walk(u.Body)
+			callee := g.Nodes[st.Name]
+			if callee == nil {
+				caller.External = true
+			} else if err = conform(u, envs[u.Name], callee.Proc, envs[callee.Name()], st); err == nil {
+				site := &CallSite{Caller: caller, Callee: callee, Stmt: st, Bindings: bindArgs(callee.Proc, st)}
+				caller.Calls = append(caller.Calls, site)
+				callee.Callers = append(callee.Callers, site)
+			}
+			return true
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := g.computeOrder(); err != nil {
 		return nil, err
@@ -154,28 +140,18 @@ func Build(prog *ast.Program) (*Graph, error) {
 	return g, nil
 }
 
-func bindArgs(callee *ast.Procedure, call *ast.Call, nest []LoopInfo) []ArgBinding {
-	n := len(call.Args)
-	if len(callee.Params) < n {
-		n = len(callee.Params)
-	}
-	out := make([]ArgBinding, 0, n)
-	for i := 0; i < n; i++ {
-		b := ArgBinding{Formal: callee.Params[i], Actual: call.Args[i]}
-		switch a := call.Args[i].(type) {
+// bindArgs binds each formal to its actual (conform has checked that
+// there is one actual per formal).
+func bindArgs(callee *ast.Procedure, call *ast.Call) []ArgBinding {
+	out := make([]ArgBinding, len(call.Args))
+	for i, a := range call.Args {
+		out[i] = ArgBinding{Formal: callee.Params[i], Actual: a}
+		switch a := a.(type) {
 		case *ast.Ident:
-			b.ActualName = a.Name
-			for j := len(nest) - 1; j >= 0; j-- {
-				if nest[j].Var == a.Name {
-					li := nest[j]
-					b.LoopIndex = &li
-					break
-				}
-			}
+			out[i].ActualName = a.Name
 		case *ast.ArrayRef:
-			b.ActualName = a.Name
+			out[i].ActualName = a.Name
 		}
-		out = append(out, b)
 	}
 	return out
 }

@@ -443,6 +443,7 @@ type Symbol struct {
 	FormalIndex int    // position in the parameter list, -1 otherwise
 	Common      string // common block name, "" if local
 	ConstValue  int    // value for SymConstant
+	Line        int    // where it was declared (0: implicitly, by use)
 }
 
 // NumDims reports the declared rank.
@@ -486,6 +487,14 @@ type Procedure struct {
 	Params  []string
 	Symbols *SymbolTable
 	Body    []Stmt
+	Commons []Common // the unit's COMMON blocks, members in storage order
+}
+
+// Common is one COMMON block of a unit and the line that first names it.
+type Common struct {
+	Block   string
+	Members []string
+	Line    int
 }
 
 // Constants returns the procedure's PARAMETER constants.

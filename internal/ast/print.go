@@ -3,6 +3,7 @@ package ast
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // The printer appends to a byte slice: every node has one rendering,
@@ -65,20 +66,26 @@ func appendDecls(dst []byte, u *Procedure) []byte {
 		case SymDecomposition:
 			dst = append(dst, "      DECOMPOSITION "...)
 			dst = appendExtents(dst, s)
-		case SymScalar:
-			if !s.IsFormal && s.Common == "" {
-				continue // implicit scalars are not printed
-			}
-		}
-		if s.Common != "" {
-			dst = append(dst, "      COMMON /"...)
-			dst = append(dst, s.Common...)
-			dst = append(dst, "/ "...)
-			dst = append(dst, s.Name...)
-			dst = append(dst, '\n')
 		}
 	}
+	for _, c := range u.Commons {
+		dst = append(dst, "      COMMON /"...)
+		dst = append(dst, c.Block...)
+		dst = append(dst, "/ "...)
+		for i, m := range c.Members {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, m...)
+		}
+		dst = append(dst, '\n')
+	}
 	return dst
+}
+
+// String renders an array as declared, "x(0:15,8)", and a scalar as its name.
+func (s *Symbol) String() string {
+	return strings.TrimSuffix(strings.TrimSuffix(string(appendExtents(nil, s)), "\n"), "()")
 }
 
 // appendExtents renders "name(lo:hi,...)\n", eliding a lower bound of 1.

@@ -190,5 +190,6 @@ func CloneProcedure(p *Procedure, newName string) *Procedure {
 		Params:  append([]string(nil), p.Params...),
 		Symbols: syms,
 		Body:    CloneStmts(p.Body),
+		Commons: p.Commons,
 	}
 }

@@ -33,7 +33,10 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
 	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
-	commRes := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil, comm.LocalSections), nil, env)
+	commRes, err := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil, comm.LocalSections), nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	body, res, err := Generate(&Input{Proc: proc, Plan: plan, Comm: commRes, DistOf: distOf, Env: env, P: p})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestEmitCallCommPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := g.Sites[0]
+	site := g.Nodes[prog.Main().Name].Calls[0]
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{50, 50}, 4)
 	cc := &comm.CallComm{
 		Site: site, Array: "A", Dist: dist,

@@ -152,8 +152,9 @@ func Analyze(
 	sections map[string]*SectionSummary,
 	fx *sideeffect.Analysis,
 	env ast.Env,
-) *Result {
+) (*Result, error) {
 	res := &Result{}
+	var err error
 	items := map[*ast.Assign]*partition.Item{}
 	for _, it := range plan.Items {
 		items[it.Stmt] = it
@@ -206,6 +207,9 @@ func Analyze(
 						if cc == nil {
 							continue
 						}
+						if proc.Symbols.Lookup(cc.Array) == nil && err == nil {
+							err = passThrough(proc, node, cc, fx, env)
+						}
 						res.CallComms = append(res.CallComms, cc)
 						if cc.Delay {
 							res.Delayed = append(res.Delayed, reDelay(cc))
@@ -217,7 +221,7 @@ func Analyze(
 		walk(proc.Body)
 	}
 	pipeline(proc, res, plan, items, fx, env)
-	return res
+	return res, err
 }
 
 // classify determines the communication pattern of one read reference.
@@ -296,6 +300,7 @@ const (
 	WhyCalleeWrites = "the callee's writes overlap the section: the dependence is carried by this loop"
 	WhySymbolBounds = "the loop bounds are not compile-time constants, so the section cannot be expanded"
 	WhyFormalOwner  = "the broadcasting owner is selected by a formal parameter only known in the caller"
+	WhyUndeclared   = "the array is in a COMMON block this procedure does not declare, so only a caller that declares it can name it"
 )
 
 // place chooses the message's loop level from dependence information
@@ -390,7 +395,7 @@ func instantiate(
 	mod sideeffect.Set,
 	env ast.Env,
 ) *CallComm {
-	cc := &CallComm{Site: site, Nest: append([]*ast.Do(nil), nest...), D: d, Array: callerName(site, d.Array)}
+	cc := &CallComm{Site: site, Nest: append([]*ast.Do(nil), nest...), D: d, Array: site.CallerName(d.Array)}
 	if cc.Array == "" {
 		return nil
 	}
@@ -401,12 +406,9 @@ func instantiate(
 	cc.Dist = dist
 	vars := siteVars(site)
 	cc.Section = callSection(d.Section, site, vars, cc.Array, proc, nest, mod, env)
-	if d.PointVar != "" {
-		cc.PointVar = d.PointVar
-		if a, ok := vars[d.PointVar]; ok {
-			cc.PointVar = a
-		}
-		cc.PointOff = d.PointOff
+	cc.PointVar, cc.PointOff = d.PointVar, d.PointOff // a constant point is PointOff alone
+	if a, ok := vars[d.PointVar]; ok {
+		cc.PointVar = a
 	}
 
 	if d.Kind == KPoint {
@@ -466,6 +468,34 @@ func instantiate(
 	return cc
 }
 
+// passThrough re-delays cc, a message on a COMMON array proc does not
+// declare, to proc's callers, widening the section's ends they cannot
+// name. It cannot leave proc if it must stay in one of proc's loops, if
+// proc selects its root or if another call in proc may write the array.
+func passThrough(proc *ast.Procedure, node *acg.Node, cc *CallComm, fx *sideeffect.Analysis, env ast.Env) error {
+	named := func(v string) bool { s := proc.Symbols.Lookup(v); return v == "" || s != nil && s.IsFormal }
+	why := ""
+	if cc.AtLoop != nil || !named(cc.PointVar) {
+		why = "it is placed in " + proc.Name
+	}
+	for _, s := range node.Calls {
+		if s != cc.Site && (fx == nil || fx.Summaries[s.Callee.Name()].Mod.Has(cc.Array)) {
+			why = fmt.Sprintf("call %s at line %d may write %s", s.Callee.Name(), s.Pos().Line, cc.Array)
+		}
+	}
+	if why != "" {
+		return fmt.Errorf("comm: %s line %d: call %s: the message for %s cannot move to the callers of %s (%s), and %s does not declare its COMMON block",
+			proc.Name, cc.Site.Pos().Line, cc.Site.Callee.Name(), cc.Array, proc.Name, why, proc.Name)
+	}
+	for i, d := range cc.Section.Dims {
+		if !named(d.LoVar) || !named(d.HiVar) {
+			cc.Section.Dims[i] = declaredDim(cc.Site.Caller.Lookup(cc.Array), i, env)
+		}
+	}
+	cc.Delay, cc.BeforeLoop, cc.Why = true, nil, WhyUndeclared
+	return nil
+}
+
 // calleeWrites returns the callee's write sections translated to the
 // caller's space with anchors preserved (no loop expansion), for the
 // carried-dependence test.
@@ -477,7 +507,7 @@ func calleeWrites(site *acg.CallSite, sections map[string]*SectionSummary, proc 
 	vars := siteVars(site)
 	var out []*rsd.Section
 	for name, secs := range sum.Writes {
-		target := callerName(site, name)
+		target := site.CallerName(name)
 		if target == "" {
 			continue
 		}

@@ -41,7 +41,11 @@ func analyzeProc(t *testing.T, f *fixture, name string, distOf partition.DistOf)
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
 	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
-	return Analyze(proc, n, plan, deps, distOf, func(string) []*Delayed { return nil }, f.sections, f.fx, env)
+	res, err := Analyze(proc, n, plan, deps, distOf, func(string) []*Delayed { return nil }, f.sections, f.fx, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func blockDistOf(n, p int) partition.DistOf {
@@ -488,13 +492,17 @@ func analyzeWithDelayed(t *testing.T, f *fixture, name string, distOf partition.
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
 	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
-	return Analyze(proc, n, plan, deps, distOf,
+	res, err := Analyze(proc, n, plan, deps, distOf,
 		func(callee string) []*Delayed {
 			if callee == "F1" {
 				return []*Delayed{d}
 			}
 			return nil
 		}, f.sections, f.fx, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestInstantiatePointAtDefiningLoop: a delayed broadcast keyed to a

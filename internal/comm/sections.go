@@ -167,11 +167,11 @@ func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSumma
 	}
 	walk(proc.Body)
 
-	// Keep only names visible to callers (formals, commons); purely
-	// local arrays cannot be summarized upward.
+	// Keep only names visible to callers (formals, commons, declared
+	// here or not); purely local arrays cannot be summarized upward.
 	filter := func(m map[string][]*rsd.Section) {
 		for name := range m {
-			sym := proc.Symbols.Lookup(name)
+			sym := n.Lookup(name)
 			if sym == nil || (!sym.IsFormal && sym.Common == "") {
 				delete(m, name)
 			}
@@ -254,9 +254,6 @@ func outerAffine(proc *ast.Procedure, e ast.Expr, env ast.Env) (string, int, boo
 var UnknownExtent = rsd.Range(1, 1<<20)
 
 func declaredDim(sym *ast.Symbol, d int, env ast.Env) rsd.Dim {
-	if sym == nil {
-		return UnknownExtent // a COMMON array the caller does not declare
-	}
 	if d >= len(sym.Dims) {
 		return rsd.Range(1, 1)
 	}
@@ -280,19 +277,6 @@ func siteVars(site *acg.CallSite) map[string]string {
 	return vars
 }
 
-// callerName returns the caller's name at site for the callee's
-// variable name: the bare actual bound to a formal ("" when it is an
-// expression or a literal), the name itself otherwise (COMMON).
-func callerName(site *acg.CallSite, name string) string {
-	if s := site.Callee.Proc.Symbols.Lookup(name); s != nil && s.IsFormal {
-		if s.FormalIndex >= len(site.Bindings) {
-			return ""
-		}
-		return site.Bindings[s.FormalIndex].ActualName
-	}
-	return name
-}
-
 // callSection renames a callee-space section into the caller's name
 // space: the array becomes array and every anchor naming a formal
 // scalar becomes the actual's name (vars is siteVars(site)). The caller
@@ -304,9 +288,9 @@ func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, a
 	out := sec.Rename(array, vars)
 	for i, d := range sec.Dims {
 		for _, v := range [2]string{d.LoVar, d.HiVar} {
-			a := callerName(site, v)
+			a := site.CallerName(v)
 			if v != "" && (a == "" || mod.Has(a) && partition.LoopFor(nest, a) == nil) {
-				out.Dims[i] = declaredDim(caller.Symbols.Lookup(array), i, env)
+				out.Dims[i] = declaredDim(site.Caller.Lookup(array), i, env)
 			}
 		}
 	}
@@ -320,8 +304,8 @@ func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, a
 // (Bind) — the upward half of the Translate function of Figure 6
 // applied to RSDs.
 func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedure, nest []*ast.Do, mod sideeffect.Set, env ast.Env) *rsd.Section {
-	actual := callerName(site, sec.Array)
-	if actual == "" || site.Callee.Proc.Symbols.Lookup(sec.Array) == nil {
+	actual := site.CallerName(sec.Array)
+	if actual == "" {
 		return nil
 	}
 	out := callSection(sec, site, siteVars(site), actual, caller, nest, mod, env)

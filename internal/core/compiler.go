@@ -445,6 +445,7 @@ func (c *Compilation) record(name string, res *codegen.Result) {
 // livedecomp. Remarks go to ex, the calling task's collector.
 func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Collector) (map[string]*decomp.Dist, partition.DistOf, map[string]decomp.Decomp) {
 	reaching := c.Reach.Reaching[proc.Name]
+	n := c.Reach.Graph.Nodes[proc.Name]
 	st := reach.NewState(proc, reaching)
 	firstUse := map[string]decomp.Decomp{}
 	atStmt := map[ast.Stmt]map[string]*decomp.Dist{}
@@ -465,7 +466,7 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 		if first.Equal(d) {
 			return
 		}
-		if dist := mkDistFor(proc, name, d, env, c.P); dist != nil {
+		if dist := mkDistFor(n, name, d, env, c.P); dist != nil {
 			m := atStmt[s]
 			if m == nil {
 				m = map[string]*decomp.Dist{}
@@ -496,20 +497,18 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 	})
 	// arrays that are declared and distributed but never referenced in
 	// this procedure still need a descriptor (e.g. main programs whose
-	// only use is passing the array onward): st is the walk's final state
-	for _, sym := range proc.Symbols.Symbols() {
-		if sym.Kind != ast.SymArray {
-			continue
-		}
-		if _, seen := firstUse[sym.Name]; !seen {
-			if d, ok := st.Lookup(sym.Name).Single(); ok {
-				firstUse[sym.Name] = d
+	// only use is passing the array onward), and so do the COMMON arrays
+	// that pass through it undeclared: st is the walk's final state
+	for name, set := range st.Arrays() {
+		if _, seen := firstUse[name]; !seen {
+			if d, ok := set.Single(); ok {
+				firstUse[name] = d
 			}
 		}
 	}
 	dists := map[string]*decomp.Dist{}
 	for name, d := range firstUse {
-		if dist := mkDistFor(proc, name, d, env, c.P); dist != nil {
+		if dist := mkDistFor(n, name, d, env, c.P); dist != nil {
 			dists[name] = dist
 		} else if !d.IsReplicated() {
 			if ex.Enabled() {
@@ -544,8 +543,8 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 // mkDistFor instantiates a decomposition against an array's declared
 // shape and the machine size, returning nil when bounds are not
 // compile-time constants.
-func mkDistFor(proc *ast.Procedure, name string, d decomp.Decomp, env ast.Env, p int) *decomp.Dist {
-	sym := proc.Symbols.Lookup(name)
+func mkDistFor(n *acg.Node, name string, d decomp.Decomp, env ast.Env, p int) *decomp.Dist {
+	sym := n.Lookup(name)
 	if sym == nil || sym.Kind != ast.SymArray {
 		return nil
 	}

@@ -69,7 +69,7 @@ func TestSparseDistOf(t *testing.T) {
 				if _, seen := first[array]; !seen {
 					first[array] = d.Key()
 				}
-				want := mkDistFor(proc, array, d, env, c.P)
+				want := mkDistFor(c.Reach.Graph.Nodes[proc.Name], array, d, env, c.P)
 				if want == nil {
 					return
 				}

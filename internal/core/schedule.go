@@ -156,7 +156,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		}
 		entryDists := map[string]*decomp.Dist{}
 		for arr, d := range entry {
-			if dist := mkDistFor(proc, arr, d, env, pc.p); dist != nil {
+			if dist := mkDistFor(n, arr, d, env, pc.p); dist != nil {
 				entryDists[arr] = dist
 			}
 		}
@@ -192,21 +192,25 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	}
 
 	deps := depend.Analyze(proc, env)
-	analyze := func(shared []string) (*partition.Plan, *comm.Result) {
+	analyze := func(shared []string) (*partition.Plan, *comm.Result, error) {
 		plan := partition.Compute(proc, n, distOf, delayedConsOf, pc.fx, shared, env)
 		if immediate {
 			plan.DropDelays("immediate instantiation baseline: delayed constraints are forced local (Figure 12)")
 		}
-		commRes := comm.Analyze(proc, n, plan, deps, distOf, delayedCommOf, pc.sections, pc.fx, env)
+		commRes, err := comm.Analyze(proc, n, plan, deps, distOf, delayedCommOf, pc.sections, pc.fx, env)
 		if immediate {
 			for _, acc := range commRes.Accesses {
 				acc.Delay = false
 			}
 			commRes.Delayed = nil
 		}
-		return plan, commRes
+		return plan, commRes, err
 	}
-	plan, commRes := analyze(nil)
+	plan, commRes, err := analyze(nil)
+	if err != nil {
+		out.err = err
+		return
+	}
 	// every processor takes part in a broadcast instantiated from a
 	// callee, so none may have skipped the scalar that selects its root
 	var roots []string
@@ -216,7 +220,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		}
 	}
 	if roots != nil {
-		plan, commRes = analyze(roots)
+		plan, commRes, _ = analyze(roots) // the calls, hence any error, are those analyze(nil) saw
 	}
 	// communication placed inside a loop requires every processor
 	// to execute all its iterations: drop those reductions; and a
@@ -232,6 +236,11 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	for _, cc := range commRes.CallComms {
 		if !cc.Delay && !cc.Pipelined {
 			plan.DropLoopReduction(cc.AtLoop)
+			if cc.AtLoop == nil && cc.BeforeLoop == nil { // at the call, inside every loop around it
+				for _, l := range cc.Nest {
+					plan.DropLoopReduction(l)
+				}
+			}
 			plan.DropDelays(partition.WhyCommInCallee)
 		}
 	}

@@ -20,54 +20,35 @@ func KillsArray(site *acg.CallSite, callerArray string, sections map[string]*com
 	if sum == nil {
 		return false
 	}
-	// map the caller array back to the callee-side name
-	calleeName := ""
-	for _, b := range site.Bindings {
-		if b.ActualName == callerArray {
-			calleeName = b.Formal
-			break
+	// the caller's array under the callee's names: formals, COMMON
+	for name := range sum.Reads {
+		if site.CallerName(name) == callerArray {
+			return false
 		}
 	}
-	if calleeName == "" {
-		if s := site.Callee.Proc.Symbols.Lookup(callerArray); s != nil && s.Common != "" {
-			calleeName = callerArray
+	for name, writes := range sum.Writes {
+		sym := site.Callee.Lookup(name)
+		if site.CallerName(name) != callerArray || sym.Kind != ast.SymArray {
+			continue
 		}
-	}
-	if calleeName == "" {
-		return false
-	}
-	if len(sum.Reads[calleeName]) > 0 {
-		return false
-	}
-	writes := sum.Writes[calleeName]
-	if len(writes) == 0 {
-		return false
-	}
-	sym := site.Callee.Proc.Symbols.Lookup(calleeName)
-	if sym == nil || sym.Kind != ast.SymArray {
-		return false
-	}
-	full := declaredSection(site.Callee.Proc, sym)
-	if full == nil {
-		return false
-	}
-	for _, w := range writes {
-		if rsd.Contains(w, full) {
-			return true
+		full := declaredSection(site.Callee.Proc, sym)
+		for _, w := range writes {
+			if rsd.Contains(w, full) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
+// declaredSection is the whole of sym, an array whose bounds are
+// constants under proc's (acg's contract: a formal or a COMMON array).
 func declaredSection(proc *ast.Procedure, sym *ast.Symbol) *rsd.Section {
 	env := proc.Constants()
 	dims := make([]rsd.Dim, len(sym.Dims))
 	for i, d := range sym.Dims {
-		lo, okLo := ast.EvalInt(d.Lo, env)
-		hi, okHi := ast.EvalInt(d.Hi, env)
-		if !okLo || !okHi {
-			return nil
-		}
+		lo, _ := ast.EvalInt(d.Lo, env)
+		hi, _ := ast.EvalInt(d.Hi, env)
 		dims[i] = rsd.Range(lo, hi)
 	}
 	return &rsd.Section{Array: sym.Name, Dims: dims}

@@ -416,22 +416,7 @@ func buildEvents(
 				if site == nil || csum == nil {
 					continue
 				}
-				vars := map[string]string{}
-				for _, b := range site.Bindings {
-					if b.ActualName != "" {
-						vars[b.Formal] = b.ActualName
-					}
-				}
-				translate := func(formal string) string {
-					sym := site.Callee.Proc.Symbols.Lookup(formal)
-					if sym != nil && sym.Common != "" {
-						return formal
-					}
-					if a, ok := vars[formal]; ok {
-						return a
-					}
-					return ""
-				}
+				translate := site.CallerName
 				// remaps required before the call, each followed by a
 				// synthetic use: the callee accesses the array under
 				// that decomposition. For an inherited array not yet
@@ -537,19 +522,8 @@ func prescanUses(proc *ast.Procedure, node *acg.Node, summaries map[string]*Summ
 			if site == nil || csum == nil {
 				return true
 			}
-			vars := map[string]string{}
-			for _, b := range site.Bindings {
-				if b.ActualName != "" {
-					vars[b.Formal] = b.ActualName
-				}
-			}
 			count := func(formal string) {
-				sym := site.Callee.Proc.Symbols.Lookup(formal)
-				if sym != nil && sym.Common != "" {
-					out[formal]++
-					return
-				}
-				if a, ok := vars[formal]; ok {
+				if a := site.CallerName(formal); a != "" {
 					out[a]++
 				}
 			}

@@ -187,7 +187,7 @@ func TestKillsArrayDetection(t *testing.T) {
 	}
 	sections := comm.ComputeSections(g, nil, comm.LocalSections)
 	var f1Site, f2Site *acg.CallSite
-	for _, s := range g.Sites {
+	for _, s := range g.Nodes["P1"].Calls {
 		switch s.Callee.Name() {
 		case "F1":
 			f1Site = s

@@ -120,7 +120,7 @@ func ComputeEstimates(g *acg.Graph, local func(*ast.Procedure) map[string]*Offse
 		for _, site := range n.Callers {
 			caller := a.Estimates[site.Caller.Name()]
 			for name, offs := range a.Estimates[n.Name()] {
-				if target := translateName(site, name); target != "" {
+				if target := site.CallerName(name); target != "" {
 					widen(caller, target, offs)
 				}
 			}
@@ -196,20 +196,6 @@ func LocalOffsets(proc *ast.Procedure) map[string]*Offsets {
 		}
 	})
 	return out
-}
-
-func translateName(site *acg.CallSite, calleeName string) string {
-	sym := site.Callee.Proc.Symbols.Lookup(calleeName)
-	if sym == nil {
-		return ""
-	}
-	if sym.Common != "" {
-		return calleeName
-	}
-	if sym.IsFormal && sym.FormalIndex < len(site.Bindings) {
-		return site.Bindings[sym.FormalIndex].ActualName
-	}
-	return ""
 }
 
 func isArrayFormal(proc *ast.Procedure, name string) bool {

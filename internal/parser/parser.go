@@ -9,6 +9,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fortd/internal/ast"
@@ -210,7 +211,7 @@ func (p *parser) parseUnit() (*ast.Procedure, error) {
 	for i, name := range u.Params {
 		u.Symbols.Define(&ast.Symbol{
 			Name: name, Kind: ast.SymScalar, Type: implicitType(name),
-			IsFormal: true, FormalIndex: i,
+			IsFormal: true, FormalIndex: i, Line: line,
 		})
 	}
 	p.unit = u
@@ -417,10 +418,9 @@ func (p *parser) parseTypeDecl() error {
 		if err != nil {
 			return err
 		}
-		sym := &ast.Symbol{Name: id.Text, Kind: ast.SymScalar, Type: typ, FormalIndex: -1}
-		if prev := p.unit.Symbols.Lookup(id.Text); prev != nil && prev.IsFormal {
-			sym.IsFormal = true
-			sym.FormalIndex = prev.FormalIndex
+		sym := &ast.Symbol{Name: id.Text, Kind: ast.SymScalar, Type: typ, FormalIndex: -1, Line: id.Line}
+		if prev := p.unit.Symbols.Lookup(id.Text); prev != nil {
+			sym.IsFormal, sym.FormalIndex, sym.Common = prev.IsFormal, prev.FormalIndex, prev.Common
 		}
 		if p.at(lexer.LPAREN) {
 			dims, err := p.parseExtents()
@@ -520,7 +520,7 @@ func (p *parser) constEnv() ast.Env {
 }
 
 func (p *parser) parseCommon() error {
-	p.next() // COMMON
+	line := p.next().Line // COMMON
 	block := "blank"
 	if p.at(lexer.SLASH) {
 		p.next()
@@ -533,6 +533,12 @@ func (p *parser) parseCommon() error {
 			return err
 		}
 	}
+	u := p.unit
+	at := slices.IndexFunc(u.Commons, func(c ast.Common) bool { return c.Block == block })
+	if at < 0 {
+		at = len(u.Commons)
+		u.Commons = append(u.Commons, ast.Common{Block: block, Line: line})
+	}
 	for {
 		id, err := p.expect(lexer.IDENT, "variable name")
 		if err != nil {
@@ -540,13 +546,13 @@ func (p *parser) parseCommon() error {
 		}
 		sym := p.defineImplicit(id.Text)
 		sym.Common = block
+		u.Commons[at].Members = append(u.Commons[at].Members, id.Text)
 		if p.at(lexer.LPAREN) {
 			dims, err := p.parseExtents()
 			if err != nil {
 				return err
 			}
-			sym.Kind = ast.SymArray
-			sym.Dims = dims
+			sym.Kind, sym.Dims, sym.Line = ast.SymArray, dims, id.Line
 		}
 		if !p.at(lexer.COMMA) {
 			break

@@ -126,7 +126,8 @@ type State struct {
 
 // NewState builds the entry state of proc: formals and common variables
 // inherit ⊤ (or the supplied reaching decompositions), local arrays
-// start replicated.
+// start replicated, and a COMMON array that reaches proc without proc
+// declaring its block passes through as it reached.
 func NewState(proc *ast.Procedure, reaching map[string]DSet) *State {
 	st := &State{
 		proc:        proc,
@@ -147,6 +148,11 @@ func NewState(proc *ast.Procedure, reaching map[string]DSet) *State {
 			}
 		default:
 			st.arr[sym.Name] = NewDSet(decomp.Replicated)
+		}
+	}
+	for name, set := range reaching {
+		if proc.Symbols.Lookup(name) == nil {
+			st.arr[name] = set
 		}
 	}
 	return st
@@ -178,6 +184,10 @@ func (st *State) merge(o *State) {
 		st.decompSpecs[k] = v
 	}
 }
+
+// Arrays maps every array st tracks, its procedure's and the COMMON
+// arrays passing through it, to the decompositions reaching it now.
+func (st *State) Arrays() map[string]DSet { return st.arr }
 
 // Lookup returns the decomposition set currently reaching array name.
 func (st *State) Lookup(name string) DSet {
@@ -411,7 +421,7 @@ func propagate(g *acg.Graph) *Result {
 			if local == nil {
 				continue
 			}
-			for formal, set := range translateSite(site, local) {
+			for formal, set := range translateSite(site, local, g.Commons) {
 				if cur, ok := reaching[formal]; ok {
 					reaching[formal] = cur.Union(set)
 				} else {
@@ -452,12 +462,11 @@ func propagate(g *acg.Graph) *Result {
 					}
 				}
 			}
-			// commons visible in the callee inherit the caller state
-			if callee := g.Nodes[call.Name]; callee != nil {
-				for _, sym := range callee.Proc.Symbols.Symbols() {
-					if sym.Common != "" && sym.Kind == ast.SymArray {
-						record(sym.Name)
-					}
+			// COMMON arrays pass to the callee by name, whether or not
+			// it declares their block (its callees may)
+			for name, sym := range g.Commons {
+				if sym.Kind == ast.SymArray {
+					record(name)
 				}
 			}
 			res.Sites[call] = local
@@ -468,7 +477,7 @@ func propagate(g *acg.Graph) *Result {
 
 // translateSite maps a caller-side LocalReaching set into the callee's
 // name space (Translate of Figure 6).
-func translateSite(site *acg.CallSite, local SiteReaching) map[string]DSet {
+func translateSite(site *acg.CallSite, local SiteReaching, commons map[string]*ast.Symbol) map[string]DSet {
 	out := map[string]DSet{}
 	for _, b := range site.Bindings {
 		if b.ActualName == "" {
@@ -482,12 +491,10 @@ func translateSite(site *acg.CallSite, local SiteReaching) map[string]DSet {
 			}
 		}
 	}
-	// common variables are simply copied
-	for _, sym := range site.Callee.Proc.Symbols.Symbols() {
-		if sym.Common != "" {
-			if set, ok := local[sym.Name]; ok {
-				out[sym.Name] = set
-			}
+	// COMMON arrays are simply copied
+	for name, sym := range commons {
+		if set, ok := local[name]; ok && sym.Kind == ast.SymArray {
+			out[name] = set
 		}
 	}
 	return out
@@ -539,7 +546,7 @@ func findCloneCandidate(g *acg.Graph, res *Result) (*acg.Node, []*partition) {
 		var order []string
 		for _, site := range n.Callers {
 			local := res.Sites[site.Stmt]
-			translated := translateSite(site, local)
+			translated := translateSite(site, local, g.Commons)
 			filtered := map[string]DSet{}
 			for v, set := range translated {
 				if appear.Has(v) {

@@ -244,17 +244,16 @@ func (v *view) confined(body []ast.Stmt, c columns, env map[string]ast.Expr) str
 			if why = v.opaque(s); why != "" {
 				break
 			}
-			// what the callee writes besides its actuals
-			if v.effects(&ast.Call{Name: s.Name}).Mod.Has(c.arr) {
+			// what the callee writes besides its actuals: the array
+			// under its own name, a COMMON member
+			callee := v.Prog.Proc(s.Name)
+			if sym := callee.Symbols.Lookup(c.arr); (sym == nil || sym.Common != "") && v.summaries().Summaries[s.Name].Mod.Has(c.arr) {
 				why = v.writes(s, c.arr)
 				break
 			}
-			callee := v.Prog.Proc(s.Name)
 			sub := map[string]ast.Expr{}
 			for i, a := range s.Args {
-				if i < len(callee.Params) {
-					sub[callee.Params[i]] = ast.Subst(a, env)
-				}
+				sub[callee.Params[i]] = ast.Subst(a, env)
 			}
 			why = v.confined(callee.Body, c, sub)
 		default:

@@ -265,9 +265,10 @@ func (v *view) missed(line int, format string, args ...interface{}) {
 // they communicate. A call's row is its callee's summary seen from the
 // call: formals as the actuals' names, COMMON variables under their own.
 // A callee the program does not define is ⊤ (it may communicate), and
-// so is every call of a recursive program — nothing the compiler
-// generates, but node programs are also written by hand — for which no
-// bottom-up order exists.
+// so is every call of a program acg.Build rejects — nothing the
+// compiler generates, but node programs are also written by hand: a
+// recursive one has no bottom-up order, and one that breaks the
+// storage-association contract no name-based effects.
 func (p *Pass) effects(s ...ast.Stmt) *sideeffect.Summary {
 	e := sideeffect.NewSummary()
 	p.summaries().Add(e, s...)

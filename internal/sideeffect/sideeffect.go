@@ -86,9 +86,10 @@ func (s *Summary) Appear() Set {
 type Analysis struct {
 	Summaries map[string]*Summary
 	prog      *ast.Program
-	// commons holds every name some unit declares in a COMMON block: an
-	// effect on one passes through callers that do not declare it.
-	commons Set
+	// commons holds every name some unit declares in a COMMON block
+	// (acg.Graph.Commons): an effect on one passes through callers that
+	// do not declare it.
+	commons map[string]*ast.Symbol
 }
 
 // Own is the local pass of Compute over one unit: its statements' own
@@ -107,14 +108,7 @@ func Own(proc *ast.Procedure) *Summary {
 // summary for its own use; callers see only what translates: formals
 // and commons.
 func Compute(g *acg.Graph, own func(*ast.Procedure) *Summary) *Analysis {
-	a := &Analysis{Summaries: make(map[string]*Summary), prog: g.Program, commons: NewSet()}
-	for _, u := range g.Program.Units {
-		for _, sym := range u.Symbols.Symbols() {
-			if sym.Common != "" {
-				a.commons[sym.Name] = struct{}{}
-			}
-		}
-	}
+	a := &Analysis{Summaries: make(map[string]*Summary), prog: g.Program, commons: g.Commons}
 	for _, n := range g.ReverseTopoOrder() {
 		sum := own(n.Proc)
 		if len(n.Calls) > 0 || n.External {
@@ -232,20 +226,14 @@ func (a *Analysis) translate(call *ast.Call, calleeSet, out Set) {
 	for name := range calleeSet {
 		sym := callee.Symbols.Lookup(name)
 		switch {
-		case sym == nil:
-			if a.commons.Has(name) {
-				out[name] = struct{}{}
+		case sym != nil && sym.IsFormal:
+			switch actual := call.Args[sym.FormalIndex].(type) {
+			case *ast.Ident:
+				out[actual.Name] = struct{}{}
+			case *ast.ArrayRef:
+				out[actual.Name] = struct{}{}
 			}
-		case sym.IsFormal:
-			if sym.FormalIndex < len(call.Args) {
-				switch actual := call.Args[sym.FormalIndex].(type) {
-				case *ast.Ident:
-					out[actual.Name] = struct{}{}
-				case *ast.ArrayRef:
-					out[actual.Name] = struct{}{}
-				}
-			}
-		case sym.Common != "":
+		case (sym == nil || sym.Common != "") && a.commons[name] != nil:
 			out[name] = struct{}{}
 		}
 	}

@@ -52,6 +52,7 @@ type Plan struct {
 	dists   map[string]*decomp.Dist                               // initial distributions of main-program arrays
 	overlap func(proc, array string, dim, block int) (lo, hi int) // Lower's overlap
 	ntags   int                                                   // distinct split-phase tags (node.posted's length)
+	nmember int                                                   // distinct COMMON members (node.members' length)
 }
 
 // procPlan is one lowered procedure. A name keeps one slot for its
@@ -62,20 +63,17 @@ type procPlan struct {
 	slots  map[string]int // name → slot
 	names  []string       // slot → name
 	params []int          // formal position → slot
-	// commons maps the names this procedure declares in COMMON blocks
-	// to their slots (findCommon).
-	commons map[string]int
-	decls   []decl // frame prologue, in declaration order
-	body    []stmtFn
-	ncurs   int // cursors a frame needs: the most of any cursor loop (cursor.go)
+	decls  []decl         // frame prologue, in declaration order
+	body   []stmtFn
+	ncurs  int // cursors a frame needs: the most of any cursor loop (cursor.go)
 }
 
 // decl is one step of a frame's prologue: define a scalar that no
-// actual argument bound, or find or allocate an array.
+// actual argument bound, allocate an array, or bind a COMMON member.
 type decl struct {
 	slot   int
 	array  bool
-	common bool         // array in a COMMON block: shared with the nearest declaring ancestor
+	member int          // index of the COMMON member in node.members, -1: none
 	lo, hi []intOperand // array bounds, evaluated in the frame under construction
 }
 
@@ -109,10 +107,13 @@ type node struct {
 	pf   float64 // myproc()
 	// err is the first expression failure of the statement in flight.
 	err error
-	// stack holds the callers of the running frame, outermost first
-	// (COMMON lookup walks it); free recycles returned frames.
-	stack []*frame
+	// depth counts the calls in progress; free recycles returned frames.
+	depth int
 	free  []*frame
+	// members holds what each COMMON member (Plan.nmember of them,
+	// scalars and arrays) is bound to for the rest of the run: the first
+	// activation that declares the member makes the binding.
+	members []binding
 	// posted holds the outstanding split-phase operations by dense tag
 	// index (post executed, matching wait not yet reached). Tags are
 	// unique program-wide, so a post can be completed by a wait in
@@ -142,7 +143,7 @@ func (nd *node) takeErr() error {
 
 func (pl *Plan) newNode(proc *machine.Proc) *node {
 	return &node{pl: pl, proc: proc, p: proc.ID(), pf: float64(proc.ID()),
-		posted: make([]*postedOp, pl.ntags)}
+		posted: make([]*postedOp, pl.ntags), members: make([]binding, pl.nmember)}
 }
 
 // run executes the plan as proc's node program and returns the main
@@ -290,49 +291,29 @@ func (nd *node) enter(pp *procPlan, args []argPlan, caller *frame) (*frame, erro
 	}
 	for i := range pp.decls {
 		d := &pp.decls[i]
-		if !d.array {
-			if fr.bind[d.slot].ref == nil && fr.bind[d.slot].arr == nil {
+		b := &fr.bind[d.slot]
+		switch {
+		case d.member >= 0 && nd.members[d.member] != (binding{}):
+			*b = nd.members[d.member]
+			continue
+		case d.member >= 0 && !d.array:
+			b.ref = new(float64) // outlives the frame
+		case !d.array:
+			if b.ref == nil && b.arr == nil {
 				fr.define(d.slot)
 			}
-			continue
-		}
-		if fr.bind[d.slot].arr != nil {
-			continue // bound formal
-		}
-		if d.common && caller != nil {
-			if g := nd.findCommon(caller, pp.names[d.slot]); g != nil {
-				fr.bind[d.slot].arr = g
-				continue
+		case b.arr == nil: // not a bound formal
+			arr, err := nd.allocArray(fr, d)
+			if err != nil {
+				return nil, err
 			}
+			b.arr = arr
 		}
-		arr, err := nd.allocArray(fr, d)
-		if err != nil {
-			return nil, err
+		if d.member >= 0 {
+			nd.members[d.member] = *b // the member's first activation
 		}
-		fr.bind[d.slot].arr = arr
 	}
 	return fr, nil
-}
-
-// findCommon returns the storage of COMMON array name in the nearest
-// frame — the caller, then its callers — whose procedure declares it in
-// a COMMON block too.
-func (nd *node) findCommon(caller *frame, name string) *Array {
-	lookup := func(fr *frame) *Array {
-		if slot, ok := fr.pp.commons[name]; ok {
-			return fr.bind[slot].arr
-		}
-		return nil
-	}
-	if a := lookup(caller); a != nil {
-		return a
-	}
-	for i := len(nd.stack) - 1; i >= 0; i-- {
-		if a := lookup(nd.stack[i]); a != nil {
-			return a
-		}
-	}
-	return nil
 }
 
 func (nd *node) allocArray(fr *frame, d *decl) (*Array, error) {
@@ -361,7 +342,7 @@ func (nd *node) allocArray(fr *frame, d *decl) (*Array, error) {
 	}
 	// the distribution table is keyed by main-program names; frames
 	// entered from the main program see it too (unless the rank differs)
-	if d := nd.pl.dists[name]; d != nil && len(nd.stack) == 0 && len(d.Sizes) == len(arr.Lo) {
+	if d := nd.pl.dists[name]; d != nil && nd.depth == 0 && len(d.Sizes) == len(arr.Lo) {
 		arr.Dist = d
 	}
 	if fr.pp == nd.pl.main {
@@ -427,23 +408,24 @@ func Lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist,
 	if prog.Main() == nil {
 		return pl
 	}
-	lp := &programLowerer{pl: pl, prog: prog, procs: map[*ast.Procedure]*procPlan{}, tags: map[int]int{}}
+	lp := &programLowerer{pl: pl, prog: prog, procs: map[*ast.Procedure]*procPlan{}, tags: map[int]int{}, members: map[string]int{}}
 	pl.main = lp.proc(prog.Main())
 	for len(lp.todo) > 0 {
 		lw := lp.todo[len(lp.todo)-1]
 		lp.todo = lp.todo[:len(lp.todo)-1]
 		lw.lowerUnit()
 	}
-	pl.ntags = len(lp.tags)
+	pl.ntags, pl.nmember = len(lp.tags), len(lp.members)
 	return pl
 }
 
 type programLowerer struct {
-	pl    *Plan
-	prog  *ast.Program
-	procs map[*ast.Procedure]*procPlan
-	todo  []*lowerer
-	tags  map[int]int // split-phase tag → dense index
+	pl      *Plan
+	prog    *ast.Program
+	procs   map[*ast.Procedure]*procPlan
+	todo    []*lowerer
+	tags    map[int]int    // split-phase tag → dense index
+	members map[string]int // COMMON member name → dense index
 	// scratch of lowerer.cursorLoop: the slots of the scalars the loop
 	// under test changes (its index first) and of those its invariant
 	// subscripts read
@@ -475,6 +457,17 @@ func (lp *programLowerer) proc(u *ast.Procedure) *procPlan {
 	lp.procs[u] = pp
 	lp.todo = append(lp.todo, &lowerer{lp: lp, pp: pp, unit: u})
 	return pp
+}
+
+// member returns the index of COMMON member name: a name means one
+// storage program-wide (acg's contract).
+func (lp *programLowerer) member(name string) int {
+	i, ok := lp.members[name]
+	if !ok {
+		i = len(lp.members)
+		lp.members[name] = i
+	}
+	return i
 }
 
 func (lp *programLowerer) tag(t int) int {
@@ -543,7 +536,7 @@ func (lw *lowerer) lowerUnit() {
 		case ast.SymConstant:
 			lw.consts[sym.Name] = sym.ConstValue
 		case ast.SymScalar:
-			lw.owned[sym.Name] = true
+			lw.owned[sym.Name] = sym.Common == ""
 		}
 	}
 	for _, name := range u.Params {
@@ -552,24 +545,19 @@ func (lw *lowerer) lowerUnit() {
 	}
 	lw.decl = true
 	for _, sym := range syms {
-		switch sym.Kind {
-		case ast.SymScalar:
-			pp.decls = append(pp.decls, decl{slot: lw.slot(sym.Name)})
-		case ast.SymArray:
-			d := decl{slot: lw.slot(sym.Name), array: true, common: sym.Common != ""}
-			for _, ext := range sym.Dims {
-				lo, _ := lw.intExpr(ext.Lo)
-				hi, _ := lw.intExpr(ext.Hi)
-				d.lo, d.hi = append(d.lo, lo), append(d.hi, hi)
-			}
-			pp.decls = append(pp.decls, d)
+		if sym.Kind != ast.SymScalar && sym.Kind != ast.SymArray {
+			continue
 		}
+		d := decl{slot: lw.slot(sym.Name), array: sym.Kind == ast.SymArray, member: -1}
 		if sym.Common != "" {
-			if pp.commons == nil {
-				pp.commons = map[string]int{}
-			}
-			pp.commons[sym.Name] = lw.slot(sym.Name)
+			d.member = lw.lp.member(sym.Name)
 		}
+		for _, ext := range sym.Dims {
+			lo, _ := lw.intExpr(ext.Lo)
+			hi, _ := lw.intExpr(ext.Hi)
+			d.lo, d.hi = append(d.lo, lo), append(d.hi, hi)
+		}
+		pp.decls = append(pp.decls, d)
 	}
 	lw.decl = false
 	pp.body = lw.body(u.Body)
@@ -753,16 +741,16 @@ func (lw *lowerer) call(st *ast.Call) stmtFn {
 	}
 	return func(fr *frame) error {
 		nd := fr.nd
-		if len(nd.stack) >= maxCallDepth {
+		if nd.depth >= maxCallDepth {
 			return fmt.Errorf("%s: call to %s nests deeper than %d (recursion is not supported)", unit, name, maxCallDepth)
 		}
 		nf, err := nd.enter(callee, args, fr)
 		if err != nil {
 			return err
 		}
-		nd.stack = append(nd.stack, fr)
+		nd.depth++
 		err = runBody(nf, callee.body)
-		nd.stack = nd.stack[:len(nd.stack)-1]
+		nd.depth--
 		if err == errReturn {
 			err = nil
 		}

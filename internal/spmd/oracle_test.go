@@ -59,6 +59,9 @@ type treeInterp struct {
 	nproc   int
 	frames  []*treeFrame
 	verbose bool
+	// commons holds each COMMON member's storage for the whole run,
+	// made by the first activation that declares it
+	commons map[string]*treeCommon
 	// initial distributions for main-program arrays
 	dists map[string]*decomp.Dist
 	ops   int
@@ -67,6 +70,12 @@ type treeInterp struct {
 	// Tags are unique program-wide, so a post can be completed by a
 	// wait in another statement of the same body without collision.
 	posted map[int]*treePosted
+}
+
+// treeCommon is one COMMON member: a scalar or an array.
+type treeCommon struct {
+	scalar *float64
+	arr    *Array
 }
 
 // treePosted is one in-flight split-phase operation: the machine handle
@@ -135,6 +144,14 @@ func (it *treeInterp) newFrame(unit *ast.Procedure, args []ast.Expr, caller *tre
 	}
 	// declare locals
 	for _, sym := range unit.Symbols.Symbols() {
+		if c := it.commons[sym.Name]; c != nil && sym.Common != "" {
+			if c.arr != nil {
+				f.arrays[sym.Name] = c.arr
+			} else {
+				f.scalars[sym.Name] = c.scalar
+			}
+			continue
+		}
 		switch sym.Kind {
 		case ast.SymScalar:
 			if f.scalars[sym.Name] == nil && f.arrays[sym.Name] == nil {
@@ -145,44 +162,20 @@ func (it *treeInterp) newFrame(unit *ast.Procedure, args []ast.Expr, caller *tre
 			if f.arrays[sym.Name] != nil {
 				continue // bound formal
 			}
-			if sym.Common != "" && caller != nil {
-				// commons: share storage with the ancestor treeFrame that
-				// declares the same common variable
-				if g := it.findCommon(caller, sym.Name); g != nil {
-					f.arrays[sym.Name] = g
-					continue
-				}
-			}
 			arr, err := it.allocArray(f, sym)
 			if err != nil {
 				return nil, err
 			}
 			f.arrays[sym.Name] = arr
 		}
+		if sym.Common != "" {
+			if it.commons == nil {
+				it.commons = map[string]*treeCommon{}
+			}
+			it.commons[sym.Name] = &treeCommon{f.scalars[sym.Name], f.arrays[sym.Name]}
+		}
 	}
 	return f, nil
-}
-
-func (it *treeInterp) findCommon(caller *treeFrame, name string) *Array {
-	isCommon := func(fr *treeFrame) bool {
-		sym := fr.unit.Symbols.Lookup(name)
-		return sym != nil && sym.Common != ""
-	}
-	if caller != nil && isCommon(caller) {
-		if a, ok := caller.arrays[name]; ok {
-			return a
-		}
-	}
-	for i := len(it.frames) - 1; i >= 0; i-- {
-		fr := it.frames[i]
-		if !isCommon(fr) {
-			continue
-		}
-		if a, ok := fr.arrays[name]; ok {
-			return a
-		}
-	}
-	return nil
 }
 
 func (it *treeInterp) allocArray(f *treeFrame, sym *ast.Symbol) (*Array, error) {

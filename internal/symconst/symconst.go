@@ -69,9 +69,6 @@ func commonConstant(n *acg.Node, i int, res Result) (int, bool) {
 	have := false
 	val := 0
 	for _, site := range n.Callers {
-		if i >= len(site.Bindings) {
-			return 0, false
-		}
 		callerEnv := res[site.Caller.Proc.Name]
 		v, ok := ast.EvalInt(site.Bindings[i].Actual, callerEnv)
 		if !ok {

@@ -3,8 +3,13 @@ package fortd
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"fortd/internal/ast"
+	"fortd/internal/parser"
 )
 
 // TestKnownWrongAnswers runs testdata/known, one row per program the
@@ -14,7 +19,9 @@ import (
 // "! error: text" — is rejected by the compiler with an error that
 // contains text and names the procedure and line. A row whose first
 // line reads "! run-error: text" compiles and fails that way when run.
-// None may panic.
+// A "! want: b(1) = 5" line pins what Fortran 77 leaves in an element
+// (a(:): every element of a) on the compiled run and the reference
+// alike, so a row both executors get wrong fails too. None may panic.
 func TestKnownWrongAnswers(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "known", "*.f"))
 	if err != nil || len(files) < 4 {
@@ -29,6 +36,7 @@ func TestKnownWrongAnswers(t *testing.T) {
 		first, _, _ := strings.Cut(src, "\n")
 		wantErr, rejected := strings.CutPrefix(first, "! error: ")
 		wantRunErr, fails := strings.CutPrefix(first, "! run-error: ")
+		pins := knownPins(t, name, src)
 		for _, st := range digestStrategies {
 			for _, overlap := range []bool{true, false} {
 				for _, p := range []int{1, 3, 4, 6, 16} {
@@ -58,6 +66,18 @@ func TestKnownWrongAnswers(t *testing.T) {
 					ref, err := r.RunReference(prog)
 					if err != nil {
 						t.Fatal(err)
+					}
+					for _, pin := range pins {
+						for run, res := range map[string]*Result{"compiled": res, "reference": ref} {
+							got := res.Arrays[pin.array]
+							for i := pin.first; i <= pin.last; i++ {
+								if i >= len(got) || got[i] != pin.value {
+									t.Errorf("%s %s overlap=%v P=%d: %s run: want %s, holds %v\n%s",
+										name, st.name, overlap, p, run, pin.line, got, prog.Listing())
+									break
+								}
+							}
+						}
 					}
 					for arr, want := range ref.Arrays {
 						if d := maxAbsDiff(res.Arrays[arr], want); d > 1e-9 {
@@ -111,4 +131,45 @@ func TestDoIndexKeepsLastValue(t *testing.T) {
 			t.Errorf("%s: (i, j) after the loops = %v, want [16 7]\n%s", run.name, got, prog.Listing())
 		}
 	}
+}
+
+// knownPin is one "! want: name(sub) = value" line of a known row: the
+// value elements first..last (0-based, of a rank-1 main-program array)
+// hold after the run.
+type knownPin struct {
+	line        string
+	array       string
+	first, last int
+	value       float64
+}
+
+var wantLine = regexp.MustCompile(`(?m)^! want: (\w+)\((\d+|:)\) = (\S+)$`)
+
+func knownPins(t *testing.T, name, src string) []knownPin {
+	lines := wantLine.FindAllStringSubmatch(src, -1)
+	if lines == nil {
+		return nil
+	}
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	main := prog.Main()
+	var pins []knownPin
+	for _, m := range lines {
+		sym := main.Symbols.Lookup(m[1])
+		value, verr := strconv.ParseFloat(m[3], 64)
+		if sym == nil || len(sym.Dims) != 1 || verr != nil {
+			t.Fatalf("%s: %q does not pin an element of a rank-1 array of the main program", name, m[0])
+		}
+		lo, _ := ast.EvalInt(sym.Dims[0].Lo, main.Constants())
+		hi, _ := ast.EvalInt(sym.Dims[0].Hi, main.Constants())
+		pin := knownPin{line: strings.TrimPrefix(m[0], "! want: "), array: m[1], first: 0, last: hi - lo, value: value}
+		if m[2] != ":" {
+			i, _ := strconv.Atoi(m[2])
+			pin.first, pin.last = i-lo, i-lo
+		}
+		pins = append(pins, pin)
+	}
+	return pins
 }

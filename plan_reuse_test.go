@@ -29,6 +29,40 @@ func sameValues(got, want map[string][]float64) bool {
 	return true
 }
 
+// commonConcurrentSrc shares the scalar k and the BLOCK array x through
+// COMMON /blk/, which mid passes through to leaf without declaring it:
+// each run binds the members afresh, and no run sees another's.
+const commonConcurrentSrc = `
+      PROGRAM CONC
+      PARAMETER (n$proc = 4)
+      REAL x(16), b(16)
+      COMMON /blk/ k, x
+      DISTRIBUTE x(BLOCK)
+      DISTRIBUTE b(BLOCK)
+      call setk
+      do i = 1, 16
+        x(i) = x(i) + k
+      enddo
+      call mid(b)
+      END
+      SUBROUTINE setk
+      REAL x(16)
+      COMMON /blk/ k, x
+      k = k + 3
+      END
+      SUBROUTINE mid(b)
+      REAL b(16)
+      do i = 1, 15
+        call leaf(b, i)
+      enddo
+      END
+      SUBROUTINE leaf(b, i)
+      REAL b(16), x(16)
+      COMMON /blk/ k, x
+      b(i) = x(i+1) * k
+      END
+`
+
 // TestProgramRunsConcurrently races goroutines on the first Run and the
 // first RunReference of one compiled Program, which lower its plans,
 // and has them run it with different inputs, a trace and a fault plan.
@@ -43,6 +77,7 @@ func TestProgramRunsConcurrently(t *testing.T) {
 	}{
 		{"synth", synth, []map[string][]float64{RampInit(synth), scaled(RampInit(synth), -0.5)}},
 		{"dgefa", DgefaSrc(32, 4), []map[string][]float64{{"a": DgefaMatrix(32)}, scaled(map[string][]float64{"a": DgefaMatrix(32)}, 3)}},
+		{"common", commonConcurrentSrc, []map[string][]float64{RampInit(commonConcurrentSrc), scaled(RampInit(commonConcurrentSrc), 2)}},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			shared, err := Compile(w.src, DefaultOptions())

@@ -130,6 +130,18 @@ func TestPrivateScalarDifferential(t *testing.T) {
 								name, st.name, overlap, p, arr, d, prog.Listing())
 						}
 					}
+					// t is in COMMON /blk/, and bump adds 1 to it between
+					// the assignment t = b(j) * 2 and the use a(j) = t + 1
+					if name == "neg_common" {
+						for run, res := range map[string]*Result{"compiled": res, "reference": ref} {
+							for j, v := range res.Arrays["a"] {
+								if v != float64(j+1)+2 {
+									t.Fatalf("neg_common %s overlap=%v P=%d: %s run leaves a(%d) = %v, want %d",
+										st.name, overlap, p, run, j+1, v, j+3)
+								}
+							}
+						}
+					}
 					// a scalar temporary costs a partitioned loop nothing
 					if name == "pos_temp" && st.s == Interprocedural {
 						if res.Stats.Messages != 0 || prog.Report().LoopsReduced != 2 || prog.Report().Guards != 0 {

@@ -1,6 +1,7 @@
-! run-error: integer division by zero
+! error: P line 11: call colstep passes a(16,12) to the array formal a(0,0)
 ! a call communication marked pipelined whose emission was one
-! statement, not a send/recv pair, panicked codegen (pair[1])
+! statement, not a send/recv pair, panicked codegen (pair[1]); the
+! formal a(0,0) does not conform to its actual, which is now an error
       PROGRAM P
       PARAMETER (n$proc = 4)
       REAL a(16,12)
