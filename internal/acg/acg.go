@@ -114,6 +114,9 @@ func Build(prog *ast.Program) (*Graph, error) {
 		return nil, err
 	}
 	for _, u := range prog.Units {
+		if u.ScalarUse != "" {
+			return nil, errAt(u, u.ScalarUseLine, "the array %s is used as a scalar", u.ScalarUse)
+		}
 		caller := g.Nodes[u.Name]
 		ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
 			st, ok := s.(*ast.Call)

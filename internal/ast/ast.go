@@ -488,6 +488,10 @@ type Procedure struct {
 	Symbols *SymbolTable
 	Body    []Stmt
 	Commons []Common // the unit's COMMON blocks, members in storage order
+	// ScalarUse is the first array the unit names without a subscript
+	// other than as a whole actual of a CALL, at line ScalarUseLine.
+	ScalarUse     string
+	ScalarUseLine int
 }
 
 // Common is one COMMON block of a unit and the line that first names it.

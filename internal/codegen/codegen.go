@@ -65,8 +65,6 @@ type Result struct {
 	LoopsReduced int
 	// RemapsInserted counts remapping calls emitted.
 	RemapsInserted int
-	// BuffersUsed lists arrays stored in buffers instead of overlaps.
-	BuffersUsed []string
 	// MessagesAggregated counts duplicate messages removed (§5.4).
 	MessagesAggregated int
 	// Reductions counts recognized scalar reductions.

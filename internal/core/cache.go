@@ -107,8 +107,8 @@ func renderPartDelayed(m map[string]*partition.Constraint) []string {
 func renderDelayedComm(ds []*comm.Delayed) []string {
 	parts := make([]string, 0, len(ds))
 	for _, d := range ds {
-		// every field, unlike Delayed.String, so any change to a delayed
-		// communication invalidates the callers that instantiate it
+		// every field, so any change to a delayed communication
+		// invalidates the callers that instantiate it
 		parts = append(parts, fmt.Sprintf("comm %s|%d|%d|%s|%d|%s|%d|%s",
 			d.Array, int(d.Kind), d.Shift, d.PointVar, d.PointOff, d.DistKey, d.DistDim, d.Section))
 	}

@@ -79,7 +79,7 @@ func depStrings(in *depList) []string {
 // emits, order included, and each reference's sink level.
 func CheckAnalysis(proc *ast.Procedure, env ast.Env) error {
 	got := Analyze(proc, env)
-	for _, r := range got.Refs {
+	for _, r := range got {
 		for d, sub := range r.Expr.Subs {
 			if err := CheckForm(sub, env, r.Nest); err != nil {
 				return fmt.Errorf("%s: %v", proc.Name, err)
@@ -95,15 +95,15 @@ func CheckAnalysis(proc *ast.Procedure, env ast.Env) error {
 	if !reflect.DeepEqual(g, w) {
 		return fmt.Errorf("%s: Deps differ from the oracle's:\n got  %v\n want %v", proc.Name, g, w)
 	}
-	for _, r := range got.Refs {
-		deepest := 0
+	for _, r := range got {
+		deepest := -1
 		for _, d := range want.Deps {
-			if d.Kind == True && d.Snk.Expr == r.Expr && d.Level > deepest {
-				deepest = d.Level
+			if d.Kind == True && d.Snk.Expr == r.Expr {
+				deepest = max(deepest, pinOf(d))
 			}
 		}
-		if l := got.DeepestTrueSinkLevel(r.Expr); l != deepest {
-			return fmt.Errorf("%s: DeepestTrueSinkLevel(%s) = %d, scan of the oracle's Deps %d", proc.Name, r.Expr, l, deepest)
+		if r.SinkLevel != deepest {
+			return fmt.Errorf("%s: SinkLevel(%s) = %d, scan of the oracle's Deps %d", proc.Name, r.Expr, r.SinkLevel, deepest)
 		}
 	}
 	return nil

@@ -27,8 +27,8 @@ func BenchmarkDependAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if info := Analyze(u, nil); len(info.Refs) != 24 {
-			b.Fatalf("%d refs", len(info.Refs))
+		if info := Analyze(u, nil); len(info) != 24 {
+			b.Fatalf("%d refs", len(info))
 		}
 	}
 }

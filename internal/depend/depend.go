@@ -42,9 +42,16 @@ type Ref struct {
 	// once by CollectRefs; every later question about the subscripts
 	// (the pair tests, placement) reads it instead of walking Expr.
 	Subs []SubForm
+	// SinkLevel is how deep in Nest a message serving this reference
+	// must stay (set by Analyze): the level of the deepest loop that
+	// carries a true dependence into it, or, for a loop-independent one,
+	// the number of loops the write shares with the reference, whose
+	// current iteration writes before it reads. It is -1 when no true
+	// dependence reaches the reference, so only then may its message
+	// leave the procedure.
+	SinkLevel int
 
-	bounds    []loopBounds // of Nest's loops, parallel to it
-	sinkLevel int          // deepest level carrying a true dependence into this reference
+	bounds []loopBounds // of Nest's loops, parallel to it
 }
 
 // SubForm is a subscript's affine form; OK is false (and the form
@@ -60,9 +67,6 @@ type loopBounds struct {
 	lo, hi SubForm
 }
 
-// Level returns the loop depth of the reference.
-func (r *Ref) Level() int { return len(r.Nest) }
-
 // Dep is one data dependence between two references of the same array.
 type Dep struct {
 	Src, Snk *Ref
@@ -74,14 +78,6 @@ type Dep struct {
 	// loop-independent); Known reports whether it is exact.
 	Distance int
 	Known    bool
-}
-
-// Info holds the dependence analysis result for one procedure: its
-// references, each with the deepest level carrying a true dependence
-// into it. The pairs are not kept: a client that asks another question
-// of them passes visitPairs an emitter of its own.
-type Info struct {
-	Refs []*Ref
 }
 
 // CollectRefs gathers every array reference in body together with its
@@ -101,7 +97,7 @@ func CollectRefs(proc *ast.Procedure, env ast.Env) []*Ref {
 	addRef := func(x *ast.ArrayRef, stmt ast.Stmt, write bool) {
 		r := &Ref{
 			Array: x.Name, Expr: x, Stmt: stmt, IsWrite: write,
-			Nest: nest, Order: order, bounds: bounds,
+			Nest: nest, Order: order, SinkLevel: -1, bounds: bounds,
 		}
 		if len(x.Subs) > 0 {
 			r.Subs = make([]SubForm, len(x.Subs))
@@ -158,21 +154,27 @@ func CollectRefs(proc *ast.Procedure, env ast.Env) []*Ref {
 	return refs
 }
 
-// Analyze computes the sink level of every array reference in proc:
-// the deepest loop level carrying a true dependence into it. env
-// supplies PARAMETER constants for subscript evaluation.
-func Analyze(proc *ast.Procedure, env ast.Env) *Info {
+// Analyze returns the array references of proc, each with its sink
+// level (Ref.SinkLevel); env supplies PARAMETER constants. The
+// dependence pairs are not kept: a client that asks another question of
+// them passes visitPairs an emitter of its own.
+func Analyze(proc *ast.Procedure, env ast.Env) []*Ref {
 	refs := CollectRefs(proc, env)
 	visitPairs(refs, raiseSinkLevel)
-	return &Info{Refs: refs}
+	return refs
 }
 
 // raiseSinkLevel is Analyze's emitter: it keeps, per reference, the one
-// number DeepestTrueSinkLevel answers with.
+// number Ref.SinkLevel holds.
 func raiseSinkLevel(d Dep) {
-	if d.Kind == True && d.Level > d.Snk.sinkLevel {
-		d.Snk.sinkLevel = d.Level
+	if d.Kind != True {
+		return
 	}
+	level := d.Level
+	if level == 0 {
+		level = commonDepth(d.Src, d.Snk)
+	}
+	d.Snk.SinkLevel = max(d.Snk.SinkLevel, level)
 }
 
 // visitPairs tests every pair of refs that may depend on each other and
@@ -485,23 +487,6 @@ func termsCancel(x, y, z []Term, ca int) bool {
 		}
 	}
 	return true
-}
-
-// ---------------------------------------------------------------------------
-// Queries used by communication placement
-
-// DeepestTrueSinkLevel returns the deepest local loop level (1-based)
-// that carries a true dependence whose sink is the given reference
-// expression. It returns 0 when every true dependence ending at the
-// reference is loop-independent or absent, in which case communication
-// may be fully vectorized outside the local loops.
-func (in *Info) DeepestTrueSinkLevel(expr *ast.ArrayRef) int {
-	for _, r := range in.Refs {
-		if r.Expr == expr {
-			return r.sinkLevel
-		}
-	}
-	return 0
 }
 
 func gcd(a, b int) int {

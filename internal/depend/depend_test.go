@@ -26,24 +26,44 @@ func analyzeDeps(proc *ast.Procedure, env ast.Env) *depList {
 
 func (l *depList) add(d Dep) { l.Deps = append(l.Deps, d) }
 
+// pinOf is the sink-level rule for one true dependence: the level that
+// carries it, or for a loop-independent one the depth of the loops its
+// two references share.
+func pinOf(d Dep) int {
+	if d.Level > 0 {
+		return d.Level
+	}
+	n := 0
+	for n < len(d.Src.Nest) && n < len(d.Snk.Nest) && d.Src.Nest[n] == d.Snk.Nest[n] {
+		n++
+	}
+	return n
+}
+
 // CheckSinkLevels holds Analyze's emitter to the collector on one
-// procedure: each reference's sink level is the deepest Level among the
-// True dependences into it that the pair loop emits. It returns how
-// many references have a carried true dependence into them.
+// procedure: each reference's sink level is the deepest pin among the
+// True dependences into it that the pair loop emits (-1: none). It
+// returns how many references have a carried true dependence into them.
 func CheckSinkLevels(proc *ast.Procedure, env ast.Env) (int, error) {
 	got, list := Analyze(proc, env), analyzeDeps(proc, env)
-	deepest := map[*Ref]int{}
+	deepest, carried := map[*Ref]int{}, 0
 	for _, d := range list.Deps {
-		if d.Kind == True && d.Level > deepest[d.Snk] {
-			deepest[d.Snk] = d.Level
+		if d.Kind != True {
+			continue
+		}
+		if l, seen := deepest[d.Snk]; !seen || pinOf(d) > l {
+			deepest[d.Snk] = pinOf(d)
 		}
 	}
-	carried := 0
-	for _, r := range list.Refs {
-		if l := got.DeepestTrueSinkLevel(r.Expr); l != deepest[r] {
-			return 0, fmt.Errorf("%s: sink level of %s is %d, deepest true dependence into it %d", proc.Name, r.Expr, l, deepest[r])
+	for i, r := range list.Refs {
+		want, seen := deepest[r]
+		if !seen {
+			want = -1
 		}
-		if deepest[r] > 0 {
+		if l := got[i].SinkLevel; l != want {
+			return 0, fmt.Errorf("%s: sink level of %s is %d, deepest true dependence into it %d", proc.Name, r.Expr, l, want)
+		}
+		if want > 0 {
 			carried++
 		}
 	}
@@ -108,8 +128,8 @@ func TestRecurrenceTrueDep(t *testing.T) {
 	var rhs *ast.ArrayRef
 	loop := u.Body[0].(*ast.Do)
 	rhs = loop.Body[0].(*ast.Assign).Rhs.(*ast.ArrayRef)
-	if lvl := Analyze(u, nil).DeepestTrueSinkLevel(rhs); lvl != 1 {
-		t.Errorf("DeepestTrueSinkLevel = %d, want 1", lvl)
+	if lvl := sinkLevel(Analyze(u, nil), rhs); lvl != 1 {
+		t.Errorf("SinkLevel = %d, want 1", lvl)
 	}
 	found := false
 	for _, d := range info.Deps {
@@ -293,7 +313,7 @@ func TestCollectRefsNest(t *testing.T) {
 	if len(refs) != 1 {
 		t.Fatalf("refs = %d", len(refs))
 	}
-	if !refs[0].IsWrite || refs[0].Level() != 2 {
+	if !refs[0].IsWrite || len(refs[0].Nest) != 2 {
 		t.Errorf("ref = %+v", refs[0])
 	}
 	if refs[0].Nest[0].Var != "i" || refs[0].Nest[1].Var != "j" {
@@ -388,14 +408,24 @@ func TestUnknownOuterDoesNotMaskInner(t *testing.T) {
 `)
 	info := Analyze(u, nil)
 	read := findRead(t, u, info)
-	if lvl := info.DeepestTrueSinkLevel(read); lvl != 3 {
-		t.Errorf("DeepestTrueSinkLevel = %d, want 3 (the i loop)", lvl)
+	if lvl := sinkLevel(info, read); lvl != 3 {
+		t.Errorf("SinkLevel = %d, want 3 (the i loop)", lvl)
 	}
 }
 
-func findRead(t *testing.T, u *ast.Procedure, info *Info) *ast.ArrayRef {
+// sinkLevel is the sink level of the reference expr.
+func sinkLevel(refs []*Ref, expr *ast.ArrayRef) int {
+	for _, r := range refs {
+		if r.Expr == expr {
+			return r.SinkLevel
+		}
+	}
+	return -1
+}
+
+func findRead(t *testing.T, u *ast.Procedure, refs []*Ref) *ast.ArrayRef {
 	t.Helper()
-	for _, r := range info.Refs {
+	for _, r := range refs {
 		if !r.IsWrite && len(r.Expr.Subs) == 2 {
 			if s, ok := r.Expr.Subs[0].(*ast.Binary); ok && s.Op == ast.OpSub {
 				return r.Expr

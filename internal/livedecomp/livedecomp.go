@@ -24,7 +24,6 @@ import (
 	"fortd/internal/ast"
 	"fortd/internal/decomp"
 	"fortd/internal/explain"
-	"fortd/internal/rsd"
 )
 
 // Level selects how aggressively remaps are optimized.
@@ -148,12 +147,6 @@ type event struct {
 	dead bool
 	// why records which optimization rule fired (static strings only).
 	why string
-}
-
-// ArrayInfo supplies per-array metadata the analysis needs.
-type ArrayInfo struct {
-	// Reads/Writes sections of a callee (caller-space) for kill tests.
-	Reads, Writes []*rsd.Section
 }
 
 // KillTest decides whether a given call kills (fully overwrites without
@@ -389,6 +382,8 @@ func buildEvents(
 				}
 				exprUses(st.Rhs, st)
 			case *ast.Do:
+				exprUses(st.Lo, st)
+				exprUses(st.Hi, st)
 				events = append(events, &event{kind: evLoopBegin, loop: st})
 				walk(st.Body)
 				events = append(events, &event{kind: evLoopEnd, loop: st})

@@ -110,9 +110,10 @@ func ParseProcedure(src string) (*ast.Procedure, error) {
 }
 
 type parser struct {
-	toks []lexer.Token
-	pos  int
-	unit *ast.Procedure
+	toks  []lexer.Token
+	pos   int
+	unit  *ast.Procedure
+	whole bool // the expression is a CALL's actual: an array may be named whole
 }
 
 func (p *parser) at(k lexer.Kind) bool { return p.toks[p.pos].Kind == k }
@@ -236,6 +237,15 @@ func implicitType(name string) ast.DataType {
 		return ast.TypeInteger
 	}
 	return ast.TypeReal
+}
+
+// scalarUse records name, named without a subscript and not as a whole
+// actual of a CALL, if it is the unit's first such array (acg.Build
+// rejects the unit).
+func (p *parser) scalarUse(name string, line int) {
+	if s := p.unit.Symbols.Lookup(name); s.Kind == ast.SymArray && p.unit.ScalarUse == "" {
+		p.unit.ScalarUse, p.unit.ScalarUseLine = name, line
+	}
 }
 
 // defineImplicit ensures name has a symbol, creating an implicit scalar.
@@ -712,6 +722,7 @@ func (p *parser) parseDo() (ast.Stmt, error) {
 		return nil, err
 	}
 	p.defineImplicit(v.Text)
+	p.scalarUse(v.Text, v.Line)
 	if _, err := p.expect(lexer.EQUALS, "="); err != nil {
 		return nil, err
 	}
@@ -813,7 +824,9 @@ func (p *parser) parseCall() (ast.Stmt, error) {
 	if p.at(lexer.LPAREN) {
 		p.next()
 		for !p.at(lexer.RPAREN) {
+			p.whole = p.at(lexer.IDENT) && (p.toks[p.pos+1].Kind == lexer.COMMA || p.toks[p.pos+1].Kind == lexer.RPAREN)
 			a, err := p.parseExpr()
+			p.whole = false
 			if err != nil {
 				return nil, err
 			}
@@ -1269,9 +1282,9 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 	case lexer.IDENT:
 		name := t.Text
 		if !p.at(lexer.LPAREN) {
-			sym := p.unit.Symbols.Lookup(name)
-			if sym == nil {
-				p.defineImplicit(name)
+			p.defineImplicit(name)
+			if !p.whole {
+				p.scalarUse(name, t.Line)
 			}
 			return &ast.Ident{Name: name}, nil
 		}

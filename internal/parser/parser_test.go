@@ -325,6 +325,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestArrayUsedAsScalar: the parser records the first array a unit
+// names without a subscript other than as a whole actual of a CALL, and
+// its line, for acg.Build to reject.
+func TestArrayUsedAsScalar(t *testing.T) {
+	for _, c := range []struct{ stmt, bare string }{
+		{"A = A(5)", "A"},
+		{"A(A) = 0", "A"},
+		{"do A = 1, 2\nenddo", "A"},
+		{"if (A .GT. 0) x = 1", "A"},
+		{"call f(A + 1)", "A"},
+		{"call f(MAX(A))", "A"},
+		{"call f(A, x, A)", ""},
+	} {
+		prog, err := Parse("PROGRAM AAS\nREAL A(22)\n" + c.stmt + "\nEND")
+		if err != nil {
+			t.Fatalf("%s: %v", c.stmt, err)
+		}
+		if u := prog.Units[0]; u.ScalarUse != c.bare || c.bare != "" && u.ScalarUseLine != 3 {
+			t.Errorf("%s: array %q at line %d, want %q at line 3", c.stmt, u.ScalarUse, u.ScalarUseLine, c.bare)
+		}
+	}
+}
+
 func TestPrintRoundTrip(t *testing.T) {
 	prog, err := Parse(fig4Src)
 	if err != nil {

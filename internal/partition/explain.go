@@ -32,10 +32,7 @@ func Explain(ex *explain.Collector, procName string, plan *Plan) {
 		return
 	}
 	for _, it := range plan.Items {
-		line := 0
-		if it.Stmt != nil {
-			line = it.Stmt.Pos().Line
-		}
+		line := it.Stmt.Pos().Line
 		assigned := ""
 		if it.C != nil {
 			assigned = it.C.Array
@@ -82,14 +79,7 @@ func Explain(ex *explain.Collector, procName string, plan *Plan) {
 		}
 	}
 	for _, cc := range plan.CallCons {
-		line := 0
-		if cc.Site != nil && cc.Site.Stmt != nil {
-			line = cc.Site.Stmt.Pos().Line
-		}
-		callee := ""
-		if cc.Site != nil {
-			callee = cc.Site.Callee.Name()
-		}
+		line, callee := cc.Site.Pos().Line, cc.Site.Callee.Name()
 		switch {
 		case cc.Loop != nil:
 			ex.Add(explain.Remark{

@@ -232,11 +232,7 @@ func Compute(
 					continue
 				}
 				for formal, c := range delayedOf(st.Name) {
-					cc := translateCallConstraint(proc, site, formal, c, nest)
-					if cc == nil {
-						continue
-					}
-					plan.CallCons = append(plan.CallCons, cc)
+					plan.CallCons = append(plan.CallCons, translateCallConstraint(proc, site, formal, c, nest))
 				}
 			}
 		}
@@ -265,124 +261,69 @@ func Compute(
 			addDelayed(cc.DelayVar, cc.C)
 		}
 	}
-	for _, item := range plan.Items {
-		if item.Loop != nil && conflicted[item.Loop] {
-			demoteItem(item, WhyLoopConflict)
-		}
-		if item.DelayVar != "" && delayConflict[item.DelayVar] {
-			item.DelayVar = ""
-			item.Guard = true
-			item.Why = WhyDelayConflict
-		}
-	}
-	for _, cc := range plan.CallCons {
-		if cc.Loop != nil && conflicted[cc.Loop] {
-			cc.guard(WhyLoopConflict)
-		}
-		if cc.DelayVar != "" && delayConflict[cc.DelayVar] {
-			cc.guard(WhyDelayConflict)
-		}
-	}
 	for loop := range conflicted {
-		delete(plan.LoopBounds, loop)
+		plan.drop(loop, "", WhyLoopConflict)
 	}
 	for v := range delayConflict {
-		delete(plan.Delayed, v)
+		plan.drop(nil, v, WhyDelayConflict)
 	}
-	plan.validateReductions()
-	plan.validateDelays()
+	plan.validate()
 	return plan
 }
 
-// validateReductions enforces the union-of-iteration-sets rule: a
-// loop's bounds may be reduced only when every unit of work nested in
-// it (assignments and calls) carries exactly that loop's constraint.
-// Anything else — a scalar assignment, a differently-partitioned
-// statement, a call executing replicated work — needs all iterations,
-// so the affected statements fall back to guards.
-func (p *Plan) validateReductions() {
+// validate enforces the union-of-iteration-sets rule: a loop's bounds
+// may be reduced, or a constraint delayed to the callers, only when
+// every unit of work under its scope (the loop body, the procedure
+// body) carries exactly that constraint. Anything else — a scalar
+// assignment, a differently-partitioned statement, a call with no
+// constraint of its own — needs all iterations, or every processor to
+// make the call, so what the constraint carried falls back to guards.
+func (p *Plan) validate() {
 	itemOf, ccsOf := p.byStmt()
-	for loop := range p.LoopBounds {
+	carries := func(body []ast.Stmt, loop *ast.Do, v string) bool {
 		ok := true
-		ast.WalkStmts(loop.Body, func(s ast.Stmt) bool {
+		ast.WalkStmts(body, func(s ast.Stmt) bool {
 			switch st := s.(type) {
 			case *ast.Assign:
 				it := itemOf[st]
-				if it == nil || it.Loop != loop {
-					ok = false
-				}
+				ok = ok && it != nil && it.Loop == loop && it.DelayVar == v
 			case *ast.Call:
-				ccs := ccsOf[st]
-				if len(ccs) == 0 {
-					ok = false
-				}
-				for _, cc := range ccs {
-					if cc.Loop != loop {
-						ok = false
-					}
+				ok = ok && len(ccsOf[st]) > 0
+				for _, cc := range ccsOf[st] {
+					ok = ok && cc.Loop == loop && cc.DelayVar == v
 				}
 			}
-			return true
+			return ok
 		})
-		if ok {
-			continue
+		return ok
+	}
+	for loop := range p.LoopBounds {
+		if !carries(loop.Body, loop, "") {
+			p.drop(loop, "", WhyMixedLoopWork)
 		}
-		p.dropLoop(loop, WhyMixedLoopWork)
+	}
+	for v := range p.Delayed {
+		if !carries(p.Proc.Body, nil, v) {
+			p.drop(nil, v, WhyDelayPartial)
+		}
 	}
 }
 
-// dropLoop takes loop out of the reduction set, demoting everything
-// tied to it to guards.
-func (p *Plan) dropLoop(loop *ast.Do, why string) {
+// drop takes loop out of the reduction set, or with loop nil stops
+// passing the constraint on v to the callers, demoting everything tied
+// to it to guards.
+func (p *Plan) drop(loop *ast.Do, v, why string) {
 	delete(p.LoopBounds, loop)
+	if loop == nil {
+		delete(p.Delayed, v)
+	}
 	for _, it := range p.Items {
-		if it.Loop == loop {
+		if it.Loop == loop && it.DelayVar == v {
 			demoteItem(it, why)
 		}
 	}
 	for _, cc := range p.CallCons {
-		if cc.Loop == loop {
-			cc.guard(why)
-		}
-	}
-}
-
-// validateDelays keeps a delayed constraint only when it covers every
-// unit of work in the procedure (the callee's "unioned iteration set"
-// must be exactly that constraint for the caller to instantiate it by
-// reducing a loop).
-func (p *Plan) validateDelays() {
-	for v := range p.Delayed {
-		ok := true
-		for _, it := range p.Items {
-			if it.DelayVar != v {
-				ok = false
-			}
-		}
-		for _, cc := range p.CallCons {
-			if cc.DelayVar != v {
-				ok = false
-			}
-		}
-		if !ok {
-			p.dropDelay(v, WhyDelayPartial)
-		}
-	}
-}
-
-// dropDelay stops passing the constraint on v to the callers, demoting
-// everything delayed through v to guards.
-func (p *Plan) dropDelay(v, why string) {
-	delete(p.Delayed, v)
-	for _, it := range p.Items {
-		if it.DelayVar == v {
-			it.DelayVar = ""
-			it.Guard = true
-			it.Why = why
-		}
-	}
-	for _, cc := range p.CallCons {
-		if cc.DelayVar == v {
+		if cc.Loop == loop && cc.DelayVar == v {
 			cc.guard(why)
 		}
 	}
@@ -407,7 +348,7 @@ func (p *Plan) byStmt() (map[ast.Stmt]*Item, map[ast.Stmt][]*CallConstraint) {
 // guards.
 func (p *Plan) DropLoopReduction(loop *ast.Do) {
 	if _, ok := p.LoopBounds[loop]; ok {
-		p.dropLoop(loop, WhyCommInLoop)
+		p.drop(loop, "", WhyCommInLoop)
 	}
 }
 
@@ -418,20 +359,20 @@ func (p *Plan) DropLoopReduction(loop *ast.Do) {
 // number of times).
 func (p *Plan) DropDelays(why string) {
 	for v := range p.Delayed {
-		p.dropDelay(v, why)
+		p.drop(nil, v, why)
 	}
 }
 
-// demoteItem falls an item back from loop-bounds reduction: reductions
-// revert to replicated execution, array assignments to guards.
+// demoteItem falls an item back from loop-bounds reduction or delay:
+// reductions revert to replicated execution, array assignments to
+// guards.
 func demoteItem(it *Item, why string) {
 	it.Why = why
 	if it.Red != nil {
 		demoteReduction(it)
 		return
 	}
-	it.Loop = nil
-	it.Guard = true
+	it.Loop, it.DelayVar, it.Guard = nil, "", true
 }
 
 // analyzeAssign applies the owner-computes rule to one assignment.

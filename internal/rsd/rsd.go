@@ -49,9 +49,6 @@ func (d Dim) step() int {
 	return d.Step
 }
 
-// IsSymbolic reports whether either end is anchored to a variable.
-func (d Dim) IsSymbolic() bool { return d.LoVar != "" || d.HiVar != "" }
-
 // Anchors reports whether either end is anchored at v.
 func (d Dim) Anchors(v string) bool { return d.LoVar == v || d.HiVar == v }
 
@@ -97,22 +94,12 @@ func New(array string, dims ...Dim) *Section {
 	return &Section{Array: array, Dims: dims}
 }
 
-// Empty reports whether any dimension is empty.
-func (s *Section) Empty() bool {
-	for _, d := range s.Dims {
-		if d.Empty() {
-			return true
-		}
-	}
-	return len(s.Dims) == 0
-}
-
-// Symbolic reports whether a dimension is a window [v+lo : v+hi] on a
-// scalar v, so that only where v is known is it known which part of the
-// array this is. Ends anchored apart ([k+1 : n]) do not count.
+// Symbolic reports whether an end of a dimension is anchored at a
+// scalar, so that only where the scalar is known is it known which part
+// of the array this is.
 func (s *Section) Symbolic() bool {
 	for _, d := range s.Dims {
-		if d.LoVar != "" && d.LoVar == d.HiVar {
+		if d.LoVar != "" || d.HiVar != "" {
 			return true
 		}
 	}
@@ -254,11 +241,13 @@ func Contains(a, b *Section) bool {
 // ---------------------------------------------------------------------------
 // Symbolic expansion and call-site translation
 
-// Bind replaces a symbolic anchor with a concrete range: a lower end
-// anchored at v becomes the constant lo+Lo, an upper end hi+Hi. This is
-// the expansion the compiler performs when a delayed RSD reaches the
-// procedure that owns the anchoring loop.
-func (s *Section) Bind(v string, lo, hi int) *Section {
+// Bind replaces an anchor with the range r it takes: a lower end
+// anchored at v becomes r's lower end plus its offset, an upper end r's
+// upper end plus its offset, each end keeping r's anchor (a loop
+// do j = k+1, n binds j to [k+1 : n]). This is the expansion the
+// compiler performs when a delayed RSD reaches the procedure that owns
+// the anchoring loop.
+func (s *Section) Bind(v string, r Dim) *Section {
 	out := s.Clone()
 	for i := range out.Dims {
 		d := &out.Dims[i]
@@ -266,13 +255,34 @@ func (s *Section) Bind(v string, lo, hi int) *Section {
 			d.Step = d.step()
 		}
 		if d.LoVar == v {
-			d.LoVar, d.Lo = "", lo+d.Lo
+			d.LoVar, d.Lo = r.LoVar, r.Lo+d.Lo
 		}
 		if d.HiVar == v {
-			d.HiVar, d.Hi = "", hi+d.Hi
+			d.HiVar, d.Hi = r.HiVar, r.Hi+d.Hi
 		}
 	}
 	return out
+}
+
+// Disjoint reports whether sections a and b provably share no element:
+// they name different arrays (Fortran D forbids aliasing them, §6.4) or
+// in some dimension one ends below where the other begins, the two
+// facing ends being constants or offsets from one anchor. dgefa's
+// a[k+1:n, k+1:j-1] and a[k+1:n, k] are disjoint in their columns.
+func Disjoint(a, b *Section) bool {
+	if a.Array != b.Array {
+		return true
+	}
+	if len(a.Dims) != len(b.Dims) {
+		return false // reshaped: cannot tell
+	}
+	for i, da := range a.Dims {
+		db := b.Dims[i]
+		if da.Empty() || db.Empty() || da.HiVar == db.LoVar && da.Hi < db.Lo || db.HiVar == da.LoVar && db.Hi < da.Lo {
+			return true
+		}
+	}
+	return false
 }
 
 // Rename rewrites the array name (formal→actual translation across a

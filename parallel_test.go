@@ -156,19 +156,15 @@ func TestSummaryCacheWarmRecompile(t *testing.T) {
 
 // TestSummaryCacheCoversCalleeScalarEffects: dgefa's partition computes
 // t on the owner of column k only because no callee may assign t. That
-// is something it consumes from dscal, so editing dscal to pass t on to
-// a procedure that assigns it — an edit that leaves dscal's delayed
-// constraint, communication and sections as they were — must miss
-// dgefa, which then keeps t replicated.
+// is something it consumes from dscal, so editing dscal to assign t — as
+// the index of a loop that runs once and leaves t as it was, an edit
+// that leaves dscal's delayed constraint, communication and sections as
+// they were — must miss dgefa, which then keeps t replicated.
 func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
 	src := DgefaSrc(16, 4)
-	edited := strings.Replace(src, "      do i = k+1, n\n        a(i,k) = a(i,k) * t",
-		"      call bump(t)\n      do i = k+1, n\n        a(i,k) = a(i,k) * t", 1) + `
-      SUBROUTINE bump(x)
-      x = x * 1.0
-      END
-`
-	if edited == src+"\n      SUBROUTINE bump(x)\n      x = x * 1.0\n      END\n" {
+	edited := strings.Replace(src, "      do i = k+1, n\n        a(i,k) = a(i,k) * t\n      enddo\n",
+		"      do t = t, t\n      do i = k+1, n\n        a(i,k) = a(i,k) * t\n      enddo\n      enddo\n", 1)
+	if edited == src {
 		t.Fatal("edit did not apply")
 	}
 	opts := DefaultOptions()
@@ -180,8 +176,8 @@ func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
 	}
 	prog, report := compileWith(t, edited, opts)
 	// daxpy follows dscal in the text, so its lines moved; dgefa precedes it
-	if got := fmt.Sprint(prog.CacheMisses()); got != "[bump daxpy dgefa dscal]" {
-		t.Errorf("edited compile re-analyzed %v, want [bump daxpy dgefa dscal]", got)
+	if got := fmt.Sprint(prog.CacheMisses()); got != "[daxpy dgefa dscal]" {
+		t.Errorf("edited compile re-analyzed %v, want [daxpy dgefa dscal]", got)
 	}
 	if !strings.Contains(report, "t stays replicated: "+"a callee may assign it") {
 		t.Errorf("no Missed remark for t:\n%s", report)

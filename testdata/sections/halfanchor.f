@@ -1,7 +1,7 @@
-! f reads a(k+1:n) shifted and writes a(k+1:n). A range anchored at
-! its two ends apart is no reason to delay, so the shift stays in f —
-! the code of the compiler before sections carried read ranges; sent
-! once before the k loop it would miss what iteration k wrote
+! f reads a(k+1:n) shifted and writes a(k+1:n). The range is known only
+! in the caller, so the shift is delayed there, and the caller's k loop
+! keeps it inside: sent once before the loop it would miss what
+! iteration k wrote
       PROGRAM HALF
       PARAMETER (n$proc = 4)
       REAL a(64), b(64)

@@ -1,5 +1,5 @@
 ! the same through a middle procedure, whose k loop carries the
-! dependence: nothing is delayed to g or through it
+! dependence: the shift is delayed to g and stays inside that loop
       PROGRAM MID
       PARAMETER (n$proc = 4)
       REAL a(64), b(64)
