@@ -57,6 +57,80 @@ func BenchmarkServiceEditCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceEditRun is svc_recompile's request pair: Service.Compile
+// of a one-constant edit, as BenchmarkServiceEditCompile, and then
+// Service.Run of the edited program, whose first run lowers its plan: the
+// edited subroutine's code, the other 32 units' from the service's cache,
+// and the link of all 33.
+func BenchmarkServiceEditRun(b *testing.B) {
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	svc, err := NewService(ServiceConfig{Options: DefaultOptions(), Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	init := RampInit(src)
+	editRun := func(src string) {
+		cres, err := svc.Compile(context.Background(), CompileRequest{Source: src, Options: opts})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := svc.Run(context.Background(), RunRequest{ID: cres.ID, Init: init}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	editRun(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		editRun(strings.Replace(src, "+ 9.0\n", fmt.Sprintf("+ %d.0\n", 1000+i), 1))
+	}
+}
+
+// TestEditRunAllocBudget bounds the bytes that the first Service.Run of
+// a one-constant edit allocates, after the service compiled and ran the
+// base program: the run itself (a repeat run's bytes) and the plan, which
+// lowers the edited subroutine and links the 32 units it takes from the
+// cache. The budget is the bytes measured when it was last set plus 30 %.
+func TestEditRunAllocBudget(t *testing.T) {
+	const budget = 198500 // 152 692 measured under ci.sh's -race (136 552 without; 1 317 654 while a first run lowered every unit) + 30 %
+	src := SyntheticProcsSrc(32, 8, 32, 4)
+	svc, err := NewService(ServiceConfig{Options: DefaultOptions(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	opts := DefaultOptions()
+	opts.Jobs = 1
+	init := RampInit(src)
+	editRun := func(src string) uint64 {
+		cres, err := svc.Compile(context.Background(), CompileRequest{Source: src, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := svc.Run(context.Background(), RunRequest{ID: cres.ID, Init: init}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	editRun(src)
+	const runs = 5
+	var total uint64
+	for i := 0; i < runs; i++ {
+		total += editRun(strings.Replace(src, "+ 9.0\n", fmt.Sprintf("+ %d.0\n", 1000+i), 1))
+	}
+	bytes := total / runs
+	t.Logf("the first run of an edited program allocates %d bytes (budget %d)", bytes, budget)
+	if bytes > budget {
+		t.Errorf("the first run of an edited program allocates %d bytes, budget %d", bytes, budget)
+	}
+}
+
 // BenchmarkSchedApply times the overlap schedule pass alone on the
 // generated compile_synth256 program. Apply writes no unit it was given,
 // only the program's unit list, so every iteration reschedules a new

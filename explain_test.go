@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fortd/internal/comm"
 )
 
 // goldenExplain compiles src with a remark collector attached and
@@ -237,5 +239,38 @@ func TestExplainRingBroadcast(t *testing.T) {
 		if c.remark == "" && strings.Contains(report, " ring ") || !strings.Contains(report, c.remark) {
 			t.Errorf("%s: report lacks %q:\n%s", c.name, c.remark, report)
 		}
+	}
+}
+
+// TestExplainSameIterationPin: a shift whose cells the same iteration
+// writes before it reads them (testdata/known/hoist_same_iter.f) stays
+// inside the loop, and both remarks say so instead of naming a carried
+// dependence or the loop's direction.
+func TestExplainSameIterationPin(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "known", "hoist_same_iter.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExplain()
+	opts := DefaultOptions()
+	opts.Explain = ex
+	if _, err := Compile(string(src), opts); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ex.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	report := buf.String()
+	for _, want := range []string{
+		"placed inside loop i (one message per iteration): " + comm.WhySameIter,
+		"loop i not pipelined on a(i+1): " + comm.WhyPipeSameIter,
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, comm.WhyCarriedDep) || strings.Contains(report, comm.WhyPipeAgainst) {
+		t.Errorf("report names a carried dependence or the loop's direction:\n%s", report)
 	}
 }

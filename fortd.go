@@ -291,8 +291,10 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Program, er
 	}
 	// each node program stores its blocks with the estimated overlap regions
 	return &Program{c: c,
-		node: sync.OnceValue(func() *spmd.Plan { return spmd.Lower(c.Program, c.P, c.MainDists, c.Overlaps.Extents) }),
-		ref:  sync.OnceValue(func() *spmd.Plan { return spmd.Lower(c.Source, 1, nil, nil) }),
+		node: sync.OnceValue(func() *spmd.Plan {
+			return spmd.Lower(c.Program, c.P, c.MainDists, c.Overlaps.Extents, c.Options.Cache.Codes())
+		}),
+		ref: sync.OnceValue(func() *spmd.Plan { return spmd.Lower(c.Source, 1, nil, nil, c.Options.Cache.Codes()) }),
 	}, nil
 }
 
@@ -475,19 +477,13 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 	if main == nil {
 		return nil, fmt.Errorf("fortd: SPMD text has no main program")
 	}
-	if nproc <= 0 {
+	env := main.Constants()
+	if n, ok := env["n$proc"]; nproc <= 0 && ok {
+		nproc = n
+	} else if nproc <= 0 {
 		nproc = 4
-		if s := main.Symbols.Lookup("n$proc"); s != nil && s.Kind == ast.SymConstant {
-			nproc = s.ConstValue
-		}
 	}
 	dists := map[string]*decomp.Dist{}
-	env := ast.MapEnv{}
-	for _, s := range main.Symbols.Symbols() {
-		if s.Kind == ast.SymConstant {
-			env[s.Name] = s.ConstValue
-		}
-	}
 	// WalkStmts keeps visiting siblings after a false return, so the
 	// first failure is latched in werr and checked on every visit.
 	var werr error
@@ -529,7 +525,7 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return spmd.RunContext(ctx, prog, cfg, dists, r.options())
+	return spmd.Lower(prog, nproc, dists, nil, nil).Run(ctx, cfg, r.options())
 }
 
 // DataflowProblem is one row of the paper's Table 1: an

@@ -2,6 +2,7 @@ package acg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fortd/internal/ast"
@@ -41,8 +42,35 @@ func conform(u *ast.Procedure, env ast.MapEnv, callee *ast.Procedure, calleeEnv 
 		if why != "" {
 			return errAt(u, call.Pos().Line, "call %s passes %s", call.Name, why)
 		}
+		// one array to two formals, which the executor binds to one: F77 forbids defining either
+		for k, b := range call.Args[:i] {
+			if id, ok := b.(*ast.Ident); isArray && ok && id.Name == actual.Name {
+				for _, f := range []string{callee.Params[k], formal.Name} {
+					if defines(callee, f) {
+						return errAt(u, call.Pos().Line, "call %s passes the array %s to the formals %s and %s, and %s may define %s",
+							call.Name, actual.Name, callee.Params[k], formal.Name, call.Name, f)
+					}
+				}
+			}
+		}
 	}
 	return nil
+}
+
+// defines reports whether u assigns its array formal name or passes it
+// to a CALL, which may define it.
+func defines(u *ast.Procedure, name string) (found bool) {
+	ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+		switch st := s.(type) {
+		case *ast.Assign:
+			r, ok := st.Lhs.(*ast.ArrayRef)
+			found = found || ok && r.Name == name
+		case *ast.Call:
+			found = found || slices.ContainsFunc(st.Args, func(a ast.Expr) bool { id, ok := a.(*ast.Ident); return ok && id.Name == name })
+		}
+		return !found
+	})
+	return found
 }
 
 // checkCommons checks the COMMON half of the contract and returns each

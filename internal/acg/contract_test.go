@@ -136,6 +136,34 @@ func TestStorageAssociationContract(t *testing.T) {
       enddo
       END
 `, want: []float64{4, 5, 6, 7}},
+		{name: "one array to two formals, one passed on to a CALL", src: head + `
+      REAL a(4)
+      call f(a, a)
+      END
+      SUBROUTINE f(x, y)
+      REAL x(4), y(4)
+      call g(y)
+      END
+      SUBROUTINE g(z)
+      REAL z(4)
+      z(1) = 0
+      END
+`, err: "MAIN line 6: call f passes the array a to the formals x and y, and f may define y"},
+		{name: "one array to two formals that are only read", src: head + `
+      REAL a(4), b(4)
+      DISTRIBUTE a(BLOCK)
+      do i = 1, 4
+        b(i) = i
+      enddo
+      call f(b, b, a)
+      END
+      SUBROUTINE f(x, y, a)
+      REAL x(4), y(4), a(4)
+      do i = 1, 4
+        a(i) = x(i) + y(5 - i)
+      enddo
+      END
+`, want: []float64{5, 5, 5, 5}},
 		{name: "a block only two siblings declare keeps its values between calls", src: head + `
       REAL a(4)
       call put

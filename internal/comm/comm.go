@@ -174,7 +174,7 @@ func Analyze(
 		if acc == nil || acc.Kind == KLocal {
 			continue
 		}
-		h.place(acc, ref.SinkLevel)
+		h.place(acc, ref)
 		res.Accesses = append(res.Accesses, acc)
 		if acc.Delay {
 			res.Delayed = append(res.Delayed, toDelayed(acc, env))
@@ -263,6 +263,7 @@ func classify(proc *ast.Procedure, ref *depend.Ref, item *partition.Item, distOf
 // allocation-free whether or not remarks are collected.
 const (
 	WhyCarriedDep   = "a true dependence is carried at this loop level"
+	WhySameIter     = "the same iteration of this loop writes the section before the reference reads it"
 	WhyOwnerVaries  = "the broadcasting owner changes every iteration of this loop"
 	WhyFormalRange  = "the nonlocal section ranges over formal parameters only known in the caller"
 	WhyWritten      = "a statement this loop runs before the reference may write the section"
@@ -272,14 +273,17 @@ const (
 )
 
 // place chooses the message's loop level (message vectorization): no
-// shallower than sink, the depth a true dependence from an assignment
-// pins it to (depend.Ref.SinkLevel, -1: none), nor than the loop whose
+// shallower than the depth a true dependence from an assignment pins
+// ref to (depend.Ref.SinkLevel, -1: none), nor than the loop whose
 // index selects a broadcast's owner, nor than any loop whose calls may
 // write the section. A message that leaves every loop is delayed to the
 // callers when its section is known only there and nothing before it
 // in the procedure may write the section.
-func (h *hoister) place(acc *Access, sink int) {
-	level, why, root := max(sink, 0), WhyCarriedDep, ""
+func (h *hoister) place(acc *Access, ref *depend.Ref) {
+	level, why, root := max(ref.SinkLevel, 0), WhyCarriedDep, ""
+	if ref.SameIter {
+		why = WhySameIter
+	}
 	// a broadcast whose point subscript varies with a local loop cannot
 	// be hoisted above the loop defining that variable
 	if acc.Kind == KPoint && acc.Point != nil {
@@ -302,7 +306,7 @@ func (h *hoister) place(acc *Access, sink int) {
 	// root of a formal or COMMON array is known only there
 	arr := h.proc.Symbols.Lookup(acc.Array)
 	if !h.proc.IsMain && arr != nil && (arr.IsFormal || arr.Common != "") && (acc.Section.Symbolic() || isOuterVar(h.proc, root)) &&
-		sink < 0 && h.writer(acc.Section, acc.Nest, acc.Stmt, -1, false) == nil {
+		ref.SinkLevel < 0 && h.writer(acc.Section, acc.Nest, acc.Stmt, -1, false) == nil {
 		acc.Delay = true
 		acc.Why = WhyFormalRange
 	}

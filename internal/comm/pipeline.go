@@ -15,6 +15,7 @@ const (
 	WhyPipeNotBlock = "the dimension is not BLOCK-distributed, so the nonlocal cells are not one neighbour's boundary"
 	WhyPipeWide     = "the shift reaches past the neighbouring block"
 	WhyPipeAgainst  = "the dependence does not run in the direction of a loop that steps by one"
+	WhyPipeSameIter = "the iteration that reads the cells writes them first, so they are not final before the loop"
 	WhyPipeMixed    = "statements in the loop are partitioned differently or not at all, so every processor runs every iteration"
 	WhyPipeOther    = "another message (a broadcast, an allgather or a shift that has to stay) is placed inside the loop, and every processor takes part in it each iteration"
 	WhyPipeSection  = "the section's other dimensions cannot be evaluated before the loop"
@@ -43,7 +44,7 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 		}
 	}
 	// why the shift by c that loop carries cannot go around it with sec
-	why := func(dist *decomp.Dist, c int, loop *ast.Do, sec []ast.SecDim) string {
+	why := func(dist *decomp.Dist, c int, loop *ast.Do, sec []ast.SecDim, sameIter bool) string {
 		dim, step, cons := dist.DistDim(), 1, plan.LoopBounds[loop]
 		if loop.Step != nil {
 			step, _ = ast.EvalInt(loop.Step, env)
@@ -53,6 +54,8 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 			return WhyPipeNotBlock
 		case abs(c) >= dist.BlockSize():
 			return WhyPipeWide
+		case (c > 0 || step != 1) && sameIter:
+			return WhyPipeSameIter
 		case c > 0 || step != 1:
 			return WhyPipeAgainst
 		case cons == nil || !cons.Dist.SameOwners(dist):
@@ -94,7 +97,7 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 		asg, _ := acc.Stmt.(*ast.Assign)
 		if it := items[asg]; acc.Shift != 0 && partition.LoopFor(acc.Nest, it.Sub.Var) == acc.AtLoop {
 			sec, _ := acc.Sec(proc, env, true)
-			acc.NoPipe = why(acc.Dist, acc.Shift, acc.AtLoop, sec)
+			acc.NoPipe = why(acc.Dist, acc.Shift, acc.AtLoop, sec, acc.Why == WhySameIter)
 			acc.Pipelined = acc.NoPipe == ""
 		}
 	}
@@ -111,7 +114,7 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 				}
 				sec[dim] = ast.SecDim{}
 				if cc.NoPipe = WhyPipeNotShift; cc.D.Kind == KShift {
-					cc.NoPipe = why(cc.Dist, cc.D.Shift, cc.AtLoop, sec)
+					cc.NoPipe = why(cc.Dist, cc.D.Shift, cc.AtLoop, sec, false)
 				}
 				cc.Pipelined = cc.NoPipe == ""
 			}

@@ -87,7 +87,7 @@ func TestDgefaSequentialMatchesGo(t *testing.T) {
 	const n = 24
 	c := compileSrc(t, DgefaSrc(n, 4), DefaultOptions())
 	init := map[string][]float64{"a": DgefaMatrix(n)}
-	seq, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
+	seq, err := spmd.Lower(c.Source, 1, nil, nil, nil).RunSequential(context.Background(), spmd.Options{Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestDgefaScales(t *testing.T) {
 	times := map[int]float64{}
 	for _, p := range []int{1, 2, 4, 8} {
 		c := compileSrc(t, DgefaSrc(n, p), DefaultOptions())
-		par, err := spmd.RunContext(context.Background(), c.Program, machine.DefaultConfig(p), c.MainDists, spmd.Options{Init: init})
+		par, err := spmd.Lower(c.Program, p, c.MainDists, nil, nil).Run(context.Background(), machine.DefaultConfig(p), spmd.Options{Init: init})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		seq, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
+		seq, err := spmd.Lower(c.Source, 1, nil, nil, nil).RunSequential(context.Background(), spmd.Options{Init: init})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,11 +98,11 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 					c = warm // run the cache-built program against the reference
 				}
 				init := seedArrays(c.Source)
-				par, err := spmd.RunContext(context.Background(), c.Program, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{Init: init})
+				par, err := spmd.Lower(c.Program, c.P, c.MainDists, nil, nil).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
 				if err != nil {
 					t.Fatalf("trial %d: run: %v\n%s", trial, err, src)
 				}
-				seq, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
+				seq, err := spmd.Lower(c.Source, 1, nil, nil, nil).RunSequential(context.Background(), spmd.Options{Init: init})
 				if err != nil {
 					t.Fatalf("trial %d: reference: %v", trial, err)
 				}

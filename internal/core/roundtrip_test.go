@@ -28,7 +28,7 @@ func TestGeneratedCodeRoundTrips(t *testing.T) {
 	}
 	for name, tc := range sources {
 		c := compileSrc(t, tc.src, DefaultOptions())
-		orig, err := spmd.RunContext(context.Background(), c.Program, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{Init: tc.init})
+		orig, err := spmd.Lower(c.Program, c.P, c.MainDists, nil, nil).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: tc.init})
 		if err != nil {
 			t.Fatalf("%s: original run: %v", name, err)
 		}
@@ -38,7 +38,7 @@ func TestGeneratedCodeRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reparse failed: %v\n%s", name, err, text)
 		}
-		again, err := spmd.RunContext(context.Background(), reparsed, machine.DefaultConfig(c.P), c.MainDists, spmd.Options{Init: tc.init})
+		again, err := spmd.Lower(reparsed, c.P, c.MainDists, nil, nil).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: tc.init})
 		if err != nil {
 			t.Fatalf("%s: reparsed run: %v\n%s", name, err, text)
 		}

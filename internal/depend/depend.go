@@ -50,6 +50,9 @@ type Ref struct {
 	// dependence reaches the reference, so only then may its message
 	// leave the procedure.
 	SinkLevel int
+	// SameIter is set when only loop-independent dependences pin the
+	// reference at SinkLevel: the iteration that reads writes first.
+	SameIter bool
 
 	bounds []loopBounds // of Nest's loops, parallel to it
 }
@@ -164,8 +167,8 @@ func Analyze(proc *ast.Procedure, env ast.Env) []*Ref {
 	return refs
 }
 
-// raiseSinkLevel is Analyze's emitter: it keeps, per reference, the one
-// number Ref.SinkLevel holds.
+// raiseSinkLevel is Analyze's emitter: it keeps, per reference, what
+// Ref.SinkLevel and Ref.SameIter hold.
 func raiseSinkLevel(d Dep) {
 	if d.Kind != True {
 		return
@@ -174,7 +177,9 @@ func raiseSinkLevel(d Dep) {
 	if level == 0 {
 		level = commonDepth(d.Src, d.Snk)
 	}
-	d.Snk.SinkLevel = max(d.Snk.SinkLevel, level)
+	if snk := d.Snk; level > snk.SinkLevel || level == snk.SinkLevel && d.Level != 0 {
+		snk.SinkLevel, snk.SameIter = level, d.Level == 0
+	}
 }
 
 // visitPairs tests every pair of refs that may depend on each other and

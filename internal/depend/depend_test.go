@@ -42,17 +42,21 @@ func pinOf(d Dep) int {
 
 // CheckSinkLevels holds Analyze's emitter to the collector on one
 // procedure: each reference's sink level is the deepest pin among the
-// True dependences into it that the pair loop emits (-1: none). It
-// returns how many references have a carried true dependence into them.
+// True dependences into it that the pair loop emits (-1: none), and
+// SameIter says that no dependence of that pin is carried. It returns
+// how many references have a carried true dependence into them.
 func CheckSinkLevels(proc *ast.Procedure, env ast.Env) (int, error) {
 	got, list := Analyze(proc, env), analyzeDeps(proc, env)
-	deepest, carried := map[*Ref]int{}, 0
+	deepest, sameIter, carried := map[*Ref]int{}, map[*Ref]bool{}, 0
 	for _, d := range list.Deps {
 		if d.Kind != True {
 			continue
 		}
-		if l, seen := deepest[d.Snk]; !seen || pinOf(d) > l {
-			deepest[d.Snk] = pinOf(d)
+		switch l, seen := deepest[d.Snk]; {
+		case !seen || pinOf(d) > l:
+			deepest[d.Snk], sameIter[d.Snk] = pinOf(d), d.Level == 0
+		case pinOf(d) == l && d.Level != 0:
+			sameIter[d.Snk] = false
 		}
 	}
 	for i, r := range list.Refs {
@@ -62,6 +66,9 @@ func CheckSinkLevels(proc *ast.Procedure, env ast.Env) (int, error) {
 		}
 		if l := got[i].SinkLevel; l != want {
 			return 0, fmt.Errorf("%s: sink level of %s is %d, deepest true dependence into it %d", proc.Name, r.Expr, l, want)
+		}
+		if got[i].SameIter != sameIter[r] {
+			return 0, fmt.Errorf("%s: %s pinned by loop-independent dependences only: %v, want %v", proc.Name, r.Expr, got[i].SameIter, sameIter[r])
 		}
 		if want > 0 {
 			carried++

@@ -45,11 +45,11 @@ func TestFigure14Parameterize(t *testing.T) {
 		}
 	}
 	init := fortd.RampInit(src)
-	ref, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
+	ref, err := spmd.Lower(c.Source, 1, nil, nil, nil).RunSequential(context.Background(), spmd.Options{Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := spmd.Lower(c.Program, c.P, c.MainDists, c.Overlaps.Extents).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
+	res, err := spmd.Lower(c.Program, c.P, c.MainDists, c.Overlaps.Extents, nil).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}

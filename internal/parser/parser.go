@@ -498,7 +498,7 @@ func (p *parser) parseParameter() error {
 		if err != nil {
 			return err
 		}
-		v, ok := ast.EvalInt(e, p.constEnv())
+		v, ok := ast.EvalInt(e, p.unit.Constants())
 		if !ok {
 			return fmt.Errorf("line %d: PARAMETER value for %s is not constant", id.Line, id.Text)
 		}
@@ -516,17 +516,6 @@ func (p *parser) parseParameter() error {
 		return err
 	}
 	return p.endOfStmt()
-}
-
-// constEnv exposes the PARAMETER constants declared so far.
-func (p *parser) constEnv() ast.Env {
-	env := ast.MapEnv{}
-	for _, s := range p.unit.Symbols.Symbols() {
-		if s.Kind == ast.SymConstant {
-			env[s.Name] = s.ConstValue
-		}
-	}
-	return env
 }
 
 func (p *parser) parseCommon() error {
@@ -588,7 +577,7 @@ func (p *parser) parseDecomposition() (ast.Stmt, error) {
 	sym := &ast.Symbol{Name: id.Text, Kind: ast.SymDecomposition, FormalIndex: -1, Dims: dims}
 	p.unit.Symbols.Define(sym)
 	sizes := make([]int, len(dims))
-	env := p.constEnv()
+	env := p.unit.Constants()
 	for i, d := range dims {
 		lo, okLo := ast.EvalInt(d.Lo, env)
 		hi, okHi := ast.EvalInt(d.Hi, env)

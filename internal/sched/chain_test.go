@@ -101,11 +101,11 @@ func TestChainSendsEarly(t *testing.T) {
 	early, _, _ := scheduled(t, src)
 	cfg := machine.DefaultConfig(4)
 	opts := spmd.Options{Init: rampInit(blocking)}
-	want, err := spmd.RunContext(context.Background(), blocking, cfg, nil, opts)
+	want, err := spmd.Lower(blocking, cfg.P, nil, nil, nil).Run(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := spmd.RunContext(context.Background(), early, cfg, nil, opts)
+	got, err := spmd.Lower(early, cfg.P, nil, nil, nil).Run(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,11 +136,11 @@ func checkEquivalent(t testing.TB, seed int64, p int) {
 	overlapped, remarks, _ := scheduled(t, src)
 	cfg := machine.DefaultConfig(p)
 	opts := spmd.Options{Init: rampInit(blocking)}
-	want, err := spmd.RunContext(context.Background(), blocking, cfg, nil, opts)
+	want, err := spmd.Lower(blocking, cfg.P, nil, nil, nil).Run(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatalf("seed %d p=%d: generated program does not run: %v\n%s", seed, p, err, src)
 	}
-	got, err := spmd.RunContext(context.Background(), overlapped, cfg, nil, opts)
+	got, err := spmd.Lower(overlapped, cfg.P, nil, nil, nil).Run(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatalf("seed %d p=%d: rescheduled program does not run: %v\n%s", seed, p, err, ast.Print(overlapped))
 	}

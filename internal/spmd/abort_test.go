@@ -28,7 +28,7 @@ func TestRunJoinsAllErrors(t *testing.T) {
       endif
       END
 `)
-	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{})
+	_, err := Lower(prog, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	if err == nil {
 		t.Fatal("run with a failing processor returned nil error")
 	}
@@ -61,7 +61,7 @@ func TestMismatchedRecvDeadlock(t *testing.T) {
       endif
       END
 `)
-	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{})
+	_, err := Lower(prog, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	var dl *machine.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("Run = %v, want *DeadlockError", err)
@@ -107,7 +107,7 @@ func TestDeadlineOption(t *testing.T) {
       endif
       END
 `)
-	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{Deadline: 50 * time.Millisecond})
+	_, err := Lower(prog, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{Deadline: 50 * time.Millisecond})
 	var dl *machine.DeadlockError
 	if !errors.As(err, &dl) || !dl.Deadline {
 		t.Fatalf("Run = %v, want deadline *DeadlockError", err)
@@ -157,7 +157,7 @@ func TestCollectivesSmallP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunContext(context.Background(), prog, machine.DefaultConfig(P), map[string]*decomp.Dist{"X": xd, "Y": yd}, Options{})
+			res, err := Lower(prog, P, map[string]*decomp.Dist{"X": xd, "Y": yd}, nil, nil).Run(context.Background(), machine.DefaultConfig(P), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -154,7 +154,7 @@ type commSite struct {
 	slot  int
 	sec   []secDim
 	peer  intOperand // destination, source or root
-	tag   int        // dense split-phase tag index
+	tag   int        // tag index (Code.tags)
 	to    *toClause  // a broadcast's receivers (nil: every processor)
 }
 
@@ -188,7 +188,7 @@ func (lw *lowerer) comm(st ast.Stmt, what, op, array string, sec []ast.SecDim, p
 	}
 	switch st.(type) {
 	case *ast.PostRecv, *ast.WaitRecv, *ast.PostBcast, *ast.WaitBcast:
-		c.tag = lw.lp.tag(tag)
+		c.tag = index(&lw.pp.tags, tag)
 	}
 	return c
 }
@@ -345,7 +345,8 @@ type postedOp struct {
 }
 
 // post files a pooled op under the statement's tag.
-func (c *commSite) post(nd *node, arr *Array, bx *box) *postedOp {
+func (c *commSite) post(fr *frame, arr *Array, bx *box) *postedOp {
+	nd := fr.nd
 	var po *postedOp
 	if n := len(nd.freeOps); n > 0 {
 		po = nd.freeOps[n-1]
@@ -355,7 +356,7 @@ func (c *commSite) post(nd *node, arr *Array, bx *box) *postedOp {
 	}
 	po.site, po.arr, po.isRoot = c, arr, false
 	po.sec = bounds{n: bx.n, lo: bx.lo, hi: bx.hi}
-	nd.posted[c.tag] = po
+	nd.posted[fr.pp.tag[c.tag]] = po
 	return po
 }
 
@@ -368,7 +369,7 @@ func (c *commSite) postRecv(fr *frame) error {
 	var bx box
 	arr, src, ok, err := c.partner(fr, &bx)
 	if ok {
-		fr.nd.proc.IRecvInto(&c.post(fr.nd, arr, &bx).h, src)
+		fr.nd.proc.IRecvInto(&c.post(fr, arr, &bx).h, src)
 	}
 	return err
 }
@@ -383,7 +384,7 @@ func (c *commSite) postBcast(fr *frame) error {
 	if !ok {
 		return err
 	}
-	po := c.post(nd, arr, &bx)
+	po := c.post(fr, arr, &bx)
 	var data []float64
 	if po.isRoot = nd.p == root; po.isRoot {
 		data = nd.proc.Scratch(bx.elems)
@@ -400,11 +401,12 @@ func (c *commSite) postBcast(fr *frame) error {
 func (c *commSite) wait(fr *frame) error {
 	nd := fr.nd
 	nd.proc.SetContext(c.unit, c.line, c.op)
-	po := nd.posted[c.tag]
+	tag := fr.pp.tag[c.tag]
+	po := nd.posted[tag]
 	if po == nil {
 		return nil
 	}
-	nd.posted[c.tag] = nil
+	nd.posted[tag] = nil
 	data := nd.proc.WaitHandle(&po.h)
 	if !po.isRoot { // the root supplied the data; its copy is current
 		var bx box

@@ -41,7 +41,7 @@ func TestBroadcastErrorsOutsideReceivers(t *testing.T) {
       `+st+`
       END
 `)
-			res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"a": dist}, Options{})
+			res, err := Lower(prog, 4, map[string]*decomp.Dist{"a": dist}, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 			want := "<nil>"
 			if tc.want != "" {
 				want = "p0: " + strings.Replace(tc.want, "%s", what, 1)

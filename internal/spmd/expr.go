@@ -186,7 +186,7 @@ func (lw *lowerer) ident(name string) operand {
 	}
 	unit := lw.unit.Name
 	if name == "n$proc" {
-		nproc := float64(lw.lp.pl.nproc)
+		nproc := float64(lw.lp.nproc)
 		return closure(func(fr *frame) float64 {
 			if p := fr.bind[slot].ref; p != nil {
 				return *p

@@ -40,12 +40,12 @@ func TestOverlapEstimatesHoldEveryReceive(t *testing.T) {
 			if w.name == "DgefaSrc" {
 				init = map[string][]float64{"a": fortd.DgefaMatrix(16)}
 			}
-			ref, err := spmd.RunSequentialContext(context.Background(), c.Source, spmd.Options{Init: init})
+			ref, err := spmd.Lower(c.Source, 1, nil, nil, nil).RunSequential(context.Background(), spmd.Options{Init: init})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, overlap := range []func(string, string, int, int) (int, int){c.Overlaps.Extents, nil} {
-				res, err := spmd.Lower(c.Program, c.P, c.MainDists, overlap).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
+				res, err := spmd.Lower(c.Program, c.P, c.MainDists, overlap, nil).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
 				if err != nil {
 					t.Fatal(err)
 				}

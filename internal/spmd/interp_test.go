@@ -34,7 +34,7 @@ func TestSequentialArithmetic(t *testing.T) {
       X(1) = s
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCallByReference(t *testing.T) {
       enddo
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestScalarByReference(t *testing.T) {
       x = x + 1.0
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestExpressionArgByValue(t *testing.T) {
       X(1) = v
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestIntrinsics(t *testing.T) {
       A(8) = 7.0 / 2.0
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFirstDollarSemantics(t *testing.T) {
       A(3) = first$(1, 10, 4)
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestOutOfBoundsReported(t *testing.T) {
       A(9) = 1.0
       END
 `)
-	if _, err := RunSequentialContext(context.Background(), prog, Options{}); err == nil {
+	if _, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{}); err == nil {
 		t.Error("out-of-bounds store must error")
 	}
 }
@@ -182,7 +182,7 @@ func TestGuardedSPMDExecution(t *testing.T) {
       END
 `)
 	dist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 4)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"X": dist}, Options{})
+	res, err := Lower(prog, 4, map[string]*decomp.Dist{"X": dist}, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSendRecvStatements(t *testing.T) {
 `)
 	dist, _ := decomp.NewDist(decomp.Replicated, []int{4}, 2)
 	yDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{4}, 2)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), map[string]*decomp.Dist{"X": dist, "Y": yDist}, Options{})
+	res, err := Lower(prog, 2, map[string]*decomp.Dist{"X": dist, "Y": yDist}, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestBroadcastStatement(t *testing.T) {
       END
 `)
 	yDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{4}, 4)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"Y": yDist}, Options{})
+	res, err := Lower(prog, 4, map[string]*decomp.Dist{"Y": yDist}, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRemapStatement(t *testing.T) {
       END
 `)
 	dist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 2)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), map[string]*decomp.Dist{"X": dist}, Options{})
+	res, err := Lower(prog, 2, map[string]*decomp.Dist{"X": dist}, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestCommonBlockSharing(t *testing.T) {
       G(1) = G(2) + 1
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestAdjustableBounds(t *testing.T) {
       enddo
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestDeterministicStats(t *testing.T) {
 `)
 	var last machine.Stats
 	for trial := 0; trial < 5; trial++ {
-		res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), nil, Options{})
+		res, err := Lower(prog, 4, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestAllGatherStatement(t *testing.T) {
 `)
 	xDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 4)
 	yDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 4)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"X": xDist, "Y": yDist}, Options{})
+	res, err := Lower(prog, 4, map[string]*decomp.Dist{"X": xDist, "Y": yDist}, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestAllGatherReplicatedNoop(t *testing.T) {
       allgather X(1:4)
       END
 `)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), nil, Options{})
+	res, err := Lower(prog, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestMarkAsInPlaceRemap(t *testing.T) {
       END
 `)
 	dist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{8}, 2)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(2), map[string]*decomp.Dist{"X": dist}, Options{})
+	res, err := Lower(prog, 2, map[string]*decomp.Dist{"X": dist}, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestNegativeStepLoop(t *testing.T) {
       enddo
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestEmptyLoopBody(t *testing.T) {
       X(2) = 7
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestLogicalOperators(t *testing.T) {
       endif
       END
 `)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestGlobalReduceStatement(t *testing.T) {
       END
 `)
 	xDist, _ := decomp.NewDist(decomp.NewDecomp(decomp.Block), []int{4}, 4)
-	res, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"X": xDist}, Options{})
+	res, err := Lower(prog, 4, map[string]*decomp.Dist{"X": xDist}, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestUnknownFunctionErrors(t *testing.T) {
       X(1) = NOSUCH(3)
       END
 `)
-	if _, err := RunSequentialContext(context.Background(), prog, Options{}); err == nil {
+	if _, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{}); err == nil {
 		t.Error("unknown function must error")
 	}
 }
@@ -560,7 +560,7 @@ func TestUnknownProcedureErrors(t *testing.T) {
       call nosuch(1)
       END
 `)
-	if _, err := RunSequentialContext(context.Background(), prog, Options{}); err == nil {
+	if _, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{}); err == nil {
 		t.Error("unknown procedure must error")
 	}
 }

@@ -3,6 +3,7 @@ package spmd
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fortd/internal/ast"
 	"fortd/internal/decomp"
@@ -55,25 +56,44 @@ type Plan struct {
 	nmember int                                                   // distinct COMMON members (node.members' length)
 }
 
-// procPlan is one lowered procedure. A name keeps one slot for its
-// scalar binding and its array binding alike; which of the two a formal
-// holds is decided per call by what the caller passes.
-type procPlan struct {
-	name   string
-	slots  map[string]int // name → slot
-	names  []string       // slot → name
-	params []int          // formal position → slot
-	decls  []decl         // frame prologue, in declaration order
-	body   []stmtFn
-	ncurs  int // cursors a frame needs: the most of any cursor loop (cursor.go)
+// Code is one unit lowered for nproc processors, and depends on nothing
+// else: it names the procedures it calls, the COMMON members it declares
+// and the split-phase tags it uses by unit-local index, which a link
+// (procPlan) resolves for one program, so the plans of every program
+// that holds the unit may share it (Memo). A name keeps one slot for its
+// scalar and its array binding; a call's actual decides which.
+type Code struct {
+	name    string
+	slots   map[string]int // name → slot
+	names   []string       // slot → name
+	params  []int          // formal position → slot
+	decls   []decl         // frame prologue, in declaration order
+	body    []stmtFn
+	ncurs   int      // cursors a frame needs: the most of any cursor loop (cursor.go)
+	calls   []string // call index → the procedure called
+	commons []string // member index → the COMMON member declared
+	tags    []int    // tag index → the split-phase tag used
 }
+
+// procPlan is one unit's code linked into a plan.
+type procPlan struct {
+	*Code
+	callee []*procPlan // call index → the plan called (nil: no such procedure)
+	member []int       // member index → the member's index in node.members
+	tag    []int       // tag index → the tag's index in node.posted
+}
+
+// Memo returns the code it keeps for (u, nproc), or else keeps what lower
+// makes. A unit's pointer stands for its text: no pass writes a unit it
+// did not create.
+type Memo func(u *ast.Procedure, nproc int, lower func() *Code) *Code
 
 // decl is one step of a frame's prologue: define a scalar that no
 // actual argument bound, allocate an array, or bind a COMMON member.
 type decl struct {
 	slot   int
 	array  bool
-	member int          // index of the COMMON member in node.members, -1: none
+	member int          // member index (Code.commons), -1: none
 	lo, hi []intOperand // array bounds, evaluated in the frame under construction
 }
 
@@ -292,11 +312,15 @@ func (nd *node) enter(pp *procPlan, args []argPlan, caller *frame) (*frame, erro
 	for i := range pp.decls {
 		d := &pp.decls[i]
 		b := &fr.bind[d.slot]
+		m := -1
+		if d.member >= 0 {
+			m = pp.member[d.member]
+		}
 		switch {
-		case d.member >= 0 && nd.members[d.member] != (binding{}):
-			*b = nd.members[d.member]
+		case m >= 0 && nd.members[m] != (binding{}):
+			*b = nd.members[m]
 			continue
-		case d.member >= 0 && !d.array:
+		case m >= 0 && !d.array:
 			b.ref = new(float64) // outlives the frame
 		case !d.array:
 			if b.ref == nil && b.arr == nil {
@@ -309,8 +333,8 @@ func (nd *node) enter(pp *procPlan, args []argPlan, caller *frame) (*frame, erro
 			}
 			b.arr = arr
 		}
-		if d.member >= 0 {
-			nd.members[d.member] = *b // the member's first activation
+		if m >= 0 {
+			nd.members[m] = *b // the member's first activation
 		}
 	}
 	return fr, nil
@@ -398,34 +422,34 @@ func (nd *node) window(a *Array) *window {
 // lo:hi the compiler estimated (§5.6) for a block 1:block with its
 // overlap region in dimension dim of a main-program array, which is
 // what a processor stores of it (nil: the block). Only procedures
-// reachable from the main program are lowered. Lowering never fails:
-// whatever is wrong with a statement (unknown array, procedure or
-// function, bad arity) is reported when that statement executes, and a
-// program without a main unit fails each run.
+// reachable from the main program are lowered, each to its Code, or
+// taken from memo (nil: lower every unit), and then linked. Lowering
+// never fails: whatever is wrong with a statement (unknown array,
+// procedure or function, bad arity) is reported when that statement
+// executes, and a program without a main unit fails each run.
 func Lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist,
-	overlap func(proc, array string, dim, block int) (lo, hi int)) *Plan {
+	overlap func(proc, array string, dim, block int) (lo, hi int), memo Memo) *Plan {
 	pl := &Plan{nproc: nproc, dists: dists, overlap: overlap}
 	if prog.Main() == nil {
 		return pl
 	}
-	lp := &programLowerer{pl: pl, prog: prog, procs: map[*ast.Procedure]*procPlan{}, tags: map[int]int{}, members: map[string]int{}}
-	pl.main = lp.proc(prog.Main())
-	for len(lp.todo) > 0 {
-		lw := lp.todo[len(lp.todo)-1]
-		lp.todo = lp.todo[:len(lp.todo)-1]
-		lw.lowerUnit()
+	lp := &programLowerer{nproc: nproc, prog: prog, memo: memo, procs: map[*ast.Procedure]*procPlan{}, tags: map[int]int{}, members: map[string]int{}}
+	if memo == nil {
+		lp.memo = func(_ *ast.Procedure, _ int, lower func() *Code) *Code { return lower() }
 	}
+	pl.main = lp.proc(prog.Main())
 	pl.ntags, pl.nmember = len(lp.tags), len(lp.members)
 	return pl
 }
 
+// programLowerer links one plan, lowering the units memo has no code for.
 type programLowerer struct {
-	pl      *Plan
+	nproc   int
 	prog    *ast.Program
+	memo    Memo
 	procs   map[*ast.Procedure]*procPlan
-	todo    []*lowerer
 	tags    map[int]int    // split-phase tag → dense index
-	members map[string]int // COMMON member name → dense index
+	members map[string]int // COMMON member name → dense index: one storage program-wide (acg's contract)
 	// scratch of lowerer.cursorLoop: the slots of the scalars the loop
 	// under test changes (its index first) and of those its invariant
 	// subscripts read
@@ -448,41 +472,49 @@ func (s *slab[T]) take(n int) []T {
 	return (*s)[len(*s)-n : len(*s) : len(*s)]
 }
 
-// proc returns u's plan, scheduling u for lowering on first mention.
+// proc returns u's plan: its code, linked on first mention.
 func (lp *programLowerer) proc(u *ast.Procedure) *procPlan {
 	if pp := lp.procs[u]; pp != nil {
 		return pp
 	}
-	pp := &procPlan{name: u.Name, slots: map[string]int{}}
+	code := lp.memo(u, lp.nproc, func() *Code {
+		return (&lowerer{lp: lp, pp: &Code{name: u.Name, slots: map[string]int{}}, unit: u}).lowerUnit()
+	})
+	pp := &procPlan{Code: code, callee: make([]*procPlan, len(code.calls)), member: dense(lp.members, code.commons), tag: dense(lp.tags, code.tags)}
 	lp.procs[u] = pp
-	lp.todo = append(lp.todo, &lowerer{lp: lp, pp: pp, unit: u})
+	for i, name := range code.calls {
+		if callee := lp.prog.Proc(name); callee != nil {
+			pp.callee[i] = lp.proc(callee)
+		}
+	}
 	return pp
 }
 
-// member returns the index of COMMON member name: a name means one
-// storage program-wide (acg's contract).
-func (lp *programLowerer) member(name string) int {
-	i, ok := lp.members[name]
-	if !ok {
-		i = len(lp.members)
-		lp.members[name] = i
+// dense returns the index of each of keys in m, numbering new keys on.
+func dense[K comparable](m map[K]int, keys []K) []int {
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		if _, ok := m[k]; !ok {
+			m[k] = len(m)
+		}
+		out[i] = m[k]
 	}
-	return i
+	return out
 }
 
-func (lp *programLowerer) tag(t int) int {
-	i, ok := lp.tags[t]
-	if !ok {
-		i = len(lp.tags)
-		lp.tags[t] = i
+// index returns k's index in *list, appending it on first mention.
+func index[K comparable](list *[]K, k K) int {
+	if i := slices.Index(*list, k); i >= 0 {
+		return i
 	}
-	return i
+	*list = append(*list, k)
+	return len(*list) - 1
 }
 
 // lowerer lowers one procedure.
 type lowerer struct {
 	lp     *programLowerer
-	pp     *procPlan
+	pp     *Code
 	unit   *ast.Procedure
 	consts map[string]int // the unit's PARAMETER constants
 	// owned marks the scalars every activation defines itself: declared,
@@ -526,7 +558,7 @@ func (s site) String() string {
 // site is where the statement being lowered sits.
 func (lw *lowerer) site() site { return site{lw.unit.Name, lw.line} }
 
-func (lw *lowerer) lowerUnit() {
+func (lw *lowerer) lowerUnit() *Code {
 	u, pp := lw.unit, lw.pp
 	lw.consts = map[string]int{}
 	lw.owned, lw.unbound = map[string]bool{}, map[string]operand{}
@@ -550,7 +582,7 @@ func (lw *lowerer) lowerUnit() {
 		}
 		d := decl{slot: lw.slot(sym.Name), array: sym.Kind == ast.SymArray, member: -1}
 		if sym.Common != "" {
-			d.member = lw.lp.member(sym.Name)
+			d.member = index(&lw.pp.commons, sym.Name)
 		}
 		for _, ext := range sym.Dims {
 			lo, _ := lw.intExpr(ext.Lo)
@@ -561,6 +593,7 @@ func (lw *lowerer) lowerUnit() {
 	}
 	lw.decl = false
 	pp.body = lw.body(u.Body)
+	return pp
 }
 
 func (lw *lowerer) body(stmts []ast.Stmt) []stmtFn {
@@ -723,13 +756,7 @@ func (lw *lowerer) ifStmt(st *ast.If) stmtFn {
 
 func (lw *lowerer) call(st *ast.Call) stmtFn {
 	unit, name := lw.unit.Name, st.Name
-	u := lw.lp.prog.Proc(name)
-	if u == nil {
-		return func(*frame) error {
-			return fmt.Errorf("%s: call to unknown procedure %s", unit, name)
-		}
-	}
-	callee := lw.lp.proc(u)
+	k := index(&lw.pp.calls, name)
 	args := make([]argPlan, len(st.Args))
 	for i, a := range st.Args {
 		if id, ok := a.(*ast.Ident); ok {
@@ -740,7 +767,10 @@ func (lw *lowerer) call(st *ast.Call) stmtFn {
 		args[i] = argPlan{value: v, byVal: true}
 	}
 	return func(fr *frame) error {
-		nd := fr.nd
+		nd, callee := fr.nd, fr.pp.callee[k]
+		if callee == nil {
+			return fmt.Errorf("%s: call to unknown procedure %s", unit, name)
+		}
 		if nd.depth >= maxCallDepth {
 			return fmt.Errorf("%s: call to %s nests deeper than %d (recursion is not supported)", unit, name, maxCallDepth)
 		}

@@ -17,8 +17,8 @@ import (
 // decision with the plan. TestPlanMatchesTreeWalk runs both on the same
 // programs and compares statistics, arrays and trace exports.
 
-// RunTreeWalk is RunContext on the oracle (exported to the external
-// test package only).
+// RunTreeWalk lowers nothing: it runs prog on the oracle (exported to
+// the external test package only).
 func RunTreeWalk(ctx context.Context, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts Options) (*RunResult, error) {
 	return runNodes(ctx, cfg, opts, func(proc *machine.Proc) (map[string]*Array, error) {
 		it := &treeInterp{prog: prog, proc: proc, p: proc.ID(), nproc: cfg.P, dists: dists}

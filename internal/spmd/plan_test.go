@@ -57,9 +57,9 @@ func TestEarlyReturn(t *testing.T) {
 		}
 	}
 	prog := parseProg(t, src)
-	res, err := RunSequentialContext(context.Background(), prog, Options{})
+	res, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	check("sequential", res, err)
-	res, err = RunContext(context.Background(), prog, machine.DefaultConfig(4), nil, Options{})
+	res, err = Lower(prog, 4, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 	check("P=4", res, err)
 
 	// a RETURN in the main program ends the run, cleanly
@@ -71,7 +71,7 @@ func TestEarlyReturn(t *testing.T) {
       X(2) = 2.0
       END
 `)
-	res, err = RunSequentialContext(context.Background(), main, Options{})
+	res, err = Lower(main, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestIntrinsicMisuseIsAnError(t *testing.T) {
 `, tc.expr)
 		prog := parseProg(t, src)
 		for _, p := range []int{1, 4} {
-			_, err := RunContext(context.Background(), prog, machine.DefaultConfig(p), nil, Options{})
+			_, err := Lower(prog, p, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(p), Options{})
 			if err == nil {
 				t.Errorf("%s at P=%d: run succeeded", tc.expr, p)
 				continue
@@ -117,7 +117,7 @@ func TestIntrinsicMisuseIsAnError(t *testing.T) {
 		}
 		// the same statement behind a false guard never fires
 		dead := parseProg(t, strings.Replace(src, ".GT. 0.0", ".LT. 0.0", 1))
-		if _, err := RunSequentialContext(context.Background(), dead, Options{}); err != nil {
+		if _, err := Lower(dead, 1, nil, nil, nil).RunSequential(context.Background(), Options{}); err != nil {
 			t.Errorf("%s in dead code: %v", tc.expr, err)
 		}
 	}
@@ -164,12 +164,12 @@ func TestErrorsFireWhenExecuted(t *testing.T) {
 			// plant one in the AST the way codegen would
 			plantUndeclaredRead(t, prog)
 		}
-		_, err := RunSequentialContext(context.Background(), prog, Options{})
+		_, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: error %v, want %q", tc.stmt, err, tc.want)
 		}
 		dead := parseProg(t, strings.Replace(src, "k .EQ. 1", "k .EQ. 2", 1))
-		if _, err := RunSequentialContext(context.Background(), dead, Options{}); err != nil {
+		if _, err := Lower(dead, 1, nil, nil, nil).RunSequential(context.Background(), Options{}); err != nil {
 			t.Errorf("%q in dead code: %v", tc.stmt, err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestErrorsFireWhenExecuted(t *testing.T) {
       endif
       END
 `)
-	_, err := RunContext(context.Background(), mismatch, machine.DefaultConfig(2), nil, Options{})
+	_, err := Lower(mismatch, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	if want := "recv X: message size 3 != section size 4 (proc 1 from 0)"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("size mismatch: error %v, want %q", err, want)
 	}
@@ -215,7 +215,7 @@ func TestInitLengthMismatch(t *testing.T) {
 		{map[string][]float64{"Y": nil}, "init Y: 0 values for 2 elements"},
 	} {
 		for _, p := range []int{1, 16} {
-			_, err := RunContext(context.Background(), prog, machine.DefaultConfig(p), nil, Options{Init: tc.init})
+			_, err := Lower(prog, p, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(p), Options{Init: tc.init})
 			if tc.want == "" {
 				if err != nil {
 					t.Errorf("P=%d: %v", p, err)
@@ -236,7 +236,7 @@ func TestInitLengthMismatch(t *testing.T) {
       X(1) = 1.0
       END
 `)
-	_, err := RunContext(context.Background(), late, machine.DefaultConfig(2), nil, Options{Init: map[string][]float64{"X": {1, 2}}})
+	_, err := Lower(late, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{Init: map[string][]float64{"X": {1, 2}}})
 	var ie *InitError
 	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "p1: init X: 2 values for 3 elements") {
 		t.Errorf("non-constant bounds: error %v, want an InitError from each processor", err)
@@ -262,7 +262,7 @@ func TestComputeOnlyLoopObservesDeadline(t *testing.T) {
       END
 `)
 	start := time.Now()
-	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(1), nil, Options{Deadline: 200 * time.Millisecond})
+	_, err := Lower(prog, 1, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(1), Options{Deadline: 200 * time.Millisecond})
 	var dl *machine.DeadlockError
 	if !errors.As(err, &dl) || !dl.Deadline {
 		t.Errorf("Run = %v, want deadline *DeadlockError", err)
@@ -283,7 +283,7 @@ func TestRunawayRecursionIsAnError(t *testing.T) {
       call f
       END
 `)
-	_, err := RunSequentialContext(context.Background(), prog, Options{})
+	_, err := Lower(prog, 1, nil, nil, nil).RunSequential(context.Background(), Options{})
 	if err == nil || !strings.Contains(err.Error(), "recursion is not supported") {
 		t.Errorf("error %v, want the call-depth error", err)
 	}
@@ -379,7 +379,7 @@ func TestCursorLoops(t *testing.T) {
       %s
       END
 `, tc.loop))
-		pl := Lower(prog, 1, nil, nil)
+		pl := Lower(prog, 1, nil, nil, nil)
 		if pl.main.ncurs != tc.cursors {
 			t.Errorf("%s: lowered with %d cursors, want %d", tc.name, pl.main.ncurs, tc.cursors)
 			continue
@@ -419,7 +419,7 @@ func onWarmNode(tb testing.TB, src string, f func(body func())) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pl := Lower(prog, 1, nil, nil)
+	pl := Lower(prog, 1, nil, nil, nil)
 	m := machine.New(machine.DefaultConfig(1))
 	m.Go(0, func(proc *machine.Proc) {
 		nd := pl.newNode(proc)
@@ -555,7 +555,7 @@ func TestRunAllocationIndependentOfIterations(t *testing.T) {
       END
 `, iters))
 		return testing.AllocsPerRun(3, func() {
-			if _, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), map[string]*decomp.Dist{"b": dist}, Options{}); err != nil {
+			if _, err := Lower(prog, 4, map[string]*decomp.Dist{"b": dist}, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -608,7 +608,7 @@ func BenchmarkExecBcastTo(b *testing.B) {
 	}
 	pl := Lower(prog, 64, map[string]*decomp.Dist{
 		"a": decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{64, 256}, 64),
-	}, nil)
+	}, nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := pl.Run(context.Background(), machine.DefaultConfig(64), Options{}); err != nil {

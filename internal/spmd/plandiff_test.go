@@ -34,6 +34,11 @@ type observed struct {
 
 type runFn func(context.Context, *ast.Program, machine.Config, map[string]*decomp.Dist, spmd.Options) (*spmd.RunResult, error)
 
+// runPlan is spmd.RunTreeWalk's counterpart: lower prog, then run the plan.
+func runPlan(ctx context.Context, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts spmd.Options) (*spmd.RunResult, error) {
+	return spmd.Lower(prog, cfg.P, dists, nil, nil).Run(ctx, cfg, opts)
+}
+
 func observe(t *testing.T, run runFn, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts spmd.Options) observed {
 	t.Helper()
 	tr := trace.New()
@@ -55,7 +60,7 @@ func observe(t *testing.T, run runFn, prog *ast.Program, cfg machine.Config, dis
 // leave it as it was.
 func samePlanAndTree(t *testing.T, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts spmd.Options) {
 	t.Helper()
-	pl := spmd.Lower(prog, cfg.P, dists, nil)
+	pl := spmd.Lower(prog, cfg.P, dists, nil, nil)
 	run := func(ctx context.Context, _ *ast.Program, cfg machine.Config, _ map[string]*decomp.Dist, opts spmd.Options) (*spmd.RunResult, error) {
 		return pl.Run(ctx, cfg, opts)
 	}
@@ -92,7 +97,7 @@ func sameFailure(t *testing.T, prog *ast.Program, cfg machine.Config, want strin
 		}
 		return ne.Err.Error()
 	}
-	if plan, tree := text("plan", spmd.RunContext), text("tree walk", spmd.RunTreeWalk); plan != want || tree != want {
+	if plan, tree := text("plan", runPlan), text("tree walk", spmd.RunTreeWalk); plan != want || tree != want {
 		t.Errorf("plan fails with %q, the tree walk with %q, want %q", plan, tree, want)
 	}
 }
@@ -409,7 +414,7 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 					sameFailure(t, prog, cfg, lane.fails)
 					return
 				}
-				if _, err := spmd.RunContext(context.Background(), prog, cfg, nil, spmd.Options{}); err != nil {
+				if _, err := spmd.Lower(prog, cfg.P, nil, nil, nil).Run(context.Background(), cfg, spmd.Options{}); err != nil {
 					t.Fatal(err)
 				}
 				samePlanAndTree(t, prog, cfg, nil, spmd.Options{})

@@ -33,7 +33,7 @@ func TestUnknownReduceOpError(t *testing.T) {
 		t.Fatal("no GlobalReduce in parsed body")
 	}
 	red.Op = "XOR"
-	_, err := RunContext(context.Background(), prog, machine.DefaultConfig(4), nil, Options{})
+	_, err := Lower(prog, 4, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 	if err == nil {
 		t.Fatal("unknown reduce op must fail the run")
 	}
@@ -50,7 +50,7 @@ func TestUnknownReduceOpError(t *testing.T) {
 
 	// P=1 takes the no-communication early return, but the op check
 	// must still fire: a bad op is a bug at every processor count.
-	if _, err := RunContext(context.Background(), prog, machine.DefaultConfig(1), nil, Options{}); err == nil {
+	if _, err := Lower(prog, 1, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(1), Options{}); err == nil {
 		t.Error("unknown reduce op must fail at P=1 too")
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"time"
 
-	"fortd/internal/ast"
-	"fortd/internal/decomp"
 	"fortd/internal/machine"
 	"fortd/internal/trace"
 )
@@ -56,12 +54,6 @@ type RunResult struct {
 	Arrays map[string][]float64
 	// siteBufs counts the site buffers made for main-program arrays.
 	siteBufs int
-}
-
-// RunContext lowers prog for cfg's machine and runs it (Lower, then
-// Plan.Run): one run, for programs that are run once.
-func RunContext(ctx context.Context, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts Options) (*RunResult, error) {
-	return Lower(prog, cfg.P, dists, nil).Run(ctx, cfg, opts)
 }
 
 // Run executes the plan under the given machine configuration, which
@@ -225,12 +217,6 @@ func joinRunErrors(m *machine.Machine, errs []error, waitErr error) error {
 func (pl *Plan) RunSequential(ctx context.Context, opts Options) (*RunResult, error) {
 	opts.Faults = nil
 	return pl.Run(ctx, machine.Config{P: 1, FlopCost: 1}, opts)
-}
-
-// RunSequentialContext lowers prog for one processor and runs it as the
-// reference run (Plan.RunSequential).
-func RunSequentialContext(ctx context.Context, prog *ast.Program, opts Options) (*RunResult, error) {
-	return Lower(prog, 1, nil, nil).RunSequential(ctx, opts)
 }
 
 // assemble merges the processors' shares: each element is taken from its

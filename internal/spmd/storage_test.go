@@ -28,7 +28,7 @@ func shareOf(spec ast.DistSpec, dim, np, p int, lo, hi []int, below, above int) 
 	}
 	specs[dim] = spec
 	a := &Array{Lo: lo, Hi: hi, Dist: decomp.MustDist(decomp.NewDecomp(specs...), sizes, np)}
-	nd := &node{p: p, pl: &Plan{nproc: max(np, 2), main: &procPlan{}, overlap: func(_, _ string, _, block int) (int, int) { return 1 - below, block + above }}}
+	nd := &node{p: p, pl: &Plan{nproc: max(np, 2), main: &procPlan{Code: &Code{}}, overlap: func(_, _ string, _, block int) (int, int) { return 1 - below, block + above }}}
 	a.name = "a"
 	a.win = nd.window(a)
 	a.Data = poisoned(nil, a.size(a.win))
@@ -166,7 +166,7 @@ func TestWindowLayout(t *testing.T) {
 // them, and the machine's statistics.
 func nodeArrays(t *testing.T, src string, p int, dists map[string]*decomp.Dist, init map[string][]float64) ([]map[string]*Array, machine.Stats) {
 	t.Helper()
-	pl := Lower(parseProg(t, src), p, dists, nil)
+	pl := Lower(parseProg(t, src), p, dists, nil, nil)
 	m := machine.New(machine.DefaultConfig(p))
 	out := make([]map[string]*Array, p)
 	for pid := 0; pid < p; pid++ {
@@ -199,7 +199,7 @@ func TestMissingMessageIsNaN(t *testing.T) {
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Block), []int{16}, 4)
 	dists := map[string]*decomp.Dist{"x": dist, "y": dist}
 	for _, comm := range []string{exchange, ""} {
-		res, err := RunContext(context.Background(), parseProg(t, fmt.Sprintf(`
+		res, err := Lower(parseProg(t, fmt.Sprintf(`
       PROGRAM P
       PARAMETER (n$proc = 4)
       REAL x(16), y(16)
@@ -211,7 +211,7 @@ func TestMissingMessageIsNaN(t *testing.T) {
         y(i) = x(i+1)
       enddo
       END
-`, comm)), machine.DefaultConfig(4), dists, Options{})
+`, comm)), 4, dists, nil, nil).Run(context.Background(), machine.DefaultConfig(4), Options{})
 		if err != nil {
 			t.Fatalf("exchange %q: %v", comm, err)
 		}

@@ -42,6 +42,7 @@ import (
 	"fortd/internal/parser"
 	"fortd/internal/partition"
 	"fortd/internal/sideeffect"
+	"fortd/internal/spmd"
 )
 
 // Entry holds every artifact of one procedure's phase-3 compilation;
@@ -111,6 +112,7 @@ type Cache struct {
 	digests  map[*ast.Procedure]string // of the units it parsed
 	scheds   map[string]*Scheduled
 	texts    map[*ast.Procedure]string // of the units it printed
+	codes    map[codeKey]*spmd.Code    // of the units it lowered
 	locals   map[*ast.Procedure]*Local // of the units it parsed
 	hits     int64
 	misses   int64
@@ -296,6 +298,23 @@ func (c *Cache) Listing(prog *ast.Program) string {
 	return strings.Join(texts, "\n")
 }
 
+// codeKey is a unit lowered for a machine of nproc processors.
+type codeKey struct {
+	unit  *ast.Procedure
+	nproc int
+}
+
+// Codes is the memo spmd.Lower takes unit code from until Reset (nil for
+// a nil cache: Lower lowers every unit).
+func (c *Cache) Codes() spmd.Memo {
+	if c == nil {
+		return nil
+	}
+	return func(u *ast.Procedure, nproc int, lower func() *spmd.Code) *spmd.Code {
+		return memo(c, &c.codes, codeKey{u, nproc}, lower)
+	}
+}
+
 // get, put and memo use one of c's maps under c's lock; memo stores what
 // compute returns if k has no value. set is put for a caller holding it.
 func get[K comparable, V any](c *Cache, m *map[K]V, k K) V {
@@ -349,7 +368,7 @@ func (c *Cache) Reset() {
 		return
 	}
 	c.mu.Lock()
-	c.entries, c.units, c.digests, c.scheds, c.texts, c.locals = nil, nil, nil, nil, nil, nil
+	c.entries, c.units, c.digests, c.scheds, c.texts, c.locals, c.codes = nil, nil, nil, nil, nil, nil, nil
 	c.hits, c.misses, c.diskHits = 0, 0, 0
 	c.mu.Unlock()
 }

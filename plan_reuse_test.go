@@ -2,11 +2,20 @@ package fortd
 
 import (
 	"bytes"
+	"fmt"
+	"io/fs"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"fortd/internal/progen"
 )
 
 // A Program lowers its node program to an execution plan on its first
@@ -66,23 +75,40 @@ const commonConcurrentSrc = `
 // TestProgramRunsConcurrently races goroutines on the first Run and the
 // first RunReference of one compiled Program, which lower its plans,
 // and has them run it with different inputs, a trace and a fault plan.
-// Each result must equal its serial twin's, run on a Program of its
-// own: arrays, Stats.Time, Messages, Words and Flops, and the trace.
-// ci.sh runs it under -race.
+// In the "shared units" lane they race on two Programs compiled through
+// one summary cache, an edit and its base, whose plans share the code of
+// every unit but the edited one. Each result must equal its serial
+// twin's, run on a Program of its own: arrays, Stats.Time, Messages,
+// Words and Flops, and the trace. ci.sh runs it under -race.
 func TestProgramRunsConcurrently(t *testing.T) {
 	synth := SyntheticProcsSrc(8, 4, 32, 4)
+	synthInits := []map[string][]float64{RampInit(synth), scaled(RampInit(synth), -0.5)}
 	for _, w := range []struct {
-		name, src string
-		inits     []map[string][]float64
+		name  string
+		srcs  []string // more than one: compiled through one cache
+		inits []map[string][]float64
 	}{
-		{"synth", synth, []map[string][]float64{RampInit(synth), scaled(RampInit(synth), -0.5)}},
-		{"dgefa", DgefaSrc(32, 4), []map[string][]float64{{"a": DgefaMatrix(32)}, scaled(map[string][]float64{"a": DgefaMatrix(32)}, 3)}},
-		{"common", commonConcurrentSrc, []map[string][]float64{RampInit(commonConcurrentSrc), scaled(RampInit(commonConcurrentSrc), 2)}},
+		{"synth", []string{synth}, synthInits},
+		{"dgefa", []string{DgefaSrc(32, 4)}, []map[string][]float64{{"a": DgefaMatrix(32)}, scaled(map[string][]float64{"a": DgefaMatrix(32)}, 3)}},
+		{"common", []string{commonConcurrentSrc}, []map[string][]float64{RampInit(commonConcurrentSrc), scaled(RampInit(commonConcurrentSrc), 2)}},
+		{"shared units", []string{strings.Replace(synth, "+ 9.0\n", "+ 1000.0\n", 1), synth}, synthInits},
 	} {
 		t.Run(w.name, func(t *testing.T) {
-			shared, err := Compile(w.src, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
+			opts := DefaultOptions()
+			if len(w.srcs) > 1 {
+				opts.Cache = NewSummaryCache()
+			}
+			var shared, twins []*Program
+			for _, src := range w.srcs {
+				p, err := Compile(src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twin, err := Compile(src, DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared, twins = append(shared, p), append(twins, twin)
 			}
 			// one case per runner: each input as a run and as a reference
 			// run, then a traced and a faulted run of the first input
@@ -120,18 +146,15 @@ func TestProgramRunsConcurrently(t *testing.T) {
 				o.trace = buf.Bytes()
 				return o
 			}
-			twin, err := Compile(w.src, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]outcome, len(cases))
-			for i, c := range cases {
-				if want[i] = do(twin, c); want[i].err != nil {
+			// case i of program k is want[k*len(cases)+i]
+			want := make([]outcome, len(twins)*len(cases))
+			for i := range want {
+				if want[i] = do(twins[i/len(cases)], cases[i%len(cases)]); want[i].err != nil {
 					t.Fatalf("serial case %d: %v", i, want[i].err)
 				}
 			}
 			const copies = 3
-			got := make([]outcome, copies*len(cases))
+			got := make([]outcome, copies*len(want))
 			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for i := range got {
@@ -139,13 +162,14 @@ func TestProgramRunsConcurrently(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					<-start
-					got[i] = do(shared, cases[i%len(cases)])
+					k := i % len(want)
+					got[i] = do(shared[k/len(cases)], cases[k%len(cases)])
 				}(i)
 			}
 			close(start)
 			wg.Wait()
 			for i, g := range got {
-				c, ws := i%len(cases), want[i%len(cases)]
+				c, ws := i%len(want), want[i%len(want)]
 				switch {
 				case g.err != nil:
 					t.Errorf("case %d: %v", c, g.err)
@@ -228,4 +252,95 @@ func TestLoweringBytesBudget(t *testing.T) {
 	if bytes > budget {
 		t.Errorf("lowering allocates %d bytes, budget %d", bytes, budget)
 	}
+}
+
+// TestWarmPlanMatchesCold holds a plan that takes unit code from the
+// summary cache to a cold one. For every testdata program that compiles
+// and twenty progen programs, a cache first compiles and runs an edit of
+// the program's last unit, which lowers every unit but that one as the
+// program has it; the program compiled through the same cache then runs
+// on their code, linked into its own plan, and must equal a run of the
+// program compiled without a cache: arrays (NaN equal to NaN), Stats and
+// the JSONL trace, in the compiled run and the reference run alike.
+func TestWarmPlanMatchesCold(t *testing.T) {
+	type program struct{ name, src string }
+	var progs []program
+	err := filepath.WalkDir("testdata", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".f") {
+			b, rerr := os.ReadFile(path)
+			progs = append(progs, program{path, string(b)})
+			return rerr
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		g := &progen.Gen{Rng: rand.New(rand.NewSource(seed)), N: 24 + int(seed%3)*8, P: []int{3, 4, 6}[seed%3]}
+		progs = append(progs, program{fmt.Sprintf("progen/%02d", seed), g.Generate()})
+	}
+	outcome := func(p *Program, ref bool, init map[string][]float64) (string, *Result) {
+		tr := NewTrace()
+		r := NewRunner(WithInit(init), WithTrace(tr))
+		run := r.Run
+		if ref {
+			run = r.RunReference
+		}
+		res, err := run(p)
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(err) + "\n" + buf.String(), res
+	}
+	compared, edited := 0, 0
+	for _, c := range progs {
+		cold, err := Compile(c.src, DefaultOptions())
+		if err != nil {
+			continue
+		}
+		opts := DefaultOptions()
+		opts.Cache = NewSummaryCache()
+		init := RampInit(c.src)
+		if edit, err := Compile(editLastUnit(c.src), opts); err == nil {
+			outcome(edit, false, init)
+			outcome(edit, true, init)
+			edited++
+		}
+		warm, err := Compile(c.src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, ref := range []bool{false, true} {
+			got, gres := outcome(warm, ref, init)
+			want, wres := outcome(cold, ref, init)
+			switch {
+			case got != want:
+				t.Errorf("%s (reference %v): the warm plan's error or trace differs from the cold plan's", c.name, ref)
+			case wres == nil:
+			case !sameValues(gres.Arrays, wres.Arrays):
+				t.Errorf("%s (reference %v): arrays differ from the cold plan's", c.name, ref)
+			case !reflect.DeepEqual(gres.Stats, wres.Stats):
+				t.Errorf("%s (reference %v): stats %v, cold plan %v", c.name, ref, gres.Stats, wres.Stats)
+			}
+		}
+		compared++
+	}
+	if compared < 60 || edited < compared-5 {
+		t.Errorf("compared %d programs, %d of them after an edit, want at least 60, and all but 5 edited", compared, edited)
+	}
+	t.Logf("compared %d programs, %d after an edit", compared, edited)
+}
+
+// editLastUnit assigns a fresh scalar before the last END of src: an
+// edit of the last unit that moves no other unit's lines.
+func editLastUnit(src string) string {
+	lines := strings.SplitAfter(src, "\n")
+	for i := len(lines) - 1; i >= 0; i-- {
+		if strings.EqualFold(strings.TrimSpace(lines[i]), "END") {
+			return strings.Join(lines[:i], "") + "      kedit = 1\n" + strings.Join(lines[i:], "")
+		}
+	}
+	return src
 }
