@@ -243,7 +243,8 @@ func (st *State) recomputeAligned(arr string) {
 // WalkBody drives the state through a statement list, calling visit for
 // every statement with the state *before* the statement takes effect.
 // Branches are merged; loop bodies are walked twice so decomposition
-// changes in an iteration reach the loop top.
+// changes in an iteration reach the loop top. A body without a directive
+// cannot change the state, so it is walked once, in the state as it is.
 func (st *State) WalkBody(body []ast.Stmt, visit func(s ast.Stmt, st *State)) {
 	for _, s := range body {
 		if visit != nil {
@@ -251,12 +252,19 @@ func (st *State) WalkBody(body []ast.Stmt, visit func(s ast.Stmt, st *State)) {
 		}
 		switch x := s.(type) {
 		case *ast.Do:
-			// two passes for fixpoint over dynamic redistribution
-			snapshot := st.clone()
-			st.WalkBody(x.Body, nil)
-			st.merge(snapshot)
+			if directive(x.Body) {
+				// two passes for fixpoint over dynamic redistribution
+				snapshot := st.clone()
+				st.WalkBody(x.Body, nil)
+				st.merge(snapshot)
+			}
 			st.WalkBody(x.Body, visit)
 		case *ast.If:
+			if !directive(x.Then) && !directive(x.Else) {
+				st.WalkBody(x.Then, visit)
+				st.WalkBody(x.Else, visit)
+				break
+			}
 			thenSt := st.clone()
 			thenSt.WalkBody(x.Then, visit)
 			elseSt := st.clone()
@@ -267,6 +275,19 @@ func (st *State) WalkBody(body []ast.Stmt, visit func(s ast.Stmt, st *State)) {
 			st.Apply(s)
 		}
 	}
+}
+
+// directive reports whether body holds a DECOMPOSITION, ALIGN or
+// DISTRIBUTE at any depth.
+func directive(body []ast.Stmt) (found bool) {
+	ast.WalkStmts(body, func(s ast.Stmt) bool {
+		switch s.(type) {
+		case *ast.Decomposition, *ast.Align, *ast.Distribute:
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // ---------------------------------------------------------------------------
