@@ -155,8 +155,15 @@ test -z "$ELF"
 # pin its own remark, paying in part with the parser's copy of
 # Procedure.Constants, the RunSPMD constants loop and spmd's two
 # lower-and-run wrappers only tests called:
-# 24538 -> 24598
-LOC_CEILING=24598
+# 24538 -> 24598. The next change (2026-10-18) bought one ownership
+# test per run of equal guards (the schedule pass's last step joins
+# adjacent IFs whose conditions print alike when no earlier body may
+# write what the condition reads) and a reach walk that visits a body
+# without a directive once, allowed at most +60, paying with the run-time
+# resolution path's three hand-set positions (one stampPos per
+# assignment) and by moving ast.MustInt, which only partition's tests
+# called, into those tests (+66 without that move): 24598 -> 24656
+LOC_CEILING=24656
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"
 go build ./...

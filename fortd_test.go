@@ -396,10 +396,16 @@ func TestCompileDeterminism(t *testing.T) {
 
 // TestDgefaApproachesHandWritten reproduces the paper's headline §9
 // claim: the interprocedurally compiled dgefa approaches hand-written
-// message-passing code, while the baselines are far away.
+// message-passing code, while the baselines are far away. At the
+// benchmark's own size (n = 128, P = 1 024) the compiled program may take
+// at most 0.1 % longer than the hand-written one, which tests the
+// owner of column k once per step, as the compiled program does.
 func TestDgefaApproachesHandWritten(t *testing.T) {
-	for _, n := range []int{64, 96} {
-		const p = 4
+	for _, size := range []struct {
+		n, p int
+		time float64 // bound on compiled/hand virtual time
+	}{{64, 4, 1.15}, {96, 4, 1.15}, {128, 1024, 1.001}} {
+		n, p := size.n, size.p
 		init := map[string][]float64{"a": DgefaMatrix(n)}
 
 		// the hand-written program is plain SPMD text executed directly
@@ -438,15 +444,15 @@ func TestDgefaApproachesHandWritten(t *testing.T) {
 			compiled, hand float64
 			bound          float64
 		}{
-			{"time", c.Time, h.Time, 1.15},
+			{"time", c.Time, h.Time, size.time},
 			{"messages", float64(c.Messages), float64(h.Messages), 1.25},
 			{"words", float64(c.Words), float64(h.Words), 1.5},
 		} {
 			if ratio := m.compiled / m.hand; ratio > m.bound {
-				t.Errorf("n=%d %s: compiled/hand = %.3f (compiled %.1f, hand %.1f), above %.2f: not 'closely approaching'",
-					n, m.what, ratio, m.compiled, m.hand, m.bound)
+				t.Errorf("n=%d P=%d %s: compiled/hand = %.4f (compiled %.1f, hand %.1f), above %.3f: not 'closely approaching'",
+					n, p, m.what, ratio, m.compiled, m.hand, m.bound)
 			}
 		}
-		t.Logf("n=%d hand=%.0fµs compiled=%.0fµs ratio=%.3f", n, h.Time, c.Time, c.Time/h.Time)
+		t.Logf("n=%d P=%d hand=%.1fµs compiled=%.1fµs ratio=%.4f", n, p, h.Time, c.Time, c.Time/h.Time)
 	}
 }

@@ -1,7 +1,5 @@
 package ast
 
-import "fmt"
-
 // Env supplies integer values for identifiers during constant evaluation.
 type Env interface {
 	Value(name string) (int, bool)
@@ -196,16 +194,6 @@ func Max(x, y Expr) Expr {
 
 // Cmp builds a comparison expression.
 func Cmp(op BinOp, x, y Expr) Expr { return &Binary{Op: op, X: x, Y: y} }
-
-// MustInt evaluates e as a constant and panics if it is not one. It is
-// used where prior analysis guarantees constancy.
-func MustInt(e Expr, env Env) int {
-	v, ok := EvalInt(e, env)
-	if !ok {
-		panic(fmt.Sprintf("ast: expression %s is not a constant", e))
-	}
-	return v
-}
 
 func b2i(b bool) int {
 	if b {

@@ -93,6 +93,7 @@ func runtimeBody(proc *ast.Procedure, distOf partition.DistOf, p int, body []ast
 			if err != nil {
 				return nil, err
 			}
+			stampPos(stmts, st.Pos())
 			out = append(out, stmts...)
 		default:
 			out = append(out, s)
@@ -199,25 +200,16 @@ func runtimeAssign(proc *ast.Procedure, distOf partition.DistOf, st *ast.Assign,
 		}
 		if replicated {
 			// every processor computes: the owner broadcasts the element
-			bc := &ast.Broadcast{Array: ref.Name, Sec: sec, Root: srcOwner}
-			bc.Position = st.Pos()
-			out = append(out, bc)
+			out = append(out, &ast.Broadcast{Array: ref.Name, Sec: sec, Root: srcOwner})
 			res.MessagesInserted++
 			continue
 		}
 		differ := ast.Cmp(ast.OpNE, srcOwner, lhsOwner)
 		iOwnSrc := ast.Cmp(ast.OpEQ, myP(), srcOwner)
-		send := &ast.Send{Array: ref.Name, Sec: sec, Dest: lhsOwner}
-		send.Position = st.Pos()
-		recv := &ast.Recv{Array: ref.Name, Sec: sec, Src: srcOwner}
-		recv.Position = st.Pos()
-		out = append(out, &ast.If{
-			Cond: differ,
-			Then: []ast.Stmt{
-				&ast.If{Cond: iOwnSrc, Then: []ast.Stmt{send}},
-				&ast.If{Cond: iCompute, Then: []ast.Stmt{recv}},
-			},
-		})
+		out = append(out, &ast.If{Cond: differ, Then: []ast.Stmt{
+			&ast.If{Cond: iOwnSrc, Then: []ast.Stmt{&ast.Send{Array: ref.Name, Sec: sec, Dest: lhsOwner}}},
+			&ast.If{Cond: iCompute, Then: []ast.Stmt{&ast.Recv{Array: ref.Name, Sec: sec, Src: srcOwner}}},
+		}})
 		res.MessagesInserted += 2
 	}
 	if replicated {

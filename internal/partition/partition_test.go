@@ -9,6 +9,16 @@ import (
 	"fortd/internal/parser"
 )
 
+// mustInt evaluates e, which the test expects to be a constant in env.
+func mustInt(t *testing.T, e ast.Expr, env ast.Env) int {
+	t.Helper()
+	v, ok := ast.EvalInt(e, env)
+	if !ok {
+		t.Fatalf("%s is not a constant", e)
+	}
+	return v
+}
+
 func buildNode(t *testing.T, src, procName string) (*ast.Procedure, *acg.Node) {
 	t.Helper()
 	prog, err := parser.Parse(src)
@@ -192,8 +202,8 @@ func TestBoundExprsBlock(t *testing.T) {
 	// evaluate per processor
 	for p := 0; p < 4; p++ {
 		env := ast.MapEnv{MyP: p}
-		l := ast.MustInt(lo, env)
-		h := ast.MustInt(hi, env)
+		l := mustInt(t, lo, env)
+		h := mustInt(t, hi, env)
 		wantLo := p*25 + 1
 		wantHi := (p + 1) * 25
 		if wantHi > 95 {
@@ -214,8 +224,8 @@ func TestBoundExprsBlockWithOffset(t *testing.T) {
 	}
 	for p := 0; p < 4; p++ {
 		env := ast.MapEnv{MyP: p}
-		l := ast.MustInt(lo, env)
-		h := ast.MustInt(hi, env)
+		l := mustInt(t, lo, env)
+		h := mustInt(t, hi, env)
 		// every iteration v in [l:h] must have owner(v+2) == p
 		for v := l; v <= h; v++ {
 			if o := c.Dist.OwnerIndex(v + 2); o != p {
@@ -233,16 +243,16 @@ func TestBoundExprsCyclic(t *testing.T) {
 	if !ok {
 		t.Fatal("cyclic reduction failed")
 	}
-	if ast.MustInt(step, nil) != 4 {
+	if mustInt(t, step, nil) != 4 {
 		t.Errorf("step = %v", step)
 	}
 	for p := 0; p < 4; p++ {
 		env := ast.MapEnv{MyP: p}
-		if l := ast.MustInt(lo, env); l != p+1 {
+		if l := mustInt(t, lo, env); l != p+1 {
 			t.Errorf("p%d lo = %d, want %d", p, l, p+1)
 		}
 	}
-	if ast.MustInt(hi, nil) != 100 {
+	if mustInt(t, hi, nil) != 100 {
 		t.Errorf("hi = %v", hi)
 	}
 }
@@ -255,7 +265,7 @@ func TestBoundExprsCyclicSymbolicLo(t *testing.T) {
 	if !ok {
 		t.Fatal("symbolic cyclic reduction failed")
 	}
-	if ast.MustInt(step, nil) != 4 {
+	if mustInt(t, step, nil) != 4 {
 		t.Errorf("step = %v", step)
 	}
 	// first$(my$p+1, k+1, 4): smallest x >= k+1 with x ≡ my$p+1 (mod 4)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,10 +60,55 @@ func privateRows(t *testing.T) []privateRow {
 	return rows
 }
 
+// conds returns, for each statement of prog that match accepts, the
+// conditions of the IFs around it, outermost first; an ELSE branch
+// counts as the negated condition.
+func conds(prog *ast.Program, match func(ast.Stmt) bool) [][]string {
+	var out [][]string
+	var walk func([]ast.Stmt, []string)
+	walk = func(list []ast.Stmt, around []string) {
+		for _, s := range list {
+			if match(s) {
+				out = append(out, around)
+			}
+			switch st := s.(type) {
+			case *ast.Do:
+				walk(st.Body, around)
+			case *ast.If:
+				walk(st.Then, append(slices.Clip(around), st.Cond.String()))
+				walk(st.Else, append(slices.Clip(around), ".NOT. "+st.Cond.String()))
+			}
+		}
+	}
+	for _, u := range prog.Units {
+		walk(u.Body, nil)
+	}
+	return out
+}
+
+// ownership reports whether cond is an ownership test, "... .EQ. my$p".
+func ownership(cond string) bool { return strings.HasSuffix(cond, ".EQ. my$p)") }
+
+// assigns matches an assignment to the scalar name.
+func assigns(name string) func(ast.Stmt) bool {
+	return func(s ast.Stmt) bool {
+		a, ok := s.(*ast.Assign)
+		return ok && ast.ExprEqual(a.Lhs, ast.Id(name))
+	}
+}
+
+// calls matches a call of the procedure name.
+func calls(name string) func(ast.Stmt) bool {
+	return func(s ast.Stmt) bool {
+		c, ok := s.(*ast.Call)
+		return ok && c.Name == name
+	}
+}
+
 // TestPrivateScalarTable: every row's decisions carry their remark —
 // Applied for the scalars the owner alone computes, Missed with the
 // reason for each that stays replicated — and no assignment to a scalar
-// the rule refused sits directly under an ownership guard.
+// the rule refused runs under an ownership guard.
 func TestPrivateScalarTable(t *testing.T) {
 	for _, row := range privateRows(t) {
 		row := row
@@ -95,9 +141,10 @@ func TestPrivateScalarTable(t *testing.T) {
 				if applied[e.scalar] && inComm.MatchString(listing) {
 					t.Errorf("%s is its owner's alone but a communication statement names it:\n%s", e.scalar, listing)
 				}
-				guarded := regexp.MustCompile(`\.EQ\. my\$p\)\) then\n\s+` + e.scalar + ` = `)
-				if !applied[e.scalar] && guarded.MatchString(listing) {
-					t.Errorf("%s stays replicated but is assigned under a guard:\n%s", e.scalar, listing)
+				for _, around := range conds(c.Program, assigns(e.scalar)) {
+					if !applied[e.scalar] && slices.ContainsFunc(around, ownership) {
+						t.Errorf("%s stays replicated but is assigned under a guard:\n%s", e.scalar, listing)
+					}
 				}
 			}
 		})
@@ -106,7 +153,8 @@ func TestPrivateScalarTable(t *testing.T) {
 
 // TestPrivateScalarDgefa: the §9 shape. idamax exports the owner-of-k
 // constraint and no communication; in dgefa its call, t and the call to
-// dscal take the same guard, and column k travels once per step, as the
+// dscal run only under the owner-of-k test, which the schedule pass makes
+// one test for the three, and column k travels once per step, as the
 // section daxpy reads.
 func TestPrivateScalarDgefa(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "private", "pos_dgefa.f"))
@@ -124,11 +172,14 @@ func TestPrivateScalarDgefa(t *testing.T) {
 			t.Errorf("idamax exports %q, want the constraint on k and no communication", got)
 		}
 		dgefa := string(ast.AppendProcedure(nil, c.Program.Proc("dgefa")))
-		const guard = "if ((MOD((k - 1),4) .EQ. my$p)) then\n          "
-		for _, stmt := range []string{"call idamax(a,n,k)", "t = (1 / a(k,k))", "call dscal(a,n,k,t)"} {
-			if !strings.Contains(dgefa, guard+stmt) {
-				t.Errorf("overlap=%v: %s is not under the owner-of-k guard:\n%s", overlap, stmt, dgefa)
+		const guard = "(MOD((k - 1),4) .EQ. my$p)"
+		for stmt, match := range map[string]func(ast.Stmt) bool{"call idamax": calls("idamax"), "t = ...": assigns("t"), "call dscal": calls("dscal")} {
+			if got := conds(c.Program, match); len(got) != 1 || !slices.Equal(got[0], []string{guard}) {
+				t.Errorf("overlap=%v: %s runs under %q, want once under the owner-of-k guard alone:\n%s", overlap, stmt, got, dgefa)
 			}
+		}
+		if got, want := strings.Count(dgefa, "if ("+guard+") then"), map[bool]int{false: 3, true: 1}[overlap]; got != want {
+			t.Errorf("overlap=%v: %d owner-of-k tests per step, want %d:\n%s", overlap, got, want, dgefa)
 		}
 		if strings.Count(dgefa, "broadcast ")+strings.Count(dgefa, "postbcast ") != 1 ||
 			!strings.Contains(dgefa, "cast a((k + 1):12,k) from MOD((k - 1),4)") {

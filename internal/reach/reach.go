@@ -252,8 +252,7 @@ func (st *State) WalkBody(body []ast.Stmt, visit func(s ast.Stmt, st *State)) {
 		}
 		switch x := s.(type) {
 		case *ast.Do:
-			if directive(x.Body) {
-				// two passes for fixpoint over dynamic redistribution
+			if directive(x.Body) { // two passes for fixpoint over dynamic redistribution
 				snapshot := st.clone()
 				st.WalkBody(x.Body, nil)
 				st.merge(snapshot)
@@ -277,8 +276,7 @@ func (st *State) WalkBody(body []ast.Stmt, visit func(s ast.Stmt, st *State)) {
 	}
 }
 
-// directive reports whether body holds a DECOMPOSITION, ALIGN or
-// DISTRIBUTE at any depth.
+// directive reports whether body holds a DECOMPOSITION, ALIGN or DISTRIBUTE at any depth.
 func directive(body []ast.Stmt) (found bool) {
 	ast.WalkStmts(body, func(s ast.Stmt) bool {
 		switch s.(type) {

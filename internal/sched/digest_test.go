@@ -54,7 +54,9 @@ func scheduled(t testing.TB, src string) (*ast.Program, []explain.Remark, int) {
 // was rebuilt as four transforms over one view: for each generated
 // program, the listing after Apply, the remarks and the applied count.
 // testdata/golden/sched_digest.txt was recorded on that tree and is not
-// regenerated for a restructuring of the pass. It runs under -short
+// regenerated for a restructuring of the pass; it was regenerated once
+// when the guard merge became the pass's last step, which moved the
+// listing and remarks of 221 programs and no applied count. It runs under -short
 // too. The generator must keep exercising every transform in both
 // directions, so the coverage floor is part of the test.
 func TestSchedDigest(t *testing.T) {

@@ -19,6 +19,9 @@
 //   - Broadcast hoist splits a broadcast into a post hoisted above the
 //     statements it may move across and a wait in its place.
 //
+// A last step over each unit, the guard merge (merge), makes a run of
+// adjacent IFs that test the same condition one IF.
+//
 // Whether a statement may move across another is one rule (view.blocker)
 // asked of one summary of what a statement does (Pass.effects, which is
 // internal/sideeffect's GMOD/GREF read off the generated dialect, calls
@@ -35,7 +38,8 @@
 // only across statements proven not to interfere with it, and peeled
 // iterations re-run after the waits in a loop whose iterations are
 // proven independent, so each array element is computed by the same
-// expression reading the same values as the blocking schedule.
+// expression reading the same values as the blocking schedule; two tests
+// become one only where nothing between them may write what they read.
 package sched
 
 import (
@@ -108,7 +112,7 @@ type Pass struct {
 // the number of sites transformed, reporting them to ec.
 func (p *Pass) Unit(u *ast.Procedure, ec *explain.Collector) (*ast.Procedure, int) {
 	p.ec, p.sites = ec, 0
-	body := p.schedule(u, u.Body)
+	body := p.merge(u, p.schedule(u, u.Body))
 	if sameList(body, u.Body) {
 		return nil, p.sites
 	}
@@ -141,15 +145,61 @@ func (p *Pass) schedule(u *ast.Procedure, list []ast.Stmt) []ast.Stmt {
 			}
 			v.loopBody(i, p.schedule(u, v.list[i].(*ast.Do).Body))
 		case *ast.If:
-			then, els := p.schedule(u, st.Then), p.schedule(u, st.Else)
-			if !sameList(then, st.Then) || !sameList(els, st.Else) {
-				cp := *st
-				cp.Then, cp.Else = then, els
-				v.replace(i, 1, &cp)
-			}
+			v.branches(i, func(l []ast.Stmt) []ast.Stmt { return p.schedule(u, l) })
 		}
 	}
 	return v.scan(early, halo, hoist)
+}
+
+// merge is the last step of a unit's schedule, after the transforms, which
+// look at one guard per message: in list and the lists nested in it, each
+// IF that joins the one before it becomes part of it.
+func (p *Pass) merge(u *ast.Procedure, list []ast.Stmt) []ast.Stmt {
+	v := &view{Pass: p, unit: u, list: list}
+	for i := 0; i < len(v.list); i++ {
+		switch st := v.list[i].(type) {
+		case *ast.Do:
+			v.loopBody(i, p.merge(u, st.Body))
+		case *ast.If:
+			var lines []int
+			for i+1 < len(v.list) && v.joins(st, v.list[i+1]) {
+				next := v.list[i+1]
+				joined := *st
+				joined.Then = append(slices.Clip(st.Then), next.(*ast.If).Then...)
+				st, lines = &joined, append(lines, next.Pos().Line)
+				v.replace(i, 2, st)
+			}
+			if lines != nil && v.ec.Enabled() {
+				v.ec.Addf(explain.Applied, "sched", u.Name, st.Pos().Line, "guard-merge", "%d tests of %s made one, for lines %v",
+					len(lines)+1, st.Cond, slices.Compact(append([]int{st.Pos().Line}, lines...)))
+			}
+			v.branches(i, func(l []ast.Stmt) []ast.Stmt { return p.merge(u, l) })
+		}
+	}
+	return v.list
+}
+
+// joins reports whether next may join the IF st: both are IFs without an ELSE,
+// their conditions print alike, and st's body may write nothing the condition
+// reads (a call: by its callee's summary, built only then; none: refused).
+func (v *view) joins(st *ast.If, next ast.Stmt) bool {
+	nx, ok := next.(*ast.If)
+	if !ok || len(st.Else)+len(nx.Else) > 0 || !ast.ExprEqual(st.Cond, nx.Cond) {
+		return false
+	}
+	var fx *sideeffect.Analysis
+	known, wrote := true, sideeffect.NewSummary()
+	ast.WalkStmts(st.Then, func(s ast.Stmt) bool {
+		if call, ok := s.(*ast.Call); ok {
+			fx, known = v.summaries(), known && v.opaque(call) == ""
+		}
+		return known
+	})
+	fx.Add(wrote, st.Then...)
+	for name := range wrote.Mod {
+		known = known && !mentions(st.Cond, name)
+	}
+	return known
 }
 
 // loopBody gives the loop at i the statement list body: the loop is
@@ -159,6 +209,17 @@ func (v *view) loopBody(i int, body []ast.Stmt) {
 	if !sameList(body, loop.Body) {
 		cp := *loop
 		cp.Body = body
+		v.replace(i, 1, &cp)
+	}
+}
+
+// branches gives the IF at i the lists f makes of its branches: the IF
+// is replaced by a copy unless both are the lists it has.
+func (v *view) branches(i int, f func([]ast.Stmt) []ast.Stmt) {
+	st := v.list[i].(*ast.If)
+	if then, els := f(st.Then), f(st.Else); !sameList(then, st.Then) || !sameList(els, st.Else) {
+		cp := *st
+		cp.Then, cp.Else = then, els
 		v.replace(i, 1, &cp)
 	}
 }
