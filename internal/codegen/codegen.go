@@ -155,7 +155,9 @@ func Generate(in *Input) ([]ast.Stmt, *Result, error) {
 		}
 	}
 
-	// remapping calls, attributed to their anchor's source line
+	// remapping calls, attributed to their anchor's source line; a
+	// remap runs before the messages placed at its anchor, which read
+	// under the layout it sets
 	if in.Remaps != nil {
 		emitRemaps := func(ops []*livedecomp.Op, pos ast.Position) []ast.Stmt {
 			out := make([]ast.Stmt, 0, len(ops))
@@ -168,13 +170,13 @@ func Generate(in *Input) ([]ast.Stmt, *Result, error) {
 			return out
 		}
 		for s, ops := range in.Remaps.BeforeStmt {
-			a.beforeStmt[s] = append(a.beforeStmt[s], emitRemaps(ops, s.Pos())...)
+			a.beforeStmt[s] = append(emitRemaps(ops, s.Pos()), a.beforeStmt[s]...)
 		}
 		for s, ops := range in.Remaps.AfterStmt {
 			a.afterStmt[s] = append(a.afterStmt[s], emitRemaps(ops, s.Pos())...)
 		}
 		for l, ops := range in.Remaps.BeforeLoop {
-			a.beforeLoop[l] = append(a.beforeLoop[l], emitRemaps(ops, l.Pos())...)
+			a.beforeLoop[l] = append(emitRemaps(ops, l.Pos()), a.beforeLoop[l]...)
 		}
 		for l, ops := range in.Remaps.AfterLoop {
 			a.afterLoop[l] = append(a.afterLoop[l], emitRemaps(ops, l.Pos())...)

@@ -174,7 +174,7 @@ func runtimeAssign(proc *ast.Procedure, distOf partition.DistOf, st *ast.Assign,
 	iCompute := ast.Cmp(ast.OpEQ, myP(), lhsOwner)
 
 	// one element message per distributed rhs reference whose owner
-	// differs from the computing processor
+	// may differ from the computing processor
 	var rhsRefs []*ast.ArrayRef
 	collect := func(e ast.Expr) {
 		ast.WalkExpr(e, func(e ast.Expr) {
@@ -203,6 +203,9 @@ func runtimeAssign(proc *ast.Procedure, distOf partition.DistOf, st *ast.Assign,
 			out = append(out, &ast.Broadcast{Array: ref.Name, Sec: sec, Root: srcOwner})
 			res.MessagesInserted++
 			continue
+		}
+		if ast.ExprEqual(srcOwner, lhsOwner) {
+			continue // the computing processor owns the element
 		}
 		differ := ast.Cmp(ast.OpNE, srcOwner, lhsOwner)
 		iOwnSrc := ast.Cmp(ast.OpEQ, myP(), srcOwner)

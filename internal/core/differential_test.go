@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fortd/internal/ast"
 	"fortd/internal/codegen"
+	"fortd/internal/livedecomp"
 	"fortd/internal/machine"
 	"fortd/internal/progen"
 	"fortd/internal/spmd"
@@ -97,26 +100,59 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 					}
 					c = warm // run the cache-built program against the reference
 				}
-				init := seedArrays(c.Source)
-				par, err := spmd.Lower(c.Program, c.P, c.MainDists, nil, nil).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
-				if err != nil {
-					t.Fatalf("trial %d: run: %v\n%s", trial, err, src)
-				}
-				seq, err := spmd.Lower(c.Source, 1, nil, nil, nil).RunSequential(context.Background(), spmd.Options{Init: init})
-				if err != nil {
-					t.Fatalf("trial %d: reference: %v", trial, err)
-				}
-				for name, want := range seq.Arrays {
-					got := par.Arrays[name]
-					for i := range want {
-						if !(math.Abs(got[i]-want[i]) <= 1e-9*(1+math.Abs(want[i]))) {
-							t.Fatalf("trial %d: %s[%d] = %v, want %v\nprogram:\n%s\ngenerated:\n%s",
-								trial, name, i, got[i], want[i], src, listingOf(c))
-						}
-					}
-				}
+				matchesReference(t, c, fmt.Sprintf("trial %d", trial), src)
 			}
 		})
+	}
+}
+
+// TestDifferentialRemapLevels runs 20 programs in which a callee
+// redistributes its formal — called from a loop that may run no
+// iteration and under an IF — at every remap level against the
+// reference: each level's placement must keep every value (ROADMAP item
+// 1(c)).
+func TestDifferentialRemapLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	for found := 0; found < 20; {
+		g := &progen.Gen{Rng: rng, N: rng.Intn(40) + 24, P: []int{2, 3, 4}[rng.Intn(3)], Temps: true}
+		src := g.Generate()
+		if !strings.Contains(src, "do j = 1, m") {
+			continue
+		}
+		found++
+		for _, level := range []livedecomp.Level{livedecomp.OptNone, livedecomp.OptLive, livedecomp.OptHoist, livedecomp.OptKills} {
+			opts := DefaultOptions()
+			opts.RemapOpt = level
+			c, err := Compile(src, opts)
+			if err != nil {
+				t.Fatalf("program %d at %s: compile: %v\n%s", found, level, err, src)
+			}
+			matchesReference(t, c, fmt.Sprintf("program %d at %s", found, level), src)
+		}
+	}
+}
+
+// matchesReference runs c's SPMD program and the sequential reference
+// from the same non-zero arrays and fails unless they agree.
+func matchesReference(t *testing.T, c *Compilation, what, src string) {
+	t.Helper()
+	init := seedArrays(c.Source)
+	par, err := spmd.Lower(c.Program, c.P, c.MainDists, nil, nil).Run(context.Background(), machine.DefaultConfig(c.P), spmd.Options{Init: init})
+	if err != nil {
+		t.Fatalf("%s: run: %v\n%s", what, err, src)
+	}
+	seq, err := spmd.Lower(c.Source, 1, nil, nil, nil).RunSequential(context.Background(), spmd.Options{Init: init})
+	if err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	for name, want := range seq.Arrays {
+		got := par.Arrays[name]
+		for i := range want {
+			if !(math.Abs(got[i]-want[i]) <= 1e-9*(1+math.Abs(want[i]))) {
+				t.Fatalf("%s: %s[%d] = %v, want %v\nprogram:\n%s\ngenerated:\n%s",
+					what, name, i, got[i], want[i], src, listingOf(c))
+			}
+		}
 	}
 }
 

@@ -56,13 +56,13 @@ func BenchmarkLivedecompMain256(b *testing.B) {
 					main = n
 					continue
 				}
-				_, sum := Analyze(n.Proc, n, map[string]decomp.Decomp{"x": block}, summaries, nil, OptKills)
+				_, sum := Analyze(n.Proc, n, map[string]decomp.Decomp{"x": block}, summaries, nil, OptKills, nil)
 				summaries[n.Name()] = sum
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				place, _ := Analyze(main.Proc, main, nil, summaries, nil, OptKills)
+				place, _ := Analyze(main.Proc, main, nil, summaries, nil, OptKills, nil)
 				if (place.Count() > 0) != (lane.dynamic > 0) {
 					b.Fatalf("%d remaps placed", place.Count())
 				}

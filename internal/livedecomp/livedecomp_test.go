@@ -65,7 +65,7 @@ func buildFig15(t *testing.T, level Level) (*Placement, *Summary, map[string]*Su
 			// both F1 and F2 inherit BLOCK from P1
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		place, sum := Analyze(n.Proc, n, entry, summaries, killTest, level)
+		place, sum := Analyze(n.Proc, n, entry, summaries, killTest, level, nil)
 		summaries[n.Name()] = sum
 		if n.Proc.IsMain {
 			mainPlace, mainSum = place, sum
@@ -235,7 +235,7 @@ func TestNoDynamicDecompNoRemaps(t *testing.T) {
 		if !n.Proc.IsMain {
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		place, sum := Analyze(n.Proc, n, entry, summaries, nil, OptKills)
+		place, sum := Analyze(n.Proc, n, entry, summaries, nil, OptKills, nil)
 		summaries[n.Name()] = sum
 		if place.Count() != 0 {
 			t.Errorf("%s: %d remaps in static program", n.Name(), place.Count())
@@ -249,7 +249,9 @@ func TestNoDynamicDecompNoRemaps(t *testing.T) {
 	}
 }
 
-// TestConditionalRemapNotOptimized: remaps under IF are kept verbatim.
+// TestConditionalRemapNotOptimized: a remap under IF stays where its
+// DISTRIBUTE stood, and moves data: the loop after the IF sees X BLOCK
+// on one edge of the IF and CYCLIC on the other, and it reads X.
 func TestConditionalRemapNotOptimized(t *testing.T) {
 	src := `
       PROGRAM P
@@ -275,7 +277,7 @@ func TestConditionalRemapNotOptimized(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.Nodes["P"]
-	place, _ := Analyze(n.Proc, n, nil, map[string]*Summary{}, nil, OptKills)
+	place, _ := Analyze(n.Proc, n, nil, map[string]*Summary{}, nil, OptKills, nil)
 	if place.Count() != 1 {
 		t.Errorf("conditional remap count = %d, want 1", place.Count())
 	}
@@ -343,7 +345,7 @@ func TestNestedLoopHoisting(t *testing.T) {
 		if !n.Proc.IsMain {
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		pl, sum := Analyze(n.Proc, n, entry, summaries, killTest, OptKills)
+		pl, sum := Analyze(n.Proc, n, entry, summaries, killTest, OptKills, nil)
 		summaries[n.Name()] = sum
 		if n.Proc.IsMain {
 			place = pl
@@ -400,7 +402,7 @@ func TestSummaryPassesThroughWrapper(t *testing.T) {
 		if !n.Proc.IsMain {
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		_, sum := Analyze(n.Proc, n, entry, summaries, nil, OptKills)
+		_, sum := Analyze(n.Proc, n, entry, summaries, nil, OptKills, nil)
 		summaries[n.Name()] = sum
 	}
 	w := summaries["WRAP"]

@@ -1,8 +1,9 @@
 // Package progen generates random Fortran D programs for differential
 // tests: fills, shifted stencils, recurrences, reductions, subroutine
 // calls, mid-program redistributions and data-dependent branches over
-// two distributed arrays, and on request scalar temporaries, in shapes
-// nobody hand-picked. It is imported by tests only.
+// two distributed arrays, and on request scalar temporaries and callees
+// that redistribute their formal, in shapes nobody hand-picked. It is
+// imported by tests only.
 package progen
 
 import (
@@ -17,8 +18,11 @@ type Gen struct {
 	Rng *rand.Rand
 	N   int // array size
 	P   int // processor count (the n$proc PARAMETER)
-	// Temps adds fragments with scalar temporaries. Off, a seed draws
-	// the programs it always did (the compile digest records them).
+	// Temps adds fragments with scalar temporaries, and calls to a
+	// subroutine that redistributes its formal from a loop a scalar
+	// runs 0 or 2 times and under an IF on that scalar. Off, a seed
+	// draws the programs it always did (the compile digest records
+	// them).
 	Temps bool
 
 	subs   []string
@@ -127,6 +131,39 @@ func (g *Gen) tempCall(dst, src string) string {
 `, g.N-2, src, g.shift()/2, g.nextID, dst)
 }
 
+// redistCall calls a subroutine that redistributes its formal, and
+// updates it or overwrites all of it, so the caller remaps around each
+// call (§6): maybe once, then from a loop whose trip count m is 0 or 2,
+// then only if m .GT. 0.
+func (g *Gen) redistCall(arr string) string {
+	g.nextID++
+	body := fmt.Sprintf(`      do i = 3, %d
+        U(i) = U(i%+d) + 1.0
+`, g.N-2, g.shift())
+	if g.Rng.Intn(2) == 0 {
+		body = fmt.Sprintf(`      do i = 1, %d
+        U(i) = i * %d
+`, g.N, g.Rng.Intn(5)+1)
+	}
+	g.subs = append(g.subs, fmt.Sprintf(`      SUBROUTINE W%d(U)
+      REAL U(%d)
+      DISTRIBUTE U(%s)
+%s      enddo
+      END
+`, g.nextID, g.N, g.pick("BLOCK", "CYCLIC"), body))
+	call := fmt.Sprintf("call W%d(%s)", g.nextID, arr)
+	first := ""
+	if g.Rng.Intn(2) == 0 {
+		first = "      " + call + "\n"
+	}
+	return fmt.Sprintf(`      m = %d
+%s      do j = 1, m
+        %s
+      enddo
+      if (m .GT. 0) %s
+`, 2*g.Rng.Intn(2), first, call, call)
+}
+
 // Generate returns the program's Fortran D source.
 func (g *Gen) Generate() string {
 	distA := g.pick("BLOCK", "CYCLIC")
@@ -137,7 +174,7 @@ func (g *Gen) Generate() string {
 	body.WriteString(g.fill("B"))
 	kinds := 7
 	if g.Temps {
-		kinds = 10
+		kinds = 11
 	}
 	for i := 0; i < nf; i++ {
 		switch g.Rng.Intn(kinds) {
@@ -164,6 +201,8 @@ func (g *Gen) Generate() string {
 			body.WriteString(g.tempCall(g.pick("A", "B"), g.pick("A", "B")))
 		case 9:
 			body.WriteString(g.temp("B", g.pick("A", "B"), "      B(1) = t\n"))
+		case 10:
+			body.WriteString(g.redistCall(g.pick("A", "B")))
 		}
 	}
 	var src strings.Builder

@@ -14,7 +14,8 @@ import (
 
 // TestKnownWrongAnswers runs testdata/known, one row per program the
 // compiler once got wrong (ROADMAP item 1(b)): under every strategy,
-// with the schedule pass on and off, at five machine sizes, a row
+// with the schedule pass on and off, at five machine sizes and at every
+// remap level (item 1(c)), a row
 // either equals the sequential reference or — if its first line reads
 // "! error: text" — is rejected by the compiler with an error that
 // contains text and names the procedure and line. A row whose first
@@ -39,50 +40,52 @@ func TestKnownWrongAnswers(t *testing.T) {
 		pins := knownPins(t, name, src)
 		for _, st := range digestStrategies {
 			for _, overlap := range []bool{true, false} {
-				for _, p := range []int{1, 3, 4, 6, 16} {
-					opts := DefaultOptions().WithOverlap(overlap)
-					opts.Strategy, opts.P = st.s, p
-					prog, err := Compile(src, opts)
-					if rejected {
-						if err == nil || !strings.Contains(err.Error(), wantErr) || !strings.Contains(err.Error(), " line ") {
-							t.Fatalf("%s %s P=%d: compile error %v, want one with a line that contains %q", name, st.name, p, err, wantErr)
+				for _, level := range []RemapLevel{RemapNone, RemapLive, RemapHoist, RemapKills} {
+					for _, p := range []int{1, 3, 4, 6, 16} {
+						opts := DefaultOptions().WithOverlap(overlap)
+						opts.Strategy, opts.P, opts.RemapOpt = st.s, p, level
+						prog, err := Compile(src, opts)
+						if rejected {
+							if err == nil || !strings.Contains(err.Error(), wantErr) || !strings.Contains(err.Error(), " line ") {
+								t.Fatalf("%s %s P=%d remap=%s: compile error %v, want one with a line that contains %q", name, st.name, p, level, err, wantErr)
+							}
+							continue
 						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s %s P=%d: %v", name, st.name, p, err)
-					}
-					r := NewRunner(WithInit(RampInit(src)))
-					res, err := r.Run(prog)
-					if fails {
-						if p > 1 && (err == nil || !strings.Contains(err.Error(), wantRunErr)) {
-							t.Fatalf("%s %s overlap=%v P=%d: run error %v, want %q", name, st.name, overlap, p, err, wantRunErr)
+						if err != nil {
+							t.Fatalf("%s %s P=%d remap=%s: %v", name, st.name, p, level, err)
 						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s %s overlap=%v P=%d: %v\n%s", name, st.name, overlap, p, err, prog.Listing())
-					}
-					ref, err := r.RunReference(prog)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, pin := range pins {
-						for run, res := range map[string]*Result{"compiled": res, "reference": ref} {
-							got := res.Arrays[pin.array]
-							for i := pin.first; i <= pin.last; i++ {
-								if i >= len(got) || got[i] != pin.value {
-									t.Errorf("%s %s overlap=%v P=%d: %s run: want %s, holds %v\n%s",
-										name, st.name, overlap, p, run, pin.line, got, prog.Listing())
-									break
+						r := NewRunner(WithInit(RampInit(src)))
+						res, err := r.Run(prog)
+						if fails {
+							if p > 1 && (err == nil || !strings.Contains(err.Error(), wantRunErr)) {
+								t.Fatalf("%s %s overlap=%v P=%d remap=%s: run error %v, want %q", name, st.name, overlap, p, level, err, wantRunErr)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("%s %s overlap=%v P=%d remap=%s: %v\n%s", name, st.name, overlap, p, level, err, prog.Listing())
+						}
+						ref, err := r.RunReference(prog)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, pin := range pins {
+							for run, res := range map[string]*Result{"compiled": res, "reference": ref} {
+								got := res.Arrays[pin.array]
+								for i := pin.first; i <= pin.last; i++ {
+									if i >= len(got) || got[i] != pin.value {
+										t.Errorf("%s %s overlap=%v P=%d remap=%s: %s run: want %s, holds %v\n%s",
+											name, st.name, overlap, p, level, run, pin.line, got, prog.Listing())
+										break
+									}
 								}
 							}
 						}
-					}
-					for arr, want := range ref.Arrays {
-						if d := maxAbsDiff(res.Arrays[arr], want); d > 1e-9 {
-							t.Errorf("%s %s overlap=%v P=%d: %s differs from the sequential reference by %g\n%s",
-								name, st.name, overlap, p, arr, d, prog.Listing())
+						for arr, want := range ref.Arrays {
+							if d := maxAbsDiff(res.Arrays[arr], want); d > 1e-9 {
+								t.Errorf("%s %s overlap=%v P=%d remap=%s: %s differs from the sequential reference by %g\n%s",
+									name, st.name, overlap, p, level, arr, d, prog.Listing())
+							}
 						}
 					}
 				}
