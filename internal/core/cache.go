@@ -110,7 +110,7 @@ func renderDelayedComm(ds []*comm.Delayed) []string {
 		// every field, so any change to a delayed communication
 		// invalidates the callers that instantiate it
 		parts = append(parts, fmt.Sprintf("comm %s|%d|%d|%s|%d|%s|%d|%s",
-			d.Array, int(d.Kind), d.Shift, d.PointVar, d.PointOff, d.DistKey, d.DistDim, d.Section))
+			d.Array, int(d.Kind), d.Shift, d.PointVar, d.PointOff, d.Layout.Key(), d.DistDim, d.Section))
 	}
 	return parts
 }

@@ -30,9 +30,10 @@ import (
 
 // diskFormat versions the entry files, schema and generated units (3:
 // shifts split around pipelined loops; 4: entries stopped carrying the
-// interface and inputs renderings; 5: nor overlap actuals); any other
-// version is a miss.
-const diskFormat = 5
+// interface and inputs renderings; 5: nor overlap actuals; 6: a delayed
+// message records the decomposition it is read under, not its key); any
+// other version is a miss.
+const diskFormat = 6
 
 // diskEntry is Entry with the AST unit flattened to printed source.
 type diskEntry struct {

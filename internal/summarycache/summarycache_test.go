@@ -255,7 +255,8 @@ func TestUnitDigestIsTheUnits(t *testing.T) {
 }
 
 // TestDiskEntryKeys: an entry file's top-level keys are format 5's, so
-// files written before Entry became the disk entry's body still load.
+// files written before Entry became the disk entry's body would still
+// load; format 6 changed only what a delayed message holds.
 // The unit is stored as printed source only.
 func TestDiskEntryKeys(t *testing.T) {
 	unit, err := parser.ParseProcedure("      SUBROUTINE S(x)\n      REAL x(8)\n      x(1) = 1.0\n      END\n")
@@ -279,7 +280,7 @@ func TestDiskEntryKeys(t *testing.T) {
 	if !slices.Equal(keys, want) {
 		t.Errorf("entry file keys %v, want %v", keys, want)
 	}
-	if diskFormat != 5 {
-		t.Errorf("diskFormat = %d, want 5: the key set did not change", diskFormat)
+	if diskFormat != 6 {
+		t.Errorf("diskFormat = %d, want 6: the key set did not change", diskFormat)
 	}
 }

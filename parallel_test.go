@@ -272,9 +272,9 @@ func TestWarmReportIsItsOwn(t *testing.T) {
 }
 
 // TestDiskCacheOldFormatMisses: an entry file written under an earlier
-// disk format (format 4 kept a leaf procedure under the key it still
-// has, with the overlap actuals entries no longer carry) is a miss, not
-// an error and not a resurrected listing.
+// disk format (format 5 kept a procedure under the key it still has,
+// with a delayed message's decomposition recorded by its key alone) is
+// a miss, not an error and not a resurrected listing.
 func TestDiskCacheOldFormatMisses(t *testing.T) {
 	dir := t.TempDir()
 	src := DgefaSrc(16, 4)
@@ -291,9 +291,9 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := bytes.Replace(buf, []byte(`"Format":5`), []byte(`"Format":4`), 1)
+		old := bytes.Replace(buf, []byte(`"Format":6`), []byte(`"Format":5`), 1)
 		if bytes.Equal(old, buf) {
-			t.Fatalf("%s does not record format 5", f)
+			t.Fatalf("%s does not record format 6", f)
 		}
 		if err := os.WriteFile(f, old, 0644); err != nil {
 			t.Fatal(err)
@@ -304,7 +304,7 @@ func TestDiskCacheOldFormatMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(again.CacheHits()) != 0 || len(again.CacheMisses()) != 5 {
-		t.Errorf("format-4 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
+		t.Errorf("format-5 entries: hits %v misses %v", again.CacheHits(), again.CacheMisses())
 	}
 	if again.Listing() != cold.Listing() {
 		t.Error("listing differs after the old-format entries were ignored")
