@@ -33,7 +33,7 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 	env := proc.Constants()
 	deps := depend.Analyze(proc, env)
 	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
-	commRes, err := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil, comm.LocalSections), nil, env)
+	commRes, err := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil, comm.LocalSections), nil, nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}

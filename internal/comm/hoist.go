@@ -22,18 +22,32 @@ type hoister struct {
 	sections map[string]*SectionSummary
 	mod      sideeffect.Set // what the procedure or its callees may assign
 	env      ast.Env
-	writers  []writer         // every array assignment and CALL, in order
+	remapsAt RemapsAt
+	writers  []writer         // every array assignment, CALL and remap, in order
 	order    map[ast.Stmt]int // preorder position of every statement
 }
 
 // writer is an assignment to an array element or a CALL (site), under
 // the loops nest; secs is what it may write in the procedure's names,
-// anchored at the indices of nest.
+// anchored at the indices of nest. A remap of array drops every message
+// received for it, so it counts as writing all of it wherever it runs:
+// at pos, in half steps of the preorder (2·order − 1 just before stmt,
+// 2·order + 1 just after it and all it holds).
 type writer struct {
-	stmt ast.Stmt
-	site *acg.CallSite
-	nest []*ast.Do
-	secs []*rsd.Section
+	stmt  ast.Stmt
+	site  *acg.CallSite
+	nest  []*ast.Do
+	secs  []*rsd.Section
+	array string // a remap's array
+	pos   int
+}
+
+// why is the reason a message stays inside a loop that runs w.
+func (w *writer) why() string {
+	if w.array != "" {
+		return WhyRemapped
+	}
+	return WhyWritten
 }
 
 // unbounded is what an end widens to where nothing bounds it.
@@ -45,9 +59,10 @@ var unbounded = rsd.Range(math.MinInt32, math.MaxInt32)
 // earlier iterations and what the current one runs before, or for
 // i = -1 from just before nest[0] (or at) to the procedure's entry.
 // read's anchors at nest[:i+1] name the current iterations; deeper
-// loops are bound. Assignments count if assigns. nil: the step is legal.
+// loops are bound. Assignments count if assigns, remaps always. nil:
+// the step is legal.
 func (h *hoister) writer(read *rsd.Section, nest []*ast.Do, at ast.Stmt, i int, assigns bool) *writer {
-	if !assigns && (h.node == nil || len(h.node.Calls) == 0) {
+	if !assigns && (h.node == nil || len(h.node.Calls) == 0) && h.remapsAt == nil {
 		return nil
 	}
 	next := at
@@ -57,7 +72,16 @@ func (h *hoister) writer(read *rsd.Section, nest []*ast.Do, at ast.Stmt, i int, 
 	for k := range h.collect() {
 		w := &h.writers[k]
 		first := h.order[w.stmt] < h.order[next] // in the current iteration
-		if w.site == nil && !assigns || i < 0 && !first || i >= 0 && (len(w.nest) <= i || w.nest[i] != nest[i]) {
+		if w.array != "" {
+			first = w.pos < 2*h.order[next]
+		}
+		if w.site == nil && w.array == "" && !assigns || i < 0 && !first || i >= 0 && (len(w.nest) <= i || w.nest[i] != nest[i]) {
+			continue
+		}
+		if w.array != "" {
+			if w.array == read.Array {
+				return w
+			}
 			continue
 		}
 		for _, sec := range w.secs {
@@ -129,10 +153,23 @@ func (h *hoister) collect() []writer {
 	}
 	h.order = map[ast.Stmt]int{}
 	var nest []*ast.Do
+	var at ast.Stmt
+	pos := 0
+	yield := func(array string) {
+		h.writers = append(h.writers, writer{stmt: at, nest: nest, array: array, pos: pos})
+	}
+	remaps := func(s ast.Stmt, after bool, p int) {
+		if h.remapsAt != nil {
+			at, pos = s, p
+			h.remapsAt(s, after, yield)
+		}
+	}
 	var walk func(body []ast.Stmt)
 	walk = func(body []ast.Stmt) {
 		for _, s := range body {
-			h.order[s] = len(h.order)
+			k := len(h.order)
+			h.order[s] = k
+			remaps(s, false, 2*k-1)
 			switch st := s.(type) {
 			case *ast.Assign:
 				if lhs, ok := st.Lhs.(*ast.ArrayRef); ok && h.proc.Symbols.Lookup(lhs.Name) != nil {
@@ -150,6 +187,7 @@ func (h *hoister) collect() []writer {
 					h.writers = append(h.writers, writer{stmt: st, site: site, nest: nest, secs: h.callWrites(site, nest)})
 				}
 			}
+			remaps(s, true, 2*len(h.order)-1)
 		}
 	}
 	walk(h.proc.Body)
