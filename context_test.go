@@ -78,7 +78,7 @@ func TestCompileDeadline(t *testing.T) {
 // machine's cooperative abort must unblock every processor and the run
 // must return ctx.Err() promptly.
 func TestRunContextCancel(t *testing.T) {
-	prog, err := Compile(Jacobi1DSrc(256, 3000, 4), Options{})
+	prog, err := Compile(Jacobi1DSrc(256, 30000, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,10 @@ func conform(u *ast.Procedure, env ast.MapEnv, callee *ast.Procedure, calleeEnv 
 			why = fmt.Sprintf("the array %s to the scalar formal %s", a, formal.Name)
 		case isArray && !sameShape(actual, env, formal, calleeEnv):
 			why = fmt.Sprintf("%s to the array formal %s", actual, formal)
+		case formal.Kind == ast.SymScalar && formal.Type == ast.TypeInteger:
+			if r := realOperand(u, a); r != "" {
+				why = fmt.Sprintf("%s, which reads the REAL %s, to the INTEGER formal %s", a, r, formal.Name)
+			}
 		}
 		if why != "" {
 			return errAt(u, call.Pos().Line, "call %s passes %s", call.Name, why)
@@ -55,6 +59,29 @@ func conform(u *ast.Procedure, env ast.MapEnv, callee *ast.Procedure, calleeEnv 
 		}
 	}
 	return nil
+}
+
+// realOperand returns a REAL literal, scalar or array e reads
+// ("": none). F77 wants an actual of its formal's type, and an INTEGER
+// formal in a distributed subscript makes the caller's ownership guard
+// divide what a REAL actual computes in floating point.
+func realOperand(u *ast.Procedure, e ast.Expr) (found string) {
+	note := func(name string) {
+		if sym := u.Symbols.Lookup(name); sym != nil && sym.Kind != ast.SymConstant && sym.Type != ast.TypeInteger {
+			found = name
+		}
+	}
+	ast.WalkExpr(e, func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.RealLit:
+			found = x.String()
+		case *ast.Ident:
+			note(x.Name)
+		case *ast.ArrayRef:
+			note(x.Name)
+		}
+	})
+	return found
 }
 
 // defines reports whether u assigns its array formal name or passes it

@@ -139,6 +139,9 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	if out.err = checkIntegerSubscripts(proc, distOf); out.err != nil {
 		return
 	}
+	if out.err = checkDistributeUnderIf(proc); out.err != nil {
+		return
+	}
 
 	runtimeProc := pc.opts.Strategy == codegen.StrategyRuntime ||
 		len(c.Reach.RuntimeResolution[proc.Name]) > 0
@@ -440,6 +443,30 @@ func checkIntegerSubscripts(proc *ast.Procedure, distOf partition.DistOf) (err e
 			})
 		}
 		return true
+	})
+	return err
+}
+
+// checkDistributeUnderIf rejects a DISTRIBUTE inside an IF: the
+// reaching decompositions and the remap placement follow one layout per
+// array through a branch, so after the IF every use would be compiled
+// for the branch's layout whichever edge ran.
+func checkDistributeUnderIf(proc *ast.Procedure) (err error) {
+	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
+		iff, ok := s.(*ast.If)
+		if !ok || err != nil {
+			return err == nil
+		}
+		for _, body := range [][]ast.Stmt{iff.Then, iff.Else} {
+			ast.WalkStmts(body, func(s ast.Stmt) bool {
+				if d, ok := s.(*ast.Distribute); ok && err == nil {
+					err = fmt.Errorf("core: %s line %d: DISTRIBUTE %s under the IF at line %d: a decomposition only one branch changes is not supported",
+						proc.Name, d.Pos().Line, d.Target, iff.Pos().Line)
+				}
+				return err == nil
+			})
+		}
+		return false
 	})
 	return err
 }

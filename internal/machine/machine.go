@@ -360,6 +360,27 @@ func (p *Proc) Compute(n int) {
 	p.stats.Clock += float64(n) * p.m.cfg.FlopCost * p.skew
 }
 
+// ComputeStrip charges n iterations of a loop whose body's statements
+// cost flops[0], flops[1], .. each: what n·len(flops) Compute calls in
+// iteration-major order would charge, with the clock's additions in
+// that order, so the result is the same to the last bit. It is one
+// cancellation point, not one per call.
+func (p *Proc) ComputeStrip(n int, flops []int) {
+	if p.m.aborted.Load() {
+		p.abortNow("compute", -1)
+	}
+	clock, cost, skew := p.stats.Clock, p.m.cfg.FlopCost, p.skew
+	for i := 0; i < n; i++ {
+		for _, f := range flops {
+			clock += float64(f) * cost * skew
+		}
+	}
+	p.stats.Clock = clock
+	for _, f := range flops {
+		p.stats.Flops += int64(n * f)
+	}
+}
+
 // CheckAbort is a cancellation point that costs no virtual time: it
 // unwinds the node program if the run has been aborted and does nothing
 // otherwise. Loops that neither compute nor communicate call it so a

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -306,5 +307,47 @@ func TestBroadcastLogDepth(t *testing.T) {
 	// fan-out would need 15 sender latencies before the last delivery
 	if t16 > 100*10 {
 		t.Errorf("broadcast over 16 procs took %.0f, not logarithmic", t16)
+	}
+}
+
+// TestComputeStripMatchesCompute: a strip's charge is the per-call
+// charges of its iterations, statement by statement, to the last bit of
+// the clock, on a straggler and off it, for flop counts whose products
+// with a non-integral flop cost round differently as the clock grows.
+func TestComputeStripMatchesCompute(t *testing.T) {
+	flops := []int{9, 1, 4, 27}
+	run := func(strip bool) Stats {
+		m := New(Config{P: 2, Latency: 1, FlopCost: 0.1})
+		m.SetFaultPlan(&FaultPlan{Seed: 3, Stragglers: map[int]float64{1: 1.37}})
+		for pid := 0; pid < 2; pid++ {
+			m.Go(pid, func(p *Proc) {
+				for _, n := range []int{1, 255, 256, 3, 1000} {
+					if strip {
+						p.ComputeStrip(n, flops)
+						continue
+					}
+					for i := 0; i < n; i++ {
+						for _, f := range flops {
+							p.Compute(f)
+						}
+					}
+				}
+			})
+		}
+		if err := m.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Stats()
+	}
+	calls, strips := run(false), run(true)
+	for pid := range calls.PerProc {
+		c, s := calls.PerProc[pid], strips.PerProc[pid]
+		if math.Float64bits(c.Clock) != math.Float64bits(s.Clock) || c.Flops != s.Flops {
+			t.Errorf("p%d: strips charge clock %v (%x) and %d flops, calls %v (%x) and %d",
+				pid, s.Clock, math.Float64bits(s.Clock), s.Flops, c.Clock, math.Float64bits(c.Clock), c.Flops)
+		}
+	}
+	if calls.PerProc[0].Clock == calls.PerProc[1].Clock {
+		t.Error("the straggler's clock equals the other's: the skew is not applied")
 	}
 }

@@ -23,8 +23,9 @@ import (
 //
 // A plan lives as long as its Program, so what a cursor loop adds to it
 // is kept to the list of its references: the rest lives in fields the
-// general path has anyway (arrayRef.cur and ivar, intOperand.k), and a
-// loop that does not qualify is lowered to what it always was.
+// general path has anyway (arrayRef.cur and ivar, intOperand.k), a loop
+// that does not qualify is lowered to what it always was, and only a
+// loop with a strip form (strip.go) carries one.
 
 // cursor addresses one array reference of a cursor loop in the current
 // iteration: data[off], and stride further on in the next.
@@ -35,17 +36,20 @@ type cursor struct {
 
 // cursorLoop is what positioning needs to know of a loop.
 type cursorLoop struct {
-	refs  []*arrayRef // refs[k] is addressed by the frame's cursor k
-	alias *aliasSet   // nil: every scalar involved is the frame's own
+	refs []*arrayRef // refs[k] is addressed by the frame's cursor k
+	opt  *loopOpt    // nil: every scalar involved is the frame's own, and the body has no strip form
 }
 
-// aliasSet lists the scalars of a cursor loop that may share storage
-// under different names because the frame does not own them (formals
-// are passed by reference): the first written are the ones the loop
-// changes, the rest are read by invariant subscripts.
-type aliasSet struct {
-	slots   []int32
+// loopOpt is what few cursor loops have: scalars to check for aliases
+// on entry, or a strip form (strip.go).
+type loopOpt struct {
+	// alias lists the scalars that may share storage under different
+	// names because the frame does not own them (formals are passed by
+	// reference): the first written are the ones the loop changes, the
+	// rest are read by invariant expressions.
+	alias   []int32
 	written int
+	strip   *strip // nil: the body runs element by element
 }
 
 const (
@@ -98,6 +102,12 @@ func (lw *lowerer) cursorLoop(st *ast.Do) *cursorLoop {
 	if n == 0 || n > maxCursors {
 		return nil
 	}
+	var sp *strip
+	if mark := len(lp.read); lw.strips(st) {
+		sp = &strip{flops: make([]int, 0, len(st.Body))}
+	} else {
+		lp.read = lp.read[:mark] // what the body's right sides read stays live
+	}
 	// only scalars the frame does not own can be aliased, and only a
 	// written one among them makes that matter
 	owned := func(slot int32) bool { return lw.owned[lw.pp.names[slot]] }
@@ -105,7 +115,13 @@ func (lw *lowerer) cursorLoop(st *ast.Do) *cursorLoop {
 	lp.read = slices.DeleteFunc(lp.read, owned)
 	cl := &cursorLoop{refs: make([]*arrayRef, 0, n)}
 	if w := len(lp.written); w > 0 && w+len(lp.read) > 1 {
-		cl.alias = &aliasSet{slots: append(slices.Clone(lp.written), lp.read...), written: w}
+		cl.opt = &loopOpt{alias: append(slices.Clone(lp.written), lp.read...), written: w}
+	}
+	if sp != nil {
+		if cl.opt == nil {
+			cl.opt = &loopOpt{}
+		}
+		cl.opt.strip = sp
 	}
 	return cl
 }
@@ -229,19 +245,27 @@ func (lw *lowerer) cursorRef(r *arrayRef, subs []ast.Expr) {
 	lw.walk.refs = append(lw.walk.refs, r)
 }
 
+// stripForm is the loop's strip form (nil: none).
+func (cl *cursorLoop) stripForm() *strip {
+	if cl == nil || cl.opt == nil {
+		return nil
+	}
+	return cl.opt.strip
+}
+
 // distinct reports whether no scalar the loop writes shares storage with
-// another scalar of the set. A name not yet defined will live in the
-// frame's own slot.
-func (a *aliasSet) distinct(fr *frame) bool {
+// another scalar of the alias set. A name not yet defined will live in
+// the frame's own slot.
+func (a *loopOpt) distinct(fr *frame) bool {
 	storage := func(slot int32) *float64 {
 		if p := fr.bind[slot].ref; p != nil {
 			return p
 		}
 		return &fr.vals[slot]
 	}
-	for i, w := range a.slots[:a.written] {
+	for i, w := range a.alias[:a.written] {
 		pw := storage(w)
-		for _, x := range a.slots[i+1:] {
+		for _, x := range a.alias[i+1:] {
 			if storage(x) == pw {
 				return false
 			}
@@ -266,7 +290,7 @@ func (cl *cursorLoop) position(fr *frame, l, h, s int) bool {
 	if l < -maxExactIndex || l > maxExactIndex || last < -maxExactIndex || last > maxExactIndex {
 		return false
 	}
-	if cl.alias != nil && !cl.alias.distinct(fr) {
+	if cl.opt != nil && !cl.opt.distinct(fr) {
 		return false
 	}
 	nd := fr.nd

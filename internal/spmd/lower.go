@@ -54,6 +54,7 @@ type Plan struct {
 	overlap func(proc, array string, dim, block int) (lo, hi int) // Lower's overlap
 	ntags   int                                                   // distinct split-phase tags (node.posted's length)
 	nmember int                                                   // distinct COMMON members (node.members' length)
+	strips  bool                                                  // some loop has a strip form: a run needs strip scratch
 }
 
 // Code is one unit lowered for nproc processors, and depends on nothing
@@ -70,6 +71,7 @@ type Code struct {
 	decls   []decl         // frame prologue, in declaration order
 	body    []stmtFn
 	ncurs   int      // cursors a frame needs: the most of any cursor loop (cursor.go)
+	nstrip  int      // cursor loops with a strip form (strip.go)
 	calls   []string // call index → the procedure called
 	commons []string // member index → the COMMON member declared
 	tags    []int    // tag index → the split-phase tag used
@@ -147,6 +149,9 @@ type node struct {
 	hole      float64 // stands in for an element not held (arrayRef.elem)
 	partStart []int   // allgather and remap scratch: where each processor's part starts
 	place     []int   // remap scratch: where in the new window each element received goes
+	// strip is the run's strip scratch (strip.go), one for all its nodes:
+	// one node runs at a time, and a strip never waits
+	strip *[]float64
 }
 
 func (nd *node) fail(err error) {
@@ -166,11 +171,11 @@ func (pl *Plan) newNode(proc *machine.Proc) *node {
 		posted: make([]*postedOp, pl.ntags), members: make([]binding, pl.nmember)}
 }
 
-// run executes the plan as proc's node program and returns the main
-// program's arrays by name.
-func (pl *Plan) run(proc *machine.Proc, opts Options) (map[string]*Array, error) {
+// run executes the plan as proc's node program, with strip the run's
+// strip scratch, and returns the main program's arrays by name.
+func (pl *Plan) run(proc *machine.Proc, opts Options, strip *[]float64) (map[string]*Array, error) {
 	nd := pl.newNode(proc)
-	nd.seed = opts.Init
+	nd.seed, nd.strip = opts.Init, strip
 	fr, err := nd.enter(pl.main, nil, nil)
 	nd.seed = nil
 	if err != nil {
@@ -385,13 +390,12 @@ func (nd *node) allocArray(fr *frame, d *decl) (*Array, error) {
 	arr.Data = poisoned(nil, arr.size(arr.win))
 	dim := arr.win.dim
 	own := newWindow(arr.Dist, nd.p, arr.Lo[dim], arr.Hi[dim])
-	arr.each(nil, &own, func(idx [maxRank]int) {
-		v := 0.0
+	arr.runs(&own, func(full, local, n int) {
 		if seeded {
-			at, _ := arr.index(idx[:len(arr.Lo)])
-			v = vals[at]
+			copy(arr.Data[local:local+n], vals[full:])
+		} else {
+			clear(arr.Data[local : local+n])
 		}
-		arr.Data[arr.local(&idx)] = v
 	})
 	return arr, nil
 }
@@ -439,6 +443,9 @@ func Lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist,
 	}
 	pl.main = lp.proc(prog.Main())
 	pl.ntags, pl.nmember = len(lp.tags), len(lp.members)
+	for _, pp := range lp.procs {
+		pl.strips = pl.strips || pp.nstrip > 0
+	}
 	return pl
 }
 
@@ -666,6 +673,9 @@ func (lw *lowerer) assign(st *ast.Assign) stmtFn {
 		}
 	case *ast.ArrayRef:
 		ref, subOps := lw.arrayRef(lhs.Name, lhs.Subs)
+		if sp := lw.walk.stripForm(); sp != nil {
+			sp.flops = append(sp.flops, ops+subOps+1)
+		}
 		return ref.store(rhs, ops+subOps+1)
 	}
 	flops := ops + 1
@@ -703,6 +713,10 @@ func (lw *lowerer) do(st *ast.Do) stmtFn {
 	if cl != nil {
 		lw.pp.ncurs = max(lw.pp.ncurs, len(cl.refs))
 	}
+	if sp := cl.stripForm(); sp != nil {
+		lw.lowerStrip(st, sp)
+		lw.pp.nstrip++
+	}
 	return func(fr *frame) error {
 		nd := fr.nd
 		l, h, s := lo.eval(fr), hi.eval(fr), step.eval(fr)
@@ -714,6 +728,9 @@ func (lw *lowerer) do(st *ast.Do) stmtFn {
 		}
 		v := fr.scalar(slot)
 		walk := cl != nil && cl.position(fr, l, h, s)
+		if sp := cl.stripForm(); walk && sp != nil && sp.run(fr, fr.curs[:len(cl.refs)], l, s, (h-l)/s+1, v) {
+			return nil
+		}
 		fr.walk = walk
 		for i, n := l, 1; (s > 0 && i <= h) || (s < 0 && i >= h); i, n = i+s, n+1 {
 			*v = float64(i)

@@ -344,32 +344,43 @@ func TestSectionWalker(t *testing.T) {
 }
 
 // TestCursorLoops pins which loops are lowered with cursors and which
-// executions position them: the differential lanes show that every one
+// executions position them, and which have a strip form (strip.go) and
+// which lowering refuses one: the differential lanes show that every one
 // of these behaves like the general loop, this shows that the ones
-// meant to run on cursors do, so that the lanes test what they claim.
+// meant to run on cursors or in strips do, so that the lanes test what
+// they claim. Whether a positioned loop runs in strips is
+// TestStripDisjoint's.
 func TestCursorLoops(t *testing.T) {
 	for _, tc := range []struct {
 		name, loop string
 		cursors    int  // the main program's cursor count (0: the loop does not qualify)
+		strips     bool // the loop has a strip form
 		positioned bool // the run leaves them positioned
 		fails      bool // the loop ends in an error
 	}{
-		{"stencil", "do i = 2, 7\n a(i,k) = a(i-1,k) + a(i+1,k) + b(i)\n enddo", 4, true, false},
-		{"reduction", "do i = k, 8\n s = MAX(s, ABS(a(i,k)))\n t = t + a(k,k-1)\n enddo", 2, true, false},
-		{"negative step", "do i = 8, 1, -3\n b(i) = a(i,i)\n enddo", 2, true, false},
-		{"constant by PARAMETER", "do i = 1, 7\n b(i) = b(i+one)\n enddo", 2, true, false},
-		{"intrinsic in an invariant", "do i = 1, 8\n b(i) = a(MOD(k, 5),i)\n enddo", 2, true, false},
-		{"zero trips", "do i = 3, 2\n b(i) = 1.0\n enddo", 1, false, false},
-		{"last iteration out of bounds", "do i = 1, 9\n s = s + b(i)\n enddo", 1, false, true},
-		{"no array", "do i = 1, 8\n s = s + i\n enddo", 0, false, false},
-		{"assigns the index", "do i = 1, 7\n i = i + 1\n b(i) = 1.0\n enddo", 0, false, false},
-		{"assigns a subscript's scalar", "do i = 1, 3\n k = k + 1\n b(k) = 1.0\n enddo", 0, false, false},
-		{"scaled index", "do i = 1, 4\n b(2*i) = 1.0\n enddo", 0, false, false},
-		{"constant before the index", "do i = 1, 4\n b(1+i) = 1.0\n enddo", 0, false, false},
-		{"fractional offset", "do i = 1, 4\n b(i+0.5) = 1.0\n enddo", 0, false, false},
-		{"indirect subscript", "do i = 1, 4\n b(b(i)+1) = 1.0\n enddo", 0, false, false},
-		{"nested loop", "do i = 1, 4\n do j = 1, 1\n enddo\n b(i) = 1.0\n enddo", 0, false, false},
-		{"guarded statement", "do i = 1, 4\n if (i .GT. 2) then\n b(i) = 1.0\n endif\n enddo", 0, false, false},
+		{"stencil", "do i = 2, 7\n a(i,k) = a(i-1,k) + a(i+1,k) + b(i)\n enddo", 4, false, true, false},
+		{"reduction", "do i = k, 8\n s = MAX(s, ABS(a(i,k)))\n t = t + a(k,k-1)\n enddo", 2, false, true, false},
+		{"negative step", "do i = 8, 1, -3\n b(i) = a(i,i)\n enddo", 2, true, true, false},
+		{"constant by PARAMETER", "do i = 1, 7\n b(i) = b(i+one)\n enddo", 2, false, true, false},
+		{"intrinsic in an invariant", "do i = 1, 8\n b(i) = a(MOD(k, 5),i)\n enddo", 2, true, true, false},
+		{"zero trips", "do i = 3, 2\n b(i) = 1.0\n enddo", 1, true, false, false},
+		{"last iteration out of bounds", "do i = 1, 9\n s = s + b(i)\n enddo", 1, false, false, true},
+		{"no array", "do i = 1, 8\n s = s + i\n enddo", 0, false, false, false},
+		{"assigns the index", "do i = 1, 7\n i = i + 1\n b(i) = 1.0\n enddo", 0, false, false, false},
+		{"assigns a subscript's scalar", "do i = 1, 3\n k = k + 1\n b(k) = 1.0\n enddo", 0, false, false, false},
+		{"scaled index", "do i = 1, 4\n b(2*i) = 1.0\n enddo", 0, false, false, false},
+		{"constant before the index", "do i = 1, 4\n b(1+i) = 1.0\n enddo", 0, false, false, false},
+		{"fractional offset", "do i = 1, 4\n b(i+0.5) = 1.0\n enddo", 0, false, false, false},
+		{"indirect subscript", "do i = 1, 4\n b(b(i)+1) = 1.0\n enddo", 0, false, false, false},
+		{"nested loop", "do i = 1, 4\n do j = 1, 1\n enddo\n b(i) = 1.0\n enddo", 0, false, false, false},
+		{"guarded statement", "do i = 1, 4\n if (i .GT. 2) then\n b(i) = 1.0\n endif\n enddo", 0, false, false, false},
+		{"two statements, the index and invariants", "do i = 2, 7\n b(i) = -a(i,k) * 0.5 + i / (t - 2)\n a(i,k) = b(i) - a(i,k)\n enddo", 5, true, true, false},
+		{"one element written", "do i = 1, 8\n b(k) = b(k) + a(i,k)\n enddo", 3, true, true, false},
+		{"carried backward through a second statement", "do i = 2, 8\n b(i) = a(i-1,k)\n a(i,k) = 2.0\n enddo", 3, false, true, false},
+		{"written at two offsets", "do i = 2, 8\n b(i) = 1.0\n b(i-1) = 2.0\n enddo", 2, false, true, false},
+		{"integer division", "do i = 1, 8\n b(i) = i / 2\n enddo", 1, false, true, false},
+		{"intrinsic of an element", "do i = 1, 8\n b(i) = ABS(a(i,k))\n enddo", 2, false, true, false},
+		{"comparison", "do i = 1, 8\n b(i) = a(i,k) .GT. t\n enddo", 2, false, true, false},
 	} {
 		prog := parseProg(t, fmt.Sprintf(`
       PROGRAM P
@@ -383,6 +394,9 @@ func TestCursorLoops(t *testing.T) {
 		if pl.main.ncurs != tc.cursors {
 			t.Errorf("%s: lowered with %d cursors, want %d", tc.name, pl.main.ncurs, tc.cursors)
 			continue
+		}
+		if strips := pl.main.nstrip > 0; strips != tc.strips {
+			t.Errorf("%s: lowered with a strip form: %v, want %v", tc.name, strips, tc.strips)
 		}
 		m := machine.New(machine.DefaultConfig(1))
 		m.Go(0, func(proc *machine.Proc) {
@@ -489,6 +503,21 @@ const (
       enddo
       END
 `
+	stencilKernel = `
+      PROGRAM P
+      REAL a(256,256), b(256,256)
+      do i = 2, 255
+        do j = 2, 255
+          b(i,j) = 0.25 * (a(i-1,j) + a(i+1,j) + a(i,j-1) + a(i,j+1))
+        enddo
+      enddo
+      do i = 2, 255
+        do j = 2, 255
+          a(i,j) = b(i,j)
+        enddo
+      enddo
+      END
+`
 	bcastKernel = `
       PROGRAM P
       REAL a(128,128)
@@ -504,12 +533,13 @@ const (
 // TestExecSteadyStateAllocationFree is the executor's analogue of
 // machine.TestDESMessageAllocationFree: once a processor is warm, an
 // assignment loop, a CALL (frame from the free list, formals bound by
-// reference and by value), a reduction loop on cursors and a
-// broadcast/postbcast/waitbcast pair (section walked into scratch,
-// pooled posted op) allocate nothing.
+// reference and by value), a reduction loop on cursors, a stencil in
+// strips and a broadcast/postbcast/waitbcast pair (section walked into
+// scratch, pooled posted op) allocate nothing.
 func TestExecSteadyStateAllocationFree(t *testing.T) {
 	for _, k := range []struct{ name, src string }{
-		{"expr", exprKernel}, {"loop", loopKernel}, {"call", callKernel}, {"reduce", reduceKernel}, {"bcast", bcastKernel},
+		{"expr", exprKernel}, {"loop", loopKernel}, {"call", callKernel}, {"reduce", reduceKernel},
+		{"stencil", stencilKernel}, {"bcast", bcastKernel},
 	} {
 		onWarmNode(t, k.src, func(body func()) {
 			if avg := testing.AllocsPerRun(20, body); avg != 0 {
@@ -580,15 +610,18 @@ func benchKernel(b *testing.B, src string) {
 }
 
 // The per-layer microbenchmarks of the executor (make bench-exec): one
-// expression-heavy assignment, a 30×30 five-point stencil sweep, two
-// CALLs of a BLAS-1 style kernel, dgefa's idamax reduction down a column
-// of 126 elements, and a column broadcast, a row broadcast and a
-// split-phase column broadcast of a 128×128 array.
-func BenchmarkExecExpr(b *testing.B)   { benchKernel(b, exprKernel) }
-func BenchmarkExecLoop(b *testing.B)   { benchKernel(b, loopKernel) }
-func BenchmarkExecCall(b *testing.B)   { benchKernel(b, callKernel) }
-func BenchmarkExecReduce(b *testing.B) { benchKernel(b, reduceKernel) }
-func BenchmarkExecBcast(b *testing.B)  { benchKernel(b, bcastKernel) }
+// expression-heavy assignment, a 30×30 five-point stencil sweep that
+// updates its array in place (element by element), two CALLs of a
+// BLAS-1 style kernel, dgefa's idamax reduction down a column of 126
+// elements, jacobi's two statements at n = 256 (in strips), and a column
+// broadcast, a row broadcast and a split-phase column broadcast of a
+// 128×128 array.
+func BenchmarkExecExpr(b *testing.B)    { benchKernel(b, exprKernel) }
+func BenchmarkExecLoop(b *testing.B)    { benchKernel(b, loopKernel) }
+func BenchmarkExecCall(b *testing.B)    { benchKernel(b, callKernel) }
+func BenchmarkExecReduce(b *testing.B)  { benchKernel(b, reduceKernel) }
+func BenchmarkExecStencil(b *testing.B) { benchKernel(b, stencilKernel) }
+func BenchmarkExecBcast(b *testing.B)   { benchKernel(b, bcastKernel) }
 
 // BenchmarkExecBcastTo is one run of dgefa's broadcasts without its
 // arithmetic at P = 64: column k of a (:,BLOCK) array goes from its

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"fortd"
 	"fortd/internal/ast"
@@ -103,11 +105,16 @@ func sameFailure(t *testing.T, prog *ast.Program, cfg machine.Config, want strin
 }
 
 // cursorLanes are loops at the edges of what the plan runs on cursors
-// (cursor.go): each either qualifies and must behave as if it did not,
-// or looks as if it qualified and must not. A lane with fails set ends
-// in that node error; plant names a subscript identifier to replace by
-// one no symbol table declares, the way only generated code can.
-var cursorLanes = []struct{ name, body, subs, fails, plant string }{
+// (cursor.go) and in strips (strip.go): each either qualifies and must
+// behave as if it did not, or looks as if it qualified and must not. A
+// lane with fails set ends in that node error; plant names a subscript
+// identifier to replace by one no symbol table declares, the way only
+// generated code can; a deadline lane runs until a short deadline stops
+// it.
+var cursorLanes = []struct {
+	name, body, subs, fails, plant string
+	deadline                       bool
+}{
 	{name: "step", body: `
       do i = 2, 30, 3
         a(i) = a(i-1) + 2 * b(i+1)
@@ -277,6 +284,67 @@ var cursorLanes = []struct{ name, body, subs, fails, plant string }{
         i = i + 1
         a(i) = a(i) + 5
       enddo`},
+	{name: "strip-one-element-written", body: `
+      k = 5
+      do i = 1, 32
+        a(k) = a(k) + b(i)
+      enddo`},
+	{name: "strip-carried-backward", body: `
+      do i = 2, 32
+        b(i) = a(i-1)
+        a(i) = b(i) * 0.5 + 1
+      enddo`},
+	{name: "strip-aliased-formals", body: `
+      call two(f, f)
+      call two(g, f)`, subs: `
+      SUBROUTINE two(x, y)
+      REAL x(600), y(600)
+      do i = 2, 600
+        x(i) = y(i-1) + 1
+      enddo
+      do i = 1, 600
+        y(i) = x(i) * 0.5 + y(i)
+      enddo
+      END`},
+	{name: "strip-trips", body: `
+      do i = 1, 255
+        f(i) = f(i) + g(i+1) * i
+      enddo
+      do i = 2, 257
+        g(i) = f(i-1) - g(i)
+      enddo
+      do i = 1, 257
+        f(i+1) = -g(i) / 4
+      enddo`},
+	{name: "strip-negative-step", body: `
+      do i = 600, 3, -3
+        f(i) = g(i-1) - 2.5 * f(i)
+      enddo
+      do i = 599, 1, -1
+        g(i) = (f(i) - g(i)) * (f(i) + i)
+      enddo`},
+	{name: "strip-index", body: `
+      do i = 3, 300, 2
+        f(i) = i * 0.5 + g(i)
+        g(i) = f(i) - i
+      enddo
+      a(1) = i
+      do i = 7, 7
+        a(2) = i + a(3)
+      enddo
+      a(4) = i`},
+	{name: "strip-interleaved-columns", body: `
+      do j = 1, 7
+        do i = -3, 5
+          c(i,j) = c(i,j) - 0.5 * c(i,j-1) + d(i,j)
+        enddo
+      enddo`},
+	{name: "strip-deadline", body: `
+      do k = 1, 2000000000
+        do i = 1, 600
+          f(i) = g(i) * 0.5 + f(i)
+        enddo
+      enddo`, deadline: true},
 	{name: "subscript-reads-array", body: `
       do i = 1, 5
         e(i) = 6 - i
@@ -294,7 +362,12 @@ func cursorLaneProgram(t *testing.T, body, subs, plant string, p int) *ast.Progr
 	prog, err := parser.Parse(fmt.Sprintf(`
       PROGRAM P
       PARAMETER (n$proc = %d)
-      REAL a(32), b(32), c(-3:5,0:7), d(-3:5,0:7), e(5)
+      REAL a(32), b(32), c(-3:5,0:7), d(-3:5,0:7), e(5), f(600), g(600)
+      REAL u(600), v(600), w(600)
+      do i = 1, 600
+        f(i) = 0.5 * i
+        g(i) = 600 - i
+      enddo
       do i = 1, 32
         a(i) = i
         b(i) = 32 - i
@@ -414,6 +487,15 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 					sameFailure(t, prog, cfg, lane.fails)
 					return
 				}
+				if lane.deadline {
+					for name, run := range map[string]runFn{"plan": runPlan, "tree walk": spmd.RunTreeWalk} {
+						_, err := run(context.Background(), prog, cfg, nil, spmd.Options{Deadline: 50 * time.Millisecond})
+						if dl := (*machine.DeadlockError)(nil); !errors.As(err, &dl) || !dl.Deadline {
+							t.Errorf("%s: error %v, want the deadline's", name, err)
+						}
+					}
+					return
+				}
 				if _, err := spmd.Lower(prog, cfg.P, nil, nil, nil).Run(context.Background(), cfg, spmd.Options{}); err != nil {
 					t.Fatal(err)
 				}
@@ -421,6 +503,45 @@ func TestPlanMatchesTreeWalk(t *testing.T) {
 				samePlanAndTree(t, prog, cfg, nil, spmd.Options{Faults: faultLane})
 			})
 		}
+	}
+
+	// the plan stores the overlap region of a distributed array, NaN
+	// until a message fills it, where the tree walk holds every element:
+	// a loop that reads it gets the same NaN in strips as element by
+	// element (the second loop's scalar statement keeps it from strips)
+	for _, p := range []int{3, 4, 16} {
+		t.Run(fmt.Sprintf("cursor/strip-nan-overlap/p%d", p), func(t *testing.T) {
+			prog := cursorLaneProgram(t, `
+      my$p = myproc()
+      m = (600 + n$proc - 1) / n$proc
+      do i = MAX(2, my$p * m + 1), MIN(599, (my$p + 1) * m)
+        v(i) = u(i-1) + u(i+1) * 0.5
+      enddo
+      do i = MAX(2, my$p * m + 1), MIN(599, (my$p + 1) * m)
+        w(i) = u(i-1) + u(i+1) * 0.5
+        s = 0
+      enddo`, "", "", p)
+			block := decomp.MustDist(decomp.NewDecomp(decomp.Block), []int{600}, p)
+			dists := map[string]*decomp.Dist{"u": block, "v": block, "w": block}
+			wide := func(_, _ string, _, n int) (int, int) { return 0, n + 1 }
+			init := map[string][]float64{"u": fortd.Ramp(600)}
+			res, err := spmd.Lower(prog, p, dists, wide, nil).Run(context.Background(), machine.DefaultConfig(p), spmd.Options{Init: init})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, w, nans := res.Arrays["v"], res.Arrays["w"], 0
+			for i := range v {
+				if math.Float64bits(v[i]) != math.Float64bits(w[i]) {
+					t.Errorf("v[%d] = %v in strips, %v element by element", i, v[i], w[i])
+				}
+				if math.IsNaN(v[i]) {
+					nans++
+				}
+			}
+			if nans == 0 {
+				t.Error("no NaN read: the lane reads no overlap region")
+			}
+		})
 	}
 
 	// run-time resolution generates guarded element-wise code, a program

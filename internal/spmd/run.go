@@ -75,8 +75,12 @@ func (pl *Plan) Run(ctx context.Context, cfg machine.Config, opts Options) (*Run
 	if err := pl.checkInit(opts.Init); err != nil {
 		return nil, err
 	}
+	var strip *[]float64 // the run's strip scratch (strip.go)
+	if pl.strips {
+		strip = new([]float64)
+	}
 	return runNodes(ctx, cfg, opts, func(proc *machine.Proc) (map[string]*Array, error) {
-		return pl.run(proc, opts)
+		return pl.run(proc, opts, strip)
 	})
 }
 
@@ -238,12 +242,7 @@ func assemble(res *RunResult, mains []map[string]*Array) {
 			}
 			res.siteBufs += len(arr.bufs)
 			own := newWindow(dist, q, arr0.Lo[dim], arr0.Hi[dim])
-			arr0.each(nil, &own, func(idx [maxRank]int) {
-				if off := arr.local(&idx); off >= 0 {
-					at, _ := arr0.index(idx[:len(arr0.Lo)])
-					out[at] = arr.Data[off]
-				}
-			})
+			arr.runs(&own, func(full, local, n int) { copy(out[full:full+n], arr.Data[local:]) })
 		}
 	}
 }

@@ -148,6 +148,41 @@ func (a *Array) walk(d int, idx *[maxRank]int, bx *box, w *window, f func(idx [m
 	}
 }
 
+// runs calls f for each run of the elements whose subscript in own's
+// dimension is one of own's, a share of the distribution a stores by:
+// n elements that lie next to each other both in the declared array,
+// from offset full, and in Data, from offset local.
+func (a *Array) runs(own *window, f func(full, local, n int)) {
+	d := own.dim
+	outer, inner := 1, 1
+	for k := range a.Lo {
+		switch {
+		case k < d:
+			outer *= a.ext(nil, k)
+		case k > d:
+			inner *= a.ext(nil, k)
+		}
+	}
+	slot := func(i int) int {
+		if a.win == nil {
+			return i - a.Lo[d]
+		}
+		return a.win.slot(i)
+	}
+	for l := 0; l < own.n; {
+		i, s, r := own.index(l), slot(own.index(l)), 1
+		for l+r < own.n && own.index(l+r) == i+r && slot(i+r) == s+r {
+			r++
+		}
+		if s >= 0 {
+			for o := 0; o < outer; o++ {
+				f((o*a.ext(nil, d)+i-a.Lo[d])*inner, (o*a.ext(a.win, d)+s)*inner, r*inner)
+			}
+		}
+		l += r
+	}
+}
+
 // gather copies the elements of bx, as this processor holds them, into
 // dst in message order; an element it does not hold goes out as NaN.
 func (a *Array) gather(bx *box, dst []float64) {

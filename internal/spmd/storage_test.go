@@ -171,7 +171,7 @@ func nodeArrays(t *testing.T, src string, p int, dists map[string]*decomp.Dist, 
 	out := make([]map[string]*Array, p)
 	for pid := 0; pid < p; pid++ {
 		m.Go(pid, func(proc *machine.Proc) {
-			arrays, err := pl.run(proc, Options{Init: init})
+			arrays, err := pl.run(proc, Options{Init: init}, nil)
 			if err != nil {
 				t.Error(err)
 			}
