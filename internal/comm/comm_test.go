@@ -1,6 +1,9 @@
 package comm
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"fortd/internal/acg"
@@ -196,6 +199,58 @@ func TestSectionSummaries(t *testing.T) {
 	wantMain := rsd.New("A", rsd.Range(1, 50), rsd.Range(1, 100))
 	if !mw[0].Equal(wantMain) {
 		t.Errorf("main write section = %v, want %v", mw[0], wantMain)
+	}
+}
+
+// TestSectionKills is the table of the must-write set §6.3's kill test
+// reads (SectionSummary.Kills): a write kills its array only when it
+// sweeps the declared extent by the indices of the loops around it, or
+// is a call that kills it, and is sure to run: no IF around it, no
+// RETURN before it, and every loop around it has constant bounds, runs
+// and holds no RETURN. A may-write the summary widens kills nothing.
+func TestSectionKills(t *testing.T) {
+	for _, tc := range []struct{ name, body, want string }{
+		{"sweep", "do i = 1, 16\n X(i) = 1.0\n enddo", "[X]"},
+		{"sweep by an offset", "do i = 0, 15\n X(i+1) = 1.0\n enddo", "[X]"},
+		{"two dimensions", "do j = 1, 8\n do i = 1, 16\n Y(i,j) = 1.0\n enddo\n enddo", "[Y]"},
+		{"diagonal", "do i = 1, 16\n Y(i,i) = 1.0\n enddo", "[]"},
+		{"part", "do i = 1, 15\n X(i) = 1.0\n enddo", "[]"},
+		{"stride", "do i = 1, 16, 2\n X(i) = 1.0\n enddo", "[]"},
+		{"widened subscript", "X(m) = 1.0", "[]"},
+		{"in a zero-trip loop", "do k = 1, 0\n do i = 1, 16\n X(i) = 1.0\n enddo\n enddo", "[]"},
+		{"variable bound", "do i = 1, m\n X(i) = 1.0\n enddo", "[]"},
+		{"under IF", "if (m .GT. 0) then\n do i = 1, 16\n X(i) = 1.0\n enddo\n endif", "[]"},
+		{"after RETURN", "if (m .GT. 0) return\n do i = 1, 16\n X(i) = 1.0\n enddo", "[]"},
+		{"RETURN in the loop", "do i = 1, 16\n X(i) = 1.0\n if (i .EQ. 2) return\n enddo", "[]"},
+		{"in a loop that runs", "do k = 1, 2\n do i = 1, 16\n X(i) = 1.0\n enddo\n enddo", "[X]"},
+		{"local array", "do i = 1, 16\n L(i) = 1.0\n enddo", "[]"},
+		{"killing call", "call K(Y, X)", "[X]"},
+		{"killing call under IF", "if (m .GT. 0) call K(Y, X)", "[]"},
+	} {
+		f := parseAll(t, `
+      PROGRAM P
+      REAL X(16), Y(16,8)
+      call S(X, Y)
+      END
+      SUBROUTINE S(X, Y)
+      REAL X(16), Y(16,8), L(16)
+      m = 0
+      `+strings.ReplaceAll(tc.body, "\n", "\n      ")+`
+      END
+      SUBROUTINE K(Z, W)
+      REAL Z(16,8), W(16)
+      do i = 1, 16
+        W(i) = 0.0
+      enddo
+      END
+`)
+		var kills []string
+		for name := range f.sections["S"].Kills {
+			kills = append(kills, name)
+		}
+		if sort.Strings(kills); fmt.Sprint(kills) != tc.want {
+			t.Errorf("%s: kills %v, want %s", tc.name, kills, tc.want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@
 package comm
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,16 +23,19 @@ import (
 // (or its descendants) may write and read, expressed in the procedure's
 // own name space. Dimensions indexed by formal scalars are kept
 // symbolic (anchored), which is what lets callers expand them over
-// their own loops.
+// their own loops. Kills holds the arrays it surely overwrites whole
+// (the must-writes §6.3's kill test needs; Writes are may-writes).
 type SectionSummary struct {
 	Writes map[string][]*rsd.Section
 	Reads  map[string][]*rsd.Section
+	Kills  map[string]bool
 }
 
 func newSectionSummary() *SectionSummary {
 	return &SectionSummary{
 		Writes: map[string][]*rsd.Section{},
 		Reads:  map[string][]*rsd.Section{},
+		Kills:  map[string]bool{},
 	}
 }
 
@@ -48,6 +52,9 @@ func (s *SectionSummary) Key() string {
 				parts = append(parts, "WR"[i:i+1]+" "+arr+" "+sec.String())
 			}
 		}
+	}
+	for arr := range s.Kills {
+		parts = append(parts, "K "+arr)
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ";")
@@ -103,16 +110,17 @@ func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSumma
 	calls := false
 
 	var nest []*ast.Do
-	addRef := func(ref *ast.ArrayRef, write bool) {
+	addRef := func(ref *ast.ArrayRef, write bool) *rsd.Section {
 		sec := RefSection(proc, ref, nest, env)
 		if sec == nil {
-			return
+			return nil
 		}
 		if write {
 			sum.addWrite(sec)
 		} else {
 			sum.addRead(sec)
 		}
+		return sec
 	}
 	collectExpr := func(e ast.Expr) {
 		ast.WalkExpr(e, func(e ast.Expr) {
@@ -121,13 +129,19 @@ func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSumma
 			}
 		})
 	}
-	var walk func(body []ast.Stmt)
-	walk = func(body []ast.Stmt) {
+	// a statement is sure to run when no IF, no RETURN before it and no
+	// loop around it that may run no iteration or return stands in its way
+	returned := false
+	var walk func(body []ast.Stmt, sure bool)
+	walk = func(body []ast.Stmt, sure bool) {
 		for _, s := range body {
+			sure := sure && !returned
 			switch st := s.(type) {
 			case *ast.Assign:
 				if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-					addRef(lhs, true)
+					if sec := addRef(lhs, true); sure && sweeps(proc, sec, lhs, nest, env) {
+						sum.Kills[lhs.Name] = true
+					}
 					for _, sub := range lhs.Subs {
 						collectExpr(sub)
 					}
@@ -135,12 +149,14 @@ func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSumma
 				collectExpr(st.Rhs)
 			case *ast.Do:
 				nest = append(nest, st)
-				walk(st.Body)
+				walk(st.Body, sure && runs(st, env))
 				nest = nest[:len(nest)-1]
 			case *ast.If:
 				collectExpr(st.Cond)
-				walk(st.Then)
-				walk(st.Else)
+				walk(st.Then, false)
+				walk(st.Else, false)
+			case *ast.Return:
+				returned = true
 			case *ast.Call:
 				calls = true
 				site := n.Site(st)
@@ -162,26 +178,77 @@ func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSumma
 						}
 					}
 				}
+				for name := range callee.Kills {
+					if arr := site.CallerName(name); sure && arr != "" {
+						sum.Kills[arr] = true
+					}
+				}
 			}
 		}
 	}
-	walk(proc.Body)
+	walk(proc.Body, true)
 
-	// Keep only names visible to callers (formals, commons, declared
-	// here or not); purely local arrays cannot be summarized upward.
-	filter := func(m map[string][]*rsd.Section) {
-		for name := range m {
-			sym := n.Lookup(name)
-			if sym == nil || (!sym.IsFormal && sym.Common == "") {
-				delete(m, name)
-			}
-		}
-	}
 	if !proc.IsMain {
-		filter(sum.Writes)
-		filter(sum.Reads)
+		visible(n, sum.Writes)
+		visible(n, sum.Reads)
+		visible(n, sum.Kills)
 	}
 	return sum, calls
+}
+
+// visible keeps only the names of m that n's callers see (formals,
+// commons, declared here or not); purely local arrays cannot be
+// summarized upward.
+func visible[V any](n *acg.Node, m map[string]V) {
+	for name := range m {
+		if sym := n.Lookup(name); sym == nil || (!sym.IsFormal && sym.Common == "") {
+			delete(m, name)
+		}
+	}
+}
+
+// runs reports whether loop has constant bounds and a positive step,
+// runs at least once and holds no RETURN.
+func runs(loop *ast.Do, env ast.Env) bool {
+	lo, okLo := ast.EvalInt(loop.Lo, env)
+	hi, okHi := ast.EvalInt(loop.Hi, env)
+	step, okStep := 1, true
+	if loop.Step != nil {
+		step, okStep = ast.EvalInt(loop.Step, env)
+	}
+	ok := okLo && okHi && okStep && step >= 1 && lo <= hi
+	ast.WalkStmts(loop.Body, func(s ast.Stmt) bool {
+		_, ret := s.(*ast.Return)
+		ok = ok && !ret
+		return ok
+	})
+	return ok
+}
+
+// sweeps reports whether the write ref, whose section is sec, inside
+// loops nest that each run, assigns all of its array: sec covers the
+// declared extent, and no dimension was widened to get there, for each
+// subscript is its own loop's index plus a constant.
+func sweeps(proc *ast.Procedure, sec *rsd.Section, ref *ast.ArrayRef, nest []*ast.Do, env ast.Env) bool {
+	sym := proc.Symbols.Lookup(ref.Name)
+	if sec == nil || len(sec.Dims) != len(sym.Dims) {
+		return false
+	}
+	for d, dim := range sec.Dims {
+		if full := declaredDim(sym, d, env); dim.LoVar != "" || dim.HiVar != "" || dim.Step != 1 || dim.Lo > full.Lo || dim.Hi < full.Hi {
+			return false
+		}
+	}
+	var loops []*ast.Do
+	for _, sub := range ref.Subs {
+		v, a, _, ok := depend.LinearSubscript(sub, env)
+		loop := partition.LoopFor(nest, v)
+		if !ok || a != 1 || loop == nil || slices.Contains(loops, loop) {
+			return false
+		}
+		loops = append(loops, loop)
+	}
+	return true
 }
 
 // RefSection converts one array reference into a regular section: loop

@@ -7,14 +7,19 @@
 //
 // Scheduling protocol. Exactly one node program runs at a time: the
 // scheduler (executing inside Machine.Wait) resumes a processor through
-// its iter.Pull coroutine, a direct switch that returns when that
+// an iter.Pull coroutine, a direct switch that returns when that
 // processor either parks in receive (yields) or finishes. This strict
 // handoff means every field of desEngine — rings, pools, waiter table,
 // scratch buffers, the event queue — is accessed by one goroutine at a
 // time with happens-before edges through the coroutine switch, so none
 // of it needs locks. A processor runs until it blocks: Send never blocks
 // (congestion is a failure), so the only yield points are Recv on an
-// empty ring and program exit.
+// empty ring and program exit. Coroutines follow the processors that
+// park, not P: a processor takes one at its start event (the idle one,
+// else a new one); when its program ends the coroutine idles for the
+// next start event, if one is pending, or ends. Every start event
+// precedes every wakeup, so a run makes at most (processors parked at
+// once) + 1 and leaves none to stop.
 //
 // Virtual time. The event queue orders processor resumptions by
 // (time, seq, pid). A processor blocked in Recv is woken by an event at
@@ -172,11 +177,16 @@ type desEngine struct {
 	q   eventHeap
 	seq uint64 // event creation order (the queue's tie-break)
 
-	// coroutine handoff: resume[pid] runs processor pid until it parks
-	// or finishes; park[pid], called from inside that processor's node
-	// program, switches back to the scheduler.
+	// coroutine handoff: resume[pid] runs processor pid until it parks or
+	// finishes (nil before its start event); park[pid] switches back from
+	// inside it. idle waits for the next start event, which runs fns[next].
 	resume   []func() (struct{}, bool)
 	park     []func(struct{}) bool
+	fns      []func(*Proc)
+	idle     func() (struct{}, bool)
+	next     int
+	starts   int    // start events not yet dispatched
+	made     int    // coroutines made
 	parked   []bool // blocked in receive, waiting for resume
 	finished []bool
 	live     int // started and not yet finished
@@ -207,6 +217,7 @@ func newDESEngine(m *Machine) *desEngine {
 		m:           m,
 		resume:      make([]func() (struct{}, bool), p),
 		park:        make([]func(struct{}) bool, p),
+		fns:         make([]func(*Proc), p),
 		parked:      make([]bool, p),
 		finished:    make([]bool, p),
 		inbox:       make([]map[int]*msgRing, p),
@@ -241,17 +252,36 @@ func (e *desEngine) start(pid int, fn func(*Proc)) {
 	m.running++
 	m.mu.Unlock()
 	e.live++
+	e.starts++
+	e.fns[pid] = fn
 	e.push(0, pid) // start event: node programs launch in Go-call order
-	// the coroutine's body first runs when the scheduler dispatches the
-	// start event
-	e.resume[pid], _ = iter.Pull(func(park func(struct{}) bool) {
-		e.park[pid] = park
-		defer func() {
-			m.recordProcExit(pid, recover())
-			e.finished[pid] = true
-		}()
-		fn(m.procs[pid])
+}
+
+// spawn makes a coroutine that runs fns[next], then, while a start event
+// is pending and no other coroutine idles, the next start event's.
+func (e *desEngine) spawn() (func() (struct{}, bool), func()) {
+	e.made++
+	return iter.Pull(func(park func(struct{}) bool) {
+		for {
+			pid := e.next
+			e.park[pid] = park
+			e.runProc(pid)
+			if e.starts == 0 || e.idle != nil {
+				return
+			}
+			e.idle = e.resume[pid] // this coroutine
+			park(struct{}{})
+		}
 	})
+}
+
+// runProc runs processor pid's node program and files how it ended.
+func (e *desEngine) runProc(pid int) {
+	defer func() {
+		e.m.recordProcExit(pid, recover())
+		e.finished[pid] = true
+	}()
+	e.fns[pid](e.m.procs[pid])
 }
 
 func (e *desEngine) wait() {
@@ -316,9 +346,15 @@ func (e *desEngine) drainAfterAbort() {
 	}
 }
 
-// resumeProc runs one parked processor until it parks again or
-// finishes.
+// resumeProc runs one processor until it parks or finishes.
 func (e *desEngine) resumeProc(pid int) {
+	if e.resume[pid] == nil { // its start event: the idle coroutine, or a new one
+		e.starts--
+		e.next = pid
+		if e.resume[pid], e.idle = e.idle, nil; e.resume[pid] == nil {
+			e.resume[pid], _ = e.spawn()
+		}
+	}
 	e.resume[pid]()
 	if e.finished[pid] {
 		e.live--

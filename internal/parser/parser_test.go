@@ -195,6 +195,27 @@ func TestParseLogicalIf(t *testing.T) {
 	}
 }
 
+// TestIdentifiersAreCaseSensitive pins DESIGN.md deviation 20: where
+// Fortran 77 folds case, after REAL a(16) the name A is another
+// symbol, an implicitly REAL scalar.
+func TestIdentifiersAreCaseSensitive(t *testing.T) {
+	prog, err := Parse(`
+      PROGRAM T
+      REAL a(16)
+      A = 2.0
+      a(1) = A
+      END
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := prog.Main().Symbols
+	lower, upper := syms.Lookup("a"), syms.Lookup("A")
+	if lower == nil || lower.Kind != ast.SymArray || upper == nil || upper.Kind != ast.SymScalar || upper.Type != ast.TypeReal || upper.Line != 0 {
+		t.Fatalf("a = %+v, A = %+v; want the array and an implicit REAL scalar", lower, upper)
+	}
+}
+
 func TestParseDynamicDistribute(t *testing.T) {
 	// Figure 15: executable DISTRIBUTE inside procedure body
 	src := `

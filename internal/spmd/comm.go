@@ -156,6 +156,7 @@ type commSite struct {
 	peer  intOperand // destination, source or root
 	tag   int        // tag index (Code.tags)
 	to    *toClause  // a broadcast's receivers (nil: every processor)
+	plain bool       // no section bound can fail: each is a constant or a local ± a constant
 }
 
 // toClause is a lowered "to" clause: lo..hi in dimension dim of slot's
@@ -177,11 +178,12 @@ func (lw *lowerer) to(c *commSite, r *ast.Receivers) *commSite {
 }
 
 func (lw *lowerer) comm(st ast.Stmt, what, op, array string, sec []ast.SecDim, peer ast.Expr, tag int) *commSite {
-	c := &commSite{unit: lw.unit.Name, line: st.Pos().Line, what: what, op: op, array: array, slot: lw.slot(array)}
+	c := &commSite{unit: lw.unit.Name, line: st.Pos().Line, what: what, op: op, array: array, slot: lw.slot(array), plain: len(sec) <= maxRank}
 	for _, s := range sec {
 		lo, _ := lw.intExpr(s.Lo)
 		hi, _ := lw.intExpr(s.Hi)
 		c.sec = append(c.sec, secDim{lo, hi})
+		c.plain = c.plain && lo.kind < intFn && hi.kind < intFn
 	}
 	if peer != nil {
 		c.peer, _ = lw.intExpr(peer)
@@ -232,12 +234,17 @@ func (c *commSite) open(fr *frame, b *bounds) (arr *Array, peer int, ok bool, er
 	if err = c.bounds(fr, b); err != nil || b.empty {
 		return
 	}
-	if b.n != len(arr.Lo) {
-		return arr, 0, false, fmt.Errorf("%s %s: section has %d dimensions, the array %d", c.what, c.array, b.n, len(arr.Lo))
-	}
-	peer = c.peer.eval(fr)
-	err = fr.nd.takeErr()
+	peer, err = c.peerOf(fr, arr)
 	return arr, peer, err == nil, err
+}
+
+// peerOf checks the section's rank against arr's and evaluates the
+// partner processor.
+func (c *commSite) peerOf(fr *frame, arr *Array) (int, error) {
+	if len(c.sec) != len(arr.Lo) {
+		return 0, fmt.Errorf("%s %s: section has %d dimensions, the array %d", c.what, c.array, len(c.sec), len(arr.Lo))
+	}
+	return c.peer.eval(fr), fr.nd.takeErr()
 }
 
 // partner is open for a point-to-point statement, clipped into bx: nothing
@@ -256,14 +263,37 @@ func (c *commSite) partner(fr *frame, bx *box) (arr *Array, peer int, ok bool, e
 // the array's run-time distribution, along the clause's shape. Only the
 // root and the group clip the section into bx; anyone else skips it (ok
 // false), once it has met every error a member would. (A section that
-// clips to nothing still runs the zero-word tree.)
+// clips to nothing still runs the zero-word tree.) Where no bound can
+// fail (plain), one outside evaluates none unless it meets an error,
+// which stands only if the section is not empty.
 func (c *commSite) rooted(fr *frame, bx *box) (arr *Array, root int, g machine.Group, ok bool, err error) {
-	nd := fr.nd
 	var b bounds
-	if arr, root, ok, err = c.open(fr, &b); ok && (root < 0 || root >= nd.pl.nproc) {
-		ok, err = false, fmt.Errorf("%s %s: bad root %d", c.what, c.array, root)
+	if arr, err = c.begin(fr); err != nil {
+		return
 	}
-	if g = machine.All; ok && c.to != nil {
+	if !c.plain {
+		if err = c.bounds(fr, &b); err != nil || b.empty {
+			return
+		}
+	}
+	if root, g, ok, err = c.group(fr, arr); c.plain && (ok || err != nil) {
+		if c.bounds(fr, &b); b.empty {
+			return arr, root, g, false, nil
+		}
+	}
+	if ok {
+		clip(arr, &b, bx)
+	}
+	return
+}
+
+// group is rooted's rank, root and receivers, ok if this processor is one.
+func (c *commSite) group(fr *frame, arr *Array) (root int, g machine.Group, ok bool, err error) {
+	nd := fr.nd
+	if root, err = c.peerOf(fr, arr); err == nil && (root < 0 || root >= nd.pl.nproc) {
+		err = fmt.Errorf("%s %s: bad root %d", c.what, c.array, root)
+	}
+	if g = machine.All; err == nil && c.to != nil {
 		t, lo, hi := fr.bind[c.to.slot].arr, c.to.lo.eval(fr), c.to.hi.eval(fr)
 		if err = nd.takeErr(); err == nil && t == nil {
 			err = fmt.Errorf("%s %s: unknown array in to clause", c.what, c.array)
@@ -272,12 +302,8 @@ func (c *commSite) rooted(fr *frame, bx *box) (arr *Array, root int, g machine.G
 			g = receivers(t.Dist, max(lo, t.Lo[d]), min(hi, t.Hi[d]))
 		}
 		g.Ring = c.to.ring
-		ok = err == nil && (nd.p == root || g.Has(nd.p, nd.pl.nproc))
 	}
-	if ok {
-		clip(arr, &b, bx)
-	}
-	return
+	return root, g, err == nil && (c.to == nil || nd.p == root || g.Has(nd.p, nd.pl.nproc)), err
 }
 
 func (c *commSite) send(fr *frame) error {

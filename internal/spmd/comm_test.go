@@ -15,7 +15,8 @@ import (
 // group, fails first with the error a member would meet — a rank
 // mismatch, a bad root, an unknown "to" array, a bound that fails to
 // evaluate in the section, the root or the clause — and aborts the rest;
-// an empty section fails nowhere and sends nothing.
+// an empty section fails nowhere and sends nothing, whatever its root,
+// rank or clause.
 func TestBroadcastErrorsOutsideReceivers(t *testing.T) {
 	// a(:,BLOCK) on 4: columns 7:8 are processor 3's and the root is 2,
 	// so processors 0 and 1 are outside
@@ -28,6 +29,10 @@ func TestBroadcastErrorsOutsideReceivers(t *testing.T) {
 		{"root", "a(1:8,2)", "MOD(2,z)", "a(:,7:8)", "P:5: MOD by zero (divisor 0)"},
 		{"to bound", "a(1:8,2)", "2", "a(:,MOD(7,z):8)", "P:5: MOD by zero (divisor 0)"},
 		{"empty", "a(1:8,3:2)", "2", "a(:,7:8)", ""},
+		{"empty, bad root", "a(1:8,3:2)", "7", "a(:,7:8)", ""},
+		{"empty, root", "a(1:8,3:2)", "MOD(2,z)", "a(:,7:8)", ""},
+		{"empty, to bound", "a(1:8,3:2)", "2", "a(:,MOD(7,z):8)", ""},
+		{"empty, rank", "a(3:2)", "2", "a(:,7:8)", ""},
 	} {
 		for _, what := range []string{"broadcast", "postbcast"} {
 			st := fmt.Sprintf("broadcast %s from %s to %s", tc.sec, tc.root, tc.to)

@@ -204,6 +204,46 @@ func TestSummaryCacheCoversCalleeScalarEffects(t *testing.T) {
 	}
 }
 
+// TestSummaryCacheCoversCalleeKills: whether a callee overwrites all of
+// an array is part of what its callers' keys hash. Putting F2's
+// overwrite under an IF leaves its section summary as it was but ends
+// the kill, so the caller's restore after the k loop stops being an
+// in-place descriptor update, also on a warm cache.
+func TestSummaryCacheCoversCalleeKills(t *testing.T) {
+	src := `      PROGRAM KC
+      PARAMETER (n$proc = 4)
+      REAL X(16)
+      DISTRIBUTE X(BLOCK)
+      do k = 1, 2
+        call F1(X)
+      enddo
+      call F2(X)
+      END
+      SUBROUTINE F1(X)
+      REAL X(16)
+      DISTRIBUTE X(CYCLIC)
+      X(3) = X(4) + 1
+      END
+      SUBROUTINE F2(X)
+      REAL X(16)
+      m = 0
+      do i = 1, 16
+        X(i) = 1.0
+      enddo
+      END
+`
+	edited := strings.Replace(src, "        X(i) = 1.0\n", "        if (m .GT. 0) X(i) = 1.0\n", 1)
+	opts := DefaultOptions()
+	opts.Cache = NewSummaryCache()
+	for i, text := range []string{src, edited} {
+		prog, _ := compileWith(t, text, opts)
+		fresh, _ := compileWith(t, text, DefaultOptions())
+		if got, want := strings.Contains(prog.Listing(), "markas X(BLOCK)"), i == 0; got != want || prog.Listing() != fresh.Listing() {
+			t.Errorf("compile %d: in-place restore %v, want %v; warm listing equals a fresh one: %v\n%s", i, got, want, prog.Listing() == fresh.Listing(), prog.Listing())
+		}
+	}
+}
+
 // guardsOfT returns the conditions of the IFs around the one assignment
 // to t in prog's dgefa, outermost first.
 func guardsOfT(t *testing.T, prog *Program) (around []string) {
