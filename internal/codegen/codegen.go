@@ -420,13 +420,13 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 			nl.Position = st.Pos()
 			if in.Plan != nil {
 				if c, ok := in.Plan.LoopBounds[st]; ok {
-					if lo, hi, step, okB := partition.BoundExprs(c, nl.Lo, nl.Hi, nl.Step); okB {
+					if lo, hi, step, okB := partition.BoundExprs(c, st, in.Env); okB {
 						nl.Lo, nl.Hi, nl.Step = lo, hi, step
 						res.LoopsReduced++
 						if a.liveIndex[st] {
-							// what follows reads the last iteration of all
-							fix := &ast.If{Cond: ast.Cmp(ast.OpLE, st.Lo, st.Hi),
-								Then: []ast.Stmt{&ast.Assign{Lhs: ast.Id(st.Var), Rhs: st.Hi}}}
+							// what follows reads the index the whole loop
+							// leaves: lo + trip, the step being 1
+							fix := &ast.Assign{Lhs: ast.Id(st.Var), Rhs: ast.Max(st.Lo, ast.Add(st.Hi, ast.Int(1)))}
 							a.afterLoop[st] = append([]ast.Stmt{fix}, a.afterLoop[st]...)
 						}
 					}
@@ -461,11 +461,11 @@ func rewriteBody(in *Input, a *anchors, guards map[ast.Stmt]ast.Expr, replace ma
 }
 
 // liveIndices returns the loops of proc whose index is live after
-// them: it then holds the loop's last iteration, which a processor that
-// ran only its own has to be given. An index that is a formal or in
-// COMMON is live at a subroutine's exit, where its caller may read it.
-// The walk runs only if proc names a DO index outside the loops binding
-// it or has such an index.
+// them: it then holds the whole loop's exit value, which a processor
+// that ran only its own iterations has to be given. An index that is a
+// formal or in COMMON is live at a subroutine's exit, where its caller
+// may read it. The walk runs only if proc names a DO index outside the
+// loops binding it or has such an index.
 func liveIndices(proc *ast.Procedure) map[*ast.Do]bool {
 	free := map[string]int{}
 	count := func(body []ast.Stmt, v string, n int) {

@@ -44,9 +44,10 @@ func (acc *Access) Sec(proc *ast.Procedure, env ast.Env, around bool) (sec []ast
 
 // subSecDim converts one subscript of a reference into section bounds
 // at a given placement depth: variables of loops deeper than the
-// placement are expanded to the loop's bound expressions; everything
-// else is used verbatim (it is evaluable at the placement point, unless
-// Sec widens it).
+// placement are expanded to the ordered ends of the loop's normal form
+// (the declared extent where its step is not known); everything else
+// is used verbatim (it is evaluable at the placement point, unless Sec
+// widens it).
 func subSecDim(proc *ast.Procedure, env ast.Env, ref *ast.ArrayRef, d int, nest []*ast.Do, depth int) ast.SecDim {
 	sub := ref.Subs[d]
 	v, a, _, ok := depend.LinearSubscript(sub, env)
@@ -58,9 +59,12 @@ func subSecDim(proc *ast.Procedure, env ast.Env, ref *ast.ArrayRef, d int, nest 
 			if j < depth {
 				break // defined at the placement point: verbatim
 			}
-			loop := nest[j]
-			lo := ast.Subst(sub, map[string]ast.Expr{v: loop.Lo})
-			hi := ast.Subst(sub, map[string]ast.Expr{v: loop.Hi})
+			n := nest[j].Norm(env)
+			if ok = n.Step != 0; !ok {
+				break
+			}
+			lo := ast.Subst(sub, map[string]ast.Expr{v: n.Low})
+			hi := ast.Subst(sub, map[string]ast.Expr{v: n.High})
 			if a < 0 {
 				lo, hi = hi, lo
 			}
@@ -68,7 +72,8 @@ func subSecDim(proc *ast.Procedure, env ast.Env, ref *ast.ArrayRef, d int, nest 
 		}
 	}
 	if !ok {
-		// non-affine: widen to the declared extent
+		// non-affine, or over a loop of unknown step: widen to the
+		// declared extent
 		if sym := proc.Symbols.Lookup(ref.Name); sym != nil && d < len(sym.Dims) {
 			return ast.SecDim{Lo: ast.CloneExpr(sym.Dims[d].Lo), Hi: ast.CloneExpr(sym.Dims[d].Hi)}
 		}

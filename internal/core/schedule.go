@@ -273,7 +273,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		}
 	}
 
-	partition.Explain(tex, proc.Name, plan)
+	partition.Explain(tex, proc.Name, plan, env)
 
 	// the overlaps this procedure uses: shifts extend the block boundary
 	var uses []overlap.Use

@@ -64,9 +64,10 @@ type SubForm struct {
 	OK bool
 }
 
-// loopBounds holds a loop's bounds linearized over the loops enclosing
-// it.
+// loopBounds holds a loop's step (0: not known) and ordered ends
+// (ast.Norm), linearized over the loops enclosing it.
 type loopBounds struct {
+	step   int
 	lo, hi SubForm
 }
 
@@ -135,7 +136,8 @@ func CollectRefs(proc *ast.Procedure, env ast.Env) []*Ref {
 				addExprRefs(st.Lo, st)
 				addExprRefs(st.Hi, st)
 				outerNest, outerBounds := nest, bounds
-				lb := loopBounds{lo: form(st.Lo), hi: form(st.Hi)}
+				n := st.Norm(env) // nil ends, not OK forms, for a step not known
+				lb := loopBounds{step: n.Step, lo: form(n.Low), hi: form(n.High)}
 				// fresh slices, never appended to again: the body's
 				// references keep them
 				nest = append(outerNest[:len(outerNest):len(outerNest)], st)
@@ -229,7 +231,10 @@ func visitPairs(refs []*Ref, emit func(Dep)) {
 // expands into all three direction cases: carried at that level in
 // either direction, plus "equal at that level", which continues the
 // scan into the deeper levels — so an exact inner-loop distance is
-// never masked by an unconstrained outer loop.
+// never masked by an unconstrained outer loop. A known distance d in
+// index values is d/s iterations of a loop stepping by s, for both
+// sides run one entry of it: none where s does not divide d, reversed
+// for s < 0, either way for s unknown.
 func testPair(a, b *Ref, emit func(Dep)) {
 	common := commonDepth(a, b)
 	var buf [8]distEntry
@@ -242,6 +247,18 @@ func testPair(a, b *Ref, emit func(Dep)) {
 	}
 	for i, e := range dv {
 		level := i + 1
+		if s := a.bounds[i].step; e.known && e.dist != 0 && s != 1 {
+			switch {
+			case s == 0:
+				// carried here in one direction or the other
+				emit(Dep{Src: a, Snk: b, Kind: depKind(a, b), Level: level})
+				emit(Dep{Src: b, Snk: a, Kind: depKind(b, a), Level: level})
+				return
+			case e.dist%s != 0:
+				return // the two never meet in one entry of the loop
+			}
+			e.dist /= s
+		}
 		switch {
 		case e.unknown:
 			// may be carried here in either direction; the ==0 case

@@ -99,6 +99,9 @@ func fuzzBody(r *bytesRand, outer []string, budget *int) []ast.Stmt {
 		if len(free) > 0 && r.n(3) == 0 {
 			v := free[r.n(len(free))]
 			loop := &ast.Do{Var: v, Lo: fuzzBound(r, outer), Hi: fuzzBound(r, outer)}
+			if r.n(2) == 0 {
+				loop.Step = []ast.Expr{ast.Int(-1), ast.Int(2), &ast.Unary{Op: "-", X: ast.Int(2)}, ast.Id("m")}[r.n(4)]
+			}
 			loop.Body = fuzzBody(r, append(append([]string(nil), outer...), v), budget)
 			body = append(body, loop)
 			continue

@@ -49,6 +49,22 @@ func (in *depList) oldTestPair(a, b *Ref, env ast.Env) {
 	}
 	for i, e := range dv {
 		level := i + 1
+		// a distance in index values is one of d/s iterations, none
+		// where the step s does not divide it, either way where s is
+		// not a known constant
+		if s, ok := oldStep(common[i], env); e.known && e.dist != 0 && s != 1 {
+			if !ok {
+				in.Deps = append(in.Deps,
+					Dep{Src: a, Snk: b, Kind: depKind(a, b), Level: level},
+					Dep{Src: b, Snk: a, Kind: depKind(b, a), Level: level},
+				)
+				return
+			}
+			if e.dist%s != 0 {
+				return
+			}
+			e.dist /= s
+		}
 		switch {
 		case e.unknown:
 			// may be carried here in either direction; the ==0 case
@@ -284,17 +300,37 @@ func oldWeakZeroDisproved(la, lb oldLinear, v string, loop *ast.Do, env ast.Env)
 		}
 		sol = neg
 	}
-	if lo, ok := oldLinearize(loop.Lo, env); ok {
+	first, last := loop.Lo, loop.Hi
+	switch step, ok := oldStep(loop, env); {
+	case !ok:
+		return false
+	case step < 0:
+		first, last = last, first
+	}
+	if lo, ok := oldLinearize(first, env); ok {
 		if d, isConst := oldConstantDiff(lo.minus(sol)); isConst && d >= 1 {
 			return true // solution below the loop's first iteration
 		}
 	}
-	if hi, ok := oldLinearize(loop.Hi, env); ok {
+	if hi, ok := oldLinearize(last, env); ok {
 		if d, isConst := oldConstantDiff(sol.minus(hi)); isConst && d >= 1 {
 			return true // solution above the loop's last iteration
 		}
 	}
 	return false
+}
+
+// oldStep is loop's step where it is a non-zero constant under env.
+func oldStep(loop *ast.Do, env ast.Env) (int, bool) {
+	if loop.Step == nil {
+		return 1, true
+	}
+	l, ok := oldLinearize(loop.Step, env)
+	if !ok {
+		return 0, false
+	}
+	s, isConst := oldConstantDiff(l)
+	return s, isConst && s != 0
 }
 
 // constantDiff reports whether a oldLinear form is a pure constant.

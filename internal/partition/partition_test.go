@@ -186,7 +186,7 @@ func TestConstantSubscriptGuard(t *testing.T) {
 // [my$p*25+1 : MIN(95,(my$p+1)*25)].
 func TestBoundExprsBlock(t *testing.T) {
 	c := &Constraint{Array: "X", Dist: blockDist(100, 4)}
-	lo, hi, step, ok := BoundExprs(c, ast.Int(1), ast.Int(95), nil)
+	lo, hi, step, ok := BoundExprs(c, &ast.Do{Var: "i", Lo: ast.Int(1), Hi: ast.Int(95)}, nil)
 	if !ok {
 		t.Fatal("block reduction failed")
 	}
@@ -218,7 +218,7 @@ func TestBoundExprsBlock(t *testing.T) {
 // TestBoundExprsBlockWithOffset: subscript v+2 shifts the owned range.
 func TestBoundExprsBlockWithOffset(t *testing.T) {
 	c := &Constraint{Array: "X", Dist: blockDist(100, 4), Offset: 2}
-	lo, hi, _, ok := BoundExprs(c, ast.Int(1), ast.Int(98), nil)
+	lo, hi, _, ok := BoundExprs(c, &ast.Do{Var: "i", Lo: ast.Int(1), Hi: ast.Int(98)}, nil)
 	if !ok {
 		t.Fatal("reduction failed")
 	}
@@ -239,7 +239,7 @@ func TestBoundExprsBlockWithOffset(t *testing.T) {
 // first owned iteration.
 func TestBoundExprsCyclic(t *testing.T) {
 	c := &Constraint{Array: "X", Dist: decomp.MustDist(decomp.NewDecomp(decomp.Cyclic), []int{100}, 4)}
-	lo, hi, step, ok := BoundExprs(c, ast.Int(1), ast.Int(100), nil)
+	lo, hi, step, ok := BoundExprs(c, &ast.Do{Var: "i", Lo: ast.Int(1), Hi: ast.Int(100)}, nil)
 	if !ok {
 		t.Fatal("cyclic reduction failed")
 	}
@@ -261,7 +261,7 @@ func TestBoundExprsCyclic(t *testing.T) {
 // the first$ intrinsic.
 func TestBoundExprsCyclicSymbolicLo(t *testing.T) {
 	c := &Constraint{Array: "a", Dist: decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{64, 64}, 4)}
-	lo, _, step, ok := BoundExprs(c, ast.Add(ast.Id("k"), ast.Int(1)), ast.Id("n"), nil)
+	lo, _, step, ok := BoundExprs(c, &ast.Do{Var: "j", Lo: ast.Add(ast.Id("k"), ast.Int(1)), Hi: ast.Id("n")}, nil)
 	if !ok {
 		t.Fatal("symbolic cyclic reduction failed")
 	}
@@ -275,11 +275,26 @@ func TestBoundExprsCyclicSymbolicLo(t *testing.T) {
 	}
 }
 
-// TestBoundExprsRejectsStride: non-unit source steps fall back.
+// TestBoundExprsRejectsStride: a loop that does not step by one, by a
+// step known only under the PARAMETER constants or not at all, or whose
+// body may RETURN falls back; a PARAMETER step of 1 is reduced.
 func TestBoundExprsRejectsStride(t *testing.T) {
 	c := &Constraint{Array: "X", Dist: blockDist(100, 4)}
-	if _, _, _, ok := BoundExprs(c, ast.Int(2), ast.Int(99), ast.Int(2)); ok {
-		t.Error("strided loop must not be reduced")
+	env := ast.MapEnv{"ns": 1, "two": 2}
+	for _, tc := range []struct {
+		loop *ast.Do
+		want bool
+	}{
+		{&ast.Do{Var: "i", Lo: ast.Int(2), Hi: ast.Int(99), Step: ast.Int(2)}, false},
+		{&ast.Do{Var: "i", Lo: ast.Int(99), Hi: ast.Int(2), Step: ast.Int(-1)}, false},
+		{&ast.Do{Var: "i", Lo: ast.Int(2), Hi: ast.Int(99), Step: ast.Id("two")}, false},
+		{&ast.Do{Var: "i", Lo: ast.Int(2), Hi: ast.Int(99), Step: ast.Id("k")}, false},
+		{&ast.Do{Var: "i", Lo: ast.Int(2), Hi: ast.Int(99), Body: []ast.Stmt{&ast.If{Cond: ast.Id("k"), Then: []ast.Stmt{&ast.Return{}}}}}, false},
+		{&ast.Do{Var: "i", Lo: ast.Int(2), Hi: ast.Int(99), Step: ast.Id("ns")}, true},
+	} {
+		if _, _, step, ok := BoundExprs(c, tc.loop, env); ok != tc.want || ok && step != nil {
+			t.Errorf("do %s = %v, %v, %v: reduced %v (step %v), want %v", tc.loop.Var, tc.loop.Lo, tc.loop.Hi, tc.loop.Step, ok, step, tc.want)
+		}
 	}
 }
 

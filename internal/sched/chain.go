@@ -171,7 +171,7 @@ func pipeGroup(list []ast.Stmt, j int) (g group, ok bool) {
 func (g *group) scan(x string) (recurrence bool) {
 	l := g.loop
 	writes := false
-	if l.Step != nil && !isIntLit(l.Step, 1) {
+	if l.Norm(nil).Step != 1 {
 		g.why = "loop has non-unit step"
 	}
 	ref := func(e ast.Expr) {

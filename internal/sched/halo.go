@@ -56,7 +56,7 @@ func splitHalo(v *view, i int) (int, bool) {
 		return j + 1, true
 	}
 
-	if loop.Step != nil && !isIntLit(loop.Step, 1) {
+	if loop.Norm(nil).Step != 1 {
 		return miss("following loop has non-unit step")
 	}
 	// the peel dimension is the one every recv's section is thin in

@@ -46,7 +46,7 @@ import (
 func pipelinePivot(v *view, i int) (int, bool) {
 	loop := v.list[i].(*ast.Do)
 	body := loop.Body
-	if (loop.Step != nil && !isIntLit(loop.Step, 1)) || len(body) < 2 {
+	if loop.Norm(nil).Step != 1 || len(body) < 2 {
 		return i, false
 	}
 	// the first broadcast of the body, at its top in the matched shape
@@ -114,7 +114,7 @@ func pipelinePivot(v *view, i int) (int, bool) {
 		return miss("root is not affine in the loop variable")
 	}
 	// update loop over owned columns: do j = first$(anchor, k+1, s), hi, s
-	if !isIntLit(jloop.Step, s) {
+	if jloop.Norm(nil).Step != s {
 		return miss("update loop step does not match the owner cycle")
 	}
 	first, ok := jloop.Lo.(*ast.FuncCall)

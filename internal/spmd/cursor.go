@@ -274,19 +274,15 @@ func (a *loopOpt) distinct(fr *frame) bool {
 	return true
 }
 
-// position sets the frame's cursors for the iterations l, l+s, .. up to
-// h and reports whether the loop may run on them. It has no effect the
+// position sets the frame's cursors for the n iterations l, l+s, ..
+// and reports whether the loop may run on them. It has no effect the
 // general loop could observe: a failed evaluation is discarded, the
 // general loop will meet it again in its own time.
-func (cl *cursorLoop) position(fr *frame, l, h, s int) bool {
-	d, a := h-l, s
-	if s < 0 {
-		d, a = l-h, -s
+func (cl *cursorLoop) position(fr *frame, l, s, n int) bool {
+	if n == 0 {
+		return false // no iteration
 	}
-	if d < 0 || a <= 0 {
-		return false // no iteration; or bounds or step too large to reason about
-	}
-	last := l + d/a*s
+	last := l + (n-1)*s
 	if l < -maxExactIndex || l > maxExactIndex || last < -maxExactIndex || last > maxExactIndex {
 		return false
 	}
@@ -294,7 +290,6 @@ func (cl *cursorLoop) position(fr *frame, l, h, s int) bool {
 		return false
 	}
 	nd := fr.nd
-	n := d/a + 1
 	for k, r := range cl.refs {
 		arr := fr.bind[r.slot].arr
 		if arr == nil || len(arr.Lo) != len(r.subs) {

@@ -691,11 +691,12 @@ func (lw *lowerer) assign(st *ast.Assign) stmtFn {
 }
 
 // do lowers a DO loop. The bounds are evaluated once and cost no
-// virtual time; the index variable keeps its last value after the loop,
-// and a loop that runs no iteration assigns it nothing (DESIGN.md
-// deviation 18, not F77's lo + max(0, trip)·s). A body that qualifies runs on cursors whenever they can be positioned
-// on entry (cursor.go): the loop itself, its abort polling and the
-// statements' flop charges are the same either way.
+// virtual time. The loop runs ast.Trip iterations and then leaves its
+// index at F77's ast.Exit, lo + trip·s, on every path: walked, on
+// cursors or in strips, and when it runs no iteration. A body that
+// qualifies runs on cursors whenever they can be positioned on entry
+// (cursor.go): the loop itself, its abort polling and the statements'
+// flop charges are the same either way.
 func (lw *lowerer) do(st *ast.Do) stmtFn {
 	lo, _ := lw.intExpr(st.Lo)
 	hi, _ := lw.intExpr(st.Hi)
@@ -726,30 +727,30 @@ func (lw *lowerer) do(st *ast.Do) stmtFn {
 		if s == 0 {
 			return fmt.Errorf("%s: zero loop step", unit.Name)
 		}
-		v := fr.scalar(slot)
-		walk := cl != nil && cl.position(fr, l, h, s)
-		if sp := cl.stripForm(); walk && sp != nil && sp.run(fr, fr.curs[:len(cl.refs)], l, s, (h-l)/s+1, v) {
-			return nil
-		}
-		fr.walk = walk
-		for i, n := l, 1; (s > 0 && i <= h) || (s < 0 && i >= h); i, n = i+s, n+1 {
-			*v = float64(i)
-			for _, b := range body {
-				if err := b(fr); err != nil {
-					fr.walk = false
-					return err
+		n, v := ast.Trip(l, h, s), fr.scalar(slot)
+		walk := cl != nil && cl.position(fr, l, s, n)
+		if sp := cl.stripForm(); !walk || sp == nil || !sp.run(fr, fr.curs[:len(cl.refs)], l, s, n) {
+			fr.walk = walk
+			for t, i := 1, l; t <= n; t, i = t+1, i+s {
+				*v = float64(i)
+				for _, b := range body {
+					if err := b(fr); err != nil {
+						fr.walk = false
+						return err
+					}
+				}
+				if t%pollEvery == 0 {
+					nd.proc.CheckAbort()
+				}
+				if walk {
+					for k := range fr.curs[:len(cl.refs)] {
+						fr.curs[k].off += fr.curs[k].stride
+					}
 				}
 			}
-			if n%pollEvery == 0 {
-				nd.proc.CheckAbort()
-			}
-			if walk {
-				for k := range fr.curs[:len(cl.refs)] {
-					fr.curs[k].off += fr.curs[k].stride
-				}
-			}
+			fr.walk = false
 		}
-		fr.walk = false
+		*v = float64(ast.Exit(l, n, s))
 		return nil
 	}
 }

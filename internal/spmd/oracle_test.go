@@ -272,12 +272,14 @@ func (it *treeInterp) exec(f *treeFrame, s ast.Stmt) error {
 			v = &z
 			f.scalars[st.Var] = v
 		}
-		for i := lo; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
+		i := lo
+		for ; (step > 0 && i <= hi) || (step < 0 && i >= hi); i += step {
 			*v = float64(i)
 			if err := it.execBody(f, st.Body); err != nil {
 				return err
 			}
 		}
+		*v = float64(i) // F77: the first value that failed the test
 		return nil
 
 	case *ast.If:

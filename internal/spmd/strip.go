@@ -211,12 +211,11 @@ func span(c *cursor, n int) (lo, hi uintptr) {
 }
 
 // run executes the n iterations l, l+s, .. of the loop in strips on
-// curs, the frame's cursors positioned for them, and leaves the index v
-// at its last value.
+// curs, the frame's cursors positioned for them.
 // It reports false, having done nothing, where the loop must walk
 // instead: the cursors are not disjoint, or an invariant operand fails
 // to evaluate (the walk meets the failure in its own time).
-func (sp *strip) run(fr *frame, curs []cursor, l, s, n int, v *float64) bool {
+func (sp *strip) run(fr *frame, curs []cursor, l, s, n int) bool {
 	if !sp.disjoint(curs, n) {
 		return false
 	}
@@ -263,7 +262,6 @@ func (sp *strip) run(fr *frame, curs []cursor, l, s, n int, v *float64) bool {
 		}
 		nd.proc.ComputeStrip(m, sp.flops)
 	}
-	*v = float64(l + (n-1)*s)
 	return true
 }
 
