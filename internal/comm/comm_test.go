@@ -280,6 +280,8 @@ func TestHoistPredicate(t *testing.T) {
 			rsd.New("X", rsd.Range(1, 100), rsd.SymPoint("i", 1)), rsd.New("X", rsd.Range(26, 30), rsd.SymPoint("i", 0)), false, true},
 		{"counting down, the earlier iterations are above i: i+1 wrote column i", []*ast.Do{down},
 			rsd.New("X", rsd.Range(1, 100), rsd.SymPoint("i", -1)), rsd.New("X", rsd.Range(26, 30), rsd.SymPoint("i", 0)), false, true},
+		{"counting down, each iteration writes the column after its own: none earlier writes column i", []*ast.Do{down},
+			rsd.New("X", rsd.Range(1, 100), rsd.SymPoint("i", 1)), rsd.New("X", rsd.Range(26, 30), rsd.SymPoint("i", 0)), false, false},
 		{"unanchored overlap", []*ast.Do{i},
 			rsd.New("X", rsd.Range(1, 100), rsd.Range(1, 100)), rsd.New("X", rsd.Range(26, 30), rsd.SymPoint("i", 0)), false, true},
 		{"disjoint rows", []*ast.Do{i},
