@@ -17,7 +17,7 @@ loc: ## non-blank lines of non-test Go outside bench/ (ROADMAP item 6 tracks it;
 bench: ## the root package's go benchmarks (the repository benchmark is bench-run / bench-compare)
 	$(GO) test -run '^$$' -bench . -benchtime 10x .
 
-bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, reduction, jacobi's stencil in strips, broadcast, and a P=64 run of ring broadcasts with a "to" clause that leaves most processors outside (ns/op and allocs/op)
+bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, reduction, jacobi's stencil in strips, broadcast, a P=64 run of ring broadcasts with a "to" clause that leaves most processors outside, and dgefa_p1024's broadcasts alone, where 896 of the 1 024 processors hold no column (ns/op and allocs/op)
 	$(GO) test -run '^$$' -bench 'BenchmarkExec' -benchmem ./internal/spmd
 
 BENCHTIME ?= 1s

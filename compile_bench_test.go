@@ -259,14 +259,19 @@ func TestRunAllocBudget(t *testing.T) {
 	}
 	synth32 := SyntheticProcsSrc(32, 8, 32, 4)
 	for _, w := range []struct {
-		name, src string
-		init      map[string][]float64
-		budgetMB  float64
+		name, src  string
+		init       map[string][]float64
+		budgetMB   float64
+		budgetObjs uint64 // 0: none
 	}{
-		{"dgefa_p1024", DgefaSrc(128, 1024), map[string][]float64{"a": DgefaMatrix(128)}, 2.9},     // 2.46 measured, 2.60 under ci.sh's -race (3.34 with a coroutine per processor, 20.2 with pair statistics, 26.2 before value-receiver operands, 32.9 before pooled rings)
-		{"jacobi2d_p16", Jacobi2DSrc(256, 10, 16), map[string][]float64{"a": Ramp(256 * 256)}, 4},  // 2.4 measured
-		{"dyndist_p256", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 4.1}, // 3.05 measured, 3.77 under ci.sh's -race: the row above leaves one exited goroutine for its 256 coroutines to reuse, not 1 024 (2.93 before; 4.0 with pair statistics, 4.5 before)
-		{"synth32", synth32, RampInit(synth32), 1.4},                                               // 1.27 measured with its chains split (0.95 blocking; 1.61 while closures moved their operands to the heap)
+		// 2.15 MB and 4 888 objects measured, 2.28 MB and 5 016 under ci.sh's -race (2.46 MB and 18 592 objects while each
+		// processor's node, frames and arrays map were objects of their own and every processor worked out every broadcast's
+		// group; 3.34 MB with a coroutine per processor, 20.2 with pair statistics, 26.2 before value-receiver operands, 32.9
+		// before pooled rings)
+		{"dgefa_p1024", DgefaSrc(128, 1024), map[string][]float64{"a": DgefaMatrix(128)}, 2.5, 5700},
+		{"jacobi2d_p16", Jacobi2DSrc(256, 10, 16), map[string][]float64{"a": Ramp(256 * 256)}, 4, 0},  // 2.4 measured
+		{"dyndist_p256", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 4.1, 0}, // 2.98 measured, 3.70 under ci.sh's -race: the row above leaves one exited goroutine for its 256 coroutines to reuse, not 1 024 (3.05 before per-run slabs, 2.93 before that; 4.0 with pair statistics, 4.5 before)
+		{"synth32", synth32, RampInit(synth32), 1.4, 0},                                               // 1.27 measured with its chains split (0.95 blocking; 1.61 while closures moved their operands to the heap)
 	} {
 		prog, err := Compile(w.src, DefaultOptions())
 		if err != nil {
@@ -279,10 +284,13 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-		t.Logf("%s: one run allocates %.2f MB (budget %g)", w.name, mb, w.budgetMB)
+		mb, objs := float64(after.TotalAlloc-before.TotalAlloc)/1e6, after.Mallocs-before.Mallocs
+		t.Logf("%s: one run allocates %.2f MB (budget %g) in %d objects (budget %d)", w.name, mb, w.budgetMB, objs, w.budgetObjs)
 		if mb > w.budgetMB {
 			t.Errorf("%s: one run allocates %.1f MB, budget %g", w.name, mb, w.budgetMB)
+		}
+		if w.budgetObjs > 0 && objs > w.budgetObjs {
+			t.Errorf("%s: one run allocates %d objects, budget %d", w.name, objs, w.budgetObjs)
 		}
 	}
 }

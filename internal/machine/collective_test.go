@@ -276,3 +276,34 @@ func ringClocks(n int, c, α, βw float64) []float64 {
 	}
 	return end
 }
+
+// TestModMatchesTwoDivisions: Mod, and Group.Has and first$ (min +
+// Mod(anchor-min, step)) through it, give what the two-division forms
+// they replaced gave, on negative and positive differences, firsts and
+// anchors.
+func TestModMatchesTwoDivisions(t *testing.T) {
+	for n := 1; n <= 17; n++ {
+		for a := -3 * n; a <= 3*n; a++ {
+			if got, want := Mod(a, n), (a%n+n)%n; got != want {
+				t.Fatalf("Mod(%d, %d) = %d, want %d", a, n, got, want)
+			}
+		}
+		for anchor := -2 * n; anchor <= 2*n; anchor++ {
+			for lo := -2 * n; lo <= 2*n; lo++ {
+				if got, want := lo+Mod(anchor-lo, n), lo+((anchor-lo)%n+n)%n; got != want {
+					t.Fatalf("first$(%d, %d, %d) = %d, want %d", anchor, lo, n, got, want)
+				}
+			}
+		}
+		for first := -2 * n; first <= 2*n; first++ {
+			for size := -1; size <= n+1; size++ {
+				g := Group{First: first, N: size}
+				for pid := range n {
+					if want := size >= n || ((pid-first)%n+n)%n < size; g.Has(pid, n) != want {
+						t.Fatalf("%+v.Has(%d, %d) = %v, want %v", g, pid, n, !want, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -193,8 +193,10 @@ func New(cfg Config) *Machine {
 		procErrs: make([]error, cfg.P),
 	}
 	m.procs = make([]*Proc, cfg.P)
-	for p := 0; p < cfg.P; p++ {
-		m.procs[p] = &Proc{m: m, id: p, skew: 1}
+	procs := make([]Proc, cfg.P) // one object, not P
+	for p := range procs {
+		procs[p] = Proc{m: m, id: p, skew: 1}
+		m.procs[p] = &procs[p]
 	}
 	m.eng = newDESEngine(m)
 	return m

@@ -90,7 +90,17 @@ var All = Group{N: math.MaxInt}
 
 // Has reports whether pid is one of g's processors on np processors.
 func (g Group) Has(pid, np int) bool {
-	return g.N >= np || ((pid-g.First)%np+np)%np < g.N
+	return g.N >= np || Mod(pid-g.First, np) < g.N
+}
+
+// Mod is a modulo n > 0 in 0..n-1: one division and a conditional add,
+// where ((a%n)+n)%n takes two divisions.
+func Mod(a, n int) int {
+	r := a % n
+	if r < 0 {
+		r += n
+	}
+	return r
 }
 
 // tree ranks a broadcast's members, its root and group, in closed form
@@ -102,7 +112,7 @@ type tree struct {
 }
 
 func newTree(root, np int, g Group) tree {
-	n, s := min(max(g.N, 0), np), ((g.First-root)%np+np)%np
+	n, s := min(max(g.N, 0), np), Mod(g.First-root, np)
 	if s == 0 && n > 0 {
 		s, n = 1, n-1 // the root heads the range
 	}
@@ -115,7 +125,7 @@ func newTree(root, np int, g Group) tree {
 }
 
 func (t tree) rank(pid int) (int, bool) {
-	d := ((pid-t.root)%t.np + t.np) % t.np
+	d := Mod(pid-t.root, t.np)
 	if d >= t.from && d < t.to {
 		return d - t.from + t.low, true
 	}

@@ -288,6 +288,10 @@ func (c *commSite) rooted(fr *frame, bx *box) (arr *Array, root int, g machine.G
 }
 
 // group is rooted's rank, root and receivers, ok if this processor is one.
+// Every processor evaluates the root and the clause's bounds, so meets
+// their errors; one that stores none of the clause's array is in no
+// owner set (its share is empty) and, unless it is the root, leaves
+// before the receivers are worked out.
 func (c *commSite) group(fr *frame, arr *Array) (root int, g machine.Group, ok bool, err error) {
 	nd := fr.nd
 	if root, err = c.peerOf(fr, arr); err == nil && (root < 0 || root >= nd.pl.nproc) {
@@ -299,6 +303,9 @@ func (c *commSite) group(fr *frame, arr *Array) (root int, g machine.Group, ok b
 			err = fmt.Errorf("%s %s: unknown array in to clause", c.what, c.array)
 		}
 		if d := c.to.dim; err == nil && t.Dist != nil && t.Dist.DistDim() == d {
+			if t.win != nil && t.win.n == 0 && nd.p != root {
+				return root, g, false, nil // holds none of t: in no owner set
+			}
 			g = receivers(t.Dist, max(lo, t.Lo[d]), min(hi, t.Hi[d]))
 		}
 		g.Ring = c.to.ring

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fortd/internal/ast"
+	"fortd/internal/machine"
 )
 
 // Expression lowering. An expression becomes an operand: a folded
@@ -440,8 +441,7 @@ func (lw *lowerer) intrinsic(x *ast.FuncCall) (operand, int) {
 				fr.nd.fail(fmt.Errorf("first$: bad step %d", step))
 				return 0
 			}
-			r := ((anchor-min)%step + step) % step
-			return float64(min + r)
+			return float64(min + machine.Mod(anchor-min, step))
 		}), ops
 	case "F", "f":
 		// the paper's generic function F: an arbitrary arithmetic map

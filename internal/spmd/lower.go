@@ -54,7 +54,6 @@ type Plan struct {
 	overlap func(proc, array string, dim, block int) (lo, hi int) // Lower's overlap
 	ntags   int                                                   // distinct split-phase tags (node.posted's length)
 	nmember int                                                   // distinct COMMON members (node.members' length)
-	strips  bool                                                  // some loop has a strip form: a run needs strip scratch
 }
 
 // Code is one unit lowered for nproc processors, and depends on nothing
@@ -111,6 +110,7 @@ type frame struct {
 	// if walk is set (cursor.go).
 	curs []cursor
 	walk bool
+	next *frame // the node's next free frame, once returned
 }
 
 // binding is what a name means in one activation: ref points at its
@@ -131,7 +131,8 @@ type node struct {
 	err error
 	// depth counts the calls in progress; free recycles returned frames.
 	depth int
-	free  []*frame
+	free  *frame
+	ar    *arena // the run's: new frames and strip scratch come from it
 	// members holds what each COMMON member (Plan.nmember of them,
 	// scalars and arrays) is bound to for the rest of the run: the first
 	// activation that declares the member makes the binding.
@@ -149,9 +150,37 @@ type node struct {
 	hole      float64 // stands in for an element not held (arrayRef.elem)
 	partStart []int   // allgather and remap scratch: where each processor's part starts
 	place     []int   // remap scratch: where in the new window each element received goes
-	// strip is the run's strip scratch (strip.go), one for all its nodes:
-	// one node runs at a time, and a strip never waits
-	strip *[]float64
+}
+
+// arena is one run's per-processor state: its nodes, the frames they
+// activate first (with their slots and bindings), posted-op and COMMON
+// tables, and the strip scratch (strip.go), which all its nodes share.
+// The main unit's frames come from slabs sized for every processor, a
+// callee's from chunks. A run's nodes take from one arena without locks
+// because the machine runs one node at a time, and taking never waits.
+type arena struct {
+	nodes  []node
+	frames slab[frame]
+	vals   slab[float64]
+	binds  slab[binding]
+	curs   slab[cursor]
+	posted slab[*postedOp]
+	mains  slab[*Array] // what each node returns
+	strip  []float64
+}
+
+// newArena is the arena of a run of pl on np processors.
+func (pl *Plan) newArena(np int) *arena {
+	n := len(pl.main.names)
+	return &arena{
+		nodes:  make([]node, np),
+		frames: make(slab[frame], 0, np),
+		vals:   make(slab[float64], 0, np*n),
+		binds:  make(slab[binding], 0, np*(n+pl.nmember)),
+		curs:   make(slab[cursor], 0, np*pl.main.ncurs),
+		posted: make(slab[*postedOp], 0, np*pl.ntags),
+		mains:  make(slab[*Array], 0, np*n),
+	}
 }
 
 func (nd *node) fail(err error) {
@@ -166,16 +195,19 @@ func (nd *node) takeErr() error {
 	return err
 }
 
-func (pl *Plan) newNode(proc *machine.Proc) *node {
-	return &node{pl: pl, proc: proc, p: proc.ID(), pf: float64(proc.ID()),
-		posted: make([]*postedOp, pl.ntags), members: make([]binding, pl.nmember)}
+// node is proc's node of a run of pl.
+func (ar *arena) node(pl *Plan, proc *machine.Proc) *node {
+	nd := &ar.nodes[proc.ID()]
+	*nd = node{pl: pl, ar: ar, proc: proc, p: proc.ID(), pf: float64(proc.ID()),
+		posted: ar.posted.take(pl.ntags), members: ar.binds.take(pl.nmember)}
+	return nd
 }
 
-// run executes the plan as proc's node program, with strip the run's
-// strip scratch, and returns the main program's arrays by name.
-func (pl *Plan) run(proc *machine.Proc, opts Options, strip *[]float64) (map[string]*Array, error) {
-	nd := pl.newNode(proc)
-	nd.seed, nd.strip = opts.Init, strip
+// run executes the plan as proc's node program in the run of arena ar,
+// and returns the main program's arrays by slot (nil: a scalar).
+func (pl *Plan) run(proc *machine.Proc, opts Options, ar *arena) ([]*Array, error) {
+	nd := ar.node(pl, proc)
+	nd.seed = opts.Init
 	fr, err := nd.enter(pl.main, nil, nil)
 	nd.seed = nil
 	if err != nil {
@@ -189,11 +221,9 @@ func (pl *Plan) run(proc *machine.Proc, opts Options, strip *[]float64) (map[str
 	if err := runBody(fr, pl.main.body); err != nil && err != errReturn {
 		return nil, err
 	}
-	arrays := map[string]*Array{}
+	arrays := ar.mains.take(len(fr.bind))
 	for slot, b := range fr.bind {
-		if b.arr != nil {
-			arrays[pl.main.names[slot]] = b.arr
-		}
+		arrays[slot] = b.arr
 	}
 	return arrays, nil
 }
@@ -239,22 +269,22 @@ func runBody(fr *frame, body []stmtFn) error {
 // ---------------------------------------------------------------------------
 // Frames
 
-// newFrame takes a frame from the free list and clears its bindings.
+// newFrame takes a frame from the free list, or else from the arena,
+// and clears its bindings.
 func (nd *node) newFrame(pp *procPlan) *frame {
-	var fr *frame
-	if n := len(nd.free); n > 0 {
-		fr = nd.free[n-1]
-		nd.free = nd.free[:n-1]
+	ar, fr := nd.ar, nd.free
+	if fr != nil {
+		nd.free = fr.next
 	} else {
-		fr = &frame{nd: nd}
+		fr = &ar.frames.take(1)[0]
+		fr.nd = nd
 	}
 	n := len(pp.names)
 	if cap(fr.vals) < n {
-		fr.vals = make([]float64, n)
-		fr.bind = make([]binding, n)
+		fr.vals, fr.bind = ar.vals.take(n), ar.binds.take(n)
 	}
 	if cap(fr.curs) < pp.ncurs {
-		fr.curs = make([]cursor, pp.ncurs)
+		fr.curs = ar.curs.take(pp.ncurs)
 	}
 	fr.pp = pp
 	fr.vals, fr.bind, fr.curs = fr.vals[:n], fr.bind[:n], fr.curs[:pp.ncurs]
@@ -350,7 +380,8 @@ func (nd *node) allocArray(fr *frame, d *decl) (*Array, error) {
 	if len(d.lo) > maxRank {
 		return nil, fmt.Errorf("array %s: rank %d exceeds the limit of %d", name, len(d.lo), maxRank)
 	}
-	arr := &Array{Lo: make([]int, len(d.lo)), Hi: make([]int, len(d.lo))}
+	bnds := make([]int, 2*len(d.lo))
+	arr := &Array{Lo: bnds[:len(d.lo):len(d.lo)], Hi: bnds[len(d.lo):]}
 	size := 1
 	for i := range d.lo {
 		arr.Lo[i] = d.lo[i].eval(fr)
@@ -443,9 +474,6 @@ func Lower(prog *ast.Program, nproc int, dists map[string]*decomp.Dist,
 	}
 	pl.main = lp.proc(prog.Main())
 	pl.ntags, pl.nmember = len(lp.tags), len(lp.members)
-	for _, pp := range lp.procs {
-		pl.strips = pl.strips || pp.nstrip > 0
-	}
 	return pl
 }
 
@@ -803,7 +831,7 @@ func (lw *lowerer) call(st *ast.Call) stmtFn {
 			err = nil
 		}
 		if err == nil {
-			nd.free = append(nd.free, nf)
+			nf.next, nd.free = nd.free, nf
 		}
 		return err
 	}

@@ -20,7 +20,13 @@ import (
 // RunTreeWalk lowers nothing: it runs prog on the oracle (exported to
 // the external test package only).
 func RunTreeWalk(ctx context.Context, prog *ast.Program, cfg machine.Config, dists map[string]*decomp.Dist, opts Options) (*RunResult, error) {
-	return runNodes(ctx, cfg, opts, func(proc *machine.Proc) (map[string]*Array, error) {
+	var names []string
+	for _, sym := range prog.Main().Symbols.Symbols() {
+		if sym.Kind == ast.SymArray {
+			names = append(names, sym.Name)
+		}
+	}
+	return runNodes(ctx, cfg, opts, names, func(proc *machine.Proc) ([]*Array, error) {
 		it := &treeInterp{prog: prog, proc: proc, p: proc.ID(), nproc: cfg.P, dists: dists}
 		f, err := it.newFrame(prog.Main(), nil, nil)
 		if err != nil {
@@ -39,7 +45,11 @@ func RunTreeWalk(ctx context.Context, prog *ast.Program, cfg machine.Config, dis
 		if err := it.execBody(f, prog.Main().Body); err != nil && !errors.Is(err, errReturn) {
 			return nil, err
 		}
-		return f.arrays, nil
+		arrays := make([]*Array, len(names))
+		for i, name := range names {
+			arrays[i] = f.arrays[name]
+		}
+		return arrays, nil
 	})
 }
 

@@ -400,7 +400,7 @@ func TestCursorLoops(t *testing.T) {
 		}
 		m := machine.New(machine.DefaultConfig(1))
 		m.Go(0, func(proc *machine.Proc) {
-			fr, err := pl.newNode(proc).enter(pl.main, nil, nil)
+			fr, err := pl.newArena(1).node(pl, proc).enter(pl.main, nil, nil)
 			if err == nil {
 				err = runBody(fr, pl.main.body)
 			}
@@ -436,7 +436,7 @@ func onWarmNode(tb testing.TB, src string, f func(body func())) {
 	pl := Lower(prog, 1, nil, nil, nil)
 	m := machine.New(machine.DefaultConfig(1))
 	m.Go(0, func(proc *machine.Proc) {
-		nd := pl.newNode(proc)
+		nd := pl.newArena(1).node(pl, proc)
 		fr, err := nd.enter(pl.main, nil, nil)
 		if err != nil {
 			tb.Error(err)
@@ -628,23 +628,42 @@ func BenchmarkExecBcast(b *testing.B)   { benchKernel(b, bcastKernel) }
 // owner along a ring to the owners of the next four columns, for every
 // k, so at most 2 of the 64 processors take part in each.
 func BenchmarkExecBcastTo(b *testing.B) {
-	prog, err := parser.Parse(`
+	benchRun(b, `
       PROGRAM P
       REAL a(64,256)
       do k = 1, 255
         broadcast a(1:64,k) from (k - 1) / 4 to a(:,k+1:k+4) ring
       enddo
       END
-`)
+`, 64, decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{64, 256}, 64))
+}
+
+// BenchmarkExecBcastIdle is dgefa_p1024's broadcasts without its
+// arithmetic: 128 columns (:,CYCLIC) on 1 024 processors, column k from
+// its owner along a ring to the owners of the columns after it, so the
+// 896 processors that hold no column are outside every broadcast.
+func BenchmarkExecBcastIdle(b *testing.B) {
+	benchRun(b, `
+      PROGRAM P
+      REAL a(128,128)
+      do k = 1, 127
+        broadcast a(k+1:128,k) from MOD(k - 1, 1024) to a(:,k+1:128) ring
+      enddo
+      END
+`, 1024, decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{128, 128}, 1024))
+}
+
+// benchRun times whole runs of src on np processors, its array a
+// distributed by dist.
+func benchRun(b *testing.B, src string, np int, dist *decomp.Dist) {
+	prog, err := parser.Parse(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl := Lower(prog, 64, map[string]*decomp.Dist{
-		"a": decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{64, 256}, 64),
-	}, nil, nil)
+	pl := Lower(prog, np, map[string]*decomp.Dist{"a": dist}, nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.Run(context.Background(), machine.DefaultConfig(64), Options{}); err != nil {
+		if _, err := pl.Run(context.Background(), machine.DefaultConfig(np), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

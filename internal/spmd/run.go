@@ -75,21 +75,19 @@ func (pl *Plan) Run(ctx context.Context, cfg machine.Config, opts Options) (*Run
 	if err := pl.checkInit(opts.Init); err != nil {
 		return nil, err
 	}
-	var strip *[]float64 // the run's strip scratch (strip.go)
-	if pl.strips {
-		strip = new([]float64)
-	}
-	return runNodes(ctx, cfg, opts, func(proc *machine.Proc) (map[string]*Array, error) {
-		return pl.run(proc, opts, strip)
+	ar := pl.newArena(cfg.P)
+	return runNodes(ctx, cfg, opts, pl.main.names, func(proc *machine.Proc) ([]*Array, error) {
+		return pl.run(proc, opts, ar)
 	})
 }
 
 // runNodes builds the machine, runs node as every processor's node
 // program, and distills the run: joined errors, machine statistics,
 // the per-processor summary trace events and the assembled main-program
-// arrays. node returns its processor's main-program arrays by name.
-func runNodes(ctx context.Context, cfg machine.Config, opts Options,
-	node func(proc *machine.Proc) (map[string]*Array, error)) (*RunResult, error) {
+// arrays. node returns its processor's main-program arrays, the one
+// named names[i] at i (nil: none).
+func runNodes(ctx context.Context, cfg machine.Config, opts Options, names []string,
+	node func(proc *machine.Proc) ([]*Array, error)) (*RunResult, error) {
 	if err := opts.Faults.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,21 +116,22 @@ func runNodes(ctx context.Context, cfg machine.Config, opts Options,
 		m.SetTracer(opts.Trace)
 	}
 	m.SetFaultPlan(opts.Faults)
-	mains := make([]map[string]*Array, cfg.P)
+	mains := make([][]*Array, cfg.P)
 	errs := make([]error, cfg.P)
+	run := func(proc *machine.Proc) { // one closure for every processor
+		pid := proc.ID()
+		arrays, err := node(proc)
+		if err != nil {
+			errs[pid] = err
+			// unblock every peer: they fail with an AbortError
+			// naming this processor as the origin
+			m.Abort(pid, err)
+			return
+		}
+		mains[pid] = arrays
+	}
 	for pid := 0; pid < cfg.P; pid++ {
-		pid := pid
-		m.Go(pid, func(proc *machine.Proc) {
-			arrays, err := node(proc)
-			if err != nil {
-				errs[pid] = err
-				// unblock every peer: they fail with an AbortError
-				// naming this processor as the origin
-				m.Abort(pid, err)
-				return
-			}
-			mains[pid] = arrays
-		})
+		m.Go(pid, run)
 	}
 	waitErr := m.Wait()
 	if err := joinRunErrors(m, errs, waitErr); err != nil {
@@ -148,7 +147,7 @@ func runNodes(ctx context.Context, cfg machine.Config, opts Options,
 			})
 		}
 	}
-	assemble(res, mains)
+	assemble(res, names, mains)
 	return res, nil
 }
 
@@ -225,8 +224,12 @@ func (pl *Plan) RunSequential(ctx context.Context, opts Options) (*RunResult, er
 
 // assemble merges the processors' shares: each element is taken from its
 // owner under the array's final distribution.
-func assemble(res *RunResult, mains []map[string]*Array) {
-	for name, arr0 := range mains[0] {
+func assemble(res *RunResult, names []string, mains [][]*Array) {
+	for i, arr0 := range mains[0] {
+		if arr0 == nil {
+			continue
+		}
+		name := names[i]
 		out := make([]float64, arr0.size(nil))
 		res.Arrays[name] = out
 		dist := arr0.Dist
@@ -236,10 +239,7 @@ func assemble(res *RunResult, mains []map[string]*Array) {
 		}
 		dim := dist.DistDim()
 		for q, m := range mains {
-			arr := m[name]
-			if arr == nil {
-				continue
-			}
+			arr := m[i]
 			res.siteBufs += len(arr.bufs)
 			own := newWindow(dist, q, arr0.Lo[dim], arr0.Hi[dim])
 			arr.runs(&own, func(full, local, n int) { copy(out[full:full+n], arr.Data[local:]) })

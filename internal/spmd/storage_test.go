@@ -167,15 +167,20 @@ func TestWindowLayout(t *testing.T) {
 func nodeArrays(t *testing.T, src string, p int, dists map[string]*decomp.Dist, init map[string][]float64) ([]map[string]*Array, machine.Stats) {
 	t.Helper()
 	pl := Lower(parseProg(t, src), p, dists, nil, nil)
-	m := machine.New(machine.DefaultConfig(p))
+	m, ar := machine.New(machine.DefaultConfig(p)), pl.newArena(p)
 	out := make([]map[string]*Array, p)
 	for pid := 0; pid < p; pid++ {
 		m.Go(pid, func(proc *machine.Proc) {
-			arrays, err := pl.run(proc, Options{Init: init}, nil)
+			arrays, err := pl.run(proc, Options{Init: init}, ar)
 			if err != nil {
 				t.Error(err)
 			}
-			out[proc.ID()] = arrays
+			out[proc.ID()] = map[string]*Array{}
+			for slot, a := range arrays {
+				if a != nil {
+					out[proc.ID()][pl.main.names[slot]] = a
+				}
+			}
 		})
 	}
 	if err := m.Wait(); err != nil {
@@ -414,5 +419,44 @@ func TestReceiversClosedForm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEmptyShareIsNoReceiver is the premise of commSite.group's early
+// exit: a processor whose share of the whole array is empty is in the
+// group of no section of it, for BLOCK, CYCLIC and CYCLIC(k), every
+// extent up to 40 from lower bounds -3, 0 and 1, P up to 17 and every
+// lo..hi.
+func TestEmptyShareIsNoReceiver(t *testing.T) {
+	checked := 0
+	for _, spec := range []ast.DistSpec{decomp.Block, decomp.Cyclic, decomp.BlockCyclic(2), decomp.BlockCyclic(3)} {
+		for n := 1; n <= 40; n++ {
+			for np := 1; np <= 17; np++ {
+				dist := decomp.MustDist(decomp.NewDecomp(spec), []int{n}, np)
+				for _, first := range []int{-3, 0, 1} {
+					last := first + n - 1
+					var idle []int
+					for p := range np {
+						if w := newWindow(dist, p, first, last); w.n == 0 {
+							idle = append(idle, p)
+						}
+					}
+					for lo := first; lo <= last; lo++ {
+						for hi := lo; hi <= last; hi++ {
+							g := receivers(dist, lo, hi)
+							for _, p := range idle {
+								if g.Has(p, np) {
+									t.Fatalf("%s P=%d %d:%d of %d:%d: group %+v has processor %d, which holds nothing", dist.Key(), np, lo, hi, first, last, g, p)
+								}
+								checked++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no processor held nothing")
 	}
 }

@@ -222,16 +222,13 @@ func (sp *strip) run(fr *frame, curs []cursor, l, s, n int) bool {
 	// the scratch: bufs buffers of w results, one for operands gathered
 	// from strided storage, one for the index values, then the invariant
 	// operands
-	nd, w := fr.nd, min(n, stripLen)
-	if nd.strip == nil {
-		nd.strip = new([]float64) // a node built outside a run
-	}
+	nd, ar, w := fr.nd, fr.nd.ar, min(n, stripLen)
 	idx := (sp.bufs + 1) * w
 	inv := idx + w
-	if need := inv + len(sp.inv); cap(*nd.strip) < need {
-		*nd.strip = make([]float64, need)
+	if need := inv + len(sp.inv); cap(ar.strip) < need {
+		ar.strip = make([]float64, need)
 	}
-	sc := (*nd.strip)[:inv+len(sp.inv)]
+	sc := ar.strip[:inv+len(sp.inv)]
 	for k, o := range sp.inv {
 		sc[inv+k] = o.eval(fr)
 	}

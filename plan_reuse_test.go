@@ -77,7 +77,9 @@ const commonConcurrentSrc = `
 // and has them run it with different inputs, a trace and a fault plan.
 // In the "shared units" lane they race on two Programs compiled through
 // one summary cache, an edit and its base, whose plans share the code of
-// every unit but the edited one. Each result must equal its serial
+// every unit but the edited one. In the "dgefa idle" lane half the
+// processors hold no column, so they leave each broadcast before its
+// group is worked out. Each result must equal its serial
 // twin's, run on a Program of its own: arrays, Stats.Time, Messages,
 // Words and Flops, and the trace. ci.sh runs it under -race.
 func TestProgramRunsConcurrently(t *testing.T) {
@@ -90,6 +92,7 @@ func TestProgramRunsConcurrently(t *testing.T) {
 	}{
 		{"synth", []string{synth}, synthInits},
 		{"dgefa", []string{DgefaSrc(32, 4)}, []map[string][]float64{{"a": DgefaMatrix(32)}, scaled(map[string][]float64{"a": DgefaMatrix(32)}, 3)}},
+		{"dgefa idle", []string{DgefaSrc(16, 32)}, []map[string][]float64{{"a": DgefaMatrix(16)}, scaled(map[string][]float64{"a": DgefaMatrix(16)}, 3)}}, // 16 of the 32 processors hold no column
 		{"common", []string{commonConcurrentSrc}, []map[string][]float64{RampInit(commonConcurrentSrc), scaled(RampInit(commonConcurrentSrc), 2)}},
 		{"shared units", []string{strings.Replace(synth, "+ 9.0\n", "+ 1000.0\n", 1), synth}, synthInits},
 	} {
