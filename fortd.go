@@ -500,15 +500,10 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 			werr = fmt.Errorf("fortd: DISTRIBUTE %s: not a declared array", d.Target)
 			return false
 		}
-		sizes := make([]int, len(sym.Dims))
-		for i, dim := range sym.Dims {
-			lo, okLo := ast.EvalInt(dim.Lo, env)
-			hi, okHi := ast.EvalInt(dim.Hi, env)
-			if !okLo || !okHi {
-				werr = fmt.Errorf("fortd: DISTRIBUTE %s: dimension %d bounds are not compile-time constants", d.Target, i+1)
-				return false
-			}
-			sizes[i] = hi - lo + 1
+		sizes, ok := sym.Extents(env)
+		if !ok {
+			werr = fmt.Errorf("fortd: DISTRIBUTE %s: dimension %d bounds are not compile-time constants", d.Target, len(sizes)+1)
+			return false
 		}
 		dist, err := decomp.NewDist(decomp.NewDecomp(d.Specs...), sizes, nproc)
 		if err != nil {

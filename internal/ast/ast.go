@@ -449,6 +449,22 @@ type Symbol struct {
 // NumDims reports the declared rank.
 func (s *Symbol) NumDims() int { return len(s.Dims) }
 
+// Extents returns the extent, hi − lo + 1, of each declared dimension
+// under env, and whether every bound is a constant; if one is not, the
+// extents before that dimension.
+func (s *Symbol) Extents(env Env) ([]int, bool) {
+	out := make([]int, 0, len(s.Dims))
+	for _, d := range s.Dims {
+		lo, okLo := EvalInt(d.Lo, env)
+		hi, okHi := EvalInt(d.Hi, env)
+		if !okLo || !okHi {
+			return out, false
+		}
+		out = append(out, hi-lo+1)
+	}
+	return out, true
+}
+
 // SymbolTable maps names to symbols, preserving declaration order.
 type SymbolTable struct {
 	Order []string

@@ -21,8 +21,10 @@ func WalkStmts(body []Stmt, fn func(Stmt) bool) {
 // WalkExprs applies fn to every expression appearing in body, including
 // subexpressions (pre-order).
 func WalkExprs(body []Stmt, fn func(Expr)) {
+	var exprs []Expr
 	WalkStmts(body, func(s Stmt) bool {
-		for _, e := range StmtExprs(s) {
+		exprs = appendExprs(exprs[:0], s)
+		for _, e := range exprs {
 			WalkExpr(e, fn)
 		}
 		return true
@@ -55,46 +57,53 @@ func WalkExpr(e Expr, fn func(Expr)) {
 // StmtExprs returns the top-level expressions contained directly in s
 // (not those of nested statements).
 func StmtExprs(s Stmt) []Expr {
-	switch st := s.(type) {
-	case *Assign:
-		return []Expr{st.Lhs, st.Rhs}
-	case *Do:
-		out := []Expr{st.Lo, st.Hi}
-		if st.Step != nil {
-			out = append(out, st.Step)
-		}
-		return out
-	case *If:
-		return []Expr{st.Cond}
-	case *Call:
-		return st.Args
-	case *Send:
-		return secExprs(st.Dest, st.Sec)
-	case *Recv:
-		return secExprs(st.Src, st.Sec)
-	case *Broadcast:
-		return st.To.exprs(secExprs(st.Root, st.Sec))
-	case *AllGather:
-		return secExprs(nil, st.Sec)
-	case *PostRecv:
-		return secExprs(st.Src, st.Sec)
-	case *PostBcast:
-		return st.To.exprs(secExprs(st.Root, st.Sec))
+	if c, ok := s.(*Call); ok {
+		return c.Args
 	}
-	return nil
+	return appendExprs(nil, s)
 }
 
-// secExprs lists a communication statement's peer expression (nil: it
-// has none) and the bounds of its section.
-func secExprs(peer Expr, sec []SecDim) []Expr {
-	out := make([]Expr, 0, 1+2*len(sec))
+// appendExprs appends StmtExprs(s) to dst.
+func appendExprs(dst []Expr, s Stmt) []Expr {
+	switch st := s.(type) {
+	case *Assign:
+		return append(dst, st.Lhs, st.Rhs)
+	case *Do:
+		dst = append(dst, st.Lo, st.Hi)
+		if st.Step != nil {
+			dst = append(dst, st.Step)
+		}
+		return dst
+	case *If:
+		return append(dst, st.Cond)
+	case *Call:
+		return append(dst, st.Args...)
+	case *Send:
+		return secExprs(dst, st.Dest, st.Sec)
+	case *Recv:
+		return secExprs(dst, st.Src, st.Sec)
+	case *Broadcast:
+		return st.To.exprs(secExprs(dst, st.Root, st.Sec))
+	case *AllGather:
+		return secExprs(dst, nil, st.Sec)
+	case *PostRecv:
+		return secExprs(dst, st.Src, st.Sec)
+	case *PostBcast:
+		return st.To.exprs(secExprs(dst, st.Root, st.Sec))
+	}
+	return dst
+}
+
+// secExprs appends a communication statement's peer expression (nil:
+// it has none) and the bounds of its section to dst.
+func secExprs(dst []Expr, peer Expr, sec []SecDim) []Expr {
 	if peer != nil {
-		out = append(out, peer)
+		dst = append(dst, peer)
 	}
 	for _, d := range sec {
-		out = append(out, d.Lo, d.Hi)
+		dst = append(dst, d.Lo, d.Hi)
 	}
-	return out
+	return dst
 }
 
 // exprs appends the clause's bounds to out.

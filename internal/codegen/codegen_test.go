@@ -31,9 +31,12 @@ func generate(t *testing.T, src string, d decomp.Decomp, sizes []int, p int) (*R
 	dist := decomp.MustDist(d, sizes, p)
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	env := proc.Constants()
-	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
-	commRes, err := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil, comm.LocalSections), nil, nil, env)
+	deps := depend.Analyze(ast.NewIndex(proc), env)
+	plan := partition.Compute(proc, ast.NewIndex(proc), n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
+	commRes, err := comm.Analyze(proc, n, plan, deps, distOf, func(string) []*comm.Delayed { return nil }, comm.ComputeSections(g, nil, func(u *ast.Procedure) (*comm.SectionSummary, *ast.Index) {
+		ix := ast.NewIndex(u)
+		return comm.LocalSections(u, ix), ix
+	}), nil, nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +165,7 @@ func TestGenerateRuntimeStructure(t *testing.T) {
 	}
 	proc := prog.Units[0]
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Block), []int{100}, 4)
-	body, res, err := GenerateRuntime(proc, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body, res := GenerateRuntime(proc, ast.NewIndex(proc), func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, nil)
 	text := listing(withBody(proc, body))
 	for _, want := range []string{
 		"if (((((i + 5) - 1) / 25) .NE. ((i - 1) / 25)))",

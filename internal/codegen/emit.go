@@ -16,7 +16,7 @@ func myP() ast.Expr { return ast.Id(partition.MyP) }
 // nonlocal reference.
 func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
 	var sec []ast.SecDim
-	sec, acc.Widened = acc.Sec(in.Proc, in.Env, acc.Pipelined)
+	sec, acc.Widened = acc.Sec(in.Proc, in.Plan.Index, in.Env, acc.Pipelined)
 	switch acc.Kind {
 	case comm.KShift:
 		return emitShift(acc.Array, acc.Dist, acc.DistDim, acc.Shift, sec)

@@ -12,94 +12,88 @@ import (
 // nonlocal right-hand-side reference sends one element-message from its
 // owner to the computing processor. This is the baseline the paper's
 // interprocedural compilation avoids. Like Generate, it returns the new
-// body and shares with proc what it emits unchanged.
-func GenerateRuntime(proc *ast.Procedure, distOf partition.DistOf, entryDists map[string]*decomp.Dist, p int) ([]ast.Stmt, *Result, error) {
-	res := &Result{}
-	body, err := runtimeBody(proc, distOf, p, proc.Body, res)
-	if err != nil {
-		return nil, nil, err
-	}
+// body and shares with proc, whose index is ix, what it emits unchanged.
+func GenerateRuntime(proc *ast.Procedure, ix *ast.Index, distOf partition.DistOf, entryDists map[string]*decomp.Dist) ([]ast.Stmt, *Result) {
+	g := &runtimeGen{proc: proc, ix: ix, distOf: distOf, res: &Result{}}
+	body := g.body(proc.Body)
 	// Fortran D scoping: dynamic redistribution inside a procedure is
 	// undone on return — restore each redistributed array to its entry
 	// distribution
 	if !proc.IsMain {
 		redistributed := map[string]bool{}
-		ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
-			if d, ok := s.(*ast.Distribute); ok {
+		for _, site := range ix.Stmts {
+			if d, ok := site.Stmt.(*ast.Distribute); ok {
 				if sym := proc.Symbols.Lookup(d.Target); sym != nil && sym.Kind == ast.SymArray {
 					redistributed[d.Target] = true
 				}
 			}
-			return true
-		})
+		}
 		for arr := range redistributed {
 			entry := entryDists[arr]
 			if entry == nil || len(entry.Specs) == 0 {
 				continue
 			}
 			body = append(body, &ast.Remap{Array: arr, To: append([]ast.DistSpec(nil), entry.Specs...)})
-			res.RemapsInserted++
+			g.res.RemapsInserted++
 		}
 	}
 	prologue := []ast.Stmt{&ast.Assign{
 		Lhs: ast.Id(partition.MyP),
 		Rhs: &ast.FuncCall{Name: "myproc"},
 	}}
-	return append(prologue, body...), res, nil
+	return append(prologue, body...), g.res
 }
 
-func runtimeBody(proc *ast.Procedure, distOf partition.DistOf, p int, body []ast.Stmt, res *Result) ([]ast.Stmt, error) {
+// runtimeGen is GenerateRuntime's pass over proc: k is the position in
+// ix of the next statement it visits.
+type runtimeGen struct {
+	proc   *ast.Procedure
+	ix     *ast.Index
+	distOf partition.DistOf
+	res    *Result
+	k      int
+}
+
+func (g *runtimeGen) body(body []ast.Stmt) []ast.Stmt {
 	var out []ast.Stmt
 	for _, s := range body {
+		k := g.k
+		g.k++
 		switch st := s.(type) {
 		case *ast.Decomposition, *ast.Align:
 			// directives: decomposition state is static per procedure
 			// under run-time resolution as well
 		case *ast.Distribute:
-			sym := proc.Symbols.Lookup(st.Target)
+			sym := g.proc.Symbols.Lookup(st.Target)
 			if sym != nil && sym.Kind == ast.SymArray {
 				rm := &ast.Remap{Array: st.Target, To: append([]ast.DistSpec(nil), st.Specs...)}
 				rm.Position = st.Pos()
 				out = append(out, rm)
-				res.RemapsInserted++
+				g.res.RemapsInserted++
 			}
 		case *ast.Do:
 			// distributed reads in the bounds resolve before the loop
-			out = append(out, resolveReads(distOf, st, res, st.Lo, st.Hi, st.Step)...)
+			out = append(out, resolveReads(g.distOf, st, g.res, st.Lo, st.Hi, st.Step)...)
 			nl := &ast.Do{Var: st.Var, Lo: st.Lo, Hi: st.Hi, Step: st.Step}
-			inner, err := runtimeBody(proc, distOf, p, st.Body, res)
-			if err != nil {
-				return nil, err
-			}
-			nl.Body = inner
+			nl.Body = g.body(st.Body)
 			out = append(out, nl)
 		case *ast.If:
 			// every processor must take the same branch: distributed
 			// reads in the condition are broadcast from their owners
-			out = append(out, resolveReads(distOf, st, res, st.Cond)...)
+			out = append(out, resolveReads(g.distOf, st, g.res, st.Cond)...)
 			ni := &ast.If{Cond: st.Cond}
-			thenB, err := runtimeBody(proc, distOf, p, st.Then, res)
-			if err != nil {
-				return nil, err
-			}
-			elseB, err := runtimeBody(proc, distOf, p, st.Else, res)
-			if err != nil {
-				return nil, err
-			}
-			ni.Then, ni.Else = thenB, elseB
+			ni.Then = g.body(st.Then)
+			ni.Else = g.body(st.Else)
 			out = append(out, ni)
 		case *ast.Assign:
-			stmts, err := runtimeAssign(proc, distOf, st, res)
-			if err != nil {
-				return nil, err
-			}
+			stmts := g.assign(st, k)
 			stampPos(stmts, st.Pos())
 			out = append(out, stmts...)
 		default:
 			out = append(out, s)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ownerOf returns the owner expression of a reference's distributed
@@ -160,66 +154,60 @@ func resolveReads(distOf partition.DistOf, at ast.Stmt, res *Result, exprs ...as
 	return out
 }
 
-// runtimeAssign compiles one assignment in the Figure 3 style.
-func runtimeAssign(proc *ast.Procedure, distOf partition.DistOf, st *ast.Assign, res *Result) ([]ast.Stmt, error) {
+// assign compiles the assignment at position k in the Figure 3 style.
+func (g *runtimeGen) assign(st *ast.Assign, k int) []ast.Stmt {
 	var out []ast.Stmt
 	replicated := true // scalar lhs: every processor computes
 	lhsOwner := myP()
 	if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-		if o := ownerOf(distOf, lhs, st); o != nil {
+		if o := ownerOf(g.distOf, lhs, st); o != nil {
 			lhsOwner = o
 			replicated = false
 		}
 	}
 	iCompute := ast.Cmp(ast.OpEQ, myP(), lhsOwner)
 
-	// one element message per distributed rhs reference whose owner
-	// may differ from the computing processor
-	var rhsRefs []*ast.ArrayRef
-	collect := func(e ast.Expr) {
-		ast.WalkExpr(e, func(e ast.Expr) {
-			if x, ok := e.(*ast.ArrayRef); ok {
-				rhsRefs = append(rhsRefs, x)
+	// one element message per distributed reference the right-hand side
+	// and then the left-hand side's subscripts read whose owner may
+	// differ from the computing processor
+	refs := g.ix.RefsOf(k)
+	for _, lhs := range [2]bool{false, true} {
+		for _, r := range refs {
+			if r.Lhs != lhs || r.Write {
+				continue
 			}
-		})
-	}
-	collect(st.Rhs)
-	if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-		for _, sub := range lhs.Subs {
-			collect(sub)
+			ref := r.ArrayRef
+			srcOwner := ownerOf(g.distOf, ref, st)
+			if srcOwner == nil {
+				continue
+			}
+			sec := make([]ast.SecDim, len(ref.Subs))
+			for d, sub := range ref.Subs {
+				sec[d] = ast.SecDim{Lo: sub, Hi: sub}
+			}
+			if replicated {
+				// every processor computes: the owner broadcasts the element
+				out = append(out, &ast.Broadcast{Array: ref.Name, Sec: sec, Root: srcOwner})
+				g.res.MessagesInserted++
+				continue
+			}
+			if ast.ExprEqual(srcOwner, lhsOwner) {
+				continue // the computing processor owns the element
+			}
+			differ := ast.Cmp(ast.OpNE, srcOwner, lhsOwner)
+			iOwnSrc := ast.Cmp(ast.OpEQ, myP(), srcOwner)
+			out = append(out, &ast.If{Cond: differ, Then: []ast.Stmt{
+				&ast.If{Cond: iOwnSrc, Then: []ast.Stmt{&ast.Send{Array: ref.Name, Sec: sec, Dest: lhsOwner}}},
+				&ast.If{Cond: iCompute, Then: []ast.Stmt{&ast.Recv{Array: ref.Name, Sec: sec, Src: srcOwner}}},
+			}})
+			g.res.MessagesInserted += 2
 		}
-	}
-	for _, ref := range rhsRefs {
-		srcOwner := ownerOf(distOf, ref, st)
-		if srcOwner == nil {
-			continue
-		}
-		sec := make([]ast.SecDim, len(ref.Subs))
-		for d, sub := range ref.Subs {
-			sec[d] = ast.SecDim{Lo: sub, Hi: sub}
-		}
-		if replicated {
-			// every processor computes: the owner broadcasts the element
-			out = append(out, &ast.Broadcast{Array: ref.Name, Sec: sec, Root: srcOwner})
-			res.MessagesInserted++
-			continue
-		}
-		if ast.ExprEqual(srcOwner, lhsOwner) {
-			continue // the computing processor owns the element
-		}
-		differ := ast.Cmp(ast.OpNE, srcOwner, lhsOwner)
-		iOwnSrc := ast.Cmp(ast.OpEQ, myP(), srcOwner)
-		out = append(out, &ast.If{Cond: differ, Then: []ast.Stmt{
-			&ast.If{Cond: iOwnSrc, Then: []ast.Stmt{&ast.Send{Array: ref.Name, Sec: sec, Dest: lhsOwner}}},
-			&ast.If{Cond: iCompute, Then: []ast.Stmt{&ast.Recv{Array: ref.Name, Sec: sec, Src: srcOwner}}},
-		}})
-		res.MessagesInserted += 2
 	}
 	if replicated {
 		out = append(out, st)
 	} else {
 		out = append(out, &ast.If{Cond: iCompute, Then: []ast.Stmt{st}})
-		res.GuardsInserted++
+		g.res.GuardsInserted++
 	}
-	return out, nil
+	return out
 }

@@ -164,7 +164,7 @@ func Analyze(
 	for _, it := range plan.Items {
 		items[it.Stmt] = it
 	}
-	h := &hoister{proc: proc, node: node, sections: sections, mod: assigned(fx, proc), remapsAt: remapsAt, env: env}
+	h := &hoister{proc: proc, ix: plan.Index, node: node, sections: sections, mod: assigned(fx, proc), remapsAt: remapsAt, env: env}
 
 	// --- local references -------------------------------------------------
 	// Reads in assignments, IF conditions, loop bounds and call
@@ -216,7 +216,7 @@ func Analyze(
 
 // classify determines the communication pattern of one read reference.
 func classify(proc *ast.Procedure, ref *depend.Ref, item *partition.Item, distOf partition.DistOf, env ast.Env) *Access {
-	dist, ok := distOf(ref.Array, ref.Stmt)
+	dist, ok := distOf(ref.Expr.Name, ref.Stmt)
 	if !ok || dist == nil || dist.IsReplicated() {
 		return nil
 	}
@@ -225,7 +225,7 @@ func classify(proc *ast.Procedure, ref *depend.Ref, item *partition.Item, distOf
 		return nil
 	}
 	acc := &Access{
-		Ref: ref.Expr, Stmt: ref.Stmt, Nest: ref.Nest, Array: ref.Array,
+		Ref: ref.Expr, Stmt: ref.Stmt, Nest: ref.Nest, Array: ref.Expr.Name,
 		Dist: dist, DistDim: dim, Section: RefSection(proc, ref.Expr, ref.Nest, env),
 	}
 	sub := partition.AnalyzeSub(ref.Expr.Subs[dim], env)

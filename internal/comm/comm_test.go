@@ -34,7 +34,7 @@ func parseAll(t *testing.T, src string) *fixture {
 		t.Fatal(err)
 	}
 	fx := sideeffect.Compute(g, sideeffect.Own)
-	return &fixture{prog: prog, graph: g, sections: ComputeSections(g, fx, LocalSections), fx: fx}
+	return &fixture{prog: prog, graph: g, sections: ComputeSections(g, fx, localSections), fx: fx}
 }
 
 func analyzeProc(t *testing.T, f *fixture, name string, distOf partition.DistOf) *Result {
@@ -42,8 +42,8 @@ func analyzeProc(t *testing.T, f *fixture, name string, distOf partition.DistOf)
 	n := f.graph.Nodes[name]
 	proc := n.Proc
 	env := proc.Constants()
-	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
+	deps := depend.Analyze(ast.NewIndex(proc), env)
+	plan := partition.Compute(proc, ast.NewIndex(proc), n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
 	res, err := Analyze(proc, n, plan, deps, distOf, func(string) []*Delayed { return nil }, f.sections, f.fx, nil, env)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestRefSectionConstLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := depend.CollectRefs(u, nil)
+	refs := depend.CollectRefs(ast.NewIndex(u), nil)
 	sec := RefSection(u, refs[0].Expr, refs[0].Nest, nil)
 	want := rsd.New("A", rsd.Range(2, 9), rsd.Range(1, 20))
 	if !sec.Equal(want) {
@@ -634,8 +634,8 @@ func analyzeWithDelayed(t *testing.T, f *fixture, name string, distOf partition.
 	n := f.graph.Nodes[name]
 	proc := n.Proc
 	env := proc.Constants()
-	deps := depend.Analyze(proc, env)
-	plan := partition.Compute(proc, n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
+	deps := depend.Analyze(ast.NewIndex(proc), env)
+	plan := partition.Compute(proc, ast.NewIndex(proc), n, distOf, func(string) map[string]*partition.Constraint { return nil }, nil, nil, env)
 	res, err := Analyze(proc, n, plan, deps, distOf,
 		func(callee string) []*Delayed {
 			if callee == "F1" {
@@ -684,4 +684,10 @@ func TestInstantiatePointAtDefiningLoop(t *testing.T) {
 	if cc.PointVar != "k" {
 		t.Errorf("point var = %q", cc.PointVar)
 	}
+}
+
+// localSections is a unit's local section summary and its index.
+func localSections(u *ast.Procedure) (*SectionSummary, *ast.Index) {
+	ix := ast.NewIndex(u)
+	return LocalSections(u, ix), ix
 }

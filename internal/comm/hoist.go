@@ -18,6 +18,7 @@ import (
 // (Ref.SinkLevel) and writer for the calls; for a callee's, writer.
 type hoister struct {
 	proc     *ast.Procedure
+	ix       *ast.Index // proc's
 	node     *acg.Node
 	sections map[string]*SectionSummary
 	mod      sideeffect.Set // what the procedure or its callees may assign
@@ -149,46 +150,40 @@ func (h *hoister) collect() []writer {
 	if h.order != nil {
 		return h.writers
 	}
-	h.order = map[ast.Stmt]int{}
-	var nest []*ast.Do
-	var at ast.Stmt
-	pos := 0
-	yield := func(array string) {
-		h.writers = append(h.writers, writer{stmt: at, nest: nest, array: array, pos: pos})
-	}
-	remaps := func(s ast.Stmt, after bool, p int) {
+	h.order = make(map[ast.Stmt]int, len(h.ix.Stmts))
+	var open []int // the statements whose nested ones are being listed
+	remaps := func(k int, after bool) {
 		if h.remapsAt != nil {
-			at, pos = s, p
-			h.remapsAt(s, after, yield)
-		}
-	}
-	var walk func(body []ast.Stmt)
-	walk = func(body []ast.Stmt) {
-		for _, s := range body {
-			k := len(h.order)
-			h.order[s] = k
-			remaps(s, false, 2*k-1)
-			switch st := s.(type) {
-			case *ast.Assign:
-				if lhs, ok := st.Lhs.(*ast.ArrayRef); ok && h.proc.Symbols.Lookup(lhs.Name) != nil {
-					h.writers = append(h.writers, writer{stmt: st, nest: nest, secs: []*rsd.Section{h.lhsSection(lhs, nest)}})
-				}
-			case *ast.Do:
-				nest = append(nest[:len(nest):len(nest)], st)
-				walk(st.Body)
-				nest = nest[:len(nest)-1]
-			case *ast.If:
-				walk(st.Then)
-				walk(st.Else)
-			case *ast.Call:
-				if site := h.node.Site(st); site != nil {
-					h.writers = append(h.writers, writer{stmt: st, site: site, nest: nest, secs: h.callWrites(site, nest)})
-				}
+			site, pos := h.ix.Stmts[k], 2*k-1
+			if after {
+				pos = 2*site.End - 1
 			}
-			remaps(s, true, 2*len(h.order)-1)
+			h.remapsAt(site.Stmt, after, func(array string) {
+				h.writers = append(h.writers, writer{stmt: site.Stmt, nest: site.Nest, array: array, pos: pos})
+			})
 		}
 	}
-	walk(h.proc.Body)
+	for k, site := range h.ix.Stmts {
+		for ; len(open) > 0 && h.ix.Stmts[open[len(open)-1]].End <= k; open = open[:len(open)-1] {
+			remaps(open[len(open)-1], true)
+		}
+		h.order[site.Stmt] = k
+		remaps(k, false)
+		switch st := site.Stmt.(type) {
+		case *ast.Assign:
+			if lhs, ok := st.Lhs.(*ast.ArrayRef); ok && h.proc.Symbols.Lookup(lhs.Name) != nil {
+				h.writers = append(h.writers, writer{stmt: st, nest: site.Nest, secs: []*rsd.Section{h.lhsSection(lhs, site.Nest)}})
+			}
+		case *ast.Call:
+			if cs := h.node.Site(st); cs != nil {
+				h.writers = append(h.writers, writer{stmt: st, site: cs, nest: site.Nest, secs: h.callWrites(cs, site.Nest)})
+			}
+		}
+		open = append(open, k)
+	}
+	for ; len(open) > 0; open = open[:len(open)-1] {
+		remaps(open[len(open)-1], true)
+	}
 	return h.writers
 }
 

@@ -97,7 +97,7 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 		// (Shift is set for nothing else) and carried by the loop binding it
 		asg, _ := acc.Stmt.(*ast.Assign)
 		if it := items[asg]; acc.Shift != 0 && partition.LoopFor(acc.Nest, it.Sub.Var) == acc.AtLoop {
-			sec, _ := acc.Sec(proc, env, true)
+			sec, _ := acc.Sec(proc, plan.Index, env, true)
 			acc.NoPipe = why(acc.Dist, acc.Shift, acc.AtLoop, sec, acc.Why == WhySameIter)
 			acc.Pipelined = acc.NoPipe == ""
 		}

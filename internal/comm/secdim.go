@@ -9,13 +9,13 @@ import (
 	"fortd/internal/rsd"
 )
 
-// Sec builds the section of acc's message, placed inside AtLoop (nil:
-// no loop) or, around it, one level further out. The distributed
-// dimension is left to the emitter of its kind (an allgather has none).
-// A dimension that reads a scalar other than a loop index of the nest,
-// assigned between the placement and the reference, carries the declared
-// extent instead, and widened names the scalar.
-func (acc *Access) Sec(proc *ast.Procedure, env ast.Env, around bool) (sec []ast.SecDim, widened string) {
+// Sec builds the section of acc's message in proc, whose index is ix,
+// placed inside AtLoop (nil: no loop) or, around it, one level further
+// out. The distributed dimension is left to the emitter of its kind (an
+// allgather has none). A dimension that reads a scalar other than a loop
+// index of the nest, assigned between the placement and the reference,
+// carries the declared extent instead, and widened names the scalar.
+func (acc *Access) Sec(proc *ast.Procedure, ix *ast.Index, env ast.Env, around bool) (sec []ast.SecDim, widened string) {
 	depth := slices.Index(acc.Nest, acc.AtLoop) + 1
 	if around {
 		depth--
@@ -30,7 +30,7 @@ func (acc *Access) Sec(proc *ast.Procedure, env ast.Env, around bool) (sec []ast
 		for _, e := range []ast.Expr{sec[d].Lo, sec[d].Hi} {
 			ast.WalkExpr(e, func(e ast.Expr) {
 				if id, ok := e.(*ast.Ident); ok && partition.LoopFor(acc.Nest, id.Name) == nil && len(acc.Nest) > 0 &&
-					assigns(proc, acc.Nest[max(depth-1, 0)].Body, id.Name) {
+					assigns(proc, ix, acc.Nest[max(depth-1, 0)], id.Name) {
 					v = id.Name
 				}
 			})
@@ -82,23 +82,19 @@ func subSecDim(proc *ast.Procedure, env ast.Env, ref *ast.ArrayRef, d int, nest 
 	return ast.SecDim{Lo: e, Hi: ast.CloneExpr(sub)}
 }
 
-// assigns reports whether body may assign the scalar v: as a DO index,
-// by assignment, or in a call that passes it or, for a COMMON v, any call.
-func assigns(proc *ast.Procedure, body []ast.Stmt, v string) (found bool) {
-	sym := proc.Symbols.Lookup(v)
-	isV := func(e ast.Expr) bool { id, ok := e.(*ast.Ident); return ok && id.Name == v }
-	ast.WalkStmts(body, func(s ast.Stmt) bool {
-		switch st := s.(type) {
-		case *ast.Do:
-			found = found || st.Var == v
-		case *ast.Assign:
-			found = found || isV(st.Lhs)
-		case *ast.Call:
-			found = found || sym != nil && sym.Common != "" || slices.ContainsFunc(st.Args, isV)
+// assigns reports whether loop's body may assign the scalar v: as a DO
+// index, by assignment, or in a call that passes it or, for a COMMON v,
+// any call.
+func assigns(proc *ast.Procedure, ix *ast.Index, loop *ast.Do, v string) bool {
+	for _, d := range ix.Defs {
+		if d.Name == v && slices.Contains(ix.Stmts[d.At].Nest, loop) {
+			return true
 		}
-		return !found
-	})
-	return found
+	}
+	if sym := proc.Symbols.Lookup(v); sym != nil && sym.Common != "" {
+		return slices.ContainsFunc(ix.Calls, func(k int) bool { return slices.Contains(ix.Stmts[k].Nest, loop) })
+	}
+	return false
 }
 
 // RSDSecDim converts an RSD dimension into section bound expressions.

@@ -71,27 +71,30 @@ func (s *SectionSummary) addRead(sec *rsd.Section) {
 // ComputeSections builds section summaries for every procedure,
 // bottom-up over the acyclic call graph (the interprocedural RSD
 // propagation of §5.4: "references within a procedure are put into RSD
-// form ... propagated to calling procedures and translated"). A unit
-// without a CALL has the summary of its local pass, local(unit)
-// (LocalSections or a memo of it); fx says which scalars a caller may
-// assign (nil: none); see callSection.
-func ComputeSections(g *acg.Graph, fx *sideeffect.Analysis, local func(*ast.Procedure) *SectionSummary) map[string]*SectionSummary {
+// form ... propagated to calling procedures and translated"). local
+// returns a unit's index and the summary of its local pass
+// (LocalSections), which is a CALL-free unit's; fx says which scalars a
+// caller may assign (nil: none); see callSection.
+func ComputeSections(g *acg.Graph, fx *sideeffect.Analysis, local func(*ast.Procedure) (*SectionSummary, *ast.Index)) map[string]*SectionSummary {
 	out := map[string]*SectionSummary{}
 	for _, n := range g.ReverseTopoOrder() {
-		if out[n.Name()] = local(n.Proc); out[n.Name()] == nil {
-			out[n.Name()], _ = procSections(n, assigned(fx, n.Proc), out)
+		sum, ix := local(n.Proc)
+		if sum == nil {
+			sum = procSections(n, ix, assigned(fx, n.Proc), out)
 		}
+		out[n.Name()] = sum
 	}
 	return out
 }
 
-// LocalSections is the local pass of section analysis over one unit: its
-// summary if it has no CALL (which nothing writes), else nil.
-func LocalSections(proc *ast.Procedure) *SectionSummary {
-	if sum, calls := procSections(&acg.Node{Proc: proc}, nil, nil); !calls {
-		return sum
+// LocalSections is the local pass of section analysis over one unit,
+// whose index is ix: its summary if it has no CALL (which nothing
+// writes), else nil.
+func LocalSections(proc *ast.Procedure, ix *ast.Index) *SectionSummary {
+	if len(ix.Calls) > 0 {
+		return nil
 	}
-	return nil
+	return procSections(&acg.Node{Proc: proc}, ix, nil, nil)
 }
 
 // assigned returns what proc or a procedure it calls may assign.
@@ -102,98 +105,86 @@ func assigned(fx *sideeffect.Analysis, proc *ast.Procedure) sideeffect.Set {
 	return fx.Summaries[proc.Name].Mod
 }
 
-// procSections summarizes n and reports whether its unit has a CALL.
-func procSections(n *acg.Node, mod sideeffect.Set, done map[string]*SectionSummary) (*SectionSummary, bool) {
+// procSections summarizes n, whose unit ix indexes.
+func procSections(n *acg.Node, ix *ast.Index, mod sideeffect.Set, done map[string]*SectionSummary) *SectionSummary {
 	proc := n.Proc
 	sum := newSectionSummary()
 	env := proc.Constants()
-	calls := false
-
-	var nest []*ast.Do
-	addRef := func(ref *ast.ArrayRef, write bool) *rsd.Section {
-		sec := RefSection(proc, ref, nest, env)
-		if sec == nil {
-			return nil
-		}
-		if write {
-			sum.addWrite(sec)
-		} else {
-			sum.addRead(sec)
-		}
-		return sec
-	}
-	collectExpr := func(e ast.Expr) {
-		ast.WalkExpr(e, func(e ast.Expr) {
-			if x, ok := e.(*ast.ArrayRef); ok {
-				addRef(x, false)
-			}
-		})
-	}
 	// a statement is sure to run when no IF, no RETURN before it and no
-	// loop around it that may run no iteration or return stands in its way
+	// loop around it that may run no iteration or return stands in its
+	// way; scopes are the DOs and IFs around the statement, innermost
+	// last, each with whether what it holds is sure to run
+	type scope struct {
+		end  int
+		sure bool
+	}
+	scopes := []scope{{len(ix.Stmts), true}}
 	returned := false
-	var walk func(body []ast.Stmt, sure bool)
-	walk = func(body []ast.Stmt, sure bool) {
-		for _, s := range body {
-			sure := sure && !returned
-			switch st := s.(type) {
-			case *ast.Assign:
-				if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-					if sec := addRef(lhs, true); sure && sweeps(proc, sec, lhs, nest, env) {
-						sum.Kills[lhs.Name] = true
-					}
-					for _, sub := range lhs.Subs {
-						collectExpr(sub)
-					}
-				}
-				collectExpr(st.Rhs)
-			case *ast.Do:
-				nest = append(nest, st)
-				walk(st.Body, sure && st.Norm(env).Trip > 0 && !st.Returns())
-				nest = nest[:len(nest)-1]
-			case *ast.If:
-				collectExpr(st.Cond)
-				walk(st.Then, false)
-				walk(st.Else, false)
-			case *ast.Return:
-				returned = true
-			case *ast.Call:
-				calls = true
-				site := n.Site(st)
-				callee := done[st.Name]
-				if site == nil || callee == nil {
-					continue
-				}
-				for _, secs := range callee.Writes {
-					for _, sec := range secs {
-						if t := TranslateSection(sec, site, proc, nest, mod, env); t != nil {
-							sum.addWrite(t)
-						}
+	for k, site := range ix.Stmts {
+		for scopes[len(scopes)-1].end <= k {
+			scopes = scopes[:len(scopes)-1]
+		}
+		sure, nest := scopes[len(scopes)-1].sure && !returned, site.Nest
+		switch st := site.Stmt.(type) {
+		case *ast.Assign:
+			for _, ref := range ix.RefsOf(k) {
+				sec := RefSection(proc, ref.ArrayRef, nest, env)
+				switch {
+				case sec == nil:
+				case !ref.Write:
+					sum.addRead(sec)
+				default:
+					sum.addWrite(sec)
+					if sure && sweeps(proc, sec, ref.ArrayRef, nest, env) {
+						sum.Kills[ref.Name] = true
 					}
 				}
-				for _, secs := range callee.Reads {
-					for _, sec := range secs {
-						if t := TranslateSection(sec, site, proc, nest, mod, env); t != nil {
-							sum.addRead(t)
-						}
+			}
+		case *ast.Do:
+			scopes = append(scopes, scope{site.End, sure && st.Norm(env).Trip > 0 && !st.Returns()})
+		case *ast.If:
+			for _, ref := range ix.RefsOf(k) {
+				if sec := RefSection(proc, ref.ArrayRef, nest, env); sec != nil {
+					sum.addRead(sec)
+				}
+			}
+			scopes = append(scopes, scope{site.End, false})
+		case *ast.Return:
+			returned = true
+		case *ast.Call:
+			cs := n.Site(st)
+			callee := done[st.Name]
+			if cs == nil || callee == nil {
+				continue
+			}
+			for _, secs := range callee.Writes {
+				for _, sec := range secs {
+					if t := TranslateSection(sec, cs, proc, nest, mod, env); t != nil {
+						sum.addWrite(t)
 					}
 				}
-				for name := range callee.Kills {
-					if arr := site.CallerName(name); sure && arr != "" {
-						sum.Kills[arr] = true
+			}
+			for _, secs := range callee.Reads {
+				for _, sec := range secs {
+					if t := TranslateSection(sec, cs, proc, nest, mod, env); t != nil {
+						sum.addRead(t)
 					}
+				}
+			}
+			for name := range callee.Kills {
+				if arr := cs.CallerName(name); sure && arr != "" {
+					sum.Kills[arr] = true
 				}
 			}
 		}
 	}
-	walk(proc.Body, true)
 
 	if !proc.IsMain {
 		visible(n, sum.Writes)
 		visible(n, sum.Reads)
 		visible(n, sum.Kills)
 	}
-	return sum, calls
+	return sum
 }
 
 // visible keeps only the names of m that n's callers see (formals,

@@ -317,7 +317,9 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 	consts := symconst.Compute(g, fx)
 	endConsts()
 	endSections := tr.Phase("section-analysis")
-	sections := comm.ComputeSections(g, fx, func(u *ast.Procedure) *comm.SectionSummary { return locals[u.Name].Sections })
+	sections := comm.ComputeSections(g, fx, func(u *ast.Procedure) (*comm.SectionSummary, *ast.Index) {
+		return locals[u.Name].Sections, locals[u.Name].Index
+	})
 	endSections()
 	endOverlap := tr.Phase("overlap-estimates")
 	c.Overlaps = overlap.ComputeEstimates(g, func(u *ast.Procedure) map[string]*overlap.Offsets { return locals[u.Name].Offsets })
@@ -439,11 +441,11 @@ func (c *Compilation) record(name string, res *codegen.Result) {
 }
 
 // procDists derives each array's distribution at its first use in proc,
-// distOf, which resolves an array at a statement to the distribution
-// reaching it there (so dynamic redistribution within a procedure
-// resolves per program point), and the entry decompositions for
-// livedecomp. Remarks go to ex, the calling task's collector.
-func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Collector) (map[string]*decomp.Dist, partition.DistOf, map[string]decomp.Decomp) {
+// whose index is ix, distOf, which resolves an array at a statement to
+// the distribution reaching it there (so dynamic redistribution within a
+// procedure resolves per program point), and the entry decompositions
+// for livedecomp. Remarks go to ex, the calling task's collector.
+func (c *Compilation) procDists(proc *ast.Procedure, ix *ast.Index, env ast.Env, ex *explain.Collector) (map[string]*decomp.Dist, partition.DistOf, map[string]decomp.Decomp) {
 	reaching := c.Reach.Reaching[proc.Name]
 	n := c.Reach.Graph.Nodes[proc.Name]
 	st := reach.NewState(proc, reaching)
@@ -475,16 +477,14 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 			m[name] = dist
 		}
 	}
+	// the walk visits each statement once, in the index's order
+	k := 0
 	st.WalkBody(proc.Body, func(s ast.Stmt, cur *reach.State) {
-		for _, e := range ast.StmtExprs(s) {
-			collectArrays(e, func(name string) { use(s, name, cur) })
+		for _, ref := range ix.RefsOf(k) {
+			use(s, ref.Name, cur)
 		}
-		switch x := s.(type) {
-		case *ast.Assign:
-			if lhs, ok := x.Lhs.(*ast.ArrayRef); ok {
-				use(s, lhs.Name, cur)
-			}
-		case *ast.Call:
+		k++
+		if x, ok := s.(*ast.Call); ok {
 			// whole arrays passed by name
 			for _, a := range x.Args {
 				if id, ok := a.(*ast.Ident); ok {
@@ -548,16 +548,8 @@ func mkDistFor(n *acg.Node, name string, d decomp.Decomp, env ast.Env, p int) *d
 	if sym == nil || sym.Kind != ast.SymArray {
 		return nil
 	}
-	sizes := make([]int, len(sym.Dims))
-	for i, dim := range sym.Dims {
-		lo, okLo := ast.EvalInt(dim.Lo, env)
-		hi, okHi := ast.EvalInt(dim.Hi, env)
-		if !okLo || !okHi {
-			return nil
-		}
-		sizes[i] = hi - lo + 1
-	}
-	if len(d.Specs) != 0 && len(d.Specs) != len(sizes) {
+	sizes, ok := sym.Extents(env)
+	if !ok || len(d.Specs) != 0 && len(d.Specs) != len(sizes) {
 		return nil
 	}
 	dist, err := decomp.NewDist(d, sizes, p)
@@ -565,14 +557,6 @@ func mkDistFor(n *acg.Node, name string, d decomp.Decomp, env ast.Env, p int) *d
 		return nil
 	}
 	return dist
-}
-
-func collectArrays(e ast.Expr, fn func(string)) {
-	ast.WalkExpr(e, func(e ast.Expr) {
-		if x, ok := e.(*ast.ArrayRef); ok {
-			fn(x.Name)
-		}
-	})
 }
 
 // checkAliasRestriction enforces §6.4: when a call site binds the same

@@ -59,7 +59,7 @@ func TestSparseDistOf(t *testing.T) {
 		}
 		for _, proc := range c.Reach.Graph.Program.Units {
 			env := proc.Constants()
-			_, distOf, _ := c.procDists(proc, env, nil)
+			_, distOf, _ := c.procDists(proc, ast.NewIndex(proc), env, nil)
 			first := map[string]string{}
 			check := func(s ast.Stmt, array string, cur *reach.State) {
 				d, ok := cur.Lookup(array).Single()
@@ -85,7 +85,11 @@ func TestSparseDistOf(t *testing.T) {
 			}
 			reach.NewState(proc, c.Reach.Reaching[proc.Name]).WalkBody(proc.Body, func(s ast.Stmt, cur *reach.State) {
 				for _, e := range ast.StmtExprs(s) {
-					collectArrays(e, func(array string) { check(s, array, cur) })
+					ast.WalkExpr(e, func(e ast.Expr) {
+						if x, ok := e.(*ast.ArrayRef); ok {
+							check(s, x.Name, cur)
+						}
+					})
 				}
 				switch x := s.(type) {
 				case *ast.Assign:

@@ -132,14 +132,15 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	// the procedure's PARAMETER constants plus interprocedurally
 	// propagated constant formals
 	env := pc.consts.Env(proc.Name)
-	dists, distOf, entry := c.procDists(proc, env, tex)
+	ix := pc.locals[proc.Name].Index
+	dists, distOf, entry := c.procDists(proc, ix, env, tex)
 	if proc.IsMain {
 		out.MainDists = dists
 	}
-	if out.err = checkIntegerSubscripts(proc, distOf); out.err != nil {
+	if out.err = checkIntegerSubscripts(proc, ix, distOf); out.err != nil {
 		return
 	}
-	if out.err = checkDistributeUnderIf(proc); out.err != nil {
+	if out.err = checkDistributeUnderIf(proc, ix); out.err != nil {
 		return
 	}
 
@@ -163,11 +164,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 				entryDists[arr] = dist
 			}
 		}
-		body, res, err := codegen.GenerateRuntime(proc, distOf, entryDists, pc.p)
-		if err != nil {
-			out.err = fmt.Errorf("%s: %v", proc.Name, err)
-			return
-		}
+		body, res := codegen.GenerateRuntime(proc, ix, distOf, entryDists)
 		out.Result = *res
 		out.Unit = withBody(proc, body)
 		out.PartDelayed = map[string]*partition.Constraint{}
@@ -212,16 +209,16 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		return
 	}
 
-	remaps, decompSum := livedecomp.Analyze(proc, n, entry, sums, pc.killTest, pc.opts.RemapOpt, tex)
+	remaps, decompSum := livedecomp.Analyze(proc, ix, n, entry, sums, pc.killTest, pc.opts.RemapOpt, tex)
 	// no message crosses a remap of its array, which drops it
 	var remapped comm.RemapsAt
 	if remaps.Count() > 0 || remaps.InCall != nil {
 		remapped = remaps.RemapsAt
 	}
 
-	deps := depend.Analyze(proc, env)
+	deps := depend.Analyze(ix, env)
 	analyze := func(shared []string) (*partition.Plan, *comm.Result, error) {
-		plan := partition.Compute(proc, n, distOf, delayedConsOf, pc.fx, shared, env)
+		plan := partition.Compute(proc, ix, n, distOf, delayedConsOf, pc.fx, shared, env)
 		if immediate {
 			plan.DropDelays("immediate instantiation baseline: delayed constraints are forced local (Figure 12)")
 		}
@@ -418,55 +415,46 @@ const (
 // reads a REAL scalar: the executor rounds a subscript to an element, but
 // the guards, broadcast roots and run-time resolution tests derived from
 // it divide, and in floating point name another processor.
-func checkIntegerSubscripts(proc *ast.Procedure, distOf partition.DistOf) (err error) {
-	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
-		for _, top := range ast.StmtExprs(s) {
-			ast.WalkExpr(top, func(e ast.Expr) {
-				ref, _ := e.(*ast.ArrayRef)
-				if ref == nil {
+func checkIntegerSubscripts(proc *ast.Procedure, ix *ast.Index, distOf partition.DistOf) (err error) {
+	for k, site := range ix.Stmts {
+		for _, ref := range ix.RefsOf(k) {
+			dist, _ := distOf(ref.Name, site.Stmt)
+			if dist == nil || dist.IsReplicated() || dist.DistDim() >= len(ref.Subs) {
+				continue
+			}
+			ast.WalkExpr(ref.Subs[dist.DistDim()], func(e ast.Expr) {
+				id, _ := e.(*ast.Ident)
+				if id == nil || err != nil {
 					return
 				}
-				dist, _ := distOf(ref.Name, s)
-				if dist == nil || dist.IsReplicated() || dist.DistDim() >= len(ref.Subs) {
-					return
+				if sym := proc.Symbols.Lookup(id.Name); sym != nil && sym.Kind == ast.SymScalar && sym.Type != ast.TypeInteger {
+					err = fmt.Errorf("core: %s line %d: subscript %d of the distributed array %s reads the %s scalar %s: which processor owns the element is computed in integers (declare it INTEGER)",
+						proc.Name, site.Stmt.Pos().Line, dist.DistDim()+1, ref.Name, sym.Type, id.Name)
 				}
-				ast.WalkExpr(ref.Subs[dist.DistDim()], func(e ast.Expr) {
-					id, _ := e.(*ast.Ident)
-					if id == nil || err != nil {
-						return
-					}
-					if sym := proc.Symbols.Lookup(id.Name); sym != nil && sym.Kind == ast.SymScalar && sym.Type != ast.TypeInteger {
-						err = fmt.Errorf("core: %s line %d: subscript %d of the distributed array %s reads the %s scalar %s: which processor owns the element is computed in integers (declare it INTEGER)",
-							proc.Name, s.Pos().Line, dist.DistDim()+1, ref.Name, sym.Type, id.Name)
-					}
-				})
 			})
+			if err != nil {
+				return err
+			}
 		}
-		return true
-	})
-	return err
+	}
+	return nil
 }
 
 // checkDistributeUnderIf rejects a DISTRIBUTE inside an IF: the
 // reaching decompositions and the remap placement follow one layout per
 // array through a branch, so after the IF every use would be compiled
 // for the branch's layout whichever edge ran.
-func checkDistributeUnderIf(proc *ast.Procedure) (err error) {
-	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
-		iff, ok := s.(*ast.If)
-		if !ok || err != nil {
-			return err == nil
+func checkDistributeUnderIf(proc *ast.Procedure, ix *ast.Index) error {
+	for k, site := range ix.Stmts {
+		if _, ok := site.Stmt.(*ast.If); !ok {
+			continue
 		}
-		for _, body := range [][]ast.Stmt{iff.Then, iff.Else} {
-			ast.WalkStmts(body, func(s ast.Stmt) bool {
-				if d, ok := s.(*ast.Distribute); ok && err == nil {
-					err = fmt.Errorf("core: %s line %d: DISTRIBUTE %s under the IF at line %d: a decomposition only one branch changes is not supported",
-						proc.Name, d.Pos().Line, d.Target, iff.Pos().Line)
-				}
-				return err == nil
-			})
+		for _, in := range ix.Stmts[k+1 : site.End] {
+			if d, ok := in.Stmt.(*ast.Distribute); ok {
+				return fmt.Errorf("core: %s line %d: DISTRIBUTE %s under the IF at line %d: a decomposition only one branch changes is not supported",
+					proc.Name, d.Pos().Line, d.Target, site.Stmt.Pos().Line)
+			}
 		}
-		return false
-	})
-	return err
+	}
+	return nil
 }

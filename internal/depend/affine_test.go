@@ -78,7 +78,7 @@ func depStrings(in *depList) []string {
 // every memoised subscript form, the dependence list its pair loop
 // emits, order included, and each reference's sink level.
 func CheckAnalysis(proc *ast.Procedure, env ast.Env) error {
-	got := Analyze(proc, env)
+	got := Analyze(ast.NewIndex(proc), env)
 	for _, r := range got {
 		for d, sub := range r.Expr.Subs {
 			if err := CheckForm(sub, env, r.Nest); err != nil {
@@ -123,7 +123,7 @@ func TestFormsAreValues(t *testing.T) {
       enddo
       END
 `)
-	refs := CollectRefs(u, nil)
+	refs := CollectRefs(ast.NewIndex(u), nil)
 	snapshot := make([]Affine, len(refs))
 	for i, r := range refs {
 		snapshot[i] = Affine{Const: r.Subs[0].Const,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fortd/internal/ast"
 	"fortd/internal/parser"
 )
 
@@ -27,7 +28,7 @@ func BenchmarkDependAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if info := Analyze(u, nil); len(info) != 24 {
+		if info := Analyze(ast.NewIndex(u), nil); len(info) != 24 {
 			b.Fatalf("%d refs", len(info))
 		}
 	}

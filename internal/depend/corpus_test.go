@@ -156,7 +156,7 @@ func TestSinkLevelsHoldOnExecution(t *testing.T) {
 					for name, val := range env {
 						x.env[name] = val
 					}
-					for _, r := range depend.Analyze(proc, env) {
+					for _, r := range depend.Analyze(ast.NewIndex(proc), env) {
 						x.refs[r.Expr] = r
 					}
 					if !x.run(proc.Body, nil) {

@@ -32,12 +32,14 @@ func (k Kind) String() string {
 
 // Ref is one array reference with its enclosing loop context.
 type Ref struct {
-	Array   string
 	Expr    *ast.ArrayRef
 	Stmt    ast.Stmt
 	IsWrite bool
-	Nest    []*ast.Do // enclosing loops, outermost first
-	Order   int       // textual position, for loop-independent direction
+	// SameIter is set when only loop-independent dependences pin the
+	// reference at SinkLevel: the iteration that reads writes first.
+	SameIter bool
+	Nest     []*ast.Do // enclosing loops, outermost first
+	Order    int       // textual position, for loop-independent direction
 	// Subs is the affine form of each subscript over Nest, computed
 	// once by CollectRefs; every later question about the subscripts
 	// (the pair tests, placement) reads it instead of walking Expr.
@@ -50,9 +52,6 @@ type Ref struct {
 	// dependence reaches the reference, so only then may its message
 	// leave the procedure.
 	SinkLevel int
-	// SameIter is set when only loop-independent dependences pin the
-	// reference at SinkLevel: the iteration that reads writes first.
-	SameIter bool
 
 	bounds []loopBounds // of Nest's loops, parallel to it
 }
@@ -84,87 +83,58 @@ type Dep struct {
 	Known    bool
 }
 
-// CollectRefs gathers every array reference in body together with its
-// loop nest and the affine form of its subscripts; env supplies
-// PARAMETER constants. References in one loop body share their Nest
-// slice: it is read-only.
-func CollectRefs(proc *ast.Procedure, env ast.Env) []*Ref {
-	var refs []*Ref
-	order := 0
-	var nest []*ast.Do
-	var bounds []loopBounds
-
-	form := func(e ast.Expr) SubForm {
+// CollectRefs takes every array reference of the unit ix indexes, with
+// its loop nest, and computes the affine form of its subscripts and
+// loop bounds; env supplies PARAMETER constants. References in one loop
+// body share their Nest slice, the index's: it is read-only.
+func CollectRefs(ix *ast.Index, env ast.Env) []*Ref {
+	all := make([]Ref, len(ix.Refs))
+	refs := make([]*Ref, 0, len(ix.Refs))
+	n := 0
+	for _, x := range ix.Refs {
+		n += len(x.Subs)
+	}
+	subs := make([]SubForm, n)
+	// by depth: the bounds of the loops around the current statement
+	bounds := [][]loopBounds{nil}
+	form := func(e ast.Expr, nest []*ast.Do) SubForm {
 		a, ok := Linearize(e, env, nest)
 		return SubForm{Affine: a, OK: ok}
 	}
-	addRef := func(x *ast.ArrayRef, stmt ast.Stmt, write bool) {
-		r := &Ref{
-			Array: x.Name, Expr: x, Stmt: stmt, IsWrite: write,
-			Nest: nest, Order: order, SinkLevel: -1, bounds: bounds,
-		}
-		if len(x.Subs) > 0 {
-			r.Subs = make([]SubForm, len(x.Subs))
-			for d, sub := range x.Subs {
-				r.Subs[d] = form(sub)
+	for k, site := range ix.Stmts {
+		nest := site.Nest
+		outer := bounds[len(nest)]
+		for _, x := range ix.RefsOf(k) {
+			r := &all[len(refs)]
+			*r = Ref{
+				Expr: x.ArrayRef, Stmt: site.Stmt, IsWrite: x.Write,
+				Nest: nest, Order: k + 1, SinkLevel: -1, bounds: outer,
 			}
-		}
-		refs = append(refs, r)
-	}
-	addExprRefs := func(e ast.Expr, stmt ast.Stmt) {
-		ast.WalkExpr(e, func(e ast.Expr) {
-			if x, ok := e.(*ast.ArrayRef); ok {
-				addRef(x, stmt, false)
-			}
-		})
-	}
-
-	var walk func(body []ast.Stmt)
-	walk = func(body []ast.Stmt) {
-		for _, s := range body {
-			order++
-			switch st := s.(type) {
-			case *ast.Assign:
-				if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-					addRef(lhs, st, true)
-					for _, sub := range lhs.Subs {
-						addExprRefs(sub, st)
-					}
-				}
-				addExprRefs(st.Rhs, st)
-			case *ast.Do:
-				addExprRefs(st.Lo, st)
-				addExprRefs(st.Hi, st)
-				outerNest, outerBounds := nest, bounds
-				n := st.Norm(env) // nil ends, not OK forms, for a step not known
-				lb := loopBounds{step: n.Step, lo: form(n.Low), hi: form(n.High)}
-				// fresh slices, never appended to again: the body's
-				// references keep them
-				nest = append(outerNest[:len(outerNest):len(outerNest)], st)
-				bounds = append(outerBounds[:len(outerBounds):len(outerBounds)], lb)
-				walk(st.Body)
-				nest, bounds = outerNest, outerBounds
-			case *ast.If:
-				addExprRefs(st.Cond, st)
-				walk(st.Then)
-				walk(st.Else)
-			case *ast.Call:
-				for _, a := range st.Args {
-					addExprRefs(a, st)
+			if n := len(x.Subs); n > 0 {
+				r.Subs, subs = subs[:n:n], subs[n:]
+				for d, sub := range x.Subs {
+					r.Subs[d] = form(sub, nest)
 				}
 			}
+			refs = append(refs, r)
+		}
+		if do, ok := site.Stmt.(*ast.Do); ok {
+			n := do.Norm(env) // nil ends, not OK forms, for a step not known
+			lb := loopBounds{step: n.Step, lo: form(n.Low, nest), hi: form(n.High, nest)}
+			// a fresh slice, never appended to again: the body's
+			// references keep it
+			bounds = append(bounds[:len(nest)+1], append(outer[:len(outer):len(outer)], lb))
 		}
 	}
-	walk(proc.Body)
 	return refs
 }
 
-// Analyze returns the array references of proc, each with its sink
-// level (Ref.SinkLevel); env supplies PARAMETER constants. The
-// dependence pairs are not kept: a client that asks another question of
-// them passes visitPairs an emitter of its own.
-func Analyze(proc *ast.Procedure, env ast.Env) []*Ref {
-	refs := CollectRefs(proc, env)
+// Analyze returns the array references of the unit ix indexes, each
+// with its sink level (Ref.SinkLevel); env supplies PARAMETER constants.
+// The dependence pairs are not kept: a client that asks another
+// question of them passes visitPairs an emitter of its own.
+func Analyze(ix *ast.Index, env ast.Env) []*Ref {
+	refs := CollectRefs(ix, env)
 	visitPairs(refs, raiseSinkLevel)
 	return refs
 }
@@ -201,10 +171,10 @@ func visitPairs(refs []*Ref, emit func(Dep)) {
 	groups := map[string]*group{}
 	places := make([]place, len(refs))
 	for i, r := range refs {
-		g := groups[r.Array]
+		g := groups[r.Expr.Name]
 		if g == nil {
 			g = &group{}
-			groups[r.Array] = g
+			groups[r.Expr.Name] = g
 		}
 		places[i] = place{g: g, pos: len(g.all), writes: len(g.writes)}
 		g.all = append(g.all, i)

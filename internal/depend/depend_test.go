@@ -19,7 +19,7 @@ type depList struct {
 // analyzeDeps runs Analyze's pair loop with an emitter that collects
 // the dependence list instead of raising sink levels.
 func analyzeDeps(proc *ast.Procedure, env ast.Env) *depList {
-	l := &depList{Refs: CollectRefs(proc, env)}
+	l := &depList{Refs: CollectRefs(ast.NewIndex(proc), env)}
 	visitPairs(l.Refs, l.add)
 	return l
 }
@@ -46,7 +46,7 @@ func pinOf(d Dep) int {
 // SameIter says that no dependence of that pin is carried. It returns
 // how many references have a carried true dependence into them.
 func CheckSinkLevels(proc *ast.Procedure, env ast.Env) (int, error) {
-	got, list := Analyze(proc, env), analyzeDeps(proc, env)
+	got, list := Analyze(ast.NewIndex(proc), env), analyzeDeps(proc, env)
 	deepest, sameIter, carried := map[*Ref]int{}, map[*Ref]bool{}, 0
 	for _, d := range list.Deps {
 		if d.Kind != True {
@@ -135,7 +135,7 @@ func TestRecurrenceTrueDep(t *testing.T) {
 	var rhs *ast.ArrayRef
 	loop := u.Body[0].(*ast.Do)
 	rhs = loop.Body[0].(*ast.Assign).Rhs.(*ast.ArrayRef)
-	if lvl := sinkLevel(Analyze(u, nil), rhs); lvl != 1 {
+	if lvl := sinkLevel(Analyze(ast.NewIndex(u), nil), rhs); lvl != 1 {
 		t.Errorf("SinkLevel = %d, want 1", lvl)
 	}
 	found := false
@@ -163,7 +163,7 @@ func TestLoopIndependentDep(t *testing.T) {
 	// X(i) written then read in the same iteration: loop-independent true dep
 	found := false
 	for _, d := range info.Deps {
-		if d.Kind == True && d.Src.Array == "X" && d.Level == 0 {
+		if d.Kind == True && d.Src.Expr.Name == "X" && d.Level == 0 {
 			found = true
 		}
 	}
@@ -200,7 +200,7 @@ func TestZIVIndependent(t *testing.T) {
 `)
 	info := analyzeDeps(u, nil)
 	for _, d := range info.Deps {
-		if d.Src.Array == "X" && d.Kind == True {
+		if d.Src.Expr.Name == "X" && d.Kind == True {
 			t.Errorf("X(1)/X(2) are independent: %+v", d)
 		}
 	}
@@ -316,7 +316,7 @@ func TestCollectRefsNest(t *testing.T) {
       enddo
       END
 `)
-	refs := CollectRefs(u, nil)
+	refs := CollectRefs(ast.NewIndex(u), nil)
 	if len(refs) != 1 {
 		t.Fatalf("refs = %d", len(refs))
 	}
@@ -388,7 +388,7 @@ func TestSameNamedLoopsDoNotCancel(t *testing.T) {
 	// dependence carried at the t loop must exist
 	found := false
 	for _, d := range info.Deps {
-		if d.Kind == True && d.Level == 1 && d.Src.Array == "a" && d.Src.IsWrite {
+		if d.Kind == True && d.Level == 1 && d.Src.Expr.Name == "a" && d.Src.IsWrite {
 			found = true
 		}
 	}
@@ -413,7 +413,7 @@ func TestUnknownOuterDoesNotMaskInner(t *testing.T) {
       enddo
       END
 `)
-	info := Analyze(u, nil)
+	info := Analyze(ast.NewIndex(u), nil)
 	read := findRead(t, u, info)
 	if lvl := sinkLevel(info, read); lvl != 3 {
 		t.Errorf("SinkLevel = %d, want 3 (the i loop)", lvl)
@@ -457,7 +457,7 @@ func TestNonAffineConservative(t *testing.T) {
 	info := analyzeDeps(u, nil)
 	carried := false
 	for _, d := range info.Deps {
-		if d.Src.Array == "x" && d.Level == 1 {
+		if d.Src.Expr.Name == "x" && d.Level == 1 {
 			carried = true
 		}
 	}

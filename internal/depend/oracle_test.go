@@ -13,11 +13,11 @@ import (
 // Analyze computes all pairwise dependences among array references in
 // proc. env supplies PARAMETER constants for subscript evaluation.
 func oldAnalyze(proc *ast.Procedure, env ast.Env) *depList {
-	refs := CollectRefs(proc, env)
+	refs := CollectRefs(ast.NewIndex(proc), env)
 	info := &depList{Refs: refs}
 	for i, a := range refs {
 		for j, b := range refs {
-			if i == j || a.Array != b.Array {
+			if i == j || a.Expr.Name != b.Expr.Name {
 				continue
 			}
 			if !a.IsWrite && !b.IsWrite {

@@ -10,31 +10,34 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"fortd"
 	"fortd/internal/parser"
 	"fortd/internal/progen"
 )
 
-// agree runs src on Runner.RunReference and on the F77 reference, both
-// seeded with fortd.RampInit, and reports where their main-program
-// arrays differ (NaN equal to NaN). ok is false for a program that does
-// not compile, which has no reference run to compare, and for a node
-// program in the generated dialect, which is not Fortran.
-func agree(t *testing.T, name, src string) (ok bool) {
+// agree runs src on Runner.RunReference, with opts, and on the F77
+// reference, both seeded with fortd.RampInit, and reports where their
+// main-program arrays differ (NaN equal to NaN). ok is false for a
+// program that does not compile, which has no reference run to compare,
+// for a node program in the generated dialect, which is not Fortran, and
+// for a run stopped by its deadline or statement budget.
+func agree(t *testing.T, name, src string, opts ...fortd.RunOption) (ok bool) {
 	t.Helper()
 	prog, err := fortd.Compile(src, fortd.DefaultOptions())
 	if err != nil {
 		return false
 	}
 	init := fortd.RampInit(src)
-	ref, refErr := fortd.NewRunner(fortd.WithInit(init)).RunReference(prog)
+	ref, refErr := fortd.NewRunner(append(opts, fortd.WithInit(init))...).RunReference(prog)
 	parsed, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	got, err := Run(parsed, init)
-	if errors.Is(err, errNotF77) {
+	var stopped *fortd.DeadlockError
+	if errors.Is(err, errNotF77) || errors.Is(err, errBudget) || errors.As(refErr, &stopped) && stopped.Deadline {
 		return false
 	}
 	if (err != nil) != (refErr != nil) {
@@ -90,6 +93,43 @@ func TestAgreesWithRunReference(t *testing.T) {
 		t.Errorf("only %d programs compared", compared)
 	}
 	t.Logf("%d programs compared", compared)
+}
+
+// FuzzReference holds RunReference to Fortran 77 beyond the fixed
+// corpus: seeded with every testdata program, each input that compiles
+// runs both ways under agree's rules, RunReference within a deadline. A
+// program whose units declare more than a million elements of one array
+// is skipped, to keep the fuzzer's memory small.
+func FuzzReference(f *testing.F) {
+	err := filepath.WalkDir("../../testdata", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".f") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		f.Add(string(b))
+		return err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		parsed, err := parser.Parse(src)
+		if err != nil {
+			return
+		}
+		for _, u := range parsed.Units {
+			for _, sym := range u.Symbols.Symbols() {
+				size := 1
+				exts, _ := sym.Extents(u.Constants())
+				for _, e := range exts {
+					if size *= max(e, 1); size > 1<<20 {
+						return
+					}
+				}
+			}
+		}
+		agree(t, "input", src, fortd.WithDeadline(2*time.Second))
+	})
 }
 
 // TestDoIndexKeepsLastValue: the root package's test of the same name

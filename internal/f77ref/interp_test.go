@@ -14,6 +14,10 @@
 // MIN, MAX, ABS, SQRT and the paper's F and G. Arithmetic is F77's:
 // INTEGER operands divide by truncation, and an assignment to an
 // INTEGER variable truncates. Values are float64, as in the executor.
+// Three things the compiler accepts lie outside F77: an empty dimension
+// (REAL a(0)), which it stores as the executor does, and a local array
+// bounded by variables and an assignment to the index of a running DO
+// (F77 §11.10.5), which it does not run (errNotF77).
 package f77ref
 
 import (
@@ -36,6 +40,7 @@ type frame struct {
 	consts  ast.MapEnv
 	scalars map[string]*float64
 	arrays  map[string]*array
+	active  map[string]bool // the indices of the DO loops running
 }
 
 // machine runs one program.
@@ -49,8 +54,11 @@ type machine struct {
 var (
 	errReturn = errors.New("RETURN")
 	// errNotF77 marks a program outside the subset: a node program in
-	// the generated dialect (myproc, send, recv, ...).
+	// the generated dialect (myproc, send, recv, ...), a local array
+	// bounded by variables, or the index of a running DO assigned.
 	errNotF77 = errors.New("not Fortran 77")
+	// errBudget stops a run that has executed its statement budget.
+	errBudget = errors.New("statement budget exhausted")
 )
 
 // Run executes prog's main program sequentially, its main-program
@@ -60,7 +68,7 @@ func Run(prog *ast.Program, init map[string][]float64) (map[string][]float64, er
 	if main == nil {
 		return nil, fmt.Errorf("no main program")
 	}
-	m := &machine{prog: prog, commons: map[string][]any{}, steps: 50_000_000}
+	m := &machine{prog: prog, commons: map[string][]any{}, steps: 2_000_000}
 	f, err := m.enter(main, nil)
 	if err != nil {
 		return nil, err
@@ -85,7 +93,7 @@ func Run(prog *ast.Program, init map[string][]float64) (map[string][]float64, er
 // enter makes u's frame: formals bound to the caller's storage (args),
 // COMMON members to the block's, everything else fresh and zero.
 func (m *machine) enter(u *ast.Procedure, args []any) (*frame, error) {
-	f := &frame{unit: u, consts: u.Constants(), scalars: map[string]*float64{}, arrays: map[string]*array{}}
+	f := &frame{unit: u, consts: u.Constants(), scalars: map[string]*float64{}, arrays: map[string]*array{}, active: map[string]bool{}}
 	for i, name := range u.Params {
 		if i >= len(args) {
 			return nil, fmt.Errorf("%s: too few actuals", u.Name)
@@ -150,8 +158,13 @@ func (f *frame) alloc(name string) (any, error) {
 	for _, d := range sym.Dims {
 		lo, okLo := ast.EvalInt(d.Lo, f.consts)
 		hi, okHi := ast.EvalInt(d.Hi, f.consts)
-		if !okLo || !okHi || hi < lo || size*(hi-lo+1) > 1<<26 {
-			return nil, fmt.Errorf("%s: array %s has no constant shape", f.unit.Name, name)
+		if !okLo || !okHi {
+			// F77 bounds only a dummy array by variables
+			return nil, fmt.Errorf("%s: array %s has no constant shape: %w", f.unit.Name, name, errNotF77)
+		}
+		// an empty dimension (hi = lo − 1) is one the executor stores
+		if hi < lo-1 || size*(hi-lo+1) > 1<<26 {
+			return nil, fmt.Errorf("%s: array %s has a negative extent or too many elements", f.unit.Name, name)
 		}
 		a.lo, a.hi = append(a.lo, lo), append(a.hi, hi)
 		size *= hi - lo + 1
@@ -171,10 +184,13 @@ func (m *machine) body(f *frame, body []ast.Stmt) error {
 
 func (m *machine) stmt(f *frame, s ast.Stmt) error {
 	if m.steps--; m.steps < 0 {
-		return fmt.Errorf("%s: statement budget exhausted", f.unit.Name)
+		return fmt.Errorf("%s: %w", f.unit.Name, errBudget)
 	}
 	switch st := s.(type) {
 	case *ast.Assign:
+		if id, ok := st.Lhs.(*ast.Ident); ok && f.active[id.Name] {
+			return fmt.Errorf("%s: the index %s of a running DO is assigned: %w", f.unit.Name, id.Name, errNotF77)
+		}
 		v, err := m.eval(f, st.Rhs)
 		if err != nil {
 			return err
@@ -237,12 +253,20 @@ func (m *machine) do(f *frame, st *ast.Do) error {
 	if e[2] == 0 {
 		return fmt.Errorf("%s: zero loop step", f.unit.Name)
 	}
+	if f.active[st.Var] {
+		return fmt.Errorf("%s: the index %s of a running DO is reused: %w", f.unit.Name, st.Var, errNotF77)
+	}
+	f.active[st.Var] = true
+	defer delete(f.active, st.Var)
 	count := math.Trunc((e[1] - e[0] + e[2]) / e[2])
 	v, err := m.lvalue(f, idx)
 	if err != nil {
 		return err
 	}
 	for *v = e[0]; count > 0; count-- {
+		if m.steps--; m.steps < 0 { // an empty body spends the budget too
+			return fmt.Errorf("%s: %w", f.unit.Name, errBudget)
+		}
 		if err := m.body(f, st.Body); err != nil {
 			return err
 		}

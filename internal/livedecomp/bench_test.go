@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fortd/internal/acg"
+	"fortd/internal/ast"
 	"fortd/internal/decomp"
 	"fortd/internal/parser"
 )
@@ -56,13 +57,14 @@ func BenchmarkLivedecompMain256(b *testing.B) {
 					main = n
 					continue
 				}
-				_, sum := Analyze(n.Proc, n, map[string]decomp.Decomp{"x": block}, summaries, nil, OptKills, nil)
+				_, sum := Analyze(n.Proc, ast.NewIndex(n.Proc), n, map[string]decomp.Decomp{"x": block}, summaries, nil, OptKills, nil)
 				summaries[n.Name()] = sum
 			}
+			ix := ast.NewIndex(main.Proc)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				place, _ := Analyze(main.Proc, main, nil, summaries, nil, OptKills, nil)
+				place, _ := Analyze(main.Proc, ix, main, nil, summaries, nil, OptKills, nil)
 				if (place.Count() > 0) != (lane.dynamic > 0) {
 					b.Fatalf("%d remaps placed", place.Count())
 				}

@@ -24,6 +24,7 @@ import (
 	"fortd/internal/ast"
 	"fortd/internal/decomp"
 	"fortd/internal/explain"
+	"fortd/internal/reach"
 )
 
 // Level selects how aggressively remaps are optimized.
@@ -180,8 +181,8 @@ type event struct {
 // reading) the named caller-space array.
 type KillTest func(site *acg.CallSite, callerArray string) bool
 
-// Analyze computes remap placements for proc and its summary for
-// callers.
+// Analyze computes remap placements for proc, whose index is ix, and
+// its summary for callers.
 //
 //   - entry maps each inherited array to the decomposition flowing in
 //     from the caller (unique after cloning).
@@ -194,6 +195,7 @@ type KillTest func(site *acg.CallSite, callerArray string) bool
 //     rule that fired; nil collects nothing.
 func Analyze(
 	proc *ast.Procedure,
+	ix *ast.Index,
 	node *acg.Node,
 	entry map[string]decomp.Decomp,
 	summaries map[string]*Summary,
@@ -201,7 +203,7 @@ func Analyze(
 	level Level,
 	ex *explain.Collector,
 ) (*Placement, *Summary) {
-	events, sum, start, inherited := buildEvents(proc, node, entry, summaries, killTest)
+	events, sum, start, inherited := buildEvents(proc, ix, node, entry, summaries, killTest)
 	place, remaps := newPlacement(), false
 	for _, e := range events {
 		remaps = remaps || e.kind == evRemap
@@ -292,6 +294,7 @@ func explainEvents(ex *explain.Collector, procName string, events []*event) {
 // proc's exit hands back to its callers.
 func buildEvents(
 	proc *ast.Procedure,
+	ix *ast.Index,
 	node *acg.Node,
 	entry map[string]decomp.Decomp,
 	summaries map[string]*Summary,
@@ -323,9 +326,8 @@ func buildEvents(
 	for k, v := range logical {
 		entryDecomp[k] = v
 	}
-	// alignment bookkeeping mirrors reach.State in miniature
-	aligns := map[string]ast.Align{}
-	decompSpecs := map[string]decomp.Decomp{}
+	// the decompositions the directives set, from the first directive on
+	var directives *reach.State
 
 	addUse := func(arr string, stmt ast.Stmt, killing bool) {
 		if _, ok := logical[arr]; !ok {
@@ -368,50 +370,37 @@ func buildEvents(
 		events = append(events, &event{kind: evRemap, array: arr, decomp: d, stmt: stmt})
 	}
 
-	exprUses := func(e ast.Expr, stmt ast.Stmt) {
-		ast.WalkExpr(e, func(e ast.Expr) {
-			if x, ok := e.(*ast.ArrayRef); ok {
-				addUse(x.Name, stmt, false)
-			}
-		})
-	}
-
+	next := 0 // the position in ix of the next statement
 	var walk func(body []ast.Stmt)
 	walk = func(body []ast.Stmt) {
 		for _, s := range body {
-			switch st := s.(type) {
-			case *ast.Assign:
-				if lhs, ok := st.Lhs.(*ast.ArrayRef); ok {
-					addUse(lhs.Name, st, false)
-					for _, sub := range lhs.Subs {
-						exprUses(sub, st)
-					}
+			// a CALL's arrays are used by the callee, under its summary
+			if _, call := s.(*ast.Call); !call {
+				for _, ref := range ix.RefsOf(next) {
+					addUse(ref.Name, s, false)
 				}
-				exprUses(st.Rhs, st)
+			}
+			next++
+			switch st := s.(type) {
 			case *ast.Do:
-				exprUses(st.Lo, st)
-				exprUses(st.Hi, st)
 				events = append(events, &event{kind: evLoopBegin, loop: st})
 				walk(st.Body)
 				events = append(events, &event{kind: evLoopEnd, loop: st})
 			case *ast.If:
-				exprUses(st.Cond, st)
 				events = append(events, &event{kind: evIf})
 				walk(st.Then)
 				events = append(events, &event{kind: evElse})
 				walk(st.Else)
 				events = append(events, &event{kind: evEndIf})
-			case *ast.Distribute:
-				applyDistribute(proc, st, aligns, decompSpecs, setDecomp, logical)
-			case *ast.Align:
-				aligns[st.Array] = *st
-				if d, ok := decompSpecs[st.Target]; ok {
-					sym := proc.Symbols.Lookup(st.Array)
-					rank := 1
-					if sym != nil {
-						rank = sym.NumDims()
+			case *ast.Decomposition, *ast.Align, *ast.Distribute:
+				if directives == nil {
+					directives = reach.NewState(proc, nil)
+				}
+				for _, arr := range directives.Apply(st) {
+					if _, isArray := logical[arr]; isArray {
+						d, _ := directives.Lookup(arr).Single()
+						setDecomp(arr, d, st)
 					}
-					setDecomp(st.Array, decomp.ApplyAlign(st.Terms, d, rank), st)
 				}
 			case *ast.Call:
 				site := node.Site(st)
@@ -514,32 +503,4 @@ func buildEvents(
 		entryDecomp[arr] = d
 	}
 	return events, sum, entryDecomp, inherited
-}
-
-func applyDistribute(
-	proc *ast.Procedure,
-	st *ast.Distribute,
-	aligns map[string]ast.Align,
-	decompSpecs map[string]decomp.Decomp,
-	setDecomp func(string, decomp.Decomp, ast.Stmt),
-	logical map[string]decomp.Decomp,
-) {
-	d := decomp.NewDecomp(st.Specs...)
-	decompSpecs[st.Target] = d
-	sym := proc.Symbols.Lookup(st.Target)
-	if sym == nil || sym.Kind != ast.SymDecomposition {
-		if _, isArray := logical[st.Target]; isArray {
-			setDecomp(st.Target, d, st)
-		}
-	}
-	for arr, al := range aligns {
-		if al.Target == st.Target {
-			asym := proc.Symbols.Lookup(arr)
-			rank := 1
-			if asym != nil {
-				rank = asym.NumDims()
-			}
-			setDecomp(arr, decomp.ApplyAlign(al.Terms, d, rank), st)
-		}
-	}
 }

@@ -52,7 +52,7 @@ func buildFig15(t *testing.T, level Level) (*Placement, *Summary, map[string]*Su
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := comm.ComputeSections(g, nil, comm.LocalSections)
+	sections := comm.ComputeSections(g, nil, localSections)
 	killTest := func(site *acg.CallSite, callerArray string) bool {
 		return KillsArray(site, callerArray, sections)
 	}
@@ -65,7 +65,7 @@ func buildFig15(t *testing.T, level Level) (*Placement, *Summary, map[string]*Su
 			// both F1 and F2 inherit BLOCK from P1
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		place, sum := Analyze(n.Proc, n, entry, summaries, killTest, level, nil)
+		place, sum := Analyze(n.Proc, ast.NewIndex(n.Proc), n, entry, summaries, killTest, level, nil)
 		summaries[n.Name()] = sum
 		if n.Proc.IsMain {
 			mainPlace, mainSum = place, sum
@@ -185,7 +185,7 @@ func TestKillsArrayDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := comm.ComputeSections(g, nil, comm.LocalSections)
+	sections := comm.ComputeSections(g, nil, localSections)
 	var f1Site, f2Site *acg.CallSite
 	for _, s := range g.Nodes["P1"].Calls {
 		switch s.Callee.Name() {
@@ -235,7 +235,7 @@ func TestNoDynamicDecompNoRemaps(t *testing.T) {
 		if !n.Proc.IsMain {
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		place, sum := Analyze(n.Proc, n, entry, summaries, nil, OptKills, nil)
+		place, sum := Analyze(n.Proc, ast.NewIndex(n.Proc), n, entry, summaries, nil, OptKills, nil)
 		summaries[n.Name()] = sum
 		if place.Count() != 0 {
 			t.Errorf("%s: %d remaps in static program", n.Name(), place.Count())
@@ -277,7 +277,7 @@ func TestConditionalRemapNotOptimized(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.Nodes["P"]
-	place, _ := Analyze(n.Proc, n, nil, map[string]*Summary{}, nil, OptKills, nil)
+	place, _ := Analyze(n.Proc, ast.NewIndex(n.Proc), n, nil, map[string]*Summary{}, nil, OptKills, nil)
 	if place.Count() != 1 {
 		t.Errorf("conditional remap count = %d, want 1", place.Count())
 	}
@@ -334,7 +334,7 @@ func TestNestedLoopHoisting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := comm.ComputeSections(g, nil, comm.LocalSections)
+	sections := comm.ComputeSections(g, nil, localSections)
 	killTest := func(site *acg.CallSite, arr string) bool {
 		return KillsArray(site, arr, sections)
 	}
@@ -345,7 +345,7 @@ func TestNestedLoopHoisting(t *testing.T) {
 		if !n.Proc.IsMain {
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		pl, sum := Analyze(n.Proc, n, entry, summaries, killTest, OptKills, nil)
+		pl, sum := Analyze(n.Proc, ast.NewIndex(n.Proc), n, entry, summaries, killTest, OptKills, nil)
 		summaries[n.Name()] = sum
 		if n.Proc.IsMain {
 			place = pl
@@ -402,7 +402,7 @@ func TestSummaryPassesThroughWrapper(t *testing.T) {
 		if !n.Proc.IsMain {
 			entry["X"] = decomp.NewDecomp(decomp.Block)
 		}
-		_, sum := Analyze(n.Proc, n, entry, summaries, nil, OptKills, nil)
+		_, sum := Analyze(n.Proc, ast.NewIndex(n.Proc), n, entry, summaries, nil, OptKills, nil)
 		summaries[n.Name()] = sum
 	}
 	w := summaries["WRAP"]
@@ -415,4 +415,10 @@ func TestSummaryPassesThroughWrapper(t *testing.T) {
 	if !w.Kill["X"] {
 		t.Errorf("DecompKill(WRAP) = %v", w.Kill)
 	}
+}
+
+// localSections is a unit's local section summary and its index.
+func localSections(u *ast.Procedure) (*comm.SectionSummary, *ast.Index) {
+	ix := ast.NewIndex(u)
+	return comm.LocalSections(u, ix), ix
 }

@@ -161,18 +161,14 @@ func widen(m map[string]*Offsets, name string, offs *Offsets) {
 }
 
 // LocalOffsets collects the constant offsets appearing in subscripts of
-// each array of proc (the local analysis phase).
-func LocalOffsets(proc *ast.Procedure) map[string]*Offsets {
+// each array of proc, whose index is ix (the local analysis phase).
+func LocalOffsets(proc *ast.Procedure, ix *ast.Index) map[string]*Offsets {
 	out := map[string]*Offsets{}
 	env := proc.Constants()
-	ast.WalkExprs(proc.Body, func(e ast.Expr) {
-		ref, ok := e.(*ast.ArrayRef)
-		if !ok {
-			return
-		}
+	for _, ref := range ix.Refs {
 		sym := proc.Symbols.Lookup(ref.Name)
 		if sym == nil || sym.Kind != ast.SymArray {
-			return
+			continue
 		}
 		offs, exists := out[ref.Name]
 		if !exists {
@@ -194,7 +190,7 @@ func LocalOffsets(proc *ast.Procedure) map[string]*Offsets {
 				offs.Lo[d] = -c
 			}
 		}
-	})
+	}
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fortd/internal/acg"
+	"fortd/internal/ast"
 	"fortd/internal/explain"
 	"fortd/internal/parser"
 )
@@ -18,7 +19,7 @@ func estimates(t *testing.T, src string) *Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ComputeEstimates(g, LocalOffsets)
+	return ComputeEstimates(g, func(u *ast.Procedure) map[string]*Offsets { return LocalOffsets(u, ast.NewIndex(u)) })
 }
 
 // TestFigure13Overlaps reproduces the §5.6 example: the reference

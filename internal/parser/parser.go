@@ -114,6 +114,7 @@ type parser struct {
 	pos   int
 	unit  *ast.Procedure
 	whole bool // the expression is a CALL's actual: an array may be named whole
+	body  bool // the unit has a statement, so a type declaration is too late
 }
 
 func (p *parser) at(k lexer.Kind) bool { return p.toks[p.pos].Kind == k }
@@ -215,7 +216,7 @@ func (p *parser) parseUnit() (*ast.Procedure, error) {
 			IsFormal: true, FormalIndex: i, Line: line,
 		})
 	}
-	p.unit = u
+	p.unit, p.body = u, false
 	body, err := p.parseStmts("END")
 	if err != nil {
 		return nil, err
@@ -280,6 +281,7 @@ func (p *parser) parseStmts(terminators ...string) ([]ast.Stmt, error) {
 			return nil, err
 		}
 		if s != nil {
+			p.body = true
 			out = append(out, s)
 		}
 	}
@@ -348,6 +350,11 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 	}
 	switch strings.ToUpper(t.Text) {
 	case "REAL", "INTEGER", "LOGICAL", "DOUBLE":
+		if p.body {
+			// F77 declares before it executes: a name used as a scalar
+			// must not turn into an array
+			return nil, fmt.Errorf("line %d: type declaration after the unit's first statement", t.Line)
+		}
 		return nil, p.parseTypeDecl()
 	case "PARAMETER":
 		return nil, p.parseParameter()
@@ -576,15 +583,9 @@ func (p *parser) parseDecomposition() (ast.Stmt, error) {
 	}
 	sym := &ast.Symbol{Name: id.Text, Kind: ast.SymDecomposition, FormalIndex: -1, Dims: dims}
 	p.unit.Symbols.Define(sym)
-	sizes := make([]int, len(dims))
-	env := p.unit.Constants()
-	for i, d := range dims {
-		lo, okLo := ast.EvalInt(d.Lo, env)
-		hi, okHi := ast.EvalInt(d.Hi, env)
-		if !okLo || !okHi {
-			return nil, fmt.Errorf("line %d: decomposition %s requires constant bounds", line, id.Text)
-		}
-		sizes[i] = hi - lo + 1
+	sizes, ok := sym.Extents(p.unit.Constants())
+	if !ok {
+		return nil, fmt.Errorf("line %d: decomposition %s requires constant bounds", line, id.Text)
 	}
 	st := &ast.Decomposition{Name: id.Text, Dims: sizes}
 	st.Position = ast.Position{Line: line}

@@ -338,6 +338,7 @@ func TestParseErrors(t *testing.T) {
 		"PROGRAM P\nif (x .gt. 1) then\nEND",
 		"SUBROUTINE S(\nEND",
 		"PROGRAM P\nDISTRIBUTE X(FOO)\nEND",
+		"PROGRAM P\ndo A = 0, 0\nenddo\nREAL A(4)\nEND", // declared after its use as a scalar
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

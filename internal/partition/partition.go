@@ -75,6 +75,7 @@ type Reduction struct {
 // Item is the partitioning decision for one assignment statement.
 type Item struct {
 	Stmt *ast.Assign
+	At   int // Stmt's position in the plan's index
 	Nest []*ast.Do
 	// Dist is nil for assignments every processor executes: to a
 	// replicated array, or to a scalar that adopted no constraint from
@@ -145,6 +146,7 @@ func (cc *CallConstraint) guard(why string) {
 // procedure.
 type Plan struct {
 	Proc  *ast.Procedure
+	Index *ast.Index // Proc's
 	Items []*Item
 	// LoopBounds lists local loops whose bounds are reduced, with the
 	// constraint to apply.
@@ -166,17 +168,20 @@ type DistOf func(array string, at ast.Stmt) (*decomp.Dist, bool)
 // callee, keyed by callee formal/global name.
 type DelayedOf func(procName string) map[string]*Constraint
 
-// Compute runs Figure 9's partitioning for proc. fx is the program's
-// side-effect analysis, asked what a callee may assign (nil: scalars
-// stay replicated); shared names scalars every processor evaluates for
-// communication instantiated from a callee, which stay replicated too.
+// Compute runs Figure 9's partitioning for proc, whose index is ix. fx
+// is the program's side-effect analysis, asked what a callee may assign
+// (nil: scalars stay replicated); shared names scalars every processor
+// evaluates for communication instantiated from a callee, which stay
+// replicated too.
 //
-// The visitNest walk mirrors the paper: the iteration set of each
-// assignment is derived from the owner-computes rule on its left-hand
-// side; the union of iteration sets instantiates local loop bounds;
-// constraints on variables not bound by local loops are delayed.
+// One pass over the index's statements mirrors the paper: the
+// iteration set of each assignment is derived from the owner-computes
+// rule on its left-hand side; the union of iteration sets instantiates
+// local loop bounds; constraints on variables not bound by local loops
+// are delayed.
 func Compute(
 	proc *ast.Procedure,
+	ix *ast.Index,
 	node *acg.Node,
 	distOf DistOf,
 	delayedOf DelayedOf,
@@ -186,6 +191,7 @@ func Compute(
 ) *Plan {
 	plan := &Plan{
 		Proc:       proc,
+		Index:      ix,
 		LoopBounds: map[*ast.Do]*Constraint{},
 		Delayed:    map[string]*Constraint{},
 	}
@@ -207,37 +213,24 @@ func Compute(
 		}
 	}
 
-	var nest []*ast.Do
-	var walk func(body []ast.Stmt)
-	walk = func(body []ast.Stmt) {
-		for _, s := range body {
-			switch st := s.(type) {
-			case *ast.Do:
-				nest = append(nest, st)
-				walk(st.Body)
-				nest = nest[:len(nest)-1]
-			case *ast.If:
-				walk(st.Then)
-				walk(st.Else)
-			case *ast.Assign:
-				if red := analyzeReduction(proc, st, nest, distOf, env); red != nil {
-					plan.Items = append(plan.Items, red)
-					continue
-				}
-				item := analyzeAssign(proc, st, nest, distOf, env)
-				plan.Items = append(plan.Items, item)
-			case *ast.Call:
-				site := node.Site(st)
-				if site == nil {
-					continue
-				}
-				for formal, c := range delayedOf(st.Name) {
-					plan.CallCons = append(plan.CallCons, translateCallConstraint(proc, site, formal, c, nest))
-				}
+	for k, site := range ix.Stmts {
+		switch st := site.Stmt.(type) {
+		case *ast.Assign:
+			if red := analyzeReduction(proc, ix, k, distOf, env); red != nil {
+				plan.Items = append(plan.Items, red)
+				continue
+			}
+			plan.Items = append(plan.Items, analyzeAssign(proc, st, k, site.Nest, distOf, env))
+		case *ast.Call:
+			cs := node.Site(st)
+			if cs == nil {
+				continue
+			}
+			for formal, c := range delayedOf(st.Name) {
+				plan.CallCons = append(plan.CallCons, translateCallConstraint(proc, cs, formal, c, site.Nest))
 			}
 		}
 	}
-	walk(proc.Body)
 	plan.adoptScalars(proc, distOf, fx, shared, env)
 
 	// register each constraint with the loop or formal that is to
@@ -376,8 +369,8 @@ func demoteItem(it *Item, why string) {
 }
 
 // analyzeAssign applies the owner-computes rule to one assignment.
-func analyzeAssign(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distOf DistOf, env ast.Env) *Item {
-	item := &Item{Stmt: st, Nest: append([]*ast.Do(nil), nest...)}
+func analyzeAssign(proc *ast.Procedure, st *ast.Assign, at int, nest []*ast.Do, distOf DistOf, env ast.Env) *Item {
+	item := &Item{Stmt: st, At: at, Nest: nest}
 	lhs, ok := st.Lhs.(*ast.ArrayRef)
 	if !ok {
 		return item // scalar lhs: replicated execution

@@ -54,7 +54,7 @@ func TestLocalLoopReduction(t *testing.T) {
       END
 `, "F1")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if len(plan.Items) != 1 {
 		t.Fatalf("items = %d", len(plan.Items))
 	}
@@ -79,7 +79,7 @@ func TestDelayedConstraint(t *testing.T) {
       END
 `, "F2")
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Block), []int{100, 100}, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	item := plan.Items[0]
 	if item.DelayVar != "i" {
 		t.Fatalf("item = %+v, want delayed on i", item)
@@ -102,7 +102,7 @@ func TestScalarWorkBlocksReduction(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if len(plan.LoopBounds) != 0 {
 		t.Errorf("loop wrongly reduced: %v", plan.LoopBounds)
 	}
@@ -127,7 +127,7 @@ func TestMixedConstraintsForceGuards(t *testing.T) {
 `, "S")
 	xDist := blockDist(100, 4)
 	yDist := decomp.MustDist(decomp.NewDecomp(decomp.Cyclic), []int{100}, 4)
-	plan := Compute(proc, node, func(name string, _ ast.Stmt) (*decomp.Dist, bool) {
+	plan := Compute(proc, ast.NewIndex(proc), node, func(name string, _ ast.Stmt) (*decomp.Dist, bool) {
 		if name == "X" {
 			return xDist, true
 		}
@@ -160,7 +160,7 @@ func TestSameConstraintShares(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if len(plan.LoopBounds) != 1 {
 		t.Errorf("shared constraint should reduce once: %v", plan.LoopBounds)
 	}
@@ -175,7 +175,7 @@ func TestConstantSubscriptGuard(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	if !plan.Items[0].Guard {
 		t.Errorf("constant subscript must guard: %+v", plan.Items[0])
 	}
@@ -353,7 +353,7 @@ func TestReductionRecognition(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	var red *Item
 	for _, it := range plan.Items {
 		if it.Red != nil {
@@ -395,7 +395,7 @@ func TestReductionVariants(t *testing.T) {
 `
 		proc, node := buildNode(t, src, "S")
 		dist := blockDist(100, 4)
-		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+		plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 		found := false
 		for _, it := range plan.Items {
 			if it.Red != nil {
@@ -429,7 +429,7 @@ func TestReductionRejections(t *testing.T) {
 `
 		proc, node := buildNode(t, src, "S")
 		dist := blockDist(100, 4)
-		plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+		plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 		for _, it := range plan.Items {
 			if it.Red != nil {
 				t.Errorf("shape %q wrongly recognized", shape)
@@ -451,7 +451,7 @@ func TestReductionDemotedByOtherWork(t *testing.T) {
       END
 `, "S")
 	dist := blockDist(100, 4)
-	plan := Compute(proc, node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }, noDelayed, nil, nil, nil)
 	for _, it := range plan.Items {
 		if it.Red != nil {
 			t.Errorf("reduction must be demoted (accumulator escapes): %+v", it)
@@ -520,7 +520,7 @@ func TestConflictDemotesEveryParty(t *testing.T) {
 	delayed := func(string) map[string]*Constraint {
 		return map[string]*Constraint{"i": {Array: "W", Dist: block}}
 	}
-	plan := Compute(proc, node, byName, delayed, nil, nil, nil)
+	plan := Compute(proc, ast.NewIndex(proc), node, byName, delayed, nil, nil, nil)
 	if len(plan.LoopBounds) != 0 || len(plan.Items) != 3 || len(plan.CallCons) != 1 {
 		t.Fatalf("LoopBounds = %v, %d items, %d call constraints", plan.LoopBounds, len(plan.Items), len(plan.CallCons))
 	}
@@ -542,7 +542,7 @@ func TestConflictDemotesEveryParty(t *testing.T) {
       Y(i) = 3.0
       END
 `, "S")
-	plan = Compute(proc, node, byName, noDelayed, nil, nil, nil)
+	plan = Compute(proc, ast.NewIndex(proc), node, byName, noDelayed, nil, nil, nil)
 	if len(plan.Delayed) != 0 {
 		t.Errorf("Delayed = %v, want none", plan.Delayed)
 	}

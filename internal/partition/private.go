@@ -206,9 +206,7 @@ func (p *Plan) adoptScalars(proc *ast.Procedure, distOf DistOf, fx *sideeffect.A
 	// reads calls fn with each distributed array the assignment reads
 	// and the pattern of its distributed subscript
 	reads := func(it *Item, fn func(array string, dist *decomp.Dist, sub SubPattern)) {
-		var refs []*ast.ArrayRef
-		collectRefs(it.Stmt.Rhs, &refs)
-		for _, ref := range refs {
+		for _, ref := range p.Index.RefsOf(it.At) { // a scalar's: the right-hand side's
 			if dist, ok := distOf(ref.Name, it.Stmt); ok && dist != nil && !dist.IsReplicated() && dist.DistDim() < len(ref.Subs) {
 				fn(ref.Name, dist, AnalyzeSub(ref.Subs[dist.DistDim()], env))
 			}

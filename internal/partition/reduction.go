@@ -10,11 +10,11 @@ import (
 //	s = s + term      s = term + s      s = s - term
 //	s = MAX(s, term)  s = MAX(term, s)  (and MIN)
 //
-// returning the accumulator name, the operation, and the term.
-func matchReduction(st *ast.Assign) (string, string, ast.Expr, bool) {
+// returning the accumulator name and the operation.
+func matchReduction(st *ast.Assign) (string, string, bool) {
 	lhs, ok := st.Lhs.(*ast.Ident)
 	if !ok {
-		return "", "", nil, false
+		return "", "", false
 	}
 	isS := func(e ast.Expr) bool {
 		id, ok := e.(*ast.Ident)
@@ -25,27 +25,27 @@ func matchReduction(st *ast.Assign) (string, string, ast.Expr, bool) {
 		switch rhs.Op {
 		case ast.OpAdd:
 			if isS(rhs.X) {
-				return lhs.Name, "+", rhs.Y, true
+				return lhs.Name, "+", true
 			}
 			if isS(rhs.Y) {
-				return lhs.Name, "+", rhs.X, true
+				return lhs.Name, "+", true
 			}
 		case ast.OpSub:
 			if isS(rhs.X) {
-				return lhs.Name, "+", rhs.Y, true // s = s - term accumulates too
+				return lhs.Name, "+", true // s = s - term accumulates too
 			}
 		}
 	case *ast.FuncCall:
 		if (rhs.Name == "MAX" || rhs.Name == "MIN") && len(rhs.Args) == 2 {
 			if isS(rhs.Args[0]) && !containsIdent(rhs.Args[1], lhs.Name) {
-				return lhs.Name, rhs.Name, rhs.Args[1], true
+				return lhs.Name, rhs.Name, true
 			}
 			if isS(rhs.Args[1]) && !containsIdent(rhs.Args[0], lhs.Name) {
-				return lhs.Name, rhs.Name, rhs.Args[0], true
+				return lhs.Name, rhs.Name, true
 			}
 		}
 	}
-	return "", "", nil, false
+	return "", "", false
 }
 
 // analyzeReduction decides whether a matched reduction can be
@@ -53,19 +53,20 @@ func matchReduction(st *ast.Assign) (string, string, ast.Expr, bool) {
 // by the same local loop variable in its distributed dimension (the
 // first such reference supplies the ownership constraint), and the
 // accumulator must not be referenced anywhere else in that loop.
-func analyzeReduction(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distOf DistOf, env ast.Env) *Item {
-	name, op, term, ok := matchReduction(st)
+func analyzeReduction(proc *ast.Procedure, ix *ast.Index, k int, distOf DistOf, env ast.Env) *Item {
+	st, nest := ix.Stmts[k].Stmt.(*ast.Assign), ix.Stmts[k].Nest
+	name, op, ok := matchReduction(st)
 	if !ok || len(nest) == 0 {
 		return nil
 	}
-	var refs []*ast.ArrayRef
-	collectRefs(term, &refs)
 	var c *Constraint
 	var loop *ast.Do
 	var firstSub SubPattern
 	var firstDist *decomp.Dist
 	firstDim := 0
-	for _, ref := range refs {
+	// the left-hand side is the accumulator, so the statement's
+	// references are the term's
+	for _, ref := range ix.RefsOf(k) {
 		dist, okD := distOf(ref.Name, st)
 		if !okD || dist == nil || dist.IsReplicated() {
 			continue
@@ -99,30 +100,25 @@ func analyzeReduction(proc *ast.Procedure, st *ast.Assign, nest []*ast.Do, distO
 	}
 	// the accumulator must appear exactly twice in the loop (its own
 	// lhs and rhs occurrence)
+	at := k
+	for ix.Stmts[at].Stmt != ast.Stmt(loop) {
+		at--
+	}
 	uses := 0
-	ast.WalkStmts(loop.Body, func(s ast.Stmt) bool {
-		for _, e := range ast.StmtExprs(s) {
+	for _, s := range ix.Stmts[at+1 : ix.Stmts[at].End] {
+		for _, e := range ast.StmtExprs(s.Stmt) {
 			uses += countIdent(e, name)
 		}
-		return true
-	})
+	}
 	if uses != 2 {
 		return nil
 	}
 	return &Item{
-		Stmt: st, Nest: append([]*ast.Do(nil), nest...),
+		Stmt: st, At: k, Nest: nest,
 		Dist: firstDist, DistDim: firstDim, Sub: firstSub,
 		Loop: loop, C: c,
 		Red: &Reduction{Var: name, Op: op},
 	}
-}
-
-func collectRefs(e ast.Expr, out *[]*ast.ArrayRef) {
-	ast.WalkExpr(e, func(e ast.Expr) {
-		if x, ok := e.(*ast.ArrayRef); ok {
-			*out = append(*out, x)
-		}
-	})
 }
 
 func containsIdent(e ast.Expr, name string) bool { return countIdent(e, name) > 0 }

@@ -135,6 +135,7 @@ func NewState(proc *ast.Procedure, reaching map[string]DSet) *State {
 		decompSpecs: map[string]decomp.Decomp{},
 		aligns:      map[string]alignInfo{},
 	}
+	top, rep := TopSet(), NewDSet(decomp.Replicated) // sets are shared
 	for _, sym := range proc.Symbols.Symbols() {
 		if sym.Kind != ast.SymArray {
 			continue
@@ -144,10 +145,10 @@ func NewState(proc *ast.Procedure, reaching map[string]DSet) *State {
 			if r, ok := reaching[sym.Name]; ok {
 				st.arr[sym.Name] = r
 			} else {
-				st.arr[sym.Name] = TopSet()
+				st.arr[sym.Name] = top
 			}
 		default:
-			st.arr[sym.Name] = NewDSet(decomp.Replicated)
+			st.arr[sym.Name] = rep
 		}
 	}
 	for name, set := range reaching {
@@ -198,17 +199,18 @@ func (st *State) Lookup(name string) DSet {
 }
 
 // Apply updates the state for one statement (directives change it,
-// everything else leaves it alone). Nested statements are NOT walked;
-// callers drive the traversal so that they can observe intermediate
-// states (the paper's "repeat the calculation of LocalReaching during
-// code generation").
-func (st *State) Apply(s ast.Stmt) {
+// everything else leaves it alone) and returns the arrays whose
+// decomposition it set. Nested statements are NOT walked; callers drive
+// the traversal so that they can observe intermediate states (the
+// paper's "repeat the calculation of LocalReaching during code
+// generation").
+func (st *State) Apply(s ast.Stmt) (set []string) {
 	switch d := s.(type) {
 	case *ast.Decomposition:
 		st.decompSpecs[d.Name] = decomp.Replicated
 	case *ast.Align:
 		st.aligns[d.Array] = alignInfo{target: d.Target, terms: d.Terms}
-		st.recomputeAligned(d.Array)
+		set = st.recomputeAligned(d.Array, set)
 	case *ast.Distribute:
 		// The target may be a DECOMPOSITION symbol or an array (arrays
 		// may be distributed — and serve as alignment targets —
@@ -217,20 +219,24 @@ func (st *State) Apply(s ast.Stmt) {
 		sym := st.proc.Symbols.Lookup(d.Target)
 		if sym == nil || sym.Kind != ast.SymDecomposition {
 			st.arr[d.Target] = NewDSet(decomp.NewDecomp(d.Specs...))
+			set = append(set, d.Target)
 		}
 		for arr, ai := range st.aligns {
 			if ai.target == d.Target {
-				st.recomputeAligned(arr)
+				set = st.recomputeAligned(arr, set)
 			}
 		}
 	}
+	return set
 }
 
-func (st *State) recomputeAligned(arr string) {
+// recomputeAligned sets arr's decomposition from its alignment target's,
+// if the target has one, and appends arr to set if it did.
+func (st *State) recomputeAligned(arr string, set []string) []string {
 	ai := st.aligns[arr]
 	target, ok := st.decompSpecs[ai.target]
 	if !ok {
-		return
+		return set
 	}
 	sym := st.proc.Symbols.Lookup(arr)
 	rank := 1
@@ -238,6 +244,7 @@ func (st *State) recomputeAligned(arr string) {
 		rank = sym.NumDims()
 	}
 	st.arr[arr] = NewDSet(decomp.ApplyAlign(ai.terms, target, rank))
+	return append(set, arr)
 }
 
 // WalkBody drives the state through a statement list, calling visit for

@@ -728,13 +728,18 @@ func (lw *lowerer) assign(st *ast.Assign) stmtFn {
 func (lw *lowerer) do(st *ast.Do) stmtFn {
 	lo, _ := lw.intExpr(st.Lo)
 	hi, _ := lw.intExpr(st.Hi)
-	step := intOperand{kind: intConst, k: 1}
+	step := intOperand{kind: intConst, k: 1, c: 1}
 	if st.Step != nil {
 		step, _ = lw.intExpr(st.Step)
 	}
 	// the closure captures the unit, not its name: a word less, which
 	// pays for cl and keeps a DO in its allocation size class
 	unit, slot := lw.unit, lw.slot(st.Var)
+	// an INTEGER index takes its parameters truncated, a REAL one rounded
+	conv := intOperand.eval
+	if lw.isIntExpr(&ast.Ident{Name: st.Var}) {
+		conv = intOperand.trunc
+	}
 	cl := lw.cursorLoop(st)
 	lw.walk = cl
 	body := lw.body(st.Body)
@@ -748,7 +753,7 @@ func (lw *lowerer) do(st *ast.Do) stmtFn {
 	}
 	return func(fr *frame) error {
 		nd := fr.nd
-		l, h, s := lo.eval(fr), hi.eval(fr), step.eval(fr)
+		l, h, s := conv(lo, fr), conv(hi, fr), conv(step, fr)
 		if nd.err != nil {
 			return nd.takeErr()
 		}

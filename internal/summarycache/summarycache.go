@@ -241,10 +241,13 @@ func unitDigest(u *ast.Procedure) string {
 }
 
 // Local is what the local pass of each whole-program phase derives from
-// one unit's text alone (§4), for propagation to read: its own side
-// effects, its section summary if it has no CALL (nil otherwise) and its
-// subscripts' constant offsets. Like an entry, it is never written.
+// one unit's text alone (§4), for propagation to read: the unit's index,
+// which every later pass reads its statements, references and
+// definitions from, its own side effects, its section summary if it has
+// no CALL (nil otherwise) and its subscripts' constant offsets. Like an
+// entry, it is never written.
 type Local struct {
+	Index       *ast.Index
 	Effects     *sideeffect.Summary
 	Sections    *comm.SectionSummary
 	Offsets     map[string]*overlap.Offsets
@@ -260,7 +263,8 @@ func (c *Cache) Local(u *ast.Procedure) (*Local, bool) {
 			return l, false
 		}
 	}
-	l := &Local{Effects: sideeffect.Own(u), Sections: comm.LocalSections(u), Offsets: overlap.LocalOffsets(u)}
+	ix := ast.NewIndex(u)
+	l := &Local{Index: ix, Effects: sideeffect.Own(u), Sections: comm.LocalSections(u, ix), Offsets: overlap.LocalOffsets(u, ix)}
 	l.SectionsKey = l.Sections.Key()
 	if c != nil && get(c, &c.digests, u) != "" {
 		put(c, &c.locals, u, l)

@@ -37,20 +37,16 @@ func Compute(g *acg.Graph, se *sideeffect.Analysis) Result {
 		if len(n.Callers) == 0 || proc.IsMain {
 			continue
 		}
-		assigned := assignedScalars(proc)
-		// interprocedural GMOD catches writes through callees precisely
-		if sum := se.Summaries[proc.Name]; sum != nil {
-			for name := range sum.Mod {
-				assigned[name] = true
-			}
-		}
+		// GMOD: what the procedure assigns, as a target or a DO index,
+		// and what its callees assign through its names
+		assigned := se.Summaries[proc.Name].Mod
 		env := res[proc.Name]
 		for i, formal := range proc.Params {
 			if _, isParam := env[formal]; isParam {
 				continue // PARAMETER shadows (should not happen)
 			}
 			sym := proc.Symbols.Lookup(formal)
-			if sym == nil || sym.Kind != ast.SymScalar || assigned[formal] {
+			if sym == nil || sym.Kind != ast.SymScalar || assigned.Has(formal) {
 				continue
 			}
 			val, ok := commonConstant(n, i, res)
@@ -81,23 +77,4 @@ func commonConstant(n *acg.Node, i int, res Result) (int, bool) {
 		val = v
 	}
 	return val, have
-}
-
-// assignedScalars collects the scalars a procedure writes directly
-// (assignments and loop indices); writes through callees are added
-// from the interprocedural GMOD summary by the caller of this helper.
-func assignedScalars(proc *ast.Procedure) map[string]bool {
-	out := map[string]bool{}
-	ast.WalkStmts(proc.Body, func(s ast.Stmt) bool {
-		switch st := s.(type) {
-		case *ast.Assign:
-			if id, ok := st.Lhs.(*ast.Ident); ok {
-				out[id.Name] = true
-			}
-		case *ast.Do:
-			out[st.Var] = true
-		}
-		return true
-	})
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,6 +132,97 @@ func TestDoIndexKeepsLastValue(t *testing.T) {
 		}
 		if got := res.Arrays["r"]; len(got) != 2 || got[0] != 17 || got[1] != 5 {
 			t.Errorf("%s: (i, j) after the loops = %v, want [17 5]\n%s", run.name, got, prog.Listing())
+		}
+	}
+}
+
+// TestDoStepReadIsCommunicated: a DO's step that reads a distributed
+// element is one of the statement's references, like its bounds, so
+// the owner broadcasts it before the loop; without the message every
+// other processor stepped by what it did not store.
+func TestDoStepReadIsCommunicated(t *testing.T) {
+	const src = `
+      PROGRAM STEPREAD
+      PARAMETER (n$proc = 4)
+      REAL x(100)
+      INTEGER k(100)
+      DISTRIBUTE x(BLOCK)
+      DISTRIBUTE k(BLOCK)
+      do i = 1, 100
+        k(i) = 3
+        x(i) = i
+      enddo
+      do i = 1, 95, k(90)
+        x(i) = x(i+5)
+      enddo
+      END
+`
+	for _, st := range digestStrategies {
+		for _, p := range []int{1, 3, 4} {
+			opts := DefaultOptions()
+			opts.Strategy, opts.P = st.s, p
+			prog, err := Compile(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(WithInit(RampInit(src)))
+			res, err := r.Run(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := r.RunReference(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(res.Arrays["x"], ref.Arrays["x"]); d != 0 {
+				t.Errorf("%s P=%d: x differs from the sequential reference by %g\n%s", st.name, p, d, prog.Listing())
+			}
+		}
+	}
+}
+
+// TestDoTruncatesRealBounds: F77 converts a DO's parameters to its
+// INTEGER index by truncation, so do i = 1, x with x = 2.9 runs twice
+// and do i = 1, .7 runs no iteration; rounding ran them three times and
+// once, on the compiled run and the reference.
+func TestDoTruncatesRealBounds(t *testing.T) {
+	const src = `
+      PROGRAM REALDO
+      PARAMETER (n$proc = 4)
+      REAL b(8)
+      DISTRIBUTE b(BLOCK)
+      do i = 1, 8
+        b(i) = 0.0
+      enddo
+      x = 2.9
+      do i = 1, x
+        b(i) = 5.0
+      enddo
+      do i = 1, .7
+        b(8) = 5.0
+      enddo
+      END
+`
+	want := []float64{5, 5, 0, 0, 0, 0, 0, 0}
+	for _, st := range digestStrategies {
+		opts := DefaultOptions()
+		opts.Strategy = st.s
+		prog, err := Compile(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner()
+		for _, run := range []struct {
+			name string
+			run  func(*Program) (*Result, error)
+		}{{"compiled", r.Run}, {"reference", r.RunReference}} {
+			res, err := run.run(prog)
+			if err != nil {
+				t.Fatalf("%s %s: %v", st.name, run.name, err)
+			}
+			if got := res.Arrays["b"]; !slices.Equal(got, want) {
+				t.Errorf("%s %s: b = %v, want %v\n%s", st.name, run.name, got, want, prog.Listing())
+			}
 		}
 	}
 }

@@ -374,13 +374,10 @@ func RampInit(src string) map[string][]float64 {
 		if sym.Kind != ast.SymArray {
 			continue
 		}
+		exts, okAll := sym.Extents(nil)
 		size := 1
-		okAll := true
-		for _, d := range sym.Dims {
-			lo, okLo := ast.EvalInt(d.Lo, nil)
-			hi, okHi := ast.EvalInt(d.Hi, nil)
-			ext := hi - lo + 1
-			if !okLo || !okHi || ext < 0 || ext > most || size*ext > most {
+		for _, ext := range exts {
+			if ext < 0 || ext > most || size*ext > most {
 				okAll = false
 				break
 			}
