@@ -348,7 +348,7 @@ rm -f "$FDD_BIN" /tmp/ci_fdd.log /tmp/ci_fdd_*
 # livedecomp copy of reach.State's alignment bookkeeping, paid for the
 # executor's truncation of a DO's parameters and the parser's rejection
 # of a declaration after a unit's first statement, and moved this step
-# to the end of the script: 25341 -> 25336, still failing here
+# to the end of the script: 25341 -> 25340, still failing here
 LOC_CEILING=24590
 LOC=$(make -s loc)
 test "$LOC" -le "$LOC_CEILING"

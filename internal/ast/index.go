@@ -1,5 +1,7 @@
 package ast
 
+import "fmt"
+
 // Index lists what one unit holds, once, in source order: every
 // statement with the DO loops around it, every array reference, every
 // scalar definition and every CALL. It is built from the unit's text
@@ -112,4 +114,15 @@ func (ix *Index) RefsOf(k int) []Ref {
 		end = ix.Stmts[k+1].refs
 	}
 	return ix.Refs[ix.Stmts[k].refs:end]
+}
+
+// RefsAt is RefsOf for a walk that counts the index's positions itself:
+// s must be the statement at k, or the walk has left the index's
+// preorder and RefsAt panics rather than hand it another statement's
+// references.
+func (ix *Index) RefsAt(k int, s Stmt) []Ref {
+	if ix.Stmts[k].Stmt != s {
+		panic(fmt.Sprintf("ast: line %d is not statement %d of the index", s.Pos().Line, k))
+	}
+	return ix.RefsOf(k)
 }

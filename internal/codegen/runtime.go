@@ -170,7 +170,7 @@ func (g *runtimeGen) assign(st *ast.Assign, k int) []ast.Stmt {
 	// one element message per distributed reference the right-hand side
 	// and then the left-hand side's subscripts read whose owner may
 	// differ from the computing processor
-	refs := g.ix.RefsOf(k)
+	refs := g.ix.RefsAt(k, st)
 	for _, lhs := range [2]bool{false, true} {
 		for _, r := range refs {
 			if r.Lhs != lhs || r.Write {

@@ -480,7 +480,7 @@ func (c *Compilation) procDists(proc *ast.Procedure, ix *ast.Index, env ast.Env,
 	// the walk visits each statement once, in the index's order
 	k := 0
 	st.WalkBody(proc.Body, func(s ast.Stmt, cur *reach.State) {
-		for _, ref := range ix.RefsOf(k) {
+		for _, ref := range ix.RefsAt(k, s) {
 			use(s, ref.Name, cur)
 		}
 		k++

@@ -17,27 +17,38 @@ import (
 	"fortd/internal/progen"
 )
 
-// agree runs src on Runner.RunReference, with opts, and on the F77
-// reference, both seeded with fortd.RampInit, and reports where their
-// main-program arrays differ (NaN equal to NaN). ok is false for a
-// program that does not compile, which has no reference run to compare,
-// for a node program in the generated dialect, which is not Fortran, and
-// for a run stopped by its deadline or statement budget.
-func agree(t *testing.T, name, src string, opts ...fortd.RunOption) (ok bool) {
+// agree runs src on Runner.RunReference and on the F77 reference, both
+// seeded with fortd.RampInit, and reports where their main-program
+// arrays differ (NaN equal to NaN). ok is false for a program that does
+// not compile, which has no reference run to compare, and for a node
+// program in the generated dialect, which is not Fortran. On the fixed
+// corpus (fuzz false) every other stop of the F77 run is an error to
+// compare, its budget and the constructs outside F77 included. A fuzz
+// input (fuzz true) runs RunReference within a deadline and the F77
+// reference within a smaller budget, and ok is also false where either
+// stopped or the input lies outside F77.
+func agree(t *testing.T, name, src string, fuzz bool) (ok bool) {
 	t.Helper()
 	prog, err := fortd.Compile(src, fortd.DefaultOptions())
 	if err != nil {
 		return false
 	}
 	init := fortd.RampInit(src)
-	ref, refErr := fortd.NewRunner(append(opts, fortd.WithInit(init))...).RunReference(prog)
+	opts, budget := []fortd.RunOption{fortd.WithInit(init)}, 50_000_000
+	if fuzz {
+		opts, budget = append(opts, fortd.WithDeadline(2*time.Second)), 2_000_000
+	}
+	ref, refErr := fortd.NewRunner(opts...).RunReference(prog)
 	parsed, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	got, err := Run(parsed, init)
+	got, err := Run(parsed, init, budget)
+	if errors.Is(err, errDialect) {
+		return false
+	}
 	var stopped *fortd.DeadlockError
-	if errors.Is(err, errNotF77) || errors.Is(err, errBudget) || errors.As(refErr, &stopped) && stopped.Deadline {
+	if fuzz && (errors.Is(err, errNotF77) || errors.Is(err, errBudget) || errors.As(refErr, &stopped) && stopped.Deadline) {
 		return false
 	}
 	if (err != nil) != (refErr != nil) {
@@ -73,7 +84,7 @@ func TestAgreesWithRunReference(t *testing.T) {
 			return err
 		}
 		b, err := os.ReadFile(path)
-		if err == nil && agree(t, path, string(b)) {
+		if err == nil && agree(t, path, string(b), false) {
 			compared++
 		}
 		return err
@@ -84,7 +95,7 @@ func TestAgreesWithRunReference(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		for _, temps := range []bool{false, true} {
 			g := &progen.Gen{Rng: rand.New(rand.NewSource(seed)), N: 24 + int(seed%3)*8, P: []int{3, 4, 6}[seed%3], Temps: temps}
-			if agree(t, fmt.Sprintf("progen/%02d temps=%v", seed, temps), g.Generate()) {
+			if agree(t, fmt.Sprintf("progen/%02d temps=%v", seed, temps), g.Generate(), false) {
 				compared++
 			}
 		}
@@ -97,7 +108,7 @@ func TestAgreesWithRunReference(t *testing.T) {
 
 // FuzzReference holds RunReference to Fortran 77 beyond the fixed
 // corpus: seeded with every testdata program, each input that compiles
-// runs both ways under agree's rules, RunReference within a deadline. A
+// runs both ways under agree's fuzz rules. A
 // program whose units declare more than a million elements of one array
 // is skipped, to keep the fuzzer's memory small.
 func FuzzReference(f *testing.F) {
@@ -128,7 +139,7 @@ func FuzzReference(f *testing.F) {
 				}
 			}
 		}
-		agree(t, "input", src, fortd.WithDeadline(2*time.Second))
+		agree(t, "input", src, true)
 	})
 }
 
@@ -157,12 +168,12 @@ func TestDoIndexKeepsLastValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(prog, nil)
+	got, err := Run(prog, nil, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := got["r"]; len(r) != 2 || r[0] != 17 || r[1] != 5 {
 		t.Errorf("(i, j) after the loops = %v, want [17 5]", r)
 	}
-	agree(t, "LASTV", src)
+	agree(t, "LASTV", src, false)
 }

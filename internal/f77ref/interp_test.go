@@ -54,21 +54,26 @@ type machine struct {
 var (
 	errReturn = errors.New("RETURN")
 	// errNotF77 marks a program outside the subset: a node program in
-	// the generated dialect (myproc, send, recv, ...), a local array
-	// bounded by variables, or the index of a running DO assigned.
+	// the generated dialect (errDialect), a local array bounded by
+	// variables, or the index of a running DO assigned.
 	errNotF77 = errors.New("not Fortran 77")
+	// errDialect marks a node program in the generated dialect (myproc,
+	// send, recv, ...), which is not Fortran at all.
+	errDialect = fmt.Errorf("the generated dialect: %w", errNotF77)
 	// errBudget stops a run that has executed its statement budget.
 	errBudget = errors.New("statement budget exhausted")
 )
 
 // Run executes prog's main program sequentially, its main-program
-// arrays seeded from init (row-major), and returns them.
-func Run(prog *ast.Program, init map[string][]float64) (map[string][]float64, error) {
+// arrays seeded from init (row-major), and returns them. A run that
+// executes more than budget statements and loop iterations stops with
+// errBudget.
+func Run(prog *ast.Program, init map[string][]float64, budget int) (map[string][]float64, error) {
 	main := prog.Main()
 	if main == nil {
 		return nil, fmt.Errorf("no main program")
 	}
-	m := &machine{prog: prog, commons: map[string][]any{}, steps: 2_000_000}
+	m := &machine{prog: prog, commons: map[string][]any{}, steps: budget}
 	f, err := m.enter(main, nil)
 	if err != nil {
 		return nil, err
@@ -221,7 +226,7 @@ func (m *machine) stmt(f *frame, s ast.Stmt) error {
 	case *ast.Decomposition, *ast.Align, *ast.Distribute:
 		// Fortran D directives: no Fortran meaning
 	default:
-		return fmt.Errorf("%s: statement %T: %w", f.unit.Name, s, errNotF77)
+		return fmt.Errorf("%s: statement %T: %w", f.unit.Name, s, errDialect)
 	}
 	return nil
 }
@@ -527,5 +532,5 @@ func intrinsic(f *frame, name string, args []float64) (float64, error) {
 	case "G", "g":
 		return 0.25*args[0] + 2.0, nil
 	}
-	return 0, fmt.Errorf("%s: function %s: %w", f.unit.Name, name, errNotF77)
+	return 0, fmt.Errorf("%s: function %s: %w", f.unit.Name, name, errDialect)
 }

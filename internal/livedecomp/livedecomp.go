@@ -374,13 +374,14 @@ func buildEvents(
 	var walk func(body []ast.Stmt)
 	walk = func(body []ast.Stmt) {
 		for _, s := range body {
+			refs := ix.RefsAt(next, s)
+			next++
 			// a CALL's arrays are used by the callee, under its summary
 			if _, call := s.(*ast.Call); !call {
-				for _, ref := range ix.RefsOf(next) {
+				for _, ref := range refs {
 					addUse(ref.Name, s, false)
 				}
 			}
-			next++
 			switch st := s.(type) {
 			case *ast.Do:
 				events = append(events, &event{kind: evLoopBegin, loop: st})

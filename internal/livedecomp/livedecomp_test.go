@@ -249,6 +249,49 @@ func TestNoDynamicDecompNoRemaps(t *testing.T) {
 	}
 }
 
+// TestAlignBeforeDistribute: an ALIGN with a DECOMPOSITION that no
+// DISTRIBUTE has reached yet gives the array no layout, so a formal
+// whose DISTRIBUTE then restores its entry layout is neither killed nor
+// remapped.
+func TestAlignBeforeDistribute(t *testing.T) {
+	src := `
+      PROGRAM P
+      REAL X(100)
+      DISTRIBUTE X(BLOCK)
+      call S(X)
+      END
+      SUBROUTINE S(X)
+      REAL X(100)
+      do i = 1,100
+        X(i) = X(i) + 1.0
+      enddo
+      DECOMPOSITION D(100)
+      ALIGN X(i) WITH D(i)
+      DISTRIBUTE D(BLOCK)
+      do i = 1,100
+        X(i) = X(i) + 1.0
+      enddo
+      END
+`
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := acg.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.Nodes["S"]
+	entry := map[string]decomp.Decomp{"X": decomp.NewDecomp(decomp.Block)}
+	place, sum := Analyze(n.Proc, ast.NewIndex(n.Proc), n, entry, map[string]*Summary{}, nil, OptKills, nil)
+	if len(sum.Kill) != 0 || place.Count() != 0 {
+		t.Errorf("DecompKill(S) = %v, %d remaps; want none", sum.Kill, place.Count())
+	}
+	if !sum.Use["X"] {
+		t.Errorf("DecompUse(S) = %v, want {X}", sum.Use)
+	}
+}
+
 // TestConditionalRemapNotOptimized: a remap under IF stays where its
 // DISTRIBUTE stood, and moves data: the loop after the IF sees X BLOCK
 // on one edge of the IF and CYCLIC on the other, and it reads X.

@@ -114,7 +114,7 @@ type parser struct {
 	pos   int
 	unit  *ast.Procedure
 	whole bool // the expression is a CALL's actual: an array may be named whole
-	body  bool // the unit has a statement, so a type declaration is too late
+	body  bool // the unit has an executable statement, so a type declaration is too late
 }
 
 func (p *parser) at(k lexer.Kind) bool { return p.toks[p.pos].Kind == k }
@@ -280,10 +280,15 @@ func (p *parser) parseStmts(terminators ...string) ([]ast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s != nil {
+		switch s.(type) {
+		case nil:
+			continue
+		case *ast.Decomposition, *ast.Align, *ast.Distribute:
+			// Fortran D directives may come before the declarations
+		default:
 			p.body = true
-			out = append(out, s)
 		}
+		out = append(out, s)
 	}
 }
 

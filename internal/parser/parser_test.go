@@ -345,6 +345,16 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("no error for %q", src)
 		}
 	}
+	// Fortran D's directives are declarations: a type declaration may
+	// follow them
+	for _, src := range []string{
+		"PROGRAM P\nDECOMPOSITION D(8)\nREAL X(8)\nEND",
+		"PROGRAM P\nDECOMPOSITION D(8)\nALIGN X WITH D\nDISTRIBUTE D(BLOCK)\nREAL X(8)\nEND",
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
 }
 
 // TestArrayUsedAsScalar: the parser records the first array a unit

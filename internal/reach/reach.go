@@ -199,8 +199,9 @@ func (st *State) Lookup(name string) DSet {
 }
 
 // Apply updates the state for one statement (directives change it,
-// everything else leaves it alone) and returns the arrays whose
-// decomposition it set. Nested statements are NOT walked; callers drive
+// everything else leaves it alone) and returns the arrays it gave a
+// distribution: an array aligned with a DECOMPOSITION not yet
+// distributed is replicated in the state but not returned. Nested statements are NOT walked; callers drive
 // the traversal so that they can observe intermediate states (the
 // paper's "repeat the calculation of LocalReaching during code
 // generation").
@@ -231,7 +232,8 @@ func (st *State) Apply(s ast.Stmt) (set []string) {
 }
 
 // recomputeAligned sets arr's decomposition from its alignment target's,
-// if the target has one, and appends arr to set if it did.
+// if the target has one, and appends arr to set if the target is
+// distributed.
 func (st *State) recomputeAligned(arr string, set []string) []string {
 	ai := st.aligns[arr]
 	target, ok := st.decompSpecs[ai.target]
@@ -244,6 +246,9 @@ func (st *State) recomputeAligned(arr string, set []string) []string {
 		rank = sym.NumDims()
 	}
 	st.arr[arr] = NewDSet(decomp.ApplyAlign(ai.terms, target, rank))
+	if len(target.Specs) == 0 { // a DECOMPOSITION no DISTRIBUTE has reached
+		return set
+	}
 	return append(set, arr)
 }
 

@@ -70,7 +70,7 @@ type intOperand struct {
 	kind intKind
 	slot int
 	k    int     // intConst; for a cursor loop's index ± constant subscript, the constant (cursor.go)
-	c    float64 // intLocalPlus, intFnPlus: added to the value before rounding; intConst: the value
+	c    float64 // intLocalPlus, intFnPlus: added to the value before rounding
 	fn   exprFn
 }
 
@@ -96,22 +96,6 @@ func (o intOperand) eval(fr *frame) int {
 		return roundInt(o.fn(fr) + o.c)
 	}
 	return roundInt(o.fn(fr))
-}
-
-// trunc is eval truncating toward zero, as F77 converts a DO parameter
-// to an INTEGER index.
-func (o intOperand) trunc(fr *frame) int {
-	switch o.kind {
-	case intConst:
-		return int(o.c)
-	case intLocal:
-		return int(fr.vals[o.slot])
-	case intLocalPlus:
-		return int(fr.vals[o.slot] + o.c)
-	case intFnPlus:
-		return int(o.fn(fr) + o.c)
-	}
-	return int(o.fn(fr))
 }
 
 // roundInt is int(math.Round(v)) with a fast path for the values that
@@ -147,7 +131,7 @@ func (lw *lowerer) intExpr(e ast.Expr) (intOperand, int) {
 	}
 	switch o.kind {
 	case opConst:
-		return intOperand{kind: intConst, k: roundInt(o.c), c: o.c}, ops
+		return intOperand{kind: intConst, k: roundInt(o.c)}, ops
 	case opLocal:
 		return intOperand{kind: intLocal, slot: o.slot}, ops
 	}

@@ -726,20 +726,17 @@ func (lw *lowerer) assign(st *ast.Assign) stmtFn {
 // (cursor.go): the loop itself, its abort polling and the statements'
 // flop charges are the same either way.
 func (lw *lowerer) do(st *ast.Do) stmtFn {
-	lo, _ := lw.intExpr(st.Lo)
-	hi, _ := lw.intExpr(st.Hi)
-	step := intOperand{kind: intConst, k: 1, c: 1}
+	// the parameters are truncated toward zero, as F77 converts them to
+	// an INTEGER index
+	lo, _ := lw.expr(st.Lo)
+	hi, _ := lw.expr(st.Hi)
+	step := constant(1)
 	if st.Step != nil {
-		step, _ = lw.intExpr(st.Step)
+		step, _ = lw.expr(st.Step)
 	}
 	// the closure captures the unit, not its name: a word less, which
 	// pays for cl and keeps a DO in its allocation size class
 	unit, slot := lw.unit, lw.slot(st.Var)
-	// an INTEGER index takes its parameters truncated, a REAL one rounded
-	conv := intOperand.eval
-	if lw.isIntExpr(&ast.Ident{Name: st.Var}) {
-		conv = intOperand.trunc
-	}
 	cl := lw.cursorLoop(st)
 	lw.walk = cl
 	body := lw.body(st.Body)
@@ -753,7 +750,7 @@ func (lw *lowerer) do(st *ast.Do) stmtFn {
 	}
 	return func(fr *frame) error {
 		nd := fr.nd
-		l, h, s := conv(lo, fr), conv(hi, fr), conv(step, fr)
+		l, h, s := int(lo.eval(fr)), int(hi.eval(fr)), int(step.eval(fr))
 		if nd.err != nil {
 			return nd.takeErr()
 		}

@@ -259,20 +259,22 @@ func (it *treeInterp) exec(f *treeFrame, s ast.Stmt) error {
 		return nil
 
 	case *ast.Do:
-		lo, err := it.evalInt(f, st.Lo)
+		flo, err := it.eval(f, st.Lo)
 		if err != nil {
 			return err
 		}
-		hi, err := it.evalInt(f, st.Hi)
+		fhi, err := it.eval(f, st.Hi)
 		if err != nil {
 			return err
 		}
-		step := 1
+		fstep := 1.0
 		if st.Step != nil {
-			if step, err = it.evalInt(f, st.Step); err != nil {
+			if fstep, err = it.eval(f, st.Step); err != nil {
 				return err
 			}
 		}
+		// F77 truncates the parameters to an INTEGER index
+		lo, hi, step := int(flo), int(fhi), int(fstep)
 		if step == 0 {
 			return fmt.Errorf("%s: zero loop step", f.unit.Name)
 		}

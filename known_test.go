@@ -184,7 +184,8 @@ func TestDoStepReadIsCommunicated(t *testing.T) {
 // TestDoTruncatesRealBounds: F77 converts a DO's parameters to its
 // INTEGER index by truncation, so do i = 1, x with x = 2.9 runs twice
 // and do i = 1, .7 runs no iteration; rounding ran them three times and
-// once, on the compiled run and the reference.
+// once, on the compiled run and the reference. A REAL index counts
+// INT((hi − lo + s)/s) iterations, so do t = 1, x runs twice as well.
 func TestDoTruncatesRealBounds(t *testing.T) {
 	const src = `
       PROGRAM REALDO
@@ -201,9 +202,12 @@ func TestDoTruncatesRealBounds(t *testing.T) {
       do i = 1, .7
         b(8) = 5.0
       enddo
+      do t = 1, x
+        b(7) = b(7) + 1.0
+      enddo
       END
 `
-	want := []float64{5, 5, 0, 0, 0, 0, 0, 0}
+	want := []float64{5, 5, 0, 0, 0, 0, 2, 0}
 	for _, st := range digestStrategies {
 		opts := DefaultOptions()
 		opts.Strategy = st.s
