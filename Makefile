@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race loc bench bench-exec bench-compile bench-run bench-compare golden overlap fuzz report serve load
+.PHONY: check test race loc loc-pkgs bench bench-exec bench-compile bench-run bench-compare golden overlap fuzz report serve load
 
 check: ## build + vet + race tests + fuzz smoke + trace-overhead guard
 	./ci.sh
@@ -13,6 +13,10 @@ race: ## tests under the race detector (the parallel compile lane)
 
 loc: ## non-blank lines of non-test Go outside bench/ (ROADMAP item 6 tracks it; ci.sh holds it to a ceiling)
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs grep -v '^\s*$$' | wc -l
+
+loc-pkgs: ## make loc's total, then its figure per package directory, largest first
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs grep -cvH '^\s*$$' | \
+		awk -F: '{ d = $$1; sub(/\/[^\/]*$$/, "", d); n[d] += $$2; t += $$2 } END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k1,1nr -k2
 
 bench: ## the root package's go benchmarks (the repository benchmark is bench-run / bench-compare)
 	$(GO) test -run '^$$' -bench . -benchtime 10x .

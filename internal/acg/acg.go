@@ -119,6 +119,14 @@ func Build(prog *ast.Program) (*Graph, error) {
 		}
 		caller := g.Nodes[u.Name]
 		ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+			// the parser reads any name(...) = as an array element
+			if asg, ok := s.(*ast.Assign); ok && err == nil {
+				if ref, ok := asg.Lhs.(*ast.ArrayRef); ok {
+					if sym := u.Symbols.Lookup(ref.Name); sym == nil || sym.Kind != ast.SymArray {
+						err = errAt(u, asg.Pos().Line, "%s is assigned an element but is not a declared array", ref.Name)
+					}
+				}
+			}
 			st, ok := s.(*ast.Call)
 			if !ok || err != nil {
 				return err == nil

@@ -12,21 +12,35 @@ import (
 
 func myP() ast.Expr { return ast.Id(partition.MyP) }
 
-// emitAccess generates the message statements for one locally-placed
-// nonlocal reference.
+// emitAccess generates the message statements for one placed message:
+// a nonlocal reference's, or a callee's instantiated at a call.
 func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
+	if acc.Site != nil && slices.Contains(acc.Section.Dims, comm.UnknownExtent) {
+		return nil, errUnsupported("section %s of %s has no declared extent", acc.Section, acc.Array)
+	}
 	var sec []ast.SecDim
 	sec, acc.Widened = acc.Sec(in.Proc, in.Plan.Index, in.Env, acc.Pipelined)
-	switch acc.Kind {
+	kind, dim := acc.Kind, acc.DistDim
+	if kind == comm.KShift && (dim < 0 || acc.Dist.Specs[dim].Kind != ast.DistBlock) {
+		kind = comm.KGather // a callee's shift on a layout that is not BLOCK here
+	}
+	switch kind {
 	case comm.KShift:
-		return emitShift(acc.Array, acc.Dist, acc.DistDim, acc.Shift, sec)
+		return emitShift(acc.Array, acc.Dist, dim, acc.Shift, sec)
 	case comm.KPoint:
 		point := ast.CloneExpr(acc.Point)
-		sec[acc.DistDim] = ast.SecDim{Lo: point, Hi: ast.CloneExpr(point)}
+		if dim >= 0 && dim < len(sec) {
+			sec[dim] = ast.SecDim{Lo: point, Hi: ast.CloneExpr(point)}
+		}
 		bc := &ast.Broadcast{Array: acc.Array, Sec: sec, Root: partition.OwnerExpr(acc.Dist, ast.CloneExpr(point))}
-		// placed inside AtLoop, or above the whole nest
+		// placed inside AtLoop, or above the whole nest; a callee's
+		// before its loops or at the call serves no loop
+		var loops []*ast.Do
+		if acc.Site == nil || acc.AtLoop != nil {
+			loops = acc.Nest[slices.Index(acc.Nest, acc.AtLoop)+1:]
+		}
 		var to *decomp.Dist
-		bc.To, to, acc.NoTo = receivers(in, acc.Nest[slices.Index(acc.Nest, acc.AtLoop)+1:], acc.Array)
+		bc.To, to, acc.NoTo = receivers(in, loops, acc.Array)
 		acc.Ring, acc.NoRing = ring(in, acc.AtLoop, acc.Dist, point, bc.To, to, acc.NoTo)
 		return []ast.Stmt{bc}, nil
 	case comm.KGather:
@@ -35,49 +49,7 @@ func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
 	return nil, nil
 }
 
-// emitCallComm generates messages for a delayed communication
-// instantiated at a call site.
-func emitCallComm(in *Input, cc *comm.CallComm) ([]ast.Stmt, error) {
-	sec := make([]ast.SecDim, len(cc.Section.Dims))
-	for d, dim := range cc.Section.Dims {
-		if dim == comm.UnknownExtent {
-			return nil, errUnsupported("section %s of %s has no declared extent", cc.Section, cc.Array)
-		}
-		sec[d] = comm.RSDSecDim(dim)
-	}
-	kind := cc.D.Kind
-	dim := cc.Dist.DistDim()
-	if kind == comm.KShift && (dim < 0 || cc.Dist.Specs[dim].Kind != ast.DistBlock) {
-		kind = comm.KGather // shift emission is block-specific
-	}
-	switch kind {
-	case comm.KShift:
-		return emitShift(cc.Array, cc.Dist, dim, cc.D.Shift, sec)
-	case comm.KPoint:
-		var point ast.Expr
-		if cc.PointVar != "" {
-			point = ast.Add(ast.Id(cc.PointVar), ast.Int(cc.PointOff))
-		} else {
-			point = ast.Int(cc.PointOff)
-		}
-		if dim >= 0 && dim < len(sec) {
-			sec[dim] = ast.SecDim{Lo: ast.CloneExpr(point), Hi: ast.CloneExpr(point)}
-		}
-		bc := &ast.Broadcast{Array: cc.Array, Sec: sec, Root: partition.OwnerExpr(cc.Dist, point)}
-		var loops []*ast.Do // placed inside AtLoop, or at the call
-		if cc.AtLoop != nil {
-			loops = cc.Nest[slices.Index(cc.Nest, cc.AtLoop)+1:]
-		}
-		var to *decomp.Dist
-		bc.To, to, cc.NoTo = receivers(in, loops, cc.Array)
-		cc.Ring, cc.NoRing = ring(in, cc.AtLoop, cc.Dist, point, bc.To, to, cc.NoTo)
-		return []ast.Stmt{bc}, nil
-	default:
-		return []ast.Stmt{&ast.AllGather{Array: cc.Array, Sec: sec}}, nil
-	}
-}
-
-// Why a broadcast reaches every processor (Access.NoTo, CallComm.NoTo).
+// Why a broadcast reaches every processor (Access.NoTo).
 const (
 	whyToNoLoop     = "no loop lies between the message and its reference"
 	whyToReplicated = "the loop it is placed before runs every iteration on every processor"

@@ -461,10 +461,10 @@ func TestInstantiateVectorizesAtCaller(t *testing.T) {
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	for _, caller := range []string{"P1", "S"} {
 		res := analyzeWithDelayed(t, f, caller, distOf, d)
-		if len(res.CallComms) != 1 {
-			t.Fatalf("%s: call comms = %v", caller, res.CallComms)
+		if len(callComms(res)) != 1 {
+			t.Fatalf("%s: call comms = %v", caller, callComms(res))
 		}
-		cc := res.CallComms[0]
+		cc := callComms(res)[0]
 		if cc.Delay || cc.AtLoop != nil || cc.BeforeLoop == nil {
 			t.Fatalf("%s: placement = %+v, want hoisted before the i loop", caller, cc)
 		}
@@ -501,11 +501,11 @@ func TestInstantiateCarriedStaysInLoop(t *testing.T) {
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Block, decomp.Collapsed), []int{100, 100}, 4)
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	res := analyzeWithDelayed(t, f, "P1", distOf, d)
-	if len(res.CallComms) != 1 {
-		t.Fatalf("call comms = %v", res.CallComms)
+	if len(callComms(res)) != 1 {
+		t.Fatalf("call comms = %v", callComms(res))
 	}
-	if res.CallComms[0].AtLoop == nil {
-		t.Errorf("carried dependence must pin the message in the loop: %+v", res.CallComms[0])
+	if callComms(res)[0].AtLoop == nil {
+		t.Errorf("carried dependence must pin the message in the loop: %+v", callComms(res)[0])
 	}
 }
 
@@ -540,10 +540,10 @@ func TestInstantiateHalfAnchoredStaysInLoop(t *testing.T) {
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Block), []int{64}, 4)
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	res := analyzeWithDelayed(t, f, "P1", distOf, d)
-	if len(res.CallComms) != 1 {
-		t.Fatalf("call comms = %v", res.CallComms)
+	if len(callComms(res)) != 1 {
+		t.Fatalf("call comms = %v", callComms(res))
 	}
-	if cc := res.CallComms[0]; cc.AtLoop == nil || cc.AtLoop.Var != "k" {
+	if cc := callComms(res)[0]; cc.AtLoop == nil || cc.AtLoop.Var != "k" {
 		t.Errorf("placement = %+v, want inside the k loop", cc)
 	}
 }
@@ -578,11 +578,11 @@ func TestInstantiateAnchorsOnlyAtFixedScalars(t *testing.T) {
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{12, 12}, 4)
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	res := analyzeWithDelayed(t, f, "ELIM", distOf, d)
-	if len(res.CallComms) != 2 {
-		t.Fatalf("call comms = %v", res.CallComms)
+	if len(callComms(res)) != 2 {
+		t.Fatalf("call comms = %v", callComms(res))
 	}
 	for i, want := range []string{"a[1:12,k]", "a[k+1:n,k]"} {
-		if cc := res.CallComms[i]; cc.Section.String() != want || cc.AtLoop == nil || cc.AtLoop.Var != "k" {
+		if cc := callComms(res)[i]; cc.Section.String() != want || cc.AtLoop == nil || cc.AtLoop.Var != "k" {
 			t.Errorf("call %d: section %v at %+v, want %s at the k loop", i+1, cc.Section, cc.AtLoop, want)
 		}
 	}
@@ -611,8 +611,8 @@ func TestInstantiateReDelays(t *testing.T) {
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Block, decomp.Collapsed), []int{100, 100}, 4)
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	res := analyzeWithDelayed(t, f, "MID", distOf, d)
-	if len(res.CallComms) != 1 || !res.CallComms[0].Delay {
-		t.Fatalf("expected re-delay: %+v", res.CallComms)
+	if len(callComms(res)) != 1 || !callComms(res)[0].Delay {
+		t.Fatalf("expected re-delay: %+v", callComms(res))
 	}
 	if len(res.Delayed) != 1 {
 		t.Fatalf("delayed = %v", res.Delayed)
@@ -674,10 +674,10 @@ func TestInstantiatePointAtDefiningLoop(t *testing.T) {
 	dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{100, 100}, 4)
 	distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
 	res := analyzeWithDelayed(t, f, "P1", distOf, d)
-	if len(res.CallComms) != 1 {
-		t.Fatalf("call comms = %v", res.CallComms)
+	if len(callComms(res)) != 1 {
+		t.Fatalf("call comms = %v", callComms(res))
 	}
-	cc := res.CallComms[0]
+	cc := callComms(res)[0]
 	if cc.AtLoop == nil || cc.AtLoop.Var != "k" {
 		t.Errorf("broadcast must pin to the k loop: %+v", cc)
 	}
@@ -690,4 +690,15 @@ func TestInstantiatePointAtDefiningLoop(t *testing.T) {
 func localSections(u *ast.Procedure) (*SectionSummary, *ast.Index) {
 	ix := ast.NewIndex(u)
 	return LocalSections(u, ix), ix
+}
+
+// callComms returns the messages res instantiated from callees.
+func callComms(res *Result) []*Access {
+	var out []*Access
+	for _, acc := range res.Accesses {
+		if acc.Site != nil {
+			out = append(out, acc)
+		}
+	}
+	return out
 }

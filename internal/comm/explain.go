@@ -20,24 +20,30 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 		ex.Add(explain.Remark{Kind: kind, Pass: "comm", Proc: procName, Line: line, Name: name, Msg: fmt.Sprintf(format, args...)})
 	}
 	for _, acc := range res.Accesses {
-		line := acc.Stmt.Pos().Line
+		// a callee's message is worded by the callee, at its call
+		line, what := acc.Stmt.Pos().Line, fmt.Sprintf("%s of %s %s", acc.Kind, acc.Array, acc.Section)
+		delayed, perIter := "%s delayed to callers (delayed instantiation): %s", "%s vectorized into one section message per iteration of loop %s: %s"
+		if acc.Site != nil {
+			what = fmt.Sprintf("%s for callee %s (%s %s)", acc.Kind, acc.Site.Callee.Name(), acc.Array, acc.Section)
+			delayed, perIter = "%s re-delayed to this procedure's callers: %s", "%s vectorized at caller level: one section message per iteration of loop %s (%s)"
+		}
 		switch {
 		case acc.Delay:
-			add(explain.Applied, line, "delay", "%s of %s %s delayed to callers (delayed instantiation): %s",
-				acc.Kind, acc.Array, acc.Section, acc.Why)
+			add(explain.Applied, line, "delay", delayed, what, acc.Why)
 		case acc.AtLoop != nil && acc.Why == WhyOwnerVaries:
 			// still a vectorized section message; the per-iteration
 			// placement is forced by the rotating owner, not a
 			// vectorization failure
-			add(explain.Applied, line, "vectorize", "%s of %s %s vectorized into one section message per iteration of loop %s: %s",
-				acc.Kind, acc.Array, acc.Section, acc.AtLoop.Var, acc.Why)
+			add(explain.Applied, line, "vectorize", perIter, what, acc.AtLoop.Var, acc.Why)
 		case acc.Pipelined:
 		case acc.AtLoop != nil:
-			add(explain.Missed, line, "vectorize", "%s of %s %s placed inside loop %s (one message per iteration): %s",
-				acc.Kind, acc.Array, acc.Section, acc.AtLoop.Var, acc.Why)
+			add(explain.Missed, line, "vectorize", "%s placed inside loop %s (one message per iteration): %s", what, acc.AtLoop.Var, acc.Why)
+		case acc.BeforeLoop != nil:
+			add(explain.Applied, line, "vectorize", "%s vectorized at caller level: one message hoisted before loop %s", what, acc.BeforeLoop.Var)
+		case acc.Site != nil:
+			add(explain.Applied, line, "instantiate", "%s instantiated at the call site", what)
 		default:
-			add(explain.Applied, line, "vectorize", "%s of %s %s fully vectorized: hoisted above the loop nest",
-				acc.Kind, acc.Array, acc.Section)
+			add(explain.Applied, line, "vectorize", "%s fully vectorized: hoisted above the loop nest", what)
 		}
 		if acc.Pipelined || acc.NoPipe != "" {
 			ex.Add(pipeRemark(procName, line, acc.AtLoop, acc.Array, acc.Shift, acc.NoPipe))
@@ -54,36 +60,6 @@ func Explain(ex *explain.Collector, procName string, res *Result) {
 		if lhs := acc.Against; lhs != nil {
 			add(explain.Missed, line, "align", "%s is not aligned with the assigned array: extent %d in blocks of %d against extent %d in blocks of %d, so the same subscript has another owner and the reference is resolved as a %s",
 				acc.Array, acc.Dist.Sizes[acc.DistDim], acc.Dist.BlockSize(), lhs.Sizes[lhs.DistDim()], lhs.BlockSize(), acc.Kind)
-		}
-	}
-	for _, cc := range res.CallComms {
-		line, callee := cc.Site.Pos().Line, cc.Site.Callee.Name()
-		switch {
-		case cc.Delay:
-			add(explain.Applied, line, "delay", "%s for callee %s (%s %s) re-delayed to this procedure's callers: %s",
-				cc.D.Kind, callee, cc.Array, cc.Section, cc.Why)
-		case cc.AtLoop != nil && cc.Why == WhyOwnerVaries:
-			add(explain.Applied, line, "vectorize", "%s for callee %s (%s %s) vectorized at caller level: one section message per iteration of loop %s (%s)",
-				cc.D.Kind, callee, cc.Array, cc.Section, cc.AtLoop.Var, cc.Why)
-		case cc.Pipelined:
-		case cc.AtLoop != nil:
-			add(explain.Missed, line, "vectorize", "%s for callee %s (%s %s) placed inside loop %s (one message per iteration): %s",
-				cc.D.Kind, callee, cc.Array, cc.Section, cc.AtLoop.Var, cc.Why)
-		case cc.BeforeLoop != nil:
-			add(explain.Applied, line, "vectorize", "%s for callee %s (%s %s) vectorized at caller level: one message hoisted before loop %s",
-				cc.D.Kind, callee, cc.Array, cc.Section, cc.BeforeLoop.Var)
-		default:
-			add(explain.Applied, line, "instantiate", "%s for callee %s (%s %s) instantiated at the call site",
-				cc.D.Kind, callee, cc.Array, cc.Section)
-		}
-		if cc.Pipelined || cc.NoPipe != "" {
-			ex.Add(pipeRemark(procName, line, cc.AtLoop, cc.Array, cc.D.Shift, cc.NoPipe))
-		}
-		if cc.NoTo != "" {
-			ex.Add(toRemark(procName, line, cc.Array, cc.Section.String(), cc.NoTo))
-		}
-		if cc.Ring || cc.NoRing != "" {
-			ex.Add(ringRemark(procName, line, cc.Array, cc.Section.String(), cc.NoRing))
 		}
 	}
 }

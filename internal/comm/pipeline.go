@@ -10,7 +10,7 @@ import (
 )
 
 // Why a shift carried by the loop that partitions its statement stays
-// inside that loop (Access.NoPipe, CallComm.NoPipe).
+// inside that loop (Access.NoPipe).
 const (
 	WhyPipeNotBlock = "the dimension is not BLOCK-distributed, so the nonlocal cells are not one neighbour's boundary"
 	WhyPipeWide     = "the shift reaches past the neighbouring block"
@@ -89,50 +89,37 @@ func pipeline(proc *ast.Procedure, res *Result, plan *partition.Plan, items map[
 		return ""
 	}
 	for _, acc := range res.Accesses {
-		if acc.Delay || acc.AtLoop == nil {
+		switch {
+		case acc.AtCall():
+			inside(acc.Nest)
+			continue
+		case acc.Delay || acc.AtLoop == nil:
 			continue
 		}
 		inside(acc.Nest[:slices.Index(acc.Nest, acc.AtLoop)+1])
-		// a candidate is indexed by its statement's partition variable
-		// (Shift is set for nothing else) and carried by the loop binding it
-		asg, _ := acc.Stmt.(*ast.Assign)
-		if it := items[asg]; acc.Shift != 0 && partition.LoopFor(acc.Nest, it.Sub.Var) == acc.AtLoop {
-			sec, _ := acc.Sec(proc, plan.Index, env, true)
-			acc.NoPipe = why(acc.Dist, acc.Shift, acc.AtLoop, sec, acc.Why == WhySameIter)
-			acc.Pipelined = acc.NoPipe == ""
-		}
-	}
-	for _, cc := range res.CallComms {
-		dim := cc.Dist.DistDim()
-		switch {
-		case cc.Delay:
-		case cc.AtLoop != nil:
-			inside(cc.Nest[:slices.Index(cc.Nest, cc.AtLoop)+1])
-			if cc.D.Shift != 0 && dim >= 0 && cc.Section.Dims[dim].Anchors(cc.AtLoop.Var) {
-				sec := make([]ast.SecDim, len(cc.Section.Dims))
-				for d, sd := range cc.Section.Dims {
-					sec[d] = RSDSecDim(sd)
-				}
-				sec[dim] = ast.SecDim{}
-				if cc.NoPipe = WhyPipeNotShift; cc.D.Kind == KShift {
-					cc.NoPipe = why(cc.Dist, cc.D.Shift, cc.AtLoop, sec, false)
-				}
-				cc.Pipelined = cc.NoPipe == ""
-			}
-		case cc.BeforeLoop != nil:
-			inside(cc.Nest[:slices.Index(cc.Nest, cc.BeforeLoop)])
+		// a candidate is carried by the loop it is placed in: a local one
+		// is indexed by its statement's partition variable (Shift is set
+		// for nothing else) and that loop binds it; a callee's section
+		// is anchored at that loop in the distributed dimension
+		carried := false
+		switch asg, _ := acc.Stmt.(*ast.Assign); {
+		case acc.Shift == 0:
+		case acc.Site != nil:
+			carried = acc.DistDim >= 0 && acc.Section.Dims[acc.DistDim].Anchors(acc.AtLoop.Var)
 		default:
-			inside(cc.Nest) // at the call
+			carried = partition.LoopFor(acc.Nest, items[asg].Sub.Var) == acc.AtLoop
+		}
+		if carried {
+			sec, _ := acc.Sec(proc, plan.Index, env, true)
+			if acc.NoPipe = WhyPipeNotShift; acc.Site == nil || acc.Kind == KShift {
+				acc.NoPipe = why(acc.Dist, acc.Shift, acc.AtLoop, sec, acc.Why == WhySameIter)
+			}
+			acc.Pipelined = acc.NoPipe == ""
 		}
 	}
 	for _, acc := range res.Accesses {
 		if acc.Pipelined && placed[acc.AtLoop] != around[acc.AtLoop] {
 			acc.Pipelined, acc.NoPipe = false, WhyPipeOther
-		}
-	}
-	for _, cc := range res.CallComms {
-		if cc.Pipelined && placed[cc.AtLoop] != around[cc.AtLoop] {
-			cc.Pipelined, cc.NoPipe = false, WhyPipeOther
 		}
 	}
 }

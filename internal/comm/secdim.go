@@ -14,8 +14,19 @@ import (
 // out. The distributed dimension is left to the emitter of its kind (an
 // allgather has none). A dimension that reads a scalar other than a loop
 // index of the nest, assigned between the placement and the reference,
-// carries the declared extent instead, and widened names the scalar.
+// carries the declared extent instead, and widened names the scalar. A
+// callee's message has its Section, bound where it was placed, which
+// leaves the distributed dimension out only around the loop.
 func (acc *Access) Sec(proc *ast.Procedure, ix *ast.Index, env ast.Env, around bool) (sec []ast.SecDim, widened string) {
+	if acc.Site != nil {
+		sec = make([]ast.SecDim, len(acc.Section.Dims))
+		for d, sd := range acc.Section.Dims {
+			if d != acc.DistDim || !around {
+				sec[d] = RSDSecDim(sd)
+			}
+		}
+		return sec, ""
+	}
 	depth := slices.Index(acc.Nest, acc.AtLoop) + 1
 	if around {
 		depth--

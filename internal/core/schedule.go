@@ -239,9 +239,9 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	// every processor takes part in a broadcast instantiated from a
 	// callee, so none may have skipped the scalar that selects its root
 	var roots []string
-	for _, cc := range commRes.CallComms {
-		if plan.Private(cc.PointVar) {
-			roots = append(roots, cc.PointVar)
+	for _, acc := range commRes.Accesses {
+		if acc.Site != nil && plan.Private(acc.PointVar) {
+			roots = append(roots, acc.PointVar)
 		}
 	}
 	if roots != nil {
@@ -251,18 +251,13 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	// to execute all its iterations: drop those reductions; and a
 	// message sent anywhere in the procedure requires every processor
 	// to make the call: keep no partition delayed to callers. A
-	// pipelined shift goes around its loop, which stays reduced
+	// pipelined shift goes around its loop, which stays reduced; a
+	// callee's message at its call is inside every loop around it
 	for _, acc := range commRes.Accesses {
 		if !acc.Delay && !acc.Pipelined {
 			plan.DropLoopReduction(acc.AtLoop)
-			plan.DropDelays(partition.WhyCommInCallee)
-		}
-	}
-	for _, cc := range commRes.CallComms {
-		if !cc.Delay && !cc.Pipelined {
-			plan.DropLoopReduction(cc.AtLoop)
-			if cc.AtLoop == nil && cc.BeforeLoop == nil { // at the call, inside every loop around it
-				for _, l := range cc.Nest {
+			if acc.AtCall() {
+				for _, l := range acc.Nest {
 					plan.DropLoopReduction(l)
 				}
 			}
@@ -275,7 +270,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 	// the overlaps this procedure uses: shifts extend the block boundary
 	var uses []overlap.Use
 	for _, acc := range commRes.Accesses {
-		if acc.Kind != comm.KShift || acc.Delay {
+		if acc.Kind != comm.KShift || acc.Delay || acc.Site != nil {
 			continue
 		}
 		u := overlap.Use{Array: acc.Array, Dim: acc.DistDim}

@@ -8,11 +8,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"fortd"
+	"fortd/internal/ast"
 	"fortd/internal/parser"
 	"fortd/internal/progen"
 )
@@ -141,6 +144,59 @@ func FuzzReference(f *testing.F) {
 		}
 		agree(t, "input", src, true)
 	})
+}
+
+// TestKnownWantsHold holds every "! want: b(1) = 5" line of
+// testdata/known, which the root package's TestKnownWrongAnswers checks
+// on the compiled run and RunReference, to Fortran 77 itself: a row
+// whose pin the executor and F77 read alike wrong fails here.
+func TestKnownWantsHold(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/known/*.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLine := regexp.MustCompile(`(?m)^! want: (\w+)\((\d+|:)\) = (\S+)$`)
+	pins := 0
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(b)
+		lines := wantLine.FindAllStringSubmatch(src, -1)
+		if lines == nil {
+			continue
+		}
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		got, err := Run(prog, fortd.RampInit(src), 50_000_000)
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+			continue
+		}
+		main := prog.Main()
+		for _, m := range lines {
+			lo, _ := ast.EvalInt(main.Symbols.Lookup(m[1]).Dims[0].Lo, main.Constants())
+			want, _ := strconv.ParseFloat(m[3], 64)
+			first, last := 0, len(got[m[1]])-1
+			if m[2] != ":" {
+				i, _ := strconv.Atoi(m[2])
+				first, last = i-lo, i-lo
+			}
+			for i := first; i <= last; i++ {
+				if got[m[1]][i] != want {
+					t.Errorf("%s: F77 leaves %s %v, not %s", f, m[1], got[m[1]], m[0])
+					break
+				}
+			}
+			pins++
+		}
+	}
+	if pins < 8 {
+		t.Errorf("only %d pins checked", pins)
+	}
 }
 
 // TestDoIndexKeepsLastValue: the root package's test of the same name

@@ -33,12 +33,19 @@ func Explain(ex *explain.Collector, procName string, plan *Plan, env ast.Env) {
 		return
 	}
 	for _, it := range plan.Items {
-		line := it.Stmt.Pos().Line
-		assigned := ""
+		// a callee's constraint is worded by the callee, a local one by
+		// the array its assignment stores to
+		var line int
+		var assigned, callee string
+		if it.Site != nil {
+			line, callee = it.Site.Pos().Line, it.Site.Callee.Name()
+		} else {
+			line = it.Stmt.Pos().Line
+		}
 		if it.C != nil {
 			assigned = it.C.Array
 		}
-		if scalar, ok := it.Stmt.Lhs.(*ast.Ident); ok && it.Red == nil && (it.C != nil || it.ScalarWhy != "") {
+		if scalar := it.scalar(); scalar != nil && it.Red == nil && (it.C != nil || it.ScalarWhy != "") {
 			assigned = scalar.Name
 			kind, msg := privateScalar(it, assigned)
 			ex.Add(explain.Remark{Kind: kind, Pass: "partition", Proc: procName, Line: line, Name: "private-scalar", Msg: msg})
@@ -51,51 +58,32 @@ func Explain(ex *explain.Collector, procName string, plan *Plan, env ast.Env) {
 					it.Red.Op, it.Red.Var, it.Loop.Var, it.C.Array),
 			})
 		case it.Loop != nil:
-			ex.Add(reduceBounds(procName, line, it.C, it.Loop, env,
-				fmt.Sprintf("bounds of loop %s reduced to the local index set of %s (owner computes)", it.Loop.Var, it.C.Array)))
+			msg := fmt.Sprintf("bounds of loop %s reduced to the local index set of %s (owner computes)", it.Loop.Var, it.C.Array)
+			if callee != "" {
+				msg = fmt.Sprintf("callee %s's delayed constraint on %s instantiated: bounds of loop %s reduced", callee, it.Formal, it.Loop.Var)
+			}
+			ex.Add(reduceBounds(procName, line, it.C, it.Loop, env, msg))
 		case it.DelayVar != "":
-			ex.Add(explain.Remark{
-				Kind: explain.Applied, Pass: "partition", Proc: procName, Line: line, Name: "delay",
-				Msg: fmt.Sprintf("ownership constraint on formal %s delayed to callers (delayed instantiation)",
-					it.DelayVar),
-			})
+			msg := fmt.Sprintf("ownership constraint on formal %s delayed to callers (delayed instantiation)", it.DelayVar)
+			if callee != "" {
+				msg = fmt.Sprintf("callee %s's constraint on %s re-delayed to this procedure's callers via %s", callee, it.Formal, it.DelayVar)
+			}
+			ex.Add(explain.Remark{Kind: explain.Applied, Pass: "partition", Proc: procName, Line: line, Name: "delay", Msg: msg})
 		case it.Guard:
+			what, loop := "ownership guard around assignment to "+assigned, "a local loop"
+			if callee != "" {
+				what, loop = fmt.Sprintf("call to %s guarded by an ownership test on %s", callee, it.Formal), "a caller loop"
+			}
 			why := it.Why
 			if why == "" {
-				why = "the constraint cannot be absorbed by a local loop"
+				why = "the constraint cannot be absorbed by " + loop
 			}
-			ex.Add(explain.Remark{
-				Kind: explain.Missed, Pass: "partition", Proc: procName, Line: line, Name: "guard",
-				Msg: fmt.Sprintf("ownership guard around assignment to %s: %s", assigned, why),
-			})
+			ex.Add(explain.Remark{Kind: explain.Missed, Pass: "partition", Proc: procName, Line: line, Name: "guard", Msg: what + ": " + why})
 		case it.Why != "":
 			// a reduction demoted all the way to replicated execution
 			ex.Add(explain.Remark{
 				Kind: explain.Missed, Pass: "partition", Proc: procName, Line: line, Name: "replicate",
 				Msg: "statement executes replicated on every processor: " + it.Why,
-			})
-		}
-	}
-	for _, cc := range plan.CallCons {
-		line, callee := cc.Site.Pos().Line, cc.Site.Callee.Name()
-		switch {
-		case cc.Loop != nil:
-			ex.Add(reduceBounds(procName, line, cc.C, cc.Loop, env,
-				fmt.Sprintf("callee %s's delayed constraint on %s instantiated: bounds of loop %s reduced", callee, cc.Formal, cc.Loop.Var)))
-		case cc.DelayVar != "":
-			ex.Add(explain.Remark{
-				Kind: explain.Applied, Pass: "partition", Proc: procName, Line: line, Name: "delay",
-				Msg: fmt.Sprintf("callee %s's constraint on %s re-delayed to this procedure's callers via %s",
-					callee, cc.Formal, cc.DelayVar),
-			})
-		case cc.Guard:
-			why := cc.Why
-			if why == "" {
-				why = "the constraint cannot be absorbed by a caller loop"
-			}
-			ex.Add(explain.Remark{
-				Kind: explain.Missed, Pass: "partition", Proc: procName, Line: line, Name: "guard",
-				Msg: fmt.Sprintf("call to %s guarded by an ownership test on %s: %s", callee, cc.Formal, why),
 			})
 		}
 	}

@@ -521,16 +521,13 @@ func TestConflictDemotesEveryParty(t *testing.T) {
 		return map[string]*Constraint{"i": {Array: "W", Dist: block}}
 	}
 	plan := Compute(proc, ast.NewIndex(proc), node, byName, delayed, nil, nil, nil)
-	if len(plan.LoopBounds) != 0 || len(plan.Items) != 3 || len(plan.CallCons) != 1 {
-		t.Fatalf("LoopBounds = %v, %d items, %d call constraints", plan.LoopBounds, len(plan.Items), len(plan.CallCons))
+	if len(plan.LoopBounds) != 0 || len(plan.Items) != 4 || plan.Items[3].Site == nil {
+		t.Fatalf("LoopBounds = %v, items %+v, want three assignments' and the call's last", plan.LoopBounds, plan.Items)
 	}
 	for _, it := range plan.Items {
 		if !it.Guard || it.Loop != nil || it.Why != WhyLoopConflict {
-			t.Errorf("item %s = %+v, want a guard for the loop conflict", it.Stmt.Lhs, it)
+			t.Errorf("item at %d = %+v, want a guard for the loop conflict", it.At, it)
 		}
-	}
-	if cc := plan.CallCons[0]; !cc.Guard || cc.Loop != nil || cc.Why != WhyLoopConflict {
-		t.Errorf("call constraint = %+v, want a guard for the loop conflict", cc)
 	}
 
 	// the same on a formal: nothing is delayed to the callers

@@ -70,8 +70,8 @@ type vop struct {
 func (lw *lowerer) strips(st *ast.Do) bool {
 	for _, s := range st.Body {
 		w, ok := s.(*ast.Assign).Lhs.(*ast.ArrayRef)
-		if !ok {
-			return false
+		if !ok || lw.integer(w.Name) {
+			return false // an INTEGER element is stored truncated
 		}
 		for _, s := range st.Body {
 			as := s.(*ast.Assign)

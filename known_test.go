@@ -23,7 +23,9 @@ import (
 // line reads "! run-error: text" compiles and fails that way when run.
 // A "! want: b(1) = 5" line pins what Fortran 77 leaves in an element
 // (a(:): every element of a) on the compiled run and the reference
-// alike, so a row both executors get wrong fails too. None may panic.
+// alike, so a row both executors get wrong fails too; a "! listing
+// <hash>" line pins the listing under the default options byte for
+// byte. None may panic.
 func TestKnownWrongAnswers(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "known", "*.f"))
 	if err != nil || len(files) < 4 {
@@ -39,6 +41,15 @@ func TestKnownWrongAnswers(t *testing.T) {
 		wantErr, rejected := strings.CutPrefix(first, "! error: ")
 		wantRunErr, fails := strings.CutPrefix(first, "! run-error: ")
 		pins := knownPins(t, name, src)
+		if m := listingLine.FindStringSubmatch(src); m != nil {
+			prog, err := Compile(src, DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := sha([]byte(prog.Listing())); got != m[1] {
+				t.Errorf("%s: listing %s, pinned %s\n%s", name, got, m[1], prog.Listing())
+			}
+		}
 		for _, st := range digestStrategies {
 			for _, overlap := range []bool{true, false} {
 				for _, level := range []RemapLevel{RemapNone, RemapLive, RemapHoist, RemapKills} {
@@ -241,7 +252,10 @@ type knownPin struct {
 	value       float64
 }
 
-var wantLine = regexp.MustCompile(`(?m)^! want: (\w+)\((\d+|:)\) = (\S+)$`)
+var (
+	wantLine    = regexp.MustCompile(`(?m)^! want: (\w+)\((\d+|:)\) = (\S+)$`)
+	listingLine = regexp.MustCompile(`(?m)^! listing ([0-9a-f]{32})$`)
+)
 
 func knownPins(t *testing.T, name, src string) []knownPin {
 	lines := wantLine.FindAllStringSubmatch(src, -1)
