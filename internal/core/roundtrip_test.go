@@ -15,16 +15,20 @@ import (
 // identical communication statistics. This pins down both the printer
 // and the parser on the full output language (send/recv/broadcast/
 // allgather/remap statements, my$p arithmetic, first$/MIN/MAX bounds).
+// realred reduces a REAL accumulator whose name starts with m: the
+// reparsed unit types its partial mx$red INTEGER by its first letter,
+// and the executor must still keep the partial sums whole.
 func TestGeneratedCodeRoundTrips(t *testing.T) {
 	sources := map[string]struct {
 		src  string
 		init map[string][]float64
 	}{
-		"fig1":   {fig1Src, map[string][]float64{"X": initRamp(100)}},
-		"fig4":   {fig4Src, map[string][]float64{"X": initRamp(100 * 100), "Y": initRamp(100 * 100)}},
-		"dgefa":  {DgefaSrc(24, 4), map[string][]float64{"a": DgefaMatrix(24)}},
-		"jacobi": {JacobiSrc(64, 4, 4), map[string][]float64{"a": jacobiInit(64)}},
-		"adi":    {adiSrc(16, 2, 4, true), map[string][]float64{"a": initRamp(16 * 16)}},
+		"fig1":    {fig1Src, map[string][]float64{"X": initRamp(100)}},
+		"fig4":    {fig4Src, map[string][]float64{"X": initRamp(100 * 100), "Y": initRamp(100 * 100)}},
+		"dgefa":   {DgefaSrc(24, 4), map[string][]float64{"a": DgefaMatrix(24)}},
+		"jacobi":  {JacobiSrc(64, 4, 4), map[string][]float64{"a": jacobiInit(64)}},
+		"adi":     {adiSrc(16, 2, 4, true), map[string][]float64{"a": initRamp(16 * 16)}},
+		"realred": {realRedSrc, nil},
 	}
 	for name, tc := range sources {
 		c := compileSrc(t, tc.src, DefaultOptions())
@@ -56,3 +60,20 @@ func TestGeneratedCodeRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+const realRedSrc = `
+      PROGRAM REALRED
+      PARAMETER (n$proc = 4)
+      REAL a(16), r(1)
+      REAL mx
+      DISTRIBUTE a(BLOCK)
+      do i = 1, 16
+        a(i) = i * 0.25
+      enddo
+      mx = 0.0
+      do i = 1, 16
+        mx = mx + a(i)
+      enddo
+      r(1) = mx
+      END
+`

@@ -1,9 +1,6 @@
 package partition
 
-import (
-	"fortd/internal/ast"
-	"fortd/internal/decomp"
-)
+import "fortd/internal/ast"
 
 // matchReduction recognizes the syntactic reduction forms
 //
@@ -56,13 +53,12 @@ func matchReduction(st *ast.Assign) (string, string, bool) {
 func analyzeReduction(proc *ast.Procedure, ix *ast.Index, k int, distOf DistOf, env ast.Env) *Item {
 	st, nest := ix.Stmts[k].Stmt.(*ast.Assign), ix.Stmts[k].Nest
 	name, op, ok := matchReduction(st)
-	if !ok || len(nest) == 0 {
+	if !ok || len(nest) == 0 || op == "+" && truncates(proc.Symbols, name, st.Rhs) {
 		return nil
 	}
 	var c *Constraint
 	var loop *ast.Do
 	var firstSub SubPattern
-	var firstDist *decomp.Dist
 	firstDim := 0
 	// the left-hand side is the accumulator, so the statement's
 	// references are the term's
@@ -87,7 +83,6 @@ func analyzeReduction(proc *ast.Procedure, ix *ast.Index, k int, distOf DistOf, 
 			c = &Constraint{Array: ref.Name, Dist: dist, Offset: sub.Off}
 			loop = l
 			firstSub = sub
-			firstDist = dist
 			firstDim = dim
 			continue
 		}
@@ -115,10 +110,33 @@ func analyzeReduction(proc *ast.Procedure, ix *ast.Index, k int, distOf DistOf, 
 	}
 	return &Item{
 		Stmt: st, At: k, Nest: nest,
-		Dist: firstDist, DistDim: firstDim, Sub: firstSub,
+		Dist: c.Dist, DistDim: firstDim, Sub: firstSub,
 		Loop: loop, C: c,
 		Red: &Reduction{Var: name, Op: op},
 	}
+}
+
+// truncates reports whether F77 truncates s = rhs, a sum, where a
+// partial sum would not: s is INTEGER and rhs holds a REAL literal,
+// variable or element, or calls a function, so k = k + 0.5 leaves k
+// as it was at every step. MAX and MIN commute with the truncation.
+func truncates(syms *ast.SymbolTable, s string, rhs ast.Expr) bool {
+	integer := func(name string) bool {
+		sym := syms.Lookup(name)
+		return sym != nil && sym.Type == ast.TypeInteger
+	}
+	inexact := false
+	ast.WalkExpr(rhs, func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.RealLit, *ast.FuncCall:
+			inexact = true
+		case *ast.Ident:
+			inexact = inexact || !integer(x.Name)
+		case *ast.ArrayRef:
+			inexact = inexact || !integer(x.Name)
+		}
+	})
+	return inexact && integer(s)
 }
 
 func containsIdent(e ast.Expr, name string) bool { return countIdent(e, name) > 0 }

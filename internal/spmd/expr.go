@@ -331,8 +331,8 @@ func withConst(op ast.BinOp, v operand, c float64, constLeft bool) exprFn {
 }
 
 // isIntExpr decides whether an operand is integer-typed (Fortran
-// integer division truncates). Conservative: literals and variables of
-// integer implicit type.
+// integer division truncates). Conservative: literals, INTEGER
+// variables (lw.integer), and their sums, products and quotients.
 func (lw *lowerer) isIntExpr(e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.IntLit:
@@ -340,13 +340,7 @@ func (lw *lowerer) isIntExpr(e ast.Expr) bool {
 	case *ast.RealLit:
 		return false
 	case *ast.Ident:
-		if _, ok := lw.consts[x.Name]; ok {
-			return true
-		}
-		if sym := lw.unit.Symbols.Lookup(x.Name); sym != nil {
-			return sym.Type == ast.TypeInteger
-		}
-		return (x.Name != "" && x.Name[0] >= 'i' && x.Name[0] <= 'n') || x.Name == "my$p"
+		return lw.integer(x.Name)
 	case *ast.Binary:
 		switch x.Op {
 		case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv:
@@ -357,9 +351,9 @@ func (lw *lowerer) isIntExpr(e ast.Expr) bool {
 		return lw.isIntExpr(x.X)
 	case *ast.FuncCall:
 		switch x.Name {
-		case "MOD", "first$", "myproc":
+		case "first$", "myproc":
 			return true
-		case "MIN", "MAX":
+		case "MOD", "MIN", "MAX":
 			for _, a := range x.Args {
 				if !lw.isIntExpr(a) {
 					return false
