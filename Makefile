@@ -51,10 +51,11 @@ report: ## render the dgefa HTML performance report to report.html
 	$(GO) run ./cmd/fdrun -report report.html testdata/dgefa.f
 
 FUZZTIME ?= 30s
-fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (every program that compiles against the sequential reference; seeds: testdata, testdata/pipeline, testdata/known, testdata/private, testdata/sections, progen programs with scalar temporaries), the affine form, lexer and codegen's DO-index liveness walk against their oracles, the schedule pass against the blocking program, and the sequential reference run against a Fortran 77 interpreter (seeds: testdata)
+fuzz: ## fuzz the parser, the whole compile pipeline (seeds: testdata, testdata/pipeline), compile+run (every program that compiles against the sequential reference; seeds: testdata, testdata/pipeline, testdata/known, testdata/private, testdata/sections, progen programs with scalar temporaries), hand-written node programs run under a deadline (seeds: testdata/pipeline/chain_hand.spmd, testdata/deadlock.f, testdata/spmd), the affine form, lexer and codegen's DO-index liveness walk against their oracles, the schedule pass against the blocking program, and the sequential reference run against a Fortran 77 interpreter (seeds: testdata)
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzRun -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzSPMDText -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzAffine -fuzztime $(FUZZTIME) ./internal/depend
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/lexer
 	$(GO) test -run '^$$' -fuzz FuzzLiveIndices -fuzztime $(FUZZTIME) ./internal/codegen

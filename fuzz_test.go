@@ -204,3 +204,71 @@ func FuzzRun(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSPMDText runs hand-written node programs through RunSPMD under a
+// wall-clock deadline: a parse error or a run error is an answer, a
+// panic or a run that outlives the deadline is not, and a program that
+// parses prints and parses again to the same text. The seeds are the
+// hand-edited pipeline chain, the deadlock sample and the programs whose
+// split-phase halves do not pair (testdata/spmd). A program for more than 16
+// processors, or with a local array of more than 65 536 elements or of
+// bounds known only at run time, is not run.
+func FuzzSPMDText(f *testing.F) {
+	paths, _ := filepath.Glob(filepath.Join("testdata", "spmd", "*.spmd"))
+	for _, path := range append(paths, filepath.Join("testdata", "pipeline", "chain_hand.spmd"), filepath.Join("testdata", "deadlock.f")) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	const deadline = time.Second
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			return
+		}
+		text := ast.Print(prog)
+		if again, err := parser.Parse(text); err != nil || ast.Print(again) != text {
+			t.Fatalf("print → parse → print changed the program (%v):\n%s", err, text)
+		}
+		if !smallNodeProgram(prog) {
+			return
+		}
+		start := time.Now()
+		NewRunner(WithDeadline(deadline)).RunSPMD(src, 0)
+		if d := time.Since(start); d > 2*deadline {
+			t.Fatalf("run returned after %v under a %v deadline", d, deadline)
+		}
+	})
+}
+
+// smallNodeProgram reports whether RunSPMD would run prog on at most 16
+// processors with every local array's size known and at most 65 536
+// elements.
+func smallNodeProgram(prog *ast.Program) bool {
+	if m := prog.Main(); m != nil {
+		if n, ok := m.Constants()["n$proc"]; ok && (n < 1 || n > 16) {
+			return false
+		}
+	}
+	for _, u := range prog.Units {
+		env := u.Constants()
+		for _, sym := range u.Symbols.Symbols() {
+			if sym.Kind != ast.SymArray || sym.IsFormal {
+				continue
+			}
+			sizes, ok := sym.Extents(env)
+			if !ok {
+				return false
+			}
+			elems := 1
+			for _, n := range sizes {
+				if elems *= max(n, 1); n > 1<<16 || elems > 1<<16 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}

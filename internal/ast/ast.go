@@ -9,6 +9,7 @@ package ast
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // DataType is the declared type of a variable.
@@ -278,30 +279,71 @@ type SecDim struct {
 	Lo, Hi Expr
 }
 
-// Send transmits the section of Array to processor Dest.
-type Send struct {
+// Message is a message statement of the output language; Op says
+// which. It moves the section Sec of Array: to or from processor Peer
+// (a broadcast's root), to the processors To names (nil: all others),
+// or, for a split-phase half, under Tag, which pairs a post with the
+// wait that completes it (tags are unique program-wide, so posts and
+// waits match across procedure boundaries). The fields Op's kind does
+// not use are zero.
+type Message struct {
 	stmtBase
+	Op    MsgOp
+	Tag   int32
 	Array string
 	Sec   []SecDim
-	Dest  Expr
-}
-
-// Recv receives the section of Array from processor Src.
-type Recv struct {
-	stmtBase
-	Array string
-	Sec   []SecDim
-	Src   Expr
-}
-
-// Broadcast sends the section of Array from processor Root to the
-// processors To names (nil: all others).
-type Broadcast struct {
-	stmtBase
-	Array string
-	Sec   []SecDim
-	Root  Expr
+	Peer  Expr
 	To    *Receivers
+}
+
+// MsgOp is the kind of a Message.
+type MsgOp uint8
+
+const (
+	_            MsgOp = iota
+	MsgSend            // send the section to Peer
+	MsgRecv            // receive the section from Peer
+	MsgBcast           // broadcast the section from root Peer
+	MsgAllGather       // make the distributed section known everywhere
+	MsgPostRecv        // post a nonblocking receive of a split recv
+	MsgWaitRecv        // complete the postrecv with the same tag
+	MsgPostBcast       // post a split broadcast: the root's sends leave here
+	MsgWaitBcast       // complete the postbcast with the same tag
+)
+
+// MsgKind is what a Message's Op decides.
+type MsgKind struct {
+	Word       string // the keyword, also the executor's name in errors
+	Peer       string // the word before Peer: "to", "from" or "" (no peer)
+	Sec, To    bool   // it names a section; it may carry a "to" clause
+	Tag        bool   // it ends in "tag N"
+	Post, Wait MsgOp  // the halves a blocking op splits into; a post's Wait completes it
+	Mod, Ref   bool   // it writes, reads its array
+	Label      string // what trace events of it are labelled
+}
+
+var msgKinds = [...]MsgKind{
+	MsgSend:      {Word: "send", Peer: "to", Sec: true, Ref: true, Label: "send"},
+	MsgRecv:      {Word: "recv", Peer: "from", Sec: true, Post: MsgPostRecv, Wait: MsgWaitRecv, Mod: true, Label: "recv"},
+	MsgBcast:     {Word: "broadcast", Peer: "from", Sec: true, To: true, Post: MsgPostBcast, Wait: MsgWaitBcast, Mod: true, Ref: true, Label: "bcast"},
+	MsgAllGather: {Word: "allgather", Sec: true, Mod: true, Ref: true, Label: "allgather"},
+	MsgPostRecv:  {Word: "postrecv", Peer: "from", Sec: true, Tag: true, Wait: MsgWaitRecv, Ref: true, Label: "post"},
+	MsgWaitRecv:  {Word: "waitrecv", Tag: true, Mod: true, Label: "wait"},
+	MsgPostBcast: {Word: "postbcast", Peer: "from", Sec: true, To: true, Tag: true, Wait: MsgWaitBcast, Ref: true, Label: "bcast"},
+	MsgWaitBcast: {Word: "waitbcast", Tag: true, Mod: true, Label: "bcast"},
+}
+
+// Kind is op's row of the message table.
+func (op MsgOp) Kind() *MsgKind { return &msgKinds[op] }
+
+// MsgOpOf returns the Op whose keyword is word, any case.
+func MsgOpOf(word string) (MsgOp, bool) {
+	for op := range msgKinds {
+		if op > 0 && strings.EqualFold(msgKinds[op].Word, word) {
+			return MsgOp(op), true
+		}
+	}
+	return 0, false
 }
 
 // Receivers is a broadcast's "to" clause: the owners of the section
@@ -325,14 +367,6 @@ func (r *Receivers) Subst(env map[string]Expr) *Receivers {
 	return &c
 }
 
-// AllGather makes the section of Array, distributed across processors,
-// fully replicated on every processor (each owner contributes its part).
-type AllGather struct {
-	stmtBase
-	Array string
-	Sec   []SecDim
-}
-
 // GlobalReduce combines every processor's private copy of a scalar with
 // the given operation and leaves the result on all processors (the
 // combining step of a recognized reduction).
@@ -340,49 +374,6 @@ type GlobalReduce struct {
 	stmtBase
 	Var string
 	Op  string // "+", "MAX", "MIN"
-}
-
-// PostRecv posts a nonblocking receive of the section of Array from
-// processor Src (the post half of a blocking Recv split by the overlap
-// schedule pass). Tag pairs it with the WaitRecv that completes it;
-// tags are unique program-wide so posts and waits match across
-// procedure boundaries.
-type PostRecv struct {
-	stmtBase
-	Array string
-	Sec   []SecDim
-	Src   Expr
-	Tag   int
-}
-
-// WaitRecv completes the PostRecv with the same Tag, blocking until
-// the message arrives and storing it into Array's section. A WaitRecv
-// whose post was skipped (its guard was false) is a no-op.
-type WaitRecv struct {
-	stmtBase
-	Array string
-	Tag   int
-}
-
-// PostBcast posts the send half of a split-phase broadcast of the
-// section of Array from processor Root to the processors To names: the
-// root's tree sends happen here, every other processor only records
-// what to wait for.
-type PostBcast struct {
-	stmtBase
-	Array string
-	Sec   []SecDim
-	Root  Expr
-	To    *Receivers
-	Tag   int
-}
-
-// WaitBcast completes the PostBcast with the same Tag, blocking until
-// the broadcast payload arrives and storing it into Array's section.
-type WaitBcast struct {
-	stmtBase
-	Array string
-	Tag   int
 }
 
 // Remap invokes the data-remapping library routine, physically moving
@@ -404,15 +395,8 @@ func (*Return) stmtNode()        {}
 func (*Decomposition) stmtNode() {}
 func (*Align) stmtNode()         {}
 func (*Distribute) stmtNode()    {}
-func (*Send) stmtNode()          {}
-func (*Recv) stmtNode()          {}
-func (*Broadcast) stmtNode()     {}
-func (*AllGather) stmtNode()     {}
+func (*Message) stmtNode()       {}
 func (*GlobalReduce) stmtNode()  {}
-func (*PostRecv) stmtNode()      {}
-func (*WaitRecv) stmtNode()      {}
-func (*PostBcast) stmtNode()     {}
-func (*WaitBcast) stmtNode()     {}
 func (*Remap) stmtNode()         {}
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEvalIntBasics(t *testing.T) {
@@ -180,7 +181,7 @@ func TestPrintProgramStructure(t *testing.T) {
 	main := &Procedure{
 		Name: "P", IsMain: true, Symbols: syms,
 		Body: []Stmt{
-			&Send{Array: "X", Sec: []SecDim{{Lo: Int(1), Hi: Int(4)}}, Dest: Int(1)},
+			&Message{Op: MsgSend, Array: "X", Sec: []SecDim{{Lo: Int(1), Hi: Int(4)}}, Peer: Int(1)},
 			&Remap{Array: "X", To: []DistSpec{{Kind: ast_DistCyclic}}},
 		},
 	}
@@ -189,6 +190,14 @@ func TestPrintProgramStructure(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in:\n%s", want, text)
 		}
+	}
+}
+
+// TestMessageSize: Op and Tag share one word, so a message statement is
+// no larger than the largest of the node types it replaced.
+func TestMessageSize(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n > 80 {
+		t.Errorf("Message is %d bytes, want at most 80", n)
 	}
 }
 
@@ -204,8 +213,7 @@ func TestStmtExprsCoversEveryKind(t *testing.T) {
 	kinds := []Stmt{
 		&Assign{}, &Do{}, &If{}, &Call{}, &Return{},
 		&Decomposition{}, &Align{}, &Distribute{},
-		&Send{}, &Recv{}, &Broadcast{}, &AllGather{}, &GlobalReduce{},
-		&PostRecv{}, &WaitRecv{}, &PostBcast{}, &WaitBcast{}, &Remap{},
+		&Message{}, &GlobalReduce{}, &Remap{},
 	}
 	exprType := reflect.TypeOf((*Expr)(nil)).Elem()
 	for _, s := range kinds {

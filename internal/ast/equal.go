@@ -136,33 +136,13 @@ func StmtEqual(a, b Stmt) bool {
 	case *Distribute:
 		y, ok := b.(*Distribute)
 		return ok && x.Target == y.Target && specsEqual(x.Specs, y.Specs)
-	case *Send:
-		y, ok := b.(*Send)
-		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec) && ExprEqual(x.Dest, y.Dest)
-	case *Recv:
-		y, ok := b.(*Recv)
-		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec) && ExprEqual(x.Src, y.Src)
-	case *Broadcast:
-		y, ok := b.(*Broadcast)
-		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec) && ExprEqual(x.Root, y.Root) && x.To.Equal(y.To)
-	case *AllGather:
-		y, ok := b.(*AllGather)
-		return ok && x.Array == y.Array && secEqual(x.Sec, y.Sec)
+	case *Message:
+		y, ok := b.(*Message)
+		return ok && x.Op == y.Op && x.Array == y.Array && x.Tag == y.Tag && secEqual(x.Sec, y.Sec) &&
+			ExprEqual(x.Peer, y.Peer) && x.To.Equal(y.To)
 	case *GlobalReduce:
 		y, ok := b.(*GlobalReduce)
 		return ok && x.Var == y.Var && reduceName(x.Op) == reduceName(y.Op)
-	case *PostRecv:
-		y, ok := b.(*PostRecv)
-		return ok && x.Array == y.Array && x.Tag == y.Tag && secEqual(x.Sec, y.Sec) && ExprEqual(x.Src, y.Src)
-	case *WaitRecv:
-		y, ok := b.(*WaitRecv)
-		return ok && x.Array == y.Array && x.Tag == y.Tag
-	case *PostBcast:
-		y, ok := b.(*PostBcast)
-		return ok && x.Array == y.Array && x.Tag == y.Tag && secEqual(x.Sec, y.Sec) && ExprEqual(x.Root, y.Root) && x.To.Equal(y.To)
-	case *WaitBcast:
-		y, ok := b.(*WaitBcast)
-		return ok && x.Array == y.Array && x.Tag == y.Tag
 	case *Remap:
 		y, ok := b.(*Remap)
 		return ok && x.Array == y.Array && x.InPlace == y.InPlace && specsEqual(x.To, y.To)

@@ -169,34 +169,31 @@ func appendStmts(dst []byte, body []Stmt, depth int) []byte {
 			dst = append(dst, "DISTRIBUTE "...)
 			dst = append(dst, st.Target...)
 			dst = appendSpecs(dst, st.Specs)
-		case *Send:
-			dst = appendComm(dst, "send ", st.Array, st.Sec, " to ", st.Dest)
-		case *Recv:
-			dst = appendComm(dst, "recv ", st.Array, st.Sec, " from ", st.Src)
-		case *Broadcast:
-			dst = appendComm(dst, "broadcast ", st.Array, st.Sec, " from ", st.Root)
-			dst = st.To.appendTo(dst)
-		case *AllGather:
-			dst = appendComm(dst, "allgather ", st.Array, st.Sec, "", nil)
+		case *Message:
+			k := st.Op.Kind()
+			dst = append(dst, k.Word...)
+			dst = append(dst, ' ')
+			dst = append(dst, st.Array...)
+			if k.Sec {
+				dst = appendSection(dst, st.Sec)
+			}
+			if k.Peer != "" && st.Peer != nil {
+				dst = append(dst, ' ')
+				dst = append(dst, k.Peer...)
+				dst = append(dst, ' ')
+				dst = st.Peer.appendTo(dst)
+			}
+			if k.To {
+				dst = st.To.appendTo(dst)
+			}
+			if k.Tag {
+				dst = append(dst, " tag "...)
+				dst = strconv.AppendInt(dst, int64(st.Tag), 10)
+			}
 		case *GlobalReduce:
 			dst = append(dst, reduceName(st.Op)...)
 			dst = append(dst, ' ')
 			dst = append(dst, st.Var...)
-		case *PostRecv:
-			dst = appendComm(dst, "postrecv ", st.Array, st.Sec, " from ", st.Src)
-			dst = appendTag(dst, st.Tag)
-		case *WaitRecv:
-			dst = append(dst, "waitrecv "...)
-			dst = append(dst, st.Array...)
-			dst = appendTag(dst, st.Tag)
-		case *PostBcast:
-			dst = appendComm(dst, "postbcast ", st.Array, st.Sec, " from ", st.Root)
-			dst = st.To.appendTo(dst)
-			dst = appendTag(dst, st.Tag)
-		case *WaitBcast:
-			dst = append(dst, "waitbcast "...)
-			dst = append(dst, st.Array...)
-			dst = appendTag(dst, st.Tag)
 		case *Remap:
 			if st.InPlace {
 				dst = append(dst, "markas "...)
@@ -225,11 +222,8 @@ func reduceName(op string) string {
 	return "globalsum"
 }
 
-// appendComm renders "<verb><array>(<section>)<prep><peer>"; a nil peer
-// ends the statement after the section, a nil bound prints as ":".
-func appendComm(dst []byte, verb, array string, sec []SecDim, prep string, peer Expr) []byte {
-	dst = append(dst, verb...)
-	dst = append(dst, array...)
+// appendSection renders "(<section>)"; a nil bound prints as ":".
+func appendSection(dst []byte, sec []SecDim) []byte {
 	dst = append(dst, '(')
 	for i, d := range sec {
 		if i > 0 {
@@ -245,12 +239,7 @@ func appendComm(dst []byte, verb, array string, sec []SecDim, prep string, peer 
 			dst = d.Hi.appendTo(dst)
 		}
 	}
-	dst = append(dst, ')')
-	if peer != nil {
-		dst = append(dst, prep...)
-		dst = peer.appendTo(dst)
-	}
-	return dst
+	return append(dst, ')')
 }
 
 // appendTo renders " to <array>(:,..,lo:hi,..,:)[ ring]" (nothing for nil).
@@ -260,16 +249,13 @@ func (r *Receivers) appendTo(dst []byte) []byte {
 	}
 	sec := make([]SecDim, r.Rank)
 	sec[r.Dim] = SecDim{Lo: r.Lo, Hi: r.Hi}
-	dst = appendComm(dst, " to ", r.Array, sec, "", nil)
+	dst = append(dst, " to "...)
+	dst = append(dst, r.Array...)
+	dst = appendSection(dst, sec)
 	if r.Ring {
 		dst = append(dst, " ring"...)
 	}
 	return dst
-}
-
-func appendTag(dst []byte, tag int) []byte {
-	dst = append(dst, " tag "...)
-	return strconv.AppendInt(dst, int64(tag), 10)
 }
 
 func appendSpecs(dst []byte, specs []DistSpec) []byte {

@@ -78,40 +78,18 @@ func appendExprs(dst []Expr, s Stmt) []Expr {
 		return append(dst, st.Cond)
 	case *Call:
 		return append(dst, st.Args...)
-	case *Send:
-		return secExprs(dst, st.Dest, st.Sec)
-	case *Recv:
-		return secExprs(dst, st.Src, st.Sec)
-	case *Broadcast:
-		return st.To.exprs(secExprs(dst, st.Root, st.Sec))
-	case *AllGather:
-		return secExprs(dst, nil, st.Sec)
-	case *PostRecv:
-		return secExprs(dst, st.Src, st.Sec)
-	case *PostBcast:
-		return st.To.exprs(secExprs(dst, st.Root, st.Sec))
+	case *Message:
+		if st.Peer != nil {
+			dst = append(dst, st.Peer)
+		}
+		for _, d := range st.Sec {
+			dst = append(dst, d.Lo, d.Hi)
+		}
+		if st.To != nil {
+			dst = append(dst, st.To.Lo, st.To.Hi)
+		}
 	}
 	return dst
-}
-
-// secExprs appends a communication statement's peer expression (nil:
-// it has none) and the bounds of its section to dst.
-func secExprs(dst []Expr, peer Expr, sec []SecDim) []Expr {
-	if peer != nil {
-		dst = append(dst, peer)
-	}
-	for _, d := range sec {
-		dst = append(dst, d.Lo, d.Hi)
-	}
-	return dst
-}
-
-// exprs appends the clause's bounds to out.
-func (r *Receivers) exprs(out []Expr) []Expr {
-	if r == nil {
-		return out
-	}
-	return append(out, r.Lo, r.Hi)
 }
 
 // CloneExpr returns a deep copy of e.

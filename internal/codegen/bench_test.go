@@ -17,9 +17,9 @@ func BenchmarkAggregateAnchors(b *testing.B) {
 			Hi: ast.Add(ast.Id("ub$1"), ast.Int(off)),
 		}}
 		peer := ast.Add(ast.Id("my$p"), ast.Int(1))
-		var comm ast.Stmt = &ast.Recv{Array: arr, Sec: sec, Src: peer}
+		comm := &ast.Message{Op: ast.MsgRecv, Array: arr, Sec: sec, Peer: peer}
 		if send {
-			comm = &ast.Send{Array: arr, Sec: sec, Dest: peer}
+			comm = &ast.Message{Op: ast.MsgSend, Array: arr, Sec: sec, Peer: peer}
 		}
 		return &ast.If{
 			Cond: ast.Cmp(ast.OpLT, ast.Id("my$p"), ast.Int(3)),

@@ -285,7 +285,7 @@ func aggregateAnchors(a *anchors) int {
 
 func isCommStmt(s ast.Stmt) bool {
 	switch st := s.(type) {
-	case *ast.Send, *ast.Recv, *ast.Broadcast, *ast.AllGather:
+	case *ast.Message:
 		return true
 	case *ast.If:
 		// guarded send/recv pairs emitted by emitShift
@@ -302,13 +302,7 @@ func isCommStmt(s ast.Stmt) bool {
 func stampPos(stmts []ast.Stmt, pos ast.Position) {
 	for _, s := range stmts {
 		switch st := s.(type) {
-		case *ast.Send:
-			st.Position = pos
-		case *ast.Recv:
-			st.Position = pos
-		case *ast.Broadcast:
-			st.Position = pos
-		case *ast.AllGather:
+		case *ast.Message:
 			st.Position = pos
 		case *ast.GlobalReduce:
 			st.Position = pos

@@ -220,12 +220,12 @@ func TestEmitCallCommPoint(t *testing.T) {
 	if len(stmts) != 1 {
 		t.Fatalf("stmts = %v", stmts)
 	}
-	bc, ok := stmts[0].(*ast.Broadcast)
-	if !ok {
+	bc, ok := stmts[0].(*ast.Message)
+	if !ok || bc.Op != ast.MsgBcast {
 		t.Fatalf("stmt = %T", stmts[0])
 	}
-	if bc.Root.String() != "MOD((k - 1),4)" {
-		t.Errorf("root = %s", bc.Root)
+	if bc.Peer.String() != "MOD((k - 1),4)" {
+		t.Errorf("root = %s", bc.Peer)
 	}
 	if bc.Sec[1].Lo.String() != "k" {
 		t.Errorf("sec = %v", bc.Sec[1].Lo)

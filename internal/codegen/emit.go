@@ -32,7 +32,7 @@ func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
 		if dim >= 0 && dim < len(sec) {
 			sec[dim] = ast.SecDim{Lo: point, Hi: ast.CloneExpr(point)}
 		}
-		bc := &ast.Broadcast{Array: acc.Array, Sec: sec, Root: partition.OwnerExpr(acc.Dist, ast.CloneExpr(point))}
+		bc := &ast.Message{Op: ast.MsgBcast, Array: acc.Array, Sec: sec, Peer: partition.OwnerExpr(acc.Dist, ast.CloneExpr(point))}
 		// placed inside AtLoop, or above the whole nest; a callee's
 		// before its loops or at the call serves no loop
 		var loops []*ast.Do
@@ -44,7 +44,7 @@ func emitAccess(in *Input, acc *comm.Access) ([]ast.Stmt, error) {
 		acc.Ring, acc.NoRing = ring(in, acc.AtLoop, acc.Dist, point, bc.To, to, acc.NoTo)
 		return []ast.Stmt{bc}, nil
 	case comm.KGather:
-		return []ast.Stmt{&ast.AllGather{Array: acc.Array, Sec: sec}}, nil
+		return []ast.Stmt{&ast.Message{Op: ast.MsgAllGather, Array: acc.Array, Sec: sec}}, nil
 	}
 	return nil, nil
 }
@@ -133,8 +133,7 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 	mp := myP()
 	mp1 := ast.Add(mp, ast.Int(1))
 	mpb, mp1b := ast.Mul(mp, ast.Int(b)), ast.Mul(mp1, ast.Int(b))
-	var send *ast.Send
-	var recv *ast.Recv
+	var send, recv *ast.Message
 	var sendGuard, recvGuard ast.Expr
 	if c > 0 {
 		// my block's first c elements go to my predecessor
@@ -146,8 +145,8 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 			Lo: ast.Add(mp1b, ast.Int(1)),
 			Hi: ast.Min(ast.Add(mp1b, ast.Int(c)), ast.Int(n)),
 		}
-		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: ast.Sub(mp, ast.Int(1))}
-		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: mp1}
+		send = &ast.Message{Op: ast.MsgSend, Array: array, Sec: withDim(sendDim), Peer: ast.Sub(mp, ast.Int(1))}
+		recv = &ast.Message{Op: ast.MsgRecv, Array: array, Sec: withDim(recvDim), Peer: mp1}
 		sendGuard = ast.Cmp(ast.OpGT, mp, ast.Int(0))
 		recvGuard = ast.Cmp(ast.OpLT, mp, ast.Int(p-1))
 	} else {
@@ -155,8 +154,8 @@ func emitShift(array string, dist *decomp.Dist, dim, c int, sec []ast.SecDim) ([
 		// my block's last m elements go to my successor
 		sendDim := ast.SecDim{Lo: ast.Add(mp1b, ast.Int(-m+1)), Hi: mp1b}
 		recvDim := ast.SecDim{Lo: ast.Add(mpb, ast.Int(-m+1)), Hi: mpb}
-		send = &ast.Send{Array: array, Sec: withDim(sendDim), Dest: mp1}
-		recv = &ast.Recv{Array: array, Sec: withDim(recvDim), Src: ast.Sub(mp, ast.Int(1))}
+		send = &ast.Message{Op: ast.MsgSend, Array: array, Sec: withDim(sendDim), Peer: mp1}
+		recv = &ast.Message{Op: ast.MsgRecv, Array: array, Sec: withDim(recvDim), Peer: ast.Sub(mp, ast.Int(1))}
 		sendGuard = ast.Cmp(ast.OpLT, mp, ast.Int(p-1))
 		recvGuard = ast.Cmp(ast.OpGT, mp, ast.Int(0))
 	}

@@ -133,7 +133,7 @@ func resolveReads(distOf partition.DistOf, at ast.Stmt, res *Result, exprs ...as
 			for d, sub := range x.Subs {
 				sec[d] = ast.SecDim{Lo: sub, Hi: sub}
 			}
-			bc := &ast.Broadcast{Array: x.Name, Sec: sec, Root: owner}
+			bc := &ast.Message{Op: ast.MsgBcast, Array: x.Name, Sec: sec, Peer: owner}
 			bc.Position = at.Pos()
 			out = append(out, bc)
 			res.MessagesInserted++
@@ -187,7 +187,7 @@ func (g *runtimeGen) assign(st *ast.Assign, k int) []ast.Stmt {
 			}
 			if replicated {
 				// every processor computes: the owner broadcasts the element
-				out = append(out, &ast.Broadcast{Array: ref.Name, Sec: sec, Root: srcOwner})
+				out = append(out, &ast.Message{Op: ast.MsgBcast, Array: ref.Name, Sec: sec, Peer: srcOwner})
 				g.res.MessagesInserted++
 				continue
 			}
@@ -197,8 +197,8 @@ func (g *runtimeGen) assign(st *ast.Assign, k int) []ast.Stmt {
 			differ := ast.Cmp(ast.OpNE, srcOwner, lhsOwner)
 			iOwnSrc := ast.Cmp(ast.OpEQ, myP(), srcOwner)
 			out = append(out, &ast.If{Cond: differ, Then: []ast.Stmt{
-				&ast.If{Cond: iOwnSrc, Then: []ast.Stmt{&ast.Send{Array: ref.Name, Sec: sec, Dest: lhsOwner}}},
-				&ast.If{Cond: iCompute, Then: []ast.Stmt{&ast.Recv{Array: ref.Name, Sec: sec, Src: srcOwner}}},
+				&ast.If{Cond: iOwnSrc, Then: []ast.Stmt{&ast.Message{Op: ast.MsgSend, Array: ref.Name, Sec: sec, Peer: lhsOwner}}},
+				&ast.If{Cond: iCompute, Then: []ast.Stmt{&ast.Message{Op: ast.MsgRecv, Array: ref.Name, Sec: sec, Peer: srcOwner}}},
 			}})
 			g.res.MessagesInserted += 2
 		}

@@ -355,13 +355,15 @@ func (h *hoister) instantiate(site *acg.CallSite, d *Delayed, nest []*ast.Do, di
 		dist = decomp.MustDist(d.Layout, dist.Sizes, dist.P)
 	}
 	acc.Dist, acc.DistDim = dist, dist.DistDim()
-	vars := siteVars(site)
-	acc.Section = callSection(d.Section, site, vars, acc.Array, proc, nest, h.mod, h.env)
+	acc.Section = callSection(d.Section, site, acc.Array, proc, nest, h.mod, h.env)
 	acc.PointVar, acc.PointOff = d.PointVar, d.PointOff // a constant point is PointOff alone
-	if a, ok := vars[d.PointVar]; ok {
-		acc.PointVar = a
+	if v, off, ok := callerAnchor(site, d.PointVar, h.env); ok {
+		acc.PointVar, acc.PointOff = v, d.PointOff+off
+	} else if d.Kind == KPoint {
+		// a root the caller cannot name: every processor gathers the section
+		acc.Kind, acc.PointVar, acc.PointOff = KGather, "", 0
 	}
-	if d.Kind == KPoint {
+	if acc.Kind == KPoint {
 		if acc.Point = ast.Int(acc.PointOff); acc.PointVar != "" {
 			acc.Point = ast.Add(ast.Id(acc.PointVar), acc.Point)
 		}
@@ -370,7 +372,7 @@ func (h *hoister) instantiate(site *acg.CallSite, d *Delayed, nest []*ast.Do, di
 	// a broadcast stays inside the loop defining its root, or at the call
 	// when the root is fixed there, and is delayed with a formal root
 	level, delay := 0, false
-	if d.Kind == KPoint {
+	if acc.Kind == KPoint {
 		loop := partition.LoopFor(nest, acc.PointVar)
 		delay = !proc.IsMain && isOuterVar(proc, acc.PointVar)
 		switch {
@@ -392,7 +394,7 @@ func (h *hoister) instantiate(site *acg.CallSite, d *Delayed, nest []*ast.Do, di
 			break
 		}
 	}
-	if d.Kind != KPoint { // bound over the loops it left
+	if acc.Kind != KPoint { // bound over the loops it left
 		delay = !proc.IsMain && acc.Section.Symbolic()
 	}
 	switch {
@@ -401,7 +403,7 @@ func (h *hoister) instantiate(site *acg.CallSite, d *Delayed, nest []*ast.Do, di
 	case at > 0: // a broadcast with a fixed root, at the call
 	case delay && h.writer(acc.Section, nest, site.Stmt, -1, true) == nil:
 		acc.Delay, acc.Why = true, WhyFormalRange
-		if d.Kind == KPoint {
+		if acc.Kind == KPoint {
 			acc.Why = WhyFormalOwner
 		}
 	case len(nest) > 0:

@@ -686,6 +686,56 @@ func TestInstantiatePointAtDefiningLoop(t *testing.T) {
 	}
 }
 
+// TestInstantiatePointAtExpressionActual: a delayed broadcast whose root
+// variable is bound to v ± c keeps its root and its column in the
+// caller's v; bound to any other expression, the caller cannot name the
+// root and gathers the section, widened over the column.
+func TestInstantiatePointAtExpressionActual(t *testing.T) {
+	for _, tc := range []struct {
+		actual, pointVar string
+		pointOff         int
+		section          string
+		kind             Kind
+	}{
+		{"k+1", "k", 1, "X[1:100,k+1]", KPoint},
+		{"k-2", "k", -2, "X[1:100,k-2]", KPoint},
+		{"3+k", "k", 3, "X[1:100,k+3]", KPoint},
+		{"2*k", "", 0, "X[1:100,1:100]", KGather},
+		{"7", "", 0, "X[1:100,1:100]", KGather},
+	} {
+		f := parseAll(t, `
+      PROGRAM P1
+      REAL X(100,100)
+      do k = 3,90
+        call F1(X,`+tc.actual+`)
+      enddo
+      END
+      SUBROUTINE F1(Z,kk)
+      REAL Z(100,100)
+      do i = 1,100
+        Z(i,1) = Z(i,kk) * 2.0
+      enddo
+      END
+`)
+		d := &Delayed{
+			Array: "Z", Kind: KPoint, PointVar: "kk",
+			Layout: decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), DistDim: 1,
+			Section: rsd.New("Z", rsd.Range(1, 100), rsd.SymPoint("kk", 0)),
+		}
+		dist := decomp.MustDist(decomp.NewDecomp(decomp.Collapsed, decomp.Cyclic), []int{100, 100}, 4)
+		distOf := func(string, ast.Stmt) (*decomp.Dist, bool) { return dist, true }
+		res := analyzeWithDelayed(t, f, "P1", distOf, d)
+		if len(callComms(res)) != 1 {
+			t.Fatalf("%s: call comms = %v", tc.actual, callComms(res))
+		}
+		cc := callComms(res)[0]
+		if cc.Kind != tc.kind || cc.Section.String() != tc.section || cc.PointVar != tc.pointVar || cc.PointOff != tc.pointOff {
+			t.Errorf("%s: %v of %s at %q%+d, want %v of %s at %q%+d", tc.actual, cc.Kind, cc.Section, cc.PointVar, cc.PointOff,
+				tc.kind, tc.section, tc.pointVar, tc.pointOff)
+		}
+	}
+}
+
 // localSections is a unit's local section summary and its index.
 func localSections(u *ast.Procedure) (*SectionSummary, *ast.Index) {
 	ix := ast.NewIndex(u)

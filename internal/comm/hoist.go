@@ -209,7 +209,7 @@ func (h *hoister) callWrites(site *acg.CallSite, nest []*ast.Do) []*rsd.Section 
 		for name, secs := range sum.Writes {
 			for _, sec := range secs {
 				if target := site.CallerName(name); target != "" {
-					out = append(out, callSection(sec, site, siteVars(site), target, h.proc, nest, h.mod, h.env))
+					out = append(out, callSection(sec, site, target, h.proc, nest, h.mod, h.env))
 				}
 			}
 		}

@@ -300,34 +300,46 @@ func declaredDim(sym *ast.Symbol, d int, env ast.Env) rsd.Dim {
 	return rsd.Range(lo, hi)
 }
 
-// siteVars maps the callee's formals to the bare names of the actuals
-// bound to them at site.
-func siteVars(site *acg.CallSite) map[string]string {
-	vars := map[string]string{}
-	for _, b := range site.Bindings {
-		if b.ActualName != "" {
-			vars[b.Formal] = b.ActualName
-		}
+// callerAnchor is the caller's name at site for the callee's anchor v,
+// and the constant to add: the bare name of the actual bound to a
+// formal (a variable, or an array element's array), the variable and
+// the constant of an actual v ± c, a COMMON variable's own name, and no
+// anchor for none. ok is false where the caller cannot name it.
+func callerAnchor(site *acg.CallSite, v string, env ast.Env) (name string, off int, ok bool) {
+	if v == "" {
+		return "", 0, true
 	}
-	return vars
+	if sym := site.Callee.Lookup(v); sym != nil && sym.IsFormal && site.Bindings[sym.FormalIndex].ActualName == "" {
+		w, coef, c, linear := depend.LinearSubscript(site.Bindings[sym.FormalIndex].Actual, env)
+		return w, c, linear && coef == 1
+	}
+	name = site.CallerName(v)
+	return name, 0, name != ""
 }
 
 // callSection renames a callee-space section into the caller's name
-// space: the array becomes array and every anchor naming a formal
-// scalar becomes the actual's name (vars is siteVars(site)). The caller
-// must be able to name an anchor wherever it places or tests the
-// section: a dimension anchored at a formal whose actual has no name,
-// or at a scalar the caller may assign (mod) other than as the index of
-// a loop around the call (nest), widens to the array's declared extent.
-func callSection(sec *rsd.Section, site *acg.CallSite, vars map[string]string, array string, caller *ast.Procedure, nest []*ast.Do, mod sideeffect.Set, env ast.Env) *rsd.Section {
-	out := sec.Rename(array, vars)
-	for i, d := range sec.Dims {
-		for _, v := range [2]string{d.LoVar, d.HiVar} {
-			a := site.CallerName(v)
-			if v != "" && (a == "" || mod.Has(a) && partition.LoopFor(nest, a) == nil) {
-				out.Dims[i] = declaredDim(site.Caller.Lookup(array), i, env)
-			}
+// space: the array becomes array and every anchor becomes what the
+// caller names it by (callerAnchor). The caller must be able to name an
+// anchor wherever it places or tests the section: a dimension anchored
+// where it cannot, or at a scalar the caller may assign (mod) other
+// than as the index of a loop around the call (nest), widens to the
+// array's declared extent.
+func callSection(sec *rsd.Section, site *acg.CallSite, array string, caller *ast.Procedure, nest []*ast.Do, mod sideeffect.Set, env ast.Env) *rsd.Section {
+	out := sec.Clone()
+	out.Array = array
+	named := func(v string) (string, int, bool) {
+		a, off, ok := callerAnchor(site, v, env)
+		return a, off, ok && !(mod.Has(a) && partition.LoopFor(nest, a) == nil)
+	}
+	for i := range out.Dims {
+		d := &out.Dims[i]
+		lo, loOff, okLo := named(d.LoVar)
+		hi, hiOff, okHi := named(d.HiVar)
+		if !okLo || !okHi {
+			*d = declaredDim(site.Caller.Lookup(array), i, env)
+			continue
 		}
+		d.LoVar, d.Lo, d.HiVar, d.Hi = lo, d.Lo+loOff, hi, d.Hi+hiOff
 	}
 	return out
 }
@@ -343,7 +355,7 @@ func TranslateSection(sec *rsd.Section, site *acg.CallSite, caller *ast.Procedur
 	if actual == "" {
 		return nil
 	}
-	out := callSection(sec, site, siteVars(site), actual, caller, nest, mod, env)
+	out := callSection(sec, site, actual, caller, nest, mod, env)
 	// expand anchors that are loop variables of the caller
 	for i := len(nest) - 1; i >= 0; i-- {
 		out = bindConst(out, nest[i], env)

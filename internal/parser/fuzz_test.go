@@ -3,7 +3,6 @@ package parser
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"fortd/internal/ast"
@@ -29,16 +28,18 @@ const toClauseSrc = `
 // FuzzParse asserts the lexer+parser never panic: arbitrary input must
 // either parse or return an error, and Parse, which parses unit by unit,
 // must agree with the whole-text oracle parseWhole. The corpus is seeded
-// with every checked-in Fortran D source under the repository's testdata,
+// with every checked-in Fortran D source under the repository's testdata
+// and the node programs (.spmd) beside them,
 // with lines that only look like a unit's END, and with broadcasts that
-// carry a "to" clause, with and without "ring", which must survive print
-// → parse → print unchanged.
+// carry a "to" clause, with and without "ring". A program that holds a
+// message statement must survive print → parse → print unchanged.
 func FuzzParse(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.f"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, path := range paths {
+	nodes, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "*", "*.spmd"))
+	for _, path := range append(paths, nodes...) {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -59,7 +60,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("Parse returned nil program and nil error")
 		}
 		sameAsWhole(t, src)
-		if err != nil || !strings.Contains(src, " to ") {
+		if err != nil || !holdsMessage(prog) {
 			return
 		}
 		text := ast.Print(prog)
@@ -71,4 +72,18 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("print → parse → print changed the program:\n%s\n---\n%s", text, text2)
 		}
 	})
+}
+
+// holdsMessage reports whether some unit of prog holds a message
+// statement.
+func holdsMessage(prog *ast.Program) bool {
+	found := false
+	for _, u := range prog.Units {
+		ast.WalkStmts(u.Body, func(s ast.Stmt) bool {
+			_, ok := s.(*ast.Message)
+			found = found || ok
+			return !found
+		})
+	}
+	return found
 }

@@ -9,6 +9,7 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -386,12 +387,6 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 		return nil, p.endOfStmt()
 	// output-language statements, accepted so generated SPMD programs
 	// round-trip through the printer
-	case "SEND", "RECV", "BROADCAST", "ALLGATHER":
-		return p.parseComm(strings.ToUpper(t.Text))
-	case "POSTRECV", "POSTBCAST":
-		return p.parsePost(strings.ToUpper(t.Text) == "POSTBCAST")
-	case "WAITRECV", "WAITBCAST":
-		return p.parseWait(strings.ToUpper(t.Text) == "WAITBCAST")
 	case "REMAP", "MARKAS":
 		return p.parseRemap(strings.ToUpper(t.Text) == "MARKAS")
 	case "GLOBALSUM", "GLOBALMAX", "GLOBALMIN":
@@ -403,6 +398,9 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 		}
 		st := &ast.GlobalReduce{Var: id.Text, Op: op}
 		return st, p.endOfStmt()
+	}
+	if op, ok := ast.MsgOpOf(t.Text); ok {
+		return p.parseMessage(op)
 	}
 	return p.parseAssign()
 }
@@ -861,130 +859,55 @@ func (p *parser) parseAssign() (ast.Stmt, error) {
 	return st, p.endOfStmt()
 }
 
-// parseComm parses the generated-code message statements:
+// parseMessage parses the message statement op, its shape read off
+// op's kind:
 //
-//	send  ARR(sec,...) to EXPR
-//	recv  ARR(sec,...) from EXPR
+//	send      ARR(sec,...) to EXPR
+//	recv      ARR(sec,...) from EXPR
 //	broadcast ARR(sec,...) from EXPR [to ARR(:,...,sec,...,:) [ring]]
 //	allgather ARR(sec,...)
+//	postrecv  ARR(sec,...) from EXPR tag N
+//	waitrecv  ARR tag N
+//	postbcast ARR(sec,...) from EXPR [to ARR(...) [ring]] tag N
+//	waitbcast ARR tag N
 //
 // where each section dimension is "expr" or "expr:expr".
-func (p *parser) parseComm(kind string) (ast.Stmt, error) {
+func (p *parser) parseMessage(op ast.MsgOp) (ast.Stmt, error) {
+	k := op.Kind()
 	p.next() // keyword
 	arr, err := p.expect(lexer.IDENT, "array name")
 	if err != nil {
 		return nil, err
 	}
-	sec, err := p.parseSection(false)
-	if err != nil {
-		return nil, err
-	}
-	var peer ast.Expr
-	switch kind {
-	case "SEND":
-		if !p.acceptKeyword("TO") {
-			return nil, fmt.Errorf("line %d: expected TO", arr.Line)
-		}
-	case "RECV", "BROADCAST":
-		if !p.acceptKeyword("FROM") {
-			return nil, fmt.Errorf("line %d: expected FROM", arr.Line)
-		}
-	}
-	if kind != "ALLGATHER" {
-		peer, err = p.parseExpr()
-		if err != nil {
+	m := &ast.Message{Op: op, Array: arr.Text}
+	m.Position = ast.Position{Line: arr.Line}
+	if k.Sec {
+		if m.Sec, err = p.parseSection(false); err != nil {
 			return nil, err
 		}
 	}
-	pos := ast.Position{Line: arr.Line}
-	switch kind {
-	case "SEND":
-		s := &ast.Send{Array: arr.Text, Sec: sec, Dest: peer}
-		s.Position = pos
-		return s, p.endOfStmt()
-	case "RECV":
-		s := &ast.Recv{Array: arr.Text, Sec: sec, Src: peer}
-		s.Position = pos
-		return s, p.endOfStmt()
-	case "BROADCAST":
-		s := &ast.Broadcast{Array: arr.Text, Sec: sec, Root: peer}
-		s.Position = pos
-		if s.To, err = p.parseReceivers(arr.Line); err != nil {
+	if k.Peer != "" {
+		if !p.acceptKeyword(k.Peer) {
+			return nil, fmt.Errorf("line %d: expected %s", arr.Line, strings.ToUpper(k.Peer))
+		}
+		if m.Peer, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		return s, p.endOfStmt()
-	default: // ALLGATHER
-		s := &ast.AllGather{Array: arr.Text, Sec: sec}
-		s.Position = pos
-		return s, p.endOfStmt()
 	}
+	if k.To {
+		if m.To, err = p.parseReceivers(arr.Line); err != nil {
+			return nil, err
+		}
+	}
+	if k.Tag {
+		if m.Tag, err = p.parseTag(arr.Line); err != nil {
+			return nil, err
+		}
+	}
+	return m, p.endOfStmt()
 }
 
-// parsePost parses the split-phase post statements emitted by the
-// overlap schedule:
-//
-//	postrecv  ARR(sec,...) from EXPR tag N
-//	postbcast ARR(sec,...) from EXPR [to ARR(...) [ring]] tag N
-func (p *parser) parsePost(bcast bool) (ast.Stmt, error) {
-	p.next() // keyword
-	arr, err := p.expect(lexer.IDENT, "array name")
-	if err != nil {
-		return nil, err
-	}
-	sec, err := p.parseSection(false)
-	if err != nil {
-		return nil, err
-	}
-	if !p.acceptKeyword("FROM") {
-		return nil, fmt.Errorf("line %d: expected FROM", arr.Line)
-	}
-	peer, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	var to *ast.Receivers
-	if bcast {
-		to, err = p.parseReceivers(arr.Line)
-	}
-	if err != nil {
-		return nil, err
-	}
-	tag, err := p.parseTag(arr.Line)
-	if err != nil {
-		return nil, err
-	}
-	if bcast {
-		s := &ast.PostBcast{Array: arr.Text, Sec: sec, Root: peer, To: to, Tag: tag}
-		s.Position = ast.Position{Line: arr.Line}
-		return s, p.endOfStmt()
-	}
-	s := &ast.PostRecv{Array: arr.Text, Sec: sec, Src: peer, Tag: tag}
-	s.Position = ast.Position{Line: arr.Line}
-	return s, p.endOfStmt()
-}
-
-// parseWait parses "waitrecv ARR tag N" / "waitbcast ARR tag N".
-func (p *parser) parseWait(bcast bool) (ast.Stmt, error) {
-	p.next() // keyword
-	arr, err := p.expect(lexer.IDENT, "array name")
-	if err != nil {
-		return nil, err
-	}
-	tag, err := p.parseTag(arr.Line)
-	if err != nil {
-		return nil, err
-	}
-	if bcast {
-		s := &ast.WaitBcast{Array: arr.Text, Tag: tag}
-		s.Position = ast.Position{Line: arr.Line}
-		return s, p.endOfStmt()
-	}
-	s := &ast.WaitRecv{Array: arr.Text, Tag: tag}
-	s.Position = ast.Position{Line: arr.Line}
-	return s, p.endOfStmt()
-}
-
-func (p *parser) parseTag(line int) (int, error) {
+func (p *parser) parseTag(line int) (int32, error) {
 	if !p.acceptKeyword("TAG") {
 		return 0, fmt.Errorf("line %d: expected TAG", line)
 	}
@@ -992,7 +915,10 @@ func (p *parser) parseTag(line int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.Int, nil
+	if t.Int > math.MaxInt32 {
+		return 0, fmt.Errorf("line %d: tag %d out of range", line, t.Int)
+	}
+	return int32(t.Int), nil
 }
 
 // parseReceivers parses a broadcast's optional "to" clause: an array

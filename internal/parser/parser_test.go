@@ -432,6 +432,10 @@ func TestParseOutputLanguageRoundTrip(t *testing.T) {
       endif
       broadcast X(1:100) from 0
       allgather X(1:100)
+      postrecv X(26:30) from (my$p + 1) tag 1
+      waitrecv X tag 1
+      postbcast X(1:50) from 0 to X((my$p + 1):100) ring tag 2
+      waitbcast X tag 2
       remap X(CYCLIC)
       markas X(BLOCK)
       globalsum s$red
@@ -445,14 +449,8 @@ func TestParseOutputLanguageRoundTrip(t *testing.T) {
 	kinds := []string{}
 	ast.WalkStmts(prog.Main().Body, func(s ast.Stmt) bool {
 		switch st := s.(type) {
-		case *ast.Send:
-			kinds = append(kinds, "send")
-		case *ast.Recv:
-			kinds = append(kinds, "recv")
-		case *ast.Broadcast:
-			kinds = append(kinds, "broadcast")
-		case *ast.AllGather:
-			kinds = append(kinds, "allgather")
+		case *ast.Message:
+			kinds = append(kinds, st.Op.Kind().Word)
 		case *ast.Remap:
 			if st.InPlace {
 				kinds = append(kinds, "markas")
@@ -464,7 +462,7 @@ func TestParseOutputLanguageRoundTrip(t *testing.T) {
 		}
 		return true
 	})
-	want := []string{"send", "recv", "broadcast", "allgather", "remap", "markas", "reduce:+", "reduce:MAX"}
+	want := []string{"send", "recv", "broadcast", "allgather", "postrecv", "waitrecv", "postbcast", "waitbcast", "remap", "markas", "reduce:+", "reduce:MAX"}
 	if len(kinds) != len(want) {
 		t.Fatalf("kinds = %v", kinds)
 	}
@@ -473,10 +471,20 @@ func TestParseOutputLanguageRoundTrip(t *testing.T) {
 			t.Errorf("stmt %d = %s, want %s", i, kinds[i], want[i])
 		}
 	}
-	// and the whole thing reprints + reparses
+	// and the whole thing reprints + reparses to the same text
 	text := ast.Print(prog)
-	if _, err := Parse(text); err != nil {
+	again, err := Parse(text)
+	if err != nil {
 		t.Fatalf("round trip: %v\n%s", err, text)
+	}
+	if text2 := ast.Print(again); text2 != text {
+		t.Fatalf("print → parse → print changed the program:\n%s\n---\n%s", text, text2)
+	}
+	for _, line := range []string{"postrecv X(26:30) from (my$p + 1) tag 1", "waitrecv X tag 1",
+		"postbcast X(1:50) from 0 to X((my$p + 1):100) ring tag 2", "waitbcast X tag 2"} {
+		if !strings.Contains(text, line) {
+			t.Errorf("printed program lacks %q:\n%s", line, text)
+		}
 	}
 }
 
@@ -577,11 +585,11 @@ func TestParseBroadcastReceivers(t *testing.T) {
 		t.Fatalf("reparse: %v\n%s", err, text)
 	}
 	body := prog.Units[0].Body[1].(*ast.Do).Body
-	bc := body[0].(*ast.Broadcast)
+	bc := body[0].(*ast.Message)
 	if r := bc.To; r == nil || r.Array != "a" || r.Dim != 1 || r.Rank != 2 || r.Lo.String() != "(k + 1)" || r.Hi.String() != "n" || !r.Ring {
 		t.Errorf("clause = %+v", bc.To)
 	}
-	if tree, ring := body[1].(*ast.PostBcast).To, body[3].(*ast.PostBcast).To; tree.Ring || !ring.Ring {
+	if tree, ring := body[1].(*ast.Message).To, body[3].(*ast.Message).To; tree.Ring || !ring.Ring {
 		t.Errorf("posted clauses = %+v, %+v", tree, ring)
 	}
 	for _, bad := range []string{"to a(:,:)", "to a(1:2,3:4)", "to a()"} {

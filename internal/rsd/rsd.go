@@ -284,23 +284,3 @@ func Disjoint(a, b *Section) bool {
 	}
 	return false
 }
-
-// Rename rewrites the array name (formal→actual translation across a
-// call site for identically-shaped parameters) and renames symbolic
-// anchors per the vars map (formal scalar → actual scalar).
-func (s *Section) Rename(array string, vars map[string]string) *Section {
-	out := s.Clone()
-	out.Array = array
-	if vars != nil {
-		for i := range out.Dims {
-			d := &out.Dims[i]
-			if actual, ok := vars[d.LoVar]; ok {
-				d.LoVar = actual
-			}
-			if actual, ok := vars[d.HiVar]; ok {
-				d.HiVar = actual
-			}
-		}
-	}
-	return out
-}

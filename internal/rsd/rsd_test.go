@@ -151,18 +151,6 @@ func TestDisjoint(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	s := New("Z", Range(26, 30), SymPoint("i", 0))
-	r := s.Rename("X", map[string]string{"i": "k"})
-	if r.Array != "X" || r.Dims[1].LoVar != "k" {
-		t.Errorf("Rename = %v", r)
-	}
-	// original untouched
-	if s.Array != "Z" || s.Dims[1].LoVar != "i" {
-		t.Errorf("Rename mutated receiver: %v", s)
-	}
-}
-
 // Property: Union, when it succeeds, covers exactly the two inputs.
 func TestUnionExactProperty(t *testing.T) {
 	f := func(alo, aw, blo, bw uint8) bool {

@@ -20,14 +20,14 @@ import "fortd/internal/ast"
 // broadcast that stays is not remarked on here: the hoist considers it
 // next.
 func dropRedundant(v *view, i int) (int, bool) {
-	b2, ok := v.list[i].(*ast.Broadcast)
-	if !ok || i == 0 {
+	b2, ok := v.list[i].(*ast.Message)
+	if !ok || b2.Op != ast.MsgBcast || i == 0 {
 		return i, false
 	}
 	reads := v.reads(b2)
 	for j := i - 1; j >= 0; j-- {
-		b1, ok := v.list[j].(*ast.Broadcast)
-		if ok && b1.Array == b2.Array && ast.ExprEqual(b1.Root, b2.Root) && v.contains(b1, b2) && reaches(b1.To, b2.To) {
+		b1, ok := v.list[j].(*ast.Message)
+		if ok && b1.Op == ast.MsgBcast && b1.Array == b2.Array && ast.ExprEqual(b1.Peer, b2.Peer) && v.contains(b1, b2) && reaches(b1.To, b2.To) {
 			v.replace(i, 1)
 			v.applied(b2.Pos().Line, "broadcast removed: section already delivered by the line %d broadcast from the same root, with no intervening writes", b1.Pos().Line)
 			return i, true
@@ -43,7 +43,7 @@ func dropRedundant(v *view, i int) (int, bool) {
 // dimension by dimension: equal bounds, a constant-offset containment,
 // or b1 spanning the array's whole declared extent (any in-bounds
 // subscript is then contained).
-func (v *view) contains(b1, b2 *ast.Broadcast) bool {
+func (v *view) contains(b1, b2 *ast.Message) bool {
 	if len(b1.Sec) != len(b2.Sec) {
 		return false
 	}
@@ -96,8 +96,8 @@ func reaches(r1, r2 *ast.Receivers) bool {
 // nothing to overlap); one pinned by its immediate predecessor gets a
 // Missed remark naming what pins it.
 func hoistBcast(v *view, i int) (int, bool) {
-	bc, ok := v.list[i].(*ast.Broadcast)
-	if !ok || i == 0 {
+	bc, ok := v.list[i].(*ast.Message)
+	if !ok || bc.Op != ast.MsgBcast || i == 0 {
 		return i, false
 	}
 	reads := v.reads(bc)

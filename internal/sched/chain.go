@@ -128,9 +128,8 @@ func chainAt(list []ast.Stmt, j int, gs []group) []group {
 // (guards included), what they send and receive, and what its body
 // references of the array.
 type group struct {
-	shift, shiftIn, pipeIn, pipe ast.Stmt // S, R, Q, P
-	s, p                         *ast.Send
-	r, q                         *ast.Recv
+	shift, shiftIn, pipeIn, pipe ast.Stmt     // S, R, Q, P
+	s, p, r, q                   *ast.Message // S and P send, R and Q recv
 	loop                         *ast.Do
 	reach                        int    // the largest c of a reference x(i+c) in the body
 	why                          string // why the body may not be split, or ""
@@ -216,7 +215,7 @@ func (g *group) scan(x string) (recurrence bool) {
 // movable says why the next loop's S may not move up into this loop,
 // nor this loop's R down, or "" when both may.
 func (g *group) movable(next *group) string {
-	if !otherLink(next.s.Dest, g.p.Dest) {
+	if !otherLink(next.s.Peer, g.p.Peer) {
 		return "cannot prove the next loop's shift and this loop's pipeline send leave on different links"
 	}
 	if why := g.sinkable(); why != "" {
@@ -242,7 +241,7 @@ func (g *group) movable(next *group) string {
 func (g *group) sinkable() string {
 	in, pipe := g.r.Sec[0], g.q.Sec[0]
 	switch {
-	case !otherLink(g.r.Src, g.q.Src):
+	case !otherLink(g.r.Peer, g.q.Peer):
 		return "cannot prove this loop's shift and pipeline recvs arrive on different links"
 	case !atLeast(pipe.Hi, in.Lo, 1) && !atLeast(in.Hi, pipe.Lo, 1):
 		return "cannot prove this loop's shift and pipeline recvs deliver different cells"
@@ -266,15 +265,12 @@ func (g *group) reads(next *group, name string) string {
 
 // commMentions reports whether a (guarded) send or recv reads name.
 func commMentions(s ast.Stmt, name string) bool {
-	guard, snd, rcv := asComm(s)
-	peer, sec := ast.Expr(nil), []ast.SecDim(nil)
-	if snd != nil {
-		peer, sec = snd.Dest, snd.Sec
-	} else {
-		peer, sec = rcv.Src, rcv.Sec
+	guard, m, rcv := asComm(s)
+	if m == nil {
+		m = rcv
 	}
-	found := guard != nil && mentions(guard.Cond, name) || mentions(peer, name)
-	for _, d := range sec {
+	found := guard != nil && mentions(guard.Cond, name) || mentions(m.Peer, name)
+	for _, d := range m.Sec {
 		found = found || mentions(d.Lo, name) || mentions(d.Hi, name)
 	}
 	return found

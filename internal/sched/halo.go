@@ -3,8 +3,8 @@ package sched
 import "fortd/internal/ast"
 
 // asComm classifies a statement as one element of a halo-exchange run:
-// a Send or Recv, bare or wrapped in a single-statement guard.
-func asComm(s ast.Stmt) (guard *ast.If, send *ast.Send, recv *ast.Recv) {
+// a send or recv, bare or wrapped in a single-statement guard.
+func asComm(s ast.Stmt) (guard *ast.If, send, recv *ast.Message) {
 	inner := s
 	if g, ok := s.(*ast.If); ok {
 		if len(g.Then) != 1 || len(g.Else) != 0 {
@@ -12,27 +12,29 @@ func asComm(s ast.Stmt) (guard *ast.If, send *ast.Send, recv *ast.Recv) {
 		}
 		guard, inner = g, g.Then[0]
 	}
-	switch st := inner.(type) {
-	case *ast.Send:
-		return guard, st, nil
-	case *ast.Recv:
-		return guard, nil, st
+	if m, ok := inner.(*ast.Message); ok {
+		switch m.Op {
+		case ast.MsgSend:
+			return guard, m, nil
+		case ast.MsgRecv:
+			return guard, nil, m
+		}
 	}
 	return nil, nil, nil
 }
 
 // splitHalo matches a maximal run of (possibly guarded) send/recv
 // statements at i followed by a Do loop. On a proven-safe match each
-// recv becomes a PostRecv in place (guard kept), the loop runs its
+// recv becomes a postrecv in place (guard kept), the loop runs its
 // interior iterations — the ones that provably touch no halo cell —
-// before the WaitRecv statements, and the peeled boundary iterations
+// before the waitrecv statements, and the peeled boundary iterations
 // run after them: the wait then stalls only for the part of the message
 // flight the interior compute failed to cover. A match that fails a
 // proof gets a Missed remark per recv and is passed over whole, so the
 // run is considered exactly once.
 func splitHalo(v *view, i int) (int, bool) {
 	j := i
-	var recvs []*ast.Recv
+	var recvs []*ast.Message
 	for ; j < len(v.list); j++ {
 		_, snd, rcv := asComm(v.list[j])
 		if snd == nil && rcv == nil {
@@ -164,12 +166,13 @@ func splitHalo(v *view, i int) (int, bool) {
 		// the wait is unguarded: a post whose guard was false leaves
 		// nothing registered under the tag, so its wait is a no-op
 		post, wait := v.split(rcv)
+		var placed ast.Stmt = post
 		if guard != nil {
 			g := *guard
 			g.Then = []ast.Stmt{post}
-			post = &g
+			placed = &g
 		}
-		repl = append(repl, post)
+		repl = append(repl, placed)
 		waits = append(waits, wait)
 		v.applied(rcv.Pos().Line, "recv posted early; wait sunk below interior %s-loop (peel %d low, %d high)",
 			loop.Var, peelLo, peelHi)

@@ -50,11 +50,13 @@ func pipelinePivot(v *view, i int) (int, bool) {
 		return i, false
 	}
 	// the first broadcast of the body, at its top in the matched shape
-	var bc *ast.Broadcast
+	var bc *ast.Message
 	at := -1
 	for bc == nil && at < len(body)-2 {
 		at++
-		bc, _ = body[at].(*ast.Broadcast)
+		if m, ok := body[at].(*ast.Message); ok && m.Op == ast.MsgBcast {
+			bc = m
+		}
 	}
 	if bc == nil {
 		return i, false
@@ -73,7 +75,7 @@ func pipelinePivot(v *view, i int) (int, bool) {
 			shifted = true
 		}
 	}
-	if pivot < 0 || !mentions(bc.Root, k) {
+	if pivot < 0 || !mentions(bc.Peer, k) {
 		return i, false
 	}
 	miss := func(format string, args ...interface{}) (int, bool) {
@@ -100,7 +102,7 @@ func pipelinePivot(v *view, i int) (int, bool) {
 		return miss("loop body does not end in an update loop")
 	}
 	// rotating owner: MOD(k + c1, s)
-	rootCall, ok := bc.Root.(*ast.FuncCall)
+	rootCall, ok := bc.Peer.(*ast.FuncCall)
 	if !ok || rootCall.Name != "MOD" || len(rootCall.Args) != 2 {
 		return miss("root is not a cyclic owner expression")
 	}
@@ -152,14 +154,14 @@ func pipelinePivot(v *view, i int) (int, bool) {
 
 	// all proofs hold: build the pipeline
 	split, wait := v.split(bc)
-	postAt := func(val ast.Expr) *ast.PostBcast {
+	postAt := func(val ast.Expr) *ast.Message {
 		env := map[string]ast.Expr{k: val}
-		post := *split.(*ast.PostBcast)
+		post := *split
 		post.Sec = make([]ast.SecDim, len(bc.Sec))
 		for d, sd := range bc.Sec {
 			post.Sec[d] = ast.SecDim{Lo: ast.Subst(sd.Lo, env), Hi: ast.Subst(sd.Hi, env)}
 		}
-		post.Root = ast.Subst(bc.Root, env)
+		post.Peer = ast.Subst(bc.Peer, env)
 		post.To = bc.To.Subst(env)
 		return &post
 	}

@@ -287,21 +287,15 @@ func (v *view) replace(i, n int, repl ...ast.Stmt) {
 // split returns the two halves of a blocking recv or broadcast under a
 // fresh tag: the post, which starts the transfer where it stands, and
 // the wait, which delivers it.
-func (p *Pass) split(s ast.Stmt) (post, wait ast.Stmt) {
-	p.Tag++
-	switch st := s.(type) {
-	case *ast.Recv:
-		po := &ast.PostRecv{Array: st.Array, Sec: st.Sec, Src: st.Src, Tag: p.Tag}
-		wa := &ast.WaitRecv{Array: st.Array, Tag: p.Tag}
-		po.Position, wa.Position = st.Pos(), st.Pos()
-		return po, wa
-	case *ast.Broadcast:
-		po := &ast.PostBcast{Array: st.Array, Sec: st.Sec, Root: st.Root, To: st.To, Tag: p.Tag}
-		wa := &ast.WaitBcast{Array: st.Array, Tag: p.Tag}
-		po.Position, wa.Position = st.Pos(), st.Pos()
-		return po, wa
+func (p *Pass) split(m *ast.Message) (post, wait *ast.Message) {
+	k := m.Op.Kind()
+	if k.Post == 0 {
+		panic(fmt.Sprintf("sched: %s has no split-phase form", k.Word))
 	}
-	panic(fmt.Sprintf("sched: %T has no split-phase form", s))
+	p.Tag++
+	po, wa := *m, &ast.Message{Op: k.Wait, Tag: int32(p.Tag), Array: m.Array}
+	po.Op, po.Tag, wa.Position = k.Post, int32(p.Tag), m.Position
+	return &po, wa
 }
 
 // applied and missed report the site at line under the transform at

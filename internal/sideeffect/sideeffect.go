@@ -136,15 +136,16 @@ func (a *Analysis) Add(sum *Summary, body ...ast.Stmt) {
 			}
 		})
 	}
-	// comm records a communication statement: what it receives into,
-	// what it sends, and the expressions of its section and peer
-	comm := func(s ast.Stmt, recvs, sends string) {
+	// comm records a communication statement on name: whether it
+	// receives into it, whether it sends it, and the expressions of its
+	// section and peer
+	comm := func(s ast.Stmt, name string, receives, sends bool) {
 		sum.Comm = true
-		if recvs != "" {
-			sum.Mod[recvs] = struct{}{}
+		if receives {
+			sum.Mod[name] = struct{}{}
 		}
-		if sends != "" {
-			sum.Ref[sends] = struct{}{}
+		if sends {
+			sum.Ref[name] = struct{}{}
 		}
 		for _, e := range ast.StmtExprs(s) {
 			ref(e)
@@ -191,26 +192,13 @@ func (a *Analysis) Add(sum *Summary, body ...ast.Stmt) {
 			sum.Comm = sum.Comm || callee.Comm
 			a.translate(st, callee.Mod, sum.Mod)
 			a.translate(st, callee.Ref, sum.Ref)
-		case *ast.Send:
-			comm(s, "", st.Array)
-		case *ast.Recv:
-			comm(s, st.Array, "")
-		case *ast.Broadcast:
-			comm(s, st.Array, st.Array)
-		case *ast.AllGather:
-			comm(s, st.Array, st.Array)
+		case *ast.Message:
+			k := st.Op.Kind()
+			comm(s, st.Array, k.Mod, k.Ref)
 		case *ast.GlobalReduce:
-			comm(s, st.Var, st.Var)
+			comm(s, st.Var, true, true)
 		case *ast.Remap:
-			comm(s, st.Array, st.Array)
-		case *ast.PostRecv:
-			comm(s, "", st.Array)
-		case *ast.WaitRecv:
-			comm(s, st.Array, "")
-		case *ast.PostBcast:
-			comm(s, "", st.Array)
-		case *ast.WaitBcast:
-			comm(s, st.Array, "")
+			comm(s, st.Array, true, true)
 		}
 		return true
 	})

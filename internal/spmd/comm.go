@@ -156,6 +156,7 @@ type commSite struct {
 	peer  intOperand // destination, source or root
 	tag   int        // tag index (Code.tags)
 	to    *toClause  // a broadcast's receivers (nil: every processor)
+	kind  ast.MsgOp  // the message statement it is (0: a remap)
 	plain bool       // no section bound can fail: each is a constant or a local ± a constant
 }
 
@@ -167,32 +168,43 @@ type toClause struct {
 	ring      bool
 }
 
-// to lowers a broadcast's "to" clause onto its site.
-func (lw *lowerer) to(c *commSite, r *ast.Receivers) *commSite {
-	if r != nil {
-		lo, _ := lw.intExpr(r.Lo)
-		hi, _ := lw.intExpr(r.Hi)
-		c.to = &toClause{slot: lw.slot(r.Array), dim: r.Dim, lo: lo, hi: hi, ring: r.Ring}
-	}
-	return c
-}
-
-func (lw *lowerer) comm(st ast.Stmt, what, op, array string, sec []ast.SecDim, peer ast.Expr, tag int) *commSite {
-	c := &commSite{unit: lw.unit.Name, line: st.Pos().Line, what: what, op: op, array: array, slot: lw.slot(array), plain: len(sec) <= maxRank}
-	for _, s := range sec {
+// message lowers a message statement onto its site and the executor of
+// its Op.
+func (lw *lowerer) message(m *ast.Message) stmtFn {
+	k := m.Op.Kind()
+	c := &commSite{unit: lw.unit.Name, line: m.Pos().Line, what: k.Word, op: k.Label, array: m.Array, slot: lw.slot(m.Array), kind: m.Op, plain: len(m.Sec) <= maxRank}
+	for _, s := range m.Sec {
 		lo, _ := lw.intExpr(s.Lo)
 		hi, _ := lw.intExpr(s.Hi)
 		c.sec = append(c.sec, secDim{lo, hi})
 		c.plain = c.plain && lo.kind < intFn && hi.kind < intFn
 	}
-	if peer != nil {
-		c.peer, _ = lw.intExpr(peer)
+	if m.Peer != nil {
+		c.peer, _ = lw.intExpr(m.Peer)
 	}
-	switch st.(type) {
-	case *ast.PostRecv, *ast.WaitRecv, *ast.PostBcast, *ast.WaitBcast:
-		c.tag = index(&lw.pp.tags, tag)
+	if r := m.To; r != nil {
+		lo, _ := lw.intExpr(r.Lo)
+		hi, _ := lw.intExpr(r.Hi)
+		c.to = &toClause{slot: lw.slot(r.Array), dim: r.Dim, lo: lo, hi: hi, ring: r.Ring}
 	}
-	return c
+	if k.Tag {
+		c.tag = index(&lw.pp.tags, int(m.Tag))
+	}
+	switch m.Op {
+	case ast.MsgSend:
+		return c.send
+	case ast.MsgRecv:
+		return c.recv
+	case ast.MsgBcast:
+		return c.broadcast
+	case ast.MsgAllGather:
+		return c.allGather
+	case ast.MsgPostRecv:
+		return c.postRecv
+	case ast.MsgPostBcast:
+		return c.postBcast
+	}
+	return c.wait // waitrecv, waitbcast
 }
 
 // begin attributes the communication the statement is about to generate
@@ -377,9 +389,15 @@ type postedOp struct {
 	isRoot bool // bcast: this processor supplied the data; nothing to store
 }
 
-// post files a pooled op under the statement's tag.
-func (c *commSite) post(fr *frame, arr *Array, bx *box) *postedOp {
+// post files a pooled op under the statement's tag. A tag still in
+// flight is an error: the op filed under it would never be waited for.
+func (c *commSite) post(fr *frame, arr *Array, bx *box) (*postedOp, error) {
 	nd := fr.nd
+	tag := fr.pp.tag[c.tag]
+	if po := nd.posted[tag]; po != nil {
+		return nil, fmt.Errorf("%s %s tag %d (%s line %d): the tag is in flight since the line %d %s",
+			c.what, c.array, fr.pp.tags[c.tag], c.unit, c.line, po.site.line, po.site.what)
+	}
 	var po *postedOp
 	if n := len(nd.freeOps); n > 0 {
 		po = nd.freeOps[n-1]
@@ -389,8 +407,8 @@ func (c *commSite) post(fr *frame, arr *Array, bx *box) *postedOp {
 	}
 	po.site, po.arr, po.isRoot = c, arr, false
 	po.sec = bounds{n: bx.n, lo: bx.lo, hi: bx.hi}
-	nd.posted[fr.pp.tag[c.tag]] = po
-	return po
+	nd.posted[tag] = po
+	return po, nil
 }
 
 // postRecv posts the receive half of a split halo exchange. Like recv
@@ -401,8 +419,12 @@ func (c *commSite) post(fr *frame, arr *Array, bx *box) *postedOp {
 func (c *commSite) postRecv(fr *frame) error {
 	var bx box
 	arr, src, ok, err := c.partner(fr, &bx)
-	if ok {
-		fr.nd.proc.IRecvInto(&c.post(fr, arr, &bx).h, src)
+	if !ok {
+		return err
+	}
+	po, err := c.post(fr, arr, &bx)
+	if err == nil {
+		fr.nd.proc.IRecvInto(&po.h, src)
 	}
 	return err
 }
@@ -417,7 +439,10 @@ func (c *commSite) postBcast(fr *frame) error {
 	if !ok {
 		return err
 	}
-	po := c.post(fr, arr, &bx)
+	po, err := c.post(fr, arr, &bx)
+	if err != nil {
+		return err
+	}
 	var data []float64
 	if po.isRoot = nd.p == root; po.isRoot {
 		data = nd.proc.Scratch(bx.elems)
@@ -430,7 +455,8 @@ func (c *commSite) postBcast(fr *frame) error {
 // wait completes the postRecv or postBcast with the same tag, if one is
 // in flight (none: the post's guard was false): the message is
 // delivered as the section captured at post time, unless this processor
-// supplied it, and the op goes back to the pool.
+// supplied it, and the op goes back to the pool. A post of another
+// kind or array under the tag is an error.
 func (c *commSite) wait(fr *frame) error {
 	nd := fr.nd
 	nd.proc.SetContext(c.unit, c.line, c.op)
@@ -439,6 +465,10 @@ func (c *commSite) wait(fr *frame) error {
 	if po == nil {
 		return nil
 	}
+	if po.site.kind.Kind().Wait != c.kind || po.site.array != c.array {
+		return fmt.Errorf("%s %s tag %d (%s line %d): the tag's post is the line %d %s %s",
+			c.what, c.array, fr.pp.tags[c.tag], c.unit, c.line, po.site.line, po.site.what, po.site.array)
+	}
 	nd.posted[tag] = nil
 	data := nd.proc.WaitHandle(&po.h)
 	if !po.isRoot { // the root supplied the data; its copy is current
@@ -446,7 +476,7 @@ func (c *commSite) wait(fr *frame) error {
 		switch clip(po.arr, &po.sec, &bx); {
 		case len(data) == bx.elems:
 			po.arr.deliver(po.site, &bx, data)
-		case c.what == "waitrecv":
+		case c.kind == ast.MsgWaitRecv:
 			return fmt.Errorf("waitrecv %s: message size %d != section size %d (proc %d)", c.array, len(data), bx.elems, nd.p)
 		default:
 			return fmt.Errorf("waitbcast %s: size mismatch %d != %d", c.array, len(data), bx.elems)
@@ -601,7 +631,7 @@ func (lw *lowerer) globalReduce(st *ast.GlobalReduce) stmtFn {
 // remap (the values are dead) moves nothing and leaves the new window
 // NaN. The storage the old layout leaves behind serves the next remap.
 func (lw *lowerer) remap(st *ast.Remap) stmtFn {
-	c := lw.comm(st, "remap", "remap", st.Array, nil, nil, 0)
+	c := &commSite{unit: lw.unit.Name, line: st.Pos().Line, what: "remap", op: "remap", array: st.Array, slot: lw.slot(st.Array)}
 	to := decomp.NewDecomp(st.To...)
 	return func(fr *frame) error {
 		nd := fr.nd

@@ -657,22 +657,8 @@ func (lw *lowerer) stmt(s ast.Stmt) stmtFn {
 		return lw.call(st)
 	case *ast.Return:
 		return func(*frame) error { return errReturn }
-	case *ast.Send:
-		return lw.comm(st, "send", "send", st.Array, st.Sec, st.Dest, 0).send
-	case *ast.Recv:
-		return lw.comm(st, "recv", "recv", st.Array, st.Sec, st.Src, 0).recv
-	case *ast.Broadcast:
-		return lw.to(lw.comm(st, "broadcast", "bcast", st.Array, st.Sec, st.Root, 0), st.To).broadcast
-	case *ast.AllGather:
-		return lw.comm(st, "allgather", "allgather", st.Array, st.Sec, nil, 0).allGather
-	case *ast.PostRecv:
-		return lw.comm(st, "postrecv", "post", st.Array, st.Sec, st.Src, st.Tag).postRecv
-	case *ast.WaitRecv:
-		return lw.comm(st, "waitrecv", "wait", st.Array, nil, nil, st.Tag).wait
-	case *ast.PostBcast:
-		return lw.to(lw.comm(st, "postbcast", "bcast", st.Array, st.Sec, st.Root, st.Tag), st.To).postBcast
-	case *ast.WaitBcast:
-		return lw.comm(st, "waitbcast", "bcast", st.Array, nil, nil, st.Tag).wait
+	case *ast.Message:
+		return lw.message(st)
 	case *ast.Remap:
 		return lw.remap(st)
 	case *ast.GlobalReduce:

@@ -76,10 +76,10 @@ type treeInterp struct {
 	dists map[string]*decomp.Dist
 	ops   int
 	// posted holds the outstanding split-phase operations by tag
-	// (PostRecv/PostBcast executed, matching wait not yet reached).
+	// (postrecv/postbcast executed, matching wait not yet reached).
 	// Tags are unique program-wide, so a post can be completed by a
 	// wait in another statement of the same body without collision.
-	posted map[int]*treePosted
+	posted map[int32]*treePosted
 }
 
 // treeCommon is one COMMON member: a scalar or an array.
@@ -326,36 +326,39 @@ func (it *treeInterp) exec(f *treeFrame, s ast.Stmt) error {
 	case *ast.Return:
 		return errReturn
 
-	case *ast.Send:
-		it.setTraceCtx(f, st, "send")
-		return it.execSend(f, st)
-	case *ast.Recv:
-		it.setTraceCtx(f, st, "recv")
-		return it.execRecv(f, st)
-	case *ast.Broadcast:
-		it.setTraceCtx(f, st, "bcast")
-		return it.execBroadcast(f, st)
-	case *ast.AllGather:
-		it.setTraceCtx(f, st, "allgather")
-		return it.execAllGather(f, st)
+	case *ast.Message:
+		switch st.Op {
+		case ast.MsgSend:
+			it.setTraceCtx(f, st, "send")
+			return it.execSend(f, st)
+		case ast.MsgRecv:
+			it.setTraceCtx(f, st, "recv")
+			return it.execRecv(f, st)
+		case ast.MsgBcast:
+			it.setTraceCtx(f, st, "bcast")
+			return it.execBroadcast(f, st)
+		case ast.MsgAllGather:
+			it.setTraceCtx(f, st, "allgather")
+			return it.execAllGather(f, st)
+		case ast.MsgPostRecv:
+			it.setTraceCtx(f, st, "post")
+			return it.execPostRecv(f, st)
+		case ast.MsgWaitRecv:
+			it.setTraceCtx(f, st, "wait")
+			return it.execWaitRecv(f, st)
+		case ast.MsgPostBcast:
+			it.setTraceCtx(f, st, "bcast")
+			return it.execPostBcast(f, st)
+		case ast.MsgWaitBcast:
+			it.setTraceCtx(f, st, "bcast")
+			return it.execWaitBcast(f, st)
+		}
 	case *ast.Remap:
 		it.setTraceCtx(f, st, "remap")
 		return it.execRemap(f, st)
 	case *ast.GlobalReduce:
 		it.setTraceCtx(f, st, "reduce")
 		return it.execGlobalReduce(f, st)
-	case *ast.PostRecv:
-		it.setTraceCtx(f, st, "post")
-		return it.execPostRecv(f, st)
-	case *ast.WaitRecv:
-		it.setTraceCtx(f, st, "wait")
-		return it.execWaitRecv(f, st)
-	case *ast.PostBcast:
-		it.setTraceCtx(f, st, "bcast")
-		return it.execPostBcast(f, st)
-	case *ast.WaitBcast:
-		it.setTraceCtx(f, st, "bcast")
-		return it.execWaitBcast(f, st)
 
 	case *ast.Decomposition, *ast.Align, *ast.Distribute:
 		return nil // directives are no-ops at run time
@@ -653,7 +656,7 @@ func enumerate(arr *Array, bounds [][2]int) []int {
 	}
 }
 
-func (it *treeInterp) execSend(f *treeFrame, st *ast.Send) error {
+func (it *treeInterp) execSend(f *treeFrame, st *ast.Message) error {
 	arr := f.arrays[st.Array]
 	if arr == nil {
 		return fmt.Errorf("send: unknown array %s", st.Array)
@@ -665,7 +668,7 @@ func (it *treeInterp) execSend(f *treeFrame, st *ast.Send) error {
 	if empty {
 		return nil
 	}
-	dest, err := it.evalInt(f, st.Dest)
+	dest, err := it.evalInt(f, st.Peer)
 	if err != nil {
 		return err
 	}
@@ -686,7 +689,7 @@ func (it *treeInterp) execSend(f *treeFrame, st *ast.Send) error {
 	return nil
 }
 
-func (it *treeInterp) execRecv(f *treeFrame, st *ast.Recv) error {
+func (it *treeInterp) execRecv(f *treeFrame, st *ast.Message) error {
 	arr := f.arrays[st.Array]
 	if arr == nil {
 		return fmt.Errorf("recv: unknown array %s", st.Array)
@@ -698,7 +701,7 @@ func (it *treeInterp) execRecv(f *treeFrame, st *ast.Recv) error {
 	if empty {
 		return nil
 	}
-	src, err := it.evalInt(f, st.Src)
+	src, err := it.evalInt(f, st.Peer)
 	if err != nil {
 		return err
 	}
@@ -720,7 +723,7 @@ func (it *treeInterp) execRecv(f *treeFrame, st *ast.Recv) error {
 	return nil
 }
 
-func (it *treeInterp) execBroadcast(f *treeFrame, st *ast.Broadcast) error {
+func (it *treeInterp) execBroadcast(f *treeFrame, st *ast.Message) error {
 	arr := f.arrays[st.Array]
 	if arr == nil {
 		return fmt.Errorf("broadcast: unknown array %s", st.Array)
@@ -732,7 +735,7 @@ func (it *treeInterp) execBroadcast(f *treeFrame, st *ast.Broadcast) error {
 	if empty {
 		return nil
 	}
-	root, err := it.evalInt(f, st.Root)
+	root, err := it.evalInt(f, st.Peer)
 	if err != nil {
 		return err
 	}
@@ -814,7 +817,7 @@ func (it *treeInterp) owners(f *treeFrame, r *ast.Receivers) (machine.Group, err
 // 2·ceil(log2 P) critical-path steps. The previous lowering was an
 // all-to-all exchange — P(P-1) messages with every processor
 // serialized on P-1 receives in ascending pid order.
-func (it *treeInterp) execAllGather(f *treeFrame, st *ast.AllGather) error {
+func (it *treeInterp) execAllGather(f *treeFrame, st *ast.Message) error {
 	arr := f.arrays[st.Array]
 	if arr == nil {
 		return fmt.Errorf("allgather: unknown array %s", st.Array)
@@ -958,9 +961,9 @@ func (it *treeInterp) execGlobalReduce(f *treeFrame, st *ast.GlobalReduce) error
 // execPostRecv posts the receive half of a split halo exchange. Like
 // execRecv it is a no-op for out-of-range or self sources and empty
 // sections — in those cases no entry is recorded and the matching
-// WaitRecv is a no-op too, which is what makes the schedule pass's
+// waitrecv is a no-op too, which is what makes the schedule pass's
 // unguarded waits safe under the post's original guard.
-func (it *treeInterp) execPostRecv(f *treeFrame, st *ast.PostRecv) error {
+func (it *treeInterp) execPostRecv(f *treeFrame, st *ast.Message) error {
 	arr := f.arrays[st.Array]
 	if arr == nil {
 		return fmt.Errorf("postrecv: unknown array %s", st.Array)
@@ -972,7 +975,7 @@ func (it *treeInterp) execPostRecv(f *treeFrame, st *ast.PostRecv) error {
 	if empty {
 		return nil
 	}
-	src, err := it.evalInt(f, st.Src)
+	src, err := it.evalInt(f, st.Peer)
 	if err != nil {
 		return err
 	}
@@ -984,16 +987,16 @@ func (it *treeInterp) execPostRecv(f *treeFrame, st *ast.PostRecv) error {
 		return nil
 	}
 	if it.posted == nil {
-		it.posted = map[int]*treePosted{}
+		it.posted = map[int32]*treePosted{}
 	}
 	it.posted[st.Tag] = &treePosted{h: new(machine.Handle), arr: arr, offs: offs}
 	it.proc.IRecvInto(it.posted[st.Tag].h, src)
 	return nil
 }
 
-// execWaitRecv completes the PostRecv with the same tag, storing the
+// execWaitRecv completes the postrecv with the same tag, storing the
 // message into the section captured at post time.
-func (it *treeInterp) execWaitRecv(f *treeFrame, st *ast.WaitRecv) error {
+func (it *treeInterp) execWaitRecv(f *treeFrame, st *ast.Message) error {
 	po := it.posted[st.Tag]
 	if po == nil {
 		return nil // the post's guard was false: nothing in flight
@@ -1013,7 +1016,7 @@ func (it *treeInterp) execWaitRecv(f *treeFrame, st *ast.WaitRecv) error {
 // execPostBcast posts the send half of a split-phase broadcast: the
 // root's tree sends happen now, every other processor records what to
 // wait for.
-func (it *treeInterp) execPostBcast(f *treeFrame, st *ast.PostBcast) error {
+func (it *treeInterp) execPostBcast(f *treeFrame, st *ast.Message) error {
 	arr := f.arrays[st.Array]
 	if arr == nil {
 		return fmt.Errorf("postbcast: unknown array %s", st.Array)
@@ -1025,7 +1028,7 @@ func (it *treeInterp) execPostBcast(f *treeFrame, st *ast.PostBcast) error {
 	if empty {
 		return nil
 	}
-	root, err := it.evalInt(f, st.Root)
+	root, err := it.evalInt(f, st.Peer)
 	if err != nil {
 		return err
 	}
@@ -1045,7 +1048,7 @@ func (it *treeInterp) execPostBcast(f *treeFrame, st *ast.PostBcast) error {
 		}
 	}
 	if it.posted == nil {
-		it.posted = map[int]*treePosted{}
+		it.posted = map[int32]*treePosted{}
 	}
 	po := &treePosted{h: new(machine.Handle), arr: arr, offs: offs, isRoot: it.p == root}
 	it.proc.PostBcastInto(po.h, root, g, data)
@@ -1053,8 +1056,8 @@ func (it *treeInterp) execPostBcast(f *treeFrame, st *ast.PostBcast) error {
 	return nil
 }
 
-// execWaitBcast completes the PostBcast with the same tag.
-func (it *treeInterp) execWaitBcast(f *treeFrame, st *ast.WaitBcast) error {
+// execWaitBcast completes the postbcast with the same tag.
+func (it *treeInterp) execWaitBcast(f *treeFrame, st *ast.Message) error {
 	po := it.posted[st.Tag]
 	if po == nil {
 		return nil

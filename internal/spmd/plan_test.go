@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -190,6 +192,26 @@ func TestErrorsFireWhenExecuted(t *testing.T) {
 	_, err := Lower(mismatch, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
 	if want := "recv X: message size 3 != section size 4 (proc 1 from 0)"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("size mismatch: error %v, want %q", err, want)
+	}
+
+	// split-phase halves that do not pair: each program's first line
+	// names the error, with the statement's unit and line
+	files, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "spmd", "*.spmd"))
+	if len(files) < 4 {
+		t.Fatalf("testdata/spmd: %v", files)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(string(src), "\n")
+		want := strings.TrimPrefix(first, "! run-error: ")
+		_, err = Lower(parseProg(t, string(src)), 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
+		var ne *NodeError
+		if !errors.As(err, &ne) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want a NodeError with %q", f, err, want)
+		}
 	}
 }
 

@@ -82,7 +82,9 @@ func TestStmtEqualMatchesPrintedKey(t *testing.T) {
 	}
 
 	sec := func(lo, hi ast.Expr) []ast.SecDim { return []ast.SecDim{{Lo: lo, Hi: hi}} }
-	send := func(sec []ast.SecDim, dest ast.Expr) ast.Stmt { return &ast.Send{Array: "a", Sec: sec, Dest: dest} }
+	send := func(sec []ast.SecDim, dest ast.Expr) ast.Stmt {
+		return &ast.Message{Op: ast.MsgSend, Array: "a", Sec: sec, Peer: dest}
+	}
 	to := func(ring bool) *ast.Receivers {
 		return &ast.Receivers{Array: "a", Dim: 0, Rank: 1, Lo: ast.Int(2), Hi: ast.Id("n"), Ring: ring}
 	}
@@ -98,11 +100,11 @@ func TestStmtEqualMatchesPrintedKey(t *testing.T) {
 		send(sec(ast.Int(1), ast.Int(2)), &ast.FuncCall{Name: "f", Args: []ast.Expr{ast.Id("i")}}),
 		send(sec(ast.Int(1), ast.Int(2)), &ast.ArrayRef{Name: "f", Subs: []ast.Expr{ast.Id("i")}}), // f(i) again
 		send(append(sec(ast.Int(1), ast.Int(2)), sec(ast.Id("i"), ast.Id("i"))...), ast.Id("p")),
-		&ast.Recv{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Src: ast.Id("p")},
-		&ast.Broadcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p")},
-		&ast.Broadcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(false)},
-		&ast.Broadcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(true)}, // the other shape
-		&ast.AllGather{Array: "a", Sec: sec(ast.Int(1), ast.Int(2))},
+		&ast.Message{Op: ast.MsgRecv, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p")},
+		&ast.Message{Op: ast.MsgBcast, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p")},
+		&ast.Message{Op: ast.MsgBcast, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p"), To: to(false)},
+		&ast.Message{Op: ast.MsgBcast, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p"), To: to(true)}, // the other shape
+		&ast.Message{Op: ast.MsgAllGather, Array: "a", Sec: sec(ast.Int(1), ast.Int(2))},
 		guarded(send(sec(ast.Int(1), ast.Int(2)), ast.Id("p"))),
 		guarded(send(sec(ast.Int(1), ast.Int(2)), ast.Id("p")), &ast.Return{}),
 		guarded(send(sec(ast.Int(1), ast.Int(2)), ast.Id("p")), &ast.Decomposition{Name: "d"}), // an else that prints nothing... but "else" itself prints
@@ -119,13 +121,13 @@ func TestStmtEqualMatchesPrintedKey(t *testing.T) {
 		&ast.Call{Name: "f", Args: []ast.Expr{ast.Id("i")}},
 		&ast.Do{Var: "i", Lo: ast.Int(1), Hi: ast.Id("n")},
 		&ast.Do{Var: "i", Lo: ast.Int(1), Hi: ast.Id("n"), Step: ast.Int(1)},
-		&ast.PostRecv{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Src: ast.Id("p"), Tag: 1},
-		&ast.PostRecv{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Src: ast.Id("p"), Tag: 2},
-		&ast.WaitRecv{Array: "a", Tag: 1},
-		&ast.WaitBcast{Array: "a", Tag: 1},
-		&ast.PostBcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), Tag: 1},
-		&ast.PostBcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(false), Tag: 1},
-		&ast.PostBcast{Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Root: ast.Id("p"), To: to(true), Tag: 1},
+		&ast.Message{Op: ast.MsgPostRecv, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p"), Tag: 1},
+		&ast.Message{Op: ast.MsgPostRecv, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p"), Tag: 2},
+		&ast.Message{Op: ast.MsgWaitRecv, Array: "a", Tag: 1},
+		&ast.Message{Op: ast.MsgWaitBcast, Array: "a", Tag: 1},
+		&ast.Message{Op: ast.MsgPostBcast, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p"), Tag: 1},
+		&ast.Message{Op: ast.MsgPostBcast, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p"), To: to(false), Tag: 1},
+		&ast.Message{Op: ast.MsgPostBcast, Array: "a", Sec: sec(ast.Int(1), ast.Int(2)), Peer: ast.Id("p"), To: to(true), Tag: 1},
 		&ast.Align{Array: "a", Target: "d", Terms: []ast.AlignTerm{{ArrayDim: 0, Offset: 1}}},
 		&ast.Align{Array: "a", Target: "d"},
 		&ast.Distribute{Target: "d", Specs: []ast.DistSpec{{Kind: ast.DistCyclic}}},
