@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test race loc loc-pkgs bench bench-exec bench-compile bench-run bench-compare golden overlap fuzz report serve load
+.PHONY: check test race loc loc-pkgs bench bench-exec bench-machine bench-compile bench-run bench-compare golden overlap fuzz report serve load
 
 check: ## build + vet + race tests + fuzz smoke + trace-overhead guard
 	./ci.sh
@@ -25,6 +25,9 @@ bench-exec: ## executor microbenchmarks: expression, loop nest, CALL, reduction,
 	$(GO) test -run '^$$' -bench 'BenchmarkExec' -benchmem ./internal/spmd
 
 BENCHTIME ?= 1s
+bench-machine: ## machine engine microbenchmarks: a two-processor ping-pong, and dyndist_p256's all-to-all of one-word messages and six allreduces at P=256 alone (ns/op, B/op, allocs/op)
+	$(GO) test -run '^$$' -bench 'BenchmarkMachineMessage$$|BenchmarkMachineAllToAll$$' -benchmem -benchtime $(BENCHTIME) ./internal/machine
+
 bench-compile: ## compiler microbenchmarks, one per layer, then the whole compile, a resubmit on a warm cache, a service's one-constant edit compile with its listing and that edit's compile and first run (ns/op, B/op, allocs/op)
 	$(GO) test -run '^$$' -bench 'BenchmarkLex$$|BenchmarkDependAnalyze$$|BenchmarkLivedecompMain256$$|BenchmarkAggregateAnchors$$|BenchmarkSchedApply$$|BenchmarkCompileSynth256$$|BenchmarkCompileWarmCache$$|BenchmarkServiceEditCompile$$|BenchmarkServiceEditRun$$' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/lexer ./internal/depend ./internal/livedecomp ./internal/codegen .

@@ -242,13 +242,16 @@ func TestEditCompileAllocBudget(t *testing.T) {
 // dominated it while every simulated processor held a copy of every
 // array (165.5 MB and 18.0 MB): a processor stores
 // its share, its overlap region and one buffer per communication site,
-// so what is left is the machine (its per-processor state and the
-// message rings; until it stopped keeping P×P pair statistics, 16.8 MB
-// of dgefa's and 1.0 MB of dyndist's run) and the lowered plan. The third row is the one whose remap was
-// an exchange of whole shares between all pairs of processors (37.4 MB,
-// 29 of them message rings) until a remap sent each element once. Since
-// a ring's buffer returns to a free list when its link drains, rings
-// cost what the messages in flight need, not one per pair ever used.
+// so what is left is the machine (its per-processor state and its link
+// state; until it stopped keeping P×P pair statistics, 16.8 MB of
+// dgefa's and 1.0 MB of dyndist's run) and the lowered plan. The third
+// row is the one whose remap was an exchange of whole shares between all
+// pairs of processors (37.4 MB, 29 of them message rings) until a remap
+// sent each element once. Its 4 080 remap messages and 12 288 allreduce
+// messages now cost the engine a link table and a slot slab that grow by
+// doubling, short payloads carved from slabs, and the remap a tally of P
+// counters per run and each processor's non-empty groups, so the row
+// bounds objects as well as bytes.
 // The fourth row is svc_recompile's program, whose first run allocates
 // little besides its plan: one closure per operator, and a loop the
 // schedule pass splits is lowered twice (a repeat run:
@@ -269,9 +272,13 @@ func TestRunAllocBudget(t *testing.T) {
 		// group; 3.34 MB with a coroutine per processor, 20.2 with pair statistics, 26.2 before value-receiver operands, 32.9
 		// before pooled rings)
 		{"dgefa_p1024", DgefaSrc(128, 1024), map[string][]float64{"a": DgefaMatrix(128)}, 2.5, 5700},
-		{"jacobi2d_p16", Jacobi2DSrc(256, 10, 16), map[string][]float64{"a": Ramp(256 * 256)}, 4, 0},  // 2.4 measured
-		{"dyndist_p256", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 4.1, 0}, // 2.98 measured, 3.70 under ci.sh's -race: the row above leaves one exited goroutine for its 256 coroutines to reuse, not 1 024 (3.05 before per-run slabs, 2.93 before that; 4.0 with pair statistics, 4.5 before)
-		{"synth32", synth32, RampInit(synth32), 1.4, 0},                                               // 1.27 measured with its chains split (0.95 blocking; 1.61 while closures moved their operands to the heap)
+		{"jacobi2d_p16", Jacobi2DSrc(256, 10, 16), map[string][]float64{"a": Ramp(256 * 256)}, 4, 0}, // 2.4 measured
+		// 1.95 MB and 6 969 objects measured, 2.07 MB and 7 741 under ci.sh's -race: the row above leaves one exited goroutine
+		// for its 256 coroutines to reuse, not 1 024 (2.98 MB and 19 319 objects with a map, a ring object and a ring buffer per
+		// link and P+2 counters per processor per remap; 3.05 before per-run slabs, 2.93 before that; 4.0 with pair
+		// statistics, 4.5 before)
+		{"dyndist_p256", Fig15ScaledSrc(4096, 3, 256), map[string][]float64{"X": Ramp(4096)}, 2.15, 8000},
+		{"synth32", synth32, RampInit(synth32), 1.4, 0}, // 1.27 measured with its chains split (0.95 blocking; 1.61 while closures moved their operands to the heap)
 	} {
 		prog, err := Compile(w.src, DefaultOptions())
 		if err != nil {

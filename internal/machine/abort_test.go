@@ -156,7 +156,7 @@ func TestLopsidedDeadlock(t *testing.T) {
 	if dl.Live != 2 || len(dl.Blocked) != 2 || dl.Blocked[0].PID != 0 || dl.Blocked[1].PID != 1 {
 		t.Fatalf("report = %+v, want p0 and p1 blocked of 2 live", dl)
 	}
-	cfg := m.Config()
+	cfg := m.cfg
 	if want := 2*flops*cfg.FlopCost + 2*cfg.Latency + cfg.PerWord; dl.Blocked[0].Clock < want-1e-9 {
 		t.Errorf("p0 blocked at clock %v, want at least %v (both computes and the flight)", dl.Blocked[0].Clock, want)
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -36,9 +37,9 @@ func pingPong(tb testing.TB, cfg Config, n, w int) *Machine {
 
 // BenchmarkMachineMessage measures the engine's per-message cost
 // over a two-processor ping-pong. The headline number is allocs/op:
-// with pooled payloads, reused rings, and steady-state heaps it must
-// report 0 — the setup allocations (goroutines, first ring, pool
-// high-water) amortize away over b.N messages.
+// with pooled payloads, reused slots, and steady-state heaps it must
+// report 0 — the setup allocations (goroutines, first link and slots,
+// pool high-water) amortize away over b.N messages.
 func BenchmarkMachineMessage(b *testing.B) {
 	b.ReportAllocs()
 	m := New(Config{P: 2, Latency: 70, PerWord: 0.4, FlopCost: 0.1})
@@ -63,6 +64,39 @@ func BenchmarkMachineMessage(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineAllToAll is dyndist_p256's run with the arithmetic
+// left out, the machine's share of it: on P=256 every processor sends
+// one word to each of the 16 processors its BLOCK share of 4 096
+// elements reaches under CYCLIC, receives one from each of the 16 whose
+// shares hold its elements, then joins six AllReduces. One op is one run
+// on a new machine.
+func BenchmarkMachineAllToAll(b *testing.B) {
+	const np, per = 256, 16
+	b.ReportAllocs()
+	for range b.N {
+		m := New(DefaultConfig(np))
+		for pid := range np {
+			m.Go(pid, func(p *Proc) {
+				for j := range per {
+					p.Scratch(1)[0] = float64(pid)
+					p.Send((per*pid+j)%np, p.Scratch(1))
+				}
+				for k := range per {
+					p.Recv(pid/per + per*k)
+				}
+				for range 6 {
+					p.AllReduce(1, add)
+				}
+			})
+		}
+		if err := m.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func add(a, b float64) float64 { return a + b }
+
 // TestDESMessageAllocationFree pins the tentpole's allocation contract
 // as a test (the benchmark only reports): a whole 2000-round-trip run
 // — 4000 messages — must cost no more than a fixed setup budget of
@@ -72,7 +106,7 @@ func TestDESMessageAllocationFree(t *testing.T) {
 	avg := testing.AllocsPerRun(3, func() {
 		pingPong(t, Config{P: 2, Latency: 70, PerWord: 0.4, FlopCost: 0.1}, rounds, 64)
 	})
-	// machine construction + two goroutines + first-touch rings, pool
+	// machine construction + two goroutines + first-touch links, pool
 	// and heap growth stay under ~100 allocations; 4000 messages that
 	// each allocated anything would blow far past the bound
 	if avg > 150 {
@@ -167,5 +201,53 @@ func TestCallerOwnedHandlesAllocationFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(3, run); avg > 250 {
 		t.Errorf("%d split-phase rounds on 4 processors cost %.0f allocs, want amortized zero (<=250 total)", rounds, avg)
+	}
+}
+
+// TestDESLinkStateFollowsMessages: link state costs what the messages in
+// flight need, not one object per link. A P=64 all-to-all of one-word
+// messages, every message delivered before any is taken, touches 4 032
+// links and keeps 4 032 slots and payloads busy, yet allocates a few
+// dozen objects: the link table, the slot slab and the short-payload
+// slab grow by doubling. A second wave on the same machine, over links
+// that exist and slots and buffers that have come back, allocates
+// nothing.
+func TestDESLinkStateFollowsMessages(t *testing.T) {
+	const np, links = 64, 64 * 63
+	e := New(Config{P: np, Latency: 70, PerWord: 0.4, FlopCost: 0.1}).eng.(*desEngine)
+	wave := func() {
+		for src := range np {
+			for dst := range np {
+				if src != dst && !e.deliver(src, dst, message{data: []float64{float64(src)}}) {
+					t.Fatalf("p%d->p%d congested", src, dst)
+				}
+			}
+		}
+		for dst := range np {
+			for src := range np {
+				if src == dst {
+					continue
+				}
+				if msg := e.take(dst, e.link(src, dst)); len(msg.data) != 1 || msg.data[0] != float64(src) {
+					t.Fatalf("p%d took %v from p%d", dst, msg.data, src)
+				}
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wave()
+	runtime.ReadMemStats(&after)
+	first := after.Mallocs - before.Mallocs
+	again := testing.AllocsPerRun(3, wave)
+	t.Logf("first wave over %d links: %d allocs, %d links, %d slots; each later wave %.0f", links, first, len(e.links), len(e.slots), again)
+	if len(e.links) != links || len(e.slots) != links {
+		t.Errorf("%d links and %d slots, want %d of each", len(e.links), len(e.slots), links)
+	}
+	if first > 100 {
+		t.Errorf("the first wave over %d links costs %d allocs, want a few dozen (<= 100), not one per link", links, first)
+	}
+	if again != 0 {
+		t.Errorf("a wave over links that exist costs %.0f allocs, want 0", again)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // sampling watchdog for deadlock detection. It shares nothing with the
 // discrete-event engine but the Proc methods above the engine seam, so
 // agreement between the two (TestEngineDifferential) is evidence that
-// the scheduler, rings and payload pool of des.go change nothing
+// the scheduler, link state and payload pool of des.go change nothing
 // observable. It is exact but heavy: eager channel buffers cost
 // O(P² × LinkDepth) memory and the runtime scheduler thrashes past a few
 // dozen processors.

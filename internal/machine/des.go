@@ -9,12 +9,12 @@
 // scheduler (executing inside Machine.Wait) resumes a processor through
 // an iter.Pull coroutine, a direct switch that returns when that
 // processor either parks in receive (yields) or finishes. This strict
-// handoff means every field of desEngine — rings, pools, waiter table,
+// handoff means every field of desEngine — links, slots, pools, waiter table,
 // scratch buffers, the event queue — is accessed by one goroutine at a
 // time with happens-before edges through the coroutine switch, so none
 // of it needs locks. A processor runs until it blocks: Send never blocks
 // (congestion is a failure), so the only yield points are Recv on an
-// empty ring and program exit. Coroutines follow the processors that
+// empty link and program exit. Coroutines follow the processors that
 // park, not P: a processor takes one at its start event (the idle one,
 // else a new one); when its program ends the coroutine idles for the
 // next start event, if one is pending, or ends. Every start event
@@ -29,19 +29,20 @@
 // trace event (TestEngineDifferential pins it against an engine that
 // runs them as free goroutines).
 //
-// Link state follows the messages in flight: a receiver's inbox is a
-// lazily-allocated map from sender pid to a message ring, and a ring's
-// buffer goes back to an engine free list the moment the link drains,
-// so a link that is idle holds no buffer however often it was used.
+// Link state follows the messages in flight: one table gives each
+// src→dst pair that has carried a message a dense index into links (no
+// object of its own), and the messages sit in one slab of slots, each
+// link's FIFO and the free list threaded through it: the slab holds as
+// many slots as were ever in flight at once, however many links used them.
 //
 // Payload ownership. A payload is copied once, at the send that
 // originates it, into a reference-counted buffer from a power-of-two
 // size-class free list; from then on it is machine-owned and read-only.
-// A ring entry holds one reference, Recv moves it to the receiving
+// A slot holds one reference, Recv moves it to the receiving
 // processor (which gives it up on its next Recv), and sending a payload
 // on — a broadcast tree's forward, an injected duplicate, the root's
 // second child — takes another reference instead of a copy. The last
-// release returns the buffer to the pool. In steady state (rings, heaps
+// release returns the buffer to the pool. In steady state (slots, heaps
 // and pool at high-water mark) a message moves through the machine with
 // zero allocations — BenchmarkMachineMessage pins it.
 //
@@ -62,7 +63,7 @@ import (
 )
 
 // payload is a pooled message buffer with its reference count: one per
-// ring entry carrying it plus one per processor holding it as its last
+// slot carrying it plus one per processor holding it as its last
 // received message. A buffer keeps its header for life: the two travel
 // through the pool together.
 type payload struct {
@@ -70,62 +71,28 @@ type payload struct {
 	refs int32
 }
 
-// queued is a message in a ring: message with the payload by reference.
-// A link with messages in flight holds a ring of at least eight of
-// these, so the struct is packed: a byte more here is a byte more per
-// slot of every ring a remap keeps busy at once.
-type queued struct {
+// slot is a message in flight, its payload by reference, and the next
+// slot of its link's FIFO or of the free list (-1: none).
+type slot struct {
 	buf      *payload // nil: a zero-word message
 	sendTime float64
 	seq      int64
 	delay    float64
 	n        int32 // payload length in words: buf.data[:n]
+	next     int32
 	dup      bool
 }
 
-// msgRing is one src→dst link's queue: a growable circular buffer that
-// holds its storage only while the link has messages in flight.
-// Steady-state push/pop allocate nothing.
-type msgRing struct {
-	buf  []queued
-	head int
-	n    int
-}
+// link is the src→dst FIFO through the slots: first, last and length.
+type link struct{ src, dst, head, tail, n int32 }
 
-// ringPool is the engine's free list of ring buffers: an empty link
-// gives its buffer back, and the next push on any link takes one.
-type ringPool [][]queued
-
-func (r *msgRing) push(m queued, free *ringPool) {
-	if r.n == len(r.buf) {
-		var grown []queued
-		if f := *free; r.n == 0 && len(f) > 0 {
-			grown, *free = f[len(f)-1], f[:len(f)-1]
-		} else {
-			grown = make([]queued, max(8, 2*len(r.buf)))
-			for i := 0; i < r.n; i++ {
-				grown[i] = r.buf[(r.head+i)%len(r.buf)]
-			}
-			if r.buf != nil {
-				clear(r.buf) // drop the payload pointers
-				*free = append(*free, r.buf)
-			}
-		}
-		r.buf, r.head = grown, 0
+// grow returns s one zero element longer, doubling a full capacity: a
+// slab of n has cost 2n, not append's 5n (it grows large slices by 1/4).
+func grow[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(16, 2*cap(s))), s...)
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = m
-	r.n++
-}
-
-func (r *msgRing) pop(free *ringPool) queued {
-	m := r.buf[r.head]
-	r.buf[r.head] = queued{} // drop the payload pointer
-	r.head = (r.head + 1) % len(r.buf)
-	if r.n--; r.n == 0 {
-		*free = append(*free, r.buf)
-		r.buf = nil
-	}
-	return m
+	return s[:len(s)+1]
 }
 
 // bufPool recycles payloads by power-of-two size class. Every buffer it
@@ -134,11 +101,11 @@ func (r *msgRing) pop(free *ringPool) queued {
 // preserving the existing zero-word message semantics.
 type bufPool struct {
 	classes [33][]*payload
-	// headers are carved from slabs, so a remap with tens of thousands
-	// of payloads in flight costs one allocation per buffer, as it did
-	// before buffers had headers, plus one per slab
-	slab []payload
-	made int // buffers ever allocated: pooled + referenced
+	// headers and buffers of up to 64 words come from slabs half as large
+	// as all buffers made before: a few allocations, not one per buffer
+	slab  []payload
+	words []float64
+	made  int // buffers ever allocated: pooled + referenced
 }
 
 // get returns a buffer of at least n > 0 words holding one reference.
@@ -150,10 +117,17 @@ func (bp *bufPool) get(n int) *payload {
 		bp.classes[c] = s[:len(s)-1]
 	} else {
 		if len(bp.slab) == 0 {
-			bp.slab = make([]payload, 64)
+			bp.slab = make([]payload, max(64, bp.made/2))
 		}
 		b, bp.slab = &bp.slab[0], bp.slab[1:]
-		b.data = make([]float64, 1<<c)
+		if w := 1 << c; w > 64 {
+			b.data = make([]float64, w)
+		} else {
+			if len(bp.words) < w {
+				bp.words = make([]float64, max(64, bp.made/2))
+			}
+			b.data, bp.words = bp.words[:w:w], bp.words[w:]
+		}
 		bp.made++
 	}
 	b.refs = 1
@@ -191,13 +165,16 @@ type desEngine struct {
 	finished []bool
 	live     int // started and not yet finished
 
-	// inbox[dst][src] is the src→dst ring, allocated on first use.
-	// waiter[dst] is the sender pid dst is parked on with no wakeup
+	// links holds every link used, in order of first use; ids finds one:
+	// open-addressed, a link's index + 1 (0: empty). Every link's FIFO and
+	// the free list (free: its first slot, -1: none) chain through slots. waiter[dst] is the sender pid dst is parked on with no wakeup
 	// event scheduled yet (-1 otherwise); deliver clears it when it
 	// schedules the wakeup.
-	inbox  []map[int]*msgRing
+	ids    []int32
+	links  []link
+	slots  []slot
+	free   int32
 	waiter []int
-	rings  ringPool
 
 	// payload ownership: held[pid] is the buffer pid's last Recv handed
 	// out, released on its next one; last is the buffer of the most
@@ -220,7 +197,7 @@ func newDESEngine(m *Machine) *desEngine {
 		fns:         make([]func(*Proc), p),
 		parked:      make([]bool, p),
 		finished:    make([]bool, p),
-		inbox:       make([]map[int]*msgRing, p),
+		free:        -1,
 		waiter:      make([]int, p),
 		held:        make([]*payload, p),
 		scratchBufs: make([][]float64, p),
@@ -361,24 +338,37 @@ func (e *desEngine) resumeProc(pid int) {
 	}
 }
 
-// ring returns the src→dst ring, allocating it on first use.
-func (e *desEngine) ring(src, dst int) *msgRing {
-	box := e.inbox[dst]
-	if box == nil {
-		box = make(map[int]*msgRing, 4)
-		e.inbox[dst] = box
+// link returns the index of the src→dst link, adding it on first use.
+func (e *desEngine) link(src, dst int) int32 {
+	if 2*len(e.links) >= len(e.ids) { // keep the table at most half full
+		e.ids = make([]int32, max(64, 2*len(e.ids)))
+		for i, l := range e.links {
+			e.ids[e.find(int(l.src), int(l.dst))] = int32(i + 1)
+		}
 	}
-	r := box[src]
-	if r == nil {
-		r = &msgRing{}
-		box[src] = r
+	h := e.find(src, dst)
+	if e.ids[h] == 0 {
+		e.links = grow(e.links)
+		e.links[len(e.links)-1] = link{src: int32(src), dst: int32(dst)}
+		e.ids[h] = int32(len(e.links))
 	}
-	return r
+	return e.ids[h] - 1
+}
+
+// find returns where the src→dst link's index is in ids, or the empty
+// entry where it goes: linear probing from a Fibonacci hash of the pair.
+func (e *desEngine) find(src, dst int) int {
+	mask := len(e.ids) - 1
+	h := int((uint64(src)<<32|uint64(dst))*0x9e3779b97f4a7c15>>32) & mask
+	for i := e.ids[h]; i != 0 && (e.links[i-1].src != int32(src) || e.links[i-1].dst != int32(dst)); i = e.ids[h] {
+		h = (h + 1) & mask
+	}
+	return h
 }
 
 func (e *desEngine) deliver(src, dst int, msg message) bool {
-	r := e.ring(src, dst)
-	if r.n >= e.m.depth {
+	l := &e.links[e.link(src, dst)]
+	if int(l.n) >= e.m.depth {
 		return false
 	}
 	n := len(msg.data)
@@ -404,7 +394,21 @@ func (e *desEngine) deliver(src, dst int, msg message) bool {
 		copy(buf.data, msg.data)
 	}
 	e.last = buf
-	r.push(queued{buf: buf, n: int32(n), sendTime: msg.sendTime, seq: msg.seq, delay: msg.delay, dup: msg.dup}, &e.rings)
+	s := e.free
+	if s < 0 {
+		e.slots = grow(e.slots)
+		s = int32(len(e.slots) - 1)
+	} else {
+		e.free = e.slots[s].next
+	}
+	e.slots[s] = slot{buf: buf, n: int32(n), sendTime: msg.sendTime, seq: msg.seq, delay: msg.delay, dup: msg.dup, next: -1}
+	if l.n == 0 {
+		l.head = s
+	} else {
+		e.slots[l.tail].next = s
+	}
+	l.tail = s
+	l.n++
 	if e.waiter[dst] == src {
 		// the receiver is parked on exactly this link: schedule its
 		// resumption at the message's arrival time, and clear the waiter
@@ -419,8 +423,8 @@ func (e *desEngine) receive(p *Proc, from int) message {
 	if p.m.aborted.Load() {
 		p.abortNow("recv", from)
 	}
-	r := e.ring(from, p.id)
-	if r.n == 0 {
+	l := e.link(from, p.id) // an index: it holds across the park
+	if e.links[l].n == 0 {
 		p.block("recv", from)
 		e.waiter[p.id] = from
 		e.parked[p.id] = true
@@ -432,16 +436,22 @@ func (e *desEngine) receive(p *Proc, from int) message {
 			p.abortNow("recv", from)
 		}
 	}
-	return e.take(p.id, r)
+	return e.take(p.id, l)
 }
 
-// take pops the head message and settles payload ownership: a real
-// message's reference moves from the ring to the processor, which holds
-// it until its next Recv; an injected duplicate's is released at once
-// (the caller only reads its length, and no other processor can touch
-// the pool before this one yields).
-func (e *desEngine) take(pid int, r *msgRing) message {
-	q := r.pop(&e.rings)
+// take unlinks link l's head message, returns its slot to the free list
+// and settles payload ownership: a real message's reference moves from
+// the slot to the processor, which holds it until its next Recv; an
+// injected duplicate's is released at once (the caller only reads its
+// length, and no other processor can touch the pool before this one
+// yields).
+func (e *desEngine) take(pid int, l int32) message {
+	lk := &e.links[l]
+	s := lk.head
+	q := e.slots[s]
+	e.slots[s] = slot{next: e.free} // drop the payload pointer
+	e.free, lk.head = s, q.next
+	lk.n--
 	msg := message{sendTime: q.sendTime, seq: q.seq, delay: q.delay, dup: q.dup}
 	if q.buf != nil {
 		msg.data = q.buf.data[:q.n:q.n]

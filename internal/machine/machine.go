@@ -205,15 +205,9 @@ func New(cfg Config) *Machine {
 // P returns the processor count.
 func (m *Machine) P() int { return m.cfg.P }
 
-// Config returns the cost model.
-func (m *Machine) Config() Config { return m.cfg }
-
 // SetTracer attaches a tracer; every subsequent send, receive,
 // broadcast step and remap emits one event. Call before Go.
 func (m *Machine) SetTracer(t *trace.Tracer) { m.tr = t }
-
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (m *Machine) Tracer() *trace.Tracer { return m.tr }
 
 // Proc returns processor p's handle.
 func (m *Machine) Proc(p int) *Proc { return m.procs[p] }

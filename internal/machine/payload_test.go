@@ -9,7 +9,7 @@ import (
 // the buffer to the pool.
 
 // auditPayloads recounts every reference the engine can still reach —
-// one per ring entry, one per processor's held payload — and requires
+// one per slot on a link, one per processor's held payload — and requires
 // each buffer's count to equal it, every other buffer ever made to sit
 // in the pool exactly once with no references, and returns how many
 // buffers are still referenced. A forward that forgot its reference
@@ -24,14 +24,26 @@ func auditPayloads(t *testing.T, m *Machine) (live int) {
 			want[b]++
 		}
 	}
-	for _, box := range e.inbox {
-		for _, r := range box {
-			for i := 0; i < r.n; i++ {
-				if b := r.buf[(r.head+i)%len(r.buf)].buf; b != nil {
-					want[b]++
-				}
+	// every slot is on one link's chain or on the free list, and only a
+	// chained slot holds a payload
+	chained := 0
+	for _, l := range e.links {
+		for s, i := l.head, int32(0); i < l.n; s, i = e.slots[s].next, i+1 {
+			if b := e.slots[s].buf; b != nil {
+				want[b]++
 			}
+			chained++
 		}
+	}
+	free := 0
+	for s := e.free; s >= 0; s = e.slots[s].next {
+		if e.slots[s].buf != nil {
+			t.Errorf("free slot %d still holds a %d-word payload", s, len(e.slots[s].buf.data))
+		}
+		free++
+	}
+	if chained+free != len(e.slots) {
+		t.Errorf("%d slots: %d on links + %d free", len(e.slots), chained, free)
 	}
 	pooled := map[*payload]bool{}
 	for c, class := range e.pool.classes {

@@ -191,18 +191,12 @@ func (lw *lowerer) message(m *ast.Message) stmtFn {
 		c.tag = index(&lw.pp.tags, int(m.Tag))
 	}
 	switch m.Op {
-	case ast.MsgSend:
-		return c.send
-	case ast.MsgRecv:
-		return c.recv
-	case ast.MsgBcast:
-		return c.broadcast
+	case ast.MsgSend, ast.MsgRecv, ast.MsgPostRecv:
+		return c.partner
+	case ast.MsgBcast, ast.MsgPostBcast:
+		return c.rooted
 	case ast.MsgAllGather:
 		return c.allGather
-	case ast.MsgPostRecv:
-		return c.postRecv
-	case ast.MsgPostBcast:
-		return c.postBcast
 	}
 	return c.wait // waitrecv, waitbcast
 }
@@ -259,44 +253,64 @@ func (c *commSite) peerOf(fr *frame, arr *Array) (int, error) {
 	return c.peer.eval(fr), fr.nd.takeErr()
 }
 
-// partner is open for a point-to-point statement, clipped into bx: nothing
-// to do when its partner is no other processor or no element is left.
-func (c *commSite) partner(fr *frame, bx *box) (arr *Array, peer int, ok bool, err error) {
-	var b bounds
-	if arr, peer, ok, err = c.open(fr, &b); !ok || peer < 0 || peer >= fr.nd.pl.nproc || peer == fr.nd.p {
-		return arr, peer, false, err
+// rooted runs a broadcast or a postbcast, whose root must be a processor,
+// on the root and the group it reaches besides: all, or the owners of its
+// "to" section by the array's run-time distribution, along the clause's
+// shape. Only the root and the group clip the section into a box and
+// take part; anyone else skips it, once it has met every error a member
+// would. (A section that clips to nothing still runs the zero-word tree.)
+// Where no bound can fail (plain), one outside evaluates none unless it
+// meets an error, which stands only if the section is not empty, and
+// zeroes no bounds or box: they are declared on the member path.
+func (c *commSite) rooted(fr *frame) error {
+	arr, err := c.begin(fr)
+	if err != nil {
+		return err
 	}
-	clip(arr, &b, bx)
-	return arr, peer, bx.elems > 0, nil
-}
-
-// rooted is open for a broadcast, whose root must be a processor, and
-// the group it reaches besides: all, or the owners of its "to" section by
-// the array's run-time distribution, along the clause's shape. Only the
-// root and the group clip the section into bx; anyone else skips it (ok
-// false), once it has met every error a member would. (A section that
-// clips to nothing still runs the zero-word tree.) Where no bound can
-// fail (plain), one outside evaluates none unless it meets an error,
-// which stands only if the section is not empty.
-func (c *commSite) rooted(fr *frame, bx *box) (arr *Array, root int, g machine.Group, ok bool, err error) {
-	var b bounds
-	if arr, err = c.begin(fr); err != nil {
-		return
-	}
-	if !c.plain {
-		if err = c.bounds(fr, &b); err != nil || b.empty {
-			return
+	root, g, ok := 0, machine.All, false
+	if c.plain {
+		if root, g, ok, err = c.group(fr, arr); !ok && err == nil {
+			return nil
 		}
 	}
-	if root, g, ok, err = c.group(fr, arr); c.plain && (ok || err != nil) {
-		if c.bounds(fr, &b); b.empty {
-			return arr, root, g, false, nil
+	var b bounds
+	switch berr := c.bounds(fr, &b); {
+	case c.plain && b.empty:
+		return nil
+	case c.plain:
+	case berr != nil || b.empty:
+		return berr
+	default:
+		root, g, ok, err = c.group(fr, arr)
+	}
+	if !ok {
+		return err
+	}
+	// a member: a postbcast files its op (the root's tree sends happen
+	// now, everyone else records what to wait for), a broadcast runs
+	var bx box
+	clip(arr, &b, &bx)
+	var po *postedOp
+	if c.kind == ast.MsgPostBcast {
+		if po, err = c.post(fr, arr, &bx); err != nil {
+			return err
 		}
+		po.isRoot = fr.nd.p == root
 	}
-	if ok {
-		clip(arr, &b, bx)
+	var data []float64
+	if fr.nd.p == root {
+		data = fr.nd.proc.Scratch(bx.elems)
+		arr.gather(&bx, data)
 	}
-	return
+	if po != nil {
+		fr.nd.proc.PostBcastInto(&po.h, root, g, data)
+	} else if data = fr.nd.proc.Broadcast(root, g, data); fr.nd.p != root {
+		if len(data) != bx.elems {
+			return fmt.Errorf("broadcast %s: size mismatch %d != %d", c.array, len(data), bx.elems)
+		}
+		arr.deliver(c, &bx, data)
+	}
+	return nil
 }
 
 // group is rooted's rank, root and receivers, ok if this processor is one.
@@ -325,51 +339,40 @@ func (c *commSite) group(fr *frame, arr *Array) (root int, g machine.Group, ok b
 	return root, g, err == nil && (c.to == nil || nd.p == root || g.Has(nd.p, nd.pl.nproc)), err
 }
 
-func (c *commSite) send(fr *frame) error {
-	var bx box
-	arr, dest, ok, err := c.partner(fr, &bx)
-	if !ok {
-		return err
-	}
-	// stage the payload in the machine's scratch buffer, one reused
-	// buffer per processor, so generated sends allocate nothing
-	data := fr.nd.proc.Scratch(bx.elems)
-	arr.gather(&bx, data)
-	fr.nd.proc.Send(dest, data)
-	return nil
-}
-
-func (c *commSite) recv(fr *frame) error {
-	var bx box
-	arr, src, ok, err := c.partner(fr, &bx)
-	if !ok {
-		return err
-	}
-	data := fr.nd.proc.Recv(src)
-	if len(data) != bx.elems {
-		return fmt.Errorf("recv %s: message size %d != section size %d (proc %d from %d)",
-			c.array, len(data), bx.elems, fr.nd.p, src)
-	}
-	arr.deliver(c, &bx, data)
-	return nil
-}
-
-func (c *commSite) broadcast(fr *frame) error {
+// partner runs a send, a recv or a postrecv: the section, clipped, goes
+// to or comes from the partner. There is nothing to do when the partner
+// is no other processor or no element is left; a postrecv then files
+// nothing and its wait is a no-op too, which is what makes the schedule
+// pass's unguarded waits safe under the post's original guard.
+func (c *commSite) partner(fr *frame) error {
 	nd := fr.nd
-	var bx box
-	arr, root, g, ok, err := c.rooted(fr, &bx)
-	if !ok {
+	var b bounds
+	arr, peer, ok, err := c.open(fr, &b)
+	if !ok || peer < 0 || peer >= nd.pl.nproc || peer == nd.p {
 		return err
 	}
-	var data []float64
-	if nd.p == root {
-		data = nd.proc.Scratch(bx.elems)
-		arr.gather(&bx, data)
+	var bx box
+	if clip(arr, &b, &bx); bx.elems == 0 {
+		return nil
 	}
-	data = nd.proc.Broadcast(root, g, data)
-	if nd.p != root {
+	switch c.kind {
+	case ast.MsgSend:
+		// stage the payload in the machine's scratch buffer, one reused
+		// buffer per processor, so generated sends allocate nothing
+		data := nd.proc.Scratch(bx.elems)
+		arr.gather(&bx, data)
+		nd.proc.Send(peer, data)
+	case ast.MsgPostRecv:
+		po, err := c.post(fr, arr, &bx)
+		if err != nil {
+			return err
+		}
+		nd.proc.IRecvInto(&po.h, peer)
+	default:
+		data := nd.proc.Recv(peer)
 		if len(data) != bx.elems {
-			return fmt.Errorf("broadcast %s: size mismatch %d != %d", c.array, len(data), bx.elems)
+			return fmt.Errorf("recv %s: message size %d != section size %d (proc %d from %d)",
+				c.array, len(data), bx.elems, nd.p, peer)
 		}
 		arr.deliver(c, &bx, data)
 	}
@@ -411,48 +414,7 @@ func (c *commSite) post(fr *frame, arr *Array, bx *box) (*postedOp, error) {
 	return po, nil
 }
 
-// postRecv posts the receive half of a split halo exchange. Like recv
-// it is a no-op for out-of-range or self sources and empty sections —
-// in those cases nothing is filed and the matching waitRecv is a no-op
-// too, which is what makes the schedule pass's unguarded waits safe
-// under the post's original guard.
-func (c *commSite) postRecv(fr *frame) error {
-	var bx box
-	arr, src, ok, err := c.partner(fr, &bx)
-	if !ok {
-		return err
-	}
-	po, err := c.post(fr, arr, &bx)
-	if err == nil {
-		fr.nd.proc.IRecvInto(&po.h, src)
-	}
-	return err
-}
-
-// postBcast posts the send half of a split-phase broadcast: the root's
-// tree sends happen now, every other processor records what to wait
-// for.
-func (c *commSite) postBcast(fr *frame) error {
-	nd := fr.nd
-	var bx box
-	arr, root, g, ok, err := c.rooted(fr, &bx)
-	if !ok {
-		return err
-	}
-	po, err := c.post(fr, arr, &bx)
-	if err != nil {
-		return err
-	}
-	var data []float64
-	if po.isRoot = nd.p == root; po.isRoot {
-		data = nd.proc.Scratch(bx.elems)
-		arr.gather(&bx, data)
-	}
-	nd.proc.PostBcastInto(&po.h, root, g, data)
-	return nil
-}
-
-// wait completes the postRecv or postBcast with the same tag, if one is
+// wait completes the postrecv or postbcast with the same tag, if one is
 // in flight (none: the post's guard was false): the message is
 // delivered as the section captured at post time, unless this processor
 // supplied it, and the op goes back to the pool. A post of another
@@ -509,7 +471,8 @@ func (c *commSite) allGather(fr *frame) error {
 	// (ascending owner) needs no headers and both ends of every link
 	// agree on whether a block range is empty
 	part := func(q int) window { return newWindow(arr.Dist, q, bx.lo[dim], bx.hi[dim]) }
-	start, slab := nd.counts(np+1), bx.elems/bx.ext[dim]
+	nd.partStart = slices.Grow(nd.partStart[:0], np+1)[:np+1]
+	start, slab := nd.partStart, bx.elems/bx.ext[dim]
 	for q := range np {
 		w := part(q)
 		start[q+1] = start[q] + slab*w.n
@@ -693,34 +656,35 @@ func (c *commSite) exchange(nd *node, arr, next *Array) error {
 		}
 	}
 	data := nd.proc.Scratch(arr.size(&own))
-	start := nd.deal(arr, &own, func(idx [maxRank]int) int {
+	groups := nd.deal(arr, &own, func(idx [maxRank]int) int {
 		if mine == nil {
 			return p // one group, for every partner
 		}
 		return mine.owner(idx[ndim])
 	}, func(k int, idx [maxRank]int) { data[k] = arr.Data[arr.local(&idx)] })
-	for q := range np {
-		part := data[start[q]:start[q+1]]
-		if mine == nil {
-			part = data
+	for q := 0; mine == nil && q < np && len(data) > 0; q++ {
+		if q != p {
+			nd.proc.Send(q, data)
 		}
-		if q != p && len(part) > 0 {
-			nd.proc.Send(q, part)
+	}
+	for _, g := range groups {
+		if mine != nil && int(g.q) != p {
+			nd.proc.Send(int(g.q), data[g.lo:g.hi])
 		}
 	}
 	n := next.size(mine)
 	nd.place = slices.Grow(nd.place[:0], n)[:n]
-	start = nd.deal(next, mine, func(idx [maxRank]int) int { return own.owner(idx[odim]) },
+	groups = nd.deal(next, mine, func(idx [maxRank]int) int { return own.owner(idx[odim]) },
 		func(k int, idx [maxRank]int) { nd.place[k] = next.local(&idx) })
-	for q := range np {
-		at := nd.place[start[q]:start[q+1]]
-		if q == p || len(at) == 0 {
+	for _, g := range groups {
+		if int(g.q) == p {
 			continue
 		}
-		data := nd.proc.Recv(q)
+		at := nd.place[g.lo:g.hi]
+		data := nd.proc.Recv(int(g.q))
 		if len(data) != len(at) {
 			return fmt.Errorf("remap %s: message size %d != part size %d (proc %d from %d)",
-				c.array, len(data), len(at), p, q)
+				c.array, len(data), len(at), p, g.q)
 		}
 		for k, v := range data {
 			next.Data[at[k]] = v
@@ -730,29 +694,43 @@ func (c *commSite) exchange(nd *node, arr, next *Array) error {
 	return nil
 }
 
+// group is one processor's part of a deal: positions lo to hi go to q.
+type group struct{ q, lo, hi int32 }
+
 // deal arranges the elements of a with a distributed subscript of w's
-// (nil: all), walked in message order, in one group per processor, the one
-// to names: put gets each element's position, and group q is positions
-// start[q] to start[q+1] (scratch, good until the next deal or allgather).
-func (nd *node) deal(a *Array, w *window, to func(idx [maxRank]int) int, put func(k int, idx [maxRank]int)) (start []int) {
-	// c[q+2] counts group q; summed, c[q+1] is where q starts, then where
-	// its next element goes
-	c := nd.counts(nd.pl.nproc + 2)
-	a.each(nil, w, func(idx [maxRank]int) { c[to(idx)+2]++ })
-	for q := 3; q < len(c); q++ {
-		c[q] += c[q-1]
+// (nil: all), walked in message order, in one group per processor that
+// to names: put gets each element's position, and the non-empty groups
+// come back in increasing q (the node's, good until its next deal). It
+// counts in the run's tally, shared as a deal never parks, left zero.
+func (nd *node) deal(a *Array, w *window, to func(idx [maxRank]int) int, put func(k int, idx [maxRank]int)) []group {
+	ar := nd.ar
+	if ar.tally == nil {
+		ar.tally = make([]int32, nd.pl.nproc)
 	}
+	t, k := ar.tally, 0 // t[q] counts q's group, then is its index in g
 	a.each(nil, w, func(idx [maxRank]int) {
 		q := to(idx)
-		put(c[q+1], idx)
-		c[q+1]++
+		if t[q]++; t[q] == 1 {
+			k++
+		}
 	})
-	return c
-}
-
-// counts returns the node's integer scratch, n zeros.
-func (nd *node) counts(n int) []int {
-	nd.partStart = slices.Grow(nd.partStart[:0], n)[:n]
-	clear(nd.partStart)
-	return nd.partStart
+	if cap(nd.groups) < k {
+		nd.groups = ar.groups.take(k)
+	}
+	g, at := nd.groups[:0], int32(0)
+	for q, n := range t {
+		if n > 0 {
+			g = append(g, group{q: int32(q), lo: at, hi: at})
+			t[q], at = int32(len(g)-1), at+n
+		}
+	}
+	a.each(nil, w, func(idx [maxRank]int) {
+		gq := &g[t[to(idx)]]
+		put(int(gq.hi), idx)
+		gq.hi++
+	})
+	for _, gq := range g {
+		t[gq.q] = 0
+	}
+	return g
 }

@@ -2,12 +2,14 @@ package spmd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"fortd/internal/decomp"
 	"fortd/internal/machine"
+	"fortd/internal/trace"
 )
 
 // TestBroadcastErrorsOutsideReceivers pins that deciding a broadcast's
@@ -80,5 +82,90 @@ func TestBroadcastErrorsOutsideReceivers(t *testing.T) {
 				t.Errorf("%s, %s: %d messages, want %d", what, tc.name, res.Stats.Messages, tc.msgs)
 			}
 		}
+	}
+}
+
+// TestSplitPhaseLabels pins the trace label of each split-phase half
+// (ast.MsgKind.Label) where it shows: the events of a run, named by the
+// statement whose line they carry, and the report of an abort inside a
+// wait. A table that swapped two labels runs to the same arrays and
+// clocks, so only the names can tell.
+func TestSplitPhaseLabels(t *testing.T) {
+	prog := parseProg(t, `
+      PROGRAM P
+      PARAMETER (n$proc = 2)
+      REAL a(8), b(8)
+      my$p = myproc()
+      if (my$p .EQ. 0) then
+        send a(1:2) to 1
+      endif
+      if (my$p .EQ. 1) then
+        postrecv a(1:2) from 0 tag 1
+      endif
+      postbcast b(1:4) from 0 tag 2
+      if (my$p .EQ. 1) then
+        waitrecv a tag 1
+      endif
+      waitbcast b tag 2
+      END
+`)
+	tr := trace.New()
+	if _, err := Lower(prog, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	// line: the kinds and names of the events carrying it, in order
+	got := map[int][]string{}
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindSend || ev.Kind == trace.KindWait {
+			got[ev.Line] = append(got[ev.Line], fmt.Sprintf("%v %s", ev.Kind, ev.Name))
+		}
+	}
+	for line, want := range map[int]string{
+		7:  "send send",  // the send the postrecv completes from
+		10: "",           // a post of a receive sends nothing
+		12: "send bcast", // the root's half of the postbcast
+		14: "wait wait",  // the waitrecv
+		16: "wait bcast", // the waitbcast
+	} {
+		if s := strings.Join(got[line], ", "); s != want {
+			t.Errorf("line %d: events %q, want %q", line, s, want)
+		}
+	}
+
+	// the receive nobody sends: the waitrecv blocks, and the deadlock
+	// report names the wait
+	stuck := parseProg(t, `
+      PROGRAM P
+      PARAMETER (n$proc = 2)
+      REAL a(8)
+      my$p = myproc()
+      if (my$p .EQ. 1) then
+        postrecv a(1:2) from 0 tag 1
+        waitrecv a tag 1
+      endif
+      END
+`)
+	_, err := Lower(stuck, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
+	var de *machine.DeadlockError
+	if !errors.As(err, &de) || len(de.Blocked) != 1 || de.Blocked[0].Op != "wait" || de.Blocked[0].Line != 8 {
+		t.Errorf("a stuck waitrecv: error %v, want a deadlock with p1 blocked in wait at P:8", err)
+	}
+
+	// p0 (whose postrecv from itself is nothing) fails before p1 runs,
+	// and p1 unwinds at its postrecv, a cancellation point: its
+	// AbortError names the post
+	failed := parseProg(t, `
+      PROGRAM P
+      PARAMETER (n$proc = 2)
+      REAL a(8)
+      postrecv a(1:2) from 0 tag 1
+      a(9) = 1.0
+      waitrecv a tag 1
+      END
+`)
+	_, err = Lower(failed, 2, nil, nil, nil).Run(context.Background(), machine.DefaultConfig(2), Options{})
+	var ae *machine.AbortError
+	if !errors.As(err, &ae) || ae.PID != 1 || ae.Op != "post" || ae.Line != 5 {
+		t.Errorf("an abort at a postrecv: error %v, want p1 unwound in post at P:5", err)
 	}
 }

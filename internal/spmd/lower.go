@@ -150,13 +150,15 @@ type node struct {
 	// processor owns.
 	seed      map[string][]float64
 	hole      float64 // stands in for an element not held (arrayRef.elem)
-	partStart []int   // allgather and remap scratch: where each processor's part starts
+	partStart []int   // allgather scratch: where each processor's part starts
+	groups    []group // the last deal's non-empty groups
 	place     []int   // remap scratch: where in the new window each element received goes
 }
 
 // arena is one run's per-processor state: its nodes, the frames they
 // activate first (with their slots and bindings), posted-op and COMMON
-// tables, and the strip scratch (strip.go), which all its nodes share.
+// tables, a remap's deal scratch, and the strip scratch (strip.go), which
+// all its nodes share.
 // The main unit's frames come from slabs sized for every processor, a
 // callee's from chunks. A run's nodes take from one arena without locks
 // because the machine runs one node at a time, and taking never waits.
@@ -169,6 +171,8 @@ type arena struct {
 	posted slab[*postedOp]
 	mains  slab[*Array] // what each node returns
 	strip  []float64
+	tally  []int32     // a remap's: every deal counts in it, P zeros between deals
+	groups slab[group] // nodes' deal groups
 }
 
 // newArena is the arena of a run of pl on np processors.
